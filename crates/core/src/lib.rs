@@ -60,7 +60,7 @@
 //!
 //! let (index, report) = IndexBuilder::new()
 //!     .ordering(NodeOrdering::Hybrid)  // Louvain-backed cluster+degree order
-//!     .threads(0)                      // parallel triangular inversion
+//!     .threads(0)                      // parallel LU and triangular inversion
 //!     .build_with_report(&graph)
 //!     .unwrap();
 //! for timing in &report.stages {

@@ -12,13 +12,15 @@
 //! `W = I − (1−c)A`, and — dominating everything at scale — the triangular
 //! inversion that materialises `L⁻¹` and `U⁻¹`.
 //!
-//! The inversion stage is parallel: columns of a triangular inverse are
-//! independent Gilbert–Peierls solves, so [`IndexBuilder::threads`] fans
-//! them out over a work-stealing chunk cursor (the same pattern
-//! [`batch_top_k`](crate::batch_top_k) uses for queries), one solve
-//! workspace per worker. The gathered result is **bit-identical** to the
-//! sequential inversion at every thread count, which the tier-1
-//! `build_determinism` suite pins.
+//! Factorization and inversion are parallel, both driven by
+//! [`IndexBuilder::threads`]. The LU fans its columns out over the column
+//! dependency DAG (`kdash_sparse::sparse_lu_with`). Columns of a
+//! triangular inverse are independent Gilbert–Peierls solves, so the
+//! inversion stage fans them out over a work-stealing chunk cursor (the
+//! same pattern [`batch_top_k`](crate::batch_top_k) uses for queries),
+//! one solve workspace per worker, expensive chunks first. Both results are
+//! **bit-identical** to the sequential build at every thread count, which
+//! the tier-1 `build_determinism` suite pins.
 
 use crate::ordering::{compute_ordering_with_stats, OrderingStats};
 use crate::precompute::IndexParts;
@@ -85,7 +87,10 @@ pub struct BuildReport {
     /// What the ordering stage observed (community structure for the
     /// Louvain-backed cluster/hybrid orderings).
     pub ordering: OrderingStats,
-    /// Resolved inversion worker count (after `threads = 0` auto-detect).
+    /// Resolved worker count (after `threads = 0` auto-detect) of the
+    /// inversion stage. The factorization stage resolves the same
+    /// [`IndexBuilder::threads`] setting the same way, so despite the
+    /// name this is the worker count of both.
     pub inversion_threads: usize,
 }
 
@@ -140,7 +145,7 @@ impl Default for IndexBuilder {
 
 impl IndexBuilder {
     /// Builder with the paper's defaults (hybrid ordering, `c = 0.95`)
-    /// and sequential inversion.
+    /// and a sequential build.
     pub fn new() -> Self {
         IndexBuilder::from_options(IndexOptions::default())
     }
@@ -207,9 +212,10 @@ impl IndexBuilder {
         self
     }
 
-    /// Worker threads for the inversion stage: `0` = one per available
-    /// hardware thread, `1` (the default) = sequential. Output is
-    /// bit-identical at every thread count.
+    /// Worker threads for the factorization stage (`sparse_lu_with`) and
+    /// the inversion stage: `0` = one per available hardware thread, `1`
+    /// (the default) = sequential. Output is bit-identical at every
+    /// thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -265,10 +271,10 @@ impl IndexBuilder {
 
         // Stage 3 — inversion: the independent column solves, fanned out.
         // Under a positive drop tolerance the solves truncate sub-ε
-        // entries before they propagate (the sparsify drivers delegate to
-        // the plain inverters at ε = 0, so the dense-exact path stays
-        // bit-identical); the per-column dropped ℓ₁ masses ride along into
-        // the index for the certified refinement loop.
+        // entries before they propagate (at ε = 0 they are the exact
+        // solves, so the dense-exact path stays bit-identical); the
+        // per-column dropped ℓ₁ masses ride along into the index for the
+        // certified refinement loop.
         let t = Instant::now();
         let eps = options.drop_tolerance;
         let invert_options = InvertOptions { threads: self.threads };

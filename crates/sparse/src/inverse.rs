@@ -10,13 +10,25 @@
 //!
 //! Columns are mutually independent (no column's solve reads another
 //! column of the inverse), which makes the inversion embarrassingly
-//! parallel: [`invert_lower_unit_with`] / [`invert_upper_with`] fan the
-//! columns out over a work-stealing chunk cursor, one [`SolveWorkspace`]
-//! per worker, and gather the per-worker column blocks back in column
-//! order — so the result is **bit-identical** to the sequential inversion
-//! at every thread count.
+//! parallel. Every inversion in the crate — full or a dirty subset, exact
+//! or sparsified ([`crate::sparsify`]) — runs through one driver here: the
+//! workers share a read-only view of the factor (for a full inversion
+//! indexed once up front — strict-span bounds and stored diagonal per
+//! column — so no solve searches a column), claim chunks of columns off
+//! one cursor with one [`SolveWorkspace`] each, and the solved blocks are
+//! gathered back in column order — so the result is **bit-identical** to
+//! the sequential inversion at every thread count.
+//!
+//! Claims go out **heavy-first**. A column's cost is its reach, which
+//! grows towards the low columns of a `Lower` triangle and the high
+//! columns of an `Upper` one (the last of 64 chunks of an RMAT `U⁻¹` holds
+//! nearly half its cost), so `Upper` chunks are claimed in descending
+//! order: the expensive chunks start first and the cheap ones fill the
+//! tail, where an ascending order would leave one worker alone on the
+//! most expensive chunk.
 
-use crate::{CscMatrix, Index, Result, SolveWorkspace, SparseError, Triangle};
+use crate::triangular::FactorView;
+use crate::{ColumnUpdate, CscMatrix, Index, Result, SolveWorkspace, SparseError, Triangle};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Options for the triangular-inversion driver.
@@ -63,62 +75,69 @@ impl InvertOptions {
 /// The returned matrix stores the unit diagonal **explicitly**, so its
 /// column `q` is directly the vector `L⁻¹ e_q` used at query time.
 pub fn invert_lower_unit(l: &CscMatrix) -> Result<CscMatrix> {
-    invert(l, Triangle::Lower, true, InvertOptions::sequential())
+    invert_lower_unit_with(l, InvertOptions::sequential())
 }
 
 /// Inverts an upper triangular matrix with stored diagonal.
 pub fn invert_upper(u: &CscMatrix) -> Result<CscMatrix> {
-    invert(u, Triangle::Upper, false, InvertOptions::sequential())
+    invert_upper_with(u, InvertOptions::sequential())
 }
 
 /// [`invert_lower_unit`] with an explicit thread count.
 pub fn invert_lower_unit_with(l: &CscMatrix, options: InvertOptions) -> Result<CscMatrix> {
-    invert(l, Triangle::Lower, true, options)
+    Ok(invert_truncated(l, Triangle::Lower, true, 0.0, options)?.0)
 }
 
 /// [`invert_upper`] with an explicit thread count.
 pub fn invert_upper_with(u: &CscMatrix, options: InvertOptions) -> Result<CscMatrix> {
-    invert(u, Triangle::Upper, false, options)
+    Ok(invert_truncated(u, Triangle::Upper, false, 0.0, options)?.0)
 }
 
-fn invert(
+/// Full inversion under drop tolerance `eps` (`0.0` = exact): the inverse
+/// and the ℓ₁ mass truncated from each column.
+pub(crate) fn invert_truncated(
     t: &CscMatrix,
     triangle: Triangle,
     unit_diag: bool,
+    eps: f64,
     options: InvertOptions,
-) -> Result<CscMatrix> {
-    let n = t.nrows();
-    if t.nrows() != t.ncols() {
-        return Err(SparseError::NotSquare { nrows: t.nrows(), ncols: t.ncols() });
-    }
-    let threads = options.resolved_threads(n);
-    if threads <= 1 {
-        invert_sequential(t, triangle, unit_diag)
-    } else {
-        invert_parallel(t, triangle, unit_diag, threads)
-    }
-}
-
-fn invert_sequential(t: &CscMatrix, triangle: Triangle, unit_diag: bool) -> Result<CscMatrix> {
-    let n = t.nrows();
-    let mut ws = SolveWorkspace::new(n);
+) -> Result<(CscMatrix, Vec<f64>)> {
+    let view = FactorView::indexed(t, triangle, unit_diag)?;
+    let n = view.dim();
+    let mut blocks = solve_columns(&view, None, eps, options.resolved_threads(n))?;
+    // Concatenate the blocks (in column order, tiling `0..n`) into the
+    // flat CSC arrays a sequential loop would have appended one column at
+    // a time.
     let mut col_ptr = Vec::with_capacity(n + 1);
-    col_ptr.push(0usize);
-    let mut row_idx: Vec<Index> = Vec::new();
-    let mut values: Vec<f64> = Vec::new();
-    let (mut xi, mut xv) = (Vec::new(), Vec::new());
-    for j in 0..n as Index {
-        ws.solve_unit(t, triangle, unit_diag, j, &mut xi, &mut xv)?;
-        row_idx.extend_from_slice(&xi);
-        values.extend_from_slice(&xv);
-        col_ptr.push(row_idx.len());
+    let mut end = 0usize;
+    col_ptr.push(end);
+    for block in &blocks {
+        debug_assert_eq!(block.first, col_ptr.len() - 1, "blocks must tile the column range");
+        for &len in &block.col_lens {
+            end += len;
+            col_ptr.push(end);
+        }
     }
-    CscMatrix::from_raw_parts(n, n, col_ptr, row_idx, values)
+    debug_assert_eq!(col_ptr.len(), n + 1, "every column must be covered");
+    let (rows, vals, dropped) = if blocks.len() == 1 {
+        // A lone block (one worker) already is the flat arrays.
+        blocks.pop().map(|b| (b.rows, b.vals, b.dropped)).unwrap_or_default()
+    } else {
+        let mut flat = (Vec::with_capacity(end), Vec::with_capacity(end), Vec::with_capacity(n));
+        for block in &blocks {
+            flat.0.extend_from_slice(&block.rows);
+            flat.1.extend_from_slice(&block.vals);
+            flat.2.extend_from_slice(&block.dropped);
+        }
+        flat
+    };
+    Ok((CscMatrix::from_raw_parts(n, n, col_ptr, rows, vals)?, dropped))
 }
 
 /// A contiguous run of solved columns, produced by one worker claim.
+#[derive(Default)]
 struct ColumnBlock {
-    /// First column covered by the block.
+    /// Position of the block's first column in the column list.
     first: usize,
     /// Nonzero count per column, in column order.
     col_lens: Vec<usize>,
@@ -126,6 +145,8 @@ struct ColumnBlock {
     rows: Vec<Index>,
     /// Values parallel to `rows`.
     vals: Vec<f64>,
+    /// Dropped ℓ₁ mass per column, parallel to `col_lens`.
+    dropped: Vec<f64>,
 }
 
 /// Columns per cursor claim. Column costs are skewed (a column's solve is
@@ -136,114 +157,75 @@ pub(crate) fn claim_chunk(n: usize, threads: usize) -> usize {
     (n / (threads * 32)).clamp(1, 256)
 }
 
-fn invert_parallel(
-    t: &CscMatrix,
-    triangle: Triangle,
-    unit_diag: bool,
+/// The one column driver: solves `T x = e_j` under `eps` for every `j` in
+/// `columns` (sorted strictly ascending; `None` = every column) and
+/// returns the solved blocks in column order.
+///
+/// Workers claim chunks off one cursor, heavy-first (module docs). A
+/// failed solve poisons the cursor and the run is repeated on the calling
+/// thread in ascending order, so the error reported is the lowest failing
+/// column's at every thread count (a cold path; the repeated work buys
+/// determinism). A single worker runs on the calling thread; inverting
+/// every column, it takes them as one chunk, which the gather then moves.
+fn solve_columns(
+    view: &FactorView,
+    columns: Option<&[Index]>,
+    eps: f64,
     threads: usize,
-) -> Result<CscMatrix> {
-    let n = t.nrows();
-    let chunk = claim_chunk(n, threads);
+) -> Result<Vec<ColumnBlock>> {
+    let len = columns.map_or(view.dim(), <[Index]>::len);
+    let whole = threads <= 1 && columns.is_none();
+    let chunk = if whole { len.max(1) } else { claim_chunk(len, threads) };
+    let claims = len.div_ceil(chunk);
     let cursor = AtomicUsize::new(0);
-
-    // Each worker returns its solved blocks plus the first error it hit
-    // (the error poisons the cursor so other workers stop claiming).
-    type WorkerOutput = (Vec<ColumnBlock>, Option<(usize, SparseError)>);
-    let worker_outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut ws = SolveWorkspace::new(n);
-                    let (mut xi, mut xv) = (Vec::new(), Vec::new());
-                    let mut blocks: Vec<ColumnBlock> = Vec::new();
-                    let mut error: Option<(usize, SparseError)> = None;
-                    'claims: loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + chunk).min(n);
-                        let mut block = ColumnBlock {
-                            first: start,
-                            col_lens: Vec::with_capacity(end - start),
-                            rows: Vec::new(),
-                            vals: Vec::new(),
-                        };
-                        for j in start..end {
-                            match ws.solve_unit(
-                                t,
-                                triangle,
-                                unit_diag,
-                                j as Index,
-                                &mut xi,
-                                &mut xv,
-                            ) {
-                                Ok(()) => {
-                                    block.col_lens.push(xi.len());
-                                    block.rows.extend_from_slice(&xi);
-                                    block.vals.extend_from_slice(&xv);
-                                }
-                                Err(e) => {
-                                    error = Some((j, e));
-                                    // Poison the cursor: the inversion is
-                                    // doomed, remaining columns are wasted
-                                    // work. Chunks are claimed in increasing
-                                    // order, so every chunk at or below the
-                                    // lowest-error chunk was already handed
-                                    // out — the lowest-column error is still
-                                    // found deterministically.
-                                    cursor.fetch_max(n, Ordering::Relaxed);
-                                    break 'claims;
-                                }
-                            }
-                        }
-                        blocks.push(block);
-                    }
-                    (blocks, error)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("inversion worker panicked")).collect()
-    });
-
-    // Deterministic error: the sequential path reports the lowest singular
-    // column; claims go out in increasing order, so the chunk containing
-    // that column was processed (up to the error) by whoever claimed it.
-    let mut first_error: Option<(usize, SparseError)> = None;
-    let mut blocks: Vec<ColumnBlock> = Vec::new();
-    for (worker_blocks, error) in worker_outputs {
-        blocks.extend(worker_blocks);
-        if let Some((col, e)) = error {
-            match &first_error {
-                Some((lowest, _)) if *lowest <= col => {}
-                _ => first_error = Some((col, e)),
+    let work = || -> Result<Vec<ColumnBlock>> {
+        let mut ws = SolveWorkspace::new(view.dim());
+        let (mut xi, mut xv) = (Vec::new(), Vec::new());
+        let mut solved = Vec::new();
+        loop {
+            let claim = cursor.fetch_add(1, Ordering::Relaxed);
+            if claim >= claims {
+                return Ok(solved);
             }
+            // Heavy-first among workers; a lone worker keeps ascending
+            // order, so the first error it meets is the lowest column's.
+            let first = match view.triangle {
+                Triangle::Upper if threads > 1 => (claims - 1 - claim) * chunk,
+                _ => claim * chunk,
+            };
+            let mut block = ColumnBlock { first, ..Default::default() };
+            for at in first..(first + chunk).min(len) {
+                let j = columns.map_or(at as Index, |columns| columns[at]);
+                let mass = ws
+                    .solve_view(view, &[j], &[1.0], eps, Some(j), &mut xi, &mut xv)
+                    .inspect_err(|_| {
+                        cursor.fetch_max(claims, Ordering::Relaxed);
+                    })?;
+                block.col_lens.push(xi.len());
+                block.rows.extend_from_slice(&xi);
+                block.vals.extend_from_slice(&xv);
+                block.dropped.push(mass);
+            }
+            solved.push(block);
+        }
+    };
+    if threads <= 1 {
+        return work();
+    }
+    let outputs = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+        let panicked = |_| SparseError::Malformed("a column-solve worker panicked".into());
+        handles.into_iter().map(|h| h.join().map_err(panicked)).collect::<Result<Vec<_>>>()
+    })?;
+    let mut blocks = Vec::new();
+    for output in outputs {
+        match output {
+            Ok(solved) => blocks.extend(solved),
+            Err(_) => return solve_columns(view, columns, eps, 1),
         }
     }
-    if let Some((_, e)) = first_error {
-        return Err(e);
-    }
-
-    // Gather the blocks in column order; concatenation reproduces exactly
-    // the arrays the sequential loop appends one column at a time.
     blocks.sort_unstable_by_key(|b| b.first);
-    let total_nnz: usize = blocks.iter().map(|b| b.rows.len()).sum();
-    let mut col_ptr = Vec::with_capacity(n + 1);
-    col_ptr.push(0usize);
-    let mut row_idx: Vec<Index> = Vec::with_capacity(total_nnz);
-    let mut values: Vec<f64> = Vec::with_capacity(total_nnz);
-    let mut next_col = 0usize;
-    for block in &blocks {
-        debug_assert_eq!(block.first, next_col, "blocks must tile the column range");
-        next_col += block.col_lens.len();
-        for &len in &block.col_lens {
-            col_ptr.push(col_ptr.last().expect("non-empty") + len);
-        }
-        row_idx.extend_from_slice(&block.rows);
-        values.extend_from_slice(&block.vals);
-    }
-    debug_assert_eq!(next_col, n, "every column must be covered");
-    CscMatrix::from_raw_parts(n, n, col_ptr, row_idx, values)
+    Ok(blocks)
 }
 
 /// Re-solves an arbitrary subset of inverse columns: for each `j` in
@@ -255,25 +237,38 @@ fn invert_parallel(
 /// ([`crate::reach::inverse_dirty_columns`]) bounds the dirty set, only
 /// these columns are paid for.
 ///
-/// The subset fans out over the same work-stealing chunk cursor as the
-/// full inversion (one [`SolveWorkspace`] per worker, `threads` as in
-/// [`InvertOptions`]), and errors report the lowest failing column at
-/// every thread count.
+/// The subset runs through the same driver as the full inversion (one
+/// [`SolveWorkspace`] per worker, `threads` as in [`InvertOptions`]), and
+/// errors report the lowest failing column at every thread count.
 pub fn invert_columns_with(
     t: &CscMatrix,
     triangle: Triangle,
     unit_diag: bool,
     columns: &[Index],
     options: InvertOptions,
-) -> Result<Vec<crate::csc::ColumnUpdate>> {
-    let n = t.nrows();
-    if t.nrows() != t.ncols() {
-        return Err(SparseError::NotSquare { nrows: t.nrows(), ncols: t.ncols() });
-    }
+) -> Result<Vec<ColumnUpdate>> {
+    Ok(invert_columns_truncated(t, triangle, unit_diag, columns, 0.0, options)?.0)
+}
+
+/// Subset inversion under drop tolerance `eps` (`0.0` = exact): one
+/// update per requested column, and the ℓ₁ mass truncated from each.
+pub(crate) fn invert_columns_truncated(
+    t: &CscMatrix,
+    triangle: Triangle,
+    unit_diag: bool,
+    columns: &[Index],
+    eps: f64,
+    options: InvertOptions,
+) -> Result<(Vec<ColumnUpdate>, Vec<f64>)> {
+    // A subset's solves reach columns nobody can name up front, so this
+    // view probes a column when a solve asks for it; indexing all `n` to
+    // re-solve a handful would cost more than the solves.
+    let view = FactorView::new(t, triangle, unit_diag)?;
     for (k, &c) in columns.iter().enumerate() {
-        if (c as usize) >= n {
+        if (c as usize) >= view.dim() {
             return Err(SparseError::Malformed(format!(
-                "column {c} out of bounds for dimension {n}"
+                "column {c} out of bounds for dimension {}",
+                view.dim()
             )));
         }
         if k > 0 && columns[k - 1] >= c {
@@ -283,72 +278,22 @@ pub fn invert_columns_with(
         }
     }
     let threads = options.resolved_threads(columns.len());
-    if threads <= 1 {
-        let mut ws = SolveWorkspace::new(n);
-        let (mut xi, mut xv) = (Vec::new(), Vec::new());
-        let mut out = Vec::with_capacity(columns.len());
-        for &j in columns {
-            ws.solve_unit(t, triangle, unit_diag, j, &mut xi, &mut xv)?;
-            out.push(crate::csc::ColumnUpdate { col: j, rows: xi.clone(), vals: xv.clone() });
+    let blocks = solve_columns(&view, Some(columns), eps, threads)?;
+    let mut updates = Vec::with_capacity(columns.len());
+    let mut dropped = Vec::with_capacity(columns.len());
+    for block in blocks {
+        let mut at = 0usize;
+        for (&col, &len) in columns[block.first..].iter().zip(&block.col_lens) {
+            updates.push(ColumnUpdate {
+                col,
+                rows: block.rows[at..at + len].to_vec(),
+                vals: block.vals[at..at + len].to_vec(),
+            });
+            at += len;
         }
-        return Ok(out);
+        dropped.extend_from_slice(&block.dropped);
     }
-
-    let chunk = claim_chunk(columns.len(), threads);
-    let cursor = AtomicUsize::new(0);
-    type WorkerOutput = (Vec<crate::csc::ColumnUpdate>, Option<(usize, SparseError)>);
-    let worker_outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut ws = SolveWorkspace::new(n);
-                    let (mut xi, mut xv) = (Vec::new(), Vec::new());
-                    let mut solved: Vec<crate::csc::ColumnUpdate> = Vec::new();
-                    let mut error: Option<(usize, SparseError)> = None;
-                    'claims: loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= columns.len() {
-                            break;
-                        }
-                        let end = (start + chunk).min(columns.len());
-                        for &j in &columns[start..end] {
-                            match ws.solve_unit(t, triangle, unit_diag, j, &mut xi, &mut xv) {
-                                Ok(()) => solved.push(crate::csc::ColumnUpdate {
-                                    col: j,
-                                    rows: xi.clone(),
-                                    vals: xv.clone(),
-                                }),
-                                Err(e) => {
-                                    error = Some((j as usize, e));
-                                    cursor.fetch_max(columns.len(), Ordering::Relaxed);
-                                    break 'claims;
-                                }
-                            }
-                        }
-                    }
-                    (solved, error)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("column-solve worker panicked")).collect()
-    });
-
-    let mut first_error: Option<(usize, SparseError)> = None;
-    let mut out: Vec<crate::csc::ColumnUpdate> = Vec::with_capacity(columns.len());
-    for (solved, error) in worker_outputs {
-        out.extend(solved);
-        if let Some((col, e)) = error {
-            match &first_error {
-                Some((lowest, _)) if *lowest <= col => {}
-                _ => first_error = Some((col, e)),
-            }
-        }
-    }
-    if let Some((_, e)) = first_error {
-        return Err(e);
-    }
-    out.sort_unstable_by_key(|u| u.col);
-    Ok(out)
+    Ok((updates, dropped))
 }
 
 /// Total stored entries of the pair `(L⁻¹, U⁻¹)` — the numerator of the
@@ -561,6 +506,37 @@ mod tests {
                 matches!(err, SparseError::SingularPivot { column: 3, .. }),
                 "threads {threads}: {err:?}"
             );
+        }
+    }
+
+    /// `Upper` chunks are claimed in descending order, so a high singular
+    /// column is met first; the error must still be the lowest failing
+    /// column's, and the same whether its diagonal is missing or stored
+    /// as an explicit zero — for the full inversion and for a subset.
+    #[test]
+    fn missing_and_zero_diagonals_report_the_same_lowest_column() {
+        let n = 12;
+        let mut trips: Vec<(Index, Index, f64)> = Vec::new();
+        for j in 0..n as Index {
+            trips.push((j, j, if j == 3 || j == 7 { 9.0 } else { 2.0 }));
+            if j > 0 {
+                trips.push((j - 1, j, 1.0));
+            }
+        }
+        let marked = CscMatrix::from_triplets(n, n, &trips).unwrap();
+        let zeroed = marked.map_values(|v| if v == 9.0 { 0.0 } else { v });
+        trips.retain(|&(_, _, v)| v != 9.0);
+        let missing = CscMatrix::from_triplets(n, n, &trips).unwrap();
+        assert_eq!((zeroed.get(3, 3), missing.get(3, 3)), (Some(0.0), None));
+        let subset: Vec<Index> = (2..n as Index).collect();
+        let expect = SparseError::SingularPivot { column: 3, value: 0.0 };
+        for threads in [1usize, 2] {
+            let options = InvertOptions { threads };
+            for u in [&zeroed, &missing] {
+                assert_eq!(invert_upper_with(u, options).unwrap_err(), expect);
+                let err = invert_columns_with(u, Triangle::Upper, false, &subset, options);
+                assert_eq!(err.unwrap_err(), expect, "subset, threads {threads}");
+            }
         }
     }
 

@@ -6,14 +6,16 @@
 //! * [`CscMatrix`] / [`CsrMatrix`] — compressed sparse column/row storage,
 //! * [`triangular`] — sparse triangular solves with *sparse* right-hand
 //!   sides using Gilbert–Peierls symbolic reachability (`O(flops)`, not
-//!   `O(n)` per solve),
+//!   `O(n)` per solve): one reach kernel whose DFS frames own their child
+//!   span, shared with the LU,
 //! * [`lu`] — left-looking sparse LU factorisation `W = LU` following the
 //!   paper's Equations (6)–(7) (Doolittle form: unit-diagonal `L`). `W` is
 //!   strictly column diagonally dominant, so no pivoting is required,
 //! * [`inverse`] — sparse inverses `L⁻¹` and `U⁻¹` (Equations (4)–(5),
-//!   computed as `n` sparse solves against unit vectors), plus the
-//!   subset driver [`invert_columns_with`] that re-solves only a dirty
-//!   column set for the dynamic-update engine,
+//!   computed as `n` sparse solves against unit vectors) behind one
+//!   work-stealing, heavy-first column driver, which also serves
+//!   [`invert_columns_with`] — the re-solve of only a dirty column set
+//!   for the dynamic-update engine,
 //! * [`sparsify`] — drop-tolerance sparsified inverses: entries below `ε`
 //!   are truncated *during* the column solves (before they propagate),
 //!   with per-column dropped ℓ₁ masses returned so the query engine's

@@ -29,7 +29,10 @@
 //!   always has all dependencies finished and an owner working on it, so
 //!   the schedule is deadlock-free; and since each column's bits are a
 //!   function of its inputs alone, the result is **bit-identical at any
-//!   thread count**.
+//!   thread count**. The caller is one of the workers, and a spawned
+//!   helper that finds itself waiting retires after its chunk: where the
+//!   DAG is a chain (work ÷ critical path measured 1.0–1.2 on the
+//!   benchmark graphs) a second worker can only take turns with the first.
 //! * **Incremental refactorisation** ([`refactor_columns`]) — a column
 //!   whose `W` column is untouched and whose reach contains no column
 //!   with bitwise-changed `L` reads only bit-identical inputs, so its
@@ -52,6 +55,7 @@
 use crate::{
     ColumnUpdate, CscMatrix, Index, InvertOptions, Result, SolveWorkspace, SparseError, Triangle,
 };
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -151,24 +155,13 @@ struct FactorColumn {
 /// Per-worker scratch for the Gilbert–Peierls per-column solve. One
 /// allocation set reused across every column a driver solves.
 struct LuScratch {
-    stamp: Vec<u32>,
-    cur: u32,
-    x: Vec<f64>,
-    topo: Vec<Index>,
-    stack: Vec<(Index, usize)>,
+    ws: SolveWorkspace,
     col_scratch: Vec<(Index, f64)>,
 }
 
 impl LuScratch {
     fn new(n: usize) -> LuScratch {
-        LuScratch {
-            stamp: vec![0u32; n],
-            cur: 0,
-            x: vec![0.0f64; n],
-            topo: Vec::new(),
-            stack: Vec::new(),
-            col_scratch: Vec::new(),
-        }
+        LuScratch { ws: SolveWorkspace::new(n), col_scratch: Vec::new() }
     }
 }
 
@@ -223,6 +216,8 @@ struct ParallelView<'a> {
     old: Option<(&'a CscMatrix, &'a [u32])>,
     slots: &'a [OnceLock<FactorColumn>],
     abort: &'a AtomicBool,
+    /// Set once this worker has had to wait for a column in flight.
+    blocked: Cell<bool>,
 }
 
 impl LColumns for ParallelView<'_> {
@@ -241,6 +236,7 @@ impl LColumns for ParallelView<'_> {
             if let Some(c) = slot.get() {
                 return Ok((&c.l_rows, &c.l_vals));
             }
+            self.blocked.set(true);
             if self.abort.load(Ordering::Acquire) {
                 // Another worker hit a real error; unwind quietly — the
                 // driver re-derives the deterministic error sequentially.
@@ -253,62 +249,39 @@ impl LColumns for ParallelView<'_> {
     }
 }
 
-/// The Gilbert–Peierls solve for one factor column: symbolic DFS over
-/// the `L` columns left of `j`, sparse numeric elimination in reverse
-/// postorder, pivot check, then emit `U(:, j)` (sorted, diagonal last)
-/// and `L(:, j)` (sorted, pivot-scaled). Bit-for-bit the same arithmetic
-/// in the same order regardless of which provider backs `l` — the
-/// invariant every driver in this module leans on.
+/// The Gilbert–Peierls solve for one factor column: symbolic reach
+/// ([`SolveWorkspace::reach`], the kernel the triangular solves run) over
+/// the `L` columns left of `j`, then [`eliminate`]. Bit-for-bit the same
+/// arithmetic in the same order regardless of which provider backs `l` —
+/// the invariant every driver in this module leans on.
 fn solve_factor_column(
     j: Index,
     w_col: (&[Index], &[f64]),
     l: &impl LColumns,
     scratch: &mut LuScratch,
 ) -> Result<FactorColumn> {
-    let LuScratch { stamp, cur, x, topo, stack, col_scratch } = scratch;
-    *cur += 1;
-    if *cur == 0 {
-        // u32 stamp wrapped (needs 2^32 solves on one scratch): reset.
-        stamp.iter_mut().for_each(|s| *s = 0);
-        *cur = 1;
-    }
-    let cur = *cur;
-    topo.clear();
-    stack.clear();
-    let (b_rows, b_vals) = w_col;
-
-    // Symbolic: reach of pattern(W(:,j)) over the partially built L.
     // Only columns < j exist in L, so nodes >= j have no children.
-    for &r in b_rows {
-        if stamp[r as usize] == cur {
-            continue;
-        }
-        stamp[r as usize] = cur;
-        x[r as usize] = 0.0;
-        stack.push((r, 0));
-        while let Some(&mut (node, ref mut cursor)) = stack.last_mut() {
-            let children: &[Index] = if node < j { l.col(node)?.0 } else { &[] };
-            if *cursor < children.len() {
-                let child = children[*cursor];
-                *cursor += 1;
-                if stamp[child as usize] != cur {
-                    stamp[child as usize] = cur;
-                    x[child as usize] = 0.0;
-                    stack.push((child, 0));
-                }
-            } else {
-                topo.push(node);
-                stack.pop();
-            }
-        }
-    }
+    scratch.ws.reach(w_col.0, |node| if node < j { Ok(l.col(node)?.0) } else { Ok(&[]) })?;
+    eliminate(j, w_col, l, scratch)
+}
+
+/// The numeric half of [`solve_factor_column`], on a workspace holding
+/// the reach of `pattern(W(:, j))`: sparse elimination in reverse
+/// postorder, pivot check, then emit `U(:, j)` (sorted, diagonal last)
+/// and `L(:, j)` (sorted, pivot-scaled).
+fn eliminate(
+    j: Index,
+    (b_rows, b_vals): (&[Index], &[f64]),
+    l: &impl LColumns,
+    scratch: &mut LuScratch,
+) -> Result<FactorColumn> {
+    let LuScratch { ws: SolveWorkspace { stamps, x, topo, .. }, col_scratch } = scratch;
     for (&r, &v) in b_rows.iter().zip(b_vals) {
         x[r as usize] = v;
     }
 
     // Numeric: reverse postorder = topological order of dependencies.
-    for pos in (0..topo.len()).rev() {
-        let r = topo[pos];
+    for &r in topo.iter().rev() {
         if r >= j {
             continue; // rows at or below the pivot only accumulate
         }
@@ -322,7 +295,7 @@ fn solve_factor_column(
     }
 
     // Pivot.
-    let pivot = if stamp[j as usize] == cur { x[j as usize] } else { 0.0 };
+    let pivot = if stamps.is_marked(j as usize) { x[j as usize] } else { 0.0 };
     if pivot == 0.0 || !pivot.is_finite() {
         return Err(SparseError::SingularPivot { column: j as usize, value: pivot });
     }
@@ -426,38 +399,43 @@ fn solve_columns_parallel(
     let abort = AtomicBool::new(false);
     let cursor = AtomicUsize::new(0);
     let chunk = crate::inverse::claim_chunk(m, threads);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut scratch = LuScratch::new(n);
-                let view = ParallelView { old, slots: &slots, abort: &abort };
-                loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= m {
-                        break;
+    let work = |helper: bool| {
+        let mut scratch = LuScratch::new(n);
+        let view = ParallelView { old, slots: &slots, abort: &abort, blocked: Cell::new(false) };
+        // A helper that had to wait retires after its chunk: where each
+        // column needs the one before it, two workers only take turns,
+        // and each turn drags the other's fresh columns across the
+        // caches. The caller never retires, so every column is claimed.
+        while !(helper && view.blocked.get()) {
+            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if start >= m {
+                break;
+            }
+            // Chunks are processed in ascending column order, so the
+            // globally lowest unfinished column always has an owner
+            // actively solving it — no deadlock.
+            for (i, &j) in columns.iter().enumerate().take((start + chunk).min(m)).skip(start) {
+                if abort.load(Ordering::Acquire) {
+                    return;
+                }
+                match solve_factor_column(j, w.col(j), &view, &mut scratch) {
+                    Ok(c) => {
+                        let _ = slots[i].set(c);
                     }
-                    // Chunks are processed in ascending column order, so
-                    // the globally lowest unfinished column always has an
-                    // owner actively solving it — no deadlock.
-                    for (i, &j) in columns.iter().enumerate().take((start + chunk).min(m)).skip(start)
-                    {
-                        if abort.load(Ordering::Acquire) {
-                            return;
-                        }
-                        match solve_factor_column(j, w.col(j), &view, &mut scratch) {
-                            Ok(c) => {
-                                let _ = slots[i].set(c);
-                            }
-                            Err(_) => {
-                                abort.store(true, Ordering::Release);
-                                cursor.fetch_max(m, Ordering::Relaxed);
-                                return;
-                            }
-                        }
+                    Err(_) => {
+                        abort.store(true, Ordering::Release);
+                        cursor.fetch_max(m, Ordering::Relaxed);
+                        return;
                     }
                 }
-            });
+            }
         }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(|| work(true));
+        }
+        work(false);
     });
     if abort.load(Ordering::Acquire) {
         return None;
@@ -719,6 +697,7 @@ fn column_changed(t: &CscMatrix, j: Index, rows: &[Index], vals: &[f64]) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::triangular::tests::{oracle_systems, reference_reach, take_span_resolutions};
 
     /// Dense multiply of the stored factors (adding L's implicit diagonal).
     fn dense_lu_product(f: &LuFactors) -> Vec<Vec<f64>> {
@@ -775,6 +754,74 @@ mod tests {
             trips.push((j as Index, j as Index, cs + 1.0));
         }
         CscMatrix::from_triplets(n, n, &trips).unwrap()
+    }
+
+    /// The parent commit's factorisation: its per-edge DFS
+    /// ([`reference_reach`]) in front of the same [`eliminate`].
+    fn reference_lu(w: &CscMatrix) -> LuFactors {
+        let n = w.nrows();
+        let mut cols: Vec<FactorColumn> = Vec::with_capacity(n);
+        let mut scratch = LuScratch::new(n);
+        for j in 0..n as Index {
+            let children = |k: Index| if k < j { &cols[k as usize].l_rows[..] } else { &[] };
+            reference_reach(&mut scratch.ws, w.col(j).0, children);
+            let col = eliminate(j, w.col(j), &SolvedView(&cols), &mut scratch).unwrap();
+            cols.push(col);
+        }
+        assemble(n, cols).unwrap()
+    }
+
+    /// Full and incremental factorisation through the reach kernel match
+    /// the per-edge factorisation byte for byte at every thread count.
+    #[test]
+    fn reach_kernel_factors_are_bit_identical_to_the_per_edge_factors() {
+        for (_, w) in oracle_systems() {
+            let expect = reference_lu(&w);
+            let dirty: Vec<Index> = vec![3, 40, 200];
+            let updates: Vec<ColumnUpdate> = dirty
+                .iter()
+                .map(|&col| {
+                    let (rows, vals) = w.col(col);
+                    let bump = |(&r, &v): (&Index, &f64)| if r == col { v + 1.0 } else { v * 0.5 };
+                    let vals = rows.iter().zip(vals).map(bump).collect();
+                    ColumnUpdate { col, rows: rows.to_vec(), vals }
+                })
+                .collect();
+            let w_new = w.splice_columns(&updates).unwrap();
+            let expect_new = reference_lu(&w_new);
+            for threads in [1usize, 2, 0] {
+                let options = InvertOptions { threads };
+                assert_factors_bit_identical(&expect, &sparse_lu_with(&w, options).unwrap());
+                let (inc, _) = refactor_columns_with(&expect, &w_new, &dirty, options).unwrap();
+                assert_factors_bit_identical(&expect_new, &inc);
+            }
+        }
+    }
+
+    /// The count that keeps per-edge re-resolution out: a column solve
+    /// resolves at most two child spans per pattern node, whichever
+    /// provider backs `L`.
+    #[test]
+    fn column_solves_resolve_at_most_two_spans_per_pattern_node() {
+        fn check(w: &CscMatrix, l: &impl LColumns, scratch: &mut LuScratch) {
+            for j in 0..w.ncols() as Index {
+                take_span_resolutions();
+                solve_factor_column(j, w.col(j), l, scratch).unwrap();
+                let (resolved, pattern) = (take_span_resolutions(), scratch.ws.topo.len());
+                assert!(resolved <= 2 * pattern, "column {j}: {resolved} for {pattern} nodes");
+            }
+        }
+        let (_, w) = oracle_systems().pop().unwrap();
+        let n = w.nrows();
+        let cols = solve_all_sequential(&w).unwrap();
+        let old = assemble(n, cols.clone()).unwrap();
+        let slots: Vec<OnceLock<FactorColumn>> = cols.iter().cloned().map(OnceLock::from).collect();
+        let (fresh, abort) = (vec![None; n], AtomicBool::new(false));
+        let mut scratch = LuScratch::new(n);
+        check(&w, &SolvedView(&cols), &mut scratch);
+        check(&w, &HybridView { old_l: &old.l, fresh: &fresh }, &mut scratch);
+        let blocked = Cell::new(false);
+        check(&w, &ParallelView { old: None, slots: &slots, abort: &abort, blocked }, &mut scratch);
     }
 
     #[test]

@@ -19,18 +19,18 @@
 //! remain exact — the dropped mass only shifts work from DRAM-bound gather
 //! to a few cache-friendly correction passes.
 //!
-//! Properties mirrored from [`crate::inverse`]:
+//! Every driver here is the one column driver of [`crate::inverse`] run
+//! with `ε`, so the properties carry over:
 //!
-//! * per-column solves are independent, so the work-stealing parallel driver
-//!   is **bit-identical** to the sequential one at every thread count;
-//! * with `ε == 0` the drivers delegate to the exact inverters, so the
-//!   output arrays are bit-identical to [`crate::invert_lower_unit_with`] /
+//! * per-column solves are independent, so the output is **bit-identical**
+//!   at every thread count;
+//! * with `ε == 0` the solves are the exact ones, so the output arrays are
+//!   bit-identical to [`crate::invert_lower_unit_with`] /
 //!   [`crate::invert_upper_with`] and every dropped mass is exactly `0.0`;
 //! * errors report the lowest failing column at every thread count.
 
-use crate::inverse::claim_chunk;
-use crate::{CscMatrix, Index, InvertOptions, Result, SolveWorkspace, SparseError, Triangle};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::inverse::{invert_columns_truncated, invert_truncated};
+use crate::{ColumnUpdate, CscMatrix, Index, InvertOptions, Result, SparseError, Triangle};
 
 /// A sparsified triangular inverse plus its per-column dropped ℓ₁ masses.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,7 +48,7 @@ pub struct SparsifiedInverse {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparsifiedColumns {
     /// One update per requested column, sorted ascending by column.
-    pub updates: Vec<crate::csc::ColumnUpdate>,
+    pub updates: Vec<ColumnUpdate>,
     /// `dropped[k]` is the mass truncated from `updates[k]`'s solve.
     pub dropped: Vec<f64>,
 }
@@ -69,7 +69,9 @@ pub fn sparsify_lower_unit_with(
     eps: f64,
     options: InvertOptions,
 ) -> Result<SparsifiedInverse> {
-    sparsify(l, Triangle::Lower, true, eps, options)
+    validate_drop_tolerance(eps)?;
+    let (inverse, dropped) = invert_truncated(l, Triangle::Lower, true, eps, options)?;
+    Ok(SparsifiedInverse { inverse, dropped })
 }
 
 /// Sparsified [`crate::invert_upper_with`]: inverts an upper triangle with
@@ -80,177 +82,8 @@ pub fn sparsify_upper_with(
     eps: f64,
     options: InvertOptions,
 ) -> Result<SparsifiedInverse> {
-    sparsify(u, Triangle::Upper, false, eps, options)
-}
-
-fn sparsify(
-    t: &CscMatrix,
-    triangle: Triangle,
-    unit_diag: bool,
-    eps: f64,
-    options: InvertOptions,
-) -> Result<SparsifiedInverse> {
     validate_drop_tolerance(eps)?;
-    let n = t.nrows();
-    if t.nrows() != t.ncols() {
-        return Err(SparseError::NotSquare { nrows: t.nrows(), ncols: t.ncols() });
-    }
-    if eps == 0.0 {
-        // Exact tier: delegate so the arrays are bit-identical to the
-        // plain inverters (and the truncation branch costs nothing).
-        let inverse = match triangle {
-            Triangle::Lower => crate::invert_lower_unit_with(t, options)?,
-            Triangle::Upper => crate::invert_upper_with(t, options)?,
-        };
-        return Ok(SparsifiedInverse { inverse, dropped: vec![0.0; n] });
-    }
-    let threads = options.resolved_threads(n);
-    if threads <= 1 {
-        sparsify_sequential(t, triangle, unit_diag, eps)
-    } else {
-        sparsify_parallel(t, triangle, unit_diag, eps, threads)
-    }
-}
-
-fn sparsify_sequential(
-    t: &CscMatrix,
-    triangle: Triangle,
-    unit_diag: bool,
-    eps: f64,
-) -> Result<SparsifiedInverse> {
-    let n = t.nrows();
-    let mut ws = SolveWorkspace::new(n);
-    let mut col_ptr = Vec::with_capacity(n + 1);
-    col_ptr.push(0usize);
-    let mut row_idx: Vec<Index> = Vec::new();
-    let mut values: Vec<f64> = Vec::new();
-    let mut dropped = Vec::with_capacity(n);
-    let (mut xi, mut xv) = (Vec::new(), Vec::new());
-    for j in 0..n as Index {
-        let mass = ws.solve_unit_truncated(t, triangle, unit_diag, j, eps, &mut xi, &mut xv)?;
-        dropped.push(mass);
-        row_idx.extend_from_slice(&xi);
-        values.extend_from_slice(&xv);
-        col_ptr.push(row_idx.len());
-    }
-    let inverse = CscMatrix::from_raw_parts(n, n, col_ptr, row_idx, values)?;
-    Ok(SparsifiedInverse { inverse, dropped })
-}
-
-/// A contiguous run of solved columns, produced by one worker claim
-/// (the sparsified twin of the block in [`crate::inverse`]).
-struct ColumnBlock {
-    first: usize,
-    col_lens: Vec<usize>,
-    rows: Vec<Index>,
-    vals: Vec<f64>,
-    /// Dropped ℓ₁ mass per column, parallel to `col_lens`.
-    dropped: Vec<f64>,
-}
-
-fn sparsify_parallel(
-    t: &CscMatrix,
-    triangle: Triangle,
-    unit_diag: bool,
-    eps: f64,
-    threads: usize,
-) -> Result<SparsifiedInverse> {
-    let n = t.nrows();
-    let chunk = claim_chunk(n, threads);
-    let cursor = AtomicUsize::new(0);
-
-    type WorkerOutput = (Vec<ColumnBlock>, Option<(usize, SparseError)>);
-    let worker_outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut ws = SolveWorkspace::new(n);
-                    let (mut xi, mut xv) = (Vec::new(), Vec::new());
-                    let mut blocks: Vec<ColumnBlock> = Vec::new();
-                    let mut error: Option<(usize, SparseError)> = None;
-                    'claims: loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + chunk).min(n);
-                        let mut block = ColumnBlock {
-                            first: start,
-                            col_lens: Vec::with_capacity(end - start),
-                            rows: Vec::new(),
-                            vals: Vec::new(),
-                            dropped: Vec::with_capacity(end - start),
-                        };
-                        for j in start..end {
-                            match ws.solve_unit_truncated(
-                                t,
-                                triangle,
-                                unit_diag,
-                                j as Index,
-                                eps,
-                                &mut xi,
-                                &mut xv,
-                            ) {
-                                Ok(mass) => {
-                                    block.col_lens.push(xi.len());
-                                    block.rows.extend_from_slice(&xi);
-                                    block.vals.extend_from_slice(&xv);
-                                    block.dropped.push(mass);
-                                }
-                                Err(e) => {
-                                    error = Some((j, e));
-                                    // Poison the cursor; lowest-column error
-                                    // still wins deterministically because
-                                    // chunks go out in increasing order.
-                                    cursor.fetch_max(n, Ordering::Relaxed);
-                                    break 'claims;
-                                }
-                            }
-                        }
-                        blocks.push(block);
-                    }
-                    (blocks, error)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("sparsify worker panicked")).collect()
-    });
-
-    let mut first_error: Option<(usize, SparseError)> = None;
-    let mut blocks: Vec<ColumnBlock> = Vec::new();
-    for (worker_blocks, error) in worker_outputs {
-        blocks.extend(worker_blocks);
-        if let Some((col, e)) = error {
-            match &first_error {
-                Some((lowest, _)) if *lowest <= col => {}
-                _ => first_error = Some((col, e)),
-            }
-        }
-    }
-    if let Some((_, e)) = first_error {
-        return Err(e);
-    }
-
-    blocks.sort_unstable_by_key(|b| b.first);
-    let total_nnz: usize = blocks.iter().map(|b| b.rows.len()).sum();
-    let mut col_ptr = Vec::with_capacity(n + 1);
-    col_ptr.push(0usize);
-    let mut row_idx: Vec<Index> = Vec::with_capacity(total_nnz);
-    let mut values: Vec<f64> = Vec::with_capacity(total_nnz);
-    let mut dropped: Vec<f64> = Vec::with_capacity(n);
-    let mut next_col = 0usize;
-    for block in &blocks {
-        debug_assert_eq!(block.first, next_col, "blocks must tile the column range");
-        next_col += block.col_lens.len();
-        for &len in &block.col_lens {
-            col_ptr.push(col_ptr.last().expect("non-empty") + len);
-        }
-        row_idx.extend_from_slice(&block.rows);
-        values.extend_from_slice(&block.vals);
-        dropped.extend_from_slice(&block.dropped);
-    }
-    debug_assert_eq!(next_col, n, "every column must be covered");
-    let inverse = CscMatrix::from_raw_parts(n, n, col_ptr, row_idx, values)?;
+    let (inverse, dropped) = invert_truncated(u, Triangle::Upper, false, eps, options)?;
     Ok(SparsifiedInverse { inverse, dropped })
 }
 
@@ -269,109 +102,8 @@ pub fn sparsify_columns_with(
     options: InvertOptions,
 ) -> Result<SparsifiedColumns> {
     validate_drop_tolerance(eps)?;
-    if eps == 0.0 {
-        let updates = crate::invert_columns_with(t, triangle, unit_diag, columns, options)?;
-        let dropped = vec![0.0; updates.len()];
-        return Ok(SparsifiedColumns { updates, dropped });
-    }
-    let n = t.nrows();
-    if t.nrows() != t.ncols() {
-        return Err(SparseError::NotSquare { nrows: t.nrows(), ncols: t.ncols() });
-    }
-    for (k, &c) in columns.iter().enumerate() {
-        if (c as usize) >= n {
-            return Err(SparseError::Malformed(format!(
-                "column {c} out of bounds for dimension {n}"
-            )));
-        }
-        if k > 0 && columns[k - 1] >= c {
-            return Err(SparseError::Malformed(
-                "columns must be sorted strictly ascending".into(),
-            ));
-        }
-    }
-    // The dirty sets this serves are small; the sequential loop is the
-    // common case and parallel claims reuse the exact-driver pattern.
-    let threads = options.resolved_threads(columns.len());
-    if threads <= 1 {
-        let mut ws = SolveWorkspace::new(n);
-        let (mut xi, mut xv) = (Vec::new(), Vec::new());
-        let mut updates = Vec::with_capacity(columns.len());
-        let mut dropped = Vec::with_capacity(columns.len());
-        for &j in columns {
-            let mass = ws.solve_unit_truncated(t, triangle, unit_diag, j, eps, &mut xi, &mut xv)?;
-            updates.push(crate::csc::ColumnUpdate { col: j, rows: xi.clone(), vals: xv.clone() });
-            dropped.push(mass);
-        }
-        return Ok(SparsifiedColumns { updates, dropped });
-    }
-
-    let chunk = claim_chunk(columns.len(), threads);
-    let cursor = AtomicUsize::new(0);
-    type Solved = (crate::csc::ColumnUpdate, f64);
-    type WorkerOutput = (Vec<Solved>, Option<(usize, SparseError)>);
-    let worker_outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut ws = SolveWorkspace::new(n);
-                    let (mut xi, mut xv) = (Vec::new(), Vec::new());
-                    let mut solved: Vec<Solved> = Vec::new();
-                    let mut error: Option<(usize, SparseError)> = None;
-                    'claims: loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= columns.len() {
-                            break;
-                        }
-                        let end = (start + chunk).min(columns.len());
-                        for &j in &columns[start..end] {
-                            match ws.solve_unit_truncated(
-                                t, triangle, unit_diag, j, eps, &mut xi, &mut xv,
-                            ) {
-                                Ok(mass) => solved.push((
-                                    crate::csc::ColumnUpdate {
-                                        col: j,
-                                        rows: xi.clone(),
-                                        vals: xv.clone(),
-                                    },
-                                    mass,
-                                )),
-                                Err(e) => {
-                                    error = Some((j as usize, e));
-                                    cursor.fetch_max(columns.len(), Ordering::Relaxed);
-                                    break 'claims;
-                                }
-                            }
-                        }
-                    }
-                    (solved, error)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("sparsify column worker panicked")).collect()
-    });
-
-    let mut first_error: Option<(usize, SparseError)> = None;
-    let mut all: Vec<Solved> = Vec::with_capacity(columns.len());
-    for (solved, error) in worker_outputs {
-        all.extend(solved);
-        if let Some((col, e)) = error {
-            match &first_error {
-                Some((lowest, _)) if *lowest <= col => {}
-                _ => first_error = Some((col, e)),
-            }
-        }
-    }
-    if let Some((_, e)) = first_error {
-        return Err(e);
-    }
-    all.sort_unstable_by_key(|(u, _)| u.col);
-    let mut updates = Vec::with_capacity(all.len());
-    let mut dropped = Vec::with_capacity(all.len());
-    for (u, mass) in all {
-        updates.push(u);
-        dropped.push(mass);
-    }
+    let (updates, dropped) =
+        invert_columns_truncated(t, triangle, unit_diag, columns, eps, options)?;
     Ok(SparsifiedColumns { updates, dropped })
 }
 

@@ -9,6 +9,15 @@
 //! yields that set in topological order — so the whole solve costs
 //! `O(flops)` instead of `O(n)`.
 //!
+//! That DFS is one kernel, [`SolveWorkspace::reach`], shared with the
+//! per-column LU solve. Its frames *own* their child span: a node's
+//! children are resolved to a slice when its frame is pushed and when the
+//! DFS returns to it — at most twice per pattern node, never per edge.
+//! Where the children sit is the caller's business: a [`FactorView`] of a
+//! CSC triangle (every column's bounds and diagonal looked up once per
+//! full inversion by [`FactorView::indexed`], probed per resolution
+//! otherwise), or a column provider for the half-built `L` of the LU.
+//!
 //! Supports lower (forward substitution) and upper (backward substitution)
 //! triangles, with either an implicit unit diagonal or an explicitly stored
 //! one. Entries on the "wrong" side of the diagonal are ignored, which lets
@@ -28,6 +37,76 @@ pub enum Triangle {
     Upper,
 }
 
+/// A square CSC matrix read as one triangle: where each column's strict
+/// part (strictly below the diagonal for `Lower`, strictly above for
+/// `Upper`) and its stored diagonal sit in the matrix's flat arrays.
+/// Relies on columns being sorted.
+pub(crate) struct FactorView<'a> {
+    col_ptr: &'a [usize],
+    rows: &'a [Index],
+    vals: &'a [f64],
+    pub(crate) triangle: Triangle,
+    unit_diag: bool,
+    /// `(start, end, diagonal)` per column, when resolved up front.
+    index: Option<Vec<(usize, usize, f64)>>,
+}
+
+impl<'a> FactorView<'a> {
+    /// A view that probes a column each time it is asked (one comparison
+    /// on an LU factor, a binary search otherwise) — for a single solve
+    /// or a subset of them, which touch few columns.
+    pub(crate) fn new(t: &'a CscMatrix, triangle: Triangle, unit_diag: bool) -> Result<Self> {
+        if t.nrows() != t.ncols() {
+            return Err(SparseError::NotSquare { nrows: t.nrows(), ncols: t.ncols() });
+        }
+        let (col_ptr, rows, vals) = t.raw();
+        Ok(FactorView { col_ptr, rows, vals, triangle, unit_diag, index: None })
+    }
+
+    /// A view with every column resolved once, here — for a full
+    /// inversion, whose workers then share it read-only and search no
+    /// column inside a solve.
+    pub(crate) fn indexed(t: &'a CscMatrix, triangle: Triangle, unit_diag: bool) -> Result<Self> {
+        let mut view = FactorView::new(t, triangle, unit_diag)?;
+        view.index = Some((0..t.ncols() as Index).map(|j| view.search(j)).collect());
+        Ok(view)
+    }
+
+    /// Dimension of the viewed matrix.
+    pub(crate) fn dim(&self) -> usize {
+        self.col_ptr.len() - 1
+    }
+
+    /// Absolute `[start, end)` of column `j`'s strict part in the flat
+    /// arrays, and its stored diagonal (`0.0` when absent: a missing and
+    /// an explicitly zero diagonal are the same singular pivot).
+    #[inline]
+    fn column(&self, j: Index) -> (usize, usize, f64) {
+        match &self.index {
+            Some(index) => index[j as usize],
+            None => self.search(j),
+        }
+    }
+
+    fn search(&self, j: Index) -> (usize, usize, f64) {
+        let (start, end) = (self.col_ptr[j as usize], self.col_ptr[j as usize + 1]);
+        let col = &self.rows[start..end];
+        // The LU factors need no search: `L` stores nothing up to its
+        // diagonal and `U` ends on it.
+        let at = match self.triangle {
+            Triangle::Lower if col.first().is_none_or(|&r| r > j) => start,
+            Triangle::Upper if col.last() == Some(&j) => end - 1,
+            _ => start + col.partition_point(|&r| r < j),
+        };
+        let stored = at < end && self.rows[at] == j;
+        let diag = if stored { self.vals[at] } else { 0.0 };
+        match self.triangle {
+            Triangle::Lower => (at + stored as usize, end, diag),
+            Triangle::Upper => (start, at, diag),
+        }
+    }
+}
+
 /// Reusable scratch space for repeated sparse solves on matrices of the same
 /// dimension. Reuse amortises the `O(n)` allocations away: each solve then
 /// touches only the nonzero pattern it produces.
@@ -35,12 +114,13 @@ pub enum Triangle {
 pub struct SolveWorkspace {
     n: usize,
     /// Visit marks: a position is in the current pattern iff marked.
-    stamps: EpochStamps,
+    pub(crate) stamps: EpochStamps,
     /// Dense value accumulator, valid only on stamped positions.
-    x: Vec<f64>,
+    pub(crate) x: Vec<f64>,
     /// DFS postorder of the current pattern.
-    topo: Vec<Index>,
-    /// Iterative DFS stack of `(node, next-child cursor)`.
+    pub(crate) topo: Vec<Index>,
+    /// Suspended DFS frames, `(node, next-child cursor)`; the running
+    /// frame lives in locals of [`SolveWorkspace::reach`].
     stack: Vec<(Index, usize)>,
     /// Pending-node queue for the value-driven truncated solve, holding
     /// indices encoded so the max-heap pops them in dependency order
@@ -64,6 +144,55 @@ impl SolveWorkspace {
     /// Dimension this workspace serves.
     pub fn dim(&self) -> usize {
         self.n
+    }
+
+    /// The Gilbert–Peierls reach kernel: an iterative DFS from every seed
+    /// over the graph `children` describes, leaving the reached set
+    /// stamped, its `x` slots zeroed and its postorder in `topo`. Seeds
+    /// are taken in the order given and children in slice order, so the
+    /// postorder — and with it the order of every later floating-point
+    /// accumulation — is a function of the inputs alone.
+    ///
+    /// `children` is asked for a node's child slice when the node is
+    /// first reached and when the DFS returns to it; it may fail (a
+    /// column provider waiting on an aborted run).
+    pub(crate) fn reach<'a>(
+        &mut self,
+        seeds: &[Index],
+        mut children: impl FnMut(Index) -> Result<&'a [Index]>,
+    ) -> Result<()> {
+        let mut resolve = |node: Index| {
+            note_span_resolution();
+            children(node)
+        };
+        self.stamps.advance();
+        self.topo.clear();
+        self.stack.clear(); // a failed resolution leaves frames behind
+        for &seed in seeds {
+            debug_assert!((seed as usize) < self.n, "rhs index out of bounds");
+            if self.stamps.is_marked(seed as usize) {
+                continue;
+            }
+            self.stamps.mark(seed as usize);
+            self.x[seed as usize] = 0.0;
+            let (mut node, mut span, mut cursor) = (seed, resolve(seed)?, 0usize);
+            loop {
+                if let Some(&child) = span.get(cursor) {
+                    cursor += 1;
+                    if !self.stamps.is_marked(child as usize) {
+                        self.stamps.mark(child as usize);
+                        self.x[child as usize] = 0.0;
+                        self.stack.push((node, cursor));
+                        (node, span, cursor) = (child, resolve(child)?, 0);
+                    }
+                } else {
+                    self.topo.push(node);
+                    let Some((parent, resume)) = self.stack.pop() else { break };
+                    (node, span, cursor) = (parent, resolve(parent)?, resume);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Solves `T x = b` and appends the sorted sparse solution to
@@ -118,10 +247,9 @@ impl SolveWorkspace {
     /// magnitude — inversion drivers protect the diagonal seed so `L⁻¹`
     /// keeps its unit diagonal and `U⁻¹` its explicit diagonal.
     ///
-    /// With `eps == 0.0` the truncation branch can never fire
-    /// (`|x_j| < 0.0` is false for every float), so the output is
-    /// bit-identical to [`SolveWorkspace::solve`] and the dropped mass
-    /// is exactly `0.0`.
+    /// With `eps == 0.0` nothing can be truncated (`|x_j| < 0.0` is false
+    /// for every float), so the output is bit-identical to
+    /// [`SolveWorkspace::solve`] and the dropped mass is exactly `0.0`.
     #[allow(clippy::too_many_arguments)] // mirrors the mathematical signature
     pub fn solve_truncated(
         &mut self,
@@ -135,53 +263,43 @@ impl SolveWorkspace {
         out_idx: &mut Vec<Index>,
         out_val: &mut Vec<f64>,
     ) -> Result<f64> {
+        let view = FactorView::new(t, triangle, unit_diag)?;
+        self.solve_view(&view, b_idx, b_val, eps, protect, out_idx, out_val)
+    }
+
+    /// [`SolveWorkspace::solve_truncated`] against a prepared view — what
+    /// the column drivers call, once per column, with an indexed view.
+    #[allow(clippy::too_many_arguments)] // mirrors the mathematical signature
+    pub(crate) fn solve_view(
+        &mut self,
+        view: &FactorView,
+        b_idx: &[Index],
+        b_val: &[f64],
+        eps: f64,
+        protect: Option<Index>,
+        out_idx: &mut Vec<Index>,
+        out_val: &mut Vec<f64>,
+    ) -> Result<f64> {
         debug_assert_eq!(b_idx.len(), b_val.len());
         debug_assert!(eps >= 0.0 && eps.is_finite(), "drop tolerance must be finite and >= 0");
-        if t.nrows() != t.ncols() {
-            return Err(SparseError::NotSquare { nrows: t.nrows(), ncols: t.ncols() });
-        }
-        if t.nrows() != self.n {
+        if view.dim() != self.n {
             return Err(SparseError::Malformed(format!(
                 "workspace dimension {} does not match matrix dimension {}",
                 self.n,
-                t.nrows()
+                view.dim()
             )));
         }
         out_idx.clear();
         out_val.clear();
         if eps > 0.0 {
-            return self.solve_truncated_worklist(
-                t, triangle, unit_diag, b_idx, b_val, eps, protect, out_idx, out_val,
-            );
+            return self.solve_worklist(view, b_idx, b_val, eps, protect, out_idx, out_val);
         }
-        self.stamps.advance();
-        self.topo.clear();
 
-        // Symbolic phase: DFS from every RHS index, collecting postorder.
-        for &r in b_idx {
-            debug_assert!((r as usize) < self.n, "rhs index out of bounds");
-            if self.stamps.is_marked(r as usize) {
-                continue;
-            }
-            self.stamps.mark(r as usize);
-            self.x[r as usize] = 0.0;
-            self.stack.push((r, 0));
-            while let Some(&mut (node, ref mut cursor)) = self.stack.last_mut() {
-                let children = strict_range(t, node, triangle);
-                if *cursor < children.len() {
-                    let child = children[*cursor];
-                    *cursor += 1;
-                    if !self.stamps.is_marked(child as usize) {
-                        self.stamps.mark(child as usize);
-                        self.x[child as usize] = 0.0;
-                        self.stack.push((child, 0));
-                    }
-                } else {
-                    self.topo.push(node);
-                    self.stack.pop();
-                }
-            }
-        }
+        // Symbolic phase: the reach of the RHS pattern, in postorder.
+        self.reach(b_idx, |j| {
+            let (start, end, _) = view.column(j);
+            Ok(&view.rows[start..end])
+        })?;
 
         // Scatter the RHS (after the DFS has zeroed every pattern slot).
         for (&r, &v) in b_idx.iter().zip(b_val) {
@@ -189,15 +307,10 @@ impl SolveWorkspace {
         }
 
         // Numeric phase in reverse postorder (a topological order).
-        let mut dropped = 0.0f64;
-        for pos in (0..self.topo.len()).rev() {
-            let j = self.topo[pos];
+        for &j in self.topo.iter().rev() {
+            let (start, end, diag) = view.column(j);
             let mut xj = self.x[j as usize];
-            if !unit_diag {
-                let diag = diag_value(t, j, triangle).ok_or(SparseError::SingularPivot {
-                    column: j as usize,
-                    value: 0.0,
-                })?;
+            if !view.unit_diag {
                 if diag == 0.0 {
                     return Err(SparseError::SingularPivot { column: j as usize, value: 0.0 });
                 }
@@ -205,14 +318,7 @@ impl SolveWorkspace {
                 self.x[j as usize] = xj;
             }
             if xj != 0.0 {
-                if xj.abs() < eps && protect != Some(j) {
-                    dropped += xj.abs();
-                    self.x[j as usize] = 0.0;
-                    continue; // never propagates; the gather drops the exact zero
-                }
-                let (rows, vals) = t.col(j);
-                let range = strict_span(rows, j, triangle);
-                for (&i, &v) in rows[range.clone()].iter().zip(&vals[range]) {
+                for (&i, &v) in view.rows[start..end].iter().zip(&view.vals[start..end]) {
                     self.x[i as usize] -= v * xj;
                 }
             }
@@ -233,7 +339,7 @@ impl SolveWorkspace {
             }
         }
         out_idx.truncate(kept);
-        Ok(dropped)
+        Ok(0.0)
     }
 
     /// The `eps > 0` engine of [`SolveWorkspace::solve_truncated`]:
@@ -244,11 +350,9 @@ impl SolveWorkspace {
     /// arises. This is what makes sparsified builds tractable on graphs
     /// whose *exact* inverses are the memory/time wall.
     #[allow(clippy::too_many_arguments)] // mirrors the mathematical signature
-    fn solve_truncated_worklist(
+    fn solve_worklist(
         &mut self,
-        t: &CscMatrix,
-        triangle: Triangle,
-        unit_diag: bool,
+        view: &FactorView,
         b_idx: &[Index],
         b_val: &[f64],
         eps: f64,
@@ -262,6 +366,7 @@ impl SolveWorkspace {
         self.pending.clear();
         // Encode so the max-heap pops in dependency order: ascending
         // indices for Lower, descending for Upper.
+        let triangle = view.triangle;
         let enc = |i: Index| match triangle {
             Triangle::Lower => -(i as i64),
             Triangle::Upper => i as i64,
@@ -283,12 +388,9 @@ impl SolveWorkspace {
         let mut dropped = 0.0f64;
         while let Some(key) = self.pending.pop() {
             let j = dec(key);
+            let (start, end, diag) = view.column(j);
             let mut xj = self.x[j as usize];
-            if !unit_diag {
-                let diag = diag_value(t, j, triangle).ok_or(SparseError::SingularPivot {
-                    column: j as usize,
-                    value: 0.0,
-                })?;
+            if !view.unit_diag {
                 if diag == 0.0 {
                     return Err(SparseError::SingularPivot { column: j as usize, value: 0.0 });
                 }
@@ -303,9 +405,7 @@ impl SolveWorkspace {
             }
             out_idx.push(j);
             out_val.push(xj);
-            let (rows, vals) = t.col(j);
-            let range = strict_span(rows, j, triangle);
-            for (&i, &v) in rows[range.clone()].iter().zip(&vals[range]) {
+            for (&i, &v) in view.rows[start..end].iter().zip(&view.vals[start..end]) {
                 if self.stamps.is_marked(i as usize) {
                     self.x[i as usize] -= v * xj;
                 } else {
@@ -353,32 +453,171 @@ impl SolveWorkspace {
     }
 }
 
-/// Strictly-below (Lower) or strictly-above (Upper) entries of column `j`,
-/// as a row-index slice. Relies on columns being sorted.
-#[inline]
-fn strict_range(t: &CscMatrix, j: Index, triangle: Triangle) -> &[Index] {
-    let (rows, _) = t.col(j);
-    let span = strict_span(rows, j, triangle);
-    &rows[span]
-}
+#[cfg(not(test))]
+fn note_span_resolution() {}
 
-#[inline]
-fn strict_span(rows: &[Index], j: Index, triangle: Triangle) -> std::ops::Range<usize> {
-    match triangle {
-        Triangle::Lower => rows.partition_point(|&r| r <= j)..rows.len(),
-        Triangle::Upper => 0..rows.partition_point(|&r| r < j),
-    }
-}
-
-/// The stored diagonal entry of column `j`, if present.
-#[inline]
-fn diag_value(t: &CscMatrix, j: Index, _triangle: Triangle) -> Option<f64> {
-    t.get(j, j)
+// Child-span resolutions made by `SolveWorkspace::reach` on this thread:
+// the count the regression tests hold to `2 · |pattern|` per solve, so
+// that per-edge re-resolution cannot come back unnoticed.
+#[cfg(test)]
+thread_local! {
+    static SPAN_RESOLUTIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
-mod tests {
+fn note_span_resolution() {
+    SPAN_RESOLUTIONS.with(|c| c.set(c.get() + 1));
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
+
+    /// The parent commit's DFS, kept as the oracle: same visiting order as
+    /// [`SolveWorkspace::reach`], but the child slice is re-resolved on
+    /// every edge step.
+    pub(crate) fn reference_reach<'a>(
+        ws: &mut SolveWorkspace,
+        seeds: &[Index],
+        children: impl Fn(Index) -> &'a [Index],
+    ) {
+        ws.stamps.advance();
+        ws.topo.clear();
+        let mut stack: Vec<(Index, usize)> = Vec::new();
+        for &r in seeds {
+            if ws.stamps.is_marked(r as usize) {
+                continue;
+            }
+            ws.stamps.mark(r as usize);
+            ws.x[r as usize] = 0.0;
+            stack.push((r, 0));
+            while let Some(&mut (node, ref mut cursor)) = stack.last_mut() {
+                let kids = children(node);
+                if *cursor < kids.len() {
+                    let child = kids[*cursor];
+                    *cursor += 1;
+                    if !ws.stamps.is_marked(child as usize) {
+                        ws.stamps.mark(child as usize);
+                        ws.x[child as usize] = 0.0;
+                        stack.push((child, 0));
+                    }
+                } else {
+                    ws.topo.push(node);
+                    stack.pop();
+                }
+            }
+        }
+    }
+
+    /// The parent commit's ε = 0 solve: [`reference_reach`], then the
+    /// numeric phase with a binary search per column and per diagonal.
+    fn reference_solve(
+        t: &CscMatrix,
+        triangle: Triangle,
+        unit_diag: bool,
+        b_idx: &[Index],
+        b_val: &[f64],
+    ) -> (Vec<Index>, Vec<f64>) {
+        let strict = |j: Index| {
+            let (rows, vals) = t.col(j);
+            let span = match triangle {
+                Triangle::Lower => rows.partition_point(|&r| r <= j)..rows.len(),
+                Triangle::Upper => 0..rows.partition_point(|&r| r < j),
+            };
+            (&rows[span.clone()], &vals[span])
+        };
+        let mut ws = SolveWorkspace::new(t.nrows());
+        reference_reach(&mut ws, b_idx, |j| strict(j).0);
+        for (&r, &v) in b_idx.iter().zip(b_val) {
+            ws.x[r as usize] += v;
+        }
+        for &j in ws.topo.iter().rev() {
+            if !unit_diag {
+                ws.x[j as usize] /= t.get(j, j).expect("the oracle systems store their diagonals");
+            }
+            let xj = ws.x[j as usize];
+            if xj != 0.0 {
+                let (rows, vals) = strict(j);
+                for (&i, &v) in rows.iter().zip(vals) {
+                    ws.x[i as usize] -= v * xj;
+                }
+            }
+        }
+        let mut idx = ws.topo.clone();
+        idx.sort_unstable();
+        idx.retain(|&j| ws.x[j as usize] != 0.0);
+        let val = idx.iter().map(|&j| ws.x[j as usize]).collect();
+        (idx, val)
+    }
+
+    /// `W = I − 0.05·A` of one ER, one BA and one RMAT graph: the systems
+    /// the bit-identity oracles of this module and of `lu` run on.
+    pub(crate) fn oracle_systems() -> Vec<(&'static str, CscMatrix)> {
+        use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
+        [
+            ("er", erdos_renyi(300, 1200, 11)),
+            ("ba", barabasi_albert(300, 3, 12)),
+            ("rmat", rmat(9, 2048, RmatParams::default(), 13)),
+        ]
+        .into_iter()
+        .map(|(name, g)| {
+            let a = crate::transition_matrix(&g, crate::DanglingPolicy::Keep);
+            (name, crate::w_matrix(&a, 0.95).unwrap())
+        })
+        .collect()
+    }
+
+    /// Child spans the reach kernel resolved on this thread since the
+    /// last call.
+    pub(crate) fn take_span_resolutions() -> usize {
+        SPAN_RESOLUTIONS.with(|c| c.replace(0))
+    }
+
+    /// Lower/Upper × unit/stored diagonal × unit, multi-entry, unsorted
+    /// and duplicate-index right-hand sides, on real factors: the kernel
+    /// returns the parent commit's index and value arrays byte for byte,
+    /// through a searching view and an indexed one, and never resolves
+    /// more than two child spans per pattern node.
+    #[test]
+    fn reach_kernel_is_bit_identical_to_the_per_edge_solve() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        for (name, w) in oracle_systems() {
+            let n = w.nrows();
+            let f = crate::sparse_lu(&w).unwrap();
+            let linv = crate::invert_lower_unit(&f.l).unwrap();
+            let cases = [
+                (&f.l, Triangle::Lower, true),
+                (&linv, Triangle::Lower, false),
+                (&f.u, Triangle::Upper, false),
+                (&f.u, Triangle::Upper, true),
+            ];
+            let mut ws = SolveWorkspace::new(n);
+            for (t, triangle, unit) in cases {
+                let indexed = FactorView::indexed(t, triangle, unit).unwrap();
+                for trial in 0..24 {
+                    let k = if trial < 8 { 1 } else { rng.gen_range(2..12usize) };
+                    let mut b_idx: Vec<Index> =
+                        (0..k).map(|_| rng.gen_range(0..n) as Index).collect();
+                    b_idx.push(b_idx[0]); // a duplicate index, out of order
+                    let b_val: Vec<f64> = b_idx.iter().map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    let (ei, ev) = reference_solve(t, triangle, unit, &b_idx, &b_val);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let (mut oi, mut ov) = (Vec::new(), Vec::new());
+                    for view in [&FactorView::new(t, triangle, unit).unwrap(), &indexed] {
+                        let tag = format!("{name} {triangle:?} unit={unit} trial {trial}");
+                        take_span_resolutions();
+                        let dropped =
+                            ws.solve_view(view, &b_idx, &b_val, 0.0, None, &mut oi, &mut ov);
+                        assert_eq!(dropped, Ok(0.0), "{tag}");
+                        assert!(take_span_resolutions() <= 2 * ws.topo.len(), "{tag}: resolutions");
+                        assert_eq!(oi, ei, "{tag}: pattern");
+                        assert_eq!(bits(&ov), bits(&ev), "{tag}: values");
+                    }
+                }
+            }
+        }
+    }
 
     /// Dense reference forward substitution for unit-lower `L` (diag absent).
     fn dense_lower_unit_solve(l: &CscMatrix, b: &[f64]) -> Vec<f64> {

@@ -1,19 +1,22 @@
 //! Tier-1 determinism pin for the parallel build pipeline.
 //!
 //! The inversion stage fans independent Gilbert–Peierls column solves out
-//! over a work-stealing cursor; the contract is that the gathered `L⁻¹` /
+//! over a work-stealing cursor — `U⁻¹`'s chunks claimed heavy-first, in
+//! descending column order; the contract is that the gathered `L⁻¹` /
 //! `U⁻¹` are **byte-identical** to the sequential inversion at every
 //! thread count — same nnz, same index arrays, same value bits — on every
-//! graph family. A scheduling-dependent result here would silently break
-//! index persistence, replication, and the exactness guarantees downstream,
-//! so this suite runs in tier-1.
+//! graph family, exact or sparsified, for every column or a subset.
+//! A scheduling-dependent result here would silently break index
+//! persistence, replication, and the exactness guarantees downstream, so
+//! this suite runs in tier-1.
 
 use kdash_core::{IndexBuilder, IndexOptions, NodeOrdering};
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
 use kdash_graph::CsrGraph;
 use kdash_sparse::{
-    invert_lower_unit, invert_lower_unit_with, invert_upper, invert_upper_with, sparse_lu,
-    transition_matrix, w_matrix, CscMatrix, DanglingPolicy, InvertOptions,
+    invert_columns_with, invert_lower_unit, invert_lower_unit_with, invert_upper,
+    invert_upper_with, sparse_lu, sparsify_upper_with, transition_matrix, w_matrix, CscMatrix,
+    DanglingPolicy, Index, InvertOptions, Triangle,
 };
 
 fn test_graphs() -> Vec<(&'static str, CsrGraph)> {
@@ -52,6 +55,36 @@ fn parallel_inversion_matches_sequential_on_lu_factors() {
             let uinv_par = invert_upper_with(&factors.u, opts).expect("parallel U inverse");
             assert_csc_bytes_equal(&format!("{name} L⁻¹ threads={threads}"), &linv_seq, &linv_par);
             assert_csc_bytes_equal(&format!("{name} U⁻¹ threads={threads}"), &uinv_seq, &uinv_par);
+        }
+    }
+}
+
+/// The descending claim order on its other two routes: a sparsified
+/// `U⁻¹` (the value-driven worklist solve) and a re-solved column subset
+/// carry the sequential bytes and dropped masses at every thread count.
+#[test]
+fn heavy_first_claims_keep_sparsified_and_subset_inversions_sequential() {
+    for (name, graph) in test_graphs() {
+        let a = transition_matrix(&graph, DanglingPolicy::Keep);
+        let w = w_matrix(&a, 0.95).expect("valid restart probability");
+        let u = sparse_lu(&w).expect("W is diagonally dominant").u;
+        let sparse_seq = sparsify_upper_with(&u, 1e-4, InvertOptions::sequential()).unwrap();
+        let uinv_seq = invert_upper(&u).expect("sequential U inverse");
+        let subset: Vec<Index> = (0..u.ncols() as Index).filter(|j| j % 3 != 0).collect();
+        for threads in [2usize, 3, 0] {
+            let opts = InvertOptions { threads };
+            let label = format!("{name} threads={threads}");
+            let sparse_par = sparsify_upper_with(&u, 1e-4, opts).expect("parallel sparsify");
+            assert_csc_bytes_equal(&label, &sparse_seq.inverse, &sparse_par.inverse);
+            let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&sparse_seq.dropped), bits(&sparse_par.dropped), "{label}: masses");
+            let updates = invert_columns_with(&u, Triangle::Upper, false, &subset, opts).unwrap();
+            assert_eq!(updates.len(), subset.len(), "{label}");
+            for update in &updates {
+                let (rows, vals) = uinv_seq.col(update.col);
+                assert_eq!(update.rows, rows, "{label}: column {}", update.col);
+                assert_eq!(bits(&update.vals), bits(vals), "{label}: column {}", update.col);
+            }
         }
     }
 }

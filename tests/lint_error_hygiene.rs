@@ -50,14 +50,9 @@ const ALLOWLIST: &[(&str, usize)] = &[
     ("crates/linalg/src/svd.rs", 2),
     ("crates/sparse/src/blocked.rs", 5),
     ("crates/sparse/src/csr.rs", 1),
-    ("crates/sparse/src/inverse.rs", 3),
     ("crates/sparse/src/kernel.rs", 1),
     ("crates/sparse/src/lu.rs", 1),
     ("crates/sparse/src/rwr.rs", 1),
-    // sparsify.rs: two `join().expect` propagating worker panics (the same
-    // deliberately-fatal pattern audited in inverse.rs) and one
-    // `col_ptr.last().expect` directly after an unconditional push.
-    ("crates/sparse/src/sparsify.rs", 3),
     ("crates/sparse/src/store.rs", 1),
 ];
 
