@@ -18,9 +18,10 @@
 //!   decoded columns);
 //! * the per-row policy stats and `max_row_nnz` agree with the rows they
 //!   summarise (a wrong table mis-steers the adaptive kernel);
-//! * the estimator constants are **bit-identical** to a recomputation
-//!   from the stored graph — the Lemma 1/2 bounds are only sound for the
-//!   matrix actually indexed;
+//! * the estimator constants — and the per-node out-weight sums the
+//!   certified refinement normalises by — are **bit-identical** to a
+//!   recomputation from the stored graph: the Lemma 1/2 bounds and the
+//!   refinement residual are only sound for the matrix actually indexed;
 //! * the header scalars (restart probability, cached `c'_max`) are
 //!   coherent.
 //!
@@ -29,6 +30,7 @@
 //! fsck), `DynamicIndex::verify_after_apply` (opt-in post-update check),
 //! and directly through this API.
 
+use crate::precompute::out_weight_sums;
 use crate::KdashIndex;
 use kdash_sparse::{transition_matrix, w_matrix, LuFactors, RowLayout, BLOCK_COLS};
 use std::time::{Duration, Instant};
@@ -516,6 +518,18 @@ fn audit_estimator(index: &KdashIndex, col: &mut Collector) {
             format!("A_max(v) at node {v}: stored {} recomputed {}", stored[v], expect_col_max[v])
         });
     }
+    // The out-weight sums the refinement residual divides by: derived, so
+    // a stale vector means a commit path replaced the graph without them.
+    let out_weight = index.out_weight();
+    let expect = out_weight_sums(index.permuted_graph(), index.dropped_mass());
+    col.check(S, out_weight.len() == expect.len(), || {
+        format!("out-weight vector has {} entries, expected {}", out_weight.len(), expect.len())
+    });
+    for (v, (stored, expect)) in out_weight.iter().zip(&expect).enumerate() {
+        col.check(S, stored.to_bits() == expect.to_bits(), || {
+            format!("out-weight sum at node {v}: stored {stored} recomputed {expect}")
+        });
+    }
     let c_prime = index.c_prime();
     for v in 0..n.min(c_prime.len()) {
         let a_vv = a.get(v as u32, v as u32).unwrap_or(0.0);
@@ -801,6 +815,19 @@ mod tests {
         let audit = IndexAudit::run_with_factors(&index, Some(&factors));
         assert!(!audit.is_clean(), "perturbed factors must be flagged");
         assert!(audit.findings.iter().all(|f| f.section == "factors"));
+    }
+
+    #[test]
+    fn stale_out_weight_sum_is_found() {
+        assert!(sample_index().out_weight().is_empty(), "a dense index carries none");
+        let mut index =
+            sample_index_with(IndexOptions { drop_tolerance: 1e-2, ..Default::default() });
+        assert!(index.needs_refinement());
+        index.out_weight_mut()[3] += 0.5;
+        let audit = IndexAudit::run(&index);
+        assert_eq!(audit.total_findings(), 1, "findings: {:?}", audit.findings);
+        assert_eq!(audit.findings[0].section, "estimator");
+        assert!(audit.findings[0].detail.contains("out-weight sum at node 3"));
     }
 
     #[test]

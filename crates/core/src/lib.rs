@@ -152,26 +152,39 @@
 //! a sparsified index run a **certified residual refinement loop** instead
 //! of trusting the stored values:
 //!
-//! 1. Gather the approximate solution `x̃ ≈ W⁻¹ b` from the sparsified
+//! 1. Drain the BFS and list the reachable set once in ascending permuted
+//!    id — the order the graph and both inverses are stored in. Every
+//!    later step is a streaming pass over that list on three dense
+//!    vectors (`x̃`, `r`, `y`), which stay zero outside it.
+//! 2. Gather the approximate solution `x̃ ≈ W⁻¹ b` from the sparsified
 //!    store (`b` is the unit restart vector `e_q`, or the merged
 //!    restart-set vector).
-//! 2. Compute the residual `r = b − W x̃` directly against the stored
-//!    permuted graph (`W = I − (1−c)A` is never materialised; the residual
-//!    streams the graph's edges).
-//! 3. Because `A` is column-substochastic, `W⁻¹ = Σ ((1−c)A)^i` is
+//! 3. Compute the residual `r = b − W x̃` directly against the stored
+//!    permuted graph (`W = I − (1−c)A` is never materialised; each node
+//!    pushes its value along its out-edges, normalised by an out-weight
+//!    sum the index derives once per graph).
+//! 4. Because `A` is column-substochastic, `W⁻¹ = Σ ((1−c)A)^i` is
 //!    entrywise non-negative with column sums ≤ `1/c`, so **every** entry
 //!    of the error obeys `|p_u − c·x̃_u| ≤ ‖r‖₁`. This is the same
 //!    upper/lower-bound style as the paper's Lemma 2, applied to the
 //!    refinement residual instead of the BFS frontier.
-//! 4. If consecutive ranked proximities (and the k-th/(k+1)-th boundary)
+//! 5. If consecutive ranked proximities (and the k-th/(k+1)-th boundary)
 //!    are separated by more than `2‖r‖₁`, the top-k *set and order* are
 //!    proven identical to the exact answer — terminate. Otherwise apply
-//!    one correction `x̃ += Ũ⁻¹(L̃⁻¹ r)` (the sparsified inverses act as a
-//!    preconditioner, so `‖r‖₁` contracts geometrically) and re-certify.
+//!    one correction `x̃ += Ũ⁻¹(L̃⁻¹ r)` — `L̃⁻¹` column AXPYs into `y`,
+//!    then a dense `Ũ⁻¹` row dot per reachable node; the sparsified
+//!    inverses act as a preconditioner, so `‖r‖₁` contracts geometrically
+//!    — and go back to 3.
 //!
 //! The loop fails *loudly* ([`KdashError::RefinementFailed`]) if
 //! proximities are genuinely tied or closer than the achievable
-//! floating-point floor — it never returns a ranking it could not prove.
+//! floating-point floor, or if the residual stops contracting or is not
+//! finite — it never returns a ranking it could not prove. Only a residual
+//! of exactly zero certifies across a tie, and the tie then resolves as on
+//! the dense path: candidates are offered in visit (BFS) order and a
+//! candidate displaces the k-th only with a strictly larger proximity, so
+//! the earlier-visited of two equals at the k-th boundary stays; the
+//! answer is listed by descending proximity, then ascending permuted id.
 //! With `drop_tolerance = 0` (the default) nothing changes: the build
 //! routes through the exact inverters bit-for-bit and queries run the
 //! classic Lemma-2 path with zero refinement iterations.
@@ -321,9 +334,10 @@ pub enum KdashError {
     /// after `iterations` correction passes the residual bound was
     /// `residual` but certifying the ranking needed a gap above
     /// `2 × residual`, and the smallest decisive gap was `gap`. This
-    /// happens only when proximities are tied (or separated by less than
-    /// the achievable floating-point floor) — the query has no answer
-    /// rather than a silently mis-ordered one. A dense-exact index
+    /// happens when proximities are tied (or separated by less than the
+    /// achievable floating-point floor), or — with a non-finite
+    /// `residual` — when the stored values overflowed: the query has no
+    /// answer rather than a silently mis-ordered one. A dense-exact index
     /// (`drop_tolerance = 0`) never takes this path.
     RefinementFailed { iterations: usize, residual: f64, gap: f64 },
     /// A durability operation on the attached update journal failed

@@ -92,6 +92,13 @@ pub struct KdashIndex {
     /// degenerates to the paper's constant `1−c` on self-loop-free
     /// graphs).
     c_prime_max: f64,
+    /// Out-edge weight sum per (permuted) node — the normaliser of its
+    /// transition-matrix column, zero for dangling nodes. Derived from
+    /// `graph` wherever that is set, never persisted; the certified
+    /// refinement residual divides by it once per node per pass. Empty
+    /// while `dropped_total` is zero: nothing refines on such an index,
+    /// and its updates should not pay an `O(m)` pass for nothing.
+    out_weight: Vec<f64>,
     /// Raw factors, kept only when requested.
     factors: Option<LuFactors>,
     /// Drop tolerance `ε` the stored inverses were truncated with
@@ -181,6 +188,7 @@ impl KdashIndex {
         let c_prime_max = parts.c_prime.iter().copied().fold(0.0f64, f64::max);
         let dropped_total = parts.linv_dropped.iter().sum::<f64>()
             + parts.uinv_dropped.iter().sum::<f64>();
+        let out_weight = out_weight_sums(&parts.graph, dropped_total);
         KdashIndex {
             c: parts.c,
             ordering: parts.ordering,
@@ -194,6 +202,7 @@ impl KdashIndex {
             a_max: parts.a_max,
             c_prime: parts.c_prime,
             c_prime_max,
+            out_weight,
             factors: parts.factors,
             drop_tolerance: parts.drop_tolerance,
             linv_dropped: parts.linv_dropped,
@@ -502,8 +511,8 @@ impl KdashIndex {
 
     /// Installs an incrementally patched component set — the commit stage
     /// of the `kdash-dynamic` update engine. Validates structural
-    /// consistency, refreshes the derived statistics and the cached
-    /// `c'_max`, replaces the kept LU factors (stale ones must never
+    /// consistency, refreshes the derived statistics, the cached `c'_max`
+    /// and the out-weight sums, replaces the kept LU factors (stale ones must never
     /// survive a graph change) and bumps the update epoch. On any
     /// validation error the index is left untouched.
     ///
@@ -559,6 +568,7 @@ impl KdashIndex {
         self.uinv_dropped = patch.uinv_dropped;
         self.dropped_total = self.linv_dropped.iter().sum::<f64>()
             + self.uinv_dropped.iter().sum::<f64>();
+        self.out_weight = out_weight_sums(&self.graph, self.dropped_total);
         self.update_epoch += patch.epochs;
         self.stats.num_edges = self.graph.num_edges();
         self.stats.nnz_l = patch.nnz_l;
@@ -637,6 +647,23 @@ impl KdashIndex {
     }
     pub(crate) fn c_prime_max(&self) -> f64 {
         self.c_prime_max
+    }
+    pub(crate) fn out_weight(&self) -> &[f64] {
+        &self.out_weight
+    }
+    #[cfg(test)]
+    pub(crate) fn out_weight_mut(&mut self) -> &mut [f64] {
+        &mut self.out_weight
+    }
+}
+
+/// [`CsrGraph::out_weight_sum`] of every node, in node order — for an
+/// index that refines (`dropped_total > 0`), empty otherwise.
+pub(crate) fn out_weight_sums(graph: &CsrGraph, dropped_total: f64) -> Vec<f64> {
+    if dropped_total > 0.0 {
+        (0..graph.num_nodes() as NodeId).map(|v| graph.out_weight_sum(v)).collect()
+    } else {
+        Vec::new()
     }
 }
 

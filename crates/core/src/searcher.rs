@@ -52,21 +52,43 @@
 //! inverses are *truncated* and a raw gather yields only an approximation
 //! `x̃ ≈ W⁻¹ b`. Every entry point detects this
 //! ([`KdashIndex::needs_refinement`]) and routes through the certified
-//! refinement loop instead of the Lemma-2 search: the whole reachable set
-//! is solved approximately, the residual `r = b − W x̃` is streamed from
-//! the permuted graph itself (which the index stores exactly), and the
-//! bound `|p_u − c·x̃_u| ≤ ‖r‖₁` turns the ranking into a proof
-//! obligation — once every consecutive gap among the answer candidates
-//! exceeds `2‖r‖₁`, the returned set *and order* are provably identical
-//! to the dense-exact answer. While gaps stay unproven, one correction
-//! `x̃ += Ũ⁻¹(L̃⁻¹ r)` contracts the residual geometrically (the
-//! sparsified inverses are their own preconditioner) and the check
-//! re-runs. Genuinely tied proximities can never separate, so the loop
-//! fails loudly with [`KdashError::RefinementFailed`] instead of
-//! guessing; returned proximity *values* are `c·x̃` — within the final
-//! `‖r‖₁` of exact, which certification keeps below half the smallest
-//! decisive gap. Ties among certified answers break by ascending
-//! *permuted* id, matching the classic heap's comparator.
+//! refinement loop instead of the Lemma-2 search. The loop drains the BFS,
+//! lists the reachable set `R` once in ascending permuted id — the order
+//! the graph, `L̃⁻¹` and `Ũ⁻¹` are stored in — and then streams that list
+//! over three dense vectors `x̃`, `r`, `y`:
+//!
+//! 1. *initial solve* — one gather per node of `R` against the scattered
+//!    query column, the classic search's per-candidate cost;
+//! 2. *residual* `r = b − x̃ + (1−c)·A x̃` — each node pushes its value
+//!    along its out-edges, normalised by its precomputed out-weight sum.
+//!    The index stores the permuted graph exactly, so this is the true
+//!    residual of `x̃`, whatever the stored inverses hold;
+//! 3. *certify* — `|p_u − c·x̃_u| ≤ ‖r‖₁` turns the ranking into a proof
+//!    obligation: once every consecutive gap among the answer candidates
+//!    exceeds `2‖r‖₁`, the returned set *and order* are provably those of
+//!    the dense-exact answer, and the loop stops;
+//! 4. *correction* `x̃ += Ũ⁻¹(L̃⁻¹ r)` — one `L̃⁻¹` column AXPY into `y`
+//!    per nonzero of `r`, then one dense `Ũ⁻¹` row dot per node of `R`.
+//!    The sparsified inverses are their own preconditioner, so `‖r‖₁`
+//!    contracts geometrically; back to 2.
+//!
+//! `R` is closed under out-edges and the triangular inverses only fill
+//! along paths of the graph, so every write lands inside `R`: no support
+//! lists, no flags, and sweeping `R` on the way out leaves the vectors
+//! all-zero for the next query (a `debug_assert!` holds them to it). The
+//! certificate rests on less: `x̃` and `r` are read and written only over
+//! `R`, which the BFS defines, so inverses that broke the fill pattern
+//! could slow a later query through a stale `y`, never falsify a proof.
+//!
+//! Tied proximities can never separate, so the loop fails loudly with
+//! [`KdashError::RefinementFailed`] instead of guessing — likewise when
+//! the residual stops contracting or is not finite. Returned *values* are
+//! `c·x̃`, within the final `‖r‖₁` of exact. A zero residual certifies
+//! unconditionally, and ties then resolve as in the classic search:
+//! candidates are offered in visit (BFS) order and the heap replaces only
+//! on a strictly larger proximity, so at the k-th boundary the
+//! earlier-visited of two equals is kept; the answer itself is listed by
+//! descending proximity, then ascending *permuted* id.
 //!
 //! All five query entry points run through this workspace; the matching
 //! [`KdashIndex`] methods are thin conveniences that build a transient
@@ -81,6 +103,7 @@ use kdash_sparse::{
     DanglingPolicy, GatherCounters, GatherKernel, GatherScratch, ResolvedKernel, ScatteredColumn,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 
 /// Candidate rows per prefetch block: when the visit cursor enters a new
@@ -265,39 +288,42 @@ impl TopKHeap {
         }
     }
 
-    /// Sorts the entries into descending proximity order (ties by
-    /// ascending node id) in place and returns them. The comparator is a
-    /// total order over distinct nodes, so the unstable sort is
-    /// deterministic — and allocation-free, unlike the stable one.
+    /// Sorts the entries into rank order ([`by_rank`]) in place and
+    /// returns them. The comparator is a total order over distinct nodes,
+    /// so the unstable sort is deterministic — and allocation-free, unlike
+    /// the stable one.
     pub(crate) fn sorted_entries(&mut self) -> &[(f64, NodeId)] {
-        self.entries.sort_unstable_by(|a, b| {
-            b.0.partial_cmp(&a.0).expect("finite proximities").then(a.1.cmp(&b.1))
-        });
+        self.entries.sort_unstable_by(by_rank);
         &self.entries
     }
 }
 
+/// Rank order of `(proximity, node)` answers: descending proximity, ties
+/// by ascending node id. A NaN (only ever seen on the way to a typed
+/// [`KdashError::RefinementFailed`]) falls back to the IEEE total order:
+/// still a total order, so the sorts cannot panic, and no pair of
+/// non-NaN values moves.
+fn by_rank(a: &(f64, NodeId), b: &(f64, NodeId)) -> Ordering {
+    b.0.partial_cmp(&a.0).unwrap_or_else(|| b.0.total_cmp(&a.0)).then(a.1.cmp(&b.1))
+}
+
 /// Workspace of the certified refinement loop — allocated on the first
-/// refined query (sparsified tier only) and reused afterwards. Dense
-/// vectors are indexed by permuted node id; the touched-entry lists make
-/// per-iteration resets proportional to the work done, not to `n`.
+/// refined query (sparsified tier only) and reused afterwards. The three
+/// dense vectors are indexed by permuted node id and are all-zero between
+/// queries: a query writes them only inside its reachable set and zeroes
+/// that set again on the way out, success or error.
 #[derive(Debug)]
 struct RefineState {
-    /// The approximate solution `x̃`, zero outside the current reachable
-    /// set; reset via the BFS order after every refined query.
+    /// The approximate solution `x̃`.
     x: Vec<f64>,
-    /// The residual `r = b − W x̃` and its touched-entry bookkeeping.
+    /// The residual `r = b − W x̃`.
     resid: Vec<f64>,
-    resid_supp: Vec<NodeId>,
-    in_resid: Vec<bool>,
-    /// The correction intermediate `y = L̃⁻¹ r` and its bookkeeping.
+    /// The correction intermediate `y = L̃⁻¹ r`. A `Ũ⁻¹` row reads it at
+    /// every column, reachable or not: it must be zero outside the set.
     y: Vec<f64>,
-    y_supp: Vec<NodeId>,
-    in_y: Vec<bool>,
-    /// Values of `y` in `y_supp` order, feeding `ycol`.
-    y_val: Vec<f64>,
-    /// Scattered form of `y` the correction row-gathers run against.
-    ycol: ScatteredColumn,
+    /// The reachable set in ascending permuted id: the order the three
+    /// passes stream the id-ordered stores in.
+    ids: Vec<NodeId>,
     /// Top-`(k+1)` scratch the certification check ranks candidates with.
     cert: TopKHeap,
 }
@@ -307,14 +333,22 @@ impl RefineState {
         RefineState {
             x: vec![0.0; n],
             resid: vec![0.0; n],
-            resid_supp: Vec::new(),
-            in_resid: vec![false; n],
             y: vec![0.0; n],
-            y_supp: Vec::new(),
-            in_y: vec![false; n],
-            y_val: Vec::new(),
-            ycol: ScatteredColumn::new(n),
+            ids: Vec::new(),
             cert: TopKHeap::new(0),
+        }
+    }
+
+    /// Loads the drained BFS's reachable set in ascending id: a sort of
+    /// the visit order when that is cheaper than a scan of all `n` stamps.
+    fn load_ids(&mut self, bfs: &BfsScratch) {
+        let (reach, n) = (bfs.num_discovered(), bfs.dim());
+        self.ids.clear();
+        if reach * (reach.ilog2() as usize + 1) < n {
+            self.ids.extend_from_slice(bfs.order());
+            self.ids.sort_unstable();
+        } else {
+            self.ids.extend((0..n as NodeId).filter(|&v| bfs.is_reached(v)));
         }
     }
 }
@@ -330,15 +364,6 @@ enum RefineGoal<'o> {
     /// Iterate the residual down to [`FULL_VECTOR_FLOOR`]; `c·x̃` lands
     /// in the provided dense permuted vector.
     FullVector(&'o mut [f64]),
-}
-
-/// Appends `j` to a touched-entry list exactly once per reset cycle.
-#[inline]
-fn touch(supp: &mut Vec<NodeId>, seen: &mut [bool], j: NodeId) {
-    if !seen[j as usize] {
-        seen[j as usize] = true;
-        supp.push(j);
-    }
 }
 
 /// Top-k certification: ranks the `k + 1` best candidates (the entry
@@ -397,7 +422,7 @@ fn certify_threshold(
             hits.push((p, u));
         }
     }
-    hits.sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).expect("finite").then(a.1.cmp(&b.1)));
+    hits.sort_unstable_by(by_rank);
     let mut min_gap = 2.0 * min_margin;
     for pair in hits.windows(2) {
         min_gap = min_gap.min(pair[0].0 - pair[1].0);
@@ -782,8 +807,7 @@ impl<'a> Searcher<'a> {
             let mut stats = SearchStats::default();
             self.refined_run(&[(qp, 1.0)], RefineGoal::Threshold(theta), &mut stats)?;
             self.record_traversal(&mut stats);
-            // The accepting certification pass left `hits` sorted; the
-            // shared epilogue below maps them to original ids.
+            // The accepting certification pass left `hits` sorted.
             let items = self
                 .hits
                 .iter()
@@ -825,9 +849,7 @@ impl<'a> Searcher<'a> {
             pos += 1;
         }
         self.record_traversal(&mut stats);
-        self.hits.sort_unstable_by(|a, b| {
-            b.0.partial_cmp(&a.0).expect("finite").then(a.1.cmp(&b.1))
-        });
+        self.hits.sort_unstable_by(by_rank);
         let items = self
             .hits
             .iter()
@@ -1064,6 +1086,8 @@ impl<'a> Searcher<'a> {
     /// Refined top-k epilogue shared by every sparsified-tier ranking
     /// entry point: run the certified loop, fold the traversal counters,
     /// rank + pad. Expects the BFS seeded and the query column loaded.
+    /// Out of line, so the Lemma-2 loops compile the same without it.
+    #[inline(never)]
     fn refined_top_k(
         &mut self,
         rhs: &[(NodeId, f64)],
@@ -1117,18 +1141,24 @@ impl<'a> Searcher<'a> {
         stats: &mut SearchStats,
     ) -> Result<()> {
         // The Lemma-2 bound cannot prune against approximate proximities,
-        // so the refined path always drains the whole reachable set —
-        // supp(x̃), supp(r) and the correction all stay inside it.
+        // so the refined path always drains the whole reachable set.
         while self.bfs.expand_next_layer(self.index.permuted_graph()) > 0 {}
         let mut st = self
             .refine
             .take()
             .unwrap_or_else(|| Box::new(RefineState::new(self.index.num_nodes())));
+        debug_assert!(
+            st.x.iter().chain(&st.resid).chain(&st.y).all(|&v| v == 0.0),
+            "refinement vectors must be all-zero between queries"
+        );
+        st.load_ids(&self.bfs);
         let result = self.refined_run_inner(&mut st, rhs, &mut goal, stats);
-        // Zero x̃ over the visited set before parking the state, so an
-        // error leaves the workspace exactly as reusable as success does.
-        for &u in &self.bfs.order()[..self.bfs.num_discovered()] {
+        // Zero the vectors over the reachable set before parking the state:
+        // an error leaves the workspace exactly as reusable as success.
+        for &u in &st.ids {
             st.x[u as usize] = 0.0;
+            st.resid[u as usize] = 0.0;
+            st.y[u as usize] = 0.0;
         }
         self.refine = Some(st);
         result
@@ -1143,89 +1173,87 @@ impl<'a> Searcher<'a> {
     ) -> Result<()> {
         let index = self.index;
         let graph = index.permuted_graph();
+        let out_weight = index.out_weight();
+        let (linv, uinv) = (index.linv(), index.uinv());
         let c = index.restart_probability();
         let one_minus_c = 1.0 - c;
-        let dangling = index.dangling_policy();
+        let self_loops = index.dangling_policy() == DanglingPolicy::SelfLoop;
         let started = self.budget.start();
-        let reach = self.bfs.num_discovered();
+        let RefineState { x, resid, y, ids, cert } = st;
 
         // Initial approximate solve x̃ = Ũ⁻¹(L̃⁻¹ b): one gather per
         // reachable node through the workspace kernel, exactly the
         // classic search's per-candidate cost.
-        for pos in 0..reach {
+        for &u in ids.iter() {
             if let Some(limit) = self.budget.exceeded(stats.visited, self.counters.nnz, started) {
                 return Err(self.budget_abort(limit, stats.clone()));
             }
-            self.prefetch_block(pos);
-            let u = self.bfs.order()[pos];
             stats.visited += 1;
-            let v = self.gather(u);
+            x[u as usize] = self.gather(u);
             stats.proximity_computations += 1;
-            st.x[u as usize] = v;
         }
 
         let mut iterations = 0usize;
         let mut prev_norm = f64::INFINITY;
         loop {
-            // Residual r = b − W x̃ = b − x̃ + (1−c)·A x̃, streamed from
-            // the permuted graph's out-edges (the index stores the graph
+            // Residual r = b − W x̃ = b − x̃ + (1−c)·A x̃, pushed along the
+            // permuted graph's out-edges (the index stores the graph
             // exactly, so this is the true residual): column j of A is
             // node j's out-distribution, self-looped when dangling under
-            // that policy, empty when dangling is kept absorbing.
-            for &j in &st.resid_supp {
-                st.resid[j as usize] = 0.0;
-                st.in_resid[j as usize] = false;
+            // that policy, empty when dangling is kept absorbing. The
+            // reachable set is closed under out-edges, so every write
+            // lands inside it. (The same sweep clears y for the correction
+            // that may follow.)
+            for &j in ids.iter() {
+                resid[j as usize] = 0.0;
+                y[j as usize] = 0.0;
             }
-            st.resid_supp.clear();
+            for &(root, weight) in rhs {
+                resid[root as usize] += weight;
+            }
             let mut edge_terms = 0usize;
-            for pos in 0..reach {
-                let j = self.bfs.order()[pos];
-                let xj = st.x[j as usize];
+            for &j in ids.iter() {
+                let xj = x[j as usize];
                 if xj == 0.0 {
                     continue;
                 }
-                touch(&mut st.resid_supp, &mut st.in_resid, j);
-                st.resid[j as usize] -= xj;
-                let out_sum = graph.out_weight_sum(j);
+                resid[j as usize] -= xj;
+                let out_sum = out_weight[j as usize];
                 if out_sum > 0.0 {
                     let scale = one_minus_c * xj / out_sum;
-                    for (t, w) in graph.out_edges(j) {
-                        touch(&mut st.resid_supp, &mut st.in_resid, t);
-                        st.resid[t as usize] += scale * w;
-                        edge_terms += 1;
+                    let targets = graph.out_neighbors(j);
+                    for (&t, &w) in targets.iter().zip(graph.out_weights(j)) {
+                        resid[t as usize] += scale * w;
                     }
-                } else if dangling == DanglingPolicy::SelfLoop {
-                    st.resid[j as usize] += one_minus_c * xj;
+                    edge_terms += targets.len();
+                } else if self_loops {
+                    resid[j as usize] += one_minus_c * xj;
                 }
             }
-            for &(root, weight) in rhs {
-                touch(&mut st.resid_supp, &mut st.in_resid, root);
-                st.resid[root as usize] += weight;
-            }
             stats.refinement_nnz += edge_terms;
-            let delta: f64 =
-                st.resid_supp.iter().map(|&j| st.resid[j as usize].abs()).sum();
+            let delta: f64 = ids.iter().map(|&j| resid[j as usize].abs()).sum();
 
             // |p_u − c·x̃_u| ≤ ‖r‖₁ for every node (column sums of W⁻¹
             // are at most 1/c, cancelling the c in p = c·x): certify the
-            // goal against that uniform bound.
-            let order = &self.bfs.order()[..reach];
+            // goal against that uniform bound. Candidates are offered in
+            // visit order, which is what decides a tie at the k-th
+            // boundary (the heap replaces on strict `>`).
+            let order = &self.bfs.order()[..ids.len()];
             let (certified, min_gap) = match goal {
-                RefineGoal::TopK(k) => {
-                    certify_top_k(&st.x, order, c, *k, delta, &mut st.cert)
-                }
+                RefineGoal::TopK(k) => certify_top_k(x, order, c, *k, delta, cert),
                 RefineGoal::Threshold(theta) => {
-                    certify_threshold(&st.x, order, c, *theta, delta, &mut self.hits)
+                    certify_threshold(x, order, c, *theta, delta, &mut self.hits)
                 }
                 RefineGoal::FullVector(_) => (delta <= FULL_VECTOR_FLOOR, delta),
             };
             if certified {
                 break;
             }
-            if iterations >= REFINE_MAX_ITERATIONS || delta >= prev_norm {
+            if iterations >= REFINE_MAX_ITERATIONS || delta >= prev_norm || !delta.is_finite() {
                 // Tied (or sub-floating-point-separated) proximities can
-                // never certify, and a non-contracting residual means the
-                // drop tolerance out-weighs the preconditioner: fail
+                // never certify, a non-contracting residual means the
+                // drop tolerance out-weighs the preconditioner, and a
+                // non-finite one that the stored values overflowed: fail
                 // loudly, never return an unproven ranking.
                 return Err(KdashError::RefinementFailed {
                     iterations,
@@ -1235,54 +1263,29 @@ impl<'a> Searcher<'a> {
             }
             prev_norm = delta;
 
-            // One correction pass x̃ += Ũ⁻¹(L̃⁻¹ r): scatter the L̃⁻¹
-            // columns of the residual support into y, then gather every
-            // reachable Ũ⁻¹ row against it — the same kernel and cost
-            // model as the initial solve.
-            for &u in &st.y_supp {
-                st.y[u as usize] = 0.0;
-                st.in_y[u as usize] = false;
-            }
-            st.y_supp.clear();
-            let linv = index.linv();
-            for &j in &st.resid_supp {
-                let rj = st.resid[j as usize];
+            // One correction pass x̃ += Ũ⁻¹(L̃⁻¹ r): the L̃⁻¹ columns of
+            // the residual's nonzeros accumulate into the dense y (their
+            // supports stay inside the reachable set), then every
+            // reachable Ũ⁻¹ row is dotted against it.
+            for &j in ids.iter() {
+                let rj = resid[j as usize];
                 if rj == 0.0 {
                     continue;
                 }
                 let (idx, val) = linv.col(j);
                 stats.refinement_nnz += idx.len();
                 for (&i, &v) in idx.iter().zip(val) {
-                    touch(&mut st.y_supp, &mut st.in_y, i);
-                    st.y[i as usize] += rj * v;
+                    y[i as usize] += rj * v;
                 }
             }
-            st.y_val.clear();
-            st.y_val.extend(st.y_supp.iter().map(|&i| st.y[i as usize]));
-            st.ycol.load(&st.y_supp, &st.y_val);
             let nnz_before = self.counters.nnz;
-            for pos in 0..reach {
+            for &u in ids.iter() {
                 if let Some(limit) =
                     self.budget.exceeded(stats.visited, self.counters.nnz, started)
                 {
                     return Err(self.budget_abort(limit, stats.clone()));
                 }
-                if pos % PREFETCH_BLOCK == 0 {
-                    let end = (pos + PREFETCH_BLOCK).min(reach);
-                    let uinv = index.uinv();
-                    for &v in &self.bfs.order()[pos..end] {
-                        uinv.prefetch_row(v);
-                    }
-                }
-                let u = self.bfs.order()[pos];
-                let d = index.uinv().row_gather(
-                    self.kernel,
-                    u,
-                    &st.ycol,
-                    &mut self.scratch,
-                    &mut self.counters,
-                );
-                st.x[u as usize] += d;
+                x[u as usize] += uinv.row_dot_dense(u, y, &mut self.counters);
             }
             stats.refinement_nnz += self.counters.nnz - nnz_before;
             iterations += 1;
@@ -1293,22 +1296,18 @@ impl<'a> Searcher<'a> {
         match goal {
             RefineGoal::TopK(k) => {
                 // The certification scratch already ranked the k+1 best
-                // candidates (descending proximity, ties by ascending
-                // permuted id); the first k are the proven answer.
+                // candidates; the first k are the proven answer.
                 self.heap.reset(*k);
-                let ranked = st.cert.sorted_entries();
-                for &(p, u) in ranked.iter().take(*k) {
+                for &(p, u) in cert.sorted_entries().iter().take(*k) {
                     self.heap.offer(p, u);
                 }
             }
-            RefineGoal::Threshold(_) => {
-                // The accepting certification pass left the final hits in
-                // the workspace hit list, already sorted.
-            }
+            // The accepting certification pass left the sorted hits in
+            // the workspace hit list.
+            RefineGoal::Threshold(_) => {}
             RefineGoal::FullVector(out) => {
-                for pos in 0..reach {
-                    let u = self.bfs.order()[pos];
-                    out[u as usize] = c * st.x[u as usize];
+                for &u in ids.iter() {
+                    out[u as usize] = c * x[u as usize];
                 }
             }
         }

@@ -8,7 +8,7 @@
 use kdash_baselines::{IterativeRwr, TopKEngine};
 use kdash_core::TopKResult;
 use kdash_datagen::DatasetProfile;
-use kdash_graph::{CsrGraph, NodeId};
+use kdash_graph::{CsrGraph, GraphBuilder, NodeId};
 
 /// Generates a dataset profile scaled to roughly `target_nodes` nodes.
 pub fn profile_graph(profile: DatasetProfile, target_nodes: usize, seed: u64) -> CsrGraph {
@@ -181,6 +181,35 @@ pub fn check_index_bit_identity(
         return Err("restart probability or dangling policy differs".into());
     }
     Ok(())
+}
+
+/// Rebuilds `graph` with deterministic per-edge weights derived from the
+/// endpoint pair. The stock generators emit unit weights, under which
+/// symmetric structures produce *exactly* equal proximities — ties the
+/// refined path correctly refuses to certify (no positive gap separates
+/// them) and under which "the" dense order is itself arbitrary. Hashed
+/// weights make distinct-node proximity collisions measure-zero while
+/// keeping the graph structure.
+pub fn break_ties(graph: &CsrGraph) -> kdash_graph::Result<CsrGraph> {
+    let n = graph.num_nodes();
+    let mut b = GraphBuilder::new(n);
+    // splitmix64 over the packed endpoint pair: 53 bits of weight
+    // granularity makes two edges sharing a weight (and hence two nodes
+    // sharing an exact proximity) practically impossible — a coarse
+    // bucket hash here produced real collisions and real exact ties.
+    let mix = |v: u64| {
+        let mut z = v.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    for v in 0..n as NodeId {
+        for (t, _) in graph.out_edges(v) {
+            let h = mix(((v as u64) << 32) | t as u64) >> 11;
+            b.add_edge(v, t, 1.0 + h as f64 / (1u64 << 53) as f64);
+        }
+    }
+    b.build()
 }
 
 /// Picks `count` query nodes with at least one out-edge, deterministically

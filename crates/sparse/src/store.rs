@@ -284,6 +284,26 @@ impl ProximityStore {
         }
     }
 
+    /// Row `r` against a *dense* vector: every stored entry multiplies
+    /// `x[col]` unconditionally, in storage order (bit-identical across
+    /// layouts). The certified-refinement correction runs on this — its
+    /// operand is dense over the reachable set, so the scattered column's
+    /// stamps and the per-row kernel policy would be pure overhead. Charges
+    /// `counters` like a wide gather (index bytes, 8 value bytes per
+    /// entry, stored entries); it is not a kernel dispatch, so the
+    /// scalar/wide row split stays untouched.
+    #[inline]
+    pub fn row_dot_dense(&self, r: Index, x: &[f64], counters: &mut GatherCounters) -> f64 {
+        let nnz = self.row_stats[r as usize].nnz as usize;
+        counters.index_bytes += self.row_index_bytes(r);
+        counters.value_bytes += 8 * nnz;
+        counters.nnz += nnz;
+        match &self.rows {
+            RowStorage::Flat(m) => m.row_dot_dense(r, x),
+            RowStorage::Blocked(b) => b.row_dot_dense(r, x),
+        }
+    }
+
     /// Replaces whole rows under the active layout, refreshing the
     /// per-row policy table and the decode-scratch high-water mark for
     /// exactly the dirty rows — the splice stage of the dynamic-update

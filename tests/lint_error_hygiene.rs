@@ -31,9 +31,6 @@ const ALLOWLIST: &[(&str, usize)] = &[
     ("crates/core/src/estimator.rs", 1),
     ("crates/core/src/ordering.rs", 1),
     ("crates/core/src/precompute.rs", 1),
-    // searcher.rs: all three are `partial_cmp.expect` on proximities that
-    // are finite by construction (the refinement sort added the third).
-    ("crates/core/src/searcher.rs", 3),
     ("crates/datagen/src/ba.rs", 1),
     ("crates/datagen/src/collaboration.rs", 1),
     ("crates/datagen/src/dictionary.rs", 1),

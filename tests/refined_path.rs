@@ -1,0 +1,428 @@
+//! The certified-refinement path's own contracts, beyond "same ranking as
+//! the dense build" (`tests/sparsified_equivalence.rs`):
+//!
+//! * **Workspace reuse** — the loop keeps three dense vectors that are
+//!   only ever written inside a query's reachable set and zeroed over it
+//!   on the way out. One `Searcher` driven through every refined entry
+//!   point, across shrinking reachable sets and across typed failures,
+//!   must answer bit-for-bit like a fresh one each time (and, in debug
+//!   builds, trips the loop's own all-zero assertion if it does not).
+//! * **Budgets** — every `QueryBudget` knob aborts typed in the initial
+//!   solve *and* inside a correction pass, with the work so far attached.
+//! * **Numerics** — a residual that overflows is a typed
+//!   `RefinementFailed` at once, never 64 passes and a comparator panic.
+//! * **Out-weight sums** — the derived per-node normalisers stay coherent
+//!   with the stored graph through build, save → load, `with_layout` and
+//!   dynamic updates that create and remove sinks.
+
+use kdash_core::{
+    BudgetLimit, IndexAudit, IndexBuilder, IndexOptions, IndexPatch, KdashError, KdashIndex,
+    NodeOrdering, QueryBudget, SearchStats, Searcher, TopKResult,
+};
+use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
+use kdash_dynamic::{DynamicIndex, UpdateBatch};
+use kdash_graph::{CsrGraph, EdgeEdit, GraphBuilder, NodeId};
+use kdash_harness::{break_ties, check_index_bit_identity};
+use kdash_sparse::rwr::rwr_step;
+use kdash_sparse::{
+    transition_matrix, CscMatrix, CsrMatrix, DanglingPolicy, ProximityStore, RowLayout,
+};
+use std::time::Duration;
+
+fn sparsified(graph: &CsrGraph, eps: f64) -> KdashIndex {
+    let index =
+        KdashIndex::build(graph, IndexOptions { drop_tolerance: eps, ..Default::default() })
+            .unwrap();
+    assert!(index.needs_refinement(), "ε = {eps:e} dropped nothing: the test would be vacuous");
+    index
+}
+
+/// ER / BA / RMAT with tie-free weights, each with a sparsified index.
+/// ER is kept sparse and BA to its newer → older edges (the generator
+/// emits both directions), so reachable sets range from 2 nodes to most
+/// of the graph.
+fn families() -> Vec<(&'static str, CsrGraph, KdashIndex)> {
+    let ba = barabasi_albert(400, 3, 6);
+    let ba = GraphBuilder::from_edges(400, ba.edges().filter(|&(s, d, _)| s > d)).build().unwrap();
+    [
+        ("er", erdos_renyi(400, 700, 5)),
+        ("ba", ba),
+        ("rmat", rmat(9, 900, RmatParams::default(), 7)),
+    ]
+    .into_iter()
+    .map(|(name, raw)| {
+        let graph = break_ties(&raw).unwrap();
+        let index = sparsified(&graph, 1e-3);
+        (name, graph, index)
+    })
+    .collect()
+}
+
+/// Query nodes by full reachable-set size, largest first.
+fn by_reach(index: &KdashIndex) -> Vec<(usize, NodeId)> {
+    let mut s = index.searcher();
+    let mut reach: Vec<(usize, NodeId)> = (0..index.num_nodes() as NodeId)
+        .map(|q| (s.top_k(q, 1).unwrap().stats.reachable, q))
+        .collect();
+    reach.sort_unstable_by(|a, b| b.cmp(a));
+    reach
+}
+
+fn assert_same(label: &str, got: &TopKResult, want: &TopKResult) {
+    assert_eq!(got.stats, want.stats, "{label}: stats");
+    assert_eq!(got.items.len(), want.items.len(), "{label}: length");
+    for (g, w) in got.items.iter().zip(&want.items) {
+        assert_eq!(g.node, w.node, "{label}");
+        assert_eq!(g.proximity.to_bits(), w.proximity.to_bits(), "{label}: node {}", g.node);
+    }
+}
+
+/// Runs every refined entry point on `reused` and on a fresh workspace
+/// and demands bit-identical answers and stats.
+fn assert_replays_fresh(
+    label: &str,
+    index: &KdashIndex,
+    reused: &mut Searcher<'_>,
+    big: NodeId,
+    small: NodeId,
+    downstream: NodeId,
+) {
+    // `big` repeats as a root; its partner takes in-flow from it, since
+    // two sources without any would tie exactly at c/2.
+    let set = [downstream, big];
+    let theta = index.searcher().top_k(big, 4).unwrap().items[3].proximity * 0.999;
+    assert_same(
+        &format!("{label} big"),
+        &reused.top_k(big, 10).unwrap(),
+        &index.searcher().top_k(big, 10).unwrap(),
+    );
+    assert_same(
+        &format!("{label} small"),
+        &reused.top_k(small, 10).unwrap(),
+        &index.searcher().top_k(small, 10).unwrap(),
+    );
+    assert_same(
+        &format!("{label} set"),
+        &reused.top_k_from_set(&set, 10).unwrap(),
+        &index.searcher().top_k_from_set(&set, 10).unwrap(),
+    );
+    assert_same(
+        &format!("{label} above"),
+        &reused.nodes_above(big, theta).unwrap(),
+        &index.searcher().nodes_above(big, theta).unwrap(),
+    );
+    let (a, b) = (
+        reused.refined_full_proximities(&[small]).unwrap(),
+        index.searcher().refined_full_proximities(&[small]).unwrap(),
+    );
+    assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()), "{label} full vector");
+}
+
+/// Stored `U⁻¹` entries one pass over the reachable set gathers, and the
+/// reachable count, from an unbudgeted run with at least one correction.
+fn pass_cost(stats: &SearchStats) -> (usize, usize) {
+    assert!(stats.refinement_iterations >= 1, "query certified without a correction pass");
+    (stats.nnz_gathered / (1 + stats.refinement_iterations), stats.reachable)
+}
+
+#[test]
+fn one_workspace_replays_fresh_across_entry_points_and_failures() {
+    for (name, graph, index) in families() {
+        let reach = by_reach(&index);
+        let (big_reach, big) = reach[0];
+        let (small_reach, small) = *reach.iter().rev().find(|r| r.0 > 1).unwrap();
+        let downstream = graph.out_neighbors(big)[0];
+        assert!(big_reach > 10 * small_reach, "{name}: reach {big_reach} vs {small_reach}");
+        let mut reused = index.searcher();
+        assert_replays_fresh(name, &index, &mut reused, big, small, downstream);
+
+        // Abort inside a correction pass: every vector is mid-update.
+        let (pass_nnz, _) = pass_cost(&reused.top_k(big, 10).unwrap().stats);
+        reused.set_budget(QueryBudget { max_gather_nnz: Some(pass_nnz + 1), ..Default::default() });
+        assert!(matches!(reused.top_k(big, 10), Err(KdashError::BudgetExceeded { .. })));
+        reused.set_budget(QueryBudget::unlimited());
+        let label = format!("{name} after abort");
+        assert_replays_fresh(&label, &index, &mut reused, big, small, downstream);
+    }
+}
+
+/// An undirected unit-weight ring: nodes `q ± i` are exactly tied, so a
+/// sparsified top-k across such a pair can never certify.
+fn tied_ring(n: usize) -> CsrGraph {
+    let mut b = GraphBuilder::new(n);
+    for v in 0..n as NodeId {
+        b.add_undirected_edge(v, (v + 1) % n as NodeId, 1.0);
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn workspace_survives_refinement_failure_on_a_tied_graph() {
+    let index = sparsified(&tied_ring(64), 1e-3);
+    let mut reused = index.searcher();
+    for round in 0..2 {
+        match reused.top_k(0, 2) {
+            Err(KdashError::RefinementFailed { residual, .. }) => {
+                assert!(residual.is_finite(), "round {round}")
+            }
+            other => panic!("round {round}: a tied pair at the boundary must fail, got {other:?}"),
+        }
+        // k = 1 (the query alone) and k = 3 (both tied neighbours inside)
+        // still put the tie *inside* the order, so only the full vector
+        // is a goal the loop can reach here — and it must match a fresh
+        // workspace bit for bit after the failure.
+        let (a, b) = (
+            reused.refined_full_proximities(&[0]).unwrap(),
+            index.searcher().refined_full_proximities(&[0]).unwrap(),
+        );
+        assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()), "round {round}");
+        assert_same(
+            &format!("round {round} k=1"),
+            &reused.top_k(0, 1).unwrap(),
+            &index.searcher().top_k(0, 1).unwrap(),
+        );
+    }
+}
+
+#[test]
+fn every_budget_aborts_typed_in_the_initial_solve_and_in_a_correction_pass() {
+    let (_, _, index) = families().swap_remove(2);
+    let q = by_reach(&index)[0].1;
+    let plain = index.searcher().top_k(q, 10).unwrap();
+    let (pass_nnz, reach) = pass_cost(&plain.stats);
+    let mut s = index.searcher();
+    let mut abort = |budget: QueryBudget| {
+        s.set_budget(budget);
+        match s.top_k(q, 10) {
+            Err(KdashError::BudgetExceeded { limit, stats }) => {
+                assert_eq!(stats.reachable, reach, "the frontier is drained before any solve");
+                (limit, *stats)
+            }
+            other => panic!("{budget:?}: expected BudgetExceeded, got {other:?}"),
+        }
+    };
+
+    // Frontier nodes: N admits exactly N initial-solve visits; `reach`
+    // admits the whole initial solve and stops the first correction row.
+    let (limit, stats) = abort(QueryBudget { max_frontier_nodes: Some(7), ..Default::default() });
+    assert_eq!(limit, BudgetLimit::FrontierNodes(7));
+    assert_eq!((stats.visited, stats.proximity_computations, stats.refinement_nnz), (7, 7, 0));
+    let (limit, stats) =
+        abort(QueryBudget { max_frontier_nodes: Some(reach), ..Default::default() });
+    assert_eq!(limit, BudgetLimit::FrontierNodes(reach));
+    assert_eq!((stats.visited, stats.proximity_computations), (reach, reach));
+    assert_eq!(stats.nnz_gathered, pass_nnz, "no correction row ran");
+    assert!(stats.refinement_nnz > 0, "the first residual was streamed");
+
+    // Gather nnz: half a pass stops the initial solve, a pass and a bit
+    // stops the first correction.
+    let (limit, stats) =
+        abort(QueryBudget { max_gather_nnz: Some(pass_nnz / 2), ..Default::default() });
+    assert_eq!(limit, BudgetLimit::GatherNnz(pass_nnz / 2));
+    assert!(stats.visited < reach && stats.nnz_gathered >= pass_nnz / 2);
+    let (limit, stats) =
+        abort(QueryBudget { max_gather_nnz: Some(pass_nnz + 1), ..Default::default() });
+    assert_eq!(limit, BudgetLimit::GatherNnz(pass_nnz + 1));
+    assert_eq!(stats.visited, reach);
+    assert!(stats.nnz_gathered > pass_nnz && stats.nnz_gathered < 2 * pass_nnz);
+
+    // Deadline: zero expires before the first row. An abort that carries
+    // `visited == reach` fired in a correction pass (the initial solve's
+    // last check sees `reach − 1`); sweep deadlines upwards in 5 % steps
+    // until one lands there — the passes are most of a query.
+    let (limit, stats) =
+        abort(QueryBudget { deadline: Some(Duration::ZERO), ..Default::default() });
+    assert_eq!(limit, BudgetLimit::Deadline(Duration::ZERO));
+    assert_eq!((stats.visited, stats.nnz_gathered), (0, 0));
+    let mut in_correction = false;
+    let mut nanos = 1_000f64;
+    while !in_correction && nanos < 5e9 {
+        let deadline = Duration::from_nanos(nanos as u64);
+        s.set_budget(QueryBudget { deadline: Some(deadline), ..Default::default() });
+        match s.top_k(q, 10) {
+            Err(KdashError::BudgetExceeded { limit, stats }) => {
+                assert_eq!(limit, BudgetLimit::Deadline(deadline));
+                in_correction = stats.visited == reach;
+            }
+            Ok(out) => assert_same("deadline met", &out, &plain),
+            Err(e) => panic!("unexpected error {e}"),
+        }
+        nanos *= 1.05;
+    }
+    assert!(in_correction, "no deadline up to 5 s expired inside a correction pass");
+
+    // Limits nothing can reach change nothing.
+    s.set_budget(QueryBudget {
+        max_frontier_nodes: Some(usize::MAX),
+        max_gather_nnz: Some(usize::MAX),
+        deadline: Some(Duration::from_secs(3600)),
+    });
+    assert_same("unlimited", &s.top_k(q, 10).unwrap(), &plain);
+    let theta = plain.items[3].proximity * 0.999;
+    assert_same(
+        "unlimited above",
+        &s.nodes_above(q, theta).unwrap(),
+        &index.searcher().nodes_above(q, theta).unwrap(),
+    );
+}
+
+/// `values × factor`, same pattern.
+fn scaled(m: &CscMatrix, factor: f64) -> CscMatrix {
+    let (ptr, idx, val) = m.raw();
+    let val = val.iter().map(|v| v * factor).collect();
+    CscMatrix::from_raw_parts(m.nrows(), m.ncols(), ptr.to_vec(), idx.to_vec(), val).unwrap()
+}
+
+#[test]
+fn overflowing_residual_is_a_typed_failure_not_a_panic() {
+    let (_, _, mut index) = families().swap_remove(0);
+    let q = by_reach(&index)[0].1;
+    // Finite but absurd stored inverses (each passes validation): x̃
+    // overflows to ±∞ and the residual to NaN on the first evaluation.
+    let (a_col_max, a_max, c_prime) = index.estimator_constants();
+    let (linv_dropped, uinv_dropped) = index.dropped_masses();
+    let patch = IndexPatch {
+        graph: index.permuted_graph().clone(),
+        linv: scaled(index.linv_cols(), 1e200),
+        uinv: ProximityStore::from_csr(
+            CsrMatrix::from_csc(&scaled(&index.uinv_rows().to_csc(), 1e200)),
+            index.layout(),
+        )
+        .unwrap(),
+        a_col_max: a_col_max.to_vec(),
+        a_max,
+        c_prime: c_prime.to_vec(),
+        factors: None,
+        linv_dropped: linv_dropped.to_vec(),
+        uinv_dropped: uinv_dropped.to_vec(),
+        nnz_l: index.stats().nnz_l,
+        nnz_u: index.stats().nnz_u,
+        epochs: 1,
+    };
+    index.install_patch(patch).unwrap();
+    let mut s = index.searcher();
+    for round in 0..2 {
+        match s.top_k(q, 10) {
+            Err(KdashError::RefinementFailed { iterations, residual, .. }) => {
+                assert!(!residual.is_finite(), "round {round}: residual {residual}");
+                assert_eq!(iterations, 0, "round {round}: must fail on the first residual");
+            }
+            other => panic!("round {round}: expected RefinementFailed, got {other:?}"),
+        }
+        assert!(matches!(s.nodes_above(q, 1e-3), Err(KdashError::RefinementFailed { .. })));
+        assert!(matches!(
+            s.refined_full_proximities(&[q]),
+            Err(KdashError::RefinementFailed { .. })
+        ));
+    }
+}
+
+fn assert_audit_clean(label: &str, index: &KdashIndex) {
+    let audit = IndexAudit::run(index);
+    assert!(audit.is_clean(), "{label}: {:?}", audit.findings);
+}
+
+/// Refined answers against the iterative definition (Equation 1, power
+/// iteration; ratio `1 − c = 0.05` per step) on `graph` under `dangling`.
+fn assert_exact(
+    label: &str,
+    index: &KdashIndex,
+    graph: &CsrGraph,
+    dangling: DanglingPolicy,
+    queries: &[NodeId],
+) {
+    assert!(index.needs_refinement(), "{label}: refinement must actually run");
+    let a = transition_matrix(graph, dangling);
+    for &q in queries {
+        let got = index.full_proximities(q).unwrap();
+        let mut want = vec![0.0; graph.num_nodes()];
+        want[q as usize] = 1.0;
+        let mut next = want.clone();
+        for _ in 0..60 {
+            rwr_step(&a, 0.95, q, &want, &mut next);
+            std::mem::swap(&mut want, &mut next);
+        }
+        for (u, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert!((g - w).abs() < 1e-9, "{label}: q {q} node {u}: {g} vs {w}");
+        }
+    }
+}
+
+#[test]
+fn out_weight_sums_follow_the_graph_through_every_commit_path() {
+    // RMAT leaves plenty of sinks; pick one and a node with a single
+    // out-edge, in original ids.
+    let graph = break_ties(&rmat(8, 700, RmatParams::default(), 11)).unwrap();
+    let n = graph.num_nodes() as NodeId;
+    let sink = (0..n).find(|&v| graph.out_degree(v) == 0).expect("an RMAT sink");
+    let single = (0..n).find(|&v| graph.out_degree(v) == 1).expect("a one-edge node");
+    let single_dst = graph.out_neighbors(single)[0];
+    let feeder = (0..n).find(|&v| graph.has_edge(v, sink)).expect("a sink with an in-edge");
+
+    for dangling in [DanglingPolicy::Keep, DanglingPolicy::SelfLoop] {
+        let label = format!("{dangling:?}");
+        let options = IndexOptions {
+            ordering: NodeOrdering::Degree,
+            dangling,
+            drop_tolerance: 1e-3,
+            ..Default::default()
+        };
+        let index = KdashIndex::build(&graph, options).unwrap();
+        assert_audit_clean(&format!("{label} build"), &index);
+        assert_audit_clean(&format!("{label} relayout"), &index.with_layout(RowLayout::Flat));
+        let mut bytes = Vec::new();
+        index.save(&mut bytes).unwrap();
+        let loaded = KdashIndex::load(bytes.as_slice()).unwrap();
+        assert_audit_clean(&format!("{label} reload"), &loaded);
+        assert_exact(&format!("{label} reload"), &loaded, &graph, dangling, &[feeder, single]);
+
+        // The audit runs after every apply, on the patched index.
+        let perm = index.permutation().clone();
+        let mut dynamic = DynamicIndex::new(loaded).unwrap().verify_after_apply(true);
+        let grow =
+            UpdateBatch::new(vec![EdgeEdit::Insert { src: sink, dst: feeder, weight: 1.37 }])
+                .unwrap();
+        let strip =
+            UpdateBatch::new(vec![EdgeEdit::Delete { src: single, dst: single_dst }]).unwrap();
+        dynamic.apply(&grow).unwrap();
+        let mut edited = graph.apply_edits(grow.edits()).unwrap();
+        assert_exact(
+            &format!("{label} former sink"),
+            dynamic.index(),
+            &edited,
+            dangling,
+            &[feeder, sink],
+        );
+        dynamic.apply(&strip).unwrap();
+        edited = edited.apply_edits(strip.edits()).unwrap();
+        assert_eq!(edited.out_degree(single), 0);
+        assert_exact(
+            &format!("{label} new sink"),
+            dynamic.index(),
+            &edited,
+            dangling,
+            &[single, feeder],
+        );
+
+        // Both edits undone in one coalesced pass land back on the build.
+        let undo = [
+            UpdateBatch::new(vec![EdgeEdit::Delete { src: sink, dst: feeder }]).unwrap(),
+            UpdateBatch::new(vec![EdgeEdit::Insert {
+                src: single,
+                dst: single_dst,
+                weight: graph.edge_weight(single, single_dst).unwrap(),
+            }])
+            .unwrap(),
+        ];
+        dynamic.apply_coalesced(&undo).unwrap();
+        let rebuilt = IndexBuilder::from_options(options).permutation(perm).build(&graph).unwrap();
+        check_index_bit_identity(dynamic.index(), &rebuilt).expect("coalesced undo ≡ rebuild");
+        for q in [feeder, single, sink] {
+            assert_same(
+                &format!("{label} undo q {q}"),
+                &dynamic.index().top_k(q, 8).unwrap(),
+                &rebuilt.top_k(q, 8).unwrap(),
+            );
+        }
+    }
+}

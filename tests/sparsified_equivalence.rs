@@ -19,37 +19,9 @@
 
 use kdash_core::{IndexOptions, KdashError, KdashIndex, NodeOrdering, TopKResult};
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
-use kdash_graph::{CsrGraph, GraphBuilder, NodeId};
+use kdash_graph::{CsrGraph, NodeId};
+use kdash_harness::break_ties;
 use proptest::prelude::*;
-
-/// Rebuilds `graph` with deterministic per-edge weights derived from the
-/// endpoint pair. The stock generators emit unit weights, under which
-/// symmetric structures produce *exactly* equal proximities — ties the
-/// refined path correctly refuses to certify (no positive gap separates
-/// them) and under which "the" dense order is itself arbitrary. Hashed
-/// weights make distinct-node proximity collisions measure-zero while
-/// keeping the graph structure.
-fn break_ties(graph: &CsrGraph) -> CsrGraph {
-    let n = graph.num_nodes();
-    let mut b = GraphBuilder::new(n);
-    // splitmix64 over the packed endpoint pair: 53 bits of weight
-    // granularity makes two edges sharing a weight (and hence two nodes
-    // sharing an exact proximity) practically impossible — a coarse
-    // bucket hash here produced real collisions and real exact ties.
-    let mix = |v: u64| {
-        let mut z = v.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    for v in 0..n as NodeId {
-        for (t, _) in graph.out_edges(v) {
-            let h = mix(((v as u64) << 32) | t as u64) >> 11;
-            b.add_edge(v, t, 1.0 + h as f64 / (1u64 << 53) as f64);
-        }
-    }
-    b.build().unwrap()
-}
 
 fn graph_strategy() -> impl Strategy<Value = CsrGraph> {
     (0usize..3, 24usize..90, 1usize..5, any::<u64>()).prop_map(|(family, n, density, seed)| {
@@ -61,7 +33,7 @@ fn graph_strategy() -> impl Strategy<Value = CsrGraph> {
                 rmat(scale, (1usize << scale) * density, RmatParams::default(), seed)
             }
         };
-        break_ties(&raw)
+        break_ties(&raw).unwrap()
     })
 }
 
@@ -267,7 +239,7 @@ proptest! {
 /// contract, pinned in `zero_tolerance_is_bit_identical`.
 #[test]
 fn undropped_positive_tolerance_routes_classic_path() {
-    let graph = break_ties(&rmat(8, 1024, RmatParams::default(), 21));
+    let graph = break_ties(&rmat(8, 1024, RmatParams::default(), 21)).unwrap();
     let dense = build(&graph, NodeOrdering::Hybrid, 0.0);
     let tiny = build(&graph, NodeOrdering::Hybrid, 1e-300);
     assert!(tiny.is_sparsified(), "positive ε labels the tier");
@@ -299,7 +271,7 @@ fn undropped_positive_tolerance_routes_classic_path() {
 /// pinned on a fill-heavy graph (natural ordering maximises fill-in).
 #[test]
 fn aggressive_tolerance_shrinks_the_store() {
-    let graph = break_ties(&erdos_renyi(600, 4200, 9));
+    let graph = break_ties(&erdos_renyi(600, 4200, 9)).unwrap();
     let dense = build(&graph, NodeOrdering::Natural, 0.0);
     let sparse = build(&graph, NodeOrdering::Natural, 1e-3);
     assert!(sparse.needs_refinement());

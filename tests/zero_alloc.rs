@@ -3,12 +3,14 @@
 //!
 //! A counting global allocator wraps the system one; the warm-up query
 //! sizes every reusable buffer (BFS order, scattered column, heap, result
-//! items), after which repeated queries — same k, arbitrary query nodes —
-//! must leave the allocation counter untouched.
+//! items — and on a sparsified index the refinement vectors and the
+//! id-sorted reachable list), after which repeated queries — same k,
+//! arbitrary query nodes — must leave the allocation counter untouched.
 
 use kdash_core::{IndexOptions, KdashIndex, TopKResult};
 use kdash_datagen::barabasi_albert;
 use kdash_graph::NodeId;
+use kdash_harness::break_ties;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -39,36 +41,47 @@ fn allocations() -> usize {
 
 #[test]
 fn top_k_into_is_allocation_free_after_warmup() {
-    // A hub-rich graph so queries traverse substantial candidate sets.
-    let graph = barabasi_albert(600, 3, 42);
-    let index = KdashIndex::build(&graph, IndexOptions::default()).unwrap();
+    // A hub-rich graph so queries traverse substantial candidate sets,
+    // dense-exact (the Lemma-2 search) and sparsified (certified
+    // refinement over the whole reachable set; tie-free weights, or the
+    // loop would rightly refuse to rank). Both indexes are built before
+    // either window opens, and the windows run one after the other: the
+    // counter is process-wide.
+    let graph = break_ties(&barabasi_albert(600, 3, 42)).unwrap();
+    let dense = KdashIndex::build(&graph, IndexOptions::default()).unwrap();
+    let sparsified =
+        KdashIndex::build(&graph, IndexOptions { drop_tolerance: 1e-3, ..Default::default() })
+            .unwrap();
+    assert!(sparsified.needs_refinement());
     let n = graph.num_nodes() as NodeId;
     let k = 10;
 
-    let mut searcher = index.searcher();
-    let mut result = TopKResult::default();
+    for (tier, index) in [("dense", &dense), ("sparsified", &sparsified)] {
+        let mut searcher = index.searcher();
+        let mut result = TopKResult::default();
 
-    // Warm-up: one query per distinct BFS shape we are about to replay,
-    // letting every buffer reach its high-water capacity.
-    for q in 0..n {
-        searcher.top_k_into(q, k, &mut result).unwrap();
-    }
-
-    let before = allocations();
-    for round in 0..3 {
+        // Warm-up: one query per distinct BFS shape we are about to
+        // replay, letting every buffer reach its high-water capacity.
         for q in 0..n {
             searcher.top_k_into(q, k, &mut result).unwrap();
-            assert_eq!(result.items.len(), k.min(graph.num_nodes()), "round {round} q {q}");
         }
+
+        let before = allocations();
+        for round in 0..3 {
+            for q in 0..n {
+                searcher.top_k_into(q, k, &mut result).unwrap();
+                assert_eq!(result.items.len(), k, "{tier} round {round} q {q}");
+            }
+        }
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "{tier}: Searcher::top_k_into allocated {} times across {} warmed-up queries",
+            after - before,
+            3 * n
+        );
     }
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "Searcher::top_k_into allocated {} times across {} warmed-up queries",
-        after - before,
-        3 * n
-    );
 }
 
 #[test]
