@@ -1,7 +1,7 @@
 //! Query-engine headline benchmark (PR 1: scatter/gather + `Searcher`
 //! reuse; PR 3: lazy BFS + wide gather kernels; PR 4: blocked u16 index
-//! layout + deterministic per-row adaptive kernel policy + prefetched
-//! candidate batching).
+//! layout + prefetched candidate batching; PR 14: one branch-free
+//! four-lane gather over a zero-filled query column).
 //!
 //! On a ~65k-node RMAT graph (the paper's Social/Email stand-in):
 //!
@@ -9,25 +9,29 @@
 //!   kernels in isolation over three row populations (hit-dominated hub
 //!   candidates, the PR 1 strided mix, and miss-dominated cold rows),
 //!   each under **both** layouts (`flat_*` vs `blocked_*`) and every
-//!   kernel including `adaptive`. These are the three series the
-//!   adaptive-policy acceptance compares: adaptive must match the best
-//!   fixed kernel on all three simultaneously.
+//!   kernel the host can run.
 //! * `query_engine/*` — end-to-end top-k sweeps: merge-join reference,
 //!   the PR 1 eager-scalar baseline, one reused lazy `Searcher` per
-//!   kernel on the blocked (default) layout, plus `lazy_adaptive_flat`
-//!   to isolate the layout's contribution.
+//!   kernel on the blocked (default) layout, plus `lazy_auto_flat` to
+//!   isolate the layout's contribution.
 //! * `query_engine_k5/*` — the traversal-bound light-query series.
 //!
 //! The setup prints the index-bytes/nnz report (blocked vs flat), the
-//! lazy-frontier counters, per-population stamp-hit rates with the
-//! policy's predictions, and the per-query gather-byte counters — the
-//! observability the BENCH_PR4.json notes are written from.
-//! `KDASH_BENCH_SCALE` overrides the RMAT scale (default 16).
+//! lazy-frontier counters, the **measured hit rate** of the end-to-end
+//! k = 50 series (stored entries of the gathered rows that meet a loaded
+//! position of the query column ÷ all their stored entries) and the same
+//! per row population. The kernel multiplies every entry regardless, so
+//! the hit rate changes no answer and no code path; it is printed because
+//! the repo's benchmark cannot see the one regime where an
+//! entry-skipping loop could win — a DRAM-resident index whose gathered
+//! rows are miss-dominated — and this number says whether real queries at
+//! this scale are in it. `KDASH_BENCH_SCALE` overrides the RMAT scale
+//! (default 16).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kdash_core::{GatherKernel, IndexOptions, KdashIndex, RowLayout, Searcher, TopKResult};
 use kdash_datagen::{rmat, RmatParams};
-use kdash_graph::NodeId;
+use kdash_graph::{BfsScratch, NodeId};
 use kdash_sparse::{GatherCounters, GatherScratch, ProximityStore, ScatteredColumn};
 
 /// The fixed kernels this host can run, labelled for the report.
@@ -39,8 +43,21 @@ fn host_kernels() -> Vec<(&'static str, GatherKernel)> {
     if let Ok(resolved) = GatherKernel::Simd.resolve() {
         kernels.push((resolved.name(), GatherKernel::Simd));
     }
-    kernels.push(("adaptive", GatherKernel::Adaptive));
     kernels
+}
+
+/// Which positions of a dimension-`n` vector the sparse column occupies.
+fn mask_of(n: usize, idx: &[NodeId]) -> Vec<bool> {
+    let mut mask = vec![false; n];
+    for &i in idx {
+        mask[i as usize] = true;
+    }
+    mask
+}
+
+/// Stored entries of a row that meet an occupied position.
+fn hits(cols: &[NodeId], mask: &[bool]) -> usize {
+    cols.iter().filter(|&&c| mask[c as usize]).count()
 }
 
 /// Sweeps `rows` through one store/kernel pair, returning the checksum.
@@ -96,12 +113,19 @@ fn bench(c: &mut Criterion) {
     let queries: Vec<NodeId> = kdash_bench::queries_for(&graph, 32);
     let k = 50;
 
-    // Lazy-frontier counters plus the new gather-byte counters over the
-    // mix, per kernel class.
+    let flat_csr = flat.as_flat().expect("flat twin");
+
+    // Lazy-frontier and gather-byte counters over the mix, and the
+    // measured hit rate of the rows those queries really gather: the
+    // search visits the lazy BFS order's prefix, so replaying the
+    // traversal to the same depth names the rows.
     {
         let mut searcher = index.searcher();
+        let mut bfs = BfsScratch::new(graph.num_nodes());
+        let permuted = index.permuted_graph();
         let (mut expanded, mut discovered, mut full, mut early) = (0usize, 0usize, 0usize, 0usize);
-        let (mut bytes, mut val_bytes, mut r_scalar, mut r_wide) = (0usize, 0usize, 0usize, 0usize);
+        let (mut bytes, mut val_bytes, mut rows) = (0usize, 0usize, 0usize);
+        let (mut stored, mut matched) = (0usize, 0usize);
         for &q in &queries {
             let lazy = searcher.top_k(q, k).expect("query");
             let eager = index.top_k_merge_join(q, k).expect("query");
@@ -111,8 +135,18 @@ fn bench(c: &mut Criterion) {
             early += lazy.stats.terminated_early as usize;
             bytes += lazy.stats.bytes_touched;
             val_bytes += lazy.stats.value_bytes_touched;
-            r_scalar += lazy.stats.rows_scalar;
-            r_wide += lazy.stats.rows_wide;
+            rows += lazy.stats.proximity_computations;
+
+            let mask = mask_of(graph.num_nodes(), index.linv_query_column(q).0);
+            bfs.begin(permuted, index.permutation().new_of(q));
+            while bfs.num_expanded() < lazy.stats.frontier_expanded
+                && bfs.expand_next_layer(permuted) > 0
+            {}
+            for &u in &bfs.order()[..lazy.stats.proximity_computations] {
+                let (cols, _) = flat_csr.row(u);
+                stored += cols.len();
+                matched += hits(cols, &mask);
+            }
         }
         println!(
             "lazy frontier over {} queries (k={k}): expanded {expanded} / discovered \
@@ -123,8 +157,9 @@ fn bench(c: &mut Criterion) {
             100.0 * expanded as f64 / full.max(1) as f64,
         );
         println!(
-            "adaptive gathers (blocked): rows scalar {r_scalar} / wide {r_wide}; index bytes \
-             {bytes}, model value bytes {val_bytes}"
+            "gathers (blocked, k={k}): {rows} rows, {stored} stored entries; index bytes {bytes}, \
+             model value bytes {val_bytes}; measured hit rate {:.4} ({matched} hits)",
+            matched as f64 / stored.max(1) as f64,
         );
     }
 
@@ -140,24 +175,23 @@ fn bench(c: &mut Criterion) {
     println!("kernel column: query {hub_query}, nnz(L⁻¹ e_q) = {}", col_idx.len());
     let mut column = ScatteredColumn::new(graph.num_nodes());
     column.load(col_idx, col_val);
-    let mut scratch = GatherScratch::with_capacity(blocked.max_row_nnz());
+    let mut scratch = GatherScratch;
 
     // Row populations (analysed on the flat twin, benched on both
     // layouts):
     //  * mixed — the PR 1 stride over all rows vs the hub column
     //            (continuity baseline);
     //  * hub   — the 512 highest-overlap rows vs the hub column
-    //            (hit-dominated: the wide kernels' best case);
+    //            (hit-dominated);
     //  * cold  — the same dense rows against the *sparsest* query column
-    //            of the mix (miss-dominated: PR 3's regression case —
-    //            big DRAM-resident rows, almost every stamp check fails).
-    let flat_csr = flat.as_flat().expect("flat twin");
+    //            of the mix (miss-dominated: big DRAM-resident rows whose
+    //            entries almost all multiply a zero).
+    let column_mask = mask_of(graph.num_nodes(), col_idx);
     let mixed: Vec<NodeId> = (0..graph.num_nodes() as NodeId).step_by(7).collect();
     let mut by_overlap: Vec<(usize, usize, NodeId)> = (0..graph.num_nodes() as NodeId)
         .map(|r| {
             let (cols, _) = flat_csr.row(r);
-            let matched = cols.iter().filter(|&&c| column.get(c).is_some()).count();
-            (matched, cols.len(), r)
+            (hits(cols, &column_mask), cols.len(), r)
         })
         .collect();
     by_overlap.sort_by_key(|&(matched, nnz, r)| (std::cmp::Reverse(matched), nnz, r));
@@ -172,27 +206,20 @@ fn bench(c: &mut Criterion) {
     println!("cold column: query {cold_query}, nnz(L⁻¹ e_q) = {}", cold_idx.len());
     let mut cold_column = ScatteredColumn::new(graph.num_nodes());
     cold_column.load(cold_idx, cold_val);
+    let cold_mask = mask_of(graph.num_nodes(), cold_idx);
 
-    // Per-population observability: actual stamp-hit rate vs what the
-    // policy decides, and how many rows it hands to the wide kernel.
-    for (label, rows, col) in [
-        ("hub", &hubs, &column),
-        ("mixed", &mixed, &column),
-        ("cold", &hubs, &cold_column),
-    ] {
-        let (mut nnz_total, mut matched_total, mut wide_rows) = (0usize, 0usize, 0usize);
+    // Per-population observability: the measured hit rate.
+    for (label, rows, mask) in
+        [("hub", &hubs, &column_mask), ("mixed", &mixed, &column_mask), ("cold", &hubs, &cold_mask)]
+    {
+        let (mut nnz_total, mut matched_total) = (0usize, 0usize);
         for &r in rows.iter() {
             let (cols, _) = flat_csr.row(r);
             nnz_total += cols.len();
-            matched_total += cols.iter().filter(|&&c| col.get(c).is_some()).count();
-            let stat = blocked.row_stat(r);
-            if kdash_sparse::adaptive_picks_wide(stat, col) {
-                wide_rows += 1;
-            }
+            matched_total += hits(cols, mask);
         }
         println!(
-            "{label} rows: {} rows, avg nnz {:.0}, actual stamp-hit {:.1}%, policy sends \
-             {wide_rows} wide",
+            "{label} rows: {} rows, avg nnz {:.0}, measured hit rate {:.1}%",
             rows.len(),
             nnz_total as f64 / rows.len().max(1) as f64,
             100.0 * matched_total as f64 / nnz_total.max(1) as f64,
@@ -265,8 +292,8 @@ fn bench(c: &mut Criterion) {
     }
 
     // One reused lazy Searcher per kernel on the default (blocked) layout
-    // — the serving configuration — plus the flat/adaptive twin so the
-    // layout's own contribution is visible.
+    // — the serving configuration — plus the default kernel's flat twin so
+    // the layout's own contribution is visible.
     for (label, kernel) in host_kernels() {
         let mut searcher = Searcher::with_kernel(&index, kernel).expect("host kernel");
         let mut out = TopKResult::default();
@@ -283,9 +310,9 @@ fn bench(c: &mut Criterion) {
     }
     {
         let mut searcher =
-            Searcher::with_kernel(&flat_index, GatherKernel::Adaptive).expect("adaptive");
+            Searcher::with_kernel(&flat_index, GatherKernel::Auto).expect("auto resolves");
         let mut out = TopKResult::default();
-        group.bench_function("lazy_adaptive_flat", |b| {
+        group.bench_function("lazy_auto_flat", |b| {
             b.iter(|| {
                 let mut total = 0usize;
                 for &q in &queries {
@@ -318,7 +345,7 @@ fn bench(c: &mut Criterion) {
              ({:.1}% of the eager traversal)",
             100.0 * expanded as f64 / full.max(1) as f64
         );
-        light.bench_function("eager_reused_adaptive", |b| {
+        light.bench_function("eager_reused_auto", |b| {
             b.iter(|| {
                 let mut total = 0usize;
                 for &q in &queries {
@@ -328,7 +355,7 @@ fn bench(c: &mut Criterion) {
                 std::hint::black_box(total)
             });
         });
-        light.bench_function("lazy_reused_adaptive", |b| {
+        light.bench_function("lazy_reused_auto", |b| {
             b.iter(|| {
                 let mut total = 0usize;
                 for &q in &queries {

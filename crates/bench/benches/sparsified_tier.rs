@@ -166,7 +166,7 @@ fn main() {
         );
 
         let mut searcher =
-            Searcher::with_kernel(&index, GatherKernel::Adaptive).expect("adaptive kernel");
+            Searcher::with_kernel(&index, GatherKernel::Auto).expect("auto resolves");
         // One warm-up query so the workspace allocations don't land in
         // the first measured trial.
         let _ = searcher.top_k(queries[0], k);

@@ -32,8 +32,9 @@
 //! (the default) is bit-identical to the dense-exact build.
 //!
 //! `query` selects its gather kernel with `--kernel
-//! {scalar,unrolled,simd,auto}` (a selector the host CPU cannot honour is
-//! a typed error; only `auto` falls back) and prints the per-query work
+//! {scalar,unrolled,simd,auto}` (default `auto`; a selector the host CPU
+//! cannot honour, or one that does not exist, is a typed error; only
+//! `auto` falls back) and prints the per-query work
 //! counters, including the lazy-BFS `frontier_expanded`/`discovered`
 //! pair — on early-terminated queries `discovered` is the
 //! discovered-so-far count, not full reachability (see
@@ -169,8 +170,8 @@ fn print_usage() {
          ORDERINGS: natural random degree community (= cluster) hybrid rcm mindegree\n\
          PROFILES:  dictionary internet citation social email\n\
          THREADS:   inversion-stage workers; 0 = all cores, results identical at any count\n\
-         KERNELS:   scalar unrolled simd auto — proximity gather kernel; 'simd' errors on\n\
-         \x20          hosts without AVX2, only 'auto' falls back\n\
+         KERNELS:   scalar unrolled simd auto — proximity gather kernel, default 'auto';\n\
+         \x20          'simd' errors on hosts without AVX2, only 'auto' falls back\n\
          PRUNING:   on (Lemma 2 early termination) | off (visit every reachable node)\n\
          DROP-TOL:  inverse entries below this magnitude are dropped at build time;\n\
          \x20          queries then run certified residual refinement — top-k sets and\n\
@@ -341,8 +342,10 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     };
     let q: u32 = node_text.parse().map_err(|_| "invalid node id")?;
     let k: usize = flag(&flags, "k").unwrap_or("5").parse().map_err(|_| "invalid --k")?;
-    let kernel: GatherKernel =
-        flag(&flags, "kernel").unwrap_or("adaptive").parse().map_err(|e| format!("{e}"))?;
+    let kernel = match flag(&flags, "kernel") {
+        Some(name) => name.parse::<GatherKernel>().map_err(|e| e.to_string())?,
+        None => GatherKernel::default(),
+    };
     let pruning = match flag(&flags, "pruning").unwrap_or("on") {
         "on" => true,
         "off" => false,
@@ -394,9 +397,9 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         s.reachable,
         s.terminated_early
     );
-    // The adaptive policy's observability line: which kernel class ran
-    // each candidate row, and what the gathers streamed (value bytes per
-    // the fixed accounting model — machine-independent).
+    // The gather's observability line: what `--kernel` resolved to on
+    // this host, how many candidate rows it ran, and what they streamed
+    // (value bytes per the fixed accounting model — machine-independent).
     println!(
         "-- gather: kernel resolved {}; rows scalar {}, rows wide {}; index bytes {}, value \
          bytes {} (model)",

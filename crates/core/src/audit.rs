@@ -16,8 +16,8 @@
 //!   every row, and — in the blocked layout — the run encoding obeys the
 //!   decode contract (aligned anchors, full coverage, strictly ascending
 //!   decoded columns);
-//! * the per-row policy stats and `max_row_nnz` agree with the rows they
-//!   summarise (a wrong table mis-steers the adaptive kernel);
+//! * the per-row stats and `max_row_nnz` agree with the rows they
+//!   summarise (a wrong table skews the gather accounting and budgets);
 //! * the estimator constants — and the per-node out-weight sums the
 //!   certified refinement normalises by — are **bit-identical** to a
 //!   recomputation from the stored graph: the Lemma 1/2 bounds and the
@@ -445,9 +445,9 @@ fn audit_uinv_row(
     }
 }
 
-/// The stored per-row policy table (and the cached `max_row_nnz`) must
-/// describe the rows actually stored — a skewed table silently steers the
-/// adaptive kernel into the wrong gather strategy.
+/// The stored per-row stats table (and the cached `max_row_nnz`) must
+/// describe the rows actually stored — a skewed table silently miscounts
+/// the gathered entries the query budget meters.
 fn audit_row_stats(index: &KdashIndex, col: &mut Collector) {
     const S: &str = "row-stats";
     let store = index.uinv();

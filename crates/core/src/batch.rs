@@ -31,7 +31,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Batch execution options: worker count, gather kernel, per-query
-/// budget. The default is "auto threads, adaptive kernel, unlimited
+/// budget. The default is "auto threads, auto kernel, unlimited
 /// budget" — the fail-fast [`batch_top_k`] semantics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchOptions {
@@ -86,7 +86,7 @@ impl BatchOutcome {
 }
 
 /// Runs `top_k` for every query, fanning out over at most `threads`
-/// worker threads with the default ([`GatherKernel::Adaptive`]) gather
+/// worker threads with the default ([`GatherKernel::Auto`]) gather
 /// kernel. Results are returned in query order; the first error (e.g. an
 /// out-of-bounds query, by lowest query index) aborts the batch. A panic
 /// inside any query surfaces as [`KdashError::QueryPanicked`] instead of
@@ -108,7 +108,7 @@ pub fn batch_top_k(
 /// [`batch_top_k`] with an explicit gather-kernel selection for every
 /// worker. The selection is resolved against the host once, up front —
 /// an unsupported request (e.g. `simd` without AVX2) fails typed before
-/// any thread spawns; only `auto`/`adaptive` fall back.
+/// any thread spawns; only `auto` falls back.
 pub fn batch_top_k_with_kernel(
     index: &KdashIndex,
     queries: &[NodeId],

@@ -124,19 +124,17 @@
 //!   and answers ([`IndexOptions::layout`](precompute::IndexOptions),
 //!   pinned by `tests/layout_equivalence.rs`).
 //! * **Gather kernels** — proximities run through a runtime-selected
-//!   kernel ([`GatherKernel`]: `scalar`, `unrolled`, `simd`, `auto`,
-//!   `adaptive`). The wide kernels are bit-identical to each other on
-//!   every row (AVX2 and the portable 4-accumulator unrolled kernel
-//!   share one reduction order), so answers are deterministic across
-//!   machines; a selector the host cannot honour is a typed
-//!   [`KdashError::UnsupportedKernel`], and only `auto`/`adaptive` fall
-//!   back. `Adaptive` — the recommended default — picks scalar or wide
-//!   *per candidate row* from build-time row stats and the query
-//!   column's density profile: a pure function of index + query, never
-//!   the machine, so the kernel-class choice (and with it every byte
-//!   counter in [`SearchStats`]) is host-independent. The resolution and
-//!   the per-class row split are recorded in [`SearchStats`] for
-//!   reproducibility.
+//!   kernel ([`GatherKernel`]: `scalar`, `unrolled`, `simd`, `auto`).
+//!   The query column is a dense vector that is zero outside its loaded
+//!   entries, so the gather multiplies every stored entry
+//!   unconditionally — four lanes, no branch. Its AVX2 and portable
+//!   bodies share one operation order and are bit-identical on every
+//!   row, so answers are deterministic across machines; a selector the
+//!   host cannot honour is a typed [`KdashError::UnsupportedKernel`],
+//!   and only `auto` (the default) falls back. `scalar` is the
+//!   one-accumulator reference order, bit-identical to the merge join.
+//!   The resolution and the row counts are recorded in [`SearchStats`]
+//!   for reproducibility.
 //! * **Prefetched candidate batching** — the search loops prefetch the
 //!   next block of candidate rows' index/value spans while the current
 //!   row gathers, restoring memory-level parallelism on DRAM-resident

@@ -39,10 +39,10 @@
 //!   arrays (as v1) or the blocked arrays of
 //!   [`kdash_sparse::BlockedCsr`] (run anchors + `u16` deltas, the
 //!   bandwidth-lean on-disk *and* in-memory form). A packed per-row
-//!   **policy-stats section** ([`kdash_sparse::RowStat`]) follows; on
+//!   **row-stats section** ([`kdash_sparse::RowStat`]) follows; on
 //!   load it is checked against the stats recomputed from the arrays, so
-//!   a corrupted stats section is rejected rather than silently steering
-//!   the adaptive kernel policy wrong.
+//!   a corrupted stats section is rejected rather than silently skewing
+//!   the per-row accounting.
 //! * **v1**: the flat-only format of earlier releases. Still loads — the
 //!   matrix is upgraded to the blocked layout on read, so old index files
 //!   transparently gain the new read path. ([`KdashIndex::save_v1`]
@@ -660,7 +660,7 @@ impl KdashIndex {
         }
         marks.push((Section::Uinv.name(), w.end_section()?));
 
-        // The per-row policy stats the adaptive kernel reads.
+        // The per-row stats table.
         for stat in uinv.row_stats() {
             write_u32(&mut w, stat.nnz)?;
             write_u32(&mut w, stat.first)?;
@@ -870,7 +870,9 @@ impl KdashIndex {
                     .map_err(|e| {
                         corrupt(Section::Uinv, r.offset(), format!("corrupt blocked U⁻¹: {e}"))
                     })?;
-                    ProximityStore::from_blocked(blocked)
+                    ProximityStore::from_blocked(blocked).map_err(|e| {
+                        corrupt(Section::Uinv, r.offset(), format!("corrupt blocked U⁻¹: {e}"))
+                    })?
                 }
                 other => {
                     return Err(corrupt(
@@ -882,9 +884,8 @@ impl KdashIndex {
             }
         };
 
-        // The persisted policy stats (v2+) must match the arrays they
-        // claim to describe: a mismatch means either section is corrupt,
-        // and a wrong table would silently mis-steer the adaptive kernel.
+        // The persisted row stats (v2+) must match the arrays they claim
+        // to describe: a mismatch means either section is corrupt.
         if version >= 2 {
             for (i, expect) in uinv.row_stats().iter().enumerate() {
                 let at = r.offset();

@@ -32,14 +32,13 @@
 //! Proximities come from the scatter/gather kernel: the fixed query column
 //! `L⁻¹ e_q` is scattered once per query, then each candidate costs a
 //! gather over only `nnz((U⁻¹)ᵤ)` — through the workspace's selected
-//! [`GatherKernel`] (default [`GatherKernel::Adaptive`]: per row, the
-//! deterministic hit-rate policy picks the branchy scalar gather on
-//! miss-dominated rows and a wide kernel — AVX2 where the host has it,
-//! the four-accumulator unrolled twin otherwise — on hit-dominated ones;
-//! see [`Searcher::set_kernel`]). The wide kernels are bit-identical to
-//! each other and within `1e-12` of the scalar reference, which itself is
-//! bit-identical to the merge join ([`KdashIndex::top_k_merge_join`] keeps
-//! the old eager path alive as the exactness cross-check). Rows stream
+//! [`GatherKernel`] (default [`GatherKernel::Auto`]: the branch-free
+//! four-lane kernel, AVX2 where the host has it, its portable twin
+//! otherwise; see [`Searcher::set_kernel`]). The two bodies are
+//! bit-identical to each other and within `1e-12` of the one-accumulator
+//! scalar reference, which itself is bit-identical to the merge join
+//! ([`KdashIndex::top_k_merge_join`] keeps the old eager path alive as
+//! the exactness cross-check). Rows stream
 //! from the index's [`ProximityStore`](kdash_sparse::ProximityStore)
 //! (blocked u16-delta layout by default — bit-identical across layouts),
 //! candidate rows are software-prefetched a block ahead
@@ -471,9 +470,6 @@ pub struct Searcher<'a> {
     sources_p: Vec<NodeId>,
     /// Host-validated gather kernel every proximity runs through.
     kernel: ResolvedKernel,
-    /// Decode scratch for wide kernels over the blocked layout, sized to
-    /// the largest `U⁻¹` row at construction (stays allocation-free).
-    scratch: GatherScratch,
     /// Byte-traffic and kernel-split counters, reset per query and folded
     /// into [`SearchStats`].
     counters: GatherCounters,
@@ -487,9 +483,8 @@ pub struct Searcher<'a> {
 }
 
 impl<'a> Searcher<'a> {
-    /// A fresh workspace for `index` with the [`GatherKernel::Adaptive`]
-    /// kernel (the recommended default). `O(n)` once; queries then reuse
-    /// it.
+    /// A fresh workspace for `index` with the default
+    /// ([`GatherKernel::Auto`]) kernel. `O(n)` once; queries then reuse it.
     pub fn new(index: &'a KdashIndex) -> Self {
         let n = index.num_nodes();
         Searcher {
@@ -500,7 +495,6 @@ impl<'a> Searcher<'a> {
             hits: Vec::new(),
             sources_p: Vec::new(),
             kernel: ResolvedKernel::default(),
-            scratch: GatherScratch::with_capacity(index.uinv_rows().max_row_nnz()),
             counters: GatherCounters::default(),
             prefetched_until: 0,
             budget: QueryBudget::default(),
@@ -582,7 +576,7 @@ impl<'a> Searcher<'a> {
             self.kernel,
             u,
             &self.column,
-            &mut self.scratch,
+            &mut GatherScratch,
             &mut self.counters,
         )
     }
@@ -626,7 +620,7 @@ impl<'a> Searcher<'a> {
     }
 
     /// Folds the gather counters and the resolved kernel into `stats` —
-    /// how `auto`/`adaptive` resolutions stay reproducible from logs.
+    /// how `auto` resolutions stay reproducible from logs.
     #[inline]
     fn record_gather(&self, stats: &mut SearchStats) {
         stats.bytes_touched = self.counters.index_bytes;
@@ -1001,7 +995,6 @@ impl<'a> Searcher<'a> {
                 index,
                 self.kernel,
                 &self.column,
-                &mut self.scratch,
                 &mut self.counters,
                 &mut self.heap,
                 &mut bound_state,
@@ -1031,7 +1024,6 @@ impl<'a> Searcher<'a> {
                     index,
                     self.kernel,
                     &self.column,
-                    &mut self.scratch,
                     &mut self.counters,
                     &mut self.heap,
                     &mut bound_state,
@@ -1324,7 +1316,6 @@ fn visit_any_order(
     index: &KdashIndex,
     kernel: ResolvedKernel,
     column: &ScatteredColumn,
-    scratch: &mut GatherScratch,
     counters: &mut GatherCounters,
     heap: &mut TopKHeap,
     bound_state: &mut ArbitraryOrderBound,
@@ -1342,7 +1333,7 @@ fn visit_any_order(
             return;
         }
     }
-    let p = c * index.uinv().row_gather(kernel, u, column, scratch, counters);
+    let p = c * index.uinv().row_gather(kernel, u, column, &mut GatherScratch, counters);
     stats.proximity_computations += 1;
     bound_state.record(p, index.a_col_max()[u as usize]);
     heap.offer(p, u);

@@ -95,14 +95,13 @@ pub struct SearchStats {
     /// the gather kernel (the merge-join oracles).
     pub bytes_touched: usize,
     /// Value bytes the gathers touched under the fixed accounting model
-    /// (scalar rows: 8 per stamp hit; wide rows: 8 per stored entry) —
-    /// machine-independent, so the cold-row regression pin can compare
-    /// executed traffic across kernels.
+    /// (8 per stored entry of every gathered row: every kernel multiplies
+    /// every entry) — machine-independent.
     pub value_bytes_touched: usize,
-    /// Candidate rows the (possibly adaptive) dispatch ran through the
-    /// branchy scalar gather.
+    /// Candidate rows gathered in the one-accumulator reference order
+    /// (the `scalar` selector).
     pub rows_scalar: usize,
-    /// Candidate rows dispatched to a wide (unrolled/AVX2) kernel.
+    /// Candidate rows gathered by the four-lane (unrolled/AVX2) kernel.
     pub rows_wide: usize,
     /// Stored `U⁻¹` entries of every gathered row — the work metric
     /// [`QueryBudget::max_gather_nnz`](crate::QueryBudget) meters.
@@ -112,8 +111,8 @@ pub struct SearchStats {
     /// run the gather kernel.
     pub nnz_gathered: usize,
     /// The resolved gather kernel that produced this query's proximities
-    /// (e.g. `"scalar"`, `"avx2"`, `"adaptive(avx2)"`), recorded so
-    /// `auto`/`adaptive` resolutions are reproducible from logs. Empty on
+    /// (`"scalar"`, `"unrolled"` or `"avx2"`), recorded so `auto`
+    /// resolutions are reproducible from logs. Empty on
     /// paths that never run the gather kernel.
     pub kernel: &'static str,
     /// Certified-refinement correction passes the query ran. Zero on a
@@ -149,7 +148,7 @@ impl SearchStats {
     }
 
     /// Total gather traffic under the accounting model: index bytes plus
-    /// model value bytes. The quantity the adaptive policy minimises.
+    /// model value bytes.
     pub fn gather_bytes(&self) -> usize {
         self.bytes_touched + self.value_bytes_touched
     }

@@ -35,9 +35,8 @@
 //!    their per-column triangular solves (the same work-stealing pool as
 //!    the build pipeline), then splice into the stored arrays: `L⁻¹` by
 //!    column, the `U⁻¹` [`kdash_sparse::ProximityStore`] by row with
-//!    per-row blocked re-encoding and policy-table ([`RowStat`]) refresh
-//!    — so the adaptive kernel policy and the byte accounting stay
-//!    coherent with a from-scratch build.
+//!    per-row blocked re-encoding and stats-table ([`RowStat`]) refresh
+//!    — so the byte accounting stays coherent with a from-scratch build.
 //! 4. **Estimator refresh** — `A_max(v)` and `c'` are recomputed for the
 //!    edited columns only; the global `A_max` folds over the per-column
 //!    maxima.

@@ -84,8 +84,8 @@ pub fn check_lazy_vs_eager(lazy: &TopKResult, eager: &TopKResult) -> Result<(), 
 /// on fill-dominated rows; on near-empty rows the run header can cost
 /// more, so aggregate reduction is asserted at matrix level, not here).
 /// The per-kernel row split (`rows_scalar`/`rows_wide`) and the value
-/// traffic agreeing across layouts is the pin that the adaptive policy
-/// consumes layout-independent inputs.
+/// traffic must agree across layouts: both count stored entries, which
+/// the encoding does not change.
 pub fn check_layout_equivalence(flat: &TopKResult, blocked: &TopKResult) -> Result<(), String> {
     if flat.items.len() != blocked.items.len() {
         return Err(format!("lengths differ: {} vs {}", flat.items.len(), blocked.items.len()));

@@ -78,7 +78,12 @@ impl CsrMatrix {
         cols.binary_search(&c).ok().map(|i| vals[i])
     }
 
-    /// Dot product of row `r` with a dense vector.
+    /// Dot product of row `r` with a dense vector, one accumulator in
+    /// storage order. Over a [`crate::ScatteredColumn`] this is the
+    /// reference-order gather ([`crate::GatherKernel::Scalar`]): every
+    /// unmatched position adds `v × 0.0`, which for finite `v` leaves a sum
+    /// that started at `+0.0` bit-identical to
+    /// [`row_dot_sparse`](Self::row_dot_sparse)'s.
     #[inline]
     pub fn row_dot_dense(&self, r: Index, x: &[f64]) -> f64 {
         debug_assert_eq!(x.len(), self.ncols);

@@ -1,64 +1,68 @@
 //! Runtime-dispatched gather kernels.
 //!
-//! The query hot loop is the gather [`CsrMatrix::row_dot_scattered`]: one
-//! dot product of a `U⁻¹` row against the scattered query column per
-//! candidate. On the dense rows hub queries touch, the reference kernel's
-//! single scalar accumulator serialises every add behind the previous
-//! one — the loop runs at FP-add latency, not throughput. This module
-//! provides two wider kernels and the machinery to pick one safely at
-//! runtime:
+//! One proximity is one dot product of a stored `U⁻¹` row against the
+//! scattered query column ([`crate::ScatteredColumn`]: the loaded entries,
+//! `+0.0` elsewhere), and on every dense workload that dot product *is* the
+//! query. This module holds its one arithmetic and the machinery to pick
+//! an implementation of it safely at runtime.
 //!
-//! * [`CsrMatrix::row_dot_unrolled4`] — a portable fixed-width kernel with
-//!   **four** independent accumulators: lane `j` sums the row's nonzeros at
-//!   positions `≡ j (mod 4)`, and the lanes reduce as
-//!   `(acc0 + acc2) + (acc1 + acc3)`.
-//! * [`CsrMatrix::row_dot_avx2`] (x86-64 only) — the same kernel as four
-//!   SIMD lanes: stamps are fetched four at once (`vpgatherdd`), compared
-//!   against the generation in one instruction, and values are fetched
-//!   with a *masked* gather (`vgatherdpd`) so lanes whose stamp check fails
-//!   never touch the value array at all.
+//! # The lane kernel
 //!
-//! Both kernels perform **the same lane operations in the same order** —
-//! unmatched positions contribute an explicit `value = 0.0` to their lane
-//! (instead of the reference kernel's skipped add), full four-wide chunks
-//! first, the `len % 4` tail folded into lanes `0..tail` scalar-wise, then
-//! the fixed lane reduction. Their results are therefore **bit-identical
-//! to each other on every row**, on every machine — deterministic output
-//! no matter which kernel the host dispatches to — though they may differ
-//! from the one-accumulator reference in the last bits (different
-//! association order; the equivalence suite pins `≤ 1e-12` against it, and
-//! the search results stay exact against the iterative ground truth under
-//! every kernel).
+//! Every stored entry multiplies `y[col]` **unconditionally** — there is
+//! no membership check and no branch on the data. Four independent lanes
+//! break the FP-add latency chain a single accumulator would run at: lane
+//! `j` sums the row's entries at positions `≡ j (mod 4)` in position
+//! order, and the lanes reduce as `(a0 + a2) + (a1 + a3)`. The kernel is
+//! written once over *segments* — `(y offset, column offsets, values)` —
+//! so it reads both index encodings in place: the flat layout is one
+//! segment of `u32` columns, the blocked layout one segment of `u16`
+//! deltas per run, with the lanes continuing across run boundaries. Flat
+//! and blocked therefore perform the same operations in the same order
+//! and are **bit-identical**.
+//!
+//! There are two bodies of that arithmetic, differing only in how a full
+//! chunk of four entries is fetched: a portable one, and an AVX2 twin
+//! (`vpmovzxwd` / `vmovdqu` for the offsets, one unmasked `vgatherdpd`
+//! from `y`, `vmulpd` + `vaddpd`, no FMA). They are **bit-identical to
+//! each other on every row**, so answers do not depend on which one the
+//! host dispatches to. Against the one-accumulator reference order
+//! ([`GatherKernel::Scalar`], which is `row_dot_dense` over the same
+//! vector and bit-identical to the merge join) they differ only by
+//! re-association; the equivalence suites pin `≤ 1e-12`, and search
+//! results stay exact against the iterative ground truth under every
+//! kernel.
+//!
+//! # Why there is no per-row policy
+//!
+//! PR 4 added a selector that predicted each row's hit rate (the share of
+//! its entries that meet a loaded position) from the query column's
+//! density in 1 024-column buckets and sent predicted-miss-dominated rows
+//! to a stamp-checked scalar loop that skipped their value loads. On the
+//! benchmark's four workloads it never once chose the wide arm
+//! (`sparse.gather.wide_row_share` 0.0000 everywhere) while the *measured*
+//! hit rate over the gathered rows was 0.72 / 0.48 / 0.95 on
+//! `rmat-gather` / `serve-churn` / `dict-pruned`: the hybrid ordering
+//! packs 92 % of both inverses' entries into the last 256 columns, which
+//! a 1 024-wide bucket cannot see. The checked loop cost 1.28–1.58 ns per
+//! stored entry where streaming the same rows costs 0.65 ns. PR 14 deleted
+//! the policy, its inputs and the stamp array rather than retune them. The
+//! regime the benchmark cannot see — a DRAM-resident index whose rows are
+//! genuinely miss-dominated, where skipping value loads saves bandwidth —
+//! is reported by `crates/bench/benches/query_engine.rs` as a measured hit
+//! rate; see ROADMAP before adding a selector back.
+//!
+//! # Selection
 //!
 //! Selection is two-phase so unsupported choices fail *typed* instead of
 //! faulting: a [`GatherKernel`] is the caller's request, and
 //! [`GatherKernel::resolve`] checks it against the host CPU, returning a
 //! construction-gated [`ResolvedKernel`] token — the only way to obtain
 //! one — or [`SparseError::UnsupportedKernel`]. Only [`GatherKernel::Auto`]
-//! and [`GatherKernel::Adaptive`] ever fall back (SIMD where detected,
-//! otherwise the unrolled kernel); an explicit `Simd` request on a CPU
-//! without AVX2 is an error, never a silent downgrade.
-//!
-//! # The adaptive per-row policy
-//!
-//! PR 3 measured the kernels splitting cleanly by stamp-hit rate: the
-//! branchy scalar gather wins on **miss-dominated** rows (it skips the
-//! value load on every miss — a 3× DRAM-traffic saving once the index
-//! outgrows cache), while the wide kernels win on **hit-dominated** (hub)
-//! rows where the FP-add latency chain binds. [`GatherKernel::Adaptive`]
-//! picks per row: [`adaptive_picks_wide`] combines a build-time
-//! [`RowStat`] (nonzeros + column span) with the loaded query column's
-//! bucketed density ([`ScatteredColumn::expected_hit_rate`]) into a
-//! predicted stamp-hit rate, and selects the wide kernel only where hits
-//! are predicted to dominate (`≥` [`ADAPTIVE_WIDE_HIT_RATE`]). The
-//! decision is a **pure function of index + query** — thresholds are
-//! fixed constants, no host feature or cache size is ever consulted — so
-//! which *class* (scalar vs wide) executes a row is identical on every
-//! machine; within the wide class the host picks AVX2 or the unrolled
-//! twin, which are bit-identical to each other, so whole-query results
-//! stay deterministic across machines.
+//! (the default) ever falls back (AVX2 where detected, otherwise the
+//! portable twin); an explicit `Simd` request on a CPU without AVX2 is an
+//! error, never a silent downgrade.
 
-use crate::{CsrMatrix, Index, Result, ScatteredColumn, SparseError};
+use crate::{Index, Result, SparseError};
 use std::fmt;
 use std::str::FromStr;
 
@@ -66,36 +70,26 @@ use std::str::FromStr;
 /// [`resolve`](GatherKernel::resolve) before use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GatherKernel {
-    /// The one-accumulator reference gather
-    /// ([`CsrMatrix::row_dot_scattered`]), bit-identical to the merge join.
+    /// The one-accumulator reference order
+    /// ([`crate::CsrMatrix::row_dot_dense`] over the scattered column),
+    /// bit-identical to the merge join.
     Scalar,
-    /// The portable four-accumulator kernel
-    /// ([`CsrMatrix::row_dot_unrolled4`]).
+    /// The portable body of the four-lane kernel.
     Unrolled4,
-    /// The vector kernel ([`CsrMatrix::row_dot_avx2`] on x86-64 with AVX2).
+    /// The AVX2 body of the four-lane kernel (x86-64 with AVX2).
     /// Resolution fails on hosts that cannot honour it.
     Simd,
-    /// One fixed kernel for every row: `Simd` where the host supports it,
-    /// otherwise `Unrolled4`.
-    Auto,
-    /// Per-row selection between the scalar and the wide kernel by the
-    /// deterministic hit-rate policy ([`adaptive_picks_wide`]); the wide
-    /// arm is `Simd` where the host supports it, otherwise `Unrolled4`
-    /// (bit-identical to each other). Resolves on every host. The
-    /// recommended default.
+    /// `Simd` where the host supports it, otherwise `Unrolled4` —
+    /// bit-identical to each other, so answers are machine-independent.
+    /// Resolves on every host. The default.
     #[default]
-    Adaptive,
+    Auto,
 }
 
 impl GatherKernel {
     /// Every selectable kernel, in CLI presentation order.
-    pub const ALL: [GatherKernel; 5] = [
-        GatherKernel::Scalar,
-        GatherKernel::Unrolled4,
-        GatherKernel::Simd,
-        GatherKernel::Auto,
-        GatherKernel::Adaptive,
-    ];
+    pub const ALL: [GatherKernel; 4] =
+        [GatherKernel::Scalar, GatherKernel::Unrolled4, GatherKernel::Simd, GatherKernel::Auto];
 
     /// The selector's spelling (also what [`FromStr`] parses).
     pub fn name(self) -> &'static str {
@@ -104,34 +98,25 @@ impl GatherKernel {
             GatherKernel::Unrolled4 => "unrolled",
             GatherKernel::Simd => "simd",
             GatherKernel::Auto => "auto",
-            GatherKernel::Adaptive => "adaptive",
         }
     }
 
     /// Resolves the request against the host CPU. `Scalar` and `Unrolled4`
-    /// always succeed; `Simd` succeeds only where the vector kernel can
+    /// always succeed; `Simd` succeeds only where the vector body can
     /// actually run ([`simd_support`] explains the host's answer); `Auto`
-    /// and `Adaptive` fall back to the unrolled wide kernel when SIMD is
-    /// unavailable.
+    /// falls back to the portable body when it cannot.
     pub fn resolve(self) -> Result<ResolvedKernel> {
         match self {
             GatherKernel::Scalar => Ok(ResolvedKernel(Dispatch::Scalar)),
-            GatherKernel::Unrolled4 => {
-                Ok(ResolvedKernel(Dispatch::Wide(WideDispatch::Unrolled4)))
-            }
+            GatherKernel::Unrolled4 => Ok(ResolvedKernel(Dispatch::Lanes(LaneBody::Portable))),
             GatherKernel::Simd => match simd_support() {
-                Ok(wide) => Ok(ResolvedKernel(Dispatch::Wide(wide))),
+                Ok(body) => Ok(ResolvedKernel(Dispatch::Lanes(body))),
                 Err(reason) => Err(SparseError::UnsupportedKernel {
                     requested: self.name().to_string(),
                     reason,
                 }),
             },
-            GatherKernel::Auto => Ok(ResolvedKernel(Dispatch::Wide(
-                simd_support().unwrap_or(WideDispatch::Unrolled4),
-            ))),
-            GatherKernel::Adaptive => Ok(ResolvedKernel(Dispatch::Adaptive(
-                simd_support().unwrap_or(WideDispatch::Unrolled4),
-            ))),
+            GatherKernel::Auto => Ok(ResolvedKernel::default()),
         }
     }
 }
@@ -151,22 +136,20 @@ impl FromStr for GatherKernel {
             "unrolled" | "unrolled4" => Ok(GatherKernel::Unrolled4),
             "simd" => Ok(GatherKernel::Simd),
             "auto" => Ok(GatherKernel::Auto),
-            "adaptive" => Ok(GatherKernel::Adaptive),
             other => Err(SparseError::UnsupportedKernel {
                 requested: other.to_string(),
-                reason: "unknown kernel (expected scalar, unrolled, simd, auto or adaptive)"
-                    .to_string(),
+                reason: "unknown kernel (expected scalar, unrolled, simd or auto)".to_string(),
             }),
         }
     }
 }
 
-/// Whether the host can run the vector kernel, and which one.
-fn simd_support() -> std::result::Result<WideDispatch, String> {
+/// Whether the host can run the vector body, and which one.
+fn simd_support() -> std::result::Result<LaneBody, String> {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
-            Ok(WideDispatch::Avx2)
+            Ok(LaneBody::Avx2)
         } else {
             Err("host x86-64 CPU does not report AVX2".to_string())
         }
@@ -181,10 +164,10 @@ fn simd_support() -> std::result::Result<WideDispatch, String> {
 }
 
 /// A kernel choice validated against the host CPU — the token
-/// [`CsrMatrix::row_dot_scattered_with`] dispatches on.
+/// [`crate::ProximityStore::row_gather`] dispatches on.
 ///
 /// Only obtainable through [`GatherKernel::resolve`]; the inner dispatch
-/// target is private so a vector variant can never be conjured on a host
+/// target is private so the vector body can never be conjured on a host
 /// that failed detection (calling AVX2 code there would be undefined
 /// behaviour, not just wrong).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,71 +175,63 @@ pub struct ResolvedKernel(Dispatch);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Dispatch {
-    /// The one-accumulator reference gather on every row.
+    /// The one-accumulator reference order.
     Scalar,
-    /// One fixed wide kernel on every row.
-    Wide(WideDispatch),
-    /// Per-row scalar-vs-wide by the deterministic hit-rate policy; the
-    /// payload is the host's wide arm.
-    Adaptive(WideDispatch),
+    /// The four-lane kernel through the given body.
+    Lanes(LaneBody),
 }
 
-/// The host-validated wide kernel: the portable unrolled one, or its
-/// bit-identical AVX2 twin where detection succeeded. Construction-gated
-/// like [`ResolvedKernel`] (no public constructor), so a vector variant
-/// can never be conjured on a host that failed detection.
+/// The host-validated body of the four-lane kernel. Construction-gated
+/// like [`ResolvedKernel`] (no public constructor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WideDispatch {
-    Unrolled4,
+pub(crate) enum LaneBody {
+    Portable,
     #[cfg(target_arch = "x86_64")]
     Avx2,
 }
 
 impl ResolvedKernel {
-    /// What actually runs, for logs and stats: `"scalar"`, `"unrolled"`,
-    /// `"avx2"`, or the adaptive policy with its resolved wide arm
-    /// (`"adaptive(avx2)"` / `"adaptive(unrolled)"`).
+    /// What actually runs, for logs and stats: `"scalar"`, `"unrolled"`
+    /// or `"avx2"`.
     pub fn name(self) -> &'static str {
         match self.0 {
             Dispatch::Scalar => "scalar",
-            Dispatch::Wide(WideDispatch::Unrolled4) => "unrolled",
+            Dispatch::Lanes(LaneBody::Portable) => "unrolled",
             #[cfg(target_arch = "x86_64")]
-            Dispatch::Wide(WideDispatch::Avx2) => "avx2",
-            Dispatch::Adaptive(WideDispatch::Unrolled4) => "adaptive(unrolled)",
-            #[cfg(target_arch = "x86_64")]
-            Dispatch::Adaptive(WideDispatch::Avx2) => "adaptive(avx2)",
+            Dispatch::Lanes(LaneBody::Avx2) => "avx2",
         }
     }
 
-    /// Whether this resolution can dispatch to a vector (`std::arch`)
-    /// path (for `Adaptive`: whether its wide arm is the vector kernel).
+    /// Whether this resolution dispatches to a vector (`std::arch`) path.
     pub fn is_simd(self) -> bool {
         match self.0 {
-            Dispatch::Scalar | Dispatch::Wide(WideDispatch::Unrolled4) => false,
-            Dispatch::Adaptive(WideDispatch::Unrolled4) => false,
+            Dispatch::Scalar | Dispatch::Lanes(LaneBody::Portable) => false,
             #[cfg(target_arch = "x86_64")]
-            Dispatch::Wide(WideDispatch::Avx2) | Dispatch::Adaptive(WideDispatch::Avx2) => true,
+            Dispatch::Lanes(LaneBody::Avx2) => true,
         }
     }
 
-    /// Whether this resolution runs the per-row adaptive policy.
-    pub fn is_adaptive(self) -> bool {
-        matches!(self.0, Dispatch::Adaptive(_))
+    /// The lane body to run, or `None` for the one-accumulator reference.
+    #[inline]
+    pub(crate) fn lanes(self) -> Option<LaneBody> {
+        match self.0 {
+            Dispatch::Scalar => None,
+            Dispatch::Lanes(body) => Some(body),
+        }
     }
 }
 
 impl Default for ResolvedKernel {
-    /// The `Adaptive` resolution for this host (the recommended default).
+    /// The `Auto` resolution for this host.
     fn default() -> Self {
-        GatherKernel::Adaptive.resolve().expect("Adaptive always resolves")
+        ResolvedKernel(Dispatch::Lanes(simd_support().unwrap_or(LaneBody::Portable)))
     }
 }
 
-/// Build-time per-row statistics the adaptive policy consumes: the row's
-/// stored-entry count and its column span. Derivable from any layout in
-/// `O(1)`, but materialised as a packed table at index-assembly time so
-/// the policy never touches the (DRAM-resident) index arrays just to make
-/// its decision.
+/// Build-time per-row statistics: the row's stored-entry count and its
+/// column span. Materialised as a packed table at index-assembly time
+/// (and persisted beside the rows), so per-row accounting never touches
+/// the index arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RowStat {
     /// Stored entries of the row.
@@ -267,121 +242,16 @@ pub struct RowStat {
     pub last: u32,
 }
 
-/// Rows with fewer stored entries than this never pay off the wide
-/// kernels' fixed lane/reduction overhead; the policy keeps them scalar.
-pub const ADAPTIVE_MIN_WIDE_NNZ: u32 = 16;
-
-/// Predicted stamp-hit rate at which the policy hands a row to the wide
-/// kernel. Exactly the miss-dominated boundary: below one-half, most
-/// probes miss and the branchy scalar gather's skipped value loads win;
-/// above it, the hit-side FP latency chain dominates and the four
-/// independent lanes pay off.
-pub const ADAPTIVE_WIDE_HIT_RATE: f64 = 0.5;
-
-/// Stored value bytes (`8 × nnz`) up to which an index is classed
-/// [`IndexFootprint::Resident`]: small enough that gathers run cache-warm
-/// and the latency model behind [`ADAPTIVE_WIDE_HIT_RATE`] applies.
-/// A *nominal* machine-independent figure (32 MiB), deliberately **not**
-/// the host's cache size — consulting the host would make the executed
-/// kernel class machine-dependent. Keyed to value bytes rather than index
-/// bytes so the class (and therefore the row's kernel arm) is identical
-/// across row layouts, preserving flat/blocked bit-identity.
-pub const ADAPTIVE_RESIDENT_VALUE_BYTES: usize = 1 << 25;
-
-/// The wide-arm hit-rate bar for [`IndexFootprint::Dram`] indexes.
-/// BENCH_PR4 measured the regime flip: once the index outgrows cache the
-/// prefetched scalar loop saturates DRAM bandwidth and beats the AVX2 arm
-/// even on ~90%-hit rows, because the wide kernels' unconditional value
-/// loads turn every predicted miss into wasted DRAM traffic. Raising the
-/// bar to 7/8 keeps the wide arm only where stamp hits are so dominant
-/// that the extra traffic is negligible.
-pub const ADAPTIVE_DRAM_WIDE_HIT_RATE: f64 = 0.875;
-
-/// A build-time classification of the whole index's memory footprint —
-/// the third input to the adaptive policy. Derived once at store-assembly
-/// time from the stored value bytes (a pure build-time quantity, never a
-/// host measurement), so the policy remains a pure function of
-/// index + query and executes identically on every machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexFootprint {
-    /// Value payload within [`ADAPTIVE_RESIDENT_VALUE_BYTES`]: gathers are
-    /// expected cache-warm; the classic hit-rate bar applies.
-    #[default]
-    Resident,
-    /// Value payload beyond the resident bound: gathers stream from DRAM;
-    /// the wide arm must clear [`ADAPTIVE_DRAM_WIDE_HIT_RATE`].
-    Dram,
-}
-
-impl IndexFootprint {
-    /// Classifies an index by its stored value bytes (`8 × nnz`).
-    pub fn classify(value_bytes: usize) -> IndexFootprint {
-        if value_bytes > ADAPTIVE_RESIDENT_VALUE_BYTES {
-            IndexFootprint::Dram
-        } else {
-            IndexFootprint::Resident
-        }
-    }
-
-    /// The wide-arm hit-rate bar for this class.
-    #[inline]
-    pub fn wide_hit_rate(self) -> f64 {
-        match self {
-            IndexFootprint::Resident => ADAPTIVE_WIDE_HIT_RATE,
-            IndexFootprint::Dram => ADAPTIVE_DRAM_WIDE_HIT_RATE,
-        }
-    }
-}
-
-/// The adaptive policy: `true` hands the row to the wide kernel. A pure
-/// function of the row's build-time stats and the loaded query column —
-/// fixed constants, no host queries — so the choice is identical on every
-/// machine (pinned by the policy unit tests and the layout/kernel
-/// equivalence suites).
-///
-/// The hit-rate comparison is a cross-multiplied form of
-/// `in/covered ≥ ADAPTIVE_WIDE_HIT_RATE` (one multiply, no division):
-/// the predicate sits on the per-candidate hot path, and a division
-/// there would tax precisely the scalar-bound rows the policy is
-/// protecting.
-#[inline]
-pub fn adaptive_picks_wide(stat: RowStat, column: &ScatteredColumn) -> bool {
-    adaptive_picks_wide_with(stat, column, IndexFootprint::Resident)
-}
-
-/// [`adaptive_picks_wide`] with the index's build-time footprint class as
-/// the third input: `Resident` applies the classic
-/// [`ADAPTIVE_WIDE_HIT_RATE`] bar (so this is exactly
-/// [`adaptive_picks_wide`]), `Dram` the stricter
-/// [`ADAPTIVE_DRAM_WIDE_HIT_RATE`]. Still a pure function of build-time
-/// and query-time quantities — the footprint is derived from stored value
-/// bytes at assembly, never from host cache geometry.
-#[inline]
-pub fn adaptive_picks_wide_with(
-    stat: RowStat,
-    column: &ScatteredColumn,
-    footprint: IndexFootprint,
-) -> bool {
-    if stat.nnz < ADAPTIVE_MIN_WIDE_NNZ {
-        return false;
-    }
-    let (in_window, covered) = column.window_density(stat.first, stat.last);
-    covered > 0 && in_window as f64 >= footprint.wide_hit_rate() * covered as f64
-}
-
 /// Byte-traffic counters the gather entry points accumulate, the raw
 /// material for `SearchStats::bytes_touched` and the per-kernel row
 /// split. `value_bytes` follows a fixed *accounting model* rather than a
-/// hardware measurement — scalar rows are charged 8 bytes per stamp hit
-/// (the loads the branchy gather executes), wide rows 8 bytes per stored
-/// entry (the unrolled kernel's unconditional touch; the AVX2 twin's
-/// masked gather is charged the same so the counters stay
-/// machine-independent).
+/// hardware measurement: every kernel multiplies every stored entry, so
+/// every row is charged 8 bytes per stored entry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GatherCounters {
-    /// Rows executed by the scalar gather.
+    /// Rows executed in the one-accumulator reference order.
     pub rows_scalar: usize,
-    /// Rows executed by a wide kernel.
+    /// Rows executed by the four-lane kernel.
     pub rows_wide: usize,
     /// Index bytes streamed by the gathers (layout-dependent: 4/nnz flat,
     /// 2/nnz + 8/run blocked).
@@ -389,7 +259,7 @@ pub struct GatherCounters {
     /// Value bytes touched under the accounting model above.
     pub value_bytes: usize,
     /// Stored entries of every gathered row, independent of layout and
-    /// kernel arm — the query-budget currency (`QueryBudget`'s
+    /// kernel — the query-budget currency (`QueryBudget`'s
     /// `max_gather_nnz` meters this), deliberately identical across
     /// execution strategies so a budget cannot change *which* queries
     /// complete under a different kernel.
@@ -403,234 +273,202 @@ impl GatherCounters {
     }
 }
 
-/// Reusable decode scratch for the wide kernels over the blocked layout:
-/// run/delta pairs are expanded into this flat `u32` column buffer, and
-/// the *same* slice kernels as the flat layout then run over it — that
-/// sharing is what makes the layouts bit-identical under every kernel.
-/// Sized to the largest row once, it allocates nothing afterwards.
+/// Former decode scratch of the blocked layout's wide path. The lane
+/// kernel reads the `u16` deltas in place, so nothing is left to hold;
+/// the type and its parameter on [`crate::ProximityStore::row_gather`]
+/// stay only because `benchmark/` names them and a change that claims a
+/// gain may not edit the benchmark. A later `benchmark`-kind change can
+/// drop both.
 #[derive(Debug, Clone, Default)]
-pub struct GatherScratch {
-    pub(crate) cols: Vec<u32>,
-}
+pub struct GatherScratch;
 
 impl GatherScratch {
-    /// Scratch with capacity for rows up to `max_row_nnz` entries.
-    pub fn with_capacity(max_row_nnz: usize) -> Self {
-        GatherScratch { cols: Vec::with_capacity(max_row_nnz) }
+    /// An empty scratch (the capacity is ignored).
+    pub fn with_capacity(_max_row_nnz: usize) -> Self {
+        GatherScratch
     }
 }
 
-/// The one-accumulator reference gather over parallel `(cols, vals)`
-/// slices, also counting the stamp hits (executed value loads). The slice
-/// form is shared by the flat and blocked layouts — whoever produces the
-/// column sequence, the arithmetic is this one function.
-#[inline]
-pub(crate) fn gather_scalar_counting(
-    cols: &[Index],
-    vals: &[f64],
-    buf: &ScatteredColumn,
-) -> (f64, usize) {
-    let (stamps, generation, values) = buf.raw_parts();
-    let mut acc = 0.0;
-    let mut hits = 0usize;
-    for (&c, &v) in cols.iter().zip(vals) {
-        let c = c as usize;
-        if stamps[c] == generation {
-            acc += v * values[c];
-            hits += 1;
-        }
-    }
-    (acc, hits)
+/// A column offset inside a [`Segment`]: a flat layout's `u32` column or
+/// a blocked layout's `u16` delta.
+pub(crate) trait ColOffset: Copy {
+    /// The offset as an index into the segment's slice of `y`.
+    fn widen(self) -> usize;
+
+    /// Four consecutive offsets, zero-extended into 32-bit lanes.
+    ///
+    /// # Safety
+    /// `ptr` must be valid for reading four `Self`, and the host CPU must
+    /// support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn load4(ptr: *const Self) -> std::arch::x86_64::__m128i;
 }
 
-/// The portable four-accumulator gather over parallel `(cols, vals)`
-/// slices: lane `j` accumulates the entries at positions `≡ j (mod 4)`;
-/// an unmatched position contributes `value × 0.0` to its lane; the
-/// `len % 4` tail lands in lanes `0..tail`; lanes reduce as
-/// `(acc0 + acc2) + (acc1 + acc3)`.
-///
-/// This exact operation order is the cross-kernel contract: the SIMD
-/// kernel performs the same per-lane multiplies and adds in the same
-/// sequence, so its results are bit-identical to this one on every row
-/// (pinned by the kernel equivalence suite). Shared by both layouts.
-#[inline]
-pub(crate) fn gather_unrolled4(cols: &[Index], vals: &[f64], buf: &ScatteredColumn) -> f64 {
-    let (stamps, generation, values) = buf.raw_parts();
+impl ColOffset for u32 {
     #[inline(always)]
-    fn lane(stamps: &[u32], generation: u32, values: &[f64], c: u32, v: f64) -> f64 {
-        let c = c as usize;
-        let x = if stamps[c] == generation { values[c] } else { 0.0 };
-        v * x
+    fn widen(self) -> usize {
+        self as usize
     }
-    // Four named accumulators (not an array) so they live in registers:
-    // the whole point is breaking the FP-add latency chain, which an
-    // in-memory accumulator would silently re-serialise through
-    // store-to-load forwarding.
-    let (mut acc0, mut acc1, mut acc2, mut acc3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let mut col_chunks = cols.chunks_exact(4);
-    let mut val_chunks = vals.chunks_exact(4);
-    for (cc, vv) in (&mut col_chunks).zip(&mut val_chunks) {
-        acc0 += lane(stamps, generation, values, cc[0], vv[0]);
-        acc1 += lane(stamps, generation, values, cc[1], vv[1]);
-        acc2 += lane(stamps, generation, values, cc[2], vv[2]);
-        acc3 += lane(stamps, generation, values, cc[3], vv[3]);
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load4(ptr: *const u32) -> std::arch::x86_64::__m128i {
+        std::arch::x86_64::_mm_loadu_si128(ptr.cast())
     }
-    let mut acc = [acc0, acc1, acc2, acc3];
-    for (j, (&c, &v)) in col_chunks.remainder().iter().zip(val_chunks.remainder()).enumerate() {
-        acc[j] += lane(stamps, generation, values, c, v);
-    }
-    (acc[0] + acc[2]) + (acc[1] + acc[3])
 }
 
-/// The AVX2 gather over parallel `(cols, vals)` slices: four stamps per
-/// `vpgatherdd`, one generation compare per chunk, and a *masked*
-/// `vgatherdpd` so failed lanes never read the value array. Lane
-/// arithmetic (`vmulpd` + `vaddpd`, no FMA) and the tail/reduction mirror
-/// [`gather_unrolled4`] exactly, so the two are bit-identical on every
-/// row.
+impl ColOffset for u16 {
+    #[inline(always)]
+    fn widen(self) -> usize {
+        self as usize
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load4(ptr: *const u16) -> std::arch::x86_64::__m128i {
+        use std::arch::x86_64::{_mm_cvtepu16_epi32, _mm_loadl_epi64};
+        _mm_cvtepu16_epi32(_mm_loadl_epi64(ptr.cast()))
+    }
+}
+
+/// One stretch of a stored row as the lane kernel reads it: entry `i`
+/// sits at column `base + offs[i]` with value `vals[i]`. A flat row is one
+/// segment (`base = 0`, `u32` columns); a blocked row is one per run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Segment<'a, O> {
+    pub base: usize,
+    pub offs: &'a [O],
+    pub vals: &'a [f64],
+}
+
+/// The four-lane gather of one row, given as its segments in order,
+/// against the dense vector `y` — through the host-validated `body`.
 ///
 /// # Safety
-/// The host CPU must support AVX2, and every entry of `cols` must be a
-/// valid in-bounds index into `buf`'s stamp/value arrays.
+/// Every column the segments decode to (`base + offset`) must be
+/// `< y.len() <= i32::MAX`. (The portable body would merely panic on a
+/// violation; the AVX2 body's hardware gather would read out of bounds.)
+#[inline]
+pub(crate) unsafe fn gather_lanes<'a, O: ColOffset + 'a>(
+    body: LaneBody,
+    segments: impl Iterator<Item = Segment<'a, O>>,
+    y: &[f64],
+) -> f64 {
+    match body {
+        LaneBody::Portable => lanes_portable(segments, y),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: a `LaneBody::Avx2` token only exists if `simd_support`
+        // observed AVX2 on this host; the column bound is the caller's.
+        LaneBody::Avx2 => lanes_avx2(segments, y),
+    }
+}
+
+/// How a segment of `len` entries splits when its first entry belongs to
+/// lane `lane`: `..head` runs up to the next lane-0 position, `head..full`
+/// is whole chunks of four, `full..` starts the next chunk.
+#[inline(always)]
+fn split(lane: usize, len: usize) -> (usize, usize) {
+    let head = ((4 - lane) & 3).min(len);
+    (head, head + ((len - head) & !3))
+}
+
+/// The products of a partial chunk — fewer than four entries, the first
+/// belonging to lane `first_lane` — each in its lane, `+0.0` in the rest.
+/// Both bodies add the whole vector: a lane starts at `+0.0` and a sum is
+/// `-0.0` only when both terms are, so no lane ever holds the one value
+/// (`-0.0`) that adding `+0.0` would change, and the untouched lanes keep
+/// their bits.
+#[inline(always)]
+fn partial_chunk<O: ColOffset>(first_lane: usize, y: &[f64], offs: &[O], vals: &[f64]) -> [f64; 4] {
+    let mut products = [0.0f64; 4];
+    for (j, (&o, &v)) in offs.iter().zip(vals).enumerate() {
+        products[first_lane + j] = v * y[o.widen()];
+    }
+    products
+}
+
+/// The portable body. This exact operation order — lane `j` takes row
+/// positions `≡ j (mod 4)` in order, lanes reduce `(a0 + a2) + (a1 + a3)`
+/// — is the cross-body, cross-layout contract.
+#[inline]
+fn lanes_portable<'a, O: ColOffset + 'a>(
+    segments: impl Iterator<Item = Segment<'a, O>>,
+    y: &[f64],
+) -> f64 {
+    // Four named accumulators (not an array) so they live in registers:
+    // the point is breaking the FP-add latency chain, which an in-memory
+    // accumulator would re-serialise through store-to-load forwarding.
+    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let mut lane = 0usize;
+    for Segment { base, offs, vals } in segments {
+        let y = &y[base..];
+        let (head, full) = split(lane, offs.len());
+        let [p0, p1, p2, p3] = partial_chunk(lane, y, &offs[..head], &vals[..head]);
+        (a0, a1, a2, a3) = (a0 + p0, a1 + p1, a2 + p2, a3 + p3);
+        for (o, v) in offs[head..full].chunks_exact(4).zip(vals[head..full].chunks_exact(4)) {
+            a0 += v[0] * y[o[0].widen()];
+            a1 += v[1] * y[o[1].widen()];
+            a2 += v[2] * y[o[2].widen()];
+            a3 += v[3] * y[o[3].widen()];
+        }
+        lane = (lane + head) & 3;
+        let [p0, p1, p2, p3] = partial_chunk(lane, y, &offs[full..], &vals[full..]);
+        (a0, a1, a2, a3) = (a0 + p0, a1 + p1, a2 + p2, a3 + p3);
+        lane = (lane + offs.len() - head) & 3;
+    }
+    (a0 + a2) + (a1 + a3)
+}
+
+/// The AVX2 body: per full chunk, four offsets widened in one load
+/// (`vpmovzxwd` for `u16`), one unmasked `vgatherdpd` from `y`, `vmulpd`
+/// and `vaddpd` — no FMA, so each lane rounds exactly like
+/// [`lanes_portable`] and the two are bit-identical on every row.
+///
+/// # Safety
+/// The host CPU must support AVX2, and every column the segments decode
+/// to (`base + offset`) must be `< y.len() <= i32::MAX`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn gather_avx2(cols: &[Index], vals: &[f64], buf: &ScatteredColumn) -> f64 {
-    use std::arch::x86_64::*;
-    // The gathers sign-extend each 32-bit index lane: a column index
-    // >= 2^31 would wrap negative and read out of bounds. Unreachable
-    // for any matrix this crate can build in practice, but the unsafe
-    // block must not rely on "in practice" — fail loudly instead.
-    assert!(
-        buf.dim() <= i32::MAX as usize,
-        "AVX2 gather kernel limited to dimensions < 2^31"
-    );
-    let (stamps, generation, values) = buf.raw_parts();
-    let split = cols.len() - cols.len() % 4;
-    let generation_v = _mm_set1_epi32(generation as i32);
-    let zero = _mm256_setzero_pd();
-    let mut acc_v = zero;
-    let mut i = 0;
-    while i < split {
-        // SAFETY (for every gather below): the caller guarantees `cols`
-        // holds in-bounds indices for a buffer whose dimension (asserted
-        // above) fits in i32, so the sign-extended index lanes are
-        // non-negative and `stamps[c]` and `values[c]` are in-bounds
-        // reads; the masked value gather touches only lanes whose stamp
-        // matched.
-        let idx = _mm_loadu_si128(cols.as_ptr().add(i) as *const __m128i);
-        let st = _mm_i32gather_epi32::<4>(stamps.as_ptr() as *const i32, idx);
-        let mask =
-            _mm256_castsi256_pd(_mm256_cvtepi32_epi64(_mm_cmpeq_epi32(st, generation_v)));
-        let x = _mm256_mask_i32gather_pd::<8>(zero, values.as_ptr(), idx, mask);
-        let v = _mm256_loadu_pd(vals.as_ptr().add(i));
-        acc_v = _mm256_add_pd(acc_v, _mm256_mul_pd(v, x));
-        i += 4;
-    }
-    let mut acc = [0.0f64; 4];
-    _mm256_storeu_pd(acc.as_mut_ptr(), acc_v);
-    for j in 0..cols.len() - split {
-        let c = cols[split + j] as usize;
-        let x = if stamps[c] == generation { values[c] } else { 0.0 };
-        acc[j] += vals[split + j] * x;
-    }
-    (acc[0] + acc[2]) + (acc[1] + acc[3])
-}
-
-/// Runs the resolved *wide* arm over slices (the shared tail of both
-/// layouts' wide paths).
-#[inline]
-pub(crate) fn gather_wide(
-    wide: WideDispatch,
-    cols: &[Index],
-    vals: &[f64],
-    buf: &ScatteredColumn,
+unsafe fn lanes_avx2<'a, O: ColOffset + 'a>(
+    segments: impl Iterator<Item = Segment<'a, O>>,
+    y: &[f64],
 ) -> f64 {
-    match wide {
-        WideDispatch::Unrolled4 => gather_unrolled4(cols, vals, buf),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: a `WideDispatch::Avx2` token only exists if
-        // `GatherKernel::resolve` observed AVX2 on this host, and `cols`
-        // comes from a validated matrix over `buf`'s dimension.
-        WideDispatch::Avx2 => unsafe { gather_avx2(cols, vals, buf) },
-    }
-}
-
-impl ResolvedKernel {
-    /// Splits the resolution for a given row: `None` means the scalar
-    /// gather runs, `Some(wide)` the wide arm. For `Adaptive` this is
-    /// where the per-row policy fires.
-    #[inline]
-    pub(crate) fn arm_for(self, stat: RowStat, buf: &ScatteredColumn) -> Option<WideDispatch> {
-        self.arm_for_with(stat, buf, IndexFootprint::Resident)
-    }
-
-    /// [`arm_for`](Self::arm_for) with the index's build-time footprint
-    /// class steering the adaptive policy (fixed kernels ignore it).
-    #[inline]
-    pub(crate) fn arm_for_with(
-        self,
-        stat: RowStat,
-        buf: &ScatteredColumn,
-        footprint: IndexFootprint,
-    ) -> Option<WideDispatch> {
-        match self.0 {
-            Dispatch::Scalar => None,
-            Dispatch::Wide(w) => Some(w),
-            Dispatch::Adaptive(w) => adaptive_picks_wide_with(stat, buf, footprint).then_some(w),
+    use std::arch::x86_64::*;
+    let mut acc = _mm256_setzero_pd();
+    let mut lane = 0usize;
+    for Segment { base, offs, vals } in segments {
+        assert_eq!(offs.len(), vals.len(), "segment offsets and values must pair up");
+        let y = &y[base..];
+        let (head, full) = split(lane, offs.len());
+        let products = partial_chunk(lane, y, &offs[..head], &vals[..head]);
+        acc = _mm256_add_pd(acc, _mm256_loadu_pd(products.as_ptr()));
+        let mut i = head;
+        while i < full {
+            // SAFETY: `i + 4 <= full <= offs.len() == vals.len()` (asserted
+            // above), so both four-wide loads stay inside their slices.
+            // The gather sign-extends its 32-bit lanes: `u16` offsets are
+            // zero-extended and `u32` ones are `< y.len() <= i32::MAX` by
+            // the caller's guarantee, so no lane is negative and every
+            // `y[offset]` is an in-bounds read.
+            let idx = O::load4(offs.as_ptr().add(i));
+            let x = _mm256_i32gather_pd::<8>(y.as_ptr(), idx);
+            let v = _mm256_loadu_pd(vals.as_ptr().add(i));
+            acc = _mm256_add_pd(acc, _mm256_mul_pd(v, x));
+            i += 4;
         }
+        lane = (lane + head) & 3;
+        let products = partial_chunk(lane, y, &offs[full..], &vals[full..]);
+        acc = _mm256_add_pd(acc, _mm256_loadu_pd(products.as_ptr()));
+        lane = (lane + offs.len() - head) & 3;
     }
+    // (a0 + a2) + (a1 + a3): fold the high half onto the low, then across.
+    let pairs = _mm_add_pd(_mm256_castpd256_pd128(acc), _mm256_extractf128_pd::<1>(acc));
+    _mm_cvtsd_f64(_mm_add_sd(pairs, _mm_unpackhi_pd(pairs, pairs)))
 }
 
-impl CsrMatrix {
-    /// [`row_dot_scattered`](Self::row_dot_scattered) through the kernel
-    /// `kernel` resolved for this host. The hot-path entry point: one
-    /// enum branch (for `Adaptive`, plus the `O(1)` per-row policy), then
-    /// straight into the selected kernel.
-    #[inline]
-    pub fn row_dot_scattered_with(
-        &self,
-        kernel: ResolvedKernel,
-        r: Index,
-        buf: &ScatteredColumn,
-    ) -> f64 {
-        debug_assert_eq!(buf.dim(), self.ncols());
-        let (cols, vals) = self.row(r);
-        match kernel.arm_for(row_stat_of(cols), buf) {
-            None => gather_scalar_counting(cols, vals, buf).0,
-            Some(wide) => gather_wide(wide, cols, vals, buf),
-        }
-    }
-
-    /// The portable four-accumulator gather over row `r` (see
-    /// [`gather_unrolled4`] for the lane/reduction contract).
-    pub fn row_dot_unrolled4(&self, r: Index, buf: &ScatteredColumn) -> f64 {
-        debug_assert_eq!(buf.dim(), self.ncols());
-        let (cols, vals) = self.row(r);
-        gather_unrolled4(cols, vals, buf)
-    }
-
-    /// The AVX2 gather over row `r` (see [`gather_avx2`]).
-    ///
-    /// Panics if the host CPU does not report AVX2; resolve
-    /// [`GatherKernel::Simd`] and use
-    /// [`row_dot_scattered_with`](Self::row_dot_scattered_with) to get a
-    /// typed error instead.
-    #[cfg(target_arch = "x86_64")]
-    pub fn row_dot_avx2(&self, r: Index, buf: &ScatteredColumn) -> f64 {
-        assert!(
-            std::arch::is_x86_feature_detected!("avx2"),
-            "row_dot_avx2 called on a host without AVX2"
-        );
-        debug_assert_eq!(buf.dim(), self.ncols());
-        let (cols, vals) = self.row(r);
-        // SAFETY: just checked the required target feature; `cols` holds
-        // validated in-bounds indices for `buf`'s dimension.
-        unsafe { gather_avx2(cols, vals, buf) }
-    }
-}
-
-/// `O(1)` row stats straight from a decoded (sorted) column slice — what
-/// the table-less flat path feeds the policy.
+/// `O(1)` row stats straight from a (sorted) column slice.
 #[inline]
 pub(crate) fn row_stat_of(cols: &[Index]) -> RowStat {
     match (cols.first(), cols.last()) {
@@ -642,7 +480,7 @@ pub(crate) fn row_stat_of(cols: &[Index]) -> RowStat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CscMatrix;
+    use crate::{CscMatrix, CsrMatrix, ProximityStore, RowLayout, ScatteredColumn};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn random_csr(nrows: usize, ncols: usize, density: f64, seed: u64) -> CsrMatrix {
@@ -670,38 +508,49 @@ mod tests {
         (idx, val)
     }
 
+    fn store_of(m: CsrMatrix) -> ProximityStore {
+        ProximityStore::from_csr(m, RowLayout::Blocked).unwrap()
+    }
+
+    fn gather(
+        store: &ProximityStore,
+        kernel: ResolvedKernel,
+        r: Index,
+        buf: &ScatteredColumn,
+    ) -> f64 {
+        store.row_gather(kernel, r, buf, &mut GatherScratch, &mut GatherCounters::default())
+    }
+
     /// Every kernel the host can run, with the reference first.
     fn host_kernels() -> Vec<ResolvedKernel> {
-        let mut kernels = vec![
-            GatherKernel::Scalar.resolve().unwrap(),
-            GatherKernel::Unrolled4.resolve().unwrap(),
-        ];
-        if let Ok(simd) = GatherKernel::Simd.resolve() {
-            kernels.push(simd);
-        }
-        kernels.push(GatherKernel::Auto.resolve().unwrap());
-        kernels.push(GatherKernel::Adaptive.resolve().unwrap());
-        kernels
+        GatherKernel::ALL.into_iter().filter_map(|k| k.resolve().ok()).collect()
     }
 
     #[test]
     fn kernels_agree_within_tolerance_and_unrolled_matches_simd_bitwise() {
+        let scalar = GatherKernel::Scalar.resolve().unwrap();
+        let portable = GatherKernel::Unrolled4.resolve().unwrap();
         for seed in 0..12u64 {
             // Row lengths sweep every tail residue (len % 4 ∈ {0,1,2,3})
             // because density is random per row.
-            let m = random_csr(24, 53, 0.35, seed);
+            let store = store_of(random_csr(24, 53, 0.35, seed));
             let (idx, val) = random_sparse_vec(53, 0.4, seed + 99);
             let mut buf = ScatteredColumn::new(53);
             buf.load(&idx, &val);
             for r in 0..24 as Index {
-                let reference = m.row_dot_scattered(r, &buf);
-                let unrolled = m.row_dot_unrolled4(r, &buf);
+                let reference = gather(&store, scalar, r, &buf);
+                assert_eq!(
+                    reference.to_bits(),
+                    store.row_dot_sparse(r, &idx, &val).to_bits(),
+                    "seed {seed} row {r}: scalar must equal the merge join bit for bit"
+                );
+                let unrolled = gather(&store, portable, r, &buf);
                 assert!(
                     (reference - unrolled).abs() <= 1e-12 * reference.abs().max(1.0),
                     "seed {seed} row {r}: scalar {reference} vs unrolled {unrolled}"
                 );
                 if let Ok(simd) = GatherKernel::Simd.resolve() {
-                    let vec = m.row_dot_scattered_with(simd, r, &buf);
+                    let vec = gather(&store, simd, r, &buf);
                     assert_eq!(
                         unrolled.to_bits(),
                         vec.to_bits(),
@@ -715,11 +564,12 @@ mod tests {
     #[test]
     fn every_tail_length_is_exact() {
         // Deterministic rows of length 0..=9 against a fully-loaded buffer:
-        // both wide kernels must equal the exact (rational) dot product.
+        // every kernel must equal the exact (rational) dot product.
         for len in 0..10usize {
             let trips: Vec<(Index, Index, f64)> =
                 (0..len).map(|c| (0, c as Index, (c + 1) as f64 * 0.25)).collect();
-            let m = CsrMatrix::from_csc(&CscMatrix::from_triplets(1, 10, &trips).unwrap());
+            let store =
+                store_of(CsrMatrix::from_csc(&CscMatrix::from_triplets(1, 10, &trips).unwrap()));
             let idx: Vec<Index> = (0..10).collect();
             let val: Vec<f64> = (0..10).map(|i| (i as f64) - 4.0).collect();
             let mut buf = ScatteredColumn::new(10);
@@ -727,7 +577,7 @@ mod tests {
             let exact: f64 =
                 (0..len).map(|c| (c + 1) as f64 * 0.25 * ((c as f64) - 4.0)).sum();
             for kernel in host_kernels() {
-                let got = m.row_dot_scattered_with(kernel, 0, &buf);
+                let got = gather(&store, kernel, 0, &buf);
                 assert!(
                     (got - exact).abs() < 1e-12,
                     "len {len} kernel {}: {got} vs {exact}",
@@ -740,35 +590,35 @@ mod tests {
     #[test]
     fn unmatched_positions_contribute_nothing() {
         // A row whose columns are entirely outside the loaded vector: all
-        // kernels must return exactly 0.0 (the wide kernels' explicit
-        // `value × 0.0` lanes included), even with negative row values.
+        // kernels must return exactly 0.0 (every lane sums `value × 0.0`),
+        // even with negative row values.
         let trips: Vec<(Index, Index, f64)> =
             (0..7).map(|c| (0, c as Index, -1.5 * (c + 1) as f64)).collect();
-        let m = CsrMatrix::from_csc(&CscMatrix::from_triplets(1, 12, &trips).unwrap());
+        let store =
+            store_of(CsrMatrix::from_csc(&CscMatrix::from_triplets(1, 12, &trips).unwrap()));
         let mut buf = ScatteredColumn::new(12);
         buf.load(&[9, 11], &[3.0, -4.0]);
         for kernel in host_kernels() {
-            let got = m.row_dot_scattered_with(kernel, 0, &buf);
-            assert_eq!(got, 0.0, "kernel {}", kernel.name());
+            let got = gather(&store, kernel, 0, &buf);
+            assert_eq!(got.to_bits(), 0, "kernel {}", kernel.name());
         }
     }
 
     #[test]
-    fn kernels_respect_epoch_rollover() {
-        let m = random_csr(8, 16, 0.5, 5);
+    fn kernels_see_only_the_last_load() {
+        let store = store_of(random_csr(8, 16, 0.5, 5));
         let mut buf = ScatteredColumn::new(16);
         let all: Vec<Index> = (0..16).collect();
-        buf.force_epoch(u32::MAX - 1);
-        buf.load(&all, &vec![1.0; 16]); // generation becomes u32::MAX
+        buf.load(&all, &[1.0; 16]);
         let (idx, val) = random_sparse_vec(16, 0.3, 6);
-        buf.load(&idx, &val); // wraps: stamps cleared
+        buf.load(&idx, &val);
         for kernel in host_kernels() {
             for r in 0..8 as Index {
-                let want = m.row_dot_sparse(r, &idx, &val);
-                let got = m.row_dot_scattered_with(kernel, r, &buf);
+                let want = store.row_dot_sparse(r, &idx, &val);
+                let got = gather(&store, kernel, r, &buf);
                 assert!(
                     (got - want).abs() < 1e-12,
-                    "kernel {} row {r}: {got} vs {want} after rollover",
+                    "kernel {} row {r}: {got} vs {want} after a reload",
                     kernel.name()
                 );
             }
@@ -781,11 +631,14 @@ mod tests {
             assert_eq!(kernel.name().parse::<GatherKernel>().unwrap(), kernel);
         }
         assert_eq!("unrolled4".parse::<GatherKernel>().unwrap(), GatherKernel::Unrolled4);
-        match "neon-but-misspelled".parse::<GatherKernel>() {
-            Err(SparseError::UnsupportedKernel { requested, .. }) => {
-                assert_eq!(requested, "neon-but-misspelled");
+        // The deleted per-row policy's name is not an alias for anything.
+        for unknown in ["neon-but-misspelled", "adaptive"] {
+            match unknown.parse::<GatherKernel>() {
+                Err(SparseError::UnsupportedKernel { requested, .. }) => {
+                    assert_eq!(requested, unknown);
+                }
+                other => panic!("expected UnsupportedKernel, got {other:?}"),
             }
-            other => panic!("expected UnsupportedKernel, got {other:?}"),
         }
     }
 
@@ -794,135 +647,20 @@ mod tests {
         assert_eq!(GatherKernel::Scalar.resolve().unwrap().name(), "scalar");
         assert_eq!(GatherKernel::Unrolled4.resolve().unwrap().name(), "unrolled");
         let auto = GatherKernel::Auto.resolve().expect("Auto must resolve on every host");
-        let adaptive =
-            GatherKernel::Adaptive.resolve().expect("Adaptive must resolve on every host");
-        assert!(adaptive.is_adaptive());
+        assert_eq!(auto, ResolvedKernel::default(), "Auto is the default");
         match GatherKernel::Simd.resolve() {
-            // Where SIMD resolves, Auto and Adaptive's wide arm must have
-            // picked it up too.
+            // Where SIMD resolves, Auto must have picked it up too.
             Ok(simd) => {
                 assert!(simd.is_simd());
                 assert_eq!(auto, simd, "Auto must prefer the vector kernel when available");
-                assert_eq!(adaptive.name(), "adaptive(avx2)");
-                assert!(adaptive.is_simd());
             }
-            // Where it does not, the error is typed and both fell back.
+            // Where it does not, the error is typed and Auto fell back.
             Err(SparseError::UnsupportedKernel { requested, reason }) => {
                 assert_eq!(requested, "simd");
                 assert!(!reason.is_empty());
                 assert_eq!(auto.name(), "unrolled");
-                assert_eq!(adaptive.name(), "adaptive(unrolled)");
             }
             Err(other) => panic!("expected UnsupportedKernel, got {other:?}"),
-        }
-    }
-
-    /// The adaptive policy is a pure function of row stats and the loaded
-    /// column: no host feature, cache size or clock is consulted, so these
-    /// fixed inputs must map to these fixed outputs on every machine.
-    #[test]
-    fn adaptive_policy_is_deterministic_and_host_free() {
-        let n = 4096usize;
-        let mut column = ScatteredColumn::new(n);
-        // A dense clump: positions 0..512 all loaded.
-        let idx: Vec<Index> = (0..512).collect();
-        column.load(&idx, &vec![1.0; 512]);
-
-        // A big row confined to the dense clump: hit-dominated → wide.
-        let hot = RowStat { nnz: 256, first: 0, last: 511 };
-        assert!(adaptive_picks_wide(hot, &column));
-        // A big row over a disjoint region: zero predicted hits → scalar.
-        let cold = RowStat { nnz: 256, first: 2048, last: 4095 };
-        assert!(!adaptive_picks_wide(cold, &column));
-        // A tiny row never goes wide, however hot the column.
-        let tiny = RowStat { nnz: ADAPTIVE_MIN_WIDE_NNZ - 1, first: 0, last: 511 };
-        assert!(!adaptive_picks_wide(tiny, &column));
-        // An empty column keeps everything scalar.
-        column.load(&[], &[]);
-        assert!(!adaptive_picks_wide(hot, &column));
-
-        // Repeatability: the same inputs give the same answer every time
-        // (the function closes over nothing mutable).
-        let mut column = ScatteredColumn::new(n);
-        column.load(&idx, &vec![1.0; 512]);
-        for _ in 0..3 {
-            assert!(adaptive_picks_wide(hot, &column));
-            assert!(!adaptive_picks_wide(cold, &column));
-        }
-    }
-
-    /// The footprint term is deterministic and layered on the same pure
-    /// policy: `Resident` is exactly the classic predicate, `Dram` only
-    /// raises the hit-rate bar, and classification keys off value bytes
-    /// (layout-invariant) at a fixed machine-independent boundary.
-    #[test]
-    fn footprint_term_is_deterministic_and_only_tightens() {
-        let n = 4096usize;
-        let mut column = ScatteredColumn::new(n);
-        let idx: Vec<Index> = (0..512).collect();
-        column.load(&idx, &vec![1.0; 512]);
-
-        let hot = RowStat { nnz: 256, first: 0, last: 511 };
-        let cold = RowStat { nnz: 256, first: 2048, last: 4095 };
-        // Resident == the classic policy, bit for bit.
-        for stat in [hot, cold] {
-            assert_eq!(
-                adaptive_picks_wide_with(stat, &column, IndexFootprint::Resident),
-                adaptive_picks_wide(stat, &column)
-            );
-        }
-        // Dram never widens the wide set: any row Dram sends wide,
-        // Resident sends wide too.
-        for nnz in [16u32, 64, 256] {
-            for last in [31u32, 255, 511, 1023] {
-                let stat = RowStat { nnz, first: 0, last };
-                let dram = adaptive_picks_wide_with(stat, &column, IndexFootprint::Dram);
-                let resident = adaptive_picks_wide_with(stat, &column, IndexFootprint::Resident);
-                assert!(!dram || resident, "nnz {nnz} last {last}");
-            }
-        }
-        // A fully-loaded bucket clears even the Dram bar...
-        let mut dense_col = ScatteredColumn::new(n);
-        let all: Vec<Index> = (0..1024).collect();
-        dense_col.load(&all, &vec![1.0; 1024]);
-        let full = RowStat { nnz: 256, first: 0, last: 1023 };
-        assert!(adaptive_picks_wide_with(full, &dense_col, IndexFootprint::Dram));
-        // ...while the half-loaded bucket (hit rate 0.5) passes exactly
-        // the Resident bar and fails the Dram one.
-        let half = RowStat { nnz: 256, first: 0, last: 511 };
-        assert!(adaptive_picks_wide_with(half, &column, IndexFootprint::Resident));
-        assert!(!adaptive_picks_wide_with(half, &column, IndexFootprint::Dram));
-
-        // Classification boundary is exact and value-byte keyed.
-        assert_eq!(IndexFootprint::classify(0), IndexFootprint::Resident);
-        assert_eq!(
-            IndexFootprint::classify(ADAPTIVE_RESIDENT_VALUE_BYTES),
-            IndexFootprint::Resident
-        );
-        assert_eq!(
-            IndexFootprint::classify(ADAPTIVE_RESIDENT_VALUE_BYTES + 1),
-            IndexFootprint::Dram
-        );
-    }
-
-    /// Adaptive whole-row results equal whichever arm the policy picked —
-    /// never a third arithmetic.
-    #[test]
-    fn adaptive_rows_match_their_selected_arm() {
-        let m = random_csr(30, 64, 0.5, 11);
-        let (idx, val) = random_sparse_vec(64, 0.6, 12);
-        let mut buf = ScatteredColumn::new(64);
-        buf.load(&idx, &val);
-        let adaptive = GatherKernel::Adaptive.resolve().unwrap();
-        for r in 0..30 as Index {
-            let got = m.row_dot_scattered_with(adaptive, r, &buf);
-            let (cols, _) = m.row(r);
-            let expect = if adaptive_picks_wide(row_stat_of(cols), &buf) {
-                m.row_dot_unrolled4(r, &buf) // bit-identical to the AVX2 arm
-            } else {
-                m.row_dot_scattered(r, &buf)
-            };
-            assert_eq!(got.to_bits(), expect.to_bits(), "row {r}");
         }
     }
 }

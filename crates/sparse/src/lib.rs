@@ -26,24 +26,21 @@
 //!   differ — everything outside it is provably bit-identical,
 //! * [`rwr`] — the column-normalised transition matrix `A` and
 //!   `W = I − (1−c)A` built straight from a [`kdash_graph::CsrGraph`],
-//! * [`scatter`] — the scatter/gather proximity kernel: the query column
-//!   `L⁻¹ e_q` scattered once into an epoch-stamped dense accumulator
-//!   ([`ScatteredColumn`]), each candidate proximity then a gather over
-//!   `O(nnz(row))` only — bit-identical to the merge-join kernel it
-//!   replaces on the hot path,
-//! * [`kernel`] — runtime-dispatched wide gathers: the portable
-//!   four-accumulator unrolled kernel and its AVX2 twin (bit-identical to
-//!   each other, within `1e-12` of the one-lane reference), selected via
-//!   [`GatherKernel`] and a host-validated [`ResolvedKernel`] token;
-//!   [`GatherKernel::Adaptive`] adds a deterministic per-row
-//!   scalar-vs-wide policy driven by build-time [`RowStat`]s and the
-//!   loaded column's density profile,
+//! * [`scatter`] — the scatter half of the proximity kernel: the query
+//!   column `L⁻¹ e_q` scattered once into a dense vector that is `+0.0`
+//!   everywhere else ([`ScatteredColumn`]), so each candidate proximity is
+//!   a branch-free gather over `O(nnz(row))`,
+//! * [`kernel`] — the gather half: one four-lane arithmetic written over
+//!   both index encodings, a portable body and its AVX2 twin
+//!   (bit-identical to each other, within `1e-12` of the one-accumulator
+//!   reference order, which is bit-identical to the merge join), selected
+//!   via [`GatherKernel`] and a host-validated [`ResolvedKernel`] token,
 //! * [`blocked`] — the bandwidth-lean [`BlockedCsr`] row layout: `u16`
 //!   column deltas against aligned `u32` block anchors, ~half the index
 //!   traffic of flat CSR on fill-dominated inverse rows, bit-identical
 //!   values and results,
 //! * [`store`] — [`ProximityStore`]: the query engine's `U⁻¹` holder,
-//!   uniting both layouts, the per-row policy table, byte-traffic
+//!   uniting both layouts, the per-row stats table, byte-traffic
 //!   counters and software-prefetch hooks behind one gather entry point.
 //!
 //! ## Conventions
@@ -76,16 +73,12 @@ pub use inverse::{
     invert_upper_with, InvertOptions,
 };
 pub use reach::{inverse_dirty_columns, refactor_candidates};
-pub use kernel::{
-    adaptive_picks_wide, adaptive_picks_wide_with, GatherCounters, GatherKernel, GatherScratch,
-    IndexFootprint, ResolvedKernel, RowStat, ADAPTIVE_DRAM_WIDE_HIT_RATE, ADAPTIVE_MIN_WIDE_NNZ,
-    ADAPTIVE_RESIDENT_VALUE_BYTES, ADAPTIVE_WIDE_HIT_RATE,
-};
+pub use kernel::{GatherCounters, GatherKernel, GatherScratch, ResolvedKernel, RowStat};
 pub use lu::{
     refactor_columns, refactor_columns_with, sparse_lu, sparse_lu_with, LuFactors, RefactorReport,
 };
 pub use rwr::{transition_matrix, w_matrix, DanglingPolicy};
-pub use scatter::{ScatteredColumn, DENSITY_BUCKET_COLS};
+pub use scatter::ScatteredColumn;
 pub use sparsify::{
     sparsify_columns_with, sparsify_lower_unit_with, sparsify_upper_with, validate_drop_tolerance,
     SparsifiedColumns, SparsifiedInverse,

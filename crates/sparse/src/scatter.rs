@@ -1,222 +1,90 @@
-//! The scatter/gather proximity kernel.
+//! The scatter half of the scatter/gather proximity kernel.
 //!
 //! K-dash's query hot loop evaluates `p_u = c · (U⁻¹)ᵤ,⋆ · (L⁻¹ e_q)` for
 //! every candidate `u`. The right-hand vector `L⁻¹ e_q` is *fixed for the
 //! whole query*, so paying a two-pointer merge join
-//! (`O(nnz(row) + nnz(col))`, [`CsrMatrix::row_dot_sparse`]) per candidate
-//! wastes a full scan of the query column every time. Instead:
+//! (`O(nnz(row) + nnz(col))`, [`crate::CsrMatrix::row_dot_sparse`]) per
+//! candidate wastes a full scan of the query column every time. Instead:
 //!
-//! 1. **scatter** the query column once into a dense, epoch-stamped
-//!    accumulator ([`ScatteredColumn::load`], `O(nnz(col))`),
+//! 1. **scatter** the query column once into a plain dense vector that is
+//!    `+0.0` everywhere else ([`ScatteredColumn::load`], `O(nnz(col))`),
 //! 2. **gather** each candidate's proximity over only the candidate row's
-//!    nonzeros ([`CsrMatrix::row_dot_scattered`], `O(nnz(row))`).
+//!    nonzeros, multiplying *every* stored entry by `y[col]`
+//!    unconditionally ([`crate::kernel`], `O(nnz(row))`, no branch).
 //!
-//! Epoch stamps ([`kdash_graph::EpochStamps`]) make `load` `O(nnz)`
-//! instead of `O(n)`: positions written by an earlier query are
-//! invalidated wholesale by bumping the generation, the same idiom
-//! [`crate::SolveWorkspace`] uses for its visit marks.
+//! `load` stays `O(nnz)` instead of `O(n)` by remembering which positions
+//! the previous load wrote and zeroing exactly those first.
 //!
-//! The gather visits exactly the merge join's matching pairs in exactly the
-//! same (ascending-column) order, so the floating-point sum — and therefore
-//! every proximity the query engine reports — is **bit-identical** to the
-//! merge-join kernel. `row_dot_sparse` stays around as the independent
-//! reference implementation; the equivalence suite cross-checks the two.
+//! # Why the vector is zero-filled rather than stamped
 //!
-//! [`row_dot_scattered`](CsrMatrix::row_dot_scattered) below is the
-//! *one-accumulator reference* gather. The production hot path dispatches
-//! through [`crate::kernel`] instead: a four-accumulator unrolled kernel
-//! and its bit-identical AVX2 twin, selected at runtime via
-//! [`crate::GatherKernel`] — this reference is what both are validated
-//! against (`≤ 1e-12`, exactness preserved).
+//! Until PR 14 the column carried an epoch-stamp array beside its values
+//! and every gather probe checked the stamp first, on the premise that
+//! most probes miss. Under the hybrid ordering the opposite holds: 92 % of
+//! `U⁻¹`'s entries *and* 92 % of `L⁻¹`'s sit in the last 256 columns, and
+//! the measured hit rate over the rows real queries gather is 0.72 on
+//! `rmat-gather`, 0.48 on `serve-churn` and 0.95 on `dict-pruned`. A
+//! branch that goes either way half the time costs more than the load it
+//! guards, so the check is gone: an unmatched position now contributes
+//! `v × 0.0`, which for finite `v` never changes a running sum that
+//! started at `+0.0` — the one-accumulator gather
+//! ([`crate::GatherKernel::Scalar`]) therefore stays **bit-identical** to
+//! the merge join, which stays around as the independent reference.
 
-use crate::{CsrMatrix, Index};
-use kdash_graph::EpochStamps;
+use crate::Index;
 
-/// A sparse column scattered into dense, epoch-stamped storage.
+/// A sparse column scattered into a dense vector: the loaded entries at
+/// their positions, exactly `+0.0` everywhere else.
 ///
-/// Reusable across queries: allocate once per worker (it is the largest
-/// piece of per-query state at `12 bytes × n`), then [`load`] a new column
-/// per query without clearing.
-///
-/// The stamps and values are deliberately *split* into parallel arrays
-/// rather than interleaved: most gather probes fail the stamp check, so
-/// the hot data structure is the stamp array alone — 4 bytes per node, 16
-/// stamps per cache line — and the value array is only touched on a match.
-/// (An interleaved 16-byte slot layout measured ~40 % slower on the
-/// `proximity_kernel` benchmark.)
-///
-/// [`load`]: ScatteredColumn::load
+/// Reusable across queries: allocate once per worker (`12 bytes × n`),
+/// then [`load`](ScatteredColumn::load) a new column per query.
 #[derive(Debug, Clone)]
 pub struct ScatteredColumn {
-    /// Position `i` holds a value of the current column iff marked.
-    stamps: EpochStamps,
-    /// Dense values, valid only where stamped.
+    /// The dense vector. Invariant: `+0.0` at every position outside
+    /// `loaded` — the gather kernels multiply by it unconditionally.
     values: Vec<f64>,
-    /// Loaded entries of the current column.
-    col_nnz: u32,
-    /// Smallest loaded position (undefined while `col_nnz == 0`).
-    col_first: u32,
-    /// Largest loaded position (undefined while `col_nnz == 0`).
-    col_last: u32,
-    /// Exclusive prefix sums of the loaded entries over
-    /// [`DENSITY_BUCKET_COLS`]-wide position buckets: `bucket_cum[b]` is
-    /// the number of entries at positions `< b · DENSITY_BUCKET_COLS`.
-    /// Rebuilt on every [`load`](Self::load) (`O(nnz + n/bucket)`), it is
-    /// what makes [`expected_hit_rate`](Self::expected_hit_rate) `O(1)`
-    /// per row — the adaptive kernel policy's query-side input.
-    bucket_cum: Vec<u32>,
+    /// Positions the last [`load`](Self::load) wrote. Capacity `n` from
+    /// construction, so remembering a column never allocates.
+    loaded: Vec<Index>,
 }
 
-/// Width of one density bucket (columns). A fixed, machine-independent
-/// constant: the adaptive policy's decisions depend on it, and they must
-/// be identical on every host.
-pub const DENSITY_BUCKET_COLS: u32 = 1024;
-
 impl ScatteredColumn {
-    /// An empty buffer for vectors of dimension `n` (nothing loaded).
+    /// An all-zero buffer for vectors of dimension `n`.
     pub fn new(n: usize) -> Self {
-        let buckets = n / DENSITY_BUCKET_COLS as usize + 2;
-        ScatteredColumn {
-            stamps: EpochStamps::new(n),
-            values: vec![0.0; n],
-            col_nnz: 0,
-            col_first: 0,
-            col_last: 0,
-            bucket_cum: vec![0; buckets],
-        }
+        ScatteredColumn { values: vec![0.0; n], loaded: Vec::with_capacity(n) }
     }
 
     /// Dimension this buffer serves.
     #[inline]
     pub fn dim(&self) -> usize {
-        self.stamps.dim()
+        self.values.len()
     }
 
     /// Scatters the sparse vector `(idx, val)` as the new contents,
-    /// dropping whatever was loaded before. `O(nnz + n/bucket)` — the
-    /// bucket histogram behind the adaptive policy is rebuilt in the same
-    /// pass. Allocation-free.
+    /// zeroing whatever was loaded before. `O(nnz(previous) + nnz)`,
+    /// allocation-free for columns of distinct positions.
     pub fn load(&mut self, idx: &[Index], val: &[f64]) {
         debug_assert_eq!(idx.len(), val.len());
-        self.stamps.advance();
-        self.bucket_cum.fill(0);
-        let (mut first, mut last) = (u32::MAX, 0u32);
+        for &i in &self.loaded {
+            self.values[i as usize] = 0.0;
+        }
+        self.loaded.clear();
+        self.loaded.extend_from_slice(idx);
         for (&i, &v) in idx.iter().zip(val) {
-            self.stamps.mark(i as usize);
             self.values[i as usize] = v;
-            first = first.min(i);
-            last = last.max(i);
-            // Count into the bucket *after* the entry's own, so one prefix
-            // pass turns counts into exclusive cumulative sums in place.
-            self.bucket_cum[(i / DENSITY_BUCKET_COLS) as usize + 1] += 1;
-        }
-        self.col_nnz = idx.len() as u32;
-        (self.col_first, self.col_last) = if idx.is_empty() { (0, 0) } else { (first, last) };
-        for b in 1..self.bucket_cum.len() {
-            self.bucket_cum[b] += self.bucket_cum[b - 1];
         }
     }
 
-    /// Loaded entries of the current column.
+    /// The dense vector: the loaded entries, `+0.0` elsewhere.
     #[inline]
-    pub fn loaded_nnz(&self) -> u32 {
-        self.col_nnz
-    }
-
-    /// Loaded span `(first, last)` of the current column, `None` when the
-    /// column is empty.
-    #[inline]
-    pub fn loaded_span(&self) -> Option<(u32, u32)> {
-        (self.col_nnz > 0).then_some((self.col_first, self.col_last))
-    }
-
-    /// Loaded entries inside the window `[first, last]` (bucket
-    /// resolution) and the bucket-covered window width, the integer form
-    /// behind [`expected_hit_rate`](Self::expected_hit_rate). The hot
-    /// policy predicate compares these directly — no division on the
-    /// per-row path. Returns `(0, 0)` for empty/disjoint windows.
-    #[inline]
-    pub fn window_density(&self, first: u32, last: u32) -> (u64, u64) {
-        if self.col_nnz == 0 || last < first {
-            return (0, 0);
-        }
-        let lo = first.max(self.col_first);
-        let hi = last.min(self.col_last);
-        if hi < lo {
-            return (0, 0);
-        }
-        let b_lo = (lo / DENSITY_BUCKET_COLS) as usize;
-        let b_hi = (hi / DENSITY_BUCKET_COLS) as usize;
-        let in_window = (self.bucket_cum[b_hi + 1] - self.bucket_cum[b_lo]) as u64;
-        let covered = (b_hi - b_lo + 1) as u64 * DENSITY_BUCKET_COLS as u64;
-        (in_window, covered)
-    }
-
-    /// Expected stamp-hit rate for a probe uniformly drawn from the column
-    /// window `[first, last]`: the loaded entries inside the window
-    /// (bucket resolution) over the bucket-covered window width. A pure
-    /// function of the loaded column and the arguments — never the host —
-    /// so the adaptive kernel policy built on it is machine-independent.
-    /// `O(1)`.
-    pub fn expected_hit_rate(&self, first: u32, last: u32) -> f64 {
-        let (in_window, covered) = self.window_density(first, last);
-        if covered == 0 {
-            return 0.0;
-        }
-        (in_window as f64 / covered as f64).min(1.0)
-    }
-
-    /// The loaded value at position `i`, if `i` is part of the current
-    /// column. `None` for every position before the first
-    /// [`load`](ScatteredColumn::load).
-    #[inline]
-    pub fn get(&self, i: Index) -> Option<f64> {
-        self.stamps.is_marked(i as usize).then(|| self.values[i as usize])
-    }
-
-    /// Test hook: forces the internal epoch counter, to exercise the
-    /// rollover path without four billion loads.
-    #[doc(hidden)]
-    pub fn force_epoch(&mut self, epoch: u32) {
-        self.stamps.force_epoch(epoch);
-    }
-
-    /// Raw view for the gather kernels ([`crate::kernel`]): the stamp
-    /// array, the current generation, and the dense values. Position `i`
-    /// holds a current value iff `stamps[i] == generation` — the bulk form
-    /// of [`get`](Self::get).
-    #[inline]
-    pub(crate) fn raw_parts(&self) -> (&[u32], u32, &[f64]) {
-        let (stamps, generation) = self.stamps.raw();
-        (stamps, generation, &self.values)
-    }
-}
-
-impl CsrMatrix {
-    /// Dot product of row `r` with the column held in `buf`: a gather over
-    /// only this row's nonzeros, `O(nnz(row))`.
-    ///
-    /// Matching pairs are accumulated in ascending column order — the same
-    /// pairs in the same order as [`row_dot_sparse`](Self::row_dot_sparse)
-    /// against the loaded vector, so the result is bit-identical.
-    #[inline]
-    pub fn row_dot_scattered(&self, r: Index, buf: &ScatteredColumn) -> f64 {
-        debug_assert_eq!(buf.dim(), self.ncols());
-        let (cols, vals) = self.row(r);
-        let mut acc = 0.0;
-        for (&c, &v) in cols.iter().zip(vals) {
-            if buf.stamps.is_marked(c as usize) {
-                acc += v * buf.values[c as usize];
-            }
-        }
-        acc
+    pub fn as_slice(&self) -> &[f64] {
+        &self.values
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CscMatrix;
+    use crate::{CscMatrix, CsrMatrix};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn random_csr(nrows: usize, ncols: usize, density: f64, seed: u64) -> CsrMatrix {
@@ -254,7 +122,7 @@ mod tests {
             buf.load(&idx, &val);
             for r in 0..30 as Index {
                 let a = m.row_dot_sparse(r, &idx, &val);
-                let b = m.row_dot_scattered(r, &buf);
+                let b = m.row_dot_dense(r, buf.as_slice());
                 assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} row {r}: {a} vs {b}");
             }
         }
@@ -270,7 +138,7 @@ mod tests {
         buf.load(&i2, &v2);
         for r in 0..10 as Index {
             assert_eq!(
-                m.row_dot_scattered(r, &buf).to_bits(),
+                m.row_dot_dense(r, buf.as_slice()).to_bits(),
                 m.row_dot_sparse(r, &i2, &v2).to_bits(),
                 "stale entries leaked into row {r}"
             );
@@ -281,24 +149,10 @@ mod tests {
     fn fresh_buffer_has_nothing_loaded() {
         let m = random_csr(5, 5, 0.6, 11);
         let buf = ScatteredColumn::new(5);
-        for i in 0..5 as Index {
-            assert_eq!(buf.get(i), None, "position {i} loaded before any load()");
-        }
+        assert!(buf.as_slice().iter().all(|v| v.to_bits() == 0));
         for r in 0..5 as Index {
-            assert_eq!(m.row_dot_scattered(r, &buf), 0.0, "never-loaded buffer must act empty");
+            assert_eq!(m.row_dot_dense(r, buf.as_slice()), 0.0);
         }
-    }
-
-    #[test]
-    fn get_reports_only_current_entries() {
-        let mut buf = ScatteredColumn::new(5);
-        buf.load(&[1, 3], &[0.5, -0.25]);
-        assert_eq!(buf.get(0), None);
-        assert_eq!(buf.get(1), Some(0.5));
-        assert_eq!(buf.get(3), Some(-0.25));
-        buf.load(&[0], &[2.0]);
-        assert_eq!(buf.get(1), None, "previous load must be invalidated");
-        assert_eq!(buf.get(0), Some(2.0));
     }
 
     #[test]
@@ -307,68 +161,51 @@ mod tests {
         let mut buf = ScatteredColumn::new(6);
         buf.load(&[], &[]);
         for r in 0..6 as Index {
-            assert_eq!(m.row_dot_scattered(r, &buf), 0.0);
+            assert_eq!(m.row_dot_dense(r, buf.as_slice()), 0.0);
         }
     }
 
+    /// The invariant the branch-free kernels rest on: whatever was loaded
+    /// before — overlapping, disjoint, empty, an explicitly stored `0.0`
+    /// or `-0.0`, the same column twice — every position outside the last
+    /// load reads exactly `+0.0`, so the buffer is indistinguishable from
+    /// a fresh one given that load alone.
     #[test]
-    fn profile_tracks_span_and_density() {
-        let mut buf = ScatteredColumn::new(5000);
-        assert_eq!(buf.loaded_nnz(), 0);
-        assert_eq!(buf.loaded_span(), None);
-        assert_eq!(buf.expected_hit_rate(0, 4999), 0.0, "empty column never hits");
-
-        // A dense clump in bucket 2 (positions 2048..2148).
-        let idx: Vec<Index> = (2048..2148).collect();
-        let val = vec![1.0; idx.len()];
-        buf.load(&idx, &val);
-        assert_eq!(buf.loaded_nnz(), 100);
-        assert_eq!(buf.loaded_span(), Some((2048, 2147)));
-        // Inside the clump's bucket: 100 of 1024 positions loaded.
-        let inside = buf.expected_hit_rate(2048, 2500);
-        assert!((inside - 100.0 / 1024.0).abs() < 1e-12, "{inside}");
-        // A window that misses the loaded span entirely predicts zero.
-        assert_eq!(buf.expected_hit_rate(0, 1000), 0.0);
-        assert_eq!(buf.expected_hit_rate(3000, 4999), 0.0);
-        // Degenerate window.
-        assert_eq!(buf.expected_hit_rate(10, 5), 0.0);
-
-        // Reload resets the profile.
-        buf.load(&[1], &[2.0]);
-        assert_eq!(buf.loaded_nnz(), 1);
-        assert_eq!(buf.loaded_span(), Some((1, 1)));
-        assert_eq!(buf.expected_hit_rate(2048, 2500), 0.0, "stale buckets must clear");
-        assert!(buf.expected_hit_rate(0, 100) > 0.0);
-    }
-
-    #[test]
-    fn hit_rate_is_capped_at_one() {
-        // More entries than the covered width can happen only through the
-        // min-cap (every position of one bucket loaded).
-        let mut buf = ScatteredColumn::new(1024);
-        let idx: Vec<Index> = (0..1024).collect();
-        buf.load(&idx, &vec![1.0; 1024]);
-        assert_eq!(buf.expected_hit_rate(0, 1023), 1.0);
-    }
-
-    #[test]
-    fn epoch_rollover_keeps_correctness() {
-        let m = random_csr(12, 12, 0.4, 9);
-        let mut buf = ScatteredColumn::new(12);
-        // A stale full column right before the wrap: after rollover its
-        // stamps (== u32::MAX) must not read as current.
-        let all: Vec<Index> = (0..12).collect();
-        let ones = vec![1.0; 12];
-        buf.force_epoch(u32::MAX - 1);
-        buf.load(&all, &ones); // epoch becomes u32::MAX
-        let (idx, val) = random_sparse_vec(12, 0.3, 10);
-        buf.load(&idx, &val); // wraps: stamps cleared, epoch restarts at 1
-        for r in 0..12 as Index {
-            assert_eq!(
-                m.row_dot_scattered(r, &buf).to_bits(),
-                m.row_dot_sparse(r, &idx, &val).to_bits(),
-                "rollover leaked stale entries into row {r}"
-            );
+    fn positions_outside_the_last_load_read_positive_zero() {
+        let n = 64usize;
+        let (dense_idx, dense_val) = random_sparse_vec(n, 0.9, 1);
+        let (sparse_idx, sparse_val) = random_sparse_vec(n, 0.1, 2);
+        let loads: Vec<(Vec<Index>, Vec<f64>)> = vec![
+            (dense_idx.clone(), dense_val.clone()),
+            (sparse_idx.clone(), sparse_val.clone()), // overlaps the dense one
+            (vec![0, 1, 2], vec![1.0, 2.0, 3.0]),
+            (vec![61, 62, 63], vec![-1.0, -2.0, -3.0]), // disjoint from the last
+            (vec![], vec![]),
+            (vec![5, 9, 40], vec![0.5, 0.0, -0.0]), // explicit zeros of both signs
+            (vec![9], vec![7.0]),
+            (sparse_idx.clone(), sparse_val.clone()),
+            (sparse_idx, sparse_val), // the same column again
+            (dense_idx, dense_val),
+        ];
+        let m = random_csr(20, n, 0.4, 3);
+        let mut reused = ScatteredColumn::new(n);
+        for (step, (idx, val)) in loads.iter().enumerate() {
+            reused.load(idx, val);
+            let mut fresh = ScatteredColumn::new(n);
+            fresh.load(idx, val);
+            for (i, (a, b)) in reused.as_slice().iter().zip(fresh.as_slice()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "step {step} position {i}");
+                if !idx.contains(&(i as Index)) {
+                    assert_eq!(a.to_bits(), 0, "step {step}: position {i} must read +0.0");
+                }
+            }
+            for r in 0..20 as Index {
+                assert_eq!(
+                    m.row_dot_dense(r, reused.as_slice()).to_bits(),
+                    m.row_dot_sparse(r, idx, val).to_bits(),
+                    "step {step} row {r}"
+                );
+            }
         }
     }
 }

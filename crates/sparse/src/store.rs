@@ -1,23 +1,20 @@
-//! The proximity read path: one store, two row layouts, one policy.
+//! The proximity read path: one store, two row layouts, one kernel.
 //!
 //! [`ProximityStore`] is what the query engine holds for `U⁻¹`: the row
 //! payload in either the classic flat CSR layout or the bandwidth-lean
-//! [`BlockedCsr`] encoding, plus the packed per-row [`RowStat`] table the
-//! adaptive kernel policy reads (built once at index-assembly time so
-//! policy decisions never touch the DRAM-resident index arrays).
+//! [`BlockedCsr`] encoding, plus the packed per-row [`RowStat`] table
+//! (built once at index-assembly time so per-row accounting never touches
+//! the index arrays).
 //!
 //! Every gather funnels through [`ProximityStore::row_gather`]: the
-//! resolved kernel picks the arm (for [`GatherKernel::Adaptive`]
-//! per row, via the deterministic policy), the layout picks the decode,
-//! and both layouts end in the *same* slice kernels — which is why the
+//! layout hands its rows to the kernel as segments, and both layouts end
+//! in the *same* lane arithmetic ([`crate::kernel`]) — which is why the
 //! flat and blocked layouts are bit-identical under every kernel, pinned
 //! by `tests/layout_equivalence.rs`. Byte-traffic and per-kernel row
 //! counts accumulate into the caller's [`GatherCounters`].
-//!
-//! [`GatherKernel::Adaptive`]: crate::GatherKernel::Adaptive
 
 use crate::blocked::prefetch_span;
-use crate::kernel::{gather_scalar_counting, gather_wide, row_stat_of, IndexFootprint};
+use crate::kernel::{gather_lanes, row_stat_of, Segment};
 use crate::{
     BlockedCsr, CscMatrix, CsrMatrix, GatherCounters, GatherScratch, Index, ResolvedKernel,
     Result, RowStat, ScatteredColumn, SparseError,
@@ -71,16 +68,10 @@ impl FromStr for RowLayout {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProximityStore {
     rows: RowStorage,
-    /// Packed per-row policy stats (12 bytes/row), assembly-time built.
+    /// Packed per-row stats (12 bytes/row), assembly-time built.
     row_stats: Vec<RowStat>,
-    /// Largest row's stored-entry count — the decode-scratch high-water
-    /// mark, so workspaces can preallocate and stay allocation-free.
+    /// Largest row's stored-entry count.
     max_row_nnz: usize,
-    /// Build-time footprint class steering the adaptive policy's hit-rate
-    /// bar. Derived from stored value bytes (`8 × nnz`) — a
-    /// layout-invariant quantity, so the executed kernel class (and with
-    /// it flat/blocked bit-identity) never depends on the row encoding.
-    footprint: IndexFootprint,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -95,26 +86,40 @@ impl ProximityStore {
     /// layouts.
     pub fn from_csr(csr: CsrMatrix, layout: RowLayout) -> Result<ProximityStore> {
         let row_stats = row_stats_of_csr(&csr);
-        let max_row_nnz = row_stats.iter().map(|s| s.nnz as usize).max().unwrap_or(0);
-        let footprint = IndexFootprint::classify(8 * csr.nnz());
         let rows = match layout {
             RowLayout::Flat => RowStorage::Flat(csr),
             RowLayout::Blocked => RowStorage::Blocked(BlockedCsr::from_csr(csr)?),
         };
-        Ok(ProximityStore { rows, row_stats, max_row_nnz, footprint })
+        ProximityStore::assemble(rows, row_stats)
     }
 
     /// Wraps an already-validated blocked matrix (the persistence load
-    /// path), rebuilding the policy table from it.
-    pub fn from_blocked(blocked: BlockedCsr) -> ProximityStore {
+    /// path), rebuilding the row-stats table from it.
+    pub fn from_blocked(blocked: BlockedCsr) -> Result<ProximityStore> {
         let row_stats = row_stats_of_blocked(&blocked);
-        let max_row_nnz = row_stats.iter().map(|s| s.nnz as usize).max().unwrap_or(0);
-        let footprint = IndexFootprint::classify(8 * blocked.nnz());
-        ProximityStore { rows: RowStorage::Blocked(blocked), row_stats, max_row_nnz, footprint }
+        ProximityStore::assemble(RowStorage::Blocked(blocked), row_stats)
+    }
+
+    /// The one place a store comes into being. Rejects column counts past
+    /// `i32::MAX`: the AVX2 gather sign-extends 32-bit column lanes, and
+    /// checking here keeps that bound out of the per-row hot path.
+    fn assemble(rows: RowStorage, row_stats: Vec<RowStat>) -> Result<ProximityStore> {
+        let store = ProximityStore {
+            rows,
+            max_row_nnz: row_stats.iter().map(|s| s.nnz as usize).max().unwrap_or(0),
+            row_stats,
+        };
+        if store.ncols() > i32::MAX as usize {
+            return Err(SparseError::Malformed(format!(
+                "proximity store limited to 2^31 - 1 columns, got {}",
+                store.ncols()
+            )));
+        }
+        Ok(store)
     }
 
     /// Re-encodes into `layout` (no-op when already there). Values move
-    /// bit-identically; the policy table is preserved.
+    /// bit-identically; the row-stats table is preserved.
     pub fn relayout(&self, layout: RowLayout) -> ProximityStore {
         if self.layout() == layout {
             return self.clone();
@@ -171,25 +176,20 @@ impl ProximityStore {
         }
     }
 
-    /// The packed per-row policy table.
+    /// The packed per-row stats table.
     pub fn row_stats(&self) -> &[RowStat] {
         &self.row_stats
     }
 
-    /// Policy stats of one row.
+    /// Stats of one row.
     #[inline]
     pub fn row_stat(&self, r: Index) -> RowStat {
         self.row_stats[r as usize]
     }
 
-    /// Largest row's stored-entry count (decode-scratch sizing).
+    /// Largest row's stored-entry count.
     pub fn max_row_nnz(&self) -> usize {
         self.max_row_nnz
-    }
-
-    /// The build-time footprint class the adaptive policy consumes.
-    pub fn footprint(&self) -> IndexFootprint {
-        self.footprint
     }
 
     /// Index bytes a gather streams for row `r` under the active layout.
@@ -211,7 +211,7 @@ impl ProximityStore {
         }
     }
 
-    /// Heap footprint of the stored arrays in bytes (policy table
+    /// Heap footprint of the stored arrays in bytes (row-stats table
     /// included).
     pub fn heap_bytes(&self) -> usize {
         let rows = match &self.rows {
@@ -236,80 +236,76 @@ impl ProximityStore {
     }
 
     /// **The** proximity gather: row `r` against the scattered query
-    /// column, through the resolved kernel (per-row policy for
-    /// `Adaptive`), with byte traffic and the kernel-class row split
-    /// accumulated into `counters`. Both layouts end in the same slice
-    /// kernels, so for a fixed kernel the result is bit-identical across
-    /// layouts.
+    /// column through the resolved kernel, with byte traffic and the
+    /// kernel-class row split accumulated into `counters`. Both layouts
+    /// feed the same lane arithmetic, so for a fixed kernel the result is
+    /// bit-identical across layouts. `_scratch` is unused (see
+    /// [`GatherScratch`]).
     #[inline]
     pub fn row_gather(
         &self,
         kernel: ResolvedKernel,
         r: Index,
         buf: &ScatteredColumn,
-        scratch: &mut GatherScratch,
+        _scratch: &mut GatherScratch,
         counters: &mut GatherCounters,
     ) -> f64 {
-        debug_assert_eq!(buf.dim(), self.ncols());
-        let stat = self.row_stats[r as usize];
-        let arm = kernel.arm_for_with(stat, buf, self.footprint);
-        counters.index_bytes += self.row_index_bytes(r);
-        counters.nnz += stat.nnz as usize;
-        match (&self.rows, arm) {
-            (RowStorage::Flat(m), None) => {
-                let (cols, vals) = m.row(r);
-                let (acc, hits) = gather_scalar_counting(cols, vals, buf);
-                counters.rows_scalar += 1;
-                counters.value_bytes += 8 * hits;
-                acc
-            }
-            (RowStorage::Flat(m), Some(wide)) => {
-                let (cols, vals) = m.row(r);
-                counters.rows_wide += 1;
-                counters.value_bytes += 8 * cols.len();
-                gather_wide(wide, cols, vals, buf)
-            }
-            (RowStorage::Blocked(b), None) => {
-                let (acc, hits) = b.row_dot_scattered_counting(r, buf);
-                counters.rows_scalar += 1;
-                counters.value_bytes += 8 * hits;
-                acc
-            }
-            (RowStorage::Blocked(b), Some(wide)) => {
-                b.decode_row_into(r, &mut scratch.cols);
-                counters.rows_wide += 1;
-                counters.value_bytes += 8 * scratch.cols.len();
-                gather_wide(wide, &scratch.cols, b.row_values(r), buf)
+        let y = buf.as_slice();
+        assert_eq!(y.len(), self.ncols(), "query column dimension must match the store");
+        let Some(body) = kernel.lanes() else {
+            counters.rows_scalar += 1;
+            return self.row_dot_dense(r, y, counters);
+        };
+        counters.rows_wide += 1;
+        self.charge(r, counters);
+        // SAFETY: every column either layout decodes to is `< ncols`
+        // (`CsrMatrix::from_raw_parts` / `BlockedCsr::from_raw_parts` and
+        // `validate_row_updates` check each one, and the matrices' fields
+        // are private), `ncols == y.len()` was asserted just above, and
+        // `assemble` refused any store with `ncols > i32::MAX`.
+        unsafe {
+            match &self.rows {
+                RowStorage::Flat(m) => {
+                    let (offs, vals) = m.row(r);
+                    gather_lanes(body, std::iter::once(Segment { base: 0, offs, vals }), y)
+                }
+                RowStorage::Blocked(b) => gather_lanes(body, b.row_segments(r), y),
             }
         }
     }
 
     /// Row `r` against a *dense* vector: every stored entry multiplies
     /// `x[col]` unconditionally, in storage order (bit-identical across
-    /// layouts). The certified-refinement correction runs on this — its
-    /// operand is dense over the reachable set, so the scattered column's
-    /// stamps and the per-row kernel policy would be pure overhead. Charges
-    /// `counters` like a wide gather (index bytes, 8 value bytes per
+    /// layouts). The certified-refinement correction runs on this, in the
+    /// one-accumulator order its residual bounds were pinned under.
+    /// Charges `counters` like a gather (index bytes, 8 value bytes per
     /// entry, stored entries); it is not a kernel dispatch, so the
     /// scalar/wide row split stays untouched.
     #[inline]
     pub fn row_dot_dense(&self, r: Index, x: &[f64], counters: &mut GatherCounters) -> f64 {
-        let nnz = self.row_stats[r as usize].nnz as usize;
-        counters.index_bytes += self.row_index_bytes(r);
-        counters.value_bytes += 8 * nnz;
-        counters.nnz += nnz;
+        self.charge(r, counters);
         match &self.rows {
             RowStorage::Flat(m) => m.row_dot_dense(r, x),
             RowStorage::Blocked(b) => b.row_dot_dense(r, x),
         }
     }
 
+    /// Charges one pass over row `r` to `counters`: its index bytes, 8
+    /// value bytes per stored entry (every kernel multiplies every entry)
+    /// and the stored entries themselves.
+    #[inline]
+    fn charge(&self, r: Index, counters: &mut GatherCounters) {
+        let nnz = self.row_stats[r as usize].nnz as usize;
+        counters.index_bytes += self.row_index_bytes(r);
+        counters.value_bytes += 8 * nnz;
+        counters.nnz += nnz;
+    }
+
     /// Replaces whole rows under the active layout, refreshing the
-    /// per-row policy table and the decode-scratch high-water mark for
-    /// exactly the dirty rows — the splice stage of the dynamic-update
-    /// engine. The result equals [`ProximityStore::from_csr`] of the
-    /// fully spliced flat matrix under the same layout, arrays, policy
-    /// table and all (pinned by the store tests and, end to end, by
+    /// per-row stats table and the largest-row mark for exactly the dirty
+    /// rows — the splice stage of the dynamic-update engine. The result
+    /// equals [`ProximityStore::from_csr`] of the fully spliced flat
+    /// matrix under the same layout, arrays, stats table and all (pinned by the store tests and, end to end, by
     /// `tests/dynamic_equivalence.rs`). `updates` must be sorted by
     /// strictly increasing row.
     pub fn splice_rows(&self, updates: &[crate::csr::RowUpdate]) -> Result<ProximityStore> {
@@ -321,12 +317,7 @@ impl ProximityStore {
         for u in updates {
             row_stats[u.row as usize] = row_stat_of(&u.cols);
         }
-        let max_row_nnz = row_stats.iter().map(|s| s.nnz as usize).max().unwrap_or(0);
-        let footprint = match &rows {
-            RowStorage::Flat(m) => IndexFootprint::classify(8 * m.nnz()),
-            RowStorage::Blocked(b) => IndexFootprint::classify(8 * b.nnz()),
-        };
-        Ok(ProximityStore { rows, row_stats, max_row_nnz, footprint })
+        ProximityStore::assemble(rows, row_stats)
     }
 
     /// Two-pointer merge join of row `r` against a sorted sparse vector —
@@ -365,12 +356,12 @@ impl ProximityStore {
     }
 }
 
-/// Per-row policy stats of a flat matrix.
+/// Per-row stats of a flat matrix.
 fn row_stats_of_csr(csr: &CsrMatrix) -> Vec<RowStat> {
     (0..csr.nrows() as Index).map(|r| row_stat_of(csr.row(r).0)).collect()
 }
 
-/// Per-row policy stats of a blocked matrix.
+/// Per-row stats of a blocked matrix.
 pub fn row_stats_of_blocked(blocked: &BlockedCsr) -> Vec<RowStat> {
     (0..blocked.nrows() as Index)
         .map(|r| match (blocked.row_first_col(r), blocked.row_last_col(r)) {
@@ -421,9 +412,9 @@ mod tests {
             let csr = random_csr(24, 48, 0.35, seed);
             let flat = ProximityStore::from_csr(csr.clone(), RowLayout::Flat).unwrap();
             let blocked = ProximityStore::from_csr(csr, RowLayout::Blocked).unwrap();
-            assert_eq!(flat.row_stats(), blocked.row_stats(), "policy inputs must agree");
+            assert_eq!(flat.row_stats(), blocked.row_stats());
             let buf = loaded_column(48, 0.5, seed + 100);
-            let mut scratch = GatherScratch::with_capacity(flat.max_row_nnz());
+            let mut scratch = GatherScratch;
             for kernel in GatherKernel::ALL {
                 let Ok(resolved) = kernel.resolve() else { continue };
                 for r in 0..24 as Index {
@@ -447,16 +438,30 @@ mod tests {
         let csr = random_csr(20, 40, 0.4, 2);
         let store = ProximityStore::from_csr(csr, RowLayout::Blocked).unwrap();
         let buf = loaded_column(40, 0.5, 7);
-        let mut scratch = GatherScratch::with_capacity(store.max_row_nnz());
         let mut counters = GatherCounters::default();
         for r in 0..20 as Index {
-            store.row_gather(ResolvedKernel::default(), r, &buf, &mut scratch, &mut counters);
+            store.row_gather(ResolvedKernel::default(), r, &buf, &mut GatherScratch, &mut counters);
         }
-        assert_eq!(counters.rows_scalar + counters.rows_wide, 20);
+        assert_eq!((counters.rows_scalar, counters.rows_wide), (0, 20));
         let expect_index: usize = (0..20).map(|r| store.row_index_bytes(r)).sum();
         assert_eq!(counters.index_bytes, expect_index);
+        assert_eq!(counters.nnz, store.nnz());
+        assert_eq!(counters.value_bytes, 8 * store.nnz(), "every stored entry is multiplied");
         counters.reset();
         assert_eq!(counters, GatherCounters::default());
+    }
+
+    #[test]
+    fn column_counts_past_i32_max_are_refused_at_assembly() {
+        let ncols = i32::MAX as usize + 1;
+        let csr = CsrMatrix::from_raw_parts(1, ncols, vec![0, 0], vec![], vec![]).unwrap();
+        for layout in [RowLayout::Flat, RowLayout::Blocked] {
+            match ProximityStore::from_csr(csr.clone(), layout) {
+                Err(SparseError::Malformed(msg)) => assert!(msg.contains("columns"), "{msg}"),
+                other => panic!("{layout}: expected Malformed, got {other:?}"),
+            }
+        }
+        assert!(ProximityStore::from_blocked(BlockedCsr::from_csr(csr).unwrap()).is_err());
     }
 
     #[test]
@@ -475,7 +480,7 @@ mod tests {
 
     /// The store-level splice contract: under both layouts, splicing rows
     /// equals rebuilding the store from the fully spliced flat matrix —
-    /// including the policy table and the decode-scratch high-water mark.
+    /// including the row-stats table and the largest-row mark.
     #[test]
     fn splice_rows_matches_full_rebuild_under_both_layouts() {
         use crate::RowUpdate;

@@ -55,17 +55,16 @@ fn main() {
 
     // 3. Query: exact top-10 highest-proximity nodes for node 0. A serving
     //    loop holds one `Searcher` (allocation-free after warm-up) and can
-    //    pick its gather kernel. `Adaptive` — the recommended default —
-    //    chooses scalar or wide *per candidate row* from the row's stats
-    //    and the query column's density: a pure function of index + query,
-    //    so the choice is identical on every machine (within the wide
-    //    class, AVX2 and the portable unrolled kernel are bit-identical).
-    //    An explicit choice the CPU cannot honour is a typed error, so
+    //    pick its gather kernel. `Auto` — the default — runs the
+    //    branch-free four-lane gather through AVX2 where the host has it
+    //    and through its portable twin otherwise; the two are
+    //    bit-identical, so answers are the same on every machine. An
+    //    explicit choice the CPU cannot honour is a typed error, so
     //    deployments never silently degrade.
     let q = 0;
     let k = 10;
     let mut searcher =
-        kdash_core::Searcher::with_kernel(&index, GatherKernel::Adaptive).expect("kernel");
+        kdash_core::Searcher::with_kernel(&index, GatherKernel::Auto).expect("kernel");
     let result = searcher.top_k(q, k).expect("query");
     println!("\ntop-{k} nodes for query {q} (gather kernel: {}):", searcher.kernel().name());
     for (rank, item) in result.items.iter().enumerate() {
@@ -84,8 +83,8 @@ fn main() {
         result.stats.reachable,
         result.stats.terminated_early
     );
-    // The adaptive policy is observable per query: which kernel class ran
-    // each row, and what the gathers streamed.
+    // The gather is observable per query: what the selector resolved to,
+    // how many rows it ran, and what they streamed.
     println!(
         "gather: {} — {} rows scalar / {} wide, {} index bytes touched",
         result.stats.kernel,

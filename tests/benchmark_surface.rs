@@ -1,0 +1,79 @@
+//! The library surface `benchmark/` compiles against, exercised from
+//! tier-1.
+//!
+//! `benchmark/` is a standalone package: tier-1 never builds it, so a
+//! library signature change would only show when the driver builds the
+//! benchmark. This test makes exactly the calls
+//! `benchmark/src/query.rs::traced_query_pass` makes on the gather path —
+//! with the same import paths — and asserts what that pass asserts: on
+//! the dense tier, `c ×` the replayed `row_gather` equals the proximity
+//! `Searcher::top_k_into` returned, bit for bit.
+
+use kdash_core::{IndexOptions, KdashIndex, RowLayout, TopKResult};
+use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
+use kdash_graph::{BfsScratch, NodeId};
+use kdash_sparse::kernel::{GatherCounters, GatherScratch};
+use kdash_sparse::{ResolvedKernel, ScatteredColumn};
+
+#[test]
+fn replayed_gather_equals_the_answer_on_every_family_and_layout() {
+    let graphs = [
+        ("er", erdos_renyi(300, 1500, 13)),
+        ("ba", barabasi_albert(400, 4, 11)),
+        ("rmat", rmat(9, 2048, RmatParams::default(), 7)),
+    ];
+    let k = 10;
+    for (family, g) in &graphs {
+        let blocked = KdashIndex::build(g, IndexOptions::default()).unwrap();
+        for index in [blocked.with_layout(RowLayout::Flat), blocked] {
+            let label = format!("{family}/{}", index.layout());
+            let n = index.num_nodes();
+            let graph = index.permuted_graph();
+            let store = index.uinv_rows();
+            let c = index.restart_probability();
+            let kernel = ResolvedKernel::default();
+            let mut searcher = index.searcher();
+            let mut out = TopKResult::default();
+            let mut bfs = BfsScratch::new(n);
+            let mut column = ScatteredColumn::new(n);
+            let mut scratch = GatherScratch::with_capacity(store.max_row_nnz());
+            let mut replayed = vec![0.0f64; n];
+            for q in (0..n as NodeId).step_by(37) {
+                searcher.top_k_into(q, k, &mut out).unwrap();
+                let stats = &out.stats;
+
+                bfs.begin(graph, index.permutation().new_of(q));
+                while bfs.num_expanded() < stats.frontier_expanded
+                    && bfs.expand_next_layer(graph) > 0
+                {}
+                let (col_idx, col_val) = index.linv_query_column(q);
+                column.load(col_idx, col_val);
+
+                let computed =
+                    &bfs.order()[..stats.proximity_computations.min(bfs.num_discovered())];
+                assert_eq!(computed.len(), stats.proximity_computations, "{label} q {q}");
+                let mut counters = GatherCounters::default();
+                for &u in computed {
+                    replayed[u as usize] =
+                        store.row_gather(kernel, u, &column, &mut scratch, &mut counters);
+                }
+                for item in out.items.iter().filter(|i| i.proximity > 0.0) {
+                    let u = index.permutation().new_of(item.node);
+                    assert_eq!(
+                        (c * replayed[u as usize]).to_bits(),
+                        item.proximity.to_bits(),
+                        "{label} q {q} node {}: replayed gather differs from the answer",
+                        item.node
+                    );
+                }
+                // The five counters the benchmark reads must replay the
+                // query's own stats.
+                assert_eq!(counters.nnz, stats.nnz_gathered, "{label} q {q}");
+                assert_eq!(counters.index_bytes, stats.bytes_touched, "{label} q {q}");
+                assert_eq!(counters.value_bytes, stats.value_bytes_touched, "{label} q {q}");
+                assert_eq!(counters.rows_wide, stats.rows_wide, "{label} q {q}");
+                assert_eq!(counters.rows_scalar, stats.rows_scalar, "{label} q {q}");
+            }
+        }
+    }
+}

@@ -17,6 +17,9 @@
 //! * selection failures are **typed**: an impossible selector comes back
 //!   as `KdashError::UnsupportedKernel`, never a panic, and only `Auto`
 //!   falls back.
+//! * **lanes carry across run boundaries** — at the store level, rows
+//!   whose blocked encoding spans several `u16`-delta runs of awkward
+//!   lengths give the same bits under both bodies and both layouts.
 
 use kdash_core::{GatherKernel, IndexOptions, KdashError, KdashIndex, Searcher, TopKResult};
 use kdash_datagen::{barabasi_albert, erdos_renyi};
@@ -201,4 +204,90 @@ fn unsupported_selectors_fail_typed_and_leave_searcher_usable() {
     // Auto resolves everywhere and never to SIMD on a host lacking it.
     searcher.set_kernel(GatherKernel::Auto).unwrap();
     assert_eq!(searcher.top_k(0, 3).unwrap().items.len(), 3);
+}
+
+/// The lane-carry pin. In the blocked layout a row is one segment per
+/// 2¹⁶-column run, and the four lanes are assigned by *row* position, so
+/// a run that does not end on a multiple of four hands a partial chunk to
+/// the next one. Rows spanning three runs of lengths ≢ 0 (mod 4), empty
+/// rows and rows of 1–7 entries must give bit-identical results for the
+/// portable body ≡ the AVX2 body ≡ the flat layout under either, and the
+/// scalar reference order must equal the merge join bit for bit.
+#[test]
+fn lanes_carry_across_run_boundaries_bit_identically() {
+    use kdash_core::RowLayout;
+    use kdash_sparse::{
+        CsrMatrix, GatherCounters, GatherScratch, ProximityStore, ScatteredColumn, BLOCK_COLS,
+    };
+
+    let block = BLOCK_COLS as usize;
+    let ncols = 3 * block + 4_000;
+    // Each row is a list of (block, entries in that block).
+    let mut layouts: Vec<Vec<(usize, usize)>> = vec![vec![]];
+    for len in 1..=7usize {
+        // Short rows, split over two blocks where there is enough to split.
+        layouts.push(if len < 3 { vec![(1, len)] } else { vec![(0, len - 2), (3, 2)] });
+    }
+    for runs in [[5, 7, 9], [1, 2, 3], [6, 11, 13], [3, 3, 3], [9, 1, 6], [21, 34, 19], [2, 5, 1]] {
+        layouts.push(vec![(0, runs[0]), (1, runs[1]), (2, runs[2])]);
+    }
+    layouts.push(vec![(0, 3), (2, 6), (3, 7)]); // skips a block
+    layouts.push(vec![]);
+
+    let (mut row_ptr, mut col_idx, mut values) = (vec![0usize], Vec::new(), Vec::new());
+    for (r, row) in layouts.iter().enumerate() {
+        for &(blk, count) in row {
+            // Distinct ascending columns inside the block (the last block
+            // is the matrix's partial one), the first and last at its edges.
+            let width = if blk == 3 { ncols - 3 * block } else { block };
+            for j in 0..count {
+                let within = match j {
+                    0 => 0,
+                    j if j == count - 1 => width - 1,
+                    j => j * (width - 1) / count + r % 5,
+                };
+                col_idx.push((blk * block + within) as u32);
+                let x = (col_idx.len() * 7919 + r * 104_729) % 1_000;
+                values.push((x as f64 - 500.0) / 37.0);
+            }
+        }
+        row_ptr.push(col_idx.len());
+    }
+    let nrows = layouts.len();
+    let csr = CsrMatrix::from_raw_parts(nrows, ncols, row_ptr, col_idx.clone(), values).unwrap();
+    let flat = ProximityStore::from_csr(csr.clone(), RowLayout::Flat).unwrap();
+    let blocked = ProximityStore::from_csr(csr, RowLayout::Blocked).unwrap();
+    let three_runs = blocked.as_blocked().unwrap();
+    assert!((8..15).all(|r| three_runs.row_runs(r) == 3), "the layout must produce 3-run rows");
+
+    // A query column meeting about half of the stored columns, plus
+    // positions no row stores.
+    let mut idx: Vec<u32> = col_idx.iter().copied().filter(|c| c % 3 != 0).collect();
+    idx.extend((0..ncols as u32).step_by(4_099));
+    idx.sort_unstable();
+    idx.dedup();
+    let val: Vec<f64> = idx.iter().map(|&i| ((i % 977) as f64 - 400.0) / 53.0).collect();
+    let mut column = ScatteredColumn::new(ncols);
+    column.load(&idx, &val);
+
+    let scalar = GatherKernel::Scalar.resolve().unwrap();
+    let portable = GatherKernel::Unrolled4.resolve().unwrap();
+    let simd = GatherKernel::Simd.resolve().ok();
+    let mut scratch = GatherScratch::with_capacity(flat.max_row_nnz());
+    let mut gather = |store: &ProximityStore, kernel, r| {
+        store.row_gather(kernel, r, &column, &mut scratch, &mut GatherCounters::default())
+    };
+    for r in 0..nrows as u32 {
+        let lanes = gather(&blocked, portable, r);
+        assert_eq!(lanes.to_bits(), gather(&flat, portable, r).to_bits(), "row {r}: flat portable");
+        if let Some(simd) = simd {
+            assert_eq!(lanes.to_bits(), gather(&blocked, simd, r).to_bits(), "row {r}: avx2");
+            assert_eq!(lanes.to_bits(), gather(&flat, simd, r).to_bits(), "row {r}: flat avx2");
+        }
+        let join = blocked.row_dot_sparse(r, &idx, &val);
+        assert_eq!(join.to_bits(), flat.row_dot_sparse(r, &idx, &val).to_bits(), "row {r}");
+        assert_eq!(join.to_bits(), gather(&blocked, scalar, r).to_bits(), "row {r}: scalar");
+        assert_eq!(join.to_bits(), gather(&flat, scalar, r).to_bits(), "row {r}: flat scalar");
+        assert!((lanes - join).abs() <= 1e-12 * join.abs().max(1.0), "row {r}: {lanes} vs {join}");
+    }
 }

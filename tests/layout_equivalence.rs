@@ -1,22 +1,18 @@
 //! The blocked-layout contract: re-encoding the stored `U⁻¹` from flat
 //! CSR into the blocked (u32 anchor + u16 delta) layout changes *memory
-//! traffic*, never *answers* — and the adaptive kernel policy consumes
-//! only layout-independent inputs, so the per-row kernel choice is the
-//! same under both layouts (and, by construction, on every machine).
+//! traffic*, never *answers* — the gather kernel reads both encodings in
+//! place and performs the same operations in the same order.
 //!
-//! * Property: across ER/BA/RMAT × orderings × every host kernel
-//!   (`Adaptive` included) × top-k / restart-set / random-root queries,
+//! * Property: across ER/BA/RMAT × orderings × every host kernel ×
+//!   top-k / restart-set / random-root queries,
 //!   flat and blocked runs are **bit-identical** in items and agree on
 //!   every stat except the (layout-defined) index-byte counter — the
 //!   shared checker lives in `kdash_harness::check_layout_equivalence`.
 //! * The aggregate index-byte reduction on fill-dominated inverses is
 //!   pinned at ≥ 25 % (the acceptance number; single-block matrices sit
 //!   near 50 %).
-//! * The PR 3 cold-row regression pin: on a synthetic *low-overlap*
-//!   column (every predicted stamp-hit rate miss-dominated), `Adaptive`
-//!   must never select a wide kernel, so its executed byte count (index +
-//!   model value traffic) is ≤ min(scalar, wide) — the wide kernels'
-//!   unconditional value touches never reappear on cold rows.
+//! * The gather stats (row split, bytes, resolved kernel) replay exactly
+//!   and attribute every computed proximity to one kernel class.
 
 use kdash_core::{GatherKernel, IndexOptions, KdashIndex, NodeOrdering, RowLayout, Searcher};
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
@@ -46,7 +42,7 @@ fn ordering_for(which: usize) -> NodeOrdering {
     ][which % 4]
 }
 
-/// Every kernel selection this host can resolve, `Adaptive` included.
+/// Every kernel selection this host can resolve.
 fn host_kernels() -> Vec<GatherKernel> {
     GatherKernel::ALL.into_iter().filter(|k| k.resolve().is_ok()).collect()
 }
@@ -133,92 +129,27 @@ fn blocked_layout_cuts_index_bytes_by_a_quarter() {
     }
 }
 
-/// The PR 3 cold-row regression pin: with a synthetic low-overlap query
-/// column — entries spread so thin that every row's predicted stamp-hit
-/// rate is miss-dominated — `Adaptive` must run *every* candidate row
-/// through the scalar gather, so its executed byte count (index + model
-/// value bytes) is exactly the scalar kernel's and ≤ the wide kernel's,
-/// which pays 8 bytes per stored entry unconditionally.
+/// The machine-independence pin for the whole search: the gather stats
+/// are a function of the index and the query alone — repeated runs on one
+/// reused workspace agree exactly (no host or leftover column state
+/// involved), and every computed proximity is attributed to exactly one
+/// kernel class.
 #[test]
-fn adaptive_never_picks_wide_on_miss_dominated_columns() {
-    use kdash_sparse::{
-        CscMatrix, CsrMatrix, GatherCounters, GatherScratch, ProximityStore, ScatteredColumn,
-    };
-
-    // Dense-ish rows (well above the wide-kernel nnz floor) over 4096
-    // columns.
-    let n = 4096usize;
-    let mut trips = Vec::new();
-    for r in 0..64u32 {
-        for j in 0..128u32 {
-            trips.push((r, (j * 32 + r) % n as u32, 1.0 + (j as f64) * 0.01));
-        }
-    }
-    let csr = CsrMatrix::from_csc(&CscMatrix::from_triplets(64, n, &trips).unwrap());
-    let store = ProximityStore::from_csr(csr, RowLayout::Blocked).unwrap();
-
-    // The low-overlap column: one entry every 64 positions — bucket
-    // density 16/1024 ≈ 1.6%, far below the 50% wide threshold, on every
-    // window.
-    let idx: Vec<u32> = (0..n as u32).step_by(64).collect();
-    let val: Vec<f64> = idx.iter().map(|&i| 1.0 / (1.0 + i as f64)).collect();
-    let mut column = ScatteredColumn::new(n);
-    column.load(&idx, &val);
-
-    let mut scratch = GatherScratch::with_capacity(store.max_row_nnz());
-    let mut executed = |kernel: GatherKernel| {
-        let resolved = kernel.resolve().unwrap();
-        let mut counters = GatherCounters::default();
-        let mut acc = 0.0;
-        for r in 0..64u32 {
-            acc += store.row_gather(resolved, r, &column, &mut scratch, &mut counters);
-        }
-        std::hint::black_box(acc);
-        counters
-    };
-
-    let scalar = executed(GatherKernel::Scalar);
-    let wide = executed(GatherKernel::Unrolled4);
-    let adaptive = executed(GatherKernel::Adaptive);
-
-    assert_eq!(adaptive.rows_wide, 0, "miss-dominated rows must never go wide");
-    assert_eq!(adaptive.rows_scalar, 64);
-    let bytes = |c: &GatherCounters| c.index_bytes + c.value_bytes;
-    assert_eq!(
-        bytes(&adaptive),
-        bytes(&scalar),
-        "all-scalar adaptive pays exactly the scalar traffic"
-    );
-    assert!(
-        bytes(&adaptive) <= bytes(&scalar).min(bytes(&wide)),
-        "adaptive {} must not exceed min(scalar {}, wide {})",
-        bytes(&adaptive),
-        bytes(&scalar),
-        bytes(&wide)
-    );
-    // The wide kernel's unconditional value traffic is what the policy
-    // avoids: on this column it is strictly worse.
-    assert!(bytes(&wide) > bytes(&scalar));
-}
-
-/// The machine-independence pin for the whole search: the per-kernel row
-/// split recorded in the stats must be reproducible from the index and
-/// query alone — replaying the policy over the visited rows yields the
-/// same split, and repeated runs agree exactly (no host state involved).
-#[test]
-fn adaptive_row_split_is_a_pure_function_of_index_and_query() {
+fn row_split_is_a_pure_function_of_index_and_query() {
     let graph = rmat(9, 2048, RmatParams::default(), 3);
     let index = KdashIndex::build(&graph, IndexOptions::default()).unwrap();
-    let mut searcher = Searcher::with_kernel(&index, GatherKernel::Adaptive).unwrap();
+    let mut searcher = index.searcher();
+    let resolved = GatherKernel::Auto.resolve().unwrap().name();
     for q in (0..graph.num_nodes() as NodeId).step_by(97) {
         let first = searcher.top_k(q, 10).unwrap();
         let again = searcher.top_k(q, 10).unwrap();
         assert_eq!(first.stats, again.stats, "q {q}: replay must agree exactly");
         assert_eq!(
-            first.stats.rows_scalar + first.stats.rows_wide,
-            first.stats.proximity_computations,
-            "q {q}: every computed proximity is attributed to exactly one kernel class"
+            (first.stats.rows_scalar, first.stats.rows_wide),
+            (0, first.stats.proximity_computations),
+            "q {q}: the default kernel gathers every row through the lanes"
         );
-        assert!(first.stats.kernel.starts_with("adaptive"), "q {q}: resolution recorded");
+        assert_eq!(first.stats.value_bytes_touched, 8 * first.stats.nnz_gathered, "q {q}");
+        assert_eq!(first.stats.kernel, resolved, "q {q}: resolution recorded");
     }
 }

@@ -162,3 +162,73 @@ proptest! {
         prop_assert_eq!(above.items.len(), expect);
     }
 }
+
+/// The zero-fill invariant at the workspace level: the query column is a
+/// dense vector the kernel multiplies unconditionally, so whatever an
+/// earlier query left loaded — a different family's merged column, the
+/// same column again, a gather cut short by a budget abort — must be gone
+/// before the next one. One reused `Searcher` driven through every entry
+/// point equals a fresh `Searcher` per query on items *and* stats.
+#[test]
+fn reused_searcher_equals_fresh_searchers_across_entry_points_and_aborts() {
+    use kdash_core::{BudgetLimit, KdashError, QueryBudget, TopKResult};
+    use kdash_datagen::{rmat, RmatParams};
+
+    let graph = rmat(9, 2048, RmatParams::default(), 5);
+    let index = KdashIndex::build(&graph, IndexOptions::default()).unwrap();
+    let n = graph.num_nodes() as NodeId;
+    let mut reused = index.searcher();
+    let mut out = TopKResult::default();
+    let assert_same = |label: &str, got: &TopKResult, want: &TopKResult| {
+        assert_eq!(got.items.len(), want.items.len(), "{label}");
+        for (g, w) in got.items.iter().zip(&want.items) {
+            assert_eq!((g.node, g.proximity.to_bits()), (w.node, w.proximity.to_bits()), "{label}");
+        }
+        assert_eq!(got.stats, want.stats, "{label}");
+    };
+
+    for q in (0..n).step_by(61) {
+        let set = [q, (q + 7) % n, (q + 200) % n];
+        let root = (q + 3) % n;
+
+        reused.top_k_into(q, 10, &mut out).unwrap();
+        assert_same("top_k_into", &out, &index.searcher().top_k(q, 10).unwrap());
+
+        // A restart set that contains the node just queried, twice in a
+        // row (the second load repeats the first one's column).
+        for pass in 0..2 {
+            let got = reused.top_k_from_set(&set, 10).unwrap();
+            let want = index.searcher().top_k_from_set(&set, 10).unwrap();
+            assert_same(&format!("top_k_from_set pass {pass}"), &got, &want);
+        }
+
+        let got = reused.nodes_above(q, 1e-4).unwrap();
+        assert_same("nodes_above", &got, &index.searcher().nodes_above(q, 1e-4).unwrap());
+
+        let got = reused.top_k_from_root(q, 10, root).unwrap();
+        assert_same(
+            "top_k_from_root",
+            &got,
+            &index.searcher().top_k_from_root(q, 10, root).unwrap(),
+        );
+
+        // Abort a different query mid-gather: its column stays loaded and
+        // only part of its rows were gathered.
+        let victim = (q + 100) % n;
+        let full = index.searcher().top_k(victim, 10).unwrap();
+        if full.stats.proximity_computations > 2 {
+            let cut = full.stats.nnz_gathered / 2;
+            reused.set_budget(QueryBudget { max_gather_nnz: Some(cut), ..Default::default() });
+            match reused.top_k_into(victim, 10, &mut out) {
+                Err(KdashError::BudgetExceeded { limit: BudgetLimit::GatherNnz(_), stats }) => {
+                    assert!((cut..full.stats.nnz_gathered).contains(&stats.nnz_gathered));
+                }
+                other => panic!("q {q}: expected a mid-gather abort, got {other:?}"),
+            }
+            reused.set_budget(QueryBudget::unlimited());
+        }
+
+        reused.top_k_into(q, 10, &mut out).unwrap();
+        assert_same("top_k_into after abort", &out, &index.searcher().top_k(q, 10).unwrap());
+    }
+}
