@@ -6,6 +6,15 @@
 //! list of inversion thread counts, then the sequential-vs-parallel
 //! speedup. Headline numbers land in `BENCH_PR2.json` at the repo root.
 //!
+//! It then times the three precompute kernels on their own — LU, `L⁻¹`,
+//! `U⁻¹` of the hybrid-ordered `W`, at one worker and at two, best of
+//! `KDASH_KERNEL_REPS` — and prints each beside the multiply-subtracts
+//! its column solves counted and the share of them that ran in the
+//! factor's dense tail: ns per multiply-subtract is the figure to watch
+//! (≈ 0.3–0.5 where the tail carries the work, 1.5–3 where the sparse
+//! head and the symbolic DFS do), next to the seconds `experiments fig6`
+//! tabulates for the same kernels.
+//!
 //! This bench measures each configuration **once** with direct wall-clock
 //! timing instead of going through the criterion stand-in: a build takes
 //! minutes at the default scale, and the harness's warm-up alone would
@@ -16,9 +25,16 @@
 //! * `KDASH_BENCH_SCALE`   — RMAT scale (default 16 ⇒ 65,536 nodes).
 //! * `KDASH_BUILD_THREADS` — comma-separated thread counts to measure
 //!   (default `1,0`; `0` = one worker per available core).
+//! * `KDASH_KERNEL_REPS`   — repetitions of each kernel timing (default 3).
 
-use kdash_core::{BuildReport, IndexBuilder, NodeOrdering};
+use kdash_core::{compute_ordering, BuildReport, IndexBuilder, NodeOrdering};
 use kdash_datagen::{rmat, RmatParams};
+use kdash_graph::CsrGraph;
+use kdash_sparse::{
+    sparse_lu_tallied, sparsify_lower_unit_with, sparsify_upper_with, transition_matrix, w_matrix,
+    DanglingPolicy, InvertOptions, SolveTally,
+};
+use std::time::Instant;
 
 fn stage_line(report: &BuildReport) -> String {
     report
@@ -27,6 +43,50 @@ fn stage_line(report: &BuildReport) -> String {
         .map(|t| format!("{} {:.3?}", t.stage.name(), t.duration))
         .collect::<Vec<_>>()
         .join(" | ")
+}
+
+/// Best wall-clock of `reps` runs of `f`, in seconds, and its last result.
+fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut run = || {
+        let t = Instant::now();
+        let out = f();
+        (t.elapsed().as_secs_f64(), out)
+    };
+    let mut best = run();
+    for _ in 1..reps {
+        let next = run();
+        best = (best.0.min(next.0), next.1);
+    }
+    best
+}
+
+/// LU / `L⁻¹` / `U⁻¹` of the hybrid-ordered `W`, one line per kernel and
+/// worker count.
+fn kernel_table(graph: &CsrGraph, reps: usize) {
+    let permuted = graph.permute(&compute_ordering(graph, NodeOrdering::Hybrid)).expect("permute");
+    let a = transition_matrix(&permuted, DanglingPolicy::Keep);
+    let w = w_matrix(&a, 0.95).expect("W");
+    let line = |kernel: &str, threads: usize, seconds: f64, tally: SolveTally| {
+        println!(
+            "bench index_build/kernel_{kernel}/threads_{threads}: {seconds:.4} s, {:.3} ns per \
+             multiply-subtract ({:.1} M, {:.1} % in a tail of {} columns)",
+            seconds * 1e9 / tally.multiply_subtracts.max(1) as f64,
+            tally.multiply_subtracts as f64 / 1e6,
+            100.0 * tally.tail_share(),
+            tally.tail_columns,
+        );
+    };
+    for threads in [1usize, 2] {
+        let options = InvertOptions { threads };
+        let (lu_s, (factors, lu)) = best_of(reps, || sparse_lu_tallied(&w, options).expect("LU"));
+        let (l_s, linv) =
+            best_of(reps, || sparsify_lower_unit_with(&factors.l, 0.0, options).expect("L⁻¹"));
+        let (u_s, uinv) =
+            best_of(reps, || sparsify_upper_with(&factors.u, 0.0, options).expect("U⁻¹"));
+        line("lu", threads, lu_s, lu);
+        line("linv", threads, l_s, linv.tally);
+        line("uinv", threads, u_s, uinv.tally);
+    }
 }
 
 fn main() {
@@ -76,4 +136,7 @@ fn main() {
             par.1,
         );
     }
+
+    let reps = std::env::var("KDASH_KERNEL_REPS").ok().and_then(|v| v.parse().ok()).unwrap_or(3);
+    kernel_table(&graph, reps);
 }

@@ -111,7 +111,7 @@
 
 use kdash_core::{
     save_atomic, BuildStage, GatherKernel, IndexAudit, IndexBuilder, IndexOptions, KdashIndex,
-    NodeOrdering, RowLayout, Searcher,
+    NodeOrdering, RowLayout, Searcher, SolveTally,
 };
 use kdash_datagen::DatasetProfile;
 use kdash_dynamic::{DynamicIndex, Journal, RecoveryReport, UpdateBatch};
@@ -298,7 +298,13 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
                 }
                 _ => String::new(),
             },
-            BuildStage::Inversion => format!("  ({} workers)", report.inversion_threads),
+            BuildStage::Factorization => format!("  ({})", tail_note(&report.factorization_solves)),
+            BuildStage::Inversion => format!(
+                "  ({} workers; L⁻¹ {}; U⁻¹ {})",
+                report.inversion_threads,
+                tail_note(&report.linv_solves),
+                tail_note(&report.uinv_solves)
+            ),
             _ => String::new(),
         };
         println!("stage {:<14} {:>12.2?}{extra}", timing.stage.name(), timing.duration);
@@ -1113,6 +1119,17 @@ fn verify_journal(index_path: &str) -> Result<(), String> {
     }
 }
 
+/// How a stage's column solves split between the sparse head and the
+/// dense tail, for a `kdash build` stage line.
+fn tail_note(solves: &SolveTally) -> String {
+    format!(
+        "tail {} columns, {:.1} % of {:.1} M multiply-subtracts",
+        solves.tail_columns,
+        100.0 * solves.tail_share(),
+        solves.multiply_subtracts as f64 / 1e6
+    )
+}
+
 fn cmd_info(args: &[String]) -> Result<(), String> {
     let (pos, flags) = parse_flags(args, &[])?;
     reject_unknown_flags(&flags, &[])?;
@@ -1130,6 +1147,13 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     println!("nnz(U⁻¹)           {}", s.nnz_u_inv);
     println!("inverse nnz / m    {:.2}", s.inverse_nnz_ratio());
     println!("inverse heap bytes {}", s.inverse_heap_bytes);
+    // The factors are not stored; the half-full trailing columns of L⁻¹
+    // contain those of L, which a rebuild would solve as its dense tail.
+    println!(
+        "dense tail         {} trailing columns of L⁻¹ at least half full (bounds the factor's; \
+         'kdash build' prints what ran in it)",
+        index.linv_dense_tail_columns()
+    );
     println!("U⁻¹ row layout     {}", index.layout().name());
     println!(
         "U⁻¹ index bytes    {} ({:.2} B/nnz; flat CSR would be 4.00)",

@@ -294,8 +294,9 @@ pub use stats::{IndexStats, SearchStats};
 
 /// The gather-kernel selector and the `U⁻¹` row-layout selector,
 /// re-exported so callers picking a kernel or layout (CLI, serving
-/// loops) need not depend on `kdash-sparse` directly.
-pub use kdash_sparse::{GatherKernel, ResolvedKernel, RowLayout};
+/// loops) need not depend on `kdash-sparse` directly; and the per-stage
+/// solve counts a [`BuildReport`] carries.
+pub use kdash_sparse::{GatherKernel, ResolvedKernel, RowLayout, SolveTally};
 
 /// Errors surfaced by index construction and queries.
 #[derive(Debug, Clone, PartialEq)]

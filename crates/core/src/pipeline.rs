@@ -27,9 +27,9 @@ use crate::precompute::IndexParts;
 use crate::{IndexOptions, IndexStats, KdashError, KdashIndex, NodeOrdering, Result};
 use kdash_graph::{CsrGraph, NodeId, Permutation};
 use kdash_sparse::{
-    sparse_lu_with, sparsify_lower_unit_with, sparsify_upper_with, transition_matrix,
+    sparse_lu_tallied, sparsify_lower_unit_with, sparsify_upper_with, transition_matrix,
     validate_drop_tolerance, w_matrix, CsrMatrix, DanglingPolicy, InvertOptions, ProximityStore,
-    RowLayout,
+    RowLayout, SolveTally,
 };
 use std::time::{Duration, Instant};
 
@@ -92,6 +92,17 @@ pub struct BuildReport {
     /// [`IndexBuilder::threads`] setting the same way, so despite the
     /// name this is the worker count of both.
     pub inversion_threads: usize,
+    /// What the factorization's column solves did: how many trailing
+    /// columns ran as a dense tail, the multiply-subtracts made and the
+    /// share of them inside it — counted in the kernel, so "where did the
+    /// build's time go" needs no profiler. (With more than one worker the
+    /// column at which the factorization's tail begins depends on the
+    /// schedule, and these counts with it; the factors never do.)
+    pub factorization_solves: SolveTally,
+    /// The same for the `L⁻¹` column solves of the inversion stage.
+    pub linv_solves: SolveTally,
+    /// The same for the `U⁻¹` column solves of the inversion stage.
+    pub uinv_solves: SolveTally,
 }
 
 impl BuildReport {
@@ -263,7 +274,9 @@ impl IndexBuilder {
         let t = Instant::now();
         let a = transition_matrix(&permuted, options.dangling);
         let w = w_matrix(&a, options.restart_probability)?;
-        let factors = sparse_lu_with(&w, InvertOptions { threads: self.threads })?;
+        let (factors, factorization_solves) =
+            sparse_lu_tallied(&w, InvertOptions { threads: self.threads })?;
+        report.factorization_solves = factorization_solves;
         let factorization_time = t.elapsed();
         report
             .stages
@@ -280,8 +293,10 @@ impl IndexBuilder {
         let invert_options = InvertOptions { threads: self.threads };
         report.inversion_threads = invert_options.resolved_threads(permuted.num_nodes());
         let sparsified_l = sparsify_lower_unit_with(&factors.l, eps, invert_options)?;
+        report.linv_solves = sparsified_l.tally;
         let (linv, linv_dropped) = (sparsified_l.inverse, sparsified_l.dropped);
         let sparsified_u = sparsify_upper_with(&factors.u, eps, invert_options)?;
+        report.uinv_solves = sparsified_u.tally;
         let (uinv_csc, uinv_dropped) = (sparsified_u.inverse, sparsified_u.dropped);
         let uinv = CsrMatrix::from_csc(&uinv_csc);
         let inversion_time = t.elapsed();
@@ -373,6 +388,11 @@ mod tests {
         }
         assert_eq!(report.inversion_threads, 1);
         assert_eq!(report.total(), index.stats().total_time());
+        // A 30-node ring grows no tail, and its solves are counted.
+        for solves in [report.factorization_solves, report.linv_solves, report.uinv_solves] {
+            assert_eq!((solves.tail_columns, solves.tail_multiply_subtracts), (0, 0));
+            assert!(solves.multiply_subtracts > 0);
+        }
     }
 
     #[test]

@@ -604,6 +604,17 @@ impl KdashIndex {
         &self.linv
     }
 
+    /// How many trailing columns of the stored `L⁻¹` are at least half
+    /// full — the dense tail a triangular solve against it would run as
+    /// contiguous AXPYs (`kdash_sparse::triangular`). The LU factors are
+    /// not kept, but the pattern of `L⁻¹` contains that of `L`, so this
+    /// bounds the tail a rebuild's factorisation and inversion would see;
+    /// what actually ran in it is per build, in
+    /// [`BuildReport`](crate::BuildReport).
+    pub fn linv_dense_tail_columns(&self) -> usize {
+        kdash_sparse::dense_tail_columns(&self.linv, kdash_sparse::Triangle::Lower).unwrap_or(0)
+    }
+
     /// Benchmark/diagnostic access to the permuted query column `L⁻¹ e_q`
     /// for original node id `q`. Hidden for the same reason as
     /// [`uinv_rows`](Self::uinv_rows).

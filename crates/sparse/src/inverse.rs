@@ -14,7 +14,8 @@
 //! or sparsified ([`crate::sparsify`]) — runs through one driver here: the
 //! workers share a read-only view of the factor (for a full inversion
 //! indexed once up front — strict-span bounds and stored diagonal per
-//! column — so no solve searches a column), claim chunks of columns off
+//! column, so no solve searches a column, and the factor's dense tail
+//! mirrored for contiguous AXPYs: [`crate::triangular`]), claim chunks of columns off
 //! one cursor with one [`SolveWorkspace`] each, and the solved blocks are
 //! gathered back in column order — so the result is **bit-identical** to
 //! the sequential inversion at every thread count.
@@ -27,8 +28,10 @@
 //! tail, where an ascending order would leave one worker alone on the
 //! most expensive chunk.
 
-use crate::triangular::FactorView;
-use crate::{ColumnUpdate, CscMatrix, Index, Result, SolveWorkspace, SparseError, Triangle};
+use crate::triangular::{FactorView, TailRule};
+use crate::{
+    ColumnUpdate, CscMatrix, Index, Result, SolveTally, SolveWorkspace, SparseError, Triangle,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Options for the triangular-inversion driver.
@@ -85,26 +88,51 @@ pub fn invert_upper(u: &CscMatrix) -> Result<CscMatrix> {
 
 /// [`invert_lower_unit`] with an explicit thread count.
 pub fn invert_lower_unit_with(l: &CscMatrix, options: InvertOptions) -> Result<CscMatrix> {
-    Ok(invert_truncated(l, Triangle::Lower, true, 0.0, options)?.0)
+    Ok(invert_truncated(l, Triangle::Lower, true, 0.0, options, TailRule::STRUCTURAL)?.0)
 }
 
 /// [`invert_upper`] with an explicit thread count.
 pub fn invert_upper_with(u: &CscMatrix, options: InvertOptions) -> Result<CscMatrix> {
-    Ok(invert_truncated(u, Triangle::Upper, false, 0.0, options)?.0)
+    Ok(invert_truncated(u, Triangle::Upper, false, 0.0, options, TailRule::STRUCTURAL)?.0)
 }
 
-/// Full inversion under drop tolerance `eps` (`0.0` = exact): the inverse
-/// and the ℓ₁ mass truncated from each column.
+/// The exact inverse of one triangle of `t` through the sparse kernel
+/// alone — the reference `tests/build_determinism.rs` holds the dense
+/// tail of [`invert_lower_unit_with`] / [`invert_upper_with`] to, byte
+/// for byte.
+#[doc(hidden)]
+pub fn invert_without_tail(
+    t: &CscMatrix,
+    triangle: Triangle,
+    unit_diag: bool,
+    options: InvertOptions,
+) -> Result<CscMatrix> {
+    Ok(invert_truncated(t, triangle, unit_diag, 0.0, options, TailRule::NEVER)?.0)
+}
+
+/// How many trailing columns of one triangle of `t` the structural rule
+/// would solve as a dense tail ([`crate::triangular`]): from the first of
+/// its last 2 048 columns (`Lower`; rows for `Upper`) whose strict part is
+/// at least half full, if that leaves at least 64.
+pub fn dense_tail_columns(t: &CscMatrix, triangle: Triangle) -> Result<usize> {
+    FactorView::tail_columns(t, triangle, TailRule::STRUCTURAL)
+}
+
+/// Full inversion under drop tolerance `eps` (`0.0` = exact): the inverse,
+/// the ℓ₁ mass truncated from each column, and what the solves did. The
+/// value-driven `eps > 0` solve reads no mirror, so none is built for it.
 pub(crate) fn invert_truncated(
     t: &CscMatrix,
     triangle: Triangle,
     unit_diag: bool,
     eps: f64,
     options: InvertOptions,
-) -> Result<(CscMatrix, Vec<f64>)> {
-    let view = FactorView::indexed(t, triangle, unit_diag)?;
+    rule: TailRule,
+) -> Result<(CscMatrix, Vec<f64>, SolveTally)> {
+    let rule = if eps > 0.0 { TailRule::NEVER } else { rule };
+    let view = FactorView::indexed(t, triangle, unit_diag, rule)?;
     let n = view.dim();
-    let mut blocks = solve_columns(&view, None, eps, options.resolved_threads(n))?;
+    let (mut blocks, tally) = solve_columns(&view, None, eps, options.resolved_threads(n))?;
     // Concatenate the blocks (in column order, tiling `0..n`) into the
     // flat CSC arrays a sequential loop would have appended one column at
     // a time.
@@ -131,7 +159,7 @@ pub(crate) fn invert_truncated(
         }
         flat
     };
-    Ok((CscMatrix::from_raw_parts(n, n, col_ptr, rows, vals)?, dropped))
+    Ok((CscMatrix::from_raw_parts(n, n, col_ptr, rows, vals)?, dropped, tally))
 }
 
 /// A contiguous run of solved columns, produced by one worker claim.
@@ -172,20 +200,21 @@ fn solve_columns(
     columns: Option<&[Index]>,
     eps: f64,
     threads: usize,
-) -> Result<Vec<ColumnBlock>> {
+) -> Result<(Vec<ColumnBlock>, SolveTally)> {
     let len = columns.map_or(view.dim(), <[Index]>::len);
     let whole = threads <= 1 && columns.is_none();
     let chunk = if whole { len.max(1) } else { claim_chunk(len, threads) };
     let claims = len.div_ceil(chunk);
     let cursor = AtomicUsize::new(0);
-    let work = || -> Result<Vec<ColumnBlock>> {
+    let work = || -> Result<(Vec<ColumnBlock>, SolveTally)> {
         let mut ws = SolveWorkspace::new(view.dim());
         let (mut xi, mut xv) = (Vec::new(), Vec::new());
         let mut solved = Vec::new();
         loop {
             let claim = cursor.fetch_add(1, Ordering::Relaxed);
             if claim >= claims {
-                return Ok(solved);
+                let tally = SolveTally { tail_columns: view.tail.columns(), ..ws.tally };
+                return Ok((solved, tally));
             }
             // Heavy-first among workers; a lone worker keeps ascending
             // order, so the first error it meets is the lowest column's.
@@ -218,14 +247,18 @@ fn solve_columns(
         handles.into_iter().map(|h| h.join().map_err(panicked)).collect::<Result<Vec<_>>>()
     })?;
     let mut blocks = Vec::new();
+    let mut tally = SolveTally { tail_columns: view.tail.columns(), ..Default::default() };
     for output in outputs {
         match output {
-            Ok(solved) => blocks.extend(solved),
+            Ok((solved, counts)) => {
+                blocks.extend(solved);
+                tally.absorb(counts);
+            }
             Err(_) => return solve_columns(view, columns, eps, 1),
         }
     }
     blocks.sort_unstable_by_key(|b| b.first);
-    Ok(blocks)
+    Ok((blocks, tally))
 }
 
 /// Re-solves an arbitrary subset of inverse columns: for each `j` in
@@ -278,7 +311,7 @@ pub(crate) fn invert_columns_truncated(
         }
     }
     let threads = options.resolved_threads(columns.len());
-    let blocks = solve_columns(&view, Some(columns), eps, threads)?;
+    let (blocks, _) = solve_columns(&view, Some(columns), eps, threads)?;
     let mut updates = Vec::with_capacity(columns.len());
     let mut dropped = Vec::with_capacity(columns.len());
     for block in blocks {

@@ -7,10 +7,13 @@
 //! * [`triangular`] — sparse triangular solves with *sparse* right-hand
 //!   sides using Gilbert–Peierls symbolic reachability (`O(flops)`, not
 //!   `O(n)` per solve): one reach kernel whose DFS frames own their child
-//!   span, shared with the LU,
+//!   span, shared with the LU; one numeric order (by index), under which
+//!   the factor's trailing, all-but-full columns are solved as a mirrored
+//!   dense tail of contiguous AXPYs — the same bytes wherever it starts,
 //! * [`lu`] — left-looking sparse LU factorisation `W = LU` following the
 //!   paper's Equations (6)–(7) (Doolittle form: unit-diagonal `L`). `W` is
-//!   strictly column diagonally dominant, so no pivoting is required,
+//!   strictly column diagonally dominant, so no pivoting is required; the
+//!   dense tail grows a column at a time as the factor does,
 //! * [`inverse`] — sparse inverses `L⁻¹` and `U⁻¹` (Equations (4)–(5),
 //!   computed as `n` sparse solves against unit vectors) behind one
 //!   work-stealing, heavy-first column driver, which also serves
@@ -69,13 +72,14 @@ pub use blocked::{BlockedCsr, BLOCK_COLS};
 pub use csc::{ColumnUpdate, CscMatrix};
 pub use csr::{CsrMatrix, RowUpdate};
 pub use inverse::{
-    invert_columns_with, invert_lower_unit, invert_lower_unit_with, invert_upper,
-    invert_upper_with, InvertOptions,
+    dense_tail_columns, invert_columns_with, invert_lower_unit, invert_lower_unit_with,
+    invert_upper, invert_upper_with, InvertOptions,
 };
 pub use reach::{inverse_dirty_columns, refactor_candidates};
 pub use kernel::{GatherCounters, GatherKernel, GatherScratch, ResolvedKernel, RowStat};
 pub use lu::{
-    refactor_columns, refactor_columns_with, sparse_lu, sparse_lu_with, LuFactors, RefactorReport,
+    refactor_columns, refactor_columns_with, sparse_lu, sparse_lu_tallied, sparse_lu_with,
+    LuFactors, RefactorReport,
 };
 pub use rwr::{transition_matrix, w_matrix, DanglingPolicy};
 pub use scatter::ScatteredColumn;
@@ -84,7 +88,7 @@ pub use sparsify::{
     SparsifiedColumns, SparsifiedInverse,
 };
 pub use store::{ProximityStore, RowLayout};
-pub use triangular::{SolveWorkspace, Triangle};
+pub use triangular::{SolveTally, SolveWorkspace, Triangle};
 
 /// Index type shared with `kdash-graph`.
 pub type Index = kdash_graph::NodeId;

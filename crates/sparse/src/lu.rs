@@ -4,7 +4,14 @@
 //! paper's Equations (6)–(7): each column of `L` and `U` is computed from
 //! the columns to its left. The numeric core of column `j` is a sparse
 //! triangular solve `L(0..j, 0..j) x = W(:, j)` whose pattern comes from a
-//! DFS over the partially-built `L` — total cost `O(flops)`.
+//! DFS over the partially-built `L` — total cost `O(flops)` — and whose
+//! arithmetic runs in ascending column order, the one numeric order of
+//! [`crate::triangular`]. From the first column whose `L` part is at
+//! least half full (the hubs a degree or hybrid ordering puts last) the
+//! drivers mirror each solved column into a [`DenseTail`], and the solve
+//! of every later column is its sparse head followed by contiguous AXPYs
+//! through the mirror — the same bytes as the sparse-only solve, wherever
+//! the mirror starts.
 //!
 //! No pivoting is performed. The intended input `W = I − (1−c)A` with a
 //! column-substochastic `A` and `0 < c < 1` is strictly column diagonally
@@ -33,6 +40,9 @@
 //!   helper that finds itself waiting retires after its chunk: where the
 //!   DAG is a chain (work ÷ critical path measured 1.0–1.2 on the
 //!   benchmark graphs) a second worker can only take turns with the first.
+//!   Once any worker sees a column begin the dense tail the others stop
+//!   at it, and the caller runs the tail's chain alone: each of its
+//!   columns needs every one before it.
 //! * **Incremental refactorisation** ([`refactor_columns`]) — a column
 //!   whose `W` column is untouched and whose reach contains no column
 //!   with bitwise-changed `L` reads only bit-identical inputs, so its
@@ -52,11 +62,13 @@
 //!   while the symbolic reach still includes it, and the symbolic reach
 //!   is what bounds the inputs.
 
+use crate::triangular::{DenseTail, FactorView, TailRule};
 use crate::{
-    ColumnUpdate, CscMatrix, Index, InvertOptions, Result, SolveWorkspace, SparseError, Triangle,
+    ColumnUpdate, CscMatrix, Index, InvertOptions, Result, SolveTally, SolveWorkspace,
+    SparseError, Triangle,
 };
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -105,17 +117,18 @@ impl LuFactors {
                 }
             }
         }
-        // Backward: U x = y.
+        // Backward: U x = y, each column's strict part and pivot found
+        // the way every triangular solve finds them.
+        let u = FactorView::new(&self.u, Triangle::Upper, false)?;
         for j in (0..n as Index).rev() {
-            let (rows, vals) = self.u.col(j);
-            let diag = match rows.last() {
-                Some(&r) if r == j => *vals.last().expect("parallel arrays"),
-                _ => return Err(SparseError::SingularPivot { column: j as usize, value: 0.0 }),
-            };
+            let (rows, vals, diag) = u.strict_column(j);
+            if diag == 0.0 {
+                return Err(SparseError::SingularPivot { column: j as usize, value: 0.0 });
+            }
             let xj = x[j as usize] / diag;
             x[j as usize] = xj;
             if xj != 0.0 {
-                for (&i, &v) in rows[..rows.len() - 1].iter().zip(&vals[..rows.len() - 1]) {
+                for (&i, &v) in rows.iter().zip(vals) {
                     x[i as usize] -= v * xj;
                 }
             }
@@ -150,19 +163,6 @@ struct FactorColumn {
     u_vals: Vec<f64>,
     l_rows: Vec<Index>,
     l_vals: Vec<f64>,
-}
-
-/// Per-worker scratch for the Gilbert–Peierls per-column solve. One
-/// allocation set reused across every column a driver solves.
-struct LuScratch {
-    ws: SolveWorkspace,
-    col_scratch: Vec<(Index, f64)>,
-}
-
-impl LuScratch {
-    fn new(n: usize) -> LuScratch {
-        LuScratch { ws: SolveWorkspace::new(n), col_scratch: Vec::new() }
-    }
 }
 
 /// Source of already-solved `L` columns for [`solve_factor_column`]: the
@@ -216,8 +216,13 @@ struct ParallelView<'a> {
     old: Option<(&'a CscMatrix, &'a [u32])>,
     slots: &'a [OnceLock<FactorColumn>],
     abort: &'a AtomicBool,
+    /// Lowest column seen to begin the dense tail (`n`: none yet). No
+    /// worker solves a column at or past it, so none may wait for one.
+    tail_start: &'a AtomicUsize,
     /// Set once this worker has had to wait for a column in flight.
     blocked: Cell<bool>,
+    /// Set when a solve was given up because it needed a tail column.
+    deferred: Cell<bool>,
 }
 
 impl LColumns for ParallelView<'_> {
@@ -237,6 +242,10 @@ impl LColumns for ParallelView<'_> {
                 return Ok((&c.l_rows, &c.l_vals));
             }
             self.blocked.set(true);
+            if k as usize >= self.tail_start.load(Ordering::Acquire) {
+                self.deferred.set(true);
+                return Err(SparseError::Malformed("column left to the dense tail".into()));
+            }
             if self.abort.load(Ordering::Acquire) {
                 // Another worker hit a real error; unwind quietly — the
                 // driver re-derives the deterministic error sequentially.
@@ -251,94 +260,104 @@ impl LColumns for ParallelView<'_> {
 
 /// The Gilbert–Peierls solve for one factor column: symbolic reach
 /// ([`SolveWorkspace::reach`], the kernel the triangular solves run) over
-/// the `L` columns left of `j`, then [`eliminate`]. Bit-for-bit the same
-/// arithmetic in the same order regardless of which provider backs `l` —
-/// the invariant every driver in this module leans on.
+/// the `L` columns left of `j` and of the tail, then [`eliminate`].
+/// Bit-for-bit the same result whichever provider backs `l` and wherever
+/// `tail` starts — the invariant every driver in this module leans on.
+/// A non-empty `tail` must mirror every column from its start up to `j`.
 fn solve_factor_column(
     j: Index,
     w_col: (&[Index], &[f64]),
     l: &impl LColumns,
-    scratch: &mut LuScratch,
+    tail: &DenseTail,
+    ws: &mut SolveWorkspace,
 ) -> Result<FactorColumn> {
+    debug_assert!(tail.columns() == 0 || tail.start() + tail.columns() == j as usize);
     // Only columns < j exist in L, so nodes >= j have no children.
-    scratch.ws.reach(w_col.0, |node| if node < j { Ok(l.col(node)?.0) } else { Ok(&[]) })?;
-    eliminate(j, w_col, l, scratch)
+    let children = |node| if node < j { Ok(l.col(node)?.0) } else { Ok(&[][..]) };
+    ws.reach(w_col.0, tail.start(), children)?;
+    eliminate(j, w_col, l, tail, ws)
 }
 
 /// The numeric half of [`solve_factor_column`], on a workspace holding
-/// the reach of `pattern(W(:, j))`: sparse elimination in reverse
-/// postorder, pivot check, then emit `U(:, j)` (sorted, diagonal last)
-/// and `L(:, j)` (sorted, pivot-scaled).
+/// the reach of `pattern(W(:, j))` left of the tail: sparse elimination
+/// in ascending column order, the tail's AXPYs, pivot check, then emit
+/// `U(:, j)` (sorted, diagonal last) and `L(:, j)` (sorted, pivot-scaled).
 fn eliminate(
     j: Index,
     (b_rows, b_vals): (&[Index], &[f64]),
     l: &impl LColumns,
-    scratch: &mut LuScratch,
+    tail: &DenseTail,
+    ws: &mut SolveWorkspace,
 ) -> Result<FactorColumn> {
-    let LuScratch { ws: SolveWorkspace { stamps, x, topo, .. }, col_scratch } = scratch;
+    let SolveWorkspace { stamps, x, topo, tally, .. } = ws;
+    let (n, pivot_row, head) = (x.len(), j as usize, tail.start());
+    x[head..].fill(0.0);
     for (&r, &v) in b_rows.iter().zip(b_vals) {
         x[r as usize] = v;
     }
 
-    // Numeric: reverse postorder = topological order of dependencies.
-    for &r in topo.iter().rev() {
-        if r >= j {
-            continue; // rows at or below the pivot only accumulate
-        }
+    // Numeric: the columns left of `j`, ascending; rows at or below the
+    // pivot only accumulate.
+    topo.sort_unstable();
+    let (left, rest) = topo.split_at(topo.partition_point(|&r| r < j));
+    let mut head_flops = 0u64;
+    for &r in left {
         let xr = x[r as usize];
         if xr != 0.0 {
             let (rows, vals) = l.col(r)?;
             for (i, v) in rows.iter().zip(vals) {
                 x[*i as usize] -= v * xr;
             }
+            head_flops += rows.len() as u64;
         }
     }
+    tally.count(head_flops, tail.sweep_lower(x, pivot_row));
 
-    // Pivot.
-    let pivot = if stamps.is_marked(j as usize) { x[j as usize] } else { 0.0 };
+    // Pivot. Inside the tail every slot is live; left of it only the
+    // pattern's are.
+    let live = head <= pivot_row || stamps.is_marked(pivot_row);
+    let pivot = if live { x[pivot_row] } else { 0.0 };
     if pivot == 0.0 || !pivot.is_finite() {
-        return Err(SparseError::SingularPivot { column: j as usize, value: pivot });
+        return Err(SparseError::SingularPivot { column: pivot_row, value: pivot });
     }
 
-    // Emit U(:, j): rows < j, sorted, then the diagonal last.
-    col_scratch.clear();
-    for &r in topo.iter() {
-        if r < j {
-            let v = x[r as usize];
-            if v != 0.0 {
-                col_scratch.push((r, v));
-            }
+    // Emit U(:, j): rows < j, ascending, then the diagonal last.
+    let tail_rows = |range: std::ops::Range<usize>| range.map(|r| r as Index);
+    let above = tail_rows(head.min(pivot_row)..pivot_row);
+    let mut u_rows = Vec::with_capacity(left.len() + above.len() + 1);
+    let mut u_vals = Vec::with_capacity(left.len() + above.len() + 1);
+    for r in left.iter().copied().chain(above) {
+        let v = x[r as usize];
+        if v != 0.0 {
+            u_rows.push(r);
+            u_vals.push(v);
         }
-    }
-    col_scratch.sort_unstable_by_key(|&(r, _)| r);
-    let mut u_rows = Vec::with_capacity(col_scratch.len() + 1);
-    let mut u_vals = Vec::with_capacity(col_scratch.len() + 1);
-    for &(r, v) in col_scratch.iter() {
-        u_rows.push(r);
-        u_vals.push(v);
     }
     u_rows.push(j);
     u_vals.push(pivot);
 
-    // Emit L(:, j): rows > j, divided by the pivot, sorted.
-    col_scratch.clear();
-    for &r in topo.iter() {
-        if r > j {
-            let v = x[r as usize];
-            if v != 0.0 {
-                col_scratch.push((r, v / pivot));
-            }
+    // Emit L(:, j): rows > j, ascending, divided by the pivot.
+    let below = &rest[(rest.first() == Some(&j)) as usize..];
+    let beyond = tail_rows(head.max(pivot_row + 1)..n);
+    let mut l_rows = Vec::with_capacity(below.len() + beyond.len());
+    let mut l_vals = Vec::with_capacity(below.len() + beyond.len());
+    for r in below.iter().copied().chain(beyond) {
+        let v = x[r as usize];
+        if v != 0.0 {
+            l_rows.push(r);
+            l_vals.push(v / pivot);
         }
-    }
-    col_scratch.sort_unstable_by_key(|&(r, _)| r);
-    let mut l_rows = Vec::with_capacity(col_scratch.len());
-    let mut l_vals = Vec::with_capacity(col_scratch.len());
-    for &(r, v) in col_scratch.iter() {
-        l_rows.push(r);
-        l_vals.push(v);
     }
 
     Ok(FactorColumn { u_rows, u_vals, l_rows, l_vals })
+}
+
+/// Mirrors the freshly solved column `j` if the tail has begun or `rule`
+/// lets `j` begin it.
+fn extend_tail(tail: &mut DenseTail, rule: TailRule, n: usize, j: usize, col: &FactorColumn) {
+    if tail.columns() > 0 || rule.begins(col.l_rows.len(), n - 1 - j) {
+        tail.push_lower(j, &col.l_rows, &col.l_vals);
+    }
 }
 
 /// Concatenates solved columns into the flat CSC factor pair.
@@ -370,43 +389,59 @@ fn assemble(n: usize, cols: Vec<FactorColumn>) -> Result<LuFactors> {
 
 /// Sequential driver: columns left to right, each reading the columns
 /// already solved.
-fn solve_all_sequential(w: &CscMatrix) -> Result<Vec<FactorColumn>> {
+fn solve_all_sequential(w: &CscMatrix, rule: TailRule) -> Result<(Vec<FactorColumn>, SolveTally)> {
     let n = w.nrows();
     let mut cols: Vec<FactorColumn> = Vec::with_capacity(n);
-    let mut scratch = LuScratch::new(n);
-    for j in 0..n as Index {
-        let col = solve_factor_column(j, w.col(j), &SolvedView(&cols), &mut scratch)?;
+    let mut ws = SolveWorkspace::new(n);
+    let mut tail = DenseTail::none(n);
+    for j in 0..n {
+        let column = j as Index;
+        let col = solve_factor_column(column, w.col(column), &SolvedView(&cols), &tail, &mut ws)?;
+        extend_tail(&mut tail, rule, n, j, &col);
         cols.push(col);
     }
-    Ok(cols)
+    Ok((cols, SolveTally { tail_columns: tail.columns(), ..ws.tally }))
 }
 
 /// Parallel driver: solves `columns` (ascending) of the factorisation of
 /// `w`, result `i` landing in slot `i`. `old` supplies the unscheduled
-/// columns for a refactor, `None` for a full build (then `columns` must
-/// be `0..n`). Returns `None` when any column's solve failed — the
-/// caller re-runs sequentially so the reported error (lowest failing
-/// column) is deterministic at every thread count.
+/// columns for a refactor (which mirrors no tail: `rule` must be
+/// [`TailRule::NEVER`]), `None` for a full build (then `columns` must be
+/// `0..n`). Returns `None` when any column's solve failed — the caller
+/// re-runs sequentially so the reported error (lowest failing column) is
+/// deterministic at every thread count.
 fn solve_columns_parallel(
     w: &CscMatrix,
     columns: &[Index],
     old: Option<(&CscMatrix, &[u32])>,
     threads: usize,
-) -> Option<Vec<FactorColumn>> {
+    rule: TailRule,
+) -> Option<(Vec<FactorColumn>, SolveTally)> {
     let n = w.nrows();
     let m = columns.len();
     let slots: Vec<OnceLock<FactorColumn>> = (0..m).map(|_| OnceLock::new()).collect();
     let abort = AtomicBool::new(false);
     let cursor = AtomicUsize::new(0);
+    let tail_start = AtomicUsize::new(n);
+    let (flops, no_tail) = (AtomicU64::new(0), DenseTail::none(n));
     let chunk = crate::inverse::claim_chunk(m, threads);
+    let view = || ParallelView {
+        old,
+        slots: &slots,
+        abort: &abort,
+        tail_start: &tail_start,
+        blocked: Cell::new(false),
+        deferred: Cell::new(false),
+    };
     let work = |helper: bool| {
-        let mut scratch = LuScratch::new(n);
-        let view = ParallelView { old, slots: &slots, abort: &abort, blocked: Cell::new(false) };
+        let mut ws = SolveWorkspace::new(n);
+        let view = view();
         // A helper that had to wait retires after its chunk: where each
         // column needs the one before it, two workers only take turns,
         // and each turn drags the other's fresh columns across the
-        // caches. The caller never retires, so every column is claimed.
-        while !(helper && view.blocked.get()) {
+        // caches. The caller never retires, so every column left of the
+        // tail is claimed.
+        'claims: while !(helper && view.blocked.get()) {
             let start = cursor.fetch_add(chunk, Ordering::Relaxed);
             if start >= m {
                 break;
@@ -415,21 +450,28 @@ fn solve_columns_parallel(
             // globally lowest unfinished column always has an owner
             // actively solving it — no deadlock.
             for (i, &j) in columns.iter().enumerate().take((start + chunk).min(m)).skip(start) {
-                if abort.load(Ordering::Acquire) {
-                    return;
+                if abort.load(Ordering::Acquire)
+                    || j as usize >= tail_start.load(Ordering::Acquire)
+                {
+                    break 'claims;
                 }
-                match solve_factor_column(j, w.col(j), &view, &mut scratch) {
+                match solve_factor_column(j, w.col(j), &view, &no_tail, &mut ws) {
                     Ok(c) => {
+                        if rule.begins(c.l_rows.len(), n - 1 - j as usize) {
+                            tail_start.fetch_min(j as usize, Ordering::AcqRel);
+                        }
                         let _ = slots[i].set(c);
                     }
+                    Err(_) if view.deferred.get() => break 'claims,
                     Err(_) => {
                         abort.store(true, Ordering::Release);
                         cursor.fetch_max(m, Ordering::Relaxed);
-                        return;
+                        break 'claims;
                     }
                 }
             }
         }
+        flops.fetch_add(ws.tally.multiply_subtracts, Ordering::Relaxed);
     };
     std::thread::scope(|scope| {
         for _ in 1..threads {
@@ -440,7 +482,25 @@ fn solve_columns_parallel(
     if abort.load(Ordering::Acquire) {
         return None;
     }
-    slots.into_iter().map(OnceLock::into_inner).collect()
+
+    // The tail's chain, alone: every column left of it is in its slot,
+    // some past it may be (solved before a lower start was seen), and
+    // each is mirrored before the next is solved.
+    let mut tail = DenseTail::none(n);
+    let mut ws = SolveWorkspace::new(n);
+    let view = view();
+    for (j, slot) in slots.iter().enumerate().skip(tail_start.load(Ordering::Acquire)) {
+        if slot.get().is_none() {
+            let column = j as Index;
+            let _ = slot.set(solve_factor_column(column, w.col(column), &view, &tail, &mut ws).ok()?);
+        }
+        let col = slot.get()?;
+        tail.push_lower(j, &col.l_rows, &col.l_vals);
+    }
+    let mut tally = SolveTally { tail_columns: tail.columns(), ..ws.tally };
+    tally.multiply_subtracts += flops.into_inner();
+    let cols: Option<Vec<FactorColumn>> = slots.into_iter().map(OnceLock::into_inner).collect();
+    Some((cols?, tally))
 }
 
 /// Factors a square matrix with the left-looking sparse LU algorithm
@@ -456,22 +516,51 @@ pub fn sparse_lu(w: &CscMatrix) -> Result<LuFactors> {
 /// **bit-identical at any thread count**; a singular input reports the
 /// same lowest failing column at any thread count.
 pub fn sparse_lu_with(w: &CscMatrix, options: InvertOptions) -> Result<LuFactors> {
+    Ok(factor(w, options, TailRule::STRUCTURAL)?.0)
+}
+
+/// [`sparse_lu_with`], and what its column solves did. The factors are a
+/// function of `w` alone; with more than one worker the tally is not —
+/// where the tail began, and so how many multiply-subtracts ran through
+/// it, depends on which worker saw a dense column first.
+pub fn sparse_lu_tallied(
+    w: &CscMatrix,
+    options: InvertOptions,
+) -> Result<(LuFactors, SolveTally)> {
+    factor(w, options, TailRule::STRUCTURAL)
+}
+
+/// [`sparse_lu_with`] through the sparse kernel alone — the reference
+/// `tests/build_determinism.rs` holds the dense tail to, byte for byte.
+#[doc(hidden)]
+pub fn sparse_lu_without_tail(w: &CscMatrix, options: InvertOptions) -> Result<LuFactors> {
+    Ok(factor(w, options, TailRule::NEVER)?.0)
+}
+
+fn factor(
+    w: &CscMatrix,
+    options: InvertOptions,
+    rule: TailRule,
+) -> Result<(LuFactors, SolveTally)> {
     let n = w.nrows();
     if w.nrows() != w.ncols() {
         return Err(SparseError::NotSquare { nrows: w.nrows(), ncols: w.ncols() });
     }
     let threads = options.resolved_threads(n);
-    if threads <= 1 {
-        return assemble(n, solve_all_sequential(w)?);
-    }
-    let columns: Vec<Index> = (0..n as Index).collect();
-    match solve_columns_parallel(w, &columns, None, threads) {
-        Some(cols) => assemble(n, cols),
-        // Some column failed: derive the deterministic (lowest-column)
-        // error on the calling thread. Errors are a cold path, so the
-        // duplicated work is irrelevant next to determinism.
-        None => assemble(n, solve_all_sequential(w)?),
-    }
+    let solved = if threads <= 1 {
+        None
+    } else {
+        let columns: Vec<Index> = (0..n as Index).collect();
+        solve_columns_parallel(w, &columns, None, threads, rule)
+    };
+    // One worker — or some column failed: derive the deterministic
+    // (lowest-column) error on the calling thread. Errors are a cold
+    // path, so the duplicated work is irrelevant next to determinism.
+    let (cols, tally) = match solved {
+        Some(solved) => solved,
+        None => solve_all_sequential(w, rule)?,
+    };
+    Ok((assemble(n, cols)?, tally))
 }
 
 /// What an incremental refactorisation did: how much of the factor it
@@ -581,7 +670,9 @@ pub fn refactor_columns_with(
         let (adj_ptr, adj_cols) = crate::reach::pattern_row_adjacency(&old.l);
         let mut taint = vec![false; n];
         let mut bfs: Vec<Index> = Vec::new();
-        let mut scratch = LuScratch::new(n);
+        // A refactor touches few columns and mirrors no tail; its solves
+        // are the full build's all the same (module docs).
+        let (mut ws, no_tail) = (SolveWorkspace::new(n), DenseTail::none(n));
         for j in 0..n as Index {
             let seeds = w_new.col(j).0;
             let recompute =
@@ -595,7 +686,8 @@ pub fn refactor_columns_with(
                 j,
                 w_new.col(j),
                 &HybridView { old_l: &old.l, fresh: &fresh },
-                &mut scratch,
+                &no_tail,
+                &mut ws,
             )?;
             solve_time += t.elapsed();
             let l_changed = column_changed(&old.l, j, &col.l_rows, &col.l_vals);
@@ -633,9 +725,10 @@ pub fn refactor_columns_with(
         }
         report.recomputed_columns = candidates.len();
         let t = Instant::now();
+        let old_l = Some((&old.l, &slot_of[..]));
         let cols =
-            match solve_columns_parallel(w_new, &candidates, Some((&old.l, &slot_of)), threads) {
-                Some(cols) => cols,
+            match solve_columns_parallel(w_new, &candidates, old_l, threads, TailRule::NEVER) {
+                Some((cols, _)) => cols,
                 // A candidate failed: re-derive the deterministic error
                 // (or, impossibly, the result) on the exact path.
                 None => {
@@ -697,7 +790,9 @@ fn column_changed(t: &CscMatrix, j: Index, rows: &[Index], vals: &[f64]) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::triangular::tests::{oracle_systems, reference_reach, take_span_resolutions};
+    use crate::triangular::tests::{
+        eager_tail_rules, oracle_systems, reference_reach, take_span_resolutions,
+    };
 
     /// Dense multiply of the stored factors (adding L's implicit diagonal).
     fn dense_lu_product(f: &LuFactors) -> Vec<Vec<f64>> {
@@ -756,26 +851,32 @@ mod tests {
         CscMatrix::from_triplets(n, n, &trips).unwrap()
     }
 
-    /// The parent commit's factorisation: its per-edge DFS
-    /// ([`reference_reach`]) in front of the same [`eliminate`].
+    /// The per-edge factorisation: the per-edge DFS ([`reference_reach`])
+    /// in front of the same [`eliminate`], and no tail anywhere.
     fn reference_lu(w: &CscMatrix) -> LuFactors {
         let n = w.nrows();
         let mut cols: Vec<FactorColumn> = Vec::with_capacity(n);
-        let mut scratch = LuScratch::new(n);
+        let (mut ws, no_tail) = (SolveWorkspace::new(n), DenseTail::none(n));
         for j in 0..n as Index {
             let children = |k: Index| if k < j { &cols[k as usize].l_rows[..] } else { &[] };
-            reference_reach(&mut scratch.ws, w.col(j).0, children);
-            let col = eliminate(j, w.col(j), &SolvedView(&cols), &mut scratch).unwrap();
+            reference_reach(&mut ws, w.col(j).0, children);
+            let col = eliminate(j, w.col(j), &SolvedView(&cols), &no_tail, &mut ws).unwrap();
             cols.push(col);
         }
         assemble(n, cols).unwrap()
     }
 
+    /// [`sparse_lu_with`] under another tail rule.
+    fn factor_under(w: &CscMatrix, threads: usize, rule: TailRule) -> (LuFactors, SolveTally) {
+        factor(w, InvertOptions { threads }, rule).unwrap()
+    }
+
     /// Full and incremental factorisation through the reach kernel match
-    /// the per-edge factorisation byte for byte at every thread count.
+    /// the per-edge factorisation byte for byte at every thread count,
+    /// with no tail, the structural one and tails begun at other columns.
     #[test]
     fn reach_kernel_factors_are_bit_identical_to_the_per_edge_factors() {
-        for (_, w) in oracle_systems() {
+        for (name, w) in oracle_systems() {
             let expect = reference_lu(&w);
             let dirty: Vec<Index> = vec![3, 40, 200];
             let updates: Vec<ColumnUpdate> = dirty
@@ -792,6 +893,16 @@ mod tests {
             for threads in [1usize, 2, 0] {
                 let options = InvertOptions { threads };
                 assert_factors_bit_identical(&expect, &sparse_lu_with(&w, options).unwrap());
+                let (sparse_only, _) = factor_under(&w, threads, TailRule::NEVER);
+                assert_factors_bit_identical(&expect, &sparse_only);
+                for rule in eager_tail_rules() {
+                    let (factors, tally) = factor_under(&w, threads, rule);
+                    assert_factors_bit_identical(&expect, &factors);
+                    assert!(tally.tail_columns > 0, "{name}: {rule:?} began no tail");
+                    // As generated, RMAT's last nodes are its emptiest.
+                    let idle = tally.tail_multiply_subtracts == 0;
+                    assert!(!idle || name == "rmat", "{name}: {rule:?} idle tail");
+                }
                 let (inc, _) = refactor_columns_with(&expect, &w_new, &dirty, options).unwrap();
                 assert_factors_bit_identical(&expect_new, &inc);
             }
@@ -803,25 +914,28 @@ mod tests {
     /// provider backs `L`.
     #[test]
     fn column_solves_resolve_at_most_two_spans_per_pattern_node() {
-        fn check(w: &CscMatrix, l: &impl LColumns, scratch: &mut LuScratch) {
+        fn check(w: &CscMatrix, l: &impl LColumns, ws: &mut SolveWorkspace) {
+            let no_tail = DenseTail::none(w.ncols());
             for j in 0..w.ncols() as Index {
                 take_span_resolutions();
-                solve_factor_column(j, w.col(j), l, scratch).unwrap();
-                let (resolved, pattern) = (take_span_resolutions(), scratch.ws.topo.len());
+                solve_factor_column(j, w.col(j), l, &no_tail, ws).unwrap();
+                let (resolved, pattern) = (take_span_resolutions(), ws.topo.len());
                 assert!(resolved <= 2 * pattern, "column {j}: {resolved} for {pattern} nodes");
             }
         }
         let (_, w) = oracle_systems().pop().unwrap();
         let n = w.nrows();
-        let cols = solve_all_sequential(&w).unwrap();
+        let (cols, _) = solve_all_sequential(&w, TailRule::STRUCTURAL).unwrap();
         let old = assemble(n, cols.clone()).unwrap();
         let slots: Vec<OnceLock<FactorColumn>> = cols.iter().cloned().map(OnceLock::from).collect();
         let (fresh, abort) = (vec![None; n], AtomicBool::new(false));
-        let mut scratch = LuScratch::new(n);
-        check(&w, &SolvedView(&cols), &mut scratch);
-        check(&w, &HybridView { old_l: &old.l, fresh: &fresh }, &mut scratch);
-        let blocked = Cell::new(false);
-        check(&w, &ParallelView { old: None, slots: &slots, abort: &abort, blocked }, &mut scratch);
+        let tail_start = AtomicUsize::new(n);
+        let mut ws = SolveWorkspace::new(n);
+        check(&w, &SolvedView(&cols), &mut ws);
+        check(&w, &HybridView { old_l: &old.l, fresh: &fresh }, &mut ws);
+        let (blocked, deferred) = (Cell::new(false), Cell::new(false));
+        let (old, slots, abort, tail_start) = (None, &slots[..], &abort, &tail_start);
+        check(&w, &ParallelView { old, slots, abort, tail_start, blocked, deferred }, &mut ws);
     }
 
     #[test]

@@ -30,7 +30,10 @@
 //! * errors report the lowest failing column at every thread count.
 
 use crate::inverse::{invert_columns_truncated, invert_truncated};
-use crate::{ColumnUpdate, CscMatrix, Index, InvertOptions, Result, SparseError, Triangle};
+use crate::triangular::TailRule;
+use crate::{
+    ColumnUpdate, CscMatrix, Index, InvertOptions, Result, SolveTally, SparseError, Triangle,
+};
 
 /// A sparsified triangular inverse plus its per-column dropped ℓ₁ masses.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,6 +43,9 @@ pub struct SparsifiedInverse {
     /// `dropped[j]` = Σ |x_i| over entries truncated from column `j`.
     /// All-zero when `ε == 0` or nothing fell below the tolerance.
     pub dropped: Vec<f64>,
+    /// What the column solves did: their multiply-subtracts and how many
+    /// ran in the factor's dense tail. The same at every thread count.
+    pub tally: SolveTally,
 }
 
 /// Re-solved sparsified columns plus their dropped masses, parallel to the
@@ -70,8 +76,9 @@ pub fn sparsify_lower_unit_with(
     options: InvertOptions,
 ) -> Result<SparsifiedInverse> {
     validate_drop_tolerance(eps)?;
-    let (inverse, dropped) = invert_truncated(l, Triangle::Lower, true, eps, options)?;
-    Ok(SparsifiedInverse { inverse, dropped })
+    let (inverse, dropped, tally) =
+        invert_truncated(l, Triangle::Lower, true, eps, options, TailRule::STRUCTURAL)?;
+    Ok(SparsifiedInverse { inverse, dropped, tally })
 }
 
 /// Sparsified [`crate::invert_upper_with`]: inverts an upper triangle with
@@ -83,8 +90,9 @@ pub fn sparsify_upper_with(
     options: InvertOptions,
 ) -> Result<SparsifiedInverse> {
     validate_drop_tolerance(eps)?;
-    let (inverse, dropped) = invert_truncated(u, Triangle::Upper, false, eps, options)?;
-    Ok(SparsifiedInverse { inverse, dropped })
+    let (inverse, dropped, tally) =
+        invert_truncated(u, Triangle::Upper, false, eps, options, TailRule::STRUCTURAL)?;
+    Ok(SparsifiedInverse { inverse, dropped, tally })
 }
 
 /// Sparsified [`crate::invert_columns_with`]: re-solves a sorted column

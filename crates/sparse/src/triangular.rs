@@ -5,9 +5,8 @@
 //! inversion ([`crate::inverse`]). The classic observation of Gilbert &
 //! Peierls (1988) is that the nonzero pattern of `x` is exactly the set of
 //! nodes *reachable* from `pattern(b)` in the directed graph of `T`
-//! (an edge `j -> i` for every stored `T_ij`, `i != j`), and that a DFS
-//! yields that set in topological order — so the whole solve costs
-//! `O(flops)` instead of `O(n)`.
+//! (an edge `j -> i` for every stored `T_ij`, `i != j`), which a DFS
+//! finds — so the whole solve costs `O(flops)` instead of `O(n)`.
 //!
 //! That DFS is one kernel, [`SolveWorkspace::reach`], shared with the
 //! per-column LU solve. Its frames *own* their child span: a node's
@@ -17,6 +16,34 @@
 //! CSC triangle (every column's bounds and diagonal looked up once per
 //! full inversion by [`FactorView::indexed`], probed per resolution
 //! otherwise), or a column provider for the half-built `L` of the LU.
+//!
+//! ## One numeric order, and the dense tail it allows
+//!
+//! The reach only names the pattern. The arithmetic of every exact solve
+//! in this crate runs in **index order** — ascending for `Lower`,
+//! descending for `Upper` — which is a topological order of a triangle
+//! whatever the pattern, and is the order the `ε > 0` worklist solve pops
+//! in. Row `r` therefore receives its updates `x_r -= T_ri · x_i` in the
+//! order of `i`, and an update through a *stored or imagined zero* is
+//! `x_r − 0·x_i = x_r`: it changes no bit (values are finite, and a zero
+//! of either sign is dropped at the gather).
+//!
+//! That is what lets the trailing columns of a factor — under a degree or
+//! hybrid ordering the hubs, whose block is all but full — be mirrored as
+//! a packed column-major triangle ([`DenseTail`]) and solved without a
+//! DFS: the sparse head runs in index order and scatters into the tail's
+//! rows, then every nonzero `x_i` of the tail is one contiguous AXPY,
+//! `x[i+1..n] -= T[i+1..n, i] · x_i`. For `Upper` the tail is upstream:
+//! a right-hand side that enters it is swept there first, descending, the
+//! head rows of the tail's columns are scattered as any column's are, and
+//! the head below — which a hub's solution all but fills — takes every
+//! column in descending order with no DFS and no sort, a column whose `x`
+//! was never touched holding the zero that skips it; a right-hand side
+//! that stays clear of the tail is the plain sparse solve. Where the
+//! tail starts ([`TailRule`])
+//! **cannot change a result**: with the tail at any column, or absent,
+//! every solve returns the same bytes — `tests/build_determinism.rs`
+//! holds the drivers to that.
 //!
 //! Supports lower (forward substitution) and upper (backward substitution)
 //! triangles, with either an implicit unit diagonal or an explicitly stored
@@ -37,6 +64,168 @@ pub enum Triangle {
     Upper,
 }
 
+/// Where a dense tail starts: at the first of the last `max_columns`
+/// columns whose strict part is at least half full, if that leaves at
+/// least `min_columns` — the LU asks as each column is solved, a view of
+/// a finished factor asks once. Half full is where a contiguous AXPY
+/// through explicit zeros (≈ 0.3–0.4 ns per entry) is safely ahead of an
+/// indexed scatter through the stored ones (1.5–2.4 ns); measured LU and
+/// inversion times are flat, within the host's noise, from a half down
+/// to an eighth. The bounds are sized for
+/// cost, not for correctness — a tail at any column, or none, **cannot
+/// change a result** (module docs) — so they are constants, not options.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TailRule {
+    /// A narrower tail saves less than mirroring it costs.
+    pub(crate) min_columns: usize,
+    /// Bounds the mirror (`4·max²` bytes) and the arithmetic spent on
+    /// zeros when the columns behind a full one are not.
+    pub(crate) max_columns: usize,
+}
+
+impl TailRule {
+    /// The rule every build uses: between 64 and 2 048 trailing columns
+    /// (≤ 16 MiB mirrored).
+    pub(crate) const STRUCTURAL: TailRule = TailRule { min_columns: 64, max_columns: 2048 };
+    /// No tail: the sparse-only kernel, kept as the reference the
+    /// structural rule is tested against.
+    pub(crate) const NEVER: TailRule = TailRule { min_columns: usize::MAX, max_columns: 0 };
+
+    /// Whether a column whose strict part stores `stored` of the `below`
+    /// positions past its diagonal begins the tail.
+    pub(crate) fn begins(&self, stored: usize, below: usize) -> bool {
+        (self.min_columns..=self.max_columns).contains(&(below + 1)) && stored * 2 >= below
+    }
+
+    /// Width of the tail of an `n`-column factor, `filled(j)` giving the
+    /// stored strict entries of column `j`; `0` for none.
+    fn width(&self, n: usize, filled: impl Fn(usize) -> usize) -> usize {
+        let first = (n.saturating_sub(self.max_columns)..n)
+            .find(|&j| self.begins(filled(j), n - 1 - j));
+        first.map_or(0, |j| n - j)
+    }
+}
+
+/// Columns `start..n` of a triangular factor, mirrored as a packed
+/// column-major triangle with explicit zeros: column `start + k` holds
+/// rows `start+k+1..n` of a `Lower` factor (`n−1−start−k` values) or rows
+/// `start..start+k` of an `Upper` one (`k` values). Built once from a
+/// finished factor by [`FactorView::indexed`], or grown a column at a
+/// time by the LU as it solves them.
+#[derive(Debug, Clone)]
+pub(crate) struct DenseTail {
+    n: usize,
+    start: usize,
+    vals: Vec<f64>,
+    /// Column `k` ends at `vals[ends[k]]` and starts where `k − 1` ends.
+    ends: Vec<usize>,
+    /// Stored diagonal per tail column; empty under a unit diagonal.
+    diag: Vec<f64>,
+    /// `Upper` only: absolute span, in the factor's flat arrays, of each
+    /// tail column's rows above the tail.
+    head_rows: Vec<(usize, usize)>,
+}
+
+impl DenseTail {
+    /// The empty tail of an `n × n` factor (allocates nothing: probing
+    /// views carry one per solve).
+    pub(crate) fn none(n: usize) -> DenseTail {
+        DenseTail {
+            n,
+            start: n,
+            vals: Vec::new(),
+            ends: Vec::new(),
+            diag: Vec::new(),
+            head_rows: Vec::new(),
+        }
+    }
+
+    /// First mirrored column; `n` when there is no tail.
+    #[inline]
+    pub(crate) fn start(&self) -> usize {
+        self.start
+    }
+
+    /// Mirrored columns.
+    pub(crate) fn columns(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The mirrored values of tail column `k`.
+    #[inline]
+    fn column(&self, k: usize) -> &[f64] {
+        &self.vals[k.checked_sub(1).map_or(0, |before| self.ends[before])..self.ends[k]]
+    }
+
+    /// Appends a column of `len` values: zeros, but for the given
+    /// `(position, value)` pairs.
+    fn push(&mut self, len: usize, stored: impl Iterator<Item = (usize, f64)>) {
+        let at = self.vals.len();
+        self.vals.resize(at + len, 0.0);
+        for (position, v) in stored {
+            self.vals[at + position] = v;
+        }
+        self.ends.push(self.vals.len());
+    }
+
+    /// Appends the next column of a `Lower` factor — `start + columns()`,
+    /// or `j` itself when this begins the tail — from its strict entries.
+    pub(crate) fn push_lower(&mut self, j: usize, rows: &[Index], vals: &[f64]) {
+        if self.columns() == 0 {
+            self.start = j;
+        }
+        debug_assert_eq!(j, self.start + self.columns(), "tail columns arrive in order");
+        self.push(self.n - 1 - j, rows.iter().zip(vals).map(|(&r, &v)| (r as usize - j - 1, v)));
+    }
+
+    /// Tail column `k`'s value, divided by its stored diagonal if there is
+    /// one (a zero stays the zero it is).
+    #[inline]
+    fn pivoted(&self, x: &mut [f64], k: usize) -> f64 {
+        let i = self.start + k;
+        if let (true, Some(&d)) = (x[i] != 0.0, self.diag.get(k)) {
+            x[i] /= d;
+        }
+        x[i]
+    }
+
+    /// Forward substitution through tail columns `start..upto`: each
+    /// nonzero `x_i` is one AXPY down the whole of `x[i+1..n]`. Returns
+    /// the multiply-subtracts made.
+    pub(crate) fn sweep_lower(&self, x: &mut [f64], upto: usize) -> u64 {
+        let mut flops = 0u64;
+        for k in 0..upto.saturating_sub(self.start) {
+            let xi = self.pivoted(x, k);
+            if xi != 0.0 {
+                let col = self.column(k);
+                for (xr, &t) in x[self.start + k + 1..].iter_mut().zip(col) {
+                    *xr -= t * xi;
+                }
+                flops += col.len() as u64;
+            }
+        }
+        flops
+    }
+
+    /// Backward substitution through the whole tail, highest column
+    /// first: each nonzero `x_i` is one AXPY up `x[start..i]`. The rows
+    /// above the tail are the caller's.
+    fn sweep_upper(&self, x: &mut [f64]) -> u64 {
+        let mut flops = 0u64;
+        for k in (0..self.columns()).rev() {
+            let xi = self.pivoted(x, k);
+            if xi != 0.0 {
+                let col = self.column(k);
+                for (xr, &t) in x[self.start..].iter_mut().zip(col) {
+                    *xr -= t * xi;
+                }
+                flops += col.len() as u64;
+            }
+        }
+        flops
+    }
+}
+
 /// A square CSC matrix read as one triangle: where each column's strict
 /// part (strictly below the diagonal for `Lower`, strictly above for
 /// `Upper`) and its stored diagonal sit in the matrix's flat arrays.
@@ -49,27 +238,106 @@ pub(crate) struct FactorView<'a> {
     unit_diag: bool,
     /// `(start, end, diagonal)` per column, when resolved up front.
     index: Option<Vec<(usize, usize, f64)>>,
+    /// The mirrored trailing columns; empty on a probing view.
+    pub(crate) tail: DenseTail,
 }
 
 impl<'a> FactorView<'a> {
     /// A view that probes a column each time it is asked (one comparison
-    /// on an LU factor, a binary search otherwise) — for a single solve
-    /// or a subset of them, which touch few columns.
+    /// on an LU factor, a binary search otherwise) and mirrors nothing —
+    /// for a single solve or a subset of them, which touch few columns.
     pub(crate) fn new(t: &'a CscMatrix, triangle: Triangle, unit_diag: bool) -> Result<Self> {
         if t.nrows() != t.ncols() {
             return Err(SparseError::NotSquare { nrows: t.nrows(), ncols: t.ncols() });
         }
         let (col_ptr, rows, vals) = t.raw();
-        Ok(FactorView { col_ptr, rows, vals, triangle, unit_diag, index: None })
+        let tail = DenseTail::none(t.ncols());
+        Ok(FactorView { col_ptr, rows, vals, triangle, unit_diag, index: None, tail })
     }
 
-    /// A view with every column resolved once, here — for a full
-    /// inversion, whose workers then share it read-only and search no
-    /// column inside a solve.
-    pub(crate) fn indexed(t: &'a CscMatrix, triangle: Triangle, unit_diag: bool) -> Result<Self> {
+    /// A view with every column resolved once, here, and the dense tail
+    /// `rule` gives it mirrored — for a full inversion, whose workers then
+    /// share it read-only and search no column inside a solve.
+    pub(crate) fn indexed(
+        t: &'a CscMatrix,
+        triangle: Triangle,
+        unit_diag: bool,
+        rule: TailRule,
+    ) -> Result<Self> {
         let mut view = FactorView::new(t, triangle, unit_diag)?;
-        view.index = Some((0..t.ncols() as Index).map(|j| view.search(j)).collect());
+        let index: Vec<_> = (0..t.ncols() as Index).map(|j| view.search(j)).collect();
+        view.tail = view.mirror_tail(&index, view.tail_width(&index, rule));
+        view.index = Some(index);
         Ok(view)
+    }
+
+    /// How many trailing columns `rule` would mirror of this triangle of
+    /// `t` (what [`crate::dense_tail_columns`] reports), without mirroring
+    /// them.
+    pub(crate) fn tail_columns(
+        t: &'a CscMatrix,
+        triangle: Triangle,
+        rule: TailRule,
+    ) -> Result<usize> {
+        let view = FactorView::new(t, triangle, true)?;
+        let index: Vec<_> = (0..t.ncols() as Index).map(|j| view.search(j)).collect();
+        Ok(view.tail_width(&index, rule))
+    }
+
+    /// Width of the tail `rule` gives this factor — by its columns for
+    /// `Lower`, by its rows for `Upper` (a row of `U` is what a column of
+    /// `L` is). A stored-diagonal factor with a zero pivot anywhere gets
+    /// none, so that no solve through a tail can meet one: which singular
+    /// column a solve reports then never depends on the rule.
+    fn tail_width(&self, index: &[(usize, usize, f64)], rule: TailRule) -> usize {
+        let n = self.dim();
+        if !self.unit_diag && index.iter().any(|&(_, _, diag)| diag == 0.0) {
+            return 0;
+        }
+        match self.triangle {
+            Triangle::Lower => rule.width(n, |j| index[j].1 - index[j].0),
+            Triangle::Upper => {
+                // Count the strict entries of the rows a tail could hold.
+                let floor = n.saturating_sub(rule.max_columns);
+                let mut filled = vec![0usize; n - floor];
+                for &(start, end, _) in &index[floor..] {
+                    let rows = &self.rows[start..end];
+                    for &r in &rows[rows.partition_point(|&r| (r as usize) < floor)..] {
+                        filled[r as usize - floor] += 1;
+                    }
+                }
+                rule.width(n, |r| filled[r - floor])
+            }
+        }
+    }
+
+    /// The trailing `width` columns, mirrored.
+    fn mirror_tail(&self, index: &[(usize, usize, f64)], width: usize) -> DenseTail {
+        let n = self.dim();
+        let mut tail = DenseTail::none(n);
+        if width == 0 {
+            return tail;
+        }
+        let first = n - width;
+        tail.start = first;
+        for (j, &(start, end, diag)) in index.iter().enumerate().skip(first) {
+            match self.triangle {
+                Triangle::Lower => {
+                    tail.push_lower(j, &self.rows[start..end], &self.vals[start..end])
+                }
+                Triangle::Upper => {
+                    let rows = &self.rows[start..end];
+                    let split = start + rows.partition_point(|&r| (r as usize) < first);
+                    tail.head_rows.push((start, split));
+                    let inside = self.rows[split..end].iter().zip(&self.vals[split..end]);
+                    tail.push(j - first, inside.map(|(&r, &v)| (r as usize - first, v)));
+                }
+            }
+            if !self.unit_diag {
+                tail.diag.push(diag);
+            }
+        }
+        tail
     }
 
     /// Dimension of the viewed matrix.
@@ -86,6 +354,12 @@ impl<'a> FactorView<'a> {
             Some(index) => index[j as usize],
             None => self.search(j),
         }
+    }
+
+    /// Rows and values of column `j`'s strict part, and its diagonal.
+    pub(crate) fn strict_column(&self, j: Index) -> (&[Index], &[f64], f64) {
+        let (start, end, diag) = self.column(j);
+        (&self.rows[start..end], &self.vals[start..end], diag)
     }
 
     fn search(&self, j: Index) -> (usize, usize, f64) {
@@ -117,7 +391,8 @@ pub struct SolveWorkspace {
     pub(crate) stamps: EpochStamps,
     /// Dense value accumulator, valid only on stamped positions.
     pub(crate) x: Vec<f64>,
-    /// DFS postorder of the current pattern.
+    /// The current pattern: DFS postorder out of [`SolveWorkspace::reach`],
+    /// in numeric (index) order once a solve has sorted it.
     pub(crate) topo: Vec<Index>,
     /// Suspended DFS frames, `(node, next-child cursor)`; the running
     /// frame lives in locals of [`SolveWorkspace::reach`].
@@ -126,6 +401,43 @@ pub struct SolveWorkspace {
     /// indices encoded so the max-heap pops them in dependency order
     /// (negated for `Lower`, plain for `Upper`).
     pending: BinaryHeap<i64>,
+    /// Multiply-subtracts made by the solves run on this workspace, and
+    /// how many of them ran inside a dense tail.
+    pub(crate) tally: SolveTally,
+}
+
+/// What a run of column solves did, counted inside the kernel: the answer
+/// to "where did the build's time go" that needs no profiler.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolveTally {
+    /// Trailing columns of the factor that were solved as a dense tail
+    /// (`0`: the sparse kernel alone).
+    pub tail_columns: usize,
+    /// Multiply-subtracts `x_r -= T_ri · x_i` made, the dense tail's
+    /// updates through its explicit zeros included.
+    pub multiply_subtracts: u64,
+    /// The part of [`SolveTally::multiply_subtracts`] made as contiguous
+    /// AXPYs inside the tail.
+    pub tail_multiply_subtracts: u64,
+}
+
+impl SolveTally {
+    /// Share of the multiply-subtracts that ran in the tail, in `[0, 1]`.
+    pub fn tail_share(&self) -> f64 {
+        self.tail_multiply_subtracts as f64 / self.multiply_subtracts.max(1) as f64
+    }
+
+    /// Adds another worker's counts (the tail width is the run's, not a
+    /// sum).
+    pub(crate) fn absorb(&mut self, other: SolveTally) {
+        self.multiply_subtracts += other.multiply_subtracts;
+        self.tail_multiply_subtracts += other.tail_multiply_subtracts;
+    }
+
+    pub(crate) fn count(&mut self, head: u64, tail: u64) {
+        self.multiply_subtracts += head + tail;
+        self.tail_multiply_subtracts += tail;
+    }
 }
 
 impl SolveWorkspace {
@@ -138,6 +450,7 @@ impl SolveWorkspace {
             topo: Vec::new(),
             stack: Vec::new(),
             pending: BinaryHeap::new(),
+            tally: SolveTally::default(),
         }
     }
 
@@ -148,10 +461,10 @@ impl SolveWorkspace {
 
     /// The Gilbert–Peierls reach kernel: an iterative DFS from every seed
     /// over the graph `children` describes, leaving the reached set
-    /// stamped, its `x` slots zeroed and its postorder in `topo`. Seeds
-    /// are taken in the order given and children in slice order, so the
-    /// postorder — and with it the order of every later floating-point
-    /// accumulation — is a function of the inputs alone.
+    /// stamped, its `x` slots zeroed and listed in `topo`. Nodes at or
+    /// past `head` are not entered, as seeds or as children (child slices
+    /// are ascending, so the first such child ends its slice): they
+    /// belong to a dense tail, which needs no pattern.
     ///
     /// `children` is asked for a node's child slice when the node is
     /// first reached and when the DFS returns to it; it may fail (a
@@ -159,6 +472,7 @@ impl SolveWorkspace {
     pub(crate) fn reach<'a>(
         &mut self,
         seeds: &[Index],
+        head: usize,
         mut children: impl FnMut(Index) -> Result<&'a [Index]>,
     ) -> Result<()> {
         let mut resolve = |node: Index| {
@@ -170,25 +484,28 @@ impl SolveWorkspace {
         self.stack.clear(); // a failed resolution leaves frames behind
         for &seed in seeds {
             debug_assert!((seed as usize) < self.n, "rhs index out of bounds");
-            if self.stamps.is_marked(seed as usize) {
+            if seed as usize >= head || self.stamps.is_marked(seed as usize) {
                 continue;
             }
             self.stamps.mark(seed as usize);
             self.x[seed as usize] = 0.0;
             let (mut node, mut span, mut cursor) = (seed, resolve(seed)?, 0usize);
             loop {
-                if let Some(&child) = span.get(cursor) {
-                    cursor += 1;
-                    if !self.stamps.is_marked(child as usize) {
-                        self.stamps.mark(child as usize);
-                        self.x[child as usize] = 0.0;
-                        self.stack.push((node, cursor));
-                        (node, span, cursor) = (child, resolve(child)?, 0);
+                match span.get(cursor) {
+                    Some(&child) if (child as usize) < head => {
+                        cursor += 1;
+                        if !self.stamps.is_marked(child as usize) {
+                            self.stamps.mark(child as usize);
+                            self.x[child as usize] = 0.0;
+                            self.stack.push((node, cursor));
+                            (node, span, cursor) = (child, resolve(child)?, 0);
+                        }
                     }
-                } else {
-                    self.topo.push(node);
-                    let Some((parent, resume)) = self.stack.pop() else { break };
-                    (node, span, cursor) = (parent, resolve(parent)?, resume);
+                    _ => {
+                        self.topo.push(node);
+                        let Some((parent, resume)) = self.stack.pop() else { break };
+                        (node, span, cursor) = (parent, resolve(parent)?, resume);
+                    }
                 }
             }
         }
@@ -236,12 +553,10 @@ impl SolveWorkspace {
     /// along it, so pops are monotone and a popped value is final; a
     /// truncated entry's downstream subtree is therefore never *visited*,
     /// and the whole solve costs `O(s log s)` in the surviving pattern
-    /// plus its one-hop frontier rather than the exact reach. The two
-    /// strategies apply the same arithmetic along different accumulation
-    /// orders, so ε > 0 results are equal up to rounding but not
-    /// bit-pinned between them; every caller of one is compared only
-    /// against itself (stored sparsified columns vs dynamic re-solves, and
-    /// the refinement loop certifies rankings, not bit patterns).
+    /// plus its one-hop frontier rather than the exact reach. Index order
+    /// is also the numeric order of the exact solve (module docs), so the
+    /// two strategies differ only in how they find the pattern: while no
+    /// entry falls below `eps` they return the same bits.
     ///
     /// `protect` names one position that is never truncated regardless of
     /// magnitude — inversion drivers protect the diagonal seed so `L⁻¹`
@@ -295,21 +610,70 @@ impl SolveWorkspace {
             return self.solve_worklist(view, b_idx, b_val, eps, protect, out_idx, out_val);
         }
 
-        // Symbolic phase: the reach of the RHS pattern, in postorder.
-        self.reach(b_idx, |j| {
-            let (start, end, _) = view.column(j);
-            Ok(&view.rows[start..end])
-        })?;
-
-        // Scatter the RHS (after the DFS has zeroed every pattern slot).
+        // The tail needs no pattern: its slots are all live, and a
+        // right-hand side entry inside it lands at once. For `Upper` the
+        // tail is upstream of everything, so it is solved here — unless
+        // the right-hand side stays clear of it, and then so does the
+        // solve.
+        let (n, tail) = (self.n, &view.tail);
+        let lower = view.triangle == Triangle::Lower;
+        let enters_tail = lower || b_idx.iter().any(|&r| r as usize >= tail.start());
+        let head = if enters_tail { tail.start() } else { n };
+        self.x[head..].fill(0.0);
         for (&r, &v) in b_idx.iter().zip(b_val) {
-            self.x[r as usize] += v;
+            if r as usize >= head {
+                self.x[r as usize] += v;
+            }
+        }
+        let upstream_tail = !lower && head < n;
+        let upstream = if upstream_tail { tail.sweep_upper(&mut self.x) } else { 0 };
+
+        // Symbolic phase: the reach of the right-hand side within the
+        // head. Below an `Upper` tail there is none: a hub's solution
+        // fills most of the head, so every head column takes its turn,
+        // and those the solve never touches hold the zero that skips them.
+        if upstream_tail {
+            self.x[..head].fill(0.0);
+            self.topo.clear();
+            self.topo.extend((0..head as Index).rev());
+        } else {
+            self.reach(b_idx, head, |j| {
+                let (start, end, _) = view.column(j);
+                Ok(&view.rows[start..end])
+            })?;
+            self.topo.sort_unstable();
+            if !lower {
+                self.topo.reverse();
+            }
         }
 
-        // Numeric phase in reverse postorder (a topological order).
-        for &j in self.topo.iter().rev() {
-            let (start, end, diag) = view.column(j);
+        // Scatter the rest of the right-hand side (the DFS has zeroed
+        // every pattern slot), then what the tail's columns hold above it.
+        for (&r, &v) in b_idx.iter().zip(b_val) {
+            if (r as usize) < head {
+                self.x[r as usize] += v;
+            }
+        }
+        let mut head_flops = 0u64;
+        if !lower {
+            for (i, &(start, end)) in (head..n).zip(&tail.head_rows).rev() {
+                let xi = self.x[i];
+                if xi != 0.0 {
+                    for (&r, &v) in view.rows[start..end].iter().zip(&view.vals[start..end]) {
+                        self.x[r as usize] -= v * xi;
+                    }
+                    head_flops += (end - start) as u64;
+                }
+            }
+        }
+
+        // Numeric phase over the head, in index order (module docs).
+        for &j in &self.topo {
             let mut xj = self.x[j as usize];
+            if upstream_tail && xj == 0.0 {
+                continue; // not in the pattern, or cancelled: nothing to do
+            }
+            let (start, end, diag) = view.column(j);
             if !view.unit_diag {
                 if diag == 0.0 {
                     return Err(SparseError::SingularPivot { column: j as usize, value: 0.0 });
@@ -321,24 +685,21 @@ impl SolveWorkspace {
                 for (&i, &v) in view.rows[start..end].iter().zip(&view.vals[start..end]) {
                     self.x[i as usize] -= v * xj;
                 }
+                head_flops += (end - start) as u64;
             }
         }
+        let downstream = if lower { tail.sweep_lower(&mut self.x, n) } else { 0 };
+        self.tally.count(head_flops, upstream + downstream);
 
-        // Gather, sorted by index; drop exact zeros (cancellation).
-        out_idx.extend_from_slice(&self.topo);
-        out_idx.sort_unstable();
-        out_val.reserve(out_idx.len());
-        let mut kept = 0usize;
-        for read in 0..out_idx.len() {
-            let j = out_idx[read];
-            let v = self.x[j as usize];
-            if v != 0.0 {
-                out_idx[kept] = j;
-                out_val.push(v);
-                kept += 1;
-            }
+        // Gather in index order; drop exact zeros (cancellation).
+        let nonzero = |j: &Index| self.x[*j as usize] != 0.0;
+        if lower {
+            out_idx.extend(self.topo.iter().copied().filter(nonzero));
+        } else {
+            out_idx.extend(self.topo.iter().rev().copied().filter(nonzero));
         }
-        out_idx.truncate(kept);
+        out_idx.extend((head as Index..n as Index).filter(nonzero));
+        out_val.extend(out_idx.iter().map(|&j| self.x[j as usize]));
         Ok(0.0)
     }
 
@@ -405,6 +766,7 @@ impl SolveWorkspace {
             }
             out_idx.push(j);
             out_val.push(xj);
+            self.tally.count((end - start) as u64, 0);
             for (&i, &v) in view.rows[start..end].iter().zip(&view.vals[start..end]) {
                 if self.stamps.is_marked(i as usize) {
                     self.x[i as usize] -= v * xj;
@@ -473,9 +835,9 @@ fn note_span_resolution() {
 pub(crate) mod tests {
     use super::*;
 
-    /// The parent commit's DFS, kept as the oracle: same visiting order as
-    /// [`SolveWorkspace::reach`], but the child slice is re-resolved on
-    /// every edge step.
+    /// The per-edge DFS, kept as the oracle: same visiting order as
+    /// [`SolveWorkspace::reach`] without a tail, but the child slice is
+    /// re-resolved on every edge step.
     pub(crate) fn reference_reach<'a>(
         ws: &mut SolveWorkspace,
         seeds: &[Index],
@@ -509,8 +871,9 @@ pub(crate) mod tests {
         }
     }
 
-    /// The parent commit's ε = 0 solve: [`reference_reach`], then the
-    /// numeric phase with a binary search per column and per diagonal.
+    /// The per-edge ε = 0 solve: [`reference_reach`], then the numeric
+    /// phase in index order with a binary search per column and per
+    /// diagonal, and no tail anywhere.
     fn reference_solve(
         t: &CscMatrix,
         triangle: Triangle,
@@ -531,7 +894,13 @@ pub(crate) mod tests {
         for (&r, &v) in b_idx.iter().zip(b_val) {
             ws.x[r as usize] += v;
         }
-        for &j in ws.topo.iter().rev() {
+        let mut idx = ws.topo.clone();
+        idx.sort_unstable();
+        let mut order = idx.clone();
+        if triangle == Triangle::Upper {
+            order.reverse();
+        }
+        for j in order {
             if !unit_diag {
                 ws.x[j as usize] /= t.get(j, j).expect("the oracle systems store their diagonals");
             }
@@ -543,21 +912,27 @@ pub(crate) mod tests {
                 }
             }
         }
-        let mut idx = ws.topo.clone();
-        idx.sort_unstable();
         idx.retain(|&j| ws.x[j as usize] != 0.0);
         let val = idx.iter().map(|&j| ws.x[j as usize]).collect();
         (idx, val)
     }
 
-    /// `W = I − 0.05·A` of one ER, one BA and one RMAT graph: the systems
-    /// the bit-identity oracles of this module and of `lu` run on.
+    /// `W = I − 0.05·A` of one ER, one BA and one RMAT graph as generated,
+    /// and of the RMAT graph with its nodes in ascending degree — hubs
+    /// last, the order that grows a dense tail: the systems the
+    /// bit-identity oracles of this module and of `lu` run on.
     pub(crate) fn oracle_systems() -> Vec<(&'static str, CscMatrix)> {
         use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
+        let skewed = rmat(9, 2048, RmatParams::default(), 13);
+        let mut by_degree: Vec<Index> = (0..skewed.num_nodes() as Index).collect();
+        let in_degrees = skewed.in_degrees();
+        by_degree.sort_by_key(|&v| skewed.out_degree(v) + in_degrees[v as usize]);
+        let hubs_last = kdash_graph::Permutation::from_new_order(by_degree).unwrap();
         [
             ("er", erdos_renyi(300, 1200, 11)),
             ("ba", barabasi_albert(300, 3, 12)),
-            ("rmat", rmat(9, 2048, RmatParams::default(), 13)),
+            ("rmat-hubs-last", skewed.permute(&hubs_last).unwrap()),
+            ("rmat", skewed),
         ]
         .into_iter()
         .map(|(name, g)| {
@@ -573,11 +948,19 @@ pub(crate) mod tests {
         SPAN_RESOLUTIONS.with(|c| c.replace(0))
     }
 
+    /// The structural rule with its bounds moved — any width down to one
+    /// column, capped at all, 40 or 7 — so that small systems grow tails,
+    /// and at several columns.
+    pub(crate) fn eager_tail_rules() -> [TailRule; 3] {
+        [usize::MAX, 40, 7].map(|max_columns| TailRule { min_columns: 1, max_columns })
+    }
+
     /// Lower/Upper × unit/stored diagonal × unit, multi-entry, unsorted
     /// and duplicate-index right-hand sides, on real factors: the kernel
-    /// returns the parent commit's index and value arrays byte for byte,
-    /// through a searching view and an indexed one, and never resolves
-    /// more than two child spans per pattern node.
+    /// returns the per-edge reference's index and value arrays byte for
+    /// byte, through a searching view and indexed ones with no tail, the
+    /// structural tail and tails at other columns, and never resolves more
+    /// than two child spans per pattern node.
     #[test]
     fn reach_kernel_is_bit_identical_to_the_per_edge_solve() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -594,7 +977,17 @@ pub(crate) mod tests {
             ];
             let mut ws = SolveWorkspace::new(n);
             for (t, triangle, unit) in cases {
-                let indexed = FactorView::indexed(t, triangle, unit).unwrap();
+                let mut views = vec![FactorView::new(t, triangle, unit).unwrap()];
+                let rules = [TailRule::NEVER, TailRule::STRUCTURAL];
+                for rule in rules.into_iter().chain(eager_tail_rules()) {
+                    views.push(FactorView::indexed(t, triangle, unit, rule).unwrap());
+                }
+                assert_eq!(views[1].tail.columns(), 0, "{name}: NEVER mirrors nothing");
+                if name != "rmat" {
+                    // As generated, RMAT's last nodes are its emptiest.
+                    assert!(views[3].tail.columns() > 7, "{name} {triangle:?}: no eager tail");
+                    assert_eq!(views[5].tail.columns(), 7, "{name} {triangle:?}: capped tail");
+                }
                 for trial in 0..24 {
                     let k = if trial < 8 { 1 } else { rng.gen_range(2..12usize) };
                     let mut b_idx: Vec<Index> =
@@ -604,8 +997,10 @@ pub(crate) mod tests {
                     let (ei, ev) = reference_solve(t, triangle, unit, &b_idx, &b_val);
                     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     let (mut oi, mut ov) = (Vec::new(), Vec::new());
-                    for view in [&FactorView::new(t, triangle, unit).unwrap(), &indexed] {
-                        let tag = format!("{name} {triangle:?} unit={unit} trial {trial}");
+                    for view in &views {
+                        let tail = view.tail.columns();
+                        let tag =
+                            format!("{name} {triangle:?} unit={unit} trial {trial} tail {tail}");
                         take_span_resolutions();
                         let dropped =
                             ws.solve_view(view, &b_idx, &b_val, 0.0, None, &mut oi, &mut ov);
@@ -809,10 +1204,9 @@ pub(crate) mod tests {
     #[test]
     fn worklist_solve_matches_dfs_solve_when_nothing_drops() {
         // eps = 1e-300 routes the value-driven worklist engine, but no
-        // entry of these well-scaled systems can fall below it, so the
-        // result must carry the DFS solve's exact pattern and values
-        // (equal up to the accumulation-order rounding documented on
-        // `solve_truncated`).
+        // entry of these well-scaled systems can fall below it — and both
+        // engines substitute in index order, so the result must carry the
+        // DFS solve's pattern and value bits.
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(11);
         for trial in 0..30 {
@@ -841,12 +1235,8 @@ pub(crate) mod tests {
                     .unwrap();
                 assert_eq!(dropped, 0.0, "trial {trial}");
                 assert_eq!(ei, wi, "trial {trial} {tri:?}: pattern diverged");
-                for (k, (a, b)) in ev.iter().zip(&wv).enumerate() {
-                    assert!(
-                        (a - b).abs() <= 1e-12 * (1.0 + b.abs()),
-                        "trial {trial} {tri:?} entry {k}: {a} vs {b}"
-                    );
-                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&ev), bits(&wv), "trial {trial} {tri:?}: values diverged");
             }
         }
     }

@@ -9,14 +9,25 @@
 //! A scheduling-dependent result here would silently break index
 //! persistence, replication, and the exactness guarantees downstream, so
 //! this suite runs in tier-1.
+//!
+//! The same bytes must come out wherever the kernel's **dense tail**
+//! starts. The factorisation and both inversions mirror the trailing,
+//! all-but-full columns of the factor (the hubs of a degree or hybrid
+//! ordering) and solve them as contiguous AXPYs; that the split is "a
+//! constant that cannot change a result" is the claim the second half of
+//! this suite holds them to, against the sparse-only reference entry
+//! points of `kdash-sparse`.
 
-use kdash_core::{IndexBuilder, IndexOptions, NodeOrdering};
-use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
+use kdash_core::{compute_ordering, IndexBuilder, IndexOptions, NodeOrdering};
+use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, DatasetProfile, RmatParams};
 use kdash_graph::CsrGraph;
+use kdash_sparse::inverse::invert_without_tail;
+use kdash_sparse::lu::sparse_lu_without_tail;
 use kdash_sparse::{
-    invert_columns_with, invert_lower_unit, invert_lower_unit_with, invert_upper,
-    invert_upper_with, sparse_lu, sparsify_upper_with, transition_matrix, w_matrix, CscMatrix,
-    DanglingPolicy, Index, InvertOptions, Triangle,
+    dense_tail_columns, invert_columns_with, invert_lower_unit, invert_lower_unit_with,
+    invert_upper, invert_upper_with, sparse_lu, sparse_lu_with, sparsify_upper_with,
+    transition_matrix, w_matrix, ColumnUpdate, CscMatrix, DanglingPolicy, Index, InvertOptions,
+    SparseError, Triangle,
 };
 
 fn test_graphs() -> Vec<(&'static str, CsrGraph)> {
@@ -139,5 +150,171 @@ fn queries_are_bit_identical_across_thread_counts() {
             assert_eq!(x.proximity.to_bits(), y.proximity.to_bits(), "query {q}");
         }
         assert_eq!(a.stats, b.stats, "query {q}: search statistics must agree");
+    }
+}
+
+/// Graphs whose hybrid-ordered factors grow a dense tail of at least 64
+/// columns, and two small ones whose factors cannot.
+fn tail_graphs() -> Vec<(&'static str, CsrGraph, bool)> {
+    vec![
+        ("er", erdos_renyi(600, 4800, 31), true),
+        ("ba", barabasi_albert(800, 4, 32), true),
+        ("rmat", rmat(11, 8192, RmatParams::default(), 33), true),
+        ("dictionary", dictionary(1000, 34), true),
+        ("er-small", erdos_renyi(60, 400, 35), false),
+        ("ring", rmat(5, 64, RmatParams::default(), 36), false),
+    ]
+}
+
+fn dictionary(nodes: usize, seed: u64) -> CsrGraph {
+    let profile = DatasetProfile::Dictionary;
+    profile.generate(profile.scale_for_nodes(nodes), seed)
+}
+
+/// `W = I − 0.05·A` of `graph` under the hybrid ordering, as the build
+/// pipeline forms it.
+fn hybrid_w(graph: &CsrGraph) -> CscMatrix {
+    let perm = compute_ordering(graph, NodeOrdering::Hybrid);
+    let permuted = graph.permute(&perm).expect("ordering is a permutation");
+    let a = transition_matrix(&permuted, DanglingPolicy::Keep);
+    w_matrix(&a, 0.95).expect("valid restart probability")
+}
+
+/// The invariant the dense tail rests on: `sparse_lu_with`,
+/// `invert_lower_unit_with`, `invert_upper_with` and the staged build
+/// return, at one worker and at two, the bytes of the sparse-only kernel —
+/// on factors that grow a tail and on factors too small to.
+#[test]
+fn dense_tail_is_byte_identical_to_the_sparse_kernel() {
+    for (name, graph, grows_tail) in tail_graphs() {
+        let w = hybrid_w(&graph);
+        let one = InvertOptions::sequential();
+        let reference = sparse_lu_without_tail(&w, one).unwrap();
+        let linv = invert_without_tail(&reference.l, Triangle::Lower, true, one).unwrap();
+        let uinv = invert_without_tail(&reference.u, Triangle::Upper, false, one).unwrap();
+        let l_tail = dense_tail_columns(&reference.l, Triangle::Lower).unwrap();
+        let u_tail = dense_tail_columns(&reference.u, Triangle::Upper).unwrap();
+        if grows_tail {
+            assert!(l_tail >= 64 && u_tail >= 64, "{name}: tails {l_tail}/{u_tail} never formed");
+            assert!(l_tail < w.ncols() && u_tail < w.ncols(), "{name}: no sparse head left");
+        } else {
+            assert_eq!((l_tail, u_tail), (0, 0), "{name}: too small for a tail");
+        }
+        for threads in [1usize, 2] {
+            let options = InvertOptions { threads };
+            let label = format!("{name} threads={threads}");
+            let factors = sparse_lu_with(&w, options).unwrap();
+            assert_csc_bytes_equal(&format!("{label} L"), &reference.l, &factors.l);
+            assert_csc_bytes_equal(&format!("{label} U"), &reference.u, &factors.u);
+            let suppressed = sparse_lu_without_tail(&w, options).unwrap();
+            assert_csc_bytes_equal(&format!("{label} L, no tail"), &reference.l, &suppressed.l);
+            assert_csc_bytes_equal(&format!("{label} U, no tail"), &reference.u, &suppressed.u);
+            let tailed = invert_lower_unit_with(&factors.l, options).unwrap();
+            assert_csc_bytes_equal(&format!("{label} L⁻¹"), &linv, &tailed);
+            let tailed = invert_upper_with(&factors.u, options).unwrap();
+            assert_csc_bytes_equal(&format!("{label} U⁻¹"), &uinv, &tailed);
+            let built = IndexBuilder::new()
+                .ordering(NodeOrdering::Hybrid)
+                .threads(threads)
+                .build(&graph)
+                .unwrap();
+            let built_uinv = built.uinv_rows().to_csc();
+            assert_csc_bytes_equal(&format!("{label} index L⁻¹"), &linv, built.linv_cols());
+            assert_csc_bytes_equal(&format!("{label} index U⁻¹"), &uinv, &built_uinv);
+        }
+    }
+}
+
+/// A 160-column system whose trailing 128 columns are full — so all of
+/// them are tail — behind a sparse chain of 32, with every value a small
+/// multiple of a power of two where exactness is needed: row 35 of `W`
+/// holds only `W[35,35] = 1`, `W[35,112] = W[35,132] = 1`, and row 122
+/// only `W[122,35] = W[122,112] = ½` left of its diagonal, `W[122,132] =
+/// ½` and small dense values right of it. Eliminating column 35 then cancels
+/// `U[122,132] = ½ − ½·1` and `L[122,112] = (½ − ½·1)/pivot` to exactly
+/// zero inside the tail.
+fn cancelling_system() -> CscMatrix {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let (n, head) = (160u32, 32u32);
+    let mut rng = StdRng::seed_from_u64(77);
+    let mut trips: Vec<(Index, Index, f64)> = Vec::new();
+    for j in 0..n {
+        trips.push((j, j, 1.0));
+        if j < head {
+            trips.push((j + 1, j, -0.25)); // the chain, feeding the block
+            continue;
+        }
+        for i in head..n {
+            let quiet = i == 35 || j == 35 && i != 122 || i == 122 && (j < 122 || j == 132);
+            if i != j && !quiet {
+                trips.push((i, j, rng.gen_range(-0.002..0.002)));
+            }
+        }
+    }
+    trips.extend([(35, 112, 1.0), (35, 132, 1.0)]);
+    trips.extend([(122, 35, 0.5), (122, 112, 0.5), (122, 132, 0.5)]);
+    CscMatrix::from_triplets(n as usize, n as usize, &trips).unwrap()
+}
+
+/// The corners of the "drop exact zeros" gather and of the error path,
+/// with the tail on and suppressed, at one worker and two: entries that
+/// cancel to exactly zero inside the tail are dropped by both kernels, an
+/// explicitly stored `0.0` in a factor is carried by both, and a pivot
+/// that vanishes inside the tail is the same typed error at the same —
+/// lowest — column.
+#[test]
+fn dense_tail_agrees_on_cancellation_stored_zeros_and_singular_pivots() {
+    let w = cancelling_system();
+    let reference = sparse_lu_without_tail(&w, InvertOptions::sequential()).unwrap();
+    assert_eq!(dense_tail_columns(&reference.l, Triangle::Lower).unwrap(), 128);
+    assert_eq!(reference.u.get(122, 132), None, "U[122,132] must cancel to an exact zero");
+    assert_eq!(reference.l.get(122, 112), None, "L[122,112] must cancel to an exact zero");
+    assert!(reference.l.get(122, 35).is_some() && reference.u.get(35, 132).is_some());
+
+    // A factor carrying explicitly stored zeros: every tenth stored value
+    // of L and U zeroed in place (the diagonal of U kept).
+    let zeroed = |t: &CscMatrix| {
+        let counter = std::cell::Cell::new(0usize);
+        t.map_values(|v| {
+            counter.set(counter.get() + 1);
+            if counter.get() % 10 == 0 && v.abs() < 0.5 { 0.0 } else { v }
+        })
+    };
+    let (l0, u0) = (zeroed(&reference.l), zeroed(&reference.u));
+    assert_eq!((l0.nnz(), u0.nnz()), (reference.l.nnz(), reference.u.nnz()));
+    assert!(l0.raw().2.iter().filter(|v| **v == 0.0).count() > 100);
+
+    // Columns 130 and 140 of `W` emptied, and the same two pivots of `U`
+    // stored as zeros: both vanish inside the tail.
+    let emptied = [130, 140].map(|col| ColumnUpdate { col, rows: Vec::new(), vals: Vec::new() });
+    let singular = w.splice_columns(&emptied).unwrap();
+    let zero_pivots = [130, 140].map(|col| {
+        let (rows, vals) = reference.u.col(col);
+        let vals = rows.iter().zip(vals).map(|(&r, &v)| if r == col { 0.0 } else { v }).collect();
+        ColumnUpdate { col, rows: rows.to_vec(), vals }
+    });
+    let singular_u = reference.u.splice_columns(&zero_pivots).unwrap();
+
+    for threads in [1usize, 2] {
+        let options = InvertOptions { threads };
+        let label = format!("threads={threads}");
+        let factors = sparse_lu_with(&w, options).unwrap();
+        assert_csc_bytes_equal(&format!("{label} L"), &reference.l, &factors.l);
+        assert_csc_bytes_equal(&format!("{label} U"), &reference.u, &factors.u);
+        for (name, l, u) in [("exact", &reference.l, &reference.u), ("stored zeros", &l0, &u0)] {
+            let label = format!("{label} {name}");
+            let sparse = invert_without_tail(l, Triangle::Lower, true, options).unwrap();
+            let tailed = invert_lower_unit_with(l, options).unwrap();
+            assert_csc_bytes_equal(&format!("{label} L⁻¹"), &sparse, &tailed);
+            let sparse = invert_without_tail(u, Triangle::Upper, false, options).unwrap();
+            let tailed = invert_upper_with(u, options).unwrap();
+            assert_csc_bytes_equal(&format!("{label} U⁻¹"), &sparse, &tailed);
+        }
+        let expect = SparseError::SingularPivot { column: 130, value: 0.0 };
+        assert_eq!(sparse_lu_with(&singular, options).unwrap_err(), expect, "{label}");
+        assert_eq!(sparse_lu_without_tail(&singular, options).unwrap_err(), expect, "{label}");
+        assert_eq!(invert_upper_with(&singular_u, options).unwrap_err(), expect, "{label}");
+        let sparse = invert_without_tail(&singular_u, Triangle::Upper, false, options);
+        assert_eq!(sparse.unwrap_err(), expect, "{label}");
     }
 }

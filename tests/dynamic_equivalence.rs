@@ -17,6 +17,11 @@
 //!   every column of the other **byte-identical** and the reported dirty
 //!   sets confined to the edited component — i.e. the engine provably
 //!   did not fall back to a silent full rebuild.
+//! * The dense tail: on an RMAT graph large enough for the build kernel
+//!   to mirror one, batches whose dirty column lies in the sparse head,
+//!   inside the tail, exactly at its first column, and one that moves
+//!   that column all equal the pinned rebuild — the engine's refactor and
+//!   re-solves run without a mirror, the rebuild runs with one.
 //! * The update epoch counts batches and survives persistence.
 
 use kdash_core::{IndexBuilder, IndexOptions, KdashIndex, NodeOrdering};
@@ -24,6 +29,7 @@ use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
 use kdash_dynamic::{DynamicIndex, UpdateBatch};
 use kdash_graph::{CsrGraph, EdgeEdit, GraphBuilder, NodeId};
 use kdash_harness::{check_index_bit_identity, exact_top_k_scored};
+use kdash_sparse::{dense_tail_columns, sparse_lu, transition_matrix, w_matrix, Triangle};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
 use std::collections::HashSet;
@@ -193,6 +199,67 @@ proptest! {
                 prop_assert!((g.proximity - w.1).abs() < 1e-9,
                     "q={} seed={}: {} vs {}", q, edit_seed, g.proximity, w.1);
             }
+        }
+    }
+}
+
+/// The boundary the engine crosses without knowing it is there: the
+/// build's factorisation and inversions solve the trailing columns of the
+/// factor as a mirrored dense tail, the engine's refactor and re-solves
+/// (few columns, no mirror) do not — and a patched index must still equal
+/// the rebuild byte for byte, whichever side of the tail's first column
+/// `s` the batch dirties, at one worker and at two.
+#[test]
+fn updates_on_every_side_of_the_dense_tail_equal_the_pinned_rebuild() {
+    // The fixture of `tests/incremental_lu_equivalence.rs`.
+    let graph = rmat(10, 4096, RmatParams::default(), 33);
+    let options = IndexOptions { ordering: NodeOrdering::Hybrid, ..Default::default() };
+    let index = IndexBuilder::from_options(options).threads(2).build(&graph).unwrap();
+    let perm = index.permutation().clone();
+    let permuted = index.permuted_graph().clone();
+    let n = permuted.num_nodes() as NodeId;
+    let a = transition_matrix(&permuted, index.dangling_policy());
+    let l = sparse_lu(&w_matrix(&a, index.restart_probability()).unwrap()).unwrap().l;
+    let tail = dense_tail_columns(&l, Triangle::Lower).unwrap() as NodeId;
+    assert!((64..n / 2).contains(&tail), "fixture tail is {tail} columns");
+    let s = n - tail;
+
+    // Edits by the `W` column they dirty (an edge's source), in permuted
+    // ids; the engine takes original ones.
+    let two_out_edges = |mut range: std::ops::Range<NodeId>| {
+        range.find(|&v| permuted.out_degree(v) > 1).expect("fixture has edges on both sides")
+    };
+    let touch = |src: NodeId, dst: NodeId| match permuted.has_edge(src, dst) {
+        true => EdgeEdit::Reweight { src: perm.old_of(src), dst: perm.old_of(dst), weight: 1.75 },
+        false => EdgeEdit::Insert { src: perm.old_of(src), dst: perm.old_of(dst), weight: 0.5 },
+    };
+    let first_edge = |src: NodeId| {
+        touch(src, permuted.out_edges(src).next().expect("has out-edges").0)
+    };
+    let fill = (s..n).filter(|&dst| !permuted.has_edge(s - 1, dst));
+    let classes = [
+        ("head", vec![first_edge(two_out_edges(0..s - 1))]),
+        ("tail", vec![first_edge(two_out_edges(s + 1..n))]),
+        ("at-s", vec![touch(s, n - 1)]),
+        ("moves-s", fill.map(|dst| touch(s - 1, dst)).collect()),
+    ];
+    for (class, edits) in classes {
+        let batch = UpdateBatch::new(edits).expect("valid weights");
+        let edited = graph.apply_edits(batch.edits()).unwrap();
+        let rebuilt = IndexBuilder::from_options(options)
+            .permutation(perm.clone())
+            .threads(2)
+            .build(&edited)
+            .unwrap();
+        for threads in [1usize, 2] {
+            let context = format!("{class} threads={threads}");
+            let mut dynamic = DynamicIndex::new(index.clone()).unwrap().threads(threads);
+            let report = dynamic.apply(&batch).unwrap();
+            assert_eq!(report.edits, batch.len(), "{context}");
+            if let Err(msg) = check_index_bit_identity(dynamic.index(), &rebuilt) {
+                panic!("{context}: {msg}");
+            }
+            assert_queries_bit_identical(dynamic.index(), &rebuilt, &context);
         }
     }
 }

@@ -17,19 +17,26 @@
 //! * Parallel full LU: `sparse_lu_with` at 2/auto threads is
 //!   bit-identical to the sequential factorisation (the build pipeline's
 //!   `keep_factors` path).
+//! * The dense tail: on an RMAT graph large enough for one, edits whose
+//!   dirty `W` column lies in the sparse head, inside the tail, exactly
+//!   at its first column, and one that moves that column — the refactor
+//!   and the inverse re-solve run without a mirror and must still return
+//!   the bytes of the full build they patch, which runs with one.
 //! * Engine level: `apply_coalesced` over a random queue equals the
 //!   pinned from-scratch rebuild bit-for-bit and advances the epoch by
 //!   the queue length (`tests/dynamic_equivalence.rs` pins the
 //!   batch-by-batch path; this pins the coalesced one).
 
-use kdash_core::{IndexBuilder, IndexOptions, KdashIndex, NodeOrdering};
+use kdash_core::{compute_ordering, IndexBuilder, IndexOptions, KdashIndex, NodeOrdering};
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
 use kdash_dynamic::{DynamicIndex, UpdateBatch};
 use kdash_graph::{CsrGraph, EdgeEdit, GraphBuilder, NodeId};
 use kdash_harness::check_index_bit_identity;
 use kdash_sparse::{
-    refactor_columns, refactor_columns_with, sparse_lu, sparse_lu_with, transition_matrix,
-    w_matrix, CscMatrix, DanglingPolicy, Index, InvertOptions, LuFactors,
+    dense_tail_columns, inverse_dirty_columns, invert_columns_with, invert_lower_unit_with,
+    invert_upper_with, refactor_columns, refactor_columns_with, sparse_lu, sparse_lu_with,
+    transition_matrix, w_matrix, CscMatrix, DanglingPolicy, Index, InvertOptions, LuFactors,
+    Triangle,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
@@ -201,6 +208,92 @@ proptest! {
         }
         check_edit(&permuted, &old, &merged, c, dangling,
             &format!("{ordering:?} seed={seed} class=coalesced"));
+    }
+}
+
+/// The RMAT fixture of the dense-tail tests (shared with
+/// `tests/dynamic_equivalence.rs`): 1 024 nodes under the hybrid ordering,
+/// whose `L` grows a tail of more than 64 columns behind a sparse head.
+/// Returns the permuted graph and the tail's first column.
+fn tail_fixture() -> (CsrGraph, NodeId) {
+    let graph = rmat(10, 4096, RmatParams::default(), 33);
+    let permuted = graph.permute(&compute_ordering(&graph, NodeOrdering::Hybrid)).unwrap();
+    let l = sparse_lu(&w_of(&permuted, 0.95, DanglingPolicy::Keep)).unwrap().l;
+    let tail = dense_tail_columns(&l, Triangle::Lower).unwrap();
+    assert!((64..permuted.num_nodes() / 2).contains(&tail), "fixture tail is {tail} columns");
+    let start = (permuted.num_nodes() - tail) as NodeId;
+    (permuted, start)
+}
+
+/// One edit list per side of the tail boundary, in permuted ids, by the
+/// `W` column they dirty (an edge's source): a head column, a tail
+/// column, the tail's first column `s`, and `s − 1` made full — which
+/// moves `s`.
+fn boundary_edits(graph: &CsrGraph, s: NodeId) -> Vec<(&'static str, Vec<EdgeEdit>)> {
+    let n = graph.num_nodes() as NodeId;
+    let reweight = |src: NodeId| {
+        let (dst, _) = graph.out_edges(src).next().expect("fixture sources have out-edges");
+        EdgeEdit::Reweight { src, dst, weight: 1.75 }
+    };
+    let with_out_edge = |mut range: std::ops::Range<NodeId>| {
+        // Two out-edges: reweighting a node's only one leaves `W` as it was.
+        range.find(|&v| graph.out_degree(v) > 1).expect("fixture has edges on both sides")
+    };
+    let at_s = match graph.has_edge(s, n - 1) {
+        true => EdgeEdit::Reweight { src: s, dst: n - 1, weight: 1.75 },
+        false => EdgeEdit::Insert { src: s, dst: n - 1, weight: 0.5 },
+    };
+    let fill = (s..n).filter(|&dst| !graph.has_edge(s - 1, dst));
+    vec![
+        ("head", vec![reweight(with_out_edge(0..s - 1))]),
+        ("tail", vec![reweight(with_out_edge(s + 1..n))]),
+        ("at-s", vec![at_s]),
+        ("moves-s", fill.map(|dst| EdgeEdit::Insert { src: s - 1, dst, weight: 1.0 }).collect()),
+    ]
+}
+
+/// `refactor_columns ≡ sparse_lu` and `invert_columns_with ≡` the full
+/// inversion, bitwise, at one worker and two, for edits on every side of
+/// the dense tail's first column.
+#[test]
+fn refactor_and_resolve_match_the_full_build_across_the_tail_boundary() {
+    let (graph, s) = tail_fixture();
+    let n = graph.num_nodes();
+    let old = sparse_lu(&w_of(&graph, 0.95, DanglingPolicy::Keep)).unwrap();
+    for (class, edits) in boundary_edits(&graph, s) {
+        let edited = graph.apply_edits(&edits).expect("valid edits");
+        let w_new = w_of(&edited, 0.95, DanglingPolicy::Keep);
+        let mut dirty: Vec<Index> = edits.iter().map(|e| e.src()).collect();
+        dirty.dedup();
+        let full = sparse_lu_with(&w_new, InvertOptions { threads: 2 }).unwrap();
+        let new_start = n - dense_tail_columns(&full.l, Triangle::Lower).unwrap();
+        assert_eq!(new_start != s as usize, class == "moves-s", "{class}: tail now at {new_start}");
+        let linv = invert_lower_unit_with(&full.l, InvertOptions { threads: 2 }).unwrap();
+        let uinv = invert_upper_with(&full.u, InvertOptions { threads: 2 }).unwrap();
+        for threads in [1usize, 2] {
+            let options = InvertOptions { threads };
+            let context = format!("{class} threads={threads}");
+            let (patched, report) = refactor_columns_with(&old, &w_new, &dirty, options).unwrap();
+            assert_factors_bit_identical(&patched, &full, &context);
+            let sides = [
+                (&patched.l, Triangle::Lower, true, &report.changed_l_columns, &linv),
+                (&patched.u, Triangle::Upper, false, &report.changed_u_columns, &uinv),
+            ];
+            let mut resolved = 0usize;
+            for (factor, triangle, unit_diag, changed, inverse) in sides {
+                let columns = inverse_dirty_columns(factor, changed);
+                resolved += columns.len();
+                let solved =
+                    invert_columns_with(factor, triangle, unit_diag, &columns, options).unwrap();
+                for update in solved {
+                    let (rows, vals) = inverse.col(update.col);
+                    assert_eq!(update.rows, rows, "{context} {triangle:?} column {}", update.col);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&update.vals), bits(vals), "{context} {triangle:?} values");
+                }
+            }
+            assert!(resolved > 0, "{context}: the edit dirtied no inverse column");
+        }
     }
 }
 

@@ -47,7 +47,6 @@ const ALLOWLIST: &[(&str, usize)] = &[
     ("crates/linalg/src/svd.rs", 2),
     ("crates/sparse/src/blocked.rs", 5),
     ("crates/sparse/src/csr.rs", 1),
-    ("crates/sparse/src/lu.rs", 1),
     ("crates/sparse/src/rwr.rs", 1),
     ("crates/sparse/src/store.rs", 1),
 ];
