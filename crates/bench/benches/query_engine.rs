@@ -10,8 +10,8 @@
 //!   candidates, the PR 1 strided mix, and miss-dominated cold rows),
 //!   each under **both** layouts (`flat_*` vs `blocked_*`) and every
 //!   kernel the host can run.
-//! * `query_engine/*` — end-to-end top-k sweeps: merge-join reference,
-//!   the PR 1 eager-scalar baseline, one reused lazy `Searcher` per
+//! * `query_engine/*` — end-to-end top-k sweeps: the eager merge-join
+//!   oracle, one reused lazy `Searcher` per
 //!   kernel on the blocked (default) layout, plus `lazy_auto_flat` to
 //!   isolate the layout's contribution.
 //! * `query_engine_k5/*` — the traversal-bound light-query series.
@@ -272,25 +272,6 @@ fn bench(c: &mut Criterion) {
         });
     });
 
-    // The PR 1 path: reused Searcher, scalar gather, whole BFS tree
-    // drained before the search loop — measured on the *flat* layout it
-    // was built for, in-run.
-    {
-        let mut searcher =
-            Searcher::with_kernel(&flat_index, GatherKernel::Scalar).expect("scalar");
-        let mut out = TopKResult::default();
-        group.bench_function("eager_reused_scalar_flat", |b| {
-            b.iter(|| {
-                let mut total = 0usize;
-                for &q in &queries {
-                    searcher.top_k_eager_into(q, k, &mut out).expect("query");
-                    total += out.items.len();
-                }
-                std::hint::black_box(total)
-            });
-        });
-    }
-
     // One reused lazy Searcher per kernel on the default (blocked) layout
     // — the serving configuration — plus the default kernel's flat twin so
     // the layout's own contribution is visible.
@@ -309,8 +290,7 @@ fn bench(c: &mut Criterion) {
         });
     }
     {
-        let mut searcher =
-            Searcher::with_kernel(&flat_index, GatherKernel::Auto).expect("auto resolves");
+        let mut searcher = flat_index.searcher();
         let mut out = TopKResult::default();
         group.bench_function("lazy_auto_flat", |b| {
             b.iter(|| {
@@ -337,24 +317,14 @@ fn bench(c: &mut Criterion) {
         for &q in &queries {
             searcher.top_k_into(q, k_light, &mut out).expect("query");
             expanded += out.stats.frontier_expanded;
-            searcher.top_k_eager_into(q, k_light, &mut out).expect("query");
-            full += out.stats.frontier_expanded;
+            // The eager oracle expands the whole reachable set up front.
+            full += index.top_k_merge_join(q, k_light).expect("query").stats.frontier_expanded;
         }
         println!(
             "k=5 frontier: lazy expands {expanded} nodes vs eager {full} \
              ({:.1}% of the eager traversal)",
             100.0 * expanded as f64 / full.max(1) as f64
         );
-        light.bench_function("eager_reused_auto", |b| {
-            b.iter(|| {
-                let mut total = 0usize;
-                for &q in &queries {
-                    searcher.top_k_eager_into(q, k_light, &mut out).expect("query");
-                    total += out.items.len();
-                }
-                std::hint::black_box(total)
-            });
-        });
         light.bench_function("lazy_reused_auto", |b| {
             b.iter(|| {
                 let mut total = 0usize;

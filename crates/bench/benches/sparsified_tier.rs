@@ -53,7 +53,7 @@
 //!   baseline columns then read NaN).
 
 use kdash_baselines::{IterativeRwr, TopKEngine};
-use kdash_core::{GatherKernel, IndexBuilder, KdashError, NodeOrdering, Searcher, TopKResult};
+use kdash_core::{IndexBuilder, KdashError, NodeOrdering, TopKResult};
 use kdash_datagen::{rmat, RmatParams};
 use kdash_graph::{CsrGraph, GraphBuilder, NodeId};
 use std::time::Instant;
@@ -165,8 +165,7 @@ fn main() {
             if index.needs_refinement() { "required" } else { "not required (classic path)" },
         );
 
-        let mut searcher =
-            Searcher::with_kernel(&index, GatherKernel::Auto).expect("auto resolves");
+        let mut searcher = index.searcher();
         // One warm-up query so the workspace allocations don't land in
         // the first measured trial.
         let _ = searcher.top_k(queries[0], k);

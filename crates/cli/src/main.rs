@@ -3,8 +3,8 @@
 //! ```text
 //! kdash build  <edges.txt> <index.kdash> [--c 0.95] [--ordering hybrid] [--threads 1]
 //!              [--drop-tol 0]
-//! kdash query  <index.kdash> <node> [--k 5] [--set n1,n2,...]
-//!              [--kernel auto] [--pruning on]
+//! kdash query  <index.kdash> <node> [--k 5] [--set n1,n2,...] [--theta T]
+//!              [--pruning on]
 //! kdash update --index <index.kdash> --edits <edits.txt> [--out FILE] [--threads 1]
 //!              [--coalesce] [--dry-run] [--journal]
 //! kdash recover <index.kdash> [--journal PATH] [--out FILE]
@@ -31,11 +31,9 @@
 //! rather than returning a silently approximate answer. `--drop-tol 0`
 //! (the default) is bit-identical to the dense-exact build.
 //!
-//! `query` selects its gather kernel with `--kernel
-//! {scalar,unrolled,simd,auto}` (default `auto`; a selector the host CPU
-//! cannot honour, or one that does not exist, is a typed error; only
-//! `auto` falls back) and prints the per-query work
-//! counters, including the lazy-BFS `frontier_expanded`/`discovered`
+//! `query` prints the per-query work counters — the gather kernel the
+//! host resolved to (AVX2 or its bit-identical portable twin; there is
+//! nothing to select), and the lazy-BFS `frontier_expanded`/`discovered`
 //! pair — on early-terminated queries `discovered` is the
 //! discovered-so-far count, not full reachability (see
 //! `kdash_core::SearchStats`). `--pruning off` disables the Lemma 2
@@ -110,8 +108,8 @@
 //! copy.
 
 use kdash_core::{
-    save_atomic, BuildStage, GatherKernel, IndexAudit, IndexBuilder, IndexOptions, KdashIndex,
-    NodeOrdering, RowLayout, Searcher, SolveTally,
+    save_atomic, BuildStage, IndexAudit, IndexBuilder, IndexOptions, KdashIndex,
+    NodeOrdering, RowLayout, SolveTally,
 };
 use kdash_datagen::DatasetProfile;
 use kdash_dynamic::{DynamicIndex, Journal, RecoveryReport, UpdateBatch};
@@ -156,7 +154,7 @@ fn print_usage() {
          \x20 kdash build  <edges.txt> <index.kdash> [--c 0.95] [--ordering hybrid] [--threads 1]\n\
          \x20              [--drop-tol 0]\n\
          \x20 kdash query  <index.kdash> <node> [--k 5] [--set n1,n2,...] [--theta T]\n\
-         \x20              [--kernel auto] [--pruning on]\n\
+         \x20              [--pruning on]\n\
          \x20 kdash update --index <index.kdash> --edits <edits.txt> [--out FILE] [--threads 1]\n\
          \x20              [--coalesce] [--dry-run] [--journal]\n\
          \x20 kdash recover <index.kdash> [--journal PATH] [--out FILE]\n\
@@ -170,8 +168,6 @@ fn print_usage() {
          ORDERINGS: natural random degree community (= cluster) hybrid rcm mindegree\n\
          PROFILES:  dictionary internet citation social email\n\
          THREADS:   inversion-stage workers; 0 = all cores, results identical at any count\n\
-         KERNELS:   scalar unrolled simd auto — proximity gather kernel, default 'auto';\n\
-         \x20          'simd' errors on hosts without AVX2, only 'auto' falls back\n\
          PRUNING:   on (Lemma 2 early termination) | off (visit every reachable node)\n\
          DROP-TOL:  inverse entries below this magnitude are dropped at build time;\n\
          \x20          queries then run certified residual refinement — top-k sets and\n\
@@ -340,27 +336,21 @@ fn load_index(path: &str) -> Result<KdashIndex, String> {
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
     let (pos, flags) = parse_flags(args, &[])?;
-    reject_unknown_flags(&flags, &["k", "set", "theta", "kernel", "pruning"])?;
+    reject_unknown_flags(&flags, &["k", "set", "theta", "pruning"])?;
     let [index_path, node_text] = pos.as_slice() else {
         return Err("usage: kdash query <index.kdash> <node> [--k 5] [--set n1,n2,...] [--theta T] \
-                    [--kernel auto] [--pruning on]"
+                    [--pruning on]"
             .into());
     };
     let q: u32 = node_text.parse().map_err(|_| "invalid node id")?;
     let k: usize = flag(&flags, "k").unwrap_or("5").parse().map_err(|_| "invalid --k")?;
-    let kernel = match flag(&flags, "kernel") {
-        Some(name) => name.parse::<GatherKernel>().map_err(|e| e.to_string())?,
-        None => GatherKernel::default(),
-    };
     let pruning = match flag(&flags, "pruning").unwrap_or("on") {
         "on" => true,
         "off" => false,
         other => return Err(format!("invalid --pruning '{other}' (expected on or off)")),
     };
     let index = load_index(index_path)?;
-    // An unsupported explicit selector (e.g. --kernel simd without AVX2)
-    // surfaces here as a typed KdashError, before any query work runs.
-    let mut searcher = Searcher::with_kernel(&index, kernel).map_err(|e| e.to_string())?;
+    let mut searcher = index.searcher();
 
     let t = Instant::now();
     let result = if let Some(theta_text) = flag(&flags, "theta") {
@@ -403,7 +393,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         s.reachable,
         s.terminated_early
     );
-    // The gather's observability line: what `--kernel` resolved to on
+    // The gather's observability line: what the kernel resolved to on
     // this host, how many candidate rows it ran, and what they streamed
     // (value bytes per the fixed accounting model — machine-independent).
     println!(
@@ -785,11 +775,27 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if nodes == 0 {
         return Err("index holds an empty graph; nothing to serve".into());
     }
+    // Reads are drawn from the nodes with at least one out-edge in the
+    // served graph. A sink's walk never leaves it — its query is the
+    // trivial one-node answer — and on skewed graphs sinks are the
+    // majority (≈ 55 % of RMAT nodes), so a uniform draw would report the
+    // no-walk case as the p50. (The writer only deletes edges it inserted,
+    // so a source never turns into a sink mid-run.)
+    let read_pool: Vec<u32> = (0..nodes as u32)
+        .filter(|&v| index.permuted_graph().out_degree(index.permutation().new_of(v)) > 0)
+        .collect();
+    if read_pool.is_empty() {
+        return Err("every node of the served graph is a sink; nothing to walk".into());
+    }
+    let sink_share = 1.0 - read_pool.len() as f64 / nodes as f64;
     println!(
-        "serving {index_path}: {} nodes, {} edges, update epoch {}",
+        "serving {index_path}: {} nodes, {} edges, update epoch {}; reads drawn from the {} \
+         nodes with out-edges ({:.1}% sinks excluded)",
         index.num_nodes(),
         index.stats().num_edges,
-        index.update_epoch()
+        index.update_epoch(),
+        read_pool.len(),
+        sink_share * 100.0,
     );
 
     let mut engine = DynamicIndex::new(index).map_err(|e| format!("attach engine: {e}"))?;
@@ -845,11 +851,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         let reads_ref = &reads_done;
         let fail_ref = &read_failures;
         let stop_ref = &stop;
+        let pool_ref = &read_pool;
         for c in 0..clients {
             let mut rng = WorkloadRng(seed ^ (c as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             scope.spawn(move || {
                 while !stop_ref.load(Ordering::Acquire) {
-                    let query = rng.below(nodes) as u32;
+                    let query = pool_ref[rng.below(pool_ref.len() as u64) as usize];
                     match serve_ref.query_blocking(query, k) {
                         Ok(_) => {
                             reads_ref.fetch_add(1, Ordering::Relaxed);
@@ -922,9 +929,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         m.shed_rate() * 100.0,
     );
     println!(
-        r#"{{"serve_bench":"{}","nodes":{},"duration_s":{:.3},"workers":{},"clients":{},"mix":"{}:{}","queue":{},"max_batch":{},"journaled":{},"reads":{},"read_failures":{},"read_throughput_per_s":{:.1},"writes_acked":{},"latency_p50_ms":{:.4},"latency_p99_ms":{:.4},"latency_p999_ms":{:.4},"latency_max_ms":{:.4},"mean_batch":{:.2},"freshness_lag_p50":{},"freshness_lag_max":{},"swaps":{},"swap_p50_ms":{:.4},"swap_max_ms":{:.4},"shed":{},"shed_rate":{:.6},"final_epoch":{}}}"#,
+        r#"{{"serve_bench":"{}","nodes":{},"sink_share_excluded":{:.4},"duration_s":{:.3},"workers":{},"clients":{},"mix":"{}:{}","queue":{},"max_batch":{},"journaled":{},"reads":{},"read_failures":{},"read_throughput_per_s":{:.1},"writes_acked":{},"latency_p50_ms":{:.4},"latency_p99_ms":{:.4},"latency_p999_ms":{:.4},"latency_max_ms":{:.4},"mean_batch":{:.2},"freshness_lag_p50":{},"freshness_lag_max":{},"swaps":{},"swap_p50_ms":{:.4},"swap_max_ms":{:.4},"shed":{},"shed_rate":{:.6},"final_epoch":{}}}"#,
         index_path,
         nodes,
+        sink_share,
         elapsed,
         workers_started,
         clients,
@@ -975,7 +983,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
         return verify_journal(index_path);
     }
 
-    // Stage 1 — load. The v4 loader verifies every per-section CRC32 and
+    // Stage 1 — load. The loader verifies every per-section CRC32 and
     // the whole-file footer while parsing, plus all structural
     // cross-checks; any damage surfaces here as a typed PersistError
     // naming the section and byte offset.
@@ -984,14 +992,10 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     let (index, info) =
         KdashIndex::load_with_info(BufReader::new(file)).map_err(|e| e.to_string())?;
     println!(
-        "loaded {index_path} in {:.2?}: format v{}, {} ({} nodes, {} edges, update epoch {})",
+        "loaded {index_path} in {:.2?}: format v{}, checksums verified ({} nodes, {} edges, \
+         update epoch {})",
         t.elapsed(),
         info.version,
-        if info.checksummed {
-            "checksums verified"
-        } else {
-            "UNCHECKSUMMED legacy format — re-save to add integrity checksums"
-        },
         index.num_nodes(),
         index.stats().num_edges,
         index.update_epoch(),
@@ -1044,10 +1048,9 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
         })
         .collect();
     println!(
-        r#"{{"index":"{}","version":{},"checksummed":{},"clean":{},"findings":{},"sections":[{}]}}"#,
+        r#"{{"index":"{}","version":{},"clean":{},"findings":{},"sections":[{}]}}"#,
         index_path,
         info.version,
-        info.checksummed,
         audit.is_clean(),
         audit.total_findings(),
         sections_json.join(","),

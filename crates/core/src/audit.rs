@@ -764,10 +764,10 @@ mod tests {
         index.save(&mut buf).unwrap();
         let loaded = KdashIndex::load(buf.as_slice()).unwrap();
         assert!(IndexAudit::run(&loaded).is_clean());
-        // The v1 upgrade path too.
-        let mut v1 = Vec::new();
-        index.save_v1(&mut v1).unwrap();
-        let upgraded = KdashIndex::load(v1.as_slice()).unwrap();
+        // The v4 upgrade path too.
+        let mut v4 = Vec::new();
+        index.save_v4(&mut v4).unwrap();
+        let upgraded = KdashIndex::load(v4.as_slice()).unwrap();
         assert!(IndexAudit::run(&upgraded).is_clean());
     }
 

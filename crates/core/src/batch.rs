@@ -15,8 +15,8 @@
 //!
 //! Two failure models are offered:
 //!
-//! * [`batch_top_k`] / [`batch_top_k_with_kernel`] — fail-fast: the first
-//!   error (by lowest query index, deterministically) aborts the batch.
+//! * [`batch_top_k`] — fail-fast: the first error (by lowest query
+//!   index, deterministically) aborts the batch.
 //! * [`batch_top_k_outcomes`] — isolated: every query reports its own
 //!   [`BatchOutcome`]; one poisoned query (even one that *panics* inside
 //!   the search) costs exactly that query, the other N−1 results are
@@ -25,24 +25,20 @@
 //!   discards its [`Searcher`] (the panic may have left its scratch
 //!   buffers mid-update) and rebuilds a fresh one for the next claim.
 
-use crate::{GatherKernel, KdashError, KdashIndex, QueryBudget, Result, Searcher, TopKResult};
+use crate::{KdashError, KdashIndex, QueryBudget, Result, Searcher, TopKResult};
 use kdash_graph::NodeId;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Batch execution options: worker count, gather kernel, per-query
-/// budget. The default is "auto threads, auto kernel, unlimited
-/// budget" — the fail-fast [`batch_top_k`] semantics.
+/// Batch execution options: worker count and per-query budget. The
+/// default is "auto threads, unlimited budget" — the fail-fast
+/// [`batch_top_k`] semantics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchOptions {
     /// Worker threads; `0` means one per available hardware thread. Any
     /// requested count is capped at the batch size, and a single worker
     /// runs inline on the calling thread.
     pub threads: usize,
-    /// Gather-kernel selection for every worker, resolved against the
-    /// host once up front (an unsupported request fails typed before any
-    /// thread spawns).
-    pub kernel: GatherKernel,
     /// Per-query work budget, applied to every query in the batch. A
     /// query that exceeds it fails with [`KdashError::BudgetExceeded`] —
     /// under [`batch_top_k_outcomes`] that is one failed outcome, not a
@@ -54,7 +50,7 @@ pub struct BatchOptions {
 #[derive(Debug, Clone)]
 pub enum BatchOutcome {
     /// The query completed; the result is bit-identical to running it
-    /// alone with the same kernel and budget.
+    /// alone with the same budget.
     Ok(TopKResult),
     /// The query failed — invalid input, exceeded budget, or a panic
     /// inside the search ([`KdashError::QueryPanicked`]). Other queries
@@ -86,9 +82,8 @@ impl BatchOutcome {
 }
 
 /// Runs `top_k` for every query, fanning out over at most `threads`
-/// worker threads with the default ([`GatherKernel::Auto`]) gather
-/// kernel. Results are returned in query order; the first error (e.g. an
-/// out-of-bounds query, by lowest query index) aborts the batch. A panic
+/// worker threads. Results are returned in query order; the first error
+/// (e.g. an out-of-bounds query, by lowest query index) aborts the batch. A panic
 /// inside any query surfaces as [`KdashError::QueryPanicked`] instead of
 /// tearing down the caller.
 ///
@@ -102,22 +97,8 @@ pub fn batch_top_k(
     k: usize,
     threads: usize,
 ) -> Result<Vec<TopKResult>> {
-    batch_top_k_with_kernel(index, queries, k, threads, GatherKernel::default())
-}
-
-/// [`batch_top_k`] with an explicit gather-kernel selection for every
-/// worker. The selection is resolved against the host once, up front —
-/// an unsupported request (e.g. `simd` without AVX2) fails typed before
-/// any thread spawns; only `auto` falls back.
-pub fn batch_top_k_with_kernel(
-    index: &KdashIndex,
-    queries: &[NodeId],
-    k: usize,
-    threads: usize,
-    kernel: GatherKernel,
-) -> Result<Vec<TopKResult>> {
-    let options = BatchOptions { threads, kernel, budget: QueryBudget::default() };
-    let slots = run_batch(index, queries, k, &options, true, &|_, _| {})?;
+    let options = BatchOptions { threads, budget: QueryBudget::default() };
+    let slots = run_batch(index, queries, k, &options, true, &|_, _| {});
     // Stitch back into query order. Indices are claimed in increasing
     // cursor order, so if any query failed, every lower index was claimed
     // too — scanning in order yields the lowest-index error
@@ -167,7 +148,7 @@ pub fn batch_top_k_outcomes_with_hook(
     options: &BatchOptions,
     hook: &(dyn Fn(usize, NodeId) + Sync),
 ) -> Result<Vec<BatchOutcome>> {
-    let slots = run_batch(index, queries, k, options, false, hook)?;
+    let slots = run_batch(index, queries, k, options, false, hook);
     let mut out = Vec::with_capacity(queries.len());
     for slot in slots {
         out.push(slot.unwrap_or_else(|| BatchOutcome::Failed(KdashError::QueryPanicked {
@@ -190,20 +171,11 @@ fn run_one<'a>(
     k: usize,
     hook: &(dyn Fn(usize, NodeId) + Sync),
 ) -> BatchOutcome {
-    if searcher.is_none() {
-        match Searcher::with_kernel(index, options.kernel) {
-            Ok(mut s) => {
-                s.set_budget(options.budget);
-                *searcher = Some(s);
-            }
-            Err(e) => return BatchOutcome::Failed(KdashError::from(e)),
-        }
-    }
-    let Some(s) = searcher.as_mut() else {
-        return BatchOutcome::Failed(KdashError::QueryPanicked {
-            message: "searcher unavailable".into(),
-        });
-    };
+    let s = searcher.get_or_insert_with(|| {
+        let mut s = Searcher::new(index);
+        s.set_budget(options.budget);
+        s
+    });
     let attempt = catch_unwind(AssertUnwindSafe(|| {
         hook(i, q);
         s.top_k(q, k)
@@ -245,12 +217,10 @@ pub struct IsolatedExecutor<'a> {
 }
 
 impl<'a> IsolatedExecutor<'a> {
-    /// Creates an executor over `index`. The kernel selection in
-    /// `options` is resolved against the host up front — an unsupported
-    /// request fails typed here, never per query. (`options.threads` is
-    /// ignored: an executor *is* one worker.)
+    /// Creates an executor over `index`. (`options.threads` is ignored:
+    /// an executor *is* one worker.) Infallible today; the `Result` is
+    /// part of the surface `benchmark/` matches on.
     pub fn new(index: &'a KdashIndex, options: BatchOptions) -> Result<Self> {
-        options.kernel.resolve().map_err(KdashError::from)?;
         Ok(IsolatedExecutor { index, options, searcher: None })
     }
 
@@ -262,7 +232,7 @@ impl<'a> IsolatedExecutor<'a> {
     /// Runs one query. Never panics: invalid input, an exceeded budget,
     /// or a panic inside the search all come back as
     /// [`BatchOutcome::Failed`], and the result of a completed query is
-    /// bit-identical to running it alone with the same kernel/budget.
+    /// bit-identical to running it alone with the same budget.
     pub fn run(&mut self, query: NodeId, k: usize) -> BatchOutcome {
         run_one(self.index, &mut self.searcher, &self.options, query, 0, k, &|_, _| {})
     }
@@ -280,8 +250,7 @@ fn run_batch(
     options: &BatchOptions,
     abort_on_error: bool,
     hook: &(dyn Fn(usize, NodeId) + Sync),
-) -> Result<Vec<Option<BatchOutcome>>> {
-    options.kernel.resolve().map_err(KdashError::from)?;
+) -> Vec<Option<BatchOutcome>> {
     let threads = resolve_threads(options.threads, queries.len());
     if threads <= 1 {
         let mut searcher: Option<Searcher<'_>> = None;
@@ -294,7 +263,7 @@ fn run_batch(
                 break;
             }
         }
-        return Ok(slots);
+        return slots;
     }
 
     // The work-stealing queue is just a claim cursor: fetch_add hands every
@@ -340,7 +309,7 @@ fn run_batch(
         debug_assert!(slots[i].is_none(), "query {i} claimed twice");
         slots[i] = Some(outcome);
     }
-    Ok(slots)
+    slots
 }
 
 /// Resolves the requested worker count: `0` = auto-detect, always at least
@@ -518,7 +487,6 @@ mod tests {
         let options = BatchOptions {
             threads: 1,
             budget: QueryBudget { max_frontier_nodes: Some(1), ..Default::default() },
-            ..Default::default()
         };
         let outcomes = batch_top_k_outcomes(&index, &[0, 1], 5, &options).unwrap();
         for o in &outcomes {
@@ -571,8 +539,7 @@ mod tests {
             if i == 1 {
                 panic!("boom");
             }
-        })
-        .unwrap();
+        });
         let failed: Vec<_> =
             slots.iter().flatten().filter(|o| !o.is_ok()).collect();
         assert_eq!(failed.len(), 1);

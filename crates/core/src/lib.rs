@@ -109,10 +109,18 @@
 //! [`KdashIndex::update_epoch`] counts applied batches (persisted from
 //! index-format v3).
 //!
-//! Four hot-path levers live on the index and its `Searcher`:
+//! Every query kind — top-k, unpruned, threshold, restart set, random root
+//! — runs through **one search driver** on the [`Searcher`], monomorphised
+//! over a bound policy ([`LayerEstimator`] may stop the search,
+//! [`ArbitraryOrderBound`] may skip a node, none) and a stop goal (k-th
+//! best vs a fixed θ), with the source (one node vs a restart set) fixed
+//! by each entry point's prologue; one eager merge-join oracle
+//! ([`KdashIndex::top_k_merge_join`]) stands beside it for the
+//! equivalence suites. Four hot-path levers live on the index and that
+//! driver:
 //!
 //! * **Lazy frontier** — BFS layers are discovered on demand inside the
-//!   search loop, so a query the Lemma 2 bound terminates early never
+//!   driver, so a query the Lemma 2 bound terminates early never
 //!   enumerates the layers it pruned away.
 //!   [`SearchStats::frontier_expanded`] reports the traversal work paid;
 //!   [`SearchStats::reachable`] is the discovered-so-far count on
@@ -123,19 +131,18 @@
 //!   flat CSR on the fill-dominated inverse rows, bit-identical values
 //!   and answers ([`IndexOptions::layout`](precompute::IndexOptions),
 //!   pinned by `tests/layout_equivalence.rs`).
-//! * **Gather kernels** — proximities run through a runtime-selected
-//!   kernel ([`GatherKernel`]: `scalar`, `unrolled`, `simd`, `auto`).
-//!   The query column is a dense vector that is zero outside its loaded
-//!   entries, so the gather multiplies every stored entry
-//!   unconditionally — four lanes, no branch. Its AVX2 and portable
-//!   bodies share one operation order and are bit-identical on every
-//!   row, so answers are deterministic across machines; a selector the
-//!   host cannot honour is a typed [`KdashError::UnsupportedKernel`],
-//!   and only `auto` (the default) falls back. `scalar` is the
-//!   one-accumulator reference order, bit-identical to the merge join.
-//!   The resolution and the row counts are recorded in [`SearchStats`]
-//!   for reproducibility.
-//! * **Prefetched candidate batching** — the search loops prefetch the
+//! * **Gather kernel** — the query column is a dense vector that is zero
+//!   outside its loaded entries, so the gather multiplies every stored
+//!   entry unconditionally — four lanes, no branch. Its AVX2 and
+//!   portable bodies share one operation order and are bit-identical on
+//!   every row, so answers are deterministic across machines and there
+//!   is **no runtime kernel selector**: a workspace resolves AVX2 or the
+//!   portable twin from the host once. ([`GatherKernel`] and the hidden
+//!   `Searcher::with_kernel` remain as the seam of the bit-identity
+//!   suites — `scalar` there is the one-accumulator reference order,
+//!   bit-identical to the merge join.) The resolution and the row counts
+//!   are recorded in [`SearchStats`] for reproducibility.
+//! * **Prefetched candidate batching** — the driver prefetches the
 //!   next block of candidate rows' index/value spans while the current
 //!   row gathers, restoring memory-level parallelism on DRAM-resident
 //!   indexes.
@@ -203,12 +210,14 @@
 //!   (only `EINTR`-class interruptions are): once the kernel has
 //!   reported write-back failure, dirty pages may already be gone, and
 //!   retry-until-ok would convert data loss into a success report.
-//! * **Corruption detection** — the v4 on-disk format checksums every
-//!   section (graph, `L⁻¹`, `U⁻¹`, row stats, estimator, trailer) with
-//!   CRC32 plus a whole-file footer; [`KdashIndex::load`] reports a typed
-//!   [`persist::PersistError`] naming the failing section and byte
-//!   offset. Older (v1–v3) files still load, flagged unchecksummed in
-//!   [`persist::LoadInfo`].
+//! * **Corruption detection** — the on-disk format checksums every
+//!   section (graph, `L⁻¹`, `U⁻¹`, row stats, estimator, dropped masses,
+//!   trailer) with CRC32 plus a whole-file footer; [`KdashIndex::load`]
+//!   reports a typed [`persist::PersistError`] naming the failing section
+//!   and byte offset. The reader accepts the current format (v5) and one
+//!   back (v4), both checksummed — no load path skips a CRC — and refuses
+//!   the unchecksummed v1–v3 with
+//!   [`persist::PersistError::UnsupportedVersion`].
 //! * **Deep auditing** — [`audit::IndexAudit::run`] re-verifies every
 //!   structural invariant of a loaded or patched index (triangularity,
 //!   permutation bijectivity, blocked-layout encoding, row stats,
@@ -277,7 +286,7 @@ pub mod stats;
 
 pub use audit::{AuditFinding, AuditSection, IndexAudit};
 pub use batch::{
-    batch_top_k, batch_top_k_outcomes, batch_top_k_with_kernel, BatchOptions, BatchOutcome,
+    batch_top_k, batch_top_k_outcomes, BatchOptions, BatchOutcome,
     IsolatedExecutor,
 };
 pub use estimator::{ArbitraryOrderBound, LayerEstimator};
@@ -292,9 +301,9 @@ pub use search::{RankedNode, TopKResult};
 pub use searcher::{BudgetLimit, QueryBudget, Searcher};
 pub use stats::{IndexStats, SearchStats};
 
-/// The gather-kernel selector and the `U⁻¹` row-layout selector,
-/// re-exported so callers picking a kernel or layout (CLI, serving
-/// loops) need not depend on `kdash-sparse` directly; and the per-stage
+/// The `U⁻¹` row-layout selector and the gather-kernel seam of the
+/// bit-identity suites, re-exported so callers need not depend on
+/// `kdash-sparse` directly; and the per-stage
 /// solve counts a [`BuildReport`] carries.
 pub use kdash_sparse::{GatherKernel, ResolvedKernel, RowLayout, SolveTally};
 

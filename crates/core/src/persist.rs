@@ -16,37 +16,28 @@
 //!   stored inverses were truncated with, then the per-column dropped ℓ₁
 //!   masses of `L⁻¹` and `U⁻¹` — what the certified refinement loop needs
 //!   to keep sparsified answers exact. The section is checksummed like
-//!   every other. v1–v4 files still load, flagged dense-exact (`ε = 0`,
-//!   zero masses) — which is what they are.
-//! * **v4**: v3 with integrity checksums. Every section —
-//!   header, permutation, graph arrays, `L⁻¹`, `U⁻¹`, row stats,
-//!   estimator constants, trailer — is followed by its CRC32 (IEEE), and
-//!   the file ends with a `KDASHEND` footer carrying the CRC32 of the
-//!   whole byte stream before it. Load verifies each section checksum in
-//!   stream order and the footer last, so corruption is reported with
-//!   the failing [`Section`] and byte offset
-//!   ([`PersistError::ChecksumMismatch`]). v1–v3 files still load,
-//!   reported as unchecksummed in [`LoadInfo`] — re-save to add
-//!   checksums.
-//! * **v3**: v2 plus a dynamic-update trailer — the dangling-node policy
-//!   tag (incremental updates must renormalise edited transition columns
-//!   exactly as the build did) and the **update-epoch counter** (how
-//!   many `kdash-dynamic` batches have been applied since the
-//!   from-scratch build; `kdash info` prints it). v1/v2 files still load
-//!   with epoch 0 and the default `Keep` policy.
-//! * **v2**: after the shared header and `L⁻¹`, a one-byte row
-//!   **layout tag** selects how `U⁻¹` is encoded — flat CSC transpose
-//!   arrays (as v1) or the blocked arrays of
-//!   [`kdash_sparse::BlockedCsr`] (run anchors + `u16` deltas, the
-//!   bandwidth-lean on-disk *and* in-memory form). A packed per-row
-//!   **row-stats section** ([`kdash_sparse::RowStat`]) follows; on
-//!   load it is checked against the stats recomputed from the arrays, so
-//!   a corrupted stats section is rejected rather than silently skewing
-//!   the per-row accounting.
-//! * **v1**: the flat-only format of earlier releases. Still loads — the
-//!   matrix is upgraded to the blocked layout on read, so old index files
-//!   transparently gain the new read path. ([`KdashIndex::save_v1`]
-//!   remains, hidden, so the compatibility path stays testable.)
+//!   every other.
+//! * **v4** (one back, still read): the same stream without the
+//!   dropped-mass section; loads as dense-exact (`ε = 0`, zero masses) —
+//!   which is what a v4 file is. (`KdashIndex::save_v4` remains, hidden,
+//!   so this path stays tested against real bytes.)
+//! * **v1–v3** (unchecksummed) are refused with
+//!   [`PersistError::UnsupportedVersion`] before anything past the
+//!   version field is parsed: the reader keeps the current format and one
+//!   back, and no load path skips a CRC.
+//!
+//! Every section — header, permutation, graph arrays, `L⁻¹`, `U⁻¹` under
+//! its one-byte row **layout tag** (flat CSC transpose arrays, or the
+//! blocked arrays of [`kdash_sparse::BlockedCsr`]: run anchors + `u16`
+//! deltas, the bandwidth-lean on-disk *and* in-memory form), the packed
+//! per-row stats ([`kdash_sparse::RowStat`], checked on load against the
+//! stats recomputed from the arrays), estimator constants, dropped
+//! masses, and the dynamic-update trailer (dangling-node policy tag and
+//! **update-epoch counter**) — is followed by its CRC32 (IEEE), and the
+//! file ends with a `KDASHEND` footer carrying the CRC32 of the whole byte
+//! stream before it. Load verifies each section checksum in stream order
+//! and the footer last, so corruption is reported with the failing
+//! [`Section`] and byte offset ([`PersistError::ChecksumMismatch`]).
 
 use crate::{KdashIndex, NodeOrdering};
 use kdash_graph::{CsrGraph, Permutation};
@@ -60,15 +51,15 @@ const FOOTER_MAGIC: &[u8; 8] = b"KDASHEND";
 const VERSION: u32 = 5;
 /// First format version carrying the dropped-mass section.
 const VERSION_SPARSIFIED: u32 = 5;
-/// First format version with per-section and whole-file checksums.
-const VERSION_CHECKSUMMED: u32 = 4;
+/// Oldest format version the reader accepts: current and one back.
+const VERSION_OLDEST_READ: u32 = 4;
 const LAYOUT_FLAT: u8 = 0;
 const LAYOUT_BLOCKED: u8 = 1;
 const DANGLING_KEEP: u8 = 0;
 const DANGLING_SELF_LOOP: u8 = 1;
 
 /// The on-disk section an error was detected in. Section boundaries are
-/// the checksum boundaries of the v4 format, in stream order.
+/// the checksum boundaries of the format, in stream order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Section {
     /// Magic, version, restart probability, ordering, node count.
@@ -216,7 +207,11 @@ impl std::fmt::Display for PersistError {
             PersistError::Io { stage, error } => write!(f, "i/o error during {stage}: {error}"),
             PersistError::BadMagic => write!(f, "bad magic — not a K-dash index file"),
             PersistError::UnsupportedVersion(v) => {
-                write!(f, "unsupported index version {v} (this build reads 1..={VERSION})")
+                write!(
+                    f,
+                    "unsupported index version {v} (this build reads \
+                     {VERSION_OLDEST_READ}..={VERSION})"
+                )
             }
             PersistError::Corrupt { section, offset, detail } => {
                 write!(f, "corrupt index file ({section} section, byte {offset}): {detail}")
@@ -251,12 +246,9 @@ impl From<io::Error> for PersistError {
 /// index itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadInfo {
-    /// The on-disk format version the file was written in.
+    /// The on-disk format version the file was written in (every
+    /// accepted version is checksummed, and passed).
     pub version: u32,
-    /// Whether the file carried (and passed) integrity checksums. `false`
-    /// for v1–v3 legacy files — structurally validated but not protected
-    /// against silent bit rot; re-save to upgrade.
-    pub checksummed: bool,
     /// The update epoch the snapshot was taken at (0 for an index that
     /// was never incrementally updated). Recovery tooling compares this
     /// against a sidecar journal's epoch range without re-deriving it
@@ -378,26 +370,17 @@ impl<W: Write> Write for SectionWriter<W> {
 /// The reading twin: every payload read feeds both CRCs, EOF inside a
 /// section is reported as [`PersistError::Corrupt`] at the failing
 /// offset, and [`end_section`](Self::end_section) verifies the stored
-/// section CRC (a no-op on unchecksummed legacy versions).
+/// section CRC.
 struct SectionReader<R: Read> {
     inner: R,
     offset: u64,
     file: Crc32,
     section: Crc32,
-    /// Set once the version field is known; legacy files skip every
-    /// checksum verification but share the same parse path.
-    checksummed: bool,
 }
 
 impl<R: Read> SectionReader<R> {
     fn new(inner: R) -> Self {
-        SectionReader {
-            inner,
-            offset: 0,
-            file: Crc32::new(),
-            section: Crc32::new(),
-            checksummed: false,
-        }
+        SectionReader { inner, offset: 0, file: Crc32::new(), section: Crc32::new() }
     }
 
     fn offset(&self) -> u64 {
@@ -420,41 +403,31 @@ impl<R: Read> SectionReader<R> {
         Ok(())
     }
 
-    /// Verifies and consumes the section's CRC field (v4+), then resets
-    /// the section checksum state for the next section.
+    /// Verifies and consumes the section's CRC field, then resets the
+    /// section checksum state for the next section.
     fn end_section(&mut self, section: Section) -> Result<(), PersistError> {
-        if self.checksummed {
-            let computed = self.section.value();
-            let at = self.offset;
-            let mut b = [0u8; 4];
-            self.inner.read_exact(&mut b).map_err(|e| {
-                if e.kind() == io::ErrorKind::UnexpectedEof {
-                    corrupt(section, at, "unexpected end of file in checksum field")
-                } else {
-                    PersistError::from(e)
-                }
-            })?;
-            self.file.update(&b);
-            self.offset += 4;
-            let stored = u32::from_le_bytes(b);
-            if stored != computed {
-                return Err(PersistError::ChecksumMismatch {
-                    section,
-                    offset: at,
-                    stored,
-                    computed,
-                });
+        let computed = self.section.value();
+        let at = self.offset;
+        let mut b = [0u8; 4];
+        self.inner.read_exact(&mut b).map_err(|e| {
+            if e.kind() == io::ErrorKind::UnexpectedEof {
+                corrupt(section, at, "unexpected end of file in checksum field")
+            } else {
+                PersistError::from(e)
             }
+        })?;
+        self.file.update(&b);
+        self.offset += 4;
+        let stored = u32::from_le_bytes(b);
+        if stored != computed {
+            return Err(PersistError::ChecksumMismatch { section, offset: at, stored, computed });
         }
         self.section = Crc32::new();
         Ok(())
     }
 
-    /// Verifies the `KDASHEND` + whole-file-CRC footer (v4+).
+    /// Verifies the `KDASHEND` + whole-file-CRC footer.
     fn verify_footer(&mut self) -> Result<(), PersistError> {
-        if !self.checksummed {
-            return Ok(());
-        }
         let computed = self.file.value();
         let at = self.offset;
         let mut b = [0u8; 12];
@@ -591,7 +564,7 @@ impl KdashIndex {
                  drop tolerance) — use the current format",
             ));
         }
-        self.save_versioned(w, VERSION_CHECKSUMMED).map(|_| ())
+        self.save_versioned(w, VERSION_OLDEST_READ).map(|_| ())
     }
 
     fn save_versioned<W: Write>(
@@ -669,7 +642,9 @@ impl KdashIndex {
         marks.push((Section::RowStats.name(), w.end_section()?));
 
         // Estimator constants.
-        self.write_estimator(&mut w)?;
+        write_f64_slice(&mut w, self.a_col_max())?;
+        write_f64(&mut w, self.a_max())?;
+        write_f64_slice(&mut w, self.c_prime())?;
         marks.push((Section::Estimator.name(), w.end_section()?));
 
         // The sparsification record (v5): drop tolerance + per-column
@@ -695,58 +670,18 @@ impl KdashIndex {
         Ok(marks)
     }
 
-    /// Serialises in the legacy v1 (flat-only, unchecksummed) format.
-    /// Kept solely so the v1→v4 upgrade path stays covered by tests
-    /// against real v1 bytes.
-    #[doc(hidden)]
-    pub fn save_v1<W: Write>(&self, mut w: W) -> io::Result<()> {
-        if self.needs_refinement() {
-            // The legacy format has nowhere to put the dropped masses; a
-            // reload would silently skip refinement and answer wrong.
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "sparsified indexes cannot be written in the legacy v1 format",
-            ));
-        }
-        w.write_all(MAGIC)?;
-        write_u32(&mut w, 1)?;
-        write_f64(&mut w, self.restart_probability())?;
-        let (tag, seed) = encode_ordering(self.ordering());
-        w.write_all(&[tag])?;
-        write_u64(&mut w, seed)?;
-        write_u64(&mut w, self.num_nodes() as u64)?;
-        write_u32_slice(&mut w, self.permutation().order())?;
-        let (row_ptr, col_idx, weights) = self.permuted_graph().raw();
-        write_usize_slice(&mut w, row_ptr)?;
-        write_u64(&mut w, col_idx.len() as u64)?;
-        write_u32_slice(&mut w, col_idx)?;
-        write_f64_slice(&mut w, weights)?;
-        write_csc(&mut w, self.linv())?;
-        write_csc(&mut w, &self.uinv_rows().to_csc())?;
-        self.write_estimator(&mut w)
-    }
-
-    /// The estimator-constant section shared by every version.
-    fn write_estimator<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        write_f64_slice(w, self.a_col_max())?;
-        write_f64(w, self.a_max())?;
-        write_f64_slice(w, self.c_prime())?;
-        Ok(())
-    }
-
     /// Deserialises an index previously written by [`save`](Self::save)
-    /// (any version 1–4), re-validating all structural invariants and —
-    /// for v4 files — every integrity checksum. A v1 file's flat `U⁻¹` is
-    /// upgraded to the blocked layout on read (bit-identical values, so
-    /// bit-identical answers). Build-time statistics are not stored; the
-    /// loaded index reports zero durations with the correct nnz counts.
+    /// (format v5, or v4 — one back), re-validating all structural
+    /// invariants and every integrity checksum; any other version is a
+    /// typed [`PersistError::UnsupportedVersion`]. Build-time statistics
+    /// are not stored; the loaded index reports zero durations with the
+    /// correct nnz counts.
     pub fn load<R: Read>(r: R) -> Result<KdashIndex, PersistError> {
         Self::load_with_info(r).map(|(index, _)| index)
     }
 
     /// [`load`](Self::load) that also reports the file's format version
-    /// and whether it carried (and passed) integrity checksums — the
-    /// "unchecksummed legacy file" audit flag `kdash verify` surfaces.
+    /// and update epoch (`kdash verify` prints both).
     pub fn load_with_info<R: Read>(r: R) -> Result<(KdashIndex, LoadInfo), PersistError> {
         let mut r = SectionReader::new(r);
 
@@ -757,10 +692,9 @@ impl KdashIndex {
             return Err(PersistError::BadMagic);
         }
         let version = r.u32(Section::Header)?;
-        if !(1..=VERSION).contains(&version) {
+        if !(VERSION_OLDEST_READ..=VERSION).contains(&version) {
             return Err(PersistError::UnsupportedVersion(version));
         }
-        r.checksummed = version >= VERSION_CHECKSUMMED;
         let c = r.f64(Section::Header)?;
         let tag_at = r.offset();
         let tag = r.u8(Section::Header)?;
@@ -779,7 +713,7 @@ impl KdashIndex {
 
         // Permuted graph. The edge-count cross-check runs before the
         // count sizes any read, so an inflated field can never trigger a
-        // huge allocation — checksummed or not.
+        // huge allocation.
         let row_ptr = r.usize_vec(Section::Graph, n + 1)?;
         let m_at = r.offset();
         let m = r.u64(Section::Graph)? as usize;
@@ -803,107 +737,96 @@ impl KdashIndex {
         let linv = build_csc(n, linv_arrays, Section::Linv, r.offset())?;
 
         // U⁻¹.
-        let uinv = if version == 1 {
-            // Legacy flat encoding: upgrade to the blocked layout.
-            let arrays = read_csc_arrays(&mut r, Section::Uinv, n)?;
-            r.end_section(Section::Uinv)?;
-            let flat = CsrMatrix::from_csc(&build_csc(n, arrays, Section::Uinv, r.offset())?);
-            ProximityStore::from_csr(flat, RowLayout::Blocked)
-                .map_err(|e| corrupt(Section::Uinv, r.offset(), format!("corrupt U⁻¹: {e}")))?
-        } else {
-            let tag_at = r.offset();
-            let layout_tag = r.u8(Section::Uinv)?;
-            match layout_tag {
-                LAYOUT_FLAT => {
-                    let arrays = read_csc_arrays(&mut r, Section::Uinv, n)?;
-                    r.end_section(Section::Uinv)?;
-                    let flat =
-                        CsrMatrix::from_csc(&build_csc(n, arrays, Section::Uinv, r.offset())?);
-                    ProximityStore::from_csr(flat, RowLayout::Flat).map_err(|e| {
-                        corrupt(Section::Uinv, r.offset(), format!("corrupt U⁻¹: {e}"))
-                    })?
-                }
-                LAYOUT_BLOCKED => {
-                    // The count fields are untrusted on-disk data: they
-                    // are cross-checked against the pointer arrays here,
-                    // and every vector read caps its pre-allocation, so
-                    // a corrupted count surfaces as a typed error —
-                    // never a capacity panic or an OOM abort. The format
-                    // invariants: nnz ≤ u32::MAX (run offsets are u32)
-                    // and every row has at most one run per nonzero.
-                    let b_row_ptr = r.usize_vec(Section::Uinv, n + 1)?;
-                    let expect_nnz = b_row_ptr.last().copied().unwrap_or(0);
-                    if expect_nnz > u32::MAX as usize {
-                        return Err(corrupt(
-                            Section::Uinv,
-                            r.offset(),
-                            "blocked U⁻¹ claims ≥ 2^32 entries",
-                        ));
-                    }
-                    let nruns_at = r.offset();
-                    let nruns = r.u64(Section::Uinv)? as usize;
-                    if nruns > expect_nnz {
-                        return Err(corrupt(
-                            Section::Uinv,
-                            nruns_at,
-                            "blocked U⁻¹ claims more runs than entries",
-                        ));
-                    }
-                    let run_ptr = r.usize_vec(Section::Uinv, n + 1)?;
-                    let run_base = r.u32_vec(Section::Uinv, nruns)?;
-                    let run_end = r.u32_vec(Section::Uinv, nruns)?;
-                    let nnz_at = r.offset();
-                    let nnz = r.u64(Section::Uinv)? as usize;
-                    if nnz != expect_nnz {
-                        return Err(corrupt(
-                            Section::Uinv,
-                            nnz_at,
-                            "blocked U⁻¹ entry count disagrees with row pointers",
-                        ));
-                    }
-                    let deltas = r.u16_vec(Section::Uinv, nnz)?;
-                    let values = r.f64_vec(Section::Uinv, nnz)?;
-                    r.end_section(Section::Uinv)?;
-                    let blocked = BlockedCsr::from_raw_parts(
-                        n, n, b_row_ptr, run_ptr, run_base, run_end, deltas, values,
-                    )
-                    .map_err(|e| {
-                        corrupt(Section::Uinv, r.offset(), format!("corrupt blocked U⁻¹: {e}"))
-                    })?;
-                    ProximityStore::from_blocked(blocked).map_err(|e| {
-                        corrupt(Section::Uinv, r.offset(), format!("corrupt blocked U⁻¹: {e}"))
-                    })?
-                }
-                other => {
+        let tag_at = r.offset();
+        let layout_tag = r.u8(Section::Uinv)?;
+        let uinv = match layout_tag {
+            LAYOUT_FLAT => {
+                let arrays = read_csc_arrays(&mut r, Section::Uinv, n)?;
+                r.end_section(Section::Uinv)?;
+                let flat =
+                    CsrMatrix::from_csc(&build_csc(n, arrays, Section::Uinv, r.offset())?);
+                ProximityStore::from_csr(flat, RowLayout::Flat).map_err(|e| {
+                    corrupt(Section::Uinv, r.offset(), format!("corrupt U⁻¹: {e}"))
+                })?
+            }
+            LAYOUT_BLOCKED => {
+                // The count fields are untrusted on-disk data: they
+                // are cross-checked against the pointer arrays here,
+                // and every vector read caps its pre-allocation, so
+                // a corrupted count surfaces as a typed error —
+                // never a capacity panic or an OOM abort. The format
+                // invariants: nnz ≤ u32::MAX (run offsets are u32)
+                // and every row has at most one run per nonzero.
+                let b_row_ptr = r.usize_vec(Section::Uinv, n + 1)?;
+                let expect_nnz = b_row_ptr.last().copied().unwrap_or(0);
+                if expect_nnz > u32::MAX as usize {
                     return Err(corrupt(
                         Section::Uinv,
-                        tag_at,
-                        format!("unknown row-layout tag {other}"),
-                    ))
+                        r.offset(),
+                        "blocked U⁻¹ claims ≥ 2^32 entries",
+                    ));
                 }
+                let nruns_at = r.offset();
+                let nruns = r.u64(Section::Uinv)? as usize;
+                if nruns > expect_nnz {
+                    return Err(corrupt(
+                        Section::Uinv,
+                        nruns_at,
+                        "blocked U⁻¹ claims more runs than entries",
+                    ));
+                }
+                let run_ptr = r.usize_vec(Section::Uinv, n + 1)?;
+                let run_base = r.u32_vec(Section::Uinv, nruns)?;
+                let run_end = r.u32_vec(Section::Uinv, nruns)?;
+                let nnz_at = r.offset();
+                let nnz = r.u64(Section::Uinv)? as usize;
+                if nnz != expect_nnz {
+                    return Err(corrupt(
+                        Section::Uinv,
+                        nnz_at,
+                        "blocked U⁻¹ entry count disagrees with row pointers",
+                    ));
+                }
+                let deltas = r.u16_vec(Section::Uinv, nnz)?;
+                let values = r.f64_vec(Section::Uinv, nnz)?;
+                r.end_section(Section::Uinv)?;
+                let blocked = BlockedCsr::from_raw_parts(
+                    n, n, b_row_ptr, run_ptr, run_base, run_end, deltas, values,
+                )
+                .map_err(|e| {
+                    corrupt(Section::Uinv, r.offset(), format!("corrupt blocked U⁻¹: {e}"))
+                })?;
+                ProximityStore::from_blocked(blocked).map_err(|e| {
+                    corrupt(Section::Uinv, r.offset(), format!("corrupt blocked U⁻¹: {e}"))
+                })?
+            }
+            other => {
+                return Err(corrupt(
+                    Section::Uinv,
+                    tag_at,
+                    format!("unknown row-layout tag {other}"),
+                ))
             }
         };
 
-        // The persisted row stats (v2+) must match the arrays they claim
-        // to describe: a mismatch means either section is corrupt.
-        if version >= 2 {
-            for (i, expect) in uinv.row_stats().iter().enumerate() {
-                let at = r.offset();
-                let got = RowStat {
-                    nnz: r.u32(Section::RowStats)?,
-                    first: r.u32(Section::RowStats)?,
-                    last: r.u32(Section::RowStats)?,
-                };
-                if got != *expect {
-                    return Err(corrupt(
-                        Section::RowStats,
-                        at,
-                        format!("row-stats section disagrees with U⁻¹ at row {i}"),
-                    ));
-                }
+        // The persisted row stats must match the arrays they claim to
+        // describe: a mismatch means either section is corrupt.
+        for (i, expect) in uinv.row_stats().iter().enumerate() {
+            let at = r.offset();
+            let got = RowStat {
+                nnz: r.u32(Section::RowStats)?,
+                first: r.u32(Section::RowStats)?,
+                last: r.u32(Section::RowStats)?,
+            };
+            if got != *expect {
+                return Err(corrupt(
+                    Section::RowStats,
+                    at,
+                    format!("row-stats section disagrees with U⁻¹ at row {i}"),
+                ));
             }
-            r.end_section(Section::RowStats)?;
         }
+        r.end_section(Section::RowStats)?;
 
         // Estimator constants.
         let a_col_max = r.f64_vec(Section::Estimator, n)?;
@@ -911,8 +834,8 @@ impl KdashIndex {
         let c_prime = r.f64_vec(Section::Estimator, n)?;
         r.end_section(Section::Estimator)?;
 
-        // The v5 sparsification record; earlier versions are dense-exact
-        // by construction (ε = 0, nothing dropped).
+        // The v5 sparsification record; a v4 file is dense-exact by
+        // construction (ε = 0, nothing dropped).
         let (drop_tolerance, linv_dropped, uinv_dropped) = if version >= VERSION_SPARSIFIED {
             let eps_at = r.offset();
             let eps = r.f64(Section::DroppedMass)?;
@@ -939,28 +862,21 @@ impl KdashIndex {
             (0.0, vec![0.0; n], vec![0.0; n])
         };
 
-        // The v3 dynamic-update trailer; earlier versions get the
-        // defaults a from-scratch build would have.
-        let (dangling, update_epoch) = if version >= 3 {
-            let tag_at = r.offset();
-            let tag = r.u8(Section::Trailer)?;
-            let policy = match tag {
-                DANGLING_KEEP => kdash_sparse::DanglingPolicy::Keep,
-                DANGLING_SELF_LOOP => kdash_sparse::DanglingPolicy::SelfLoop,
-                other => {
-                    return Err(corrupt(
-                        Section::Trailer,
-                        tag_at,
-                        format!("unknown dangling-policy tag {other}"),
-                    ))
-                }
-            };
-            let epoch = r.u64(Section::Trailer)?;
-            r.end_section(Section::Trailer)?;
-            (policy, epoch)
-        } else {
-            (kdash_sparse::DanglingPolicy::Keep, 0)
+        // The dynamic-update trailer.
+        let tag_at = r.offset();
+        let dangling = match r.u8(Section::Trailer)? {
+            DANGLING_KEEP => kdash_sparse::DanglingPolicy::Keep,
+            DANGLING_SELF_LOOP => kdash_sparse::DanglingPolicy::SelfLoop,
+            other => {
+                return Err(corrupt(
+                    Section::Trailer,
+                    tag_at,
+                    format!("unknown dangling-policy tag {other}"),
+                ))
+            }
         };
+        let update_epoch = r.u64(Section::Trailer)?;
+        r.end_section(Section::Trailer)?;
 
         r.verify_footer()?;
         let end = r.offset();
@@ -982,10 +898,7 @@ impl KdashIndex {
             uinv_dropped,
         )
         .map_err(|e| corrupt(Section::Index, end, format!("inconsistent index components: {e}")))?;
-        Ok((
-            index,
-            LoadInfo { version, checksummed: version >= VERSION_CHECKSUMMED, update_epoch },
-        ))
+        Ok((index, LoadInfo { version, update_epoch }))
     }
 }
 
@@ -1241,24 +1154,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_load_and_upgrade_to_blocked() {
-        let index = sample_index();
-        let mut v1 = Vec::new();
-        index.save_v1(&mut v1).unwrap();
-        let loaded = KdashIndex::load(v1.as_slice()).unwrap();
-        assert_eq!(loaded.layout(), RowLayout::Blocked, "v1 upgrades on read");
-        assert_eq!(loaded.stats().nnz_u_inv, index.stats().nnz_u_inv);
-        for q in [0u32, 21, 39] {
-            let a = index.top_k(q, 6).unwrap();
-            let b = loaded.top_k(q, 6).unwrap();
-            assert_eq!(a.nodes(), b.nodes());
-            for (x, y) in a.items.iter().zip(&b.items) {
-                assert_eq!(x.proximity.to_bits(), y.proximity.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn loaded_stats_carry_nnz() {
         let index = sample_index();
         let mut buf = Vec::new();
@@ -1291,12 +1186,6 @@ mod tests {
         let loaded = KdashIndex::load(buf.as_slice()).unwrap();
         assert_eq!(loaded.update_epoch(), 0);
         assert_eq!(loaded.dangling_policy(), kdash_sparse::DanglingPolicy::SelfLoop);
-        // A v1 file carries no trailer: defaults on load.
-        let mut v1 = Vec::new();
-        index.save_v1(&mut v1).unwrap();
-        let loaded_v1 = KdashIndex::load(v1.as_slice()).unwrap();
-        assert_eq!(loaded_v1.update_epoch(), 0);
-        assert_eq!(loaded_v1.dangling_policy(), kdash_sparse::DanglingPolicy::Keep);
         // An unknown dangling tag in the trailer is rejected. The file
         // tail is trailer payload (9) + trailer CRC (4) + footer (12) —
         // the dropped-mass section sits before the trailer.
@@ -1346,15 +1235,27 @@ mod tests {
     #[test]
     fn load_info_reports_version_and_checksumming() {
         let index = sample_index();
-        let mut v4 = Vec::new();
-        index.save(&mut v4).unwrap();
-        let (_, info) = KdashIndex::load_with_info(v4.as_slice()).unwrap();
-        assert_eq!(info, LoadInfo { version: 5, checksummed: true, update_epoch: 0 });
+        let mut v5 = Vec::new();
+        index.save(&mut v5).unwrap();
+        let (_, info) = KdashIndex::load_with_info(v5.as_slice()).unwrap();
+        assert_eq!(info, LoadInfo { version: 5, update_epoch: 0 });
 
-        let mut v1 = Vec::new();
-        index.save_v1(&mut v1).unwrap();
-        let (_, info) = KdashIndex::load_with_info(v1.as_slice()).unwrap();
-        assert_eq!(info, LoadInfo { version: 1, checksummed: false, update_epoch: 0 });
+        let mut v4 = Vec::new();
+        index.save_v4(&mut v4).unwrap();
+        let (_, info) = KdashIndex::load_with_info(v4.as_slice()).unwrap();
+        assert_eq!(info, LoadInfo { version: 4, update_epoch: 0 });
+
+        // Every version the reader accepts is checksummed: the
+        // unchecksummed v1–v3 (and anything newer than this build) are
+        // refused at the version field, before any payload is parsed.
+        for version in [0u32, 1, 2, 3, 6] {
+            let mut header = v5[..12].to_vec();
+            header[8..12].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                KdashIndex::load(header.as_slice()).unwrap_err(),
+                PersistError::UnsupportedVersion(v) if v == version
+            ));
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The top-k search (Algorithm 4 of the paper) — public entry points.
+//! The public face of the top-k search (Algorithm 4 of the paper), and its
+//! oracle.
 //!
 //! Nodes are visited in BFS-layer order from the query node. Each visited
 //! node first receives the `O(1)` upper bound of Definition 2; if the bound
@@ -8,43 +9,39 @@
 //! (Theorem 2). Surviving nodes get their exact proximity from the stored
 //! sparse inverses.
 //!
-//! The production path expands the BFS frontier **lazily**, fused into the
-//! search loop: early termination leaves every deeper layer undiscovered,
-//! so [`SearchStats::reachable`] reports the discovered-so-far count on
-//! early-terminated queries (exact reachability when the search runs to
-//! completion) and [`SearchStats::frontier_expanded`] counts the nodes
-//! actually expanded — see [`crate::SearchStats`] for the full contract.
-//! The eager reference paths below ([`KdashIndex::top_k_merge_join`],
-//! [`KdashIndex::top_k_from_set_replay`]) keep the original
-//! whole-tree-first behaviour and full `reachable` counts.
-//!
-//! The algorithms live in [`crate::searcher`]: a [`Searcher`] holds the
-//! reusable per-query state (epoch-stamped BFS buffers, the scattered
-//! query column, the candidate heap) and serves every query kind. The
-//! `KdashIndex` methods below are thin conveniences that run a transient
-//! workspace per call — serving loops should hold a `Searcher` instead:
+//! The algorithm lives in [`crate::searcher`]: one driver, monomorphised
+//! per entry point over a bound policy and a stop goal, running on a
+//! [`Searcher`] that holds the reusable per-query state. The `KdashIndex`
+//! methods below are thin conveniences that run a transient workspace per
+//! call — serving loops should hold a `Searcher` instead:
 //!
 //! * [`KdashIndex::top_k`] — the real algorithm,
 //! * [`KdashIndex::top_k_unpruned`] — pruning disabled (Figure 7 ablation),
 //! * [`KdashIndex::nodes_above`] — exact threshold queries,
 //! * [`KdashIndex::top_k_from_set`] — restart sets (Personalized PageRank),
 //! * [`KdashIndex::top_k_random_root`] — BFS tree rooted away from the
-//!   query (Appendix D.1 / Figure 9 ablation). A tree rooted elsewhere
-//!   breaks the layer structure Definition 1 needs, so this variant uses
-//!   the weaker order-agnostic bound of
-//!   [`ArbitraryOrderBound`](crate::ArbitraryOrderBound): still exact, can
-//!   skip individual nodes, but can never terminate early — which is
-//!   precisely why it performs many more proximity computations.
+//!   query (Appendix D.1 / Figure 9 ablation), which breaks the layer
+//!   structure Definition 1 needs: the order-agnostic
+//!   [`ArbitraryOrderBound`](crate::ArbitraryOrderBound) in its place is
+//!   still exact and can skip a node, but never terminate early.
 //!
-//! [`KdashIndex::top_k_merge_join`] preserves the original per-candidate
-//! merge-join kernel. It is deliberately *not* routed through the
-//! [`Searcher`]: it is the independent reference implementation the
-//! equivalence suite cross-checks the scatter/gather path against
-//! (bit-identical proximities), and the baseline the `query_engine`
-//! benchmark measures the new kernel's speedup from.
+//! # The oracle
+//!
+//! [`KdashIndex::top_k_from_set_replay`] (with
+//! [`KdashIndex::top_k_merge_join`], its one-source spelling) is the one
+//! loop this module holds: the original implementation — the whole BFS
+//! tree built *eagerly* before the search starts, a two-pointer merge join
+//! per candidate, buffers allocated per query — kept as the independent
+//! reference the equivalence suites hold the driver to, bit for bit under
+//! the scalar kernel. It shares nothing with the driver but the estimator
+//! and the heap (own [`BfsTree`], own `row_dot_sparse`): which of two
+//! *equal* minima the heap evicts is a property of its sift order, so an
+//! oracle with a different heap would disagree on ties. Its
+//! `reachable`/`frontier_expanded` are always the full reachable count,
+//! where the lazy driver stops discovering at early termination.
 
+use crate::searcher::{ranked_node, TopKHeap};
 use crate::{KdashIndex, LayerEstimator, Result, SearchStats, Searcher};
-use crate::searcher::TopKHeap;
 use kdash_graph::{bfs::UNREACHABLE, BfsTree, NodeId};
 
 /// One answer entry: a node and its exact RWR proximity.
@@ -121,20 +118,27 @@ impl KdashIndex {
         self.searcher().top_k_from_root(q, k, root)
     }
 
-    /// The original Algorithm 4 implementation with the per-candidate
-    /// merge-join proximity kernel (`O(nnz(row) + nnz(col))` per node),
-    /// per-query buffer allocation, and the **eager** BFS tree (the whole
-    /// reachable set is enumerated up front — its `reachable` is always
-    /// the full count and `frontier_expanded` equals it, unlike the lazy
-    /// production path, which stops discovering on early termination).
-    ///
-    /// Kept as the independent exactness reference for the scatter/gather
-    /// path and the lazy driver's oracle: results must be bit-identical to
-    /// [`top_k`](Self::top_k) under the scalar kernel, and
-    /// `tests/query_engine_equivalence.rs` plus the `query_engine`
-    /// benchmark hold the two implementations against each other.
+    /// The eager merge-join oracle for one query node:
+    /// [`top_k_from_set_replay`](Self::top_k_from_set_replay) over the
+    /// singleton set. The merged column of one source is `L⁻¹ e_q` bit for
+    /// bit (weight 1.0, already sorted) and a lone layer-0 node is the
+    /// estimator's root, so items *and* stats are what a dedicated
+    /// single-source body would produce.
     pub fn top_k_merge_join(&self, q: NodeId, k: usize) -> Result<TopKResult> {
-        self.check_node(q)?;
+        self.top_k_from_set_replay(&[q], k)
+    }
+
+    /// The eager-BFS, merge-join reference implementation of Algorithm 4
+    /// over a restart set (see the module docs): the multi-root tree
+    /// ([`BfsTree::new_multi`]) is built in full before the search starts
+    /// and every proximity is a two-pointer merge join
+    /// (`O(nnz(row) + nnz(col))` per node). Hidden — an oracle, not an
+    /// API: [`top_k_from_set`](Self::top_k_from_set) under the scalar
+    /// kernel must match it bit for bit on items, and on
+    /// `visited`/`proximity_computations`/`terminated_early`.
+    #[doc(hidden)]
+    pub fn top_k_from_set_replay(&self, sources: &[NodeId], k: usize) -> Result<TopKResult> {
+        let (col_idx, col_val) = self.merged_query_column(sources)?;
         // Mirror the Searcher's k = 0 short-circuit so the two paths stay
         // comparable down to their work counters.
         if k == 0 {
@@ -145,86 +149,6 @@ impl KdashIndex {
             // values would be approximate — route through the certified
             // searcher instead. The equivalence contract on sparsified
             // tiers is set-and-order, not bitwise.
-            return self.searcher().top_k(q, k);
-        }
-        let qp = self.permutation().new_of(q);
-        let bfs = BfsTree::new(self.permuted_graph(), qp);
-        let (col_idx, col_val) = self.linv().col(qp);
-        let c = self.restart_probability();
-
-        let mut heap = TopKHeap::new(k);
-        let mut estimator = LayerEstimator::new(self.a_max());
-        // Eager semantics: the whole tree exists before the search starts.
-        let mut stats = SearchStats {
-            reachable: bfs.num_reachable(),
-            frontier_expanded: bfs.num_reachable(),
-            ..Default::default()
-        };
-
-        for (pos, &u) in bfs.order.iter().enumerate() {
-            stats.visited += 1;
-            let layer = bfs.layer[u as usize];
-            if pos == 0 {
-                let p = c * self.uinv().row_dot_sparse(u, col_idx, col_val);
-                stats.proximity_computations += 1;
-                estimator.record_root(p, self.a_col_max()[u as usize]);
-                heap.offer(p, u);
-                continue;
-            }
-            let terms = estimator.advance(layer);
-            if heap.is_full() && self.c_prime_max() * terms < heap.threshold() {
-                stats.terminated_early = true;
-                break;
-            }
-            let p = c * self.uinv().row_dot_sparse(u, col_idx, col_val);
-            stats.proximity_computations += 1;
-            estimator.record_selected(layer, p, self.a_col_max()[u as usize]);
-            heap.offer(p, u);
-        }
-
-        // Same epilogue as the Searcher: rank order, original ids, padded
-        // with unreachable nodes (which can never collide with heap
-        // entries — those are all reachable).
-        let mut items: Vec<RankedNode> = heap
-            .sorted_entries()
-            .iter()
-            .map(|&(p, u)| RankedNode { node: self.permutation().old_of(u), proximity: p })
-            .collect();
-        if items.len() < k {
-            for v in 0..self.num_nodes() as NodeId {
-                if items.len() >= k {
-                    break;
-                }
-                if bfs.layer[v as usize] == UNREACHABLE {
-                    items.push(RankedNode {
-                        node: self.permutation().old_of(v),
-                        proximity: 0.0,
-                    });
-                }
-            }
-        }
-        Ok(TopKResult { items, stats })
-    }
-
-    /// The eager-BFS, merge-join replay of
-    /// [`top_k_from_set`](Self::top_k_from_set): the multi-root tree
-    /// ([`BfsTree::new_multi`]) is built in full before the search starts
-    /// and every proximity is a two-pointer merge join. The multi-root
-    /// counterpart of [`top_k_merge_join`](Self::top_k_merge_join), kept
-    /// (hidden) as the oracle the lazy restart-set search is property-
-    /// tested against: results are bit-identical under the scalar kernel,
-    /// and `visited`/`proximity_computations`/`terminated_early` agree,
-    /// while `reachable`/`frontier_expanded` carry the eager semantics
-    /// (always the full reachable count).
-    #[doc(hidden)]
-    pub fn top_k_from_set_replay(&self, sources: &[NodeId], k: usize) -> Result<TopKResult> {
-        let (col_idx, col_val) = self.merged_query_column(sources)?;
-        if k == 0 {
-            return Ok(TopKResult::default());
-        }
-        if self.needs_refinement() {
-            // Same routing as `top_k_merge_join`: raw sparsified gathers
-            // cannot serve as a reference, the certified path can.
             return self.searcher().top_k_from_set(sources, k);
         }
         let roots: Vec<NodeId> =
@@ -243,20 +167,16 @@ impl KdashIndex {
         for (pos, &u) in bfs.order.iter().enumerate() {
             stats.visited += 1;
             let layer = bfs.layer[u as usize];
-            if layer == 0 {
-                let p = c * self.uinv().row_dot_sparse(u, &col_idx, &col_val);
-                stats.proximity_computations += 1;
-                if pos > 0 {
-                    let _ = estimator.advance(0);
+            // Every node after the first folds its predecessor into the
+            // estimator chain; only below layer 0 (the sources, always
+            // computed) may the bound end the search.
+            if pos > 0 {
+                let terms = estimator.advance(layer);
+                let bound = self.c_prime_max() * terms;
+                if layer > 0 && heap.is_full() && bound < heap.threshold() {
+                    stats.terminated_early = true;
+                    break;
                 }
-                estimator.record_selected(0, p, self.a_col_max()[u as usize]);
-                heap.offer(p, u);
-                continue;
-            }
-            let terms = estimator.advance(layer);
-            if heap.is_full() && self.c_prime_max() * terms < heap.threshold() {
-                stats.terminated_early = true;
-                break;
             }
             let p = c * self.uinv().row_dot_sparse(u, &col_idx, &col_val);
             stats.proximity_computations += 1;
@@ -264,24 +184,13 @@ impl KdashIndex {
             heap.offer(p, u);
         }
 
-        let mut items: Vec<RankedNode> = heap
-            .sorted_entries()
-            .iter()
-            .map(|&(p, u)| RankedNode { node: self.permutation().old_of(u), proximity: p })
-            .collect();
-        if items.len() < k {
-            for v in 0..self.num_nodes() as NodeId {
-                if items.len() >= k {
-                    break;
-                }
-                if bfs.layer[v as usize] == UNREACHABLE {
-                    items.push(RankedNode {
-                        node: self.permutation().old_of(v),
-                        proximity: 0.0,
-                    });
-                }
-            }
-        }
+        // Same epilogue as the Searcher: rank order, original ids, padded
+        // with unreachable nodes (never heap entries — those are reachable).
+        let mut items: Vec<RankedNode> =
+            heap.sorted_entries().iter().map(|e| ranked_node(self, e)).collect();
+        let unreached =
+            (0..self.num_nodes() as NodeId).filter(|&v| bfs.layer[v as usize] == UNREACHABLE);
+        items.extend(unreached.take(k - items.len()).map(|v| ranked_node(self, &(0.0, v))));
         Ok(TopKResult { items, stats })
     }
 }
@@ -375,8 +284,11 @@ mod tests {
         for q in [2u32, 31, 77] {
             let a = index.top_k(q, 8).unwrap();
             let b = index.top_k_unpruned(q, 8).unwrap();
+            // One driver, two bound policies: the same gathers in the same
+            // order, and what Lemma 2 cut off could not have entered the heap.
+            assert_eq!(a.items.len(), b.items.len());
             for (x, y) in a.items.iter().zip(&b.items) {
-                assert!((x.proximity - y.proximity).abs() < 1e-12);
+                assert_eq!((x.node, x.proximity.to_bits()), (y.node, y.proximity.to_bits()));
             }
             // Pruning can only reduce work.
             assert!(a.stats.proximity_computations <= b.stats.proximity_computations);
@@ -664,10 +576,13 @@ mod tests {
         let index = KdashIndex::build(&g, IndexOptions::default()).unwrap();
         let a = index.top_k(7, 6).unwrap();
         let b = index.top_k_from_set(&[7], 6).unwrap();
+        // A single query *is* a restart set of one: same column bits, same
+        // estimator chain, same work.
+        assert_eq!(a.items.len(), b.items.len());
         for (x, y) in a.items.iter().zip(&b.items) {
-            assert_eq!(x.node, y.node);
-            assert!((x.proximity - y.proximity).abs() < 1e-12);
+            assert_eq!((x.node, x.proximity.to_bits()), (y.node, y.proximity.to_bits()));
         }
+        assert_eq!(a.stats, b.stats);
     }
 
     #[test]

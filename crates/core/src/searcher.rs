@@ -1,4 +1,4 @@
-//! The reusable query workspace.
+//! The reusable query workspace and the one search driver.
 //!
 //! A [`Searcher`] owns every piece of per-query state the top-k search
 //! needs — the epoch-stamped BFS buffers ([`kdash_graph::BfsScratch`]),
@@ -12,46 +12,66 @@
 //! `tests/zero_alloc.rs` integration test pins this down with a counting
 //! allocator).
 //!
-//! # Lazy frontier
+//! # One driver, three policies
 //!
-//! The BFS that orders the visit is fused into the search loop: layers are
+//! The paper has one search procedure (Algorithm 4): visit in BFS-layer
+//! order, bound, terminate, else compute. Its ablations and our
+//! extensions only swap a policy, so there is one visit loop —
+//! `Searcher::drive` — and every entry point is *prologue → drive →
+//! epilogue*:
+//!
+//! * **source** — fixed by the prologue (`seed_node` / `seed_set`): which
+//!   `L⁻¹` column is scattered, which roots seed the BFS, which right-hand
+//!   side the certified tier solves for. A single query is a restart set
+//!   of one; layer 0 is always computed, never pruned, in both.
+//! * **bound** — a type parameter: [`LayerEstimator`] (Definition 1/2) may
+//!   *stop* the search (Lemma 2); the order-agnostic
+//!   [`ArbitraryOrderBound`] of the Appendix D.1 random-root ablation may
+//!   only *skip* one node, so its visit runs on past the tree into the ids
+//!   the tree missed; `Unbounded` (Figure 7, "without pruning") computes
+//!   everything.
+//! * **goal** — a type parameter: the k-th best proximity so far (the
+//!   heap) or a fixed threshold θ (the hit list) — the pair the certified
+//!   tier proves as `RefineGoal`.
+//!
+//! Both are monomorphised, nothing is dispatched per node: the budget
+//! check, the prefetch, the frontier step, the gather, the [`SearchStats`]
+//! bookkeeping and the hand-off to the certified tier each exist once.
+//!
+//! The BFS that orders the visit is fused into the driver: layers are
 //! discovered on demand ([`BfsScratch::expand_next_layer`]), so a query
-//! the Lemma 2 bound terminates after a few layers never enumerates —
-//! never even *discovers* — the rest of the reachable set. The layer the
-//! search died in is the last one discovered, and nothing below it is
-//! expanded; [`SearchStats::frontier_expanded`] counts the nodes whose
-//! out-edges were actually scanned, and [`SearchStats::reachable`]
-//! consequently reports the discovered-so-far count on early-terminated
-//! queries (exact reachability, as before, when the search runs to
-//! completion). Layer-at-a-time expansion reproduces the eager queue
-//! order exactly, so results and visit order are identical to the eager
-//! reference — only the traversal cost shrinks.
+//! Lemma 2 terminates after a few layers never even *discovers* the rest
+//! of the reachable set. [`SearchStats::frontier_expanded`] counts the
+//! nodes whose out-edges were scanned, and [`SearchStats::reachable`] is
+//! the discovered-so-far count on early-terminated queries (exact
+//! reachability when the search runs to completion). Layer-at-a-time
+//! expansion reproduces the eager queue order exactly (`kdash-graph` pins
+//! that at every prefix), so results and visit order are those of the
+//! eager oracle in [`crate::search`].
 //!
-//! # Proximity kernels
+//! # Proximity kernel
 //!
-//! Proximities come from the scatter/gather kernel: the fixed query column
-//! `L⁻¹ e_q` is scattered once per query, then each candidate costs a
-//! gather over only `nnz((U⁻¹)ᵤ)` — through the workspace's selected
-//! [`GatherKernel`] (default [`GatherKernel::Auto`]: the branch-free
-//! four-lane kernel, AVX2 where the host has it, its portable twin
-//! otherwise; see [`Searcher::set_kernel`]). The two bodies are
-//! bit-identical to each other and within `1e-12` of the one-accumulator
-//! scalar reference, which itself is bit-identical to the merge join
-//! ([`KdashIndex::top_k_merge_join`] keeps the old eager path alive as
-//! the exactness cross-check). Rows stream
-//! from the index's [`ProximityStore`](kdash_sparse::ProximityStore)
-//! (blocked u16-delta layout by default — bit-identical across layouts),
-//! candidate rows are software-prefetched a block ahead
-//! ([`PREFETCH_BLOCK`]), and every query's byte traffic, per-class row
-//! split and resolved kernel land in [`SearchStats`].
+//! The fixed query column `L⁻¹ e_q` is scattered once per query, then each
+//! candidate costs a gather over only `nnz((U⁻¹)ᵤ)` through the
+//! branch-free four-lane kernel — AVX2 where the host has it, its portable
+//! twin otherwise, resolved once per workspace. There is no runtime
+//! selector: the two bodies are bit-identical, and within `1e-12` of the
+//! one-accumulator scalar reference the bit-identity suites reach through
+//! the hidden `Searcher::with_kernel` and hold against the merge-join
+//! oracle ([`KdashIndex::top_k_merge_join`]). Rows stream from the index's
+//! [`ProximityStore`](kdash_sparse::ProximityStore) (blocked u16-delta
+//! layout by default — bit-identical across layouts), candidate rows are
+//! software-prefetched a block ahead ([`PREFETCH_BLOCK`]), and every
+//! query's byte traffic, row split and resolved kernel land in
+//! [`SearchStats`].
 //!
 //! # Certified refinement (sparsified tier)
 //!
 //! On an index built with a positive `drop_tolerance`, the stored
 //! inverses are *truncated* and a raw gather yields only an approximation
-//! `x̃ ≈ W⁻¹ b`. Every entry point detects this
-//! ([`KdashIndex::needs_refinement`]) and routes through the certified
-//! refinement loop instead of the Lemma-2 search. The loop drains the BFS,
+//! `x̃ ≈ W⁻¹ b`. The driver detects this
+//! ([`KdashIndex::needs_refinement`]) and hands the seeded query to the
+//! certified refinement loop instead of visiting. The loop drains the BFS,
 //! lists the reachable set `R` once in ascending permuted id — the order
 //! the graph, `L̃⁻¹` and `Ũ⁻¹` are stored in — and then streams that list
 //! over three dense vectors `x̃`, `r`, `y`:
@@ -89,9 +109,8 @@
 //! earlier-visited of two equals is kept; the answer itself is listed by
 //! descending proximity, then ascending *permuted* id.
 //!
-//! All five query entry points run through this workspace; the matching
-//! [`KdashIndex`] methods are thin conveniences that build a transient
-//! `Searcher` per call.
+//! The matching [`KdashIndex`] methods are thin conveniences that build a
+//! transient `Searcher` per call.
 
 use crate::{
     ArbitraryOrderBound, KdashError, KdashIndex, LayerEstimator, RankedNode, Result, SearchStats,
@@ -306,6 +325,12 @@ fn by_rank(a: &(f64, NodeId), b: &(f64, NodeId)) -> Ordering {
     b.0.partial_cmp(&a.0).unwrap_or_else(|| b.0.total_cmp(&a.0)).then(a.1.cmp(&b.1))
 }
 
+/// A workspace `(proximity, permuted id)` entry as an answer entry in the
+/// caller's id space.
+pub(crate) fn ranked_node(index: &KdashIndex, &(proximity, u): &(f64, NodeId)) -> RankedNode {
+    RankedNode { node: index.permutation().old_of(u), proximity }
+}
+
 /// Workspace of the certified refinement loop — allocated on the first
 /// refined query (sparsified tier only) and reused afterwards. The three
 /// dense vectors are indexed by permuted node id and are all-zero between
@@ -466,8 +491,12 @@ pub struct Searcher<'a> {
     heap: TopKHeap,
     /// Threshold-query hit list scratch.
     hits: Vec<(f64, NodeId)>,
-    /// Permuted restart-set scratch for multi-source queries.
-    sources_p: Vec<NodeId>,
+    /// The current query's sources, permuted: the BFS roots, and the
+    /// support of the uniform restart vector the certified tier solves for.
+    roots: Vec<NodeId>,
+    /// `Some(next id)` when the visit runs on past the BFS tree into the
+    /// nodes it missed (random-root ablation); `None`: the tree is all.
+    tail: Option<NodeId>,
     /// Host-validated gather kernel every proximity runs through.
     kernel: ResolvedKernel,
     /// Byte-traffic and kernel-split counters, reset per query and folded
@@ -482,9 +511,154 @@ pub struct Searcher<'a> {
     refine: Option<Box<RefineState>>,
 }
 
+/// The *bound* policy of [`Searcher::drive`]: an upper bound on each node's
+/// proximity before its gather, fed each computed proximity after it.
+trait Bound {
+    /// Whether one node's bound falling below the goal's cutoff ends the
+    /// search (the bound is monotone along the visit, Lemma 2) or merely
+    /// spares that node's gather.
+    const STOPS: bool;
+
+    /// The node to root the visit tree at instead of the sources. `None`
+    /// — the tree grows from the sources — is the only order the layer
+    /// bound is sound for.
+    fn tree_root(&self) -> Option<NodeId> {
+        None
+    }
+
+    /// An upper bound on the proximity of `u`, at visit position `pos` and
+    /// tree layer `layer`; `None` when `u` must be computed regardless.
+    fn bound(&mut self, index: &KdashIndex, pos: usize, u: NodeId, layer: u32) -> Option<f64>;
+
+    /// Accounts the exact proximity just computed for a node of `layer`.
+    fn record(&mut self, _layer: u32, _proximity: f64, _col_max: f64) {}
+}
+
+/// Definition 1/2 in BFS-layer order from the sources.
+impl Bound for LayerEstimator {
+    const STOPS: bool = true;
+
+    #[inline]
+    fn bound(&mut self, index: &KdashIndex, pos: usize, _: NodeId, layer: u32) -> Option<f64> {
+        if pos == 0 {
+            return None;
+        }
+        // Every node after the first folds its predecessor into the chain.
+        let terms = self.advance(layer);
+        // Sources (layer 0) carry the restart term — p̄ = 1 for a lone
+        // query — and are always computed. Below them, stopping must cover
+        // every unvisited node — discovered or not, so the undiscovered
+        // layers need never be enumerated — whose c' may exceed this
+        // node's when self-loops are present: use max c'.
+        (layer > 0).then(|| index.c_prime_max() * terms)
+    }
+
+    #[inline]
+    fn record(&mut self, layer: u32, proximity: f64, col_max: f64) {
+        self.record_selected(layer, proximity, col_max);
+    }
+}
+
+/// The Appendix D.1 ablation: the visit tree is rooted at `root`, away
+/// from the query, where the layer bound is no longer valid. The
+/// order-agnostic bound in its place holds for any visit order but is not
+/// monotone, so every node must still be visited, reached by the tree or
+/// not.
+struct AnyOrder {
+    state: ArbitraryOrderBound,
+    /// The (permuted) query: the one node the bound does not cover.
+    query: NodeId,
+    root: NodeId,
+}
+
+impl Bound for AnyOrder {
+    const STOPS: bool = false;
+
+    fn tree_root(&self) -> Option<NodeId> {
+        Some(self.root)
+    }
+
+    #[inline]
+    fn bound(&mut self, index: &KdashIndex, _: usize, u: NodeId, _: u32) -> Option<f64> {
+        (u != self.query).then(|| index.c_prime()[u as usize] * self.state.bound_term())
+    }
+
+    #[inline]
+    fn record(&mut self, _: u32, proximity: f64, col_max: f64) {
+        self.state.record(proximity, col_max);
+    }
+}
+
+/// No bound: every reachable node is computed (Figure 7, "without
+/// pruning").
+struct Unbounded;
+
+impl Bound for Unbounded {
+    const STOPS: bool = false;
+
+    #[inline]
+    fn bound(&mut self, _: &KdashIndex, _: usize, _: NodeId, _: u32) -> Option<f64> {
+        None
+    }
+}
+
+/// The *goal* policy of [`Searcher::drive`]: what a bound is measured
+/// against and where the answers accumulate in the workspace (emptied by
+/// the entry point).
+trait Goal {
+    /// The proximity an unvisited node must reach to still matter, or
+    /// `None` while anything would.
+    fn cutoff(&self, s: &Searcher<'_>) -> Option<f64>;
+    /// Offers one computed proximity.
+    fn offer(&self, s: &mut Searcher<'_>, proximity: f64, u: NodeId);
+    /// The same goal as the certified tier must prove it.
+    fn certified(&self) -> RefineGoal<'static>;
+}
+
+/// The `k` best proximities, in the workspace heap; the cutoff is the
+/// paper's θ, the k-th best so far.
+struct KthBest(usize);
+
+impl Goal for KthBest {
+    #[inline]
+    fn cutoff(&self, s: &Searcher<'_>) -> Option<f64> {
+        s.heap.is_full().then(|| s.heap.threshold())
+    }
+
+    #[inline]
+    fn offer(&self, s: &mut Searcher<'_>, proximity: f64, u: NodeId) {
+        s.heap.offer(proximity, u);
+    }
+
+    fn certified(&self) -> RefineGoal<'static> {
+        RefineGoal::TopK(self.0)
+    }
+}
+
+/// Every proximity of at least the fixed θ, in the workspace hit list
+/// (visit order; the epilogue ranks it).
+struct AtLeast(f64);
+
+impl Goal for AtLeast {
+    #[inline]
+    fn cutoff(&self, _: &Searcher<'_>) -> Option<f64> {
+        Some(self.0)
+    }
+
+    #[inline]
+    fn offer(&self, s: &mut Searcher<'_>, proximity: f64, u: NodeId) {
+        if proximity >= self.0 {
+            s.hits.push((proximity, u));
+        }
+    }
+
+    fn certified(&self) -> RefineGoal<'static> {
+        RefineGoal::Threshold(self.0)
+    }
+}
+
 impl<'a> Searcher<'a> {
-    /// A fresh workspace for `index` with the default
-    /// ([`GatherKernel::Auto`]) kernel. `O(n)` once; queries then reuse it.
+    /// A fresh workspace for `index`. `O(n)` once; queries then reuse it.
     pub fn new(index: &'a KdashIndex) -> Self {
         let n = index.num_nodes();
         Searcher {
@@ -493,7 +667,8 @@ impl<'a> Searcher<'a> {
             column: ScatteredColumn::new(n),
             heap: TopKHeap::new(0),
             hits: Vec::new(),
-            sources_p: Vec::new(),
+            roots: Vec::new(),
+            tail: None,
             kernel: ResolvedKernel::default(),
             counters: GatherCounters::default(),
             prefetched_until: 0,
@@ -502,26 +677,18 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// A fresh workspace running every proximity through `kernel`.
-    /// Fails with [`KdashError::UnsupportedKernel`] when the host CPU
-    /// cannot honour the selection (only [`GatherKernel::Auto`] falls
-    /// back).
+    /// A fresh workspace running every proximity through `kernel`, or
+    /// [`KdashError::UnsupportedKernel`] when the host CPU cannot honour
+    /// it. Hidden: the kernel bodies are bit-identical by contract, so
+    /// this is the seam of the suites that hold them to it (and the only
+    /// way to the one-accumulator `Scalar` reference), not a tuning knob.
+    #[doc(hidden)]
     pub fn with_kernel(index: &'a KdashIndex, kernel: GatherKernel) -> Result<Self> {
-        let mut searcher = Searcher::new(index);
-        searcher.set_kernel(kernel)?;
-        Ok(searcher)
+        Ok(Searcher { kernel: kernel.resolve()?, ..Searcher::new(index) })
     }
 
-    /// Switches the gather kernel for subsequent queries. Fails with
-    /// [`KdashError::UnsupportedKernel`] — leaving the current kernel in
-    /// place — when the host cannot honour the selection.
-    pub fn set_kernel(&mut self, kernel: GatherKernel) -> Result<()> {
-        self.kernel = kernel.resolve()?;
-        Ok(())
-    }
-
-    /// The kernel proximities currently run through (the *resolved*
-    /// dispatch target, e.g. `Auto` shows up as `avx2` or `unrolled`).
+    /// The kernel proximities run through (the *resolved* dispatch
+    /// target: `avx2` or `unrolled`).
     pub fn kernel(&self) -> ResolvedKernel {
         self.kernel
     }
@@ -552,19 +719,37 @@ impl<'a> Searcher<'a> {
         KdashError::BudgetExceeded { limit, stats: Box::new(stats) }
     }
 
-    /// Shared single-root query prologue: validates `q`, seeds the lazy
-    /// BFS at it (layer 0 only — deeper layers are discovered on demand by
-    /// the search loop) and scatters its `L⁻¹` column. Returns the
-    /// permuted query id.
-    fn prepare_query(&mut self, q: NodeId) -> Result<NodeId> {
+    /// Source prologue, one query node: validates `q`, scatters its `L⁻¹`
+    /// column and seeds the visit at it. Returns the permuted query id.
+    fn seed_node(&mut self, q: NodeId) -> Result<NodeId> {
         self.index.check_node(q)?;
         let qp = self.index.permutation().new_of(q);
-        self.bfs.begin(self.index.permuted_graph(), qp);
         let (col_idx, col_val) = self.index.linv().col(qp);
         self.column.load(col_idx, col_val);
+        self.begin_visit([qp]);
+        Ok(qp)
+    }
+
+    /// Source prologue, restart set: validates `sources` (non-empty,
+    /// duplicate-free, in bounds), scatters the uniformly weighted merge
+    /// of their `L⁻¹` columns and seeds the visit at all of them.
+    fn seed_set(&mut self, sources: &[NodeId]) -> Result<()> {
+        let index = self.index;
+        let (col_idx, col_val) = index.merged_query_column(sources)?;
+        self.column.load(&col_idx, &col_val);
+        self.begin_visit(sources.iter().map(|&s| index.permutation().new_of(s)));
+        Ok(())
+    }
+
+    /// Seeds the lazy BFS at `roots` (layer 0 only — deeper layers are
+    /// discovered on demand by the driver) and resets the per-query state.
+    fn begin_visit(&mut self, roots: impl IntoIterator<Item = NodeId>) {
+        self.roots.clear();
+        self.roots.extend(roots);
+        self.bfs.begin_multi(self.index.permuted_graph(), &self.roots);
         self.counters.reset();
         self.prefetched_until = 0;
-        Ok(qp)
+        self.tail = None;
     }
 
     /// One candidate proximity gather (without the `c` factor): row `u`
@@ -572,18 +757,14 @@ impl<'a> Searcher<'a> {
     /// the workspace kernel, with byte traffic accumulated.
     #[inline]
     fn gather(&mut self, u: NodeId) -> f64 {
-        self.index.uinv().row_gather(
-            self.kernel,
-            u,
-            &self.column,
-            &mut GatherScratch,
-            &mut self.counters,
-        )
+        let uinv = self.index.uinv();
+        uinv.row_gather(self.kernel, u, &self.column, &mut GatherScratch, &mut self.counters)
     }
 
     /// Candidate batching: on entering a new block of visit positions,
     /// prefetches the whole block's row spans (index and values) so their
-    /// DRAM fetches overlap the gathers that precede them.
+    /// DRAM fetches overlap the gathers that precede them. (Past the tree
+    /// the range is empty: the unreached tail prefetches for itself.)
     #[inline]
     fn prefetch_block(&mut self, pos: usize) {
         if pos < self.prefetched_until {
@@ -591,44 +772,146 @@ impl<'a> Searcher<'a> {
         }
         let end = (pos + PREFETCH_BLOCK).min(self.bfs.num_discovered());
         let uinv = self.index.uinv();
-        for &u in &self.bfs.order()[pos..end] {
+        for &u in self.bfs.order().get(pos..end).unwrap_or_default() {
             uinv.prefetch_row(u);
         }
         self.prefetched_until = end;
     }
 
-    /// One lazy-frontier step: ensures the node at visit position `pos` is
-    /// discovered, expanding exactly one further layer if the cursor has
-    /// consumed everything discovered so far. Returns the node, or `None`
-    /// when the traversal is exhausted.
+    /// The visit sequence, one step: the node at position `pos` of the
+    /// lazy BFS order — discovering exactly one further layer when the
+    /// cursor has consumed everything known — then, once the tree is
+    /// exhausted, the [`unreached tail`](Self::next_unreached). `None`
+    /// ends the visit.
     #[inline]
     fn next_visit(&mut self, pos: usize) -> Option<NodeId> {
-        if pos == self.bfs.num_discovered() && self.bfs.expand_next_layer(self.index.permuted_graph()) == 0
+        if pos >= self.bfs.num_discovered()
+            && self.bfs.expand_next_layer(self.index.permuted_graph()) == 0
         {
-            return None;
+            return self.next_unreached();
         }
         Some(self.bfs.order()[pos])
     }
 
-    /// Folds the traversal counters of the finished (or abandoned) lazy
-    /// run into `stats`.
+    /// The second segment of a random-root visit sequence: every node the
+    /// tree missed, in ascending id (they may still be answers — the walk
+    /// starts at the query, not at the root), their rows prefetched a
+    /// block of ids ahead. `None` at once when no tail is armed.
+    fn next_unreached(&mut self) -> Option<NodeId> {
+        let n = self.index.num_nodes() as NodeId;
+        let uinv = self.index.uinv();
+        let cursor = self.tail.as_mut()?;
+        while *cursor < n {
+            let v = *cursor;
+            *cursor += 1;
+            if v % PREFETCH_BLOCK as NodeId == 0 {
+                let block = v..(v + PREFETCH_BLOCK as NodeId).min(n);
+                block.filter(|&w| !self.bfs.is_reached(w)).for_each(|w| uinv.prefetch_row(w));
+            }
+            if !self.bfs.is_reached(v) {
+                return Some(v);
+            }
+        }
+        None
+    }
+
+    /// Folds the traversal and gather counters of the finished (or
+    /// abandoned) run, and the resolved kernel — how `auto` resolutions
+    /// stay reproducible from logs — into `stats`.
     #[inline]
     fn record_traversal(&self, stats: &mut SearchStats) {
         stats.reachable = self.bfs.num_discovered();
         stats.frontier_expanded = self.bfs.num_expanded();
-        self.record_gather(stats);
-    }
-
-    /// Folds the gather counters and the resolved kernel into `stats` —
-    /// how `auto` resolutions stay reproducible from logs.
-    #[inline]
-    fn record_gather(&self, stats: &mut SearchStats) {
         stats.bytes_touched = self.counters.index_bytes;
         stats.value_bytes_touched = self.counters.value_bytes;
         stats.rows_scalar = self.counters.rows_scalar;
         stats.rows_wide = self.counters.rows_wide;
         stats.nnz_gathered = self.counters.nnz;
         stats.kernel = self.kernel.name();
+    }
+
+    /// The one search procedure (Algorithm 4 and every variant of it) over
+    /// the seeded query: visit, bound, stop or skip, else compute and
+    /// offer. Expects a source prologue to have run and the goal's
+    /// accumulator to be empty; leaves the answers there and returns the
+    /// work counters.
+    #[inline]
+    fn drive<B: Bound, G: Goal>(&mut self, mut bound: B, goal: G) -> Result<SearchStats> {
+        let index = self.index;
+        let mut stats = SearchStats::default();
+        if index.needs_refinement() {
+            // Sparsified tier: gathered values are approximate, so no
+            // bound may prune against them and the visit order is
+            // irrelevant — solve the whole reachable set and certify.
+            self.refined_run(goal.certified(), &mut stats)?;
+            self.record_traversal(&mut stats);
+            return Ok(stats);
+        }
+        if let Some(root) = bound.tree_root() {
+            // A bound that cannot stop the search leaves the lazy frontier
+            // nothing to save: drain the tree up front (its counters are
+            // then exact even on a budget abort) and arm the tail.
+            self.bfs.run(index.permuted_graph(), root);
+            self.tail = Some(0);
+        }
+        let c = index.restart_probability();
+        let started = self.budget.start();
+
+        // Breaking out of this loop leaves every deeper layer unexpanded.
+        let mut pos = 0;
+        while let Some(u) = self.next_visit(pos) {
+            if let Some(limit) = self.budget.exceeded(stats.visited, self.counters.nnz, started) {
+                return Err(self.budget_abort(limit, stats));
+            }
+            self.prefetch_block(pos);
+            stats.visited += 1;
+            let layer = self.bfs.layer(u);
+            let upper = bound.bound(index, pos, u, layer);
+            let prunable = upper.zip(goal.cutoff(self)).is_some_and(|(upper, t)| upper < t);
+            if !prunable {
+                let p = c * self.gather(u);
+                stats.proximity_computations += 1;
+                bound.record(layer, p, index.a_col_max()[u as usize]);
+                goal.offer(self, p, u);
+            } else if B::STOPS {
+                stats.terminated_early = true;
+                break;
+            } else {
+                stats.skipped += 1;
+            }
+            pos += 1;
+        }
+        self.record_traversal(&mut stats);
+        Ok(stats)
+    }
+
+    /// Drive and epilogue of the four ranking entry points: `min(k, n)`
+    /// nodes in rank order, mapped back to original ids, into `out`.
+    #[inline]
+    fn ranked<B: Bound>(&mut self, bound: B, k: usize, out: &mut TopKResult) -> Result<()> {
+        if k == 0 {
+            // The answer is known empty; skip the traversal entirely.
+            out.items.clear();
+            out.stats = SearchStats::default();
+            return Ok(());
+        }
+        self.heap.reset(k);
+        out.stats = self.drive(bound, KthBest(k))?;
+        let index = self.index;
+        out.items.clear();
+        out.items.extend(self.heap.sorted_entries().iter().map(|e| ranked_node(index, e)));
+        // Fewer than `k` candidates: pad with unreached, zero-proximity
+        // nodes (heap entries are always reached, so pads never collide
+        // with them) — unless the visit ran on past the tree and missed
+        // no node. Padding and lazy discovery cannot conflict: a heap that
+        // never filled never let Lemma 2 fire, so the traversal ran to
+        // exhaustion and `is_reached` is exact reachability.
+        if self.tail.is_none() {
+            let unreached = (0..index.num_nodes() as NodeId).filter(|&v| !self.bfs.is_reached(v));
+            let pads = unreached.take(k - out.items.len());
+            out.items.extend(pads.map(|v| ranked_node(index, &(0.0, v))));
+        }
+        Ok(())
     }
 
     /// Exact top-k search (Algorithm 4). Returns `min(k, n)` nodes in
@@ -648,97 +931,8 @@ impl<'a> Searcher<'a> {
     /// far — a later query reaching strictly more nodes than any before
     /// it still grows them once.)
     pub fn top_k_into(&mut self, q: NodeId, k: usize, out: &mut TopKResult) -> Result<()> {
-        self.top_k_into_impl(q, k, out, false)
-    }
-
-    /// The eager-traversal replay of [`top_k_into`](Self::top_k_into): the
-    /// whole BFS tree is drained *before* the same search loop runs,
-    /// exactly what the engine did before the lazy frontier landed.
-    /// Hidden — benchmark baseline (the `query_engine` bench measures the
-    /// lazy path's traversal saving against it) and equivalence oracle
-    /// only.
-    #[doc(hidden)]
-    pub fn top_k_eager_into(&mut self, q: NodeId, k: usize, out: &mut TopKResult) -> Result<()> {
-        self.top_k_into_impl(q, k, out, true)
-    }
-
-    /// One search loop for both traversal modes, so the eager baseline can
-    /// never drift from the production algorithm: `eager` only decides
-    /// whether the frontier is drained up front or pulled by `next_visit`.
-    fn top_k_into_impl(
-        &mut self,
-        q: NodeId,
-        k: usize,
-        out: &mut TopKResult,
-        eager: bool,
-    ) -> Result<()> {
-        let index = self.index;
-        if k == 0 {
-            // The answer is known empty; skip the traversal entirely.
-            index.check_node(q)?;
-            out.items.clear();
-            out.stats = SearchStats::default();
-            return Ok(());
-        }
-        let qp = self.prepare_query(q)?;
-        if index.needs_refinement() {
-            // Sparsified tier: gathered values are approximate, so the
-            // Lemma-2 path is unsound — certify instead (both traversal
-            // modes drain the frontier there anyway).
-            return self.refined_top_k(&[(qp, 1.0)], k, out);
-        }
-        if eager {
-            while self.bfs.expand_next_layer(index.permuted_graph()) > 0 {}
-        }
-        let c = index.restart_probability();
-        let started = self.budget.start();
-
-        self.heap.reset(k);
-        let mut estimator = LayerEstimator::new(index.a_max());
-        let mut stats = SearchStats::default();
-
-        // The frontier is pulled lazily: `next_visit` discovers one more
-        // layer exactly when the cursor has consumed everything known, so
-        // breaking out of this loop leaves every deeper layer unexpanded.
-        // (An eager run arrives pre-drained and `next_visit` just walks
-        // the complete order.)
-        let mut pos = 0;
-        while let Some(u) = self.next_visit(pos) {
-            if let Some(limit) = self.budget.exceeded(stats.visited, self.counters.nnz, started) {
-                return Err(self.budget_abort(limit, stats));
-            }
-            self.prefetch_block(pos);
-            stats.visited += 1;
-            let layer = self.bfs.layer(u);
-            if pos == 0 {
-                // The root is the query: p̄_q = 1 by definition, never pruned.
-                let p = c * self.gather(u);
-                stats.proximity_computations += 1;
-                estimator.record_root(p, index.a_col_max()[u as usize]);
-                self.heap.offer(p, u);
-                pos += 1;
-                continue;
-            }
-            let terms = estimator.advance(layer);
-            // Termination must cover every unvisited node, whose c' may
-            // exceed this node's when self-loops are present — use max c'.
-            if self.heap.is_full() && index.c_prime_max() * terms < self.heap.threshold() {
-                // Lemma 2: every unvisited node is bounded by this too —
-                // discovered or not, so the undiscovered layers need never
-                // be enumerated.
-                stats.terminated_early = true;
-                break;
-            }
-            let p = c * self.gather(u);
-            stats.proximity_computations += 1;
-            estimator.record_selected(layer, p, index.a_col_max()[u as usize]);
-            self.heap.offer(p, u);
-            pos += 1;
-        }
-        self.record_traversal(&mut stats);
-
-        self.finish(k, true, stats, out);
-        Ok(())
+        self.seed_node(q)?;
+        self.ranked(LayerEstimator::new(self.index.a_max()), k, out)
     }
 
     /// Algorithm 4 with the termination test removed: computes the exact
@@ -746,37 +940,9 @@ impl<'a> Searcher<'a> {
     /// exhaustion, so its `reachable` is the full reachable count). This
     /// is the "Without pruning" series of Figure 7.
     pub fn top_k_unpruned(&mut self, q: NodeId, k: usize) -> Result<TopKResult> {
-        let index = self.index;
-        if k == 0 {
-            index.check_node(q)?;
-            return Ok(TopKResult::default());
-        }
-        let qp = self.prepare_query(q)?;
-        if index.needs_refinement() {
-            let mut out = TopKResult::default();
-            self.refined_top_k(&[(qp, 1.0)], k, &mut out)?;
-            return Ok(out);
-        }
-        let c = index.restart_probability();
-        let started = self.budget.start();
-
-        self.heap.reset(k);
-        let mut stats = SearchStats::default();
-        let mut pos = 0;
-        while let Some(u) = self.next_visit(pos) {
-            if let Some(limit) = self.budget.exceeded(stats.visited, self.counters.nnz, started) {
-                return Err(self.budget_abort(limit, stats));
-            }
-            self.prefetch_block(pos);
-            stats.visited += 1;
-            let p = c * self.gather(u);
-            stats.proximity_computations += 1;
-            self.heap.offer(p, u);
-            pos += 1;
-        }
-        self.record_traversal(&mut stats);
         let mut out = TopKResult::default();
-        self.finish(k, true, stats, &mut out);
+        self.seed_node(q)?;
+        self.ranked(Unbounded, k, &mut out)?;
         Ok(out)
     }
 
@@ -792,63 +958,15 @@ impl<'a> Searcher<'a> {
     /// and a NaN one nothing meaningful).
     pub fn nodes_above(&mut self, q: NodeId, theta: f64) -> Result<TopKResult> {
         let index = self.index;
-        index.check_node(q)?;
+        self.seed_node(q)?;
         if !(theta > 0.0 && theta.is_finite()) {
             return Err(KdashError::InvalidThreshold { theta });
         }
-        let qp = self.prepare_query(q)?;
-        if index.needs_refinement() {
-            let mut stats = SearchStats::default();
-            self.refined_run(&[(qp, 1.0)], RefineGoal::Threshold(theta), &mut stats)?;
-            self.record_traversal(&mut stats);
-            // The accepting certification pass left `hits` sorted.
-            let items = self
-                .hits
-                .iter()
-                .map(|&(p, u)| RankedNode { node: index.permutation().old_of(u), proximity: p })
-                .collect();
-            return Ok(TopKResult { items, stats });
-        }
-        let c = index.restart_probability();
-        let started = self.budget.start();
-
         self.hits.clear();
-        let mut estimator = LayerEstimator::new(index.a_max());
-        let mut stats = SearchStats::default();
-        let mut pos = 0;
-        while let Some(u) = self.next_visit(pos) {
-            if let Some(limit) = self.budget.exceeded(stats.visited, self.counters.nnz, started) {
-                return Err(self.budget_abort(limit, stats));
-            }
-            self.prefetch_block(pos);
-            stats.visited += 1;
-            let layer = self.bfs.layer(u);
-            if pos > 0 {
-                let bound = index.c_prime_max() * estimator.advance(layer);
-                if bound < theta {
-                    stats.terminated_early = true;
-                    break;
-                }
-            }
-            let p = c * self.gather(u);
-            stats.proximity_computations += 1;
-            if pos == 0 {
-                estimator.record_root(p, index.a_col_max()[u as usize]);
-            } else {
-                estimator.record_selected(layer, p, index.a_col_max()[u as usize]);
-            }
-            if p >= theta {
-                self.hits.push((p, u));
-            }
-            pos += 1;
-        }
-        self.record_traversal(&mut stats);
+        let stats = self.drive(LayerEstimator::new(index.a_max()), AtLeast(theta))?;
+        // (Already ranked when the certified tier delivered the hits.)
         self.hits.sort_unstable_by(by_rank);
-        let items = self
-            .hits
-            .iter()
-            .map(|&(p, u)| RankedNode { node: index.permutation().old_of(u), proximity: p })
-            .collect();
+        let items = self.hits.iter().map(|e| ranked_node(index, e)).collect();
         Ok(TopKResult { items, stats })
     }
 
@@ -859,72 +977,10 @@ impl<'a> Searcher<'a> {
     /// unchanged (every non-source node still satisfies
     /// `p_u = c'_u Σ_v A_uv p_v`).
     pub fn top_k_from_set(&mut self, sources: &[NodeId], k: usize) -> Result<TopKResult> {
-        let index = self.index;
-        // Validation (empty/duplicate/out-of-bounds sources) must still run
-        // for k = 0, so the short-circuit sits behind the column merge.
-        let (col_idx, col_val) = index.merged_query_column(sources)?;
-        if k == 0 {
-            return Ok(TopKResult::default());
-        }
-        self.column.load(&col_idx, &col_val);
-        self.counters.reset();
-        self.prefetched_until = 0;
-        self.sources_p.clear();
-        self.sources_p.extend(sources.iter().map(|&s| index.permutation().new_of(s)));
-        let roots = std::mem::take(&mut self.sources_p);
-        self.bfs.begin_multi(index.permuted_graph(), &roots);
-        self.sources_p = roots;
-        if index.needs_refinement() {
-            // The restart vector is uniform over the sources.
-            let weight = 1.0 / self.sources_p.len() as f64;
-            let rhs: Vec<(NodeId, f64)> =
-                self.sources_p.iter().map(|&s| (s, weight)).collect();
-            let mut out = TopKResult::default();
-            self.refined_top_k(&rhs, k, &mut out)?;
-            return Ok(out);
-        }
-        let c = index.restart_probability();
-        let started = self.budget.start();
-
-        self.heap.reset(k);
-        let mut estimator = LayerEstimator::new(index.a_max());
-        let mut stats = SearchStats::default();
-
-        let mut pos = 0;
-        while let Some(u) = self.next_visit(pos) {
-            if let Some(limit) = self.budget.exceeded(stats.visited, self.counters.nnz, started) {
-                return Err(self.budget_abort(limit, stats));
-            }
-            self.prefetch_block(pos);
-            stats.visited += 1;
-            let layer = self.bfs.layer(u);
-            if layer == 0 {
-                // Sources carry the restart term; their proximities are
-                // computed unconditionally and feed the estimator chain.
-                let p = c * self.gather(u);
-                stats.proximity_computations += 1;
-                if pos > 0 {
-                    let _ = estimator.advance(0);
-                }
-                estimator.record_selected(0, p, index.a_col_max()[u as usize]);
-                self.heap.offer(p, u);
-                pos += 1;
-                continue;
-            }
-            let terms = estimator.advance(layer);
-            if self.heap.is_full() && index.c_prime_max() * terms < self.heap.threshold() {
-                stats.terminated_early = true;
-                break;
-            }
-            let p = c * self.gather(u);
-            stats.proximity_computations += 1;
-            estimator.record_selected(layer, p, index.a_col_max()[u as usize]);
-            self.heap.offer(p, u);
-            pos += 1;
-        }
-        self.record_traversal(&mut stats);
         let mut out = TopKResult::default();
-        self.finish(k, true, stats, &mut out);
+        // (`sources` are validated for k = 0 too: that short-circuit is later.)
+        self.seed_set(sources)?;
+        self.ranked(LayerEstimator::new(self.index.a_max()), k, &mut out)?;
         Ok(out)
     }
 
@@ -933,164 +989,27 @@ impl<'a> Searcher<'a> {
     /// order-agnostic bound is used — exact answers, per-node skipping
     /// only, and every node must still be visited.
     pub fn top_k_random_root(&mut self, q: NodeId, k: usize, seed: u64) -> Result<TopKResult> {
-        let n = self.index.num_nodes();
         self.index.check_node(q)?;
-        let root = StdRng::seed_from_u64(seed).gen_range(0..n) as NodeId;
+        let root = StdRng::seed_from_u64(seed).gen_range(0..self.index.num_nodes()) as NodeId;
         self.top_k_from_root(q, k, root)
     }
 
-    /// Random-root search with an explicit root (exposed for tests).
+    /// Random-root search with an explicit root (exposed for tests). On a
+    /// sparsified index the root is irrelevant — the certified tier solves
+    /// every reachable node whatever the visit order — and the answer is
+    /// [`top_k`](Self::top_k)'s.
     pub fn top_k_from_root(&mut self, q: NodeId, k: usize, root: NodeId) -> Result<TopKResult> {
         let index = self.index;
-        index.check_node(q)?;
+        let query = self.seed_node(q)?;
         index.check_node(root)?;
-        if k == 0 {
-            return Ok(TopKResult::default());
-        }
-        if index.needs_refinement() {
-            // The ablation's visit order is irrelevant to a refined
-            // answer — every reachable node is solved and certified
-            // regardless — so the random root routes through the standard
-            // refined query and stays exact on sparsified tiers.
-            let qp = self.prepare_query(q)?;
-            let mut out = TopKResult::default();
-            self.refined_top_k(&[(qp, 1.0)], k, &mut out)?;
-            return Ok(out);
-        }
-        let qp = index.permutation().new_of(q);
-        let rootp = index.permutation().new_of(root);
-        // The order-agnostic bound can never terminate the search, so every
-        // node must be visited regardless — the lazy frontier has nothing
-        // to save here and the tree is drained eagerly up front. Its
-        // counters are exact: `reachable` is the full root-reachable set
-        // and `frontier_expanded` equals it.
-        self.bfs.run(index.permuted_graph(), rootp);
-        let (col_idx, col_val) = index.linv().col(qp);
-        self.column.load(col_idx, col_val);
-        self.counters.reset();
-        let c = index.restart_probability();
-        let started = self.budget.start();
-
-        self.heap.reset(k);
-        let mut bound_state = ArbitraryOrderBound::new(index.a_max());
-        let mut stats = SearchStats::default();
-        self.record_traversal(&mut stats);
-
-        // Visit order: BFS from the root, then every node the root cannot
-        // reach (they may still be answers — the walk starts at q, not at
-        // the root). The tree is complete up front, so candidate batching
-        // prefetches straight off the final order.
-        let uinv = index.uinv();
-        let order = self.bfs.order();
-        for (i, &u) in order.iter().enumerate() {
-            if let Some(limit) = self.budget.exceeded(stats.visited, self.counters.nnz, started) {
-                return Err(self.budget_abort(limit, stats));
-            }
-            if i % PREFETCH_BLOCK == 0 {
-                for &v in &order[i..(i + PREFETCH_BLOCK).min(order.len())] {
-                    uinv.prefetch_row(v);
-                }
-            }
-            visit_any_order(
-                index,
-                self.kernel,
-                &self.column,
-                &mut self.counters,
-                &mut self.heap,
-                &mut bound_state,
-                &mut stats,
-                qp,
-                c,
-                u,
-            );
-        }
-        let n = index.num_nodes() as NodeId;
-        for v in 0..n {
-            if let Some(limit) = self.budget.exceeded(stats.visited, self.counters.nnz, started) {
-                return Err(self.budget_abort(limit, stats));
-            }
-            // Same candidate batching for the unreached tail (which can be
-            // most of the graph when the root's component is small):
-            // prefetch the block's unreached rows before gathering them.
-            if v % PREFETCH_BLOCK as NodeId == 0 {
-                for w in v..(v + PREFETCH_BLOCK as NodeId).min(n) {
-                    if !self.bfs.is_reached(w) {
-                        uinv.prefetch_row(w);
-                    }
-                }
-            }
-            if !self.bfs.is_reached(v) {
-                visit_any_order(
-                    index,
-                    self.kernel,
-                    &self.column,
-                    &mut self.counters,
-                    &mut self.heap,
-                    &mut bound_state,
-                    &mut stats,
-                    qp,
-                    c,
-                    v,
-                );
-            }
-        }
-        // The traversal counters were exact before the visits; the gather
-        // counters only exist now that the visits ran.
-        self.record_gather(&mut stats);
-        // Every node was visited (or skipped soundly); no padding needed.
+        let bound = AnyOrder {
+            state: ArbitraryOrderBound::new(index.a_max()),
+            query,
+            root: index.permutation().new_of(root),
+        };
         let mut out = TopKResult::default();
-        self.finish(k, false, stats, &mut out);
+        self.ranked(bound, k, &mut out)?;
         Ok(out)
-    }
-
-    /// Shared epilogue: drains the heap in rank order, maps back to
-    /// original ids, and (when `pad_unreached` is set) pads with
-    /// unreachable, zero-proximity nodes when fewer than `k` candidates
-    /// exist. Heap entries are always reached nodes, so pads can never
-    /// collide with them.
-    ///
-    /// Padding and lazy discovery cannot conflict: fewer than `k` heap
-    /// entries means the heap never filled, so the Lemma 2 termination
-    /// (which requires a full heap) never fired, the traversal ran to
-    /// exhaustion, and `is_reached` is exact reachability.
-    fn finish(&mut self, k: usize, pad_unreached: bool, stats: SearchStats, out: &mut TopKResult) {
-        let index = self.index;
-        out.stats = stats;
-        out.items.clear();
-        for &(p, u) in self.heap.sorted_entries() {
-            out.items.push(RankedNode { node: index.permutation().old_of(u), proximity: p });
-        }
-        if pad_unreached && out.items.len() < k {
-            for v in 0..index.num_nodes() as NodeId {
-                if out.items.len() >= k {
-                    break;
-                }
-                if !self.bfs.is_reached(v) {
-                    out.items.push(RankedNode {
-                        node: index.permutation().old_of(v),
-                        proximity: 0.0,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Refined top-k epilogue shared by every sparsified-tier ranking
-    /// entry point: run the certified loop, fold the traversal counters,
-    /// rank + pad. Expects the BFS seeded and the query column loaded.
-    /// Out of line, so the Lemma-2 loops compile the same without it.
-    #[inline(never)]
-    fn refined_top_k(
-        &mut self,
-        rhs: &[(NodeId, f64)],
-        k: usize,
-        out: &mut TopKResult,
-    ) -> Result<()> {
-        let mut stats = SearchStats::default();
-        self.refined_run(rhs, RefineGoal::TopK(k), &mut stats)?;
-        self.record_traversal(&mut stats);
-        self.finish(k, true, stats, out);
-        Ok(())
     }
 
     /// The full proximity vector (original id space) through the
@@ -1102,36 +1021,22 @@ impl<'a> Searcher<'a> {
     /// friends.
     #[doc(hidden)]
     pub fn refined_full_proximities(&mut self, sources: &[NodeId]) -> Result<Vec<f64>> {
-        let index = self.index;
-        let (col_idx, col_val) = index.merged_query_column(sources)?;
-        self.column.load(&col_idx, &col_val);
-        self.counters.reset();
-        self.prefetched_until = 0;
-        self.sources_p.clear();
-        self.sources_p.extend(sources.iter().map(|&s| index.permutation().new_of(s)));
-        let roots = std::mem::take(&mut self.sources_p);
-        self.bfs.begin_multi(index.permuted_graph(), &roots);
-        let weight = 1.0 / roots.len() as f64;
-        let rhs: Vec<(NodeId, f64)> = roots.iter().map(|&s| (s, weight)).collect();
-        self.sources_p = roots;
-        let mut permuted = vec![0.0; index.num_nodes()];
+        self.seed_set(sources)?;
+        let mut permuted = vec![0.0; self.index.num_nodes()];
         let mut stats = SearchStats::default();
-        self.refined_run(&rhs, RefineGoal::FullVector(&mut permuted), &mut stats)?;
-        Ok(index.permutation().unpermute_values(&permuted))
+        self.refined_run(RefineGoal::FullVector(&mut permuted), &mut stats)?;
+        Ok(self.index.permutation().unpermute_values(&permuted))
     }
 
     /// The certified refinement driver (see the module docs): drains the
     /// reachable set, solves it approximately through the sparsified
     /// inverses, and iterates residual/correction passes until `goal` is
-    /// proven. Expects the BFS seeded at the support of `rhs` (the
-    /// restart vector `b = Σ weight·e_root`, permuted ids) and the
-    /// matching `L̃⁻¹` query column loaded.
-    fn refined_run(
-        &mut self,
-        rhs: &[(NodeId, f64)],
-        mut goal: RefineGoal<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<()> {
+    /// proven. Expects a source prologue to have run: the BFS seeded at
+    /// the roots, the restart vector `b` uniform over them, and the
+    /// matching `L̃⁻¹` query column loaded. Out of line, so the Lemma-2
+    /// loops compile the same without it.
+    #[inline(never)]
+    fn refined_run(&mut self, mut goal: RefineGoal<'_>, stats: &mut SearchStats) -> Result<()> {
         // The Lemma-2 bound cannot prune against approximate proximities,
         // so the refined path always drains the whole reachable set.
         while self.bfs.expand_next_layer(self.index.permuted_graph()) > 0 {}
@@ -1144,7 +1049,7 @@ impl<'a> Searcher<'a> {
             "refinement vectors must be all-zero between queries"
         );
         st.load_ids(&self.bfs);
-        let result = self.refined_run_inner(&mut st, rhs, &mut goal, stats);
+        let result = self.refined_run_inner(&mut st, &mut goal, stats);
         // Zero the vectors over the reachable set before parking the state:
         // an error leaves the workspace exactly as reusable as success.
         for &u in &st.ids {
@@ -1159,7 +1064,6 @@ impl<'a> Searcher<'a> {
     fn refined_run_inner(
         &mut self,
         st: &mut RefineState,
-        rhs: &[(NodeId, f64)],
         goal: &mut RefineGoal<'_>,
         stats: &mut SearchStats,
     ) -> Result<()> {
@@ -1171,6 +1075,7 @@ impl<'a> Searcher<'a> {
         let one_minus_c = 1.0 - c;
         let self_loops = index.dangling_policy() == DanglingPolicy::SelfLoop;
         let started = self.budget.start();
+        let restart_weight = 1.0 / self.roots.len() as f64;
         let RefineState { x, resid, y, ids, cert } = st;
 
         // Initial approximate solve x̃ = Ũ⁻¹(L̃⁻¹ b): one gather per
@@ -1200,8 +1105,8 @@ impl<'a> Searcher<'a> {
                 resid[j as usize] = 0.0;
                 y[j as usize] = 0.0;
             }
-            for &(root, weight) in rhs {
-                resid[root as usize] += weight;
+            for &root in &self.roots {
+                resid[root as usize] += restart_weight;
             }
             let mut edge_terms = 0usize;
             for &j in ids.iter() {
@@ -1305,38 +1210,6 @@ impl<'a> Searcher<'a> {
         }
         Ok(())
     }
-}
-
-/// One candidate visit of the order-agnostic (random-root) search. A free
-/// function over the workspace's split-out fields so both visit loops can
-/// call it while the BFS order is borrowed.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn visit_any_order(
-    index: &KdashIndex,
-    kernel: ResolvedKernel,
-    column: &ScatteredColumn,
-    counters: &mut GatherCounters,
-    heap: &mut TopKHeap,
-    bound_state: &mut ArbitraryOrderBound,
-    stats: &mut SearchStats,
-    qp: NodeId,
-    c: f64,
-    u: NodeId,
-) {
-    stats.visited += 1;
-    // The order-agnostic bound only holds for non-query nodes.
-    if u != qp {
-        let bound = index.c_prime()[u as usize] * bound_state.bound_term();
-        if heap.is_full() && bound < heap.threshold() {
-            stats.skipped += 1;
-            return;
-        }
-    }
-    let p = c * index.uinv().row_gather(kernel, u, column, &mut GatherScratch, counters);
-    stats.proximity_computations += 1;
-    bound_state.record(p, index.a_col_max()[u as usize]);
-    heap.offer(p, u);
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ pub fn exact_top_k_scored(graph: &CsrGraph, c: f64, q: NodeId, k: usize) -> Vec<
 /// The lazy-vs-eager query-engine contract, shared by the equivalence
 /// suites: `lazy` from the lazy-frontier production path (under the
 /// *scalar* kernel), `eager` from an eager whole-tree-first replay oracle
-/// (`top_k_merge_join`, `top_k_from_set_replay`, `top_k_eager_into`).
+/// (`top_k_from_set_replay` / `top_k_merge_join`).
 ///
 /// Checks: items bit-identical; `visited`/`proximity_computations`/
 /// `skipped`/`terminated_early` equal; the eager oracle expands everything

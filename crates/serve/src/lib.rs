@@ -35,7 +35,7 @@
 //! **Epoch semantics.** Every response names the epoch it was computed
 //! against ([`ServeResponse::epoch`]) and is **bit-identical** to a
 //! standalone [`kdash_core::Searcher::top_k`] against that epoch's
-//! pinned snapshot with the same kernel and budget — there is no state
+//! pinned snapshot with the same budget — there is no state
 //! in between epochs to observe, so torn reads are impossible by
 //! construction. A worker serves a whole drained batch from one pinned
 //! epoch; it picks up a newly published epoch at the next batch

@@ -19,10 +19,7 @@
 //! still-queued requests with [`ServeError::ShuttingDown`].
 
 use crate::{lock_unpoisoned, EpochStore, MpmcQueue, ServeError, ServeMetrics};
-use kdash_core::{
-    BatchOptions, BatchOutcome, GatherKernel, IsolatedExecutor, KdashError, QueryBudget,
-    TopKResult,
-};
+use kdash_core::{BatchOptions, BatchOutcome, IsolatedExecutor, QueryBudget, TopKResult};
 use kdash_graph::NodeId;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -40,12 +37,8 @@ pub struct ServeOptions {
     /// Max requests a worker folds into one drained batch (all served
     /// from one pinned epoch, one freshness-lag sample).
     pub max_batch: usize,
-    /// Gather-kernel selection for every worker, resolved against the
-    /// host once at [`ServeLoop::start`] (unsupported requests fail
-    /// typed before any thread spawns).
-    pub kernel: GatherKernel,
     /// Per-query work budget; an exceeding query fails with
-    /// [`KdashError::BudgetExceeded`] on that request alone.
+    /// [`kdash_core::KdashError::BudgetExceeded`] on that request alone.
     pub budget: QueryBudget,
 }
 
@@ -55,7 +48,6 @@ impl Default for ServeOptions {
             workers: 0,
             queue_capacity: 1024,
             max_batch: 32,
-            kernel: GatherKernel::default(),
             budget: QueryBudget::default(),
         }
     }
@@ -150,7 +142,6 @@ struct Shared {
     idle_lock: Mutex<()>,
     idle_cv: Condvar,
     max_batch: usize,
-    kernel: GatherKernel,
     budget: QueryBudget,
 }
 
@@ -202,15 +193,10 @@ pub struct ServeLoop {
 }
 
 impl ServeLoop {
-    /// Spawns the worker pool over `store`. Fails typed if the kernel
-    /// selection is unsupported on this host or a worker thread cannot
-    /// be spawned (no partially started loop is left behind: spawned
-    /// workers are stopped and joined on the error path).
+    /// Spawns the worker pool over `store`. Fails typed if a worker
+    /// thread cannot be spawned (no partially started loop is left
+    /// behind: spawned workers are stopped and joined on the error path).
     pub fn start(store: Arc<EpochStore>, options: ServeOptions) -> Result<ServeLoop, ServeError> {
-        options
-            .kernel
-            .resolve()
-            .map_err(|e| ServeError::Query(KdashError::from(e)))?;
         let workers = if options.workers == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         } else {
@@ -228,7 +214,6 @@ impl ServeLoop {
             idle_lock: Mutex::new(()),
             idle_cv: Condvar::new(),
             max_batch: options.max_batch.max(1),
-            kernel: options.kernel,
             budget: options.budget,
         });
 
@@ -369,10 +354,8 @@ fn worker_loop(shared: &Shared) {
     while !shared.stop.load(Ordering::Acquire) {
         let pinned = shared.store.pin();
         let pinned_epoch = pinned.update_epoch();
-        let options =
-            BatchOptions { threads: 1, kernel: shared.kernel, budget: shared.budget };
-        // The kernel was resolved at start, so this cannot fail on the
-        // same host; if it somehow does, answer requests with the typed
+        let options = BatchOptions { threads: 1, budget: shared.budget };
+        // Should construction ever fail, answer requests with the typed
         // error rather than spinning or panicking.
         let mut executor = IsolatedExecutor::new(&pinned, options);
 
@@ -418,7 +401,7 @@ fn worker_loop(shared: &Shared) {
 mod tests {
     use super::*;
     use crate::EpochWriter;
-    use kdash_core::{IndexOptions, KdashIndex};
+    use kdash_core::{IndexOptions, KdashError, KdashIndex};
     use kdash_dynamic::{DynamicIndex, UpdateBatch};
     use kdash_graph::{EdgeEdit, GraphBuilder};
 

@@ -8,7 +8,7 @@
 //! ```
 
 use kdash_baselines::{IterativeRwr, TopKEngine};
-use kdash_core::{GatherKernel, IndexBuilder};
+use kdash_core::IndexBuilder;
 use kdash_datagen::DatasetProfile;
 use kdash_dynamic::{DynamicIndex, Journal, UpdateBatch};
 use kdash_graph::EdgeEdit;
@@ -54,17 +54,14 @@ fn main() {
     );
 
     // 3. Query: exact top-10 highest-proximity nodes for node 0. A serving
-    //    loop holds one `Searcher` (allocation-free after warm-up) and can
-    //    pick its gather kernel. `Auto` — the default — runs the
-    //    branch-free four-lane gather through AVX2 where the host has it
-    //    and through its portable twin otherwise; the two are
-    //    bit-identical, so answers are the same on every machine. An
-    //    explicit choice the CPU cannot honour is a typed error, so
-    //    deployments never silently degrade.
+    //    loop holds one `Searcher` (allocation-free after warm-up). Its
+    //    branch-free four-lane gather runs through AVX2 where the host
+    //    has it and through its portable twin otherwise; the two are
+    //    bit-identical, so answers are the same on every machine and
+    //    there is nothing to select.
     let q = 0;
     let k = 10;
-    let mut searcher =
-        kdash_core::Searcher::with_kernel(&index, GatherKernel::Auto).expect("kernel");
+    let mut searcher = index.searcher();
     let result = searcher.top_k(q, k).expect("query");
     println!("\ntop-{k} nodes for query {q} (gather kernel: {}):", searcher.kernel().name());
     for (rank, item) in result.items.iter().enumerate() {
@@ -83,7 +80,7 @@ fn main() {
         result.stats.reachable,
         result.stats.terminated_early
     );
-    // The gather is observable per query: what the selector resolved to,
+    // The gather is observable per query: what the host resolved to,
     // how many rows it ran, and what they streamed.
     println!(
         "gather: {} — {} rows scalar / {} wide, {} index bytes touched",

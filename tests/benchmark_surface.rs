@@ -3,17 +3,24 @@
 //!
 //! `benchmark/` is a standalone package: tier-1 never builds it, so a
 //! library signature change would only show when the driver builds the
-//! benchmark. This test makes exactly the calls
+//! benchmark. The first test makes exactly the calls
 //! `benchmark/src/query.rs::traced_query_pass` makes on the gather path —
 //! with the same import paths — and asserts what that pass asserts: on
 //! the dense tier, `c ×` the replayed `row_gather` equals the proximity
-//! `Searcher::top_k_into` returned, bit for bit.
+//! `Searcher::top_k_into` returned, bit for bit. The second spells, the
+//! way `benchmark/src/{churn,setup,query,oracle}.rs` spell them, the
+//! option structs, executor, persistence and store calls those files make.
 
-use kdash_core::{IndexOptions, KdashIndex, RowLayout, TopKResult};
+use kdash_core::{
+    save_atomic, BatchOptions, BatchOutcome, IndexOptions, IsolatedExecutor, KdashError,
+    KdashIndex, RowLayout, TopKResult,
+};
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
+use kdash_dynamic::DynamicIndex;
 use kdash_graph::{BfsScratch, NodeId};
+use kdash_serve::{EpochWriter, ServeLoop, ServeOptions};
 use kdash_sparse::kernel::{GatherCounters, GatherScratch};
-use kdash_sparse::{ResolvedKernel, ScatteredColumn};
+use kdash_sparse::{CsrMatrix, ProximityStore, ResolvedKernel, ScatteredColumn};
 
 #[test]
 fn replayed_gather_equals_the_answer_on_every_family_and_layout() {
@@ -76,4 +83,56 @@ fn replayed_gather_equals_the_answer_on_every_family_and_layout() {
             }
         }
     }
+}
+
+/// The rest of the surface: every library item `benchmark/src/{churn,
+/// setup,query,oracle}.rs` names outside the gather replay, called the way
+/// they call it. An option struct losing a field the benchmark sets, an
+/// executor or loader changing shape, or `layout()` no longer feeding
+/// `ProximityStore::from_csr` fails here, in tier-1.
+#[test]
+fn benchmark_call_sites_compile_and_agree() {
+    let index = KdashIndex::build(&erdos_renyi(120, 600, 17), IndexOptions::default()).unwrap();
+    let (q, k) = (5 as NodeId, 8);
+
+    // oracle.rs / query.rs: one reused workspace, both spellings.
+    let mut searcher = index.searcher();
+    let want: Result<TopKResult, KdashError> = searcher.top_k(q, k);
+    let want = want.unwrap();
+    let mut out = TopKResult::default();
+    searcher.top_k_into(q, k, &mut out).unwrap();
+    assert_eq!(out.nodes(), want.nodes());
+
+    // query.rs: the serving tier's panic-isolated executor.
+    match IsolatedExecutor::new(&index, BatchOptions::default()) {
+        Ok(mut executor) => {
+            if let BatchOutcome::Failed(e) = executor.run(q, k) {
+                panic!("isolated query failed: {e}");
+            }
+        }
+        Err(e) => panic!("IsolatedExecutor::new failed: {e}"),
+    }
+
+    // setup.rs: the store re-encoded from the inverse, in the index's layout.
+    let uinv = index.uinv_rows().to_csc();
+    let store = ProximityStore::from_csr(CsrMatrix::from_csc(&uinv), index.layout()).unwrap();
+    assert_eq!(store.nnz(), index.stats().nnz_u_inv);
+
+    // churn.rs: snapshot, serve, reload.
+    let dir = std::env::temp_dir().join(format!("kdash-benchmark-surface-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let snapshot = dir.join("index.kdash");
+    save_atomic(&index, &snapshot).unwrap();
+    let (_writer, store) = EpochWriter::new(DynamicIndex::new(index.clone()).unwrap());
+    let serve = ServeLoop::start(
+        store,
+        ServeOptions { workers: 1, queue_capacity: 1024, max_batch: 32, ..Default::default() },
+    )
+    .unwrap();
+    assert_eq!(serve.query_blocking(q, k).unwrap().result.nodes(), want.nodes());
+    serve.shutdown();
+    let file = std::fs::File::open(&snapshot).unwrap();
+    let loaded = KdashIndex::load(std::io::BufReader::new(file)).unwrap();
+    assert_eq!(loaded.top_k(q, k).unwrap().nodes(), want.nodes());
+    std::fs::remove_dir_all(&dir).unwrap();
 }

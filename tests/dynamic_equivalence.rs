@@ -430,11 +430,10 @@ fn self_loop_dangling_policy_updates_match_rebuild() {
     assert!((p - 1.0).abs() < 1e-9, "SelfLoop must conserve mass, got {p}");
 }
 
-/// The pre-v3 hazard is closed at attach time: an index whose stored
-/// inverses were built under `SelfLoop` but whose recorded policy says
-/// `Keep` (what loading a v1/v2 file produces) is rejected by the
-/// attach-time consistency probe instead of silently serving
-/// mixed-normalisation updates.
+/// An index whose stored inverses were built under `SelfLoop` but whose
+/// recorded policy says `Keep` — a file whose trailer was rewritten and
+/// re-signed — is rejected by the attach-time consistency probe instead
+/// of silently serving mixed-normalisation updates.
 #[test]
 fn attach_rejects_mismatched_dangling_policy() {
     let mut b = GraphBuilder::new(8);
@@ -446,10 +445,18 @@ fn attach_rejects_mismatched_dangling_policy() {
         IndexOptions { dangling: kdash_sparse::DanglingPolicy::SelfLoop, ..Default::default() },
     )
     .unwrap();
-    // Round-trip through the legacy v1 format, which drops the policy.
-    let mut v1 = Vec::new();
-    index.save_v1(&mut v1).unwrap();
-    let loaded = KdashIndex::load(v1.as_slice()).unwrap();
+    // Rewrite the trailer's policy tag to `Keep` and re-sign the file.
+    // Its tail is trailer payload (tag + epoch, 9 bytes), trailer CRC (4),
+    // footer (magic 8 + whole-file CRC 4).
+    let mut bytes = Vec::new();
+    index.save(&mut bytes).unwrap();
+    let n = bytes.len();
+    bytes[n - 25] = 0;
+    let trailer_crc = kdash_core::persist::crc32(&bytes[n - 25..n - 16]);
+    bytes[n - 16..n - 12].copy_from_slice(&trailer_crc.to_le_bytes());
+    let file_crc = kdash_core::persist::crc32(&bytes[..n - 12]);
+    bytes[n - 4..].copy_from_slice(&file_crc.to_le_bytes());
+    let loaded = KdashIndex::load(bytes.as_slice()).unwrap();
     assert_eq!(loaded.dangling_policy(), kdash_sparse::DanglingPolicy::Keep);
     let err = DynamicIndex::new(loaded).unwrap_err();
     assert!(

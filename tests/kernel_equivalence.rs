@@ -171,7 +171,6 @@ fn unsupported_selectors_fail_typed_and_leave_searcher_usable() {
     let g = erdos_renyi(30, 90, 5);
     let index = KdashIndex::build(&g, IndexOptions::default()).unwrap();
     let mut searcher = index.searcher();
-    let auto_kernel = searcher.kernel();
 
     // A selector spelling that exists on no host.
     match "avx1024".parse::<GatherKernel>() {
@@ -189,21 +188,24 @@ fn unsupported_selectors_fail_typed_and_leave_searcher_usable() {
     }
 
     // An explicit SIMD request either resolves (host has AVX2) or fails
-    // typed; in both cases the workspace keeps answering queries.
-    match searcher.set_kernel(GatherKernel::Simd) {
-        Ok(()) => assert!(searcher.kernel().is_simd()),
+    // typed; in both cases the index keeps answering queries.
+    match Searcher::with_kernel(&index, GatherKernel::Simd) {
+        Ok(mut simd) => {
+            assert!(simd.kernel().is_simd());
+            assert_eq!(simd.top_k(0, 3).unwrap().items.len(), 3);
+        }
         Err(KdashError::UnsupportedKernel { requested, reason }) => {
             assert_eq!(requested, "simd");
             assert!(!reason.is_empty());
-            assert_eq!(searcher.kernel(), auto_kernel, "failed switch must not change kernel");
         }
         Err(other) => panic!("expected UnsupportedKernel, got {other:?}"),
     }
     assert_eq!(searcher.top_k(0, 3).unwrap().items.len(), 3);
 
     // Auto resolves everywhere and never to SIMD on a host lacking it.
-    searcher.set_kernel(GatherKernel::Auto).unwrap();
-    assert_eq!(searcher.top_k(0, 3).unwrap().items.len(), 3);
+    let mut auto = Searcher::with_kernel(&index, GatherKernel::Auto).unwrap();
+    assert_eq!(auto.kernel(), searcher.kernel(), "a plain workspace *is* the auto one");
+    assert_eq!(auto.top_k(0, 3).unwrap().items.len(), 3);
 }
 
 /// The lane-carry pin. In the blocked layout a row is one segment per

@@ -96,11 +96,11 @@ proptest! {
         prop_assert!(KdashIndex::load(&buf[..cut]).is_err(), "cut at {} must fail", cut);
     }
 
-    /// v1 → v2 compatibility: legacy flat-only files keep loading, come
-    /// back as the blocked layout, and answer every sampled query
-    /// bit-identically — across orderings and both source layouts.
+    /// One-back compatibility: real v4 bytes keep loading, keep their
+    /// layout, and answer every sampled query bit-identically — across
+    /// orderings.
     #[test]
-    fn v1_files_upgrade_losslessly(
+    fn v4_files_upgrade_losslessly(
         (graph, ord_sel) in (graph_strategy(), any::<u32>())
     ) {
         let ordering = ORDERINGS[ord_sel as usize % ORDERINGS.len()];
@@ -108,10 +108,10 @@ proptest! {
             &graph,
             IndexOptions { ordering, ..Default::default() },
         ).unwrap();
-        let mut v1 = Vec::new();
-        index.save_v1(&mut v1).unwrap();
-        let loaded = KdashIndex::load(v1.as_slice()).unwrap();
-        prop_assert_eq!(loaded.layout(), RowLayout::Blocked, "v1 upgrades to blocked on read");
+        let mut v4 = Vec::new();
+        index.save_v4(&mut v4).unwrap();
+        let loaded = KdashIndex::load(v4.as_slice()).unwrap();
+        prop_assert_eq!(loaded.layout(), index.layout());
         prop_assert_eq!(loaded.stats().nnz_u_inv, index.stats().nnz_u_inv);
         let n = graph.num_nodes();
         let k = 5usize.min(n);
@@ -334,23 +334,27 @@ fn every_section_boundary_truncation_is_rejected() {
 }
 
 /// A clean save → load round trip reports the checksummed v5 format and
-/// passes the deep structural audit; a v1 file still loads but is
-/// flagged unchecksummed.
+/// passes the deep structural audit; the unchecksummed v1–v3 formats are
+/// refused at the version field — typed, with nothing behind it parsed
+/// (the rest of these bytes is a v5 body a v1–v3 parser would choke on).
 #[test]
 fn clean_roundtrip_is_checksummed_and_audits_clean() {
-    let (index, buf) = sample_index();
+    let (_, buf) = sample_index();
     let (loaded, info) = KdashIndex::load_with_info(buf.as_slice()).unwrap();
     assert_eq!(info.version, 5);
-    assert!(info.checksummed);
     let audit = IndexAudit::run(&loaded);
     assert!(audit.is_clean(), "findings: {:?}", audit.findings);
 
-    let mut v1 = Vec::new();
-    index.save_v1(&mut v1).unwrap();
-    let (upgraded, info) = KdashIndex::load_with_info(v1.as_slice()).unwrap();
-    assert_eq!(info.version, 1);
-    assert!(!info.checksummed, "legacy files must be flagged unchecksummed");
-    assert!(IndexAudit::run(&upgraded).is_clean());
+    for legacy in 1u32..=3 {
+        let mut old = buf.clone();
+        old[8..12].copy_from_slice(&legacy.to_le_bytes());
+        for bytes in [&old[..], &old[..12]] {
+            match KdashIndex::load(bytes).unwrap_err() {
+                PersistError::UnsupportedVersion(v) => assert_eq!(v, legacy),
+                other => panic!("v{legacy} header must be refused typed, got: {other}"),
+            }
+        }
+    }
 }
 
 /// A sparsified-tier build over the sample graph, saved in the current
@@ -381,7 +385,6 @@ fn sparsified_roundtrip_preserves_dropped_masses() {
     let (index, buf) = sample_sparsified_index();
     let (loaded, info) = KdashIndex::load_with_info(buf.as_slice()).unwrap();
     assert_eq!(info.version, 5);
-    assert!(info.checksummed);
     assert_eq!(loaded.drop_tolerance().to_bits(), index.drop_tolerance().to_bits());
     assert_eq!(loaded.dropped_mass().to_bits(), index.dropped_mass().to_bits());
     assert!(loaded.needs_refinement());
@@ -442,7 +445,6 @@ fn v4_files_load_as_dense_exact() {
     index.save_v4(&mut v4).unwrap();
     let (loaded, info) = KdashIndex::load_with_info(v4.as_slice()).unwrap();
     assert_eq!(info.version, 4);
-    assert!(info.checksummed, "v4 is checksummed");
     assert_eq!(loaded.drop_tolerance(), 0.0);
     assert!(!loaded.is_sparsified());
     assert!(!loaded.needs_refinement());
@@ -456,13 +458,12 @@ fn v4_files_load_as_dense_exact() {
     }
 }
 
-/// The legacy writers refuse indexes they cannot represent: v1 and v4
-/// both reject a sparsified-tier index instead of silently discarding
-/// the drop tolerance and the masses the exactness contract depends on.
+/// The one-back writer refuses an index it cannot represent: v4 rejects
+/// a sparsified-tier index instead of silently discarding the drop
+/// tolerance and the masses the exactness contract depends on.
 #[test]
 fn legacy_formats_reject_sparsified_indexes() {
     let (index, _) = sample_sparsified_index();
-    assert!(index.save_v1(&mut Vec::new()).is_err(), "v1 must reject a sparsified index");
     assert!(index.save_v4(&mut Vec::new()).is_err(), "v4 must reject a sparsified index");
 }
 

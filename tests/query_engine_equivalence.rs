@@ -20,9 +20,9 @@
 //!   `tests/kernel_equivalence.rs`.
 
 use kdash_core::{GatherKernel, IndexOptions, KdashIndex, NodeOrdering, Searcher};
-use kdash_datagen::{barabasi_albert, erdos_renyi};
+use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
 use kdash_graph::NodeId;
-use kdash_harness::check_lazy_vs_eager;
+use kdash_harness::{break_ties, check_lazy_vs_eager, sample_queries};
 use proptest::prelude::*;
 
 /// Strategy over the two generator families the paper's datasets span:
@@ -160,6 +160,72 @@ proptest! {
         let above = index.nodes_above(q, theta).unwrap();
         let expect = full.iter().filter(|&&p| p >= theta).count();
         prop_assert_eq!(above.items.len(), expect);
+    }
+}
+
+/// The identities the one search driver rests on, at bit level: every
+/// entry point is the same loop under another bound policy, stop goal or
+/// source, so on tie-free graphs (`break_ties` — which of two *equal*
+/// proximities survives at the k-th boundary depends on the visit order)
+/// they must all return `top_k`'s answer bit for bit — under the scalar
+/// reference kernel and the default one alike, across graph families and
+/// orderings.
+#[test]
+fn every_entry_point_returns_the_top_k_answer_bit_for_bit() {
+    let graphs = [
+        ("er", erdos_renyi(200, 800, 3)),
+        ("ba", barabasi_albert(200, 3, 5)),
+        ("rmat", rmat(8, 1024, RmatParams::default(), 7)),
+    ];
+    let orderings = [
+        NodeOrdering::Natural,
+        NodeOrdering::Degree,
+        NodeOrdering::Hybrid,
+        NodeOrdering::ReverseCuthillMcKee,
+    ];
+    let bits = |r: &kdash_core::TopKResult| -> Vec<(NodeId, u64)> {
+        // Zero-proximity entries are unreachable padding, whose choice is
+        // each entry point's own.
+        let answers = r.items.iter().take_while(|i| i.proximity > 0.0);
+        answers.map(|i| (i.node, i.proximity.to_bits())).collect()
+    };
+    let k = 10;
+    for (family, graph) in &graphs {
+        let graph = break_ties(graph).unwrap();
+        let n = graph.num_nodes() as NodeId;
+        for ordering in orderings {
+            let index =
+                KdashIndex::build(&graph, IndexOptions { ordering, ..Default::default() }).unwrap();
+            for kernel in [GatherKernel::Scalar, GatherKernel::Auto] {
+                let mut s = Searcher::with_kernel(&index, kernel).unwrap();
+                for q in sample_queries(&graph, 8) {
+                    let label = format!("{family}/{ordering:?}/{kernel:?} q {q}");
+                    let top = s.top_k(q, k).unwrap();
+                    let want = bits(&top);
+                    assert!(!want.is_empty(), "{label}");
+
+                    // source: one node ≡ a restart set of one, work included.
+                    let set = s.top_k_from_set(&[q], k).unwrap();
+                    assert_eq!(bits(&set), want, "{label}: from_set");
+                    assert_eq!(set.items.len(), top.items.len(), "{label}: from_set");
+                    assert_eq!(set.stats, top.stats, "{label}: from_set stats");
+
+                    // bound: none, or the order-agnostic one on a tree
+                    // rooted anywhere.
+                    assert_eq!(bits(&s.top_k_unpruned(q, k).unwrap()), want, "{label}: unpruned");
+                    for root in [q, (q + 1) % n, (q + n / 2) % n] {
+                        let rooted = s.top_k_from_root(q, k, root).unwrap();
+                        assert_eq!(bits(&rooted), want, "{label}: root {root}");
+                    }
+
+                    // goal: the fixed θ = p_k selects exactly the top k.
+                    let theta = f64::from_bits(want[want.len() - 1].1);
+                    let above = s.nodes_above(q, theta).unwrap();
+                    assert_eq!(above.items.len(), want.len(), "{label}: nodes_above");
+                    assert_eq!(bits(&above), want, "{label}: nodes_above");
+                }
+            }
+        }
     }
 }
 
