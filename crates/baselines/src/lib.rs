@@ -12,29 +12,22 @@
 //!   cross-partition edges,
 //! * [`Bpa`] — the Basic Push Algorithm (Gupta, Pathak & Chakrabarti,
 //!   WWW 2008): forward push with precomputed hub vectors and a
-//!   recall-guaranteeing stopping rule,
-//! * [`LocalRwr`] — the partition-local approximation of Sun et al.
-//!   (ICDM 2005): run RWR only inside the query's community,
-//! * [`MonteCarlo`] — the random-walk sampler of Avrachenkov et al.
-//!   (WAW 2011), which §6 mentions and dismisses for its lack of a recall
-//!   guarantee; included as an extension baseline.
+//!   recall-guaranteeing stopping rule.
 //!
 //! All engines expose the common [`TopKEngine`] interface so the benchmark
 //! harness can sweep them uniformly.
 
+#![forbid(unsafe_code)]
+
 pub mod blin;
 pub mod bpa;
 pub mod iterative;
-pub mod local;
-pub mod montecarlo;
 pub mod nblin;
 pub mod operator;
 
 pub use blin::{BLin, BLinOptions};
 pub use bpa::{Bpa, BpaOptions};
 pub use iterative::IterativeRwr;
-pub use local::LocalRwr;
-pub use montecarlo::MonteCarlo;
 pub use nblin::{NbLin, NbLinOptions};
 pub use operator::CscOperator;
 

@@ -6,9 +6,9 @@
 //! list of inversion thread counts, then the sequential-vs-parallel
 //! speedup. Headline numbers land in `BENCH_PR2.json` at the repo root.
 //!
-//! It then times the three precompute kernels on their own — LU, `L⁻¹`,
-//! `U⁻¹` of the hybrid-ordered `W`, at one worker and at two, best of
-//! `KDASH_KERNEL_REPS` — and prints each beside the multiply-subtracts
+//! It then times the three precompute kernels on their own — LU, and
+//! `L⁻¹`, `U⁻¹` of the hybrid-ordered `W` at one worker and at two, best
+//! of `KDASH_KERNEL_REPS` — and prints each beside the multiply-subtracts
 //! its column solves counted and the share of them that ran in the
 //! factor's dense tail: ns per multiply-subtract is the figure to watch
 //! (≈ 0.3–0.5 where the tail carries the work, 1.5–3 where the sparse
@@ -60,8 +60,8 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     best
 }
 
-/// LU / `L⁻¹` / `U⁻¹` of the hybrid-ordered `W`, one line per kernel and
-/// worker count.
+/// LU / `L⁻¹` / `U⁻¹` of the hybrid-ordered `W`: one line for the LU
+/// (one thread, always), one per inversion and worker count.
 fn kernel_table(graph: &CsrGraph, reps: usize) {
     let permuted = graph.permute(&compute_ordering(graph, NodeOrdering::Hybrid)).expect("permute");
     let a = transition_matrix(&permuted, DanglingPolicy::Keep);
@@ -76,14 +76,14 @@ fn kernel_table(graph: &CsrGraph, reps: usize) {
             tally.tail_columns,
         );
     };
+    let (lu_s, (factors, lu)) = best_of(reps, || sparse_lu_tallied(&w).expect("LU"));
+    line("lu", 1, lu_s, lu);
     for threads in [1usize, 2] {
         let options = InvertOptions { threads };
-        let (lu_s, (factors, lu)) = best_of(reps, || sparse_lu_tallied(&w, options).expect("LU"));
         let (l_s, linv) =
             best_of(reps, || sparsify_lower_unit_with(&factors.l, 0.0, options).expect("L⁻¹"));
         let (u_s, uinv) =
             best_of(reps, || sparsify_upper_with(&factors.u, 0.0, options).expect("U⁻¹"));
-        line("lu", threads, lu_s, lu);
         line("linv", threads, l_s, linv.tally);
         line("uinv", threads, u_s, uinv.tally);
     }

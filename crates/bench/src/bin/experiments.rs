@@ -15,13 +15,15 @@
 //! magnitude, where the curves cross — are the reproduction target and are
 //! recorded against the paper in EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 use kdash_baselines::{Bpa, BpaOptions, IterativeRwr, NbLin, NbLinOptions, TopKEngine};
 use kdash_bench::{all_datasets, dataset, queries_for, HarnessConfig};
 use kdash_core::{compute_ordering_with_stats, IndexOptions, KdashIndex, NodeOrdering};
 use kdash_datagen::{dictionary, DatasetProfile};
 use kdash_eval::{measure, precision_at_k, Table};
 use kdash_sparse::{
-    invert_lower_unit_with, invert_upper_with, sparse_lu_with, transition_matrix, w_matrix,
+    invert_lower_unit_with, invert_upper_with, sparse_lu, transition_matrix, w_matrix,
     DanglingPolicy, InvertOptions,
 };
 use std::time::Duration;
@@ -282,36 +284,34 @@ fn fig6(config: &HarnessConfig) {
     fig6_stages(config);
 }
 
-/// The three precompute kernels of Figure 6 under the hybrid ordering,
-/// each at one and at two workers, so that a parallel kernel losing to
-/// its sequential self is visible next to the figure it would distort.
+/// The three precompute kernels of Figure 6 under the hybrid ordering —
+/// the two inversions at one and at two workers, so that a parallel
+/// kernel losing to its sequential self is visible next to the figure it
+/// would distort.
 fn fig6_stages(config: &HarnessConfig) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("### Figure 6 by kernel — LU / L⁻¹ / U⁻¹ [s] at 1 and 2 workers\n");
+    println!("### Figure 6 by kernel — LU / L⁻¹ / U⁻¹ [s], inversions at 1 and 2 workers\n");
     println!("(hybrid ordering; available_parallelism = {cores})\n");
     let mut table = Table::new(
-        ["dataset", "LU t=1", "LU t=2", "L⁻¹ t=1", "L⁻¹ t=2", "U⁻¹ t=1", "U⁻¹ t=2"]
-            .map(String::from)
-            .to_vec(),
+        ["dataset", "LU", "L⁻¹ t=1", "L⁻¹ t=2", "U⁻¹ t=1", "U⁻¹ t=2"].map(String::from).to_vec(),
     );
     for (profile, graph) in all_datasets(config) {
         let (perm, _) = compute_ordering_with_stats(&graph, NodeOrdering::Hybrid);
         let permuted = graph.permute(&perm).expect("permute");
         let a = transition_matrix(&permuted, DanglingPolicy::Keep);
         let w = w_matrix(&a, IndexOptions::default().restart_probability).expect("W");
-        let factors = sparse_lu_with(&w, InvertOptions::sequential()).expect("LU");
+        let (factors, lu_s) = kdash_eval::time_once(|| sparse_lu(&w).expect("LU"));
         let timed = |threads: usize| {
             let options = InvertOptions { threads };
             let (l, u) = (&factors.l, &factors.u);
             [
-                kdash_eval::time_once(|| sparse_lu_with(&w, options).expect("LU")).1,
                 kdash_eval::time_once(|| invert_lower_unit_with(l, options).expect("L⁻¹")).1,
                 kdash_eval::time_once(|| invert_upper_with(u, options).expect("U⁻¹")).1,
             ]
         };
         let (one, two) = (timed(1), timed(2));
-        let mut row = vec![profile.name().to_string()];
-        for kernel in 0..3 {
+        let mut row = vec![profile.name().to_string(), fmt_s(lu_s)];
+        for kernel in 0..2 {
             row.extend([fmt_s(one[kernel]), fmt_s(two[kernel])]);
         }
         table.add_row(row);

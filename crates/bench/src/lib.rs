@@ -14,6 +14,8 @@
 //! Dictionary are 0.75% and 7.5% of n), keeping the trade-off curves
 //! comparable in shape.
 
+#![forbid(unsafe_code)]
+
 use kdash_datagen::DatasetProfile;
 use kdash_graph::{CsrGraph, NodeId};
 

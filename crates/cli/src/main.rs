@@ -17,9 +17,8 @@
 //! ```
 //!
 //! `build` runs the staged `IndexBuilder` pipeline and prints one timing
-//! line per stage; `--threads 0` parallelises the factorization and
-//! inversion stages over all available cores (output is bit-identical at
-//! any thread count).
+//! line per stage; `--threads 0` parallelises the inversion stage over
+//! all available cores (output is bit-identical at any thread count).
 //! `--drop-tol EPS` builds the *sparsified* tier: inverse entries whose
 //! magnitude falls below `EPS` are dropped during the inversion solves
 //! (the per-column dropped ℓ₁ masses are recorded in the index), shrinking
@@ -106,6 +105,8 @@
 //! index-writing path goes through `kdash_core::save_atomic` (temp file →
 //! fsync → rename), so a crash mid-write can never destroy the previous
 //! copy.
+
+#![forbid(unsafe_code)]
 
 use kdash_core::{
     save_atomic, BuildStage, IndexAudit, IndexBuilder, IndexOptions, KdashIndex,

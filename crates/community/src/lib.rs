@@ -11,6 +11,8 @@
 //! algorithm itself — exactly the "automatically determined" behaviour the
 //! paper relies on for its parameter-free claim.
 
+#![forbid(unsafe_code)]
+
 pub mod louvain;
 pub mod modularity;
 pub mod partition;

@@ -60,7 +60,7 @@
 //!
 //! let (index, report) = IndexBuilder::new()
 //!     .ordering(NodeOrdering::Hybrid)  // Louvain-backed cluster+degree order
-//!     .threads(0)                      // parallel LU and triangular inversion
+//!     .threads(0)                      // parallel triangular inversion
 //!     .build_with_report(&graph)
 //!     .unwrap();
 //! for timing in &report.stages {
@@ -271,6 +271,8 @@
 //! fsync, rename and truncate) and recovery must produce an
 //! [`IndexAudit`]-clean index, bit-identical to the live-apply state at
 //! a well-defined epoch.
+
+#![forbid(unsafe_code)]
 
 pub mod audit;
 pub mod batch;

@@ -262,13 +262,18 @@ fn corrupt(section: Section, offset: u64, detail: impl Into<String>) -> PersistE
 
 // ---------------------------------------------------------------------
 // CRC32 (IEEE 802.3, the polynomial zlib/PNG use), table-driven and
-// dependency-free. The table is built at compile time.
+// dependency-free: slicing-by-8, so the eight look-ups of one 8-byte
+// step are independent of each other instead of a chain. Every payload
+// byte feeds two of these (section and whole file). The tables are
+// built at compile time.
 // ---------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][b]`
+/// is the CRC state after byte `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -277,10 +282,20 @@ const fn build_crc_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 #[derive(Clone, Copy)]
@@ -292,9 +307,23 @@ impl Crc32 {
     }
 
     fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
         let mut state = self.0;
-        for &b in bytes {
-            state = (state >> 8) ^ CRC_TABLE[((state ^ b as u32) & 0xFF) as usize];
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ state;
+            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+            state = t[7][(lo & 0xFF) as usize]
+                ^ t[6][(lo >> 8 & 0xFF) as usize]
+                ^ t[5][(lo >> 16 & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][(hi >> 8 & 0xFF) as usize]
+                ^ t[1][(hi >> 16 & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in chunks.remainder() {
+            state = (state >> 8) ^ t[0][((state ^ b as u32) & 0xFF) as usize];
         }
         self.0 = state;
     }
@@ -938,7 +967,7 @@ pub fn save_atomic_with<P: AsRef<Path>>(
     // Serialise into memory first so the file sees exactly one write
     // call — that gives the fault layer clean torn-prefix semantics
     // (crash after byte k of the file, for every k).
-    let mut bytes = Vec::new();
+    let mut bytes = Vec::with_capacity(serialized_size_hint(index));
     index.save(&mut bytes).map_err(|error| PersistError::Io { stage: IoStage::TmpWrite, error })?;
 
     let tmp_label = tmp.display().to_string();
@@ -976,6 +1005,15 @@ pub fn save_atomic_with<P: AsRef<Path>>(
         }
     }
     result
+}
+
+/// An upper estimate of the serialised size, so the buffer
+/// [`save_atomic_with`] fills is allocated once: the stored inverses are
+/// all but a few percent of a file, the graph's arrays and the per-node
+/// vectors the rest.
+fn serialized_size_hint(index: &KdashIndex) -> usize {
+    let stats = index.stats();
+    stats.inverse_heap_bytes + 16 * stats.num_edges + 128 * stats.num_nodes + 4096
 }
 
 fn write_csc<W: Write>(w: &mut W, csc: &CscMatrix) -> io::Result<()> {
@@ -1111,6 +1149,7 @@ mod tests {
         let index = sample_index();
         let mut buf = Vec::new();
         index.save(&mut buf).unwrap();
+        assert!(buf.len() <= serialized_size_hint(&index), "save_atomic's buffer would regrow");
         let loaded = KdashIndex::load(buf.as_slice()).unwrap();
         assert_eq!(loaded.num_nodes(), index.num_nodes());
         assert_eq!(loaded.restart_probability(), index.restart_probability());
@@ -1167,7 +1206,7 @@ mod tests {
     }
 
     #[test]
-    fn v3_trailer_roundtrips_epoch_and_dangling() {
+    fn trailer_roundtrips_epoch_and_dangling_and_rejects_an_unknown_tag() {
         let mut b = GraphBuilder::new(6);
         b.add_edge(0, 1, 1.0);
         b.add_edge(1, 2, 1.0); // nodes 2..5 dangle
@@ -1193,6 +1232,29 @@ mod tests {
         let mut bad = buf.clone();
         bad[tag_off] = 7;
         assert!(KdashIndex::load(bad.as_slice()).is_err());
+    }
+
+    /// The one-table, byte-at-a-time CRC the slicing-by-8 `update` must
+    /// reproduce bit for bit (files and journal frames depend on it).
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let step = |s: u32, &b: &u8| (s >> 8) ^ CRC_TABLES[0][((s ^ b as u32) & 0xFF) as usize];
+        bytes.iter().fold(0xFFFF_FFFF, step) ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn sliced_crc_equals_the_bytewise_crc_at_every_length_and_split() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926, "the IEEE 802.3 check value");
+        let mut rng = StdRng::seed_from_u64(11);
+        let data: Vec<u8> = (0..64).map(|_| rng.gen_range(0..=255u32) as u8).collect();
+        for len in 0..=data.len() {
+            assert_eq!(crc32(&data[..len]), crc32_bytewise(&data[..len]), "length {len}");
+        }
+        for split in 0..=data.len() {
+            let mut streamed = Crc32::new();
+            streamed.update(&data[..split]);
+            streamed.update(&data[split..]);
+            assert_eq!(streamed.value(), crc32_bytewise(&data), "split at {split}");
+        }
     }
 
     #[test]

@@ -12,15 +12,17 @@
 //! `W = I − (1−c)A`, and — dominating everything at scale — the triangular
 //! inversion that materialises `L⁻¹` and `U⁻¹`.
 //!
-//! Factorization and inversion are parallel, both driven by
-//! [`IndexBuilder::threads`]. The LU fans its columns out over the column
-//! dependency DAG (`kdash_sparse::sparse_lu_with`). Columns of a
-//! triangular inverse are independent Gilbert–Peierls solves, so the
-//! inversion stage fans them out over a work-stealing chunk cursor (the
-//! same pattern [`batch_top_k`](crate::batch_top_k) uses for queries),
-//! one solve workspace per worker, expensive chunks first. Both results are
+//! The inversion is the parallel stage, driven by
+//! [`IndexBuilder::threads`]: columns of a triangular inverse are
+//! independent Gilbert–Peierls solves, so it fans them out over a
+//! work-stealing chunk cursor (the same pattern
+//! [`batch_top_k`](crate::batch_top_k) uses for queries), one solve
+//! workspace per worker, expensive chunks first. The result is
 //! **bit-identical** to the sequential build at every thread count, which
-//! the tier-1 `build_determinism` suite pins.
+//! the tier-1 `build_determinism` suite pins. The LU runs on the calling
+//! thread: each of its columns needs the columns to its left, and on the
+//! benchmark graphs that chain left a second worker nothing to do
+//! (`kdash_sparse::lu`'s module docs have the measurement).
 
 use crate::ordering::{compute_ordering_with_stats, OrderingStats};
 use crate::precompute::IndexParts;
@@ -95,9 +97,8 @@ pub struct BuildReport {
     /// What the factorization's column solves did: how many trailing
     /// columns ran as a dense tail, the multiply-subtracts made and the
     /// share of them inside it — counted in the kernel, so "where did the
-    /// build's time go" needs no profiler. (With more than one worker the
-    /// column at which the factorization's tail begins depends on the
-    /// schedule, and these counts with it; the factors never do.)
+    /// build's time go" needs no profiler. A function of the graph and
+    /// the options alone, like the factors.
     pub factorization_solves: SolveTally,
     /// The same for the `L⁻¹` column solves of the inversion stage.
     pub linv_solves: SolveTally,
@@ -223,10 +224,9 @@ impl IndexBuilder {
         self
     }
 
-    /// Worker threads for the factorization stage (`sparse_lu_with`) and
-    /// the inversion stage: `0` = one per available hardware thread, `1`
-    /// (the default) = sequential. Output is bit-identical at every
-    /// thread count.
+    /// Worker threads for the inversion stage: `0` = one per available
+    /// hardware thread, `1` (the default) = sequential. Output is
+    /// bit-identical at every thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -274,8 +274,7 @@ impl IndexBuilder {
         let t = Instant::now();
         let a = transition_matrix(&permuted, options.dangling);
         let w = w_matrix(&a, options.restart_probability)?;
-        let (factors, factorization_solves) =
-            sparse_lu_tallied(&w, InvertOptions { threads: self.threads })?;
+        let (factors, factorization_solves) = sparse_lu_tallied(&w)?;
         report.factorization_solves = factorization_solves;
         let factorization_time = t.elapsed();
         report

@@ -21,6 +21,8 @@
 //!
 //! All generators are deterministic given their seed.
 
+#![forbid(unsafe_code)]
+
 pub mod ba;
 pub mod collaboration;
 pub mod dictionary;

@@ -17,7 +17,7 @@
 //! makes the update-vs-rebuild speedups legible.
 //!
 //! The factorisation stage is itself reach-bounded
-//! ([`kdash_sparse::refactor_columns_with`]): only factor columns in the
+//! ([`kdash_sparse::refactor_columns`]): only factor columns in the
 //! forward reach of the edited `W` columns through the left-looking
 //! column-dependency DAG are re-eliminated, and the surviving columns
 //! are spliced from the old factors bit-for-bit. This killed the one
@@ -40,7 +40,7 @@ use kdash_core::persist::save_atomic_with;
 use kdash_core::{IndexPatch, KdashIndex};
 use kdash_graph::{EdgeEdit, NodeId};
 use kdash_sparse::{
-    inverse_dirty_columns, refactor_candidates, refactor_columns_with, sparsify_columns_with,
+    inverse_dirty_columns, refactor_candidates, refactor_columns, sparsify_columns_with,
     transition_matrix, w_matrix, Index, InvertOptions, LuFactors, ProximityStore, RowUpdate,
     Triangle,
 };
@@ -261,17 +261,17 @@ impl DynamicIndex {
     /// indexes attach without a rebuild.
     ///
     /// Attachment then **probes** the stored inverses against the
-    /// factors: a few columns are re-solved and bit-compared. This
-    /// catches the one silent-corruption hazard of the format history —
-    /// a pre-v3 file built with [`DanglingPolicy::SelfLoop`] loads with
-    /// the default `Keep` policy (v1/v2 never recorded it), and updating
-    /// under the wrong policy would splice mixed-normalisation columns.
-    /// The probe always includes dangling nodes (the only nodes whose
-    /// transition column the policies disagree on), so a mismatched
-    /// policy fails attachment with a typed error instead of serving
+    /// factors: a few columns are re-solved and bit-compared. Until the
+    /// index carries a residual audit this is the only check that the
+    /// stored inverses are the inverses of the stored graph's factors —
+    /// it guards against an index assembled from mismatched parts (a
+    /// graph, a restart probability or a dangling policy other than the
+    /// one the inverses were built under) or damaged in memory, where
+    /// updating would splice fresh columns into inverses of another
+    /// matrix. The probe always includes dangling nodes (the only nodes
+    /// whose transition column the dangling policies disagree on), so a
+    /// mismatch fails attachment with a typed error instead of serving
     /// wrong proximities later.
-    ///
-    /// [`DanglingPolicy::SelfLoop`]: kdash_sparse::DanglingPolicy::SelfLoop
     pub fn new(index: KdashIndex) -> Result<DynamicIndex> {
         let factors = match index.factors() {
             Some(_) => None, // read the index's copy, never duplicate it
@@ -323,10 +323,9 @@ impl DynamicIndex {
         let (mut xi, mut xv) = (Vec::new(), Vec::new());
         let mismatch = |q: Index| {
             KdashError::Sparse(kdash_sparse::SparseError::Malformed(format!(
-                "stored inverses disagree with the refactorised W at column {q} — was this \
-                 index built under a different dangling policy and saved in a pre-v3 format \
-                 (which did not record the policy)? Rebuild it, or re-save it under the \
-                 current format before attaching the update engine"
+                "stored inverses disagree with the factors of the stored graph at column {q}: \
+                 the index was assembled from mismatched parts or damaged in memory — rebuild \
+                 it before attaching the update engine"
             )))
         };
         for &q in &probes {
@@ -659,12 +658,7 @@ impl DynamicIndex {
         let t = Instant::now();
         let a = transition_matrix(&new_graph, self.index.dangling_policy());
         let w = w_matrix(&a, self.index.restart_probability())?;
-        let (new_factors, refactor) = refactor_columns_with(
-            self.current_factors(),
-            &w,
-            &dirty_w,
-            InvertOptions { threads: self.threads },
-        )?;
+        let (new_factors, refactor) = refactor_columns(self.current_factors(), &w, &dirty_w)?;
         report.factorization_time = t.elapsed();
         report.dirty_factor_columns_recomputed = refactor.recomputed_columns;
         report.refactor_time = refactor.analysis_time + refactor.solve_time;

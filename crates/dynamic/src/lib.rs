@@ -20,7 +20,7 @@
 //!    edge runs strictly upward in column index. So the columns that can
 //!    differ after an edit are exactly the dirty `W` columns plus their
 //!    forward reach through that DAG, and
-//!    [`kdash_sparse::refactor_columns_with`] re-eliminates **only that
+//!    [`kdash_sparse::refactor_columns`] re-eliminates **only that
 //!    set**, splicing every other column from the old factors
 //!    bit-for-bit. The re-elimination reports which recomputed columns
 //!    actually changed (bit-level), giving the exact dirty column sets
@@ -142,6 +142,8 @@
 //! auto-recovers a pending journal before applying) and
 //! `kdash recover`; `kdash verify --journal` and `kdash info` inspect a
 //! journal without loading the index.
+
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod engine;

@@ -4,6 +4,8 @@
 //! metric of §6.2, timing helpers, and aligned text tables that print the
 //! same rows/series the paper's figures plot.
 
+#![forbid(unsafe_code)]
+
 pub mod metrics;
 pub mod table;
 pub mod timing;

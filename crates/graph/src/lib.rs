@@ -37,6 +37,8 @@
 //! assert_eq!(g.out_degree(1), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bfs;
 pub mod builder;
 pub mod components;

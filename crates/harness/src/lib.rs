@@ -5,6 +5,8 @@
 //! re-exports nothing new; its value is wiring every other crate into one
 //! dependency set for cross-crate targets.
 
+#![forbid(unsafe_code)]
+
 use kdash_baselines::{IterativeRwr, TopKEngine};
 use kdash_core::TopKResult;
 use kdash_datagen::DatasetProfile;

@@ -16,6 +16,8 @@
 //! Accuracy targets are those of the baselines: a good rank-`t`
 //! approximation, not bit-exact LAPACK parity.
 
+#![forbid(unsafe_code)]
+
 pub mod dense;
 pub mod eigen;
 pub mod qr;

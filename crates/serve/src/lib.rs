@@ -21,7 +21,7 @@
 //!   blocked, torn, or slowed beyond the memory bandwidth the clone
 //!   consumes.
 //! * [`ServeLoop`] — the read path: a thread-per-core worker pool
-//!   draining a bounded lock-free MPMC request queue ([`MpmcQueue`]).
+//!   draining a bounded MPMC request queue ([`MpmcQueue`]).
 //!   Each worker pins the current epoch, folds queued queries through a
 //!   persistent panic-isolated [`kdash_core::IsolatedExecutor`] (same
 //!   outcome semantics as [`kdash_core::batch_top_k_outcomes`], with
@@ -67,6 +67,8 @@
 //! [`kdash_dynamic::DynamicIndex::recover`] rebuilds the engine at an
 //! epoch ≥ the acked floor, and a new [`EpochWriter`]/[`ServeLoop`]
 //! pair resumes serving bit-identical answers from there.
+
+#![forbid(unsafe_code)]
 
 mod epoch;
 mod metrics;

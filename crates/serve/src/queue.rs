@@ -1,174 +1,125 @@
-//! Bounded lock-free MPMC queue — the serving tier's request channel
-//! *and* its admission controller.
+//! Bounded MPMC queue — the serving tier's request channel *and* its
+//! admission controller: one [`Mutex`] over a [`VecDeque`] and the count
+//! of parked consumers, and one [`Condvar`] they park on. A lock is
+//! enough: on `serve-churn` a push and a pop are ≈ 30 ns of a ≈ 60 µs
+//! request and the depth stays in single digits.
 //!
-//! This is the classic Vyukov array queue: a power-of-two ring of
-//! slots, each carrying a sequence number that encodes whose turn the
-//! slot is (producer round k writes when `seq == pos`, consumer round k
-//! reads when `seq == pos + 1`). Producers and consumers claim
-//! positions with a CAS on their respective cursors and then touch only
-//! their claimed slot, so contended submits never serialise behind a
-//! lock — and, critically for a serving loop, a descheduled producer
-//! can only delay *its own* slot's consumer, not close the queue.
-//!
-//! The bound doubles as admission control: [`MpmcQueue::push`] on a
-//! full ring fails immediately, handing the item back — the caller
-//! (see [`crate::ServeLoop::submit`]) turns that into a typed
-//! [`crate::ServeError::Overloaded`] instead of unbounded queueing
-//! latency.
+//! [`MpmcQueue::push`] on a full queue fails at once, handing the item
+//! back; [`crate::ServeLoop::submit`] turns that into a typed
+//! [`crate::ServeError::Overloaded`] instead of unbounded queueing latency.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::lock_unpoisoned;
+use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, PoisonError};
+use std::time::Duration;
 
-/// One ring slot. `sequence` is the turn indicator; `value` is only
-/// read/written by the thread that won the CAS for this slot's
-/// position, which is what makes the `UnsafeCell` sound.
-struct Slot<T> {
-    sequence: AtomicUsize,
-    value: UnsafeCell<MaybeUninit<T>>,
+struct State<T> {
+    items: VecDeque<T>,
+    /// Consumers inside [`MpmcQueue::park`]; a push notifies only if any.
+    parked: usize,
 }
 
-/// A bounded lock-free multi-producer multi-consumer FIFO queue.
-///
-/// Capacity is rounded up to the next power of two (and at least 2);
-/// [`capacity`](Self::capacity) reports the actual bound.
+/// A bounded multi-producer multi-consumer FIFO queue.
 pub struct MpmcQueue<T> {
-    slots: Box<[Slot<T>]>,
-    mask: usize,
-    enqueue_pos: AtomicUsize,
-    dequeue_pos: AtomicUsize,
+    state: Mutex<State<T>>,
+    wake: Condvar,
+    capacity: usize,
 }
-
-// SAFETY: the sequence-number protocol hands each slot to exactly one
-// thread at a time (the producer or consumer that CAS-claimed its
-// position), so values of any `Send` type can cross threads through
-// the ring; no `&T` is ever shared between threads.
-unsafe impl<T: Send> Send for MpmcQueue<T> {}
-unsafe impl<T: Send> Sync for MpmcQueue<T> {}
 
 impl<T> MpmcQueue<T> {
-    /// Creates a queue holding at most `capacity` items (rounded up to
-    /// a power of two, minimum 2).
+    /// Creates a queue holding at most `capacity` items (at least 1).
     pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots: Box<[Slot<T>]> = (0..cap)
-            .map(|i| Slot {
-                sequence: AtomicUsize::new(i),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
-        MpmcQueue {
-            slots,
-            mask: cap - 1,
-            enqueue_pos: AtomicUsize::new(0),
-            dequeue_pos: AtomicUsize::new(0),
-        }
+        let capacity = capacity.max(1);
+        let state = State { items: VecDeque::with_capacity(capacity), parked: 0 };
+        MpmcQueue { state: Mutex::new(state), wake: Condvar::new(), capacity }
     }
 
     /// The admission bound: how many items the queue holds when full.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
-    /// Enqueues `item`, or hands it back if the queue is full. Lock-free:
-    /// a failed CAS retries against the advanced cursor, never blocks.
+    /// Enqueues `item` and wakes one parked consumer, if one is parked —
+    /// or hands `item` back if the queue is full.
     pub fn push(&self, item: T) -> Result<(), T> {
-        let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.sequence.load(Ordering::Acquire);
-            let turn = seq.wrapping_sub(pos) as isize;
-            if turn == 0 {
-                // Our turn: claim the position, then we own the slot.
-                match self.enqueue_pos.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the CAS for `pos` grants
-                        // exclusive write access to this slot until the
-                        // Release store below publishes it to consumers.
-                        unsafe { (*slot.value.get()).write(item) };
-                        slot.sequence.store(pos.wrapping_add(1), Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(current) => pos = current,
-                }
-            } else if turn < 0 {
-                // The slot still holds the item from one lap ago: full.
-                return Err(item);
-            } else {
-                pos = self.enqueue_pos.load(Ordering::Relaxed);
-            }
+        let mut state = lock_unpoisoned(&self.state);
+        if state.items.len() >= self.capacity {
+            return Err(item);
         }
+        state.items.push_back(item);
+        let wake = state.parked > 0;
+        drop(state); // the woken consumer takes the lock next
+        if wake {
+            self.wake.notify_one();
+        }
+        Ok(())
     }
 
     /// Dequeues the oldest item, or `None` if the queue is empty.
     pub fn pop(&self) -> Option<T> {
-        let mut pos = self.dequeue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.sequence.load(Ordering::Acquire);
-            let turn = seq.wrapping_sub(pos.wrapping_add(1)) as isize;
-            if turn == 0 {
-                match self.dequeue_pos.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the CAS for `pos` grants
-                        // exclusive read access to the slot; the Acquire
-                        // load of `sequence` above synchronised with the
-                        // producer's Release store, so the value is
-                        // fully written.
-                        let item = unsafe { (*slot.value.get()).assume_init_read() };
-                        slot.sequence
-                            .store(pos.wrapping_add(self.mask).wrapping_add(1), Ordering::Release);
-                        return Some(item);
-                    }
-                    Err(current) => pos = current,
-                }
-            } else if turn < 0 {
-                return None;
-            } else {
-                pos = self.dequeue_pos.load(Ordering::Relaxed);
-            }
-        }
+        lock_unpoisoned(&self.state).items.pop_front()
     }
 
-    /// Approximate number of queued items (the cursors are read
-    /// independently, so concurrent pushes/pops can skew this by the
-    /// number of in-flight operations — fine for gauges and shed
-    /// decisions, not a synchronisation primitive).
+    /// Number of queued items.
     pub fn len(&self) -> usize {
-        let enq = self.enqueue_pos.load(Ordering::Relaxed);
-        let deq = self.dequeue_pos.load(Ordering::Relaxed);
-        enq.wrapping_sub(deq).min(self.capacity())
+        lock_unpoisoned(&self.state).items.len()
     }
 
-    /// True when [`len`](Self::len) reads zero (same approximation).
+    /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
 
-impl<T> Drop for MpmcQueue<T> {
-    fn drop(&mut self) {
-        // Slots own their items only between a push and the matching
-        // pop; drain so in-flight items are dropped exactly once.
-        while self.pop().is_some() {}
+    /// Parks the calling consumer until a push, [`Self::wake_all`] or
+    /// `timeout` — unless `runnable`, given the number of queued items and
+    /// run under the queue's lock (so that no push and no `wake_all` can
+    /// fall between the check and the wait), says there is work now.
+    pub(crate) fn park(&self, timeout: Duration, runnable: impl FnOnce(usize) -> bool) {
+        let mut state = lock_unpoisoned(&self.state);
+        if runnable(state.items.len()) {
+            return;
+        }
+        state.parked += 1;
+        let waited = self.wake.wait_timeout(state, timeout);
+        waited.unwrap_or_else(PoisonError::into_inner).0.parked -= 1;
+    }
+
+    /// Wakes every parked consumer. Taking the lock first orders the
+    /// caller's earlier flag store against each consumer's `runnable`.
+    pub(crate) fn wake_all(&self) {
+        drop(lock_unpoisoned(&self.state));
+        self.wake.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::{mpsc, Arc, Barrier};
+
+    /// Far beyond any test's runtime: a `park` that returns was released.
+    const NEVER: Duration = Duration::from_secs(3600);
+
+    /// Two consumers parked on `q` inside `scope`, each reporting on the
+    /// returned channel when it is released; returns once both are parked.
+    fn two_parked<'scope>(
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        q: &'scope MpmcQueue<u32>,
+    ) -> mpsc::Receiver<()> {
+        let (released, reports) = mpsc::channel();
+        for _ in 0..2 {
+            let released = released.clone();
+            scope.spawn(move || {
+                q.park(NEVER, |_| false);
+                released.send(()).unwrap();
+            });
+        }
+        while lock_unpoisoned(&q.state).parked < 2 {
+            std::thread::yield_now();
+        }
+        reports
+    }
 
     #[test]
     fn fifo_within_capacity() {
@@ -187,10 +138,12 @@ mod tests {
     }
 
     #[test]
-    fn capacity_rounds_up() {
-        assert_eq!(MpmcQueue::<u8>::with_capacity(0).capacity(), 2);
-        assert_eq!(MpmcQueue::<u8>::with_capacity(3).capacity(), 4);
+    fn capacity_is_exact() {
+        assert_eq!(MpmcQueue::<u8>::with_capacity(0).capacity(), 1);
         assert_eq!(MpmcQueue::<u8>::with_capacity(1024).capacity(), 1024);
+        let q = MpmcQueue::with_capacity(3);
+        assert_eq!(q.capacity(), 3);
+        assert_eq!((0..5).filter(|&i| q.push(i).is_ok()).count(), 3);
     }
 
     #[test]
@@ -263,5 +216,59 @@ mod tests {
             assert_eq!(Arc::strong_count(&payload), 6);
         }
         assert_eq!(Arc::strong_count(&payload), 1);
+    }
+
+    #[test]
+    fn park_returns_at_once_when_runnable() {
+        let q = MpmcQueue::with_capacity(4);
+        q.park(NEVER, |queued| queued == 0);
+        q.push(7).unwrap();
+        q.push(8).unwrap();
+        q.park(NEVER, |queued| queued == 2);
+        assert_eq!(lock_unpoisoned(&q.state).parked, 0);
+    }
+
+    #[test]
+    fn push_releases_exactly_one_parked_consumer() {
+        let q = MpmcQueue::with_capacity(4);
+        std::thread::scope(|scope| {
+            let reports = two_parked(scope, &q);
+            q.push(1).unwrap();
+            reports.recv().unwrap();
+            assert_eq!(lock_unpoisoned(&q.state).parked, 1, "the other stays parked");
+            assert!(reports.try_recv().is_err());
+            q.wake_all();
+            reports.recv().unwrap();
+        });
+    }
+
+    #[test]
+    fn wake_all_releases_every_parked_consumer() {
+        let q = MpmcQueue::with_capacity(4);
+        std::thread::scope(|scope| {
+            let reports = two_parked(scope, &q);
+            q.wake_all();
+            reports.recv().unwrap();
+            reports.recv().unwrap();
+        });
+        assert_eq!(lock_unpoisoned(&q.state).parked, 0);
+    }
+
+    #[test]
+    fn concurrent_producers_are_admitted_up_to_capacity_exactly() {
+        let q = MpmcQueue::with_capacity(8);
+        let (start, admitted) = (Barrier::new(4), AtomicUsize::new(0));
+        std::thread::scope(|scope| {
+            for p in 0..4u32 {
+                let (q, start, admitted) = (&q, &start, &admitted);
+                scope.spawn(move || {
+                    start.wait();
+                    let ok = (0..8).filter(|&i| q.push(p * 8 + i).is_ok()).count();
+                    admitted.fetch_add(ok, Ordering::Relaxed);
+                });
+            }
+        });
+        assert_eq!(admitted.load(Ordering::Relaxed), 8);
+        assert_eq!(q.len(), 8);
     }
 }

@@ -4,7 +4,7 @@
 //! Each worker pins the current [`EpochStore`] snapshot, wraps it in a
 //! persistent panic-isolated [`IsolatedExecutor`] (so the `O(n)`
 //! searcher scratch is paid once per epoch per worker, not per query),
-//! and drains the shared lock-free queue in batches of up to
+//! and drains the shared request queue in batches of up to
 //! [`ServeOptions::max_batch`] requests — the request-batching
 //! equivalent of folding the queue into one
 //! [`kdash_core::batch_top_k_outcomes`] call. A single atomic load per
@@ -21,7 +21,7 @@
 use crate::{lock_unpoisoned, EpochStore, MpmcQueue, ServeError, ServeMetrics};
 use kdash_core::{BatchOptions, BatchOutcome, IsolatedExecutor, QueryBudget, TopKResult};
 use kdash_graph::NodeId;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -32,7 +32,7 @@ pub struct ServeOptions {
     /// Worker threads; `0` means one per available hardware thread.
     pub workers: usize,
     /// Admission bound: requests queued beyond this are shed with
-    /// [`ServeError::Overloaded`]. Rounded up to a power of two.
+    /// [`ServeError::Overloaded`] (at least 1).
     pub queue_capacity: usize,
     /// Max requests a worker folds into one drained batch (all served
     /// from one pinned epoch, one freshness-lag sample).
@@ -138,9 +138,6 @@ struct Shared {
     metrics: Arc<ServeMetrics>,
     stop: AtomicBool,
     paused: AtomicBool,
-    sleepers: AtomicUsize,
-    idle_lock: Mutex<()>,
-    idle_cv: Condvar,
     max_batch: usize,
     budget: QueryBudget,
 }
@@ -150,35 +147,13 @@ struct Shared {
 const IDLE_POLL: Duration = Duration::from_micros(200);
 
 impl Shared {
-    /// Parks until work might exist: a submit wakeup, the poll timeout,
-    /// or shutdown. The queue re-check under the lock closes the race
-    /// with a submitter that pushed between our empty pop and here.
+    /// Parks until work might exist: a submit's wakeup, `resume`, the
+    /// poll timeout, or shutdown.
     fn idle_wait(&self) {
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        let guard = lock_unpoisoned(&self.idle_lock);
-        let has_work = !self.queue.is_empty() && !self.paused.load(Ordering::Acquire);
-        if !self.stop.load(Ordering::Acquire) && !has_work {
-            let woken = match self.idle_cv.wait_timeout(guard, IDLE_POLL) {
-                Ok((g, _)) => g,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-            drop(woken);
-        }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Wakes one parked worker if any are parked (cheap no-op path for
-    /// the common case of busy workers).
-    fn wake_one(&self) {
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            drop(lock_unpoisoned(&self.idle_lock));
-            self.idle_cv.notify_one();
-        }
-    }
-
-    fn wake_all(&self) {
-        drop(lock_unpoisoned(&self.idle_lock));
-        self.idle_cv.notify_all();
+        self.queue.park(IDLE_POLL, |queued| {
+            self.stop.load(Ordering::Acquire)
+                || (queued > 0 && !self.paused.load(Ordering::Acquire))
+        });
     }
 }
 
@@ -210,9 +185,6 @@ impl ServeLoop {
             metrics: Arc::new(ServeMetrics::new()),
             stop: AtomicBool::new(false),
             paused: AtomicBool::new(false),
-            sleepers: AtomicUsize::new(0),
-            idle_lock: Mutex::new(()),
-            idle_cv: Condvar::new(),
             max_batch: options.max_batch.max(1),
             budget: options.budget,
         });
@@ -247,10 +219,7 @@ impl ServeLoop {
         let request =
             Request { query, k, submitted: Instant::now(), slot: Arc::clone(&slot) };
         match self.shared.queue.push(request) {
-            Ok(()) => {
-                self.shared.wake_one();
-                Ok(PendingQuery { slot })
-            }
+            Ok(()) => Ok(PendingQuery { slot }),
             Err(_rejected) => {
                 self.shared.metrics.record_shed();
                 Err(ServeError::Overloaded {
@@ -276,7 +245,7 @@ impl ServeLoop {
     /// Resumes request draining after [`pause`](Self::pause).
     pub fn resume(&self) {
         self.shared.paused.store(false, Ordering::Release);
-        self.shared.wake_all();
+        self.shared.queue.wake_all();
     }
 
     /// The shared metrics (also hand this to
@@ -301,8 +270,7 @@ impl ServeLoop {
         self.shared.queue.len()
     }
 
-    /// The admission bound (requested capacity rounded up to a power
-    /// of two).
+    /// The admission bound.
     pub fn queue_capacity(&self) -> usize {
         self.shared.queue.capacity()
     }
@@ -316,7 +284,7 @@ impl ServeLoop {
 
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
-        self.shared.wake_all();
+        self.shared.queue.wake_all();
         for handle in self.workers.drain(..) {
             // Workers never unwind (every query runs inside the
             // executor's catch_unwind); a failed join would mean a bug

@@ -78,8 +78,7 @@ pub use inverse::{
 pub use reach::{inverse_dirty_columns, refactor_candidates};
 pub use kernel::{GatherCounters, GatherKernel, GatherScratch, ResolvedKernel, RowStat};
 pub use lu::{
-    refactor_columns, refactor_columns_with, sparse_lu, sparse_lu_tallied, sparse_lu_with,
-    LuFactors, RefactorReport,
+    refactor_columns, sparse_lu, sparse_lu_tallied, sparse_lu_with, LuFactors, RefactorReport,
 };
 pub use rwr::{transition_matrix, w_matrix, DanglingPolicy};
 pub use scatter::ScatteredColumn;

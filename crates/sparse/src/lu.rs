@@ -27,49 +27,44 @@
 //! columns are outputs; the solve never reads them back). Every pattern
 //! edge `k → i` of `L` runs strictly upward (`i > k`), so the columns
 //! form a DAG ordered by column number, and a column's dependency cone
-//! lies entirely to its left. Two machines are built on that DAG here:
+//! lies entirely to its left.
 //!
-//! * **Parallel factorisation** ([`sparse_lu_with`]) — columns are
-//!   independent except through the DAG, so workers claim chunks of
-//!   columns in ascending order and a per-column provider *waits* on the
-//!   not-yet-solved dependencies. The globally lowest unfinished column
-//!   always has all dependencies finished and an owner working on it, so
-//!   the schedule is deadlock-free; and since each column's bits are a
-//!   function of its inputs alone, the result is **bit-identical at any
-//!   thread count**. The caller is one of the workers, and a spawned
-//!   helper that finds itself waiting retires after its chunk: where the
-//!   DAG is a chain (work ÷ critical path measured 1.0–1.2 on the
-//!   benchmark graphs) a second worker can only take turns with the first.
-//!   Once any worker sees a column begin the dense tail the others stop
-//!   at it, and the caller runs the tail's chain alone: each of its
-//!   columns needs every one before it.
-//! * **Incremental refactorisation** ([`refactor_columns`]) — a column
-//!   whose `W` column is untouched and whose reach contains no column
-//!   with bitwise-changed `L` reads only bit-identical inputs, so its
-//!   output is provably bit-identical and is kept. Processing columns in
-//!   ascending order, the exact recompute set falls out of a taint
-//!   propagation: when a recomputed column's `L` part changes, a backward
-//!   BFS over the old `L`'s row-pattern adjacency taints every ancestor
-//!   (column that can reach it); a later column is recomputed iff its `W`
-//!   column is dirty or its `W` pattern holds a tainted node. Any path
-//!   from a seed to a *first*-changed column runs through unchanged
-//!   columns only, whose old and new patterns coincide — so the old
-//!   adjacency covers every path that matters, and stale edges from
-//!   changed columns can only over-taint (extra work, never a wrong
-//!   bit). Note the popular "column `j` depends on `k` iff
-//!   `U(k, j) ≠ 0`" formulation is *not* used for the dependency test:
-//!   exact numeric cancellation can drop an entry from the stored `U`
-//!   while the symbolic reach still includes it, and the symbolic reach
-//!   is what bounds the inputs.
+//! The factorisation runs on one thread, by measurement: under the
+//! orderings the index is built with, that DAG is close to a chain (work
+//! ÷ critical path 1.00–1.22 on the benchmark graphs) and the dense tail,
+//! where most of the multiply-subtracts are, needs every column before
+//! it, so a second worker can only take turns with the first. A driver
+//! that fanned columns out and waited on in-flight dependencies was
+//! slower with two workers than with one on 14 of 16 paired medians over
+//! the four benchmark graphs (`dict-pruned` 11.1–11.6 → 12.4–13.1 ms).
+//! The build's parallelism is the inversion stage ([`crate::inverse`]),
+//! whose columns are independent solves.
+//!
+//! ## Incremental refactorisation
+//!
+//! What the DAG does buy is [`refactor_columns`]: a column whose `W`
+//! column is untouched and whose reach contains no column with
+//! bitwise-changed `L` reads only bit-identical inputs, so its output is
+//! provably bit-identical and is kept. Processing columns in ascending
+//! order, the exact recompute set falls out of a taint propagation: when
+//! a recomputed column's `L` part changes, a backward BFS over the old
+//! `L`'s row-pattern adjacency taints every ancestor (column that can
+//! reach it); a later column is recomputed iff its `W` column is dirty or
+//! its `W` pattern holds a tainted node. Any path from a seed to a
+//! *first*-changed column runs through unchanged columns only, whose old
+//! and new patterns coincide — so the old adjacency covers every path
+//! that matters, and stale edges from changed columns can only over-taint
+//! (extra work, never a wrong bit). Note the popular "column `j` depends
+//! on `k` iff `U(k, j) ≠ 0`" formulation is *not* used for the dependency
+//! test: exact numeric cancellation can drop an entry from the stored `U`
+//! while the symbolic reach still includes it, and the symbolic reach is
+//! what bounds the inputs.
 
 use crate::triangular::{DenseTail, FactorView, TailRule};
 use crate::{
     ColumnUpdate, CscMatrix, Index, InvertOptions, Result, SolveTally, SolveWorkspace,
     SparseError, Triangle,
 };
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// The two triangular factors of `W = L · U`.
@@ -166,24 +161,22 @@ struct FactorColumn {
 }
 
 /// Source of already-solved `L` columns for [`solve_factor_column`]: the
-/// growing result set (sequential build), a hybrid of old factors and
-/// recomputed columns (incremental refactorisation), or cross-thread
-/// slots that wait on in-flight dependencies (parallel build). Fallible
-/// so the parallel provider can abort a poisoned run.
+/// growing result set (full build) or a hybrid of old factors and
+/// recomputed columns (incremental refactorisation).
 trait LColumns {
     /// Strictly-lower pattern and values of factor column `k` — only ever
     /// requested for `k` strictly left of the column being solved.
-    fn col(&self, k: Index) -> Result<(&[Index], &[f64])>;
+    fn col(&self, k: Index) -> (&[Index], &[f64]);
 }
 
-/// Sequential full factorisation: every column `k < j` is already in the
-/// result vector.
+/// Full factorisation: every column `k < j` is already in the result
+/// vector.
 struct SolvedView<'a>(&'a [FactorColumn]);
 
 impl LColumns for SolvedView<'_> {
-    fn col(&self, k: Index) -> Result<(&[Index], &[f64])> {
+    fn col(&self, k: Index) -> (&[Index], &[f64]) {
         let c = &self.0[k as usize];
-        Ok((&c.l_rows, &c.l_vals))
+        (&c.l_rows, &c.l_vals)
     }
 }
 
@@ -196,64 +189,10 @@ struct HybridView<'a> {
 }
 
 impl LColumns for HybridView<'_> {
-    fn col(&self, k: Index) -> Result<(&[Index], &[f64])> {
+    fn col(&self, k: Index) -> (&[Index], &[f64]) {
         match &self.fresh[k as usize] {
-            Some(c) => Ok((&c.l_rows, &c.l_vals)),
-            None => Ok(self.old_l.col(k)),
-        }
-    }
-}
-
-/// Sentinel in the column→slot map for "not scheduled for recomputation;
-/// read the old factors".
-const NOT_SCHEDULED: u32 = u32::MAX;
-
-/// Parallel provider: dependencies still in flight are awaited on their
-/// [`OnceLock`] slot. `old` is `None` for a full build (slot index ==
-/// column index) and `Some((old_l, map))` for a parallel refactor, where
-/// unscheduled columns fall back to the old factors.
-struct ParallelView<'a> {
-    old: Option<(&'a CscMatrix, &'a [u32])>,
-    slots: &'a [OnceLock<FactorColumn>],
-    abort: &'a AtomicBool,
-    /// Lowest column seen to begin the dense tail (`n`: none yet). No
-    /// worker solves a column at or past it, so none may wait for one.
-    tail_start: &'a AtomicUsize,
-    /// Set once this worker has had to wait for a column in flight.
-    blocked: Cell<bool>,
-    /// Set when a solve was given up because it needed a tail column.
-    deferred: Cell<bool>,
-}
-
-impl LColumns for ParallelView<'_> {
-    fn col(&self, k: Index) -> Result<(&[Index], &[f64])> {
-        let slot = match self.old {
-            None => &self.slots[k as usize],
-            Some((old_l, map)) => {
-                let s = map[k as usize];
-                if s == NOT_SCHEDULED {
-                    return Ok(old_l.col(k));
-                }
-                &self.slots[s as usize]
-            }
-        };
-        loop {
-            if let Some(c) = slot.get() {
-                return Ok((&c.l_rows, &c.l_vals));
-            }
-            self.blocked.set(true);
-            if k as usize >= self.tail_start.load(Ordering::Acquire) {
-                self.deferred.set(true);
-                return Err(SparseError::Malformed("column left to the dense tail".into()));
-            }
-            if self.abort.load(Ordering::Acquire) {
-                // Another worker hit a real error; unwind quietly — the
-                // driver re-derives the deterministic error sequentially.
-                return Err(SparseError::Malformed(
-                    "parallel factorisation aborted".into(),
-                ));
-            }
-            std::thread::yield_now();
+            Some(c) => (&c.l_rows, &c.l_vals),
+            None => self.old_l.col(k),
         }
     }
 }
@@ -273,8 +212,8 @@ fn solve_factor_column(
 ) -> Result<FactorColumn> {
     debug_assert!(tail.columns() == 0 || tail.start() + tail.columns() == j as usize);
     // Only columns < j exist in L, so nodes >= j have no children.
-    let children = |node| if node < j { Ok(l.col(node)?.0) } else { Ok(&[][..]) };
-    ws.reach(w_col.0, tail.start(), children)?;
+    let children = |node| if node < j { l.col(node).0 } else { &[][..] };
+    ws.reach(w_col.0, tail.start(), children);
     eliminate(j, w_col, l, tail, ws)
 }
 
@@ -304,7 +243,7 @@ fn eliminate(
     for &r in left {
         let xr = x[r as usize];
         if xr != 0.0 {
-            let (rows, vals) = l.col(r)?;
+            let (rows, vals) = l.col(r);
             for (i, v) in rows.iter().zip(vals) {
                 x[*i as usize] -= v * xr;
             }
@@ -387,7 +326,7 @@ fn assemble(n: usize, cols: Vec<FactorColumn>) -> Result<LuFactors> {
     Ok(LuFactors { l, u })
 }
 
-/// Sequential driver: columns left to right, each reading the columns
+/// The full-build driver: columns left to right, each reading the columns
 /// already solved.
 fn solve_all_sequential(w: &CscMatrix, rule: TailRule) -> Result<(Vec<FactorColumn>, SolveTally)> {
     let n = w.nrows();
@@ -403,164 +342,39 @@ fn solve_all_sequential(w: &CscMatrix, rule: TailRule) -> Result<(Vec<FactorColu
     Ok((cols, SolveTally { tail_columns: tail.columns(), ..ws.tally }))
 }
 
-/// Parallel driver: solves `columns` (ascending) of the factorisation of
-/// `w`, result `i` landing in slot `i`. `old` supplies the unscheduled
-/// columns for a refactor (which mirrors no tail: `rule` must be
-/// [`TailRule::NEVER`]), `None` for a full build (then `columns` must be
-/// `0..n`). Returns `None` when any column's solve failed — the caller
-/// re-runs sequentially so the reported error (lowest failing column) is
-/// deterministic at every thread count.
-fn solve_columns_parallel(
-    w: &CscMatrix,
-    columns: &[Index],
-    old: Option<(&CscMatrix, &[u32])>,
-    threads: usize,
-    rule: TailRule,
-) -> Option<(Vec<FactorColumn>, SolveTally)> {
-    let n = w.nrows();
-    let m = columns.len();
-    let slots: Vec<OnceLock<FactorColumn>> = (0..m).map(|_| OnceLock::new()).collect();
-    let abort = AtomicBool::new(false);
-    let cursor = AtomicUsize::new(0);
-    let tail_start = AtomicUsize::new(n);
-    let (flops, no_tail) = (AtomicU64::new(0), DenseTail::none(n));
-    let chunk = crate::inverse::claim_chunk(m, threads);
-    let view = || ParallelView {
-        old,
-        slots: &slots,
-        abort: &abort,
-        tail_start: &tail_start,
-        blocked: Cell::new(false),
-        deferred: Cell::new(false),
-    };
-    let work = |helper: bool| {
-        let mut ws = SolveWorkspace::new(n);
-        let view = view();
-        // A helper that had to wait retires after its chunk: where each
-        // column needs the one before it, two workers only take turns,
-        // and each turn drags the other's fresh columns across the
-        // caches. The caller never retires, so every column left of the
-        // tail is claimed.
-        'claims: while !(helper && view.blocked.get()) {
-            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if start >= m {
-                break;
-            }
-            // Chunks are processed in ascending column order, so the
-            // globally lowest unfinished column always has an owner
-            // actively solving it — no deadlock.
-            for (i, &j) in columns.iter().enumerate().take((start + chunk).min(m)).skip(start) {
-                if abort.load(Ordering::Acquire)
-                    || j as usize >= tail_start.load(Ordering::Acquire)
-                {
-                    break 'claims;
-                }
-                match solve_factor_column(j, w.col(j), &view, &no_tail, &mut ws) {
-                    Ok(c) => {
-                        if rule.begins(c.l_rows.len(), n - 1 - j as usize) {
-                            tail_start.fetch_min(j as usize, Ordering::AcqRel);
-                        }
-                        let _ = slots[i].set(c);
-                    }
-                    Err(_) if view.deferred.get() => break 'claims,
-                    Err(_) => {
-                        abort.store(true, Ordering::Release);
-                        cursor.fetch_max(m, Ordering::Relaxed);
-                        break 'claims;
-                    }
-                }
-            }
-        }
-        flops.fetch_add(ws.tally.multiply_subtracts, Ordering::Relaxed);
-    };
-    std::thread::scope(|scope| {
-        for _ in 1..threads {
-            scope.spawn(|| work(true));
-        }
-        work(false);
-    });
-    if abort.load(Ordering::Acquire) {
-        return None;
-    }
-
-    // The tail's chain, alone: every column left of it is in its slot,
-    // some past it may be (solved before a lower start was seen), and
-    // each is mirrored before the next is solved.
-    let mut tail = DenseTail::none(n);
-    let mut ws = SolveWorkspace::new(n);
-    let view = view();
-    for (j, slot) in slots.iter().enumerate().skip(tail_start.load(Ordering::Acquire)) {
-        if slot.get().is_none() {
-            let column = j as Index;
-            let _ = slot.set(solve_factor_column(column, w.col(column), &view, &tail, &mut ws).ok()?);
-        }
-        let col = slot.get()?;
-        tail.push_lower(j, &col.l_rows, &col.l_vals);
-    }
-    let mut tally = SolveTally { tail_columns: tail.columns(), ..ws.tally };
-    tally.multiply_subtracts += flops.into_inner();
-    let cols: Option<Vec<FactorColumn>> = slots.into_iter().map(OnceLock::into_inner).collect();
-    Some((cols?, tally))
-}
-
-/// Factors a square matrix with the left-looking sparse LU algorithm
-/// (sequentially, on the calling thread).
+/// Factors a square matrix with the left-looking sparse LU algorithm, on
+/// the calling thread (module docs: the column DAG is a chain). A singular
+/// input reports its lowest failing column.
 pub fn sparse_lu(w: &CscMatrix) -> Result<LuFactors> {
-    sparse_lu_with(w, InvertOptions::sequential())
+    Ok(factor(w, TailRule::STRUCTURAL)?.0)
 }
 
-/// [`sparse_lu`] with an explicit worker count: the columns fan out over
-/// the same work-stealing chunk cursor as the inversion stage
-/// ([`crate::invert_lower_unit_with`]), with per-column dependencies
-/// awaited through the column DAG (see the module docs). Output is
-/// **bit-identical at any thread count**; a singular input reports the
-/// same lowest failing column at any thread count.
-pub fn sparse_lu_with(w: &CscMatrix, options: InvertOptions) -> Result<LuFactors> {
-    Ok(factor(w, options, TailRule::STRUCTURAL)?.0)
+/// [`sparse_lu`] under the name `benchmark/src/setup.rs` spells; the
+/// worker count is ignored.
+#[doc(hidden)]
+pub fn sparse_lu_with(w: &CscMatrix, _options: InvertOptions) -> Result<LuFactors> {
+    sparse_lu(w)
 }
 
-/// [`sparse_lu_with`], and what its column solves did. The factors are a
-/// function of `w` alone; with more than one worker the tally is not —
-/// where the tail began, and so how many multiply-subtracts ran through
-/// it, depends on which worker saw a dense column first.
-pub fn sparse_lu_tallied(
-    w: &CscMatrix,
-    options: InvertOptions,
-) -> Result<(LuFactors, SolveTally)> {
-    factor(w, options, TailRule::STRUCTURAL)
+/// [`sparse_lu`], and what its column solves did — like the factors, a
+/// function of `w` alone.
+pub fn sparse_lu_tallied(w: &CscMatrix) -> Result<(LuFactors, SolveTally)> {
+    factor(w, TailRule::STRUCTURAL)
 }
 
-/// [`sparse_lu_with`] through the sparse kernel alone — the reference
+/// [`sparse_lu`] through the sparse kernel alone — the reference
 /// `tests/build_determinism.rs` holds the dense tail to, byte for byte.
 #[doc(hidden)]
-pub fn sparse_lu_without_tail(w: &CscMatrix, options: InvertOptions) -> Result<LuFactors> {
-    Ok(factor(w, options, TailRule::NEVER)?.0)
+pub fn sparse_lu_without_tail(w: &CscMatrix) -> Result<LuFactors> {
+    Ok(factor(w, TailRule::NEVER)?.0)
 }
 
-fn factor(
-    w: &CscMatrix,
-    options: InvertOptions,
-    rule: TailRule,
-) -> Result<(LuFactors, SolveTally)> {
-    let n = w.nrows();
+fn factor(w: &CscMatrix, rule: TailRule) -> Result<(LuFactors, SolveTally)> {
     if w.nrows() != w.ncols() {
         return Err(SparseError::NotSquare { nrows: w.nrows(), ncols: w.ncols() });
     }
-    let threads = options.resolved_threads(n);
-    let solved = if threads <= 1 {
-        None
-    } else {
-        let columns: Vec<Index> = (0..n as Index).collect();
-        solve_columns_parallel(w, &columns, None, threads, rule)
-    };
-    // One worker — or some column failed: derive the deterministic
-    // (lowest-column) error on the calling thread. Errors are a cold
-    // path, so the duplicated work is irrelevant next to determinism.
-    let (cols, tally) = match solved {
-        Some(solved) => solved,
-        None => solve_all_sequential(w, rule)?,
-    };
-    Ok((assemble(n, cols)?, tally))
+    let (cols, tally) = solve_all_sequential(w, rule)?;
+    Ok((assemble(w.nrows(), cols)?, tally))
 }
 
 /// What an incremental refactorisation did: how much of the factor it
@@ -572,10 +386,9 @@ pub struct RefactorReport {
     pub dim: usize,
     /// In-bounds distinct dirty `W` columns the caller declared.
     pub dirty_w_columns: usize,
-    /// Factor columns re-run through the Gilbert–Peierls solve. On the
-    /// sequential path this is the *exact* taint closure; the parallel
-    /// path schedules the pattern-only candidate superset
-    /// ([`crate::refactor_candidates`]) so it can fan out up front.
+    /// Factor columns re-run through the Gilbert–Peierls solve: the exact
+    /// taint closure of the module docs, a subset of the pattern-only
+    /// candidates [`crate::refactor_candidates`] predicts.
     pub recomputed_columns: usize,
     /// Columns of `L` that changed bitwise (sorted ascending).
     pub changed_l_columns: Vec<Index>,
@@ -615,23 +428,6 @@ pub fn refactor_columns(
     w_new: &CscMatrix,
     dirty_w: &[Index],
 ) -> Result<(LuFactors, RefactorReport)> {
-    refactor_columns_with(old, w_new, dirty_w, InvertOptions::sequential())
-}
-
-/// [`refactor_columns`] with an explicit worker count. The parallel path
-/// pre-computes the pattern-only candidate superset
-/// ([`crate::refactor_candidates`]) so the recompute set is known up
-/// front, then fans the candidates out over the column DAG like
-/// [`sparse_lu_with`]; recomputed-but-unchanged candidates diff clean
-/// and are not spliced, so the factors are still bit-identical to the
-/// sequential (exact-taint) path at any thread count — only
-/// [`RefactorReport::recomputed_columns`] may be larger.
-pub fn refactor_columns_with(
-    old: &LuFactors,
-    w_new: &CscMatrix,
-    dirty_w: &[Index],
-    options: InvertOptions,
-) -> Result<(LuFactors, RefactorReport)> {
     let n = w_new.nrows();
     if w_new.nrows() != w_new.ncols() {
         return Err(SparseError::NotSquare { nrows: w_new.nrows(), ncols: w_new.ncols() });
@@ -658,93 +454,59 @@ pub fn refactor_columns_with(
         return Ok((old.clone(), report));
     }
 
-    let threads = options.resolved_threads(n);
     let mut fresh: Vec<Option<FactorColumn>> = (0..n).map(|_| None).collect();
     let mut solve_time = Duration::ZERO;
 
-    if threads <= 1 {
-        // Exact taint propagation (see the module docs): ascending over
-        // the columns, recompute iff dirty-W or a tainted seed, and when
-        // the recomputed L part changed bitwise, taint every ancestor via
-        // the old L's row-pattern adjacency.
-        let (adj_ptr, adj_cols) = crate::reach::pattern_row_adjacency(&old.l);
-        let mut taint = vec![false; n];
-        let mut bfs: Vec<Index> = Vec::new();
-        // A refactor touches few columns and mirrors no tail; its solves
-        // are the full build's all the same (module docs).
-        let (mut ws, no_tail) = (SolveWorkspace::new(n), DenseTail::none(n));
-        for j in 0..n as Index {
-            let seeds = w_new.col(j).0;
-            let recompute =
-                dirty[j as usize] || seeds.iter().any(|&s| (s as usize) < n && taint[s as usize]);
-            if !recompute {
-                continue;
-            }
-            report.recomputed_columns += 1;
-            let t = Instant::now();
-            let col = solve_factor_column(
-                j,
-                w_new.col(j),
-                &HybridView { old_l: &old.l, fresh: &fresh },
-                &no_tail,
-                &mut ws,
-            )?;
-            solve_time += t.elapsed();
-            let l_changed = column_changed(&old.l, j, &col.l_rows, &col.l_vals);
-            if column_changed(&old.u, j, &col.u_rows, &col.u_vals) {
-                report.changed_u_columns.push(j);
-            }
-            if l_changed {
-                report.changed_l_columns.push(j);
-                if !taint[j as usize] {
-                    // Ancestors-or-self of a changed column: backward BFS
-                    // over the row adjacency (predecessors of v are the
-                    // columns whose L holds row v).
-                    taint[j as usize] = true;
-                    bfs.push(j);
-                    while let Some(v) = bfs.pop() {
-                        for &k in &adj_cols[adj_ptr[v as usize]..adj_ptr[v as usize + 1]] {
-                            if !taint[k as usize] {
-                                taint[k as usize] = true;
-                                bfs.push(k);
-                            }
+    // Exact taint propagation (see the module docs): ascending over the
+    // columns, recompute iff dirty-W or a tainted seed, and when the
+    // recomputed L part changed bitwise, taint every ancestor via the old
+    // L's row-pattern adjacency.
+    let (adj_ptr, adj_cols) = crate::reach::pattern_row_adjacency(&old.l);
+    let mut taint = vec![false; n];
+    let mut bfs: Vec<Index> = Vec::new();
+    // A refactor touches few columns and mirrors no tail; its solves are
+    // the full build's all the same (module docs).
+    let (mut ws, no_tail) = (SolveWorkspace::new(n), DenseTail::none(n));
+    for j in 0..n as Index {
+        let seeds = w_new.col(j).0;
+        let recompute =
+            dirty[j as usize] || seeds.iter().any(|&s| (s as usize) < n && taint[s as usize]);
+        if !recompute {
+            continue;
+        }
+        report.recomputed_columns += 1;
+        let t = Instant::now();
+        let col = solve_factor_column(
+            j,
+            w_new.col(j),
+            &HybridView { old_l: &old.l, fresh: &fresh },
+            &no_tail,
+            &mut ws,
+        )?;
+        solve_time += t.elapsed();
+        let l_changed = column_changed(&old.l, j, &col.l_rows, &col.l_vals);
+        if column_changed(&old.u, j, &col.u_rows, &col.u_vals) {
+            report.changed_u_columns.push(j);
+        }
+        if l_changed {
+            report.changed_l_columns.push(j);
+            if !taint[j as usize] {
+                // Ancestors-or-self of a changed column: backward BFS over
+                // the row adjacency (predecessors of v are the columns
+                // whose L holds row v).
+                taint[j as usize] = true;
+                bfs.push(j);
+                while let Some(v) = bfs.pop() {
+                    for &k in &adj_cols[adj_ptr[v as usize]..adj_ptr[v as usize + 1]] {
+                        if !taint[k as usize] {
+                            taint[k as usize] = true;
+                            bfs.push(k);
                         }
                     }
                 }
             }
-            fresh[j as usize] = Some(col);
         }
-    } else {
-        // Parallel path: the pattern-only candidate closure is a provable
-        // superset of the exact recompute set, so scheduling all of it
-        // keeps every input bit-identical to the full build.
-        let candidates = crate::reach::refactor_candidates(&old.l, w_new, dirty_w);
-        let mut slot_of = vec![NOT_SCHEDULED; n];
-        for (i, &c) in candidates.iter().enumerate() {
-            slot_of[c as usize] = i as u32;
-        }
-        report.recomputed_columns = candidates.len();
-        let t = Instant::now();
-        let old_l = Some((&old.l, &slot_of[..]));
-        let cols =
-            match solve_columns_parallel(w_new, &candidates, old_l, threads, TailRule::NEVER) {
-                Some((cols, _)) => cols,
-                // A candidate failed: re-derive the deterministic error
-                // (or, impossibly, the result) on the exact path.
-                None => {
-                    return refactor_columns_with(old, w_new, dirty_w, InvertOptions::sequential())
-                }
-            };
-        solve_time = t.elapsed();
-        for (&j, col) in candidates.iter().zip(cols) {
-            if column_changed(&old.l, j, &col.l_rows, &col.l_vals) {
-                report.changed_l_columns.push(j);
-            }
-            if column_changed(&old.u, j, &col.u_rows, &col.u_vals) {
-                report.changed_u_columns.push(j);
-            }
-            fresh[j as usize] = Some(col);
-        }
+        fresh[j as usize] = Some(col);
     }
 
     report.solve_time = solve_time;
@@ -866,14 +628,9 @@ mod tests {
         assemble(n, cols).unwrap()
     }
 
-    /// [`sparse_lu_with`] under another tail rule.
-    fn factor_under(w: &CscMatrix, threads: usize, rule: TailRule) -> (LuFactors, SolveTally) {
-        factor(w, InvertOptions { threads }, rule).unwrap()
-    }
-
     /// Full and incremental factorisation through the reach kernel match
-    /// the per-edge factorisation byte for byte at every thread count,
-    /// with no tail, the structural one and tails begun at other columns.
+    /// the per-edge factorisation byte for byte, with no tail, the
+    /// structural one and tails begun at other columns.
     #[test]
     fn reach_kernel_factors_are_bit_identical_to_the_per_edge_factors() {
         for (name, w) in oracle_systems() {
@@ -890,22 +647,18 @@ mod tests {
                 .collect();
             let w_new = w.splice_columns(&updates).unwrap();
             let expect_new = reference_lu(&w_new);
-            for threads in [1usize, 2, 0] {
-                let options = InvertOptions { threads };
-                assert_factors_bit_identical(&expect, &sparse_lu_with(&w, options).unwrap());
-                let (sparse_only, _) = factor_under(&w, threads, TailRule::NEVER);
-                assert_factors_bit_identical(&expect, &sparse_only);
-                for rule in eager_tail_rules() {
-                    let (factors, tally) = factor_under(&w, threads, rule);
-                    assert_factors_bit_identical(&expect, &factors);
-                    assert!(tally.tail_columns > 0, "{name}: {rule:?} began no tail");
-                    // As generated, RMAT's last nodes are its emptiest.
-                    let idle = tally.tail_multiply_subtracts == 0;
-                    assert!(!idle || name == "rmat", "{name}: {rule:?} idle tail");
-                }
-                let (inc, _) = refactor_columns_with(&expect, &w_new, &dirty, options).unwrap();
-                assert_factors_bit_identical(&expect_new, &inc);
+            assert_factors_bit_identical(&expect, &sparse_lu(&w).unwrap());
+            assert_factors_bit_identical(&expect, &sparse_lu_without_tail(&w).unwrap());
+            for rule in eager_tail_rules() {
+                let (factors, tally) = factor(&w, rule).unwrap();
+                assert_factors_bit_identical(&expect, &factors);
+                assert!(tally.tail_columns > 0, "{name}: {rule:?} began no tail");
+                // As generated, RMAT's last nodes are its emptiest.
+                let idle = tally.tail_multiply_subtracts == 0;
+                assert!(!idle || name == "rmat", "{name}: {rule:?} idle tail");
             }
+            let (inc, _) = refactor_columns(&expect, &w_new, &dirty).unwrap();
+            assert_factors_bit_identical(&expect_new, &inc);
         }
     }
 
@@ -927,15 +680,10 @@ mod tests {
         let n = w.nrows();
         let (cols, _) = solve_all_sequential(&w, TailRule::STRUCTURAL).unwrap();
         let old = assemble(n, cols.clone()).unwrap();
-        let slots: Vec<OnceLock<FactorColumn>> = cols.iter().cloned().map(OnceLock::from).collect();
-        let (fresh, abort) = (vec![None; n], AtomicBool::new(false));
-        let tail_start = AtomicUsize::new(n);
+        let fresh = vec![None; n];
         let mut ws = SolveWorkspace::new(n);
         check(&w, &SolvedView(&cols), &mut ws);
         check(&w, &HybridView { old_l: &old.l, fresh: &fresh }, &mut ws);
-        let (blocked, deferred) = (Cell::new(false), Cell::new(false));
-        let (old, slots, abort, tail_start) = (None, &slots[..], &abort, &tail_start);
-        check(&w, &ParallelView { old, slots, abort, tail_start, blocked, deferred }, &mut ws);
     }
 
     #[test]
@@ -1045,39 +793,22 @@ mod tests {
         }
     }
 
+    /// The tally is a function of `w` alone, and so is the error: the
+    /// lowest failing column.
     #[test]
-    fn parallel_lu_is_bit_identical() {
-        for seed in 0..6u64 {
-            let w = random_dominant(60, 0.08, seed);
-            let seq = sparse_lu(&w).unwrap();
-            for threads in [2usize, 3, 0] {
-                let par = sparse_lu_with(&w, InvertOptions { threads }).unwrap();
-                assert_factors_bit_identical(&seq, &par);
-            }
+    fn tally_and_singular_column_are_functions_of_the_matrix() {
+        for (name, w) in oracle_systems() {
+            let (first, tally) = sparse_lu_tallied(&w).unwrap();
+            let (again, same) = sparse_lu_tallied(&w).unwrap();
+            assert_factors_bit_identical(&first, &again);
+            assert_eq!(tally, same, "{name}");
+            assert!(tally.multiply_subtracts > 0, "{name}");
         }
-    }
-
-    #[test]
-    fn parallel_lu_reports_the_lowest_singular_column() {
-        // Columns 2 and 5 are identically zero; every thread count must
-        // report column 2, exactly like the sequential factorisation.
-        let mut trips: Vec<(Index, Index, f64)> = Vec::new();
-        for j in 0..8u32 {
-            if j != 2 && j != 5 {
-                trips.push((j, j, 1.0));
-            }
-        }
-        trips.push((3, 0, 0.5));
-        trips.push((7, 1, 0.5));
+        // Columns 2 and 5 are identically zero.
+        let mut trips: Vec<(Index, Index, f64)> = vec![(3, 0, 0.5), (7, 1, 0.5)];
+        trips.extend((0..8u32).filter(|&j| j != 2 && j != 5).map(|j| (j, j, 1.0)));
         let w = CscMatrix::from_triplets(8, 8, &trips).unwrap();
-        for threads in [1usize, 2, 4, 0] {
-            match sparse_lu_with(&w, InvertOptions { threads }) {
-                Err(SparseError::SingularPivot { column, .. }) => {
-                    assert_eq!(column, 2, "threads {threads}")
-                }
-                other => panic!("threads {threads}: expected singular pivot, got {other:?}"),
-            }
-        }
+        assert!(matches!(sparse_lu(&w), Err(SparseError::SingularPivot { column: 2, .. })));
     }
 
     #[test]
@@ -1118,14 +849,6 @@ mod tests {
             assert_factors_bit_identical(&full, &inc);
             assert_eq!(report.dirty_w_columns, dirty.len());
             assert!(report.recomputed_columns >= report.changed_l_columns.len());
-            // Parallel refactor: same bits at every thread count.
-            for threads in [2usize, 0] {
-                let (par, preport) =
-                    refactor_columns_with(&old, &w_new, &dirty, InvertOptions { threads })
-                        .unwrap();
-                assert_factors_bit_identical(&full, &par);
-                assert!(preport.recomputed_columns >= report.recomputed_columns);
-            }
         }
     }
 
@@ -1159,17 +882,15 @@ mod tests {
     #[test]
     fn refactor_surfaces_singular_columns_deterministically() {
         // Dirtying a column to all-zeros must fail with that column's
-        // SingularPivot at any thread count.
+        // SingularPivot.
         let w = random_dominant(10, 0.2, 11);
         let old = sparse_lu(&w).unwrap();
         let zeroed = w
             .splice_columns(&[ColumnUpdate { col: 4, rows: Vec::new(), vals: Vec::new() }])
             .unwrap();
-        for threads in [1usize, 2, 0] {
-            match refactor_columns_with(&old, &zeroed, &[4], InvertOptions { threads }) {
-                Err(SparseError::SingularPivot { column: 4, .. }) => {}
-                other => panic!("threads {threads}: expected singular pivot at 4, got {other:?}"),
-            }
+        match refactor_columns(&old, &zeroed, &[4]) {
+            Err(SparseError::SingularPivot { column: 4, .. }) => {}
+            other => panic!("expected singular pivot at 4, got {other:?}"),
         }
     }
 }

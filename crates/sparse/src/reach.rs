@@ -32,8 +32,7 @@
 //! *can* change when the given `W` columns change, assuming every
 //! candidate's `L` pattern changes. It is a provable superset of the
 //! exact (value-aware) recompute set, cheap enough to serve as a
-//! dry-run predictor and as the up-front schedule of the parallel
-//! refactor path.
+//! dry-run predictor.
 
 use crate::{CscMatrix, Index};
 
@@ -118,10 +117,9 @@ pub fn inverse_dirty_columns(t: &CscMatrix, dirty: &[Index]) -> Vec<Index> {
 /// were guaranteed to change). Because the exact algorithm only taints
 /// from columns whose `L` part *did* change — a subset of the
 /// candidates, by induction — this closure is always a **superset** of
-/// the exact recompute set, which makes it safe as the up-front schedule
-/// of [`crate::refactor_columns_with`]'s parallel path and honest as the
-/// `--dry-run` predictor. Returned sorted ascending; out-of-bounds dirty
-/// indices are ignored.
+/// the exact recompute set, which makes it honest as the `--dry-run`
+/// predictor. Returned sorted ascending; out-of-bounds dirty indices are
+/// ignored.
 pub fn refactor_candidates(l: &CscMatrix, w_new: &CscMatrix, dirty_w: &[Index]) -> Vec<Index> {
     let n = l.ncols().min(w_new.ncols());
     if n == 0 || dirty_w.is_empty() {

@@ -467,21 +467,19 @@ impl SolveWorkspace {
     /// belong to a dense tail, which needs no pattern.
     ///
     /// `children` is asked for a node's child slice when the node is
-    /// first reached and when the DFS returns to it; it may fail (a
-    /// column provider waiting on an aborted run).
+    /// first reached and when the DFS returns to it.
     pub(crate) fn reach<'a>(
         &mut self,
         seeds: &[Index],
         head: usize,
-        mut children: impl FnMut(Index) -> Result<&'a [Index]>,
-    ) -> Result<()> {
+        mut children: impl FnMut(Index) -> &'a [Index],
+    ) {
         let mut resolve = |node: Index| {
             note_span_resolution();
             children(node)
         };
         self.stamps.advance();
         self.topo.clear();
-        self.stack.clear(); // a failed resolution leaves frames behind
         for &seed in seeds {
             debug_assert!((seed as usize) < self.n, "rhs index out of bounds");
             if seed as usize >= head || self.stamps.is_marked(seed as usize) {
@@ -489,7 +487,7 @@ impl SolveWorkspace {
             }
             self.stamps.mark(seed as usize);
             self.x[seed as usize] = 0.0;
-            let (mut node, mut span, mut cursor) = (seed, resolve(seed)?, 0usize);
+            let (mut node, mut span, mut cursor) = (seed, resolve(seed), 0usize);
             loop {
                 match span.get(cursor) {
                     Some(&child) if (child as usize) < head => {
@@ -498,18 +496,17 @@ impl SolveWorkspace {
                             self.stamps.mark(child as usize);
                             self.x[child as usize] = 0.0;
                             self.stack.push((node, cursor));
-                            (node, span, cursor) = (child, resolve(child)?, 0);
+                            (node, span, cursor) = (child, resolve(child), 0);
                         }
                     }
                     _ => {
                         self.topo.push(node);
                         let Some((parent, resume)) = self.stack.pop() else { break };
-                        (node, span, cursor) = (parent, resolve(parent)?, resume);
+                        (node, span, cursor) = (parent, resolve(parent), resume);
                     }
                 }
             }
         }
-        Ok(())
     }
 
     /// Solves `T x = b` and appends the sorted sparse solution to
@@ -639,8 +636,8 @@ impl SolveWorkspace {
         } else {
             self.reach(b_idx, head, |j| {
                 let (start, end, _) = view.column(j);
-                Ok(&view.rows[start..end])
-            })?;
+                &view.rows[start..end]
+            });
             self.topo.sort_unstable();
             if !lower {
                 self.topo.reverse();

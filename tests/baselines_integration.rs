@@ -3,7 +3,7 @@
 //! exact.
 
 use kdash_baselines::{
-    BLin, BLinOptions, Bpa, BpaOptions, IterativeRwr, LocalRwr, NbLin, NbLinOptions, TopKEngine,
+    BLin, BLinOptions, Bpa, BpaOptions, IterativeRwr, NbLin, NbLinOptions, TopKEngine,
 };
 use kdash_core::{IndexOptions, KdashIndex};
 use kdash_datagen::DatasetProfile;
@@ -94,20 +94,6 @@ fn blin_no_worse_than_nblin_on_modular_graph() {
 }
 
 #[test]
-fn local_rwr_good_inside_communities_lossy_across() {
-    let graph = profile_graph(DatasetProfile::Dictionary, 400, 7);
-    let local = LocalRwr::build(&graph, C, 11);
-    let queries = sample_queries(&graph, 6);
-    let p = average_precision(&local, &graph, &queries);
-    // Skewed proximities keep most answers local, but cross-community
-    // answers are lost: decent but imperfect precision.
-    assert!(p > 0.4, "local RWR precision collapsed: {p:.3}");
-    let exact_engine = IterativeRwr::new(&graph, C);
-    let p_exact = average_precision(&exact_engine, &graph, &queries);
-    assert!((p_exact - 1.0).abs() < 1e-9, "iterative against itself must be 1");
-}
-
-#[test]
 fn kdash_and_iterative_agree_through_engine_interface() {
     let graph = profile_graph(DatasetProfile::Internet, 300, 9);
     let index = KdashIndex::build(
@@ -133,7 +119,6 @@ fn engine_names_are_distinct() {
         NbLin::build(&graph, NbLinOptions::default()).unwrap().name(),
         BLin::build(&graph, BLinOptions::default()).unwrap().name(),
         Bpa::build(&graph, BpaOptions { num_hubs: 5, ..Default::default() }).name(),
-        LocalRwr::build(&graph, C, 1).name(),
     ];
     let mut unique = names.clone();
     unique.sort();

@@ -10,17 +10,22 @@
 //! `Searcher::top_k_into` returned, bit for bit. The second spells, the
 //! way `benchmark/src/{churn,setup,query,oracle}.rs` spell them, the
 //! option structs, executor, persistence and store calls those files make.
+//! The third makes `setup.rs::staged_replay`'s calls into `kdash-sparse`
+//! and the queue micro-loop of `churn.rs`.
 
 use kdash_core::{
-    save_atomic, BatchOptions, BatchOutcome, IndexOptions, IsolatedExecutor, KdashError,
-    KdashIndex, RowLayout, TopKResult,
+    compute_ordering_with_stats, save_atomic, BatchOptions, BatchOutcome, IndexBuilder,
+    IndexOptions, IsolatedExecutor, KdashError, KdashIndex, NodeOrdering, RowLayout, TopKResult,
 };
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
 use kdash_dynamic::DynamicIndex;
 use kdash_graph::{BfsScratch, NodeId};
-use kdash_serve::{EpochWriter, ServeLoop, ServeOptions};
+use kdash_serve::{EpochWriter, MpmcQueue, ServeLoop, ServeOptions};
 use kdash_sparse::kernel::{GatherCounters, GatherScratch};
-use kdash_sparse::{CsrMatrix, ProximityStore, ResolvedKernel, ScatteredColumn};
+use kdash_sparse::{
+    sparse_lu, sparse_lu_with, sparsify_lower_unit_with, sparsify_upper_with, transition_matrix,
+    w_matrix, CsrMatrix, InvertOptions, ProximityStore, ResolvedKernel, ScatteredColumn,
+};
 
 #[test]
 fn replayed_gather_equals_the_answer_on_every_family_and_layout() {
@@ -135,4 +140,50 @@ fn benchmark_call_sites_compile_and_agree() {
     let loaded = KdashIndex::load(std::io::BufReader::new(file)).unwrap();
     assert_eq!(loaded.top_k(q, k).unwrap().nodes(), want.nodes());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `setup.rs::staged_replay` and the queue micro-loop of `churn.rs`: the
+/// build repeated as direct calls with the benchmark's two workers must
+/// produce `sparse_lu`'s factors bit for bit and the pipeline's index
+/// sizes (the replay's own check), and a push–pop pair on a
+/// 1 024-slot `MpmcQueue` must succeed every time.
+#[test]
+fn staged_replay_and_queue_micro_loop_compile_and_agree() {
+    let graph = rmat(9, 2048, RmatParams::default(), 7);
+    let (index, _report) = IndexBuilder::new()
+        .ordering(NodeOrdering::Hybrid)
+        .drop_tolerance(0.0)
+        .threads(2)
+        .build_with_report(&graph)
+        .unwrap();
+    let options = InvertOptions { threads: 2 };
+    let c = index.restart_probability();
+
+    let (perm, _stats) = compute_ordering_with_stats(&graph, NodeOrdering::Hybrid);
+    let permuted = graph.permute(&perm).unwrap();
+    let a = transition_matrix(&permuted, index.dangling_policy());
+    let w = w_matrix(&a, c).unwrap();
+    let factors = sparse_lu_with(&w, options).unwrap();
+    let reference = sparse_lu(&w).unwrap();
+    for (got, want) in [(&factors.l, &reference.l), (&factors.u, &reference.u)] {
+        let ((gp, gi, gv), (wp, wi, wv)) = (got.raw(), want.raw());
+        assert_eq!((gp, gi), (wp, wi));
+        assert!(gv.iter().zip(wv).all(|(x, y)| x.to_bits() == y.to_bits()));
+    }
+    let linv = sparsify_lower_unit_with(&factors.l, 0.0, options).unwrap();
+    let uinv = sparsify_upper_with(&factors.u, 0.0, options).unwrap();
+    let store =
+        ProximityStore::from_csr(CsrMatrix::from_csc(&uinv.inverse), index.layout()).unwrap();
+    let stats = index.stats();
+    assert_eq!(
+        (linv.inverse.nnz(), store.nnz(), factors.l.nnz(), factors.u.nnz()),
+        (stats.nnz_l_inv, stats.nnz_u_inv, stats.nnz_l, stats.nnz_u)
+    );
+    assert_eq!(linv.dropped.iter().chain(&uinv.dropped).sum::<f64>(), 0.0);
+
+    let queue = MpmcQueue::with_capacity(1024);
+    for i in 0..4096usize {
+        assert!(std::hint::black_box(queue.push(i).is_ok() && queue.pop().is_some()));
+    }
+    assert!(queue.is_empty());
 }

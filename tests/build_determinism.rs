@@ -25,7 +25,7 @@ use kdash_sparse::inverse::invert_without_tail;
 use kdash_sparse::lu::sparse_lu_without_tail;
 use kdash_sparse::{
     dense_tail_columns, invert_columns_with, invert_lower_unit, invert_lower_unit_with,
-    invert_upper, invert_upper_with, sparse_lu, sparse_lu_with, sparsify_upper_with,
+    invert_upper, invert_upper_with, sparse_lu, sparse_lu_tallied, sparsify_upper_with,
     transition_matrix, w_matrix, ColumnUpdate, CscMatrix, DanglingPolicy, Index, InvertOptions,
     SparseError, Triangle,
 };
@@ -180,16 +180,17 @@ fn hybrid_w(graph: &CsrGraph) -> CscMatrix {
     w_matrix(&a, 0.95).expect("valid restart probability")
 }
 
-/// The invariant the dense tail rests on: `sparse_lu_with`,
-/// `invert_lower_unit_with`, `invert_upper_with` and the staged build
-/// return, at one worker and at two, the bytes of the sparse-only kernel —
-/// on factors that grow a tail and on factors too small to.
+/// The invariant the dense tail rests on: `sparse_lu`, and at one worker,
+/// two and auto `invert_lower_unit_with`, `invert_upper_with` and the
+/// staged build, return the bytes of the sparse-only kernel — on factors
+/// that grow a tail and on factors too small to — and the build reports
+/// the LU's own tally whatever its thread count.
 #[test]
 fn dense_tail_is_byte_identical_to_the_sparse_kernel() {
     for (name, graph, grows_tail) in tail_graphs() {
         let w = hybrid_w(&graph);
         let one = InvertOptions::sequential();
-        let reference = sparse_lu_without_tail(&w, one).unwrap();
+        let reference = sparse_lu_without_tail(&w).unwrap();
         let linv = invert_without_tail(&reference.l, Triangle::Lower, true, one).unwrap();
         let uinv = invert_without_tail(&reference.u, Triangle::Upper, false, one).unwrap();
         let l_tail = dense_tail_columns(&reference.l, Triangle::Lower).unwrap();
@@ -200,24 +201,23 @@ fn dense_tail_is_byte_identical_to_the_sparse_kernel() {
         } else {
             assert_eq!((l_tail, u_tail), (0, 0), "{name}: too small for a tail");
         }
-        for threads in [1usize, 2] {
+        let (factors, tally) = sparse_lu_tallied(&w).unwrap();
+        assert_csc_bytes_equal(&format!("{name} L"), &reference.l, &factors.l);
+        assert_csc_bytes_equal(&format!("{name} U"), &reference.u, &factors.u);
+        assert_eq!(tally.tail_columns, l_tail, "{name}");
+        for threads in [1usize, 2, 0] {
             let options = InvertOptions { threads };
             let label = format!("{name} threads={threads}");
-            let factors = sparse_lu_with(&w, options).unwrap();
-            assert_csc_bytes_equal(&format!("{label} L"), &reference.l, &factors.l);
-            assert_csc_bytes_equal(&format!("{label} U"), &reference.u, &factors.u);
-            let suppressed = sparse_lu_without_tail(&w, options).unwrap();
-            assert_csc_bytes_equal(&format!("{label} L, no tail"), &reference.l, &suppressed.l);
-            assert_csc_bytes_equal(&format!("{label} U, no tail"), &reference.u, &suppressed.u);
             let tailed = invert_lower_unit_with(&factors.l, options).unwrap();
             assert_csc_bytes_equal(&format!("{label} L⁻¹"), &linv, &tailed);
             let tailed = invert_upper_with(&factors.u, options).unwrap();
             assert_csc_bytes_equal(&format!("{label} U⁻¹"), &uinv, &tailed);
-            let built = IndexBuilder::new()
+            let (built, report) = IndexBuilder::new()
                 .ordering(NodeOrdering::Hybrid)
                 .threads(threads)
-                .build(&graph)
+                .build_with_report(&graph)
                 .unwrap();
+            assert_eq!(report.factorization_solves, tally, "{label}: the LU tally moved");
             let built_uinv = built.uinv_rows().to_csc();
             assert_csc_bytes_equal(&format!("{label} index L⁻¹"), &linv, built.linv_cols());
             assert_csc_bytes_equal(&format!("{label} index U⁻¹"), &uinv, &built_uinv);
@@ -257,15 +257,15 @@ fn cancelling_system() -> CscMatrix {
 }
 
 /// The corners of the "drop exact zeros" gather and of the error path,
-/// with the tail on and suppressed, at one worker and two: entries that
-/// cancel to exactly zero inside the tail are dropped by both kernels, an
-/// explicitly stored `0.0` in a factor is carried by both, and a pivot
-/// that vanishes inside the tail is the same typed error at the same —
-/// lowest — column.
+/// with the tail on and suppressed, the inversions at one worker and two:
+/// entries that cancel to exactly zero inside the tail are dropped by both
+/// kernels, an explicitly stored `0.0` in a factor is carried by both, and
+/// a pivot that vanishes inside the tail is the same typed error at the
+/// same — lowest — column.
 #[test]
 fn dense_tail_agrees_on_cancellation_stored_zeros_and_singular_pivots() {
     let w = cancelling_system();
-    let reference = sparse_lu_without_tail(&w, InvertOptions::sequential()).unwrap();
+    let reference = sparse_lu_without_tail(&w).unwrap();
     assert_eq!(dense_tail_columns(&reference.l, Triangle::Lower).unwrap(), 128);
     assert_eq!(reference.u.get(122, 132), None, "U[122,132] must cancel to an exact zero");
     assert_eq!(reference.l.get(122, 112), None, "L[122,112] must cancel to an exact zero");
@@ -295,12 +295,16 @@ fn dense_tail_agrees_on_cancellation_stored_zeros_and_singular_pivots() {
     });
     let singular_u = reference.u.splice_columns(&zero_pivots).unwrap();
 
+    let factors = sparse_lu(&w).unwrap();
+    assert_csc_bytes_equal("L", &reference.l, &factors.l);
+    assert_csc_bytes_equal("U", &reference.u, &factors.u);
+    let expect = SparseError::SingularPivot { column: 130, value: 0.0 };
+    assert_eq!(sparse_lu(&singular).unwrap_err(), expect);
+    assert_eq!(sparse_lu_without_tail(&singular).unwrap_err(), expect);
+
     for threads in [1usize, 2] {
         let options = InvertOptions { threads };
         let label = format!("threads={threads}");
-        let factors = sparse_lu_with(&w, options).unwrap();
-        assert_csc_bytes_equal(&format!("{label} L"), &reference.l, &factors.l);
-        assert_csc_bytes_equal(&format!("{label} U"), &reference.u, &factors.u);
         for (name, l, u) in [("exact", &reference.l, &reference.u), ("stored zeros", &l0, &u0)] {
             let label = format!("{label} {name}");
             let sparse = invert_without_tail(l, Triangle::Lower, true, options).unwrap();
@@ -310,9 +314,6 @@ fn dense_tail_agrees_on_cancellation_stored_zeros_and_singular_pivots() {
             let tailed = invert_upper_with(u, options).unwrap();
             assert_csc_bytes_equal(&format!("{label} U⁻¹"), &sparse, &tailed);
         }
-        let expect = SparseError::SingularPivot { column: 130, value: 0.0 };
-        assert_eq!(sparse_lu_with(&singular, options).unwrap_err(), expect, "{label}");
-        assert_eq!(sparse_lu_without_tail(&singular, options).unwrap_err(), expect, "{label}");
         assert_eq!(invert_upper_with(&singular_u, options).unwrap_err(), expect, "{label}");
         let sparse = invert_without_tail(&singular_u, Triangle::Upper, false, options);
         assert_eq!(sparse.unwrap_err(), expect, "{label}");

@@ -3,20 +3,16 @@
 //! reach of the dirty `W` columns and splicing the rest from the old
 //! factors is **byte-identical** to a full `sparse_lu` on the edited
 //! `W` — across graph families × node orderings × edit classes, for
-//! single edits and coalesced multi-edit dirty sets, at any thread
-//! count.
+//! single edits and coalesced multi-edit dirty sets.
 //!
 //! * Property: ER/BA/RMAT × {Natural, Degree, Hybrid, RCM} × edit
 //!   classes (fresh-source insert, reweight, delete, in-closure edit on
 //!   the first eliminated column) — each class singly and all classes
 //!   merged into one coalesced dirty set — refactorises to the same bits
-//!   as the from-scratch factorisation, sequentially and in parallel.
+//!   as the from-scratch factorisation.
 //! * Scheduling honesty: the refactorisation recomputes a *bounded* set
 //!   (reported), and on a two-component graph an edit in one component
 //!   never recomputes or changes a column of the other.
-//! * Parallel full LU: `sparse_lu_with` at 2/auto threads is
-//!   bit-identical to the sequential factorisation (the build pipeline's
-//!   `keep_factors` path).
 //! * The dense tail: on an RMAT graph large enough for one, edits whose
 //!   dirty `W` column lies in the sparse head, inside the tail, exactly
 //!   at its first column, and one that moves that column — the refactor
@@ -34,9 +30,8 @@ use kdash_graph::{CsrGraph, EdgeEdit, GraphBuilder, NodeId};
 use kdash_harness::check_index_bit_identity;
 use kdash_sparse::{
     dense_tail_columns, inverse_dirty_columns, invert_columns_with, invert_lower_unit_with,
-    invert_upper_with, refactor_columns, refactor_columns_with, sparse_lu, sparse_lu_with,
-    transition_matrix, w_matrix, CscMatrix, DanglingPolicy, Index, InvertOptions, LuFactors,
-    Triangle,
+    invert_upper_with, refactor_columns, sparse_lu, transition_matrix, w_matrix, CscMatrix,
+    DanglingPolicy, Index, InvertOptions, LuFactors, Triangle,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
@@ -125,8 +120,8 @@ fn edit_classes(graph: &CsrGraph, rng: &mut StdRng) -> Vec<(&'static str, Vec<Ed
 }
 
 /// Checks one edit list: the incremental refactorisation from `old`
-/// equals the full factorisation of the edited `W`, bit for bit, at
-/// every thread count, and the recompute schedule is honest.
+/// equals the full factorisation of the edited `W`, bit for bit, and the
+/// recompute schedule is honest.
 fn check_edit(
     old_w_graph: &CsrGraph,
     old: &LuFactors,
@@ -151,19 +146,6 @@ fn check_edit(
             && report.changed_u_columns.len() <= report.recomputed_columns,
         "{context}: changed ⊆ recomputed"
     );
-
-    for threads in [2usize, 0] {
-        let (par, _) =
-            refactor_columns_with(old, &w_new, &dirty, InvertOptions { threads })
-                .expect("parallel refactor");
-        assert_factors_bit_identical(&par, &full, &format!("{context} threads={threads}"));
-        let par_full = sparse_lu_with(&w_new, InvertOptions { threads }).expect("parallel LU");
-        assert_factors_bit_identical(
-            &par_full,
-            &full,
-            &format!("{context} full-LU threads={threads}"),
-        );
-    }
 }
 
 proptest! {
@@ -252,8 +234,8 @@ fn boundary_edits(graph: &CsrGraph, s: NodeId) -> Vec<(&'static str, Vec<EdgeEdi
     ]
 }
 
-/// `refactor_columns ≡ sparse_lu` and `invert_columns_with ≡` the full
-/// inversion, bitwise, at one worker and two, for edits on every side of
+/// `refactor_columns ≡ sparse_lu`, and `invert_columns_with ≡` the full
+/// inversion at one worker and two, bitwise, for edits on every side of
 /// the dense tail's first column.
 #[test]
 fn refactor_and_resolve_match_the_full_build_across_the_tail_boundary() {
@@ -265,16 +247,16 @@ fn refactor_and_resolve_match_the_full_build_across_the_tail_boundary() {
         let w_new = w_of(&edited, 0.95, DanglingPolicy::Keep);
         let mut dirty: Vec<Index> = edits.iter().map(|e| e.src()).collect();
         dirty.dedup();
-        let full = sparse_lu_with(&w_new, InvertOptions { threads: 2 }).unwrap();
+        let full = sparse_lu(&w_new).unwrap();
         let new_start = n - dense_tail_columns(&full.l, Triangle::Lower).unwrap();
         assert_eq!(new_start != s as usize, class == "moves-s", "{class}: tail now at {new_start}");
         let linv = invert_lower_unit_with(&full.l, InvertOptions { threads: 2 }).unwrap();
         let uinv = invert_upper_with(&full.u, InvertOptions { threads: 2 }).unwrap();
+        let (patched, report) = refactor_columns(&old, &w_new, &dirty).unwrap();
+        assert_factors_bit_identical(&patched, &full, class);
         for threads in [1usize, 2] {
             let options = InvertOptions { threads };
             let context = format!("{class} threads={threads}");
-            let (patched, report) = refactor_columns_with(&old, &w_new, &dirty, options).unwrap();
-            assert_factors_bit_identical(&patched, &full, &context);
             let sides = [
                 (&patched.l, Triangle::Lower, true, &report.changed_l_columns, &linv),
                 (&patched.u, Triangle::Upper, false, &report.changed_u_columns, &uinv),

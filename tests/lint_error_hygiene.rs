@@ -16,16 +16,16 @@
 //! into library code — convert it to a typed error instead, or argue
 //! its safety in review and bump the entry.
 
+mod lint_common;
+
+use lint_common::{library_code, rust_sources, workspace_root};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
 
 /// `(file path relative to the workspace root, audited call-site count)`.
 const ALLOWLIST: &[(&str, usize)] = &[
     ("crates/baselines/src/blin.rs", 5),
     ("crates/baselines/src/bpa.rs", 3),
     ("crates/baselines/src/lib.rs", 1),
-    ("crates/baselines/src/local.rs", 2),
-    ("crates/baselines/src/montecarlo.rs", 1),
     ("crates/baselines/src/nblin.rs", 2),
     ("crates/community/src/louvain.rs", 1),
     ("crates/core/src/estimator.rs", 1),
@@ -51,38 +51,12 @@ const ALLOWLIST: &[(&str, usize)] = &[
     ("crates/sparse/src/store.rs", 1),
 ];
 
-fn workspace_root() -> PathBuf {
-    // CARGO_MANIFEST_DIR is crates/harness; the workspace root is two up.
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().unwrap()
-}
-
-/// Recursively collects `.rs` files under `dir`.
-fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
-    for entry in std::fs::read_dir(dir).unwrap() {
-        let path = entry.unwrap().path();
-        if path.is_dir() {
-            rust_sources(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
-
 /// Counts `.unwrap()` / `.expect(` call sites in the library portion of
-/// one source file: everything before the first `#[cfg(test)]` line,
-/// with `//` line comments stripped so documentation can still *discuss*
-/// the patterns.
+/// one source file.
 fn panic_sites(source: &str) -> usize {
-    let mut count = 0;
-    for line in source.lines() {
-        if line.trim_start().starts_with("#[cfg(test)]") {
-            break;
-        }
-        let code = line.split("//").next().unwrap_or(line);
-        count += code.matches(".unwrap()").count();
-        count += code.matches(".expect(").count();
-    }
-    count
+    library_code(source)
+        .map(|code| code.matches(".unwrap()").count() + code.matches(".expect(").count())
+        .sum()
 }
 
 #[test]
