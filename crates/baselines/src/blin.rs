@@ -152,11 +152,6 @@ impl BLin {
         self.m.nrows()
     }
 
-    /// Number of partition blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// The full approximate proximity vector.
     pub fn full(&self, q: NodeId) -> Vec<f64> {
         let n = self.placement.len();
@@ -300,7 +295,7 @@ mod tests {
             BLinOptions { max_block_size: 10, ..Default::default() },
         )
         .unwrap();
-        assert!(blin.num_blocks() >= 6, "60 nodes / cap 10");
+        assert!(blin.blocks.len() >= 6, "60 nodes / cap 10");
         for block in &blin.blocks {
             assert!(block.len() <= 10);
         }

@@ -8,16 +8,18 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use kdash_bench::{dataset, queries_for, HarnessConfig};
 use kdash_core::{IndexOptions, KdashIndex};
 use kdash_datagen::DatasetProfile;
+use kdash_sparse::{sparse_lu, transition_matrix, w_matrix, SolveWorkspace};
 
 fn bench(c: &mut Criterion) {
     let config = HarnessConfig { target_nodes: 800, queries: 8, seed: 42 };
     let graph = dataset(DatasetProfile::Dictionary, &config);
-    let index = KdashIndex::build(
-        &graph,
-        IndexOptions { keep_factors: true, ..Default::default() },
-    )
-    .expect("index");
+    let index = KdashIndex::build(&graph, IndexOptions::default()).expect("index");
     let queries = queries_for(&graph, config.queries);
+    // The alternative's state: the factors of the permuted graph's `W`.
+    let a = transition_matrix(index.permuted_graph(), index.dangling_policy());
+    let w = w_matrix(&a, index.restart_probability()).expect("restart probability");
+    let factors = sparse_lu(&w).expect("factors");
+    let mut ws = SolveWorkspace::new(index.num_nodes());
 
     let mut group = c.benchmark_group("ablation_solve_vs_inverse");
     group.sample_size(15);
@@ -34,7 +36,8 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let q = queries[j % queries.len()];
             j += 1;
-            std::hint::black_box(index.proximities_via_factors(q).expect("query"))
+            let column = index.permutation().new_of(q);
+            std::hint::black_box(factors.solve_unit_sparse(&mut ws, column).expect("query"))
         })
     });
     let mut l = 0usize;

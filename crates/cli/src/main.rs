@@ -11,7 +11,7 @@
 //! kdash serve  <index.kdash> --bench [--duration 5] [--workers 0] [--mix 100:1]
 //!              [--clients 2] [--k 10] [--queue 1024] [--batch 32] [--seed 42]
 //!              [--journal]
-//! kdash verify <index.kdash> [--factors | --journal]
+//! kdash verify <index.kdash> [--journal]
 //! kdash info   <index.kdash>
 //! kdash gen    <profile> <edges.txt> [--nodes 2000] [--seed 42]
 //! ```
@@ -93,10 +93,6 @@
 //! the stored inverses, permutation bijectivity, blocked-encoding decode
 //! contract, policy-table and estimator coherence — printing one timing
 //! line per section, every finding, and a machine-readable JSON summary.
-//! `--factors` appends the factor-consistency section: kept LU factors
-//! are checked for triangularity and the diag-last column layout, and
-//! `W = L·U` is spot-recomputed on sampled columns (skipped with a note
-//! when the index holds no factors — persisted indexes never do).
 //! Exit status is non-zero when any invariant is violated.
 //!
 //! Edge lists are plain text (`src dst [weight]`, `#`/`%` comments) — the
@@ -162,7 +158,7 @@ fn print_usage() {
          \x20 kdash serve  <index.kdash> --bench [--duration 5] [--workers 0] [--mix 100:1]\n\
          \x20              [--clients 2] [--k 10] [--queue 1024] [--batch 32] [--seed 42]\n\
          \x20              [--journal]\n\
-         \x20 kdash verify <index.kdash> [--factors | --journal]\n\
+         \x20 kdash verify <index.kdash> [--journal]\n\
          \x20 kdash info   <index.kdash>\n\
          \x20 kdash gen    <profile> <edges.txt> [--nodes 2000] [--seed 42]\n\
          \n\
@@ -968,19 +964,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_verify(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args, &["factors", "journal"])?;
-    reject_unknown_flags(&flags, &["factors", "journal"])?;
-    let check_factors = flag(&flags, "factors").is_some();
-    let check_journal = flag(&flags, "journal").is_some();
+    let (pos, flags) = parse_flags(args, &["journal"])?;
+    reject_unknown_flags(&flags, &["journal"])?;
     let [index_path] = pos.as_slice() else {
-        return Err("usage: kdash verify <index.kdash> [--factors | --journal]".into());
+        return Err("usage: kdash verify <index.kdash> [--journal]".into());
     };
-    if check_journal {
-        if check_factors {
-            return Err("--factors audits the loaded index; --journal inspects only the \
-                        sidecar journal — pick one"
-                .into());
-        }
+    if flag(&flags, "journal").is_some() {
         return verify_journal(index_path);
     }
 
@@ -1002,14 +991,8 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
         index.update_epoch(),
     );
 
-    // Stage 2 — deep structural audit; --factors appends the
-    // factor-consistency section (triangularity, diag-last layout, and
-    // the spot-recomputed W = L·U check on sampled columns).
-    let audit = if check_factors {
-        IndexAudit::run_with_factors(&index, None)
-    } else {
-        IndexAudit::run(&index)
-    };
+    // Stage 2 — deep structural audit.
+    let audit = IndexAudit::run(&index);
     for section in &audit.sections {
         let findings = audit.findings.iter().filter(|f| f.section == section.name).count();
         println!(
@@ -1018,14 +1001,6 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
             section.checks,
             section.duration,
             if findings == 0 { "ok".to_string() } else { format!("{findings} FINDING(S)") },
-        );
-    }
-    if check_factors
-        && audit.sections.iter().any(|s| s.name == "factors" && s.checks == 0)
-    {
-        println!(
-            "note: this index stores no LU factors (built without keep_factors), so the \
-             factor-consistency checks were skipped — that is not a finding"
         );
     }
     for finding in &audit.findings {

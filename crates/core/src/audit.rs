@@ -105,26 +105,18 @@ impl IndexAudit {
         IndexAudit { sections, findings: col.findings, suppressed: col.suppressed }
     }
 
-    /// Runs the full audit plus the factor-consistency section
-    /// (`kdash verify --factors`): the LU factors are checked for
+    /// Runs the full audit plus the factor-consistency section: `factors`
+    /// — the LU factors of the stored graph's `W`, which live outside the
+    /// index (the dynamic engine holds them) — are checked for
     /// triangularity, the diagonal-last `U` layout, agreement with the
     /// stored nnz stats, and — the expensive part — `W = L·U` is
     /// spot-recomputed on a deterministic sample of columns against a
     /// fresh rebuild of `W` from the stored graph.
-    ///
-    /// `factors` overrides the source: pass `Some` to audit factors held
-    /// outside the index (the dynamic engine's kept copy), or `None` to
-    /// use `index.factors()`. When neither is available the `"factors"`
-    /// section is reported with zero checks — an index without kept
-    /// factors (every persisted index) has nothing to verify, which is
-    /// not a finding.
-    pub fn run_with_factors(index: &KdashIndex, factors: Option<&LuFactors>) -> IndexAudit {
+    pub fn run_with_factors(index: &KdashIndex, factors: &LuFactors) -> IndexAudit {
         let (mut sections, mut col) = Self::run_core(index);
         let before = col.checks;
         let t = Instant::now();
-        if let Some(f) = factors.or_else(|| index.factors()) {
-            audit_factors(index, f, &mut col);
-        }
+        audit_factors(index, factors, &mut col);
         sections.push(AuditSection {
             name: "factors",
             checks: col.checks - before,
@@ -599,8 +591,8 @@ fn sampled_columns(n: usize, cap: usize) -> Vec<u32> {
 /// well under this bound on diagonally dominant `W`.
 const FACTOR_SPOT_TOL: f64 = 1e-10;
 
-/// Kept LU factors (`kdash verify --factors` / the dynamic engine's
-/// post-apply check): both triangles structurally sound (`L` strictly
+/// The dynamic engine's LU factors (its post-apply check): both
+/// triangles structurally sound (`L` strictly
 /// lower and unit-diagonal by convention, `U` upper with its diagonal
 /// stored *last* per column, exactly as the left-looking factorisation
 /// emits them), the stored nnz stats in agreement, and `W = L·U`
@@ -771,33 +763,28 @@ mod tests {
         assert!(IndexAudit::run(&upgraded).is_clean());
     }
 
+    /// The factors of the index's own `W`, as the dynamic engine computes
+    /// them on attach.
+    fn factors_of(index: &KdashIndex) -> LuFactors {
+        let a = transition_matrix(index.permuted_graph(), index.dangling_policy());
+        kdash_sparse::sparse_lu(&w_matrix(&a, index.restart_probability()).unwrap()).unwrap()
+    }
+
     #[test]
     fn kept_factors_audit_clean() {
-        let index =
-            sample_index_with(IndexOptions { keep_factors: true, ..Default::default() });
-        let audit = IndexAudit::run_with_factors(&index, None);
+        let index = sample_index();
+        let audit = IndexAudit::run_with_factors(&index, &factors_of(&index));
         assert!(audit.is_clean(), "findings: {:?}", audit.findings);
         assert_eq!(audit.sections.len(), 9);
         let last = &audit.sections[8];
         assert_eq!(last.name, "factors");
-        assert!(last.checks > 0, "factors present ⇒ checks must run");
-    }
-
-    #[test]
-    fn absent_factors_report_a_zero_check_section() {
-        let audit = IndexAudit::run_with_factors(&sample_index(), None);
-        assert!(audit.is_clean());
-        assert_eq!(audit.sections.len(), 9);
-        let last = &audit.sections[8];
-        assert_eq!(last.name, "factors");
-        assert_eq!(last.checks, 0, "no factors ⇒ section is skipped, not failed");
+        assert!(last.checks > 0, "the factor checks must run");
     }
 
     #[test]
     fn corrupted_factors_are_found() {
-        let index =
-            sample_index_with(IndexOptions { keep_factors: true, ..Default::default() });
-        let mut factors = index.factors().unwrap().clone();
+        let index = sample_index();
+        let mut factors = factors_of(&index);
         // Perturb one U value: structure stays legal, W = L·U breaks.
         let (cp, ri, mut vals) = {
             let (cp, ri, vals) = factors.u.raw();
@@ -812,7 +799,7 @@ mod tests {
             vals,
         )
         .unwrap();
-        let audit = IndexAudit::run_with_factors(&index, Some(&factors));
+        let audit = IndexAudit::run_with_factors(&index, &factors);
         assert!(!audit.is_clean(), "perturbed factors must be flagged");
         assert!(audit.findings.iter().all(|f| f.section == "factors"));
     }

@@ -294,7 +294,7 @@ pub const RETRY_BASE_BACKOFF: Duration = Duration::from_millis(2);
 /// dropped, so "retry until it succeeds" silently converts data loss
 /// into a success report (the fsyncgate failure mode). Injected crashes
 /// are not transient either: the process is supposed to be dead.
-pub fn is_transient(e: &io::Error) -> bool {
+fn is_transient(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
@@ -302,7 +302,7 @@ pub fn is_transient(e: &io::Error) -> bool {
 }
 
 /// Runs `op`, retrying up to [`RETRY_ATTEMPTS`] times with doubling
-/// backoff while it fails with a [transient](is_transient) error.
+/// backoff while it fails with a transient (`EINTR`-class) error.
 pub fn retry_transient<T>(mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
     let mut attempt = 0;
     loop {

@@ -105,7 +105,9 @@
 //! Gilbert–Peierls reach analysis bounds exactly which `L⁻¹`/`U⁻¹`
 //! columns an edit can touch, only those re-run their triangular
 //! solves, and the patched index is bit-for-bit what a from-scratch
-//! rebuild under the same node order would produce.
+//! rebuild under the same node order would produce. A [`KdashIndex`] is
+//! never modified: an update assembles the *next* index and the engine
+//! swaps an `Arc`, so readers keep the one they hold.
 //! [`KdashIndex::update_epoch`] counts applied batches (persisted from
 //! index-format v3).
 //!
@@ -241,14 +243,14 @@
 //! With a sidecar write-ahead journal attached (`kdash-dynamic`'s
 //! journaled mode, `kdash update --journal`), the update path promises:
 //!
-//! * **After an acknowledged apply** — the batch's journal frame (length
-//!   + CRC32 + epoch) was written *and fsynced* before the in-memory
-//!   patch was installed, so a crash at any later instant loses nothing:
-//!   recovery replays the frame onto the last snapshot and lands on an
-//!   index bit-identical to the pre-crash one. If the journal write
-//!   itself fails, the apply returns [`KdashError::JournalFailed`] and
-//!   the index is *not* modified — acknowledgement and durability cannot
-//!   disagree.
+//! * **After an acknowledged apply** — the batch's journal frame
+//!   (length, CRC32, epoch) was written *and fsynced* before the engine
+//!   switched to the patched index, so a crash at any later instant
+//!   loses nothing: recovery replays the frame onto the last snapshot and
+//!   lands on an index bit-identical to the pre-crash one. If the journal
+//!   write itself fails, the apply returns [`KdashError::JournalFailed`]
+//!   and the engine keeps the index it had — acknowledgement and
+//!   durability cannot disagree.
 //! * **After a checkpoint** — `save_atomic` has durably replaced the
 //!   snapshot (old-or-new atomicity, as above) and only then was the
 //!   journal truncated — itself atomically, by renaming a fresh
@@ -351,10 +353,10 @@ pub enum KdashError {
     /// (`drop_tolerance = 0`) never takes this path.
     RefinementFailed { iterations: usize, residual: f64, gap: f64 },
     /// A durability operation on the attached update journal failed
-    /// before the patch was installed: the in-memory index is unchanged
-    /// and the durable journal prefix still ends at the last
-    /// acknowledged batch (a torn partial frame is healed in place or
-    /// skipped by recovery). `detail` renders the underlying journal
+    /// before the engine switched to the patched index: the in-memory
+    /// index is the one from before the call and the durable journal
+    /// prefix still ends at the last acknowledged batch (a torn partial
+    /// frame is healed in place or skipped by recovery). `detail` renders the underlying journal
     /// error; the rich typed form lives in `kdash-dynamic`'s
     /// `JournalError` (this enum is `Clone + PartialEq`, so it cannot
     /// carry the `io::Error` itself).

@@ -39,7 +39,8 @@
 //! and the footer last, so corruption is reported with the failing
 //! [`Section`] and byte offset ([`PersistError::ChecksumMismatch`]).
 
-use crate::{KdashIndex, NodeOrdering};
+use crate::precompute::IndexParts;
+use crate::{IndexStats, KdashIndex, NodeOrdering};
 use kdash_graph::{CsrGraph, Permutation};
 use kdash_sparse::{BlockedCsr, CscMatrix, CsrMatrix, ProximityStore, RowLayout, RowStat};
 use std::fs::{self, File};
@@ -555,10 +556,9 @@ impl<R: Read> SectionReader<R> {
 
 impl KdashIndex {
     /// Serialises the index in the current (v5, checksummed) format,
-    /// preserving the row layout and the update epoch. The raw LU factors
-    /// (if kept) are not persisted — reload yields an index without the
-    /// `proximities_via_factors` ablation path (the dynamic engine
-    /// refactorises once on attach instead).
+    /// preserving the row layout and the update epoch. The LU factors are
+    /// not part of an index: the dynamic engine refactorises once on
+    /// attach.
     ///
     /// For writing to a *file*, prefer [`save_atomic`], which adds the
     /// crash-safe temp-file → fsync → rename protocol.
@@ -910,7 +910,8 @@ impl KdashIndex {
         r.verify_footer()?;
         let end = r.offset();
 
-        let index = KdashIndex::assemble(
+        // Statistics carry the nnz counts but zero durations.
+        let index = KdashIndex::assemble(IndexParts {
             c,
             ordering,
             dangling,
@@ -925,7 +926,8 @@ impl KdashIndex {
             drop_tolerance,
             linv_dropped,
             uinv_dropped,
-        )
+            stats: IndexStats::default(),
+        })
         .map_err(|e| corrupt(Section::Index, end, format!("inconsistent index components: {e}")))?;
         Ok((index, LoadInfo { version, update_epoch }))
     }

@@ -208,12 +208,6 @@ impl IndexBuilder {
         self
     }
 
-    /// Keep the raw LU factors alongside the inverses.
-    pub fn keep_factors(mut self, keep: bool) -> Self {
-        self.options.keep_factors = keep;
-        self
-    }
-
     /// Drop tolerance `ε` for the stored inverses (see
     /// [`IndexOptions::drop_tolerance`]). `0.0` (the default) builds the
     /// dense-exact index bit-for-bit; `ε > 0` truncates sub-`ε` inverse
@@ -321,22 +315,7 @@ impl IndexBuilder {
         // it is stamped into the finished index afterwards.
         let t = Instant::now();
         let uinv = ProximityStore::from_csr(uinv, options.layout)?;
-        let stats = IndexStats {
-            ordering_time,
-            factorization_time,
-            inversion_time,
-            estimator_time,
-            nnz_l: factors.l.nnz(),
-            nnz_u: factors.u.nnz(),
-            nnz_l_inv: linv.nnz(),
-            nnz_u_inv: uinv.nnz(),
-            num_edges: graph.num_edges(),
-            num_nodes: graph.num_nodes(),
-            inverse_heap_bytes: linv.heap_bytes() + uinv.heap_bytes(),
-            uinv_index_bytes: uinv.index_bytes(),
-            ..Default::default()
-        };
-        let mut index = KdashIndex::from_parts(IndexParts {
+        let mut index = KdashIndex::assemble(IndexParts {
             c,
             ordering: options.ordering,
             dangling: options.dangling,
@@ -348,12 +327,19 @@ impl IndexBuilder {
             a_col_max,
             a_max,
             c_prime,
-            factors: options.keep_factors.then_some(factors),
             drop_tolerance: eps,
             linv_dropped,
             uinv_dropped,
-            stats,
-        });
+            stats: IndexStats {
+                ordering_time,
+                factorization_time,
+                inversion_time,
+                estimator_time,
+                nnz_l: factors.l.nnz(),
+                nnz_u: factors.u.nnz(),
+                ..Default::default()
+            },
+        })?;
         let assemble_time = t.elapsed();
         index.stats_mut().assemble_time = assemble_time;
         report.stages.push(StageTiming { stage: BuildStage::Assemble, duration: assemble_time });
@@ -433,14 +419,13 @@ mod tests {
         let b = IndexBuilder::new()
             .ordering(NodeOrdering::Degree)
             .restart_probability(0.8)
-            .keep_factors(true)
             .threads(4);
         assert_eq!(b.options().ordering, NodeOrdering::Degree);
         assert_eq!(b.options().restart_probability, 0.8);
-        assert!(b.options().keep_factors);
         let g = ring(12);
         let index = b.build(&g).unwrap();
-        assert!(index.proximities_via_factors(3).unwrap().is_some());
+        assert_eq!(index.ordering(), NodeOrdering::Degree);
+        assert_eq!(index.restart_probability(), 0.8);
     }
 
     #[test]

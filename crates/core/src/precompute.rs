@@ -7,7 +7,7 @@
 
 use crate::{IndexBuilder, IndexStats, KdashError, NodeOrdering, Result};
 use kdash_graph::{CsrGraph, NodeId, Permutation};
-use kdash_sparse::{CscMatrix, DanglingPolicy, LuFactors, ProximityStore, RowLayout};
+use kdash_sparse::{CscMatrix, DanglingPolicy, ProximityStore, RowLayout, SparseError};
 
 /// Index construction options. Defaults follow the paper's evaluation:
 /// hybrid reordering, `c = 0.95`, dangling nodes kept as-is.
@@ -19,10 +19,6 @@ pub struct IndexOptions {
     pub restart_probability: f64,
     /// Treatment of nodes without out-edges.
     pub dangling: DanglingPolicy,
-    /// Keep the raw LU factors alongside the inverses. Costs extra memory;
-    /// enables [`KdashIndex::proximities_via_factors`], the
-    /// "solve instead of stored inverses" ablation.
-    pub keep_factors: bool,
     /// Row layout of the stored `U⁻¹` ([`RowLayout::Blocked`] by default:
     /// ~half the index traffic on the gather hot path, bit-identical
     /// results — [`RowLayout::Flat`] is kept for cross-layout equivalence
@@ -45,7 +41,6 @@ impl Default for IndexOptions {
             ordering: NodeOrdering::Hybrid,
             restart_probability: 0.95,
             dangling: DanglingPolicy::Keep,
-            keep_factors: false,
             layout: RowLayout::default(),
             drop_tolerance: 0.0,
         }
@@ -57,6 +52,11 @@ impl Default for IndexOptions {
 ///
 /// All internal state lives in *permuted* node ids; the public API
 /// translates at the boundary, so callers only ever see original ids.
+///
+/// Immutable once constructed: a build, a load and an update
+/// ([`patched`](Self::patched)) each produce a *new* index through the
+/// same validated constructor, so an `Arc<KdashIndex>` can be shared
+/// between an update engine and any number of readers.
 #[derive(Debug, Clone)]
 pub struct KdashIndex {
     c: f64,
@@ -66,8 +66,8 @@ pub struct KdashIndex {
     /// same way a rebuild would.
     dangling: DanglingPolicy,
     /// How many update batches have been applied since the from-scratch
-    /// build (0 for a fresh index). Bumped by
-    /// [`install_patch`](Self::install_patch), persisted from format v3.
+    /// build (0 for a fresh index). Advanced by
+    /// [`patched`](Self::patched), persisted from format v3.
     update_epoch: u64,
     perm: Permutation,
     /// The permuted graph (drives the BFS tree construction per query).
@@ -99,8 +99,6 @@ pub struct KdashIndex {
     /// while `dropped_total` is zero: nothing refines on such an index,
     /// and its updates should not pay an `O(m)` pass for nothing.
     out_weight: Vec<f64>,
-    /// Raw factors, kept only when requested.
-    factors: Option<LuFactors>,
     /// Drop tolerance `ε` the stored inverses were truncated with
     /// (`0.0` = dense-exact).
     drop_tolerance: f64,
@@ -115,10 +113,10 @@ pub struct KdashIndex {
     stats: IndexStats,
 }
 
-/// A full replacement set for the mutable components of a [`KdashIndex`]
-/// — what one incremental update batch produces. Consumed by
-/// [`KdashIndex::install_patch`]; construct one only from spliced
-/// components that a from-scratch rebuild would reproduce.
+/// What one incremental update batch produces: a full replacement set for
+/// the components of a [`KdashIndex`] that depend on the graph. Consumed by
+/// [`KdashIndex::patched`]; construct one only from spliced components
+/// that a from-scratch rebuild would reproduce.
 #[doc(hidden)]
 pub struct IndexPatch {
     /// The edited permuted graph.
@@ -133,9 +131,6 @@ pub struct IndexPatch {
     pub a_max: f64,
     /// `c'` with the dirty entries recomputed.
     pub c_prime: Vec<f64>,
-    /// Fresh factors to keep on the index (`None` drops any kept ones —
-    /// stale factors must never survive a graph change).
-    pub factors: Option<LuFactors>,
     /// Full replacement for the per-column `L⁻¹` dropped masses (dirty
     /// columns re-sparsified under the index's `ε`, clean ones copied).
     pub linv_dropped: Vec<f64>,
@@ -152,9 +147,8 @@ pub struct IndexPatch {
     pub epochs: u64,
 }
 
-/// Everything the build pipeline (or deserialisation) hands over to become
-/// a [`KdashIndex`]. Components are assumed structurally consistent; the
-/// persistence path validates before constructing one.
+/// Everything a build, a load or an update hands to
+/// [`KdashIndex::assemble`] to become a [`KdashIndex`].
 pub(crate) struct IndexParts {
     pub c: f64,
     pub ordering: NodeOrdering,
@@ -167,10 +161,12 @@ pub(crate) struct IndexParts {
     pub a_col_max: Vec<f64>,
     pub a_max: f64,
     pub c_prime: Vec<f64>,
-    pub factors: Option<LuFactors>,
     pub drop_tolerance: f64,
     pub linv_dropped: Vec<f64>,
     pub uinv_dropped: Vec<f64>,
+    /// What only the producer knows: the stage durations and the factor
+    /// nnz counts. Every count `assemble` can read off the components is
+    /// overwritten there.
     pub stats: IndexStats,
 }
 
@@ -183,13 +179,49 @@ impl KdashIndex {
         IndexBuilder::from_options(options).build(graph)
     }
 
-    /// Finalises an index from pipeline (or deserialisation) output.
-    pub(crate) fn from_parts(parts: IndexParts) -> KdashIndex {
-        let c_prime_max = parts.c_prime.iter().copied().fold(0.0f64, f64::max);
-        let dropped_total = parts.linv_dropped.iter().sum::<f64>()
-            + parts.uinv_dropped.iter().sum::<f64>();
-        let out_weight = out_weight_sums(&parts.graph, dropped_total);
-        KdashIndex {
+    /// The one constructor: build, load and update all end here. Fails
+    /// when the scalars are out of range or the component dimensions
+    /// disagree; derives the cached `c'_max`, the dropped-mass total, the
+    /// out-weight sums and the size statistics.
+    pub(crate) fn assemble(parts: IndexParts) -> Result<KdashIndex> {
+        let malformed = |detail: String| KdashError::Sparse(SparseError::Malformed(detail));
+        let p = &parts;
+        let n = p.graph.num_nodes();
+        kdash_sparse::rwr::validate_restart(p.c)?;
+        kdash_sparse::validate_drop_tolerance(p.drop_tolerance)?;
+        if p.perm.len() != n
+            || p.linv.nrows() != n
+            || p.linv.ncols() != n
+            || p.uinv.nrows() != n
+            || p.uinv.ncols() != n
+            || p.a_col_max.len() != n
+            || p.c_prime.len() != n
+            || p.linv_dropped.len() != n
+            || p.uinv_dropped.len() != n
+        {
+            return Err(malformed("component dimensions disagree".into()));
+        }
+        if p.linv_dropped.iter().chain(&p.uinv_dropped).any(|m| !(m.is_finite() && *m >= 0.0)) {
+            return Err(malformed("dropped-mass entries must be finite and non-negative".into()));
+        }
+        if !(p.a_max.is_finite() && p.a_max >= 0.0) {
+            return Err(malformed(format!("A_max {} is not a finite non-negative value", p.a_max)));
+        }
+        let dropped_total =
+            p.linv_dropped.iter().sum::<f64>() + p.uinv_dropped.iter().sum::<f64>();
+        Ok(KdashIndex {
+            c_prime_max: p.c_prime.iter().copied().fold(0.0f64, f64::max),
+            out_weight: out_weight_sums(&p.graph, dropped_total),
+            dropped_total,
+            stats: IndexStats {
+                nnz_l_inv: p.linv.nnz(),
+                nnz_u_inv: p.uinv.nnz(),
+                uinv_index_bytes: p.uinv.index_bytes(),
+                num_edges: p.graph.num_edges(),
+                num_nodes: n,
+                inverse_heap_bytes: p.linv.heap_bytes() + p.uinv.heap_bytes(),
+                ..parts.stats
+            },
             c: parts.c,
             ordering: parts.ordering,
             dangling: parts.dangling,
@@ -201,15 +233,46 @@ impl KdashIndex {
             a_col_max: parts.a_col_max,
             a_max: parts.a_max,
             c_prime: parts.c_prime,
-            c_prime_max,
-            out_weight,
-            factors: parts.factors,
             drop_tolerance: parts.drop_tolerance,
             linv_dropped: parts.linv_dropped,
             uinv_dropped: parts.uinv_dropped,
-            dropped_total,
-            stats: parts.stats,
+        })
+    }
+
+    /// The index one update batch later — the commit stage of the
+    /// `kdash-dynamic` update engine. The patch supplies every component
+    /// that depends on the graph; the permutation, the options and the
+    /// build's stage durations carry over, and the update epoch advances
+    /// by [`IndexPatch::epochs`]. `self` is untouched, whatever the
+    /// outcome.
+    ///
+    /// Hidden: the only supported caller is `kdash_dynamic::DynamicIndex`,
+    /// which is what upholds the "patched ≡ rebuilt" guarantee; splicing
+    /// arbitrary components through this API forfeits it.
+    #[doc(hidden)]
+    pub fn patched(&self, patch: IndexPatch) -> Result<KdashIndex> {
+        if patch.epochs == 0 {
+            return Err(KdashError::Sparse(SparseError::Malformed(
+                "patch must advance the update epoch by at least one batch".into(),
+            )));
         }
+        KdashIndex::assemble(IndexParts {
+            c: self.c,
+            ordering: self.ordering,
+            dangling: self.dangling,
+            update_epoch: self.update_epoch + patch.epochs,
+            perm: self.perm.clone(),
+            graph: patch.graph,
+            linv: patch.linv,
+            uinv: patch.uinv,
+            a_col_max: patch.a_col_max,
+            a_max: patch.a_max,
+            c_prime: patch.c_prime,
+            drop_tolerance: self.drop_tolerance,
+            linv_dropped: patch.linv_dropped,
+            uinv_dropped: patch.uinv_dropped,
+            stats: IndexStats { nnz_l: patch.nnz_l, nnz_u: patch.nnz_u, ..self.stats.clone() },
+        })
     }
 
     /// Number of indexed nodes.
@@ -233,10 +296,9 @@ impl KdashIndex {
     }
 
     /// How many update batches have been applied since the from-scratch
-    /// build: `0` for a fresh index, incremented once per
-    /// [`install_patch`](Self::install_patch) (i.e. per `kdash-dynamic`
-    /// batch). Persisted from index-format v3, so freshness survives a
-    /// save/load round trip.
+    /// build: `0` for a fresh index, one more per `kdash-dynamic` batch
+    /// ([`patched`](Self::patched)). Persisted from index-format v3, so
+    /// freshness survives a save/load round trip.
     pub fn update_epoch(&self) -> u64 {
         self.update_epoch
     }
@@ -409,97 +471,6 @@ impl KdashIndex {
         Ok((out_idx, out_val))
     }
 
-    /// The "no stored inverses" alternative: solves `L y = e_q`, `U x = y`
-    /// per query via Gilbert–Peierls. Requires `keep_factors`; returns the
-    /// full proximity vector in original ids. Benchmarked against
-    /// [`full_proximities`](Self::full_proximities) by
-    /// `ablation_solve_vs_inverse`.
-    pub fn proximities_via_factors(&self, q: NodeId) -> Result<Option<Vec<f64>>> {
-        self.check_node(q)?;
-        let Some(factors) = &self.factors else {
-            return Ok(None);
-        };
-        let qi = self.perm.new_of(q);
-        let mut ws = kdash_sparse::SolveWorkspace::new(self.num_nodes());
-        let (xi, xv) = factors.solve_unit_sparse(&mut ws, qi)?;
-        let mut out = vec![0.0; self.num_nodes()];
-        for (&i, &v) in xi.iter().zip(&xv) {
-            out[self.perm.old_of(i) as usize] = self.c * v;
-        }
-        Ok(Some(out))
-    }
-
-    /// Reassembles an index from previously validated components
-    /// (deserialisation path). Statistics carry the nnz counts but zero
-    /// durations. Fails when component dimensions disagree.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
-        c: f64,
-        ordering: NodeOrdering,
-        dangling: DanglingPolicy,
-        update_epoch: u64,
-        perm: Permutation,
-        graph: CsrGraph,
-        linv: CscMatrix,
-        uinv: ProximityStore,
-        a_col_max: Vec<f64>,
-        a_max: f64,
-        c_prime: Vec<f64>,
-        drop_tolerance: f64,
-        linv_dropped: Vec<f64>,
-        uinv_dropped: Vec<f64>,
-    ) -> Result<KdashIndex> {
-        let n = graph.num_nodes();
-        kdash_sparse::rwr::validate_restart(c)?;
-        kdash_sparse::validate_drop_tolerance(drop_tolerance)?;
-        if perm.len() != n
-            || linv.nrows() != n
-            || linv.ncols() != n
-            || uinv.nrows() != n
-            || uinv.ncols() != n
-            || a_col_max.len() != n
-            || c_prime.len() != n
-            || linv_dropped.len() != n
-            || uinv_dropped.len() != n
-        {
-            return Err(KdashError::Sparse(kdash_sparse::SparseError::Malformed(
-                "component dimensions disagree".into(),
-            )));
-        }
-        if linv_dropped.iter().chain(&uinv_dropped).any(|m| !(m.is_finite() && *m >= 0.0)) {
-            return Err(KdashError::Sparse(kdash_sparse::SparseError::Malformed(
-                "dropped-mass entries must be finite and non-negative".into(),
-            )));
-        }
-        let stats = IndexStats {
-            nnz_l_inv: linv.nnz(),
-            nnz_u_inv: uinv.nnz(),
-            uinv_index_bytes: uinv.index_bytes(),
-            num_edges: graph.num_edges(),
-            num_nodes: n,
-            inverse_heap_bytes: linv.heap_bytes() + uinv.heap_bytes(),
-            ..Default::default()
-        };
-        Ok(KdashIndex::from_parts(IndexParts {
-            c,
-            ordering,
-            dangling,
-            update_epoch,
-            perm,
-            graph,
-            linv,
-            uinv,
-            a_col_max,
-            a_max,
-            c_prime,
-            factors: None,
-            drop_tolerance,
-            linv_dropped,
-            uinv_dropped,
-            stats,
-        }))
-    }
-
     /// Validates a caller-supplied node id.
     pub(crate) fn check_node(&self, v: NodeId) -> Result<()> {
         if (v as usize) < self.num_nodes() {
@@ -507,85 +478,6 @@ impl KdashIndex {
         } else {
             Err(KdashError::NodeOutOfBounds { node: v, num_nodes: self.num_nodes() })
         }
-    }
-
-    /// Installs an incrementally patched component set — the commit stage
-    /// of the `kdash-dynamic` update engine. Validates structural
-    /// consistency, refreshes the derived statistics, the cached `c'_max`
-    /// and the out-weight sums, replaces the kept LU factors (stale ones must never
-    /// survive a graph change) and bumps the update epoch. On any
-    /// validation error the index is left untouched.
-    ///
-    /// Hidden: the only supported caller is `kdash_dynamic::DynamicIndex`,
-    /// which is what upholds the "patched ≡ rebuilt" guarantee; splicing
-    /// arbitrary components through this API forfeits it.
-    #[doc(hidden)]
-    pub fn install_patch(&mut self, patch: IndexPatch) -> Result<()> {
-        let n = self.num_nodes();
-        if patch.graph.num_nodes() != n
-            || patch.linv.nrows() != n
-            || patch.linv.ncols() != n
-            || patch.uinv.nrows() != n
-            || patch.uinv.ncols() != n
-            || patch.a_col_max.len() != n
-            || patch.c_prime.len() != n
-            || patch.linv_dropped.len() != n
-            || patch.uinv_dropped.len() != n
-        {
-            return Err(KdashError::Sparse(kdash_sparse::SparseError::Malformed(
-                "patch component dimensions disagree with the index".into(),
-            )));
-        }
-        if patch
-            .linv_dropped
-            .iter()
-            .chain(&patch.uinv_dropped)
-            .any(|m| !(m.is_finite() && *m >= 0.0))
-        {
-            return Err(KdashError::Sparse(kdash_sparse::SparseError::Malformed(
-                "patch dropped-mass entries must be finite and non-negative".into(),
-            )));
-        }
-        if !(patch.a_max.is_finite() && patch.a_max >= 0.0) {
-            return Err(KdashError::Sparse(kdash_sparse::SparseError::Malformed(
-                format!("patch A_max {} is not a finite non-negative value", patch.a_max),
-            )));
-        }
-        if patch.epochs == 0 {
-            return Err(KdashError::Sparse(kdash_sparse::SparseError::Malformed(
-                "patch must advance the update epoch by at least one batch".into(),
-            )));
-        }
-        self.graph = patch.graph;
-        self.linv = patch.linv;
-        self.uinv = patch.uinv;
-        self.a_col_max = patch.a_col_max;
-        self.a_max = patch.a_max;
-        self.c_prime = patch.c_prime;
-        self.c_prime_max = self.c_prime.iter().copied().fold(0.0f64, f64::max);
-        self.factors = patch.factors;
-        self.linv_dropped = patch.linv_dropped;
-        self.uinv_dropped = patch.uinv_dropped;
-        self.dropped_total = self.linv_dropped.iter().sum::<f64>()
-            + self.uinv_dropped.iter().sum::<f64>();
-        self.out_weight = out_weight_sums(&self.graph, self.dropped_total);
-        self.update_epoch += patch.epochs;
-        self.stats.num_edges = self.graph.num_edges();
-        self.stats.nnz_l = patch.nnz_l;
-        self.stats.nnz_u = patch.nnz_u;
-        self.stats.nnz_l_inv = self.linv.nnz();
-        self.stats.nnz_u_inv = self.uinv.nnz();
-        self.stats.uinv_index_bytes = self.uinv.index_bytes();
-        self.stats.inverse_heap_bytes = self.linv.heap_bytes() + self.uinv.heap_bytes();
-        Ok(())
-    }
-
-    /// The kept LU factors, if the index was built with
-    /// [`IndexOptions::keep_factors`]. Hidden: the dynamic engine uses
-    /// this to seed its factor state without refactorising.
-    #[doc(hidden)]
-    pub fn factors(&self) -> Option<&LuFactors> {
-        self.factors.as_ref()
     }
 
     /// Benchmark/diagnostic access to the stored `U⁻¹` (row-major). Hidden:
@@ -772,20 +664,82 @@ mod tests {
         assert!((p_loop - 1.0).abs() < 1e-9);
     }
 
+    /// The stored inverses against the "no stored inverses" alternative:
+    /// `L y = e_q`, `U x = y` solved per query on the factors of the
+    /// permuted graph's `W`.
     #[test]
     fn factors_path_matches_inverse_path() {
         let g = ring_with_chords(20);
-        let index =
-            KdashIndex::build(&g, IndexOptions { keep_factors: true, ..Default::default() })
-                .unwrap();
-        let via_inv = index.full_proximities(7).unwrap();
-        let via_lu = index.proximities_via_factors(7).unwrap().expect("factors kept");
-        for (a, b) in via_inv.iter().zip(&via_lu) {
-            assert!((a - b).abs() < 1e-10);
+        let index = KdashIndex::build(&g, IndexOptions::default()).unwrap();
+        let a = transition_matrix(index.permuted_graph(), index.dangling_policy());
+        let w = kdash_sparse::w_matrix(&a, index.restart_probability()).unwrap();
+        let factors = kdash_sparse::sparse_lu(&w).unwrap();
+        let mut ws = kdash_sparse::SolveWorkspace::new(20);
+        for q in [0u32, 7, 19] {
+            let via_inv = index.full_proximities(q).unwrap();
+            let (xi, xv) =
+                factors.solve_unit_sparse(&mut ws, index.permutation().new_of(q)).unwrap();
+            let mut via_lu = vec![0.0; 20];
+            for (&i, &v) in xi.iter().zip(&xv) {
+                via_lu[index.permutation().old_of(i) as usize] = index.restart_probability() * v;
+            }
+            for (a, b) in via_inv.iter().zip(&via_lu) {
+                assert!((a - b).abs() < 1e-10, "q {q}: {a} vs {b}");
+            }
         }
-        // Without keep_factors the ablation path is unavailable.
-        let plain = KdashIndex::build(&g, IndexOptions::default()).unwrap();
-        assert!(plain.proximities_via_factors(7).unwrap().is_none());
+    }
+
+    /// A patch that re-supplies the index's own components.
+    fn identity_patch(index: &KdashIndex) -> IndexPatch {
+        let (a_col_max, a_max, c_prime) = index.estimator_constants();
+        let (linv_dropped, uinv_dropped) = index.dropped_masses();
+        IndexPatch {
+            graph: index.permuted_graph().clone(),
+            linv: index.linv_cols().clone(),
+            uinv: index.uinv_rows().clone(),
+            a_col_max: a_col_max.to_vec(),
+            a_max,
+            c_prime: c_prime.to_vec(),
+            linv_dropped: linv_dropped.to_vec(),
+            uinv_dropped: uinv_dropped.to_vec(),
+            nnz_l: 7,
+            nnz_u: 11,
+            epochs: 2,
+        }
+    }
+
+    #[test]
+    fn patched_carries_build_stats_and_advances_the_epoch() {
+        let index = KdashIndex::build(&ring_with_chords(18), IndexOptions::default()).unwrap();
+        let next = index.patched(identity_patch(&index)).unwrap();
+        assert_eq!((index.update_epoch(), next.update_epoch()), (0, 2));
+        let (old, new) = (index.stats(), next.stats());
+        assert_eq!((new.nnz_l, new.nnz_u), (7, 11), "factor counts come from the patch");
+        assert_eq!(new.total_time(), old.total_time(), "stage durations are the build's");
+        assert!(old.total_time() > std::time::Duration::ZERO);
+        assert_eq!((new.nnz_l_inv, new.nnz_u_inv), (old.nnz_l_inv, old.nnz_u_inv));
+        assert_eq!(next.top_k(3, 5).unwrap().items, index.top_k(3, 5).unwrap().items);
+    }
+
+    #[test]
+    fn patched_rejects_malformed_patches_and_leaves_self_usable() {
+        let index = KdashIndex::build(&ring_with_chords(18), IndexOptions::default()).unwrap();
+        let before = index.top_k(3, 5).unwrap();
+        let smaller = KdashIndex::build(&ring_with_chords(12), IndexOptions::default()).unwrap();
+        let spoilers: [fn(&mut IndexPatch, &KdashIndex); 4] = [
+            |p, _| p.epochs = 0,
+            |p, _| p.a_max = f64::NAN,
+            |p, other| p.linv = other.linv_cols().clone(),
+            |p, _| p.uinv_dropped[4] = -1e-9,
+        ];
+        for (case, spoil) in spoilers.into_iter().enumerate() {
+            let mut patch = identity_patch(&index);
+            spoil(&mut patch, &smaller);
+            let err = index.patched(patch);
+            assert!(matches!(err, Err(KdashError::Sparse(_))), "case {case}: {err:?}");
+            assert_eq!(index.update_epoch(), 0);
+            assert_eq!(index.top_k(3, 5).unwrap().items, before.items, "case {case}");
+        }
     }
 
     #[test]

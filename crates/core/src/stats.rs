@@ -146,12 +146,6 @@ impl SearchStats {
             ..self.clone()
         }
     }
-
-    /// Total gather traffic under the accounting model: index bytes plus
-    /// model value bytes.
-    pub fn gather_bytes(&self) -> usize {
-        self.bytes_touched + self.value_bytes_touched
-    }
 }
 
 #[cfg(test)]

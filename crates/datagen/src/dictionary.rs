@@ -87,18 +87,6 @@ pub struct DictionaryDataset {
     pub topics: Vec<String>,
 }
 
-impl DictionaryDataset {
-    /// Node id of a labelled term, if present.
-    pub fn node_of(&self, label: &str) -> Option<NodeId> {
-        self.labels.iter().position(|l| l == label).map(|i| i as NodeId)
-    }
-
-    /// The planted members (excluding the head) of the topic owning `head`.
-    pub fn planted_members(&self, head: NodeId) -> Option<&[NodeId]> {
-        self.clusters.iter().find(|c| c[0] == head).map(|c| &c[1..])
-    }
-}
-
 /// Generates the dictionary graph with `n_background` extra background
 /// words around the planted clusters.
 pub fn dictionary(n_background: usize, seed: u64) -> DictionaryDataset {
@@ -181,9 +169,9 @@ mod tests {
         sorted.sort();
         sorted.dedup();
         assert_eq!(sorted.len(), d.labels.len(), "duplicate labels");
-        assert!(d.node_of("microsoft").is_some());
-        assert!(d.node_of("tcp-ip").is_some());
-        assert!(d.node_of("no-such-term").is_none());
+        for term in ["microsoft", "tcp-ip"] {
+            assert!(d.labels.iter().any(|l| l == term), "{term} missing");
+        }
     }
 
     #[test]
@@ -201,10 +189,12 @@ mod tests {
     #[test]
     fn planted_members_lookup() {
         let d = dictionary(10, 3);
-        let ms = d.node_of("microsoft").unwrap();
-        let members = d.planted_members(ms).unwrap();
+        let topic = d.topics.iter().position(|t| t == "microsoft").unwrap();
+        let (head, members) = d.clusters[topic].split_first().unwrap();
+        assert_eq!(d.labels[*head as usize], "microsoft");
         assert_eq!(members.len(), 8);
-        assert!(d.planted_members(d.node_of("word-0001").unwrap()).is_none());
+        let word = d.labels.iter().position(|l| l == "word-0001").unwrap() as NodeId;
+        assert!(d.clusters.iter().all(|c| c[0] != word), "background words head no topic");
     }
 
     #[test]

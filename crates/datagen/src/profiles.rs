@@ -62,17 +62,6 @@ impl DatasetProfile {
         }
     }
 
-    /// Edge count of the original public dataset.
-    pub fn paper_edges(&self) -> usize {
-        match self {
-            DatasetProfile::Dictionary => 120_238,
-            DatasetProfile::Internet => 48_436,
-            DatasetProfile::Citation => 120_029,
-            DatasetProfile::Social => 841_372,
-            DatasetProfile::Email => 420_045,
-        }
-    }
-
     /// The scale that yields approximately `target_nodes` nodes.
     pub fn scale_for_nodes(&self, target_nodes: usize) -> f64 {
         (target_nodes as f64 / self.paper_nodes() as f64).min(1.0)
@@ -139,11 +128,16 @@ mod tests {
     #[test]
     fn edge_density_tracks_paper_ratio() {
         // Density need not match exactly, but should be within 3x of the
-        // paper's m/n for the directed profiles.
-        for p in [DatasetProfile::Dictionary, DatasetProfile::Social, DatasetProfile::Email] {
+        // paper's m/n for the directed profiles (edge counts of the
+        // original public datasets).
+        for (p, paper_edges) in [
+            (DatasetProfile::Dictionary, 120_238),
+            (DatasetProfile::Social, 841_372),
+            (DatasetProfile::Email, 420_045),
+        ] {
             let g = p.generate(0.05, 3);
             let got = g.num_edges() as f64 / g.num_nodes() as f64;
-            let want = p.paper_edges() as f64 / p.paper_nodes() as f64;
+            let want = paper_edges as f64 / p.paper_nodes() as f64;
             assert!(
                 got > want / 3.0 && got < want * 3.0,
                 "{p}: m/n = {got:.2}, paper {want:.2}"

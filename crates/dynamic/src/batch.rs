@@ -51,15 +51,6 @@ impl UpdateBatch {
         self.edits.is_empty()
     }
 
-    /// The distinct edited source nodes — the transition-matrix columns
-    /// the batch renormalises (in the caller's id space).
-    pub fn touched_sources(&self) -> Vec<NodeId> {
-        let mut sources: Vec<NodeId> = self.edits.iter().map(|e| e.src()).collect();
-        sources.sort_unstable();
-        sources.dedup();
-        sources
-    }
-
     /// Parses an edit stream into batches. One edit per line:
     ///
     /// ```text
@@ -150,18 +141,6 @@ mod tests {
         assert!(UpdateBatch::new(vec![EdgeEdit::Delete { src: 0, dst: 1 }]).is_ok());
     }
 
-    #[test]
-    fn touched_sources_dedup_and_sort() {
-        let batch = UpdateBatch::new(vec![
-            EdgeEdit::Insert { src: 5, dst: 1, weight: 1.0 },
-            EdgeEdit::Delete { src: 2, dst: 0 },
-            EdgeEdit::Reweight { src: 5, dst: 9, weight: 2.0 },
-        ])
-        .unwrap();
-        assert_eq!(batch.touched_sources(), vec![2, 5]);
-        assert_eq!(batch.len(), 3);
-        assert!(!batch.is_empty());
-    }
 
     #[test]
     fn parse_stream_splits_batches_and_strips_comments() {

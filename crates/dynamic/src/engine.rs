@@ -1,9 +1,9 @@
 //! The incremental update engine.
 //!
-//! [`DynamicIndex`] wraps a built [`KdashIndex`] together with the live
-//! LU factors of its system matrix and turns it into a mutable,
-//! incrementally maintained structure: [`DynamicIndex::apply`] runs one
-//! [`UpdateBatch`] through the reach-bounded pipeline
+//! [`DynamicIndex`] holds a built [`KdashIndex`] together with the live
+//! LU factors of its system matrix and maintains it incrementally:
+//! [`DynamicIndex::apply`] runs one [`UpdateBatch`] through the
+//! reach-bounded pipeline
 //!
 //! ```text
 //! edit graph → incremental refactorisation (dirty-W forward reach)
@@ -11,8 +11,10 @@
 //!            → splice → estimator refresh
 //! ```
 //!
-//! and commits the patched components atomically (the index is untouched
-//! on any error). Every stage is timed and counted in the returned
+//! and assembles the *next* index from the patched components
+//! ([`KdashIndex::patched`]); the engine then swaps its `Arc` to it, so an
+//! index is never modified and on any error the engine keeps the one it
+//! had. Every stage is timed and counted in the returned
 //! [`UpdateReport`] — the dirty-column fractions are the observable that
 //! makes the update-vs-rebuild speedups legible.
 //!
@@ -38,7 +40,7 @@ use crate::journal::{Journal, JournalError, RecoveryReport};
 use crate::{KdashError, Result, UpdateBatch};
 use kdash_core::persist::save_atomic_with;
 use kdash_core::{IndexPatch, KdashIndex};
-use kdash_graph::{EdgeEdit, NodeId};
+use kdash_graph::{CsrGraph, EdgeEdit, NodeId};
 use kdash_sparse::{
     inverse_dirty_columns, refactor_candidates, refactor_columns, sparsify_columns_with,
     transition_matrix, w_matrix, Index, InvertOptions, LuFactors, ProximityStore, RowUpdate,
@@ -46,6 +48,7 @@ use kdash_sparse::{
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default auto-checkpoint threshold (journal records), for
@@ -106,18 +109,13 @@ pub struct UpdateReport {
     /// Splicing the recomputed factor columns into the old `L`/`U`.
     /// Also a subdivision of [`Self::factorization_time`].
     pub factor_splice_time: Duration,
-    /// Factor column diff time. Always zero since the incremental
-    /// refactorisation: changed column sets fall out of the
-    /// re-elimination itself instead of a separate full-factor diff.
-    /// Kept so longitudinal benchmark series keep their shape.
-    pub diff_time: Duration,
     /// Reach-analysis time (both triangles).
     pub reach_time: Duration,
     /// Dirty-column re-solve time (the work-stealing pool).
     pub resolve_time: Duration,
     /// Splice time (`L⁻¹` columns + `U⁻¹` rows + policy refresh).
     pub splice_time: Duration,
-    /// Estimator-refresh + commit time.
+    /// Estimator refresh + assembling the next index.
     pub estimator_time: Duration,
     /// Write-ahead journal append + fsync time (zero when journaled
     /// mode is off) — the durability tax the `recovery_time` bench
@@ -137,7 +135,6 @@ impl UpdateReport {
     pub fn total_time(&self) -> Duration {
         self.graph_time
             + self.factorization_time
-            + self.diff_time
             + self.reach_time
             + self.resolve_time
             + self.splice_time
@@ -162,11 +159,12 @@ impl UpdateReport {
     }
 }
 
-/// What [`DynamicIndex::predict`] reports: the analysis-stage footprint
-/// of a (coalesced) update, computed without mutating the index. The
-/// factor count is the *scheduled candidate* set — a provable superset
-/// of what an actual apply would recompute; the inverse counts use the
-/// current factor patterns and upper-bound the real dirty sets whenever
+/// What [`DynamicIndex::predict`] reports: upper bounds on the footprint
+/// of a (coalesced) update, computed without applying it. A real apply
+/// recomputes the *exact* taint closure of the edited `W` columns; the
+/// factor count here is only [`refactor_candidates`]' pattern-reach upper
+/// bound on it. The inverse counts are that candidate set's reach over
+/// the current factor patterns, and bound the real dirty sets whenever
 /// the update leaves those patterns unchanged.
 #[derive(Debug, Clone, Default)]
 pub struct UpdatePrediction {
@@ -178,7 +176,8 @@ pub struct UpdatePrediction {
     pub num_columns: usize,
     /// Transition-matrix columns the edits renormalise.
     pub dirty_w_columns: usize,
-    /// Factor columns the incremental refactorisation would schedule.
+    /// Upper bound ([`refactor_candidates`]) on the factor columns the
+    /// incremental refactorisation re-eliminates.
     pub candidate_factor_columns: usize,
     /// `L⁻¹` columns predicted inside the dirty reach.
     pub predicted_linv_columns: usize,
@@ -192,7 +191,7 @@ impl UpdatePrediction {
         self.dirty_w_columns as f64 / self.num_columns.max(1) as f64
     }
 
-    /// Fraction of factor columns scheduled for re-elimination.
+    /// Upper bound on the fraction of factor columns re-eliminated.
     pub fn factor_fraction(&self) -> f64 {
         self.candidate_factor_columns as f64 / self.num_columns.max(1) as f64
     }
@@ -209,18 +208,15 @@ impl UpdatePrediction {
 }
 
 /// A [`KdashIndex`] plus the live LU factors of its system matrix —
-/// everything needed to patch the stored inverses in place. See the
+/// everything needed to assemble the index one batch later. See the
 /// crate docs for the exactness argument.
 #[derive(Debug)]
 pub struct DynamicIndex {
-    index: KdashIndex,
-    /// Factors of `W` for the *current* graph — but only when the index
-    /// does not already keep its own copy
-    /// ([`kdash_core::IndexOptions::keep_factors`]): factor state is
-    /// `O(nnz(L) + nnz(U))`, so holding it twice would double a large
-    /// resident allocation for nothing. [`Self::current_factors`] reads
-    /// whichever copy exists.
-    factors: Option<LuFactors>,
+    /// The current index. Shared ([`Self::shared_index`]), never
+    /// modified: an apply swaps in the next one.
+    index: Arc<KdashIndex>,
+    /// Factors of `W` for the graph `index` stores.
+    factors: LuFactors,
     /// Worker threads for the dirty-column re-solves (`0` = all cores).
     threads: usize,
     /// Run the full structural audit after every committed batch.
@@ -233,32 +229,10 @@ pub struct DynamicIndex {
     auto_checkpoint: Option<(PathBuf, u64)>,
 }
 
-/// Cloning duplicates the in-memory engine state but **detaches the
-/// journal**: two engines appending interleaved epochs to one journal
-/// file could not both be telling the truth about durability. The clone
-/// is a plain un-journaled engine; attach a separate journal explicitly
-/// if the copy needs one.
-impl Clone for DynamicIndex {
-    fn clone(&self) -> Self {
-        DynamicIndex {
-            index: self.index.clone(),
-            factors: self.factors.clone(),
-            threads: self.threads,
-            verify_after_apply: self.verify_after_apply,
-            journal: None,
-            // The policy rides the journal: detached with it (two
-            // engines checkpointing to one snapshot path would race).
-            auto_checkpoint: None,
-        }
-    }
-}
-
 impl DynamicIndex {
-    /// Attaches the update engine to an index. If the index kept its LU
-    /// factors ([`kdash_core::IndexOptions::keep_factors`]) they are
-    /// used in place; otherwise `W` is refactorised once — the cheap
-    /// stage, a few percent of a full build — so loaded (persisted)
-    /// indexes attach without a rebuild.
+    /// Attaches the update engine to an index: `W` is refactorised once
+    /// — the cheap stage, a few percent of a full build — so built and
+    /// loaded (persisted) indexes attach alike, without a rebuild.
     ///
     /// Attachment then **probes** the stored inverses against the
     /// factors: a few columns are re-solved and bit-compared. Until the
@@ -273,17 +247,11 @@ impl DynamicIndex {
     /// mismatch fails attachment with a typed error instead of serving
     /// wrong proximities later.
     pub fn new(index: KdashIndex) -> Result<DynamicIndex> {
-        let factors = match index.factors() {
-            Some(_) => None, // read the index's copy, never duplicate it
-            None => {
-                let a = transition_matrix(index.permuted_graph(), index.dangling_policy());
-                let w = w_matrix(&a, index.restart_probability())?;
-                Some(kdash_sparse::sparse_lu(&w)?)
-            }
-        };
+        let a = transition_matrix(index.permuted_graph(), index.dangling_policy());
+        let w = w_matrix(&a, index.restart_probability())?;
         let engine = DynamicIndex {
-            index,
-            factors,
+            index: Arc::new(index),
+            factors: kdash_sparse::sparse_lu(&w)?,
             threads: 1,
             verify_after_apply: false,
             journal: None,
@@ -313,7 +281,7 @@ impl DynamicIndex {
         probes.push(n as Index - 1);
         probes.sort_unstable();
         probes.dedup();
-        let factors = self.current_factors();
+        let factors = &self.factors;
         // The stored columns carry the index's drop tolerance, so the
         // probe solves must truncate identically — a dense solve against
         // a sparsified store would flag every truncated column as
@@ -354,15 +322,6 @@ impl DynamicIndex {
         Ok(())
     }
 
-    /// The factors of the current graph: the index's kept copy when it
-    /// has one, the engine's otherwise.
-    fn current_factors(&self) -> &LuFactors {
-        self.index
-            .factors()
-            .or(self.factors.as_ref())
-            .expect("exactly one factor copy exists at all times")
-    }
-
     /// Worker threads for the dirty-column re-solves: `0` = one per
     /// available core, `1` (default) = sequential. The patched arrays
     /// are bit-identical at any thread count (same contract as the
@@ -376,7 +335,7 @@ impl DynamicIndex {
     /// ([`kdash_core::IndexAudit`]) after every committed batch:
     /// triangularity of the spliced inverses, blocked-encoding decode
     /// contract, policy-table and estimator coherence. The audit runs
-    /// *after* the patch is installed — a finding means the committed
+    /// *after* the commit — a finding means the committed
     /// state is damaged and [`apply`](Self::apply) returns
     /// [`kdash_core::KdashError::AuditFailed`]; treat the index as
     /// suspect and rebuild or reload it. Costs one full pass over the
@@ -388,8 +347,8 @@ impl DynamicIndex {
 
     /// Turns on journaled mode: every subsequent [`apply`](Self::apply)
     /// / [`apply_coalesced`](Self::apply_coalesced) appends its batches
-    /// to `journal` and fsyncs **before** installing the patch, so an
-    /// acknowledged apply is durable by definition (see the
+    /// to `journal` and fsyncs **before** switching to the patched index,
+    /// so an acknowledged apply is durable by definition (see the
     /// [`journal`](crate::journal) module for the full contract).
     ///
     /// The journal's tail epoch must equal the index's current epoch —
@@ -425,7 +384,7 @@ impl DynamicIndex {
     /// but the apply it rode on is already installed and durable (the
     /// journal keeps its records; the next apply or an explicit
     /// [`checkpoint`](Self::checkpoint) retries). Inert without a
-    /// journal, and detached by `clone()` along with it.
+    /// journal.
     pub fn auto_checkpoint<P: Into<PathBuf>>(mut self, path: P, max_records: u64) -> Self {
         self.auto_checkpoint = Some((path.into(), max_records));
         self
@@ -440,7 +399,7 @@ impl DynamicIndex {
     /// ([`JournalError::NotJournaled`] otherwise).
     pub fn checkpoint<P: AsRef<Path>>(&mut self, path: P) -> std::result::Result<(), JournalError> {
         let journal = self.journal.as_mut().ok_or(JournalError::NotJournaled)?;
-        let faults = std::sync::Arc::clone(journal.fault_injector());
+        let faults = Arc::clone(journal.fault_injector());
         save_atomic_with(&self.index, path, faults.as_ref())?;
         journal.checkpoint(self.index.update_epoch())
     }
@@ -465,18 +424,6 @@ impl DynamicIndex {
     pub fn recover<P: AsRef<Path>>(
         index: KdashIndex,
         journal_path: P,
-    ) -> std::result::Result<(DynamicIndex, RecoveryReport), JournalError> {
-        Self::recover_with(index, journal_path, std::sync::Arc::new(kdash_core::NoFaults))
-    }
-
-    /// [`Self::recover`] with an injectable fault layer for the
-    /// reattached journal (see [`kdash_core::fault`]). Recovery's own
-    /// reads are not fault-injected — the sweep injects faults while
-    /// *writing* state and asserts recovery afterwards.
-    pub fn recover_with<P: AsRef<Path>>(
-        index: KdashIndex,
-        journal_path: P,
-        faults: std::sync::Arc<dyn kdash_core::FaultInjector>,
     ) -> std::result::Result<(DynamicIndex, RecoveryReport), JournalError> {
         let t = Instant::now();
         let snapshot_epoch = index.update_epoch();
@@ -509,7 +456,7 @@ impl DynamicIndex {
         // torn tail and a damaged header. A journal strictly behind the
         // recovered epoch (snapshot newer than its sidecar) restarts
         // from the snapshot.
-        let mut journal = Journal::open_with(journal_path.as_ref(), faults)?;
+        let mut journal = Journal::open(journal_path.as_ref())?;
         if journal.last_epoch() < engine.index.update_epoch() {
             journal.checkpoint(engine.index.update_epoch())?;
         }
@@ -535,17 +482,87 @@ impl DynamicIndex {
         &self.index
     }
 
+    /// The maintained index as the engine holds it — a pointer copy, so a
+    /// serving tier publishes the very memory the engine reads. The next
+    /// apply swaps the engine to a new index and leaves this one as it is.
+    #[doc(hidden)]
+    pub fn shared_index(&self) -> Arc<KdashIndex> {
+        Arc::clone(&self.index)
+    }
+
     /// Consumes the engine, returning the index (e.g. to persist it).
     pub fn into_index(self) -> KdashIndex {
-        self.index
+        Arc::unwrap_or_clone(self.index)
     }
 
     /// Applies one batch: validates every edit against the sequentially
-    /// edited graph (original node ids in every error), patches the
-    /// index, bumps its update epoch, and reports what was touched. On
-    /// any error the index is unchanged.
+    /// edited graph (original node ids in every error), switches to the
+    /// patched index — its update epoch one higher — and reports what was
+    /// touched. On any error the engine keeps the index it had.
     pub fn apply(&mut self, batch: &UpdateBatch) -> Result<UpdateReport> {
-        self.apply_batches(std::slice::from_ref(batch))
+        self.apply_coalesced(std::slice::from_ref(batch))
+    }
+
+    /// Runs the analysis stages of a (coalesced) update without applying
+    /// it: validates the edits, assembles the edited `W`, and reports the
+    /// dirty-`W` columns, [`refactor_candidates`]' pattern-reach upper
+    /// bound on the factor columns a real apply re-eliminates (the apply
+    /// itself recomputes the exact taint closure, which is at most this),
+    /// and the inverse columns inside that bound's reach over the
+    /// **current** factor patterns: an upper bound whenever the update
+    /// leaves factor sparsity patterns unchanged (reweights; most small
+    /// edits), an estimate otherwise.
+    ///
+    /// Multiple batches are predicted as one coalesced pass. Errors on
+    /// an empty queue, and on invalid edits exactly as
+    /// [`Self::apply_coalesced`] would.
+    pub fn predict(&self, batches: &[UpdateBatch]) -> Result<UpdatePrediction> {
+        let (edits, new_graph, dirty_w) = self.edit_graph(batches)?;
+        let a = transition_matrix(&new_graph, self.index.dangling_policy());
+        let w = w_matrix(&a, self.index.restart_probability())?;
+        let candidates = refactor_candidates(&self.factors.l, &w, &dirty_w);
+        let predicted_linv = inverse_dirty_columns(&self.factors.l, &candidates);
+        let predicted_uinv = inverse_dirty_columns(&self.factors.u, &candidates);
+        Ok(UpdatePrediction {
+            edits,
+            batches: batches.len(),
+            num_columns: self.index.num_nodes(),
+            dirty_w_columns: dirty_w.len(),
+            candidate_factor_columns: candidates.len(),
+            predicted_linv_columns: predicted_linv.len(),
+            predicted_uinv_columns: predicted_uinv.len(),
+        })
+    }
+
+    /// The prologue [`Self::predict`] and [`Self::apply_coalesced`] share:
+    /// validates in user id space against the *running* edge-presence
+    /// overlay (so batch k sees the edits of batches 0..k, same as
+    /// applying them one by one), maps to permuted ids and edits the
+    /// permuted graph. (An edited original graph permuted by the frozen
+    /// order equals the edited permuted graph, so the rebuild reference
+    /// in the equivalence suite compares apples to apples.) Returns the
+    /// edit count, the edited graph and the distinct edited source nodes
+    /// — the dirty `W` columns — ascending.
+    ///
+    /// Errors with [`kdash_core::KdashError::Sparse`] (malformed) on an
+    /// empty queue — an accidental no-op epoch bump would corrupt the
+    /// freshness audit trail.
+    fn edit_graph(&self, batches: &[UpdateBatch]) -> Result<(usize, CsrGraph, Vec<Index>)> {
+        if batches.is_empty() {
+            return Err(KdashError::Sparse(kdash_sparse::SparseError::Malformed(
+                "an update needs at least one batch".into(),
+            )));
+        }
+        let mut overlay = HashMap::new();
+        let mut permuted_edits = Vec::new();
+        for batch in batches {
+            permuted_edits.extend(self.validate_and_permute(&mut overlay, batch.edits())?);
+        }
+        let graph = self.index.permuted_graph().apply_edits(&permuted_edits)?;
+        let mut dirty_w: Vec<Index> = permuted_edits.iter().map(|e| e.src()).collect();
+        dirty_w.sort_unstable();
+        dirty_w.dedup();
+        Ok((permuted_edits.len(), graph, dirty_w))
     }
 
     /// Applies a queue of batches in one coalesced pass: the merged edit
@@ -557,108 +574,32 @@ impl DynamicIndex {
     /// one-by-one sequence and the update epoch advances by
     /// `batches.len()`, so coalescing is observationally equivalent —
     /// with one deliberate exception: application is all-or-nothing. An
-    /// invalid edit in *any* batch fails the whole pass with the index
-    /// untouched, where the sequential loop would have committed the
-    /// batches preceding the bad one.
-    ///
-    /// Errors with [`kdash_core::KdashError::Sparse`] (malformed) on an
-    /// empty queue — an accidental no-op epoch bump would corrupt the
-    /// freshness audit trail.
+    /// invalid edit in *any* batch fails the whole pass with the engine
+    /// still on the index it had, where the sequential loop would have
+    /// committed the batches preceding the bad one. Errors on an empty
+    /// queue.
     pub fn apply_coalesced(&mut self, batches: &[UpdateBatch]) -> Result<UpdateReport> {
-        if batches.is_empty() {
-            return Err(KdashError::Sparse(kdash_sparse::SparseError::Malformed(
-                "apply_coalesced needs at least one batch".into(),
-            )));
-        }
-        self.apply_batches(batches)
-    }
-
-    /// Runs the analysis stages of a (coalesced) update without touching
-    /// the index: validates the edits, assembles the edited `W`, and
-    /// reports the dirty-`W` columns, the factor columns the incremental
-    /// refactorisation would *schedule* (the pattern-reach candidate
-    /// superset — the recomputed count of a real apply is at most this),
-    /// and the inverse columns inside their reach. The inverse counts
-    /// are the reach of the *candidate* set over the **current** factor
-    /// patterns: an upper bound whenever the update leaves factor
-    /// sparsity patterns unchanged (reweights; most small edits), an
-    /// estimate otherwise.
-    ///
-    /// Multiple batches are predicted as one coalesced pass. Errors on
-    /// an empty queue, and on invalid edits exactly as
-    /// [`Self::apply_coalesced`] would.
-    pub fn predict(&self, batches: &[UpdateBatch]) -> Result<UpdatePrediction> {
-        if batches.is_empty() {
-            return Err(KdashError::Sparse(kdash_sparse::SparseError::Malformed(
-                "predict needs at least one batch".into(),
-            )));
-        }
-        let mut overlay = HashMap::new();
-        let mut permuted_edits = Vec::new();
-        for batch in batches {
-            permuted_edits.extend(self.validate_and_permute(&mut overlay, batch.edits())?);
-        }
-        let new_graph = self.index.permuted_graph().apply_edits(&permuted_edits)?;
-        let mut dirty_w: Vec<Index> = permuted_edits.iter().map(|e| e.src()).collect();
-        dirty_w.sort_unstable();
-        dirty_w.dedup();
-        let a = transition_matrix(&new_graph, self.index.dangling_policy());
-        let w = w_matrix(&a, self.index.restart_probability())?;
-        let old = self.current_factors();
-        let candidates = refactor_candidates(&old.l, &w, &dirty_w);
-        let predicted_linv = inverse_dirty_columns(&old.l, &candidates);
-        let predicted_uinv = inverse_dirty_columns(&old.u, &candidates);
-        Ok(UpdatePrediction {
-            edits: permuted_edits.len(),
+        // Stage 1 — validate and edit the permuted graph.
+        let t = Instant::now();
+        let (edits, new_graph, dirty_w) = self.edit_graph(batches)?;
+        let mut report = UpdateReport {
+            edits,
             batches: batches.len(),
             num_columns: self.index.num_nodes(),
             dirty_w_columns: dirty_w.len(),
-            candidate_factor_columns: candidates.len(),
-            predicted_linv_columns: predicted_linv.len(),
-            predicted_uinv_columns: predicted_uinv.len(),
-        })
-    }
-
-    /// The shared pipeline behind [`Self::apply`] (one batch) and
-    /// [`Self::apply_coalesced`] (a merged queue).
-    fn apply_batches(&mut self, batches: &[UpdateBatch]) -> Result<UpdateReport> {
-        let mut report = UpdateReport {
-            edits: batches.iter().map(|b| b.len()).sum(),
-            batches: batches.len(),
-            num_columns: self.index.num_nodes(),
+            graph_time: t.elapsed(),
             ..Default::default()
         };
-
-        // Stage 1 — validate in user id space against the *running*
-        // edge-presence overlay (so batch k sees the edits of batches
-        // 0..k, same as applying them one by one), map to permuted ids,
-        // edit the permuted graph. (An edited original graph permuted by
-        // the frozen order equals the edited permuted graph, so the
-        // rebuild reference in the equivalence suite compares apples to
-        // apples.)
-        let t = Instant::now();
-        let mut overlay = HashMap::new();
-        let mut permuted_edits = Vec::new();
-        for batch in batches {
-            permuted_edits.extend(self.validate_and_permute(&mut overlay, batch.edits())?);
-        }
-        let new_graph = self.index.permuted_graph().apply_edits(&permuted_edits)?;
-        let mut dirty_w: Vec<Index> = permuted_edits.iter().map(|e| e.src()).collect();
-        dirty_w.sort_unstable();
-        dirty_w.dedup();
-        report.dirty_w_columns = dirty_w.len();
-        report.graph_time = t.elapsed();
 
         // Stage 2 — incremental refactorisation: only factor columns in
         // the forward reach of the dirty W columns through the
         // column-dependency DAG are re-eliminated; the rest are spliced
         // from the current factors bit-for-bit. The changed column sets
-        // fall out of the re-elimination directly, so the old bit-level
-        // full-factor diff stage is gone (diff_time stays zero).
+        // fall out of the re-elimination directly.
         let t = Instant::now();
         let a = transition_matrix(&new_graph, self.index.dangling_policy());
         let w = w_matrix(&a, self.index.restart_probability())?;
-        let (new_factors, refactor) = refactor_columns(self.current_factors(), &w, &dirty_w)?;
+        let (new_factors, refactor) = refactor_columns(&self.factors, &w, &dirty_w)?;
         report.factorization_time = t.elapsed();
         report.dirty_factor_columns_recomputed = refactor.recomputed_columns;
         report.refactor_time = refactor.analysis_time + refactor.solve_time;
@@ -705,8 +646,9 @@ impl DynamicIndex {
         report.splice_time = t.elapsed();
 
         // Stage 6 — estimator refresh on the dirty transition columns
-        // only, then the atomic commit (which advances the update epoch
-        // by the number of batches this pass represented).
+        // only, then the next index: everything that can fail runs here,
+        // before anything is made durable. Its update epoch is ahead by
+        // the number of batches this pass represented.
         let t = Instant::now();
         let (a_col_max_old, _, c_prime_old) = self.index.estimator_constants();
         let mut a_col_max = a_col_max_old.to_vec();
@@ -718,15 +660,6 @@ impl DynamicIndex {
             c_prime[j as usize] = (1.0 - c) / (1.0 - a_jj + c * a_jj);
         }
         let a_max = a_col_max.iter().copied().fold(0.0f64, f64::max);
-        let (nnz_l, nnz_u) = (new_factors.l.nnz(), new_factors.u.nnz());
-        // Whichever side held the factor state keeps holding it — the
-        // fresh factors move (never clone) into the index's slot when it
-        // kept factors, or into the engine's otherwise.
-        let (patch_factors, engine_factors) = if self.index.factors().is_some() {
-            (Some(new_factors), None)
-        } else {
-            (None, Some(new_factors))
-        };
         // Per-column dropped ℓ₁ masses: carry the old vectors forward and
         // overwrite just the re-solved columns with their fresh masses.
         let (old_linv_dropped, old_uinv_dropped) = self.index.dropped_masses();
@@ -738,28 +671,25 @@ impl DynamicIndex {
         for (upd, &mass) in uinv_updates.iter().zip(&uinv_sparsified.dropped) {
             uinv_dropped[upd.col as usize] = mass;
         }
-        let patch = IndexPatch {
+        let next = Arc::new(self.index.patched(IndexPatch {
             graph: new_graph,
             linv: new_linv,
             uinv: new_uinv,
             a_col_max,
             a_max,
             c_prime,
-            factors: patch_factors,
             linv_dropped,
             uinv_dropped,
-            nnz_l,
-            nnz_u,
+            nnz_l: new_factors.l.nnz(),
+            nnz_u: new_factors.u.nnz(),
             epochs: batches.len() as u64,
-        };
+        })?);
         report.estimator_time = t.elapsed();
         // Write-ahead: the batches become durable (appended + fsynced)
-        // strictly before the patch is installed. On journal failure
-        // the patch is dropped and the index stays at its old epoch —
-        // acknowledgement and durability cannot disagree. (If the
-        // install below were ever to fail, the journal would be ahead
-        // of the index; recovery replays the surplus records, so even
-        // that window converges to the correct state.)
+        // strictly before the engine switches to the next index. On
+        // journal failure that index is dropped and the engine stays at
+        // its old epoch — acknowledgement and durability cannot disagree.
+        // Nothing after the append can fail short of the opt-in audit.
         if let Some(journal) = self.journal.as_mut() {
             let t = Instant::now();
             journal
@@ -767,13 +697,10 @@ impl DynamicIndex {
                 .map_err(|e| KdashError::JournalFailed { detail: e.to_string() })?;
             report.journal_time = t.elapsed();
         }
-        let t = Instant::now();
-        self.index.install_patch(patch)?;
-        self.factors = engine_factors;
-        report.estimator_time += t.elapsed();
+        self.index = next;
+        self.factors = new_factors;
         if self.verify_after_apply {
-            kdash_core::IndexAudit::run_with_factors(&self.index, self.factors.as_ref())
-                .into_result()?;
+            kdash_core::IndexAudit::run_with_factors(&self.index, &self.factors).into_result()?;
         }
         // Auto-checkpoint policy: bound journal growth (and with it,
         // recovery replay time) once the record count passes the
@@ -972,7 +899,7 @@ fn row_view<'a>(
 mod tests {
     use super::*;
     use kdash_core::{IndexBuilder, IndexOptions, NodeOrdering};
-    use kdash_graph::{CsrGraph, GraphBuilder};
+    use kdash_graph::GraphBuilder;
 
     fn chorded_ring(n: usize) -> CsrGraph {
         let mut b = GraphBuilder::new(n);
@@ -1185,6 +1112,40 @@ mod tests {
         assert_eq!(dynamic.index().top_k(0, 5).unwrap().items, before.items);
     }
 
+    /// Nothing a failed apply does is visible: a rejected batch, and a
+    /// valid one whose journal append fails, both leave the engine on
+    /// the very index it had.
+    #[test]
+    fn failed_applies_leave_the_shared_index_where_it_was() {
+        use kdash_core::CrashPlan;
+        let dir = std::env::temp_dir()
+            .join(format!("kdash-failed-apply-{}-{}", std::process::id(), std::line!()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // Creating a journal consumes the same injectable points every
+        // time, so the point after them is the append's first operation.
+        let counting = Arc::new(CrashPlan::count_only());
+        Journal::create_with(dir.join("count.journal"), 0, counting.clone()).unwrap();
+        let plan = Arc::new(CrashPlan::crash_at(counting.points()));
+        let journal = Journal::create_with(dir.join("crash.journal"), 0, plan.clone()).unwrap();
+        let index = KdashIndex::build(&chorded_ring(14), IndexOptions::default()).unwrap();
+        let mut dynamic = DynamicIndex::new(index).unwrap().journaled(journal).unwrap();
+        let before = dynamic.shared_index();
+
+        let duplicate =
+            UpdateBatch::new(vec![EdgeEdit::Insert { src: 0, dst: 1, weight: 1.0 }]).unwrap();
+        assert!(matches!(dynamic.apply(&duplicate), Err(KdashError::Graph(_))));
+        assert!(Arc::ptr_eq(&before, &dynamic.shared_index()));
+        assert!(plan.tripped().is_none(), "a rejected batch never reaches the journal");
+
+        let valid =
+            UpdateBatch::new(vec![EdgeEdit::Insert { src: 0, dst: 5, weight: 1.0 }]).unwrap();
+        assert!(matches!(dynamic.apply(&valid), Err(KdashError::JournalFailed { .. })));
+        assert!(plan.tripped().is_some());
+        assert!(Arc::ptr_eq(&before, &dynamic.shared_index()));
+        assert_eq!(dynamic.index().update_epoch(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn sequential_semantics_within_a_batch() {
         let graph = chorded_ring(10);
@@ -1203,28 +1164,6 @@ mod tests {
         assert_eq!(report.dirty_linv_columns, 0);
         assert_eq!(report.dirty_uinv_rows, 0);
         assert_eq!(dynamic.index().update_epoch(), 1, "the batch still counts");
-    }
-
-    #[test]
-    fn engine_reuses_kept_factors() {
-        let graph = chorded_ring(14);
-        let index = KdashIndex::build(
-            &graph,
-            IndexOptions { keep_factors: true, ..Default::default() },
-        )
-        .unwrap();
-        let mut dynamic = DynamicIndex::new(index).unwrap();
-        let batch =
-            UpdateBatch::new(vec![EdgeEdit::Reweight { src: 3, dst: 4, weight: 2.5 }]).unwrap();
-        dynamic.apply(&batch).unwrap();
-        // The kept factors were refreshed, not dropped: the ablation
-        // path still answers, on the *edited* graph.
-        assert!(dynamic.index().factors().is_some());
-        let via_lu = dynamic.index().proximities_via_factors(3).unwrap().unwrap();
-        let via_inv = dynamic.index().full_proximities(3).unwrap();
-        for (a, b) in via_lu.iter().zip(&via_inv) {
-            assert!((a - b).abs() < 1e-10);
-        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! A journal is a sidecar file (`<index>.kdash.journal` by convention —
 //! see [`Journal::sidecar_path`]) holding the batches applied since the
 //! last snapshot checkpoint. In journaled mode the dynamic engine
-//! appends and fsyncs each batch's frame *before* installing the patch,
-//! so an acknowledged apply is durable by definition; after a successful
+//! appends and fsyncs each batch's frame *before* switching to the
+//! patched index, so an acknowledged apply is durable by definition;
+//! after a successful
 //! [`save_atomic`](kdash_core::persist::save_atomic) checkpoint the
 //! journal is truncated (atomically, by renaming a fresh header-only
 //! journal into place). Recovery loads the last snapshot, replays the
@@ -317,14 +318,7 @@ impl Journal {
     /// panics — on real I/O errors, a non-journal file, or a version
     /// from the future.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Journal, JournalError> {
-        Self::open_with(path, Arc::new(NoFaults))
-    }
-
-    /// [`Journal::open`] with an injectable fault layer.
-    pub fn open_with<P: AsRef<Path>>(
-        path: P,
-        faults: Arc<dyn FaultInjector>,
-    ) -> Result<Journal, JournalError> {
+        let faults: Arc<dyn FaultInjector> = Arc::new(NoFaults);
         let path = path.as_ref().to_path_buf();
         let label = path.display().to_string();
         let io_err = |op: &'static str, error: io::Error| JournalError::Io {
@@ -440,8 +434,8 @@ impl Journal {
     /// `first_epoch + 1`, … — then fsyncs **once**. Nothing is
     /// acknowledged until the fsync returns: on any failure the caller
     /// must treat every batch of the call as not-journaled (the engine
-    /// then refuses to install the patch, keeping acknowledgement and
-    /// durability in agreement).
+    /// then drops the patched index it had assembled, keeping
+    /// acknowledgement and durability in agreement).
     ///
     /// On a real write error the torn tail is healed in place
     /// (truncated back to the last durable frame); if healing fails the

@@ -2,9 +2,20 @@
 //!
 //! Dynamic-graph update engine for the K-dash index: apply edge
 //! insertions, deletions and reweights to a built [`KdashIndex`] and
-//! patch the stored inverses **incrementally** — with the guarantee that
-//! the patched index is *bit-for-bit identical* to rebuilding from
-//! scratch on the edited graph under the same node order.
+//! assemble the next index from its stored inverses **incrementally** —
+//! with the guarantee that the patched index is *bit-for-bit identical*
+//! to rebuilding from scratch on the edited graph under the same node
+//! order.
+//!
+//! A [`KdashIndex`] is immutable and every piece of update state has one
+//! owner: the engine holds the current index in an `Arc` and the LU
+//! factors of its `W` beside it (they are update state, and live nowhere
+//! else). An apply assembles the next index through
+//! `KdashIndex::patched` — the validated constructor builds and loads
+//! end in — makes the batch durable, and only then swaps the pointer and
+//! the factors. Nothing fallible runs after a journal append, and whoever
+//! holds the previous `Arc` (a published serving epoch) never sees it
+//! change.
 //!
 //! ## Why this is possible exactly
 //!
@@ -103,11 +114,11 @@
 //!
 //! ## Durability: the write-ahead journal
 //!
-//! Applies mutate memory; a crash between snapshots would silently lose
+//! Applies live in memory; a crash between snapshots would silently lose
 //! every acknowledged batch. Journaled mode closes that hole with a
 //! sidecar write-ahead log (see the [`journal`] module for format and
 //! contract): each batch's frame is appended and fsynced *before* the
-//! patch is installed, a [`DynamicIndex::checkpoint`] persists the
+//! engine switches to the patched index, a [`DynamicIndex::checkpoint`] persists the
 //! snapshot via `save_atomic` and truncates the journal, and
 //! [`DynamicIndex::recover`] rebuilds the pre-crash state — replaying
 //! the journal's surviving records in one coalesced pass, so the

@@ -15,13 +15,6 @@ pub struct Measurement {
     pub runs: usize,
 }
 
-impl Measurement {
-    /// Median seconds as `f64` — convenient for log-scale tables.
-    pub fn median_secs(&self) -> f64 {
-        self.median.as_secs_f64()
-    }
-}
-
 /// Times a single invocation.
 pub fn time_once<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let start = Instant::now();
@@ -52,12 +45,6 @@ pub fn measure<R>(runs: usize, mut f: impl FnMut() -> R) -> (R, Measurement) {
     (last.expect("runs >= 1"), measurement)
 }
 
-/// Formats a duration in the scientific-notation seconds the paper's
-/// log-scale figures use (e.g. `3.21e-5 s`).
-pub fn fmt_secs(d: Duration) -> String {
-    format!("{:.3e}", d.as_secs_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,11 +73,5 @@ mod tests {
     fn measure_clamps_zero_runs() {
         let (_, m) = measure(0, || ());
         assert_eq!(m.runs, 1);
-    }
-
-    #[test]
-    fn fmt_secs_is_scientific() {
-        let s = fmt_secs(Duration::from_micros(32));
-        assert!(s.contains('e'), "{s}");
     }
 }

@@ -44,12 +44,12 @@ pub const UNREACHABLE: u32 = u32::MAX;
 /// [`expand_next_layer`](Self::expand_next_layer) call scans the out-edges
 /// of the deepest discovered layer, appending the next layer to
 /// [`order`](Self::order); once a call discovers nothing the run is
-/// [`exhausted`](Self::is_exhausted). Consumers walk `order` with their own
+/// exhausted. Consumers walk `order` with their own
 /// cursor and ask for the next layer exactly when the cursor hits
 /// [`num_discovered`](Self::num_discovered) — so a consumer that stops
 /// early (K-dash's Lemma 2 termination) never pays for the layers it never
-/// visited. [`run`](Self::run) / [`run_multi`](Self::run_multi) drain the
-/// protocol to exhaustion and match [`BfsTree`] exactly.
+/// visited. [`run`](Self::run) drains the protocol to exhaustion and
+/// matches [`BfsTree`] exactly.
 ///
 /// The query engine holds one of these per `Searcher`; for one-off
 /// traversals [`BfsTree`] remains the convenient owner of its buffers.
@@ -101,7 +101,7 @@ impl BfsScratch {
     /// Multi-root BFS to exhaustion, mirroring [`BfsTree::new_multi`]: all
     /// roots form layer 0 (in the given order) and are their own parents.
     /// `roots` must be non-empty, in bounds, and duplicate-free.
-    pub fn run_multi(&mut self, graph: &CsrGraph, roots: &[NodeId]) {
+    fn run_multi(&mut self, graph: &CsrGraph, roots: &[NodeId]) {
         self.begin_multi(graph, roots);
         while self.expand_next_layer(graph) > 0 {}
     }
@@ -181,7 +181,7 @@ impl BfsScratch {
     }
 
     /// Number of nodes discovered so far. Once the run is
-    /// [`exhausted`](Self::is_exhausted) this is the exact reachable count;
+    /// exhausted this is the exact reachable count;
     /// before that it is a lower bound (layers not yet expanded are
     /// missing).
     #[inline]
@@ -198,13 +198,6 @@ impl BfsScratch {
         self.expand_head
     }
 
-    /// Whether expansion has run out of new nodes — i.e. `order` now holds
-    /// the entire reachable set.
-    #[inline]
-    pub fn is_exhausted(&self) -> bool {
-        self.exhausted
-    }
-
     /// Hop distance of the deepest fully-discovered layer so far.
     #[inline]
     pub fn frontier_depth(&self) -> u32 {
@@ -212,8 +205,7 @@ impl BfsScratch {
     }
 
     /// Number of nodes the current run reached. Meaningful once the run is
-    /// [`exhausted`](Self::is_exhausted) (always true after
-    /// [`run`](Self::run)/[`run_multi`](Self::run_multi)); mid-protocol it
+    /// exhausted (always true after [`run`](Self::run)); mid-protocol it
     /// reports the discovered-so-far count, same as
     /// [`num_discovered`](Self::num_discovered).
     #[inline]
@@ -548,7 +540,7 @@ mod tests {
                     break;
                 }
             }
-            assert!(scratch.is_exhausted());
+            assert!(scratch.exhausted);
             assert_eq!(scratch.num_discovered(), tree.num_reachable());
             assert_eq!(
                 scratch.num_expanded(),
@@ -571,14 +563,14 @@ mod tests {
         assert_eq!(scratch.expand_next_layer(&path), 1); // discovers node 1
         assert_eq!(scratch.num_discovered(), 2);
         assert_eq!(scratch.num_expanded(), 1, "only the root was scanned");
-        assert!(!scratch.is_exhausted());
+        assert!(!scratch.exhausted);
         assert!(!scratch.is_reached(2), "layer 2 must not be discovered yet");
         // Abandon and start over from the other end.
         scratch.begin(&path, 4);
         assert_eq!(scratch.order(), &[4]);
         scratch.run(&path, 4); // also exercise restart-into-drain
         assert_eq!(scratch.order(), &[4, 5]);
-        assert!(scratch.is_exhausted());
+        assert!(scratch.exhausted);
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl GraphBuilder {
         self.num_nodes
     }
 
-    /// Number of edge insertions so far (before merging).
-    pub fn num_pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Queues the directed edge `src -> dst`. Endpoint and weight validation
     /// happens in [`GraphBuilder::build`] so insertion stays branch-light.
     #[inline]

@@ -1,6 +1,6 @@
 //! Connectivity utilities.
 
-use crate::{CsrGraph, GraphBuilder, NodeId};
+use crate::{CsrGraph, NodeId};
 
 /// Labels of the weakly connected components (edge direction ignored).
 /// Returns `(labels, component_count)`; labels are dense in `0..count`.
@@ -27,34 +27,6 @@ pub fn weakly_connected_components(graph: &CsrGraph) -> (Vec<u32>, usize) {
         count += 1;
     }
     (label, count as usize)
-}
-
-/// Extracts the largest weakly connected component.
-/// Returns the component subgraph and the mapping `local id -> original id`.
-pub fn largest_weak_component(graph: &CsrGraph) -> (CsrGraph, Vec<NodeId>) {
-    let n = graph.num_nodes();
-    if n == 0 {
-        return (GraphBuilder::new(0).build().unwrap(), Vec::new());
-    }
-    let (labels, count) = weakly_connected_components(graph);
-    let mut sizes = vec![0usize; count];
-    for &l in &labels {
-        sizes[l as usize] += 1;
-    }
-    let biggest = sizes
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, s)| *s)
-        .map(|(i, _)| i as u32)
-        .unwrap_or(0);
-    let nodes: Vec<NodeId> =
-        (0..n as NodeId).filter(|&v| labels[v as usize] == biggest).collect();
-    graph.induced_subgraph(&nodes).expect("component nodes are valid and unique")
-}
-
-/// The set of nodes reachable from `root` following out-edges, in BFS order.
-pub fn reachable_set(graph: &CsrGraph, root: NodeId) -> Vec<NodeId> {
-    crate::BfsTree::new(graph, root).order
 }
 
 #[cfg(test)]
@@ -90,27 +62,10 @@ mod tests {
     }
 
     #[test]
-    fn largest_component_extraction() {
-        let mut b = GraphBuilder::new(6);
-        b.add_edge(0, 1, 1.0); // small component
-        b.add_edge(2, 3, 1.0);
-        b.add_edge(3, 4, 1.0);
-        b.add_edge(4, 5, 1.0); // big component {2..5}
-        let g = b.build().unwrap();
-        let (sub, map) = largest_weak_component(&g);
-        assert_eq!(sub.num_nodes(), 4);
-        assert_eq!(map, vec![2, 3, 4, 5]);
-        assert_eq!(sub.num_edges(), 3);
-    }
-
-    #[test]
     fn isolated_nodes_are_own_components() {
         let g = GraphBuilder::new(3).build().unwrap();
         let (_, count) = weakly_connected_components(&g);
         assert_eq!(count, 3);
-        let (sub, map) = largest_weak_component(&g);
-        assert_eq!(sub.num_nodes(), 1);
-        assert_eq!(map.len(), 1);
     }
 
     #[test]
@@ -120,8 +75,9 @@ mod tests {
         b.add_edge(1, 2, 1.0);
         b.add_edge(3, 0, 1.0);
         let g = b.build().unwrap();
-        assert_eq!(reachable_set(&g, 0), vec![0, 1, 2]);
-        assert_eq!(reachable_set(&g, 3), vec![3, 0, 1, 2]);
-        assert_eq!(reachable_set(&g, 2), vec![2]);
+        let reachable_set = |root| crate::BfsTree::new(&g, root).order;
+        assert_eq!(reachable_set(0), vec![0, 1, 2]);
+        assert_eq!(reachable_set(3), vec![3, 0, 1, 2]);
+        assert_eq!(reachable_set(2), vec![2]);
     }
 }

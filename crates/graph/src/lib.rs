@@ -15,7 +15,7 @@
 //!   tree estimator (§4.3 of the paper),
 //! * [`Permutation`] — node reorderings used by the sparse-inverse
 //!   precomputation (§4.2.2),
-//! * [`components`] — weak connectivity, largest-component extraction,
+//! * [`components`] — weak connectivity,
 //! * [`io`] — plain-text edge-list parsing and serialisation.
 //!
 //! The transition matrix `A` itself (column-normalised adjacency) is built in

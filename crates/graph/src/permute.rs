@@ -43,7 +43,7 @@ impl Permutation {
     }
 
     /// Builds a permutation from the map `new_of_old[old] = new`.
-    pub fn from_new_of_old(new_of_old: Vec<NodeId>) -> Result<Self> {
+    fn from_new_of_old(new_of_old: Vec<NodeId>) -> Result<Self> {
         let n = new_of_old.len();
         let mut old_of_new = vec![NodeId::MAX; n];
         for (old, &new) in new_of_old.iter().enumerate() {
@@ -104,24 +104,12 @@ impl Permutation {
         Permutation::from_new_of_old(new_of_old)
     }
 
-    /// True if this is the identity.
-    pub fn is_identity(&self) -> bool {
-        self.old_of_new.iter().enumerate().all(|(i, &v)| i as NodeId == v)
-    }
-
     /// Slice view of `old_of_new` (old ids in new order).
     pub fn order(&self) -> &[NodeId] {
         &self.old_of_new
     }
 
-    /// Permutes a dense per-node vector from old indexing into new indexing.
-    pub fn permute_values<T: Copy>(&self, values: &[T]) -> Vec<T> {
-        assert_eq!(values.len(), self.len(), "value vector length mismatch");
-        self.old_of_new.iter().map(|&old| values[old as usize]).collect()
-    }
-
-    /// Inverse of [`permute_values`](Self::permute_values): takes a vector
-    /// in new indexing back to old indexing.
+    /// Takes a dense per-node vector in new indexing back to old indexing.
     pub fn unpermute_values<T: Copy>(&self, values: &[T]) -> Vec<T> {
         assert_eq!(values.len(), self.len(), "value vector length mismatch");
         self.new_of_old.iter().map(|&new| values[new as usize]).collect()
@@ -135,7 +123,6 @@ mod tests {
     #[test]
     fn identity_roundtrip() {
         let p = Permutation::identity(5);
-        assert!(p.is_identity());
         assert_eq!(p.len(), 5);
         for v in 0..5 {
             assert_eq!(p.new_of(v), v);
@@ -173,22 +160,16 @@ mod tests {
         for v in 0..3 {
             assert_eq!(pq.new_of(v), q.new_of(p.new_of(v)));
         }
-        assert!(p.then(&p.inverse()).unwrap().is_identity());
-    }
-
-    #[test]
-    fn permute_values_follows_new_order() {
-        let p = Permutation::from_new_order(vec![2, 0, 1]).unwrap();
-        let vals = vec![10, 20, 30];
-        assert_eq!(p.permute_values(&vals), vec![30, 10, 20]);
+        assert_eq!(p.then(&p.inverse()).unwrap().order(), &[0, 1, 2]);
     }
 
     #[test]
     fn unpermute_inverts_permute() {
+        // New position i holds old node order[i]: 30 is old 2's value.
         let p = Permutation::from_new_order(vec![2, 0, 1]).unwrap();
-        let vals = vec![10, 20, 30];
-        assert_eq!(p.unpermute_values(&p.permute_values(&vals)), vals);
-        assert_eq!(p.permute_values(&p.unpermute_values(&vals)), vals);
-        assert_eq!(p.unpermute_values(&vals), p.inverse().permute_values(&vals));
+        let (in_old, in_new) = (vec![10, 20, 30], vec![30, 10, 20]);
+        assert_eq!(p.unpermute_values(&in_new), in_old);
+        // The inverse permutation's "new → old" is this one's "old → new".
+        assert_eq!(p.inverse().unpermute_values(&in_old), in_new);
     }
 }

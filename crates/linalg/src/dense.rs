@@ -204,11 +204,6 @@ impl DenseMatrix {
         }
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Largest absolute entry.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
@@ -279,7 +274,6 @@ mod tests {
     #[test]
     fn norms() {
         let a = DenseMatrix::from_rows(vec![vec![3.0, 0.0], vec![0.0, -4.0]]).unwrap();
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-15);
         assert_eq!(a.max_abs(), 4.0);
     }
 

@@ -1,9 +1,10 @@
 //! Epoch publication: immutable index snapshots behind one atomic load.
 //!
-//! The write side ([`EpochWriter`]) owns the only mutable
-//! [`DynamicIndex`]; after every committed apply it clones the patched
-//! index into a fresh `Arc<KdashIndex>` and swaps it into the
-//! [`EpochStore`]. The read side pins the current snapshot (one `Arc`
+//! The write side ([`EpochWriter`]) owns the only [`DynamicIndex`]; an
+//! apply there assembles the next index beside the serving one, and
+//! after every commit the writer publishes the engine's own
+//! `Arc<KdashIndex>` to the [`EpochStore`] — a pointer copy, no index
+//! bytes move. The read side pins the current snapshot (one `Arc`
 //! clone under a mutex held for a pointer copy) and thereafter detects
 //! staleness with a single atomic load — queries on a pinned epoch run
 //! against memory no writer will ever touch again, so readers are
@@ -40,11 +41,16 @@ pub struct EpochStore {
 impl EpochStore {
     /// Publishes `index` as the initial epoch.
     pub fn new(index: KdashIndex) -> Self {
+        Self::from_shared(Arc::new(index))
+    }
+
+    /// Publishes an index someone else also holds — the writer's engine.
+    pub(crate) fn from_shared(index: Arc<KdashIndex>) -> Self {
         let epoch = index.update_epoch();
         EpochStore {
             epoch: AtomicU64::new(epoch),
             acked: AtomicU64::new(epoch),
-            current: Mutex::new(Arc::new(index)),
+            current: Mutex::new(index),
         }
     }
 
@@ -61,8 +67,8 @@ impl EpochStore {
     }
 
     /// Instantaneous freshness lag: acked epochs not yet serving.
-    /// Non-zero only inside the swap-install window (snapshot clone +
-    /// publish); converges to zero when the publish lands.
+    /// Non-zero only inside the swap-install window (one pointer swap);
+    /// converges to zero when the publish lands.
     pub fn freshness_lag(&self) -> u64 {
         self.acked_epoch().saturating_sub(self.epoch())
     }
@@ -91,18 +97,18 @@ impl EpochStore {
 }
 
 /// The single-writer update path: owns the [`DynamicIndex`] and
-/// publishes a fresh immutable snapshot after every committed apply.
+/// publishes its index after every committed apply.
 ///
 /// Epoch N+1 is prepared entirely *off the serving path*: the engine
-/// patches its private copy (readers keep serving epoch N untouched),
-/// then the patched index is cloned into an `Arc` and swapped in. The
-/// clone+publish duration is the swap-install latency recorded in
-/// [`ServeMetrics`] — the only window in which freshness lag is
-/// non-zero.
+/// assembles a new index from the patched components (readers keep
+/// serving epoch N, which nothing ever writes to), then the writer
+/// shares the engine's `Arc` with the store. That publish is the
+/// swap-install latency recorded in [`ServeMetrics`] — the only window
+/// in which freshness lag is non-zero, and it is a pointer swap.
 ///
 /// Journaled engines work unchanged: the write-ahead append+fsync
-/// happens inside the engine *before* the patch installs, so by the
-/// time a snapshot publishes, the epoch it advertises is durable.
+/// happens inside the engine *before* it switches to the new index, so
+/// by the time an epoch publishes, it is durable.
 #[derive(Debug)]
 pub struct EpochWriter {
     engine: DynamicIndex,
@@ -114,7 +120,7 @@ impl EpochWriter {
     /// Wraps `engine` and creates the store serving its current index
     /// as the initial epoch.
     pub fn new(engine: DynamicIndex) -> (EpochWriter, Arc<EpochStore>) {
-        let store = Arc::new(EpochStore::new(engine.index().clone()));
+        let store = Arc::new(EpochStore::from_shared(engine.shared_index()));
         (EpochWriter { engine, store: Arc::clone(&store), metrics: None }, store)
     }
 
@@ -143,36 +149,22 @@ impl EpochWriter {
     /// Applies one batch and publishes the resulting epoch. See
     /// [`DynamicIndex::apply`] for the update semantics.
     pub fn apply(&mut self, batch: &UpdateBatch) -> Result<UpdateReport> {
-        let batches = std::slice::from_ref(batch);
-        self.apply_and_publish(batches, false)
+        self.apply_coalesced(std::slice::from_ref(batch))
     }
 
     /// Applies a coalesced queue of batches in one pass and publishes
     /// the resulting epoch. See [`DynamicIndex::apply_coalesced`].
     pub fn apply_coalesced(&mut self, batches: &[UpdateBatch]) -> Result<UpdateReport> {
-        self.apply_and_publish(batches, true)
-    }
-
-    fn apply_and_publish(
-        &mut self,
-        batches: &[UpdateBatch],
-        coalesced: bool,
-    ) -> Result<UpdateReport> {
         let before = self.engine.index().update_epoch();
-        let result = if coalesced {
-            self.engine.apply_coalesced(batches)
-        } else {
-            self.engine.apply(&batches[0])
-        };
+        let result = self.engine.apply_coalesced(batches);
         // Publish whenever the engine committed — which an error does
         // not always preclude: an auto-checkpoint failure surfaces as
-        // `Err` *after* the apply itself installed and became durable.
+        // `Err` *after* the apply itself committed and became durable.
         let after = self.engine.index().update_epoch();
         if after > before {
             self.store.mark_acked(after);
             let t = Instant::now();
-            let snapshot = Arc::new(self.engine.index().clone());
-            self.store.publish(snapshot);
+            self.store.publish(self.engine.shared_index());
             if let Some(metrics) = &self.metrics {
                 metrics.record_swap(t.elapsed());
             }
@@ -186,13 +178,6 @@ impl EpochWriter {
         path: P,
     ) -> std::result::Result<(), kdash_dynamic::JournalError> {
         self.engine.checkpoint(path)
-    }
-
-    /// Consumes the writer, returning the engine (e.g. to persist it or
-    /// hand it to recovery tooling). The store keeps serving its last
-    /// published epoch.
-    pub fn into_engine(self) -> DynamicIndex {
-        self.engine
     }
 }
 
@@ -238,9 +223,30 @@ mod tests {
             assert_eq!(a.proximity.to_bits(), b.proximity.to_bits());
         }
 
-        // A fresh pin sees the new epoch and a different answer space.
+        // A fresh pin sees the new epoch — and is the engine's own index,
+        // shared, not a copy of it.
         let fresh = store.pin();
         assert_eq!(fresh.update_epoch(), epoch0 + 1);
+        assert!(Arc::ptr_eq(&fresh, &writer.engine().shared_index()));
+
+        // Three further applies move the engine on and leave that epoch
+        // exactly as it was published.
+        let mut fresh_searcher = Searcher::new(&fresh);
+        let published = fresh_searcher.top_k(0, 5).unwrap();
+        for (src, dst) in [(1, 8), (2, 9), (3, 10)] {
+            let batch =
+                UpdateBatch::new(vec![EdgeEdit::Insert { src, dst, weight: 1.5 }]).unwrap();
+            writer.apply(&batch).unwrap();
+            assert!(Arc::ptr_eq(&store.pin(), &writer.engine().shared_index()));
+        }
+        assert_eq!(store.epoch(), epoch0 + 4);
+        assert_eq!(fresh.update_epoch(), epoch0 + 1);
+        assert!(!Arc::ptr_eq(&fresh, &store.pin()));
+        let still = fresh_searcher.top_k(0, 5).unwrap();
+        assert_eq!(published.nodes(), still.nodes());
+        for (a, b) in published.items.iter().zip(&still.items) {
+            assert_eq!(a.proximity.to_bits(), b.proximity.to_bits());
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Epoch-snapshot serving tier: live queries concurrent with live updates.
 //!
-//! A built [`kdash_core::KdashIndex`] is immutable, which makes reads
+//! A [`kdash_core::KdashIndex`] is immutable, which makes reads
 //! trivially parallel — but the ROADMAP north star serves heavy read
 //! traffic *while the graph churns*. This crate closes that gap with a
 //! classic read-copy-update design: writers never touch the index
-//! readers are using, they prepare the next one and swap a pointer.
+//! readers are using, they assemble the next one and swap a pointer.
 //!
 //! * [`EpochStore`] — the publication point. It holds the current
 //!   serving snapshot as an `Arc<KdashIndex>` tagged by its update
@@ -15,11 +15,10 @@
 //! * [`EpochWriter`] — the single-writer update path. It owns a
 //!   [`kdash_dynamic::DynamicIndex`] (journaled mode supported, so acks
 //!   survive crashes) and, after every committed
-//!   `apply`/`apply_coalesced`, clones the patched index into a fresh
-//!   immutable snapshot and publishes it. Epoch N+1 is prepared
-//!   entirely off the serving path; readers on epoch N are never
-//!   blocked, torn, or slowed beyond the memory bandwidth the clone
-//!   consumes.
+//!   `apply`/`apply_coalesced`, publishes the engine's own
+//!   `Arc<KdashIndex>` — the epoch is shared with the engine, not
+//!   copied. Epoch N+1 is prepared entirely off the serving path;
+//!   readers on epoch N are never blocked or torn.
 //! * [`ServeLoop`] — the read path: a thread-per-core worker pool
 //!   draining a bounded MPMC request queue ([`MpmcQueue`]).
 //!   Each worker pins the current epoch, folds queued queries through a
@@ -55,10 +54,10 @@
 //! the query ran: `acked_epoch − serving_epoch`. Zero means the answer
 //! reflects every write the writer has acknowledged (for a journaled
 //! writer: every write that is durable). A non-zero lag is transient —
-//! it spans exactly the swap-install window (snapshot clone + publish,
-//! measured as `swap_install` in the metrics) plus at most one batch
-//! drain, and converges back to zero as soon as the publish lands;
-//! lag is bounded by the write rate times that window, not by read
+//! it spans exactly the swap-install window (one pointer swap under the
+//! store's mutex, measured as `swap_install` in the metrics) plus at
+//! most one batch drain, and converges back to zero as soon as the
+//! publish lands; lag is bounded by the write rate times that window, not by read
 //! traffic.
 //!
 //! **Crash recovery.** With a journaled writer, an acked write is

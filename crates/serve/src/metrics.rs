@@ -76,7 +76,7 @@ impl Histogram {
     }
 
     /// Records a duration as nanoseconds (saturating at `u64::MAX`).
-    pub fn record_duration(&self, d: Duration) {
+    pub(crate) fn record_duration(&self, d: Duration) {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
@@ -102,7 +102,7 @@ impl Histogram {
     /// The estimated `q`-quantile (`0.0 < q <= 1.0`): the upper edge of
     /// the bucket holding the `ceil(q·count)`-th smallest sample,
     /// clamped to the exact observed maximum. Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         let count = self.count();
         if count == 0 {
             return 0;
@@ -154,7 +154,7 @@ pub struct ServeMetrics {
     batch: Histogram,
     /// Acked epochs the serving snapshot was behind, per served query.
     freshness: Histogram,
-    /// Snapshot clone + publish, nanoseconds, per epoch swap.
+    /// Publishing the engine's index, nanoseconds, per epoch swap.
     swap: Histogram,
 }
 
@@ -281,7 +281,7 @@ pub struct MetricsSnapshot {
     pub freshness_lag_mean: f64,
     /// Number of epoch swaps published.
     pub swaps: u64,
-    /// Median swap-install (snapshot clone + publish) latency, ms.
+    /// Median swap-install (publish: one pointer swap) latency, ms.
     pub swap_p50_ms: f64,
     /// Worst swap-install latency, milliseconds.
     pub swap_max_ms: f64,

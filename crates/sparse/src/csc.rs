@@ -264,11 +264,6 @@ impl CscMatrix {
         self.triplets().all(|(r, c, _)| r <= c)
     }
 
-    /// True if every stored entry satisfies `row >= col`.
-    pub fn is_lower(&self) -> bool {
-        self.triplets().all(|(r, c, _)| r >= c)
-    }
-
     /// Dense copy in row-major order — test helper, `O(nrows · ncols)`.
     pub fn to_dense(&self) -> Vec<Vec<f64>> {
         let mut d = vec![vec![0.0; self.ncols]; self.nrows];
@@ -505,11 +500,9 @@ mod tests {
     fn triangular_predicates() {
         let lower = CscMatrix::from_triplets(2, 2, &[(1, 0, 1.0)]).unwrap();
         assert!(lower.is_strictly_lower());
-        assert!(lower.is_lower());
         assert!(!lower.is_upper());
         let diag = CscMatrix::identity(2);
         assert!(diag.is_upper());
-        assert!(diag.is_lower());
         assert!(!diag.is_strictly_lower());
     }
 

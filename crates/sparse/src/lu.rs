@@ -403,13 +403,6 @@ pub struct RefactorReport {
     pub splice_time: Duration,
 }
 
-impl RefactorReport {
-    /// Fraction of factor columns re-run, in `[0, 1]`.
-    pub fn recomputed_fraction(&self) -> f64 {
-        self.recomputed_columns as f64 / self.dim.max(1) as f64
-    }
-}
-
 /// Incrementally refactors `w_new = L · U` given the factors of a
 /// previous `w_old` that differs from `w_new` only in the `dirty_w`
 /// columns: re-runs the per-column solve on exactly the columns whose

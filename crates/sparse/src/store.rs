@@ -362,7 +362,7 @@ fn row_stats_of_csr(csr: &CsrMatrix) -> Vec<RowStat> {
 }
 
 /// Per-row stats of a blocked matrix.
-pub fn row_stats_of_blocked(blocked: &BlockedCsr) -> Vec<RowStat> {
+fn row_stats_of_blocked(blocked: &BlockedCsr) -> Vec<RowStat> {
     (0..blocked.nrows() as Index)
         .map(|r| match (blocked.row_first_col(r), blocked.row_last_col(r)) {
             (Some(first), Some(last)) => {

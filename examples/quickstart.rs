@@ -104,8 +104,9 @@ fn main() {
     //    dynamic engine applies a validated edit batch, refactorises the
     //    (cheap) LU, bounds the damage with a Gilbert–Peierls reach
     //    analysis, and re-solves only the dirty L⁻¹/U⁻¹ columns. The
-    //    patched index is bit-for-bit what a from-scratch rebuild under
-    //    the same node order would produce.
+    //    patched index — a new one; an index is never modified — is
+    //    bit-for-bit what a from-scratch rebuild under the same node
+    //    order would produce.
     let mut dynamic = DynamicIndex::new(index).expect("attach update engine");
     let far = (graph.num_nodes() / 2) as u32;
     let batch = UpdateBatch::new(vec![
@@ -205,8 +206,8 @@ fn main() {
     assert!(same_ranking, "the sparsified tier must keep the ranking exact");
 
     // 8. Durability: journaled updates survive a crash. Each batch is
-    //    appended + fsynced to a sidecar write-ahead journal *before* its
-    //    patch installs, so an acknowledged update can never be lost —
+    //    appended + fsynced to a sidecar write-ahead journal *before* the
+    //    engine switches to the patched index, so an acknowledged update can never be lost —
     //    recovery replays the journal onto the last snapshot and lands
     //    bit-identically on the pre-crash index. On the command line:
     //    `kdash update --journal`, then after a crash `kdash recover`
@@ -262,7 +263,8 @@ fn main() {
     //    an `EpochStore` and answer queries from a `ServeLoop` worker
     //    pool. Readers pin an epoch with one atomic load and never
     //    block on writers; `EpochWriter::apply` prepares epoch N+1 off
-    //    the serving path and swaps it in, so the freshness lag
+    //    the serving path and publishes the engine's own `Arc` (a
+    //    pointer swap, nothing is copied), so the freshness lag
     //    (serving epoch behind the latest acked write) is non-zero only
     //    inside the swap-install window and converges back to 0. On
     //    the command line: `kdash serve <index> --bench`.

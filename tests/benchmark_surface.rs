@@ -9,7 +9,9 @@
 //! the dense tier, `c ×` the replayed `row_gather` equals the proximity
 //! `Searcher::top_k_into` returned, bit for bit. The second spells, the
 //! way `benchmark/src/{churn,setup,query,oracle}.rs` spell them, the
-//! option structs, executor, persistence and store calls those files make.
+//! option structs, executor, persistence and store calls those files make,
+//! and `churn.rs`'s whole write side: attach, journal, write through the
+//! `EpochWriter`, pin, crash, recover.
 //! The third makes `setup.rs::staged_replay`'s calls into `kdash-sparse`
 //! and the queue micro-loop of `churn.rs`.
 
@@ -18,9 +20,9 @@ use kdash_core::{
     IndexOptions, IsolatedExecutor, KdashError, KdashIndex, NodeOrdering, RowLayout, TopKResult,
 };
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
-use kdash_dynamic::DynamicIndex;
-use kdash_graph::{BfsScratch, NodeId};
-use kdash_serve::{EpochWriter, MpmcQueue, ServeLoop, ServeOptions};
+use kdash_dynamic::{DynamicIndex, Journal, UpdateBatch, UpdateReport};
+use kdash_graph::{BfsScratch, EdgeEdit, NodeId};
+use kdash_serve::{EpochStore, EpochWriter, MpmcQueue, ServeLoop, ServeOptions};
 use kdash_sparse::kernel::{GatherCounters, GatherScratch};
 use kdash_sparse::{
     sparse_lu, sparse_lu_with, sparsify_lower_unit_with, sparsify_upper_with, transition_matrix,
@@ -97,7 +99,8 @@ fn replayed_gather_equals_the_answer_on_every_family_and_layout() {
 /// `ProximityStore::from_csr` fails here, in tier-1.
 #[test]
 fn benchmark_call_sites_compile_and_agree() {
-    let index = KdashIndex::build(&erdos_renyi(120, 600, 17), IndexOptions::default()).unwrap();
+    let graph = erdos_renyi(120, 600, 17);
+    let index = KdashIndex::build(&graph, IndexOptions::default()).unwrap();
     let (q, k) = (5 as NodeId, 8);
 
     // oracle.rs / query.rs: one reused workspace, both spellings.
@@ -123,23 +126,69 @@ fn benchmark_call_sites_compile_and_agree() {
     let store = ProximityStore::from_csr(CsrMatrix::from_csc(&uinv), index.layout()).unwrap();
     assert_eq!(store.nnz(), index.stats().nnz_u_inv);
 
-    // churn.rs: snapshot, serve, reload.
+    // churn.rs: snapshot, attach and journal, serve beside writes, then
+    // the crash: reload the snapshot and recover through the journal.
     let dir = std::env::temp_dir().join(format!("kdash-benchmark-surface-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let snapshot = dir.join("index.kdash");
+    let journal = Journal::sidecar_path(&snapshot);
     save_atomic(&index, &snapshot).unwrap();
-    let (_writer, store) = EpochWriter::new(DynamicIndex::new(index.clone()).unwrap());
+    let engine = DynamicIndex::new(index.clone()).unwrap();
+    let engine = Journal::create(&journal, 0).and_then(|j| engine.journaled(j)).unwrap();
+    let (mut writer, store) = EpochWriter::new(engine);
     let serve = ServeLoop::start(
         store,
         ServeOptions { workers: 1, queue_capacity: 1024, max_batch: 32, ..Default::default() },
     )
     .unwrap();
+    writer.attach_metrics(serve.metrics());
     assert_eq!(serve.query_blocking(q, k).unwrap().result.nodes(), want.nodes());
+
+    // One write the way `WriteSide::write` makes it, and the stage
+    // durations it lays end to end inside the call.
+    let batches: Vec<UpdateBatch> = (0..120 as NodeId)
+        .filter(|&dst| dst != q && !graph.has_edge(q, dst))
+        .take(3)
+        .map(|dst| UpdateBatch::new(vec![EdgeEdit::Insert { src: q, dst, weight: 1.0 }]).unwrap())
+        .collect();
+    let write = |writer: &mut EpochWriter, batches: &[UpdateBatch]| {
+        let result: Result<UpdateReport, KdashError> = match batches {
+            [single] => writer.apply(single),
+            queue => writer.apply_coalesced(queue),
+        };
+        let report = result.unwrap();
+        let stages = report.journal_time
+            + report.graph_time
+            + report.factorization_time
+            + report.reach_time
+            + report.resolve_time
+            + report.splice_time
+            + report.estimator_time;
+        assert_eq!(report.total_time(), stages + report.checkpoint_time);
+        assert!(report.linv_dirty_fraction() <= 1.0 && report.resolved_nnz > 0);
+        report.batches
+    };
+    assert_eq!(write(&mut writer, &batches[..1]), 1);
+    assert_eq!(write(&mut writer, &batches[1..]), 2);
+    assert_eq!(writer.epoch(), batches.len() as u64);
+    let live = writer.engine().index().searcher().top_k(q, k).unwrap();
+    assert_eq!(serve.metrics().snapshot().swaps, 2);
     serve.shutdown();
+    drop(writer);
+
     let file = std::fs::File::open(&snapshot).unwrap();
     let loaded = KdashIndex::load(std::io::BufReader::new(file)).unwrap();
     assert_eq!(loaded.top_k(q, k).unwrap().nodes(), want.nodes());
+    let (engine, recovery) = DynamicIndex::recover(loaded, &journal).unwrap();
+    assert_eq!(engine.index().update_epoch(), batches.len() as u64);
+    assert_eq!(recovery.replayed_batches, batches.len());
+    assert!(recovery.replay_time.as_secs_f64() > 0.0);
+    assert_eq!(engine.index().searcher().top_k(q, k).unwrap().items, live.items);
     std::fs::remove_dir_all(&dir).unwrap();
+
+    // churn.rs: the epoch pin on its own.
+    let store = EpochStore::new(index);
+    assert_eq!(std::hint::black_box(store.pin()).update_epoch(), 0);
 }
 
 /// `setup.rs::staged_replay` and the queue micro-loop of `churn.rs`: the

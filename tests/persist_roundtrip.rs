@@ -6,7 +6,7 @@
 //! ulp across a save/load cycle would break the exactness guarantee the
 //! whole system is named for.
 
-use kdash_core::{IndexAudit, IndexOptions, KdashIndex, NodeOrdering, PersistError, RowLayout};
+use kdash_core::{IndexAudit, IndexOptions, KdashIndex, NodeOrdering, PersistError};
 use kdash_graph::{CsrGraph, GraphBuilder, NodeId};
 use proptest::prelude::*;
 

@@ -275,7 +275,7 @@ fn scaled(m: &CscMatrix, factor: f64) -> CscMatrix {
 
 #[test]
 fn overflowing_residual_is_a_typed_failure_not_a_panic() {
-    let (_, _, mut index) = families().swap_remove(0);
+    let (_, _, index) = families().swap_remove(0);
     let q = by_reach(&index)[0].1;
     // Finite but absurd stored inverses (each passes validation): x̃
     // overflows to ±∞ and the residual to NaN on the first evaluation.
@@ -292,14 +292,13 @@ fn overflowing_residual_is_a_typed_failure_not_a_panic() {
         a_col_max: a_col_max.to_vec(),
         a_max,
         c_prime: c_prime.to_vec(),
-        factors: None,
         linv_dropped: linv_dropped.to_vec(),
         uinv_dropped: uinv_dropped.to_vec(),
         nnz_l: index.stats().nnz_l,
         nnz_u: index.stats().nnz_u,
         epochs: 1,
     };
-    index.install_patch(patch).unwrap();
+    let index = index.patched(patch).unwrap();
     let mut s = index.searcher();
     for round in 0..2 {
         match s.top_k(q, 10) {

@@ -174,7 +174,7 @@ fn overload_sheds_typed_and_accepted_requests_complete() {
     let index = build_index(120, 23);
     let n = index.num_nodes() as u32;
     let engine = DynamicIndex::new(index).expect("attach engine");
-    let (writer, store) = EpochWriter::new(engine);
+    let (_writer, store) = EpochWriter::new(engine);
 
     let serve_loop = ServeLoop::start(
         Arc::clone(&store),

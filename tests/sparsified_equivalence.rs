@@ -159,7 +159,7 @@ proptest! {
             // residual was already at floating-point-noise level — a
             // large residual at failure would mean refinement diverged,
             // which IS a bug.
-            let mut check = |label: &str, d: Result<TopKResult, KdashError>,
+            let check = |label: &str, d: Result<TopKResult, KdashError>,
                              s: Result<TopKResult, KdashError>, bound: f64| {
                 let d = d.expect("dense-exact queries never fail");
                 match s {
