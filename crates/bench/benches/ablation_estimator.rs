@@ -23,7 +23,7 @@ fn bench(c: &mut Criterion) {
     // One full advance/record cycle per iteration (steady state: same layer).
     group.bench_function("estimator_advance_record", |b| {
         let mut est = LayerEstimator::new(a_max);
-        est.record_root(full[q as usize], col_max[q as usize]);
+        est.record_selected(0, full[q as usize], col_max[q as usize]);
         let mut i = 1usize;
         // Prime one layer-1 step so subsequent steps stay on one layer.
         let _ = est.advance(1);

@@ -32,12 +32,14 @@
 //!
 //! `query` prints the per-query work counters — the gather kernel the
 //! host resolved to (AVX2 or its bit-identical portable twin; there is
-//! nothing to select), and the lazy-BFS `frontier_expanded`/`discovered`
+//! nothing to select), the lazy-BFS `frontier_expanded`/`discovered`
 //! pair — on early-terminated queries `discovered` is the
 //! discovered-so-far count, not full reachability (see
-//! `kdash_core::SearchStats`). `--pruning off` disables the Lemma 2
-//! termination, so pruned-vs-unpruned ablations (the paper's Figure 7)
-//! run straight from the command line.
+//! `kdash_core::SearchStats`) — the query's proximity mass `M_q` the stop
+//! rule measured against, and where in the visit order the search
+//! stopped. `--pruning off` disables the early termination, so
+//! pruned-vs-unpruned ablations (the paper's Figure 7) run straight from
+//! the command line.
 //!
 //! `update` applies an edit stream to a built index **incrementally**:
 //! only the `L⁻¹`/`U⁻¹` columns inside the Gilbert–Peierls reach of the
@@ -165,7 +167,8 @@ fn print_usage() {
          ORDERINGS: natural random degree community (= cluster) hybrid rcm mindegree\n\
          PROFILES:  dictionary internet citation social email\n\
          THREADS:   inversion-stage workers; 0 = all cores, results identical at any count\n\
-         PRUNING:   on (Lemma 2 early termination) | off (visit every reachable node)\n\
+         PRUNING:   on (stop once no uncomputed node can reach the k-th best) | off (visit\n\
+         \x20          every reachable node)\n\
          DROP-TOL:  inverse entries below this magnitude are dropped at build time;\n\
          \x20          queries then run certified residual refinement — top-k sets and\n\
          \x20          order stay exact, uncertifiable queries fail loudly; 0 = dense\n\
@@ -378,17 +381,25 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let s = &result.stats;
     // `reachable` is the *discovered* count: exact reachability when the
     // search ran to completion, a lower bound after early termination
-    // (the lazy frontier never enumerates layers Lemma 2 pruned away).
+    // (the lazy frontier never enumerates the layers pruned away). An
+    // early stop comes at the visit position of the first node left
+    // uncomputed.
+    let stop = if s.terminated_early {
+        format!("stopped at position {} of {} discovered", s.proximity_computations, s.reachable)
+    } else {
+        "exhausted".to_string()
+    };
     println!(
         "-- {:?}; kernel {}; visited {}, computed {}, frontier expanded {}/{} discovered, \
-         early-termination {}",
+         early-termination {}; M_q {:.9}, {stop}",
         elapsed,
         searcher.kernel().name(),
         s.visited,
         s.proximity_computations,
         s.frontier_expanded,
         s.reachable,
-        s.terminated_early
+        s.terminated_early,
+        s.query_mass,
     );
     // The gather's observability line: what the kernel resolved to on
     // this host, how many candidate rows it ran, and what they streamed

@@ -522,6 +522,26 @@ fn audit_estimator(index: &KdashIndex, col: &mut Collector) {
             format!("out-weight sum at node {v}: stored {stored} recomputed {expect}")
         });
     }
+    let (row_max, expect) = (index.a_row_max(), a.row_max());
+    for v in 0..n.min(row_max.len()) {
+        col.check(S, row_max[v].to_bits() == expect[v].to_bits(), || {
+            format!("row maximum of A at node {v}: stored {} recomputed {}", row_max[v], expect[v])
+        });
+    }
+    // The U⁻¹ column sums the stop rule's mass comes from: an update
+    // carries them over and re-sums only the columns it re-solved, so a
+    // stale entry means a column changed without its sum — and a mass
+    // bound below the query's true mass would stop searches too early.
+    let col_sums = index.uinv_col_sums();
+    let expect = index.uinv().column_sums();
+    col.check(S, col_sums.len() == expect.len(), || {
+        format!("U⁻¹ column-sum vector has {} entries, expected {}", col_sums.len(), expect.len())
+    });
+    for (j, (stored, expect)) in col_sums.iter().zip(&expect).enumerate() {
+        col.check(S, stored.to_bits() == expect.to_bits(), || {
+            format!("U⁻¹ column sum {j}: carried {stored} recomputed {expect}")
+        });
+    }
     let c_prime = index.c_prime();
     for v in 0..n.min(c_prime.len()) {
         let a_vv = a.get(v as u32, v as u32).unwrap_or(0.0);
@@ -815,6 +835,17 @@ mod tests {
         assert_eq!(audit.total_findings(), 1, "findings: {:?}", audit.findings);
         assert_eq!(audit.findings[0].section, "estimator");
         assert!(audit.findings[0].detail.contains("out-weight sum at node 3"));
+    }
+
+    #[test]
+    fn stale_column_sum_is_found() {
+        let index = sample_index();
+        let mut patch = crate::precompute::tests::identity_patch(&index);
+        patch.uinv_col_sums[2] *= 0.5;
+        let audit = IndexAudit::run(&index.patched(patch).unwrap());
+        assert_eq!(audit.total_findings(), 1, "findings: {:?}", audit.findings);
+        assert_eq!(audit.findings[0].section, "estimator");
+        assert!(audit.findings[0].detail.contains("U⁻¹ column sum 2"));
     }
 
     #[test]

@@ -1,9 +1,34 @@
-//! The proximity upper-bound estimators.
+//! The proximity upper bounds.
 //!
-//! [`LayerEstimator`] implements the paper's Definition 1 with the `O(1)`
-//! incremental update of Definition 2: when nodes are visited (and
-//! selected) in BFS-layer order from the query node, the estimate of the
-//! next node derives from the previous node's three terms
+//! # The stop rule of the search (`InflowBound`)
+//!
+//! Every non-source node satisfies the RWR equation with its self-loop
+//! solved out, `p_u = c'_u · Σ_{v≠u} A_uv p_v` with
+//! `c'_u = (1−c)/(1 − A_uu + c·A_uu)`. Split the sum by what the search
+//! has computed so far:
+//!
+//! **Lemma.** Let `C` be the computed nodes, `S_u = Σ_{v∈C, v≠u} A_uv p_v`
+//! (exact: every term is known), `Ā_u = max_v A_uv` and
+//! `R = M − Σ_{v∈C} p_v` for any `M ≥ Σ_v p_v`. Then every uncomputed
+//! non-source `u` has `p_u ≤ c'_u · (S_u + Ā_u · R)`.
+//!
+//! *Proof.* `p_u = c'_u (S_u + Σ_{v∉C, v≠u} A_uv p_v)`; each `A_uv ≤ Ā_u`
+//! and proximities are non-negative, so the second sum is at most
+//! `Ā_u · Σ_{v∉C} p_v`; and `Σ_{v∉C} p_v = Σ_v p_v − Σ_{v∈C} p_v ≤ R`. ∎
+//!
+//! The search stops once no uncomputed node's bound reaches θ (strictly:
+//! a bound *equal* to θ keeps it going). `S_u` is kept per node by pushing
+//! `p_v · A_uv` along `v`'s out-edges when `v` is computed; a node no push
+//! has reached has `S_u = 0` and is covered by `c'_max · A_max · R`. `M` is
+//! the query's own mass `M_q = c · (1ᵀU⁻¹)(L⁻¹e_q)` — below 1 whenever a
+//! walk can die in a sink ([`DanglingPolicy::Keep`]) — rounded up by
+//! a relative `10⁻⁹` (`MASS_SLACK`) and clamped to 1.
+//!
+//! # Definition 2 is a relaxation of it
+//!
+//! [`LayerEstimator`] is the paper's Definition 1 with the `O(1)` update
+//! of Definition 2: visiting in BFS-layer order from the query, the
+//! estimate of the next node derives from the previous node's three terms
 //!
 //! ```text
 //! p̄_u = c'_u · ( Σ_{v ∈ V_{l−1}(u)} p_v·A_max(v)     (term 1)
@@ -11,9 +36,22 @@
 //!              + (1 − Σ_{v ∈ V_s} p_v) · A_max )      (term 3)
 //! ```
 //!
+//! A computed in-neighbour of an uncomputed node of layer `≥ l` lies in
+//! layer `l−1` or `l`, and `A_uv ≤ A_max(v)`, so `S_u ≤` term 1 + term 2
+//! for every uncomputed `u` at once; `M_q ≤ 1` and `Ā_u ≤ A_max` put
+//! `Ā_u · R` below term 3. The lemma's bound is never above Definition
+//! 2's, so the search never computes more than the paper's does — and on
+//! graphs with sinks far less, because term 3 can never fall below
+//! `(1 − M_q) · A_max`: the mass the walk loses is mass Definition 2 waits
+//! for forever.
+//!
 //! Lemma 1 guarantees `p̄_u ≥ p_u`; Lemma 2 guarantees the sequence of
-//! bounds is non-increasing across the visit order, which is what lets the
-//! search *terminate* the first time a bound drops below θ.
+//! `p̄` is non-increasing along the visit, which is what lets the paper
+//! stop at the first node whose bound drops below θ. The stop rule above
+//! needs no monotonicity: it tests every uncomputed node, not just the
+//! next one, so nothing has to be inferred about the rest. Definition 2
+//! lives on where the paper's own count is the point: the eager oracle
+//! ([`KdashIndex::top_k_merge_join`]) and the estimator ablation bench.
 //!
 //! Note on the paper text: Definition 2's root case writes the third term
 //! as `(1 − p_q)·A_max(u)`; consistency with Definition 1 and with Lemma 2
@@ -22,7 +60,138 @@
 //!
 //! [`ArbitraryOrderBound`] is the weaker bound used by the random-root
 //! ablation (paper Appendix D.1): it stays valid for *any* visit order but
-//! is not monotone, so it can only skip individual nodes, never terminate.
+//! bounds one node at a time with no in-neighbour sums, so it can only
+//! skip individual nodes, never terminate.
+//!
+//! [`DanglingPolicy::Keep`]: kdash_sparse::DanglingPolicy::Keep
+
+use crate::KdashIndex;
+use kdash_graph::{EpochStamps, NodeId};
+
+/// Relative amount the computed query mass `M_q` is rounded up by before
+/// it bounds anything. The dot product that yields it and the gathers that
+/// yield the proximities it is compared with sum the same non-negative
+/// products in different orders, so they agree to a few `n·ε` (`≈ 10⁻¹²`
+/// at a million nodes); three decades above that keeps the remaining mass
+/// `R` an over-estimate, at the price of never stopping a search on a θ
+/// below `≈ 10⁻⁹ · A_max`.
+pub(crate) const MASS_SLACK: f64 = 1e-9;
+
+/// The stop rule of the search (see the module docs): exact in-neighbour
+/// sums of the computed proximities plus the query's remaining mass bound
+/// every uncomputed node at once.
+///
+/// Lives in the [`Searcher`](crate::Searcher) workspace: `O(n)` once,
+/// nothing per query. `inflow[u]` is `S_u` where `touched` marks `u` in
+/// the current query and `−∞` once `u` itself is computed (so neither a
+/// later push nor the hot test can resurrect it); `hot` is a stack of
+/// nodes whose bound reached θ at the push that last raised it. θ never
+/// falls and `R` never rises, so a node can only *become* hot at a push:
+/// the stack holds every hot node, and the stop test pops dead tops until
+/// a live one — or nothing — is left. `stacked` keeps a node from being
+/// stacked twice, which caps the stack at `n`.
+#[derive(Debug)]
+pub(crate) struct InflowBound {
+    inflow: Vec<f64>,
+    touched: EpochStamps,
+    stacked: Vec<bool>,
+    hot: Vec<NodeId>,
+    /// `M_q`, rounded up and clamped.
+    mass: f64,
+    /// `R = M_q − Σ_{computed} p_v` (may dip a rounding error below zero;
+    /// read through [`remaining`](Self::remaining)).
+    remaining: f64,
+}
+
+impl InflowBound {
+    pub(crate) fn new(n: usize) -> Self {
+        InflowBound {
+            inflow: vec![0.0; n],
+            touched: EpochStamps::new(n),
+            stacked: vec![false; n],
+            hot: Vec::with_capacity(n),
+            mass: 1.0,
+            remaining: 1.0,
+        }
+    }
+
+    /// Starts a query whose proximities were computed to sum to `mass`:
+    /// `M_q` is that, rounded up and clamped.
+    pub(crate) fn begin(&mut self, mass: f64) {
+        for u in self.hot.drain(..) {
+            self.stacked[u as usize] = false;
+        }
+        self.touched.advance();
+        self.mass = (mass * (1.0 + MASS_SLACK)).min(1.0);
+        self.remaining = self.mass;
+    }
+
+    /// The mass bound `M_q` of the current query.
+    pub(crate) fn mass(&self) -> f64 {
+        self.mass
+    }
+
+    #[inline]
+    fn remaining(&self) -> f64 {
+        self.remaining.max(0.0)
+    }
+
+    /// Whether `c'_max · (S_u + Ā_u · R)` still reaches `theta`. False for
+    /// a computed node, whose inflow is `−∞`.
+    #[inline]
+    fn is_hot(&self, index: &KdashIndex, u: NodeId, theta: f64) -> bool {
+        let bound = self.inflow[u as usize] + index.a_row_max()[u as usize] * self.remaining();
+        index.c_prime_max() * bound >= theta
+    }
+
+    /// Accounts the exact proximity `p` just computed for `v`: takes it
+    /// out of the remaining mass, retires `v`, and pushes `p · A_uv` to
+    /// every out-neighbour `u`, stacking those the push leaves hot against
+    /// `theta` (the goal's cutoff, `0` while anything would still matter).
+    #[inline]
+    pub(crate) fn record(&mut self, index: &KdashIndex, v: NodeId, p: f64, theta: f64) {
+        self.remaining -= p;
+        self.touched.mark(v as usize);
+        self.inflow[v as usize] = f64::NEG_INFINITY;
+        let graph = index.permuted_graph();
+        let out_sum = graph.out_weight_sum(v);
+        if out_sum <= 0.0 {
+            return;
+        }
+        let scale = p / out_sum;
+        for (&u, &w) in graph.out_neighbors(v).iter().zip(graph.out_weights(v)) {
+            let slot = u as usize;
+            if !self.touched.is_marked(slot) {
+                self.touched.mark(slot);
+                self.inflow[slot] = 0.0;
+            }
+            self.inflow[slot] += scale * w;
+            if !self.stacked[slot] && self.is_hot(index, u, theta) {
+                self.stacked[slot] = true;
+                self.hot.push(u);
+            }
+        }
+    }
+
+    /// Whether no uncomputed non-source node can have a proximity of
+    /// `theta` or more — the search may stop. `O(1)` amortised: each pop
+    /// undoes one push of [`record`](Self::record).
+    #[inline]
+    pub(crate) fn none_reaches(&mut self, index: &KdashIndex, theta: f64) -> bool {
+        // Nodes no push has reached: S_u = 0, Ā_u ≤ A_max.
+        if index.c_prime_max() * index.a_max() * self.remaining() >= theta {
+            return false;
+        }
+        while let Some(&u) = self.hot.last() {
+            if self.is_hot(index, u, theta) {
+                return false;
+            }
+            self.hot.pop();
+            self.stacked[u as usize] = false;
+        }
+        true
+    }
+}
 
 /// Incremental Definition 1 / Definition 2 estimator.
 ///
@@ -57,15 +226,6 @@ impl LayerEstimator {
     /// `(0, 0, A_max)` — no mass selected yet.
     pub fn new(a_max: f64) -> Self {
         LayerEstimator { a_max, term1: 0.0, term2: 0.0, term3: a_max, prev: None }
-    }
-
-    /// Records the root (query) node: its exact proximity and its column
-    /// maximum `A_max(q)`. Equivalent to
-    /// [`record_selected`](Self::record_selected) at layer 0; kept as a
-    /// named entry point for readability at call sites.
-    pub fn record_root(&mut self, p_q: f64, col_max_q: f64) {
-        debug_assert!(self.prev.is_none(), "root recorded twice");
-        self.record_selected(0, p_q, col_max_q);
     }
 
     /// Advances to the node about to be visited at `layer` and returns the
@@ -142,6 +302,87 @@ impl ArbitraryOrderBound {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{IndexOptions, NodeOrdering};
+    use kdash_graph::GraphBuilder;
+
+    /// 0 → {1, 2} → 3 → 4 under the natural order, so ids are positions.
+    fn diamond() -> KdashIndex {
+        let mut b = GraphBuilder::new(5);
+        for (u, v) in [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)] {
+            b.add_edge(u, v, 1.0);
+        }
+        let options = IndexOptions { ordering: NodeOrdering::Natural, ..Default::default() };
+        KdashIndex::build(&b.build().unwrap(), options).unwrap()
+    }
+
+    /// A started query on `index` with node 0 computed.
+    fn after_the_source(index: &KdashIndex, bound: &mut InflowBound) -> f64 {
+        let truth = index.full_proximities(0).unwrap();
+        bound.begin(truth.iter().sum());
+        let p0 = truth[0];
+        bound.record(index, 0, p0, 0.0);
+        p0
+    }
+
+    #[test]
+    fn inflow_bound_stops_strictly_below_theta_only() {
+        let index = diamond();
+        let mut bound = InflowBound::new(5);
+        let p0 = after_the_source(&index, &mut bound);
+        // Nodes 1 and 2 hold S = p0/2 with Ā = 1/2; nodes 3 and 4 are
+        // untouched and fall under c'_max · A_max · R with A_max = 1.
+        let r = bound.mass() - p0;
+        let c_prime_max = index.c_prime_max();
+        let touched = c_prime_max * (p0 / 2.0 + 0.5 * r);
+        let untouched = c_prime_max * 1.0 * r;
+        let largest = touched.max(untouched);
+        assert!(!bound.none_reaches(&index, largest), "a bound equal to θ keeps the search going");
+        assert!(bound.none_reaches(&index, f64::from_bits(largest.to_bits() + 1)));
+        // Sound against the truth it bounds.
+        let truth = index.full_proximities(0).unwrap();
+        assert!(truth[1..].iter().all(|&p| p <= largest));
+    }
+
+    #[test]
+    fn inflow_bound_restarts_clean() {
+        let index = diamond();
+        let mut bound = InflowBound::new(5);
+        after_the_source(&index, &mut bound);
+        assert_eq!(bound.hot, vec![1, 2], "θ = 0: every pushed node is stacked, once");
+        // A second query on the same workspace: nothing of the first —
+        // stack, flags, sums, mass — survives the restart.
+        let first_mass = bound.mass();
+        bound.begin(0.0);
+        assert!(bound.hot.is_empty() && bound.stacked.iter().all(|&s| !s));
+        assert_eq!((bound.mass(), bound.remaining()), (0.0, 0.0));
+        assert!(bound.none_reaches(&index, f64::MIN_POSITIVE));
+        after_the_source(&index, &mut bound);
+        assert_eq!(bound.mass().to_bits(), first_mass.to_bits());
+        assert_eq!(bound.hot, vec![1, 2]);
+    }
+
+    #[test]
+    fn computed_nodes_never_go_hot_again() {
+        let index = diamond();
+        let mut bound = InflowBound::new(5);
+        after_the_source(&index, &mut bound);
+        let truth = index.full_proximities(0).unwrap();
+        // Computing 1 and 2 pushes to 3 (stacked once for both pushes);
+        // computing 3 retires it while it sits on the stack.
+        for v in [1, 2, 3] {
+            bound.record(&index, v, truth[v as usize], 0.0);
+        }
+        assert_eq!(bound.hot, vec![1, 2, 3, 4]);
+        // Only node 4 is left: everything above it on the stack is dead.
+        let left = index.c_prime_max() * (truth[3] + bound.remaining());
+        assert!(!bound.none_reaches(&index, left));
+        assert_eq!(bound.hot, vec![1, 2, 3, 4], "a live top is left where it is");
+        // All computed: what remains is the slack the mass was rounded up by.
+        bound.record(&index, 4, truth[4], 0.0);
+        assert!(bound.remaining() > 0.0 && bound.remaining() < 2.0 * MASS_SLACK);
+        assert!(bound.none_reaches(&index, 1e-8));
+        assert!(bound.hot.is_empty());
+    }
 
     /// Re-computes Definition 1 from scratch for a visit trace and checks
     /// the incremental estimator agrees at every step.
@@ -159,7 +400,7 @@ mod tests {
             (3, 0.02, 0.8),
         ];
         let mut est = LayerEstimator::new(a_max);
-        est.record_root(trace[0].1, trace[0].2);
+        est.record_selected(0, trace[0].1, trace[0].2);
         for i in 1..trace.len() {
             let (layer, p, cm) = trace[i];
             let got = est.advance(layer);
@@ -187,7 +428,7 @@ mod tests {
     fn bounds_are_monotone_non_increasing() {
         // Lemma 2 at the raw-term level (equal c' across nodes).
         let mut est = LayerEstimator::new(0.8);
-        est.record_root(0.6, 0.8);
+        est.record_selected(0, 0.6, 0.8);
         let trace: &[(u32, f64, f64)] =
             &[(1, 0.15, 0.5), (1, 0.1, 0.7), (2, 0.05, 0.6), (2, 0.02, 0.8), (3, 0.01, 0.4)];
         let mut last = f64::INFINITY;
@@ -202,7 +443,7 @@ mod tests {
     #[test]
     fn term3_clamps_at_zero() {
         let mut est = LayerEstimator::new(1.0);
-        est.record_root(0.9, 1.0);
+        est.record_selected(0, 0.9, 1.0);
         let _ = est.advance(1);
         est.record_selected(1, 0.2, 1.0); // total p now > 1 (adversarial input)
         let term = est.advance(1);
@@ -224,7 +465,7 @@ mod tests {
         let a_max = 0.9;
         let sources = [(0.30, 0.8), (0.20, 0.5), (0.10, 0.9)];
         let mut est = LayerEstimator::new(a_max);
-        est.record_root(sources[0].0, sources[0].1);
+        est.record_selected(0, sources[0].0, sources[0].1);
         for &(p, cm) in &sources[1..] {
             let _ = est.advance(0); // bound unused for sources
             est.record_selected(0, p, cm);

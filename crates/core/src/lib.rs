@@ -11,12 +11,17 @@
 //! (Equations (1)–(2)). K-dash precomputes a node reordering that keeps the
 //! triangular inverses of `W = LU` sparse, stores `L⁻¹` (column-major) and
 //! `U⁻¹` (row-major), and answers a query by walking a breadth-first tree
-//! rooted at `q`: each visited node first gets a cheap upper bound
-//! (Definition 1, updated in `O(1)` per Definition 2); the moment the
-//! bound of the next node falls below the current K-th best proximity the
-//! search *terminates*, provably without missing an answer (Lemmas 1–2,
-//! Theorem 2). A node that survives the bound gets its exact proximity as
-//! a sparse row-times-column product `c · (U⁻¹)ᵤ · (L⁻¹ e_q)`.
+//! rooted at `q`: each visited node gets its exact proximity as a sparse
+//! row-times-column product `c · (U⁻¹)ᵤ · (L⁻¹ e_q)`, and the moment no
+//! node still uncomputed can reach the current K-th best proximity the
+//! search *terminates*, provably without missing an answer (Theorem 2).
+//! The paper decides that with a cheap upper bound on the next node
+//! (Definition 1, updated in `O(1)` per Definition 2, extended to the rest
+//! by Lemmas 1–2); this crate bounds every uncomputed node at once from
+//! the RWR equation itself — the exact in-neighbour sums of what is
+//! computed plus the query's remaining proximity mass ([`estimator`]) — a
+//! bound Definition 2 relaxes, so it computes no more than the paper's
+//! search anywhere and several times less where walks die in sinks.
 //!
 //! ## Quick start
 //!
@@ -113,16 +118,17 @@
 //!
 //! Every query kind — top-k, unpruned, threshold, restart set, random root
 //! — runs through **one search driver** on the [`Searcher`], monomorphised
-//! over a bound policy ([`LayerEstimator`] may stop the search,
-//! [`ArbitraryOrderBound`] may skip a node, none) and a stop goal (k-th
+//! over a bound policy (the [`estimator`] module's stop rule may stop the
+//! search, [`ArbitraryOrderBound`] may skip a node, none) and a stop goal (k-th
 //! best vs a fixed θ), with the source (one node vs a restart set) fixed
 //! by each entry point's prologue; one eager merge-join oracle
 //! ([`KdashIndex::top_k_merge_join`]) stands beside it for the
-//! equivalence suites. Four hot-path levers live on the index and that
-//! driver:
+//! equivalence suites — it stops where the paper's Definition 2
+//! ([`LayerEstimator`]) does, so its counters are the paper's. Four
+//! hot-path levers live on the index and that driver:
 //!
 //! * **Lazy frontier** — BFS layers are discovered on demand inside the
-//!   driver, so a query the Lemma 2 bound terminates early never
+//!   driver, so a query the stop rule terminates early never
 //!   enumerates the layers it pruned away.
 //!   [`SearchStats::frontier_expanded`] reports the traversal work paid;
 //!   [`SearchStats::reachable`] is the discovered-so-far count on
@@ -194,7 +200,7 @@
 //! answer is listed by descending proximity, then ascending permuted id.
 //! With `drop_tolerance = 0` (the default) nothing changes: the build
 //! routes through the exact inverters bit-for-bit and queries run the
-//! classic Lemma-2 path with zero refinement iterations.
+//! classic stop-rule path with zero refinement iterations.
 //!
 //! ## Operational guarantees
 //!

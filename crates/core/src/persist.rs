@@ -926,6 +926,8 @@ impl KdashIndex {
             drop_tolerance,
             linv_dropped,
             uinv_dropped,
+            a_row_max: None,
+            uinv_col_sums: None,
             stats: IndexStats::default(),
         })
         .map_err(|e| corrupt(Section::Index, end, format!("inconsistent index components: {e}")))?;

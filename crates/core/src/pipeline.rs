@@ -295,9 +295,12 @@ impl IndexBuilder {
         let inversion_time = t.elapsed();
         report.stages.push(StageTiming { stage: BuildStage::Inversion, duration: inversion_time });
 
-        // Stage 4 — estimator: the Definition 1/2 precomputed constants.
+        // Stage 4 — estimator: the constants of the bounds, read off the
+        // transition matrix (the stop rule's column sums come with
+        // `assemble`).
         let t = Instant::now();
         let a_col_max = a.col_max();
+        let a_row_max = a.row_max();
         let a_max = a.global_max();
         let c = options.restart_probability;
         let c_prime: Vec<f64> = (0..permuted.num_nodes() as NodeId)
@@ -330,6 +333,8 @@ impl IndexBuilder {
             drop_tolerance: eps,
             linv_dropped,
             uinv_dropped,
+            a_row_max: Some(a_row_max),
+            uinv_col_sums: None,
             stats: IndexStats {
                 ordering_time,
                 factorization_time,

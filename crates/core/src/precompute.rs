@@ -84,13 +84,10 @@ pub struct KdashIndex {
     a_max: f64,
     /// Per-node `c'_u = (1−c)/(1 − A_uu + c·A_uu)`.
     c_prime: Vec<f64>,
-    /// `max_u c'_u` — the factor the *termination* test must use: Lemma 2
-    /// makes the term sum monotone, but with self-loops `c'` varies per
-    /// node, so a later node may carry a larger factor than the node that
-    /// triggered termination. Multiplying the monotone terms by the
-    /// maximum keeps the early exit sound for every unvisited node (and
-    /// degenerates to the paper's constant `1−c` on self-loop-free
-    /// graphs).
+    /// `max_u c'_u` — the factor the *termination* test uses: with
+    /// self-loops `c'` varies per node, and the test speaks for nodes it
+    /// never looks at (those no push has reached), so it multiplies by the
+    /// maximum — the paper's constant `1−c` on self-loop-free graphs.
     c_prime_max: f64,
     /// Out-edge weight sum per (permuted) node — the normaliser of its
     /// transition-matrix column, zero for dangling nodes. Derived from
@@ -99,6 +96,16 @@ pub struct KdashIndex {
     /// while `dropped_total` is zero: nothing refines on such an index,
     /// and its updates should not pay an `O(m)` pass for nothing.
     out_weight: Vec<f64>,
+    /// `Ā_u = max_v A_uv` per (permuted) node: the largest share any
+    /// in-neighbour hands `u` — the row-wise twin of `a_col_max`, for the
+    /// search's stop rule ([`crate::estimator`]). Derived from the
+    /// transition matrix wherever one is at hand, never persisted.
+    a_row_max: Vec<f64>,
+    /// `1ᵀU⁻¹`: the column sums of the stored `U⁻¹`, whose dot with a
+    /// query column `L⁻¹e_q` is the query's total proximity mass over `c`.
+    /// Derived from `uinv` (or carried, re-summed where re-solved, by an
+    /// [`IndexPatch`]), never persisted.
+    uinv_col_sums: Vec<f64>,
     /// Drop tolerance `ε` the stored inverses were truncated with
     /// (`0.0` = dense-exact).
     drop_tolerance: f64,
@@ -131,11 +138,18 @@ pub struct IndexPatch {
     pub a_max: f64,
     /// `c'` with the dirty entries recomputed.
     pub c_prime: Vec<f64>,
+    /// The row maxima of the patched transition matrix
+    /// ([`CscMatrix::row_max`]).
+    pub a_row_max: Vec<f64>,
     /// Full replacement for the per-column `L⁻¹` dropped masses (dirty
     /// columns re-sparsified under the index's `ε`, clean ones copied).
     pub linv_dropped: Vec<f64>,
     /// Full replacement for the per-lane `U⁻¹` dropped masses.
     pub uinv_dropped: Vec<f64>,
+    /// The column sums of `uinv` ([`ProximityStore::column_sums`]): the
+    /// old index's with each re-solved column summed top to bottom again,
+    /// which is bit for bit what a pass over the spliced store yields.
+    pub uinv_col_sums: Vec<f64>,
     /// Stored entries of the fresh factor `L` (stats refresh).
     pub nnz_l: usize,
     /// Stored entries of the fresh factor `U` (stats refresh).
@@ -164,6 +178,13 @@ pub(crate) struct IndexParts {
     pub drop_tolerance: f64,
     pub linv_dropped: Vec<f64>,
     pub uinv_dropped: Vec<f64>,
+    /// The row maxima of the transition matrix where the producer has
+    /// that matrix (a build, an update); `None` (a load) has
+    /// `assemble` form it from `graph`.
+    pub a_row_max: Option<Vec<f64>>,
+    /// The column sums of `uinv` where the producer already holds them (an
+    /// update); `None` has `assemble` stream the store once.
+    pub uinv_col_sums: Option<Vec<f64>>,
     /// What only the producer knows: the stage durations and the factor
     /// nnz counts. Every count `assemble` can read off the components is
     /// overwritten there.
@@ -182,9 +203,14 @@ impl KdashIndex {
     /// The one constructor: build, load and update all end here. Fails
     /// when the scalars are out of range or the component dimensions
     /// disagree; derives the cached `c'_max`, the dropped-mass total, the
-    /// out-weight sums and the size statistics.
-    pub(crate) fn assemble(parts: IndexParts) -> Result<KdashIndex> {
+    /// out-weight sums, the stop rule's row maxima and column sums, and
+    /// the size statistics.
+    pub(crate) fn assemble(mut parts: IndexParts) -> Result<KdashIndex> {
         let malformed = |detail: String| KdashError::Sparse(SparseError::Malformed(detail));
+        let a_row_max = parts.a_row_max.take().unwrap_or_else(|| {
+            kdash_sparse::transition_matrix(&parts.graph, parts.dangling).row_max()
+        });
+        let uinv_col_sums = parts.uinv_col_sums.take().unwrap_or_else(|| parts.uinv.column_sums());
         let p = &parts;
         let n = p.graph.num_nodes();
         kdash_sparse::rwr::validate_restart(p.c)?;
@@ -198,6 +224,8 @@ impl KdashIndex {
             || p.c_prime.len() != n
             || p.linv_dropped.len() != n
             || p.uinv_dropped.len() != n
+            || a_row_max.len() != n
+            || uinv_col_sums.len() != n
         {
             return Err(malformed("component dimensions disagree".into()));
         }
@@ -212,6 +240,8 @@ impl KdashIndex {
         Ok(KdashIndex {
             c_prime_max: p.c_prime.iter().copied().fold(0.0f64, f64::max),
             out_weight: out_weight_sums(&p.graph, dropped_total),
+            a_row_max,
+            uinv_col_sums,
             dropped_total,
             stats: IndexStats {
                 nnz_l_inv: p.linv.nnz(),
@@ -271,6 +301,8 @@ impl KdashIndex {
             drop_tolerance: self.drop_tolerance,
             linv_dropped: patch.linv_dropped,
             uinv_dropped: patch.uinv_dropped,
+            a_row_max: Some(patch.a_row_max),
+            uinv_col_sums: Some(patch.uinv_col_sums),
             stats: IndexStats { nnz_l: patch.nnz_l, nnz_u: patch.nnz_u, ..self.stats.clone() },
         })
     }
@@ -350,6 +382,8 @@ impl KdashIndex {
     /// build (`O(nnz)`), so benchmarks and layout-equivalence checks can
     /// compare both layouts from one expensive construction.
     pub fn with_layout(&self, layout: RowLayout) -> KdashIndex {
+        // (Values and their order are the layout's invariant, so the
+        // column sums carry over.)
         let mut copy = self.clone();
         copy.uinv = self.uinv.relayout(layout);
         copy.stats.uinv_index_bytes = copy.uinv.index_bytes();
@@ -523,6 +557,14 @@ impl KdashIndex {
         (&self.a_col_max, self.a_max, &self.c_prime)
     }
 
+    /// The stop rule's derived vectors `(Ā_u, 1ᵀU⁻¹)`, in permuted node
+    /// order. Hidden: the dynamic engine re-sums the re-solved columns of
+    /// the second, and the bit-identity and soundness suites read both.
+    #[doc(hidden)]
+    pub fn stop_rule_vectors(&self) -> (&[f64], &[f64]) {
+        (&self.a_row_max, &self.uinv_col_sums)
+    }
+
     // Internal accessors for the search module (`pub` + hidden: the
     // dynamic engine maps edits into permuted space through them).
     #[doc(hidden)]
@@ -554,6 +596,12 @@ impl KdashIndex {
     pub(crate) fn out_weight(&self) -> &[f64] {
         &self.out_weight
     }
+    pub(crate) fn a_row_max(&self) -> &[f64] {
+        &self.a_row_max
+    }
+    pub(crate) fn uinv_col_sums(&self) -> &[f64] {
+        &self.uinv_col_sums
+    }
     #[cfg(test)]
     pub(crate) fn out_weight_mut(&mut self) -> &mut [f64] {
         &mut self.out_weight
@@ -571,7 +619,7 @@ pub(crate) fn out_weight_sums(graph: &CsrGraph, dropped_total: f64) -> Vec<f64> 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use kdash_graph::GraphBuilder;
     use kdash_sparse::rwr::rwr_step;
@@ -690,7 +738,7 @@ mod tests {
     }
 
     /// A patch that re-supplies the index's own components.
-    fn identity_patch(index: &KdashIndex) -> IndexPatch {
+    pub(crate) fn identity_patch(index: &KdashIndex) -> IndexPatch {
         let (a_col_max, a_max, c_prime) = index.estimator_constants();
         let (linv_dropped, uinv_dropped) = index.dropped_masses();
         IndexPatch {
@@ -702,6 +750,8 @@ mod tests {
             c_prime: c_prime.to_vec(),
             linv_dropped: linv_dropped.to_vec(),
             uinv_dropped: uinv_dropped.to_vec(),
+            a_row_max: index.a_row_max().to_vec(),
+            uinv_col_sums: index.uinv_col_sums().to_vec(),
             nnz_l: 7,
             nnz_u: 11,
             epochs: 2,

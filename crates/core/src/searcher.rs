@@ -3,11 +3,11 @@
 //! A [`Searcher`] owns every piece of per-query state the top-k search
 //! needs — the epoch-stamped BFS buffers ([`kdash_graph::BfsScratch`]),
 //! the scattered query column ([`kdash_sparse::ScatteredColumn`]), the
-//! top-k heap and the threshold-hit scratch — so a serving loop pays the
-//! `O(n)` allocations once and every subsequent query touches only the
-//! state it actually visits. Once the buffers have reached their
-//! high-water mark (i.e. after warm-up queries covering the largest
-//! reachable set and `k` the loop will serve),
+//! top-k heap, the threshold-hit scratch and the stop rule's in-neighbour
+//! sums — so a serving loop pays the `O(n)` allocations once and every
+//! subsequent query touches only the state it actually visits. Once the
+//! buffers have reached their high-water mark (i.e. after warm-up queries
+//! covering the largest reachable set and `k` the loop will serve),
 //! [`Searcher::top_k_into`] performs **zero heap allocations** (the
 //! `tests/zero_alloc.rs` integration test pins this down with a counting
 //! allocator).
@@ -24,12 +24,17 @@
 //!   `L⁻¹` column is scattered, which roots seed the BFS, which right-hand
 //!   side the certified tier solves for. A single query is a restart set
 //!   of one; layer 0 is always computed, never pruned, in both.
-//! * **bound** — a type parameter: [`LayerEstimator`] (Definition 1/2) may
-//!   *stop* the search (Lemma 2); the order-agnostic
+//! * **bound** — a type parameter: the stop rule (`Inflow`: exact
+//!   in-neighbour sums of what is computed plus the query's remaining
+//!   proximity mass bound every uncomputed node at once — the lemma in
+//!   [`crate::estimator`], of which the paper's Definition 2 is a
+//!   relaxation) may *stop* the search; the order-agnostic
 //!   [`ArbitraryOrderBound`] of the Appendix D.1 random-root ablation may
 //!   only *skip* one node, so its visit runs on past the tree into the ids
 //!   the tree missed; `Unbounded` (Figure 7, "without pruning") computes
-//!   everything.
+//!   everything. Stopping never reorders or skips: the computed nodes are
+//!   a prefix of the BFS order, and the heap sees the offers an unpruned
+//!   run would make, in the same order, up to the stop.
 //! * **goal** — a type parameter: the k-th best proximity so far (the
 //!   heap) or a fixed threshold θ (the hit list) — the pair the certified
 //!   tier proves as `RefineGoal`.
@@ -40,7 +45,7 @@
 //!
 //! The BFS that orders the visit is fused into the driver: layers are
 //! discovered on demand ([`BfsScratch::expand_next_layer`]), so a query
-//! Lemma 2 terminates after a few layers never even *discovers* the rest
+//! the stop rule ends after a few layers never even *discovers* the rest
 //! of the reachable set. [`SearchStats::frontier_expanded`] counts the
 //! nodes whose out-edges were scanned, and [`SearchStats::reachable`] is
 //! the discovered-so-far count on early-terminated queries (exact
@@ -112,9 +117,9 @@
 //! The matching [`KdashIndex`] methods are thin conveniences that build a
 //! transient `Searcher` per call.
 
+use crate::estimator::InflowBound;
 use crate::{
-    ArbitraryOrderBound, KdashError, KdashIndex, LayerEstimator, RankedNode, Result, SearchStats,
-    TopKResult,
+    ArbitraryOrderBound, KdashError, KdashIndex, RankedNode, Result, SearchStats, TopKResult,
 };
 use kdash_graph::{BfsScratch, NodeId};
 use kdash_sparse::{
@@ -128,8 +133,8 @@ use std::time::{Duration, Instant};
 /// block, the whole block's `U⁻¹` row spans are software-prefetched before
 /// the first of them is gathered — so on DRAM-resident indexes the next
 /// rows' cache misses overlap the current row's arithmetic instead of
-/// serialising behind it. Small enough that a Lemma 2 termination wastes
-/// at most a handful of speculative prefetches.
+/// serialising behind it. Small enough that an early stop wastes at most a
+/// handful of speculative prefetches.
 const PREFETCH_BLOCK: usize = 8;
 
 /// Hard ceiling on certified-refinement correction passes. The loop
@@ -506,64 +511,65 @@ pub struct Searcher<'a> {
     prefetched_until: usize,
     /// Per-query resource ceilings (default: unlimited).
     budget: QueryBudget,
+    /// The stop rule's in-neighbour sums, remaining mass and hot stack
+    /// (`O(n)` here, nothing per query); every source prologue restarts
+    /// it, whichever bound the entry point then drives.
+    inflow: InflowBound,
     /// Certified-refinement workspace, allocated on the first refined
     /// query. Stays `None` forever on a dense-exact index.
     refine: Option<Box<RefineState>>,
 }
 
-/// The *bound* policy of [`Searcher::drive`]: an upper bound on each node's
-/// proximity before its gather, fed each computed proximity after it.
+/// The *bound* policy of [`Searcher::drive`]: asked before each node's
+/// gather whether it can be spared, fed each computed proximity after it.
 trait Bound {
-    /// Whether one node's bound falling below the goal's cutoff ends the
-    /// search (the bound is monotone along the visit, Lemma 2) or merely
-    /// spares that node's gather.
+    /// Whether a prunable node ends the search (the verdict covers every
+    /// node not yet computed) or merely spares that node's gather.
     const STOPS: bool;
 
-    /// The node to root the visit tree at instead of the sources. `None`
-    /// — the tree grows from the sources — is the only order the layer
-    /// bound is sound for.
+    /// The node to root the visit tree at instead of the sources. `None`:
+    /// the tree grows from the sources, so they are visited first.
     fn tree_root(&self) -> Option<NodeId> {
         None
     }
 
-    /// An upper bound on the proximity of `u`, at visit position `pos` and
-    /// tree layer `layer`; `None` when `u` must be computed regardless.
-    fn bound(&mut self, index: &KdashIndex, pos: usize, u: NodeId, layer: u32) -> Option<f64>;
+    /// Whether `u`, about to be visited at tree layer `layer`, provably
+    /// stays below the goal's `cutoff` (strictly: a bound equal to it
+    /// does not prune).
+    fn prunable(&mut self, s: &mut Searcher<'_>, u: NodeId, layer: u32, cutoff: f64) -> bool;
 
-    /// Accounts the exact proximity just computed for a node of `layer`.
-    fn record(&mut self, _layer: u32, _proximity: f64, _col_max: f64) {}
+    /// Accounts the exact proximity just computed for `u` and offered to
+    /// the goal, whose cutoff is now `cutoff`.
+    fn record(&mut self, _: &mut Searcher<'_>, _u: NodeId, _proximity: f64, _cutoff: Option<f64>) {}
 }
 
-/// Definition 1/2 in BFS-layer order from the sources.
-impl Bound for LayerEstimator {
+/// The stop rule of every pruned entry point ([`InflowBound`], in the
+/// workspace): the search ends once no node below the sources can still
+/// reach the cutoff. Sources (layer 0) carry the restart term and are
+/// always computed; the tree grows from them, so once the visit is past
+/// layer 0 every uncomputed node — discovered or not, so the undiscovered
+/// layers need never be enumerated — is one the bound covers.
+struct Inflow;
+
+impl Bound for Inflow {
     const STOPS: bool = true;
 
     #[inline]
-    fn bound(&mut self, index: &KdashIndex, pos: usize, _: NodeId, layer: u32) -> Option<f64> {
-        if pos == 0 {
-            return None;
-        }
-        // Every node after the first folds its predecessor into the chain.
-        let terms = self.advance(layer);
-        // Sources (layer 0) carry the restart term — p̄ = 1 for a lone
-        // query — and are always computed. Below them, stopping must cover
-        // every unvisited node — discovered or not, so the undiscovered
-        // layers need never be enumerated — whose c' may exceed this
-        // node's when self-loops are present: use max c'.
-        (layer > 0).then(|| index.c_prime_max() * terms)
+    fn prunable(&mut self, s: &mut Searcher<'_>, _: NodeId, layer: u32, cutoff: f64) -> bool {
+        layer > 0 && s.inflow.none_reaches(s.index, cutoff)
     }
 
     #[inline]
-    fn record(&mut self, layer: u32, proximity: f64, col_max: f64) {
-        self.record_selected(layer, proximity, col_max);
+    fn record(&mut self, s: &mut Searcher<'_>, u: NodeId, proximity: f64, cutoff: Option<f64>) {
+        s.inflow.record(s.index, u, proximity, cutoff.unwrap_or(0.0));
     }
 }
 
 /// The Appendix D.1 ablation: the visit tree is rooted at `root`, away
-/// from the query, where the layer bound is no longer valid. The
-/// order-agnostic bound in its place holds for any visit order but is not
-/// monotone, so every node must still be visited, reached by the tree or
-/// not.
+/// from the query, so the sources are no longer visited first. The
+/// order-agnostic bound in place of the stop rule holds for any visit
+/// order but speaks for one node at a time, so every node must still be
+/// visited, reached by the tree or not.
 struct AnyOrder {
     state: ArbitraryOrderBound,
     /// The (permuted) query: the one node the bound does not cover.
@@ -579,13 +585,13 @@ impl Bound for AnyOrder {
     }
 
     #[inline]
-    fn bound(&mut self, index: &KdashIndex, _: usize, u: NodeId, _: u32) -> Option<f64> {
-        (u != self.query).then(|| index.c_prime()[u as usize] * self.state.bound_term())
+    fn prunable(&mut self, s: &mut Searcher<'_>, u: NodeId, _: u32, cutoff: f64) -> bool {
+        u != self.query && s.index.c_prime()[u as usize] * self.state.bound_term() < cutoff
     }
 
     #[inline]
-    fn record(&mut self, _: u32, proximity: f64, col_max: f64) {
-        self.state.record(proximity, col_max);
+    fn record(&mut self, s: &mut Searcher<'_>, u: NodeId, proximity: f64, _: Option<f64>) {
+        self.state.record(proximity, s.index.a_col_max()[u as usize]);
     }
 }
 
@@ -597,8 +603,8 @@ impl Bound for Unbounded {
     const STOPS: bool = false;
 
     #[inline]
-    fn bound(&mut self, _: &KdashIndex, _: usize, _: NodeId, _: u32) -> Option<f64> {
-        None
+    fn prunable(&mut self, _: &mut Searcher<'_>, _: NodeId, _: u32, _: f64) -> bool {
+        false
     }
 }
 
@@ -607,7 +613,7 @@ impl Bound for Unbounded {
 /// the entry point).
 trait Goal {
     /// The proximity an unvisited node must reach to still matter, or
-    /// `None` while anything would.
+    /// `None` while anything would. Never falls during a query.
     fn cutoff(&self, s: &Searcher<'_>) -> Option<f64>;
     /// Offers one computed proximity.
     fn offer(&self, s: &mut Searcher<'_>, proximity: f64, u: NodeId);
@@ -673,6 +679,7 @@ impl<'a> Searcher<'a> {
             counters: GatherCounters::default(),
             prefetched_until: 0,
             budget: QueryBudget::default(),
+            inflow: InflowBound::new(n),
             refine: None,
         }
     }
@@ -725,8 +732,7 @@ impl<'a> Searcher<'a> {
         self.index.check_node(q)?;
         let qp = self.index.permutation().new_of(q);
         let (col_idx, col_val) = self.index.linv().col(qp);
-        self.column.load(col_idx, col_val);
-        self.begin_visit([qp]);
+        self.begin_visit([qp], col_idx, col_val);
         Ok(qp)
     }
 
@@ -736,20 +742,41 @@ impl<'a> Searcher<'a> {
     fn seed_set(&mut self, sources: &[NodeId]) -> Result<()> {
         let index = self.index;
         let (col_idx, col_val) = index.merged_query_column(sources)?;
-        self.column.load(&col_idx, &col_val);
-        self.begin_visit(sources.iter().map(|&s| index.permutation().new_of(s)));
+        let roots = sources.iter().map(|&s| index.permutation().new_of(s));
+        self.begin_visit(roots, &col_idx, &col_val);
         Ok(())
     }
 
-    /// Seeds the lazy BFS at `roots` (layer 0 only — deeper layers are
-    /// discovered on demand by the driver) and resets the per-query state.
-    fn begin_visit(&mut self, roots: impl IntoIterator<Item = NodeId>) {
+    /// Scatters the (merged) query column, seeds the lazy BFS at `roots`
+    /// (layer 0 only — deeper layers are discovered on demand by the
+    /// driver) and resets the per-query state. The stop rule's mass is `c`
+    /// times the column's dot with the `U⁻¹` column sums — the same dot
+    /// for one source or a merged set — taken afresh here so no query
+    /// inherits its predecessor's; where the stored inverses are truncated
+    /// that dot is not the query's mass, nothing consults the bound, and
+    /// it stands at the trivial 1.
+    fn begin_visit(
+        &mut self,
+        roots: impl IntoIterator<Item = NodeId>,
+        col_idx: &[NodeId],
+        col_val: &[f64],
+    ) {
+        let index = self.index;
+        self.column.load(col_idx, col_val);
         self.roots.clear();
         self.roots.extend(roots);
-        self.bfs.begin_multi(self.index.permuted_graph(), &self.roots);
+        self.bfs.begin_multi(index.permuted_graph(), &self.roots);
         self.counters.reset();
         self.prefetched_until = 0;
         self.tail = None;
+        let mass = if index.needs_refinement() {
+            1.0
+        } else {
+            let sums = index.uinv_col_sums();
+            let dot: f64 = col_idx.iter().zip(col_val).map(|(&i, &v)| v * sums[i as usize]).sum();
+            index.restart_probability() * dot
+        };
+        self.inflow.begin(mass);
     }
 
     /// One candidate proximity gather (without the `c` factor): row `u`
@@ -828,11 +855,12 @@ impl<'a> Searcher<'a> {
         stats.rows_wide = self.counters.rows_wide;
         stats.nnz_gathered = self.counters.nnz;
         stats.kernel = self.kernel.name();
+        stats.query_mass = self.inflow.mass();
     }
 
     /// The one search procedure (Algorithm 4 and every variant of it) over
-    /// the seeded query: visit, bound, stop or skip, else compute and
-    /// offer. Expects a source prologue to have run and the goal's
+    /// the seeded query: visit, bound, stop or skip, else compute, offer
+    /// and record. Expects a source prologue to have run and the goal's
     /// accumulator to be empty; leaves the answers there and returns the
     /// work counters.
     #[inline]
@@ -866,13 +894,12 @@ impl<'a> Searcher<'a> {
             self.prefetch_block(pos);
             stats.visited += 1;
             let layer = self.bfs.layer(u);
-            let upper = bound.bound(index, pos, u, layer);
-            let prunable = upper.zip(goal.cutoff(self)).is_some_and(|(upper, t)| upper < t);
+            let prunable = goal.cutoff(self).is_some_and(|t| bound.prunable(self, u, layer, t));
             if !prunable {
                 let p = c * self.gather(u);
                 stats.proximity_computations += 1;
-                bound.record(layer, p, index.a_col_max()[u as usize]);
                 goal.offer(self, p, u);
+                bound.record(self, u, p, goal.cutoff(self));
             } else if B::STOPS {
                 stats.terminated_early = true;
                 break;
@@ -904,7 +931,7 @@ impl<'a> Searcher<'a> {
         // nodes (heap entries are always reached, so pads never collide
         // with them) — unless the visit ran on past the tree and missed
         // no node. Padding and lazy discovery cannot conflict: a heap that
-        // never filled never let Lemma 2 fire, so the traversal ran to
+        // never filled never let the search stop, so the traversal ran to
         // exhaustion and `is_reached` is exact reachability.
         if self.tail.is_none() {
             let unreached = (0..index.num_nodes() as NodeId).filter(|&v| !self.bfs.is_reached(v));
@@ -932,7 +959,7 @@ impl<'a> Searcher<'a> {
     /// it still grows them once.)
     pub fn top_k_into(&mut self, q: NodeId, k: usize, out: &mut TopKResult) -> Result<()> {
         self.seed_node(q)?;
-        self.ranked(LayerEstimator::new(self.index.a_max()), k, out)
+        self.ranked(Inflow, k, out)
     }
 
     /// Algorithm 4 with the termination test removed: computes the exact
@@ -949,7 +976,7 @@ impl<'a> Searcher<'a> {
     /// Exact *threshold* query: every node whose proximity is at least
     /// `theta`, in descending order. Extension beyond the paper, enabled
     /// by the same machinery: visit in BFS-layer order and stop as soon as
-    /// the Lemma 2 bound falls below `theta` — every unvisited node is
+    /// no uncomputed node's bound reaches `theta` — every one of them is
     /// then provably below the threshold.
     ///
     /// `theta` must be positive and finite; anything else returns
@@ -963,7 +990,7 @@ impl<'a> Searcher<'a> {
             return Err(KdashError::InvalidThreshold { theta });
         }
         self.hits.clear();
-        let stats = self.drive(LayerEstimator::new(index.a_max()), AtLeast(theta))?;
+        let stats = self.drive(Inflow, AtLeast(theta))?;
         // (Already ranked when the certified tier delivered the hits.)
         self.hits.sort_unstable_by(by_rank);
         let items = self.hits.iter().map(|e| ranked_node(index, e)).collect();
@@ -973,20 +1000,20 @@ impl<'a> Searcher<'a> {
     /// Exact top-k for a *restart set*: the walk restarts uniformly over
     /// `sources` (Personalized PageRank in the sense of the paper's
     /// footnote 6). All sources form layer 0 of the search tree and are
-    /// computed exactly; pruning starts at layer 1, where Lemma 1/2 hold
-    /// unchanged (every non-source node still satisfies
-    /// `p_u = c'_u Σ_v A_uv p_v`).
+    /// computed exactly; the stop rule applies from layer 1 on, unchanged:
+    /// every non-source node still satisfies `p_u = c'_u Σ_v A_uv p_v`,
+    /// and the merged column's mass is the set's.
     pub fn top_k_from_set(&mut self, sources: &[NodeId], k: usize) -> Result<TopKResult> {
         let mut out = TopKResult::default();
         // (`sources` are validated for k = 0 too: that short-circuit is later.)
         self.seed_set(sources)?;
-        self.ranked(LayerEstimator::new(self.index.a_max()), k, &mut out)?;
+        self.ranked(Inflow, k, &mut out)?;
         Ok(out)
     }
 
     /// The Appendix D.1 ablation: the search tree is rooted at a random
-    /// node instead of the query. The layer bound is no longer valid, so an
-    /// order-agnostic bound is used — exact answers, per-node skipping
+    /// node instead of the query. The sources are no longer visited first,
+    /// so an order-agnostic bound is used — exact answers, per-node skipping
     /// only, and every node must still be visited.
     pub fn top_k_random_root(&mut self, q: NodeId, k: usize, seed: u64) -> Result<TopKResult> {
         self.index.check_node(q)?;
@@ -1033,12 +1060,12 @@ impl<'a> Searcher<'a> {
     /// inverses, and iterates residual/correction passes until `goal` is
     /// proven. Expects a source prologue to have run: the BFS seeded at
     /// the roots, the restart vector `b` uniform over them, and the
-    /// matching `L̃⁻¹` query column loaded. Out of line, so the Lemma-2
+    /// matching `L̃⁻¹` query column loaded. Out of line, so the dense-tier
     /// loops compile the same without it.
     #[inline(never)]
     fn refined_run(&mut self, mut goal: RefineGoal<'_>, stats: &mut SearchStats) -> Result<()> {
-        // The Lemma-2 bound cannot prune against approximate proximities,
-        // so the refined path always drains the whole reachable set.
+        // No bound can prune against approximate proximities, so the
+        // refined path always drains the whole reachable set.
         while self.bfs.expand_next_layer(self.index.permuted_graph()) > 0 {}
         let mut st = self
             .refine

@@ -57,7 +57,7 @@ impl IndexStats {
 }
 
 /// Per-query counters (Figures 7 and 9).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SearchStats {
     /// Nodes whose upper bound was evaluated.
     pub visited: usize,
@@ -66,8 +66,17 @@ pub struct SearchStats {
     /// Nodes skipped by a per-node bound without terminating
     /// (random-root variant only).
     pub skipped: usize,
-    /// True when the search ended through the Lemma 2 early-termination.
+    /// True when the search ended early: the stop rule proved that no
+    /// node still uncomputed could reach the cutoff. The stop came at
+    /// visit position `proximity_computations` of the `reachable`
+    /// discovered so far.
     pub terminated_early: bool,
+    /// `M_q`, the upper bound on the query's total proximity mass the stop
+    /// rule measured remaining mass against: `c · (1ᵀU⁻¹)(L⁻¹e_q)` rounded
+    /// up and clamped to 1 — below 1 when walks can die in sinks. `1` on a
+    /// sparsified index (whose truncated inverses do not yield it) and `0`
+    /// on paths that run no `Searcher` prologue (the merge-join oracles).
+    pub query_mass: f64,
     /// Nodes the search tree had *discovered* when the search ended.
     ///
     /// The search expands its BFS frontier lazily, one layer at a time, so
@@ -87,8 +96,8 @@ pub struct SearchStats {
     /// Always `<= reachable`; equal when the search ran to completion and
     /// *strictly* smaller on early-terminated queries (the layer the
     /// search died in was discovered but never expanded). The gap is the
-    /// traversal work Lemma 2 saved on top of the skipped proximity
-    /// computations.
+    /// traversal work the early stop saved on top of the skipped
+    /// proximity computations.
     pub frontier_expanded: usize,
     /// Index bytes the proximity gathers streamed (layout-dependent:
     /// 4/nnz flat, 2/nnz + 8/run blocked). Zero on paths that never run
@@ -107,8 +116,8 @@ pub struct SearchStats {
     /// [`QueryBudget::max_gather_nnz`](crate::QueryBudget) meters.
     /// Layout- and kernel-independent by construction (it counts stored
     /// entries, not executed loads), so the same budget admits the same
-    /// queries under every execution strategy. Zero on paths that never
-    /// run the gather kernel.
+    /// queries under every execution strategy. (The merge-join oracles
+    /// count the rows they join the same way.)
     pub nnz_gathered: usize,
     /// The resolved gather kernel that produced this query's proximities
     /// (`"scalar"`, `"unrolled"` or `"avx2"`), recorded so `auto`
@@ -116,7 +125,7 @@ pub struct SearchStats {
     /// paths that never run the gather kernel.
     pub kernel: &'static str,
     /// Certified-refinement correction passes the query ran. Zero on a
-    /// dense-exact index (the classic Lemma-2 path never refines); on a
+    /// dense-exact index (the classic stop-rule path never refines); on a
     /// sparsified index every answer was certified after this many
     /// residual/correction iterations. Independent of kernel and layout —
     /// a pure function of index content and query.
@@ -127,25 +136,6 @@ pub struct SearchStats {
     /// memory/latency tradeoff benches record. Zero when no refinement
     /// ran.
     pub refinement_nnz: usize,
-}
-
-impl SearchStats {
-    /// This record with every gather-kernel field cleared (byte counters,
-    /// row split, kernel label). Search-work comparisons across *different
-    /// kernels, layouts or the merge-join oracles* pin everything else —
-    /// visits, proximity computations, termination, traversal — while the
-    /// gather fields legitimately vary with the execution strategy.
-    pub fn without_gather(&self) -> SearchStats {
-        SearchStats {
-            bytes_touched: 0,
-            value_bytes_touched: 0,
-            rows_scalar: 0,
-            rows_wide: 0,
-            nnz_gathered: 0,
-            kernel: "",
-            ..self.clone()
-        }
-    }
 }
 
 #[cfg(test)]

@@ -660,6 +660,9 @@ impl DynamicIndex {
             c_prime[j as usize] = (1.0 - c) / (1.0 - a_jj + c * a_jj);
         }
         let a_max = a_col_max.iter().copied().fold(0.0f64, f64::max);
+        // (A row's maximum can fall when a dirty column's entry does, and
+        // only a pass over the matrix finds the runner-up: `O(m)` loads.)
+        let a_row_max = a.row_max();
         // Per-column dropped ℓ₁ masses: carry the old vectors forward and
         // overwrite just the re-solved columns with their fresh masses.
         let (old_linv_dropped, old_uinv_dropped) = self.index.dropped_masses();
@@ -668,8 +671,12 @@ impl DynamicIndex {
             linv_dropped[upd.col as usize] = mass;
         }
         let mut uinv_dropped = old_uinv_dropped.to_vec();
+        let mut uinv_col_sums = self.index.stop_rule_vectors().1.to_vec();
         for (upd, &mass) in uinv_updates.iter().zip(&uinv_sparsified.dropped) {
             uinv_dropped[upd.col as usize] = mass;
+            // Top to bottom from +0.0: the order a pass over the spliced
+            // store adds this column's entries in.
+            uinv_col_sums[upd.col as usize] = upd.vals.iter().fold(0.0, |sum, &v| sum + v);
         }
         let next = Arc::new(self.index.patched(IndexPatch {
             graph: new_graph,
@@ -678,8 +685,10 @@ impl DynamicIndex {
             a_col_max,
             a_max,
             c_prime,
+            a_row_max,
             linv_dropped,
             uinv_dropped,
+            uinv_col_sums,
             nnz_l: new_factors.l.nnz(),
             nnz_u: new_factors.u.nnz(),
             epochs: batches.len() as u64,

@@ -8,9 +8,9 @@
 #![forbid(unsafe_code)]
 
 use kdash_baselines::{IterativeRwr, TopKEngine};
-use kdash_core::TopKResult;
+use kdash_core::{GatherKernel, KdashIndex, Searcher, TopKResult};
 use kdash_datagen::DatasetProfile;
-use kdash_graph::{CsrGraph, GraphBuilder, NodeId};
+use kdash_graph::{BfsTree, CsrGraph, GraphBuilder, NodeId};
 
 /// Generates a dataset profile scaled to roughly `target_nodes` nodes.
 pub fn profile_graph(profile: DatasetProfile, target_nodes: usize, seed: u64) -> CsrGraph {
@@ -28,16 +28,20 @@ pub fn exact_top_k_scored(graph: &CsrGraph, c: f64, q: NodeId, k: usize) -> Vec<
 }
 
 /// The lazy-vs-eager query-engine contract, shared by the equivalence
-/// suites: `lazy` from the lazy-frontier production path (under the
-/// *scalar* kernel), `eager` from an eager whole-tree-first replay oracle
-/// (`top_k_from_set_replay` / `top_k_merge_join`).
+/// suites: `lazy` from the production path (under the *scalar* kernel),
+/// whose stop rule bounds every uncomputed node at once; `eager` from the
+/// whole-tree-first replay oracle (`top_k_from_set_replay` /
+/// `top_k_merge_join`), which stops where the paper's Definition 2 does.
 ///
-/// Checks: items bit-identical; `visited`/`proximity_computations`/
-/// `skipped`/`terminated_early` equal; the eager oracle expands everything
-/// it reaches; under early termination the lazy path discovered at most
-/// the true reachable count and left the death layer unexpanded
-/// (`frontier_expanded` strictly below `reachable`); on complete runs the
-/// stats agree exactly.
+/// Checks: items bit-identical. The stop rule is never looser than
+/// Definition 2, and both compute a prefix of the same visit order, so
+/// `visited`, `proximity_computations`, `frontier_expanded`, `reachable`
+/// and `nnz_gathered` never exceed the oracle's, and a query the oracle
+/// ends early the production path ends early too. The eager oracle
+/// expands everything it reaches; an early stop counts the node it
+/// stopped at as visited, not computed, and leaves the layer it died in
+/// unexpanded (`frontier_expanded` strictly below `reachable`); a
+/// complete run agrees with the oracle on every one of those counters.
 pub fn check_lazy_vs_eager(lazy: &TopKResult, eager: &TopKResult) -> Result<(), String> {
     if lazy.items.len() != eager.items.len() {
         return Err(format!("lengths differ: {} vs {}", lazy.items.len(), eager.items.len()));
@@ -51,29 +55,159 @@ pub fn check_lazy_vs_eager(lazy: &TopKResult, eager: &TopKResult) -> Result<(), 
         }
     }
     let (a, b) = (&lazy.stats, &eager.stats);
-    if (a.visited, a.proximity_computations, a.skipped, a.terminated_early)
-        != (b.visited, b.proximity_computations, b.skipped, b.terminated_early)
+    let work = |s: &kdash_core::SearchStats| {
+        [s.visited, s.proximity_computations, s.frontier_expanded, s.reachable, s.nnz_gathered]
+    };
+    if work(a).iter().zip(work(b)).any(|(&ours, theirs)| ours > theirs)
+        || (b.terminated_early && !a.terminated_early)
+        || (a.skipped, b.skipped) != (0, 0)
     {
-        return Err(format!("work counters differ: {a:?} vs {b:?}"));
+        return Err(format!("the stop rule did more work than Definition 2: {a:?} vs {b:?}"));
     }
     if b.frontier_expanded != b.reachable {
         return Err(format!("eager replay must expand its whole tree: {b:?}"));
     }
     if a.terminated_early {
-        if a.reachable > b.reachable {
-            return Err(format!(
-                "lazy discovery exceeded true reachability: {} > {}",
-                a.reachable, b.reachable
-            ));
+        if a.visited != a.proximity_computations + 1 {
+            return Err(format!("an early stop visits one node it does not compute: {a:?}"));
         }
         if a.frontier_expanded >= a.reachable {
             return Err(format!("death layer leaked into the expansion count: {a:?}"));
         }
-    } else if a.without_gather() != b.without_gather() {
-        // The merge-join oracles never run the gather kernel, so the byte
-        // counters/kernel label legitimately differ; everything else must
-        // agree exactly on complete runs.
+    } else if work(a) != work(b) {
         return Err(format!("full runs must agree exactly: {a:?} vs {b:?}"));
+    }
+    Ok(())
+}
+
+/// What [`check_stop_rule`] has the search look for.
+#[derive(Debug, Clone, Copy)]
+pub enum StopGoal {
+    /// The `k` best proximities (`top_k_from_set`; θ is the k-th best so far).
+    TopK(usize),
+    /// Every proximity of at least this θ (`nodes_above`; one source only).
+    Above(f64),
+}
+
+/// The stop rule of the search held to its definition, step by step.
+///
+/// Runs the query under the scalar kernel — whose proximities are bit for
+/// bit the entries of the `full_proximities` vector, the *truth* here —
+/// then replays the visit with no stack, no stamps and no shortcuts:
+/// before each position of the BFS order it recomputes, over **all**
+/// nodes, the in-neighbour sums `S_u` of what is computed so far and the
+/// remaining mass `R`, in the driver's own arithmetic, and checks that
+///
+/// * the bound the stop test consults — `c'_max·A_max·R` for nodes no
+///   push has reached, `c'_max·(S_u + Ā_u·R)` for the others — is at least
+///   the largest true proximity among the uncomputed non-source nodes
+///   (**soundness**, at every step, stopped or not);
+/// * the search stopped at exactly the first position past the sources
+///   where that bound is strictly below θ, and nowhere if there is none;
+/// * the answer is bit for bit what the truth vector selects — for a
+///   single-source top-k also `top_k_unpruned`'s, ids included.
+pub fn check_stop_rule(
+    index: &KdashIndex,
+    sources: &[NodeId],
+    goal: StopGoal,
+) -> Result<(), String> {
+    let fail = |e: kdash_core::KdashError| e.to_string();
+    let mut searcher = Searcher::with_kernel(index, GatherKernel::Scalar).map_err(fail)?;
+    let got = match goal {
+        StopGoal::TopK(k) => searcher.top_k_from_set(sources, k),
+        StopGoal::Above(theta) => searcher.nodes_above(sources[0], theta),
+    }
+    .map_err(fail)?;
+    let truth_by_id = index.full_proximities_from_set(sources).map_err(fail)?;
+
+    // The answer against the truth vector (values; ids may differ on ties).
+    let mut want = truth_by_id.clone();
+    want.sort_unstable_by(|a, b| b.total_cmp(a));
+    match goal {
+        StopGoal::TopK(k) => want.truncate(k),
+        StopGoal::Above(theta) => want.retain(|&p| p >= theta),
+    }
+    let answer: Vec<u64> = got.items.iter().map(|i| i.proximity.to_bits()).collect();
+    if answer != want.iter().map(|p| p.to_bits()).collect::<Vec<u64>>() {
+        return Err(format!("answer differs from the truth vector's: {:?}", got.items));
+    }
+    if let (StopGoal::TopK(k), [q]) = (goal, sources) {
+        let unpruned = searcher.top_k_unpruned(*q, k).map_err(fail)?;
+        if got.items != unpruned.items {
+            return Err(format!("answer differs from top_k_unpruned's: {:?}", got.items));
+        }
+    }
+
+    let perm = index.permutation();
+    let graph = index.permuted_graph();
+    let n = index.num_nodes();
+    let mut truth = vec![0.0; n];
+    for (id, &p) in truth_by_id.iter().enumerate() {
+        truth[perm.new_of(id as NodeId) as usize] = p;
+    }
+    let roots: Vec<NodeId> = sources.iter().map(|&s| perm.new_of(s)).collect();
+    let order = BfsTree::new_multi(graph, &roots).order;
+    let (a_row_max, _) = index.stop_rule_vectors();
+    let (_, a_max, c_prime) = index.estimator_constants();
+    let c_prime_max = c_prime.iter().copied().fold(0.0f64, f64::max);
+    let stats = &got.stats;
+
+    let mut inflow: Vec<Option<f64>> = vec![None; n];
+    let mut remaining = stats.query_mass;
+    let mut prefix: Vec<f64> = Vec::new();
+    for pos in 0..=order.len() {
+        let pending = &order[pos..];
+        let r = remaining.max(0.0);
+        let bound =
+            pending.iter().fold(c_prime_max * a_max * r, |best, &u| match inflow[u as usize] {
+                Some(s) => best.max(c_prime_max * (s + a_row_max[u as usize] * r)),
+                None => best,
+            });
+        let largest = pending
+            .iter()
+            .filter(|u| !roots.contains(u))
+            .map(|&u| truth[u as usize])
+            .fold(0.0f64, f64::max);
+        if bound < largest {
+            return Err(format!(
+                "unsound at position {pos}: bound {bound:e} below an uncomputed {largest:e}"
+            ));
+        }
+        let theta = match goal {
+            StopGoal::TopK(k) if prefix.len() >= k => {
+                let mut best = prefix.clone();
+                best.sort_unstable_by(|a, b| b.total_cmp(a));
+                Some(best[k - 1])
+            }
+            StopGoal::TopK(_) => None,
+            StopGoal::Above(theta) => Some(theta),
+        };
+        let exhausted = pos == order.len();
+        let may_stop = !exhausted && pos >= roots.len() && theta.is_some_and(|t| bound < t);
+        let stopped = stats.terminated_early && stats.proximity_computations == pos;
+        if may_stop != stopped || (exhausted && stats.proximity_computations != pos) {
+            return Err(format!(
+                "at position {pos} of {} (bound {bound:e}, θ {theta:?}) the definition says \
+                 stop = {may_stop}, the search: {stats:?}",
+                order.len()
+            ));
+        }
+        if stopped || exhausted {
+            break;
+        }
+
+        // Compute order[pos]: the driver's arithmetic, operation for operation.
+        let v = order[pos];
+        let p = truth[v as usize];
+        prefix.push(p);
+        remaining -= p;
+        let out_sum = graph.out_weight_sum(v);
+        if out_sum > 0.0 {
+            let scale = p / out_sum;
+            for (u, w) in graph.out_edges(v) {
+                *inflow[u as usize].get_or_insert(0.0) += scale * w;
+            }
+        }
     }
     Ok(())
 }
@@ -122,7 +256,8 @@ pub fn check_layout_equivalence(flat: &TopKResult, blocked: &TopKResult) -> Resu
 /// array level** — same permutation, same permuted graph, same `L⁻¹`
 /// arrays (pointer, index and value bits), same `U⁻¹` proximity store
 /// (layout, encoded arrays, per-row policy stats), same estimator
-/// constants, same nnz statistics and same update-relevant metadata.
+/// constants and stop-rule vectors, same nnz statistics and same
+/// update-relevant metadata.
 /// This is the strongest form of "incremental update ≡ from-scratch
 /// rebuild": if it holds, every query answer and every `SearchStats`
 /// field agrees automatically, on any machine.
@@ -162,9 +297,16 @@ pub fn check_index_bit_identity(
     if a_max_a.to_bits() != a_max_b.to_bits() {
         return Err(format!("A_max differs: {a_max_a:e} vs {a_max_b:e}"));
     }
-    for (name, xs, ys) in
-        [("A_max(v)", a_col_max_a, a_col_max_b), ("c'", c_prime_a, c_prime_b)]
-    {
+    // The stop rule's vectors are derived, so this is where a patch that
+    // carried a stale column sum would show.
+    let (a_row_max_a, uinv_col_sums_a) = a.stop_rule_vectors();
+    let (a_row_max_b, uinv_col_sums_b) = b.stop_rule_vectors();
+    for (name, xs, ys) in [
+        ("A_max(v)", a_col_max_a, a_col_max_b),
+        ("c'", c_prime_a, c_prime_b),
+        ("row maximum of A", a_row_max_a, a_row_max_b),
+        ("U⁻¹ column sum", uinv_col_sums_a, uinv_col_sums_b),
+    ] {
         for (i, (x, y)) in xs.iter().zip(ys).enumerate() {
             if x.to_bits() != y.to_bits() {
                 return Err(format!("{name}[{i}] differs: {x:e} vs {y:e}"));

@@ -240,6 +240,19 @@ impl CscMatrix {
             .collect()
     }
 
+    /// Maximum stored value per row (0.0 for empty rows): on the
+    /// transition matrix, the largest share any node hands each node —
+    /// the row-wise twin of [`col_max`](Self::col_max). One flat pass over
+    /// the entries: it never needs to know their columns.
+    pub fn row_max(&self) -> Vec<f64> {
+        let mut row_max = vec![0.0f64; self.nrows];
+        for (&r, &v) in self.row_idx.iter().zip(&self.values) {
+            let slot = &mut row_max[r as usize];
+            *slot = slot.max(v);
+        }
+        row_max
+    }
+
     /// Maximum stored value across the matrix (the paper's global `A_max`).
     pub fn global_max(&self) -> f64 {
         self.values.iter().copied().fold(0.0f64, f64::max)
@@ -492,6 +505,8 @@ mod tests {
     fn col_max_and_global_max() {
         let m = sample();
         assert_eq!(m.col_max(), vec![4.0, 3.0, 5.0]);
+        assert_eq!(m.row_max(), vec![2.0, 3.0, 5.0]);
+        assert_eq!(CscMatrix::zeros(2, 2).row_max(), vec![0.0, 0.0]);
         assert_eq!(m.global_max(), 5.0);
         assert_eq!(CscMatrix::zeros(2, 2).col_max(), vec![0.0, 0.0]);
     }

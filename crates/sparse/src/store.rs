@@ -339,6 +339,33 @@ impl ProximityStore {
         }
     }
 
+    /// `1ᵀ A`: the sum of every column's stored values, one streaming pass
+    /// in storage order. Column `j` accumulates its entries by ascending
+    /// row from `+0.0` — the order a CSC column summed top to bottom adds
+    /// in, so a caller that holds one column's replacement can re-sum
+    /// just that column and stay bit-identical to this pass.
+    pub fn column_sums(&self) -> Vec<f64> {
+        let mut sums = vec![0.0; self.ncols()];
+        for r in 0..self.nrows() as Index {
+            match &self.rows {
+                RowStorage::Flat(m) => {
+                    let (cols, vals) = m.row(r);
+                    for (&c, &v) in cols.iter().zip(vals) {
+                        sums[c as usize] += v;
+                    }
+                }
+                RowStorage::Blocked(b) => {
+                    for seg in b.row_segments(r) {
+                        for (&d, &v) in seg.offs.iter().zip(seg.vals) {
+                            sums[seg.base + d as usize] += v;
+                        }
+                    }
+                }
+            }
+        }
+        sums
+    }
+
     /// Issues software prefetches for the front of row `r`'s index and
     /// value spans — the candidate-batching hook: the search loop calls
     /// this a small block of candidates ahead, restoring memory-level
@@ -404,6 +431,22 @@ mod tests {
         let mut buf = ScatteredColumn::new(n);
         buf.load(&idx, &val);
         buf
+    }
+
+    #[test]
+    fn column_sums_add_each_csc_column_top_to_bottom() {
+        for seed in 0..4u64 {
+            let csr = random_csr(40, 30, 0.3, seed);
+            let csc = csr.to_csc();
+            let expect: Vec<u64> = (0..30 as Index)
+                .map(|j| csc.col(j).1.iter().fold(0.0f64, |acc, &v| acc + v).to_bits())
+                .collect();
+            for layout in [RowLayout::Flat, RowLayout::Blocked] {
+                let store = ProximityStore::from_csr(csr.clone(), layout).unwrap();
+                let got: Vec<u64> = store.column_sums().iter().map(|s| s.to_bits()).collect();
+                assert_eq!(got, expect, "seed {seed} {layout:?}");
+            }
+        }
     }
 
     #[test]

@@ -67,18 +67,22 @@ fn main() {
     for (rank, item) in result.items.iter().enumerate() {
         println!("  #{:<2} node {:<6} proximity {:.6e}", rank + 1, item.node, item.proximity);
     }
-    // The BFS frontier is expanded lazily, fused into the search loop: on
-    // early-terminated queries `frontier_expanded` < `reachable`, and
-    // `reachable` itself is only the *discovered* count — the pruned-away
-    // layers are never even enumerated.
+    // The search stops once no uncomputed node can still reach the k-th
+    // best proximity: each one is bounded by the exact sum of what its
+    // computed in-neighbours hand it plus its largest in-share of the
+    // mass `M_q` not yet accounted for. The BFS frontier is expanded
+    // lazily, fused into the search loop: on early-terminated queries
+    // `frontier_expanded` < `reachable`, and `reachable` itself is only the
+    // *discovered* count — the pruned-away layers are never even enumerated.
     println!(
         "visited {} nodes, computed {} exact proximities, expanded {} of {} discovered, \
-         early-termination: {}",
+         early-termination: {}, query mass M_q = {:.6}",
         result.stats.visited,
         result.stats.proximity_computations,
         result.stats.frontier_expanded,
         result.stats.reachable,
-        result.stats.terminated_early
+        result.stats.terminated_early,
+        result.stats.query_mass
     );
     // The gather is observable per query: what the host resolved to,
     // how many rows it ran, and what they streamed.

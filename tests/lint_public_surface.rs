@@ -20,15 +20,23 @@ const PINS: &[(&str, usize)] = &[
     ("bench", 7),
     ("cli", 0),
     ("community", 20),
-    ("core", 176),
+    ("core", 175),
     ("datagen", 36),
     ("dynamic", 61),
     ("eval", 17),
     ("graph", 100),
-    ("harness", 8),
+    // +2 (PR 23): `check_stop_rule` and its `StopGoal` — the search's stop
+    // rule replayed from its definition, shared by `exactness.rs` and
+    // `proptests.rs`.
+    ("harness", 10),
     ("linalg", 52),
     ("serve", 58),
-    ("sparse", 183),
+    // +2 (PR 23), the stop rule's two derived vectors, each computed in
+    // one place for build, load, update and audit alike:
+    // `ProximityStore::column_sums`, the one pass that knows both row
+    // layouts (the update engine's per-column re-sum must agree with it bit
+    // for bit), and `CscMatrix::row_max`, beside `col_max`.
+    ("sparse", 185),
 ];
 
 const ITEM_KEYWORDS: [&str; 9] =

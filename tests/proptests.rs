@@ -4,6 +4,7 @@
 use kdash_baselines::{IterativeRwr, TopKEngine};
 use kdash_core::{IndexOptions, KdashIndex, LayerEstimator, NodeOrdering};
 use kdash_graph::{BfsTree, CsrGraph, GraphBuilder, NodeId, Permutation};
+use kdash_harness::{check_stop_rule, StopGoal};
 use kdash_sparse::{
     invert_lower_unit, invert_upper, sparse_lu, transition_matrix, w_matrix, DanglingPolicy,
 };
@@ -73,7 +74,7 @@ proptest! {
         for (pos, &u) in bfs.order.iter().enumerate() {
             let p = full[u as usize];
             if pos == 0 {
-                est.record_root(p, col_max[u as usize]);
+                est.record_selected(0, p, col_max[u as usize]);
                 continue;
             }
             let a_uu = a.get(u, u).unwrap_or(0.0);
@@ -81,6 +82,36 @@ proptest! {
             let bound = c_prime * est.advance(bfs.layer[u as usize]);
             prop_assert!(bound >= p - 1e-9, "node {}: bound {} < p {}", u, bound, p);
             est.record_selected(bfs.layer[u as usize], p, col_max[u as usize]);
+        }
+    }
+
+    /// The driver's stop rule on arbitrary weighted graphs with self-loops
+    /// and sinks: sound at every visit step, stopped at the first position
+    /// its definition allows and no earlier, answers bit for bit the truth
+    /// vector's (`check_stop_rule`) — top-k, restart set and threshold
+    /// alike, under both dangling policies, from shallow to deep walks.
+    #[test]
+    fn stop_rule_matches_its_definition((graph, picks, k, mode, theta_exp) in
+        (graph_strategy(), any::<[u32; 3]>(), 1usize..8, 0usize..6, 1u32..7)) {
+        let n = graph.num_nodes();
+        let dangling = [DanglingPolicy::Keep, DanglingPolicy::SelfLoop][mode / 3];
+        let index = KdashIndex::build(&graph, IndexOptions {
+            restart_probability: [0.5, 0.95, 0.999][mode % 3],
+            dangling,
+            ..Default::default()
+        }).unwrap();
+        let mut sources: Vec<NodeId> = picks.iter().map(|&p| (p as usize % n) as NodeId).collect();
+        sources.sort_unstable();
+        sources.dedup();
+        let theta = 10f64.powi(-(theta_exp as i32));
+        for (sources, goal) in [
+            (&sources[..1], StopGoal::TopK(k)),
+            (&sources[..], StopGoal::TopK(k)),
+            (&sources[..1], StopGoal::Above(theta)),
+        ] {
+            if let Err(msg) = check_stop_rule(&index, sources, goal) {
+                prop_assert!(false, "n={} {:?} {:?} {:?}: {}", n, dangling, sources, goal, msg);
+            }
         }
     }
 

@@ -2,11 +2,16 @@
 //! dispatch:
 //!
 //! * under the **scalar** gather kernel, the lazy `Searcher` path must
-//!   return **bit-identical** proximities — and identical rankings and
-//!   work counters — to the original eager merge-join path
-//!   (`KdashIndex::top_k_merge_join`), across random graphs, random
-//!   queries and every entry-point family. (The gather visits exactly the
-//!   merge join's matching pairs in the same ascending-column order.)
+//!   return **bit-identical** proximities and rankings to the original
+//!   eager merge-join path (`KdashIndex::top_k_merge_join`), across random
+//!   graphs, random queries and every entry-point family. (The gather
+//!   visits exactly the merge join's matching pairs in the same
+//!   ascending-column order.)
+//! * the **work counters** are dominated: the merge join stops where the
+//!   paper's Definition 2 does, the `Searcher` where no uncomputed node
+//!   can still reach θ — never later, over a prefix of the same visit
+//!   order — so its `visited`, `proximity_computations`, `nnz_gathered`
+//!   and `frontier_expanded` never exceed the oracle's.
 //! * the **traversal counters** differ by design: the merge join
 //!   enumerates the whole reachable set up front (`reachable` =
 //!   `frontier_expanded` = full count), while the lazy path stops
@@ -41,7 +46,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Lazy scatter/gather top-k ≡ eager merge-join top-k, bit for bit,
-    /// with the traversal counters obeying the lazy/eager contract.
+    /// with the counters obeying the lazy/eager contract.
     #[test]
     fn searcher_matches_merge_join((graph, q_sel, k_sel, c_pick) in
         (graph_strategy(), any::<u32>(), 0usize..12, 0usize..3)) {
@@ -270,6 +275,11 @@ fn reused_searcher_equals_fresh_searchers_across_entry_points_and_aborts() {
 
         let got = reused.nodes_above(q, 1e-4).unwrap();
         assert_same("nodes_above", &got, &index.searcher().nodes_above(q, 1e-4).unwrap());
+
+        // Straight after a restart set: a query that kept the set's mass
+        // would stop somewhere else.
+        let got = reused.top_k_unpruned(q, 10).unwrap();
+        assert_same("top_k_unpruned", &got, &index.searcher().top_k_unpruned(q, 10).unwrap());
 
         let got = reused.top_k_from_root(q, 10, root).unwrap();
         assert_same(

@@ -281,14 +281,18 @@ fn overflowing_residual_is_a_typed_failure_not_a_panic() {
     // overflows to ±∞ and the residual to NaN on the first evaluation.
     let (a_col_max, a_max, c_prime) = index.estimator_constants();
     let (linv_dropped, uinv_dropped) = index.dropped_masses();
+    let a_row_max = index.stop_rule_vectors().0.to_vec();
+    let uinv = ProximityStore::from_csr(
+        CsrMatrix::from_csc(&scaled(&index.uinv_rows().to_csc(), 1e200)),
+        index.layout(),
+    )
+    .unwrap();
     let patch = IndexPatch {
         graph: index.permuted_graph().clone(),
         linv: scaled(index.linv_cols(), 1e200),
-        uinv: ProximityStore::from_csr(
-            CsrMatrix::from_csc(&scaled(&index.uinv_rows().to_csc(), 1e200)),
-            index.layout(),
-        )
-        .unwrap(),
+        a_row_max,
+        uinv_col_sums: uinv.column_sums(),
+        uinv,
         a_col_max: a_col_max.to_vec(),
         a_max,
         c_prime: c_prime.to_vec(),

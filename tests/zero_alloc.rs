@@ -42,7 +42,8 @@ fn allocations() -> usize {
 #[test]
 fn top_k_into_is_allocation_free_after_warmup() {
     // A hub-rich graph so queries traverse substantial candidate sets,
-    // dense-exact (the Lemma-2 search) and sparsified (certified
+    // dense-exact (the stop-rule search, whose in-neighbour sums, stamps
+    // and hot stack are sized with the workspace) and sparsified (certified
     // refinement over the whole reachable set; tie-free weights, or the
     // loop would rightly refuse to rank). Both indexes are built before
     // either window opens, and the windows run one after the other: the
