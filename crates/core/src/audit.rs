@@ -16,13 +16,14 @@
 //!   every row, and — in the blocked layout — the run encoding obeys the
 //!   decode contract (aligned anchors, full coverage, strictly ascending
 //!   decoded columns);
-//! * the per-row stats and `max_row_nnz` agree with the rows they
-//!   summarise (a wrong table skews the gather accounting and budgets);
+//! * the store's derived tables — per-row stats, `max_row_nnz`, column
+//!   sums — agree with the rows they summarise (a wrong table skews the
+//!   gather accounting and budgets, or the stop rule's mass);
 //! * the estimator constants — and the per-node out-weight sums the
 //!   certified refinement normalises by — are **bit-identical** to a
 //!   recomputation from the stored graph: the Lemma 1/2 bounds and the
 //!   refinement residual are only sound for the matrix actually indexed;
-//! * the header scalars (restart probability, cached `c'_max`) are
+//! * the header scalars (restart probability, component dimensions) are
 //!   coherent.
 //!
 //! The audit never panics and allocates only small per-section scratch.
@@ -30,6 +31,7 @@
 //! fsck), `DynamicIndex::verify_after_apply` (opt-in post-update check),
 //! and directly through this API.
 
+use crate::estimator::BoundConstants;
 use crate::precompute::out_weight_sums;
 use crate::KdashIndex;
 use kdash_sparse::{transition_matrix, w_matrix, LuFactors, RowLayout, BLOCK_COLS};
@@ -179,8 +181,8 @@ impl IndexAudit {
     }
 }
 
-/// Header scalars: restart probability in range, cached `c'_max` coherent
-/// with the per-node array, component dimensions agreeing.
+/// Header scalars: restart probability in range, component dimensions
+/// agreeing.
 fn audit_header(index: &KdashIndex, col: &mut Collector) {
     const S: &str = "header";
     let n = index.num_nodes();
@@ -199,20 +201,14 @@ fn audit_header(index: &KdashIndex, col: &mut Collector) {
     col.check(S, uinv.nrows() == n && uinv.ncols() == n, || {
         format!("U⁻¹ is {}×{}, expected {n}×{n}", uinv.nrows(), uinv.ncols())
     });
-    col.check(S, index.a_col_max().len() == n, || {
-        format!("A_max(v) has {} entries, expected {n}", index.a_col_max().len())
-    });
-    col.check(S, index.c_prime().len() == n, || {
-        format!("c' has {} entries, expected {n}", index.c_prime().len())
-    });
-    let expect_max = index.c_prime().iter().copied().fold(0.0f64, f64::max);
-    col.check(S, index.c_prime_max().to_bits() == expect_max.to_bits(), || {
-        format!(
-            "cached c'_max {} disagrees with max over c' entries {}",
-            index.c_prime_max(),
-            expect_max
-        )
-    });
+    let bounds = index.bounds();
+    for (name, len) in [
+        ("A_max(v)", bounds.a_col_max.len()),
+        ("c'", bounds.c_prime.len()),
+        ("row maximum of A", bounds.a_row_max.len()),
+    ] {
+        col.check(S, len == n, || format!("{name} has {len} entries, expected {n}"));
+    }
 }
 
 /// The permutation must be a bijection on `0..n` — a repeated or
@@ -325,11 +321,16 @@ fn audit_linv(index: &KdashIndex, col: &mut Collector) {
 /// `U⁻¹` must be upper triangular with a nonzero diagonal leading every
 /// row; in the blocked layout the run encoding must additionally obey the
 /// decode contract (aligned anchors, runs covering exactly the row's
-/// span, strictly ascending decoded columns in bounds).
+/// span, strictly ascending decoded columns in bounds). The walk also
+/// re-sums every column, top to bottom: the store's column sums are where
+/// the stop rule's mass comes from, a splice refreshes them only for the
+/// columns it replaced, and a stale sum below the truth would stop
+/// searches too early.
 fn audit_uinv(index: &KdashIndex, col: &mut Collector) {
     const S: &str = "uinv";
     let store = index.uinv();
     let n = store.nrows();
+    let mut sums = vec![0.0f64; store.ncols()];
     match store.layout() {
         RowLayout::Flat => {
             let Some(csr) = store.as_flat() else {
@@ -338,7 +339,7 @@ fn audit_uinv(index: &KdashIndex, col: &mut Collector) {
             };
             for r in 0..n as u32 {
                 let (cols, vals) = csr.row(r);
-                audit_uinv_row(S, col, n, r, cols.iter().copied(), vals);
+                audit_uinv_row(S, col, n, r, cols.iter().copied(), vals, &mut sums);
             }
         }
         RowLayout::Blocked => {
@@ -394,13 +395,24 @@ fn audit_uinv(index: &KdashIndex, col: &mut Collector) {
                     continue;
                 }
                 col.check(S, start == hi, || format!("row {r}: runs do not cover the row"));
-                audit_uinv_row(S, col, n, r as u32, decoded.iter().copied(), &values[lo..hi]);
+                let vals = &values[lo..hi];
+                audit_uinv_row(S, col, n, r as u32, decoded.iter().copied(), vals, &mut sums);
             }
         }
     }
+    let stored = store.column_sums();
+    col.check(S, stored.len() == sums.len(), || {
+        format!("column-sum table has {} entries, expected {}", stored.len(), sums.len())
+    });
+    for (j, (stored, expect)) in stored.iter().zip(&sums).enumerate() {
+        col.check(S, stored.to_bits() == expect.to_bits(), || {
+            format!("U⁻¹ column sum {j}: stored {stored} recomputed {expect}")
+        });
+    }
 }
 
-/// Shared per-row triangularity check for both `U⁻¹` layouts.
+/// Shared per-row triangularity check for both `U⁻¹` layouts; adds the
+/// row's entries to the running column `sums`.
 fn audit_uinv_row(
     section: &'static str,
     col: &mut Collector,
@@ -408,6 +420,7 @@ fn audit_uinv_row(
     r: u32,
     cols: impl Iterator<Item = u32>,
     vals: &[f64],
+    sums: &mut [f64],
 ) {
     let mut prev: Option<u32> = None;
     let mut count = 0usize;
@@ -421,6 +434,9 @@ fn audit_uinv_row(
             col.check(section, c == r, || {
                 format!("row {r}: leading column is {c}, not the diagonal")
             });
+        }
+        if let (Some(sum), Some(v)) = (sums.get_mut(c as usize), vals.get(i)) {
+            *sum += v;
         }
         prev = Some(c);
         count += 1;
@@ -491,24 +507,31 @@ fn audit_row_stats(index: &KdashIndex, col: &mut Collector) {
 
 /// The estimator constants must be **bit-identical** to a recomputation
 /// from the stored permuted graph under the recorded dangling policy —
-/// the same derivation the build pipeline runs. Anything else means the
-/// Lemma 1/2 bounds describe a different matrix than the one indexed,
-/// and "exact top-k" is no longer a theorem.
+/// the one derivation ([`BoundConstants::of`]) build, load and update
+/// run. Anything else means the Lemma 1/2 bounds describe a different
+/// matrix than the one indexed, and "exact top-k" is no longer a theorem.
 fn audit_estimator(index: &KdashIndex, col: &mut Collector) {
     const S: &str = "estimator";
-    let n = index.num_nodes();
     let a = transition_matrix(index.permuted_graph(), index.dangling_policy());
-    let expect_col_max = a.col_max();
-    let expect_a_max = a.global_max();
-    let c = index.restart_probability();
-    col.check(S, index.a_max().to_bits() == expect_a_max.to_bits(), || {
-        format!("A_max {} disagrees with recomputed {}", index.a_max(), expect_a_max)
-    });
-    let stored = index.a_col_max();
-    for v in 0..n.min(stored.len()).min(expect_col_max.len()) {
-        col.check(S, stored[v].to_bits() == expect_col_max[v].to_bits(), || {
-            format!("A_max(v) at node {v}: stored {} recomputed {}", stored[v], expect_col_max[v])
+    let (stored, expect) = (index.bounds(), BoundConstants::of(&a, index.restart_probability()));
+    for (name, stored, expect) in [
+        ("A_max", stored.a_max, expect.a_max),
+        ("c'_max", stored.c_prime_max, expect.c_prime_max),
+    ] {
+        col.check(S, stored.to_bits() == expect.to_bits(), || {
+            format!("{name} {stored} disagrees with recomputed {expect}")
         });
+    }
+    for (name, stored, expect) in [
+        ("A_max(v)", &stored.a_col_max, &expect.a_col_max),
+        ("c'", &stored.c_prime, &expect.c_prime),
+        ("row maximum of A", &stored.a_row_max, &expect.a_row_max),
+    ] {
+        for (v, (stored, expect)) in stored.iter().zip(expect).enumerate() {
+            col.check(S, stored.to_bits() == expect.to_bits(), || {
+                format!("{name} at node {v}: stored {stored} recomputed {expect}")
+            });
+        }
     }
     // The out-weight sums the refinement residual divides by: derived, so
     // a stale vector means a commit path replaced the graph without them.
@@ -520,34 +543,6 @@ fn audit_estimator(index: &KdashIndex, col: &mut Collector) {
     for (v, (stored, expect)) in out_weight.iter().zip(&expect).enumerate() {
         col.check(S, stored.to_bits() == expect.to_bits(), || {
             format!("out-weight sum at node {v}: stored {stored} recomputed {expect}")
-        });
-    }
-    let (row_max, expect) = (index.a_row_max(), a.row_max());
-    for v in 0..n.min(row_max.len()) {
-        col.check(S, row_max[v].to_bits() == expect[v].to_bits(), || {
-            format!("row maximum of A at node {v}: stored {} recomputed {}", row_max[v], expect[v])
-        });
-    }
-    // The U⁻¹ column sums the stop rule's mass comes from: an update
-    // carries them over and re-sums only the columns it re-solved, so a
-    // stale entry means a column changed without its sum — and a mass
-    // bound below the query's true mass would stop searches too early.
-    let col_sums = index.uinv_col_sums();
-    let expect = index.uinv().column_sums();
-    col.check(S, col_sums.len() == expect.len(), || {
-        format!("U⁻¹ column-sum vector has {} entries, expected {}", col_sums.len(), expect.len())
-    });
-    for (j, (stored, expect)) in col_sums.iter().zip(&expect).enumerate() {
-        col.check(S, stored.to_bits() == expect.to_bits(), || {
-            format!("U⁻¹ column sum {j}: carried {stored} recomputed {expect}")
-        });
-    }
-    let c_prime = index.c_prime();
-    for v in 0..n.min(c_prime.len()) {
-        let a_vv = a.get(v as u32, v as u32).unwrap_or(0.0);
-        let expect = (1.0 - c) / (1.0 - a_vv + c * a_vv);
-        col.check(S, c_prime[v].to_bits() == expect.to_bits(), || {
-            format!("c' at node {v}: stored {} recomputed {}", c_prime[v], expect)
         });
     }
 }
@@ -839,13 +834,14 @@ mod tests {
 
     #[test]
     fn stale_column_sum_is_found() {
-        let index = sample_index();
-        let mut patch = crate::precompute::tests::identity_patch(&index);
-        patch.uinv_col_sums[2] *= 0.5;
-        let audit = IndexAudit::run(&index.patched(patch).unwrap());
-        assert_eq!(audit.total_findings(), 1, "findings: {:?}", audit.findings);
-        assert_eq!(audit.findings[0].section, "estimator");
-        assert!(audit.findings[0].detail.contains("U⁻¹ column sum 2"));
+        for layout in [RowLayout::Flat, RowLayout::Blocked] {
+            let mut index = sample_index().with_layout(layout);
+            index.uinv_mut().column_sums_mut()[2] *= 0.5;
+            let audit = IndexAudit::run(&index);
+            assert_eq!(audit.total_findings(), 1, "findings: {:?}", audit.findings);
+            assert_eq!(audit.findings[0].section, "uinv");
+            assert!(audit.findings[0].detail.contains("U⁻¹ column sum 2"));
+        }
     }
 
     #[test]

@@ -63,10 +63,73 @@
 //! bounds one node at a time with no in-neighbour sums, so it can only
 //! skip individual nodes, never terminate.
 //!
+//! # Where the constants come from
+//!
+//! Every constant above — `A_max(v)`, `A_max`, `c'_u`, `c'_max`, `Ā_u` —
+//! is a function of the transition matrix `A` and `c` alone, and
+//! `BoundConstants::of` is the one place that function is written down:
+//! a build, a load, an update and the audit each call it on the `A` of the
+//! graph at hand, so none of them can hold constants of another matrix.
+//! (The query mass's column sums `1ᵀU⁻¹` are a table of the stored `U⁻¹`,
+//! and live with it: [`kdash_sparse::ProximityStore::column_sums`].)
+//!
 //! [`DanglingPolicy::Keep`]: kdash_sparse::DanglingPolicy::Keep
 
 use crate::KdashIndex;
 use kdash_graph::{EpochStamps, NodeId};
+use kdash_sparse::CscMatrix;
+
+/// The constants of the bounds (see the module docs), in permuted node
+/// order.
+#[derive(Debug, Clone)]
+pub(crate) struct BoundConstants {
+    /// `A_max(v)`: the largest entry of column `v` (Definition 1).
+    pub a_col_max: Vec<f64>,
+    /// `A_max`: the largest entry of `A`.
+    pub a_max: f64,
+    /// `c'_u = (1−c)/(1 − A_uu + c·A_uu)`: the RWR equation's factor with
+    /// `u`'s self-loop solved out — the paper's `1−c` where there is none.
+    pub c_prime: Vec<f64>,
+    /// `max_u c'_u`: what a bound multiplies by when it speaks for nodes
+    /// it never looks at.
+    pub c_prime_max: f64,
+    /// `Ā_u = max_v A_uv`: the largest share any in-neighbour hands `u`.
+    pub a_row_max: Vec<f64>,
+}
+
+impl BoundConstants {
+    /// Reads the constants off the transition matrix `a` in one pass over
+    /// its entries. (A maximum has to be taken over the whole matrix even
+    /// after a one-edge edit: a row's can fall, and only a pass finds the
+    /// runner-up.)
+    pub(crate) fn of(a: &CscMatrix, c: f64) -> BoundConstants {
+        let mut a_col_max = Vec::with_capacity(a.ncols());
+        let mut c_prime = Vec::with_capacity(a.ncols());
+        let mut a_row_max = vec![0.0f64; a.nrows()];
+        for v in 0..a.ncols() as NodeId {
+            let (rows, vals) = a.col(v);
+            let (mut col_max, mut a_vv) = (0.0f64, 0.0);
+            for (&u, &w) in rows.iter().zip(vals) {
+                col_max = col_max.max(w);
+                let slot = &mut a_row_max[u as usize];
+                *slot = slot.max(w);
+                if u == v {
+                    a_vv = w;
+                }
+            }
+            a_col_max.push(col_max);
+            c_prime.push((1.0 - c) / (1.0 - a_vv + c * a_vv));
+        }
+        let max_of = |xs: &[f64]| xs.iter().copied().fold(0.0f64, f64::max);
+        BoundConstants {
+            a_max: max_of(&a_col_max),
+            c_prime_max: max_of(&c_prime),
+            a_col_max,
+            c_prime,
+            a_row_max,
+        }
+    }
+}
 
 /// Relative amount the computed query mass `M_q` is rounded up by before
 /// it bounds anything. The dot product that yields it and the gathers that
@@ -140,8 +203,9 @@ impl InflowBound {
     /// a computed node, whose inflow is `−∞`.
     #[inline]
     fn is_hot(&self, index: &KdashIndex, u: NodeId, theta: f64) -> bool {
-        let bound = self.inflow[u as usize] + index.a_row_max()[u as usize] * self.remaining();
-        index.c_prime_max() * bound >= theta
+        let bounds = index.bounds();
+        let bound = self.inflow[u as usize] + bounds.a_row_max[u as usize] * self.remaining();
+        bounds.c_prime_max * bound >= theta
     }
 
     /// Accounts the exact proximity `p` just computed for `v`: takes it
@@ -179,7 +243,8 @@ impl InflowBound {
     #[inline]
     pub(crate) fn none_reaches(&mut self, index: &KdashIndex, theta: f64) -> bool {
         // Nodes no push has reached: S_u = 0, Ā_u ≤ A_max.
-        if index.c_prime_max() * index.a_max() * self.remaining() >= theta {
+        let bounds = index.bounds();
+        if bounds.c_prime_max * bounds.a_max * self.remaining() >= theta {
             return false;
         }
         while let Some(&u) = self.hot.last() {
@@ -332,7 +397,7 @@ mod tests {
         // Nodes 1 and 2 hold S = p0/2 with Ā = 1/2; nodes 3 and 4 are
         // untouched and fall under c'_max · A_max · R with A_max = 1.
         let r = bound.mass() - p0;
-        let c_prime_max = index.c_prime_max();
+        let c_prime_max = index.bounds().c_prime_max;
         let touched = c_prime_max * (p0 / 2.0 + 0.5 * r);
         let untouched = c_prime_max * 1.0 * r;
         let largest = touched.max(untouched);
@@ -374,7 +439,7 @@ mod tests {
         }
         assert_eq!(bound.hot, vec![1, 2, 3, 4]);
         // Only node 4 is left: everything above it on the stack is dead.
-        let left = index.c_prime_max() * (truth[3] + bound.remaining());
+        let left = index.bounds().c_prime_max * (truth[3] + bound.remaining());
         assert!(!bound.none_reaches(&index, left));
         assert_eq!(bound.hot, vec![1, 2, 3, 4], "a live top is left where it is");
         // All computed: what remains is the slack the mass was rounded up by.

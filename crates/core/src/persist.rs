@@ -31,18 +31,23 @@
 //! blocked arrays of [`kdash_sparse::BlockedCsr`]: run anchors + `u16`
 //! deltas, the bandwidth-lean on-disk *and* in-memory form), the packed
 //! per-row stats ([`kdash_sparse::RowStat`], checked on load against the
-//! stats recomputed from the arrays), estimator constants, dropped
-//! masses, and the dynamic-update trailer (dangling-node policy tag and
-//! **update-epoch counter**) — is followed by its CRC32 (IEEE), and the
+//! stats recomputed from the arrays), estimator constants (checked on
+//! load, bit for bit, against the constants derived from the graph
+//! section), dropped masses, and the dynamic-update trailer
+//! (dangling-node policy tag and **update-epoch counter**) — is followed
+//! by its CRC32 (IEEE), and the
 //! file ends with a `KDASHEND` footer carrying the CRC32 of the whole byte
 //! stream before it. Load verifies each section checksum in stream order
 //! and the footer last, so corruption is reported with the failing
 //! [`Section`] and byte offset ([`PersistError::ChecksumMismatch`]).
 
+use crate::estimator::BoundConstants;
 use crate::precompute::IndexParts;
 use crate::{IndexStats, KdashIndex, NodeOrdering};
 use kdash_graph::{CsrGraph, Permutation};
-use kdash_sparse::{BlockedCsr, CscMatrix, CsrMatrix, ProximityStore, RowLayout, RowStat};
+use kdash_sparse::{
+    transition_matrix, BlockedCsr, CscMatrix, CsrMatrix, ProximityStore, RowLayout, RowStat,
+};
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -671,9 +676,9 @@ impl KdashIndex {
         marks.push((Section::RowStats.name(), w.end_section()?));
 
         // Estimator constants.
-        write_f64_slice(&mut w, self.a_col_max())?;
-        write_f64(&mut w, self.a_max())?;
-        write_f64_slice(&mut w, self.c_prime())?;
+        write_f64_slice(&mut w, &self.bounds().a_col_max)?;
+        write_f64(&mut w, self.bounds().a_max)?;
+        write_f64_slice(&mut w, &self.bounds().c_prime)?;
         marks.push((Section::Estimator.name(), w.end_section()?));
 
         // The sparsification record (v5): drop tolerance + per-column
@@ -857,7 +862,9 @@ impl KdashIndex {
         }
         r.end_section(Section::RowStats)?;
 
-        // Estimator constants.
+        // Estimator constants: held until the trailer names the dangling
+        // policy the graph's transition matrix is formed under.
+        let estimator_at = r.offset();
         let a_col_max = r.f64_vec(Section::Estimator, n)?;
         let a_max = r.f64(Section::Estimator)?;
         let c_prime = r.f64_vec(Section::Estimator, n)?;
@@ -910,6 +917,20 @@ impl KdashIndex {
         r.verify_footer()?;
         let end = r.offset();
 
+        // The constants are a function of the graph just validated: derive
+        // them, and refuse a file whose stored ones differ by a bit — they
+        // would bound another matrix than the one the file indexes.
+        let bounds = BoundConstants::of(&transition_matrix(&graph, dangling), c);
+        let stored = a_col_max.iter().chain([&a_max]).chain(&c_prime);
+        let derived = bounds.a_col_max.iter().chain([&bounds.a_max]).chain(&bounds.c_prime);
+        if let Some(at) = stored.zip(derived).position(|(s, d)| s.to_bits() != d.to_bits()) {
+            return Err(corrupt(
+                Section::Estimator,
+                estimator_at + 8 * at as u64,
+                "estimator section disagrees with the constants of the stored graph",
+            ));
+        }
+
         // Statistics carry the nnz counts but zero durations.
         let index = KdashIndex::assemble(IndexParts {
             c,
@@ -920,14 +941,10 @@ impl KdashIndex {
             graph,
             linv,
             uinv,
-            a_col_max,
-            a_max,
-            c_prime,
+            bounds,
             drop_tolerance,
             linv_dropped,
             uinv_dropped,
-            a_row_max: None,
-            uinv_col_sums: None,
             stats: IndexStats::default(),
         })
         .map_err(|e| corrupt(Section::Index, end, format!("inconsistent index components: {e}")))?;
@@ -1370,6 +1387,33 @@ mod tests {
             matches!(err, PersistError::ChecksumMismatch { section: Section::Graph, .. }),
             "got {err:?}"
         );
+    }
+
+    /// A file can be internally consistent — every checksum right — and
+    /// still carry constants of another matrix than the graph it stores.
+    #[test]
+    fn estimator_section_that_disagrees_with_the_graph_is_corrupt() {
+        let index = sample_index();
+        let mut buf = Vec::new();
+        let marks = index.save_with_section_offsets(&mut buf).unwrap();
+        let end_of = |name: &str| marks.iter().find(|m| m.0 == name).unwrap().1 as usize;
+        let (start, end) = (end_of("row-stats"), end_of("estimator"));
+        // One mantissa bit of the last stored c′ (the 8 bytes before the
+        // section's CRC field), then the section CRC and the footer made
+        // to agree with it.
+        let flipped = end - 12;
+        buf[flipped] ^= 0x01;
+        let section_crc = crc32(&buf[start..end - 4]);
+        buf[end - 4..end].copy_from_slice(&section_crc.to_le_bytes());
+        let footer = buf.len() - 12;
+        let file_crc = crc32(&buf[..footer]);
+        buf[footer + 8..].copy_from_slice(&file_crc.to_le_bytes());
+        match KdashIndex::load(buf.as_slice()).unwrap_err() {
+            PersistError::Corrupt { section: Section::Estimator, offset, .. } => {
+                assert_eq!(offset, flipped as u64, "the error names the stored field");
+            }
+            other => panic!("expected Corrupt in the estimator section, got {other:?}"),
+        }
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //! benchmark graphs that chain left a second worker nothing to do
 //! (`kdash_sparse::lu`'s module docs have the measurement).
 
+use crate::estimator::BoundConstants;
 use crate::ordering::{compute_ordering_with_stats, OrderingStats};
 use crate::precompute::IndexParts;
 use crate::{IndexOptions, IndexStats, KdashError, KdashIndex, NodeOrdering, Result};
-use kdash_graph::{CsrGraph, NodeId, Permutation};
+use kdash_graph::{CsrGraph, Permutation};
 use kdash_sparse::{
     sparse_lu_tallied, sparsify_lower_unit_with, sparsify_upper_with, transition_matrix,
     validate_drop_tolerance, w_matrix, CsrMatrix, DanglingPolicy, InvertOptions, ProximityStore,
@@ -296,24 +297,16 @@ impl IndexBuilder {
         report.stages.push(StageTiming { stage: BuildStage::Inversion, duration: inversion_time });
 
         // Stage 4 — estimator: the constants of the bounds, read off the
-        // transition matrix (the stop rule's column sums come with
-        // `assemble`).
+        // transition matrix (the stop rule's column sums come with the
+        // proximity store).
         let t = Instant::now();
-        let a_col_max = a.col_max();
-        let a_row_max = a.row_max();
-        let a_max = a.global_max();
         let c = options.restart_probability;
-        let c_prime: Vec<f64> = (0..permuted.num_nodes() as NodeId)
-            .map(|v| {
-                let a_vv = a.get(v, v).unwrap_or(0.0);
-                (1.0 - c) / (1.0 - a_vv + c * a_vv)
-            })
-            .collect();
+        let bounds = BoundConstants::of(&a, c);
         let estimator_time = t.elapsed();
         report.stages.push(StageTiming { stage: BuildStage::Estimator, duration: estimator_time });
 
-        // Stage 5 — assemble: the per-row policy table, the (blocked by
-        // default) proximity-store encoding of U⁻¹, statistics, and the
+        // Stage 5 — assemble: the (blocked by default) proximity-store
+        // encoding of U⁻¹ with its derived tables, statistics, and the
         // final immutable index. The timer covers the assembly itself, so
         // it is stamped into the finished index afterwards.
         let t = Instant::now();
@@ -327,14 +320,10 @@ impl IndexBuilder {
             graph: permuted,
             linv,
             uinv,
-            a_col_max,
-            a_max,
-            c_prime,
+            bounds,
             drop_tolerance: eps,
             linv_dropped,
             uinv_dropped,
-            a_row_max: Some(a_row_max),
-            uinv_col_sums: None,
             stats: IndexStats {
                 ordering_time,
                 factorization_time,
@@ -355,7 +344,7 @@ impl IndexBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kdash_graph::GraphBuilder;
+    use kdash_graph::{GraphBuilder, NodeId};
 
     fn ring(n: usize) -> CsrGraph {
         let mut b = GraphBuilder::new(n);

@@ -5,6 +5,7 @@
 //! and the estimator's precomputed quantities `A_max`, `A_max(v)` and the
 //! per-node `c'` factors.
 
+use crate::estimator::BoundConstants;
 use crate::{IndexBuilder, IndexStats, KdashError, NodeOrdering, Result};
 use kdash_graph::{CsrGraph, NodeId, Permutation};
 use kdash_sparse::{CscMatrix, DanglingPolicy, ProximityStore, RowLayout, SparseError};
@@ -78,17 +79,11 @@ pub struct KdashIndex {
     /// index encoding by default): a node's proximity is one gather of a
     /// stored row against the scattered query column.
     uinv: ProximityStore,
-    /// `A_max(v)` per (permuted) node.
-    a_col_max: Vec<f64>,
-    /// Global `A_max`.
-    a_max: f64,
-    /// Per-node `c'_u = (1−c)/(1 − A_uu + c·A_uu)`.
-    c_prime: Vec<f64>,
-    /// `max_u c'_u` — the factor the *termination* test uses: with
-    /// self-loops `c'` varies per node, and the test speaks for nodes it
-    /// never looks at (those no push has reached), so it multiplies by the
-    /// maximum — the paper's constant `1−c` on self-loop-free graphs.
-    c_prime_max: f64,
+    /// The constants of the proximity bounds, derived from the transition
+    /// matrix of `graph` ([`BoundConstants::of`]) wherever that is set.
+    /// `A_max(v)`, `A_max` and `c'` are also what the file format's
+    /// estimator section holds.
+    bounds: BoundConstants,
     /// Out-edge weight sum per (permuted) node — the normaliser of its
     /// transition-matrix column, zero for dangling nodes. Derived from
     /// `graph` wherever that is set, never persisted; the certified
@@ -96,16 +91,6 @@ pub struct KdashIndex {
     /// while `dropped_total` is zero: nothing refines on such an index,
     /// and its updates should not pay an `O(m)` pass for nothing.
     out_weight: Vec<f64>,
-    /// `Ā_u = max_v A_uv` per (permuted) node: the largest share any
-    /// in-neighbour hands `u` — the row-wise twin of `a_col_max`, for the
-    /// search's stop rule ([`crate::estimator`]). Derived from the
-    /// transition matrix wherever one is at hand, never persisted.
-    a_row_max: Vec<f64>,
-    /// `1ᵀU⁻¹`: the column sums of the stored `U⁻¹`, whose dot with a
-    /// query column `L⁻¹e_q` is the query's total proximity mass over `c`.
-    /// Derived from `uinv` (or carried, re-summed where re-solved, by an
-    /// [`IndexPatch`]), never persisted.
-    uinv_col_sums: Vec<f64>,
     /// Drop tolerance `ε` the stored inverses were truncated with
     /// (`0.0` = dense-exact).
     drop_tolerance: f64,
@@ -121,35 +106,28 @@ pub struct KdashIndex {
 }
 
 /// What one incremental update batch produces: a full replacement set for
-/// the components of a [`KdashIndex`] that depend on the graph. Consumed by
-/// [`KdashIndex::patched`]; construct one only from spliced components
-/// that a from-scratch rebuild would reproduce.
+/// the *stored* components of a [`KdashIndex`] that depend on the graph.
+/// What is derived from them is not a patch's to supply:
+/// [`KdashIndex::patched`] reads the bounds' constants off `transition`,
+/// and `uinv` carries its own tables. Construct one only from spliced
+/// components that a from-scratch rebuild would reproduce.
 #[doc(hidden)]
 pub struct IndexPatch {
     /// The edited permuted graph.
     pub graph: CsrGraph,
+    /// The transition matrix of `graph` under the index's dangling policy
+    /// — the one the update engine formed to refactorise `W`, moved here.
+    pub transition: CscMatrix,
     /// `L⁻¹` with the dirty columns re-solved and spliced.
     pub linv: CscMatrix,
-    /// `U⁻¹` with the dirty rows re-encoded and spliced.
+    /// `U⁻¹` with the dirty columns re-solved and spliced
+    /// ([`ProximityStore::splice_columns`]).
     pub uinv: ProximityStore,
-    /// `A_max(v)` with the dirty entries recomputed.
-    pub a_col_max: Vec<f64>,
-    /// Global `A_max` over the patched transition matrix.
-    pub a_max: f64,
-    /// `c'` with the dirty entries recomputed.
-    pub c_prime: Vec<f64>,
-    /// The row maxima of the patched transition matrix
-    /// ([`CscMatrix::row_max`]).
-    pub a_row_max: Vec<f64>,
     /// Full replacement for the per-column `L⁻¹` dropped masses (dirty
     /// columns re-sparsified under the index's `ε`, clean ones copied).
     pub linv_dropped: Vec<f64>,
     /// Full replacement for the per-lane `U⁻¹` dropped masses.
     pub uinv_dropped: Vec<f64>,
-    /// The column sums of `uinv` ([`ProximityStore::column_sums`]): the
-    /// old index's with each re-solved column summed top to bottom again,
-    /// which is bit for bit what a pass over the spliced store yields.
-    pub uinv_col_sums: Vec<f64>,
     /// Stored entries of the fresh factor `L` (stats refresh).
     pub nnz_l: usize,
     /// Stored entries of the fresh factor `U` (stats refresh).
@@ -172,19 +150,12 @@ pub(crate) struct IndexParts {
     pub graph: CsrGraph,
     pub linv: CscMatrix,
     pub uinv: ProximityStore,
-    pub a_col_max: Vec<f64>,
-    pub a_max: f64,
-    pub c_prime: Vec<f64>,
+    /// [`BoundConstants::of`] the transition matrix of `graph`: each
+    /// producer has that matrix at hand for a reason of its own.
+    pub bounds: BoundConstants,
     pub drop_tolerance: f64,
     pub linv_dropped: Vec<f64>,
     pub uinv_dropped: Vec<f64>,
-    /// The row maxima of the transition matrix where the producer has
-    /// that matrix (a build, an update); `None` (a load) has
-    /// `assemble` form it from `graph`.
-    pub a_row_max: Option<Vec<f64>>,
-    /// The column sums of `uinv` where the producer already holds them (an
-    /// update); `None` has `assemble` stream the store once.
-    pub uinv_col_sums: Option<Vec<f64>>,
     /// What only the producer knows: the stage durations and the factor
     /// nnz counts. Every count `assemble` can read off the components is
     /// overwritten there.
@@ -202,15 +173,10 @@ impl KdashIndex {
 
     /// The one constructor: build, load and update all end here. Fails
     /// when the scalars are out of range or the component dimensions
-    /// disagree; derives the cached `c'_max`, the dropped-mass total, the
-    /// out-weight sums, the stop rule's row maxima and column sums, and
+    /// disagree; derives the dropped-mass total, the out-weight sums and
     /// the size statistics.
-    pub(crate) fn assemble(mut parts: IndexParts) -> Result<KdashIndex> {
+    pub(crate) fn assemble(parts: IndexParts) -> Result<KdashIndex> {
         let malformed = |detail: String| KdashError::Sparse(SparseError::Malformed(detail));
-        let a_row_max = parts.a_row_max.take().unwrap_or_else(|| {
-            kdash_sparse::transition_matrix(&parts.graph, parts.dangling).row_max()
-        });
-        let uinv_col_sums = parts.uinv_col_sums.take().unwrap_or_else(|| parts.uinv.column_sums());
         let p = &parts;
         let n = p.graph.num_nodes();
         kdash_sparse::rwr::validate_restart(p.c)?;
@@ -220,28 +186,20 @@ impl KdashIndex {
             || p.linv.ncols() != n
             || p.uinv.nrows() != n
             || p.uinv.ncols() != n
-            || p.a_col_max.len() != n
-            || p.c_prime.len() != n
+            || p.bounds.a_col_max.len() != n
+            || p.bounds.a_row_max.len() != n
             || p.linv_dropped.len() != n
             || p.uinv_dropped.len() != n
-            || a_row_max.len() != n
-            || uinv_col_sums.len() != n
         {
             return Err(malformed("component dimensions disagree".into()));
         }
         if p.linv_dropped.iter().chain(&p.uinv_dropped).any(|m| !(m.is_finite() && *m >= 0.0)) {
             return Err(malformed("dropped-mass entries must be finite and non-negative".into()));
         }
-        if !(p.a_max.is_finite() && p.a_max >= 0.0) {
-            return Err(malformed(format!("A_max {} is not a finite non-negative value", p.a_max)));
-        }
         let dropped_total =
             p.linv_dropped.iter().sum::<f64>() + p.uinv_dropped.iter().sum::<f64>();
         Ok(KdashIndex {
-            c_prime_max: p.c_prime.iter().copied().fold(0.0f64, f64::max),
             out_weight: out_weight_sums(&p.graph, dropped_total),
-            a_row_max,
-            uinv_col_sums,
             dropped_total,
             stats: IndexStats {
                 nnz_l_inv: p.linv.nnz(),
@@ -260,9 +218,7 @@ impl KdashIndex {
             graph: parts.graph,
             linv: parts.linv,
             uinv: parts.uinv,
-            a_col_max: parts.a_col_max,
-            a_max: parts.a_max,
-            c_prime: parts.c_prime,
+            bounds: parts.bounds,
             drop_tolerance: parts.drop_tolerance,
             linv_dropped: parts.linv_dropped,
             uinv_dropped: parts.uinv_dropped,
@@ -270,11 +226,12 @@ impl KdashIndex {
     }
 
     /// The index one update batch later — the commit stage of the
-    /// `kdash-dynamic` update engine. The patch supplies every component
-    /// that depends on the graph; the permutation, the options and the
-    /// build's stage durations carry over, and the update epoch advances
-    /// by [`IndexPatch::epochs`]. `self` is untouched, whatever the
-    /// outcome.
+    /// `kdash-dynamic` update engine. The patch supplies every stored
+    /// component that depends on the graph and the bounds' constants are
+    /// derived from its transition matrix; the permutation, the options
+    /// and the build's stage durations carry over, and the update epoch
+    /// advances by [`IndexPatch::epochs`]. `self` is untouched, whatever
+    /// the outcome.
     ///
     /// Hidden: the only supported caller is `kdash_dynamic::DynamicIndex`,
     /// which is what upholds the "patched ≡ rebuilt" guarantee; splicing
@@ -295,14 +252,10 @@ impl KdashIndex {
             graph: patch.graph,
             linv: patch.linv,
             uinv: patch.uinv,
-            a_col_max: patch.a_col_max,
-            a_max: patch.a_max,
-            c_prime: patch.c_prime,
+            bounds: BoundConstants::of(&patch.transition, self.c),
             drop_tolerance: self.drop_tolerance,
             linv_dropped: patch.linv_dropped,
             uinv_dropped: patch.uinv_dropped,
-            a_row_max: Some(patch.a_row_max),
-            uinv_col_sums: Some(patch.uinv_col_sums),
             stats: IndexStats { nnz_l: patch.nnz_l, nnz_u: patch.nnz_u, ..self.stats.clone() },
         })
     }
@@ -382,8 +335,6 @@ impl KdashIndex {
     /// build (`O(nnz)`), so benchmarks and layout-equivalence checks can
     /// compare both layouts from one expensive construction.
     pub fn with_layout(&self, layout: RowLayout) -> KdashIndex {
-        // (Values and their order are the layout's invariant, so the
-        // column sums carry over.)
         let mut copy = self.clone();
         copy.uinv = self.uinv.relayout(layout);
         copy.stats.uinv_index_bytes = copy.uinv.index_bytes();
@@ -549,20 +500,14 @@ impl KdashIndex {
         self.linv.col(self.perm.new_of(q))
     }
 
-    /// The estimator's precomputed constants `(A_max(v), A_max, c')`, in
-    /// permuted node order. Hidden: the dynamic engine reads them to
-    /// recompute only the dirty entries.
+    /// The constants of the bounds `(A_max(v), A_max, c', Ā_u)`, in
+    /// permuted node order. Hidden: `kdash-harness` reads them — the
+    /// bit-identity check compares them, the stop-rule replay bounds with
+    /// them.
     #[doc(hidden)]
-    pub fn estimator_constants(&self) -> (&[f64], f64, &[f64]) {
-        (&self.a_col_max, self.a_max, &self.c_prime)
-    }
-
-    /// The stop rule's derived vectors `(Ā_u, 1ᵀU⁻¹)`, in permuted node
-    /// order. Hidden: the dynamic engine re-sums the re-solved columns of
-    /// the second, and the bit-identity and soundness suites read both.
-    #[doc(hidden)]
-    pub fn stop_rule_vectors(&self) -> (&[f64], &[f64]) {
-        (&self.a_row_max, &self.uinv_col_sums)
+    pub fn bound_constants(&self) -> (&[f64], f64, &[f64], &[f64]) {
+        let b = &self.bounds;
+        (&b.a_col_max, b.a_max, &b.c_prime, &b.a_row_max)
     }
 
     // Internal accessors for the search module (`pub` + hidden: the
@@ -581,30 +526,19 @@ impl KdashIndex {
     pub(crate) fn uinv(&self) -> &ProximityStore {
         &self.uinv
     }
-    pub(crate) fn a_col_max(&self) -> &[f64] {
-        &self.a_col_max
-    }
-    pub(crate) fn a_max(&self) -> f64 {
-        self.a_max
-    }
-    pub(crate) fn c_prime(&self) -> &[f64] {
-        &self.c_prime
-    }
-    pub(crate) fn c_prime_max(&self) -> f64 {
-        self.c_prime_max
+    pub(crate) fn bounds(&self) -> &BoundConstants {
+        &self.bounds
     }
     pub(crate) fn out_weight(&self) -> &[f64] {
         &self.out_weight
     }
-    pub(crate) fn a_row_max(&self) -> &[f64] {
-        &self.a_row_max
-    }
-    pub(crate) fn uinv_col_sums(&self) -> &[f64] {
-        &self.uinv_col_sums
-    }
     #[cfg(test)]
     pub(crate) fn out_weight_mut(&mut self) -> &mut [f64] {
         &mut self.out_weight
+    }
+    #[cfg(test)]
+    pub(crate) fn uinv_mut(&mut self) -> &mut ProximityStore {
+        &mut self.uinv
     }
 }
 
@@ -619,7 +553,7 @@ pub(crate) fn out_weight_sums(graph: &CsrGraph, dropped_total: f64) -> Vec<f64> 
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use kdash_graph::GraphBuilder;
     use kdash_sparse::rwr::rwr_step;
@@ -738,20 +672,15 @@ pub(crate) mod tests {
     }
 
     /// A patch that re-supplies the index's own components.
-    pub(crate) fn identity_patch(index: &KdashIndex) -> IndexPatch {
-        let (a_col_max, a_max, c_prime) = index.estimator_constants();
+    fn identity_patch(index: &KdashIndex) -> IndexPatch {
         let (linv_dropped, uinv_dropped) = index.dropped_masses();
         IndexPatch {
             graph: index.permuted_graph().clone(),
+            transition: transition_matrix(index.permuted_graph(), index.dangling_policy()),
             linv: index.linv_cols().clone(),
             uinv: index.uinv_rows().clone(),
-            a_col_max: a_col_max.to_vec(),
-            a_max,
-            c_prime: c_prime.to_vec(),
             linv_dropped: linv_dropped.to_vec(),
             uinv_dropped: uinv_dropped.to_vec(),
-            a_row_max: index.a_row_max().to_vec(),
-            uinv_col_sums: index.uinv_col_sums().to_vec(),
             nnz_l: 7,
             nnz_u: 11,
             epochs: 2,
@@ -778,7 +707,7 @@ pub(crate) mod tests {
         let smaller = KdashIndex::build(&ring_with_chords(12), IndexOptions::default()).unwrap();
         let spoilers: [fn(&mut IndexPatch, &KdashIndex); 4] = [
             |p, _| p.epochs = 0,
-            |p, _| p.a_max = f64::NAN,
+            |p, other| p.transition = other.linv_cols().clone(),
             |p, other| p.linv = other.linv_cols().clone(),
             |p, _| p.uinv_dropped[4] = -1e-9,
         ];
@@ -842,8 +771,8 @@ pub(crate) mod tests {
         // Node 0 has A_00 = 0.5 -> c' = (1-c)/(1 - 0.5 + 0.45) != (1-c).
         let new0 = index.permutation().new_of(0);
         let expect = (1.0 - c) / (1.0 - 0.5 + c * 0.5);
-        assert!((index.c_prime()[new0 as usize] - expect).abs() < 1e-12);
+        assert!((index.bounds().c_prime[new0 as usize] - expect).abs() < 1e-12);
         let new1 = index.permutation().new_of(1);
-        assert!((index.c_prime()[new1 as usize] - (1.0 - c)).abs() < 1e-12);
+        assert!((index.bounds().c_prime[new1 as usize] - (1.0 - c)).abs() < 1e-12);
     }
 }

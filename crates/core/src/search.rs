@@ -164,7 +164,7 @@ impl KdashIndex {
         let c = self.restart_probability();
 
         let mut heap = TopKHeap::new(k);
-        let mut estimator = LayerEstimator::new(self.a_max());
+        let mut estimator = LayerEstimator::new(self.bounds().a_max);
         let mut stats = SearchStats {
             reachable: bfs.num_reachable(),
             frontier_expanded: bfs.num_reachable(),
@@ -179,7 +179,7 @@ impl KdashIndex {
             // computed) may the bound end the search.
             if pos > 0 {
                 let terms = estimator.advance(layer);
-                let bound = self.c_prime_max() * terms;
+                let bound = self.bounds().c_prime_max * terms;
                 if layer > 0 && heap.is_full() && bound < heap.threshold() {
                     stats.terminated_early = true;
                     break;
@@ -188,7 +188,7 @@ impl KdashIndex {
             let p = c * self.uinv().row_dot_sparse(u, &col_idx, &col_val);
             stats.proximity_computations += 1;
             stats.nnz_gathered += self.uinv().row_stat(u).nnz as usize;
-            estimator.record_selected(layer, p, self.a_col_max()[u as usize]);
+            estimator.record_selected(layer, p, self.bounds().a_col_max[u as usize]);
             heap.offer(p, u);
         }
 
@@ -466,20 +466,20 @@ mod tests {
         let bfs = BfsTree::new(index.permuted_graph(), qp);
         let (ci, cv) = index.linv().col(qp);
         let c = index.restart_probability();
-        let mut est = LayerEstimator::new(index.a_max());
+        let mut est = LayerEstimator::new(index.bounds().a_max);
         for (pos, &u) in bfs.order.iter().enumerate() {
             let p = c * index.uinv().row_dot_sparse(u, ci, cv);
             if pos == 0 {
-                est.record_selected(0, p, index.a_col_max()[u as usize]);
+                est.record_selected(0, p, index.bounds().a_col_max[u as usize]);
                 continue;
             }
             let layer = bfs.layer[u as usize];
-            let bound = index.c_prime()[u as usize] * est.advance(layer);
+            let bound = index.bounds().c_prime[u as usize] * est.advance(layer);
             assert!(
                 bound >= p - 1e-12,
                 "Lemma 1 violated at node {u}: bound {bound} < p {p}"
             );
-            est.record_selected(layer, p, index.a_col_max()[u as usize]);
+            est.record_selected(layer, p, index.bounds().a_col_max[u as usize]);
         }
     }
 

@@ -586,12 +586,12 @@ impl Bound for AnyOrder {
 
     #[inline]
     fn prunable(&mut self, s: &mut Searcher<'_>, u: NodeId, _: u32, cutoff: f64) -> bool {
-        u != self.query && s.index.c_prime()[u as usize] * self.state.bound_term() < cutoff
+        u != self.query && s.index.bounds().c_prime[u as usize] * self.state.bound_term() < cutoff
     }
 
     #[inline]
     fn record(&mut self, s: &mut Searcher<'_>, u: NodeId, proximity: f64, _: Option<f64>) {
-        self.state.record(proximity, s.index.a_col_max()[u as usize]);
+        self.state.record(proximity, s.index.bounds().a_col_max[u as usize]);
     }
 }
 
@@ -772,7 +772,7 @@ impl<'a> Searcher<'a> {
         let mass = if index.needs_refinement() {
             1.0
         } else {
-            let sums = index.uinv_col_sums();
+            let sums = index.uinv().column_sums();
             let dot: f64 = col_idx.iter().zip(col_val).map(|(&i, &v)| v * sums[i as usize]).sum();
             index.restart_probability() * dot
         };
@@ -1030,7 +1030,7 @@ impl<'a> Searcher<'a> {
         let query = self.seed_node(q)?;
         index.check_node(root)?;
         let bound = AnyOrder {
-            state: ArbitraryOrderBound::new(index.a_max()),
+            state: ArbitraryOrderBound::new(index.bounds().a_max),
             query,
             root: index.permutation().new_of(root),
         };

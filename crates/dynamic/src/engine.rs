@@ -8,7 +8,7 @@
 //! ```text
 //! edit graph → incremental refactorisation (dirty-W forward reach)
 //!            → inverse reach analysis → re-solve dirty inverse columns
-//!            → splice → estimator refresh
+//!            → splice (one per stored inverse) → bound constants
 //! ```
 //!
 //! and assembles the *next* index from the patched components
@@ -43,8 +43,7 @@ use kdash_core::{IndexPatch, KdashIndex};
 use kdash_graph::{CsrGraph, EdgeEdit, NodeId};
 use kdash_sparse::{
     inverse_dirty_columns, refactor_candidates, refactor_columns, sparsify_columns_with,
-    transition_matrix, w_matrix, Index, InvertOptions, LuFactors, ProximityStore, RowUpdate,
-    Triangle,
+    transition_matrix, w_matrix, Index, InvertOptions, LuFactors, Triangle,
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -90,7 +89,8 @@ pub struct UpdateReport {
     /// Columns of `U⁻¹` inside the reach of the dirty `U` columns.
     pub dirty_uinv_columns: usize,
     /// Rows of the stored `U⁻¹` re-encoded by the splice (rows holding
-    /// entries in a dirty column, before or after the update).
+    /// entries in a dirty column, before or after the update), as
+    /// [`kdash_sparse::ProximityStore::splice_columns`] counts them.
     pub dirty_uinv_rows: usize,
     /// Stored entries the dirty-column re-solves produced (the numeric
     /// work actually paid, against `nnz(L⁻¹) + nnz(U⁻¹)` for a rebuild).
@@ -113,9 +113,11 @@ pub struct UpdateReport {
     pub reach_time: Duration,
     /// Dirty-column re-solve time (the work-stealing pool).
     pub resolve_time: Duration,
-    /// Splice time (`L⁻¹` columns + `U⁻¹` rows + policy refresh).
+    /// Splice time: the re-solved columns into `L⁻¹` and into `U⁻¹`
+    /// (its rows re-encoded, its derived tables refreshed).
     pub splice_time: Duration,
-    /// Estimator refresh + assembling the next index.
+    /// Re-deriving the bounds' constants + assembling the next index
+    /// ([`KdashIndex::patched`]).
     pub estimator_time: Duration,
     /// Write-ahead journal append + fsync time (zero when journaled
     /// mode is off) — the durability tax the `recovery_time` bench
@@ -633,62 +635,39 @@ impl DynamicIndex {
         report.resolved_nnz = linv_updates.iter().chain(&uinv_updates).map(|u| u.rows.len()).sum();
         report.resolve_time = t.elapsed();
 
-        // Stage 5 — splice. L⁻¹ is column-major storage, so the solved
-        // columns drop straight in. U⁻¹ is stored row-major behind the
-        // ProximityStore: the solved columns are scattered into per-row
-        // updates, merged with each dirty row's surviving entries, and
-        // spliced with per-row blocked re-encoding + RowStat refresh.
+        // Stage 5 — splice: each stored inverse takes the solved columns
+        // as the solver emitted them. How `U⁻¹` turns columns into its
+        // rows, and which of its derived tables that touches, is the
+        // store's business.
         let t = Instant::now();
         let new_linv = self.index.linv_cols().splice_columns(&linv_updates)?;
-        let row_updates = uinv_row_updates(self.index.uinv_rows(), &dirty_uinv, &uinv_updates);
-        report.dirty_uinv_rows = row_updates.len();
-        let new_uinv = self.index.uinv_rows().splice_rows(&row_updates)?;
+        let (new_uinv, dirty_uinv_rows) = self.index.uinv_rows().splice_columns(&uinv_updates)?;
+        report.dirty_uinv_rows = dirty_uinv_rows;
         report.splice_time = t.elapsed();
 
-        // Stage 6 — estimator refresh on the dirty transition columns
-        // only, then the next index: everything that can fail runs here,
-        // before anything is made durable. Its update epoch is ahead by
-        // the number of batches this pass represented.
+        // Stage 6 — the next index: the bounds' constants re-derived from
+        // the edited transition matrix, and everything that can fail run
+        // here, before anything is made durable. Its update epoch is
+        // ahead by the number of batches this pass represented. The
+        // per-column dropped ℓ₁ masses carry over, overwritten where a
+        // column was re-solved.
         let t = Instant::now();
-        let (a_col_max_old, _, c_prime_old) = self.index.estimator_constants();
-        let mut a_col_max = a_col_max_old.to_vec();
-        let mut c_prime = c_prime_old.to_vec();
-        let c = self.index.restart_probability();
-        for &j in &dirty_w {
-            a_col_max[j as usize] = a.col(j).1.iter().copied().fold(0.0f64, f64::max);
-            let a_jj = a.get(j, j).unwrap_or(0.0);
-            c_prime[j as usize] = (1.0 - c) / (1.0 - a_jj + c * a_jj);
-        }
-        let a_max = a_col_max.iter().copied().fold(0.0f64, f64::max);
-        // (A row's maximum can fall when a dirty column's entry does, and
-        // only a pass over the matrix finds the runner-up: `O(m)` loads.)
-        let a_row_max = a.row_max();
-        // Per-column dropped ℓ₁ masses: carry the old vectors forward and
-        // overwrite just the re-solved columns with their fresh masses.
         let (old_linv_dropped, old_uinv_dropped) = self.index.dropped_masses();
         let mut linv_dropped = old_linv_dropped.to_vec();
         for (upd, &mass) in linv_updates.iter().zip(&linv_sparsified.dropped) {
             linv_dropped[upd.col as usize] = mass;
         }
         let mut uinv_dropped = old_uinv_dropped.to_vec();
-        let mut uinv_col_sums = self.index.stop_rule_vectors().1.to_vec();
         for (upd, &mass) in uinv_updates.iter().zip(&uinv_sparsified.dropped) {
             uinv_dropped[upd.col as usize] = mass;
-            // Top to bottom from +0.0: the order a pass over the spliced
-            // store adds this column's entries in.
-            uinv_col_sums[upd.col as usize] = upd.vals.iter().fold(0.0, |sum, &v| sum + v);
         }
         let next = Arc::new(self.index.patched(IndexPatch {
             graph: new_graph,
+            transition: a,
             linv: new_linv,
             uinv: new_uinv,
-            a_col_max,
-            a_max,
-            c_prime,
-            a_row_max,
             linv_dropped,
             uinv_dropped,
-            uinv_col_sums,
             nnz_l: new_factors.l.nnz(),
             nnz_u: new_factors.u.nnz(),
             epochs: batches.len() as u64,
@@ -799,108 +778,6 @@ impl DynamicIndex {
             permuted.push(edit.map_endpoints(|v| perm.new_of(v)));
         }
         Ok(permuted)
-    }
-}
-
-/// Builds the per-row replacement set for the stored `U⁻¹` from the
-/// re-solved dirty columns: a row is dirty iff it holds an entry in a
-/// dirty column before or after the update; its new content is its
-/// surviving clean-column entries merged (by column) with the re-solved
-/// entries. Both sides are sorted and live in disjoint column sets, so
-/// the merge is a linear zip — and the result is exactly the row a full
-/// `U⁻¹` rebuild would store.
-fn uinv_row_updates(
-    store: &ProximityStore,
-    dirty_cols: &[Index],
-    solved: &[kdash_sparse::ColumnUpdate],
-) -> Vec<RowUpdate> {
-    let n = store.nrows();
-    if dirty_cols.is_empty() {
-        return Vec::new();
-    }
-    let mut dirty_flag = vec![false; store.ncols()];
-    for &c in dirty_cols {
-        dirty_flag[c as usize] = true;
-    }
-    let (min_dirty, max_dirty) =
-        (*dirty_cols.first().expect("non-empty"), *dirty_cols.last().expect("non-empty"));
-
-    // New entries bucketed by row. Columns are processed in ascending
-    // order, so each bucket is ascending in column.
-    let mut new_by_row: HashMap<Index, Vec<(Index, f64)>> = HashMap::new();
-    for u in solved {
-        for (&r, &v) in u.rows.iter().zip(&u.vals) {
-            new_by_row.entry(r).or_default().push((u.col, v));
-        }
-    }
-
-    // Rows with old entries in a dirty column. The row-stat span check
-    // skips most clean rows without decoding them.
-    let mut affected: Vec<Index> = new_by_row.keys().copied().collect();
-    let mut decode_scratch: Vec<Index> = Vec::with_capacity(store.max_row_nnz());
-    for r in 0..n as Index {
-        let stat = store.row_stat(r);
-        if stat.nnz == 0 || stat.last < min_dirty || stat.first > max_dirty {
-            continue;
-        }
-        let (cols, _) = row_view(store, r, &mut decode_scratch);
-        if cols.iter().any(|&c| dirty_flag[c as usize]) {
-            affected.push(r);
-        }
-    }
-    affected.sort_unstable();
-    affected.dedup();
-
-    affected
-        .into_iter()
-        .map(|r| {
-            let (cols, vals) = row_view(store, r, &mut decode_scratch);
-            let kept: Vec<(Index, f64)> = cols
-                .iter()
-                .zip(vals)
-                .filter(|(&c, _)| !dirty_flag[c as usize])
-                .map(|(&c, &v)| (c, v))
-                .collect();
-            let added = new_by_row.remove(&r).unwrap_or_default();
-            // Sorted merge of two column-disjoint runs.
-            let mut merged_cols = Vec::with_capacity(kept.len() + added.len());
-            let mut merged_vals = Vec::with_capacity(kept.len() + added.len());
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < kept.len() || j < added.len() {
-                let take_kept = match (kept.get(i), added.get(j)) {
-                    (Some(&(ck, _)), Some(&(ca, _))) => ck < ca,
-                    (Some(_), None) => true,
-                    _ => false,
-                };
-                let (c, v) = if take_kept {
-                    i += 1;
-                    kept[i - 1]
-                } else {
-                    j += 1;
-                    added[j - 1]
-                };
-                merged_cols.push(c);
-                merged_vals.push(v);
-            }
-            RowUpdate { row: r, cols: merged_cols, vals: merged_vals }
-        })
-        .collect()
-}
-
-/// A row's columns and values under either layout. The blocked layout
-/// decodes into `scratch`; the flat layout borrows directly.
-fn row_view<'a>(
-    store: &'a ProximityStore,
-    r: Index,
-    scratch: &'a mut Vec<Index>,
-) -> (&'a [Index], &'a [f64]) {
-    match (store.as_flat(), store.as_blocked()) {
-        (Some(m), _) => m.row(r),
-        (_, Some(b)) => {
-            b.decode_row_into(r, scratch);
-            (scratch.as_slice(), b.row_values(r))
-        }
-        _ => unreachable!("a store is always one of the two layouts"),
     }
 }
 

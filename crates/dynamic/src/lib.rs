@@ -44,13 +44,19 @@
 //!    that set is **provably untouched**, not just assumed so.
 //! 3. **Re-solve + splice** — only the dirty inverse columns re-run
 //!    their per-column triangular solves (the same work-stealing pool as
-//!    the build pipeline), then splice into the stored arrays: `L⁻¹` by
-//!    column, the `U⁻¹` [`kdash_sparse::ProximityStore`] by row with
-//!    per-row blocked re-encoding and stats-table ([`RowStat`]) refresh
-//!    — so the byte accounting stays coherent with a from-scratch build.
-//! 4. **Estimator refresh** — `A_max(v)` and `c'` are recomputed for the
-//!    edited columns only; the global `A_max` folds over the per-column
-//!    maxima.
+//!    the build pipeline), and each stored inverse takes them through its
+//!    one splice, in the form the solver emits:
+//!    [`kdash_sparse::CscMatrix::splice_columns`] for `L⁻¹` and
+//!    [`kdash_sparse::ProximityStore::splice_columns`] for `U⁻¹`. That
+//!    `U⁻¹` is stored by row, under which encoding, and which of its
+//!    derived tables (per-row stats, column sums) a column touches is the
+//!    store's knowledge alone; what the engine is promised is the store a
+//!    from-scratch build of the spliced matrix would hold.
+//! 4. **Bound constants** — `A_max(v)`, `A_max`, `c'` and the row maxima
+//!    are functions of the edited transition matrix, which the engine
+//!    formed to refactorise `W`: it moves into the patch, and
+//!    `KdashIndex::patched` derives them by the one function a build and
+//!    a load also call (`kdash_core::estimator`).
 //!
 //! Because every stage either reuses the build pipeline's own kernels on
 //! identical inputs or provably leaves bits alone, *incremental update ≡
@@ -58,8 +64,6 @@
 //! stats, top-k items and search statistics — which
 //! `tests/dynamic_equivalence.rs` pins across graph families, orderings
 //! and random edit batches.
-//!
-//! [`RowStat`]: kdash_sparse::RowStat
 //!
 //! ## Quick start
 //!

@@ -230,34 +230,6 @@ impl CsrGraph {
         Ok(CsrGraph { row_ptr, col_idx, weights })
     }
 
-    /// Induced subgraph on `nodes` (need not be sorted; duplicates are an
-    /// error). Returns the subgraph plus the mapping `local -> global`.
-    pub fn induced_subgraph(&self, nodes: &[NodeId]) -> Result<(CsrGraph, Vec<NodeId>)> {
-        let n = self.num_nodes();
-        let mut local_of = vec![NodeId::MAX; n];
-        for (i, &v) in nodes.iter().enumerate() {
-            if (v as usize) >= n {
-                return Err(GraphError::NodeOutOfBounds { node: v, num_nodes: n });
-            }
-            if local_of[v as usize] != NodeId::MAX {
-                return Err(GraphError::InvalidPermutation(format!(
-                    "node {v} listed twice in subgraph selection"
-                )));
-            }
-            local_of[v as usize] = i as NodeId;
-        }
-        let mut builder = crate::GraphBuilder::new(nodes.len());
-        for (i, &v) in nodes.iter().enumerate() {
-            for (t, w) in self.out_edges(v) {
-                let lt = local_of[t as usize];
-                if lt != NodeId::MAX {
-                    builder.add_edge(i as NodeId, lt, w);
-                }
-            }
-        }
-        Ok((builder.build()?, nodes.to_vec()))
-    }
-
     /// Raw CSR views, for zero-copy interop with the sparse-matrix crate.
     pub fn raw(&self) -> (&[usize], &[NodeId], &[f64]) {
         (&self.row_ptr, &self.col_idx, &self.weights)
@@ -339,19 +311,6 @@ mod tests {
         // round trip through the inverse permutation restores the graph
         let back = p.permute(&perm.inverse()).unwrap();
         assert_eq!(back, g);
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges() {
-        let g = diamond();
-        let (sub, map) = g.induced_subgraph(&[0, 1, 3]).unwrap();
-        assert_eq!(map, vec![0, 1, 3]);
-        assert_eq!(sub.num_nodes(), 3);
-        // surviving edges: 0->1, 1->3 (local 1->2), 3->0 (local 2->0)
-        assert_eq!(sub.num_edges(), 3);
-        assert!(sub.has_edge(0, 1));
-        assert!(sub.has_edge(1, 2));
-        assert!(sub.has_edge(2, 0));
     }
 
     #[test]

@@ -147,8 +147,7 @@ pub fn check_stop_rule(
     }
     let roots: Vec<NodeId> = sources.iter().map(|&s| perm.new_of(s)).collect();
     let order = BfsTree::new_multi(graph, &roots).order;
-    let (a_row_max, _) = index.stop_rule_vectors();
-    let (_, a_max, c_prime) = index.estimator_constants();
+    let (_, a_max, c_prime, a_row_max) = index.bound_constants();
     let c_prime_max = c_prime.iter().copied().fold(0.0f64, f64::max);
     let stats = &got.stats;
 
@@ -255,9 +254,9 @@ pub fn check_layout_equivalence(flat: &TopKResult, blocked: &TopKResult) -> Resu
 /// and the update benchmarks: two indexes are **bit-identical at the
 /// array level** — same permutation, same permuted graph, same `L⁻¹`
 /// arrays (pointer, index and value bits), same `U⁻¹` proximity store
-/// (layout, encoded arrays, per-row policy stats), same estimator
-/// constants and stop-rule vectors, same nnz statistics and same
-/// update-relevant metadata.
+/// (layout, encoded arrays, per-row policy stats, column sums), same
+/// bound constants, same nnz statistics and same update-relevant
+/// metadata.
 /// This is the strongest form of "incremental update ≡ from-scratch
 /// rebuild": if it holds, every query answer and every `SearchStats`
 /// field agrees automatically, on any machine.
@@ -287,25 +286,22 @@ pub fn check_index_bit_identity(
     if a.layout() != b.layout() {
         return Err(format!("layouts differ: {} vs {}", a.layout(), b.layout()));
     }
-    // ProximityStore equality covers the encoded index arrays, the value
-    // bits, the RowStat policy table and the scratch high-water mark.
+    // ProximityStore equality covers the encoded index arrays, the
+    // values and the store's derived tables: the RowStat policy table,
+    // the largest row and the column sums — so this is where a splice that
+    // left a stale column sum would show.
     if a.uinv_rows() != b.uinv_rows() {
         return Err("U⁻¹ proximity stores differ".into());
     }
-    let (a_col_max_a, a_max_a, c_prime_a) = a.estimator_constants();
-    let (a_col_max_b, a_max_b, c_prime_b) = b.estimator_constants();
+    let (a_col_max_a, a_max_a, c_prime_a, a_row_max_a) = a.bound_constants();
+    let (a_col_max_b, a_max_b, c_prime_b, a_row_max_b) = b.bound_constants();
     if a_max_a.to_bits() != a_max_b.to_bits() {
         return Err(format!("A_max differs: {a_max_a:e} vs {a_max_b:e}"));
     }
-    // The stop rule's vectors are derived, so this is where a patch that
-    // carried a stale column sum would show.
-    let (a_row_max_a, uinv_col_sums_a) = a.stop_rule_vectors();
-    let (a_row_max_b, uinv_col_sums_b) = b.stop_rule_vectors();
     for (name, xs, ys) in [
         ("A_max(v)", a_col_max_a, a_col_max_b),
         ("c'", c_prime_a, c_prime_b),
         ("row maximum of A", a_row_max_a, a_row_max_b),
-        ("U⁻¹ column sum", uinv_col_sums_a, uinv_col_sums_b),
     ] {
         for (i, (x, y)) in xs.iter().zip(ys).enumerate() {
             if x.to_bits() != y.to_bits() {

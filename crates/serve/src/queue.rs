@@ -228,6 +228,12 @@ mod tests {
         assert_eq!(lock_unpoisoned(&q.state).parked, 0);
     }
 
+    /// A push asks for one parked consumer (`notify_one`), and what the
+    /// protocol guarantees is: at least one is released, and the item is
+    /// there to be popped exactly once. That the *other* consumer stays
+    /// parked is not guaranteed — a `Condvar` may wake spuriously — and a
+    /// consumer woken for nothing just finds no work, so it is not
+    /// asserted.
     #[test]
     fn push_releases_exactly_one_parked_consumer() {
         let q = MpmcQueue::with_capacity(4);
@@ -235,11 +241,11 @@ mod tests {
             let reports = two_parked(scope, &q);
             q.push(1).unwrap();
             reports.recv().unwrap();
-            assert_eq!(lock_unpoisoned(&q.state).parked, 1, "the other stays parked");
-            assert!(reports.try_recv().is_err());
+            assert_eq!((q.pop(), q.pop()), (Some(1), None));
             q.wake_all();
             reports.recv().unwrap();
         });
+        assert_eq!(lock_unpoisoned(&q.state).parked, 0);
     }
 
     #[test]

@@ -27,9 +27,16 @@
 //! lanes across run boundaries, so it performs the flat layout's
 //! operations in the flat layout's order — which is what makes the two
 //! layouts bit-identical under every kernel, not just the scalar one.
+//!
+//! One encoder writes all of it: `from_csr` runs `encode_row` over every
+//! row, and an update (`splice_columns`, reached through
+//! [`crate::ProximityStore::splice_columns`] alone) over just the rows an
+//! updated column touches, copying the rest — so a spliced matrix is
+//! array for array the matrix a full re-encode gives.
 
+use crate::csc::validate_column_updates;
 use crate::kernel::Segment;
-use crate::{CsrMatrix, Index, Result, SparseError};
+use crate::{ColumnUpdate, CsrMatrix, Index, Result, RowStat, SparseError};
 
 /// Width of one column block: deltas are `u16`, so a run covers columns
 /// `[anchor, anchor + 2^16)` with `anchor` a multiple of `2^16`.
@@ -84,57 +91,96 @@ impl BlockedCsr {
         Ok(BlockedCsr { nrows, ncols, row_ptr, run_ptr, run_base, run_end, deltas, values })
     }
 
-    /// Replaces whole rows, returning a new matrix: rows named by a
-    /// [`crate::csr::RowUpdate`] are **re-encoded** (the same per-row run
-    /// encoder [`from_csr`](Self::from_csr) runs), every other row's
-    /// deltas, values and run headers are copied over verbatim with only
-    /// the global run offsets shifted — so the result is array-for-array
-    /// identical to re-encoding the fully spliced flat matrix, at the
-    /// cost of encoding work proportional to the dirty rows only.
-    /// `updates` must be sorted by strictly increasing row.
-    pub fn splice_rows(&self, updates: &[crate::csr::RowUpdate]) -> Result<BlockedCsr> {
-        crate::csr::validate_row_updates(self.nrows, self.ncols, updates)?;
-        let delta: isize = updates
+    /// Replaces whole columns, returning the new matrix and the rows it
+    /// re-encoded, ascending — the blocked arm of
+    /// [`crate::ProximityStore::splice_columns`]. A row is re-encoded iff
+    /// it holds an entry in an updated column before or after the splice:
+    /// its surviving entries are merged by column with its new ones and run
+    /// through the per-row encoder [`from_csr`](Self::from_csr) runs. Every
+    /// other row's deltas, values and run headers are copied verbatim with
+    /// only the global run offsets shifted — so the result is
+    /// array-for-array what re-encoding the fully spliced flat matrix
+    /// gives, for encoding work proportional to the touched rows.
+    /// `stats` is the store's per-row table of `self`: its column spans
+    /// rule most rows out without decoding them.
+    pub(crate) fn splice_columns(
+        &self,
+        updates: &[ColumnUpdate],
+        stats: &[RowStat],
+    ) -> Result<(BlockedCsr, Vec<Index>)> {
+        validate_column_updates(self.nrows, self.ncols, updates)?;
+        let (Some(first), Some(last)) = (updates.first(), updates.last()) else {
+            return Ok((self.clone(), Vec::new()));
+        };
+        let (min_dirty, max_dirty) = (first.col, last.col);
+        let mut dirty = vec![false; self.ncols];
+        for u in updates {
+            dirty[u.col as usize] = true;
+        }
+        // The new entries as `(row, col, value)`, transposed: the sort is
+        // stable, so each row's stay ascending by column, as the updates are.
+        let mut added: Vec<(Index, Index, f64)> = updates
             .iter()
-            .map(|u| u.cols.len() as isize - self.row_nnz(u.row) as isize)
-            .sum();
-        let new_nnz = (self.nnz() as isize + delta) as usize;
-        if new_nnz > u32::MAX as usize {
+            .flat_map(|u| u.rows.iter().zip(&u.vals).map(move |(&r, &v)| (r, u.col, v)))
+            .collect();
+        added.sort_by_key(|e| e.0);
+        // Run offsets are `u32`. (An upper bound: what the updated columns
+        // lose is not subtracted.)
+        if self.nnz() + added.len() > u32::MAX as usize {
             return Err(SparseError::Malformed(format!(
-                "blocked layout limited to < 2^32 stored entries, got {new_nnz}"
+                "blocked layout limited to < 2^32 stored entries, got up to {}",
+                self.nnz() + added.len()
             )));
         }
+        let mut added = added.as_slice();
+
         let mut row_ptr = Vec::with_capacity(self.nrows + 1);
         row_ptr.push(0usize);
         let mut run_ptr = Vec::with_capacity(self.nrows + 1);
         run_ptr.push(0usize);
-        let mut run_base: Vec<u32> = Vec::new();
-        let mut run_end: Vec<u32> = Vec::new();
-        let mut deltas: Vec<u16> = Vec::with_capacity(new_nnz);
-        let mut values: Vec<f64> = Vec::with_capacity(new_nnz);
-        let mut up = updates.iter().peekable();
-        for r in 0..self.nrows {
-            match up.peek() {
-                Some(u) if u.row as usize == r => {
-                    let u = up.next().expect("peeked");
-                    encode_row(&u.cols, deltas.len(), &mut run_base, &mut run_end, &mut deltas);
-                    values.extend_from_slice(&u.vals);
+        let mut run_base: Vec<u32> = Vec::with_capacity(self.run_base.len());
+        let mut run_end: Vec<u32> = Vec::with_capacity(self.run_end.len());
+        let mut deltas: Vec<u16> = Vec::with_capacity(self.nnz() + added.len());
+        let mut values: Vec<f64> = Vec::with_capacity(self.nnz() + added.len());
+        let mut reencoded: Vec<Index> = Vec::new();
+        let (mut old_cols, mut merged, mut cols) = (Vec::new(), Vec::new(), Vec::new());
+        assert_eq!(stats.len(), self.nrows, "one stat per row");
+        for (r, stat) in stats.iter().enumerate() {
+            let gains = added.iter().take_while(|e| e.0 as usize == r).count();
+            let gained = &added[..gains];
+            added = &added[gains..];
+            let in_span = stat.nnz > 0 && stat.last >= min_dirty && stat.first <= max_dirty;
+            if in_span || !gained.is_empty() {
+                self.decode_row_into(r as Index, &mut old_cols);
+            }
+            if gained.is_empty() && !(in_span && old_cols.iter().any(|&c| dirty[c as usize])) {
+                let span = self.row_ptr[r]..self.row_ptr[r + 1];
+                let shift = deltas.len() as isize - span.start as isize;
+                deltas.extend_from_slice(&self.deltas[span.clone()]);
+                values.extend_from_slice(&self.values[span]);
+                for k in self.run_ptr[r]..self.run_ptr[r + 1] {
+                    run_base.push(self.run_base[k]);
+                    run_end.push((self.run_end[k] as isize + shift) as u32);
                 }
-                _ => {
-                    let span = self.row_ptr[r]..self.row_ptr[r + 1];
-                    let shift = deltas.len() as isize - span.start as isize;
-                    deltas.extend_from_slice(&self.deltas[span.clone()]);
-                    values.extend_from_slice(&self.values[span]);
-                    for k in self.run_ptr[r]..self.run_ptr[r + 1] {
-                        run_base.push(self.run_base[k]);
-                        run_end.push((self.run_end[k] as isize + shift) as u32);
-                    }
-                }
+            } else {
+                // Survivors sit in clean columns, gains in updated ones:
+                // two column-disjoint ascending runs, which the (stable,
+                // run-merging) sort joins in one pass.
+                merged.clear();
+                let survivors = old_cols.iter().zip(self.row_values(r as Index));
+                merged.extend(survivors.filter(|e| !dirty[*e.0 as usize]).map(|(&c, &v)| (c, v)));
+                merged.extend(gained.iter().map(|&(_, c, v)| (c, v)));
+                merged.sort_by_key(|e| e.0);
+                cols.clear();
+                cols.extend(merged.iter().map(|e| e.0));
+                encode_row(&cols, deltas.len(), &mut run_base, &mut run_end, &mut deltas);
+                values.extend(merged.iter().map(|e| e.1));
+                reencoded.push(r as Index);
             }
             row_ptr.push(deltas.len());
             run_ptr.push(run_base.len());
         }
-        Ok(BlockedCsr {
+        let spliced = BlockedCsr {
             nrows: self.nrows,
             ncols: self.ncols,
             row_ptr,
@@ -143,7 +189,8 @@ impl BlockedCsr {
             run_end,
             deltas,
             values,
-        })
+        };
+        Ok((spliced, reencoded))
     }
 
     /// Rebuilds the flat CSR matrix (exact inverse of
@@ -447,8 +494,8 @@ impl BlockedCsr {
 
 /// Encodes one row's sorted columns into run headers + deltas, with the
 /// row's payload starting at global offset `start`. This is **the** row
-/// encoder: `from_csr` runs it for every row and `splice_rows` for the
-/// dirty rows only, which is why a spliced matrix is array-for-array
+/// encoder: `from_csr` runs it for every row and `splice_columns` for the
+/// touched rows only, which is why a spliced matrix is array-for-array
 /// identical to a from-scratch re-encode.
 #[inline]
 fn encode_row(
@@ -682,35 +729,6 @@ mod tests {
                 6, 12, row_ptr, run_ptr, run_base, run_end, swapped, values
             )
             .is_err());
-        }
-    }
-
-    /// The splice contract: re-encoding only the dirty rows produces a
-    /// matrix array-for-array equal to re-encoding the fully spliced flat
-    /// matrix — run headers, global offsets, deltas and values.
-    #[test]
-    fn splice_rows_is_identical_to_full_reencode() {
-        use crate::csr::RowUpdate;
-        for seed in 0..8u64 {
-            let csr = random_csr(20, 200_000, 0.0008, seed);
-            let blocked = BlockedCsr::from_csr(csr.clone()).unwrap();
-            // Replace a third of the rows with fresh content spanning
-            // several 2^16 blocks (forces multi-run re-encoding).
-            let mut rng = StdRng::seed_from_u64(seed + 999);
-            let mut updates: Vec<RowUpdate> = Vec::new();
-            for r in (0..20u32).step_by(3) {
-                let mut cols: Vec<Index> = (0..rng.gen_range(0..40u32))
-                    .map(|_| rng.gen_range(0..200_000u32))
-                    .collect();
-                cols.sort_unstable();
-                cols.dedup();
-                let vals: Vec<f64> = cols.iter().map(|&c| c as f64 * 0.5 + 1.0).collect();
-                updates.push(RowUpdate { row: r, cols, vals });
-            }
-            let spliced = blocked.splice_rows(&updates).unwrap();
-            let reencoded = BlockedCsr::from_csr(csr.splice_rows(&updates).unwrap()).unwrap();
-            assert_eq!(spliced, reencoded, "seed {seed}");
-            assert_eq!(blocked.splice_rows(&[]).unwrap(), blocked, "seed {seed}: identity");
         }
     }
 

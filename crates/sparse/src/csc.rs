@@ -240,19 +240,6 @@ impl CscMatrix {
             .collect()
     }
 
-    /// Maximum stored value per row (0.0 for empty rows): on the
-    /// transition matrix, the largest share any node hands each node —
-    /// the row-wise twin of [`col_max`](Self::col_max). One flat pass over
-    /// the entries: it never needs to know their columns.
-    pub fn row_max(&self) -> Vec<f64> {
-        let mut row_max = vec![0.0f64; self.nrows];
-        for (&r, &v) in self.row_idx.iter().zip(&self.values) {
-            let slot = &mut row_max[r as usize];
-            *slot = slot.max(v);
-        }
-        row_max
-    }
-
     /// Maximum stored value across the matrix (the paper's global `A_max`).
     pub fn global_max(&self) -> f64 {
         self.values.iter().copied().fold(0.0f64, f64::max)
@@ -299,30 +286,6 @@ impl CscMatrix {
             + self.values.len() * std::mem::size_of::<f64>()
     }
 
-    /// The columns on which two equally-shaped matrices differ — by
-    /// pattern or by value *bits* (so a `-0.0` vs `0.0` flip counts).
-    /// This is the minimal dirty set the dynamic engine feeds into the
-    /// reach analysis after refactorising. `O(nnz)`, sorted ascending.
-    pub fn diff_columns(a: &CscMatrix, b: &CscMatrix) -> Result<Vec<Index>> {
-        if a.nrows != b.nrows || a.ncols != b.ncols {
-            return Err(SparseError::Malformed(format!(
-                "diff of {}x{} against {}x{}",
-                a.nrows, a.ncols, b.nrows, b.ncols
-            )));
-        }
-        let mut dirty = Vec::new();
-        for c in 0..a.ncols as Index {
-            let (ra, va) = a.col(c);
-            let (rb, vb) = b.col(c);
-            let same = ra == rb
-                && va.iter().zip(vb).all(|(x, y)| x.to_bits() == y.to_bits());
-            if !same {
-                dirty.push(c);
-            }
-        }
-        Ok(dirty)
-    }
-
     /// Replaces whole columns, returning a new matrix: every column named
     /// by an update takes the update's (sorted, validated) content, every
     /// other column is copied over verbatim — so the result is exactly
@@ -332,48 +295,7 @@ impl CscMatrix {
     ///
     /// `updates` must be sorted by strictly increasing column.
     pub fn splice_columns(&self, updates: &[ColumnUpdate]) -> Result<CscMatrix> {
-        for (k, u) in updates.iter().enumerate() {
-            if (u.col as usize) >= self.ncols {
-                return Err(SparseError::Malformed(format!(
-                    "update column {} out of bounds for {} columns",
-                    u.col, self.ncols
-                )));
-            }
-            if k > 0 && updates[k - 1].col >= u.col {
-                return Err(SparseError::Malformed(
-                    "updates must be sorted by strictly increasing column".into(),
-                ));
-            }
-            if u.rows.len() != u.vals.len() {
-                return Err(SparseError::Malformed(format!(
-                    "update column {}: {} rows vs {} values",
-                    u.col,
-                    u.rows.len(),
-                    u.vals.len()
-                )));
-            }
-            for (i, &r) in u.rows.iter().enumerate() {
-                if (r as usize) >= self.nrows {
-                    return Err(SparseError::Malformed(format!(
-                        "update column {}: row {r} out of bounds",
-                        u.col
-                    )));
-                }
-                if i > 0 && u.rows[i - 1] >= r {
-                    return Err(SparseError::Malformed(format!(
-                        "update column {}: rows not strictly increasing",
-                        u.col
-                    )));
-                }
-            }
-            if u.vals.iter().any(|v| !v.is_finite()) {
-                return Err(SparseError::Malformed(format!(
-                    "update column {}: non-finite value",
-                    u.col
-                )));
-            }
-        }
-
+        validate_column_updates(self.nrows, self.ncols, updates)?;
         let delta: isize = updates
             .iter()
             .map(|u| u.rows.len() as isize - self.col(u.col).0.len() as isize)
@@ -415,8 +337,9 @@ impl CscMatrix {
 
 /// A replacement for one column of a [`CscMatrix`]: the full new content
 /// (possibly empty), sorted by row. Produced by the subset inversion
-/// driver ([`crate::inverse::invert_columns_with`]) and consumed by
-/// [`CscMatrix::splice_columns`].
+/// driver ([`crate::inverse::invert_columns_with`]) and consumed by the
+/// one splice of each stored inverse: [`CscMatrix::splice_columns`]
+/// (`L⁻¹`) and [`crate::ProximityStore::splice_columns`] (`U⁻¹`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnUpdate {
     /// Which column the update replaces.
@@ -425,6 +348,60 @@ pub struct ColumnUpdate {
     pub rows: Vec<Index>,
     /// Values parallel to `rows`.
     pub vals: Vec<f64>,
+}
+
+/// What every consumer of [`ColumnUpdate`]s checks first — `L⁻¹`'s
+/// [`CscMatrix::splice_columns`] and `U⁻¹`'s
+/// [`crate::ProximityStore::splice_columns`] alike: updates sorted by
+/// strictly increasing in-bounds column, each with strictly increasing
+/// in-bounds rows, matching lengths and finite values.
+pub(crate) fn validate_column_updates(
+    nrows: usize,
+    ncols: usize,
+    updates: &[ColumnUpdate],
+) -> Result<()> {
+    for (k, u) in updates.iter().enumerate() {
+        if (u.col as usize) >= ncols {
+            return Err(SparseError::Malformed(format!(
+                "update column {} out of bounds for {} columns",
+                u.col, ncols
+            )));
+        }
+        if k > 0 && updates[k - 1].col >= u.col {
+            return Err(SparseError::Malformed(
+                "updates must be sorted by strictly increasing column".into(),
+            ));
+        }
+        if u.rows.len() != u.vals.len() {
+            return Err(SparseError::Malformed(format!(
+                "update column {}: {} rows vs {} values",
+                u.col,
+                u.rows.len(),
+                u.vals.len()
+            )));
+        }
+        for (i, &r) in u.rows.iter().enumerate() {
+            if (r as usize) >= nrows {
+                return Err(SparseError::Malformed(format!(
+                    "update column {}: row {r} out of bounds",
+                    u.col
+                )));
+            }
+            if i > 0 && u.rows[i - 1] >= r {
+                return Err(SparseError::Malformed(format!(
+                    "update column {}: rows not strictly increasing",
+                    u.col
+                )));
+            }
+        }
+        if u.vals.iter().any(|v| !v.is_finite()) {
+            return Err(SparseError::Malformed(format!(
+                "update column {}: non-finite value",
+                u.col
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -505,8 +482,6 @@ mod tests {
     fn col_max_and_global_max() {
         let m = sample();
         assert_eq!(m.col_max(), vec![4.0, 3.0, 5.0]);
-        assert_eq!(m.row_max(), vec![2.0, 3.0, 5.0]);
-        assert_eq!(CscMatrix::zeros(2, 2).row_max(), vec![0.0, 0.0]);
         assert_eq!(m.global_max(), 5.0);
         assert_eq!(CscMatrix::zeros(2, 2).col_max(), vec![0.0, 0.0]);
     }
@@ -537,22 +512,6 @@ mod tests {
         let m = sample().map_values(|v| v * 2.0);
         assert_eq!(m.get(2, 0), Some(8.0));
         assert_eq!(m.nnz(), 5);
-    }
-
-    #[test]
-    fn diff_columns_finds_pattern_and_value_changes() {
-        let a = sample();
-        assert_eq!(CscMatrix::diff_columns(&a, &a).unwrap(), Vec::<Index>::new());
-        // Value change in column 1, pattern change in column 2.
-        let b = CscMatrix::from_triplets(
-            3,
-            3,
-            &[(0, 0, 1.0), (2, 0, 4.0), (1, 1, 3.5), (0, 2, 2.0)],
-        )
-        .unwrap();
-        assert_eq!(CscMatrix::diff_columns(&a, &b).unwrap(), vec![1, 2]);
-        let wrong_shape = CscMatrix::zeros(2, 3);
-        assert!(CscMatrix::diff_columns(&a, &wrong_shape).is_err());
     }
 
     #[test]

@@ -156,119 +156,6 @@ impl CsrMatrix {
             + self.col_idx.len() * std::mem::size_of::<Index>()
             + self.values.len() * std::mem::size_of::<f64>()
     }
-
-    /// Replaces whole rows, returning a new matrix: rows named by an
-    /// update take the update's content, every other row is copied over
-    /// verbatim — the row-major twin of
-    /// [`crate::CscMatrix::splice_columns`], used by the dynamic engine to
-    /// patch the stored `U⁻¹` under the flat layout. `updates` must be
-    /// sorted by strictly increasing row.
-    pub fn splice_rows(&self, updates: &[RowUpdate]) -> Result<CsrMatrix> {
-        validate_row_updates(self.nrows, self.ncols, updates)?;
-        let delta: isize = updates
-            .iter()
-            .map(|u| u.cols.len() as isize - self.row(u.row).0.len() as isize)
-            .sum();
-        let new_nnz = (self.nnz() as isize + delta) as usize;
-        let mut row_ptr = Vec::with_capacity(self.nrows + 1);
-        row_ptr.push(0usize);
-        let mut col_idx: Vec<Index> = Vec::with_capacity(new_nnz);
-        let mut values: Vec<f64> = Vec::with_capacity(new_nnz);
-        let mut clean_from = 0usize;
-        let flush_clean = |upto: usize,
-                               row_ptr: &mut Vec<usize>,
-                               col_idx: &mut Vec<Index>,
-                               values: &mut Vec<f64>,
-                               clean_from: &mut usize| {
-            if *clean_from < upto {
-                let span = self.row_ptr[*clean_from]..self.row_ptr[upto];
-                let base = col_idx.len() as isize - self.row_ptr[*clean_from] as isize;
-                col_idx.extend_from_slice(&self.col_idx[span.clone()]);
-                values.extend_from_slice(&self.values[span]);
-                for r in *clean_from..upto {
-                    row_ptr.push((self.row_ptr[r + 1] as isize + base) as usize);
-                }
-                *clean_from = upto;
-            }
-        };
-        for u in updates {
-            let r = u.row as usize;
-            flush_clean(r, &mut row_ptr, &mut col_idx, &mut values, &mut clean_from);
-            col_idx.extend_from_slice(&u.cols);
-            values.extend_from_slice(&u.vals);
-            row_ptr.push(col_idx.len());
-            clean_from = r + 1;
-        }
-        flush_clean(self.nrows, &mut row_ptr, &mut col_idx, &mut values, &mut clean_from);
-        Ok(CsrMatrix { nrows: self.nrows, ncols: self.ncols, row_ptr, col_idx, values })
-    }
-}
-
-/// A replacement for one row of a row-major matrix: the full new content
-/// (possibly empty), sorted by column. Consumed by
-/// [`CsrMatrix::splice_rows`], [`crate::BlockedCsr::splice_rows`] and
-/// [`crate::ProximityStore::splice_rows`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RowUpdate {
-    /// Which row the update replaces.
-    pub row: Index,
-    /// Sorted column indices of the new content.
-    pub cols: Vec<Index>,
-    /// Values parallel to `cols`.
-    pub vals: Vec<f64>,
-}
-
-/// Shared validation for the row-splice entry points: updates sorted by
-/// strictly increasing in-bounds row, each with sorted in-bounds columns,
-/// matching lengths and finite values.
-pub(crate) fn validate_row_updates(
-    nrows: usize,
-    ncols: usize,
-    updates: &[RowUpdate],
-) -> crate::Result<()> {
-    use crate::SparseError;
-    for (k, u) in updates.iter().enumerate() {
-        if (u.row as usize) >= nrows {
-            return Err(SparseError::Malformed(format!(
-                "update row {} out of bounds for {} rows",
-                u.row, nrows
-            )));
-        }
-        if k > 0 && updates[k - 1].row >= u.row {
-            return Err(SparseError::Malformed(
-                "updates must be sorted by strictly increasing row".into(),
-            ));
-        }
-        if u.cols.len() != u.vals.len() {
-            return Err(SparseError::Malformed(format!(
-                "update row {}: {} columns vs {} values",
-                u.row,
-                u.cols.len(),
-                u.vals.len()
-            )));
-        }
-        for (i, &c) in u.cols.iter().enumerate() {
-            if (c as usize) >= ncols {
-                return Err(SparseError::Malformed(format!(
-                    "update row {}: column {c} out of bounds",
-                    u.row
-                )));
-            }
-            if i > 0 && u.cols[i - 1] >= c {
-                return Err(SparseError::Malformed(format!(
-                    "update row {}: columns not strictly increasing",
-                    u.row
-                )));
-            }
-        }
-        if u.vals.iter().any(|v| !v.is_finite()) {
-            return Err(SparseError::Malformed(format!(
-                "update row {}: non-finite value",
-                u.row
-            )));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -334,41 +221,5 @@ mod tests {
     fn from_raw_parts_validates() {
         assert!(CsrMatrix::from_raw_parts(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, 1.0]).is_ok());
         assert!(CsrMatrix::from_raw_parts(2, 2, vec![0, 3], vec![0], vec![1.0]).is_err());
-    }
-
-    #[test]
-    fn splice_rows_matches_from_scratch() {
-        let csr = CsrMatrix::from_csc(&sample_csc());
-        let updates = vec![
-            RowUpdate { row: 0, cols: vec![1], vals: vec![9.0] },
-            RowUpdate { row: 2, cols: vec![], vals: vec![] },
-        ];
-        let spliced = csr.splice_rows(&updates).unwrap();
-        let scratch = CsrMatrix::from_csc(
-            &CscMatrix::from_triplets(3, 3, &[(0, 1, 9.0), (1, 1, 3.0)]).unwrap(),
-        );
-        assert_eq!(spliced, scratch);
-        assert_eq!(csr.splice_rows(&[]).unwrap(), csr);
-        // Untouched row survives verbatim.
-        assert_eq!(spliced.row(1), csr.row(1));
-    }
-
-    #[test]
-    fn splice_rows_validates() {
-        let csr = CsrMatrix::from_csc(&sample_csc());
-        let bad = [
-            vec![RowUpdate { row: 9, cols: vec![], vals: vec![] }],
-            vec![
-                RowUpdate { row: 1, cols: vec![], vals: vec![] },
-                RowUpdate { row: 0, cols: vec![], vals: vec![] },
-            ],
-            vec![RowUpdate { row: 0, cols: vec![5], vals: vec![1.0] }],
-            vec![RowUpdate { row: 0, cols: vec![1, 0], vals: vec![1.0, 1.0] }],
-            vec![RowUpdate { row: 0, cols: vec![0], vals: vec![f64::INFINITY] }],
-            vec![RowUpdate { row: 0, cols: vec![0, 1], vals: vec![1.0] }],
-        ];
-        for (i, updates) in bad.iter().enumerate() {
-            assert!(csr.splice_rows(updates).is_err(), "case {i} must be rejected");
-        }
     }
 }

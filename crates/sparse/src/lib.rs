@@ -70,7 +70,7 @@ pub mod triangular;
 
 pub use blocked::{BlockedCsr, BLOCK_COLS};
 pub use csc::{ColumnUpdate, CscMatrix};
-pub use csr::{CsrMatrix, RowUpdate};
+pub use csr::CsrMatrix;
 pub use inverse::{
     dense_tail_columns, invert_columns_with, invert_lower_unit, invert_lower_unit_with,
     invert_upper, invert_upper_with, InvertOptions,

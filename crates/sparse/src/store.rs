@@ -2,9 +2,17 @@
 //!
 //! [`ProximityStore`] is what the query engine holds for `U⁻¹`: the row
 //! payload in either the classic flat CSR layout or the bandwidth-lean
-//! [`BlockedCsr`] encoding, plus the packed per-row [`RowStat`] table
-//! (built once at index-assembly time so per-row accounting never touches
-//! the index arrays).
+//! [`BlockedCsr`] encoding, plus the tables derived from it — the packed
+//! per-row [`RowStat`]s (so per-row accounting never touches the index
+//! arrays), the largest row, and the column sums `1ᵀU⁻¹` the search's
+//! stop rule takes a query's mass from. All three are filled where a
+//! store is assembled and nowhere else.
+//!
+//! A store is immutable. The dynamic engine's one way to change `U⁻¹` is
+//! [`ProximityStore::splice_columns`]: re-solved columns in (the form the
+//! solver emits and `L⁻¹` takes as is), the next store out, derived tables
+//! refreshed for exactly what the columns touched. How rows are laid out
+//! stays this module's business.
 //!
 //! Every gather funnels through [`ProximityStore::row_gather`]: the
 //! layout hands its rows to the kernel as segments, and both layouts end
@@ -16,8 +24,8 @@
 use crate::blocked::prefetch_span;
 use crate::kernel::{gather_lanes, row_stat_of, Segment};
 use crate::{
-    BlockedCsr, CscMatrix, CsrMatrix, GatherCounters, GatherScratch, Index, ResolvedKernel,
-    Result, RowStat, ScatteredColumn, SparseError,
+    BlockedCsr, ColumnUpdate, CscMatrix, CsrMatrix, GatherCounters, GatherScratch, Index,
+    ResolvedKernel, Result, RowStat, ScatteredColumn, SparseError,
 };
 use std::fmt;
 use std::str::FromStr;
@@ -72,6 +80,9 @@ pub struct ProximityStore {
     row_stats: Vec<RowStat>,
     /// Largest row's stored-entry count.
     max_row_nnz: usize,
+    /// `1ᵀ A`: per column, its stored values added by ascending row from
+    /// `+0.0` ([`column_sums`](Self::column_sums)).
+    col_sums: Vec<f64>,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -85,37 +96,42 @@ impl ProximityStore {
     /// Values are never touched, so results are bit-identical across
     /// layouts.
     pub fn from_csr(csr: CsrMatrix, layout: RowLayout) -> Result<ProximityStore> {
-        let row_stats = row_stats_of_csr(&csr);
         let rows = match layout {
             RowLayout::Flat => RowStorage::Flat(csr),
             RowLayout::Blocked => RowStorage::Blocked(BlockedCsr::from_csr(csr)?),
         };
-        ProximityStore::assemble(rows, row_stats)
+        ProximityStore::assemble(rows, None)
     }
 
     /// Wraps an already-validated blocked matrix (the persistence load
-    /// path), rebuilding the row-stats table from it.
+    /// path).
     pub fn from_blocked(blocked: BlockedCsr) -> Result<ProximityStore> {
-        let row_stats = row_stats_of_blocked(&blocked);
-        ProximityStore::assemble(RowStorage::Blocked(blocked), row_stats)
+        ProximityStore::assemble(RowStorage::Blocked(blocked), None)
     }
 
-    /// The one place a store comes into being. Rejects column counts past
-    /// `i32::MAX`: the AVX2 gather sign-extends 32-bit column lanes, and
-    /// checking here keeps that bound out of the per-row hot path.
-    fn assemble(rows: RowStorage, row_stats: Vec<RowStat>) -> Result<ProximityStore> {
-        let store = ProximityStore {
-            rows,
-            max_row_nnz: row_stats.iter().map(|s| s.nnz as usize).max().unwrap_or(0),
-            row_stats,
+    /// The one place a store comes into being, and the one place its
+    /// derived tables are filled: off `rows`, unless a splice hands over
+    /// the `(row stats, column sums)` it refreshed. Rejects column counts
+    /// past `i32::MAX`: the AVX2 gather sign-extends 32-bit column lanes,
+    /// and checking here keeps that bound out of the per-row hot path.
+    fn assemble(
+        rows: RowStorage,
+        refreshed: Option<(Vec<RowStat>, Vec<f64>)>,
+    ) -> Result<ProximityStore> {
+        let (nrows, ncols) = match &rows {
+            RowStorage::Flat(m) => (m.nrows(), m.ncols()),
+            RowStorage::Blocked(b) => (b.nrows(), b.ncols()),
         };
-        if store.ncols() > i32::MAX as usize {
+        if ncols > i32::MAX as usize {
             return Err(SparseError::Malformed(format!(
-                "proximity store limited to 2^31 - 1 columns, got {}",
-                store.ncols()
+                "proximity store limited to 2^31 - 1 columns, got {ncols}"
             )));
         }
-        Ok(store)
+        let (row_stats, col_sums) = refreshed.unwrap_or_else(|| {
+            ((0..nrows as Index).map(|r| row_stat_in(&rows, r)).collect(), sum_columns(&rows))
+        });
+        let max_row_nnz = row_stats.iter().map(|s| s.nnz as usize).max().unwrap_or(0);
+        Ok(ProximityStore { rows, row_stats, max_row_nnz, col_sums })
     }
 
     /// Re-encodes into `layout` (no-op when already there). Values move
@@ -260,8 +276,8 @@ impl ProximityStore {
         self.charge(r, counters);
         // SAFETY: every column either layout decodes to is `< ncols`
         // (`CsrMatrix::from_raw_parts` / `BlockedCsr::from_raw_parts` and
-        // `validate_row_updates` check each one, and the matrices' fields
-        // are private), `ncols == y.len()` was asserted just above, and
+        // `validate_column_updates` check each one, and the matrices'
+        // fields are private), `ncols == y.len()` was asserted just above, and
         // `assemble` refused any store with `ncols > i32::MAX`.
         unsafe {
             match &self.rows {
@@ -301,23 +317,48 @@ impl ProximityStore {
         counters.nnz += nnz;
     }
 
-    /// Replaces whole rows under the active layout, refreshing the
-    /// per-row stats table and the largest-row mark for exactly the dirty
-    /// rows — the splice stage of the dynamic-update engine. The result
-    /// equals [`ProximityStore::from_csr`] of the fully spliced flat
-    /// matrix under the same layout, arrays, stats table and all (pinned by the store tests and, end to end, by
-    /// `tests/dynamic_equivalence.rs`). `updates` must be sorted by
-    /// strictly increasing row.
-    pub fn splice_rows(&self, updates: &[crate::csr::RowUpdate]) -> Result<ProximityStore> {
-        let rows = match &self.rows {
-            RowStorage::Flat(m) => RowStorage::Flat(m.splice_rows(updates)?),
-            RowStorage::Blocked(b) => RowStorage::Blocked(b.splice_rows(updates)?),
-        };
-        let mut row_stats = self.row_stats.clone();
-        for u in updates {
-            row_stats[u.row as usize] = row_stat_of(&u.cols);
+    /// Replaces whole columns — **the** way `U⁻¹` changes, the splice
+    /// stage of the dynamic-update engine — returning the next store and
+    /// how many rows it re-encoded (those holding an entry in an updated
+    /// column before or after). The result equals
+    /// [`ProximityStore::from_csr`] of the fully spliced matrix under the
+    /// same layout, arrays and derived tables alike (pinned by the store
+    /// tests and, end to end, by `tests/dynamic_equivalence.rs`): row
+    /// stats are refreshed for the re-encoded rows, column sums for the
+    /// replaced columns. `updates` must be sorted by strictly increasing
+    /// column, each with strictly increasing in-bounds rows and finite
+    /// values — the contract of [`CscMatrix::splice_columns`].
+    pub fn splice_columns(&self, updates: &[ColumnUpdate]) -> Result<(ProximityStore, usize)> {
+        match &self.rows {
+            // The reference layout, which no workload updates: through the
+            // column-major form, every table derived afresh.
+            RowStorage::Flat(m) => {
+                let old = m.to_csc();
+                let spliced = CsrMatrix::from_csc(&old.splice_columns(updates)?);
+                let mut touched = vec![false; m.nrows()];
+                for u in updates {
+                    for &r in old.col(u.col).0.iter().chain(&u.rows) {
+                        touched[r as usize] = true;
+                    }
+                }
+                let store = ProximityStore::assemble(RowStorage::Flat(spliced), None)?;
+                Ok((store, touched.iter().filter(|&&t| t).count()))
+            }
+            RowStorage::Blocked(b) => {
+                let (spliced, reencoded) = b.splice_columns(updates, &self.row_stats)?;
+                let rows = RowStorage::Blocked(spliced);
+                let mut row_stats = self.row_stats.clone();
+                for &r in &reencoded {
+                    row_stats[r as usize] = row_stat_in(&rows, r);
+                }
+                let mut col_sums = self.col_sums.clone();
+                for u in updates {
+                    col_sums[u.col as usize] = u.vals.iter().fold(0.0, |sum, &v| sum + v);
+                }
+                let store = ProximityStore::assemble(rows, Some((row_stats, col_sums)))?;
+                Ok((store, reencoded.len()))
+            }
         }
-        ProximityStore::assemble(rows, row_stats)
     }
 
     /// Two-pointer merge join of row `r` against a sorted sparse vector —
@@ -339,31 +380,18 @@ impl ProximityStore {
         }
     }
 
-    /// `1ᵀ A`: the sum of every column's stored values, one streaming pass
-    /// in storage order. Column `j` accumulates its entries by ascending
-    /// row from `+0.0` — the order a CSC column summed top to bottom adds
-    /// in, so a caller that holds one column's replacement can re-sum
-    /// just that column and stay bit-identical to this pass.
-    pub fn column_sums(&self) -> Vec<f64> {
-        let mut sums = vec![0.0; self.ncols()];
-        for r in 0..self.nrows() as Index {
-            match &self.rows {
-                RowStorage::Flat(m) => {
-                    let (cols, vals) = m.row(r);
-                    for (&c, &v) in cols.iter().zip(vals) {
-                        sums[c as usize] += v;
-                    }
-                }
-                RowStorage::Blocked(b) => {
-                    for seg in b.row_segments(r) {
-                        for (&d, &v) in seg.offs.iter().zip(seg.vals) {
-                            sums[seg.base + d as usize] += v;
-                        }
-                    }
-                }
-            }
-        }
-        sums
+    /// `1ᵀ A`: the sum of every column's stored values. Column `j` adds
+    /// its entries by ascending row from `+0.0` — the order a CSC column
+    /// summed top to bottom adds in, which is how a splice re-sums a
+    /// replaced column and stays bit-identical to a rebuild.
+    pub fn column_sums(&self) -> &[f64] {
+        &self.col_sums
+    }
+
+    /// Lets a test stale one column sum, to show the audit finds it.
+    #[doc(hidden)]
+    pub fn column_sums_mut(&mut self) -> &mut [f64] {
+        &mut self.col_sums
     }
 
     /// Issues software prefetches for the front of row `r`'s index and
@@ -383,21 +411,40 @@ impl ProximityStore {
     }
 }
 
-/// Per-row stats of a flat matrix.
-fn row_stats_of_csr(csr: &CsrMatrix) -> Vec<RowStat> {
-    (0..csr.nrows() as Index).map(|r| row_stat_of(csr.row(r).0)).collect()
+/// Stats of row `r`, read off the stored row.
+fn row_stat_in(rows: &RowStorage, r: Index) -> RowStat {
+    match rows {
+        RowStorage::Flat(m) => row_stat_of(m.row(r).0),
+        RowStorage::Blocked(b) => match (b.row_first_col(r), b.row_last_col(r)) {
+            (Some(first), Some(last)) => RowStat { nnz: b.row_nnz(r) as u32, first, last },
+            _ => RowStat::default(),
+        },
+    }
 }
 
-/// Per-row stats of a blocked matrix.
-fn row_stats_of_blocked(blocked: &BlockedCsr) -> Vec<RowStat> {
-    (0..blocked.nrows() as Index)
-        .map(|r| match (blocked.row_first_col(r), blocked.row_last_col(r)) {
-            (Some(first), Some(last)) => {
-                RowStat { nnz: blocked.row_nnz(r) as u32, first, last }
+/// The column sums of `rows`, one streaming pass in storage order (see
+/// [`ProximityStore::column_sums`]).
+fn sum_columns(rows: &RowStorage) -> Vec<f64> {
+    match rows {
+        RowStorage::Flat(m) => {
+            let mut sums = vec![0.0; m.ncols()];
+            for (_, c, v) in m.triplets() {
+                sums[c as usize] += v;
             }
-            _ => RowStat::default(),
-        })
-        .collect()
+            sums
+        }
+        RowStorage::Blocked(b) => {
+            let mut sums = vec![0.0; b.ncols()];
+            for r in 0..b.nrows() as Index {
+                for seg in b.row_segments(r) {
+                    for (&d, &v) in seg.offs.iter().zip(seg.vals) {
+                        sums[seg.base + d as usize] += v;
+                    }
+                }
+            }
+            sums
+        }
+    }
 }
 
 #[cfg(test)]
@@ -521,33 +568,68 @@ mod tests {
         assert_eq!(back.to_csr(), flat.to_csr());
     }
 
-    /// The store-level splice contract: under both layouts, splicing rows
-    /// equals rebuilding the store from the fully spliced flat matrix —
-    /// including the row-stats table and the largest-row mark.
+    fn column(col: Index, entries: &[(Index, f64)]) -> ColumnUpdate {
+        let (rows, vals) = entries.iter().copied().unzip();
+        ColumnUpdate { col, rows, vals }
+    }
+
+    /// The one splice contract: column updates in, and out comes the store
+    /// `from_csr` builds off the spliced matrix — arrays, row stats,
+    /// largest row and column sums — with the touched rows counted.
     #[test]
-    fn splice_rows_matches_full_rebuild_under_both_layouts() {
-        use crate::RowUpdate;
-        for seed in 0..5u64 {
-            let csr = random_csr(16, 40, 0.3, seed);
-            let mut rng = StdRng::seed_from_u64(seed + 50);
-            let mut updates: Vec<RowUpdate> = Vec::new();
-            for r in [1u32, 7, 12] {
-                let mut cols: Vec<Index> =
-                    (0..rng.gen_range(0..30u32)).map(|_| rng.gen_range(0..40u32)).collect();
-                cols.sort_unstable();
-                cols.dedup();
-                let vals: Vec<f64> = cols.iter().map(|&c| c as f64 - 3.5).collect();
-                updates.push(RowUpdate { row: r, cols, vals });
-            }
-            let rebuilt_flat = csr.splice_rows(&updates).unwrap();
+    fn splice_columns_equals_from_csr_of_the_spliced_matrix() {
+        // row 0: {0, 3, 100 000}  gains column 2, loses the other two updated ones
+        // row 1: {2}              loses every entry
+        // row 2: {}               gains its first
+        // row 3: {1, 5}           gains column 100 000: a second `u16` run
+        // row 4: {0, 5}           spans updated columns, holds none of them
+        // row 5: {120 000}        lies past them
+        let entries = [
+            (0, 0, 1.0), (0, 3, 2.0), (0, 100_000, 3.0), (1, 2, 4.0), (3, 1, 5.0),
+            (3, 5, 6.0), (4, 0, 7.0), (4, 5, 8.0), (5, 120_000, 9.0),
+        ];
+        let old = CscMatrix::from_triplets(6, 140_000, &entries).unwrap();
+        let updates = [
+            column(2, &[(0, -1.5)]),
+            column(3, &[]), // emptied
+            column(4, &[(2, 0.25)]),
+            column(100_000, &[(3, -0.75)]),
+        ];
+        for (updates, touched) in [(&updates[..], 4), (&[], 0)] {
+            let rebuilt = CsrMatrix::from_csc(&old.splice_columns(updates).unwrap());
             for layout in [RowLayout::Flat, RowLayout::Blocked] {
-                let store = ProximityStore::from_csr(csr.clone(), layout).unwrap();
-                let spliced = store.splice_rows(&updates).unwrap();
-                let rebuilt =
-                    ProximityStore::from_csr(rebuilt_flat.clone(), layout).unwrap();
-                assert_eq!(spliced, rebuilt, "seed {seed} layout {layout}");
-                assert_eq!(spliced.row_stats(), rebuilt.row_stats(), "seed {seed}");
-                assert_eq!(spliced.max_row_nnz(), rebuilt.max_row_nnz(), "seed {seed}");
+                let store = ProximityStore::from_csr(CsrMatrix::from_csc(&old), layout).unwrap();
+                let (spliced, reencoded) = store.splice_columns(updates).unwrap();
+                let expect = ProximityStore::from_csr(rebuilt.clone(), layout).unwrap();
+                assert_eq!(spliced, expect, "{layout}");
+                assert_eq!(spliced.row_stats(), expect.row_stats(), "{layout}");
+                assert_eq!(spliced.max_row_nnz(), expect.max_row_nnz(), "{layout}");
+                let bits = |s: &ProximityStore| -> Vec<u64> {
+                    s.column_sums().iter().map(|x| x.to_bits()).collect()
+                };
+                assert_eq!(bits(&spliced), bits(&expect), "{layout}");
+                assert_eq!(reencoded, touched, "{layout}: rows re-encoded");
+                if let (Some(b), 4) = (spliced.as_blocked(), touched) {
+                    assert_eq!((b.row_runs(0), b.row_runs(3)), (1, 2));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn splice_columns_refuses_what_the_shared_validator_refuses() {
+        let csr = random_csr(8, 12, 0.4, 1);
+        let bad = [
+            ("unsorted columns", vec![column(5, &[]), column(2, &[])]),
+            ("row out of bounds", vec![column(0, &[(8, 1.0)])]),
+            ("non-finite value", vec![column(0, &[(1, f64::NAN)])]),
+            ("length mismatch", vec![ColumnUpdate { col: 0, rows: vec![0, 1], vals: vec![1.0] }]),
+        ];
+        for layout in [RowLayout::Flat, RowLayout::Blocked] {
+            let store = ProximityStore::from_csr(csr.clone(), layout).unwrap();
+            for (what, updates) in &bad {
+                let got = store.splice_columns(updates);
+                assert!(matches!(got, Err(SparseError::Malformed(_))), "{layout}: {what}");
             }
         }
     }

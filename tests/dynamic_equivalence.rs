@@ -24,6 +24,7 @@
 //!   re-solves run without a mirror, the rebuild runs with one.
 //! * The update epoch counts batches and survives persistence.
 
+use kdash_core::persist::{PersistError, Section};
 use kdash_core::{IndexBuilder, IndexOptions, KdashIndex, NodeOrdering};
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
 use kdash_dynamic::{DynamicIndex, UpdateBatch};
@@ -432,8 +433,11 @@ fn self_loop_dangling_policy_updates_match_rebuild() {
 
 /// An index whose stored inverses were built under `SelfLoop` but whose
 /// recorded policy says `Keep` — a file whose trailer was rewritten and
-/// re-signed — is rejected by the attach-time consistency probe instead
-/// of silently serving mixed-normalisation updates.
+/// re-signed. The loader refuses it (the estimator section holds
+/// `SelfLoop`'s constants, the graph under `Keep` derives others); with
+/// that section rewritten to match as well, only the inverses still say
+/// `SelfLoop`, and the attach-time consistency probe rejects the index
+/// instead of silently serving mixed-normalisation updates.
 #[test]
 fn attach_rejects_mismatched_dangling_policy() {
     let mut b = GraphBuilder::new(8);
@@ -449,13 +453,32 @@ fn attach_rejects_mismatched_dangling_policy() {
     // Its tail is trailer payload (tag + epoch, 9 bytes), trailer CRC (4),
     // footer (magic 8 + whole-file CRC 4).
     let mut bytes = Vec::new();
-    index.save(&mut bytes).unwrap();
+    let marks = index.save_with_section_offsets(&mut bytes).unwrap();
     let n = bytes.len();
     bytes[n - 25] = 0;
     let trailer_crc = kdash_core::persist::crc32(&bytes[n - 25..n - 16]);
     bytes[n - 16..n - 12].copy_from_slice(&trailer_crc.to_le_bytes());
-    let file_crc = kdash_core::persist::crc32(&bytes[..n - 12]);
-    bytes[n - 4..].copy_from_slice(&file_crc.to_le_bytes());
+    let sign = |bytes: &mut Vec<u8>| {
+        let file_crc = kdash_core::persist::crc32(&bytes[..n - 12]);
+        bytes[n - 4..].copy_from_slice(&file_crc.to_le_bytes());
+    };
+    sign(&mut bytes);
+    assert!(matches!(
+        KdashIndex::load(bytes.as_slice()),
+        Err(PersistError::Corrupt { section: Section::Estimator, .. })
+    ));
+    // The estimator section (payload and CRC) of the same graph built
+    // under `Keep`: the ordering does not look at the policy, so it is
+    // what the loader derives.
+    let keep = KdashIndex::build(&graph, IndexOptions::default()).unwrap();
+    let mut keep_bytes = Vec::new();
+    let keep_marks = keep.save_with_section_offsets(&mut keep_bytes).unwrap();
+    let estimator = |marks: &[(&str, u64)]| {
+        let end_of = |name| marks.iter().find(|m| m.0 == name).unwrap().1 as usize;
+        end_of("row-stats")..end_of("estimator")
+    };
+    bytes[estimator(&marks)].copy_from_slice(&keep_bytes[estimator(&keep_marks)]);
+    sign(&mut bytes);
     let loaded = KdashIndex::load(bytes.as_slice()).unwrap();
     assert_eq!(loaded.dangling_policy(), kdash_sparse::DanglingPolicy::Keep);
     let err = DynamicIndex::new(loaded).unwrap_err();

@@ -6,8 +6,10 @@ use kdash_core::{IndexOptions, KdashIndex, LayerEstimator, NodeOrdering};
 use kdash_graph::{BfsTree, CsrGraph, GraphBuilder, NodeId, Permutation};
 use kdash_harness::{check_stop_rule, StopGoal};
 use kdash_sparse::{
-    invert_lower_unit, invert_upper, sparse_lu, transition_matrix, w_matrix, DanglingPolicy,
+    invert_lower_unit, invert_upper, sparse_lu, transition_matrix, w_matrix, ColumnUpdate,
+    CscMatrix, CsrMatrix, DanglingPolicy, ProximityStore, RowLayout,
 };
+use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 /// Strategy: a random directed weighted graph with n in [2, 40] and a
@@ -250,6 +252,51 @@ proptest! {
         prop_assert_eq!(a.nodes(), b.nodes());
         for (x, y) in a.items.iter().zip(&b.items) {
             prop_assert_eq!(x.proximity.to_bits(), y.proximity.to_bits());
+        }
+    }
+
+    /// The one splice of the stored `U⁻¹`: any set of column replacements
+    /// yields, under either layout, the store built from scratch off the
+    /// spliced matrix — arrays and derived tables. `stride` spreads the
+    /// columns over several 2¹⁶ blocks, so rows gain and lose runs.
+    #[test]
+    fn spliced_store_equals_rebuilt_store((nrows, ncols, stride_pick, entries, replacements) in (
+        1usize..10,
+        1usize..24,
+        0usize..2,
+        proptest::collection::vec((any::<u32>(), any::<u32>(), -2.0f64..2.0), 0..60),
+        proptest::collection::vec(
+            (any::<u32>(), proptest::collection::vec((any::<u32>(), 0.1f64..3.0), 0..8)),
+            0..6,
+        ),
+    )) {
+        let stride = [1, 9_001][stride_pick];
+        let (row_of, col_of) =
+            (|sel: u32| sel % nrows as u32, |sel: u32| sel % ncols as u32 * stride);
+        let triplets: Vec<_> =
+            entries.iter().map(|&(r, c, v)| (row_of(r), col_of(c), v)).collect();
+        let old = CscMatrix::from_triplets(nrows, ncols * stride as usize, &triplets).unwrap();
+        let by_column: BTreeMap<u32, BTreeMap<u32, f64>> = replacements
+            .iter()
+            .map(|(c, rows)| (col_of(*c), rows.iter().map(|&(r, v)| (row_of(r), v)).collect()))
+            .collect();
+        let updates: Vec<ColumnUpdate> = by_column
+            .into_iter()
+            .map(|(col, rows)| ColumnUpdate {
+                col,
+                rows: rows.keys().copied().collect(),
+                vals: rows.values().copied().collect(),
+            })
+            .collect();
+        let rebuilt = CsrMatrix::from_csc(&old.splice_columns(&updates).unwrap());
+        for layout in [RowLayout::Flat, RowLayout::Blocked] {
+            let store = ProximityStore::from_csr(CsrMatrix::from_csc(&old), layout).unwrap();
+            let (spliced, _) = store.splice_columns(&updates).unwrap();
+            let expect = ProximityStore::from_csr(rebuilt.clone(), layout).unwrap();
+            prop_assert!(spliced == expect, "{} store differs from the rebuild", layout);
+            for (j, (a, b)) in spliced.column_sums().iter().zip(expect.column_sums()).enumerate() {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "{} column sum {}", layout, j);
+            }
         }
     }
 

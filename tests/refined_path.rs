@@ -279,9 +279,7 @@ fn overflowing_residual_is_a_typed_failure_not_a_panic() {
     let q = by_reach(&index)[0].1;
     // Finite but absurd stored inverses (each passes validation): x̃
     // overflows to ±∞ and the residual to NaN on the first evaluation.
-    let (a_col_max, a_max, c_prime) = index.estimator_constants();
     let (linv_dropped, uinv_dropped) = index.dropped_masses();
-    let a_row_max = index.stop_rule_vectors().0.to_vec();
     let uinv = ProximityStore::from_csr(
         CsrMatrix::from_csc(&scaled(&index.uinv_rows().to_csc(), 1e200)),
         index.layout(),
@@ -289,13 +287,9 @@ fn overflowing_residual_is_a_typed_failure_not_a_panic() {
     .unwrap();
     let patch = IndexPatch {
         graph: index.permuted_graph().clone(),
+        transition: transition_matrix(index.permuted_graph(), index.dangling_policy()),
         linv: scaled(index.linv_cols(), 1e200),
-        a_row_max,
-        uinv_col_sums: uinv.column_sums(),
         uinv,
-        a_col_max: a_col_max.to_vec(),
-        a_max,
-        c_prime: c_prime.to_vec(),
         linv_dropped: linv_dropped.to_vec(),
         uinv_dropped: uinv_dropped.to_vec(),
         nnz_l: index.stats().nnz_l,
