@@ -176,18 +176,29 @@
 //!    permuted graph (`W = I − (1−c)A` is never materialised; each node
 //!    pushes its value along its out-edges, normalised by an out-weight
 //!    sum the index derives once per graph).
-//! 4. Because `A` is column-substochastic, `W⁻¹ = Σ ((1−c)A)^i` is
-//!    entrywise non-negative with column sums ≤ `1/c`, so **every** entry
-//!    of the error obeys `|p_u − c·x̃_u| ≤ ‖r‖₁`. This is the same
-//!    upper/lower-bound style as the paper's Lemma 2, applied to the
-//!    refinement residual instead of the BFS frontier.
-//! 5. If consecutive ranked proximities (and the k-th/(k+1)-th boundary)
-//!    are separated by more than `2‖r‖₁`, the top-k *set and order* are
-//!    proven identical to the exact answer — terminate. Otherwise apply
-//!    one correction `x̃ += Ũ⁻¹(L̃⁻¹ r)` — `L̃⁻¹` column AXPYs into `y`,
-//!    then a dense `Ũ⁻¹` row dot per reachable node; the sparsified
-//!    inverses act as a preconditioner, so `‖r‖₁` contracts geometrically
-//!    — and go back to 3.
+//! 4. Because `A` is column-substochastic, `c·W⁻¹ = c·Σ ((1−c)A)^i` is
+//!    entrywise non-negative, and its entry `(u, j)` is the proximity of
+//!    `u` for a walk restarting at `j`: at most `1−c` when `u ≠ j` (the
+//!    walk must take a step to get there) and at most 1 on the diagonal.
+//!    The error `p − c·x̃ = c·W⁻¹r` therefore obeys, node by node,
+//!    `|p_u − c·x̃_u| ≤ c·|r_u| + (1−c)·‖r‖₁` — under either
+//!    [`DanglingPolicy`](kdash_sparse::DanglingPolicy) and for restart
+//!    sets alike. This is the same upper/lower-bound style as the paper's
+//!    Lemma 2, applied to the refinement residual instead of the BFS
+//!    frontier.
+//! 5. The answer is proven when, for top-k, each answer's lower bound
+//!    exceeds the next answer's upper bound and the k-th's exceeds the
+//!    upper bound of *every* node outside the answer (the one that blocks
+//!    need not be rank k+1); for a threshold, when every node is provably
+//!    on one side of θ and the hits are provably ordered — **and** every
+//!    returned value's bound is within [`VALUE_TOLERANCE`] (`5·10⁻¹⁰`).
+//!    Then set, order and values are those of the exact answer —
+//!    terminate. Otherwise apply one correction `x̃ += Ũ⁻¹(L̃⁻¹ r)` —
+//!    `L̃⁻¹` column AXPYs into `y`, then a dense `Ũ⁻¹` row dot per
+//!    reachable node; the sparsified inverses act as a preconditioner, so
+//!    `‖r‖₁` contracts geometrically — and go back to 3. (While
+//!    `(1−c)·‖r‖₁` alone exceeds the tolerance, no bound can meet it and
+//!    the check is skipped.)
 //!
 //! The loop fails *loudly* ([`KdashError::RefinementFailed`]) if
 //! proximities are genuinely tied or closer than the achievable
@@ -308,7 +319,7 @@ pub use precompute::{IndexOptions, KdashIndex};
 #[doc(hidden)]
 pub use precompute::IndexPatch;
 pub use search::{RankedNode, TopKResult};
-pub use searcher::{BudgetLimit, QueryBudget, Searcher};
+pub use searcher::{BudgetLimit, QueryBudget, Searcher, VALUE_TOLERANCE};
 pub use stats::{IndexStats, SearchStats};
 
 /// The `U⁻¹` row-layout selector and the gather-kernel seam of the
@@ -348,13 +359,15 @@ pub enum KdashError {
     /// violations; each entry is `"<section>: <detail>"`.
     AuditFailed { findings: Vec<String> },
     /// The certified refinement loop on a sparsified index could not
-    /// separate the top-k set and order within its iteration budget:
-    /// after `iterations` correction passes the residual bound was
-    /// `residual` but certifying the ranking needed a gap above
-    /// `2 × residual`, and the smallest decisive gap was `gap`. This
-    /// happens when proximities are tied (or separated by less than the
-    /// achievable floating-point floor), or — with a non-finite
-    /// `residual` — when the stored values overflowed: the query has no
+    /// prove its goal: after `iterations` correction passes the residual
+    /// norm `‖r‖₁` was `residual` and had stopped contracting (or the
+    /// pass budget ran out). `gap` is the smallest decisive margin of the
+    /// last check — a lower bound minus the upper bound it had to clear
+    /// (for the full vector: the floor minus the widest bound) — negative
+    /// while the per-node bounds still overlap. This happens when
+    /// proximities are tied (or separated by less than the achievable
+    /// floating-point floor), or — with a non-finite `residual` and a
+    /// `gap` of −∞ — when the stored values overflowed: the query has no
     /// answer rather than a silently mis-ordered one. A dense-exact index
     /// (`drop_tolerance = 0`) never takes this path.
     RefinementFailed { iterations: usize, residual: f64, gap: f64 },
@@ -407,11 +420,9 @@ impl std::fmt::Display for KdashError {
             KdashError::RefinementFailed { iterations, residual, gap } => {
                 write!(
                     f,
-                    "refinement could not certify the top-k order after {iterations} \
-                     iteration(s): residual bound {residual:.3e} needs a ranking gap \
-                     > {:.3e} but the smallest decisive gap was {gap:.3e} \
-                     (tied or near-tied proximities)",
-                    2.0 * residual
+                    "refinement could not certify the answer after {iterations} \
+                     iteration(s): residual norm {residual:.3e}, smallest decisive margin \
+                     {gap:.3e} (tied or near-tied proximities)"
                 )
             }
             KdashError::JournalFailed { detail } => {

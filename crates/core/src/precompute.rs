@@ -312,6 +312,14 @@ impl KdashIndex {
     /// true exactly when the stored inverses dropped any ℓ₁ mass. When
     /// false the stored inverses are bit-for-bit the dense-exact ones and
     /// every query takes the classic path unchanged.
+    ///
+    /// When true, every answer is *proven*, node by node, from the
+    /// residual `r` of the refined solution `x̃`:
+    /// `|p_u − c·x̃_u| ≤ c·|r_u| + (1−c)·‖r‖₁`. A top-k or threshold query
+    /// returns only once that bound separates its set and order and every
+    /// returned proximity is within [`VALUE_TOLERANCE`](crate::VALUE_TOLERANCE)
+    /// of exact (a full vector: within `1e-13`); otherwise it fails with
+    /// [`KdashError::RefinementFailed`](crate::KdashError).
     pub fn needs_refinement(&self) -> bool {
         self.dropped_total > 0.0
     }
@@ -372,8 +380,8 @@ impl KdashIndex {
     /// The full proximity vector for `q` in original id space,
     /// `p = c · U⁻¹ (L⁻¹ e_q)`. `O(nnz(L⁻¹ column) + nnz(U⁻¹))` on a
     /// dense-exact index; on a sparsified one the vector is refined until
-    /// the residual bound drops below `1e-13`, so every entry is within
-    /// that distance of exact (and the call can fail with
+    /// every node's error bound drops below `1e-13`, so every entry is
+    /// within that distance of exact (and the call can fail with
     /// [`KdashError::RefinementFailed`](crate::KdashError) if the
     /// tolerance was set too aggressively for the loop to contract).
     pub fn full_proximities(&self, q: NodeId) -> Result<Vec<f64>> {

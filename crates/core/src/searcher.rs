@@ -87,10 +87,18 @@
 //!    along its out-edges, normalised by its precomputed out-weight sum.
 //!    The index stores the permuted graph exactly, so this is the true
 //!    residual of `x̃`, whatever the stored inverses hold;
-//! 3. *certify* — `|p_u − c·x̃_u| ≤ ‖r‖₁` turns the ranking into a proof
-//!    obligation: once every consecutive gap among the answer candidates
-//!    exceeds `2‖r‖₁`, the returned set *and order* are provably those of
-//!    the dense-exact answer, and the loop stops;
+//! 3. *certify* — each node by its own residual:
+//!    `|p_u − c·x̃_u| ≤ c·|r_u| + (1−c)·‖r‖₁`. The error is `c·W⁻¹r`, and
+//!    an entry of `c·W⁻¹` is the proximity of a walk from one node to
+//!    another: at most `1−c` off the diagonal, where the walk has to take
+//!    a step, and at most 1 on it. That turns the goal into a proof
+//!    obligation in two halves — the *ranking* (every lower bound of an
+//!    answer above the upper bound of what it must outrank) and the
+//!    *values* (every returned bound within [`VALUE_TOLERANCE`]); once
+//!    both hold, the returned set, order and values are provably those of
+//!    the dense-exact answer, and the loop stops. While the uniform share
+//!    `(1−c)·‖r‖₁` alone exceeds the tolerance no node can meet it, and
+//!    the pass is skipped;
 //! 4. *correction* `x̃ += Ũ⁻¹(L̃⁻¹ r)` — one `L̃⁻¹` column AXPY into `y`
 //!    per nonzero of `r`, then one dense `Ũ⁻¹` row dot per node of `R`.
 //!    The sparsified inverses are their own preconditioner, so `‖r‖₁`
@@ -107,7 +115,8 @@
 //! Tied proximities can never separate, so the loop fails loudly with
 //! [`KdashError::RefinementFailed`] instead of guessing — likewise when
 //! the residual stops contracting or is not finite. Returned *values* are
-//! `c·x̃`, within the final `‖r‖₁` of exact. A zero residual certifies
+//! `c·x̃`, each within [`VALUE_TOLERANCE`] of exact (a full vector within
+//! `1e-13`). A zero residual certifies
 //! unconditionally, and ties then resolve as in the classic search:
 //! candidates are offered in visit (BFS) order and the heap replaces only
 //! on a strictly larger proximity, so at the k-th boundary the
@@ -143,11 +152,20 @@ const PREFETCH_BLOCK: usize = 8;
 /// floating-point floor) and fails loudly instead of spinning.
 const REFINE_MAX_ITERATIONS: usize = 64;
 
-/// Residual floor the full-vector refined paths iterate down to: the
-/// returned vector is within this `ℓ∞` distance of the exact proximities
-/// (and exactly exact when the residual reaches zero). Chosen a couple of
-/// decades above `f64` epsilon so accumulation noise cannot stall the
-/// loop short of its goal.
+/// The value half of the certified tier's contract: every proximity a
+/// refined top-k or threshold query returns is proven to lie within this
+/// distance of the exact one (the iterative definition of the same
+/// graph). The ranking half alone would let a query stop on a separable
+/// order with its values still up to `~2e-8` off; a stricter tolerance
+/// costs more correction passes than it buys. A dense-exact index is
+/// exact to rounding and never consults it.
+pub const VALUE_TOLERANCE: f64 = 5e-10;
+
+/// Per-node error bound the full-vector refined paths iterate down to:
+/// the returned vector is within this `ℓ∞` distance of the exact
+/// proximities (and exactly exact when the residual reaches zero). Chosen
+/// a couple of decades above `f64` epsilon so accumulation noise cannot
+/// stall the loop short of its goal.
 pub(crate) const FULL_VECTOR_FLOOR: f64 = 1e-13;
 
 /// The resource ceiling a runaway query hit first — carried inside
@@ -353,8 +371,8 @@ struct RefineState {
     /// The reachable set in ascending permuted id: the order the three
     /// passes stream the id-ordered stores in.
     ids: Vec<NodeId>,
-    /// Top-`(k+1)` scratch the certification check ranks candidates with.
-    cert: TopKHeap,
+    /// Top-`k` scratch the certification check ranks candidates with.
+    heap: TopKHeap,
 }
 
 impl RefineState {
@@ -364,7 +382,7 @@ impl RefineState {
             resid: vec![0.0; n],
             y: vec![0.0; n],
             ids: Vec::new(),
-            cert: TopKHeap::new(0),
+            heap: TopKHeap::new(0),
         }
     }
 
@@ -390,76 +408,122 @@ enum RefineGoal<'o> {
     /// Certify every reachable node's side of `theta` and the order of
     /// the hits; the hits land in the workspace hit list (sorted).
     Threshold(f64),
-    /// Iterate the residual down to [`FULL_VECTOR_FLOOR`]; `c·x̃` lands
-    /// in the provided dense permuted vector.
+    /// Iterate every node's bound down to [`FULL_VECTOR_FLOOR`]; `c·x̃`
+    /// lands in the provided dense permuted vector.
     FullVector(&'o mut [f64]),
 }
 
-/// Top-k certification: ranks the `k + 1` best candidates (the entry
-/// below the last ranked one is the exact-zero proximity of the
-/// unreached padding) and demands every consecutive gap among the top
-/// `k` exceed `2δ` — then no exchange across any of those boundaries can
-/// survive the error bound, so set and order are proven. A zero residual
-/// certifies unconditionally (the values are exact; ties fall to the
-/// deterministic comparator). Returns the verdict and the smallest
-/// decisive gap for diagnostics.
-fn certify_top_k(
-    x: &[f64],
-    order: &[NodeId],
+/// The certificate of one residual: node `u`'s proximity is within
+/// `radius(r_u) = c·|r_u| + (1−c)·‖r‖₁` of `c·x̃_u` (module docs).
+#[derive(Clone, Copy)]
+struct Certificate {
     c: f64,
-    k: usize,
-    delta: f64,
-    cert: &mut TopKHeap,
-) -> (bool, f64) {
-    cert.reset(k + 1);
-    for &u in order {
-        cert.offer(c * x[u as usize], u);
-    }
-    let ranked = cert.sorted_entries();
-    let m = ranked.len();
-    let limit = k.min(m);
-    let mut min_gap = f64::INFINITY;
-    for i in 0..limit {
-        let next = if i + 1 < m { ranked[i + 1].0 } else { 0.0 };
-        min_gap = min_gap.min(ranked[i].0 - next);
-    }
-    if !min_gap.is_finite() {
-        min_gap = 0.0;
-    }
-    (delta == 0.0 || min_gap > 2.0 * delta, min_gap)
+    /// `‖r‖₁`; zero proves every value exact.
+    residual_l1: f64,
+    /// `(1−c)·‖r‖₁`: the share every node's bound carries.
+    slack: f64,
 }
 
-/// Threshold certification: every reachable node must sit provably on
-/// one side of `theta` (margin `> δ`) and the hits must be provably
-/// ordered among themselves (gaps `> 2δ`). Fills `hits` with the
-/// candidate answers, sorted; on the accepting iteration they are the
-/// final ones.
+impl Certificate {
+    fn new(c: f64, residual_l1: f64) -> Self {
+        Certificate { c, residual_l1, slack: (1.0 - c) * residual_l1 }
+    }
+
+    /// Whether the residual is exactly zero: the values are exact, and a
+    /// goal is proven whatever its margins.
+    fn is_exact(self) -> bool {
+        self.residual_l1 == 0.0
+    }
+
+    #[inline]
+    fn radius(self, r_u: f64) -> f64 {
+        self.c * r_u.abs() + self.slack
+    }
+}
+
+/// Top-k certification. Ranks the `k` best candidates — offered in visit
+/// order, so at the k-th boundary the earlier-visited of two equals stays
+/// — and proves them against the per-node bounds: each answer's lower
+/// bound above the next one's upper bound, the k-th's above the upper
+/// bound of **every** node outside the answer (with per-node bounds the
+/// one that blocks need not be rank `k + 1`; the unreached sit at exactly
+/// zero), and each answer's bound within [`VALUE_TOLERANCE`]. A zero
+/// residual certifies unconditionally (the values are exact; ties fall to
+/// the visit order and the comparator). Returns the verdict and the
+/// smallest decisive margin — a lower bound minus the upper bound it must
+/// clear, negative while they overlap.
+fn certify_top_k(
+    x: &[f64],
+    resid: &[f64],
+    order: &[NodeId],
+    k: usize,
+    cert: Certificate,
+    heap: &mut TopKHeap,
+) -> (bool, f64) {
+    heap.reset(k);
+    for &u in order {
+        heap.offer(cert.c * x[u as usize], u);
+    }
+    let ranked = heap.sorted_entries();
+    let Some(&(kth, kth_node)) = ranked.last() else {
+        return (true, f64::INFINITY);
+    };
+    let bounds = |&(p, u): &(f64, NodeId)| {
+        let radius = cert.radius(resid[u as usize]);
+        (p - radius, p + radius, radius)
+    };
+    let mut margin = f64::INFINITY;
+    for pair in ranked.windows(2) {
+        margin = margin.min(bounds(&pair[0]).0 - bounds(&pair[1]).1);
+    }
+    // Above the k-th proximity every node is an answer; at it only the
+    // (rare) exact ties need the membership scan.
+    let mut outside = 0.0f64;
+    for &u in order {
+        let p = cert.c * x[u as usize];
+        if p < kth || (p == kth && u != kth_node && !ranked.iter().any(|e| e.1 == u)) {
+            outside = outside.max(bounds(&(p, u)).1);
+        }
+    }
+    margin = margin.min(bounds(&(kth, kth_node)).0 - outside);
+    let within = ranked.iter().all(|e| bounds(e).2 <= VALUE_TOLERANCE);
+    (cert.is_exact() || (margin > 0.0 && within), margin)
+}
+
+/// Threshold certification against the per-node bounds: every reachable
+/// node provably on one side of `theta`, the hits provably ordered among
+/// themselves, and each hit's bound within [`VALUE_TOLERANCE`]. Fills
+/// `hits` with the candidate answers, sorted; on the accepting iteration
+/// they are the final ones. Returns the verdict and the smallest decisive
+/// margin, as [`certify_top_k`] does.
 fn certify_threshold(
     x: &[f64],
+    resid: &[f64],
     order: &[NodeId],
-    c: f64,
     theta: f64,
-    delta: f64,
+    cert: Certificate,
     hits: &mut Vec<(f64, NodeId)>,
 ) -> (bool, f64) {
     hits.clear();
-    let mut min_margin = f64::INFINITY;
+    let mut margin = f64::INFINITY;
+    let mut within = true;
     for &u in order {
-        let p = c * x[u as usize];
-        min_margin = min_margin.min((p - theta).abs());
+        let (p, radius) = (cert.c * x[u as usize], cert.radius(resid[u as usize]));
         if p >= theta {
             hits.push((p, u));
+            margin = margin.min(p - radius - theta);
+            within &= radius <= VALUE_TOLERANCE;
+        } else {
+            margin = margin.min(theta - (p + radius));
         }
     }
     hits.sort_unstable_by(by_rank);
-    let mut min_gap = 2.0 * min_margin;
     for pair in hits.windows(2) {
-        min_gap = min_gap.min(pair[0].0 - pair[1].0);
+        let [(p, u), (q, v)] = [pair[0], pair[1]];
+        let (lower, upper) = (p - cert.radius(resid[u as usize]), q + cert.radius(resid[v as usize]));
+        margin = margin.min(lower - upper);
     }
-    if !min_gap.is_finite() {
-        min_gap = 0.0;
-    }
-    (delta == 0.0 || (min_margin > delta && min_gap > 2.0 * delta), min_gap)
+    (cert.is_exact() || (margin > 0.0 && within), margin)
 }
 
 /// A reusable query workspace over one [`KdashIndex`].
@@ -1103,7 +1167,7 @@ impl<'a> Searcher<'a> {
         let self_loops = index.dangling_policy() == DanglingPolicy::SelfLoop;
         let started = self.budget.start();
         let restart_weight = 1.0 / self.roots.len() as f64;
-        let RefineState { x, resid, y, ids, cert } = st;
+        let RefineState { x, resid, y, ids, heap } = st;
 
         // Initial approximate solve x̃ = Ũ⁻¹(L̃⁻¹ b): one gather per
         // reachable node through the workspace kernel, exactly the
@@ -1156,34 +1220,53 @@ impl<'a> Searcher<'a> {
             }
             stats.refinement_nnz += edge_terms;
             let delta: f64 = ids.iter().map(|&j| resid[j as usize].abs()).sum();
-
-            // |p_u − c·x̃_u| ≤ ‖r‖₁ for every node (column sums of W⁻¹
-            // are at most 1/c, cancelling the c in p = c·x): certify the
-            // goal against that uniform bound. Candidates are offered in
-            // visit order, which is what decides a tie at the k-th
-            // boundary (the heap replaces on strict `>`).
-            let order = &self.bfs.order()[..ids.len()];
-            let (certified, min_gap) = match goal {
-                RefineGoal::TopK(k) => certify_top_k(x, order, c, *k, delta, cert),
-                RefineGoal::Threshold(theta) => {
-                    certify_threshold(x, order, c, *theta, delta, &mut self.hits)
-                }
-                RefineGoal::FullVector(_) => (delta <= FULL_VECTOR_FLOOR, delta),
-            };
-            if certified {
-                break;
-            }
-            if iterations >= REFINE_MAX_ITERATIONS || delta >= prev_norm || !delta.is_finite() {
-                // Tied (or sub-floating-point-separated) proximities can
-                // never certify, a non-contracting residual means the
-                // drop tolerance out-weighs the preconditioner, and a
-                // non-finite one that the stored values overflowed: fail
-                // loudly, never return an unproven ranking.
+            if !delta.is_finite() {
+                // The stored values overflowed: no bound holds at all.
                 return Err(KdashError::RefinementFailed {
                     iterations,
                     residual: delta,
-                    gap: min_gap,
+                    gap: f64::NEG_INFINITY,
                 });
+            }
+
+            // Certify the goal against the per-node bounds — unless the
+            // share every bound carries already exceeds the tolerance, so
+            // no node can meet it. Tied (or sub-floating-point-separated)
+            // proximities never certify and a non-contracting residual
+            // means the drop tolerance out-weighs the preconditioner:
+            // then the pass runs anyway, for the margin the loud failure
+            // reports — never an unproven answer.
+            let cert = Certificate::new(c, delta);
+            let tolerance = match goal {
+                RefineGoal::FullVector(_) => FULL_VECTOR_FLOOR,
+                _ => VALUE_TOLERANCE,
+            };
+            let stalled = iterations >= REFINE_MAX_ITERATIONS || delta >= prev_norm;
+            if cert.slack <= tolerance || stalled {
+                // Candidates are offered in visit order, which is what
+                // decides a tie at the k-th boundary.
+                let order = &self.bfs.order()[..ids.len()];
+                let (certified, margin) = match goal {
+                    RefineGoal::TopK(k) => certify_top_k(x, resid, order, *k, cert, heap),
+                    RefineGoal::Threshold(theta) => {
+                        certify_threshold(x, resid, order, *theta, cert, &mut self.hits)
+                    }
+                    RefineGoal::FullVector(_) => {
+                        let worst = ids.iter().map(|&u| cert.radius(resid[u as usize]));
+                        let margin = FULL_VECTOR_FLOOR - worst.fold(0.0, f64::max);
+                        (margin >= 0.0, margin)
+                    }
+                };
+                if certified {
+                    break;
+                }
+                if stalled {
+                    return Err(KdashError::RefinementFailed {
+                        iterations,
+                        residual: delta,
+                        gap: margin,
+                    });
+                }
             }
             prev_norm = delta;
 
@@ -1219,10 +1302,9 @@ impl<'a> Searcher<'a> {
         // Deliver the certified answer.
         match goal {
             RefineGoal::TopK(k) => {
-                // The certification scratch already ranked the k+1 best
-                // candidates; the first k are the proven answer.
+                // The certification scratch holds the proven answer.
                 self.heap.reset(*k);
-                for &(p, u) in cert.sorted_entries().iter().take(*k) {
+                for &(p, u) in heap.sorted_entries() {
                     self.heap.offer(p, u);
                 }
             }
@@ -1325,6 +1407,81 @@ mod tests {
         }
         let nodes: Vec<NodeId> = h.sorted_entries().iter().map(|&(_, n)| n).collect();
         assert_eq!(nodes, vec![1, 3, 7, 9]);
+    }
+
+    /// `(x̃, r)` over nodes `0..`, for proximities `c·x̃ = p` at the
+    /// workload constant `c = 0.95`.
+    fn state(p: &[f64], r: &[f64]) -> (Vec<f64>, Vec<f64>, Certificate) {
+        let c = 0.95;
+        let l1 = r.iter().map(|v| v.abs()).sum();
+        (p.iter().map(|p| p / c).collect(), r.to_vec(), Certificate::new(c, l1))
+    }
+
+    fn answer(heap: &mut TopKHeap) -> Vec<NodeId> {
+        heap.sorted_entries().iter().map(|e| e.1).collect()
+    }
+
+    #[test]
+    fn per_node_bound_certifies_what_the_uniform_one_cannot() {
+        // Answers 2e-9 apart; the residual sits on the outside node 2.
+        let (x, r, cert) = state(&[0.5, 0.5 - 2e-9, 0.5 - 4e-9], &[0.0, 0.0, 1.5e-9]);
+        assert!(2e-9 <= 2.0 * cert.residual_l1, "the uniform bound cannot separate them");
+        let mut heap = TopKHeap::new(0);
+        let (certified, margin) = certify_top_k(&x, &r, &[0, 1, 2], 2, cert, &mut heap);
+        assert!(certified, "margin {margin:e}");
+        assert_eq!(answer(&mut heap), vec![0, 1]);
+    }
+
+    #[test]
+    fn a_node_below_rank_k_plus_one_with_a_wide_bound_blocks() {
+        // k = 1: rank 2 (node 1) is separated from the answer, but rank 3
+        // (node 2) carries the whole residual and its upper bound reaches
+        // the answer's lower bound.
+        let (x, r, cert) = state(&[0.5, 0.5 - 2e-9, 0.5 - 3e-9], &[0.0, 0.0, 4e-9]);
+        let lower = 0.5 - cert.radius(0.0);
+        assert!(lower > 0.5 - 2e-9 + cert.radius(0.0), "rank k + 1 alone would certify");
+        let mut heap = TopKHeap::new(0);
+        let (certified, margin) = certify_top_k(&x, &r, &[2, 0, 1], 1, cert, &mut heap);
+        assert!(!certified);
+        let blocking = lower - (0.5 - 3e-9 + cert.radius(4e-9));
+        assert!((margin - blocking).abs() < 1e-15 && margin < 0.0, "{margin:e} vs {blocking:e}");
+    }
+
+    #[test]
+    fn a_separable_ranking_outside_the_value_tolerance_is_not_certified() {
+        // Gaps of 0.2 against bounds of ~5e-9: the order is proven, but
+        // the k-th value is not within the tolerance.
+        let (x, r, cert) = state(&[0.5, 0.3, 0.1], &[0.0, 5e-9, 0.0]);
+        assert!(cert.radius(0.0) <= VALUE_TOLERANCE && cert.radius(5e-9) > VALUE_TOLERANCE);
+        let mut heap = TopKHeap::new(0);
+        let (certified, margin) = certify_top_k(&x, &r, &[0, 1, 2], 2, cert, &mut heap);
+        assert!(margin > 0.19, "the ranking half holds: {margin}");
+        assert!(!certified, "the value half must hold too");
+        // The threshold goal returns the same values and carries the
+        // same obligation.
+        let mut hits = Vec::new();
+        let (certified, margin) = certify_threshold(&x, &r, &[0, 1, 2], 0.2, cert, &mut hits);
+        assert!(margin > 0.09 && !certified);
+        // With the residual on the node left out, both certify.
+        let (x, r, cert) = state(&[0.5, 0.3, 0.1], &[0.0, 0.0, 5e-9]);
+        assert!(certify_top_k(&x, &r, &[0, 1, 2], 2, cert, &mut heap).0);
+        assert!(certify_threshold(&x, &r, &[0, 1, 2], 0.2, cert, &mut hits).0);
+    }
+
+    #[test]
+    fn a_zero_residual_certifies_across_a_tie_in_visit_order() {
+        // Nodes 1 and 2 tie at the k-th boundary; node 2 is visited first
+        // and stays, as in the dense driver.
+        let (x, r, cert) = state(&[0.5, 0.3, 0.3, 0.1], &[0.0; 4]);
+        let mut heap = TopKHeap::new(0);
+        let (certified, margin) = certify_top_k(&x, &r, &[0, 2, 1, 3], 2, cert, &mut heap);
+        assert!(certified && margin == 0.0, "margin {margin}");
+        assert_eq!(answer(&mut heap), vec![0, 2]);
+        assert!(certify_top_k(&x, &r, &[0, 1, 2, 3], 2, cert, &mut heap).0);
+        assert_eq!(answer(&mut heap), vec![0, 1]);
+        // Any residual at all and the tie can never separate.
+        let (x, r, cert) = state(&[0.5, 0.3, 0.3, 0.1], &[0.0, 0.0, 0.0, 1e-15]);
+        assert!(!certify_top_k(&x, &r, &[0, 2, 1, 3], 2, cert, &mut heap).0);
     }
 
     #[test]

@@ -17,23 +17,23 @@
 //!   early (K-dash's Lemma 2) simply stops calling it, and every layer it
 //!   never asked for is never expanded — the traversal cost tracks the
 //!   pruned visit count instead of the whole reachable set. Because layers
-//!   are expanded whole and in order, the visit order, layers and parents
-//!   are *identical* to the eager tree's at every prefix.
+//!   are expanded whole and in order, the visit order and layers are
+//!   *identical* to the eager tree's at every prefix.
 
 use crate::{CsrGraph, EpochStamps, NodeId};
 
 /// Layer marker for nodes the BFS never reached.
 pub const UNREACHABLE: u32 = u32::MAX;
 
-/// Reusable *lazy* BFS state: epoch-stamped `layer`/`parent`/`order`
-/// buffers that amortise the three `O(n)` allocations (and `O(n)` re-fills)
+/// Reusable *lazy* BFS state: epoch-stamped `layer`/`order` buffers that
+/// amortise the `O(n)` allocations (and `O(n)` re-fills)
 /// a fresh [`BfsTree`] pays on every traversal, plus the frontier cursors
 /// that let layers be discovered one at a time, on demand.
 ///
 /// A node is *discovered by the current run* iff its visit stamp carries
-/// the current generation ([`EpochStamps`]); `layer` and `parent` are only
-/// meaningful on stamped nodes, so starting a new run is `O(1)` — bump
-/// the generation — instead of `O(n)` — refill three vectors. The `order`
+/// the current generation ([`EpochStamps`]); `layer` is only meaningful
+/// on stamped nodes, so starting a new run is `O(1)` — bump the
+/// generation — instead of `O(n)` — refill the vectors. The `order`
 /// vector doubles as the FIFO frontier (a cursor walks it while new nodes
 /// are appended), the same idiom [`BfsTree::new_multi`] uses.
 ///
@@ -59,9 +59,6 @@ pub struct BfsScratch {
     visited: EpochStamps,
     /// Hop distance, valid only where stamped.
     layer: Vec<u32>,
-    /// BFS tree parent, valid only where stamped (roots are their own
-    /// parents).
-    parent: Vec<NodeId>,
     /// Discovery order of the current run; also serves as the BFS queue.
     order: Vec<NodeId>,
     /// Nodes in `order[..expand_head]` have had their out-edges scanned.
@@ -78,7 +75,6 @@ impl BfsScratch {
         BfsScratch {
             visited: EpochStamps::new(n),
             layer: vec![UNREACHABLE; n],
-            parent: vec![NodeId::MAX; n],
             order: Vec::new(),
             expand_head: 0,
             frontier_depth: 0,
@@ -99,7 +95,7 @@ impl BfsScratch {
     }
 
     /// Multi-root BFS to exhaustion, mirroring [`BfsTree::new_multi`]: all
-    /// roots form layer 0 (in the given order) and are their own parents.
+    /// roots form layer 0 (in the given order).
     /// `roots` must be non-empty, in bounds, and duplicate-free.
     fn run_multi(&mut self, graph: &CsrGraph, roots: &[NodeId]) {
         self.begin_multi(graph, roots);
@@ -113,8 +109,8 @@ impl BfsScratch {
     }
 
     /// Starts a new lazy multi-root run: all `roots` form layer 0 (in the
-    /// given order) and are their own parents; no out-edge has been scanned
-    /// yet. `roots` must be non-empty, in bounds, and duplicate-free.
+    /// given order); no out-edge has been scanned yet. `roots` must be
+    /// non-empty, in bounds, and duplicate-free.
     pub fn begin_multi(&mut self, graph: &CsrGraph, roots: &[NodeId]) {
         let n = self.dim();
         assert_eq!(graph.num_nodes(), n, "graph does not match scratch dimension");
@@ -129,7 +125,6 @@ impl BfsScratch {
             assert!(!self.visited.is_marked(root as usize), "duplicate BFS root {root}");
             self.visited.mark(root as usize);
             self.layer[root as usize] = 0;
-            self.parent[root as usize] = root;
             self.order.push(root);
         }
     }
@@ -141,8 +136,8 @@ impl BfsScratch {
     ///
     /// Expanding whole layers in order reproduces the eager node-at-a-time
     /// queue exactly: the nodes scanned here are precisely the queue window
-    /// the eager driver would pop next, in the same sequence, so `order`,
-    /// `layer` and `parent` agree with [`BfsTree`] at every prefix.
+    /// the eager driver would pop next, in the same sequence, so `order`
+    /// and `layer` agree with [`BfsTree`] at every prefix.
     ///
     /// `graph` must be the graph the run [`begin`](Self::begin)-ed on.
     pub fn expand_next_layer(&mut self, graph: &CsrGraph) -> usize {
@@ -159,7 +154,6 @@ impl BfsScratch {
                 if !self.visited.is_marked(t as usize) {
                     self.visited.mark(t as usize);
                     self.layer[t as usize] = next_layer;
-                    self.parent[t as usize] = v;
                     self.order.push(t);
                 }
             }
@@ -227,17 +221,6 @@ impl BfsScratch {
             self.layer[v as usize]
         } else {
             UNREACHABLE
-        }
-    }
-
-    /// BFS tree parent of `v` in the current run (roots are their own
-    /// parents), or [`NodeId::MAX`] if unreached.
-    #[inline]
-    pub fn parent(&self, v: NodeId) -> NodeId {
-        if self.is_reached(v) {
-            self.parent[v as usize]
-        } else {
-            NodeId::MAX
         }
     }
 
@@ -472,11 +455,6 @@ mod tests {
             for v in 0..6u32 {
                 assert_eq!(scratch.layer(v), tree.layer[v as usize], "layer of {v}");
                 assert_eq!(scratch.is_reached(v), tree.layer[v as usize] != UNREACHABLE);
-                if scratch.is_reached(v) {
-                    assert_eq!(scratch.parent(v), tree.parent[v as usize], "parent of {v}");
-                } else {
-                    assert_eq!(scratch.parent(v), NodeId::MAX);
-                }
             }
         }
     }
@@ -488,7 +466,6 @@ mod tests {
         for v in 0..4u32 {
             assert!(!scratch.is_reached(v), "node {v} reached before any run");
             assert_eq!(scratch.layer(v), UNREACHABLE);
-            assert_eq!(scratch.parent(v), NodeId::MAX);
         }
     }
 
@@ -515,7 +492,7 @@ mod tests {
     fn lazy_layers_match_eager_tree_at_every_prefix() {
         // Drive the lazy protocol layer by layer; after each expansion the
         // discovered prefix must equal the eager tree's order restricted to
-        // the same layers, with identical layers and parents.
+        // the same layers, with identical layers.
         let diamond = {
             let mut b = GraphBuilder::new(8);
             for (u, v) in [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (2, 6)] {
@@ -534,7 +511,6 @@ mod tests {
                 assert_eq!(scratch.order(), &tree.order[..seen], "roots {roots:?}");
                 for &v in scratch.order() {
                     assert_eq!(scratch.layer(v), tree.layer[v as usize]);
-                    assert_eq!(scratch.parent(v), tree.parent[v as usize]);
                 }
                 if scratch.expand_next_layer(&diamond) == 0 {
                     break;
@@ -590,7 +566,6 @@ mod tests {
         assert_eq!(eager.order(), lazy.order());
         for v in 0..7u32 {
             assert_eq!(eager.layer(v), lazy.layer(v));
-            assert_eq!(eager.parent(v), lazy.parent(v));
         }
     }
 

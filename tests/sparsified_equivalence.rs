@@ -43,11 +43,14 @@ fn ordering_for(which: usize) -> NodeOrdering {
 
 /// Asserts the sparsified result carries the dense result's node sequence
 /// exactly, and that the values witness the certificate: every refined
-/// value sits within the final residual norm δ of exact, and the refined
-/// ranking's gaps all exceed 2δ — so the *observable* invariant is
-/// `max_i |dense_i − sparse_i| < min adjacent sparsified gap / 2`. (The
-/// dense gaps bound nothing: certification reasons about refined values,
-/// whose gaps can exceed the dense ones by up to 2δ.) `extra_bound`
+/// value sits within its own bound `ρ_u` (at most `VALUE_TOLERANCE`) of
+/// exact, and each adjacent refined gap exceeds the two bounds it
+/// separates — so the *observable* invariant is
+/// `max_i |dense_i − sparse_i| < min adjacent sparsified gap / 2` up to
+/// the spread of the `ρ_u` (each ≤ 5e-10, inside the 1e-9 allowance
+/// below). (The dense gaps bound nothing: certification reasons about
+/// refined values, whose gaps can exceed the dense ones by the bounds
+/// they carry.) `extra_bound`
 /// tightens the gap bound with entry-point-specific certificate terms
 /// (e.g. threshold margins).
 fn check_same_ranking(label: &str, dense: &TopKResult, sparse: &TopKResult, extra_bound: f64) {
@@ -154,7 +157,7 @@ proptest! {
                 "the permutation is ε-independent");
             // `RefinementFailed` is the tier's documented honest outcome
             // when two candidate proximities sit inside the same ulp:
-            // no positive gap can ever exceed 2δ, so the loop refuses to
+            // no per-node bound can ever separate them, so the loop refuses to
             // rank them rather than guess. Accept it only when the
             // residual was already at floating-point-noise level — a
             // large residual at failure would mean refinement diverged,
