@@ -413,10 +413,11 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         s.bytes_touched,
         s.value_bytes_touched,
     );
-    // Sparsified-tier observability: how many certified-refinement sweeps
-    // the query needed and the extra nonzeros they streamed (residual
-    // edges + correction scatter/gather). Dense-exact indexes skip the
-    // loop entirely, so the line would always read 0/0 — omit it.
+    // Sparsified-tier observability: how many certified-refinement steps
+    // (Jacobi sweeps and corrections alike) the query needed and the
+    // extra nonzeros they streamed (residual pushes + correction
+    // scatter/gather). Dense-exact indexes skip the loop entirely, so the
+    // line would always read 0/0 — omit it.
     if index.needs_refinement() {
         println!(
             "-- refinement: {} iteration(s), {} streamed nnz (sparsified tier, drop tolerance \

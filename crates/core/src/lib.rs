@@ -193,10 +193,16 @@
 //!    on one side of θ and the hits are provably ordered — **and** every
 //!    returned value's bound is within [`VALUE_TOLERANCE`] (`5·10⁻¹⁰`).
 //!    Then set, order and values are those of the exact answer —
-//!    terminate. Otherwise apply one correction `x̃ += Ũ⁻¹(L̃⁻¹ r)` —
+//!    terminate. Otherwise take one step and go back to 3. A *Jacobi
+//!    sweep* `x̃ += r` is one pass over the reachable set and shrinks
+//!    `‖r‖₁` by at least `1−c`, since `A`'s columns sum to at most 1 (the
+//!    power-iteration step). A *correction* `x̃ += Ũ⁻¹(L̃⁻¹ r)` —
 //!    `L̃⁻¹` column AXPYs into `y`, then a dense `Ũ⁻¹` row dot per
-//!    reachable node; the sparsified inverses act as a preconditioner, so
-//!    `‖r‖₁` contracts geometrically — and go back to 3. (While
+//!    reachable node — uses the sparsified inverses as a preconditioner
+//!    and shrinks `‖r‖₁` by the factor the loop observes. A planner picks
+//!    the kind before each step from the query's own counts: the cheaper
+//!    way to the residual the goal needs, within the step cap. Either way,
+//!    the next residual is recomputed from the stored graph. (While
 //!    `(1−c)·‖r‖₁` alone exceeds the tolerance, no bound can meet it and
 //!    the check is skipped.)
 //!
@@ -359,12 +365,13 @@ pub enum KdashError {
     /// violations; each entry is `"<section>: <detail>"`.
     AuditFailed { findings: Vec<String> },
     /// The certified refinement loop on a sparsified index could not
-    /// prove its goal: after `iterations` correction passes the residual
-    /// norm `‖r‖₁` was `residual` and had stopped contracting (or the
-    /// pass budget ran out). `gap` is the smallest decisive margin of the
-    /// last check — a lower bound minus the upper bound it had to clear
-    /// (for the full vector: the floor minus the widest bound) — negative
-    /// while the per-node bounds still overlap. This happens when
+    /// prove its goal: after `iterations` refinement steps (Jacobi sweeps
+    /// and corrections) the residual norm `‖r‖₁` was `residual` and had
+    /// stopped contracting (or the step cap was reached). `gap` is the
+    /// smallest decisive margin of the last check — a lower bound minus
+    /// the upper bound it had to clear (for the full vector: the floor
+    /// minus the widest bound) — negative while the per-node bounds still
+    /// overlap. This happens when
     /// proximities are tied (or separated by less than the achievable
     /// floating-point floor), or — with a non-finite `residual` and a
     /// `gap` of −∞ — when the stored values overflowed: the query has no
@@ -421,7 +428,7 @@ impl std::fmt::Display for KdashError {
                 write!(
                     f,
                     "refinement could not certify the answer after {iterations} \
-                     iteration(s): residual norm {residual:.3e}, smallest decisive margin \
+                     step(s): residual norm {residual:.3e}, smallest decisive margin \
                      {gap:.3e} (tied or near-tied proximities)"
                 )
             }

@@ -79,15 +79,18 @@
 //! certified refinement loop instead of visiting. The loop drains the BFS,
 //! lists the reachable set `R` once in ascending permuted id — the order
 //! the graph, `L̃⁻¹` and `Ũ⁻¹` are stored in — and then streams that list
-//! over three dense vectors `x̃`, `r`, `y`:
+//! over three dense vectors `x̃`, `r`, `y`. Every sweep that settles a
+//! value of `x̃` also *pushes* it at once into the next true residual
+//! `r = b − x̃ + (1−c)·A x̃`: the node's value leaves its own entry and
+//! flows along its out-edges, normalised by its precomputed out-weight
+//! sum. The index stores the permuted graph exactly, so `r` is the true
+//! residual of `x̃`, whatever the stored inverses hold — never the
+//! recurrence a step would predict.
 //!
 //! 1. *initial solve* — one gather per node of `R` against the scattered
-//!    query column, the classic search's per-candidate cost;
-//! 2. *residual* `r = b − x̃ + (1−c)·A x̃` — each node pushes its value
-//!    along its out-edges, normalised by its precomputed out-weight sum.
-//!    The index stores the permuted graph exactly, so this is the true
-//!    residual of `x̃`, whatever the stored inverses hold;
-//! 3. *certify* — each node by its own residual:
+//!    query column, the classic search's per-candidate cost, each value
+//!    pushed into `r` as it lands;
+//! 2. *certify* — each node by its own residual:
 //!    `|p_u − c·x̃_u| ≤ c·|r_u| + (1−c)·‖r‖₁`. The error is `c·W⁻¹r`, and
 //!    an entry of `c·W⁻¹` is the proximity of a walk from one node to
 //!    another: at most `1−c` off the diagonal, where the walk has to take
@@ -98,19 +101,32 @@
 //!    both hold, the returned set, order and values are provably those of
 //!    the dense-exact answer, and the loop stops. While the uniform share
 //!    `(1−c)·‖r‖₁` alone exceeds the tolerance no node can meet it, and
-//!    the pass is skipped;
-//! 4. *correction* `x̃ += Ũ⁻¹(L̃⁻¹ r)` — one `L̃⁻¹` column AXPY into `y`
-//!    per nonzero of `r`, then one dense `Ũ⁻¹` row dot per node of `R`.
-//!    The sparsified inverses are their own preconditioner, so `‖r‖₁`
-//!    contracts geometrically; back to 2.
+//!    the check is skipped;
+//! 3. *one step*, of whichever kind the planner (`plan`) expects to reach
+//!    the goal's residual target for the least work; back to 2.
+//!    * *Jacobi sweep* `x̃ += r` — one pass over `R` that adds each
+//!      residual to its node and pushes the new value into the next
+//!      residual, built in the spare `y`; the two then swap. The new
+//!      residual is `(1−c)·A r`, and `A`'s columns sum to at most 1, so
+//!      `‖r‖₁` shrinks by at least `1−c` — the power-iteration step.
+//!    * *correction* `x̃ += Ũ⁻¹(L̃⁻¹ r)` — one `L̃⁻¹` column AXPY into `y`
+//!      per nonzero of `r`, emptying `r` as it reads it, then one dense
+//!      `Ũ⁻¹` row dot per node of `R` in ascending id, each new value
+//!      pushed at once. Row `u` of the upper-triangular `Ũ⁻¹` reads `y`
+//!      only at columns `≥ u`, so `y_u` is spent and zeroed right after.
+//!      The sparsified inverses are their own preconditioner: `‖r‖₁`
+//!      contracts by the factor `ρ` the loop observes, far below `1−c`
+//!      when `c` is small.
 //!
 //! `R` is closed under out-edges and the triangular inverses only fill
 //! along paths of the graph, so every write lands inside `R`: no support
-//! lists, no flags, and sweeping `R` on the way out leaves the vectors
-//! all-zero for the next query (a `debug_assert!` holds them to it). The
-//! certificate rests on less: `x̃` and `r` are read and written only over
-//! `R`, which the BFS defines, so inverses that broke the fill pattern
-//! could slow a later query through a stale `y`, never falsify a proof.
+//! lists, no flags. Each step leaves `y` all-zero, and sweeping `R` on the
+//! way out leaves all three vectors all-zero for the next query (a
+//! `debug_assert!` holds them to it). The certificate rests on less: `x̃`
+//! and `r` are read and written only over `R`, which the BFS defines, so
+//! inverses that broke the fill pattern could slow a later query through
+//! a stale `y`, never falsify a proof — and whichever step ran, the check
+//! reads the residual recomputed from the stored graph.
 //!
 //! Tied proximities can never separate, so the loop fails loudly with
 //! [`KdashError::RefinementFailed`] instead of guessing — likewise when
@@ -146,10 +162,11 @@ use std::time::{Duration, Instant};
 /// handful of speculative prefetches.
 const PREFETCH_BLOCK: usize = 8;
 
-/// Hard ceiling on certified-refinement correction passes. The loop
-/// contracts `‖r‖₁` geometrically when it converges at all, so a query
-/// still uncertified after this many passes is tied (or past the
-/// floating-point floor) and fails loudly instead of spinning.
+/// Hard ceiling on certified-refinement steps, Jacobi sweeps and
+/// corrections alike. Either kind contracts `‖r‖₁` geometrically, and
+/// the planner never schedules past the ceiling, so a query still
+/// uncertified after this many steps is tied (or past the floating-point
+/// floor) and fails loudly instead of spinning.
 const REFINE_MAX_ITERATIONS: usize = 64;
 
 /// The value half of the certified tier's contract: every proximity a
@@ -157,7 +174,7 @@ const REFINE_MAX_ITERATIONS: usize = 64;
 /// distance of the exact one (the iterative definition of the same
 /// graph). The ranking half alone would let a query stop on a separable
 /// order with its values still up to `~2e-8` off; a stricter tolerance
-/// costs more correction passes than it buys. A dense-exact index is
+/// costs more refinement steps than it buys. A dense-exact index is
 /// exact to rounding and never consults it.
 pub const VALUE_TOLERANCE: f64 = 5e-10;
 
@@ -214,7 +231,10 @@ pub struct QueryBudget {
     /// Abort once this many candidates have been visited (frontier work).
     pub max_frontier_nodes: Option<usize>,
     /// Abort once the gathered rows' stored entries reach this total
-    /// (proximity work — the dominant cost on dense hub rows).
+    /// (proximity work — the dominant cost on dense hub rows). On a
+    /// sparsified index the initial solve and every correction gather a
+    /// pass of `Ũ⁻¹` rows; a Jacobi sweep gathers nothing, so only the
+    /// other two ceilings can stop one.
     pub max_gather_nnz: Option<usize>,
     /// Abort once this much wall clock has elapsed since the query began.
     pub deadline: Option<Duration>,
@@ -365,11 +385,13 @@ struct RefineState {
     x: Vec<f64>,
     /// The residual `r = b − W x̃`.
     resid: Vec<f64>,
-    /// The correction intermediate `y = L̃⁻¹ r`. A `Ũ⁻¹` row reads it at
-    /// every column, reachable or not: it must be zero outside the set.
+    /// The spare vector, all-zero between steps: a correction's
+    /// intermediate `y = L̃⁻¹ r` (a `Ũ⁻¹` row reads it at every column,
+    /// reachable or not, so it must be zero outside the set), or the next
+    /// residual a Jacobi sweep builds before it swaps with `resid`.
     y: Vec<f64>,
-    /// The reachable set in ascending permuted id: the order the three
-    /// passes stream the id-ordered stores in.
+    /// The reachable set in ascending permuted id: the order every sweep
+    /// streams the id-ordered stores in.
     ids: Vec<NodeId>,
     /// Top-`k` scratch the certification check ranks candidates with.
     heap: TopKHeap,
@@ -397,6 +419,15 @@ impl RefineState {
         } else {
             self.ids.extend((0..n as NodeId).filter(|&v| bfs.is_reached(v)));
         }
+    }
+}
+
+/// Starts a residual in `r`, all-zero over the reachable set, at the
+/// restart vector `b`: uniform over the query's (permuted) sources.
+fn seed_restart(r: &mut [f64], roots: &[NodeId]) {
+    let weight = 1.0 / roots.len() as f64;
+    for &root in roots {
+        r[root as usize] += weight;
     }
 }
 
@@ -524,6 +555,85 @@ fn certify_threshold(
         margin = margin.min(lower - upper);
     }
     (cert.is_exact() || (margin > 0.0 && within), margin)
+}
+
+/// The two kinds of refinement step (module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// `x̃ += r`: one push sweep, `‖r‖₁` shrinks by at least `1−c`.
+    Jacobi,
+    /// `x̃ += Ũ⁻¹(L̃⁻¹ r)`: a scatter and a row-dot sweep, `‖r‖₁` shrinks
+    /// by the observed `ρ`.
+    Correction,
+}
+
+/// One step kind as the planner sees it.
+#[derive(Debug, Clone, Copy)]
+struct StepModel {
+    /// Stored entries the step moves plus one unit per node per sweep
+    /// over the reachable set.
+    work: f64,
+    /// The factor the step is expected to shrink `‖r‖₁` by.
+    contraction: f64,
+}
+
+impl StepModel {
+    /// Shrinkage per step in nepers: `+∞` for a step that zeroes the
+    /// residual, not positive (or NaN) for one that does not shrink it.
+    fn gain(self) -> f64 {
+        -self.contraction.ln()
+    }
+}
+
+/// The next refinement step: the first of the cheapest mix of Jacobi
+/// sweeps and corrections expected to take `‖r‖₁` from `residual` down to
+/// `target` within `steps_left` steps. Corrections come first in a mix:
+/// `ρ` is only an estimate until a correction measures it again (the
+/// first one, off `b`, is the least telling), while the sweeps' `1−c` is
+/// guaranteed and their finer steps overshoot the target less. The loop
+/// re-plans after every step. A correction not expected to contract
+/// (`ρ ≥ 1`, or NaN) is never planned. With the target already reached
+/// but the goal unproven, the step with the most shrinkage per unit of
+/// work runs; with no mix that fits in the steps left, the one with the
+/// most shrinkage per step. Soundness never rests on the choice: every
+/// check reads a residual recomputed from the stored graph.
+fn plan(
+    jacobi: StepModel,
+    correction: StepModel,
+    residual: f64,
+    target: f64,
+    steps_left: usize,
+) -> Step {
+    let (gj, gc) = (jacobi.gain(), correction.gain());
+    if gc.is_nan() || gc <= 0.0 {
+        return Step::Jacobi;
+    }
+    let need = (residual / target).ln();
+    if need <= 0.0 {
+        return if gj / jacobi.work >= gc / correction.work {
+            Step::Jacobi
+        } else {
+            Step::Correction
+        };
+    }
+    // `b` corrections, then as many sweeps as the rest of the way needs.
+    let mut cheapest: Option<(f64, Step)> = None;
+    for b in 0..=steps_left {
+        let rest = if b == 0 { need } else { need - b as f64 * gc };
+        let a = if rest > 0.0 { (rest / gj).ceil().max(1.0) } else { 0.0 };
+        if a + b as f64 > steps_left as f64 {
+            continue;
+        }
+        let cost = a * jacobi.work + b as f64 * correction.work;
+        if cheapest.is_none_or(|(least, _)| cost < least) {
+            cheapest = Some((cost, if b > 0 { Step::Correction } else { Step::Jacobi }));
+        }
+    }
+    match cheapest {
+        Some((_, step)) => step,
+        None if gj >= gc => Step::Jacobi,
+        None => Step::Correction,
+    }
 }
 
 /// A reusable query workspace over one [`KdashIndex`].
@@ -1121,10 +1231,10 @@ impl<'a> Searcher<'a> {
 
     /// The certified refinement driver (see the module docs): drains the
     /// reachable set, solves it approximately through the sparsified
-    /// inverses, and iterates residual/correction passes until `goal` is
-    /// proven. Expects a source prologue to have run: the BFS seeded at
-    /// the roots, the restart vector `b` uniform over them, and the
-    /// matching `L̃⁻¹` query column loaded. Out of line, so the dense-tier
+    /// inverses, and runs planned Jacobi sweeps and corrections until
+    /// `goal` is proven. Expects a source prologue to have run: the BFS
+    /// seeded at the roots, the restart vector `b` uniform over them, and
+    /// the matching `L̃⁻¹` query column loaded. Out of line, so the dense-tier
     /// loops compile the same without it.
     #[inline(never)]
     fn refined_run(&mut self, mut goal: RefineGoal<'_>, stats: &mut SearchStats) -> Result<()> {
@@ -1152,6 +1262,16 @@ impl<'a> Searcher<'a> {
         result
     }
 
+    /// The budget check of the refinement sweeps, once per node before
+    /// its work: the typed abort carries the stats so far.
+    #[inline]
+    fn within_budget(&self, stats: &SearchStats, started: Option<Instant>) -> Result<()> {
+        match self.budget.exceeded(stats.visited, self.counters.nnz, started) {
+            Some(limit) => Err(self.budget_abort(limit, stats.clone())),
+            None => Ok(()),
+        }
+    }
+
     fn refined_run_inner(
         &mut self,
         st: &mut RefineState,
@@ -1166,59 +1286,79 @@ impl<'a> Searcher<'a> {
         let one_minus_c = 1.0 - c;
         let self_loops = index.dangling_policy() == DanglingPolicy::SelfLoop;
         let started = self.budget.start();
-        let restart_weight = 1.0 / self.roots.len() as f64;
+        // Hoisted: the per-node checks cost a sweep ~15 % even when no
+        // ceiling is set, which none then can reach.
+        let budgeted = self.budget != QueryBudget::unlimited();
         let RefineState { x, resid, y, ids, heap } = st;
+        // The residual b − W x̃ = b − x̃ + (1−c)·A x̃ under construction in
+        // `r`, which starts as b: each settled x̃_j leaves its own entry and
+        // flows along column j of A — node j's out-distribution,
+        // self-looped when dangling under that policy, empty when dangling
+        // is kept absorbing. The reachable set is closed under out-edges,
+        // so every write lands inside it. Pushed in ascending j, whatever
+        // the step, each entry sums its terms in one fixed order. Returns
+        // the edge terms moved.
+        let push = |r: &mut [f64], j: NodeId, xj: f64| -> usize {
+            if xj == 0.0 {
+                return 0;
+            }
+            r[j as usize] -= xj;
+            let out_sum = out_weight[j as usize];
+            if out_sum > 0.0 {
+                let scale = one_minus_c * xj / out_sum;
+                let targets = graph.out_neighbors(j);
+                for (&t, &w) in targets.iter().zip(graph.out_weights(j)) {
+                    r[t as usize] += scale * w;
+                }
+                return targets.len();
+            }
+            if self_loops {
+                r[j as usize] += one_minus_c * xj;
+            }
+            0
+        };
 
         // Initial approximate solve x̃ = Ũ⁻¹(L̃⁻¹ b): one gather per
         // reachable node through the workspace kernel, exactly the
         // classic search's per-candidate cost.
+        let gathered_before = self.counters.nnz;
+        let (mut edge_terms, mut linv_nnz) = (0usize, 0usize);
+        seed_restart(resid, &self.roots);
         for &u in ids.iter() {
-            if let Some(limit) = self.budget.exceeded(stats.visited, self.counters.nnz, started) {
-                return Err(self.budget_abort(limit, stats.clone()));
+            if budgeted {
+                self.within_budget(stats, started)?;
             }
             stats.visited += 1;
-            x[u as usize] = self.gather(u);
+            let xu = self.gather(u);
+            x[u as usize] = xu;
             stats.proximity_computations += 1;
+            edge_terms += push(resid, u, xu);
+            linv_nnz += linv.col(u).0.len();
         }
+        stats.refinement_nnz += edge_terms;
+
+        // The planner's view of the two steps, from this query's own
+        // counts. The initial solve applied the preconditioner once to
+        // r = b, ‖b‖₁ = 1, so ρ starts as ‖r₀‖₁.
+        let sweep = ids.len();
+        let jacobi = StepModel { work: (edge_terms + 2 * sweep) as f64, contraction: one_minus_c };
+        let gathered = self.counters.nnz - gathered_before;
+        let mut correction = StepModel {
+            work: (linv_nnz + gathered + edge_terms + 3 * sweep) as f64,
+            contraction: f64::NAN,
+        };
+        // The bound every returned value must meet, and the residual the
+        // planner aims for: where `(1−c)·‖r‖₁` meets the value tolerance,
+        // or where `‖r‖₁` itself meets the full-vector floor.
+        let (tolerance, target) = match goal {
+            RefineGoal::FullVector(_) => (FULL_VECTOR_FLOOR, FULL_VECTOR_FLOOR),
+            _ => (VALUE_TOLERANCE, VALUE_TOLERANCE / one_minus_c),
+        };
 
         let mut iterations = 0usize;
-        let mut prev_norm = f64::INFINITY;
+        let mut last = Step::Correction;
+        let mut prev_norm = 1.0;
         loop {
-            // Residual r = b − W x̃ = b − x̃ + (1−c)·A x̃, pushed along the
-            // permuted graph's out-edges (the index stores the graph
-            // exactly, so this is the true residual): column j of A is
-            // node j's out-distribution, self-looped when dangling under
-            // that policy, empty when dangling is kept absorbing. The
-            // reachable set is closed under out-edges, so every write
-            // lands inside it. (The same sweep clears y for the correction
-            // that may follow.)
-            for &j in ids.iter() {
-                resid[j as usize] = 0.0;
-                y[j as usize] = 0.0;
-            }
-            for &root in &self.roots {
-                resid[root as usize] += restart_weight;
-            }
-            let mut edge_terms = 0usize;
-            for &j in ids.iter() {
-                let xj = x[j as usize];
-                if xj == 0.0 {
-                    continue;
-                }
-                resid[j as usize] -= xj;
-                let out_sum = out_weight[j as usize];
-                if out_sum > 0.0 {
-                    let scale = one_minus_c * xj / out_sum;
-                    let targets = graph.out_neighbors(j);
-                    for (&t, &w) in targets.iter().zip(graph.out_weights(j)) {
-                        resid[t as usize] += scale * w;
-                    }
-                    edge_terms += targets.len();
-                } else if self_loops {
-                    resid[j as usize] += one_minus_c * xj;
-                }
-            }
-            stats.refinement_nnz += edge_terms;
             let delta: f64 = ids.iter().map(|&j| resid[j as usize].abs()).sum();
             if !delta.is_finite() {
                 // The stored values overflowed: no bound holds at all.
@@ -1229,19 +1369,20 @@ impl<'a> Searcher<'a> {
                 });
             }
 
+            if last == Step::Correction {
+                correction.contraction = delta / prev_norm;
+            }
+
             // Certify the goal against the per-node bounds — unless the
             // share every bound carries already exceeds the tolerance, so
             // no node can meet it. Tied (or sub-floating-point-separated)
-            // proximities never certify and a non-contracting residual
-            // means the drop tolerance out-weighs the preconditioner:
-            // then the pass runs anyway, for the margin the loud failure
-            // reports — never an unproven answer.
+            // proximities never certify, and a residual a step failed to
+            // shrink is past the floating-point floor or out of the
+            // preconditioner's reach: then the check runs anyway, for the
+            // margin the loud failure reports — never an unproven answer.
             let cert = Certificate::new(c, delta);
-            let tolerance = match goal {
-                RefineGoal::FullVector(_) => FULL_VECTOR_FLOOR,
-                _ => VALUE_TOLERANCE,
-            };
-            let stalled = iterations >= REFINE_MAX_ITERATIONS || delta >= prev_norm;
+            let stalled =
+                iterations >= REFINE_MAX_ITERATIONS || (iterations > 0 && delta >= prev_norm);
             if cert.slack <= tolerance || stalled {
                 // Candidates are offered in visit order, which is what
                 // decides a tie at the k-th boundary.
@@ -1270,31 +1411,56 @@ impl<'a> Searcher<'a> {
             }
             prev_norm = delta;
 
-            // One correction pass x̃ += Ũ⁻¹(L̃⁻¹ r): the L̃⁻¹ columns of
-            // the residual's nonzeros accumulate into the dense y (their
-            // supports stay inside the reachable set), then every
-            // reachable Ũ⁻¹ row is dotted against it.
-            for &j in ids.iter() {
-                let rj = resid[j as usize];
-                if rj == 0.0 {
-                    continue;
+            last = plan(jacobi, correction, delta, target, REFINE_MAX_ITERATIONS - iterations);
+            let mut edge_terms = 0usize;
+            match last {
+                Step::Jacobi => {
+                    // x̃ += r, each new value pushed into the next residual
+                    // in y; r is emptied as it is read, so the swap leaves
+                    // the spare all-zero.
+                    seed_restart(y, &self.roots);
+                    for &u in ids.iter() {
+                        if budgeted {
+                            self.within_budget(stats, started)?;
+                        }
+                        let xu = x[u as usize] + std::mem::take(&mut resid[u as usize]);
+                        x[u as usize] = xu;
+                        edge_terms += push(y, u, xu);
+                    }
+                    std::mem::swap(resid, y);
                 }
-                let (idx, val) = linv.col(j);
-                stats.refinement_nnz += idx.len();
-                for (&i, &v) in idx.iter().zip(val) {
-                    y[i as usize] += rj * v;
+                Step::Correction => {
+                    // x̃ += Ũ⁻¹(L̃⁻¹ r): the L̃⁻¹ columns of the residual's
+                    // nonzeros accumulate into the dense y (their supports
+                    // stay inside the reachable set), then every reachable
+                    // Ũ⁻¹ row is dotted against it and its new value pushed.
+                    for &j in ids.iter() {
+                        let rj = std::mem::take(&mut resid[j as usize]);
+                        if rj == 0.0 {
+                            continue;
+                        }
+                        let (idx, val) = linv.col(j);
+                        stats.refinement_nnz += idx.len();
+                        for (&i, &v) in idx.iter().zip(val) {
+                            y[i as usize] += rj * v;
+                        }
+                    }
+                    seed_restart(resid, &self.roots);
+                    let nnz_before = self.counters.nnz;
+                    for &u in ids.iter() {
+                        if budgeted {
+                            self.within_budget(stats, started)?;
+                        }
+                        let xu = x[u as usize] + uinv.row_dot_dense(u, y, &mut self.counters);
+                        // No later (higher) row reads column u.
+                        y[u as usize] = 0.0;
+                        x[u as usize] = xu;
+                        edge_terms += push(resid, u, xu);
+                    }
+                    stats.refinement_nnz += self.counters.nnz - nnz_before;
                 }
             }
-            let nnz_before = self.counters.nnz;
-            for &u in ids.iter() {
-                if let Some(limit) =
-                    self.budget.exceeded(stats.visited, self.counters.nnz, started)
-                {
-                    return Err(self.budget_abort(limit, stats.clone()));
-                }
-                x[u as usize] += uinv.row_dot_dense(u, y, &mut self.counters);
-            }
-            stats.refinement_nnz += self.counters.nnz - nnz_before;
+            stats.refinement_nnz += edge_terms;
             iterations += 1;
         }
         stats.refinement_iterations = iterations;
@@ -1482,6 +1648,90 @@ mod tests {
         // Any residual at all and the tie can never separate.
         let (x, r, cert) = state(&[0.5, 0.3, 0.3, 0.1], &[0.0, 0.0, 0.0, 1e-15]);
         assert!(!certify_top_k(&x, &r, &[0, 2, 1, 3], 2, cert, &mut heap).0);
+    }
+
+    /// The two steps at restart probability `c`, with the correction's
+    /// contraction `rho` and the work per step measured on one RMAT-13
+    /// query at ε = 1e-4 (`c = 0.95` there; `c = 0.15` is wider).
+    fn models(c: f64, rho: f64, work: [f64; 2]) -> (StepModel, StepModel) {
+        let jacobi = StepModel { work: work[0], contraction: 1.0 - c };
+        (jacobi, StepModel { work: work[1], contraction: rho })
+    }
+
+    const RMAT_WORK: [f64; 2] = [19_356.0, 65_525.0];
+    const RMAT_WIDE_WORK: [f64; 2] = [37_109.0, 822_561.0];
+
+    #[test]
+    fn jacobi_is_planned_where_one_sweep_buys_more_per_unit_of_work() {
+        // c = 0.95: four sweeps take 7e-4 below the value target for
+        // 77k units; a correction and two sweeps would cost 104k.
+        let (j, k) = models(0.95, 7e-4, RMAT_WORK);
+        assert_eq!(plan(j, k, 7e-4, VALUE_TOLERANCE / 0.05, REFINE_MAX_ITERATIONS), Step::Jacobi);
+        // c = 0.15: a sweep shrinks ‖r‖₁ by 0.85 at most, so sweeps alone
+        // would need 116 steps, past the cap; the cheapest mix that fits
+        // holds four corrections, and they run first.
+        let (j, k) = models(0.15, 0.085, RMAT_WIDE_WORK);
+        let target = VALUE_TOLERANCE / 0.85;
+        assert_eq!(plan(j, k, 0.085, target, REFINE_MAX_ITERATIONS), Step::Correction);
+    }
+
+    #[test]
+    fn a_correction_that_does_not_contract_is_never_planned() {
+        for rho in [1.0, 1.5, f64::INFINITY, f64::NAN] {
+            // Corrections priced at next to nothing, and still not run.
+            let (j, k) = models(0.15, rho, [1e6, 1.0]);
+            assert_eq!(plan(j, k, 1.0, 1e-8, REFINE_MAX_ITERATIONS), Step::Jacobi, "ρ = {rho}");
+            assert_eq!(plan(j, k, 1e-9, 1e-8, REFINE_MAX_ITERATIONS), Step::Jacobi, "ρ = {rho}");
+        }
+    }
+
+    #[test]
+    fn a_reached_target_takes_the_step_with_more_shrinkage_per_unit_of_work() {
+        // Past the target the ranking is what is left to prove: a sweep
+        // buys ln 20 ≈ 3.0 nepers per unit of work, a correction ln 1000 ≈
+        // 6.9 nepers over its work — more while that is below ≈ 2.31.
+        let (j, k) = models(0.95, 1e-3, [1.0, 2.2]);
+        assert_eq!(plan(j, k, 1e-9, 1e-8, REFINE_MAX_ITERATIONS), Step::Correction);
+        let (j, k) = models(0.95, 1e-3, [1.0, 2.4]);
+        assert_eq!(plan(j, k, 1e-9, 1e-8, REFINE_MAX_ITERATIONS), Step::Jacobi);
+        let (j, k) = models(0.95, 1e-3, [1.0, 10.0]);
+        assert_eq!(plan(j, k, 1e-8, 1e-8, REFINE_MAX_ITERATIONS), Step::Jacobi);
+    }
+
+    #[test]
+    fn no_plan_runs_past_the_step_cap() {
+        // Sweeps alone are cheapest here, but need four steps.
+        let (j, k) = models(0.95, 1e-6, [1.0, 10.0]);
+        assert_eq!(plan(j, k, 1e-3, 1e-8, 4), Step::Jacobi);
+        assert_eq!(plan(j, k, 1e-3, 1e-8, 3), Step::Correction);
+        // Re-planning after every step, with each step contracting as
+        // modelled, reaches the target within the cap whenever some mix
+        // can.
+        for c in [0.95, 0.5, 0.3, 0.15, 0.05] {
+            for rho in [1e-6, 1e-3, 0.02, 0.085, 0.3, 0.9] {
+                for work in [RMAT_WORK, RMAT_WIDE_WORK, [1.0, 1.0], [1.0, 100.0]] {
+                    for cap in [1, 3, 8, 64] {
+                        let (j, k) = models(c, rho, work);
+                        let (start, target) = (0.1f64, 5e-10);
+                        let need = (start / target).ln();
+                        let fits = (0..=cap).any(|b| {
+                            let rest = need - b as f64 * k.gain();
+                            rest <= 0.0 || (rest / j.gain()).ceil() as usize + b <= cap
+                        });
+                        let (mut residual, mut steps) = (start, 0);
+                        while residual > target && steps < cap {
+                            residual *= match plan(j, k, residual, target, cap - steps) {
+                                Step::Jacobi => j.contraction,
+                                Step::Correction => k.contraction,
+                            };
+                            steps += 1;
+                        }
+                        let label = format!("c {c} ρ {rho} work {work:?} cap {cap}");
+                        assert_eq!(residual <= target, fits, "{label}: {steps} steps");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

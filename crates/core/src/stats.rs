@@ -124,17 +124,18 @@ pub struct SearchStats {
     /// resolutions are reproducible from logs. Empty on
     /// paths that never run the gather kernel.
     pub kernel: &'static str,
-    /// Certified-refinement correction passes the query ran. Zero on a
-    /// dense-exact index (the classic stop-rule path never refines); on a
-    /// sparsified index every answer was certified after this many
-    /// residual/correction iterations. Independent of kernel and layout —
-    /// a pure function of index content and query.
+    /// Certified-refinement steps the query ran after its initial solve,
+    /// of either kind: Jacobi sweeps (`x̃ += r`) and corrections
+    /// (`x̃ += Ũ⁻¹(L̃⁻¹ r)`). Zero on a dense-exact index (the classic
+    /// stop-rule path never refines); on a sparsified index every answer
+    /// was certified after this many steps. Independent of kernel and
+    /// layout — a pure function of index content and query.
     pub refinement_iterations: usize,
-    /// Stored entries the refinement loop moved: residual accumulations
-    /// over the permuted graph plus `L̃⁻¹`/`Ũ⁻¹` entries scattered and
-    /// gathered by the correction solves. The refinement-work currency the
-    /// memory/latency tradeoff benches record. Zero when no refinement
-    /// ran.
+    /// Stored entries the refinement loop moved: residual pushes over the
+    /// permuted graph — once by the initial solve and once by every step —
+    /// plus the `L̃⁻¹`/`Ũ⁻¹` entries each correction scatters and gathers.
+    /// The refinement-work currency the memory/latency tradeoff benches
+    /// record. Zero when no refinement ran.
     pub refinement_nnz: usize,
 }
 

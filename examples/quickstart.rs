@@ -178,11 +178,12 @@ fn main() {
     // 7. Memory-bound deployments: a *sparsified* build drops inverse
     //    entries below a tolerance ε at precompute time, shrinking the
     //    stored index. Queries then run certified residual refinement —
-    //    an approximate solve from the truncated inverses, then
-    //    corrections until the residual norm *proves* the top-k set and
-    //    order — so the ranking stays exact. Uncertifiable queries (two
-    //    proximities inside the same ulp) fail loudly instead of
-    //    guessing. On the command line: `kdash build --drop-tol 1e-5`.
+    //    an approximate solve from the truncated inverses, then Jacobi
+    //    sweeps or preconditioned corrections, whichever is cheaper, until
+    //    the residual norm *proves* the top-k set and order — so the
+    //    ranking stays exact. Uncertifiable queries (two proximities
+    //    inside the same ulp) fail loudly instead of guessing. On the
+    //    command line: `kdash build --drop-tol 1e-5`.
     let sparsified = IndexBuilder::new()
         .drop_tolerance(1e-5)
         .threads(0)
@@ -204,7 +205,7 @@ fn main() {
         refined.items.iter().zip(&fresh.items).all(|(a, b)| a.node == b.node);
     println!(
         "refined top-{k} matches the dense-exact ranking: {same_ranking} \
-         ({} refinement iteration(s), {} extra nnz streamed)",
+         ({} refinement step(s), {} extra nnz streamed)",
         refined.stats.refinement_iterations, refined.stats.refinement_nnz,
     );
     assert!(same_ranking, "the sparsified tier must keep the ranking exact");

@@ -8,7 +8,9 @@
 //!   must answer bit-for-bit like a fresh one each time (and, in debug
 //!   builds, trips the loop's own all-zero assertion if it does not).
 //! * **Budgets** — every `QueryBudget` knob aborts typed in the initial
-//!   solve *and* inside a correction pass, with the work so far attached.
+//!   solve *and* inside a refinement step — a Jacobi sweep at the default
+//!   restart probability, a correction at `c = 0.15` — with the work so far
+//!   attached.
 //! * **Numerics** — a residual that overflows is a typed
 //!   `RefinementFailed` at once, never 64 passes and a comparator panic.
 //! * **Out-weight sums** — the derived per-node normalisers stay coherent
@@ -32,19 +34,24 @@ use kdash_sparse::{
 use std::cmp::Reverse;
 use std::time::Duration;
 
-fn sparsified(graph: &CsrGraph, eps: f64) -> KdashIndex {
-    let index =
-        KdashIndex::build(graph, IndexOptions { drop_tolerance: eps, ..Default::default() })
-            .unwrap();
+/// The default restart probability: Jacobi sweeps carry the refinement.
+const C: f64 = 0.95;
+/// A small one: corrections carry it.
+const WIDE_C: f64 = 0.15;
+
+fn sparsified(graph: &CsrGraph, eps: f64, c: f64) -> KdashIndex {
+    let options =
+        IndexOptions { drop_tolerance: eps, restart_probability: c, ..Default::default() };
+    let index = KdashIndex::build(graph, options).unwrap();
     assert!(index.needs_refinement(), "ε = {eps:e} dropped nothing: the test would be vacuous");
     index
 }
 
-/// ER / BA / RMAT with tie-free weights, each with a sparsified index.
-/// ER is kept sparse and BA to its newer → older edges (the generator
-/// emits both directions), so reachable sets range from 2 nodes to most
-/// of the graph.
-fn families() -> Vec<(&'static str, CsrGraph, KdashIndex)> {
+/// ER / BA / RMAT with tie-free weights, each with a sparsified index at
+/// restart probability `c`. ER is kept sparse and BA to its newer → older
+/// edges (the generator emits both directions), so reachable sets range
+/// from 2 nodes to most of the graph.
+fn families(c: f64) -> Vec<(&'static str, CsrGraph, KdashIndex)> {
     let ba = barabasi_albert(400, 3, 6);
     let ba = GraphBuilder::from_edges(400, ba.edges().filter(|&(s, d, _)| s > d)).build().unwrap();
     [
@@ -55,7 +62,7 @@ fn families() -> Vec<(&'static str, CsrGraph, KdashIndex)> {
     .into_iter()
     .map(|(name, raw)| {
         let graph = break_ties(&raw).unwrap();
-        let index = sparsified(&graph, 1e-3);
+        let index = sparsified(&graph, 1e-3, c);
         (name, graph, index)
     })
     .collect()
@@ -121,34 +128,83 @@ fn assert_replays_fresh(
     assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()), "{label} full vector");
 }
 
-/// Stored `U⁻¹` entries one pass over the reachable set gathers, and the
-/// reachable count, from an unbudgeted run with at least one correction.
-/// (Certifying on the initial solve alone is legitimate — the per-node
-/// bound can separate the answer and meet the value tolerance at once —
-/// but it would leave no correction pass for a budget to abort inside.)
-fn pass_cost(stats: &SearchStats) -> (usize, usize) {
-    assert!(stats.refinement_iterations >= 1, "the budget checks need a correction pass");
-    (stats.nnz_gathered / (1 + stats.refinement_iterations), stats.reachable)
+/// Stored `Ũ⁻¹` entries one pass over `q`'s reachable set gathers, and
+/// the reachable count — read off the index and the graph, not a run.
+fn pass_cost(index: &KdashIndex, graph: &CsrGraph, q: NodeId) -> (usize, usize) {
+    let reach = BfsTree::new(graph, q).order;
+    let rows = index.uinv_rows().row_stats();
+    let perm = index.permutation();
+    (reach.iter().map(|&v| rows[perm.new_of(v) as usize].nnz as usize).sum(), reach.len())
+}
+
+/// A finished run's `(Jacobi sweeps, corrections)`. The initial solve and
+/// every correction gather exactly one pass; a sweep gathers nothing.
+fn step_split(stats: &SearchStats, pass_nnz: usize) -> (usize, usize) {
+    assert_eq!(stats.nnz_gathered % pass_nnz, 0, "gathers come in whole passes");
+    let corrections = stats.nnz_gathered / pass_nnz - 1;
+    (stats.refinement_iterations - corrections, corrections)
+}
+
+/// Sweeps deadlines upwards in 5 % steps until one expires inside a
+/// refinement step, and returns that abort's stats. It shows as
+/// `visited == reach`: the initial solve's last check sees `reach − 1`.
+/// Every run a deadline lets finish must equal `plain`.
+fn abort_in_refinement(s: &mut Searcher<'_>, q: NodeId, plain: &TopKResult) -> SearchStats {
+    let mut nanos = 1_000f64;
+    while nanos < 5e9 {
+        let deadline = Duration::from_nanos(nanos as u64);
+        s.set_budget(QueryBudget { deadline: Some(deadline), ..Default::default() });
+        let run = s.top_k(q, 10);
+        s.set_budget(QueryBudget::unlimited());
+        match run {
+            Err(KdashError::BudgetExceeded { limit, stats }) => {
+                assert_eq!(limit, BudgetLimit::Deadline(deadline));
+                if stats.visited == plain.stats.reachable {
+                    return *stats;
+                }
+            }
+            Ok(out) => assert_same("deadline met", &out, plain),
+            Err(e) => panic!("unexpected error {e}"),
+        }
+        nanos *= 1.05;
+    }
+    panic!("no deadline up to 5 s expired inside a refinement step");
 }
 
 #[test]
 fn one_workspace_replays_fresh_across_entry_points_and_failures() {
-    for (name, graph, index) in families() {
-        let reach = by_reach(&index);
-        let (big_reach, big) = reach[0];
-        let (small_reach, small) = *reach.iter().rev().find(|r| r.0 > 1).unwrap();
-        let downstream = graph.out_neighbors(big)[0];
-        assert!(big_reach > 10 * small_reach, "{name}: reach {big_reach} vs {small_reach}");
-        let mut reused = index.searcher();
-        assert_replays_fresh(name, &index, &mut reused, big, small, downstream);
+    for c in [C, WIDE_C] {
+        for (name, graph, index) in families(c) {
+            let name = format!("{name} c {c}");
+            let reach = by_reach(&index);
+            let (big_reach, big) = reach[0];
+            let (small_reach, small) = *reach.iter().rev().find(|r| r.0 > 1).unwrap();
+            let downstream = graph.out_neighbors(big)[0];
+            assert!(big_reach > 10 * small_reach, "{name}: reach {big_reach} vs {small_reach}");
+            let mut reused = index.searcher();
+            assert_replays_fresh(&name, &index, &mut reused, big, small, downstream);
 
-        // Abort inside a correction pass: every vector is mid-update.
-        let (pass_nnz, _) = pass_cost(&reused.top_k(big, 10).unwrap().stats);
-        reused.set_budget(QueryBudget { max_gather_nnz: Some(pass_nnz + 1), ..Default::default() });
-        assert!(matches!(reused.top_k(big, 10), Err(KdashError::BudgetExceeded { .. })));
-        reused.set_budget(QueryBudget::unlimited());
-        let label = format!("{name} after abort");
-        assert_replays_fresh(&label, &index, &mut reused, big, small, downstream);
+            // Abort inside a step: x̃, r and the spare are all mid-update.
+            let plain = reused.top_k(big, 10).unwrap();
+            let (pass_nnz, _) = pass_cost(&index, &graph, big);
+            let (sweeps, corrections) = step_split(&plain.stats, pass_nnz);
+            if c == WIDE_C {
+                // A pass and a bit stops the first correction mid-sweep.
+                assert!(corrections >= 1, "{name}: {sweeps} sweeps, no correction");
+                let budget =
+                    QueryBudget { max_gather_nnz: Some(pass_nnz + 1), ..Default::default() };
+                reused.set_budget(budget);
+                assert!(matches!(reused.top_k(big, 10), Err(KdashError::BudgetExceeded { .. })));
+                reused.set_budget(QueryBudget::unlimited());
+            } else {
+                // Only the clock stops a sweep.
+                assert!(sweeps >= 1 && corrections == 0, "{name}: {corrections} corrections");
+                let stats = abort_in_refinement(&mut reused, big, &plain);
+                assert_eq!(stats.nnz_gathered, pass_nnz, "{name}: not in a Jacobi sweep");
+            }
+            let label = format!("{name} after abort");
+            assert_replays_fresh(&label, &index, &mut reused, big, small, downstream);
+        }
     }
 }
 
@@ -164,7 +220,7 @@ fn tied_ring(n: usize) -> CsrGraph {
 
 #[test]
 fn workspace_survives_refinement_failure_on_a_tied_graph() {
-    let index = sparsified(&tied_ring(64), 1e-3);
+    let index = sparsified(&tied_ring(64), 1e-3, C);
     let mut reused = index.searcher();
     for round in 0..2 {
         match reused.top_k(0, 2) {
@@ -192,10 +248,12 @@ fn workspace_survives_refinement_failure_on_a_tied_graph() {
 
 #[test]
 fn every_budget_aborts_typed_in_the_initial_solve_and_in_a_correction_pass() {
-    let (_, _, index) = families().swap_remove(2);
+    let (_, graph, index) = families(C).swap_remove(2);
     let q = by_reach(&index)[0].1;
     let plain = index.searcher().top_k(q, 10).unwrap();
-    let (pass_nnz, reach) = pass_cost(&plain.stats);
+    let (pass_nnz, reach) = pass_cost(&index, &graph, q);
+    let (sweeps, corrections) = step_split(&plain.stats, pass_nnz);
+    assert!(sweeps >= 1 && corrections == 0, "{sweeps} sweeps, {corrections} corrections");
     let mut s = index.searcher();
     let mut abort = |budget: QueryBudget| {
         s.set_budget(budget);
@@ -209,7 +267,7 @@ fn every_budget_aborts_typed_in_the_initial_solve_and_in_a_correction_pass() {
     };
 
     // Frontier nodes: N admits exactly N initial-solve visits; `reach`
-    // admits the whole initial solve and stops the first correction row.
+    // admits the whole initial solve and stops the first step's first node.
     let (limit, stats) = abort(QueryBudget { max_frontier_nodes: Some(7), ..Default::default() });
     assert_eq!(limit, BudgetLimit::FrontierNodes(7));
     assert_eq!((stats.visited, stats.proximity_computations, stats.refinement_nnz), (7, 7, 0));
@@ -220,42 +278,25 @@ fn every_budget_aborts_typed_in_the_initial_solve_and_in_a_correction_pass() {
     assert_eq!(stats.nnz_gathered, pass_nnz, "no correction row ran");
     assert!(stats.refinement_nnz > 0, "the first residual was streamed");
 
-    // Gather nnz: half a pass stops the initial solve, a pass and a bit
-    // stops the first correction.
-    let (limit, stats) =
-        abort(QueryBudget { max_gather_nnz: Some(pass_nnz / 2), ..Default::default() });
-    assert_eq!(limit, BudgetLimit::GatherNnz(pass_nnz / 2));
-    assert!(stats.visited < reach && stats.nnz_gathered >= pass_nnz / 2);
-    let (limit, stats) =
-        abort(QueryBudget { max_gather_nnz: Some(pass_nnz + 1), ..Default::default() });
-    assert_eq!(limit, BudgetLimit::GatherNnz(pass_nnz + 1));
-    assert_eq!(stats.visited, reach);
-    assert!(stats.nnz_gathered > pass_nnz && stats.nnz_gathered < 2 * pass_nnz);
-
-    // Deadline: zero expires before the first row. An abort that carries
-    // `visited == reach` fired in a correction pass (the initial solve's
-    // last check sees `reach − 1`); sweep deadlines upwards in 5 % steps
-    // until one lands there — the passes are most of a query.
+    // Deadline: zero expires before the first row.
     let (limit, stats) =
         abort(QueryBudget { deadline: Some(Duration::ZERO), ..Default::default() });
     assert_eq!(limit, BudgetLimit::Deadline(Duration::ZERO));
     assert_eq!((stats.visited, stats.nnz_gathered), (0, 0));
-    let mut in_correction = false;
-    let mut nanos = 1_000f64;
-    while !in_correction && nanos < 5e9 {
-        let deadline = Duration::from_nanos(nanos as u64);
-        s.set_budget(QueryBudget { deadline: Some(deadline), ..Default::default() });
-        match s.top_k(q, 10) {
-            Err(KdashError::BudgetExceeded { limit, stats }) => {
-                assert_eq!(limit, BudgetLimit::Deadline(deadline));
-                in_correction = stats.visited == reach;
-            }
-            Ok(out) => assert_same("deadline met", &out, &plain),
-            Err(e) => panic!("unexpected error {e}"),
-        }
-        nanos *= 1.05;
-    }
-    assert!(in_correction, "no deadline up to 5 s expired inside a correction pass");
+
+    // Gather nnz: half a pass stops the initial solve; a pass and a bit
+    // never fires on a query the sweeps carry, since they gather nothing.
+    let (limit, stats) =
+        abort(QueryBudget { max_gather_nnz: Some(pass_nnz / 2), ..Default::default() });
+    assert_eq!(limit, BudgetLimit::GatherNnz(pass_nnz / 2));
+    assert!(stats.visited < reach && stats.nnz_gathered >= pass_nnz / 2);
+    s.set_budget(QueryBudget { max_gather_nnz: Some(pass_nnz + 1), ..Default::default() });
+    assert_same("a gather budget past the initial pass", &s.top_k(q, 10).unwrap(), &plain);
+
+    // Only the clock stops a sweep: deadlines swept upwards land one
+    // inside a Jacobi sweep, which gathers nothing.
+    let stats = abort_in_refinement(&mut s, q, &plain);
+    assert_eq!(stats.nnz_gathered, pass_nnz, "the abort fell outside a Jacobi sweep");
 
     // Limits nothing can reach change nothing.
     s.set_budget(QueryBudget {
@@ -270,6 +311,24 @@ fn every_budget_aborts_typed_in_the_initial_solve_and_in_a_correction_pass() {
         &s.nodes_above(q, theta).unwrap(),
         &index.searcher().nodes_above(q, theta).unwrap(),
     );
+
+    // At c = 0.15 corrections carry the loop, and a pass and a bit stops
+    // the first one in the middle of its row-dot sweep.
+    let (_, graph, index) = families(WIDE_C).swap_remove(2);
+    let q = by_reach(&index)[0].1;
+    let (pass_nnz, reach) = pass_cost(&index, &graph, q);
+    let plain = index.searcher().top_k(q, 10).unwrap();
+    assert!(step_split(&plain.stats, pass_nnz).1 >= 1, "a correction must run");
+    let mut s = index.searcher();
+    s.set_budget(QueryBudget { max_gather_nnz: Some(pass_nnz + 1), ..Default::default() });
+    match s.top_k(q, 10) {
+        Err(KdashError::BudgetExceeded { limit, stats }) => {
+            assert_eq!(limit, BudgetLimit::GatherNnz(pass_nnz + 1));
+            assert_eq!(stats.visited, reach);
+            assert!(stats.nnz_gathered > pass_nnz && stats.nnz_gathered < 2 * pass_nnz);
+        }
+        other => panic!("expected BudgetExceeded, got {other:?}"),
+    }
 }
 
 /// `values × factor`, same pattern.
@@ -281,7 +340,7 @@ fn scaled(m: &CscMatrix, factor: f64) -> CscMatrix {
 
 #[test]
 fn overflowing_residual_is_a_typed_failure_not_a_panic() {
-    let (_, _, index) = families().swap_remove(0);
+    let (_, _, index) = families(C).swap_remove(0);
     let q = by_reach(&index)[0].1;
     // Finite but absurd stored inverses (each passes validation): x̃
     // overflows to ±∞ and the residual to NaN on the first evaluation.
@@ -339,7 +398,6 @@ fn every_refined_proximity_is_within_the_value_tolerance() {
             ("dictionary", dictionary.generate(dictionary.scale_for_nodes(1000), seed)),
         ] {
             let graph = break_ties(&raw).unwrap();
-            let dense = KdashIndex::build(&graph, IndexOptions::default()).unwrap();
             // The three widest reachable sets, where refinement works
             // hardest; the restart set takes the widest and a node it
             // feeds, since two sources without in-flow tie at c/2.
@@ -347,28 +405,37 @@ fn every_refined_proximity_is_within_the_value_tolerance() {
             widest.sort_by_cached_key(|&q| Reverse(BfsTree::new(&graph, q).num_reachable()));
             widest.truncate(3);
             let set = [widest[0], graph.out_neighbors(widest[0])[0]];
-            let truths: Vec<Vec<f64>> =
-                widest.iter().map(|&q| dense.full_proximities(q).unwrap()).collect();
-            let set_truth = dense.full_proximities_from_set(&set).unwrap();
-            for eps in [1e-5, 1e-4, 1e-3] {
-                let label = format!("{name} seed {seed} ε {eps:e}");
-                let index = sparsified(&graph, eps);
-                let mut s = index.searcher();
-                for (&q, truth) in widest.iter().zip(&truths) {
-                    let label = format!("{label} q {q}");
-                    assert_within_tolerance(&label, &s.top_k(q, 20).unwrap(), truth);
-                    let mut ranked = truth.clone();
-                    ranked.sort_unstable_by(|a, b| b.total_cmp(a));
-                    let theta = (ranked[9] + ranked[10]) / 2.0;
-                    assert_within_tolerance(&label, &s.nodes_above(q, theta).unwrap(), truth);
-                    let full = index.full_proximities(q).unwrap();
-                    for (u, (got, want)) in full.iter().zip(truth).enumerate() {
-                        let err = (got - want).abs();
-                        assert!(err <= VALUE_TOLERANCE, "{label} full: node {u} off by {err:e}");
+            // Every ε at the default c, where sweeps carry the loop; one at
+            // smaller c, where corrections do.
+            for (c, epsilons) in [(C, &[1e-5, 1e-4, 1e-3][..]), (0.5, &[1e-4]), (WIDE_C, &[1e-4])] {
+                let options = IndexOptions { restart_probability: c, ..Default::default() };
+                let dense = KdashIndex::build(&graph, options).unwrap();
+                let truths: Vec<Vec<f64>> =
+                    widest.iter().map(|&q| dense.full_proximities(q).unwrap()).collect();
+                let set_truth = dense.full_proximities_from_set(&set).unwrap();
+                for &eps in epsilons {
+                    let label = format!("{name} seed {seed} c {c} ε {eps:e}");
+                    let index = sparsified(&graph, eps, c);
+                    let mut s = index.searcher();
+                    for (&q, truth) in widest.iter().zip(&truths) {
+                        let label = format!("{label} q {q}");
+                        assert_within_tolerance(&label, &s.top_k(q, 20).unwrap(), truth);
+                        let mut ranked = truth.clone();
+                        ranked.sort_unstable_by(|a, b| b.total_cmp(a));
+                        let theta = (ranked[9] + ranked[10]) / 2.0;
+                        assert_within_tolerance(&label, &s.nodes_above(q, theta).unwrap(), truth);
+                        let full = index.full_proximities(q).unwrap();
+                        for (u, (got, want)) in full.iter().zip(truth).enumerate() {
+                            let err = (got - want).abs();
+                            assert!(
+                                err <= VALUE_TOLERANCE,
+                                "{label} full: node {u} off by {err:e}"
+                            );
+                        }
                     }
+                    let top = s.top_k_from_set(&set, 20).unwrap();
+                    assert_within_tolerance(&format!("{label} set {set:?}"), &top, &set_truth);
                 }
-                let top = s.top_k_from_set(&set, 20).unwrap();
-                assert_within_tolerance(&format!("{label} set {set:?}"), &top, &set_truth);
             }
         }
     }
