@@ -380,10 +380,12 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     }
     let s = &result.stats;
     // `reachable` is the *discovered* count: exact reachability when the
-    // search ran to completion, a lower bound after early termination
-    // (the lazy frontier never enumerates the layers pruned away). An
-    // early stop comes at the visit position of the first node left
-    // uncomputed.
+    // search ran to completion (always, on a sparsified index), a lower
+    // bound after early termination (the lazy frontier never enumerates
+    // the layers pruned away). `frontier_expanded` is what the query
+    // scanned: on a sparsified index, often only the few nodes beside the
+    // reach anchor's stored closure. An early stop comes at the visit
+    // position of the first node left uncomputed.
     let stop = if s.terminated_early {
         format!("stopped at position {} of {} discovered", s.proximity_computations, s.reachable)
     } else {

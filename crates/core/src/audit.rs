@@ -20,9 +20,10 @@
 //!   sums — agree with the rows they summarise (a wrong table skews the
 //!   gather accounting and budgets, or the stop rule's mass);
 //! * the estimator constants — and the per-node out-weight sums the
-//!   certified refinement normalises by — are **bit-identical** to a
-//!   recomputation from the stored graph: the Lemma 1/2 bounds and the
-//!   refinement residual are only sound for the matrix actually indexed;
+//!   certified refinement normalises by, and the reach anchor it lists
+//!   reachable sets from — are **bit-identical** to a recomputation from
+//!   the stored graph: the Lemma 1/2 bounds and the refinement residual
+//!   are only sound for the matrix actually indexed;
 //! * the header scalars (restart probability, component dimensions) are
 //!   coherent.
 //!
@@ -32,7 +33,7 @@
 //! and directly through this API.
 
 use crate::estimator::BoundConstants;
-use crate::precompute::out_weight_sums;
+use crate::precompute::{out_weight_sums, ReachAnchor};
 use crate::KdashIndex;
 use kdash_sparse::{transition_matrix, w_matrix, LuFactors, RowLayout, BLOCK_COLS};
 use std::time::{Duration, Instant};
@@ -545,6 +546,19 @@ fn audit_estimator(index: &KdashIndex, col: &mut Collector) {
             format!("out-weight sum at node {v}: stored {stored} recomputed {expect}")
         });
     }
+    // The reach anchor the certified tier lists reachable sets from,
+    // derived the same way: a stale closure would solve the wrong set.
+    let (stored, expect) =
+        (index.reach_anchor(), ReachAnchor::of(index.permuted_graph(), index.dropped_mass()));
+    col.check(S, *stored == expect, || {
+        format!(
+            "reach anchor {:?} with a closure of {} nodes, recomputed {:?} with {}",
+            stored.node,
+            stored.closure.len(),
+            expect.node,
+            expect.closure.len()
+        )
+    });
 }
 
 /// The sparsification record: the drop tolerance is finite and
@@ -830,6 +844,19 @@ mod tests {
         assert_eq!(audit.total_findings(), 1, "findings: {:?}", audit.findings);
         assert_eq!(audit.findings[0].section, "estimator");
         assert!(audit.findings[0].detail.contains("out-weight sum at node 3"));
+    }
+
+    #[test]
+    fn stale_reach_anchor_is_found() {
+        assert_eq!(*sample_index().reach_anchor(), ReachAnchor::default(), "none when dense");
+        let mut index =
+            sample_index_with(IndexOptions { drop_tolerance: 1e-2, ..Default::default() });
+        assert!(index.reach_anchor().node.is_some());
+        index.reach_anchor_mut().closure.pop();
+        let audit = IndexAudit::run(&index);
+        assert_eq!(audit.total_findings(), 1, "findings: {:?}", audit.findings);
+        assert_eq!(audit.findings[0].section, "estimator");
+        assert!(audit.findings[0].detail.contains("reach anchor"));
     }
 
     #[test]

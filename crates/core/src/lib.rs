@@ -165,9 +165,12 @@
 //! a sparsified index run a **certified residual refinement loop** instead
 //! of trusting the stored values:
 //!
-//! 1. Drain the BFS and list the reachable set once in ascending permuted
-//!    id — the order the graph and both inverses are stored in. Every
-//!    later step is a streaming pass over that list on three dense
+//! 1. List the reachable set once in ascending permuted id — the order
+//!    the graph and both inverses are stored in. A query whose sources
+//!    reach the index's *reach anchor* (the node with the most in-edges
+//!    among those with an out-edge) takes the anchor's stored closure and
+//!    merges in only what it reaches beside it; any other drains its BFS.
+//!    Every later step is a streaming pass over that list on three dense
 //!    vectors (`x̃`, `r`, `y`), which stay zero outside it.
 //! 2. Gather the approximate solution `x̃ ≈ W⁻¹ b` from the sparsified
 //!    store (`b` is the unit restart vector `e_q`, or the merged

@@ -7,8 +7,9 @@
 
 use crate::estimator::BoundConstants;
 use crate::{IndexBuilder, IndexStats, KdashError, NodeOrdering, Result};
-use kdash_graph::{CsrGraph, NodeId, Permutation};
+use kdash_graph::{BfsTree, CsrGraph, NodeId, Permutation};
 use kdash_sparse::{CscMatrix, DanglingPolicy, ProximityStore, RowLayout, SparseError};
+use std::cmp::Reverse;
 
 /// Index construction options. Defaults follow the paper's evaluation:
 /// hybrid reordering, `c = 0.95`, dangling nodes kept as-is.
@@ -91,6 +92,10 @@ pub struct KdashIndex {
     /// while `dropped_total` is zero: nothing refines on such an index,
     /// and its updates should not pay an `O(m)` pass for nothing.
     out_weight: Vec<f64>,
+    /// The certified tier's reach anchor and its closure, derived from
+    /// `graph` like `out_weight` and, like it, never persisted and empty
+    /// while `dropped_total` is zero.
+    anchor: ReachAnchor,
     /// Drop tolerance `ε` the stored inverses were truncated with
     /// (`0.0` = dense-exact).
     drop_tolerance: f64,
@@ -173,8 +178,8 @@ impl KdashIndex {
 
     /// The one constructor: build, load and update all end here. Fails
     /// when the scalars are out of range or the component dimensions
-    /// disagree; derives the dropped-mass total, the out-weight sums and
-    /// the size statistics.
+    /// disagree; derives the dropped-mass total, the out-weight sums, the
+    /// reach anchor and the size statistics.
     pub(crate) fn assemble(parts: IndexParts) -> Result<KdashIndex> {
         let malformed = |detail: String| KdashError::Sparse(SparseError::Malformed(detail));
         let p = &parts;
@@ -200,6 +205,7 @@ impl KdashIndex {
             p.linv_dropped.iter().sum::<f64>() + p.uinv_dropped.iter().sum::<f64>();
         Ok(KdashIndex {
             out_weight: out_weight_sums(&p.graph, dropped_total),
+            anchor: ReachAnchor::of(&p.graph, dropped_total),
             dropped_total,
             stats: IndexStats {
                 nnz_l_inv: p.linv.nnz(),
@@ -540,9 +546,16 @@ impl KdashIndex {
     pub(crate) fn out_weight(&self) -> &[f64] {
         &self.out_weight
     }
+    pub(crate) fn reach_anchor(&self) -> &ReachAnchor {
+        &self.anchor
+    }
     #[cfg(test)]
     pub(crate) fn out_weight_mut(&mut self) -> &mut [f64] {
         &mut self.out_weight
+    }
+    #[cfg(test)]
+    pub(crate) fn reach_anchor_mut(&mut self) -> &mut ReachAnchor {
+        &mut self.anchor
     }
     #[cfg(test)]
     pub(crate) fn uinv_mut(&mut self) -> &mut ProximityStore {
@@ -557,6 +570,66 @@ pub(crate) fn out_weight_sums(graph: &CsrGraph, dropped_total: f64) -> Vec<f64> 
         (0..graph.num_nodes() as NodeId).map(|v| graph.out_weight_sum(v)).collect()
     } else {
         Vec::new()
+    }
+}
+
+/// [`ReachAnchor`] flag: the node lies in the anchor's closure `R(a)`.
+const IN_CLOSURE: u8 = 1;
+/// [`ReachAnchor`] flag: the node reaches the anchor.
+const REACHES: u8 = 2;
+
+/// The certified tier's *reach anchor* `a`: the node with the most
+/// in-edges among the nodes with an out-edge, ties to the smallest
+/// (permuted) id. A query whose roots reach `a` lists its reachable set
+/// from `a`'s closure instead of draining a BFS (the `searcher` module
+/// docs give the lemma). On a power-law graph almost every query reaches
+/// the hub, so almost every query shares one closure.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct ReachAnchor {
+    /// `a`; `None` when nothing refines or no node has an out-edge.
+    pub(crate) node: Option<NodeId>,
+    /// `R(a)`, every node `a` reaches (itself included), in ascending id.
+    pub(crate) closure: Vec<NodeId>,
+    /// Per node, [`IN_CLOSURE`] and [`REACHES`]; empty without an anchor.
+    flags: Vec<u8>,
+}
+
+impl ReachAnchor {
+    /// The anchor of `graph`, for an index that refines
+    /// (`dropped_total > 0`), empty otherwise: one BFS from `a` and one
+    /// over the transpose.
+    pub(crate) fn of(graph: &CsrGraph, dropped_total: f64) -> ReachAnchor {
+        if dropped_total <= 0.0 {
+            return ReachAnchor::default();
+        }
+        let in_degree = graph.in_degrees();
+        let with_out_edge = (0..graph.num_nodes() as NodeId).filter(|&v| graph.out_degree(v) > 0);
+        let Some(a) = with_out_edge.max_by_key(|&v| (in_degree[v as usize], Reverse(v))) else {
+            return ReachAnchor::default();
+        };
+        let mut flags = vec![0u8; graph.num_nodes()];
+        let mut closure = BfsTree::new(graph, a).order;
+        closure.sort_unstable();
+        for &v in &closure {
+            flags[v as usize] |= IN_CLOSURE;
+        }
+        for &v in &BfsTree::new(&graph.transpose(), a).order {
+            flags[v as usize] |= REACHES;
+        }
+        ReachAnchor { node: Some(a), closure, flags }
+    }
+
+    /// Whether `v` lies in `R(a)`. Only meaningful with an anchor.
+    #[inline]
+    pub(crate) fn contains(&self, v: NodeId) -> bool {
+        self.flags[v as usize] & IN_CLOSURE != 0
+    }
+
+    /// Whether any of `roots` reaches `a`, so that `R(a)` lies inside
+    /// their reachable set. Always false without an anchor.
+    #[inline]
+    pub(crate) fn reached_from(&self, roots: &[NodeId]) -> bool {
+        !self.flags.is_empty() && roots.iter().any(|&r| self.flags[r as usize] & REACHES != 0)
     }
 }
 

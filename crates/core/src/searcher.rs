@@ -49,10 +49,11 @@
 //! of the reachable set. [`SearchStats::frontier_expanded`] counts the
 //! nodes whose out-edges were scanned, and [`SearchStats::reachable`] is
 //! the discovered-so-far count on early-terminated queries (exact
-//! reachability when the search runs to completion). Layer-at-a-time
-//! expansion reproduces the eager queue order exactly (`kdash-graph` pins
-//! that at every prefix), so results and visit order are those of the
-//! eager oracle in [`crate::search`].
+//! reachability when the search runs to completion, and always on the
+//! certified tier, which may list most of it without scanning it).
+//! Layer-at-a-time expansion reproduces the eager queue order exactly
+//! (`kdash-graph` pins that at every prefix), so results and visit order
+//! are those of the eager oracle in [`crate::search`].
 //!
 //! # Proximity kernel
 //!
@@ -76,16 +77,30 @@
 //! inverses are *truncated* and a raw gather yields only an approximation
 //! `x̃ ≈ W⁻¹ b`. The driver detects this
 //! ([`KdashIndex::needs_refinement`]) and hands the seeded query to the
-//! certified refinement loop instead of visiting. The loop drains the BFS,
-//! lists the reachable set `R` once in ascending permuted id — the order
-//! the graph, `L̃⁻¹` and `Ũ⁻¹` are stored in — and then streams that list
-//! over three dense vectors `x̃`, `r`, `y`. Every sweep that settles a
-//! value of `x̃` also *pushes* it at once into the next true residual
-//! `r = b − x̃ + (1−c)·A x̃`: the node's value leaves its own entry and
-//! flows along its out-edges, normalised by its precomputed out-weight
-//! sum. The index stores the permuted graph exactly, so `r` is the true
-//! residual of `x̃`, whatever the stored inverses hold — never the
-//! recurrence a step would predict.
+//! certified refinement loop instead of visiting. The loop lists the
+//! reachable set `R` once in ascending permuted id — the order the graph,
+//! `L̃⁻¹` and `Ũ⁻¹` are stored in — and then streams that list over three
+//! dense vectors `x̃`, `r`, `y`.
+//!
+//! Listing `R` rarely costs a traversal. Each refining index derives a
+//! *reach anchor* `a` — the node with the most in-edges among those with
+//! an out-edge — and stores its closure `R(a)` in ascending id. The
+//! lemma: if `a ∈ R(q)` then `R(a) ⊆ R(q)`; and `R(a)` is closed under
+//! out-edges, so a path from `q` to a node outside `R(a)` never enters
+//! it. Hence when a root reaches `a`, `R = R(a) ∪ R̄`, where `R̄` is what
+//! a BFS from the roots finds without entering `R(a)`, and the two merge
+//! in id order without `R(a)` ever being traversed. On a power-law graph
+//! almost every query reaches the hub, and `R̄` is a handful of nodes.
+//! Roots that do not reach `a` drain the BFS and sort (or scan) what it
+//! found. Either way the list is the same, so the sweeps below run over
+//! identical ids.
+//!
+//! Every sweep that settles a value of `x̃` also *pushes* it at once into
+//! the next true residual `r = b − x̃ + (1−c)·A x̃`: the node's value
+//! leaves its own entry and flows along its out-edges, normalised by its
+//! precomputed out-weight sum. The index stores the permuted graph
+//! exactly, so `r` is the true residual of `x̃`, whatever the stored
+//! inverses hold — never the recurrence a step would predict.
 //!
 //! 1. *initial solve* — one gather per node of `R` against the scattered
 //!    query column, the classic search's per-candidate cost, each value
@@ -123,7 +138,7 @@
 //! lists, no flags. Each step leaves `y` all-zero, and sweeping `R` on the
 //! way out leaves all three vectors all-zero for the next query (a
 //! `debug_assert!` holds them to it). The certificate rests on less: `x̃`
-//! and `r` are read and written only over `R`, which the BFS defines, so
+//! and `r` are read and written only over `R`, which the graph defines, so
 //! inverses that broke the fill pattern could slow a later query through
 //! a stale `y`, never falsify a proof — and whichever step ran, the check
 //! reads the residual recomputed from the stored graph.
@@ -133,20 +148,23 @@
 //! the residual stops contracting or is not finite. Returned *values* are
 //! `c·x̃`, each within [`VALUE_TOLERANCE`] of exact (a full vector within
 //! `1e-13`). A zero residual certifies
-//! unconditionally, and ties then resolve as in the classic search:
-//! candidates are offered in visit (BFS) order and the heap replaces only
-//! on a strictly larger proximity, so at the k-th boundary the
-//! earlier-visited of two equals is kept; the answer itself is listed by
-//! descending proximity, then ascending *permuted* id.
+//! unconditionally, and ties then resolve as in the classic search: the
+//! BFS is drained, candidates are offered in visit order and the heap
+//! replaces only on a strictly larger proximity, so at the k-th boundary
+//! the earlier-visited of two equals is kept; the answer itself is listed
+//! by descending proximity, then ascending *permuted* id. With a nonzero
+//! residual a tie never certifies, no verdict depends on the order, and
+//! the checks run in id order.
 //!
 //! The matching [`KdashIndex`] methods are thin conveniences that build a
 //! transient `Searcher` per call.
 
 use crate::estimator::InflowBound;
+use crate::precompute::ReachAnchor;
 use crate::{
     ArbitraryOrderBound, KdashError, KdashIndex, RankedNode, Result, SearchStats, TopKResult,
 };
-use kdash_graph::{BfsScratch, NodeId};
+use kdash_graph::{BfsScratch, CsrGraph, EpochStamps, NodeId};
 use kdash_sparse::{
     DanglingPolicy, GatherCounters, GatherKernel, GatherScratch, ResolvedKernel, ScatteredColumn,
 };
@@ -393,6 +411,11 @@ struct RefineState {
     /// The reachable set in ascending permuted id: the order every sweep
     /// streams the id-ordered stores in.
     ids: Vec<NodeId>,
+    /// The anchor path's BFS queue: what the roots reach beside the
+    /// anchor's closure (`R̄`), then sorted for the merge.
+    beside: Vec<NodeId>,
+    /// Discovery marks of that BFS.
+    marks: EpochStamps,
     /// Top-`k` scratch the certification check ranks candidates with.
     heap: TopKHeap,
 }
@@ -404,6 +427,8 @@ impl RefineState {
             resid: vec![0.0; n],
             y: vec![0.0; n],
             ids: Vec::new(),
+            beside: Vec::new(),
+            marks: EpochStamps::new(n),
             heap: TopKHeap::new(0),
         }
     }
@@ -419,6 +444,46 @@ impl RefineState {
         } else {
             self.ids.extend((0..n as NodeId).filter(|&v| bfs.is_reached(v)));
         }
+    }
+
+    /// Lists the reachable set of `roots`, some of which reach the anchor,
+    /// as `R(a) ∪ R̄` in ascending id: a BFS from the roots that never
+    /// enters `R(a)` finds `R̄`, whose few ids are then spliced into the
+    /// stored closure. Returns `|R̄|`, the nodes whose out-edges it
+    /// scanned.
+    fn load_ids_beside(
+        &mut self,
+        graph: &CsrGraph,
+        anchor: &ReachAnchor,
+        roots: &[NodeId],
+    ) -> usize {
+        self.marks.advance();
+        self.beside.clear();
+        for &root in roots.iter().filter(|&&r| !anchor.contains(r)) {
+            self.marks.mark(root as usize);
+            self.beside.push(root);
+        }
+        let mut head = 0;
+        while let Some(&v) = self.beside.get(head) {
+            head += 1;
+            for &t in graph.out_neighbors(v) {
+                if !anchor.contains(t) && !self.marks.is_marked(t as usize) {
+                    self.marks.mark(t as usize);
+                    self.beside.push(t);
+                }
+            }
+        }
+        self.beside.sort_unstable();
+        self.ids.clear();
+        let mut rest = anchor.closure.as_slice();
+        for &v in &self.beside {
+            let split = rest.partition_point(|&u| u < v);
+            self.ids.extend_from_slice(&rest[..split]);
+            self.ids.push(v);
+            rest = &rest[split..];
+        }
+        self.ids.extend_from_slice(rest);
+        self.beside.len()
     }
 }
 
@@ -692,6 +757,11 @@ pub struct Searcher<'a> {
     /// Certified-refinement workspace, allocated on the first refined
     /// query. Stays `None` forever on a dense-exact index.
     refine: Option<Box<RefineState>>,
+    /// `(|R|, nodes scanned)` while the certified tier's reachable set
+    /// came from the reach anchor and the BFS still stands at its roots;
+    /// `None` when the BFS's own counters are the query's. Set by every
+    /// refined query before anything reads it, and never on a dense index.
+    anchored: Option<(usize, usize)>,
 }
 
 /// The *bound* policy of [`Searcher::drive`]: asked before each node's
@@ -855,6 +925,7 @@ impl<'a> Searcher<'a> {
             budget: QueryBudget::default(),
             inflow: InflowBound::new(n),
             refine: None,
+            anchored: None,
         }
     }
 
@@ -1021,8 +1092,8 @@ impl<'a> Searcher<'a> {
     /// stay reproducible from logs — into `stats`.
     #[inline]
     fn record_traversal(&self, stats: &mut SearchStats) {
-        stats.reachable = self.bfs.num_discovered();
-        stats.frontier_expanded = self.bfs.num_expanded();
+        (stats.reachable, stats.frontier_expanded) =
+            self.anchored.unwrap_or((self.bfs.num_discovered(), self.bfs.num_expanded()));
         stats.bytes_touched = self.counters.index_bytes;
         stats.value_bytes_touched = self.counters.value_bytes;
         stats.rows_scalar = self.counters.rows_scalar;
@@ -1229,8 +1300,8 @@ impl<'a> Searcher<'a> {
         Ok(self.index.permutation().unpermute_values(&permuted))
     }
 
-    /// The certified refinement driver (see the module docs): drains the
-    /// reachable set, solves it approximately through the sparsified
+    /// The certified refinement driver (see the module docs): lists the
+    /// whole reachable set, solves it approximately through the sparsified
     /// inverses, and runs planned Jacobi sweeps and corrections until
     /// `goal` is proven. Expects a source prologue to have run: the BFS
     /// seeded at the roots, the restart vector `b` uniform over them, and
@@ -1238,18 +1309,23 @@ impl<'a> Searcher<'a> {
     /// loops compile the same without it.
     #[inline(never)]
     fn refined_run(&mut self, mut goal: RefineGoal<'_>, stats: &mut SearchStats) -> Result<()> {
-        // No bound can prune against approximate proximities, so the
-        // refined path always drains the whole reachable set.
-        while self.bfs.expand_next_layer(self.index.permuted_graph()) > 0 {}
-        let mut st = self
-            .refine
-            .take()
-            .unwrap_or_else(|| Box::new(RefineState::new(self.index.num_nodes())));
+        let index = self.index;
+        let mut st =
+            self.refine.take().unwrap_or_else(|| Box::new(RefineState::new(index.num_nodes())));
         debug_assert!(
             st.x.iter().chain(&st.resid).chain(&st.y).all(|&v| v == 0.0),
             "refinement vectors must be all-zero between queries"
         );
-        st.load_ids(&self.bfs);
+        // No bound can prune against approximate proximities, so the
+        // refined path always solves the whole reachable set.
+        let anchor = index.reach_anchor();
+        if anchor.reached_from(&self.roots) {
+            let scanned = st.load_ids_beside(index.permuted_graph(), anchor, &self.roots);
+            self.anchored = Some((st.ids.len(), scanned));
+        } else {
+            self.drain_bfs();
+            st.load_ids(&self.bfs);
+        }
         let result = self.refined_run_inner(&mut st, &mut goal, stats);
         // Zero the vectors over the reachable set before parking the state:
         // an error leaves the workspace exactly as reusable as success.
@@ -1260,6 +1336,15 @@ impl<'a> Searcher<'a> {
         }
         self.refine = Some(st);
         result
+    }
+
+    /// Drains the lazy BFS, for what needs the visit order or exact
+    /// reachability after the anchor path skipped it. Its counters are the
+    /// query's from then on: they cover every node the anchor path
+    /// scanned.
+    fn drain_bfs(&mut self) {
+        while self.bfs.expand_next_layer(self.index.permuted_graph()) > 0 {}
+        self.anchored = None;
     }
 
     /// The budget check of the refinement sweeps, once per node before
@@ -1289,7 +1374,7 @@ impl<'a> Searcher<'a> {
         // Hoisted: the per-node checks cost a sweep ~15 % even when no
         // ceiling is set, which none then can reach.
         let budgeted = self.budget != QueryBudget::unlimited();
-        let RefineState { x, resid, y, ids, heap } = st;
+        let RefineState { x, resid, y, ids, heap, .. } = st;
         // The residual b − W x̃ = b − x̃ + (1−c)·A x̃ under construction in
         // `r`, which starts as b: each settled x̃_j leaves its own entry and
         // flows along column j of A — node j's out-distribution,
@@ -1384,9 +1469,16 @@ impl<'a> Searcher<'a> {
             let stalled =
                 iterations >= REFINE_MAX_ITERATIONS || (iterations > 0 && delta >= prev_norm);
             if cert.slack <= tolerance || stalled {
-                // Candidates are offered in visit order, which is what
-                // decides a tie at the k-th boundary.
-                let order = &self.bfs.order()[..ids.len()];
+                // Visit order decides a tie at the k-th boundary, and only
+                // a zero residual lets a tie certify: only then are the
+                // candidates offered in BFS order. Otherwise no verdict
+                // depends on the order, and the id order stands in.
+                let order = if cert.is_exact() {
+                    self.drain_bfs();
+                    self.bfs.order()
+                } else {
+                    ids.as_slice()
+                };
                 let (certified, margin) = match goal {
                     RefineGoal::TopK(k) => certify_top_k(x, resid, order, *k, cert, heap),
                     RefineGoal::Threshold(theta) => {
@@ -1473,6 +1565,11 @@ impl<'a> Searcher<'a> {
                 for &(p, u) in heap.sorted_entries() {
                     self.heap.offer(p, u);
                 }
+                // Fewer than `k` reachable: the epilogue pads from the
+                // BFS's marks.
+                if !self.heap.is_full() {
+                    self.drain_bfs();
+                }
             }
             // The accepting certification pass left the sorted hits in
             // the workspace hit list.
@@ -1491,7 +1588,8 @@ impl<'a> Searcher<'a> {
 mod tests {
     use super::*;
     use crate::IndexOptions;
-    use kdash_graph::GraphBuilder;
+    use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
+    use kdash_graph::{BfsTree, GraphBuilder};
 
     fn tiny_index() -> KdashIndex {
         let mut b = GraphBuilder::new(6);
@@ -1731,6 +1829,103 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn the_refined_loop_runs_over_the_sorted_reachable_set() {
+        let ba = barabasi_albert(300, 3, 6);
+        let ba_dag = GraphBuilder::from_edges(300, ba.edges().filter(|e| e.0 > e.1));
+        let mut ring = GraphBuilder::new(48);
+        for v in 0..48 {
+            ring.add_undirected_edge(v, (v + 1) % 48, 1.0);
+        }
+        let families = [
+            ("er", erdos_renyi(300, 500, 5)),
+            // Newer → older only: a DAG, so the anchor's closure is tiny.
+            ("ba", ba_dag.build().unwrap()),
+            ("rmat", rmat(8, 700, RmatParams::default(), 7)),
+            // Exactly tied: top-k fails to certify, but lists R first.
+            ("ring", ring.build().unwrap()),
+        ];
+        // q = a, q in a's SCC, upstream, downstream (a miss), a sink, and a
+        // restart set mixing a root that reaches a with one that does not.
+        let mut covered = [0usize; 6];
+        for (name, graph) in families {
+            let options = IndexOptions { drop_tolerance: 1e-3, ..Default::default() };
+            let index = KdashIndex::build(&graph, options).unwrap();
+            assert!(index.needs_refinement(), "{name}");
+            let (g, perm) = (index.permuted_graph(), index.permutation());
+            let a = index.reach_anchor().node.expect("every family has edges");
+            let (from_a, to_a) = (BfsTree::new(g, a), BfsTree::new(&g.transpose(), a));
+            let (downstream, upstream) =
+                (|v| from_a.distance(v).is_some(), |v| to_a.distance(v).is_some());
+            let mut s = index.searcher();
+            let mut anchored = 0;
+            // The loop's ids for permuted `roots`, against the sorted BFS.
+            let mut check = |roots: &[NodeId]| {
+                let sources: Vec<NodeId> = roots.iter().map(|&r| perm.old_of(r)).collect();
+                let _ = s.top_k_from_set(&sources, 3);
+                anchored += usize::from(s.anchored.is_some());
+                let mut want = BfsTree::new_multi(g, roots).order;
+                want.sort_unstable();
+                let got = &s.refine.as_ref().expect("the refined loop ran").ids;
+                assert_eq!(got, &want, "{name}: roots {roots:?}");
+            };
+            let n = g.num_nodes() as NodeId;
+            for q in 0..n {
+                check(&[q]);
+                let case = match (q == a, upstream(q), downstream(q)) {
+                    (true, ..) => Some(0),
+                    (_, true, true) => Some(1),
+                    (_, true, false) => Some(2),
+                    (_, false, true) => Some(3),
+                    (_, false, false) => None,
+                };
+                if let Some(case) = case {
+                    covered[case] += 1;
+                }
+                covered[4] += usize::from(g.out_degree(q) == 0);
+            }
+            let (hit, miss) = ((0..n).find(|&v| upstream(v)), (0..n).find(|&v| !upstream(v)));
+            if let (Some(hit), Some(miss)) = (hit, miss) {
+                check(&[miss, hit]);
+                covered[5] += 1;
+            }
+            check(&[0, n / 2]);
+            check(&[n - 1, 1, n / 3]);
+            assert!(anchored > 0, "{name}: no query took the anchor path");
+        }
+        assert!(covered.iter().all(|&c| c > 0), "uncovered case: {covered:?}");
+    }
+
+    #[test]
+    fn a_zero_residual_tie_keeps_the_earlier_visited_node_on_the_anchor_path() {
+        // 2 → 6 ← 5, 6 → 7. In natural order W is lower triangular and every
+        // value dyadic, so the sweeps reach ‖r‖₁ = 0 exactly: 2, 5 and 6
+        // all end at proximity 1/4, and top-1 is a three-way tie.
+        let mut b = GraphBuilder::new(8);
+        for (s, t) in [(2, 6), (5, 6), (6, 7)] {
+            b.add_edge(s, t, 1.0);
+        }
+        let options = IndexOptions {
+            ordering: crate::NodeOrdering::Natural,
+            restart_probability: 0.5,
+            drop_tolerance: 0.3,
+            ..Default::default()
+        };
+        let index = KdashIndex::build(&b.build().unwrap(), options).unwrap();
+        assert!(index.needs_refinement());
+        assert_eq!(index.reach_anchor().node, Some(6));
+        let mut drained = index.clone();
+        *drained.reach_anchor_mut() = ReachAnchor::default();
+        for set in [[5, 2], [2, 5]] {
+            let got = index.searcher().top_k_from_set(&set, 1).unwrap();
+            let want = drained.searcher().top_k_from_set(&set, 1).unwrap();
+            assert!(got.stats.refinement_iterations > 0, "{set:?}: the sweeps must run");
+            assert_eq!(got.items[0].node, set[0], "{set:?}: the earlier-visited root stays");
+            assert_eq!(got.items[0].proximity, 0.25);
+            assert_eq!((&got.items, &got.stats), (&want.items, &want.stats), "{set:?}");
         }
     }
 

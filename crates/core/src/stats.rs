@@ -85,19 +85,27 @@ pub struct SearchStats {
     /// the discovered-so-far count — a lower bound on true reachability —
     /// not the size of the full reachable set. When the search ran to
     /// completion the traversal is exhaustive and this is the exact
-    /// reachable count, as before. (The eager reference path
+    /// reachable count, as before. On a sparsified index (certified
+    /// refinement) it is always the exact reachable count `|R|`, budget
+    /// aborts included: the loop lists `R` before it solves anything.
+    /// (The eager reference path
     /// `KdashIndex::top_k_merge_join` always reports the full count;
     /// consumers comparing the two — the experiment harness's
     /// "computed/reachable" ratios, the CLI stats line — must take an
     /// unpruned or merge-join run as the denominator.)
     pub reachable: usize,
-    /// Nodes whose out-edges the lazy BFS frontier actually scanned.
+    /// Nodes whose out-edges the query actually scanned.
     ///
-    /// Always `<= reachable`; equal when the search ran to completion and
-    /// *strictly* smaller on early-terminated queries (the layer the
-    /// search died in was discovered but never expanded). The gap is the
-    /// traversal work the early stop saved on top of the skipped
-    /// proximity computations.
+    /// Always `<= reachable`. On a dense-exact index it is equal when the
+    /// search ran to completion and *strictly* smaller on early-terminated
+    /// queries (the layer the search died in was discovered but never
+    /// expanded); the gap is the traversal work the early stop saved on
+    /// top of the skipped proximity computations. On a sparsified index a
+    /// query whose sources reach the index's reach anchor lists the
+    /// anchor's closure without scanning it, so this counts only the nodes
+    /// reached beside it — often none — unless the loop needed the visit
+    /// order after all (a tie at a zero residual, or fewer than `k`
+    /// reachable), which scans all of `reachable`.
     pub frontier_expanded: usize,
     /// Index bytes the proximity gathers streamed (layout-dependent:
     /// 4/nnz flat, 2/nnz + 8/run blocked). Zero on paths that never run

@@ -3,13 +3,14 @@
 //!
 //! A counting global allocator wraps the system one; the warm-up query
 //! sizes every reusable buffer (BFS order, scattered column, heap, result
-//! items — and on a sparsified index the refinement vectors and the
-//! id-sorted reachable list), after which repeated queries — same k,
+//! items — and on a sparsified index the refinement vectors, the
+//! id-sorted reachable list and the reach-anchor path's queue), after
+//! which repeated queries — same k,
 //! arbitrary query nodes — must leave the allocation counter untouched.
 
 use kdash_core::{IndexOptions, KdashIndex, TopKResult};
 use kdash_datagen::barabasi_albert;
-use kdash_graph::NodeId;
+use kdash_graph::{GraphBuilder, NodeId};
 use kdash_harness::break_ties;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,10 +46,14 @@ fn top_k_into_is_allocation_free_after_warmup() {
     // dense-exact (the stop-rule search, whose in-neighbour sums, stamps
     // and hot stack are sized with the workspace) and sparsified (certified
     // refinement over the whole reachable set; tie-free weights, or the
-    // loop would rightly refuse to rank). Both indexes are built before
-    // either window opens, and the windows run one after the other: the
-    // counter is process-wide.
-    let graph = break_ties(&barabasi_albert(600, 3, 42)).unwrap();
+    // loop would rightly refuse to rank). The 20 newest nodes keep only
+    // the edges they sent, so their queries reach the hub from outside its
+    // closure and the anchor path merges a nonempty rest into it. Both
+    // indexes are built before either window opens, and the windows run
+    // one after the other: the counter is process-wide.
+    let ba = barabasi_albert(600, 3, 42);
+    let graph = GraphBuilder::from_edges(600, ba.edges().filter(|&(s, d, _)| d < 580 || s > d));
+    let graph = break_ties(&graph.build().unwrap()).unwrap();
     let dense = KdashIndex::build(&graph, IndexOptions::default()).unwrap();
     let sparsified =
         KdashIndex::build(&graph, IndexOptions { drop_tolerance: 1e-3, ..Default::default() })
@@ -68,13 +73,23 @@ fn top_k_into_is_allocation_free_after_warmup() {
         }
 
         let before = allocations();
+        let mut anchored = 0;
         for round in 0..3 {
             for q in 0..n {
                 searcher.top_k_into(q, k, &mut result).unwrap();
                 assert_eq!(result.items.len(), k, "{tier} round {round} q {q}");
+                let (scanned, reachable) =
+                    (result.stats.frontier_expanded, result.stats.reachable);
+                anchored += usize::from(0 < scanned && scanned < reachable);
             }
         }
         let after = allocations();
+        if tier == "sparsified" {
+            // The window must cover the reach-anchor path too: a reachable
+            // set merged from the anchor's closure and what the query
+            // scanned beside it, not a drained BFS.
+            assert!(anchored > 0, "no sparsified query merged beside the anchor's closure");
+        }
         assert_eq!(
             after - before,
             0,
