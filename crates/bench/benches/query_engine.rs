@@ -8,15 +8,12 @@
 //! * `kernel_hub/*`, `kernel_mixed/*`, `kernel_cold/*` — the gather
 //!   kernels in isolation over three row populations (hit-dominated hub
 //!   candidates, the PR 1 strided mix, and miss-dominated cold rows),
-//!   each under **both** layouts (`flat_*` vs `blocked_*`) and every
-//!   kernel the host can run.
+//!   under every kernel the host can run (`blocked_*`).
 //! * `query_engine/*` — end-to-end top-k sweeps: the eager merge-join
-//!   oracle, one reused lazy `Searcher` per
-//!   kernel on the blocked (default) layout, plus `lazy_auto_flat` to
-//!   isolate the layout's contribution.
+//!   oracle and one reused lazy `Searcher` per kernel.
 //! * `query_engine_k5/*` — the traversal-bound light-query series.
 //!
-//! The setup prints the index-bytes/nnz report (blocked vs flat), the
+//! The setup prints the index-bytes/nnz report (against flat CSR), the
 //! lazy-frontier counters, the **measured hit rate** of the end-to-end
 //! k = 50 series (stored entries of the gathered rows that meet a loaded
 //! position of the query column ÷ all their stored entries) and the same
@@ -29,7 +26,7 @@
 //! (default 16).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use kdash_core::{GatherKernel, IndexOptions, KdashIndex, RowLayout, Searcher, TopKResult};
+use kdash_core::{GatherKernel, IndexOptions, KdashIndex, Searcher, TopKResult};
 use kdash_datagen::{rmat, RmatParams};
 use kdash_graph::{BfsScratch, NodeId};
 use kdash_sparse::{GatherCounters, GatherScratch, ProximityStore, ScatteredColumn};
@@ -86,9 +83,7 @@ fn bench(c: &mut Criterion) {
     let graph = rmat(scale, n * 4, RmatParams::default(), 42);
     let t0 = std::time::Instant::now();
     let index = KdashIndex::build(&graph, IndexOptions::default()).expect("index build");
-    let flat_index = index.with_layout(RowLayout::Flat);
     let blocked = index.uinv_rows();
-    let flat = flat_index.uinv_rows();
     println!(
         "query_engine setup: rmat scale {scale}: {} nodes, {} edges; index built in {:.1?} \
          (nnz L-inv {}, nnz U-inv {})",
@@ -99,11 +94,10 @@ fn bench(c: &mut Criterion) {
         index.stats().nnz_u_inv,
     );
     println!(
-        "index bytes/nnz: blocked {:.3} vs flat {:.3} ({:.1}% index-traffic cut, {} runs)",
+        "index bytes/nnz: blocked {:.3} vs flat CSR 4.000 ({:.1}% index-traffic cut, {} runs)",
         blocked.index_bytes() as f64 / blocked.nnz() as f64,
-        flat.index_bytes() as f64 / flat.nnz() as f64,
-        100.0 * (1.0 - blocked.index_bytes() as f64 / flat.index_bytes() as f64),
-        blocked.as_blocked().expect("blocked").num_runs(),
+        100.0 * (1.0 - blocked.index_bytes() as f64 / (4 * blocked.nnz()) as f64),
+        blocked.as_blocked().num_runs(),
     );
 
     // Deterministic query mix over non-dangling nodes: hubs and leaves both
@@ -113,7 +107,7 @@ fn bench(c: &mut Criterion) {
     let queries: Vec<NodeId> = kdash_bench::queries_for(&graph, 32);
     let k = 50;
 
-    let flat_csr = flat.as_flat().expect("flat twin");
+    let flat_csr = blocked.to_csr();
 
     // Lazy-frontier and gather-byte counters over the mix, and the
     // measured hit rate of the rows those queries really gather: the
@@ -177,8 +171,7 @@ fn bench(c: &mut Criterion) {
     column.load(col_idx, col_val);
     let mut scratch = GatherScratch;
 
-    // Row populations (analysed on the flat twin, benched on both
-    // layouts):
+    // Row populations (analysed on the CSR form, benched on the store):
     //  * mixed — the PR 1 stride over all rows vs the hub column
     //            (continuity baseline);
     //  * hub   — the 512 highest-overlap rows vs the hub column
@@ -226,7 +219,7 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // The three kernel series groups × both layouts × every kernel.
+    // The three kernel series groups × every kernel.
     for (group_name, rows, col) in [
         ("kernel_hub", &hubs, &column),
         ("kernel_mixed", &mixed, &column),
@@ -249,12 +242,10 @@ fn bench(c: &mut Criterion) {
                 });
             });
         }
-        for (layout_label, store) in [("flat", flat), ("blocked", blocked)] {
-            for (kernel_label, kernel) in host_kernels() {
-                group.bench_function(format!("{layout_label}_{kernel_label}"), |b| {
-                    b.iter(|| sweep(store, kernel, rows, col, &mut scratch));
-                });
-            }
+        for (kernel_label, kernel) in host_kernels() {
+            group.bench_function(format!("blocked_{kernel_label}"), |b| {
+                b.iter(|| sweep(blocked, kernel, rows, col, &mut scratch));
+            });
         }
         group.finish();
     }
@@ -272,27 +263,11 @@ fn bench(c: &mut Criterion) {
         });
     });
 
-    // One reused lazy Searcher per kernel on the default (blocked) layout
-    // — the serving configuration — plus the default kernel's flat twin so
-    // the layout's own contribution is visible.
+    // One reused lazy Searcher per kernel — the serving configuration.
     for (label, kernel) in host_kernels() {
         let mut searcher = Searcher::with_kernel(&index, kernel).expect("host kernel");
         let mut out = TopKResult::default();
         group.bench_function(format!("lazy_reused_{label}"), |b| {
-            b.iter(|| {
-                let mut total = 0usize;
-                for &q in &queries {
-                    searcher.top_k_into(q, k, &mut out).expect("query");
-                    total += out.items.len();
-                }
-                std::hint::black_box(total)
-            });
-        });
-    }
-    {
-        let mut searcher = flat_index.searcher();
-        let mut out = TopKResult::default();
-        group.bench_function("lazy_auto_flat", |b| {
             b.iter(|| {
                 let mut total = 0usize;
                 for &q in &queries {

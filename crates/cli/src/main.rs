@@ -108,7 +108,7 @@
 
 use kdash_core::{
     save_atomic, BuildStage, IndexAudit, IndexBuilder, IndexOptions, KdashIndex,
-    NodeOrdering, RowLayout, SolveTally,
+    NodeOrdering, SolveTally,
 };
 use kdash_datagen::DatasetProfile;
 use kdash_dynamic::{DynamicIndex, Journal, RecoveryReport, UpdateBatch};
@@ -256,18 +256,16 @@ fn parse_ordering(text: &str) -> Result<NodeOrdering, String> {
 
 fn cmd_build(args: &[String]) -> Result<(), String> {
     let (pos, flags) = parse_flags(args, &[])?;
-    reject_unknown_flags(&flags, &["c", "ordering", "threads", "layout", "drop-tol"])?;
+    reject_unknown_flags(&flags, &["c", "ordering", "threads", "drop-tol"])?;
     let [edges_path, index_path] = pos.as_slice() else {
         return Err("usage: kdash build <edges.txt> <index.kdash> [--c 0.95] [--ordering hybrid] \
-                    [--threads 1] [--layout blocked] [--drop-tol 0]"
+                    [--threads 1] [--drop-tol 0]"
             .into());
     };
     let c: f64 = flag(&flags, "c").unwrap_or("0.95").parse().map_err(|_| "invalid --c")?;
     let ordering = parse_ordering(flag(&flags, "ordering").unwrap_or("hybrid"))?;
     let threads: usize =
         flag(&flags, "threads").unwrap_or("1").parse().map_err(|_| "invalid --threads")?;
-    let layout: RowLayout =
-        flag(&flags, "layout").unwrap_or("blocked").parse().map_err(|e| format!("{e}"))?;
     let drop_tolerance: f64 =
         flag(&flags, "drop-tol").unwrap_or("0").parse().map_err(|_| "invalid --drop-tol")?;
 
@@ -278,7 +276,6 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     let builder = IndexBuilder::from_options(IndexOptions {
         ordering,
         restart_probability: c,
-        layout,
         drop_tolerance,
         ..Default::default()
     })
@@ -306,11 +303,9 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         println!("stage {:<14} {:>12.2?}{extra}", timing.stage.name(), timing.duration);
     }
     println!(
-        "built index in {:.2?} ({} ordering, {} layout, inverse nnz/m = {:.1}, U⁻¹ index \
-         {:.2} B/nnz)",
+        "built index in {:.2?} ({} ordering, inverse nnz/m = {:.1}, U⁻¹ index {:.2} B/nnz)",
         report.total(),
         ordering.name(),
-        index.layout().name(),
         index.stats().inverse_nnz_ratio(),
         index.stats().uinv_index_bytes as f64 / index.stats().nnz_u_inv.max(1) as f64,
     );
@@ -1147,7 +1142,6 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
          'kdash build' prints what ran in it)",
         index.linv_dense_tail_columns()
     );
-    println!("U⁻¹ row layout     {}", index.layout().name());
     println!(
         "U⁻¹ index bytes    {} ({:.2} B/nnz; flat CSR would be 4.00)",
         s.uinv_index_bytes,

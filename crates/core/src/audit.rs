@@ -13,9 +13,8 @@
 //! * `L⁻¹` is genuinely lower triangular with an exact unit diagonal
 //!   leading every column (the scatter path assumes `x_q = 1`);
 //! * `U⁻¹` is genuinely upper triangular with a nonzero diagonal leading
-//!   every row, and — in the blocked layout — the run encoding obeys the
-//!   decode contract (aligned anchors, full coverage, strictly ascending
-//!   decoded columns);
+//!   every row, and its run encoding obeys the decode contract (aligned
+//!   anchors, full coverage, strictly ascending decoded columns);
 //! * the store's derived tables — per-row stats, `max_row_nnz`, column
 //!   sums — agree with the rows they summarise (a wrong table skews the
 //!   gather accounting and budgets, or the stop rule's mass);
@@ -35,7 +34,7 @@
 use crate::estimator::BoundConstants;
 use crate::precompute::{out_weight_sums, ReachAnchor};
 use crate::KdashIndex;
-use kdash_sparse::{transition_matrix, w_matrix, LuFactors, RowLayout, BLOCK_COLS};
+use kdash_sparse::{transition_matrix, w_matrix, LuFactors, BLOCK_COLS};
 use std::time::{Duration, Instant};
 
 /// Cap on stored findings: a corrupted index tends to violate one
@@ -320,86 +319,59 @@ fn audit_linv(index: &KdashIndex, col: &mut Collector) {
 }
 
 /// `U⁻¹` must be upper triangular with a nonzero diagonal leading every
-/// row; in the blocked layout the run encoding must additionally obey the
-/// decode contract (aligned anchors, runs covering exactly the row's
-/// span, strictly ascending decoded columns in bounds). The walk also
-/// re-sums every column, top to bottom: the store's column sums are where
-/// the stop rule's mass comes from, a splice refreshes them only for the
-/// columns it replaced, and a stale sum below the truth would stop
-/// searches too early.
+/// row, and its run encoding must obey the decode contract (aligned
+/// anchors, runs covering exactly the row's span, strictly ascending
+/// decoded columns in bounds). The walk also re-sums every column, top to
+/// bottom: the store's column sums are where the stop rule's mass comes
+/// from, a splice refreshes them only for the columns it replaced, and a
+/// stale sum below the truth would stop searches too early.
 fn audit_uinv(index: &KdashIndex, col: &mut Collector) {
     const S: &str = "uinv";
     let store = index.uinv();
     let n = store.nrows();
     let mut sums = vec![0.0f64; store.ncols()];
-    match store.layout() {
-        RowLayout::Flat => {
-            let Some(csr) = store.as_flat() else {
-                col.check(S, false, || "layout says flat but no flat matrix is stored".into());
-                return;
-            };
-            for r in 0..n as u32 {
-                let (cols, vals) = csr.row(r);
-                audit_uinv_row(S, col, n, r, cols.iter().copied(), vals, &mut sums);
-            }
+    let (row_ptr, run_ptr, run_base, run_end, deltas, values) = store.as_blocked().raw();
+    col.check(
+        S,
+        row_ptr.len() == n + 1
+            && run_ptr.len() == n + 1
+            && run_base.len() == run_end.len()
+            && deltas.len() == values.len()
+            && row_ptr.last() == Some(&deltas.len())
+            && run_ptr.last() == Some(&run_base.len()),
+        || "blocked arrays do not cover each other".to_string(),
+    );
+    let mut decoded: Vec<u32> = Vec::new();
+    for r in 0..n {
+        let (lo, hi) = (row_ptr[r.min(row_ptr.len() - 1)], row_ptr[(r + 1).min(row_ptr.len() - 1)]);
+        let (rlo, rhi) =
+            (run_ptr[r.min(run_ptr.len() - 1)], run_ptr[(r + 1).min(run_ptr.len() - 1)]);
+        if lo > hi || hi > deltas.len() || rlo > rhi || rhi > run_base.len() {
+            col.check(S, false, || format!("row {r}: invalid pointer ranges"));
+            continue;
         }
-        RowLayout::Blocked => {
-            let Some(blocked) = store.as_blocked() else {
-                col.check(S, false, || {
-                    "layout says blocked but no blocked matrix is stored".into()
-                });
-                return;
-            };
-            let (row_ptr, run_ptr, run_base, run_end, deltas, values) = blocked.raw();
-            col.check(
-                S,
-                row_ptr.len() == n + 1
-                    && run_ptr.len() == n + 1
-                    && run_base.len() == run_end.len()
-                    && deltas.len() == values.len()
-                    && row_ptr.last() == Some(&deltas.len())
-                    && run_ptr.last() == Some(&run_base.len()),
-                || "blocked arrays do not cover each other".to_string(),
-            );
-            let mut decoded: Vec<u32> = Vec::new();
-            for r in 0..n {
-                let (lo, hi) =
-                    (row_ptr[r.min(row_ptr.len() - 1)], row_ptr[(r + 1).min(row_ptr.len() - 1)]);
-                let (rlo, rhi) =
-                    (run_ptr[r.min(run_ptr.len() - 1)], run_ptr[(r + 1).min(run_ptr.len() - 1)]);
-                if lo > hi || hi > deltas.len() || rlo > rhi || rhi > run_base.len() {
-                    col.check(S, false, || format!("row {r}: invalid pointer ranges"));
-                    continue;
-                }
-                col.check(S, (lo < hi) == (rlo < rhi), || {
-                    format!("row {r}: runs and nonzeros disagree")
-                });
-                decoded.clear();
-                let mut start = lo;
-                let mut runs_ok = true;
-                for k in rlo..rhi {
-                    let (base, end) = (run_base[k], run_end[k] as usize);
-                    col.check(S, base % BLOCK_COLS == 0, || {
-                        format!("row {r}: unaligned run anchor {base}")
-                    });
-                    if end <= start || end > hi {
-                        col.check(S, false, || format!("row {r}: run end {end} outside row"));
-                        runs_ok = false;
-                        break;
-                    }
-                    for i in start..end {
-                        decoded.push(base + deltas[i] as u32);
-                    }
-                    start = end;
-                }
-                if !runs_ok {
-                    continue;
-                }
-                col.check(S, start == hi, || format!("row {r}: runs do not cover the row"));
-                let vals = &values[lo..hi];
-                audit_uinv_row(S, col, n, r as u32, decoded.iter().copied(), vals, &mut sums);
+        col.check(S, (lo < hi) == (rlo < rhi), || format!("row {r}: runs and nonzeros disagree"));
+        decoded.clear();
+        let mut start = lo;
+        let mut runs_ok = true;
+        for k in rlo..rhi {
+            let (base, end) = (run_base[k], run_end[k] as usize);
+            col.check(S, base % BLOCK_COLS == 0, || {
+                format!("row {r}: unaligned run anchor {base}")
+            });
+            if end <= start || end > hi {
+                col.check(S, false, || format!("row {r}: run end {end} outside row"));
+                runs_ok = false;
+                break;
             }
+            decoded.extend(deltas[start..end].iter().map(|&d| base + d as u32));
+            start = end;
         }
+        if !runs_ok {
+            continue;
+        }
+        col.check(S, start == hi, || format!("row {r}: runs do not cover the row"));
+        audit_uinv_row(S, col, n, r as u32, &decoded, &values[lo..hi], &mut sums);
     }
     let stored = store.column_sums();
     col.check(S, stored.len() == sums.len(), || {
@@ -412,20 +384,19 @@ fn audit_uinv(index: &KdashIndex, col: &mut Collector) {
     }
 }
 
-/// Shared per-row triangularity check for both `U⁻¹` layouts; adds the
-/// row's entries to the running column `sums`.
+/// One decoded `U⁻¹` row's triangularity check; adds the row's entries to
+/// the running column `sums`.
 fn audit_uinv_row(
     section: &'static str,
     col: &mut Collector,
     n: usize,
     r: u32,
-    cols: impl Iterator<Item = u32>,
+    cols: &[u32],
     vals: &[f64],
     sums: &mut [f64],
 ) {
     let mut prev: Option<u32> = None;
-    let mut count = 0usize;
-    for (i, c) in cols.enumerate() {
+    for (i, &c) in cols.iter().enumerate() {
         col.check(section, (c as usize) < n, || format!("row {r}: column {c} out of bounds"));
         col.check(section, c >= r, || format!("row {r}: entry in column {c} below the diagonal"));
         col.check(section, prev.is_none_or(|p| p < c), || {
@@ -440,8 +411,8 @@ fn audit_uinv_row(
             *sum += v;
         }
         prev = Some(c);
-        count += 1;
     }
+    let count = cols.len();
     col.check(section, count > 0, || format!("row {r}: empty (diagonal entry missing)"));
     col.check(section, vals.len() == count, || {
         format!("row {r}: {} values for {count} columns", vals.len())
@@ -460,45 +431,27 @@ fn audit_uinv_row(
 fn audit_row_stats(index: &KdashIndex, col: &mut Collector) {
     const S: &str = "row-stats";
     let store = index.uinv();
+    let blocked = store.as_blocked();
     let n = store.nrows();
     let stats = store.row_stats();
     col.check(S, stats.len() == n, || {
         format!("stats table has {} rows, store has {n}", stats.len())
     });
     let mut max_nnz = 0usize;
-    for r in 0..n.min(stats.len()) {
-        let stat = stats[r];
+    for (r, stat) in (0..n as u32).zip(stats) {
         max_nnz = max_nnz.max(stat.nnz as usize);
-        let (nnz, first, last) = match store.layout() {
-            RowLayout::Flat => match store.as_flat() {
-                Some(csr) => {
-                    let (cols, _) = csr.row(r as u32);
-                    (cols.len(), cols.first().copied(), cols.last().copied())
-                }
-                None => continue,
-            },
-            RowLayout::Blocked => match store.as_blocked() {
-                Some(b) => {
-                    let r = r as u32;
-                    (b.row_nnz(r), b.row_first_col(r), b.row_last_col(r))
-                }
-                None => continue,
-            },
-        };
+        let (nnz, first, last) =
+            (blocked.row_nnz(r), blocked.row_first_col(r), blocked.row_last_col(r));
         col.check(S, stat.nnz as usize == nnz, || {
             format!("row {r}: stat nnz {} but {nnz} stored entries", stat.nnz)
         });
         if nnz > 0 {
-            col.check(
-                S,
-                first == Some(stat.first) && last == Some(stat.last),
-                || {
-                    format!(
-                        "row {r}: stat span [{}, {}] but stored span [{:?}, {:?}]",
-                        stat.first, stat.last, first, last
-                    )
-                },
-            );
+            col.check(S, first == Some(stat.first) && last == Some(stat.last), || {
+                format!(
+                    "row {r}: stat span [{}, {}] but stored span [{:?}, {:?}]",
+                    stat.first, stat.last, first, last
+                )
+            });
         }
     }
     col.check(S, store.max_row_nnz() == max_nnz, || {
@@ -770,15 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn both_layouts_audit_clean() {
-        let index = sample_index();
-        for layout in [RowLayout::Flat, RowLayout::Blocked] {
-            let audit = IndexAudit::run(&index.with_layout(layout));
-            assert!(audit.is_clean(), "{layout:?}: {:?}", audit.findings);
-        }
-    }
-
-    #[test]
     fn reloaded_index_audits_clean() {
         let index = sample_index();
         let mut buf = Vec::new();
@@ -861,14 +805,12 @@ mod tests {
 
     #[test]
     fn stale_column_sum_is_found() {
-        for layout in [RowLayout::Flat, RowLayout::Blocked] {
-            let mut index = sample_index().with_layout(layout);
-            index.uinv_mut().column_sums_mut()[2] *= 0.5;
-            let audit = IndexAudit::run(&index);
-            assert_eq!(audit.total_findings(), 1, "findings: {:?}", audit.findings);
-            assert_eq!(audit.findings[0].section, "uinv");
-            assert!(audit.findings[0].detail.contains("U⁻¹ column sum 2"));
-        }
+        let mut index = sample_index();
+        index.uinv_mut().column_sums_mut()[2] *= 0.5;
+        let audit = IndexAudit::run(&index);
+        assert_eq!(audit.total_findings(), 1, "findings: {:?}", audit.findings);
+        assert_eq!(audit.findings[0].section, "uinv");
+        assert!(audit.findings[0].detail.contains("U⁻¹ column sum 2"));
     }
 
     #[test]

@@ -133,12 +133,12 @@
 //!   [`SearchStats::frontier_expanded`] reports the traversal work paid;
 //!   [`SearchStats::reachable`] is the discovered-so-far count on
 //!   early-terminated queries (exact reachability on complete runs).
-//! * **Blocked index layout** — the stored `U⁻¹` encodes column indices
-//!   as `u16` deltas against aligned block anchors
-//!   ([`RowLayout::Blocked`], the default): ~half the index bytes of
-//!   flat CSR on the fill-dominated inverse rows, bit-identical values
-//!   and answers ([`IndexOptions::layout`](precompute::IndexOptions),
-//!   pinned by `tests/layout_equivalence.rs`).
+//! * **Blocked index encoding** — the stored `U⁻¹` encodes column
+//!   indices as `u16` deltas against aligned block anchors
+//!   ([`kdash_sparse::BlockedCsr`], the one row encoding): ~half the index
+//!   bytes of flat CSR on the fill-dominated inverse rows (pinned by
+//!   `tests/layout_equivalence.rs`), with each row's sum bit-identical to
+//!   the same row in CSR form (`tests/kernel_equivalence.rs`).
 //! * **Gather kernel** — the query column is a dense vector that is zero
 //!   outside its loaded entries, so the gather multiplies every stored
 //!   entry unconditionally — four lanes, no branch. Its AVX2 and
@@ -331,11 +331,10 @@ pub use search::{RankedNode, TopKResult};
 pub use searcher::{BudgetLimit, QueryBudget, Searcher, VALUE_TOLERANCE};
 pub use stats::{IndexStats, SearchStats};
 
-/// The `U⁻¹` row-layout selector and the gather-kernel seam of the
-/// bit-identity suites, re-exported so callers need not depend on
-/// `kdash-sparse` directly; and the per-stage
+/// The gather-kernel seam of the bit-identity suites, re-exported so
+/// callers need not depend on `kdash-sparse` directly; and the per-stage
 /// solve counts a [`BuildReport`] carries.
-pub use kdash_sparse::{GatherKernel, ResolvedKernel, RowLayout, SolveTally};
+pub use kdash_sparse::{GatherKernel, ResolvedKernel, SolveTally};
 
 /// Errors surfaced by index construction and queries.
 #[derive(Debug, Clone, PartialEq)]

@@ -26,12 +26,14 @@
 //!   version field is parsed: the reader keeps the current format and one
 //!   back, and no load path skips a CRC.
 //!
-//! Every section — header, permutation, graph arrays, `L⁻¹`, `U⁻¹` under
-//! its one-byte row **layout tag** (flat CSC transpose arrays, or the
-//! blocked arrays of [`kdash_sparse::BlockedCsr`]: run anchors + `u16`
-//! deltas, the bandwidth-lean on-disk *and* in-memory form), the packed
-//! per-row stats ([`kdash_sparse::RowStat`], checked on load against the
-//! stats recomputed from the arrays), estimator constants (checked on
+//! Every section — header, permutation, graph arrays, `L⁻¹`, `U⁻¹` behind
+//! a one-byte row **layout tag** (always `1`: the blocked arrays of
+//! [`kdash_sparse::BlockedCsr`], run anchors + `u16` deltas, the
+//! bandwidth-lean on-disk *and* in-memory form; any other tag is a
+//! [`PersistError::Corrupt`] `U⁻¹` section — `0` too, the flat CSC arrays
+//! older builds could write), the packed per-row stats
+//! ([`kdash_sparse::RowStat`], checked on load against the stats
+//! recomputed from the arrays), estimator constants (checked on
 //! load, bit for bit, against the constants derived from the graph
 //! section), dropped masses, and the dynamic-update trailer
 //! (dangling-node policy tag and **update-epoch counter**) — is followed
@@ -45,9 +47,7 @@ use crate::estimator::BoundConstants;
 use crate::precompute::IndexParts;
 use crate::{IndexStats, KdashIndex, NodeOrdering};
 use kdash_graph::{CsrGraph, Permutation};
-use kdash_sparse::{
-    transition_matrix, BlockedCsr, CscMatrix, CsrMatrix, ProximityStore, RowLayout, RowStat,
-};
+use kdash_sparse::{transition_matrix, BlockedCsr, CscMatrix, ProximityStore, RowStat};
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -59,7 +59,7 @@ const VERSION: u32 = 5;
 const VERSION_SPARSIFIED: u32 = 5;
 /// Oldest format version the reader accepts: current and one back.
 const VERSION_OLDEST_READ: u32 = 4;
-const LAYOUT_FLAT: u8 = 0;
+/// The one row-layout tag the `U⁻¹` section carries: the blocked arrays.
 const LAYOUT_BLOCKED: u8 = 1;
 const DANGLING_KEEP: u8 = 0;
 const DANGLING_SELF_LOOP: u8 = 1;
@@ -76,7 +76,7 @@ pub enum Section {
     Graph,
     /// `L⁻¹` in CSC form.
     Linv,
-    /// `U⁻¹` under its row-layout tag (flat CSC transpose or blocked).
+    /// `U⁻¹`: the blocked row-layout tag, then the blocked arrays.
     Uinv,
     /// The packed per-row policy stats.
     RowStats,
@@ -561,9 +561,8 @@ impl<R: Read> SectionReader<R> {
 
 impl KdashIndex {
     /// Serialises the index in the current (v5, checksummed) format,
-    /// preserving the row layout and the update epoch. The LU factors are
-    /// not part of an index: the dynamic engine refactorises once on
-    /// attach.
+    /// preserving the update epoch. The LU factors are not part of an
+    /// index: the dynamic engine refactorises once on attach.
     ///
     /// For writing to a *file*, prefer [`save_atomic`], which adds the
     /// crash-safe temp-file → fsync → rename protocol.
@@ -637,34 +636,16 @@ impl KdashIndex {
 
         // U⁻¹ under its layout tag.
         let uinv = self.uinv_rows();
-        match uinv.layout() {
-            RowLayout::Flat => {
-                w.write_all(&[LAYOUT_FLAT])?;
-                write_csc(&mut w, &uinv.to_csc())?;
-            }
-            RowLayout::Blocked => {
-                w.write_all(&[LAYOUT_BLOCKED])?;
-                match uinv.as_blocked() {
-                    Some(blocked) => {
-                        let (row_ptr, run_ptr, run_base, run_end, deltas, values) = blocked.raw();
-                        write_usize_slice(&mut w, row_ptr)?;
-                        write_u64(&mut w, run_base.len() as u64)?;
-                        write_usize_slice(&mut w, run_ptr)?;
-                        write_u32_slice(&mut w, run_base)?;
-                        write_u32_slice(&mut w, run_end)?;
-                        write_u64(&mut w, deltas.len() as u64)?;
-                        write_u16_slice(&mut w, deltas)?;
-                        write_f64_slice(&mut w, values)?;
-                    }
-                    None => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidInput,
-                            "layout tag says blocked but the store holds no blocked matrix",
-                        ))
-                    }
-                }
-            }
-        }
+        w.write_all(&[LAYOUT_BLOCKED])?;
+        let (row_ptr, run_ptr, run_base, run_end, deltas, values) = uinv.as_blocked().raw();
+        write_usize_slice(&mut w, row_ptr)?;
+        write_u64(&mut w, run_base.len() as u64)?;
+        write_usize_slice(&mut w, run_ptr)?;
+        write_u32_slice(&mut w, run_base)?;
+        write_u32_slice(&mut w, run_end)?;
+        write_u64(&mut w, deltas.len() as u64)?;
+        write_u16_slice(&mut w, deltas)?;
+        write_f64_slice(&mut w, values)?;
         marks.push((Section::Uinv.name(), w.end_section()?));
 
         // The per-row stats table.
@@ -770,78 +751,56 @@ impl KdashIndex {
         r.end_section(Section::Linv)?;
         let linv = build_csc(n, linv_arrays, Section::Linv, r.offset())?;
 
-        // U⁻¹.
+        // U⁻¹. The count fields are untrusted on-disk data: they are
+        // cross-checked against the pointer arrays here, and every vector
+        // read caps its pre-allocation, so a corrupted count surfaces as a
+        // typed error — never a capacity panic or an OOM abort. The format
+        // invariants: nnz ≤ u32::MAX (run offsets are u32) and every row
+        // has at most one run per nonzero.
         let tag_at = r.offset();
         let layout_tag = r.u8(Section::Uinv)?;
-        let uinv = match layout_tag {
-            LAYOUT_FLAT => {
-                let arrays = read_csc_arrays(&mut r, Section::Uinv, n)?;
-                r.end_section(Section::Uinv)?;
-                let flat =
-                    CsrMatrix::from_csc(&build_csc(n, arrays, Section::Uinv, r.offset())?);
-                ProximityStore::from_csr(flat, RowLayout::Flat).map_err(|e| {
-                    corrupt(Section::Uinv, r.offset(), format!("corrupt U⁻¹: {e}"))
-                })?
-            }
-            LAYOUT_BLOCKED => {
-                // The count fields are untrusted on-disk data: they
-                // are cross-checked against the pointer arrays here,
-                // and every vector read caps its pre-allocation, so
-                // a corrupted count surfaces as a typed error —
-                // never a capacity panic or an OOM abort. The format
-                // invariants: nnz ≤ u32::MAX (run offsets are u32)
-                // and every row has at most one run per nonzero.
-                let b_row_ptr = r.usize_vec(Section::Uinv, n + 1)?;
-                let expect_nnz = b_row_ptr.last().copied().unwrap_or(0);
-                if expect_nnz > u32::MAX as usize {
-                    return Err(corrupt(
-                        Section::Uinv,
-                        r.offset(),
-                        "blocked U⁻¹ claims ≥ 2^32 entries",
-                    ));
-                }
-                let nruns_at = r.offset();
-                let nruns = r.u64(Section::Uinv)? as usize;
-                if nruns > expect_nnz {
-                    return Err(corrupt(
-                        Section::Uinv,
-                        nruns_at,
-                        "blocked U⁻¹ claims more runs than entries",
-                    ));
-                }
-                let run_ptr = r.usize_vec(Section::Uinv, n + 1)?;
-                let run_base = r.u32_vec(Section::Uinv, nruns)?;
-                let run_end = r.u32_vec(Section::Uinv, nruns)?;
-                let nnz_at = r.offset();
-                let nnz = r.u64(Section::Uinv)? as usize;
-                if nnz != expect_nnz {
-                    return Err(corrupt(
-                        Section::Uinv,
-                        nnz_at,
-                        "blocked U⁻¹ entry count disagrees with row pointers",
-                    ));
-                }
-                let deltas = r.u16_vec(Section::Uinv, nnz)?;
-                let values = r.f64_vec(Section::Uinv, nnz)?;
-                r.end_section(Section::Uinv)?;
-                let blocked = BlockedCsr::from_raw_parts(
-                    n, n, b_row_ptr, run_ptr, run_base, run_end, deltas, values,
-                )
+        if layout_tag != LAYOUT_BLOCKED {
+            return Err(corrupt(
+                Section::Uinv,
+                tag_at,
+                format!("unknown row-layout tag {layout_tag}"),
+            ));
+        }
+        let b_row_ptr = r.usize_vec(Section::Uinv, n + 1)?;
+        let expect_nnz = b_row_ptr.last().copied().unwrap_or(0);
+        if expect_nnz > u32::MAX as usize {
+            return Err(corrupt(Section::Uinv, r.offset(), "blocked U⁻¹ claims ≥ 2^32 entries"));
+        }
+        let nruns_at = r.offset();
+        let nruns = r.u64(Section::Uinv)? as usize;
+        if nruns > expect_nnz {
+            return Err(corrupt(
+                Section::Uinv,
+                nruns_at,
+                "blocked U⁻¹ claims more runs than entries",
+            ));
+        }
+        let run_ptr = r.usize_vec(Section::Uinv, n + 1)?;
+        let run_base = r.u32_vec(Section::Uinv, nruns)?;
+        let run_end = r.u32_vec(Section::Uinv, nruns)?;
+        let nnz_at = r.offset();
+        let nnz = r.u64(Section::Uinv)? as usize;
+        if nnz != expect_nnz {
+            return Err(corrupt(
+                Section::Uinv,
+                nnz_at,
+                "blocked U⁻¹ entry count disagrees with row pointers",
+            ));
+        }
+        let deltas = r.u16_vec(Section::Uinv, nnz)?;
+        let values = r.f64_vec(Section::Uinv, nnz)?;
+        r.end_section(Section::Uinv)?;
+        let blocked =
+            BlockedCsr::from_raw_parts(n, n, b_row_ptr, run_ptr, run_base, run_end, deltas, values)
                 .map_err(|e| {
                     corrupt(Section::Uinv, r.offset(), format!("corrupt blocked U⁻¹: {e}"))
                 })?;
-                ProximityStore::from_blocked(blocked).map_err(|e| {
-                    corrupt(Section::Uinv, r.offset(), format!("corrupt blocked U⁻¹: {e}"))
-                })?
-            }
-            other => {
-                return Err(corrupt(
-                    Section::Uinv,
-                    tag_at,
-                    format!("unknown row-layout tag {other}"),
-                ))
-            }
-        };
+        let uinv = ProximityStore::from_blocked(blocked);
 
         // The persisted row stats must match the arrays they claim to
         // describe: a mismatch means either section is corrupt.
@@ -1175,7 +1134,7 @@ mod tests {
         assert_eq!(loaded.num_nodes(), index.num_nodes());
         assert_eq!(loaded.restart_probability(), index.restart_probability());
         assert_eq!(loaded.ordering(), index.ordering());
-        assert_eq!(loaded.layout(), index.layout());
+        assert_eq!(loaded.uinv_rows(), index.uinv_rows());
         for q in [0u32, 13, 39] {
             let a = index.top_k(q, 7).unwrap();
             let b = loaded.top_k(q, 7).unwrap();
@@ -1186,30 +1145,30 @@ mod tests {
         }
     }
 
+    /// No build writes the flat layout any more, and the reader no longer
+    /// takes it: a file whose `U⁻¹` tag is rewritten to the old flat tag
+    /// `0` and re-signed — every checksum right — is a typed corrupt
+    /// `U⁻¹` section, never a panic or a checksum error.
     #[test]
-    fn flat_layout_roundtrips_as_flat() {
-        let g = {
-            let mut b = GraphBuilder::new(20);
-            for v in 0..20u32 {
-                b.add_edge(v, (v + 1) % 20, 1.0);
-                b.add_edge(v, (v + 5) % 20, 0.5);
-            }
-            b.build().unwrap()
-        };
-        let index = KdashIndex::build(
-            &g,
-            IndexOptions { layout: RowLayout::Flat, ..Default::default() },
-        )
-        .unwrap();
+    fn a_flat_layout_tag_is_refused_as_corrupt() {
+        let index = sample_index();
         let mut buf = Vec::new();
-        index.save(&mut buf).unwrap();
-        let loaded = KdashIndex::load(buf.as_slice()).unwrap();
-        assert_eq!(loaded.layout(), RowLayout::Flat);
-        for q in 0..20u32 {
-            let (a, b) = (index.top_k(q, 5).unwrap(), loaded.top_k(q, 5).unwrap());
-            for (x, y) in a.items.iter().zip(&b.items) {
-                assert_eq!(x.proximity.to_bits(), y.proximity.to_bits());
+        let marks = index.save_with_section_offsets(&mut buf).unwrap();
+        let end_of = |name: &str| marks.iter().find(|m| m.0 == name).unwrap().1 as usize;
+        let (start, end) = (end_of("linv"), end_of("uinv"));
+        assert_eq!(buf[start], LAYOUT_BLOCKED, "the U⁻¹ section opens with its tag");
+        buf[start] = 0;
+        let section_crc = crc32(&buf[start..end - 4]);
+        buf[end - 4..end].copy_from_slice(&section_crc.to_le_bytes());
+        let footer = buf.len() - 12;
+        let file_crc = crc32(&buf[..footer]);
+        buf[footer + 8..].copy_from_slice(&file_crc.to_le_bytes());
+        match KdashIndex::load(buf.as_slice()).unwrap_err() {
+            PersistError::Corrupt { section: Section::Uinv, offset, detail } => {
+                assert_eq!(offset, start as u64, "the error names the tag byte");
+                assert!(detail.contains("unknown row-layout tag 0"), "{detail}");
             }
+            other => panic!("expected Corrupt in the uinv section, got {other:?}"),
         }
     }
 

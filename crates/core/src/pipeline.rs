@@ -186,14 +186,6 @@ impl IndexBuilder {
         self
     }
 
-    /// Row layout of the stored `U⁻¹` (blocked by default — see
-    /// [`RowLayout`]). Results are bit-identical across layouts; only the
-    /// gather path's memory traffic changes.
-    pub fn layout(mut self, layout: RowLayout) -> Self {
-        self.options.layout = layout;
-        self
-    }
-
     /// Pins the node order to an explicit permutation: the ordering stage
     /// skips the heuristic and uses `perm` verbatim (the configured
     /// [`NodeOrdering`] survives only as a label). This is how the
@@ -305,12 +297,12 @@ impl IndexBuilder {
         let estimator_time = t.elapsed();
         report.stages.push(StageTiming { stage: BuildStage::Estimator, duration: estimator_time });
 
-        // Stage 5 — assemble: the (blocked by default) proximity-store
-        // encoding of U⁻¹ with its derived tables, statistics, and the
-        // final immutable index. The timer covers the assembly itself, so
-        // it is stamped into the finished index afterwards.
+        // Stage 5 — assemble: the blocked proximity-store encoding of U⁻¹
+        // with its derived tables, statistics, and the final immutable
+        // index. The timer covers the assembly itself, so it is stamped
+        // into the finished index afterwards.
         let t = Instant::now();
-        let uinv = ProximityStore::from_csr(uinv, options.layout)?;
+        let uinv = ProximityStore::from_csr(uinv, RowLayout::Blocked)?;
         let mut index = KdashIndex::assemble(IndexParts {
             c,
             ordering: options.ordering,

@@ -21,11 +21,6 @@ pub struct IndexOptions {
     pub restart_probability: f64,
     /// Treatment of nodes without out-edges.
     pub dangling: DanglingPolicy,
-    /// Row layout of the stored `U⁻¹` ([`RowLayout::Blocked`] by default:
-    /// ~half the index traffic on the gather hot path, bit-identical
-    /// results — [`RowLayout::Flat`] is kept for cross-layout equivalence
-    /// checks and benchmarks).
-    pub layout: RowLayout,
     /// Drop tolerance `ε` for the stored inverses: entries of `L⁻¹`/`U⁻¹`
     /// below `ε` in magnitude are truncated *during* inversion (before
     /// they propagate), shrinking the index far below the dense-exact
@@ -43,7 +38,6 @@ impl Default for IndexOptions {
             ordering: NodeOrdering::Hybrid,
             restart_probability: 0.95,
             dangling: DanglingPolicy::Keep,
-            layout: RowLayout::default(),
             drop_tolerance: 0.0,
         }
     }
@@ -76,9 +70,9 @@ pub struct KdashIndex {
     graph: CsrGraph,
     /// `L⁻¹`, column-major: column `q` is `L⁻¹ e_q`.
     linv: CscMatrix,
-    /// `U⁻¹`, row-major, behind the layout-aware proximity store (blocked
-    /// index encoding by default): a node's proximity is one gather of a
-    /// stored row against the scattered query column.
+    /// `U⁻¹`, row-major, behind the proximity store (blocked index
+    /// encoding): a node's proximity is one gather of a stored row against
+    /// the scattered query column.
     uinv: ProximityStore,
     /// The constants of the proximity bounds, derived from the transition
     /// matrix of `graph` ([`BoundConstants::of`]) wherever that is set.
@@ -294,9 +288,11 @@ impl KdashIndex {
         self.update_epoch
     }
 
-    /// The row layout of the stored `U⁻¹`.
+    /// The row layout of the stored `U⁻¹`: always
+    /// [`RowLayout::Blocked`], kept while `benchmark/` passes it to
+    /// `ProximityStore::from_csr` (see [`RowLayout`]).
     pub fn layout(&self) -> RowLayout {
-        self.uinv.layout()
+        RowLayout::Blocked
     }
 
     /// The drop tolerance `ε` the stored inverses were truncated with
@@ -342,18 +338,6 @@ impl KdashIndex {
     #[doc(hidden)]
     pub fn dropped_masses(&self) -> (&[f64], &[f64]) {
         (&self.linv_dropped, &self.uinv_dropped)
-    }
-
-    /// A copy of this index with `U⁻¹` re-encoded into `layout` — values
-    /// bit-identical, every query answer unchanged. Cheap relative to a
-    /// build (`O(nnz)`), so benchmarks and layout-equivalence checks can
-    /// compare both layouts from one expensive construction.
-    pub fn with_layout(&self, layout: RowLayout) -> KdashIndex {
-        let mut copy = self.clone();
-        copy.uinv = self.uinv.relayout(layout);
-        copy.stats.uinv_index_bytes = copy.uinv.index_bytes();
-        copy.stats.inverse_heap_bytes = copy.linv.heap_bytes() + copy.uinv.heap_bytes();
-        copy
     }
 
     /// Build-time statistics (Figure 5/6 quantities).

@@ -66,7 +66,7 @@
 //! the hidden `Searcher::with_kernel` and hold against the merge-join
 //! oracle ([`KdashIndex::top_k_merge_join`]). Rows stream from the index's
 //! [`ProximityStore`](kdash_sparse::ProximityStore) (blocked u16-delta
-//! layout by default — bit-identical across layouts), candidate rows are
+//! encoding), candidate rows are
 //! software-prefetched a block ahead ([`PREFETCH_BLOCK`]), and every
 //! query's byte traffic, row split and resolved kernel land in
 //! [`SearchStats`].
@@ -236,10 +236,10 @@ impl std::fmt::Display for BudgetLimit {
 /// incomplete "exact" result. The two work meters are deterministic and
 /// execution-strategy-independent — `max_frontier_nodes` counts visited
 /// candidates and `max_gather_nnz` counts stored `U⁻¹` entries of
-/// gathered rows, both identical across kernels, layouts and thread
-/// counts — so the same budget admits exactly the same queries
-/// everywhere. Only `deadline` is inherently wall-clock (and therefore
-/// machine-dependent); use it as the outermost safety net.
+/// gathered rows, both identical across kernels and thread counts — so
+/// the same budget admits exactly the same queries everywhere. Only
+/// `deadline` is inherently wall-clock (and therefore machine-dependent);
+/// use it as the outermost safety net.
 ///
 /// Checks run once per candidate visit, *before* the candidate's work,
 /// so a budget of `N` admits at most `N` whole units — a partial visit

@@ -31,9 +31,9 @@ pub struct IndexStats {
     pub num_nodes: usize,
     /// Approximate heap footprint of the stored inverses in bytes.
     pub inverse_heap_bytes: usize,
-    /// Column-index bytes of the stored `U⁻¹` under its row layout —
-    /// what a full sweep of the gather path streams from memory (flat:
-    /// 4/nnz; blocked: 2/nnz + 8/run).
+    /// Column-index bytes of the stored `U⁻¹` in its blocked encoding —
+    /// what a full sweep of the gather path streams from memory (2/nnz +
+    /// 8/run; flat CSR would take 4/nnz).
     pub uinv_index_bytes: usize,
 }
 
@@ -107,8 +107,8 @@ pub struct SearchStats {
     /// order after all (a tie at a zero residual, or fewer than `k`
     /// reachable), which scans all of `reachable`.
     pub frontier_expanded: usize,
-    /// Index bytes the proximity gathers streamed (layout-dependent:
-    /// 4/nnz flat, 2/nnz + 8/run blocked). Zero on paths that never run
+    /// Index bytes the proximity gathers streamed (2/nnz + 8/run of the
+    /// blocked encoding). Zero on paths that never run
     /// the gather kernel (the merge-join oracles).
     pub bytes_touched: usize,
     /// Value bytes the gathers touched under the fixed accounting model
@@ -122,7 +122,7 @@ pub struct SearchStats {
     pub rows_wide: usize,
     /// Stored `U⁻¹` entries of every gathered row — the work metric
     /// [`QueryBudget::max_gather_nnz`](crate::QueryBudget) meters.
-    /// Layout- and kernel-independent by construction (it counts stored
+    /// Kernel-independent by construction (it counts stored
     /// entries, not executed loads), so the same budget admits the same
     /// queries under every execution strategy. (The merge-join oracles
     /// count the rows they join the same way.)
@@ -136,8 +136,8 @@ pub struct SearchStats {
     /// of either kind: Jacobi sweeps (`x̃ += r`) and corrections
     /// (`x̃ += Ũ⁻¹(L̃⁻¹ r)`). Zero on a dense-exact index (the classic
     /// stop-rule path never refines); on a sparsified index every answer
-    /// was certified after this many steps. Independent of kernel and
-    /// layout — a pure function of index content and query.
+    /// was certified after this many steps. Independent of the kernel —
+    /// a pure function of index content and query.
     pub refinement_iterations: usize,
     /// Stored entries the refinement loop moved: residual pushes over the
     /// permuted graph — once by the initial solve and once by every step —

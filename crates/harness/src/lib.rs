@@ -211,50 +211,11 @@ pub fn check_stop_rule(
     Ok(())
 }
 
-/// The flat-vs-blocked layout contract, shared by
-/// `tests/layout_equivalence.rs`: under one kernel selection, the two
-/// layouts must return bit-identical items and identical stats in every
-/// field except `bytes_touched` — the index-byte counter is layout-
-/// dependent by design (it is exactly what the blocked encoding shrinks
-/// on fill-dominated rows; on near-empty rows the run header can cost
-/// more, so aggregate reduction is asserted at matrix level, not here).
-/// The per-kernel row split (`rows_scalar`/`rows_wide`) and the value
-/// traffic must agree across layouts: both count stored entries, which
-/// the encoding does not change.
-pub fn check_layout_equivalence(flat: &TopKResult, blocked: &TopKResult) -> Result<(), String> {
-    if flat.items.len() != blocked.items.len() {
-        return Err(format!("lengths differ: {} vs {}", flat.items.len(), blocked.items.len()));
-    }
-    for (x, y) in flat.items.iter().zip(&blocked.items) {
-        if x.node != y.node || x.proximity.to_bits() != y.proximity.to_bits() {
-            return Err(format!(
-                "item mismatch: ({}, {:.17e}) vs ({}, {:.17e})",
-                x.node, x.proximity, y.node, y.proximity
-            ));
-        }
-    }
-    let (a, b) = (&flat.stats, &blocked.stats);
-    let mut a_masked = a.clone();
-    let mut b_masked = b.clone();
-    a_masked.bytes_touched = 0;
-    b_masked.bytes_touched = 0;
-    if a_masked != b_masked {
-        return Err(format!("stats differ beyond index bytes: {a:?} vs {b:?}"));
-    }
-    if (a.bytes_touched == 0) != (b.bytes_touched == 0) {
-        return Err(format!(
-            "one layout gathered, the other did not: {} vs {}",
-            a.bytes_touched, b.bytes_touched
-        ));
-    }
-    Ok(())
-}
-
 /// The dynamic-update contract, shared by `tests/dynamic_equivalence.rs`
 /// and the update benchmarks: two indexes are **bit-identical at the
 /// array level** — same permutation, same permuted graph, same `L⁻¹`
 /// arrays (pointer, index and value bits), same `U⁻¹` proximity store
-/// (layout, encoded arrays, per-row policy stats, column sums), same
+/// (encoded arrays, per-row policy stats, column sums), same
 /// bound constants, same nnz statistics and same update-relevant
 /// metadata.
 /// This is the strongest form of "incremental update ≡ from-scratch
@@ -282,9 +243,6 @@ pub fn check_index_bit_identity(
         if x.to_bits() != y.to_bits() {
             return Err(format!("L⁻¹ value {i} differs: {x:e} vs {y:e}"));
         }
-    }
-    if a.layout() != b.layout() {
-        return Err(format!("layouts differ: {} vs {}", a.layout(), b.layout()));
     }
     // ProximityStore equality covers the encoded index arrays, the
     // values and the store's derived tables: the RowStat policy table,

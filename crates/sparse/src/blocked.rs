@@ -1,8 +1,8 @@
-//! Blocked CSR storage: the bandwidth-lean layout for the stored inverses.
+//! Blocked CSR storage: the row encoding of the stored `U⁻¹`.
 //!
 //! PR 3's measurements showed the k=50 hot path at scale 16 is DRAM-bound:
 //! once `U⁻¹` outgrows cache, every gather streams the row's column
-//! indices (4 bytes/nnz) plus stamps and values from memory, and the
+//! indices (4 bytes/nnz in flat CSR) plus values from memory, and the
 //! kernels wait on bandwidth, not arithmetic. The exactness argument
 //! (Lemmas 1/2 operate on the *values* of sparse `L⁻¹`/`U⁻¹` rows) does
 //! not care how the indices are encoded — so [`BlockedCsr`] shrinks them.
@@ -15,18 +15,17 @@
 //! for the fill-dominated inverse rows this is a ≥ 25 % cut in index
 //! bytes (~50 % when rows span few blocks, which the reordering makes the
 //! common case; a graph under 65 536 nodes needs exactly one run per
-//! row). Values are the *same* `f64` array in the *same* order as the
-//! flat layout, so every kernel that walks a row in position order
-//! produces bit-identical sums.
+//! row). Values are the *same* `f64` array in the *same* order as the CSR
+//! matrix encoded, so every kernel that walks a row in position order
+//! produces the sums it would over the CSR row, bit for bit.
 //!
 //! The decoding contract the gather kernels rely on: iterating a row's
 //! runs in order and, within a run, its deltas in order yields exactly
-//! the flat CSR column sequence (strictly ascending). A row decodes as
-//! its per-run [`Segment`]s in order; the four-lane gather
-//! ([`crate::kernel`]) reads the `u16` deltas in place and carries its
-//! lanes across run boundaries, so it performs the flat layout's
-//! operations in the flat layout's order — which is what makes the two
-//! layouts bit-identical under every kernel, not just the scalar one.
+//! the CSR column sequence (strictly ascending). A row decodes as its
+//! per-run `Segment`s in order; the four-lane gather ([`crate::kernel`])
+//! reads the `u16` deltas in place and carries its lanes across run
+//! boundaries, so it performs the operations the CSR row would take, in
+//! the same order — under every kernel, not just the scalar one.
 //!
 //! One encoder writes all of it: `from_csr` runs `encode_row` over every
 //! row, and an update (`splice_columns`, reached through
@@ -60,7 +59,7 @@ pub struct BlockedCsr {
     run_end: Vec<u32>,
     /// Column offsets within the run's block: `col = base + delta`.
     deltas: Vec<u16>,
-    /// Values, identical order to the flat layout.
+    /// Values, in the order of the CSR matrix encoded.
     values: Vec<f64>,
 }
 
@@ -92,14 +91,14 @@ impl BlockedCsr {
     }
 
     /// Replaces whole columns, returning the new matrix and the rows it
-    /// re-encoded, ascending — the blocked arm of
+    /// re-encoded, ascending — the array work of
     /// [`crate::ProximityStore::splice_columns`]. A row is re-encoded iff
     /// it holds an entry in an updated column before or after the splice:
     /// its surviving entries are merged by column with its new ones and run
     /// through the per-row encoder [`from_csr`](Self::from_csr) runs. Every
     /// other row's deltas, values and run headers are copied verbatim with
     /// only the global run offsets shifted — so the result is
-    /// array-for-array what re-encoding the fully spliced flat matrix
+    /// array-for-array what re-encoding the fully spliced CSR matrix
     /// gives, for encoding work proportional to the touched rows.
     /// `stats` is the store's per-row table of `self`: its column spans
     /// rule most rows out without decoding them.
@@ -329,7 +328,7 @@ impl BlockedCsr {
         self.run_ptr[r + 1] - self.run_ptr[r]
     }
 
-    /// Values of row `r` (flat-layout order).
+    /// Values of row `r` (CSR order).
     #[inline]
     pub fn row_values(&self, r: Index) -> &[f64] {
         let r = r as usize;
@@ -355,7 +354,7 @@ impl BlockedCsr {
     }
 
     /// Index bytes a gather streams for row `r`: 2 per delta + 8 per run
-    /// header. (The flat layout pays 4 per nonzero.)
+    /// header. (Flat CSR pays 4 per nonzero.)
     #[inline]
     pub fn row_index_bytes(&self, r: Index) -> usize {
         2 * self.row_nnz(r) + 8 * self.row_runs(r)
@@ -379,7 +378,7 @@ impl BlockedCsr {
     /// Row `r` as its runs in order: one [`Segment`] of `u16` deltas
     /// (against the run's block anchor) and values per run.
     #[inline]
-    pub(crate) fn row_segments(&self, r: Index) -> impl Iterator<Item = Segment<'_, u16>> {
+    pub(crate) fn row_segments(&self, r: Index) -> impl Iterator<Item = Segment<'_>> {
         let r = r as usize;
         let mut start = self.row_ptr[r];
         (self.run_ptr[r]..self.run_ptr[r + 1]).map(move |k| {
@@ -439,10 +438,10 @@ impl BlockedCsr {
     }
 
     /// Dot product of row `r` with a dense vector, one accumulator in
-    /// storage order (bit-identical to the flat
-    /// [`CsrMatrix::row_dot_dense`]). Over a scattered query column this
-    /// is the reference-order gather: unmatched positions add `v × 0.0`,
-    /// which leaves the sum's bits where the merge join's are.
+    /// storage order (bit-identical to [`CsrMatrix::row_dot_dense`] on the
+    /// same row). Over a scattered query column this is the
+    /// reference-order gather: unmatched positions add `v × 0.0`, which
+    /// leaves the sum's bits where the merge join's are.
     ///
     /// `inline(always)`: the certified tier's correction pass calls this on
     /// rows of ≈ 5 entries, where a call costs as much as the dot product
@@ -458,9 +457,9 @@ impl BlockedCsr {
             let end = self.run_end[k] as usize;
             // Per-run slices + zip: one bounds check per run on the
             // arrays, the decode a single u16 widen and add on top of the
-            // flat kernel's loop body. (The same walk as `row_segments`,
-            // spelled out: this is the certified tier's inner loop and
-            // the iterator form measured 7–14 % slower on 5-entry rows.)
+            // CSR loop body. (The same walk as `row_segments`, spelled
+            // out: this is the certified tier's inner loop and the
+            // iterator form measured 7–14 % slower on 5-entry rows.)
             for (&d, &v) in self.deltas[start..end].iter().zip(&self.values[start..end]) {
                 acc += v * x[(base + d as u32) as usize];
             }
@@ -520,7 +519,7 @@ fn encode_row(
 
 /// Prefetches up to `lines` 64-byte cache lines from the start of `span`.
 #[inline]
-pub(crate) fn prefetch_span<T>(span: &[T], lines: usize) {
+fn prefetch_span<T>(span: &[T], lines: usize) {
     let bytes = std::mem::size_of_val(span);
     let base = span.as_ptr() as *const u8;
     let mut offset = 0usize;

@@ -135,26 +135,11 @@ impl CsrMatrix {
         .transpose()
     }
 
-    /// Iterator over `(row, col, value)` entries.
-    pub fn triplets(&self) -> impl Iterator<Item = (Index, Index, f64)> + '_ {
-        (0..self.nrows as Index).flat_map(move |r| {
-            let (cols, vals) = self.row(r);
-            cols.iter().zip(vals).map(move |(&c, &v)| (r, c, v))
-        })
-    }
-
     /// Consumes the matrix into its raw arrays `(row_ptr, col_idx,
     /// values)` — the zero-copy handoff the blocked re-encoder uses (the
     /// value array moves over untouched).
     pub fn into_raw_parts(self) -> (Vec<usize>, Vec<Index>, Vec<f64>) {
         (self.row_ptr, self.col_idx, self.values)
-    }
-
-    /// Heap footprint of the arrays in bytes.
-    pub fn heap_bytes(&self) -> usize {
-        self.row_ptr.len() * std::mem::size_of::<usize>()
-            + self.col_idx.len() * std::mem::size_of::<Index>()
-            + self.values.len() * std::mem::size_of::<f64>()
     }
 }
 

@@ -12,18 +12,19 @@
 //! no membership check and no branch on the data. Four independent lanes
 //! break the FP-add latency chain a single accumulator would run at: lane
 //! `j` sums the row's entries at positions `≡ j (mod 4)` in position
-//! order, and the lanes reduce as `(a0 + a2) + (a1 + a3)`. The kernel is
-//! written once over *segments* — `(y offset, column offsets, values)` —
-//! so it reads both index encodings in place: the flat layout is one
-//! segment of `u32` columns, the blocked layout one segment of `u16`
-//! deltas per run, with the lanes continuing across run boundaries. Flat
-//! and blocked therefore perform the same operations in the same order
-//! and are **bit-identical**.
+//! order, and the lanes reduce as `(a0 + a2) + (a1 + a3)`. The kernel
+//! reads a stored row in place as its *segments* — one per run of the
+//! blocked encoding ([`crate::BlockedCsr`]): the run's block anchor as an
+//! offset into `y`, its `u16` column deltas and its values — with the
+//! lanes continuing across run boundaries. A row's sum therefore does not
+//! depend on where its runs split: it is **bit-identical** to the same
+//! arithmetic over the row's CSR columns (pinned by
+//! `tests/kernel_equivalence.rs`).
 //!
 //! There are two bodies of that arithmetic, differing only in how a full
 //! chunk of four entries is fetched: a portable one, and an AVX2 twin
-//! (`vpmovzxwd` / `vmovdqu` for the offsets, one unmasked `vgatherdpd`
-//! from `y`, `vmulpd` + `vaddpd`, no FMA). They are **bit-identical to
+//! (`vpmovzxwd` for the deltas, one unmasked `vgatherdpd` from `y`,
+//! `vmulpd` + `vaddpd`, no FMA). They are **bit-identical to
 //! each other on every row**, so answers do not depend on which one the
 //! host dispatches to. Against the one-accumulator reference order
 //! ([`GatherKernel::Scalar`], which is `row_dot_dense` over the same
@@ -62,7 +63,7 @@
 //! portable twin); an explicit `Simd` request on a CPU without AVX2 is an
 //! error, never a silent downgrade.
 
-use crate::{Index, Result, SparseError};
+use crate::{Result, SparseError};
 use std::fmt;
 use std::str::FromStr;
 
@@ -253,13 +254,13 @@ pub struct GatherCounters {
     pub rows_scalar: usize,
     /// Rows executed by the four-lane kernel.
     pub rows_wide: usize,
-    /// Index bytes streamed by the gathers (layout-dependent: 4/nnz flat,
-    /// 2/nnz + 8/run blocked).
+    /// Index bytes streamed by the gathers (2 per stored entry + 8 per
+    /// run of the blocked encoding).
     pub index_bytes: usize,
     /// Value bytes touched under the accounting model above.
     pub value_bytes: usize,
-    /// Stored entries of every gathered row, independent of layout and
-    /// kernel — the query-budget currency (`QueryBudget`'s
+    /// Stored entries of every gathered row, independent of the kernel —
+    /// the query-budget currency (`QueryBudget`'s
     /// `max_gather_nnz` meters this), deliberately identical across
     /// execution strategies so a budget cannot change *which* queries
     /// complete under a different kernel.
@@ -289,57 +290,13 @@ impl GatherScratch {
     }
 }
 
-/// A column offset inside a [`Segment`]: a flat layout's `u32` column or
-/// a blocked layout's `u16` delta.
-pub(crate) trait ColOffset: Copy {
-    /// The offset as an index into the segment's slice of `y`.
-    fn widen(self) -> usize;
-
-    /// Four consecutive offsets, zero-extended into 32-bit lanes.
-    ///
-    /// # Safety
-    /// `ptr` must be valid for reading four `Self`, and the host CPU must
-    /// support AVX2.
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn load4(ptr: *const Self) -> std::arch::x86_64::__m128i;
-}
-
-impl ColOffset for u32 {
-    #[inline(always)]
-    fn widen(self) -> usize {
-        self as usize
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load4(ptr: *const u32) -> std::arch::x86_64::__m128i {
-        std::arch::x86_64::_mm_loadu_si128(ptr.cast())
-    }
-}
-
-impl ColOffset for u16 {
-    #[inline(always)]
-    fn widen(self) -> usize {
-        self as usize
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load4(ptr: *const u16) -> std::arch::x86_64::__m128i {
-        use std::arch::x86_64::{_mm_cvtepu16_epi32, _mm_loadl_epi64};
-        _mm_cvtepu16_epi32(_mm_loadl_epi64(ptr.cast()))
-    }
-}
-
-/// One stretch of a stored row as the lane kernel reads it: entry `i`
-/// sits at column `base + offs[i]` with value `vals[i]`. A flat row is one
-/// segment (`base = 0`, `u32` columns); a blocked row is one per run.
+/// One stretch of a stored row as the lane kernel reads it — one run of
+/// the blocked encoding: entry `i` sits at column `base + offs[i]` with
+/// value `vals[i]`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Segment<'a, O> {
+pub(crate) struct Segment<'a> {
     pub base: usize,
-    pub offs: &'a [O],
+    pub offs: &'a [u16],
     pub vals: &'a [f64],
 }
 
@@ -348,12 +305,12 @@ pub(crate) struct Segment<'a, O> {
 ///
 /// # Safety
 /// Every column the segments decode to (`base + offset`) must be
-/// `< y.len() <= i32::MAX`. (The portable body would merely panic on a
-/// violation; the AVX2 body's hardware gather would read out of bounds.)
+/// `< y.len()`. (The portable body would merely panic on a violation; the
+/// AVX2 body's hardware gather would read out of bounds.)
 #[inline]
-pub(crate) unsafe fn gather_lanes<'a, O: ColOffset + 'a>(
+pub(crate) unsafe fn gather_lanes<'a>(
     body: LaneBody,
-    segments: impl Iterator<Item = Segment<'a, O>>,
+    segments: impl Iterator<Item = Segment<'a>>,
     y: &[f64],
 ) -> f64 {
     match body {
@@ -381,22 +338,19 @@ fn split(lane: usize, len: usize) -> (usize, usize) {
 /// (`-0.0`) that adding `+0.0` would change, and the untouched lanes keep
 /// their bits.
 #[inline(always)]
-fn partial_chunk<O: ColOffset>(first_lane: usize, y: &[f64], offs: &[O], vals: &[f64]) -> [f64; 4] {
+fn partial_chunk(first_lane: usize, y: &[f64], offs: &[u16], vals: &[f64]) -> [f64; 4] {
     let mut products = [0.0f64; 4];
     for (j, (&o, &v)) in offs.iter().zip(vals).enumerate() {
-        products[first_lane + j] = v * y[o.widen()];
+        products[first_lane + j] = v * y[o as usize];
     }
     products
 }
 
 /// The portable body. This exact operation order — lane `j` takes row
 /// positions `≡ j (mod 4)` in order, lanes reduce `(a0 + a2) + (a1 + a3)`
-/// — is the cross-body, cross-layout contract.
+/// — is the cross-body contract.
 #[inline]
-fn lanes_portable<'a, O: ColOffset + 'a>(
-    segments: impl Iterator<Item = Segment<'a, O>>,
-    y: &[f64],
-) -> f64 {
+fn lanes_portable<'a>(segments: impl Iterator<Item = Segment<'a>>, y: &[f64]) -> f64 {
     // Four named accumulators (not an array) so they live in registers:
     // the point is breaking the FP-add latency chain, which an in-memory
     // accumulator would re-serialise through store-to-load forwarding.
@@ -408,10 +362,10 @@ fn lanes_portable<'a, O: ColOffset + 'a>(
         let [p0, p1, p2, p3] = partial_chunk(lane, y, &offs[..head], &vals[..head]);
         (a0, a1, a2, a3) = (a0 + p0, a1 + p1, a2 + p2, a3 + p3);
         for (o, v) in offs[head..full].chunks_exact(4).zip(vals[head..full].chunks_exact(4)) {
-            a0 += v[0] * y[o[0].widen()];
-            a1 += v[1] * y[o[1].widen()];
-            a2 += v[2] * y[o[2].widen()];
-            a3 += v[3] * y[o[3].widen()];
+            a0 += v[0] * y[o[0] as usize];
+            a1 += v[1] * y[o[1] as usize];
+            a2 += v[2] * y[o[2] as usize];
+            a3 += v[3] * y[o[3] as usize];
         }
         lane = (lane + head) & 3;
         let [p0, p1, p2, p3] = partial_chunk(lane, y, &offs[full..], &vals[full..]);
@@ -421,20 +375,17 @@ fn lanes_portable<'a, O: ColOffset + 'a>(
     (a0 + a2) + (a1 + a3)
 }
 
-/// The AVX2 body: per full chunk, four offsets widened in one load
-/// (`vpmovzxwd` for `u16`), one unmasked `vgatherdpd` from `y`, `vmulpd`
-/// and `vaddpd` — no FMA, so each lane rounds exactly like
-/// [`lanes_portable`] and the two are bit-identical on every row.
+/// The AVX2 body: per full chunk, four deltas widened in one `vpmovzxwd`,
+/// one unmasked `vgatherdpd` from `y`, `vmulpd` and `vaddpd` — no FMA, so
+/// each lane rounds exactly like [`lanes_portable`] and the two are
+/// bit-identical on every row.
 ///
 /// # Safety
 /// The host CPU must support AVX2, and every column the segments decode
-/// to (`base + offset`) must be `< y.len() <= i32::MAX`.
+/// to (`base + offset`) must be `< y.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn lanes_avx2<'a, O: ColOffset + 'a>(
-    segments: impl Iterator<Item = Segment<'a, O>>,
-    y: &[f64],
-) -> f64 {
+unsafe fn lanes_avx2<'a>(segments: impl Iterator<Item = Segment<'a>>, y: &[f64]) -> f64 {
     use std::arch::x86_64::*;
     let mut acc = _mm256_setzero_pd();
     let mut lane = 0usize;
@@ -448,11 +399,11 @@ unsafe fn lanes_avx2<'a, O: ColOffset + 'a>(
         while i < full {
             // SAFETY: `i + 4 <= full <= offs.len() == vals.len()` (asserted
             // above), so both four-wide loads stay inside their slices.
-            // The gather sign-extends its 32-bit lanes: `u16` offsets are
-            // zero-extended and `u32` ones are `< y.len() <= i32::MAX` by
-            // the caller's guarantee, so no lane is negative and every
-            // `y[offset]` is an in-bounds read.
-            let idx = O::load4(offs.as_ptr().add(i));
+            // The gather sign-extends its 32-bit lanes; the `u16` deltas
+            // are zero-extended into them, so no lane is negative, and
+            // every `y[offset]` is an in-bounds read by the caller's
+            // guarantee.
+            let idx = _mm_cvtepu16_epi32(_mm_loadl_epi64(offs.as_ptr().add(i).cast()));
             let x = _mm256_i32gather_pd::<8>(y.as_ptr(), idx);
             let v = _mm256_loadu_pd(vals.as_ptr().add(i));
             acc = _mm256_add_pd(acc, _mm256_mul_pd(v, x));
@@ -468,19 +419,10 @@ unsafe fn lanes_avx2<'a, O: ColOffset + 'a>(
     _mm_cvtsd_f64(_mm_add_sd(pairs, _mm_unpackhi_pd(pairs, pairs)))
 }
 
-/// `O(1)` row stats straight from a (sorted) column slice.
-#[inline]
-pub(crate) fn row_stat_of(cols: &[Index]) -> RowStat {
-    match (cols.first(), cols.last()) {
-        (Some(&first), Some(&last)) => RowStat { nnz: cols.len() as u32, first, last },
-        _ => RowStat::default(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CscMatrix, CsrMatrix, ProximityStore, RowLayout, ScatteredColumn};
+    use crate::{CscMatrix, CsrMatrix, Index, ProximityStore, RowLayout, ScatteredColumn};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn random_csr(nrows: usize, ncols: usize, density: f64, seed: u64) -> CsrMatrix {

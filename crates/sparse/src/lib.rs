@@ -33,17 +33,17 @@
 //!   column `L⁻¹ e_q` scattered once into a dense vector that is `+0.0`
 //!   everywhere else ([`ScatteredColumn`]), so each candidate proximity is
 //!   a branch-free gather over `O(nnz(row))`,
-//! * [`kernel`] — the gather half: one four-lane arithmetic written over
-//!   both index encodings, a portable body and its AVX2 twin
+//! * [`kernel`] — the gather half: one four-lane arithmetic over the
+//!   runs of a blocked row, a portable body and its AVX2 twin
 //!   (bit-identical to each other, within `1e-12` of the one-accumulator
 //!   reference order, which is bit-identical to the merge join), selected
 //!   via [`GatherKernel`] and a host-validated [`ResolvedKernel`] token,
-//! * [`blocked`] — the bandwidth-lean [`BlockedCsr`] row layout: `u16`
-//!   column deltas against aligned `u32` block anchors, ~half the index
-//!   traffic of flat CSR on fill-dominated inverse rows, bit-identical
-//!   values and results,
+//! * [`blocked`] — [`BlockedCsr`], the bandwidth-lean row encoding of
+//!   `U⁻¹`: `u16` column deltas against aligned `u32` block anchors, ~half
+//!   the index traffic of flat CSR on fill-dominated inverse rows,
+//!   bit-identical values and results,
 //! * [`store`] — [`ProximityStore`]: the query engine's `U⁻¹` holder,
-//!   uniting both layouts, the per-row stats table, byte-traffic
+//!   the blocked rows with their per-row stats table, byte-traffic
 //!   counters and software-prefetch hooks behind one gather entry point.
 //!
 //! ## Conventions

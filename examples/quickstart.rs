@@ -44,12 +44,11 @@ fn main() {
         "inverse nnz / edges = {:.2} (paper's Fig. 5 metric; ~O(m) storage)",
         index.stats().inverse_nnz_ratio()
     );
-    // The stored U⁻¹ uses the blocked index layout by default: u16 column
-    // deltas against aligned block anchors, ~half the index bytes of flat
-    // CSR on the fill-dominated inverse rows — bit-identical answers.
+    // The stored U⁻¹ encodes its column indices as u16 deltas against
+    // aligned block anchors: ~half the index bytes of flat CSR on the
+    // fill-dominated inverse rows, bit-identical answers.
     println!(
-        "U⁻¹ layout: {} ({:.2} index bytes/nnz; flat CSR would be 4.00)",
-        index.layout().name(),
+        "U⁻¹ index: {:.2} bytes/nnz (flat CSR would be 4.00)",
         index.stats().uinv_index_bytes as f64 / index.stats().nnz_u_inv.max(1) as f64
     );
 

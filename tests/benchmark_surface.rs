@@ -17,7 +17,7 @@
 
 use kdash_core::{
     compute_ordering_with_stats, save_atomic, BatchOptions, BatchOutcome, IndexBuilder,
-    IndexOptions, IsolatedExecutor, KdashError, KdashIndex, NodeOrdering, RowLayout, TopKResult,
+    IndexOptions, IsolatedExecutor, KdashError, KdashIndex, NodeOrdering, TopKResult,
 };
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
 use kdash_dynamic::{DynamicIndex, Journal, UpdateBatch, UpdateReport};
@@ -37,57 +37,52 @@ fn replayed_gather_equals_the_answer_on_every_family_and_layout() {
         ("rmat", rmat(9, 2048, RmatParams::default(), 7)),
     ];
     let k = 10;
-    for (family, g) in &graphs {
-        let blocked = KdashIndex::build(g, IndexOptions::default()).unwrap();
-        for index in [blocked.with_layout(RowLayout::Flat), blocked] {
-            let label = format!("{family}/{}", index.layout());
-            let n = index.num_nodes();
-            let graph = index.permuted_graph();
-            let store = index.uinv_rows();
-            let c = index.restart_probability();
-            let kernel = ResolvedKernel::default();
-            let mut searcher = index.searcher();
-            let mut out = TopKResult::default();
-            let mut bfs = BfsScratch::new(n);
-            let mut column = ScatteredColumn::new(n);
-            let mut scratch = GatherScratch::with_capacity(store.max_row_nnz());
-            let mut replayed = vec![0.0f64; n];
-            for q in (0..n as NodeId).step_by(37) {
-                searcher.top_k_into(q, k, &mut out).unwrap();
-                let stats = &out.stats;
+    for (label, g) in &graphs {
+        let index = KdashIndex::build(g, IndexOptions::default()).unwrap();
+        let n = index.num_nodes();
+        let graph = index.permuted_graph();
+        let store = index.uinv_rows();
+        let c = index.restart_probability();
+        let kernel = ResolvedKernel::default();
+        let mut searcher = index.searcher();
+        let mut out = TopKResult::default();
+        let mut bfs = BfsScratch::new(n);
+        let mut column = ScatteredColumn::new(n);
+        let mut scratch = GatherScratch::with_capacity(store.max_row_nnz());
+        let mut replayed = vec![0.0f64; n];
+        for q in (0..n as NodeId).step_by(37) {
+            searcher.top_k_into(q, k, &mut out).unwrap();
+            let stats = &out.stats;
 
-                bfs.begin(graph, index.permutation().new_of(q));
-                while bfs.num_expanded() < stats.frontier_expanded
-                    && bfs.expand_next_layer(graph) > 0
-                {}
-                let (col_idx, col_val) = index.linv_query_column(q);
-                column.load(col_idx, col_val);
-
-                let computed =
-                    &bfs.order()[..stats.proximity_computations.min(bfs.num_discovered())];
-                assert_eq!(computed.len(), stats.proximity_computations, "{label} q {q}");
-                let mut counters = GatherCounters::default();
-                for &u in computed {
-                    replayed[u as usize] =
-                        store.row_gather(kernel, u, &column, &mut scratch, &mut counters);
-                }
-                for item in out.items.iter().filter(|i| i.proximity > 0.0) {
-                    let u = index.permutation().new_of(item.node);
-                    assert_eq!(
-                        (c * replayed[u as usize]).to_bits(),
-                        item.proximity.to_bits(),
-                        "{label} q {q} node {}: replayed gather differs from the answer",
-                        item.node
-                    );
-                }
-                // The five counters the benchmark reads must replay the
-                // query's own stats.
-                assert_eq!(counters.nnz, stats.nnz_gathered, "{label} q {q}");
-                assert_eq!(counters.index_bytes, stats.bytes_touched, "{label} q {q}");
-                assert_eq!(counters.value_bytes, stats.value_bytes_touched, "{label} q {q}");
-                assert_eq!(counters.rows_wide, stats.rows_wide, "{label} q {q}");
-                assert_eq!(counters.rows_scalar, stats.rows_scalar, "{label} q {q}");
+            bfs.begin(graph, index.permutation().new_of(q));
+            while bfs.num_expanded() < stats.frontier_expanded && bfs.expand_next_layer(graph) > 0 {
             }
+            let (col_idx, col_val) = index.linv_query_column(q);
+            column.load(col_idx, col_val);
+
+            let computed = &bfs.order()[..stats.proximity_computations.min(bfs.num_discovered())];
+            assert_eq!(computed.len(), stats.proximity_computations, "{label} q {q}");
+            let mut counters = GatherCounters::default();
+            for &u in computed {
+                replayed[u as usize] =
+                    store.row_gather(kernel, u, &column, &mut scratch, &mut counters);
+            }
+            for item in out.items.iter().filter(|i| i.proximity > 0.0) {
+                let u = index.permutation().new_of(item.node);
+                assert_eq!(
+                    (c * replayed[u as usize]).to_bits(),
+                    item.proximity.to_bits(),
+                    "{label} q {q} node {}: replayed gather differs from the answer",
+                    item.node
+                );
+            }
+            // The five counters the benchmark reads must replay the
+            // query's own stats.
+            assert_eq!(counters.nnz, stats.nnz_gathered, "{label} q {q}");
+            assert_eq!(counters.index_bytes, stats.bytes_touched, "{label} q {q}");
+            assert_eq!(counters.value_bytes, stats.value_bytes_touched, "{label} q {q}");
+            assert_eq!(counters.rows_wide, stats.rows_wide, "{label} q {q}");
+            assert_eq!(counters.rows_scalar, stats.rows_scalar, "{label} q {q}");
         }
     }
 }

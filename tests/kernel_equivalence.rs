@@ -19,7 +19,8 @@
 //!   falls back.
 //! * **lanes carry across run boundaries** — at the store level, rows
 //!   whose blocked encoding spans several `u16`-delta runs of awkward
-//!   lengths give the same bits under both bodies and both layouts.
+//!   lengths give the same bits under both bodies as the four-lane order
+//!   written out over the row's CSR columns.
 
 use kdash_core::{GatherKernel, IndexOptions, KdashError, KdashIndex, Searcher, TopKResult};
 use kdash_datagen::{barabasi_albert, erdos_renyi};
@@ -208,18 +209,29 @@ fn unsupported_selectors_fail_typed_and_leave_searcher_usable() {
     assert_eq!(auto.top_k(0, 3).unwrap().items.len(), 3);
 }
 
-/// The lane-carry pin. In the blocked layout a row is one segment per
-/// 2¹⁶-column run, and the four lanes are assigned by *row* position, so
-/// a run that does not end on a multiple of four hands a partial chunk to
-/// the next one. Rows spanning three runs of lengths ≢ 0 (mod 4), empty
-/// rows and rows of 1–7 entries must give bit-identical results for the
-/// portable body ≡ the AVX2 body ≡ the flat layout under either, and the
+/// The four-lane order written out over a CSR row, as one sequence: lane
+/// `j` sums the row positions `≡ j (mod 4)` in order from `+0.0`, and the
+/// lanes reduce as `(a0 + a2) + (a1 + a3)`.
+fn four_lanes(cols: &[u32], vals: &[f64], y: &[f64]) -> f64 {
+    let mut lanes = [0.0f64; 4];
+    for (i, (&c, &v)) in cols.iter().zip(vals).enumerate() {
+        lanes[i % 4] += v * y[c as usize];
+    }
+    (lanes[0] + lanes[2]) + (lanes[1] + lanes[3])
+}
+
+/// The lane-carry pin. A stored row is one segment per 2¹⁶-column run,
+/// and the four lanes are assigned by *row* position, so a run that does
+/// not end on a multiple of four hands a partial chunk to the next one.
+/// Rows spanning three runs of lengths ≢ 0 (mod 4), empty rows and rows
+/// of 1–7 entries must give bit-identical results for the portable body ≡
+/// the AVX2 body ≡ the four-lane order over the row's CSR columns, and the
 /// scalar reference order must equal the merge join bit for bit.
 #[test]
 fn lanes_carry_across_run_boundaries_bit_identically() {
-    use kdash_core::RowLayout;
     use kdash_sparse::{
-        CsrMatrix, GatherCounters, GatherScratch, ProximityStore, ScatteredColumn, BLOCK_COLS,
+        CsrMatrix, GatherCounters, GatherScratch, ProximityStore, RowLayout, ScatteredColumn,
+        BLOCK_COLS,
     };
 
     let block = BLOCK_COLS as usize;
@@ -257,9 +269,8 @@ fn lanes_carry_across_run_boundaries_bit_identically() {
     }
     let nrows = layouts.len();
     let csr = CsrMatrix::from_raw_parts(nrows, ncols, row_ptr, col_idx.clone(), values).unwrap();
-    let flat = ProximityStore::from_csr(csr.clone(), RowLayout::Flat).unwrap();
-    let blocked = ProximityStore::from_csr(csr, RowLayout::Blocked).unwrap();
-    let three_runs = blocked.as_blocked().unwrap();
+    let blocked = ProximityStore::from_csr(csr.clone(), RowLayout::Blocked).unwrap();
+    let three_runs = blocked.as_blocked();
     assert!((8..15).all(|r| three_runs.row_runs(r) == 3), "the layout must produce 3-run rows");
 
     // A query column meeting about half of the stored columns, plus
@@ -275,21 +286,21 @@ fn lanes_carry_across_run_boundaries_bit_identically() {
     let scalar = GatherKernel::Scalar.resolve().unwrap();
     let portable = GatherKernel::Unrolled4.resolve().unwrap();
     let simd = GatherKernel::Simd.resolve().ok();
-    let mut scratch = GatherScratch::with_capacity(flat.max_row_nnz());
-    let mut gather = |store: &ProximityStore, kernel, r| {
-        store.row_gather(kernel, r, &column, &mut scratch, &mut GatherCounters::default())
+    let mut scratch = GatherScratch::with_capacity(blocked.max_row_nnz());
+    let mut gather = |kernel, r| {
+        blocked.row_gather(kernel, r, &column, &mut scratch, &mut GatherCounters::default())
     };
     for r in 0..nrows as u32 {
-        let lanes = gather(&blocked, portable, r);
-        assert_eq!(lanes.to_bits(), gather(&flat, portable, r).to_bits(), "row {r}: flat portable");
+        let (cols, vals) = csr.row(r);
+        let lanes = gather(portable, r);
+        let reference = four_lanes(cols, vals, column.as_slice());
+        assert_eq!(lanes.to_bits(), reference.to_bits(), "row {r}: portable vs one sequence");
         if let Some(simd) = simd {
-            assert_eq!(lanes.to_bits(), gather(&blocked, simd, r).to_bits(), "row {r}: avx2");
-            assert_eq!(lanes.to_bits(), gather(&flat, simd, r).to_bits(), "row {r}: flat avx2");
+            assert_eq!(lanes.to_bits(), gather(simd, r).to_bits(), "row {r}: avx2");
         }
         let join = blocked.row_dot_sparse(r, &idx, &val);
-        assert_eq!(join.to_bits(), flat.row_dot_sparse(r, &idx, &val).to_bits(), "row {r}");
-        assert_eq!(join.to_bits(), gather(&blocked, scalar, r).to_bits(), "row {r}: scalar");
-        assert_eq!(join.to_bits(), gather(&flat, scalar, r).to_bits(), "row {r}: flat scalar");
+        assert_eq!(join.to_bits(), csr.row_dot_sparse(r, &idx, &val).to_bits(), "row {r}");
+        assert_eq!(join.to_bits(), gather(scalar, r).to_bits(), "row {r}: scalar");
         assert!((lanes - join).abs() <= 1e-12 * join.abs().max(1.0), "row {r}: {lanes} vs {join}");
     }
 }

@@ -13,8 +13,8 @@ mod lint_common;
 
 use lint_common::{library_code, rust_sources, workspace_root};
 
-const LAYOUT_NAMES: [&str; 6] =
-    ["RowLayout", "as_flat", "as_blocked", "decode_row_into", "BlockedCsr", "CsrMatrix"];
+const LAYOUT_NAMES: [&str; 5] =
+    ["RowLayout", "as_blocked", "decode_row_into", "BlockedCsr", "CsrMatrix"];
 
 /// `c′ = (1−c)/(1 − A_uu + c·A_uu)` as this workspace spells it, up to the
 /// name of the diagonal entry.

@@ -20,27 +20,24 @@ const PINS: &[(&str, usize)] = &[
     ("bench", 7),
     ("cli", 0),
     ("community", 20),
-    // +1: `VALUE_TOLERANCE`, the distance every proximity the certified
-    // tier returns is proven to lie within — the contract callers and the
-    // value-contract test hold answers to.
-    ("core", 175),
+    // −2: the index's and the builder's `U⁻¹` layout setters (one row
+    // encoding, nothing left to choose).
+    ("core", 173),
     ("datagen", 36),
     ("dynamic", 61),
     ("eval", 17),
     // −1: `BfsScratch::parent` (no reader outside its own tests).
     ("graph", 98),
-    // +2 (PR 23): `check_stop_rule` and its `StopGoal` — the search's stop
-    // rule replayed from its definition, shared by `exactness.rs` and
-    // `proptests.rs`.
-    ("harness", 10),
+    // −1: the flat-vs-blocked result checker (no second layout to
+    // compare).
+    ("harness", 9),
     ("linalg", 52),
     ("serve", 58),
-    // −4 (PR 24): the row-splice surface (its update type, two entry
-    // points), `diff_columns` and `CscMatrix::row_max` out;
-    // `ProximityStore::column_sums_mut` in — a hidden mutator for the one
-    // audit test that has to stale a table the store otherwise never lets
-    // out of step with its rows.
-    ("sparse", 181),
+    // −6: the flat row layout's surface — the store's re-encoder, its
+    // flat accessor and its layout getter, and the layout's `name` — and
+    // the two `CsrMatrix` methods only the flat arm called, `triplets`
+    // and `heap_bytes`.
+    ("sparse", 175),
 ];
 
 const ITEM_KEYWORDS: [&str; 9] =

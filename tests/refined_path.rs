@@ -14,8 +14,8 @@
 //! * **Numerics** — a residual that overflows is a typed
 //!   `RefinementFailed` at once, never 64 passes and a comparator panic.
 //! * **Out-weight sums** — the derived per-node normalisers stay coherent
-//!   with the stored graph through build, save → load, `with_layout` and
-//!   dynamic updates that create and remove sinks.
+//!   with the stored graph through build, save → load and dynamic updates
+//!   that create and remove sinks.
 //! * **Values** — every proximity a refined entry point returns lies
 //!   within `VALUE_TOLERANCE` of a dense-exact twin index's.
 
@@ -28,9 +28,7 @@ use kdash_dynamic::{DynamicIndex, UpdateBatch};
 use kdash_graph::{BfsTree, CsrGraph, EdgeEdit, GraphBuilder, NodeId};
 use kdash_harness::{break_ties, check_index_bit_identity};
 use kdash_sparse::rwr::rwr_step;
-use kdash_sparse::{
-    transition_matrix, CscMatrix, CsrMatrix, DanglingPolicy, ProximityStore, RowLayout,
-};
+use kdash_sparse::{transition_matrix, CscMatrix, CsrMatrix, DanglingPolicy, ProximityStore};
 use std::cmp::Reverse;
 use std::time::Duration;
 
@@ -493,7 +491,6 @@ fn out_weight_sums_follow_the_graph_through_every_commit_path() {
         };
         let index = KdashIndex::build(&graph, options).unwrap();
         assert_audit_clean(&format!("{label} build"), &index);
-        assert_audit_clean(&format!("{label} relayout"), &index.with_layout(RowLayout::Flat));
         let mut bytes = Vec::new();
         index.save(&mut bytes).unwrap();
         let loaded = KdashIndex::load(bytes.as_slice()).unwrap();
