@@ -103,7 +103,7 @@ struct Series {
     eps: f64,
     build_secs: f64,
     inversion_secs: f64,
-    inverse_nnz: usize,
+    inverse_entries: usize,
     heap_bytes: usize,
     dropped_mass: f64,
     median_query_secs: f64,
@@ -201,7 +201,7 @@ fn main() {
             eps,
             build_secs,
             inversion_secs,
-            inverse_nnz: stats.nnz_l_inv + stats.nnz_u_inv,
+            inverse_entries: stats.nnz_l_inv + stats.nnz_u_inv,
             heap_bytes: stats.inverse_heap_bytes,
             dropped_mass: index.dropped_mass(),
             median_query_secs: median(&mut lats.clone()),
@@ -286,7 +286,7 @@ fn main() {
             s.build_secs,
             s.inversion_secs,
             build_ratio,
-            s.inverse_nnz,
+            s.inverse_entries,
             s.heap_bytes,
             byte_ratio,
             s.dropped_mass,

@@ -9,8 +9,8 @@ use kdash_core::{compute_ordering, NodeOrdering};
 use kdash_datagen::DatasetProfile;
 use kdash_graph::BfsTree;
 use kdash_sparse::{
-    invert_lower_unit, sparse_lu, transition_matrix, w_matrix, DanglingPolicy, SolveWorkspace,
-    Triangle,
+    sparse_lu, sparsify_columns_with, sparsify_lower_unit_with, transition_matrix, w_matrix,
+    DanglingPolicy, InvertOptions, Triangle,
 };
 
 fn bench(c: &mut Criterion) {
@@ -27,17 +27,18 @@ fn bench(c: &mut Criterion) {
     group.bench_function("sparse_lu_hybrid_ordered", |b| {
         b.iter(|| std::hint::black_box(sparse_lu(&w).expect("lu")))
     });
-    group.bench_function("invert_lower_unit", |b| {
-        b.iter(|| std::hint::black_box(invert_lower_unit(&factors.l).expect("inv")))
+    let one = InvertOptions::default();
+    group.bench_function("linv_exact_inversion", |b| {
+        b.iter(|| {
+            std::hint::black_box(sparsify_lower_unit_with(&factors.l, 0.0, one).expect("inv"))
+        })
     });
-    group.bench_function("gilbert_peierls_unit_solve", |b| {
-        let mut ws = SolveWorkspace::new(w.nrows());
-        let (mut oi, mut ov) = (Vec::new(), Vec::new());
+    group.bench_function("gilbert_peierls_column_resolve", |b| {
         let mut q = 0u32;
         b.iter(|| {
             q = (q + 1) % w.nrows() as u32;
-            ws.solve_unit(&factors.l, Triangle::Lower, true, q, &mut oi, &mut ov).expect("solve");
-            std::hint::black_box(oi.len())
+            let column = sparsify_columns_with(&factors.l, Triangle::Lower, &[q], 0.0, one);
+            std::hint::black_box(column.expect("solve").updates[0].rows.len())
         })
     });
     group.bench_function("csc_matvec", |b| {

@@ -21,9 +21,9 @@ use kdash_baselines::{Bpa, BpaOptions, IterativeRwr, NbLin, NbLinOptions, TopKEn
 use kdash_bench::{all_datasets, dataset, queries_for, HarnessConfig};
 use kdash_core::{compute_ordering_with_stats, IndexOptions, KdashIndex, NodeOrdering};
 use kdash_datagen::{dictionary, DatasetProfile};
-use kdash_eval::{measure, precision_at_k, Table};
+use kdash_eval::{measure, precision_at_k, time_once, Table};
 use kdash_sparse::{
-    invert_lower_unit_with, invert_upper_with, sparse_lu, transition_matrix, w_matrix,
+    sparse_lu, sparsify_lower_unit_with, sparsify_upper_with, transition_matrix, w_matrix,
     DanglingPolicy, InvertOptions,
 };
 use std::time::Duration;
@@ -305,8 +305,8 @@ fn fig6_stages(config: &HarnessConfig) {
             let options = InvertOptions { threads };
             let (l, u) = (&factors.l, &factors.u);
             [
-                kdash_eval::time_once(|| invert_lower_unit_with(l, options).expect("L⁻¹")).1,
-                kdash_eval::time_once(|| invert_upper_with(u, options).expect("U⁻¹")).1,
+                time_once(|| sparsify_lower_unit_with(l, 0.0, options).expect("L⁻¹")).1,
+                time_once(|| sparsify_upper_with(u, 0.0, options).expect("U⁻¹")).1,
             ]
         };
         let (one, two) = (timed(1), timed(2));

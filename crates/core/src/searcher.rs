@@ -1290,9 +1290,13 @@ impl<'a> Searcher<'a> {
     /// the residual reaches zero). `sources` restart uniformly, so a
     /// singleton slice reproduces the single-query vector. This is the
     /// sparsified-tier backend of [`KdashIndex::full_proximities`] and
-    /// friends.
+    /// friends; on an index that needs no refinement it returns their
+    /// exact vector, [`KdashIndex::full_proximities_from_set`]'s.
     #[doc(hidden)]
     pub fn refined_full_proximities(&mut self, sources: &[NodeId]) -> Result<Vec<f64>> {
+        if !self.index.needs_refinement() {
+            return self.index.full_proximities_from_set(sources);
+        }
         self.seed_set(sources)?;
         let mut permuted = vec![0.0; self.index.num_nodes()];
         let mut stats = SearchStats::default();

@@ -1,22 +1,11 @@
 //! Instrumentation records for precomputation and search.
 
-use std::time::Duration;
-
-/// What index construction cost and produced — the quantities behind the
-/// paper's Figures 5 (nnz ratio) and 6 (precomputation time).
-#[derive(Debug, Clone, Default)]
+/// What index construction produced — the quantities behind the paper's
+/// Figure 5 (nnz ratio). What it cost, stage by stage (Figure 6), is the
+/// build's [`BuildReport`](crate::BuildReport): a loaded or updated index
+/// ran no build stages.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IndexStats {
-    /// Time spent computing the node ordering.
-    pub ordering_time: Duration,
-    /// Time spent assembling `A` and `W` and factoring `W = LU`.
-    pub factorization_time: Duration,
-    /// Time spent inverting the triangular factors.
-    pub inversion_time: Duration,
-    /// Time spent precomputing the estimator constants
-    /// (`A_max`, `A_max(v)`, `c'`).
-    pub estimator_time: Duration,
-    /// Time spent assembling and validating the final index.
-    pub assemble_time: Duration,
     /// Stored entries of the factor `L` (diagonal implicit).
     pub nnz_l: usize,
     /// Stored entries of the factor `U`.
@@ -38,15 +27,6 @@ pub struct IndexStats {
 }
 
 impl IndexStats {
-    /// Total wall-clock spent building the index.
-    pub fn total_time(&self) -> Duration {
-        self.ordering_time
-            + self.factorization_time
-            + self.inversion_time
-            + self.estimator_time
-            + self.assemble_time
-    }
-
     /// The Figure 5 metric: stored inverse entries per graph edge.
     pub fn inverse_nnz_ratio(&self) -> f64 {
         if self.num_edges == 0 {
@@ -158,17 +138,8 @@ mod tests {
     }
 
     #[test]
-    fn ratio_and_total_time() {
-        let s = IndexStats {
-            ordering_time: Duration::from_millis(1),
-            factorization_time: Duration::from_millis(2),
-            inversion_time: Duration::from_millis(3),
-            nnz_l_inv: 30,
-            nnz_u_inv: 20,
-            num_edges: 10,
-            ..Default::default()
-        };
-        assert_eq!(s.total_time(), Duration::from_millis(6));
+    fn ratio_counts_both_inverses_per_edge() {
+        let s = IndexStats { nnz_l_inv: 30, nnz_u_inv: 20, num_edges: 10, ..Default::default() };
         assert!((s.inverse_nnz_ratio() - 5.0).abs() < 1e-12);
     }
 }

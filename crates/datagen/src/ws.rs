@@ -32,7 +32,7 @@ pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kdash_graph::components::weakly_connected_components;
+    use kdash_graph::BfsTree;
 
     #[test]
     fn zero_beta_is_ring_lattice() {
@@ -48,8 +48,9 @@ mod tests {
     #[test]
     fn stays_connected_for_small_beta() {
         let g = watts_strogatz(200, 3, 0.1, 2);
-        let (_, count) = weakly_connected_components(&g);
-        assert_eq!(count, 1);
+        // Every edge is stored both ways, so reaching every node from one
+        // means the graph is connected.
+        assert_eq!(BfsTree::new(&g, 0).num_reachable(), 200);
     }
 
     #[test]

@@ -268,7 +268,10 @@ impl DynamicIndex {
     /// dangling nodes — where a mismatched dangling policy *must* show
     /// (their `W` columns differ at the diagonal, so the `U` pivots and
     /// with them `1/U_qq` differ by construction) — plus the first and
-    /// last column as general corruption canaries.
+    /// last column as general corruption canaries. The columns are
+    /// re-solved by the driver an apply re-solves dirty columns with,
+    /// under the index's drop tolerance: a dense solve against a
+    /// sparsified store would flag every truncated column as corruption.
     fn probe_consistency(&self) -> Result<()> {
         let n = self.index.num_nodes();
         if n == 0 {
@@ -283,14 +286,9 @@ impl DynamicIndex {
         probes.push(n as Index - 1);
         probes.sort_unstable();
         probes.dedup();
-        let factors = &self.factors;
-        // The stored columns carry the index's drop tolerance, so the
-        // probe solves must truncate identically — a dense solve against
-        // a sparsified store would flag every truncated column as
-        // corruption. With ε = 0 these are bit-for-bit the plain solves.
-        let eps = self.index.drop_tolerance();
-        let mut ws = kdash_sparse::SolveWorkspace::new(n);
-        let (mut xi, mut xv) = (Vec::new(), Vec::new());
+        let (eps, one) = (self.index.drop_tolerance(), InvertOptions::default());
+        let linv = sparsify_columns_with(&self.factors.l, Triangle::Lower, &probes, eps, one)?;
+        let uinv = sparsify_columns_with(&self.factors.u, Triangle::Upper, &probes, eps, one)?;
         let mismatch = |q: Index| {
             KdashError::Sparse(kdash_sparse::SparseError::Malformed(format!(
                 "stored inverses disagree with the factors of the stored graph at column {q}: \
@@ -298,22 +296,18 @@ impl DynamicIndex {
                  it before attaching the update engine"
             )))
         };
-        for &q in &probes {
+        for (l, u) in linv.updates.iter().zip(&uinv.updates) {
+            let q = l.col;
             // L⁻¹ column q, bit-for-bit.
-            ws.solve_unit_truncated(&factors.l, Triangle::Lower, true, q, eps, &mut xi, &mut xv)?;
             let (rows, vals) = self.index.linv_cols().col(q);
-            if xi != rows || xv.iter().zip(vals).any(|(a, b)| a.to_bits() != b.to_bits()) {
+            if l.rows != rows || l.vals.iter().zip(vals).any(|(a, b)| a.to_bits() != b.to_bits()) {
                 return Err(mismatch(q));
             }
             // U⁻¹ diagonal entry of column q (= first stored entry of the
             // upper-triangular row q). The diagonal is the protected seed,
             // so truncation cannot touch it.
-            ws.solve_unit_truncated(&factors.u, Triangle::Upper, false, q, eps, &mut xi, &mut xv)?;
-            let solved_diag = xi
-                .iter()
-                .position(|&r| r == q)
-                .map(|at| xv[at])
-                .ok_or_else(|| mismatch(q))?;
+            let at = u.rows.iter().position(|&r| r == q).ok_or_else(|| mismatch(q))?;
+            let solved_diag = u.vals[at];
             // Diagonal of stored row q via a single-element merge join —
             // the row is upper triangular, so this reads one entry.
             let stored_diag = self.index.uinv_rows().row_dot_sparse(q, &[q], &[1.0]);
@@ -622,14 +616,14 @@ impl DynamicIndex {
         // Stage 4 — re-solve only the dirty inverse columns, on the same
         // per-column solves (hence the same bits) the build pipeline runs,
         // under the index's drop tolerance so sparsified stores stay
-        // sparsified (ε = 0 delegates to the plain dense solves).
+        // sparsified (ε = 0 is the exact solve).
         let t = Instant::now();
         let opts = InvertOptions { threads: self.threads };
         let eps = self.index.drop_tolerance();
         let linv_sparsified =
-            sparsify_columns_with(&new_factors.l, Triangle::Lower, true, &dirty_linv, eps, opts)?;
+            sparsify_columns_with(&new_factors.l, Triangle::Lower, &dirty_linv, eps, opts)?;
         let uinv_sparsified =
-            sparsify_columns_with(&new_factors.u, Triangle::Upper, false, &dirty_uinv, eps, opts)?;
+            sparsify_columns_with(&new_factors.u, Triangle::Upper, &dirty_uinv, eps, opts)?;
         let linv_updates = linv_sparsified.updates;
         let uinv_updates = uinv_sparsified.updates;
         report.resolved_nnz = linv_updates.iter().chain(&uinv_updates).map(|u| u.rows.len()).sum();

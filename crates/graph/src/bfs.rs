@@ -384,6 +384,20 @@ mod tests {
     }
 
     #[test]
+    fn reachable_set_directed() {
+        // The reachable set, in visit order, follows edge direction only.
+        let mut b = GraphBuilder::new(4);
+        b.add_edge(0, 1, 1.0);
+        b.add_edge(1, 2, 1.0);
+        b.add_edge(3, 0, 1.0);
+        let g = b.build().unwrap();
+        let reachable_set = |root| BfsTree::new(&g, root).order;
+        assert_eq!(reachable_set(0), vec![0, 1, 2]);
+        assert_eq!(reachable_set(3), vec![3, 0, 1, 2]);
+        assert_eq!(reachable_set(2), vec![2]);
+    }
+
+    #[test]
     fn diamond_parents() {
         // 0 -> {1, 2}, 1 -> 3, 2 -> 3
         let mut b = GraphBuilder::new(4);

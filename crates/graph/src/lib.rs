@@ -15,7 +15,6 @@
 //!   tree estimator (§4.3 of the paper),
 //! * [`Permutation`] — node reorderings used by the sparse-inverse
 //!   precomputation (§4.2.2),
-//! * [`components`] — weak connectivity,
 //! * [`io`] — plain-text edge-list parsing and serialisation.
 //!
 //! The transition matrix `A` itself (column-normalised adjacency) is built in
@@ -41,7 +40,6 @@
 
 pub mod bfs;
 pub mod builder;
-pub mod components;
 pub mod csr;
 pub mod edits;
 pub mod epoch;

@@ -337,7 +337,7 @@ impl CscMatrix {
 
 /// A replacement for one column of a [`CscMatrix`]: the full new content
 /// (possibly empty), sorted by row. Produced by the subset inversion
-/// driver ([`crate::inverse::invert_columns_with`]) and consumed by the
+/// driver ([`crate::sparsify_columns_with`]) and consumed by the
 /// one splice of each stored inverse: [`CscMatrix::splice_columns`]
 /// (`L⁻¹`) and [`crate::ProximityStore::splice_columns`] (`U⁻¹`).
 #[derive(Debug, Clone, PartialEq)]

@@ -10,15 +10,21 @@
 //!
 //! Columns are mutually independent (no column's solve reads another
 //! column of the inverse), which makes the inversion embarrassingly
-//! parallel. Every inversion in the crate — full or a dirty subset, exact
-//! or sparsified ([`crate::sparsify`]) — runs through one driver here: the
-//! workers share a read-only view of the factor (for a full inversion
-//! indexed once up front — strict-span bounds and stored diagonal per
-//! column, so no solve searches a column, and the factor's dense tail
-//! mirrored for contiguous AXPYs: [`crate::triangular`]), claim chunks of columns off
-//! one cursor with one [`SolveWorkspace`] each, and the solved blocks are
-//! gathered back in column order — so the result is **bit-identical** to
-//! the sequential inversion at every thread count.
+//! parallel. Every inversion in the crate — full or a dirty subset — runs
+//! through one driver here, under a drop tolerance `ε` whose `0.0` is the
+//! exact inverse: the public spellings are [`crate::sparsify`]'s, and
+//! there is no second, exact-only one. The workers share a read-only view
+//! of the factor (for a full inversion indexed once up front — strict-span
+//! bounds and stored diagonal per column, so no solve searches a column,
+//! and the factor's dense tail mirrored for contiguous AXPYs:
+//! [`crate::triangular`]), claim chunks of columns off one cursor with one
+//! [`SolveWorkspace`] each, and the solved blocks are gathered back in
+//! column order — so the result is **bit-identical** to the sequential
+//! inversion at every thread count.
+//!
+//! The factors follow the crate's convention: a `Lower` factor has an
+//! implicit unit diagonal and an `Upper` one stores its own, so the
+//! [`Triangle`] alone says how a column's diagonal is read.
 //!
 //! Claims go out **heavy-first**. A column's cost is its reach, which
 //! grows towards the low columns of a `Lower` triangle and the high
@@ -30,7 +36,8 @@
 
 use crate::triangular::{FactorView, TailRule};
 use crate::{
-    ColumnUpdate, CscMatrix, Index, Result, SolveTally, SolveWorkspace, SparseError, Triangle,
+    ColumnUpdate, CscMatrix, Index, Result, SolveTally, SolveWorkspace, SparseError,
+    SparsifiedColumns, SparsifiedInverse, Triangle,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -50,16 +57,6 @@ impl Default for InvertOptions {
 }
 
 impl InvertOptions {
-    /// Sequential inversion on the calling thread.
-    pub fn sequential() -> Self {
-        InvertOptions { threads: 1 }
-    }
-
-    /// One worker per available hardware thread.
-    pub fn parallel() -> Self {
-        InvertOptions { threads: 0 }
-    }
-
     /// Resolves the worker count against the column count: `0` = auto,
     /// always at least 1, never more workers than columns.
     pub fn resolved_threads(&self, num_cols: usize) -> usize {
@@ -72,42 +69,16 @@ impl InvertOptions {
     }
 }
 
-/// Inverts a unit lower triangular matrix given its strictly-lower part
-/// (diagonal implicit, as produced by [`crate::sparse_lu`]).
-///
-/// The returned matrix stores the unit diagonal **explicitly**, so its
-/// column `q` is directly the vector `L⁻¹ e_q` used at query time.
-pub fn invert_lower_unit(l: &CscMatrix) -> Result<CscMatrix> {
-    invert_lower_unit_with(l, InvertOptions::sequential())
-}
-
-/// Inverts an upper triangular matrix with stored diagonal.
-pub fn invert_upper(u: &CscMatrix) -> Result<CscMatrix> {
-    invert_upper_with(u, InvertOptions::sequential())
-}
-
-/// [`invert_lower_unit`] with an explicit thread count.
-pub fn invert_lower_unit_with(l: &CscMatrix, options: InvertOptions) -> Result<CscMatrix> {
-    Ok(invert_truncated(l, Triangle::Lower, true, 0.0, options, TailRule::STRUCTURAL)?.0)
-}
-
-/// [`invert_upper`] with an explicit thread count.
-pub fn invert_upper_with(u: &CscMatrix, options: InvertOptions) -> Result<CscMatrix> {
-    Ok(invert_truncated(u, Triangle::Upper, false, 0.0, options, TailRule::STRUCTURAL)?.0)
-}
-
 /// The exact inverse of one triangle of `t` through the sparse kernel
 /// alone — the reference `tests/build_determinism.rs` holds the dense
-/// tail of [`invert_lower_unit_with`] / [`invert_upper_with`] to, byte
-/// for byte.
+/// tail of the `ε = 0` inversions to, byte for byte.
 #[doc(hidden)]
 pub fn invert_without_tail(
     t: &CscMatrix,
     triangle: Triangle,
-    unit_diag: bool,
     options: InvertOptions,
 ) -> Result<CscMatrix> {
-    Ok(invert_truncated(t, triangle, unit_diag, 0.0, options, TailRule::NEVER)?.0)
+    Ok(invert_truncated(t, triangle, 0.0, options, TailRule::NEVER)?.inverse)
 }
 
 /// How many trailing columns of one triangle of `t` the structural rule
@@ -124,13 +95,12 @@ pub fn dense_tail_columns(t: &CscMatrix, triangle: Triangle) -> Result<usize> {
 pub(crate) fn invert_truncated(
     t: &CscMatrix,
     triangle: Triangle,
-    unit_diag: bool,
     eps: f64,
     options: InvertOptions,
     rule: TailRule,
-) -> Result<(CscMatrix, Vec<f64>, SolveTally)> {
+) -> Result<SparsifiedInverse> {
     let rule = if eps > 0.0 { TailRule::NEVER } else { rule };
-    let view = FactorView::indexed(t, triangle, unit_diag, rule)?;
+    let view = FactorView::indexed(t, triangle, triangle.unit_diag(), rule)?;
     let n = view.dim();
     let (mut blocks, tally) = solve_columns(&view, None, eps, options.resolved_threads(n))?;
     // Concatenate the blocks (in column order, tiling `0..n`) into the
@@ -159,7 +129,8 @@ pub(crate) fn invert_truncated(
         }
         flat
     };
-    Ok((CscMatrix::from_raw_parts(n, n, col_ptr, rows, vals)?, dropped, tally))
+    let inverse = CscMatrix::from_raw_parts(n, n, col_ptr, rows, vals)?;
+    Ok(SparsifiedInverse { inverse, dropped, tally })
 }
 
 /// A contiguous run of solved columns, produced by one worker claim.
@@ -261,42 +232,23 @@ fn solve_columns(
     Ok((blocks, tally))
 }
 
-/// Re-solves an arbitrary subset of inverse columns: for each `j` in
-/// `columns` (sorted strictly ascending), the solution of `T x = e_j` —
-/// exactly the per-column solve the full inversion runs, so every
-/// returned column is **bit-identical** to the corresponding column of
-/// [`invert_lower_unit`] / [`invert_upper`] output. This is the numeric
-/// core of the dynamic-update engine: after the reach analysis
-/// ([`crate::reach::inverse_dirty_columns`]) bounds the dirty set, only
-/// these columns are paid for.
-///
-/// The subset runs through the same driver as the full inversion (one
-/// [`SolveWorkspace`] per worker, `threads` as in [`InvertOptions`]), and
-/// errors report the lowest failing column at every thread count.
-pub fn invert_columns_with(
-    t: &CscMatrix,
-    triangle: Triangle,
-    unit_diag: bool,
-    columns: &[Index],
-    options: InvertOptions,
-) -> Result<Vec<ColumnUpdate>> {
-    Ok(invert_columns_truncated(t, triangle, unit_diag, columns, 0.0, options)?.0)
-}
-
-/// Subset inversion under drop tolerance `eps` (`0.0` = exact): one
-/// update per requested column, and the ℓ₁ mass truncated from each.
+/// Subset inversion under drop tolerance `eps` (`0.0` = exact): for each
+/// `j` in `columns` (sorted strictly ascending), the solution of
+/// `T x = e_j` — exactly the per-column solve the full inversion runs, so
+/// every returned column is **bit-identical** to the same column of the
+/// full inversion at the same `eps` — and the ℓ₁ mass truncated from it.
+/// Errors report the lowest failing column at every thread count.
 pub(crate) fn invert_columns_truncated(
     t: &CscMatrix,
     triangle: Triangle,
-    unit_diag: bool,
     columns: &[Index],
     eps: f64,
     options: InvertOptions,
-) -> Result<(Vec<ColumnUpdate>, Vec<f64>)> {
+) -> Result<SparsifiedColumns> {
     // A subset's solves reach columns nobody can name up front, so this
     // view probes a column when a solve asks for it; indexing all `n` to
     // re-solve a handful would cost more than the solves.
-    let view = FactorView::new(t, triangle, unit_diag)?;
+    let view = FactorView::new(t, triangle, triangle.unit_diag())?;
     for (k, &c) in columns.iter().enumerate() {
         if (c as usize) >= view.dim() {
             return Err(SparseError::Malformed(format!(
@@ -326,19 +278,34 @@ pub(crate) fn invert_columns_truncated(
         }
         dropped.extend_from_slice(&block.dropped);
     }
-    Ok((updates, dropped))
-}
-
-/// Total stored entries of the pair `(L⁻¹, U⁻¹)` — the numerator of the
-/// Figure 5 ratio.
-pub fn inverse_nnz(l_inv: &CscMatrix, u_inv: &CscMatrix) -> usize {
-    l_inv.nnz() + u_inv.nnz()
+    Ok(SparsifiedColumns { updates, dropped })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::sparse_lu;
+    use crate::{sparse_lu, sparsify_columns_with, sparsify_lower_unit_with, sparsify_upper_with};
+
+    /// The exact inverse of a factor: the one driver at `ε = 0`.
+    pub(crate) fn exact(t: &CscMatrix, triangle: Triangle, threads: usize) -> Result<CscMatrix> {
+        let options = InvertOptions { threads };
+        let inverted = match triangle {
+            Triangle::Lower => sparsify_lower_unit_with(t, 0.0, options)?,
+            Triangle::Upper => sparsify_upper_with(t, 0.0, options)?,
+        };
+        Ok(inverted.inverse)
+    }
+
+    /// Exact re-solves of a column subset.
+    fn exact_columns(
+        t: &CscMatrix,
+        triangle: Triangle,
+        columns: &[Index],
+        threads: usize,
+    ) -> Result<Vec<ColumnUpdate>> {
+        let options = InvertOptions { threads };
+        Ok(sparsify_columns_with(t, triangle, columns, 0.0, options)?.updates)
+    }
 
     fn assert_is_identity(product: &[Vec<f64>], tol: f64) {
         for (i, row) in product.iter().enumerate() {
@@ -380,7 +347,7 @@ mod tests {
         let trips: Vec<(Index, Index, f64)> =
             (0..n - 1).map(|j| (j as Index + 1, j as Index, -1.0)).collect();
         let l = CscMatrix::from_triplets(n, n, &trips).unwrap();
-        let inv = invert_lower_unit(&l).unwrap();
+        let inv = exact(&l, Triangle::Lower, 1).unwrap();
         for c in 0..n as Index {
             let (rows, vals) = inv.col(c);
             assert_eq!(rows.len(), n - c as usize);
@@ -392,7 +359,7 @@ mod tests {
     fn lower_inverse_times_matrix_is_identity() {
         let l = CscMatrix::from_triplets(4, 4, &[(1, 0, 0.5), (2, 0, -0.25), (3, 2, 2.0), (2, 1, 1.0)])
             .unwrap();
-        let inv = invert_lower_unit(&l).unwrap();
+        let inv = exact(&l, Triangle::Lower, 1).unwrap();
         let product = dense_mul(&inv.to_dense(), &with_unit_diag(l.to_dense()));
         assert_is_identity(&product, 1e-12);
     }
@@ -405,7 +372,7 @@ mod tests {
             &[(0, 0, 2.0), (0, 1, 1.0), (1, 1, 4.0), (0, 2, -1.0), (1, 2, 0.5), (2, 2, 0.25)],
         )
         .unwrap();
-        let inv = invert_upper(&u).unwrap();
+        let inv = exact(&u, Triangle::Upper, 1).unwrap();
         let product = dense_mul(&inv.to_dense(), &u.to_dense());
         assert_is_identity(&product, 1e-12);
     }
@@ -413,12 +380,12 @@ mod tests {
     #[test]
     fn inverse_diagonals_are_explicit() {
         let l = CscMatrix::from_triplets(3, 3, &[(2, 0, 1.0)]).unwrap();
-        let inv = invert_lower_unit(&l).unwrap();
+        let inv = exact(&l, Triangle::Lower, 1).unwrap();
         for j in 0..3 {
             assert_eq!(inv.get(j, j), Some(1.0));
         }
         let u = CscMatrix::from_triplets(2, 2, &[(0, 0, 4.0), (1, 1, 8.0)]).unwrap();
-        let uinv = invert_upper(&u).unwrap();
+        let uinv = exact(&u, Triangle::Upper, 1).unwrap();
         assert_eq!(uinv.get(0, 0), Some(0.25));
         assert_eq!(uinv.get(1, 1), Some(0.125));
     }
@@ -426,7 +393,7 @@ mod tests {
     #[test]
     fn singular_upper_rejected() {
         let u = CscMatrix::from_triplets(2, 2, &[(0, 0, 1.0)]).unwrap();
-        assert!(matches!(invert_upper(&u), Err(SparseError::SingularPivot { .. })));
+        assert!(matches!(exact(&u, Triangle::Upper, 1), Err(SparseError::SingularPivot { .. })));
     }
 
     #[test]
@@ -451,8 +418,8 @@ mod tests {
         }
         let w = CscMatrix::from_triplets(n, n, &trips).unwrap();
         let f = sparse_lu(&w).unwrap();
-        let linv = invert_lower_unit(&f.l).unwrap();
-        let uinv = invert_upper(&f.u).unwrap();
+        let linv = exact(&f.l, Triangle::Lower, 1).unwrap();
+        let uinv = exact(&f.u, Triangle::Upper, 1).unwrap();
         for q in 0..n as Index {
             // x = U^{-1} (L^{-1} e_q)
             let (lq_rows, lq_vals) = linv.col(q);
@@ -473,7 +440,8 @@ mod tests {
 
     /// Random triangular factors from RWR-like matrices: the parallel
     /// driver must reproduce the sequential arrays *bit for bit* at every
-    /// thread count, including counts far above the column count.
+    /// thread count, including counts far above the column count, and at
+    /// `ε = 0` no column drops any mass.
     #[test]
     fn parallel_inversion_is_bit_identical() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -496,14 +464,15 @@ mod tests {
             }
             let w = CscMatrix::from_triplets(n, n, &trips).unwrap();
             let f = sparse_lu(&w).unwrap();
-            let linv_seq = invert_lower_unit(&f.l).unwrap();
-            let uinv_seq = invert_upper(&f.u).unwrap();
+            let linv_seq = sparsify_lower_unit_with(&f.l, 0.0, InvertOptions::default()).unwrap();
+            let uinv_seq = sparsify_upper_with(&f.u, 0.0, InvertOptions::default()).unwrap();
+            assert!(linv_seq.dropped.iter().chain(&uinv_seq.dropped).all(|&m| m == 0.0));
+            assert_eq!((linv_seq.dropped.len(), uinv_seq.dropped.len()), (n, n));
             for threads in [0usize, 2, 3, 7, 64] {
-                let opts = InvertOptions { threads };
-                let linv_par = invert_lower_unit_with(&f.l, opts).unwrap();
-                let uinv_par = invert_upper_with(&f.u, opts).unwrap();
-                assert_bit_identical(&linv_seq, &linv_par, trial, threads);
-                assert_bit_identical(&uinv_seq, &uinv_par, trial, threads);
+                let linv_par = exact(&f.l, Triangle::Lower, threads).unwrap();
+                let uinv_par = exact(&f.u, Triangle::Upper, threads).unwrap();
+                assert_bit_identical(&linv_seq.inverse, &linv_par, trial, threads);
+                assert_bit_identical(&uinv_seq.inverse, &uinv_par, trial, threads);
             }
         }
     }
@@ -534,7 +503,7 @@ mod tests {
         }
         let u = CscMatrix::from_triplets(n, n, &trips).unwrap();
         for threads in [1usize, 2, 4, 16] {
-            let err = invert_upper_with(&u, InvertOptions { threads }).unwrap_err();
+            let err = exact(&u, Triangle::Upper, threads).unwrap_err();
             assert!(
                 matches!(err, SparseError::SingularPivot { column: 3, .. }),
                 "threads {threads}: {err:?}"
@@ -564,10 +533,9 @@ mod tests {
         let subset: Vec<Index> = (2..n as Index).collect();
         let expect = SparseError::SingularPivot { column: 3, value: 0.0 };
         for threads in [1usize, 2] {
-            let options = InvertOptions { threads };
             for u in [&zeroed, &missing] {
-                assert_eq!(invert_upper_with(u, options).unwrap_err(), expect);
-                let err = invert_columns_with(u, Triangle::Upper, false, &subset, options);
+                assert_eq!(exact(u, Triangle::Upper, threads).unwrap_err(), expect);
+                let err = exact_columns(u, Triangle::Upper, &subset, threads);
                 assert_eq!(err.unwrap_err(), expect, "subset, threads {threads}");
             }
         }
@@ -575,8 +543,8 @@ mod tests {
 
     #[test]
     fn invert_options_resolution() {
-        assert!(InvertOptions::parallel().resolved_threads(100) >= 1);
-        assert_eq!(InvertOptions::sequential().resolved_threads(100), 1);
+        assert!(InvertOptions { threads: 0 }.resolved_threads(100) >= 1);
+        assert_eq!(InvertOptions::default().resolved_threads(100), 1);
         assert_eq!(InvertOptions { threads: 8 }.resolved_threads(3), 3);
         assert_eq!(InvertOptions { threads: 8 }.resolved_threads(0), 1);
         assert_eq!(InvertOptions::default().threads, 1);
@@ -613,15 +581,12 @@ mod tests {
             }
             let w = CscMatrix::from_triplets(n, n, &trips).unwrap();
             let f = sparse_lu(&w).unwrap();
-            let linv = invert_lower_unit(&f.l).unwrap();
-            let uinv = invert_upper(&f.u).unwrap();
+            let linv = exact(&f.l, Triangle::Lower, 1).unwrap();
+            let uinv = exact(&f.u, Triangle::Upper, 1).unwrap();
             let subset: Vec<Index> = (0..n as Index).filter(|j| j % 3 != 1).collect();
             for threads in [1usize, 2, 5, 0] {
-                let opts = InvertOptions { threads };
-                let l_updates =
-                    invert_columns_with(&f.l, Triangle::Lower, true, &subset, opts).unwrap();
-                let u_updates =
-                    invert_columns_with(&f.u, Triangle::Upper, false, &subset, opts).unwrap();
+                let l_updates = exact_columns(&f.l, Triangle::Lower, &subset, threads).unwrap();
+                let u_updates = exact_columns(&f.u, Triangle::Upper, &subset, threads).unwrap();
                 for (updates, full) in [(&l_updates, &linv), (&u_updates, &uinv)] {
                     assert_eq!(updates.len(), subset.len());
                     for u in updates.iter() {
@@ -650,19 +615,12 @@ mod tests {
             CscMatrix::from_triplets(4, 4, &[(1, 0, 0.5), (2, 1, 0.25), (3, 2, 0.125)]).unwrap();
         let l_new =
             CscMatrix::from_triplets(4, 4, &[(1, 0, 0.75), (2, 1, 0.25), (3, 2, 0.125)]).unwrap();
-        let inv_old = invert_lower_unit(&l_old).unwrap();
-        let inv_new = invert_lower_unit(&l_new).unwrap();
+        let inv_old = exact(&l_old, Triangle::Lower, 1).unwrap();
+        let inv_new = exact(&l_new, Triangle::Lower, 1).unwrap();
         let dirty: Vec<Index> = (0..4).filter(|&c| l_old.col(c) != l_new.col(c)).collect();
         assert_eq!(dirty, vec![0]);
         let dirty_inverse = crate::reach::inverse_dirty_columns(&l_new, &dirty);
-        let updates = invert_columns_with(
-            &l_new,
-            Triangle::Lower,
-            true,
-            &dirty_inverse,
-            InvertOptions::sequential(),
-        )
-        .unwrap();
+        let updates = exact_columns(&l_new, Triangle::Lower, &dirty_inverse, 1).unwrap();
         let spliced = inv_old.splice_columns(&updates).unwrap();
         assert_eq!(spliced, inv_new);
     }
@@ -670,11 +628,10 @@ mod tests {
     #[test]
     fn column_subset_validation_and_errors() {
         let l = CscMatrix::from_triplets(3, 3, &[(1, 0, 1.0)]).unwrap();
-        let opts = InvertOptions::sequential();
-        assert!(invert_columns_with(&l, Triangle::Lower, true, &[1, 0], opts).is_err());
-        assert!(invert_columns_with(&l, Triangle::Lower, true, &[0, 0], opts).is_err());
-        assert!(invert_columns_with(&l, Triangle::Lower, true, &[7], opts).is_err());
-        assert!(invert_columns_with(&l, Triangle::Lower, true, &[], opts).unwrap().is_empty());
+        assert!(exact_columns(&l, Triangle::Lower, &[1, 0], 1).is_err());
+        assert!(exact_columns(&l, Triangle::Lower, &[0, 0], 1).is_err());
+        assert!(exact_columns(&l, Triangle::Lower, &[7], 1).is_err());
+        assert!(exact_columns(&l, Triangle::Lower, &[], 1).unwrap().is_empty());
         // Singular column inside the subset: lowest failing column wins
         // at every thread count.
         let n = 10;
@@ -690,29 +647,11 @@ mod tests {
         let u = CscMatrix::from_triplets(n, n, &trips).unwrap();
         let subset: Vec<Index> = (0..n as Index).collect();
         for threads in [1usize, 2, 8] {
-            let err = invert_columns_with(
-                &u,
-                Triangle::Upper,
-                false,
-                &subset,
-                InvertOptions { threads },
-            )
-            .unwrap_err();
+            let err = exact_columns(&u, Triangle::Upper, &subset, threads).unwrap_err();
             assert!(
                 matches!(err, SparseError::SingularPivot { column: 2, .. }),
                 "threads {threads}: {err:?}"
             );
         }
-    }
-
-    #[test]
-    fn inverse_nnz_helper() {
-        let l = CscMatrix::from_triplets(3, 3, &[(1, 0, 1.0)]).unwrap();
-        let li = invert_lower_unit(&l).unwrap();
-        let u = CscMatrix::identity(3);
-        let ui = invert_upper(&u).unwrap();
-        assert_eq!(inverse_nnz(&li, &ui), li.nnz() + ui.nnz());
-        assert_eq!(ui.nnz(), 3);
-        assert_eq!(li.nnz(), 4); // 3 diagonal ones + one fill entry
     }
 }

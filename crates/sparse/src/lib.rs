@@ -4,25 +4,29 @@
 //! PVLDB 2012*). Everything §4.2 of the paper needs:
 //!
 //! * [`CscMatrix`] / [`CsrMatrix`] — compressed sparse column/row storage,
-//! * [`triangular`] — sparse triangular solves with *sparse* right-hand
-//!   sides using Gilbert–Peierls symbolic reachability (`O(flops)`, not
-//!   `O(n)` per solve): one reach kernel whose DFS frames own their child
-//!   span, shared with the LU; one numeric order (by index), under which
-//!   the factor's trailing, all-but-full columns are solved as a mirrored
-//!   dense tail of contiguous AXPYs — the same bytes wherever it starts,
+//! * [`triangular`] — the crate-private sparse triangular solve with a
+//!   *sparse* right-hand side, using Gilbert–Peierls symbolic reachability
+//!   (`O(flops)`, not `O(n)` per solve): one reach kernel whose DFS frames
+//!   own their child span, shared with the LU; one numeric order (by
+//!   index), under which the factor's trailing, all-but-full columns are
+//!   solved as a mirrored dense tail of contiguous AXPYs — the same bytes
+//!   wherever it starts,
 //! * [`lu`] — left-looking sparse LU factorisation `W = LU` following the
 //!   paper's Equations (6)–(7) (Doolittle form: unit-diagonal `L`). `W` is
 //!   strictly column diagonally dominant, so no pivoting is required; the
 //!   dense tail grows a column at a time as the factor does,
-//! * [`inverse`] — sparse inverses `L⁻¹` and `U⁻¹` (Equations (4)–(5),
-//!   computed as `n` sparse solves against unit vectors) behind one
-//!   work-stealing, heavy-first column driver, which also serves
-//!   [`invert_columns_with`] — the re-solve of only a dirty column set
-//!   for the dynamic-update engine,
-//! * [`sparsify`] — drop-tolerance sparsified inverses: entries below `ε`
-//!   are truncated *during* the column solves (before they propagate),
-//!   with per-column dropped ℓ₁ masses returned so the query engine's
-//!   certified residual refinement can repair answers back to exact,
+//! * [`inverse`] — the one column driver behind every inversion: `L⁻¹`
+//!   and `U⁻¹` (Equations (4)–(5), computed as `n` sparse solves against
+//!   unit vectors) and the re-solve of only a dirty column set for the
+//!   dynamic-update engine, work-stealing and heavy-first,
+//! * [`sparsify`] — that driver's public spellings, one per operation:
+//!   [`sparsify_lower_unit_with`] / [`sparsify_upper_with`] invert a
+//!   factor and [`sparsify_columns_with`] re-solves a column subset, each
+//!   under a drop tolerance `ε` whose `0.0` is the **exact** inverse bit
+//!   for bit. Entries below `ε > 0` are truncated *during* the column
+//!   solves (before they propagate), with per-column dropped ℓ₁ masses
+//!   returned so the query engine's certified residual refinement can
+//!   repair answers back to exact,
 //! * [`reach`] — Gilbert–Peierls reach analysis
 //!   ([`inverse_dirty_columns`]): given the columns of a triangular
 //!   factor that changed, the **exact** set of inverse columns that can
@@ -71,10 +75,7 @@ pub mod triangular;
 pub use blocked::{BlockedCsr, BLOCK_COLS};
 pub use csc::{ColumnUpdate, CscMatrix};
 pub use csr::CsrMatrix;
-pub use inverse::{
-    dense_tail_columns, invert_columns_with, invert_lower_unit, invert_lower_unit_with,
-    invert_upper, invert_upper_with, InvertOptions,
-};
+pub use inverse::{dense_tail_columns, InvertOptions};
 pub use reach::{inverse_dirty_columns, refactor_candidates};
 pub use kernel::{GatherCounters, GatherKernel, GatherScratch, ResolvedKernel, RowStat};
 pub use lu::{

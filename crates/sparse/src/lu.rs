@@ -141,9 +141,11 @@ impl LuFactors {
         q: Index,
     ) -> Result<(Vec<Index>, Vec<f64>)> {
         let (mut yi, mut yv) = (Vec::new(), Vec::new());
-        ws.solve_unit(&self.l, Triangle::Lower, true, q, &mut yi, &mut yv)?;
+        let l = FactorView::new(&self.l, Triangle::Lower, true)?;
+        ws.solve_view(&l, &[q], &[1.0], 0.0, None, &mut yi, &mut yv)?;
         let (mut xi, mut xv) = (Vec::new(), Vec::new());
-        ws.solve(&self.u, Triangle::Upper, false, &yi, &yv, &mut xi, &mut xv)?;
+        let u = FactorView::new(&self.u, Triangle::Upper, false)?;
+        ws.solve_view(&u, &yi, &yv, 0.0, None, &mut xi, &mut xv)?;
         Ok((xi, xv))
     }
 }

@@ -167,7 +167,12 @@ pub fn refactor_candidates(l: &CscMatrix, w_new: &CscMatrix, dirty_w: &[Index]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{invert_lower_unit, invert_upper};
+    use crate::Triangle;
+
+    fn exact(t: &CscMatrix, upper: bool) -> CscMatrix {
+        let triangle = if upper { Triangle::Upper } else { Triangle::Lower };
+        crate::inverse::tests::exact(t, triangle, 1).unwrap()
+    }
 
     #[test]
     fn lower_chain_reach_runs_upward() {
@@ -309,7 +314,7 @@ mod tests {
             }
             // And inverting only the dirty columns after perturbing the
             // seed column leaves every clean column bit-identical.
-            let inv_before = if upper { invert_upper(&t) } else { invert_lower_unit(&t) }.unwrap();
+            let inv_before = exact(&t, upper);
             let mut perturbed_trips = trips.clone();
             perturbed_trips.push((
                 if upper { 0 } else { n as Index - 1 },
@@ -327,8 +332,7 @@ mod tests {
                 d.dedup();
                 d
             };
-            let inv_after =
-                if upper { invert_upper(&t2) } else { invert_lower_unit(&t2) }.unwrap();
+            let inv_after = exact(&t2, upper);
             for q in 0..n as Index {
                 if !dirty2.contains(&q) {
                     let (ri, vi) = inv_before.col(q);

@@ -1,14 +1,20 @@
-//! Drop-tolerance sparsified triangular inverses.
+//! Triangular inversion under a drop tolerance — the crate's one public
+//! spelling of `L⁻¹`, `U⁻¹` and of a re-solved column subset.
+//!
+//! Every function here takes `ε`, and `ε = 0` is the exact inverse: no
+//! solve can truncate (`|x| < 0.0` holds for no float), every dropped mass
+//! is exactly `0.0`, and the arrays are the exact ones bit for bit. There
+//! is no second, exact-only spelling; the dense-exact index is the `ε = 0`
+//! corner of this path.
 //!
 //! The exact inverses `L⁻¹` / `U⁻¹` are the index's memory wall: their
 //! density is set by the reach closure of the ordering, and at scale the
-//! stored nonzeros dwarf the graph itself. This module computes *sparsified*
-//! inverses: each column solve runs with a drop tolerance `ε` that zeroes an
-//! entry the moment it is final if its magnitude falls below `ε`
-//! ([`SolveWorkspace::solve_truncated`]). Because the entry is killed
-//! *before* it propagates, truncation prunes the whole downstream subtree it
-//! would have filled in — cutting build time and peak memory together, not
-//! just the stored bytes.
+//! stored nonzeros dwarf the graph itself. With `ε > 0` each column solve
+//! zeroes an entry the moment it is final if its magnitude falls below
+//! `ε` ([`crate::triangular`]'s value-driven solve). Because the entry is
+//! killed *before* it propagates, truncation prunes the whole downstream
+//! subtree it would have filled in — cutting build time and peak memory
+//! together, not just the stored bytes.
 //!
 //! The result is an approximation, and the per-column dropped ℓ₁ mass is
 //! returned alongside each inverse so callers can account for it. Exactness
@@ -19,14 +25,12 @@
 //! remain exact — the dropped mass only shifts work from DRAM-bound gather
 //! to a few cache-friendly correction passes.
 //!
-//! Every driver here is the one column driver of [`crate::inverse`] run
-//! with `ε`, so the properties carry over:
+//! Every function here is the one column driver of [`crate::inverse`], so:
 //!
 //! * per-column solves are independent, so the output is **bit-identical**
 //!   at every thread count;
-//! * with `ε == 0` the solves are the exact ones, so the output arrays are
-//!   bit-identical to [`crate::invert_lower_unit_with`] /
-//!   [`crate::invert_upper_with`] and every dropped mass is exactly `0.0`;
+//! * a re-solved column is bit-identical to the same column of the full
+//!   inversion at the same `ε`;
 //! * errors report the lowest failing column at every thread count.
 
 use crate::inverse::{invert_columns_truncated, invert_truncated};
@@ -48,9 +52,8 @@ pub struct SparsifiedInverse {
     pub tally: SolveTally,
 }
 
-/// Re-solved sparsified columns plus their dropped masses, parallel to the
-/// requested column subset (the dynamic-engine counterpart of
-/// [`crate::invert_columns_with`]).
+/// Re-solved columns plus their dropped masses, parallel to the requested
+/// column subset (what [`sparsify_columns_with`] returns).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparsifiedColumns {
     /// One update per requested column, sorted ascending by column.
@@ -67,52 +70,50 @@ pub fn validate_drop_tolerance(eps: f64) -> Result<()> {
     Ok(())
 }
 
-/// Sparsified [`crate::invert_lower_unit_with`]: inverts a unit lower
-/// triangle, truncating entries below `eps` during each column solve. The
-/// unit diagonal is the protected seed and is always stored explicitly.
+/// `L⁻¹` of a unit lower triangle given its strictly-lower part (diagonal
+/// implicit, as produced by [`crate::sparse_lu`]), truncating entries below
+/// `eps` during each column solve (`0.0` = exact). The unit diagonal is the
+/// protected seed and is always stored explicitly, so column `q` is
+/// directly the vector `L⁻¹ e_q` used at query time.
 pub fn sparsify_lower_unit_with(
     l: &CscMatrix,
     eps: f64,
     options: InvertOptions,
 ) -> Result<SparsifiedInverse> {
     validate_drop_tolerance(eps)?;
-    let (inverse, dropped, tally) =
-        invert_truncated(l, Triangle::Lower, true, eps, options, TailRule::STRUCTURAL)?;
-    Ok(SparsifiedInverse { inverse, dropped, tally })
+    invert_truncated(l, Triangle::Lower, eps, options, TailRule::STRUCTURAL)
 }
 
-/// Sparsified [`crate::invert_upper_with`]: inverts an upper triangle with
-/// stored diagonal, truncating entries below `eps`. The diagonal entry
-/// `1/U_jj` is the protected seed of column `j` and always survives.
+/// `U⁻¹` of an upper triangle with stored diagonal, truncating entries
+/// below `eps` (`0.0` = exact). The diagonal entry `1/U_jj` is the
+/// protected seed of column `j` and always survives.
 pub fn sparsify_upper_with(
     u: &CscMatrix,
     eps: f64,
     options: InvertOptions,
 ) -> Result<SparsifiedInverse> {
     validate_drop_tolerance(eps)?;
-    let (inverse, dropped, tally) =
-        invert_truncated(u, Triangle::Upper, false, eps, options, TailRule::STRUCTURAL)?;
-    Ok(SparsifiedInverse { inverse, dropped, tally })
+    invert_truncated(u, Triangle::Upper, eps, options, TailRule::STRUCTURAL)
 }
 
-/// Sparsified [`crate::invert_columns_with`]: re-solves a sorted column
-/// subset under drop tolerance `eps`, returning each column's update plus
-/// its dropped mass. This is what the dynamic-update engine runs so spliced
-/// columns keep the sparsified tier's invariants: every returned column is
-/// bit-identical to the same column of [`sparsify_lower_unit_with`] /
+/// Re-solves a column subset (sorted strictly ascending) of the inverse of
+/// one factor — `Lower` read with its implicit unit diagonal, `Upper` with
+/// its stored one — under drop tolerance `eps` (`0.0` = exact), returning
+/// each column's update plus its dropped mass. This is the numeric core of
+/// the dynamic-update engine: after the reach analysis
+/// ([`crate::reach::inverse_dirty_columns`]) bounds the dirty set, only
+/// these columns are paid for, and every returned column is bit-identical
+/// to the same column of [`sparsify_lower_unit_with`] /
 /// [`sparsify_upper_with`] output at the same `eps`.
 pub fn sparsify_columns_with(
     t: &CscMatrix,
     triangle: Triangle,
-    unit_diag: bool,
     columns: &[Index],
     eps: f64,
     options: InvertOptions,
 ) -> Result<SparsifiedColumns> {
     validate_drop_tolerance(eps)?;
-    let (updates, dropped) =
-        invert_columns_truncated(t, triangle, unit_diag, columns, eps, options)?;
-    Ok(SparsifiedColumns { updates, dropped })
+    invert_columns_truncated(t, triangle, columns, eps, options)
 }
 
 #[cfg(test)]
@@ -139,31 +140,20 @@ mod tests {
         CscMatrix::from_triplets(n, n, &trips).unwrap()
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     fn assert_bit_identical(a: &CscMatrix, b: &CscMatrix, tag: &str) {
         let (ap, ai, av) = a.raw();
         let (bp, bi, bv) = b.raw();
         assert_eq!(ap, bp, "{tag}: col_ptr differs");
         assert_eq!(ai, bi, "{tag}: row_idx differs");
-        let abits: Vec<u64> = av.iter().map(|v| v.to_bits()).collect();
-        let bbits: Vec<u64> = bv.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(abits, bbits, "{tag}: values differ");
+        assert_eq!(bits(av), bits(bv), "{tag}: values differ");
     }
 
-    #[test]
-    fn zero_eps_is_bit_identical_to_exact_inversion() {
-        let mut rng = StdRng::seed_from_u64(41);
-        let w = random_w(&mut rng, 24, 0.3);
-        let f = sparse_lu(&w).unwrap();
-        let exact_l = crate::invert_lower_unit(&f.l).unwrap();
-        let exact_u = crate::invert_upper(&f.u).unwrap();
-        let sl = sparsify_lower_unit_with(&f.l, 0.0, InvertOptions::sequential()).unwrap();
-        let su = sparsify_upper_with(&f.u, 0.0, InvertOptions::sequential()).unwrap();
-        assert_bit_identical(&exact_l, &sl.inverse, "linv");
-        assert_bit_identical(&exact_u, &su.inverse, "uinv");
-        assert!(sl.dropped.iter().chain(&su.dropped).all(|&m| m == 0.0));
-        assert_eq!(sl.dropped.len(), 24);
-    }
-
+    /// The truncated twin of `inverse::tests::parallel_inversion_is_bit_identical`:
+    /// arrays and dropped masses match the sequential run *bit for bit*.
     #[test]
     fn sparsified_parallel_is_bit_identical_to_sequential() {
         let mut rng = StdRng::seed_from_u64(43);
@@ -172,8 +162,8 @@ mod tests {
             let w = random_w(&mut rng, n, 0.25);
             let f = sparse_lu(&w).unwrap();
             for eps in [1e-8, 1e-4, 1e-2] {
-                let seq = sparsify_lower_unit_with(&f.l, eps, InvertOptions::sequential()).unwrap();
-                let sequ = sparsify_upper_with(&f.u, eps, InvertOptions::sequential()).unwrap();
+                let seq = sparsify_lower_unit_with(&f.l, eps, InvertOptions::default()).unwrap();
+                let sequ = sparsify_upper_with(&f.u, eps, InvertOptions::default()).unwrap();
                 for threads in [0usize, 2, 3, 16] {
                     let opts = InvertOptions { threads };
                     let par = sparsify_lower_unit_with(&f.l, eps, opts).unwrap();
@@ -181,9 +171,8 @@ mod tests {
                     let tag = format!("trial {trial} eps {eps} threads {threads}");
                     assert_bit_identical(&seq.inverse, &par.inverse, &tag);
                     assert_bit_identical(&sequ.inverse, &paru.inverse, &tag);
-                    let db = |v: &Vec<f64>| v.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(db(&seq.dropped), db(&par.dropped), "{tag}: linv masses");
-                    assert_eq!(db(&sequ.dropped), db(&paru.dropped), "{tag}: uinv masses");
+                    assert_eq!(bits(&seq.dropped), bits(&par.dropped), "{tag}: linv masses");
+                    assert_eq!(bits(&sequ.dropped), bits(&paru.dropped), "{tag}: uinv masses");
                 }
             }
         }
@@ -194,9 +183,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(47);
         let w = random_w(&mut rng, 40, 0.3);
         let f = sparse_lu(&w).unwrap();
-        let exact = crate::invert_lower_unit(&f.l).unwrap();
-        let sp = sparsify_lower_unit_with(&f.l, 1e-2, InvertOptions::sequential()).unwrap();
-        assert!(sp.inverse.nnz() < exact.nnz(), "{} !< {}", sp.inverse.nnz(), exact.nnz());
+        let exact = sparsify_lower_unit_with(&f.l, 0.0, InvertOptions::default()).unwrap();
+        let sp = sparsify_lower_unit_with(&f.l, 1e-2, InvertOptions::default()).unwrap();
+        let (sparse_nnz, exact_nnz) = (sp.inverse.nnz(), exact.inverse.nnz());
+        assert!(sparse_nnz < exact_nnz, "{sparse_nnz} !< {exact_nnz}");
         assert!(sp.dropped.iter().sum::<f64>() > 0.0);
         // Diagonals are protected: every column still leads with its seed.
         for j in 0..40 as Index {
@@ -213,32 +203,37 @@ mod tests {
         }
     }
 
+    /// The truncated twin of `inverse::tests::column_subset_solves_match_full_inversion`:
+    /// every re-solved column and its mass are bit-identical to the full
+    /// inversion's, for both triangles, at every thread count.
     #[test]
     fn column_subset_matches_full_sparsified_inversion() {
         let mut rng = StdRng::seed_from_u64(53);
-        let n = 30;
-        let w = random_w(&mut rng, n, 0.3);
-        let f = sparse_lu(&w).unwrap();
         let eps = 1e-3;
-        let full = sparsify_upper_with(&f.u, eps, InvertOptions::sequential()).unwrap();
-        let subset: Vec<Index> = (0..n as Index).filter(|j| j % 2 == 0).collect();
-        for threads in [1usize, 3, 0] {
-            let opts = InvertOptions { threads };
-            let cols =
-                sparsify_columns_with(&f.u, Triangle::Upper, false, &subset, eps, opts).unwrap();
-            assert_eq!(cols.updates.len(), subset.len());
-            for (k, u) in cols.updates.iter().enumerate() {
-                let (rows, vals) = full.inverse.col(u.col);
-                assert_eq!(u.rows.as_slice(), rows, "col {}", u.col);
-                for (a, b) in u.vals.iter().zip(vals) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "col {}", u.col);
+        for trial in 0..4 {
+            let n = rng.gen_range(8..40usize);
+            let w = random_w(&mut rng, n, 0.3);
+            let f = sparse_lu(&w).unwrap();
+            let subset: Vec<Index> = (0..n as Index).filter(|j| j % 3 != 1).collect();
+            let one = InvertOptions::default();
+            let sides = [
+                (&f.l, Triangle::Lower, sparsify_lower_unit_with(&f.l, eps, one).unwrap()),
+                (&f.u, Triangle::Upper, sparsify_upper_with(&f.u, eps, one).unwrap()),
+            ];
+            for (t, triangle, full) in &sides {
+                for threads in [1usize, 2, 5, 0] {
+                    let tag = format!("trial {trial} {triangle:?} threads {threads}");
+                    let opts = InvertOptions { threads };
+                    let cols = sparsify_columns_with(t, *triangle, &subset, eps, opts).unwrap();
+                    assert_eq!(cols.updates.len(), subset.len(), "{tag}");
+                    for (u, mass) in cols.updates.iter().zip(&cols.dropped) {
+                        let (rows, vals) = full.inverse.col(u.col);
+                        assert_eq!(u.rows.as_slice(), rows, "{tag} col {}", u.col);
+                        assert_eq!(bits(&u.vals), bits(vals), "{tag} col {}", u.col);
+                        let full_mass = full.dropped[u.col as usize];
+                        assert_eq!(mass.to_bits(), full_mass.to_bits(), "{tag} col {}", u.col);
+                    }
                 }
-                assert_eq!(
-                    cols.dropped[k].to_bits(),
-                    full.dropped[u.col as usize].to_bits(),
-                    "col {} mass",
-                    u.col
-                );
             }
         }
     }
@@ -247,8 +242,7 @@ mod tests {
     fn invalid_tolerances_rejected() {
         let l = CscMatrix::from_triplets(2, 2, &[(1, 0, 1.0)]).unwrap();
         for bad in [-1e-9, f64::NAN, f64::INFINITY] {
-            let err =
-                sparsify_lower_unit_with(&l, bad, InvertOptions::sequential()).unwrap_err();
+            let err = sparsify_lower_unit_with(&l, bad, InvertOptions::default()).unwrap_err();
             assert!(matches!(err, SparseError::InvalidDropTolerance(_)), "{bad}: {err:?}");
         }
         assert!(validate_drop_tolerance(0.0).is_ok());

@@ -1,8 +1,13 @@
-//! Sparse triangular solves with sparse right-hand sides.
+//! Sparse triangular solves with sparse right-hand sides — the kernel
+//! under the crate's numeric operations, not an operation of its own.
 //!
 //! Solving `T x = b` for triangular `T` and sparse `b` is the workhorse of
 //! both the left-looking LU factorisation ([`crate::lu`]) and the triangular
-//! inversion ([`crate::inverse`]). The classic observation of Gilbert &
+//! inversion ([`crate::inverse`]). The solve is crate-private: a caller
+//! inverts or re-solves columns through [`crate::sparsify`] (at `ε = 0` for
+//! the exact inverse) and solves `W x = e_q` through
+//! [`crate::LuFactors::solve_unit_sparse`]; a [`SolveWorkspace`] is only
+//! the opaque scratch the latter takes. The classic observation of Gilbert &
 //! Peierls (1988) is that the nonzero pattern of `x` is exactly the set of
 //! nodes *reachable* from `pattern(b)` in the directed graph of `T`
 //! (an edge `j -> i` for every stored `T_ij`, `i != j`), which a DFS
@@ -62,6 +67,14 @@ pub enum Triangle {
     Lower,
     /// Backward substitution; dependencies flow from high to low indices.
     Upper,
+}
+
+impl Triangle {
+    /// Whether a factor of this triangle has an implicit unit diagonal —
+    /// the crate's convention: `L` (Doolittle) does, `U` stores its own.
+    pub(crate) fn unit_diag(self) -> bool {
+        self == Triangle::Lower
+    }
 }
 
 /// Where a dense tail starts: at the first of the last `max_columns`
@@ -383,7 +396,8 @@ impl<'a> FactorView<'a> {
 
 /// Reusable scratch space for repeated sparse solves on matrices of the same
 /// dimension. Reuse amortises the `O(n)` allocations away: each solve then
-/// touches only the nonzero pattern it produces.
+/// touches only the nonzero pattern it produces. Outside this crate it is
+/// opaque: the scratch [`crate::LuFactors::solve_unit_sparse`] takes.
 #[derive(Debug, Clone)]
 pub struct SolveWorkspace {
     n: usize,
@@ -509,31 +523,12 @@ impl SolveWorkspace {
         }
     }
 
-    /// Solves `T x = b` and appends the sorted sparse solution to
-    /// `out_idx` / `out_val` (cleared first).
+    /// Solves `T x = b` for the triangle `view` reads and appends the
+    /// sorted sparse solution to `out_idx` / `out_val` (cleared first); the
+    /// one solve of the crate. `b_idx` / `b_val` is a sparse right-hand
+    /// side (indices need not be sorted; duplicates accumulate).
     ///
-    /// * `triangle` — which half of `T` participates; entries on the other
-    ///   side of the diagonal are ignored.
-    /// * `unit_diag` — if true the diagonal is taken to be 1 whether or not
-    ///   it is stored; otherwise the stored diagonal divides and must exist.
-    /// * `b_idx` / `b_val` — sparse right-hand side (indices need not be
-    ///   sorted; duplicates accumulate).
-    #[allow(clippy::too_many_arguments)] // mirrors the mathematical signature
-    pub fn solve(
-        &mut self,
-        t: &CscMatrix,
-        triangle: Triangle,
-        unit_diag: bool,
-        b_idx: &[Index],
-        b_val: &[f64],
-        out_idx: &mut Vec<Index>,
-        out_val: &mut Vec<f64>,
-    ) -> Result<()> {
-        self.solve_truncated(t, triangle, unit_diag, b_idx, b_val, 0.0, None, out_idx, out_val)
-            .map(|_| ())
-    }
-
-    /// [`SolveWorkspace::solve`] with drop-tolerance truncation *during*
+    /// Under a drop tolerance `eps > 0` the solve truncates *during*
     /// substitution: once a solution entry `x_j` is final, if `|x_j| < eps`
     /// it is zeroed before it propagates to any dependent entry, and
     /// `|x_j|` is added to the returned dropped ℓ₁ mass. Killing the entry
@@ -560,27 +555,8 @@ impl SolveWorkspace {
     /// keeps its unit diagonal and `U⁻¹` its explicit diagonal.
     ///
     /// With `eps == 0.0` nothing can be truncated (`|x_j| < 0.0` is false
-    /// for every float), so the output is bit-identical to
-    /// [`SolveWorkspace::solve`] and the dropped mass is exactly `0.0`.
-    #[allow(clippy::too_many_arguments)] // mirrors the mathematical signature
-    pub fn solve_truncated(
-        &mut self,
-        t: &CscMatrix,
-        triangle: Triangle,
-        unit_diag: bool,
-        b_idx: &[Index],
-        b_val: &[f64],
-        eps: f64,
-        protect: Option<Index>,
-        out_idx: &mut Vec<Index>,
-        out_val: &mut Vec<f64>,
-    ) -> Result<f64> {
-        let view = FactorView::new(t, triangle, unit_diag)?;
-        self.solve_view(&view, b_idx, b_val, eps, protect, out_idx, out_val)
-    }
-
-    /// [`SolveWorkspace::solve_truncated`] against a prepared view — what
-    /// the column drivers call, once per column, with an indexed view.
+    /// for every float): the exact solve, and a dropped mass of exactly
+    /// `0.0`.
     #[allow(clippy::too_many_arguments)] // mirrors the mathematical signature
     pub(crate) fn solve_view(
         &mut self,
@@ -700,12 +676,11 @@ impl SolveWorkspace {
         Ok(0.0)
     }
 
-    /// The `eps > 0` engine of [`SolveWorkspace::solve_truncated`]:
+    /// The `eps > 0` engine of [`SolveWorkspace::solve_view`]:
     /// index-ordered substitution over a pending-node heap. A position is
-    /// final when popped (see the public doc for the monotonicity
-    /// argument), so truncation prunes discovery itself — the symbolic
-    /// cost of the exact reach, which the DFS pays regardless of ε, never
-    /// arises. This is what makes sparsified builds tractable on graphs
+    /// final when popped (see its doc for the monotonicity argument), so
+    /// truncation prunes discovery itself — the symbolic cost of the exact
+    /// reach, which the DFS pays regardless of ε, never arises. This is what makes sparsified builds tractable on graphs
     /// whose *exact* inverses are the memory/time wall.
     #[allow(clippy::too_many_arguments)] // mirrors the mathematical signature
     fn solve_worklist(
@@ -780,35 +755,6 @@ impl SolveWorkspace {
             out_val.reverse();
         }
         Ok(dropped)
-    }
-
-    /// Convenience wrapper: solves `T x = e_j`.
-    pub fn solve_unit(
-        &mut self,
-        t: &CscMatrix,
-        triangle: Triangle,
-        unit_diag: bool,
-        j: Index,
-        out_idx: &mut Vec<Index>,
-        out_val: &mut Vec<f64>,
-    ) -> Result<()> {
-        self.solve(t, triangle, unit_diag, &[j], &[1.0], out_idx, out_val)
-    }
-
-    /// Convenience wrapper: solves `T x = e_j` with drop-tolerance
-    /// truncation, protecting the seed position `j` (the diagonal of the
-    /// inverse column) from truncation. Returns the dropped ℓ₁ mass.
-    pub fn solve_unit_truncated(
-        &mut self,
-        t: &CscMatrix,
-        triangle: Triangle,
-        unit_diag: bool,
-        j: Index,
-        eps: f64,
-        out_idx: &mut Vec<Index>,
-        out_val: &mut Vec<f64>,
-    ) -> Result<f64> {
-        self.solve_truncated(t, triangle, unit_diag, &[j], &[1.0], eps, Some(j), out_idx, out_val)
     }
 }
 
@@ -965,7 +911,7 @@ pub(crate) mod tests {
         for (name, w) in oracle_systems() {
             let n = w.nrows();
             let f = crate::sparse_lu(&w).unwrap();
-            let linv = crate::invert_lower_unit(&f.l).unwrap();
+            let linv = crate::inverse::tests::exact(&f.l, Triangle::Lower, 1).unwrap();
             let cases = [
                 (&f.l, Triangle::Lower, true),
                 (&linv, Triangle::Lower, false),
@@ -1047,6 +993,39 @@ pub(crate) mod tests {
         x
     }
 
+    /// The exact solve of `T x = b` through a probing view, as the subset
+    /// driver runs it: the sorted solution.
+    fn solve(
+        ws: &mut SolveWorkspace,
+        t: &CscMatrix,
+        triangle: Triangle,
+        unit_diag: bool,
+        b_idx: &[Index],
+        b_val: &[f64],
+    ) -> Result<(Vec<Index>, Vec<f64>)> {
+        let view = FactorView::new(t, triangle, unit_diag)?;
+        let (mut oi, mut ov) = (Vec::new(), Vec::new());
+        ws.solve_view(&view, b_idx, b_val, 0.0, None, &mut oi, &mut ov)?;
+        Ok((oi, ov))
+    }
+
+    /// `T x = e_j` under drop tolerance `eps` with the seed `j` protected,
+    /// as the inversion drivers solve a column: the sorted solution and
+    /// the dropped mass.
+    fn solve_column(
+        ws: &mut SolveWorkspace,
+        t: &CscMatrix,
+        triangle: Triangle,
+        unit_diag: bool,
+        j: Index,
+        eps: f64,
+    ) -> Result<(Vec<Index>, Vec<f64>, f64)> {
+        let view = FactorView::new(t, triangle, unit_diag)?;
+        let (mut oi, mut ov) = (Vec::new(), Vec::new());
+        let dropped = ws.solve_view(&view, &[j], &[1.0], eps, Some(j), &mut oi, &mut ov)?;
+        Ok((oi, ov, dropped))
+    }
+
     fn approx_eq(a: &[f64], b: &[f64]) {
         assert_eq!(a.len(), b.len());
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -1062,8 +1041,7 @@ pub(crate) mod tests {
         // [0 3 .]
         let l = CscMatrix::from_triplets(3, 3, &[(1, 0, 2.0), (2, 1, 3.0)]).unwrap();
         let mut ws = SolveWorkspace::new(3);
-        let (mut oi, mut ov) = (Vec::new(), Vec::new());
-        ws.solve(&l, Triangle::Lower, true, &[0], &[1.0], &mut oi, &mut ov).unwrap();
+        let (oi, ov) = solve(&mut ws, &l, Triangle::Lower, true, &[0], &[1.0]).unwrap();
         let x = to_dense_vec(3, &oi, &ov);
         approx_eq(&x, &dense_lower_unit_solve(&l, &[1.0, 0.0, 0.0]));
         assert_eq!(oi, vec![0, 1, 2]); // reach of node 0 is everything
@@ -1074,8 +1052,7 @@ pub(crate) mod tests {
         // chain 0 -> 1, isolated 2
         let l = CscMatrix::from_triplets(3, 3, &[(1, 0, 1.0)]).unwrap();
         let mut ws = SolveWorkspace::new(3);
-        let (mut oi, mut ov) = (Vec::new(), Vec::new());
-        ws.solve(&l, Triangle::Lower, true, &[2], &[5.0], &mut oi, &mut ov).unwrap();
+        let (oi, ov) = solve(&mut ws, &l, Triangle::Lower, true, &[2], &[5.0]).unwrap();
         assert_eq!(oi, vec![2]);
         assert_eq!(ov, vec![5.0]);
     }
@@ -1093,8 +1070,7 @@ pub(crate) mod tests {
         )
         .unwrap();
         let mut ws = SolveWorkspace::new(3);
-        let (mut oi, mut ov) = (Vec::new(), Vec::new());
-        ws.solve(&u, Triangle::Upper, false, &[2], &[8.0], &mut oi, &mut ov).unwrap();
+        let (oi, ov) = solve(&mut ws, &u, Triangle::Upper, false, &[2], &[8.0]).unwrap();
         let x = to_dense_vec(3, &oi, &ov);
         approx_eq(&x, &dense_upper_solve(&u, &[0.0, 0.0, 8.0]));
     }
@@ -1104,8 +1080,7 @@ pub(crate) mod tests {
         // upper matrix missing diagonal at column 1
         let u = CscMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 1, 1.0)]).unwrap();
         let mut ws = SolveWorkspace::new(2);
-        let (mut oi, mut ov) = (Vec::new(), Vec::new());
-        let err = ws.solve(&u, Triangle::Upper, false, &[1], &[1.0], &mut oi, &mut ov).unwrap_err();
+        let err = solve(&mut ws, &u, Triangle::Upper, false, &[1], &[1.0]).unwrap_err();
         assert!(matches!(err, SparseError::SingularPivot { column: 1, .. }));
     }
 
@@ -1113,8 +1088,7 @@ pub(crate) mod tests {
     fn duplicate_rhs_indices_accumulate() {
         let l = CscMatrix::from_triplets(2, 2, &[(1, 0, 1.0)]).unwrap();
         let mut ws = SolveWorkspace::new(2);
-        let (mut oi, mut ov) = (Vec::new(), Vec::new());
-        ws.solve(&l, Triangle::Lower, true, &[0, 0], &[1.0, 2.0], &mut oi, &mut ov).unwrap();
+        let (oi, ov) = solve(&mut ws, &l, Triangle::Lower, true, &[0, 0], &[1.0, 2.0]).unwrap();
         let x = to_dense_vec(2, &oi, &ov);
         approx_eq(&x, &[3.0, -3.0]);
     }
@@ -1123,10 +1097,9 @@ pub(crate) mod tests {
     fn workspace_reuse_is_clean() {
         let l = CscMatrix::from_triplets(3, 3, &[(1, 0, 2.0), (2, 1, 3.0)]).unwrap();
         let mut ws = SolveWorkspace::new(3);
-        let (mut oi, mut ov) = (Vec::new(), Vec::new());
-        ws.solve(&l, Triangle::Lower, true, &[0], &[1.0], &mut oi, &mut ov).unwrap();
+        solve(&mut ws, &l, Triangle::Lower, true, &[0], &[1.0]).unwrap();
         // Second solve with a different RHS must not see stale state.
-        ws.solve(&l, Triangle::Lower, true, &[1], &[1.0], &mut oi, &mut ov).unwrap();
+        let (oi, ov) = solve(&mut ws, &l, Triangle::Lower, true, &[1], &[1.0]).unwrap();
         let x = to_dense_vec(3, &oi, &ov);
         approx_eq(&x, &dense_lower_unit_solve(&l, &[0.0, 1.0, 0.0]));
     }
@@ -1138,10 +1111,8 @@ pub(crate) mod tests {
         let with_diag =
             CscMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 0, 2.0), (1, 1, 1.0)]).unwrap();
         let mut ws = SolveWorkspace::new(2);
-        let (mut i1, mut v1) = (Vec::new(), Vec::new());
-        let (mut i2, mut v2) = (Vec::new(), Vec::new());
-        ws.solve(&no_diag, Triangle::Lower, true, &[0], &[3.0], &mut i1, &mut v1).unwrap();
-        ws.solve(&with_diag, Triangle::Lower, true, &[0], &[3.0], &mut i2, &mut v2).unwrap();
+        let (i1, v1) = solve(&mut ws, &no_diag, Triangle::Lower, true, &[0], &[3.0]).unwrap();
+        let (i2, v2) = solve(&mut ws, &with_diag, Triangle::Lower, true, &[0], &[3.0]).unwrap();
         assert_eq!(i1, i2);
         assert_eq!(v1, v2);
     }
@@ -1150,12 +1121,8 @@ pub(crate) mod tests {
     fn zero_tolerance_truncated_solve_is_bit_identical() {
         let l = CscMatrix::from_triplets(4, 4, &[(1, 0, 0.5), (2, 1, 0.25), (3, 2, 2.0)]).unwrap();
         let mut ws = SolveWorkspace::new(4);
-        let (mut i1, mut v1) = (Vec::new(), Vec::new());
-        let (mut i2, mut v2) = (Vec::new(), Vec::new());
-        ws.solve(&l, Triangle::Lower, true, &[0], &[1.0], &mut i1, &mut v1).unwrap();
-        let dropped = ws
-            .solve_unit_truncated(&l, Triangle::Lower, true, 0, 0.0, &mut i2, &mut v2)
-            .unwrap();
+        let (i1, v1) = solve(&mut ws, &l, Triangle::Lower, true, &[0], &[1.0]).unwrap();
+        let (i2, v2, dropped) = solve_column(&mut ws, &l, Triangle::Lower, true, 0, 0.0).unwrap();
         assert_eq!(dropped, 0.0);
         assert_eq!(i1, i2);
         let b1: Vec<u64> = v1.iter().map(|v| v.to_bits()).collect();
@@ -1173,11 +1140,9 @@ pub(crate) mod tests {
         )
         .unwrap();
         let mut ws = SolveWorkspace::new(4);
-        let (mut oi, mut ov) = (Vec::new(), Vec::new());
         // eps = 0.3 kills x_2 = 0.25 before it propagates, so x_3 (which
         // only depends on x_2) never appears at all.
-        let dropped =
-            ws.solve_unit_truncated(&l, Triangle::Lower, true, 0, 0.3, &mut oi, &mut ov).unwrap();
+        let (oi, ov, dropped) = solve_column(&mut ws, &l, Triangle::Lower, true, 0, 0.3).unwrap();
         assert_eq!(oi, vec![0, 1]);
         assert_eq!(ov, vec![1.0, -0.5]);
         assert!((dropped - 0.25).abs() < 1e-15, "dropped {dropped}");
@@ -1189,9 +1154,7 @@ pub(crate) mod tests {
         // must survive because it is the protected diagonal entry.
         let u = CscMatrix::from_triplets(2, 2, &[(0, 0, 4.0), (0, 1, 1.0), (1, 1, 8.0)]).unwrap();
         let mut ws = SolveWorkspace::new(2);
-        let (mut oi, mut ov) = (Vec::new(), Vec::new());
-        let dropped =
-            ws.solve_unit_truncated(&u, Triangle::Upper, false, 1, 0.5, &mut oi, &mut ov).unwrap();
+        let (oi, ov, dropped) = solve_column(&mut ws, &u, Triangle::Upper, false, 1, 0.5).unwrap();
         assert_eq!(oi, vec![1]);
         assert_eq!(ov, vec![0.125]);
         // x_0 = -(U_01 * x_1) / U_00 = -1/32 was dropped.
@@ -1224,12 +1187,8 @@ pub(crate) mod tests {
             let mut ws = SolveWorkspace::new(n);
             for (m, tri, unit) in [(&l, Triangle::Lower, true), (&u, Triangle::Upper, false)] {
                 let seed = rng.gen_range(0..n) as Index;
-                let (mut ei, mut ev) = (Vec::new(), Vec::new());
-                let (mut wi, mut wv) = (Vec::new(), Vec::new());
-                ws.solve(m, tri, unit, &[seed], &[1.0], &mut ei, &mut ev).unwrap();
-                let dropped = ws
-                    .solve_unit_truncated(m, tri, unit, seed, 1e-300, &mut wi, &mut wv)
-                    .unwrap();
+                let (ei, ev) = solve(&mut ws, m, tri, unit, &[seed], &[1.0]).unwrap();
+                let (wi, wv, dropped) = solve_column(&mut ws, m, tri, unit, seed, 1e-300).unwrap();
                 assert_eq!(dropped, 0.0, "trial {trial}");
                 assert_eq!(ei, wi, "trial {trial} {tri:?}: pattern diverged");
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1267,8 +1226,7 @@ pub(crate) mod tests {
                 dense_b[i as usize] += v;
             }
             let mut ws = SolveWorkspace::new(n);
-            let (mut oi, mut ov) = (Vec::new(), Vec::new());
-            ws.solve(&l, Triangle::Lower, true, &b_idx, &b_val, &mut oi, &mut ov).unwrap();
+            let (oi, ov) = solve(&mut ws, &l, Triangle::Lower, true, &b_idx, &b_val).unwrap();
             let x = to_dense_vec(n, &oi, &ov);
             let expect = dense_lower_unit_solve(&l, &dense_b);
             for (i, (a, e)) in x.iter().zip(&expect).enumerate() {

@@ -17,6 +17,9 @@
 //! constant that cannot change a result" is the claim the second half of
 //! this suite holds them to, against the sparse-only reference entry
 //! points of `kdash-sparse`.
+//!
+//! The exact inverses are the one inversion driver at `ε = 0`
+//! (`sparsify_*_with`); there is no other spelling to compare them with.
 
 use kdash_core::{compute_ordering, IndexBuilder, IndexOptions, NodeOrdering};
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, DatasetProfile, RmatParams};
@@ -24,10 +27,9 @@ use kdash_graph::CsrGraph;
 use kdash_sparse::inverse::invert_without_tail;
 use kdash_sparse::lu::sparse_lu_without_tail;
 use kdash_sparse::{
-    dense_tail_columns, invert_columns_with, invert_lower_unit, invert_lower_unit_with,
-    invert_upper, invert_upper_with, sparse_lu, sparse_lu_tallied, sparsify_upper_with,
-    transition_matrix, w_matrix, ColumnUpdate, CscMatrix, DanglingPolicy, Index, InvertOptions,
-    SparseError, Triangle,
+    dense_tail_columns, sparse_lu, sparse_lu_tallied, sparsify_columns_with,
+    sparsify_lower_unit_with, sparsify_upper_with, transition_matrix, w_matrix, ColumnUpdate,
+    CscMatrix, DanglingPolicy, Index, InvertOptions, SparseError, Triangle,
 };
 
 fn test_graphs() -> Vec<(&'static str, CsrGraph)> {
@@ -36,6 +38,17 @@ fn test_graphs() -> Vec<(&'static str, CsrGraph)> {
         ("ba", barabasi_albert(300, 3, 12)),
         ("rmat", rmat(9, 2048, RmatParams::default(), 13)),
     ]
+}
+
+/// The exact inverse of a factor at `threads` workers: the one inversion
+/// driver at `ε = 0`.
+fn exact(t: &CscMatrix, triangle: Triangle, threads: usize) -> Result<CscMatrix, SparseError> {
+    let options = InvertOptions { threads };
+    let inverted = match triangle {
+        Triangle::Lower => sparsify_lower_unit_with(t, 0.0, options),
+        Triangle::Upper => sparsify_upper_with(t, 0.0, options),
+    };
+    inverted.map(|s| s.inverse)
 }
 
 fn assert_csc_bytes_equal(label: &str, seq: &CscMatrix, par: &CscMatrix) {
@@ -58,12 +71,11 @@ fn parallel_inversion_matches_sequential_on_lu_factors() {
         let a = transition_matrix(&graph, DanglingPolicy::Keep);
         let w = w_matrix(&a, 0.95).expect("valid restart probability");
         let factors = sparse_lu(&w).expect("W is diagonally dominant");
-        let linv_seq = invert_lower_unit(&factors.l).expect("sequential L inverse");
-        let uinv_seq = invert_upper(&factors.u).expect("sequential U inverse");
+        let linv_seq = exact(&factors.l, Triangle::Lower, 1).expect("sequential L inverse");
+        let uinv_seq = exact(&factors.u, Triangle::Upper, 1).expect("sequential U inverse");
         for threads in [2usize, 3, 0] {
-            let opts = InvertOptions { threads };
-            let linv_par = invert_lower_unit_with(&factors.l, opts).expect("parallel L inverse");
-            let uinv_par = invert_upper_with(&factors.u, opts).expect("parallel U inverse");
+            let linv_par = exact(&factors.l, Triangle::Lower, threads).expect("parallel L inverse");
+            let uinv_par = exact(&factors.u, Triangle::Upper, threads).expect("parallel U inverse");
             assert_csc_bytes_equal(&format!("{name} L⁻¹ threads={threads}"), &linv_seq, &linv_par);
             assert_csc_bytes_equal(&format!("{name} U⁻¹ threads={threads}"), &uinv_seq, &uinv_par);
         }
@@ -79,8 +91,8 @@ fn heavy_first_claims_keep_sparsified_and_subset_inversions_sequential() {
         let a = transition_matrix(&graph, DanglingPolicy::Keep);
         let w = w_matrix(&a, 0.95).expect("valid restart probability");
         let u = sparse_lu(&w).expect("W is diagonally dominant").u;
-        let sparse_seq = sparsify_upper_with(&u, 1e-4, InvertOptions::sequential()).unwrap();
-        let uinv_seq = invert_upper(&u).expect("sequential U inverse");
+        let sparse_seq = sparsify_upper_with(&u, 1e-4, InvertOptions::default()).unwrap();
+        let uinv_seq = exact(&u, Triangle::Upper, 1).expect("sequential U inverse");
         let subset: Vec<Index> = (0..u.ncols() as Index).filter(|j| j % 3 != 0).collect();
         for threads in [2usize, 3, 0] {
             let opts = InvertOptions { threads };
@@ -89,7 +101,8 @@ fn heavy_first_claims_keep_sparsified_and_subset_inversions_sequential() {
             assert_csc_bytes_equal(&label, &sparse_seq.inverse, &sparse_par.inverse);
             let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&sparse_seq.dropped), bits(&sparse_par.dropped), "{label}: masses");
-            let updates = invert_columns_with(&u, Triangle::Upper, false, &subset, opts).unwrap();
+            let updates = sparsify_columns_with(&u, Triangle::Upper, &subset, 0.0, opts).unwrap();
+            let updates = updates.updates;
             assert_eq!(updates.len(), subset.len(), "{label}");
             for update in &updates {
                 let (rows, vals) = uinv_seq.col(update.col);
@@ -181,18 +194,18 @@ fn hybrid_w(graph: &CsrGraph) -> CscMatrix {
 }
 
 /// The invariant the dense tail rests on: `sparse_lu`, and at one worker,
-/// two and auto `invert_lower_unit_with`, `invert_upper_with` and the
-/// staged build, return the bytes of the sparse-only kernel — on factors
+/// two and auto the exact inversions and the staged build, return the
+/// bytes of the sparse-only kernel — on factors
 /// that grow a tail and on factors too small to — and the build reports
 /// the LU's own tally whatever its thread count.
 #[test]
 fn dense_tail_is_byte_identical_to_the_sparse_kernel() {
     for (name, graph, grows_tail) in tail_graphs() {
         let w = hybrid_w(&graph);
-        let one = InvertOptions::sequential();
+        let one = InvertOptions::default();
         let reference = sparse_lu_without_tail(&w).unwrap();
-        let linv = invert_without_tail(&reference.l, Triangle::Lower, true, one).unwrap();
-        let uinv = invert_without_tail(&reference.u, Triangle::Upper, false, one).unwrap();
+        let linv = invert_without_tail(&reference.l, Triangle::Lower, one).unwrap();
+        let uinv = invert_without_tail(&reference.u, Triangle::Upper, one).unwrap();
         let l_tail = dense_tail_columns(&reference.l, Triangle::Lower).unwrap();
         let u_tail = dense_tail_columns(&reference.u, Triangle::Upper).unwrap();
         if grows_tail {
@@ -206,11 +219,10 @@ fn dense_tail_is_byte_identical_to_the_sparse_kernel() {
         assert_csc_bytes_equal(&format!("{name} U"), &reference.u, &factors.u);
         assert_eq!(tally.tail_columns, l_tail, "{name}");
         for threads in [1usize, 2, 0] {
-            let options = InvertOptions { threads };
             let label = format!("{name} threads={threads}");
-            let tailed = invert_lower_unit_with(&factors.l, options).unwrap();
+            let tailed = exact(&factors.l, Triangle::Lower, threads).unwrap();
             assert_csc_bytes_equal(&format!("{label} L⁻¹"), &linv, &tailed);
-            let tailed = invert_upper_with(&factors.u, options).unwrap();
+            let tailed = exact(&factors.u, Triangle::Upper, threads).unwrap();
             assert_csc_bytes_equal(&format!("{label} U⁻¹"), &uinv, &tailed);
             let (built, report) = IndexBuilder::new()
                 .ordering(NodeOrdering::Hybrid)
@@ -307,15 +319,15 @@ fn dense_tail_agrees_on_cancellation_stored_zeros_and_singular_pivots() {
         let label = format!("threads={threads}");
         for (name, l, u) in [("exact", &reference.l, &reference.u), ("stored zeros", &l0, &u0)] {
             let label = format!("{label} {name}");
-            let sparse = invert_without_tail(l, Triangle::Lower, true, options).unwrap();
-            let tailed = invert_lower_unit_with(l, options).unwrap();
+            let sparse = invert_without_tail(l, Triangle::Lower, options).unwrap();
+            let tailed = exact(l, Triangle::Lower, threads).unwrap();
             assert_csc_bytes_equal(&format!("{label} L⁻¹"), &sparse, &tailed);
-            let sparse = invert_without_tail(u, Triangle::Upper, false, options).unwrap();
-            let tailed = invert_upper_with(u, options).unwrap();
+            let sparse = invert_without_tail(u, Triangle::Upper, options).unwrap();
+            let tailed = exact(u, Triangle::Upper, threads).unwrap();
             assert_csc_bytes_equal(&format!("{label} U⁻¹"), &sparse, &tailed);
         }
-        assert_eq!(invert_upper_with(&singular_u, options).unwrap_err(), expect, "{label}");
-        let sparse = invert_without_tail(&singular_u, Triangle::Upper, false, options);
+        assert_eq!(exact(&singular_u, Triangle::Upper, threads).unwrap_err(), expect, "{label}");
+        let sparse = invert_without_tail(&singular_u, Triangle::Upper, options);
         assert_eq!(sparse.unwrap_err(), expect, "{label}");
     }
 }

@@ -29,8 +29,8 @@ use kdash_dynamic::{DynamicIndex, UpdateBatch};
 use kdash_graph::{CsrGraph, EdgeEdit, GraphBuilder, NodeId};
 use kdash_harness::check_index_bit_identity;
 use kdash_sparse::{
-    dense_tail_columns, inverse_dirty_columns, invert_columns_with, invert_lower_unit_with,
-    invert_upper_with, refactor_columns, sparse_lu, transition_matrix, w_matrix, CscMatrix,
+    dense_tail_columns, inverse_dirty_columns, refactor_columns, sparse_lu, sparsify_columns_with,
+    sparsify_lower_unit_with, sparsify_upper_with, transition_matrix, w_matrix, CscMatrix,
     DanglingPolicy, Index, InvertOptions, LuFactors, Triangle,
 };
 use proptest::prelude::*;
@@ -234,8 +234,8 @@ fn boundary_edits(graph: &CsrGraph, s: NodeId) -> Vec<(&'static str, Vec<EdgeEdi
     ]
 }
 
-/// `refactor_columns ≡ sparse_lu`, and `invert_columns_with ≡` the full
-/// inversion at one worker and two, bitwise, for edits on every side of
+/// `refactor_columns ≡ sparse_lu`, and the exact column re-solve ≡ the
+/// full inversion at one worker and two, bitwise, for edits on every side of
 /// the dense tail's first column.
 #[test]
 fn refactor_and_resolve_match_the_full_build_across_the_tail_boundary() {
@@ -250,24 +250,24 @@ fn refactor_and_resolve_match_the_full_build_across_the_tail_boundary() {
         let full = sparse_lu(&w_new).unwrap();
         let new_start = n - dense_tail_columns(&full.l, Triangle::Lower).unwrap();
         assert_eq!(new_start != s as usize, class == "moves-s", "{class}: tail now at {new_start}");
-        let linv = invert_lower_unit_with(&full.l, InvertOptions { threads: 2 }).unwrap();
-        let uinv = invert_upper_with(&full.u, InvertOptions { threads: 2 }).unwrap();
+        let two = InvertOptions { threads: 2 };
+        let linv = sparsify_lower_unit_with(&full.l, 0.0, two).unwrap().inverse;
+        let uinv = sparsify_upper_with(&full.u, 0.0, two).unwrap().inverse;
         let (patched, report) = refactor_columns(&old, &w_new, &dirty).unwrap();
         assert_factors_bit_identical(&patched, &full, class);
         for threads in [1usize, 2] {
             let options = InvertOptions { threads };
             let context = format!("{class} threads={threads}");
             let sides = [
-                (&patched.l, Triangle::Lower, true, &report.changed_l_columns, &linv),
-                (&patched.u, Triangle::Upper, false, &report.changed_u_columns, &uinv),
+                (&patched.l, Triangle::Lower, &report.changed_l_columns, &linv),
+                (&patched.u, Triangle::Upper, &report.changed_u_columns, &uinv),
             ];
             let mut resolved = 0usize;
-            for (factor, triangle, unit_diag, changed, inverse) in sides {
+            for (factor, triangle, changed, inverse) in sides {
                 let columns = inverse_dirty_columns(factor, changed);
                 resolved += columns.len();
-                let solved =
-                    invert_columns_with(factor, triangle, unit_diag, &columns, options).unwrap();
-                for update in solved {
+                let solved = sparsify_columns_with(factor, triangle, &columns, 0.0, options);
+                for update in solved.unwrap().updates {
                     let (rows, vals) = inverse.col(update.col);
                     assert_eq!(update.rows, rows, "{context} {triangle:?} column {}", update.col);
                     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

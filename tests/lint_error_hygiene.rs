@@ -40,7 +40,6 @@ const ALLOWLIST: &[(&str, usize)] = &[
     ("crates/datagen/src/ws.rs", 1),
     ("crates/dynamic/src/batch.rs", 1),
     ("crates/eval/src/timing.rs", 1),
-    ("crates/graph/src/components.rs", 2),
     ("crates/graph/src/csr.rs", 1),
     ("crates/linalg/src/eigen.rs", 1),
     ("crates/linalg/src/svd.rs", 2),

@@ -6,8 +6,8 @@ use kdash_core::{IndexOptions, KdashIndex, LayerEstimator, NodeOrdering};
 use kdash_graph::{BfsTree, CsrGraph, GraphBuilder, NodeId, Permutation};
 use kdash_harness::{check_stop_rule, StopGoal};
 use kdash_sparse::{
-    invert_lower_unit, invert_upper, sparse_lu, transition_matrix, w_matrix, ColumnUpdate,
-    CscMatrix, CsrMatrix, DanglingPolicy, ProximityStore, RowLayout,
+    sparse_lu, sparsify_lower_unit_with, sparsify_upper_with, transition_matrix, w_matrix,
+    ColumnUpdate, CscMatrix, CsrMatrix, DanglingPolicy, ProximityStore, RowLayout,
 };
 use std::collections::BTreeMap;
 use proptest::prelude::*;
@@ -140,8 +140,8 @@ proptest! {
         let a = transition_matrix(&graph, DanglingPolicy::Keep);
         let w = w_matrix(&a, 0.85).unwrap();
         let f = sparse_lu(&w).unwrap();
-        let linv = invert_lower_unit(&f.l).unwrap();
-        let uinv = invert_upper(&f.u).unwrap();
+        let linv = sparsify_lower_unit_with(&f.l, 0.0, Default::default()).unwrap().inverse;
+        let uinv = sparsify_upper_with(&f.u, 0.0, Default::default()).unwrap().inverse;
         let n = graph.num_nodes();
         // (U⁻¹ (L⁻¹ b)) must solve W x = b for a dense RHS of ones.
         let ones = vec![1.0; n];

@@ -244,6 +244,25 @@ fn workspace_survives_refinement_failure_on_a_tied_graph() {
     }
 }
 
+/// On an index that needs no refinement, the refined full vector is the
+/// exact one, for one source and for a restart set, through a searcher
+/// that has already answered other queries — never a panic on the empty
+/// out-weight table a dense index derives.
+#[test]
+fn refined_full_vector_on_a_dense_index_is_the_exact_vector() {
+    let graph = break_ties(&rmat(8, 700, RmatParams::default(), 9)).unwrap();
+    let index = KdashIndex::build(&graph, IndexOptions::default()).unwrap();
+    assert!(!index.needs_refinement());
+    let mut reused = index.searcher();
+    reused.top_k(5, 10).unwrap();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for sources in [&[3][..], &[3, 40, 77]] {
+        let got = reused.refined_full_proximities(sources).unwrap();
+        let want = index.full_proximities_from_set(sources).unwrap();
+        assert_eq!(bits(&got), bits(&want), "sources {sources:?}");
+    }
+}
+
 #[test]
 fn every_budget_aborts_typed_in_the_initial_solve_and_in_a_correction_pass() {
     let (_, graph, index) = families(C).swap_remove(2);

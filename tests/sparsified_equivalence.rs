@@ -238,7 +238,7 @@ proptest! {
 /// arrays carry the dense pattern but are only *rounding*-equal in
 /// values: any ε > 0 routes the value-driven worklist solve, whose
 /// accumulation order differs from the exact DFS inverter (documented
-/// on `solve_truncated`); bit-identity to the dense build is the ε = 0
+/// on `kdash_sparse`'s one triangular solve); bit-identity to the dense build is the ε = 0
 /// contract, pinned in `zero_tolerance_is_bit_identical`.
 #[test]
 fn undropped_positive_tolerance_routes_classic_path() {
