@@ -18,11 +18,11 @@
 //! * the store's derived tables — per-row stats, `max_row_nnz`, column
 //!   sums — agree with the rows they summarise (a wrong table skews the
 //!   gather accounting and budgets, or the stop rule's mass);
-//! * the estimator constants — and the per-node out-weight sums the
-//!   certified refinement normalises by, and the reach anchor it lists
-//!   reachable sets from — are **bit-identical** to a recomputation from
-//!   the stored graph: the Lemma 1/2 bounds and the refinement residual
-//!   are only sound for the matrix actually indexed;
+//! * the estimator constants — and the per-node out-weight sums the stop
+//!   rule and the certified refinement normalise by, and the reach anchor
+//!   the latter lists reachable sets from — are **bit-identical** to a
+//!   recomputation from the stored graph: the bounds and the refinement
+//!   residual are only sound for the matrix actually indexed;
 //! * the header scalars (restart probability, component dimensions) are
 //!   coherent.
 //!
@@ -487,10 +487,11 @@ fn audit_estimator(index: &KdashIndex, col: &mut Collector) {
             });
         }
     }
-    // The out-weight sums the refinement residual divides by: derived, so
-    // a stale vector means a commit path replaced the graph without them.
+    // The out-weight sums the stop rule and the refinement residual divide
+    // by: derived, so a stale vector means a commit path replaced the
+    // graph without them.
     let out_weight = index.out_weight();
-    let expect = out_weight_sums(index.permuted_graph(), index.dropped_mass());
+    let expect = out_weight_sums(index.permuted_graph());
     col.check(S, out_weight.len() == expect.len(), || {
         format!("out-weight vector has {} entries, expected {}", out_weight.len(), expect.len())
     });
@@ -779,15 +780,18 @@ mod tests {
 
     #[test]
     fn stale_out_weight_sum_is_found() {
-        assert!(sample_index().out_weight().is_empty(), "a dense index carries none");
-        let mut index =
+        // Both tiers carry the sums: the dense stop rule divides by them too.
+        let sparsified =
             sample_index_with(IndexOptions { drop_tolerance: 1e-2, ..Default::default() });
-        assert!(index.needs_refinement());
-        index.out_weight_mut()[3] += 0.5;
-        let audit = IndexAudit::run(&index);
-        assert_eq!(audit.total_findings(), 1, "findings: {:?}", audit.findings);
-        assert_eq!(audit.findings[0].section, "estimator");
-        assert!(audit.findings[0].detail.contains("out-weight sum at node 3"));
+        assert!(sparsified.needs_refinement());
+        for mut index in [sample_index(), sparsified] {
+            assert_eq!(index.out_weight().len(), index.num_nodes());
+            index.out_weight_mut()[3] += 0.5;
+            let audit = IndexAudit::run(&index);
+            assert_eq!(audit.total_findings(), 1, "findings: {:?}", audit.findings);
+            assert_eq!(audit.findings[0].section, "estimator");
+            assert!(audit.findings[0].detail.contains("out-weight sum at node 3"));
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@
 //! [`DanglingPolicy::Keep`]: kdash_sparse::DanglingPolicy::Keep
 
 use crate::KdashIndex;
-use kdash_graph::{EpochStamps, NodeId};
+use kdash_graph::NodeId;
 use kdash_sparse::CscMatrix;
 
 /// The constants of the bounds (see the module docs), in permuted node
@@ -140,25 +140,53 @@ impl BoundConstants {
 /// below `≈ 10⁻⁹ · A_max`.
 pub(crate) const MASS_SLACK: f64 = 1e-9;
 
+/// One node's state in [`InflowBound`]: everything a push reads and
+/// writes, in one 16-byte slot.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// `S_u` while `stamp` is the current generation, `−∞` once `u` itself
+    /// is computed; stale otherwise.
+    inflow: f64,
+    /// The generation `inflow` was last written in.
+    stamp: u32,
+    /// Whether `u` is on the hot stack.
+    stacked: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
+
 /// The stop rule of the search (see the module docs): exact in-neighbour
 /// sums of the computed proximities plus the query's remaining mass bound
 /// every uncomputed node at once.
 ///
 /// Lives in the [`Searcher`](crate::Searcher) workspace: `O(n)` once,
-/// nothing per query. `inflow[u]` is `S_u` where `touched` marks `u` in
-/// the current query and `−∞` once `u` itself is computed (so neither a
-/// later push nor the hot test can resurrect it); `hot` is a stack of
-/// nodes whose bound reached θ at the push that last raised it. θ never
-/// falls and `R` never rises, so a node can only *become* hot at a push:
-/// the stack holds every hot node, and the stop test pops dead tops until
-/// a live one — or nothing — is left. `stacked` keeps a node from being
-/// stacked twice, which caps the stack at `n`.
+/// nothing per query. Each node owns one [`Slot`]; a slot whose stamp is
+/// not the current generation reads as `S_u = 0`, so a query starts by
+/// bumping the generation (and, once every `u32::MAX` queries, when the
+/// counter wraps, resetting every slot). A computed node's sum is `−∞`, so
+/// neither a later push nor the hot test can resurrect it.
+///
+/// The hot stack holds nodes whose bound reached θ at the push that last
+/// raised it. θ never falls and `R` never rises, so a node can only
+/// *become* hot at a push: the stack holds every hot node, and the stop
+/// test pops dead tops until a live one — or nothing — is left.
+///
+/// The push loop has no data-dependent branch. First touch is a select
+/// (`S_u` is the slot's sum if stamped now, else `0`), and every pushed
+/// node is written speculatively at the stack's depth, which then moves up
+/// by `go = !stacked ∧ c'_max·(S_u + Ā_u·R) ≥ θ`. The stacked flags keep a
+/// node from being stacked twice, so the depth never exceeds `n` and the
+/// `n + 1`-entry buffer always has room for the speculative write.
 #[derive(Debug)]
 pub(crate) struct InflowBound {
-    inflow: Vec<f64>,
-    touched: EpochStamps,
-    stacked: Vec<bool>,
-    hot: Vec<NodeId>,
+    slots: Vec<Slot>,
+    /// The current generation: slots stamped with it hold this query's
+    /// sums. `0` until the first query, so a fresh workspace and one just
+    /// past the wrap both run their next query in generation 1.
+    epoch: u32,
+    /// The hot stack's buffer, `n + 1` entries; `stack[..depth]` is live.
+    stack: Vec<NodeId>,
+    depth: usize,
     /// `M_q`, rounded up and clamped.
     mass: f64,
     /// `R = M_q − Σ_{computed} p_v` (may dip a rounding error below zero;
@@ -169,10 +197,10 @@ pub(crate) struct InflowBound {
 impl InflowBound {
     pub(crate) fn new(n: usize) -> Self {
         InflowBound {
-            inflow: vec![0.0; n],
-            touched: EpochStamps::new(n),
-            stacked: vec![false; n],
-            hot: Vec::with_capacity(n),
+            slots: vec![Slot::default(); n],
+            epoch: 0,
+            stack: vec![0; n + 1],
+            depth: 0,
             mass: 1.0,
             remaining: 1.0,
         }
@@ -181,10 +209,15 @@ impl InflowBound {
     /// Starts a query whose proximities were computed to sum to `mass`:
     /// `M_q` is that, rounded up and clamped.
     pub(crate) fn begin(&mut self, mass: f64) {
-        for u in self.hot.drain(..) {
-            self.stacked[u as usize] = false;
+        for &u in &self.stack[..self.depth] {
+            self.slots[u as usize].stacked = false;
         }
-        self.touched.advance();
+        self.depth = 0;
+        if self.epoch == u32::MAX {
+            self.slots.fill(Slot::default());
+            self.epoch = 0;
+        }
+        self.epoch += 1;
         self.mass = (mass * (1.0 + MASS_SLACK)).min(1.0);
         self.remaining = self.mass;
     }
@@ -199,15 +232,6 @@ impl InflowBound {
         self.remaining.max(0.0)
     }
 
-    /// Whether `c'_max · (S_u + Ā_u · R)` still reaches `theta`. False for
-    /// a computed node, whose inflow is `−∞`.
-    #[inline]
-    fn is_hot(&self, index: &KdashIndex, u: NodeId, theta: f64) -> bool {
-        let bounds = index.bounds();
-        let bound = self.inflow[u as usize] + bounds.a_row_max[u as usize] * self.remaining();
-        bounds.c_prime_max * bound >= theta
-    }
-
     /// Accounts the exact proximity `p` just computed for `v`: takes it
     /// out of the remaining mass, retires `v`, and pushes `p · A_uv` to
     /// every out-neighbour `u`, stacking those the push leaves hot against
@@ -215,26 +239,32 @@ impl InflowBound {
     #[inline]
     pub(crate) fn record(&mut self, index: &KdashIndex, v: NodeId, p: f64, theta: f64) {
         self.remaining -= p;
-        self.touched.mark(v as usize);
-        self.inflow[v as usize] = f64::NEG_INFINITY;
-        let graph = index.permuted_graph();
-        let out_sum = graph.out_weight_sum(v);
+        let epoch = self.epoch;
+        let retired = &mut self.slots[v as usize];
+        retired.inflow = f64::NEG_INFINITY;
+        retired.stamp = epoch;
+        let out_sum = index.out_weight()[v as usize];
         if out_sum <= 0.0 {
             return;
         }
         let scale = p / out_sum;
+        let r = self.remaining();
+        let bounds = index.bounds();
+        let (c_prime_max, a_row_max) = (bounds.c_prime_max, &bounds.a_row_max[..]);
+        let graph = index.permuted_graph();
+        let mut depth = self.depth;
         for (&u, &w) in graph.out_neighbors(v).iter().zip(graph.out_weights(v)) {
-            let slot = u as usize;
-            if !self.touched.is_marked(slot) {
-                self.touched.mark(slot);
-                self.inflow[slot] = 0.0;
-            }
-            self.inflow[slot] += scale * w;
-            if !self.stacked[slot] && self.is_hot(index, u, theta) {
-                self.stacked[slot] = true;
-                self.hot.push(u);
-            }
+            let slot = &mut self.slots[u as usize];
+            let base = if slot.stamp == epoch { slot.inflow } else { 0.0 };
+            let inflow = base + scale * w;
+            slot.inflow = inflow;
+            slot.stamp = epoch;
+            let go = !slot.stacked & (c_prime_max * (inflow + a_row_max[u as usize] * r) >= theta);
+            slot.stacked |= go;
+            self.stack[depth] = u;
+            depth += go as usize;
         }
+        self.depth = depth;
     }
 
     /// Whether no uncomputed non-source node can have a proximity of
@@ -244,17 +274,34 @@ impl InflowBound {
     pub(crate) fn none_reaches(&mut self, index: &KdashIndex, theta: f64) -> bool {
         // Nodes no push has reached: S_u = 0, Ā_u ≤ A_max.
         let bounds = index.bounds();
-        if bounds.c_prime_max * bounds.a_max * self.remaining() >= theta {
+        let r = self.remaining();
+        if bounds.c_prime_max * bounds.a_max * r >= theta {
             return false;
         }
-        while let Some(&u) = self.hot.last() {
-            if self.is_hot(index, u, theta) {
+        // Every stacked node was pushed this query, so its slot is current.
+        while self.depth > 0 {
+            let u = self.stack[self.depth - 1] as usize;
+            let slot = &mut self.slots[u];
+            if bounds.c_prime_max * (slot.inflow + bounds.a_row_max[u] * r) >= theta {
                 return false;
             }
-            self.hot.pop();
-            self.stacked[u as usize] = false;
+            slot.stacked = false;
+            self.depth -= 1;
         }
         true
+    }
+
+    /// The live hot stack, bottom first.
+    #[cfg(test)]
+    fn hot(&self) -> &[NodeId] {
+        &self.stack[..self.depth]
+    }
+
+    /// Test hook: forces the generation, to reach the wrap without four
+    /// billion queries.
+    #[cfg(test)]
+    fn force_epoch(&mut self, epoch: u32) {
+        self.epoch = epoch;
     }
 }
 
@@ -380,6 +427,20 @@ mod tests {
         KdashIndex::build(&b.build().unwrap(), options).unwrap()
     }
 
+    /// Each node's `S_u` (`None` where no push of this query reached it)
+    /// and stacked flag, the live stack, `M_q` and `R`, bit for bit.
+    type Observable = (Vec<(Option<u64>, bool)>, Vec<NodeId>, u64, u64);
+
+    /// What a query can observe of `bound`.
+    fn observable(bound: &InflowBound) -> Observable {
+        let slots = bound
+            .slots
+            .iter()
+            .map(|s| ((s.stamp == bound.epoch).then_some(s.inflow.to_bits()), s.stacked))
+            .collect();
+        (slots, bound.hot().to_vec(), bound.mass.to_bits(), bound.remaining.to_bits())
+    }
+
     /// A started query on `index` with node 0 computed.
     fn after_the_source(index: &KdashIndex, bound: &mut InflowBound) -> f64 {
         let truth = index.full_proximities(0).unwrap();
@@ -413,17 +474,62 @@ mod tests {
         let index = diamond();
         let mut bound = InflowBound::new(5);
         after_the_source(&index, &mut bound);
-        assert_eq!(bound.hot, vec![1, 2], "θ = 0: every pushed node is stacked, once");
+        assert_eq!(bound.hot(), [1, 2], "θ = 0: every pushed node is stacked, once");
         // A second query on the same workspace: nothing of the first —
         // stack, flags, sums, mass — survives the restart.
         let first_mass = bound.mass();
         bound.begin(0.0);
-        assert!(bound.hot.is_empty() && bound.stacked.iter().all(|&s| !s));
+        assert!(bound.hot().is_empty() && bound.slots.iter().all(|s| !s.stacked));
         assert_eq!((bound.mass(), bound.remaining()), (0.0, 0.0));
         assert!(bound.none_reaches(&index, f64::MIN_POSITIVE));
         after_the_source(&index, &mut bound);
         assert_eq!(bound.mass().to_bits(), first_mass.to_bits());
-        assert_eq!(bound.hot, vec![1, 2]);
+        assert_eq!(bound.hot(), [1, 2]);
+    }
+
+    #[test]
+    fn generation_wrap_leaves_nothing_of_the_last_query() {
+        let index = diamond();
+        let truth = index.full_proximities(0).unwrap();
+        // A first query leaves sums on every node, 3 computed while
+        // stacked and 1…4 on the stack, all stamped with generation 1.
+        let mut wrapped = InflowBound::new(5);
+        after_the_source(&index, &mut wrapped);
+        for v in [1, 2, 3] {
+            wrapped.record(&index, v, truth[v as usize], 0.0);
+        }
+        assert_eq!(wrapped.hot(), [1, 2, 3, 4]);
+        // Four billion queries later the counter wraps back to generation 1
+        // for the second query: the first one's stamps must not read as its.
+        wrapped.force_epoch(u32::MAX);
+        after_the_source(&index, &mut wrapped);
+        let mut fresh = InflowBound::new(5);
+        after_the_source(&index, &mut fresh);
+        let (slots, hot, _, _) = observable(&wrapped);
+        assert!(slots[3..].iter().all(|&(sum, stacked)| sum.is_none() && !stacked));
+        assert_eq!(hot, [1, 2]);
+        assert_eq!(observable(&wrapped), observable(&fresh));
+    }
+
+    #[test]
+    fn a_push_that_stacks_nothing_leaves_the_stack_empty() {
+        let index = diamond();
+        let truth = index.full_proximities(0).unwrap();
+        let mut bound = InflowBound::new(5);
+        bound.begin(truth.iter().sum());
+        // θ above every bound: both pushed nodes are written at depth 0,
+        // and neither moves it.
+        bound.record(&index, 0, truth[0], f64::INFINITY);
+        assert!(bound.hot().is_empty());
+        assert!(bound.slots.iter().all(|s| !s.stacked));
+        // At θ = 0 each pushed node is stacked once: 3, pushed from both 1
+        // and 2. Nodes 1 and 2 went hot at no push of theirs, so they are
+        // not.
+        bound.record(&index, 1, truth[1], 0.0);
+        bound.record(&index, 2, truth[2], 0.0);
+        assert_eq!(bound.hot(), [3]);
+        let stacked: Vec<usize> = (0..5).filter(|&u| bound.slots[u].stacked).collect();
+        assert_eq!(stacked, [3]);
     }
 
     #[test]
@@ -437,16 +543,17 @@ mod tests {
         for v in [1, 2, 3] {
             bound.record(&index, v, truth[v as usize], 0.0);
         }
-        assert_eq!(bound.hot, vec![1, 2, 3, 4]);
+        assert_eq!(bound.hot(), [1, 2, 3, 4]);
         // Only node 4 is left: everything above it on the stack is dead.
         let left = index.bounds().c_prime_max * (truth[3] + bound.remaining());
         assert!(!bound.none_reaches(&index, left));
-        assert_eq!(bound.hot, vec![1, 2, 3, 4], "a live top is left where it is");
+        assert_eq!(bound.hot(), [1, 2, 3, 4], "a live top is left where it is");
         // All computed: what remains is the slack the mass was rounded up by.
         bound.record(&index, 4, truth[4], 0.0);
         assert!(bound.remaining() > 0.0 && bound.remaining() < 2.0 * MASS_SLACK);
         assert!(bound.none_reaches(&index, 1e-8));
-        assert!(bound.hot.is_empty());
+        assert!(bound.hot().is_empty());
+        assert!(bound.slots.iter().all(|s| !s.stacked));
     }
 
     /// Re-computes Definition 1 from scratch for a visit trace and checks

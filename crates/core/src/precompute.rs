@@ -81,14 +81,13 @@ pub struct KdashIndex {
     bounds: BoundConstants,
     /// Out-edge weight sum per (permuted) node — the normaliser of its
     /// transition-matrix column, zero for dangling nodes. Derived from
-    /// `graph` wherever that is set, never persisted; the certified
-    /// refinement residual divides by it once per node per pass. Empty
-    /// while `dropped_total` is zero: nothing refines on such an index,
-    /// and its updates should not pay an `O(m)` pass for nothing.
+    /// `graph` wherever that is set, never persisted, on every index: the
+    /// dense stop rule divides by it once per computed node, the certified
+    /// refinement residual once per node per pass.
     out_weight: Vec<f64>,
     /// The certified tier's reach anchor and its closure, derived from
-    /// `graph` like `out_weight` and, like it, never persisted and empty
-    /// while `dropped_total` is zero.
+    /// `graph` like `out_weight` and, like it, never persisted; empty while
+    /// `dropped_total` is zero.
     anchor: ReachAnchor,
     /// Drop tolerance `ε` the stored inverses were truncated with
     /// (`0.0` = dense-exact).
@@ -199,7 +198,7 @@ impl KdashIndex {
         let dropped_total =
             p.linv_dropped.iter().sum::<f64>() + p.uinv_dropped.iter().sum::<f64>();
         Ok(KdashIndex {
-            out_weight: out_weight_sums(&p.graph, dropped_total),
+            out_weight: out_weight_sums(&p.graph),
             anchor: ReachAnchor::of(&p.graph, dropped_total),
             dropped_total,
             stats: IndexStats {
@@ -543,14 +542,9 @@ impl KdashIndex {
     }
 }
 
-/// [`CsrGraph::out_weight_sum`] of every node, in node order — for an
-/// index that refines (`dropped_total > 0`), empty otherwise.
-pub(crate) fn out_weight_sums(graph: &CsrGraph, dropped_total: f64) -> Vec<f64> {
-    if dropped_total > 0.0 {
-        (0..graph.num_nodes() as NodeId).map(|v| graph.out_weight_sum(v)).collect()
-    } else {
-        Vec::new()
-    }
+/// [`CsrGraph::out_weight_sum`] of every node, in node order.
+pub(crate) fn out_weight_sums(graph: &CsrGraph) -> Vec<f64> {
+    (0..graph.num_nodes() as NodeId).map(|v| graph.out_weight_sum(v)).collect()
 }
 
 /// [`ReachAnchor`] flag: the node lies in the anchor's closure `R(a)`.

@@ -225,6 +225,35 @@ fn stop_rule_is_sound_at_every_step_on_every_family() {
     }
 }
 
+/// The stop rule against its definition where walks die in sinks: a
+/// weighted RMAT graph under `Keep`, so `M_q < 1` and the remaining mass
+/// never runs out, queried deep enough (long top-k lists, low thresholds,
+/// one restart set) that hundreds of pushes land on the hot stack.
+#[test]
+fn stop_rule_is_sound_at_every_step_where_walks_die_in_sinks() {
+    let graph = break_ties(&rmat(9, 2048, RmatParams::default(), 42)).expect("reweight");
+    assert!(a_sink(&graph).is_some());
+    let options = IndexOptions { dangling: DanglingPolicy::Keep, ..Default::default() };
+    let index = KdashIndex::build(&graph, options).expect("build");
+    let queries = sample_queries(&graph, 6);
+    for &q in &queries {
+        let mass = index.top_k(q, 1).expect("top-1").stats.query_mass;
+        assert!(mass < 1.0, "q={q}: M_q = {mass}, but RMAT walks reach sinks");
+        for k in [10usize, 50, 200] {
+            check_stop_rule(&index, &[q], StopGoal::TopK(k))
+                .unwrap_or_else(|e| panic!("q={q} k={k}: {e}"));
+        }
+        for theta in [1e-3, 1e-5] {
+            check_stop_rule(&index, &[q], StopGoal::Above(theta))
+                .unwrap_or_else(|e| panic!("q={q} θ={theta}: {e}"));
+        }
+    }
+    let set = index.top_k_from_set(&queries, 50).expect("restart set");
+    assert!(set.stats.query_mass < 1.0);
+    check_stop_rule(&index, &queries, StopGoal::TopK(50))
+        .unwrap_or_else(|e| panic!("restart set: {e}"));
+}
+
 /// A deliberate exact tie at the k-th boundary: a star's leaves share one
 /// proximity bit for bit, so with k = 2 the heap's θ *is* every other
 /// leaf's proximity. An uncomputed node that can still reach θ keeps the

@@ -15,7 +15,7 @@
 //!   `RefinementFailed` at once, never 64 passes and a comparator panic.
 //! * **Out-weight sums** — the derived per-node normalisers stay coherent
 //!   with the stored graph through build, save → load and dynamic updates
-//!   that create and remove sinks.
+//!   that create and remove sinks, on sparsified and dense indexes alike.
 //! * **Values** — every proximity a refined entry point returns lies
 //!   within `VALUE_TOLERANCE` of a dense-exact twin index's.
 
@@ -246,8 +246,8 @@ fn workspace_survives_refinement_failure_on_a_tied_graph() {
 
 /// On an index that needs no refinement, the refined full vector is the
 /// exact one, for one source and for a restart set, through a searcher
-/// that has already answered other queries — never a panic on the empty
-/// out-weight table a dense index derives.
+/// that has already answered other queries — never a panic on a dense
+/// index.
 #[test]
 fn refined_full_vector_on_a_dense_index_is_the_exact_vector() {
     let graph = break_ties(&rmat(8, 700, RmatParams::default(), 9)).unwrap();
@@ -463,8 +463,10 @@ fn assert_audit_clean(label: &str, index: &KdashIndex) {
     assert!(audit.is_clean(), "{label}: {:?}", audit.findings);
 }
 
-/// Refined answers against the iterative definition (Equation 1, power
-/// iteration; ratio `1 − c = 0.05` per step) on `graph` under `dangling`.
+/// The full vector and the top 8 — refined on a sparsified index, under
+/// the stop rule on a dense one — against the iterative definition
+/// (Equation 1, power iteration; ratio `1 − c = 0.05` per step) on `graph`
+/// under `dangling`.
 fn assert_exact(
     label: &str,
     index: &KdashIndex,
@@ -472,7 +474,11 @@ fn assert_exact(
     dangling: DanglingPolicy,
     queries: &[NodeId],
 ) {
-    assert!(index.needs_refinement(), "{label}: refinement must actually run");
+    assert_eq!(
+        index.needs_refinement(),
+        index.drop_tolerance() > 0.0,
+        "{label}: a sparsified index must actually refine"
+    );
     let a = transition_matrix(graph, dangling);
     for &q in queries {
         let got = index.full_proximities(q).unwrap();
@@ -485,6 +491,12 @@ fn assert_exact(
         }
         for (u, (g, w)) in got.iter().zip(&want).enumerate() {
             assert!((g - w).abs() < 1e-9, "{label}: q {q} node {u}: {g} vs {w}");
+        }
+        want.sort_unstable_by(|x, y| y.total_cmp(x));
+        let top = index.top_k(q, 8).unwrap();
+        for (i, (item, w)) in top.items.iter().zip(&want).enumerate() {
+            let g = item.proximity;
+            assert!((g - w).abs() < 1e-9, "{label}: q {q} rank {i}: {g} vs {w}");
         }
     }
 }
@@ -500,12 +512,18 @@ fn out_weight_sums_follow_the_graph_through_every_commit_path() {
     let single_dst = graph.out_neighbors(single)[0];
     let feeder = (0..n).find(|&v| graph.has_edge(v, sink)).expect("a sink with an in-edge");
 
-    for dangling in [DanglingPolicy::Keep, DanglingPolicy::SelfLoop] {
-        let label = format!("{dangling:?}");
+    // Dense indexes too (ε = 0): the stop rule divides by the same sums.
+    for (drop_tolerance, dangling) in [
+        (1e-3, DanglingPolicy::Keep),
+        (1e-3, DanglingPolicy::SelfLoop),
+        (0.0, DanglingPolicy::Keep),
+        (0.0, DanglingPolicy::SelfLoop),
+    ] {
+        let label = format!("ε {drop_tolerance:e} {dangling:?}");
         let options = IndexOptions {
             ordering: NodeOrdering::Degree,
             dangling,
-            drop_tolerance: 1e-3,
+            drop_tolerance,
             ..Default::default()
         };
         let index = KdashIndex::build(&graph, options).unwrap();

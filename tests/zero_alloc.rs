@@ -43,14 +43,15 @@ fn allocations() -> usize {
 #[test]
 fn top_k_into_is_allocation_free_after_warmup() {
     // A hub-rich graph so queries traverse substantial candidate sets,
-    // dense-exact (the stop-rule search, whose in-neighbour sums, stamps
-    // and hot stack are sized with the workspace) and sparsified (certified
-    // refinement over the whole reachable set; tie-free weights, or the
-    // loop would rightly refuse to rank). The 20 newest nodes keep only
-    // the edges they sent, so their queries reach the hub from outside its
-    // closure and the anchor path merges a nonempty rest into it. Both
-    // indexes are built before either window opens, and the windows run
-    // one after the other: the counter is process-wide.
+    // dense-exact (the stop-rule search, whose per-node slots and `n + 1`
+    // hot-stack entries are sized with the workspace and never grow) and
+    // sparsified (certified refinement over the whole reachable set;
+    // tie-free weights, or the loop would rightly refuse to rank). The 20
+    // newest nodes keep only the edges they sent, so their queries reach
+    // the hub from outside its closure and the anchor path merges a
+    // nonempty rest into it. Both indexes are built before either window
+    // opens, and the windows run one after the other: the counter is
+    // process-wide.
     let ba = barabasi_albert(600, 3, 42);
     let graph = GraphBuilder::from_edges(600, ba.edges().filter(|&(s, d, _)| d < 580 || s > d));
     let graph = break_ties(&graph.build().unwrap()).unwrap();
