@@ -98,9 +98,10 @@
 //! }
 //! ```
 //!
-//! Batches fan out with [`batch_top_k`]: a work-stealing queue hands each
-//! query to the next idle worker, one `Searcher` per worker thread
-//! (`threads = 0` means "use all available cores").
+//! A built index is immutable, so queries parallelise across threads with
+//! one `Searcher` per thread. The serving tier (`kdash-serve`) does that
+//! with a worker pool, each worker folding its requests through one
+//! panic-isolated [`IsolatedExecutor`].
 //!
 //! ## Serving changing graphs
 //!
@@ -252,14 +253,13 @@
 //!   estimator constants recomputed bit-for-bit). Exposed as
 //!   `kdash verify <index>` and as an opt-in post-update check on the
 //!   dynamic engine (`DynamicIndex::verify_after_apply`).
-//! * **Batch failure isolation** — [`batch_top_k_outcomes`] wraps every
+//! * **Query failure isolation** — [`IsolatedExecutor::run`] wraps every
 //!   query in `catch_unwind`: one poisoned query yields one
-//!   [`BatchOutcome::Failed`] while the other queries complete with
-//!   bit-identical results. ([`batch_top_k`] keeps fail-fast semantics,
-//!   returning the lowest-index error — now including panics as typed
-//!   [`KdashError::QueryPanicked`] instead of propagating the unwind.)
-//! * **Query budgets** — a [`QueryBudget`] on a [`Searcher`] (or
-//!   [`batch::BatchOptions`]) bounds frontier visits, gathered `U⁻¹`
+//!   [`BatchOutcome::Failed`] — a panic becomes a typed
+//!   [`KdashError::QueryPanicked`] — while every other query the executor
+//!   runs completes with bit-identical results.
+//! * **Query budgets** — a [`QueryBudget`] on a [`Searcher`] (or an
+//!   executor's [`BatchOptions`]) bounds frontier visits, gathered `U⁻¹`
 //!   entries, and wall clock per query; a query that would exceed a
 //!   ceiling aborts with a typed [`KdashError::BudgetExceeded`] carrying
 //!   its [`SearchStats`] — never a silently truncated "exact" answer.
@@ -315,10 +315,7 @@ pub mod searcher;
 pub mod stats;
 
 pub use audit::{AuditFinding, AuditSection, IndexAudit};
-pub use batch::{
-    batch_top_k, batch_top_k_outcomes, BatchOptions, BatchOutcome,
-    IsolatedExecutor,
-};
+pub use batch::{BatchOptions, BatchOutcome, IsolatedExecutor};
 pub use estimator::{ArbitraryOrderBound, LayerEstimator};
 pub use ordering::{compute_ordering, compute_ordering_with_stats, NodeOrdering, OrderingStats};
 pub use fault::{CrashPlan, FaultInjector, NoFaults, WriteRuling};
@@ -359,9 +356,9 @@ pub enum KdashError {
     /// that fired and `stats` carries the work accumulated up to the
     /// abort. The query has no answer — budgets abort, never truncate.
     BudgetExceeded { limit: BudgetLimit, stats: Box<SearchStats> },
-    /// A query panicked inside a batch worker and was isolated by
+    /// A query panicked inside an [`IsolatedExecutor`] and was isolated by
     /// `catch_unwind`; `message` is the panic payload when it was a
-    /// string. The rest of the batch is unaffected.
+    /// string. The executor's other queries are unaffected.
     QueryPanicked { message: String },
     /// A deep structural audit ([`IndexAudit::run`]) found invariant
     /// violations; each entry is `"<section>: <detail>"`.

@@ -15,9 +15,8 @@
 //! The inversion is the parallel stage, driven by
 //! [`IndexBuilder::threads`]: columns of a triangular inverse are
 //! independent Gilbert–Peierls solves, so it fans them out over a
-//! work-stealing chunk cursor (the same pattern
-//! [`batch_top_k`](crate::batch_top_k) uses for queries), one solve
-//! workspace per worker, expensive chunks first. The result is
+//! work-stealing chunk cursor, one solve workspace per worker, expensive
+//! chunks first. The result is
 //! **bit-identical** to the sequential build at every thread count, which
 //! the tier-1 `build_determinism` suite pins. The LU runs on the calling
 //! thread: each of its columns needs the columns to its left, and on the

@@ -436,17 +436,15 @@ impl KdashIndex {
             pairs.extend(idx.iter().zip(val).map(|(&i, &v)| (i, v * weight)));
         }
         pairs.sort_unstable_by_key(|&(i, _)| i);
-        let mut out_idx: Vec<NodeId> = Vec::with_capacity(pairs.len());
-        let mut out_val: Vec<f64> = Vec::with_capacity(pairs.len());
-        for (i, v) in pairs {
-            if out_idx.last() == Some(&i) {
-                *out_val.last_mut().expect("parallel arrays") += v;
-            } else {
-                out_idx.push(i);
-                out_val.push(v);
+        // Fold each run of equal rows into its first entry, in order.
+        pairs.dedup_by(|(i, v), (kept, sum)| {
+            let same = i == kept;
+            if same {
+                *sum += *v;
             }
-        }
-        Ok((out_idx, out_val))
+            same
+        });
+        Ok(pairs.into_iter().unzip())
     }
 
     /// Validates a caller-supplied node id.

@@ -706,8 +706,8 @@ fn plan(
 /// Construction is `O(n)`; each query after the first allocates nothing
 /// (for [`top_k_into`](Searcher::top_k_into)) or only its result vector.
 /// A `Searcher` is single-threaded by design — for parallel serving, give
-/// each worker its own (see [`crate::batch_top_k`], which does exactly
-/// that over a work-stealing queue).
+/// each worker its own (each `kdash-serve` worker does, inside its
+/// [`IsolatedExecutor`](crate::IsolatedExecutor)).
 ///
 /// ```
 /// use kdash_core::{IndexOptions, KdashIndex, TopKResult};

@@ -22,9 +22,9 @@
 //! * [`ServeLoop`] — the read path: a thread-per-core worker pool
 //!   draining a bounded MPMC request queue ([`MpmcQueue`]).
 //!   Each worker pins the current epoch, folds queued queries through a
-//!   persistent panic-isolated [`kdash_core::IsolatedExecutor`] (same
-//!   outcome semantics as [`kdash_core::batch_top_k_outcomes`], with
-//!   per-worker `Searcher` reuse), and re-pins when the epoch moves.
+//!   persistent panic-isolated [`kdash_core::IsolatedExecutor`] (one
+//!   `Searcher` per worker, reused across queries), and re-pins when the
+//!   epoch moves.
 //! * [`ServeMetrics`] — built-in observability, `SearchStats`-style:
 //!   per-query latency histograms (p50/p99/p999), queue-depth and shed
 //!   counters, freshness-lag distribution and swap-install latency.

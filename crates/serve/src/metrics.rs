@@ -174,9 +174,13 @@ impl ServeMetrics {
         }
     }
 
-    pub(crate) fn record_submitted(&self, queue_depth: usize) {
+    pub(crate) fn record_submitted(&self) {
         self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.max_queue_depth.fetch_max(queue_depth as u64, Ordering::Relaxed);
+    }
+
+    /// Records the depth an accepted push left the queue at.
+    pub(crate) fn record_queue_depth(&self, depth: usize) {
+        self.max_queue_depth.fetch_max(depth as u64, Ordering::Relaxed);
     }
 
     pub(crate) fn record_shed(&self) {
@@ -259,7 +263,8 @@ pub struct MetricsSnapshot {
     pub failed: u64,
     /// Requests rejected by admission control.
     pub shed: u64,
-    /// Largest queue depth observed at submit time.
+    /// Largest queue depth an accepted submit left (never above the
+    /// admission bound: a shed submit records no depth).
     pub max_queue_depth: u64,
     /// Request latency quantiles, milliseconds (submit→response).
     pub latency_p50_ms: f64,
@@ -356,7 +361,7 @@ mod tests {
     fn snapshot_shed_rate() {
         let m = ServeMetrics::new();
         for _ in 0..8 {
-            m.record_submitted(1);
+            m.record_submitted();
         }
         m.record_shed();
         m.record_shed();

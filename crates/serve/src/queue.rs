@@ -42,17 +42,24 @@ impl<T> MpmcQueue<T> {
     /// Enqueues `item` and wakes one parked consumer, if one is parked —
     /// or hands `item` back if the queue is full.
     pub fn push(&self, item: T) -> Result<(), T> {
+        self.offer(item).map(|_depth| ())
+    }
+
+    /// [`Self::push`], returning the depth the accepted push left — read
+    /// under the push's own lock, so it costs no second acquisition.
+    pub(crate) fn offer(&self, item: T) -> Result<usize, T> {
         let mut state = lock_unpoisoned(&self.state);
         if state.items.len() >= self.capacity {
             return Err(item);
         }
         state.items.push_back(item);
+        let depth = state.items.len();
         let wake = state.parked > 0;
         drop(state); // the woken consumer takes the lock next
         if wake {
             self.wake.notify_one();
         }
-        Ok(())
+        Ok(depth)
     }
 
     /// Dequeues the oldest item, or `None` if the queue is empty.
@@ -135,6 +142,15 @@ mod tests {
             assert_eq!(q.pop(), Some(i));
         }
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn offer_reports_the_depth_its_push_left() {
+        let q = MpmcQueue::with_capacity(3);
+        assert_eq!((q.offer(1), q.offer(2)), (Ok(1), Ok(2)));
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!((q.offer(3), q.offer(4)), (Ok(2), Ok(3)));
+        assert_eq!(q.offer(5), Err(5), "a rejected offer reports no depth");
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! persistent panic-isolated [`IsolatedExecutor`] (so the `O(n)`
 //! searcher scratch is paid once per epoch per worker, not per query),
 //! and drains the shared request queue in batches of up to
-//! [`ServeOptions::max_batch`] requests — the request-batching
-//! equivalent of folding the queue into one
-//! [`kdash_core::batch_top_k_outcomes`] call. A single atomic load per
-//! drain detects a newly published epoch, at which point the worker
-//! re-pins and rebuilds its executor.
+//! [`ServeOptions::max_batch`] requests, running each through the
+//! executor in queue order. A single atomic load per drain detects a
+//! newly published epoch, at which point the worker re-pins and rebuilds
+//! its executor.
 //!
 //! Admission control is the queue bound: [`ServeLoop::submit`] on a
 //! full queue sheds with [`ServeError::Overloaded`] immediately. An
@@ -214,12 +213,15 @@ impl ServeLoop {
         if self.shared.stop.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
-        self.shared.metrics.record_submitted(self.shared.queue.len() + 1);
+        self.shared.metrics.record_submitted();
         let slot = Arc::new(ResponseSlot::new());
         let request =
             Request { query, k, submitted: Instant::now(), slot: Arc::clone(&slot) };
-        match self.shared.queue.push(request) {
-            Ok(()) => Ok(PendingQuery { slot }),
+        match self.shared.queue.offer(request) {
+            Ok(depth) => {
+                self.shared.metrics.record_queue_depth(depth);
+                Ok(PendingQuery { slot })
+            }
             Err(_rejected) => {
                 self.shared.metrics.record_shed();
                 Err(ServeError::Overloaded {
@@ -322,7 +324,7 @@ fn worker_loop(shared: &Shared) {
     while !shared.stop.load(Ordering::Acquire) {
         let pinned = shared.store.pin();
         let pinned_epoch = pinned.update_epoch();
-        let options = BatchOptions { threads: 1, budget: shared.budget };
+        let options = BatchOptions { budget: shared.budget };
         // Should construction ever fail, answer requests with the typed
         // error rather than spinning or panicking.
         let mut executor = IsolatedExecutor::new(&pinned, options);
@@ -369,7 +371,7 @@ fn worker_loop(shared: &Shared) {
 mod tests {
     use super::*;
     use crate::EpochWriter;
-    use kdash_core::{IndexOptions, KdashError, KdashIndex};
+    use kdash_core::{BudgetLimit, IndexOptions, KdashError, KdashIndex, Searcher};
     use kdash_dynamic::{DynamicIndex, UpdateBatch};
     use kdash_graph::{EdgeEdit, GraphBuilder};
 
@@ -417,6 +419,51 @@ mod tests {
             other => panic!("expected typed out-of-bounds, got {other:?}"),
         }
         assert!(loop_.query_blocking(3, 5).is_ok());
+    }
+
+    #[test]
+    fn the_budget_reaches_every_read() {
+        let serve = |budget: QueryBudget| {
+            let (_writer, store) = EpochWriter::new(DynamicIndex::new(small_index()).unwrap());
+            let options = ServeOptions { workers: 1, budget, ..Default::default() };
+            let loop_ = ServeLoop::start(Arc::clone(&store), options).unwrap();
+            let responses: Vec<_> = (0..16u32).map(|q| loop_.query_blocking(q, 5)).collect();
+            (responses, loop_.metrics().snapshot(), store)
+        };
+
+        // Starved: every read aborts typed, on that read alone.
+        let starved = QueryBudget { max_gather_nnz: Some(1), ..Default::default() };
+        let (responses, snapshot, _) = serve(starved);
+        for (q, response) in responses.iter().enumerate() {
+            match response {
+                Err(ServeError::Query(KdashError::BudgetExceeded {
+                    limit: BudgetLimit::GatherNnz(1),
+                    ..
+                })) => {}
+                other => panic!("read {q} should exceed its budget, got {other:?}"),
+            }
+        }
+        assert_eq!((snapshot.failed, snapshot.completed, snapshot.shed), (16, 0, 0));
+
+        // Generous: the budget never fires and changes nothing.
+        let generous = QueryBudget {
+            max_frontier_nodes: Some(1_000_000),
+            max_gather_nnz: Some(1_000_000),
+            deadline: Some(Duration::from_secs(3600)),
+        };
+        let (responses, snapshot, store) = serve(generous);
+        let pinned = store.pin();
+        let mut searcher = Searcher::new(&pinned);
+        for (q, response) in responses.into_iter().enumerate() {
+            let got = response.unwrap().result;
+            let want = searcher.top_k(q as NodeId, 5).unwrap();
+            assert_eq!(got.nodes(), want.nodes(), "read {q}");
+            for (x, y) in got.items.iter().zip(&want.items) {
+                assert_eq!(x.proximity.to_bits(), y.proximity.to_bits(), "read {q}");
+            }
+            assert_eq!(got.stats, want.stats, "read {q}");
+        }
+        assert_eq!((snapshot.failed, snapshot.completed), (0, 16));
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! well-defined epoch — audit-clean, bit-identical to the live-applied
 //! index at that epoch, never losing an acknowledged batch.
 
-use kdash_core::batch::batch_top_k_outcomes_with_hook;
 use kdash_core::{
-    batch_top_k_outcomes, save_atomic, save_atomic_with, BatchOptions, BudgetLimit, CrashPlan,
-    FaultInjector, IndexAudit, IndexOptions, KdashError, KdashIndex, QueryBudget,
+    save_atomic, save_atomic_with, BatchOptions, BatchOutcome, BudgetLimit, CrashPlan,
+    FaultInjector, IndexAudit, IndexOptions, IsolatedExecutor, KdashError, KdashIndex,
+    QueryBudget,
 };
 use kdash_dynamic::{DynamicIndex, Journal, UpdateBatch};
 use kdash_graph::{
@@ -164,53 +164,64 @@ fn ring_index() -> KdashIndex {
 /// One poisoned query in a batch must cost exactly that query: the other
 /// N−1 results come back bit-identical to an uncontaminated batch, and
 /// the poisoned slot carries a typed [`KdashError::QueryPanicked`] — the
-/// panic never reaches the caller and never tears down a worker pool.
+/// panic never reaches the caller and never tears down a worker. The
+/// batch runs on one executor, then fanned out over four threads with one
+/// executor each, as the serving tier's workers run it.
 #[test]
 fn batch_isolates_a_panicking_query() {
     let index = ring_index();
     let queries: Vec<NodeId> = (0..12).collect();
     let k = 8;
-    const BAD: usize = 5;
+    const BAD: NodeId = 5;
 
+    let mut executor = IsolatedExecutor::new(&index, BatchOptions::default()).unwrap();
+    let clean: Vec<BatchOutcome> = queries.iter().map(|&q| executor.run(q, k)).collect();
     for threads in [1, 4] {
-        let options = BatchOptions { threads, ..Default::default() };
-        let clean = batch_top_k_outcomes(&index, &queries, k, &options).unwrap();
-        let poisoned = batch_top_k_outcomes_with_hook(
-            &index,
-            &queries,
-            k,
-            &options,
-            &|i, q| {
-                if i == BAD {
-                    panic!("injected fault at query {q}")
-                }
-            },
-        )
-        .unwrap();
+        let poisoned: Vec<BatchOutcome> = std::thread::scope(|s| {
+            let workers: Vec<_> = queries
+                .chunks(queries.len().div_ceil(threads))
+                .map(|part| {
+                    let index = &index;
+                    s.spawn(move || {
+                        let mut executor =
+                            IsolatedExecutor::new(index, BatchOptions::default()).unwrap();
+                        let poison = |q: NodeId| {
+                            move || {
+                                if q == BAD {
+                                    panic!("injected fault at query {q}")
+                                }
+                            }
+                        };
+                        let run = |&q: &NodeId| executor.run_hooked(q, k, poison(q));
+                        part.iter().map(run).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers.into_iter().flat_map(|w| w.join().unwrap()).collect()
+        });
 
         assert_eq!(poisoned.len(), queries.len());
-        for (i, (a, b)) in clean.iter().zip(&poisoned).enumerate() {
-            if i == BAD {
-                match b.err() {
-                    Some(KdashError::QueryPanicked { message }) => {
-                        assert!(
-                            message.contains("injected fault"),
-                            "panic payload must be preserved: {message}"
+        for (&q, pair) in queries.iter().zip(clean.iter().zip(&poisoned)) {
+            match pair {
+                (_, BatchOutcome::Failed(KdashError::QueryPanicked { message })) if q == BAD => {
+                    assert!(
+                        message.contains("injected fault"),
+                        "panic payload must be preserved: {message}"
+                    );
+                }
+                (BatchOutcome::Ok(a), BatchOutcome::Ok(b)) if q != BAD => {
+                    assert_eq!(a.nodes(), b.nodes(), "query {q} ({threads} threads)");
+                    for (x, y) in a.items.iter().zip(&b.items) {
+                        assert_eq!(
+                            x.proximity.to_bits(),
+                            y.proximity.to_bits(),
+                            "query {q} node {} must be bit-identical to the clean batch",
+                            x.node
                         );
                     }
-                    other => panic!("query {BAD} should be QueryPanicked, got {other:?}"),
+                    assert_eq!(a.stats, b.stats, "query {q} ({threads} threads)");
                 }
-                continue;
-            }
-            let (a, b) = (a.clone().ok().unwrap(), b.clone().ok().unwrap());
-            assert_eq!(a.nodes(), b.nodes(), "query {i} ({threads} threads)");
-            for (x, y) in a.items.iter().zip(&b.items) {
-                assert_eq!(
-                    x.proximity.to_bits(),
-                    y.proximity.to_bits(),
-                    "query {i} node {} must be bit-identical to the clean batch",
-                    x.node
-                );
+                other => panic!("query {q} ({threads} threads): clean, poisoned {other:?}"),
             }
         }
     }
@@ -227,23 +238,19 @@ fn batch_budget_exhaustion_is_typed_and_carries_stats() {
 
     let starved = BatchOptions {
         budget: QueryBudget { max_gather_nnz: Some(1), ..Default::default() },
-        ..Default::default()
     };
-    for (i, outcome) in batch_top_k_outcomes(&index, &queries, k, &starved)
-        .unwrap()
-        .iter()
-        .enumerate()
-    {
-        match outcome.err() {
-            Some(KdashError::BudgetExceeded { limit, stats }) => {
+    let mut executor = IsolatedExecutor::new(&index, starved).unwrap();
+    for &q in &queries {
+        match executor.run(q, k) {
+            BatchOutcome::Failed(KdashError::BudgetExceeded { limit, stats }) => {
                 assert!(
                     matches!(limit, BudgetLimit::GatherNnz(1)),
-                    "query {i}: wrong limit {limit:?}"
+                    "query {q}: wrong limit {limit:?}"
                 );
                 assert!(stats.nnz_gathered >= 1, "abort must carry the running total");
                 assert!(stats.visited >= 1, "at least the root was visited");
             }
-            other => panic!("query {i} should exceed its budget, got {other:?}"),
+            other => panic!("query {q} should exceed its budget, got {other:?}"),
         }
     }
 
@@ -254,15 +261,19 @@ fn batch_budget_exhaustion_is_typed_and_carries_stats() {
             max_gather_nnz: Some(1_000_000),
             deadline: Some(std::time::Duration::from_secs(3600)),
         },
-        ..Default::default()
     };
-    let unbudgeted = batch_top_k_outcomes(&index, &queries, k, &BatchOptions::default()).unwrap();
-    let budgeted = batch_top_k_outcomes(&index, &queries, k, &generous).unwrap();
-    for (a, b) in unbudgeted.into_iter().zip(budgeted) {
-        let (a, b) = (a.ok().unwrap(), b.ok().unwrap());
-        assert_eq!(a.nodes(), b.nodes());
-        for (x, y) in a.items.iter().zip(&b.items) {
-            assert_eq!(x.proximity.to_bits(), y.proximity.to_bits());
+    let mut unbudgeted = IsolatedExecutor::new(&index, BatchOptions::default()).unwrap();
+    let mut budgeted = IsolatedExecutor::new(&index, generous).unwrap();
+    for &q in &queries {
+        match (unbudgeted.run(q, k), budgeted.run(q, k)) {
+            (BatchOutcome::Ok(a), BatchOutcome::Ok(b)) => {
+                assert_eq!(a.nodes(), b.nodes());
+                for (x, y) in a.items.iter().zip(&b.items) {
+                    assert_eq!(x.proximity.to_bits(), y.proximity.to_bits());
+                }
+                assert_eq!(a.stats, b.stats, "query {q}");
+            }
+            other => panic!("query {q} should complete under both budgets, got {other:?}"),
         }
     }
 }

@@ -1,20 +1,22 @@
 //! Error-hygiene lint: library code must not grow new `unwrap()` /
 //! `expect(` call sites.
 //!
-//! The robustness story of this PR — typed `PersistError`s, budget
-//! aborts, panic-isolated batches — only holds if the library itself
-//! doesn't panic on the paths those errors are supposed to cover. This
-//! test walks every library crate's sources (tests, benches and binaries
-//! excluded), counts panic-prone call sites outside `#[cfg(test)]`
-//! modules, and fails if any file exceeds its frozen allowance.
+//! The robustness story — typed `PersistError`s, budget aborts,
+//! panic-isolated queries — only holds if the library itself doesn't
+//! panic on the paths those errors are supposed to cover. This test walks
+//! every library crate's sources (tests, benches and binaries excluded),
+//! counts panic-prone call sites outside `#[cfg(test)]` modules, and fails
+//! if any file's count differs from its frozen allowance — above it, or
+//! below it, where the spare budget would absorb the next new site
+//! unnoticed.
 //!
 //! The allowlist below is the audited baseline: each entry is a call
 //! site that was reviewed and found unreachable-by-construction (e.g.
 //! an index freshly validated two lines above) or deliberately fatal
-//! (e.g. a poisoned lock where unwinding is the right answer). Lowering
-//! a count is always fine; raising one means a new panic path slipped
-//! into library code — convert it to a typed error instead, or argue
-//! its safety in review and bump the entry.
+//! (e.g. a poisoned lock where unwinding is the right answer). Removing a
+//! site means lowering its entry in the same change; adding one means a
+//! new panic path slipped into library code — convert it to a typed error
+//! instead, or argue its safety in review and bump the entry.
 
 mod lint_common;
 
@@ -28,9 +30,7 @@ const ALLOWLIST: &[(&str, usize)] = &[
     ("crates/baselines/src/lib.rs", 1),
     ("crates/baselines/src/nblin.rs", 2),
     ("crates/community/src/louvain.rs", 1),
-    ("crates/core/src/estimator.rs", 1),
     ("crates/core/src/ordering.rs", 1),
-    ("crates/core/src/precompute.rs", 1),
     ("crates/datagen/src/ba.rs", 1),
     ("crates/datagen/src/collaboration.rs", 1),
     ("crates/datagen/src/dictionary.rs", 1),
@@ -46,7 +46,6 @@ const ALLOWLIST: &[(&str, usize)] = &[
     ("crates/sparse/src/blocked.rs", 4),
     ("crates/sparse/src/csr.rs", 1),
     ("crates/sparse/src/rwr.rs", 1),
-    ("crates/sparse/src/store.rs", 1),
 ];
 
 /// Counts `.unwrap()` / `.expect(` call sites in the library portion of
@@ -91,6 +90,13 @@ fn library_code_does_not_grow_panic_sites() {
                 "{rel}: {count} unwrap()/expect( call sites in library code \
                  (allowed: {budget}) — return a typed error instead, or audit \
                  the site and bump the allowlist in tests/lint_error_hygiene.rs"
+            ));
+        } else if count < budget {
+            // Spare budget would silently absorb the next new panic site.
+            violations.push(format!(
+                "{rel}: {count} unwrap()/expect( call sites in library code \
+                 (allowed: {budget}) — lower the allowlist entry to {count}, or \
+                 remove it at 0"
             ));
         }
         if allowed.contains_key(rel.as_str()) {

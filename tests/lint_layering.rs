@@ -1,4 +1,4 @@
-//! Layering lint: two decisions stay behind the module that owns them.
+//! Layering lint: three decisions stay behind the module that owns them.
 //!
 //! * How `U⁻¹` is laid out is `kdash-sparse`'s business. The tiers that
 //!   change or serve an index hand the store column updates and take a
@@ -8,6 +8,10 @@
 //! * The bounds' constants are computed by
 //!   `kdash_core::estimator::BoundConstants::of`; a second spelling of the
 //!   `c′` formula in library code is a derivation that can drift from it.
+//! * Threads start in two places: the serving tier's worker pool and the
+//!   inversion's column-solve pool. A third engine in library code is one
+//!   more concurrent structure to test and explore, so it needs an edit
+//!   here, in review.
 
 mod lint_common;
 
@@ -19,6 +23,9 @@ const LAYOUT_NAMES: [&str; 5] =
 /// `c′ = (1−c)/(1 − A_uu + c·A_uu)` as this workspace spells it, up to the
 /// name of the diagonal entry.
 const C_PRIME_FORMULA: &str = "(1.0 - c) / (1.0 - ";
+
+/// The library files that may start a thread.
+const THREAD_OWNERS: [&str; 2] = ["crates/serve/src/server.rs", "crates/sparse/src/inverse.rs"];
 
 /// `file:line` of every library line under `dirs` that `matches`.
 fn library_lines(dirs: &[&str], matches: impl Fn(&str) -> bool) -> Vec<String> {
@@ -51,4 +58,26 @@ fn c_prime_is_derived_in_one_place() {
     let sites = library_lines(&["crates"], |code| code.contains(C_PRIME_FORMULA));
     assert_eq!(sites.len(), 1, "{sites:?}");
     assert!(sites[0].contains("crates/core/src/estimator.rs"), "{sites:?}");
+}
+
+#[test]
+fn threads_start_only_in_the_two_pools() {
+    let sites = library_lines(&["crates"], |code| {
+        ["thread::scope", "thread::spawn", ".spawn("].iter().any(|p| code.contains(p))
+    });
+    // Benches and binaries (`src/bin`, and the CLI's `src/main.rs` with
+    // its load-generator clients) are not library code.
+    let library: Vec<&String> = sites
+        .iter()
+        .filter(|s| !["crates/bench/", "/src/bin/", "/src/main.rs:"].iter().any(|p| s.contains(p)))
+        .collect();
+    let stray: Vec<_> =
+        library.iter().filter(|s| !THREAD_OWNERS.iter().any(|f| s.contains(f))).collect();
+    assert!(stray.is_empty(), "a thread starts outside {THREAD_OWNERS:?}: {stray:?}");
+    for owner in THREAD_OWNERS {
+        assert!(
+            library.iter().any(|s| s.contains(owner)),
+            "{owner} starts no thread any more — drop it from THREAD_OWNERS"
+        );
+    }
 }

@@ -210,7 +210,9 @@ fn overload_sheds_typed_and_accepted_requests_complete() {
         other => panic!("expected Overloaded, got {other:?}"),
     }
     assert_eq!(pending.len(), capacity, "accepted exactly the admission bound");
-    assert!(serve_loop.metrics().snapshot().shed >= 1);
+    let snapshot = serve_loop.metrics().snapshot();
+    assert!(snapshot.shed >= 1);
+    assert_eq!(snapshot.max_queue_depth, capacity as u64, "a shed submit records no depth");
 
     // Resume: every accepted request completes, bit-identical to a
     // standalone query on the (only) pinned epoch.
