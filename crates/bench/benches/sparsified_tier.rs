@@ -13,8 +13,9 @@
 //!   dense ε = 0 baseline of the same run (acceptance: some ε reaches a
 //!   ≥4× byte reduction at scale 16 with the ranking still pinned);
 //! * **query cost** — per-query latency over a fixed spread of roots,
-//!   plus the refinement work (iterations, streamed correction nnz)
-//!   that is the honest price of the smaller store;
+//!   plus the refinement work (steps — Gauss–Seidel sweeps and
+//!   corrections — and the nnz they stream) that is the honest price of
+//!   the smaller store;
 //! * **the paper's yardstick** — the iterative method's per-query time
 //!   (`kdash-baselines`, set-up excluded) and its ratio to each row's
 //!   median query, above 1 where the row beats plain power iteration;

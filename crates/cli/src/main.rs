@@ -411,7 +411,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         s.value_bytes_touched,
     );
     // Sparsified-tier observability: how many certified-refinement steps
-    // (Jacobi sweeps and corrections alike) the query needed and the
+    // (Gauss–Seidel sweeps and corrections alike) the query needed and the
     // extra nonzeros they streamed (residual pushes + correction
     // scatter/gather). Dense-exact indexes skip the loop entirely, so the
     // line would always read 0/0 — omit it.

@@ -171,8 +171,9 @@
 //!    reach the index's *reach anchor* (the node with the most in-edges
 //!    among those with an out-edge) takes the anchor's stored closure and
 //!    merges in only what it reaches beside it; any other drains its BFS.
-//!    Every later step is a streaming pass over that list on three dense
-//!    vectors (`x̃`, `r`, `y`), which stay zero outside it.
+//!    Every later step is a streaming pass over that list on four dense
+//!    vectors: `x̃`, `r` and `y`, which stay zero outside it, and the
+//!    sweeps' `visit` notes.
 //! 2. Gather the approximate solution `x̃ ≈ W⁻¹ b` from the sparsified
 //!    store (`b` is the unit restart vector `e_q`, or the merged
 //!    restart-set vector).
@@ -197,12 +198,15 @@
 //!    on one side of θ and the hits are provably ordered — **and** every
 //!    returned value's bound is within [`VALUE_TOLERANCE`] (`5·10⁻¹⁰`).
 //!    Then set, order and values are those of the exact answer —
-//!    terminate. Otherwise take one step and go back to 3. A *Jacobi
-//!    sweep* `x̃ += r` is one pass over the reachable set and shrinks
-//!    `‖r‖₁` by at least `1−c`, since `A`'s columns sum to at most 1 (the
-//!    power-iteration step). A *correction* `x̃ += Ũ⁻¹(L̃⁻¹ r)` —
-//!    `L̃⁻¹` column AXPYs into `y`, then a dense `Ũ⁻¹` row dot per
-//!    reachable node — uses the sparsified inverses as a preconditioner
+//!    terminate. Otherwise take one step and go back to 3. A *sweep* is
+//!    one Gauss–Seidel pass over the reachable set in ascending id — the
+//!    forward push in the stored order, each node solving its own row
+//!    with the lower ids already updated. It never raises `‖r‖₁`, since
+//!    `A`'s columns sum to at most 1; it shrinks it by at least `1−c`
+//!    while the residual keeps one sign, and by far more when most of
+//!    the transition weight points to higher ids. A *correction*
+//!    `x̃ += Ũ⁻¹(L̃⁻¹ r)` — `L̃⁻¹` column AXPYs into `y`, then a dense `Ũ⁻¹`
+//!    row dot per reachable node — uses the sparsified inverses as a preconditioner
 //!    and shrinks `‖r‖₁` by the factor the loop observes. A planner picks
 //!    the kind before each step from the query's own counts: the cheaper
 //!    way to the residual the goal needs, within the step cap. Either way,
@@ -364,8 +368,8 @@ pub enum KdashError {
     /// violations; each entry is `"<section>: <detail>"`.
     AuditFailed { findings: Vec<String> },
     /// The certified refinement loop on a sparsified index could not
-    /// prove its goal: after `iterations` refinement steps (Jacobi sweeps
-    /// and corrections) the residual norm `‖r‖₁` was `residual` and had
+    /// prove its goal: after `iterations` refinement steps (sweeps and
+    /// corrections) the residual norm `‖r‖₁` was `residual` and had
     /// stopped contracting (or the step cap was reached). `gap` is the
     /// smallest decisive margin of the last check — a lower bound minus
     /// the upper bound it had to clear (for the full vector: the floor

@@ -119,11 +119,21 @@
 //!    the check is skipped;
 //! 3. *one step*, of whichever kind the planner (`plan`) expects to reach
 //!    the goal's residual target for the least work; back to 2.
-//!    * *Jacobi sweep* `x̃ += r` — one pass over `R` that adds each
-//!      residual to its node and pushes the new value into the next
-//!      residual, built in the spare `y`; the two then swap. The new
-//!      residual is `(1−c)·A r`, and `A`'s columns sum to at most 1, so
-//!      `‖r‖₁` shrinks by at least `1−c` — the power-iteration step.
+//!    * *sweep* — one Gauss–Seidel pass over `R` in ascending id, the
+//!      forward push in the stored order. Every step notes, as it reaches
+//!      `u`, its accumulator's value there, `visit_u`: `b_u` plus the
+//!      pushes from ids below `u`. So `r_u + x̃_u − visit_u` is what the
+//!      ids from `u` up pushed into `u`. The sweep builds the next
+//!      residual in the spare `y` from `b`; on reaching `u`, `y_u` holds
+//!      `b_u` plus this sweep's pushes from below, so
+//!      `x̃_u ← y_u + (r_u + x̃_u − visit_u)` solves row `u` with every
+//!      lower neighbour already updated. The new value is pushed into
+//!      `y`, and the two vectors swap. An update by `d_u` takes `|d_u|`
+//!      off `u`'s residual and pushes at most `(1−c)·|d_u|` on, so
+//!      `‖r‖₁` never rises; it shrinks by at least `1−c` while the
+//!      residual keeps one sign (a correction leaves it mixed), and far
+//!      more in practice, since most of the transition weight points to
+//!      a higher id and is spent within the same pass.
 //!    * *correction* `x̃ += Ũ⁻¹(L̃⁻¹ r)` — one `L̃⁻¹` column AXPY into `y`
 //!      per nonzero of `r`, emptying `r` as it reads it, then one dense
 //!      `Ũ⁻¹` row dot per node of `R` in ascending id, each new value
@@ -136,12 +146,14 @@
 //! `R` is closed under out-edges and the triangular inverses only fill
 //! along paths of the graph, so every write lands inside `R`: no support
 //! lists, no flags. Each step leaves `y` all-zero, and sweeping `R` on the
-//! way out leaves all three vectors all-zero for the next query (a
-//! `debug_assert!` holds them to it). The certificate rests on less: `x̃`
-//! and `r` are read and written only over `R`, which the graph defines, so
-//! inverses that broke the fill pattern could slow a later query through
-//! a stale `y`, never falsify a proof — and whichever step ran, the check
-//! reads the residual recomputed from the stored graph.
+//! way out leaves `x̃`, `r` and `y` all-zero for the next query (a
+//! `debug_assert!` holds them to it); `visit` is written over all of `R`
+//! by the initial solve before any sweep reads it, so it is never reset.
+//! The certificate rests on less: `x̃` and `r` are read and written only
+//! over `R`, which the graph defines, so inverses that broke the fill
+//! pattern could slow a later query through a stale `y`, and a wrong
+//! `visit` could only pick a worse `x̃` — never falsify a proof: whichever
+//! step ran, the check reads the residual recomputed from the stored graph.
 //!
 //! Tied proximities can never separate, so the loop fails loudly with
 //! [`KdashError::RefinementFailed`] instead of guessing — likewise when
@@ -180,11 +192,11 @@ use std::time::{Duration, Instant};
 /// handful of speculative prefetches.
 const PREFETCH_BLOCK: usize = 8;
 
-/// Hard ceiling on certified-refinement steps, Jacobi sweeps and
-/// corrections alike. Either kind contracts `‖r‖₁` geometrically, and
-/// the planner never schedules past the ceiling, so a query still
-/// uncertified after this many steps is tied (or past the floating-point
-/// floor) and fails loudly instead of spinning.
+/// Hard ceiling on certified-refinement steps, sweeps and corrections
+/// alike. Either kind shrinks `‖r‖₁` (a step that does not ends the loop
+/// as stalled), and the planner never schedules past the ceiling, so a
+/// query still uncertified after this many steps is tied (or past the
+/// floating-point floor) and fails loudly instead of spinning.
 const REFINE_MAX_ITERATIONS: usize = 64;
 
 /// The value half of the certified tier's contract: every proximity a
@@ -251,8 +263,8 @@ pub struct QueryBudget {
     /// Abort once the gathered rows' stored entries reach this total
     /// (proximity work — the dominant cost on dense hub rows). On a
     /// sparsified index the initial solve and every correction gather a
-    /// pass of `Ũ⁻¹` rows; a Jacobi sweep gathers nothing, so only the
-    /// other two ceilings can stop one.
+    /// pass of `Ũ⁻¹` rows; a sweep gathers nothing, so only the other two
+    /// ceilings can stop one.
     pub max_gather_nnz: Option<usize>,
     /// Abort once this much wall clock has elapsed since the query began.
     pub deadline: Option<Duration>,
@@ -393,10 +405,11 @@ pub(crate) fn ranked_node(index: &KdashIndex, &(proximity, u): &(f64, NodeId)) -
 }
 
 /// Workspace of the certified refinement loop — allocated on the first
-/// refined query (sparsified tier only) and reused afterwards. The three
-/// dense vectors are indexed by permuted node id and are all-zero between
-/// queries: a query writes them only inside its reachable set and zeroes
-/// that set again on the way out, success or error.
+/// refined query (sparsified tier only) and reused afterwards. The four
+/// dense vectors are indexed by permuted node id and a query touches them
+/// only inside its reachable set. `x`, `resid` and `y` are all-zero
+/// between queries: each query zeroes that set again on the way out,
+/// success or error.
 #[derive(Debug)]
 struct RefineState {
     /// The approximate solution `x̃`.
@@ -406,8 +419,14 @@ struct RefineState {
     /// The spare vector, all-zero between steps: a correction's
     /// intermediate `y = L̃⁻¹ r` (a `Ũ⁻¹` row reads it at every column,
     /// reachable or not, so it must be zero outside the set), or the next
-    /// residual a Jacobi sweep builds before it swaps with `resid`.
+    /// residual a sweep builds before it swaps with `resid`.
     y: Vec<f64>,
+    /// Per node, the residual accumulator's value when the last step
+    /// reached it: `b_u` plus that step's pushes from lower ids. Every
+    /// step writes it over the whole reachable set and only a sweep reads
+    /// it, never before the initial solve has written it, so it is not
+    /// zeroed on exit and may hold a past query's values.
+    visit: Vec<f64>,
     /// The reachable set in ascending permuted id: the order every sweep
     /// streams the id-ordered stores in.
     ids: Vec<NodeId>,
@@ -426,6 +445,7 @@ impl RefineState {
             x: vec![0.0; n],
             resid: vec![0.0; n],
             y: vec![0.0; n],
+            visit: vec![0.0; n],
             ids: Vec::new(),
             beside: Vec::new(),
             marks: EpochStamps::new(n),
@@ -494,6 +514,22 @@ fn seed_restart(r: &mut [f64], roots: &[NodeId]) {
     for &root in roots {
         r[root as usize] += weight;
     }
+}
+
+/// `‖r‖₁` over `ids`, summed in four independent lanes so the adds
+/// overlap instead of waiting on one chain.
+fn l1_over(r: &[f64], ids: &[NodeId]) -> f64 {
+    let mut lanes = [0.0f64; 4];
+    let mut quads = ids.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, &j) in lanes.iter_mut().zip(quad) {
+            *lane += r[j as usize].abs();
+        }
+    }
+    for (lane, &j) in lanes.iter_mut().zip(quads.remainder()) {
+        *lane += r[j as usize].abs();
+    }
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
 }
 
 /// What the refinement loop must prove before it may stop.
@@ -625,11 +661,24 @@ fn certify_threshold(
 /// The two kinds of refinement step (module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Step {
-    /// `x̃ += r`: one push sweep, `‖r‖₁` shrinks by at least `1−c`.
-    Jacobi,
+    /// One Gauss–Seidel push sweep in ascending id: `‖r‖₁` never rises,
+    /// and is planned to shrink by `1−c`, its floor while the residual
+    /// keeps one sign.
+    Sweep,
     /// `x̃ += Ũ⁻¹(L̃⁻¹ r)`: a scatter and a row-dot sweep, `‖r‖₁` shrinks
     /// by the observed `ρ`.
     Correction,
+}
+
+/// What unit tests steer and watch the refinement loop by: steps it
+/// runs in place of the planner's, first to last, and at every residual
+/// check the step just run (`None` after the initial solve) with `x̃` and
+/// `r` as it left them.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct RefineProbe {
+    script: std::collections::VecDeque<Step>,
+    seen: Vec<(Option<Step>, Vec<f64>, Vec<f64>)>,
 }
 
 /// One step kind as the planner sees it.
@@ -650,33 +699,34 @@ impl StepModel {
     }
 }
 
-/// The next refinement step: the first of the cheapest mix of Jacobi
-/// sweeps and corrections expected to take `‖r‖₁` from `residual` down to
-/// `target` within `steps_left` steps. Corrections come first in a mix:
-/// `ρ` is only an estimate until a correction measures it again (the
-/// first one, off `b`, is the least telling), while the sweeps' `1−c` is
-/// guaranteed and their finer steps overshoot the target less. The loop
-/// re-plans after every step. A correction not expected to contract
-/// (`ρ ≥ 1`, or NaN) is never planned. With the target already reached
-/// but the goal unproven, the step with the most shrinkage per unit of
-/// work runs; with no mix that fits in the steps left, the one with the
-/// most shrinkage per step. Soundness never rests on the choice: every
-/// check reads a residual recomputed from the stored graph.
+/// The next refinement step: the first of the cheapest mix of sweeps and
+/// corrections expected to take `‖r‖₁` from `residual` down to `target`
+/// within `steps_left` steps. Corrections come first in a mix: `ρ` is
+/// only an estimate until a correction measures it again (the first one,
+/// off `b`, is the least telling), while a sweep is planned at `1−c`, its
+/// floor on a one-signed residual, and its finer steps overshoot the
+/// target less. The loop re-plans after every step. A correction not
+/// expected to contract (`ρ ≥ 1`, or NaN) is never planned. With the
+/// target already reached but the goal unproven, the step with the most
+/// shrinkage per unit of work runs; with no mix that fits in the steps
+/// left, the one with the most shrinkage per step. Soundness never rests
+/// on the choice: every check reads a residual recomputed from the stored
+/// graph.
 fn plan(
-    jacobi: StepModel,
+    sweep: StepModel,
     correction: StepModel,
     residual: f64,
     target: f64,
     steps_left: usize,
 ) -> Step {
-    let (gj, gc) = (jacobi.gain(), correction.gain());
+    let (gs, gc) = (sweep.gain(), correction.gain());
     if gc.is_nan() || gc <= 0.0 {
-        return Step::Jacobi;
+        return Step::Sweep;
     }
     let need = (residual / target).ln();
     if need <= 0.0 {
-        return if gj / jacobi.work >= gc / correction.work {
-            Step::Jacobi
+        return if gs / sweep.work >= gc / correction.work {
+            Step::Sweep
         } else {
             Step::Correction
         };
@@ -685,18 +735,18 @@ fn plan(
     let mut cheapest: Option<(f64, Step)> = None;
     for b in 0..=steps_left {
         let rest = if b == 0 { need } else { need - b as f64 * gc };
-        let a = if rest > 0.0 { (rest / gj).ceil().max(1.0) } else { 0.0 };
+        let a = if rest > 0.0 { (rest / gs).ceil().max(1.0) } else { 0.0 };
         if a + b as f64 > steps_left as f64 {
             continue;
         }
-        let cost = a * jacobi.work + b as f64 * correction.work;
+        let cost = a * sweep.work + b as f64 * correction.work;
         if cheapest.is_none_or(|(least, _)| cost < least) {
-            cheapest = Some((cost, if b > 0 { Step::Correction } else { Step::Jacobi }));
+            cheapest = Some((cost, if b > 0 { Step::Correction } else { Step::Sweep }));
         }
     }
     match cheapest {
         Some((_, step)) => step,
-        None if gj >= gc => Step::Jacobi,
+        None if gs >= gc => Step::Sweep,
         None => Step::Correction,
     }
 }
@@ -762,6 +812,9 @@ pub struct Searcher<'a> {
     /// `None` when the BFS's own counters are the query's. Set by every
     /// refined query before anything reads it, and never on a dense index.
     anchored: Option<(usize, usize)>,
+    /// Unit tests' window on the refinement loop.
+    #[cfg(test)]
+    probe: Option<RefineProbe>,
 }
 
 /// The *bound* policy of [`Searcher::drive`]: asked before each node's
@@ -926,6 +979,8 @@ impl<'a> Searcher<'a> {
             inflow: InflowBound::new(n),
             refine: None,
             anchored: None,
+            #[cfg(test)]
+            probe: None,
         }
     }
 
@@ -1306,7 +1361,7 @@ impl<'a> Searcher<'a> {
 
     /// The certified refinement driver (see the module docs): lists the
     /// whole reachable set, solves it approximately through the sparsified
-    /// inverses, and runs planned Jacobi sweeps and corrections until
+    /// inverses, and runs planned sweeps and corrections until
     /// `goal` is proven. Expects a source prologue to have run: the BFS
     /// seeded at the roots, the restart vector `b` uniform over them, and
     /// the matching `L̃⁻¹` query column loaded. Out of line, so the dense-tier
@@ -1378,15 +1433,16 @@ impl<'a> Searcher<'a> {
         // Hoisted: the per-node checks cost a sweep ~15 % even when no
         // ceiling is set, which none then can reach.
         let budgeted = self.budget != QueryBudget::unlimited();
-        let RefineState { x, resid, y, ids, heap, .. } = st;
+        let RefineState { x, resid, y, visit, ids, heap, .. } = st;
         // The residual b − W x̃ = b − x̃ + (1−c)·A x̃ under construction in
         // `r`, which starts as b: each settled x̃_j leaves its own entry and
         // flows along column j of A — node j's out-distribution,
         // self-looped when dangling under that policy, empty when dangling
         // is kept absorbing. The reachable set is closed under out-edges,
         // so every write lands inside it. Pushed in ascending j, whatever
-        // the step, each entry sums its terms in one fixed order. Returns
-        // the edge terms moved.
+        // the step, each entry sums its terms in one fixed order, and the
+        // caller notes `r[j]` in `visit` first. Returns the edge terms
+        // moved.
         let push = |r: &mut [f64], j: NodeId, xj: f64| -> usize {
             if xj == 0.0 {
                 return 0;
@@ -1421,6 +1477,7 @@ impl<'a> Searcher<'a> {
             let xu = self.gather(u);
             x[u as usize] = xu;
             stats.proximity_computations += 1;
+            visit[u as usize] = resid[u as usize];
             edge_terms += push(resid, u, xu);
             linv_nnz += linv.col(u).0.len();
         }
@@ -1429,11 +1486,11 @@ impl<'a> Searcher<'a> {
         // The planner's view of the two steps, from this query's own
         // counts. The initial solve applied the preconditioner once to
         // r = b, ‖b‖₁ = 1, so ρ starts as ‖r₀‖₁.
-        let sweep = ids.len();
-        let jacobi = StepModel { work: (edge_terms + 2 * sweep) as f64, contraction: one_minus_c };
+        let reach = ids.len();
+        let sweep = StepModel { work: (edge_terms + 2 * reach) as f64, contraction: one_minus_c };
         let gathered = self.counters.nnz - gathered_before;
         let mut correction = StepModel {
-            work: (linv_nnz + gathered + edge_terms + 3 * sweep) as f64,
+            work: (linv_nnz + gathered + edge_terms + 3 * reach) as f64,
             contraction: f64::NAN,
         };
         // The bound every returned value must meet, and the residual the
@@ -1448,7 +1505,11 @@ impl<'a> Searcher<'a> {
         let mut last = Step::Correction;
         let mut prev_norm = 1.0;
         loop {
-            let delta: f64 = ids.iter().map(|&j| resid[j as usize].abs()).sum();
+            let delta = l1_over(resid, ids);
+            #[cfg(test)]
+            if let Some(probe) = &mut self.probe {
+                probe.seen.push(((iterations > 0).then_some(last), x.clone(), resid.clone()));
+            }
             if !delta.is_finite() {
                 // The stored values overflowed: no bound holds at all.
                 return Err(KdashError::RefinementFailed {
@@ -1507,20 +1568,33 @@ impl<'a> Searcher<'a> {
             }
             prev_norm = delta;
 
-            last = plan(jacobi, correction, delta, target, REFINE_MAX_ITERATIONS - iterations);
+            last = plan(sweep, correction, delta, target, REFINE_MAX_ITERATIONS - iterations);
+            #[cfg(test)]
+            if let Some(step) = self.probe.as_mut().and_then(|p| p.script.pop_front()) {
+                last = step;
+            }
             let mut edge_terms = 0usize;
             match last {
-                Step::Jacobi => {
-                    // x̃ += r, each new value pushed into the next residual
-                    // in y; r is emptied as it is read, so the swap leaves
-                    // the spare all-zero.
+                Step::Sweep => {
+                    // Gauss–Seidel into the next residual in y: on reaching
+                    // u, y_u is b_u plus this sweep's pushes from below u,
+                    // and r_u + x̃_u − visit_u the last step's pushes from u
+                    // up, so their sum solves row u. r is emptied as it is
+                    // read, so the swap leaves the spare all-zero.
                     seed_restart(y, &self.roots);
+                    // Sliced to one length, so the bounds check on `y[i]`
+                    // covers the other three vectors (≈ 5 % of a sweep).
+                    let n = y.len();
+                    let (xn, rn, vn) = (&mut x[..n], &mut resid[..n], &mut visit[..n]);
                     for &u in ids.iter() {
                         if budgeted {
                             self.within_budget(stats, started)?;
                         }
-                        let xu = x[u as usize] + std::mem::take(&mut resid[u as usize]);
-                        x[u as usize] = xu;
+                        let i = u as usize;
+                        let below = y[i];
+                        let xu = below + (std::mem::take(&mut rn[i]) + xn[i] - vn[i]);
+                        vn[i] = below;
+                        xn[i] = xu;
                         edge_terms += push(y, u, xu);
                     }
                     std::mem::swap(resid, y);
@@ -1551,6 +1625,7 @@ impl<'a> Searcher<'a> {
                         // No later (higher) row reads column u.
                         y[u as usize] = 0.0;
                         x[u as usize] = xu;
+                        visit[u as usize] = resid[u as usize];
                         edge_terms += push(resid, u, xu);
                     }
                     stats.refinement_nnz += self.counters.nnz - nnz_before;
@@ -1756,19 +1831,19 @@ mod tests {
     /// contraction `rho` and the work per step measured on one RMAT-13
     /// query at ε = 1e-4 (`c = 0.95` there; `c = 0.15` is wider).
     fn models(c: f64, rho: f64, work: [f64; 2]) -> (StepModel, StepModel) {
-        let jacobi = StepModel { work: work[0], contraction: 1.0 - c };
-        (jacobi, StepModel { work: work[1], contraction: rho })
+        let sweep = StepModel { work: work[0], contraction: 1.0 - c };
+        (sweep, StepModel { work: work[1], contraction: rho })
     }
 
     const RMAT_WORK: [f64; 2] = [19_356.0, 65_525.0];
     const RMAT_WIDE_WORK: [f64; 2] = [37_109.0, 822_561.0];
 
     #[test]
-    fn jacobi_is_planned_where_one_sweep_buys_more_per_unit_of_work() {
+    fn a_sweep_is_planned_where_one_buys_more_per_unit_of_work() {
         // c = 0.95: four sweeps take 7e-4 below the value target for
         // 77k units; a correction and two sweeps would cost 104k.
         let (j, k) = models(0.95, 7e-4, RMAT_WORK);
-        assert_eq!(plan(j, k, 7e-4, VALUE_TOLERANCE / 0.05, REFINE_MAX_ITERATIONS), Step::Jacobi);
+        assert_eq!(plan(j, k, 7e-4, VALUE_TOLERANCE / 0.05, REFINE_MAX_ITERATIONS), Step::Sweep);
         // c = 0.15: a sweep shrinks ‖r‖₁ by 0.85 at most, so sweeps alone
         // would need 116 steps, past the cap; the cheapest mix that fits
         // holds four corrections, and they run first.
@@ -1782,8 +1857,8 @@ mod tests {
         for rho in [1.0, 1.5, f64::INFINITY, f64::NAN] {
             // Corrections priced at next to nothing, and still not run.
             let (j, k) = models(0.15, rho, [1e6, 1.0]);
-            assert_eq!(plan(j, k, 1.0, 1e-8, REFINE_MAX_ITERATIONS), Step::Jacobi, "ρ = {rho}");
-            assert_eq!(plan(j, k, 1e-9, 1e-8, REFINE_MAX_ITERATIONS), Step::Jacobi, "ρ = {rho}");
+            assert_eq!(plan(j, k, 1.0, 1e-8, REFINE_MAX_ITERATIONS), Step::Sweep, "ρ = {rho}");
+            assert_eq!(plan(j, k, 1e-9, 1e-8, REFINE_MAX_ITERATIONS), Step::Sweep, "ρ = {rho}");
         }
     }
 
@@ -1795,16 +1870,16 @@ mod tests {
         let (j, k) = models(0.95, 1e-3, [1.0, 2.2]);
         assert_eq!(plan(j, k, 1e-9, 1e-8, REFINE_MAX_ITERATIONS), Step::Correction);
         let (j, k) = models(0.95, 1e-3, [1.0, 2.4]);
-        assert_eq!(plan(j, k, 1e-9, 1e-8, REFINE_MAX_ITERATIONS), Step::Jacobi);
+        assert_eq!(plan(j, k, 1e-9, 1e-8, REFINE_MAX_ITERATIONS), Step::Sweep);
         let (j, k) = models(0.95, 1e-3, [1.0, 10.0]);
-        assert_eq!(plan(j, k, 1e-8, 1e-8, REFINE_MAX_ITERATIONS), Step::Jacobi);
+        assert_eq!(plan(j, k, 1e-8, 1e-8, REFINE_MAX_ITERATIONS), Step::Sweep);
     }
 
     #[test]
     fn no_plan_runs_past_the_step_cap() {
         // Sweeps alone are cheapest here, but need four steps.
         let (j, k) = models(0.95, 1e-6, [1.0, 10.0]);
-        assert_eq!(plan(j, k, 1e-3, 1e-8, 4), Step::Jacobi);
+        assert_eq!(plan(j, k, 1e-3, 1e-8, 4), Step::Sweep);
         assert_eq!(plan(j, k, 1e-3, 1e-8, 3), Step::Correction);
         // Re-planning after every step, with each step contracting as
         // modelled, reaches the target within the cap whenever some mix
@@ -1823,7 +1898,7 @@ mod tests {
                         let (mut residual, mut steps) = (start, 0);
                         while residual > target && steps < cap {
                             residual *= match plan(j, k, residual, target, cap - steps) {
-                                Step::Jacobi => j.contraction,
+                                Step::Sweep => j.contraction,
                                 Step::Correction => k.contraction,
                             };
                             steps += 1;
@@ -1931,6 +2006,124 @@ mod tests {
             assert_eq!(got.items[0].proximity, 0.25);
             assert_eq!((&got.items, &got.stats), (&want.items, &want.stats), "{set:?}");
         }
+    }
+
+    /// `b − W x̃` from `x̃` alone: a plain loop over the stored edges in
+    /// descending source id, with out-weight sums of its own. Also returns,
+    /// per node, the magnitude of the terms summed there — the scale its
+    /// rounding is relative to.
+    fn residual_of(index: &KdashIndex, b: &[f64], x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let (g, one_minus_c) = (index.permuted_graph(), 1.0 - index.restart_probability());
+        let self_loops = index.dangling_policy() == DanglingPolicy::SelfLoop;
+        let mut r: Vec<f64> = b.iter().zip(x).map(|(b, x)| b - x).collect();
+        let mut scale: Vec<f64> = b.iter().zip(x).map(|(b, x)| b.abs() + x.abs()).collect();
+        let mut add = |t: NodeId, v: f64| {
+            r[t as usize] += v;
+            scale[t as usize] += v.abs();
+        };
+        for j in (0..g.num_nodes() as NodeId).rev() {
+            let (xj, weights) = (x[j as usize], g.out_weights(j));
+            if weights.is_empty() && self_loops {
+                add(j, one_minus_c * xj);
+            }
+            let out_sum: f64 = weights.iter().sum();
+            for (&t, &w) in g.out_neighbors(j).iter().zip(weights) {
+                add(t, one_minus_c * xj * w / out_sum);
+            }
+        }
+        (r, scale)
+    }
+
+    /// One textbook Gauss–Seidel sweep of `x = b + (1−c)·A x` in place, in
+    /// ascending id, row by row over the in-edges.
+    fn gauss_seidel(index: &KdashIndex, b: &[f64], x: &mut [f64]) {
+        let (g, one_minus_c) = (index.permuted_graph(), 1.0 - index.restart_probability());
+        let self_loops = index.dangling_policy() == DanglingPolicy::SelfLoop;
+        let n = g.num_nodes() as NodeId;
+        let out_sum: Vec<f64> = (0..n).map(|j| g.out_weights(j).iter().sum()).collect();
+        let into = g.transpose();
+        for u in 0..n {
+            let mut v = b[u as usize];
+            for (&j, &w) in into.out_neighbors(u).iter().zip(into.out_weights(u)) {
+                v += one_minus_c * x[j as usize] * w / out_sum[j as usize];
+            }
+            if self_loops && g.out_degree(u) == 0 {
+                v += one_minus_c * x[u as usize];
+            }
+            x[u as usize] = v;
+        }
+    }
+
+    /// Runs the full-vector goal from permuted `roots` with a correction
+    /// and two sweeps forced first, and holds every step to its contract:
+    /// the loop's `r` is `b − W x̃` of its own `x̃`, and a sweep is one
+    /// Gauss–Seidel sweep that does not raise `‖r‖₁`. Returns whether the
+    /// correction left a residual of both signs.
+    fn check_steps(label: &str, index: &KdashIndex, roots: &[NodeId]) -> bool {
+        let (g, n) = (index.permuted_graph(), index.num_nodes());
+        let reach = BfsTree::new_multi(g, roots).order;
+        assert!(reach.iter().any(|&v| g.out_degree(v) == 0), "{label}: no sink");
+        let mut b = vec![0.0; n];
+        seed_restart(&mut b, roots);
+        let mut s = index.searcher();
+        let script = [Step::Correction, Step::Sweep, Step::Sweep];
+        s.probe = Some(RefineProbe { script: script.into(), ..Default::default() });
+        let sources: Vec<NodeId> = roots.iter().map(|&r| index.permutation().old_of(r)).collect();
+        let run = s.refined_full_proximities(&sources);
+        let seen = s.probe.take().unwrap().seen;
+        let kinds: Vec<_> = seen.iter().take(4).map(|e| e.0).collect();
+        let want = [None, Some(Step::Correction), Some(Step::Sweep), Some(Step::Sweep)];
+        assert_eq!(kinds, want, "{label}");
+        let l1 = |r: &[f64]| r.iter().map(|v| v.abs()).sum::<f64>();
+        for (i, (step, x, r)) in seen.iter().enumerate() {
+            let (want, scale) = residual_of(index, &b, x);
+            for u in reach.iter().map(|&u| u as usize) {
+                let err = (r[u] - want[u]).abs();
+                assert!(err <= 1e-13 * scale[u], "{label} check {i}: r[{u}] off by {err:e}");
+            }
+            if *step == Some(Step::Sweep) {
+                let (x_before, r_before) = (&seen[i - 1].1, &seen[i - 1].2);
+                assert!(l1(r) <= l1(r_before), "{label} sweep {i}: ‖r‖₁ rose to {:e}", l1(r));
+                let mut sweep = x_before.clone();
+                gauss_seidel(index, &b, &mut sweep);
+                for u in reach.iter().map(|&u| u as usize) {
+                    let err = (x[u] - sweep[u]).abs();
+                    assert!(err <= 1e-13 * scale[u], "{label} sweep {i}: x̃[{u}] off by {err:e}");
+                }
+            }
+        }
+        run.unwrap();
+        let r = &seen[1].2;
+        r.iter().any(|&v| v > 0.0) && r.iter().any(|&v| v < 0.0)
+    }
+
+    #[test]
+    fn every_step_leaves_the_residual_of_its_own_iterate() {
+        let graphs =
+            [("er", erdos_renyi(300, 500, 5)), ("rmat", rmat(8, 700, Default::default(), 7))];
+        let mut mixed = 0;
+        for (name, graph) in &graphs {
+            for dangling in [DanglingPolicy::Keep, DanglingPolicy::SelfLoop] {
+                for c in [0.95, 0.15] {
+                    let options = IndexOptions {
+                        restart_probability: c,
+                        dangling,
+                        drop_tolerance: 1e-3,
+                        ..Default::default()
+                    };
+                    let index = KdashIndex::build(graph, options).unwrap();
+                    assert!(index.needs_refinement(), "{name}");
+                    let g = index.permuted_graph();
+                    let n = g.num_nodes() as NodeId;
+                    let q = (0..n).max_by_key(|&v| BfsTree::new(g, v).order.len()).unwrap();
+                    for roots in [vec![q], vec![q, n / 3, 2 * n / 3]] {
+                        let label = format!("{name} {dangling:?} c {c} roots {roots:?}");
+                        mixed += usize::from(check_steps(&label, &index, &roots));
+                    }
+                }
+            }
+        }
+        assert!(mixed > 0, "no correction left a mixed-sign residual");
     }
 
     #[test]

@@ -113,9 +113,9 @@ pub struct SearchStats {
     /// paths that never run the gather kernel.
     pub kernel: &'static str,
     /// Certified-refinement steps the query ran after its initial solve,
-    /// of either kind: Jacobi sweeps (`x̃ += r`) and corrections
-    /// (`x̃ += Ũ⁻¹(L̃⁻¹ r)`). Zero on a dense-exact index (the classic
-    /// stop-rule path never refines); on a sparsified index every answer
+    /// of either kind: Gauss–Seidel sweeps over the reachable set and
+    /// corrections (`x̃ += Ũ⁻¹(L̃⁻¹ r)`). Zero on a dense-exact index (the
+    /// classic stop-rule path never refines); on a sparsified index every answer
     /// was certified after this many steps. Independent of the kernel —
     /// a pure function of index content and query.
     pub refinement_iterations: usize,

@@ -177,7 +177,7 @@ fn main() {
     // 7. Memory-bound deployments: a *sparsified* build drops inverse
     //    entries below a tolerance ε at precompute time, shrinking the
     //    stored index. Queries then run certified residual refinement —
-    //    an approximate solve from the truncated inverses, then Jacobi
+    //    an approximate solve from the truncated inverses, then Gauss–Seidel
     //    sweeps or preconditioned corrections, whichever is cheaper, until
     //    the residual norm *proves* the top-k set and order — so the
     //    ranking stays exact. Uncertifiable queries (two proximities
