@@ -15,7 +15,10 @@
 //! * **query cost** — per-query latency over a fixed spread of roots,
 //!   plus the refinement work (steps — Gauss–Seidel sweeps and
 //!   corrections — and the nnz they stream) that is the honest price of
-//!   the smaller store;
+//!   the smaller store. At the default `c = 0.95` every query's first
+//!   pass is a sweep from `x̃ = 0` and sweeps carry the rest, none of
+//!   which reads a stored inverse, so there the query cost does not
+//!   depend on ε at all;
 //! * **the paper's yardstick** — the iterative method's per-query time
 //!   (`kdash-baselines`, set-up excluded) and its ratio to each row's
 //!   median query, above 1 where the row beats plain power iteration;

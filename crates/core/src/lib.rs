@@ -174,9 +174,15 @@
 //!    Every later step is a streaming pass over that list on four dense
 //!    vectors: `x̃`, `r` and `y`, which stay zero outside it, and the
 //!    sweeps' `visit` notes.
-//! 2. Gather the approximate solution `x̃ ≈ W⁻¹ b` from the sparsified
-//!    store (`b` is the unit restart vector `e_q`, or the merged
-//!    restart-set vector).
+//! 2. Make a first pass for an approximate solution `x̃ ≈ W⁻¹ b` (`b` is
+//!    the unit restart vector `e_q`, or the merged restart-set vector).
+//!    Where sweeps (step 5) alone provably reach the goal's residual
+//!    target within the step cap — for top-k and threshold goals from
+//!    `c ≈ 0.2807` on, the paper's `c = 0.95` included — it is one sweep
+//!    from `x̃ = 0`, which reads no stored inverse: from `b ≥ 0` every
+//!    sweep keeps the residual nonnegative and shrinks `‖r‖₁` by at least
+//!    `1−c`. Below that it gathers `x̃ = Ũ⁻¹(L̃⁻¹ b)` from the sparsified
+//!    store.
 //! 3. Compute the residual `r = b − W x̃` directly against the stored
 //!    permuted graph (`W = I − (1−c)A` is never materialised; each node
 //!    pushes its value along its out-edges, normalised by an out-weight
@@ -203,13 +209,16 @@
 //!    forward push in the stored order, each node solving its own row
 //!    with the lower ids already updated. It never raises `‖r‖₁`, since
 //!    `A`'s columns sum to at most 1; it shrinks it by at least `1−c`
-//!    while the residual keeps one sign, and by far more when most of
-//!    the transition weight points to higher ids. A *correction*
+//!    while the residual keeps one sign (always, after a sweep start),
+//!    and by far more when most of the transition weight points to
+//!    higher ids. A *correction*
 //!    `x̃ += Ũ⁻¹(L̃⁻¹ r)` — `L̃⁻¹` column AXPYs into `y`, then a dense `Ũ⁻¹`
 //!    row dot per reachable node — uses the sparsified inverses as a preconditioner
 //!    and shrinks `‖r‖₁` by the factor the loop observes. A planner picks
 //!    the kind before each step from the query's own counts: the cheaper
-//!    way to the residual the goal needs, within the step cap. Either way,
+//!    way to the residual the goal needs, within the step cap. After a
+//!    sweep start no correction has measured that factor, and every step
+//!    is a sweep. Either way,
 //!    the next residual is recomputed from the stored graph. (While
 //!    `(1−c)·‖r‖₁` alone exceeds the tolerance, no bound can meet it and
 //!    the check is skipped.)

@@ -102,9 +102,25 @@
 //! exactly, so `r` is the true residual of `x̃`, whatever the stored
 //! inverses hold — never the recurrence a step would predict.
 //!
-//! 1. *initial solve* — one gather per node of `R` against the scattered
-//!    query column, the classic search's per-candidate cost, each value
-//!    pushed into `r` as it lands;
+//! 1. *the first pass*, of one of two kinds, from `r = b`, each value
+//!    pushed into `r` as it lands:
+//!    * *sweep start* — one sweep (below) from `x̃ = 0`: on reaching `u`,
+//!      `r_u` holds `b_u` plus the pushes from ids below it, and that is
+//!      `x̃_u`. It gathers no row. It runs exactly where sweeps alone
+//!      provably reach the goal's residual target within the step cap of
+//!      64: where `⌈ln(1/target) / −ln(1−c)⌉` fits it, from `c ≈ 0.2807`
+//!      on for top-k and threshold goals and from `c ≈ 0.3736` on for the
+//!      full vector. The proof: with `b ≥ 0` and `x̃ = 0`, every update a
+//!      sweep makes is a nonnegative `d_u` at least the residual `u` held
+//!      when the sweep began, and it takes `d_u` off `u` and pushes at
+//!      most `(1−c)·d_u` on, so the residual stays nonnegative and `‖r‖₁`
+//!      shrinks by at least `1−c` per sweep. The loop then never measures
+//!      `ρ`, so no correction is planned;
+//!    * *initial solve* `x̃ = Ũ⁻¹(L̃⁻¹ b)` — below those values, one
+//!      gather per node of `R` against the scattered query column, the
+//!      classic search's per-candidate cost. Sweeps alone would run out
+//!      of steps there (`c = 0.05` needs hundreds), and the corrections
+//!      that carry the loop need `ρ`, which this pass measures first;
 //! 2. *certify* — each node by its own residual:
 //!    `|p_u − c·x̃_u| ≤ c·|r_u| + (1−c)·‖r‖₁`. The error is `c·W⁻¹r`, and
 //!    an entry of `c·W⁻¹` is the proximity of a walk from one node to
@@ -148,7 +164,7 @@
 //! lists, no flags. Each step leaves `y` all-zero, and sweeping `R` on the
 //! way out leaves `x̃`, `r` and `y` all-zero for the next query (a
 //! `debug_assert!` holds them to it); `visit` is written over all of `R`
-//! by the initial solve before any sweep reads it, so it is never reset.
+//! by the first pass before any sweep reads it, so it is never reset.
 //! The certificate rests on less: `x̃` and `r` are read and written only
 //! over `R`, which the graph defines, so inverses that broke the fill
 //! pattern could slow a later query through a stale `y`, and a wrong
@@ -264,7 +280,9 @@ pub struct QueryBudget {
     /// (proximity work — the dominant cost on dense hub rows). On a
     /// sparsified index the initial solve and every correction gather a
     /// pass of `Ũ⁻¹` rows; a sweep gathers nothing, so only the other two
-    /// ceilings can stop one.
+    /// ceilings can stop one. A query whose first pass is a sweep (every
+    /// top-k and threshold query from `c ≈ 0.2807` on) gathers nothing at
+    /// all: only the frontier meter and the clock bound it.
     pub max_gather_nnz: Option<usize>,
     /// Abort once this much wall clock has elapsed since the query began.
     pub deadline: Option<Duration>,
@@ -421,11 +439,11 @@ struct RefineState {
     /// reachable or not, so it must be zero outside the set), or the next
     /// residual a sweep builds before it swaps with `resid`.
     y: Vec<f64>,
-    /// Per node, the residual accumulator's value when the last step
-    /// reached it: `b_u` plus that step's pushes from lower ids. Every
-    /// step writes it over the whole reachable set and only a sweep reads
-    /// it, never before the initial solve has written it, so it is not
-    /// zeroed on exit and may hold a past query's values.
+    /// Per node, the residual accumulator's value when the last pass
+    /// reached it: `b_u` plus that pass's pushes from lower ids. The first
+    /// pass, of either kind, and every step write it over the whole
+    /// reachable set, and only a sweep after the first reads it, so it is
+    /// not zeroed on exit and may hold a past query's values.
     visit: Vec<f64>,
     /// The reachable set in ascending permuted id: the order every sweep
     /// streams the id-ordered stores in.
@@ -672,8 +690,8 @@ enum Step {
 
 /// What unit tests steer and watch the refinement loop by: steps it
 /// runs in place of the planner's, first to last, and at every residual
-/// check the step just run (`None` after the initial solve) with `x̃` and
-/// `r` as it left them.
+/// check the step just run (`None` after the first pass, of either kind)
+/// with `x̃` and `r` as it left them.
 #[cfg(test)]
 #[derive(Debug, Default)]
 struct RefineProbe {
@@ -709,9 +727,10 @@ impl StepModel {
 /// expected to contract (`ρ ≥ 1`, or NaN) is never planned. With the
 /// target already reached but the goal unproven, the step with the most
 /// shrinkage per unit of work runs; with no mix that fits in the steps
-/// left, the one with the most shrinkage per step. Soundness never rests
-/// on the choice: every check reads a residual recomputed from the stored
-/// graph.
+/// left, the one with the most shrinkage per step. After a sweep start no
+/// correction has measured `ρ` (it stays NaN), so every step is a sweep.
+/// Soundness never rests on the choice: every check reads a residual
+/// recomputed from the stored graph.
 fn plan(
     sweep: StepModel,
     correction: StepModel,
@@ -749,6 +768,14 @@ fn plan(
         None if gs >= gc => Step::Sweep,
         None => Step::Correction,
     }
+}
+
+/// Whether a query at restart probability `c` starts with a sweep: whether
+/// the planner's sweep-only mix takes `‖r‖₁` from `‖b‖₁ = 1` down to
+/// `target` within the step cap. From `x̃ = 0` every sweep provably
+/// shrinks `‖r‖₁` by `1−c` (module docs), so sweeps alone get there.
+fn sweeps_reach(c: f64, target: f64) -> bool {
+    (target.recip().ln() / -(1.0 - c).ln()).ceil() <= REFINE_MAX_ITERATIONS as f64
 }
 
 /// A reusable query workspace over one [`KdashIndex`].
@@ -1143,8 +1170,8 @@ impl<'a> Searcher<'a> {
     }
 
     /// Folds the traversal and gather counters of the finished (or
-    /// abandoned) run, and the resolved kernel — how `auto` resolutions
-    /// stay reproducible from logs — into `stats`.
+    /// abandoned) run into `stats`, and the resolved kernel — how `auto`
+    /// resolutions stay reproducible from logs — once it gathered a row.
     #[inline]
     fn record_traversal(&self, stats: &mut SearchStats) {
         (stats.reachable, stats.frontier_expanded) =
@@ -1154,7 +1181,9 @@ impl<'a> Searcher<'a> {
         stats.rows_scalar = self.counters.rows_scalar;
         stats.rows_wide = self.counters.rows_wide;
         stats.nnz_gathered = self.counters.nnz;
-        stats.kernel = self.kernel.name();
+        if self.counters.rows_scalar + self.counters.rows_wide > 0 {
+            stats.kernel = self.kernel.name();
+        }
         stats.query_mass = self.inflow.mass();
     }
 
@@ -1360,11 +1389,12 @@ impl<'a> Searcher<'a> {
     }
 
     /// The certified refinement driver (see the module docs): lists the
-    /// whole reachable set, solves it approximately through the sparsified
-    /// inverses, and runs planned sweeps and corrections until
-    /// `goal` is proven. Expects a source prologue to have run: the BFS
-    /// seeded at the roots, the restart vector `b` uniform over them, and
-    /// the matching `L̃⁻¹` query column loaded. Out of line, so the dense-tier
+    /// whole reachable set, makes a first pass over it — a sweep, or an
+    /// approximate solve through the sparsified inverses — and runs
+    /// planned sweeps and corrections until `goal` is proven. Expects a
+    /// source prologue to have run: the BFS seeded at the roots, the
+    /// restart vector `b` uniform over them, and the matching `L̃⁻¹` query
+    /// column loaded. Out of line, so the dense-tier
     /// loops compile the same without it.
     #[inline(never)]
     fn refined_run(&mut self, mut goal: RefineGoal<'_>, stats: &mut SearchStats) -> Result<()> {
@@ -1463,36 +1493,6 @@ impl<'a> Searcher<'a> {
             0
         };
 
-        // Initial approximate solve x̃ = Ũ⁻¹(L̃⁻¹ b): one gather per
-        // reachable node through the workspace kernel, exactly the
-        // classic search's per-candidate cost.
-        let gathered_before = self.counters.nnz;
-        let (mut edge_terms, mut linv_nnz) = (0usize, 0usize);
-        seed_restart(resid, &self.roots);
-        for &u in ids.iter() {
-            if budgeted {
-                self.within_budget(stats, started)?;
-            }
-            stats.visited += 1;
-            let xu = self.gather(u);
-            x[u as usize] = xu;
-            stats.proximity_computations += 1;
-            visit[u as usize] = resid[u as usize];
-            edge_terms += push(resid, u, xu);
-            linv_nnz += linv.col(u).0.len();
-        }
-        stats.refinement_nnz += edge_terms;
-
-        // The planner's view of the two steps, from this query's own
-        // counts. The initial solve applied the preconditioner once to
-        // r = b, ‖b‖₁ = 1, so ρ starts as ‖r₀‖₁.
-        let reach = ids.len();
-        let sweep = StepModel { work: (edge_terms + 2 * reach) as f64, contraction: one_minus_c };
-        let gathered = self.counters.nnz - gathered_before;
-        let mut correction = StepModel {
-            work: (linv_nnz + gathered + edge_terms + 3 * reach) as f64,
-            contraction: f64::NAN,
-        };
         // The bound every returned value must meet, and the residual the
         // planner aims for: where `(1−c)·‖r‖₁` meets the value tolerance,
         // or where `‖r‖₁` itself meets the full-vector floor.
@@ -1501,8 +1501,62 @@ impl<'a> Searcher<'a> {
             _ => (VALUE_TOLERANCE, VALUE_TOLERANCE / one_minus_c),
         };
 
+        // The first pass, from r = b, pushes every value it settles into r
+        // as it lands.
+        let sweep_start = sweeps_reach(c, target);
+        let gathered_before = self.counters.nnz;
+        let (mut edge_terms, mut linv_nnz) = (0usize, 0usize);
+        seed_restart(resid, &self.roots);
+        if sweep_start {
+            // A sweep from x̃ = 0: on reaching u, r_u is b_u plus the pushes
+            // from below u (nothing above u has pushed yet), and that is
+            // x̃_u. Sliced to one length, as in the sweep.
+            let n = resid.len();
+            let (xn, vn) = (&mut x[..n], &mut visit[..n]);
+            for &u in ids.iter() {
+                if budgeted {
+                    self.within_budget(stats, started)?;
+                }
+                stats.visited += 1;
+                stats.proximity_computations += 1;
+                let i = u as usize;
+                let xu = resid[i];
+                (xn[i], vn[i]) = (xu, xu);
+                edge_terms += push(resid, u, xu);
+            }
+        } else {
+            // Initial approximate solve x̃ = Ũ⁻¹(L̃⁻¹ b): one gather per
+            // reachable node through the workspace kernel, exactly the
+            // classic search's per-candidate cost.
+            for &u in ids.iter() {
+                if budgeted {
+                    self.within_budget(stats, started)?;
+                }
+                stats.visited += 1;
+                let xu = self.gather(u);
+                x[u as usize] = xu;
+                stats.proximity_computations += 1;
+                visit[u as usize] = resid[u as usize];
+                edge_terms += push(resid, u, xu);
+                linv_nnz += linv.col(u).0.len();
+            }
+        }
+        stats.refinement_nnz += edge_terms;
+
+        // The planner's view of the two steps, from this query's own
+        // counts. An initial solve applied the preconditioner once to
+        // r = b, ‖b‖₁ = 1, so ρ starts as ‖r₀‖₁; after a sweep start ρ
+        // stays unmeasured, and no correction is planned.
+        let reach = ids.len();
+        let sweep = StepModel { work: (edge_terms + 2 * reach) as f64, contraction: one_minus_c };
+        let gathered = self.counters.nnz - gathered_before;
+        let mut correction = StepModel {
+            work: (linv_nnz + gathered + edge_terms + 3 * reach) as f64,
+            contraction: f64::NAN,
+        };
+
         let mut iterations = 0usize;
-        let mut last = Step::Correction;
+        let mut last = if sweep_start { Step::Sweep } else { Step::Correction };
         let mut prev_norm = 1.0;
         loop {
             let delta = l1_over(resid, ids);
@@ -1912,6 +1966,26 @@ mod tests {
     }
 
     #[test]
+    fn the_first_pass_is_a_sweep_where_sweeps_alone_reach_the_target() {
+        // (c, top-k and threshold goals, full vector): sweeps alone fit the
+        // cap from c ≥ 0.2807 on the value target, from c ≥ 0.3736 on the
+        // full-vector floor.
+        let table = [
+            (0.95, true, true),
+            (0.5, true, true),
+            (0.3, true, false),
+            (0.281, true, false),
+            (0.280, false, false),
+            (0.15, false, false),
+            (0.05, false, false),
+        ];
+        for (c, ranked, full) in table {
+            assert_eq!(sweeps_reach(c, VALUE_TOLERANCE / (1.0 - c)), ranked, "c {c} top-k");
+            assert_eq!(sweeps_reach(c, FULL_VECTOR_FLOOR), full, "c {c} full vector");
+        }
+    }
+
+    #[test]
     fn the_refined_loop_runs_over_the_sorted_reachable_set() {
         let ba = barabasi_albert(300, 3, 6);
         let ba_dag = GraphBuilder::from_edges(300, ba.edges().filter(|e| e.0 > e.1));
@@ -1981,8 +2055,9 @@ mod tests {
     #[test]
     fn a_zero_residual_tie_keeps_the_earlier_visited_node_on_the_anchor_path() {
         // 2 → 6 ← 5, 6 → 7. In natural order W is lower triangular and every
-        // value dyadic, so the sweeps reach ‖r‖₁ = 0 exactly: 2, 5 and 6
-        // all end at proximity 1/4, and top-1 is a three-way tie.
+        // value dyadic, so the first pass, a sweep at c = 0.5, reaches
+        // ‖r‖₁ = 0 exactly: 2, 5 and 6 all end at proximity 1/4, and top-1
+        // is a three-way tie.
         let mut b = GraphBuilder::new(8);
         for (s, t) in [(2, 6), (5, 6), (6, 7)] {
             b.add_edge(s, t, 1.0);
@@ -2001,7 +2076,7 @@ mod tests {
         for set in [[5, 2], [2, 5]] {
             let got = index.searcher().top_k_from_set(&set, 1).unwrap();
             let want = drained.searcher().top_k_from_set(&set, 1).unwrap();
-            assert!(got.stats.refinement_iterations > 0, "{set:?}: the sweeps must run");
+            assert_eq!(got.stats.nnz_gathered, 0, "{set:?}: the first pass must be a sweep");
             assert_eq!(got.items[0].node, set[0], "{set:?}: the earlier-visited root stays");
             assert_eq!(got.items[0].proximity, 0.25);
             assert_eq!((&got.items, &got.stats), (&want.items, &want.stats), "{set:?}");
@@ -2124,6 +2199,97 @@ mod tests {
             }
         }
         assert!(mixed > 0, "no correction left a mixed-sign residual");
+    }
+
+    /// Runs top-10 from permuted `roots` on an index whose first pass is a
+    /// sweep and holds every pass to the guarantee the sweep start rests
+    /// on: the first is one textbook Gauss–Seidel sweep from `x̃ = 0`, and
+    /// after each, `r` is `b − W x̃` of its own `x̃`, nonnegative, and at
+    /// most `(1−c)` times the previous `‖r‖₁` — all to `1e-13` of the
+    /// magnitudes summed.
+    fn check_sweep_start(label: &str, index: &KdashIndex, roots: &[NodeId]) {
+        let (g, n, c) = (index.permuted_graph(), index.num_nodes(), index.restart_probability());
+        let reach = BfsTree::new_multi(g, roots).order;
+        let mut b = vec![0.0; n];
+        seed_restart(&mut b, roots);
+        let mut first = vec![0.0; n];
+        gauss_seidel(index, &b, &mut first);
+        let mut s = index.searcher();
+        s.probe = Some(RefineProbe::default());
+        let sources: Vec<NodeId> = roots.iter().map(|&r| index.permutation().old_of(r)).collect();
+        // A tie may leave the goal unproven; every pass is checked anyway.
+        let _ = s.top_k_from_set(&sources, 10);
+        assert_eq!(s.counters.nnz, 0, "{label}: a row was gathered");
+        let seen = s.probe.take().unwrap().seen;
+        let mut prev_l1 = 1.0;
+        for (i, (step, x, r)) in seen.iter().enumerate() {
+            let want_step = (i > 0).then_some(Step::Sweep);
+            assert_eq!(*step, want_step, "{label} pass {i}");
+            let (want, scale) = residual_of(index, &b, x);
+            let (mut l1, mut slack) = (0.0, 0.0);
+            for u in reach.iter().map(|&u| u as usize) {
+                let tol = 1e-13 * scale[u];
+                assert!((r[u] - want[u]).abs() <= tol, "{label} pass {i}: r[{u}] = {:e}", r[u]);
+                assert!(r[u] >= -tol, "{label} pass {i}: r[{u}] = {:e} < 0", r[u]);
+                if i == 0 {
+                    let err = (x[u] - first[u]).abs();
+                    assert!(err <= tol, "{label}: first pass x̃[{u}] off by {err:e}");
+                }
+                (l1, slack) = (l1 + r[u].abs(), slack + tol);
+            }
+            let bound = (1.0 - c) * prev_l1 + slack;
+            assert!(l1 <= bound, "{label} pass {i}: ‖r‖₁ {l1:e} > (1−c)·{prev_l1:e}");
+            prev_l1 = l1;
+        }
+        assert!(seen.len() > 1, "{label}: no sweep ran after the first pass");
+    }
+
+    #[test]
+    fn every_sweep_from_a_sweep_start_keeps_a_nonnegative_residual_shrinking_by_one_minus_c() {
+        let ba = barabasi_albert(300, 3, 6);
+        let ba_dag = GraphBuilder::from_edges(300, ba.edges().filter(|e| e.0 > e.1));
+        let graphs = [
+            ("er", erdos_renyi(300, 500, 5)),
+            ("ba", ba_dag.build().unwrap()),
+            ("rmat", rmat(8, 700, Default::default(), 7)),
+        ];
+        for (name, graph) in &graphs {
+            for dangling in [DanglingPolicy::Keep, DanglingPolicy::SelfLoop] {
+                for c in [0.95, 0.3] {
+                    let options = IndexOptions {
+                        restart_probability: c,
+                        dangling,
+                        drop_tolerance: 1e-3,
+                        ..Default::default()
+                    };
+                    let index = KdashIndex::build(graph, options).unwrap();
+                    assert!(index.needs_refinement(), "{name}");
+                    let g = index.permuted_graph();
+                    let n = g.num_nodes() as NodeId;
+                    let q = (0..n).max_by_key(|&v| BfsTree::new(g, v).order.len()).unwrap();
+                    for roots in [vec![q], vec![q, n / 3, 2 * n / 3]] {
+                        let label = format!("{name} {dangling:?} c {c} roots {roots:?}");
+                        check_sweep_start(&label, &index, &roots);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_kernel_is_named_only_where_a_row_was_gathered() {
+        let graph = rmat(8, 700, Default::default(), 7);
+        for (c, eps, gathers) in [(0.95, 1e-3, false), (0.15, 1e-3, true), (0.95, 0.0, true)] {
+            let options =
+                IndexOptions { restart_probability: c, drop_tolerance: eps, ..Default::default() };
+            let index = KdashIndex::build(&graph, options).unwrap();
+            let mut s = index.searcher();
+            let stats = s.top_k(3, 10).unwrap().stats;
+            let label = format!("c {c} ε {eps:e}");
+            assert_eq!(stats.nnz_gathered > 0, gathers, "{label}");
+            let want = if gathers { s.kernel().name() } else { "" };
+            assert_eq!(stats.kernel, want, "{label}");
+        }
     }
 
     #[test]

@@ -101,7 +101,11 @@ pub struct SearchStats {
     /// Candidate rows gathered by the four-lane (unrolled/AVX2) kernel.
     pub rows_wide: usize,
     /// Stored `U⁻¹` entries of every gathered row — the work metric
-    /// [`QueryBudget::max_gather_nnz`](crate::QueryBudget) meters.
+    /// [`QueryBudget::max_gather_nnz`](crate::QueryBudget) meters. On a
+    /// sparsified index: one pass over the reachable set for an initial
+    /// solve and for every correction, and zero for a query whose first
+    /// pass is a sweep (every top-k and threshold query from `c ≈ 0.2807`
+    /// on), which reads no stored inverse.
     /// Kernel-independent by construction (it counts stored
     /// entries, not executed loads), so the same budget admits the same
     /// queries under every execution strategy. (The merge-join oracles
@@ -109,19 +113,23 @@ pub struct SearchStats {
     pub nnz_gathered: usize,
     /// The resolved gather kernel that produced this query's proximities
     /// (`"scalar"`, `"unrolled"` or `"avx2"`), recorded so `auto`
-    /// resolutions are reproducible from logs. Empty on
-    /// paths that never run the gather kernel.
+    /// resolutions are reproducible from logs. Empty on paths that never
+    /// ran the gather kernel: the merge-join oracles, a budget abort
+    /// before the first row, and a sparsified query whose first pass is a
+    /// sweep (`kdash query` prints `n/a`).
     pub kernel: &'static str,
-    /// Certified-refinement steps the query ran after its initial solve,
-    /// of either kind: Gauss–Seidel sweeps over the reachable set and
-    /// corrections (`x̃ += Ũ⁻¹(L̃⁻¹ r)`). Zero on a dense-exact index (the
+    /// Certified-refinement steps the query ran after its first pass (a
+    /// sweep from `x̃ = 0` or the initial solve `Ũ⁻¹(L̃⁻¹ b)`, never
+    /// counted), of either kind: Gauss–Seidel sweeps over the reachable set
+    /// and corrections (`x̃ += Ũ⁻¹(L̃⁻¹ r)`). Zero on a dense-exact index (the
     /// classic stop-rule path never refines); on a sparsified index every answer
     /// was certified after this many steps. Independent of the kernel —
     /// a pure function of index content and query.
     pub refinement_iterations: usize,
     /// Stored entries the refinement loop moved: residual pushes over the
-    /// permuted graph — once by the initial solve and once by every step —
-    /// plus the `L̃⁻¹`/`Ũ⁻¹` entries each correction scatters and gathers.
+    /// permuted graph — once by the first pass and once by every step —
+    /// plus the `L̃⁻¹`/`Ũ⁻¹` entries each correction scatters and gathers
+    /// (the initial solve's own gathers count in `nnz_gathered` only).
     /// The refinement-work currency the memory/latency tradeoff benches
     /// record. Zero when no refinement ran.
     pub refinement_nnz: usize,

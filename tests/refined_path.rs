@@ -7,12 +7,16 @@
 //!   point, across shrinking reachable sets and across typed failures,
 //!   must answer bit-for-bit like a fresh one each time (and, in debug
 //!   builds, trips the loop's own all-zero assertion if it does not).
-//! * **Budgets** — every `QueryBudget` knob aborts typed in the initial
-//!   solve *and* inside a refinement step — a sweep at the default
-//!   restart probability, a correction at `c = 0.15` — with the work so far
-//!   attached.
+//! * **Budgets** — every `QueryBudget` knob aborts typed in the first pass
+//!   *and* inside a refinement step — a sweep at the default restart
+//!   probability, a correction at `c = 0.15` — with the work so far
+//!   attached. The gather meter fires only where something is gathered:
+//!   in the initial solve and the corrections at `c = 0.15`, never in the
+//!   sweep start at the default.
 //! * **Numerics** — a residual that overflows is a typed
-//!   `RefinementFailed` at once, never 64 passes and a comparator panic.
+//!   `RefinementFailed` at once, never 64 passes and a comparator panic;
+//!   where the first pass is a sweep, the stored inverses cannot touch the
+//!   answer at all.
 //! * **Out-weight sums** — the derived per-node normalisers stay coherent
 //!   with the stored graph through build, save → load and dynamic updates
 //!   that create and remove sinks, on sparsified and dense indexes alike.
@@ -32,9 +36,11 @@ use kdash_sparse::{transition_matrix, CscMatrix, CsrMatrix, DanglingPolicy, Prox
 use std::cmp::Reverse;
 use std::time::Duration;
 
-/// The default restart probability: sweeps carry the refinement.
+/// The default restart probability: the first pass is a sweep, and
+/// sweeps carry the refinement.
 const C: f64 = 0.95;
-/// A small one: corrections carry it.
+/// A small one: the first pass is the initial solve `Ũ⁻¹(L̃⁻¹ b)`, and
+/// corrections carry the refinement.
 const WIDE_C: f64 = 0.15;
 
 fn sparsified(graph: &CsrGraph, eps: f64, c: f64) -> KdashIndex {
@@ -136,8 +142,13 @@ fn pass_cost(index: &KdashIndex, graph: &CsrGraph, q: NodeId) -> (usize, usize) 
 }
 
 /// A finished run's `(sweeps, corrections)`. The initial solve and
-/// every correction gather exactly one pass; a sweep gathers nothing.
+/// every correction gather exactly one pass; a sweep gathers nothing. A
+/// run that gathered nothing started with a sweep, and every step after
+/// it was a sweep.
 fn step_split(stats: &SearchStats, pass_nnz: usize) -> (usize, usize) {
+    if stats.nnz_gathered == 0 {
+        return (stats.refinement_iterations, 0);
+    }
     assert_eq!(stats.nnz_gathered % pass_nnz, 0, "gathers come in whole passes");
     let corrections = stats.nnz_gathered / pass_nnz - 1;
     (stats.refinement_iterations - corrections, corrections)
@@ -145,7 +156,7 @@ fn step_split(stats: &SearchStats, pass_nnz: usize) -> (usize, usize) {
 
 /// Sweeps deadlines upwards in 5 % steps until one expires inside a
 /// refinement step, and returns that abort's stats. It shows as
-/// `visited == reach`: the initial solve's last check sees `reach − 1`.
+/// `visited == reach`: the first pass's last check sees `reach − 1`.
 /// Every run a deadline lets finish must equal `plain`.
 fn abort_in_refinement(s: &mut Searcher<'_>, q: NodeId, plain: &TopKResult) -> SearchStats {
     let mut nanos = 1_000f64;
@@ -195,10 +206,11 @@ fn one_workspace_replays_fresh_across_entry_points_and_failures() {
                 assert!(matches!(reused.top_k(big, 10), Err(KdashError::BudgetExceeded { .. })));
                 reused.set_budget(QueryBudget::unlimited());
             } else {
-                // Only the clock stops a sweep.
+                // Only the clock stops a sweep, and the first pass was
+                // one: nothing is gathered before the abort.
                 assert!(sweeps >= 1 && corrections == 0, "{name}: {corrections} corrections");
                 let stats = abort_in_refinement(&mut reused, big, &plain);
-                assert_eq!(stats.nnz_gathered, pass_nnz, "{name}: not in a sweep");
+                assert_eq!(stats.nnz_gathered, 0, "{name}: not in a sweep");
             }
             let label = format!("{name} after abort");
             assert_replays_fresh(&label, &index, &mut reused, big, small, downstream);
@@ -263,6 +275,24 @@ fn refined_full_vector_on_a_dense_index_is_the_exact_vector() {
     }
 }
 
+/// Runs `q`'s top-10 under `budget` and returns the typed abort it must
+/// end in.
+fn abort(
+    s: &mut Searcher<'_>,
+    q: NodeId,
+    reach: usize,
+    budget: QueryBudget,
+) -> (BudgetLimit, SearchStats) {
+    s.set_budget(budget);
+    match s.top_k(q, 10) {
+        Err(KdashError::BudgetExceeded { limit, stats }) => {
+            assert_eq!(stats.reachable, reach, "the frontier is drained before any solve");
+            (limit, *stats)
+        }
+        other => panic!("{budget:?}: expected BudgetExceeded, got {other:?}"),
+    }
+}
+
 #[test]
 fn every_budget_aborts_typed_in_the_initial_solve_and_in_a_correction_pass() {
     let (_, graph, index) = families(C).swap_remove(2);
@@ -272,48 +302,35 @@ fn every_budget_aborts_typed_in_the_initial_solve_and_in_a_correction_pass() {
     let (sweeps, corrections) = step_split(&plain.stats, pass_nnz);
     assert!(sweeps >= 1 && corrections == 0, "{sweeps} sweeps, {corrections} corrections");
     let mut s = index.searcher();
-    let mut abort = |budget: QueryBudget| {
-        s.set_budget(budget);
-        match s.top_k(q, 10) {
-            Err(KdashError::BudgetExceeded { limit, stats }) => {
-                assert_eq!(stats.reachable, reach, "the frontier is drained before any solve");
-                (limit, *stats)
-            }
-            other => panic!("{budget:?}: expected BudgetExceeded, got {other:?}"),
-        }
-    };
 
-    // Frontier nodes: N admits exactly N initial-solve visits; `reach`
-    // admits the whole initial solve and stops the first step's first node.
-    let (limit, stats) = abort(QueryBudget { max_frontier_nodes: Some(7), ..Default::default() });
+    // Frontier nodes: N admits exactly N first-pass visits; `reach` admits
+    // the whole first pass, a sweep, and stops the next step's first node.
+    let budget = QueryBudget { max_frontier_nodes: Some(7), ..Default::default() };
+    let (limit, stats) = abort(&mut s, q, reach, budget);
     assert_eq!(limit, BudgetLimit::FrontierNodes(7));
     assert_eq!((stats.visited, stats.proximity_computations, stats.refinement_nnz), (7, 7, 0));
-    let (limit, stats) =
-        abort(QueryBudget { max_frontier_nodes: Some(reach), ..Default::default() });
+    let budget = QueryBudget { max_frontier_nodes: Some(reach), ..Default::default() };
+    let (limit, stats) = abort(&mut s, q, reach, budget);
     assert_eq!(limit, BudgetLimit::FrontierNodes(reach));
     assert_eq!((stats.visited, stats.proximity_computations), (reach, reach));
-    assert_eq!(stats.nnz_gathered, pass_nnz, "no correction row ran");
+    assert_eq!(stats.nnz_gathered, 0, "the first pass gathered a row");
     assert!(stats.refinement_nnz > 0, "the first residual was streamed");
 
-    // Deadline: zero expires before the first row.
-    let (limit, stats) =
-        abort(QueryBudget { deadline: Some(Duration::ZERO), ..Default::default() });
+    // Deadline: zero expires before the first node.
+    let budget = QueryBudget { deadline: Some(Duration::ZERO), ..Default::default() };
+    let (limit, stats) = abort(&mut s, q, reach, budget);
     assert_eq!(limit, BudgetLimit::Deadline(Duration::ZERO));
     assert_eq!((stats.visited, stats.nnz_gathered), (0, 0));
 
-    // Gather nnz: half a pass stops the initial solve; a pass and a bit
-    // never fires on a query the sweeps carry, since they gather nothing.
-    let (limit, stats) =
-        abort(QueryBudget { max_gather_nnz: Some(pass_nnz / 2), ..Default::default() });
-    assert_eq!(limit, BudgetLimit::GatherNnz(pass_nnz / 2));
-    assert!(stats.visited < reach && stats.nnz_gathered >= pass_nnz / 2);
-    s.set_budget(QueryBudget { max_gather_nnz: Some(pass_nnz + 1), ..Default::default() });
-    assert_same("a gather budget past the initial pass", &s.top_k(q, 10).unwrap(), &plain);
+    // Gather nnz: a query that starts with a sweep and is carried by
+    // sweeps gathers nothing, so even a budget of one entry never fires.
+    s.set_budget(QueryBudget { max_gather_nnz: Some(1), ..Default::default() });
+    assert_same("a gather budget of one entry", &s.top_k(q, 10).unwrap(), &plain);
 
     // Only the clock stops a sweep: deadlines swept upwards land one
-    // inside a sweep, which gathers nothing.
+    // inside a sweep after the first, which gathers nothing either.
     let stats = abort_in_refinement(&mut s, q, &plain);
-    assert_eq!(stats.nnz_gathered, pass_nnz, "the abort fell outside a sweep");
+    assert_eq!(stats.nnz_gathered, 0, "the abort fell outside a sweep");
 
     // Limits nothing can reach change nothing.
     s.set_budget(QueryBudget {
@@ -329,23 +346,26 @@ fn every_budget_aborts_typed_in_the_initial_solve_and_in_a_correction_pass() {
         &index.searcher().nodes_above(q, theta).unwrap(),
     );
 
-    // At c = 0.15 corrections carry the loop, and a pass and a bit stops
-    // the first one in the middle of its row-dot sweep.
+    // At c = 0.15 the first pass is the initial solve and corrections
+    // carry the loop: half a pass stops the initial solve, and a pass and
+    // a bit stops the first correction in the middle of its row-dot sweep.
     let (_, graph, index) = families(WIDE_C).swap_remove(2);
     let q = by_reach(&index)[0].1;
     let (pass_nnz, reach) = pass_cost(&index, &graph, q);
     let plain = index.searcher().top_k(q, 10).unwrap();
     assert!(step_split(&plain.stats, pass_nnz).1 >= 1, "a correction must run");
     let mut s = index.searcher();
-    s.set_budget(QueryBudget { max_gather_nnz: Some(pass_nnz + 1), ..Default::default() });
-    match s.top_k(q, 10) {
-        Err(KdashError::BudgetExceeded { limit, stats }) => {
-            assert_eq!(limit, BudgetLimit::GatherNnz(pass_nnz + 1));
-            assert_eq!(stats.visited, reach);
-            assert!(stats.nnz_gathered > pass_nnz && stats.nnz_gathered < 2 * pass_nnz);
-        }
-        other => panic!("expected BudgetExceeded, got {other:?}"),
-    }
+    let budget = QueryBudget { max_gather_nnz: Some(pass_nnz / 2), ..Default::default() };
+    let (limit, stats) = abort(&mut s, q, reach, budget);
+    assert_eq!(limit, BudgetLimit::GatherNnz(pass_nnz / 2));
+    assert!(stats.visited < reach && stats.nnz_gathered >= pass_nnz / 2);
+    let budget = QueryBudget { max_gather_nnz: Some(pass_nnz + 1), ..Default::default() };
+    let (limit, stats) = abort(&mut s, q, reach, budget);
+    assert_eq!(limit, BudgetLimit::GatherNnz(pass_nnz + 1));
+    assert_eq!(stats.visited, reach);
+    assert!(stats.nnz_gathered > pass_nnz && stats.nnz_gathered < 2 * pass_nnz);
+    s.set_budget(QueryBudget::unlimited());
+    assert_same("unlimited after the aborts", &s.top_k(q, 10).unwrap(), &plain);
 }
 
 /// `values × factor`, same pattern.
@@ -355,12 +375,9 @@ fn scaled(m: &CscMatrix, factor: f64) -> CscMatrix {
     CscMatrix::from_raw_parts(m.nrows(), m.ncols(), ptr.to_vec(), idx.to_vec(), val).unwrap()
 }
 
-#[test]
-fn overflowing_residual_is_a_typed_failure_not_a_panic() {
-    let (_, _, index) = families(C).swap_remove(0);
-    let q = by_reach(&index)[0].1;
-    // Finite but absurd stored inverses (each passes validation): x̃
-    // overflows to ±∞ and the residual to NaN on the first evaluation.
+/// `index` with both stored inverses scaled by 10²⁰⁰: finite but absurd
+/// (each passes validation), the graph untouched.
+fn corrupted(index: &KdashIndex) -> KdashIndex {
     let (linv_dropped, uinv_dropped) = index.dropped_masses();
     let uinv = ProximityStore::from_csr(
         CsrMatrix::from_csc(&scaled(&index.uinv_rows().to_csc(), 1e200)),
@@ -378,7 +395,16 @@ fn overflowing_residual_is_a_typed_failure_not_a_panic() {
         nnz_u: index.stats().nnz_u,
         epochs: 1,
     };
-    let index = index.patched(patch).unwrap();
+    index.patched(patch).unwrap()
+}
+
+#[test]
+fn overflowing_residual_is_a_typed_failure_not_a_panic() {
+    // Where the first pass is the initial solve, x̃ overflows to ±∞ and
+    // the residual to NaN on the first evaluation.
+    let (_, _, index) = families(WIDE_C).swap_remove(0);
+    let q = by_reach(&index)[0].1;
+    let index = corrupted(&index);
     let mut s = index.searcher();
     for round in 0..2 {
         match s.top_k(q, 10) {
@@ -393,6 +419,24 @@ fn overflowing_residual_is_a_typed_failure_not_a_panic() {
             s.refined_full_proximities(&[q]),
             Err(KdashError::RefinementFailed { .. })
         ));
+    }
+
+    // Where it is a sweep, and sweeps carry every goal, no step reads an
+    // inverse: the corrupted index answers like the clean one, bit for bit.
+    let (_, _, clean) = families(C).swap_remove(0);
+    let q = by_reach(&clean)[0].1;
+    let index = corrupted(&clean);
+    let (mut s, mut t) = (index.searcher(), clean.searcher());
+    let theta = t.top_k(q, 4).unwrap().items[3].proximity * 0.999;
+    for round in 0..2 {
+        let label = format!("round {round}");
+        let got = s.top_k(q, 10).unwrap();
+        assert_eq!(got.stats.nnz_gathered, 0, "{label}: the first pass gathered a row");
+        assert_same(&label, &got, &t.top_k(q, 10).unwrap());
+        assert_same(&label, &s.nodes_above(q, theta).unwrap(), &t.nodes_above(q, theta).unwrap());
+        let (a, b) =
+            (s.refined_full_proximities(&[q]).unwrap(), t.refined_full_proximities(&[q]).unwrap());
+        assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()), "{label} full vector");
     }
 }
 
@@ -424,10 +468,19 @@ fn every_refined_proximity_is_within_the_value_tolerance() {
             let set = [widest[0], graph.out_neighbors(widest[0])[0]];
             // Every ε at the default c, where sweeps carry the loop; one at
             // smaller c, down to where corrections do. Sweeps do the most
-            // work at c = 0.3.
-            for (c, epsilons) in
-                [(C, &[1e-5, 1e-4, 1e-3][..]), (0.5, &[1e-4]), (0.3, &[1e-4]), (WIDE_C, &[1e-4])]
-            {
+            // work at c = 0.3, where top-k and threshold goals start with a
+            // sweep and the full vector with the initial solve; at 0.28 and
+            // below every goal starts with the initial solve, and at 0.05 a
+            // sweep start would run out of steps.
+            let cs = [
+                (C, &[1e-5, 1e-4, 1e-3][..]),
+                (0.5, &[1e-4]),
+                (0.3, &[1e-4]),
+                (0.28, &[1e-4]),
+                (WIDE_C, &[1e-4]),
+                (0.05, &[1e-4]),
+            ];
+            for (c, epsilons) in cs {
                 let options = IndexOptions { restart_probability: c, ..Default::default() };
                 let dense = KdashIndex::build(&graph, options).unwrap();
                 let truths: Vec<Vec<f64>> =
