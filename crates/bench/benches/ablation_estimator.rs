@@ -5,7 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kdash_bench::{dataset, HarnessConfig};
-use kdash_core::{IndexOptions, KdashIndex, LayerEstimator};
+use kdash_core::paper::LayerEstimator;
+use kdash_core::{IndexOptions, KdashIndex};
 use kdash_datagen::DatasetProfile;
 use kdash_sparse::{transition_matrix, DanglingPolicy};
 

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kdash_bench::{all_datasets, queries_for, HarnessConfig};
-use kdash_core::{IndexOptions, KdashIndex};
+use kdash_core::{paper, IndexOptions, KdashIndex};
 
 fn bench(c: &mut Criterion) {
     let config = HarnessConfig { target_nodes: 800, queries: 8, seed: 42 };
@@ -32,7 +32,8 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     let q = queries[j % queries.len()];
                     j += 1;
-                    std::hint::black_box(index.top_k_unpruned(q, 5).expect("query"))
+                    let unpruned = paper::top_k_unpruned(&mut index.searcher(), q, 5);
+                    std::hint::black_box(unpruned.expect("query"))
                 })
             },
         );

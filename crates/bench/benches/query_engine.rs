@@ -26,21 +26,16 @@
 //! (default 16).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use kdash_core::{GatherKernel, IndexOptions, KdashIndex, Searcher, TopKResult};
+use kdash_core::{paper, IndexOptions, KdashIndex, ResolvedKernel, Searcher, TopKResult};
 use kdash_datagen::{rmat, RmatParams};
 use kdash_graph::{BfsScratch, NodeId};
 use kdash_sparse::{GatherCounters, GatherScratch, ProximityStore, ScatteredColumn};
 
-/// The fixed kernels this host can run, labelled for the report.
-fn host_kernels() -> Vec<(&'static str, GatherKernel)> {
-    let mut kernels = vec![
-        ("scalar", GatherKernel::Scalar),
-        ("unrolled4", GatherKernel::Unrolled4),
-    ];
-    if let Ok(resolved) = GatherKernel::Simd.resolve() {
-        kernels.push((resolved.name(), GatherKernel::Simd));
-    }
-    kernels
+/// The kernels this host can run, labelled for the report: the
+/// reference order, then every lane body.
+fn host_kernels() -> Vec<(&'static str, ResolvedKernel)> {
+    let bodies = ResolvedKernel::host_bodies();
+    std::iter::once(ResolvedKernel::reference()).chain(bodies).map(|k| (k.name(), k)).collect()
 }
 
 /// Which positions of a dimension-`n` vector the sparse column occupies.
@@ -60,16 +55,15 @@ fn hits(cols: &[NodeId], mask: &[bool]) -> usize {
 /// Sweeps `rows` through one store/kernel pair, returning the checksum.
 fn sweep(
     store: &ProximityStore,
-    kernel: GatherKernel,
+    kernel: ResolvedKernel,
     rows: &[NodeId],
     column: &ScatteredColumn,
     scratch: &mut GatherScratch,
 ) -> f64 {
-    let resolved = kernel.resolve().expect("host kernel");
     let mut counters = GatherCounters::default();
     let mut acc = 0.0;
     for &r in rows {
-        acc += store.row_gather(resolved, r, column, scratch, &mut counters);
+        acc += store.row_gather(kernel, r, column, scratch, &mut counters);
     }
     std::hint::black_box(acc)
 }
@@ -122,7 +116,7 @@ fn bench(c: &mut Criterion) {
         let (mut stored, mut matched) = (0usize, 0usize);
         for &q in &queries {
             let lazy = searcher.top_k(q, k).expect("query");
-            let eager = index.top_k_merge_join(q, k).expect("query");
+            let eager = paper::top_k_merge_join(&index, &[q], k).expect("query");
             expanded += lazy.stats.frontier_expanded;
             discovered += lazy.stats.reachable;
             full += eager.stats.reachable;
@@ -257,7 +251,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0usize;
             for &q in &queries {
-                total += index.top_k_merge_join(q, k).expect("query").items.len();
+                total += paper::top_k_merge_join(&index, &[q], k).expect("query").items.len();
             }
             std::hint::black_box(total)
         });
@@ -265,7 +259,7 @@ fn bench(c: &mut Criterion) {
 
     // One reused lazy Searcher per kernel — the serving configuration.
     for (label, kernel) in host_kernels() {
-        let mut searcher = Searcher::with_kernel(&index, kernel).expect("host kernel");
+        let mut searcher = Searcher::with_kernel(&index, kernel);
         let mut out = TopKResult::default();
         group.bench_function(format!("lazy_reused_{label}"), |b| {
             b.iter(|| {
@@ -293,7 +287,8 @@ fn bench(c: &mut Criterion) {
             searcher.top_k_into(q, k_light, &mut out).expect("query");
             expanded += out.stats.frontier_expanded;
             // The eager oracle expands the whole reachable set up front.
-            full += index.top_k_merge_join(q, k_light).expect("query").stats.frontier_expanded;
+            let eager = paper::top_k_merge_join(&index, &[q], k_light).expect("query");
+            full += eager.stats.frontier_expanded;
         }
         println!(
             "k=5 frontier: lazy expands {expanded} nodes vs eager {full} \

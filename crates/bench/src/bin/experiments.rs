@@ -19,13 +19,14 @@
 
 use kdash_baselines::{Bpa, BpaOptions, IterativeRwr, NbLin, NbLinOptions, TopKEngine};
 use kdash_bench::{all_datasets, dataset, queries_for, HarnessConfig};
-use kdash_core::{compute_ordering_with_stats, IndexOptions, KdashIndex, NodeOrdering};
+use kdash_core::{compute_ordering_with_stats, paper, IndexOptions, KdashIndex, NodeOrdering};
 use kdash_datagen::{dictionary, DatasetProfile};
 use kdash_eval::{measure, precision_at_k, time_once, Table};
 use kdash_sparse::{
     sparse_lu, sparsify_lower_unit_with, sparsify_upper_with, transition_matrix, w_matrix,
     DanglingPolicy, InvertOptions,
 };
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::time::Duration;
 
 fn main() {
@@ -336,8 +337,10 @@ fn fig7(config: &HarnessConfig) {
         let index = KdashIndex::build(&graph, IndexOptions::default()).expect("index");
         let pruned =
             median_query_time(|q| { let _ = index.top_k(q, 5).expect("q"); }, &queries);
-        let unpruned =
-            median_query_time(|q| { let _ = index.top_k_unpruned(q, 5).expect("q"); }, &queries);
+        let unpruned = median_query_time(
+            |q| { let _ = paper::top_k_unpruned(&mut index.searcher(), q, 5).expect("q"); },
+            &queries,
+        );
         // Work ratio for context. The lazy frontier stops discovering on
         // early termination, so a pruned run's `reachable` is only the
         // discovered-so-far count — a plain BFS (reachability is
@@ -374,10 +377,12 @@ fn fig9(config: &HarnessConfig) {
         let index = KdashIndex::build(&graph, IndexOptions::default()).expect("index");
         let mut kdash_total = 0usize;
         let mut random_total = 0usize;
+        let mut searcher = index.searcher();
         for (i, &q) in queries.iter().enumerate() {
             kdash_total += index.top_k(q, 5).expect("q").stats.proximity_computations;
-            random_total += index
-                .top_k_random_root(q, 5, config.seed + i as u64)
+            let mut rng = StdRng::seed_from_u64(config.seed + i as u64);
+            let root = rng.gen_range(0..index.num_nodes()) as kdash_graph::NodeId;
+            random_total += paper::top_k_from_root(&mut searcher, q, 5, root)
                 .expect("q")
                 .stats
                 .proximity_computations;

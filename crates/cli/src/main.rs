@@ -366,7 +366,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     } else if pruning {
         searcher.top_k(q, k).map_err(|e| e.to_string())?
     } else {
-        searcher.top_k_unpruned(q, k).map_err(|e| e.to_string())?
+        kdash_core::paper::top_k_unpruned(&mut searcher, q, k).map_err(|e| e.to_string())?
     };
     let elapsed = t.elapsed();
 

@@ -730,11 +730,6 @@ mod tests {
         index.save(&mut buf).unwrap();
         let loaded = KdashIndex::load(buf.as_slice()).unwrap();
         assert!(IndexAudit::run(&loaded).is_clean());
-        // The v4 upgrade path too.
-        let mut v4 = Vec::new();
-        index.save_v4(&mut v4).unwrap();
-        let upgraded = KdashIndex::load(v4.as_slice()).unwrap();
-        assert!(IndexAudit::run(&upgraded).is_clean());
     }
 
     /// The factors of the index's own `W`, as the dynamic engine computes

@@ -51,7 +51,8 @@
 //! needs no monotonicity: it tests every uncomputed node, not just the
 //! next one, so nothing has to be inferred about the rest. Definition 2
 //! lives on where the paper's own count is the point: the eager oracle
-//! ([`KdashIndex::top_k_merge_join`]) and the estimator ablation bench.
+//! ([`crate::paper::top_k_merge_join`]) and the estimator ablation bench,
+//! both reaching it as `kdash_core::paper::LayerEstimator`.
 //!
 //! Note on the paper text: Definition 2's root case writes the third term
 //! as `(1 − p_q)·A_max(u)`; consistency with Definition 1 and with Lemma 2
@@ -59,7 +60,8 @@
 //! (and the paper's own Definition 1) uses.
 //!
 //! [`ArbitraryOrderBound`] is the weaker bound used by the random-root
-//! ablation (paper Appendix D.1): it stays valid for *any* visit order but
+//! ablation (paper Appendix D.1, [`crate::paper::top_k_from_root`]): it
+//! stays valid for *any* visit order but
 //! bounds one node at a time with no in-neighbour sums, so it can only
 //! skip individual nodes, never terminate.
 //!

@@ -19,8 +19,8 @@
 //! (Definition 1, updated in `O(1)` per Definition 2, extended to the rest
 //! by Lemmas 1–2); this crate bounds every uncomputed node at once from
 //! the RWR equation itself — the exact in-neighbour sums of what is
-//! computed plus the query's remaining proximity mass ([`estimator`]) — a
-//! bound Definition 2 relaxes, so it computes no more than the paper's
+//! computed plus the query's remaining proximity mass — a bound
+//! Definition 2 relaxes, so it computes no more than the paper's
 //! search anywhere and several times less where walks die in sinks.
 //!
 //! ## Quick start
@@ -117,16 +117,17 @@
 //! [`KdashIndex::update_epoch`] counts applied batches (persisted from
 //! index-format v3).
 //!
-//! Every query kind — top-k, unpruned, threshold, restart set, random root
-//! — runs through **one search driver** on the [`Searcher`], monomorphised
-//! over a bound policy (the [`estimator`] module's stop rule may stop the
-//! search, [`ArbitraryOrderBound`] may skip a node, none) and a stop goal (k-th
-//! best vs a fixed θ), with the source (one node vs a restart set) fixed
-//! by each entry point's prologue; one eager merge-join oracle
-//! ([`KdashIndex::top_k_merge_join`]) stands beside it for the
-//! equivalence suites — it stops where the paper's Definition 2
-//! ([`LayerEstimator`]) does, so its counters are the paper's. Four
-//! hot-path levers live on the index and that driver:
+//! Every query kind — top-k, threshold, restart set — runs through **one
+//! search driver** on the [`Searcher`], monomorphised over a bound policy
+//! (the stop rule) and a stop goal (k-th best vs a fixed θ), with the
+//! source (one node vs a restart set) fixed by each entry point's
+//! prologue. The paper's yardsticks live apart, in [`paper`], one
+//! spelling each: Figure 7's search without pruning and Appendix D.1's
+//! random-root tree drive the same loop under another bound, and the
+//! eager merge-join oracle the equivalence suites hold the driver to
+//! stops where the paper's Definition 2 ([`paper::LayerEstimator`]) does,
+//! so its counters are the paper's. Four hot-path levers live on the
+//! index and that driver:
 //!
 //! * **Lazy frontier** — BFS layers are discovered on demand inside the
 //!   driver, so a query the stop rule terminates early never
@@ -145,12 +146,13 @@
 //!   entry unconditionally — four lanes, no branch. Its AVX2 and
 //!   portable bodies share one operation order and are bit-identical on
 //!   every row, so answers are deterministic across machines and there
-//!   is **no runtime kernel selector**: a workspace resolves AVX2 or the
-//!   portable twin from the host once. ([`GatherKernel`] and the hidden
-//!   `Searcher::with_kernel` remain as the seam of the bit-identity
-//!   suites — `scalar` there is the one-accumulator reference order,
-//!   bit-identical to the merge join.) The resolution and the row counts
-//!   are recorded in [`SearchStats`] for reproducibility.
+//!   is **no runtime kernel selector**: a workspace takes
+//!   [`ResolvedKernel::default`] — AVX2 or the portable twin, from the
+//!   host — once. (The hidden `Searcher::with_kernel` takes another
+//!   token, the seam of the bit-identity suites: `ResolvedKernel::reference`
+//!   is the one-accumulator order, bit-identical to the merge join.) The
+//!   resolution and the row counts are recorded in [`SearchStats`] for
+//!   reproducibility.
 //! * **Prefetched candidate batching** — the driver prefetches the
 //!   next block of candidate rows' index/value spans while the current
 //!   row gathers, restoring memory-level parallelism on DRAM-resident
@@ -256,9 +258,8 @@
 //!   section (graph, `L⁻¹`, `U⁻¹`, row stats, estimator, dropped masses,
 //!   trailer) with CRC32 plus a whole-file footer; [`KdashIndex::load`]
 //!   reports a typed [`persist::PersistError`] naming the failing section
-//!   and byte offset. The reader accepts the current format (v5) and one
-//!   back (v4), both checksummed — no load path skips a CRC — and refuses
-//!   the unchecksummed v1–v3 with
+//!   and byte offset. The reader accepts the current format (v5) alone —
+//!   no load path skips a CRC — and refuses v1–v4 with
 //!   [`persist::PersistError::UnsupportedVersion`].
 //! * **Deep auditing** — [`audit::IndexAudit::run`] re-verifies every
 //!   structural invariant of a loaded or patched index (triangularity,
@@ -317,9 +318,10 @@
 
 pub mod audit;
 pub mod batch;
-pub mod estimator;
+mod estimator;
 pub mod fault;
 pub mod ordering;
+pub mod paper;
 pub mod persist;
 pub mod pipeline;
 pub mod precompute;
@@ -329,7 +331,6 @@ pub mod stats;
 
 pub use audit::{AuditFinding, AuditSection, IndexAudit};
 pub use batch::{BatchOptions, BatchOutcome, IsolatedExecutor};
-pub use estimator::{ArbitraryOrderBound, LayerEstimator};
 pub use ordering::{compute_ordering, compute_ordering_with_stats, NodeOrdering, OrderingStats};
 pub use fault::{CrashPlan, FaultInjector, NoFaults, WriteRuling};
 pub use persist::{save_atomic, save_atomic_with, IoStage, LoadInfo, PersistError};
@@ -341,10 +342,11 @@ pub use search::{RankedNode, TopKResult};
 pub use searcher::{BudgetLimit, QueryBudget, Searcher, VALUE_TOLERANCE};
 pub use stats::{IndexStats, SearchStats};
 
-/// The gather-kernel seam of the bit-identity suites, re-exported so
-/// callers need not depend on `kdash-sparse` directly; and the per-stage
-/// solve counts a [`BuildReport`] carries.
-pub use kdash_sparse::{GatherKernel, ResolvedKernel, SolveTally};
+/// The gather-kernel token a [`Searcher`] runs (and the seam of the
+/// bit-identity suites), re-exported so callers need not depend on
+/// `kdash-sparse` directly; and the per-stage solve counts a
+/// [`BuildReport`] carries.
+pub use kdash_sparse::{ResolvedKernel, SolveTally};
 
 /// Errors surfaced by index construction and queries.
 #[derive(Debug, Clone, PartialEq)]
@@ -356,11 +358,6 @@ pub enum KdashError {
     /// A restart-set query received an empty set, a duplicate node, or an
     /// otherwise unusable source set.
     InvalidRestartSet { reason: String },
-    /// A [`GatherKernel`] selector the host CPU cannot honour (e.g.
-    /// `simd` on a machine without AVX2), or an unknown selector spelling.
-    /// Only [`GatherKernel::Auto`] falls back; explicit requests fail
-    /// typed rather than silently downgrading.
-    UnsupportedKernel { requested: String, reason: String },
     /// Propagated graph error.
     Graph(kdash_graph::GraphError),
     /// Propagated sparse-kernel error.
@@ -412,9 +409,6 @@ impl std::fmt::Display for KdashError {
             }
             KdashError::InvalidRestartSet { reason } => {
                 write!(f, "invalid restart set: {reason}")
-            }
-            KdashError::UnsupportedKernel { requested, reason } => {
-                write!(f, "gather kernel '{requested}' unavailable on this host: {reason}")
             }
             KdashError::Graph(e) => write!(f, "graph error: {e}"),
             KdashError::Sparse(e) => write!(f, "sparse error: {e}"),
@@ -469,14 +463,7 @@ impl From<kdash_graph::GraphError> for KdashError {
 
 impl From<kdash_sparse::SparseError> for KdashError {
     fn from(e: kdash_sparse::SparseError) -> Self {
-        match e {
-            // Kernel-selection failures surface as the first-class query
-            // error, not as a generic propagated sparse error.
-            kdash_sparse::SparseError::UnsupportedKernel { requested, reason } => {
-                KdashError::UnsupportedKernel { requested, reason }
-            }
-            other => KdashError::Sparse(other),
-        }
+        KdashError::Sparse(e)
     }
 }
 

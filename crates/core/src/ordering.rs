@@ -53,14 +53,6 @@ impl NodeOrdering {
             NodeOrdering::MinDegree => "MinDegree",
         }
     }
-
-    /// The orderings the paper evaluates in Figures 5 and 6.
-    pub const PAPER_SET: [NodeOrdering; 4] = [
-        NodeOrdering::Degree,
-        NodeOrdering::Cluster,
-        NodeOrdering::Hybrid,
-        NodeOrdering::Random { seed: 0 },
-    ];
 }
 
 /// What the ordering stage observed — surfaced through the

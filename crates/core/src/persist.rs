@@ -11,20 +11,16 @@
 //!
 //! # Format versions
 //!
-//! * **v5** (current): v4 plus a **dropped-mass section** between the
-//!   estimator constants and the trailer: the drop tolerance `ε` the
-//!   stored inverses were truncated with, then the per-column dropped ℓ₁
-//!   masses of `L⁻¹` and `U⁻¹` — what the certified refinement loop needs
-//!   to keep sparsified answers exact. The section is checksummed like
-//!   every other.
-//! * **v4** (one back, still read): the same stream without the
-//!   dropped-mass section; loads as dense-exact (`ε = 0`, zero masses) —
-//!   which is what a v4 file is. (`KdashIndex::save_v4` remains, hidden,
-//!   so this path stays tested against real bytes.)
-//! * **v1–v3** (unchecksummed) are refused with
-//!   [`PersistError::UnsupportedVersion`] before anything past the
-//!   version field is parsed: the reader keeps the current format and one
-//!   back, and no load path skips a CRC.
+//! * **v5** (current, the only one read): every section checksummed, and
+//!   a **dropped-mass section** between the estimator constants and the
+//!   trailer — the drop tolerance `ε` the stored inverses were truncated
+//!   with, then the per-column dropped ℓ₁ masses of `L⁻¹` and `U⁻¹`, what
+//!   the certified refinement loop needs to keep sparsified answers
+//!   exact.
+//! * **v1–v4** are refused with [`PersistError::UnsupportedVersion`]
+//!   before anything past the version field is parsed. No writer emits
+//!   them: v1–v3 carried no checksums, and v4 (checksummed, no
+//!   dropped-mass section) is what every writer has replaced with v5.
 //!
 //! Every section — header, permutation, graph arrays, `L⁻¹`, `U⁻¹` behind
 //! a one-byte row **layout tag** (always `1`: the blocked arrays of
@@ -54,11 +50,8 @@ use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"KDASHIDX";
 const FOOTER_MAGIC: &[u8; 8] = b"KDASHEND";
+/// The one format version this build writes and reads.
 const VERSION: u32 = 5;
-/// First format version carrying the dropped-mass section.
-const VERSION_SPARSIFIED: u32 = 5;
-/// Oldest format version the reader accepts: current and one back.
-const VERSION_OLDEST_READ: u32 = 4;
 /// The one row-layout tag the `U⁻¹` section carries: the blocked arrays.
 const LAYOUT_BLOCKED: u8 = 1;
 const DANGLING_KEEP: u8 = 0;
@@ -213,11 +206,7 @@ impl std::fmt::Display for PersistError {
             PersistError::Io { stage, error } => write!(f, "i/o error during {stage}: {error}"),
             PersistError::BadMagic => write!(f, "bad magic — not a K-dash index file"),
             PersistError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported index version {v} (this build reads \
-                     {VERSION_OLDEST_READ}..={VERSION})"
-                )
+                write!(f, "unsupported index version {v} (this build reads {VERSION})")
             }
             PersistError::Corrupt { section, offset, detail } => {
                 write!(f, "corrupt index file ({section} section, byte {offset}): {detail}")
@@ -581,36 +570,12 @@ impl KdashIndex {
         &self,
         w: W,
     ) -> io::Result<Vec<(&'static str, u64)>> {
-        self.save_versioned(w, VERSION)
-    }
-
-    /// Serialises in the v4 (checksummed, pre-sparsification) format.
-    /// Rejects sparsified-tier indexes — v4 has nowhere to record the
-    /// drop tolerance or the dropped masses. Kept solely so the v4 → v5
-    /// upgrade path stays covered by tests against real v4 bytes.
-    #[doc(hidden)]
-    pub fn save_v4<W: Write>(&self, w: W) -> io::Result<()> {
-        if self.is_sparsified() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "a sparsified-tier index cannot be saved in the v4 format (it records no \
-                 drop tolerance) — use the current format",
-            ));
-        }
-        self.save_versioned(w, VERSION_OLDEST_READ).map(|_| ())
-    }
-
-    fn save_versioned<W: Write>(
-        &self,
-        w: W,
-        version: u32,
-    ) -> io::Result<Vec<(&'static str, u64)>> {
         let mut w = SectionWriter::new(w);
         let mut marks = Vec::with_capacity(10);
 
         // Header.
         w.write_all(MAGIC)?;
-        write_u32(&mut w, version)?;
+        write_u32(&mut w, VERSION)?;
         write_f64(&mut w, self.restart_probability())?;
         let (tag, seed) = encode_ordering(self.ordering());
         w.write_all(&[tag])?;
@@ -662,15 +627,13 @@ impl KdashIndex {
         write_f64_slice(&mut w, &self.bounds().c_prime)?;
         marks.push((Section::Estimator.name(), w.end_section()?));
 
-        // The sparsification record (v5): drop tolerance + per-column
-        // dropped ℓ₁ masses of both inverses.
-        if version >= VERSION_SPARSIFIED {
-            write_f64(&mut w, self.drop_tolerance())?;
-            let (linv_dropped, uinv_dropped) = self.dropped_masses();
-            write_f64_slice(&mut w, linv_dropped)?;
-            write_f64_slice(&mut w, uinv_dropped)?;
-            marks.push((Section::DroppedMass.name(), w.end_section()?));
-        }
+        // The sparsification record: drop tolerance + per-column dropped
+        // ℓ₁ masses of both inverses.
+        write_f64(&mut w, self.drop_tolerance())?;
+        let (linv_dropped, uinv_dropped) = self.dropped_masses();
+        write_f64_slice(&mut w, linv_dropped)?;
+        write_f64_slice(&mut w, uinv_dropped)?;
+        marks.push((Section::DroppedMass.name(), w.end_section()?));
 
         // The dynamic-update trailer.
         let dangling_tag = match self.dangling_policy() {
@@ -686,7 +649,7 @@ impl KdashIndex {
     }
 
     /// Deserialises an index previously written by [`save`](Self::save)
-    /// (format v5, or v4 — one back), re-validating all structural
+    /// (format v5), re-validating all structural
     /// invariants and every integrity checksum; any other version is a
     /// typed [`PersistError::UnsupportedVersion`]. Build-time statistics
     /// are not stored; the loaded index reports zero durations with the
@@ -707,7 +670,7 @@ impl KdashIndex {
             return Err(PersistError::BadMagic);
         }
         let version = r.u32(Section::Header)?;
-        if !(VERSION_OLDEST_READ..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(PersistError::UnsupportedVersion(version));
         }
         let c = r.f64(Section::Header)?;
@@ -829,33 +792,23 @@ impl KdashIndex {
         let c_prime = r.f64_vec(Section::Estimator, n)?;
         r.end_section(Section::Estimator)?;
 
-        // The v5 sparsification record; a v4 file is dense-exact by
-        // construction (ε = 0, nothing dropped).
-        let (drop_tolerance, linv_dropped, uinv_dropped) = if version >= VERSION_SPARSIFIED {
-            let eps_at = r.offset();
-            let eps = r.f64(Section::DroppedMass)?;
-            if !(eps.is_finite() && eps >= 0.0) {
-                return Err(corrupt(
-                    Section::DroppedMass,
-                    eps_at,
-                    format!("drop tolerance {eps} must be finite and >= 0"),
-                ));
-            }
-            let masses_at = r.offset();
-            let linv_dropped = r.f64_vec(Section::DroppedMass, n)?;
-            let uinv_dropped = r.f64_vec(Section::DroppedMass, n)?;
-            if linv_dropped.iter().chain(&uinv_dropped).any(|m| *m < 0.0) {
-                return Err(corrupt(
-                    Section::DroppedMass,
-                    masses_at,
-                    "negative dropped-mass entry",
-                ));
-            }
-            r.end_section(Section::DroppedMass)?;
-            (eps, linv_dropped, uinv_dropped)
-        } else {
-            (0.0, vec![0.0; n], vec![0.0; n])
-        };
+        // The sparsification record.
+        let eps_at = r.offset();
+        let drop_tolerance = r.f64(Section::DroppedMass)?;
+        if !(drop_tolerance.is_finite() && drop_tolerance >= 0.0) {
+            return Err(corrupt(
+                Section::DroppedMass,
+                eps_at,
+                format!("drop tolerance {drop_tolerance} must be finite and >= 0"),
+            ));
+        }
+        let masses_at = r.offset();
+        let linv_dropped = r.f64_vec(Section::DroppedMass, n)?;
+        let uinv_dropped = r.f64_vec(Section::DroppedMass, n)?;
+        if linv_dropped.iter().chain(&uinv_dropped).any(|m| *m < 0.0) {
+            return Err(corrupt(Section::DroppedMass, masses_at, "negative dropped-mass entry"));
+        }
+        r.end_section(Section::DroppedMass)?;
 
         // The dynamic-update trailer.
         let tag_at = r.offset();
@@ -1258,7 +1211,7 @@ mod tests {
         let index = sample_index();
         let mut buf = Vec::new();
         index.save(&mut buf).unwrap();
-        // Flip bytes inside the permutation region (the v4 header spans
+        // Flip bytes inside the permutation region (the header spans
         // 37 payload bytes + its 4-byte CRC): the permutation section's
         // checksum must catch the damage.
         let off = 8 + 4 + 8 + 1 + 8 + 8 + 4;
@@ -1282,15 +1235,10 @@ mod tests {
         let (_, info) = KdashIndex::load_with_info(v5.as_slice()).unwrap();
         assert_eq!(info, LoadInfo { version: 5, update_epoch: 0 });
 
-        let mut v4 = Vec::new();
-        index.save_v4(&mut v4).unwrap();
-        let (_, info) = KdashIndex::load_with_info(v4.as_slice()).unwrap();
-        assert_eq!(info, LoadInfo { version: 4, update_epoch: 0 });
-
-        // Every version the reader accepts is checksummed: the
-        // unchecksummed v1–v3 (and anything newer than this build) are
+        // The reader takes v5 alone: the unchecksummed v1–v3, the
+        // pre-sparsification v4 (and anything newer than this build) are
         // refused at the version field, before any payload is parsed.
-        for version in [0u32, 1, 2, 3, 6] {
+        for version in [0u32, 1, 2, 3, 4, 6] {
             let mut header = v5[..12].to_vec();
             header[8..12].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(

@@ -1,5 +1,4 @@
-//! The public face of the top-k search (Algorithm 4 of the paper), and its
-//! oracle.
+//! The public face of the top-k search (Algorithm 4 of the paper).
 //!
 //! Nodes are visited in BFS-layer order from the query node, and each
 //! gets its exact proximity from the stored sparse inverses — until no
@@ -8,9 +7,9 @@
 //! (Theorem 2). The paper decides that with the `O(1)` upper bound of
 //! Definition 2 on the *next* node, which Lemma 2 extends to all later
 //! ones; the driver bounds every uncomputed node directly, from exact
-//! in-neighbour sums and the query's remaining proximity mass
-//! ([`crate::estimator`]), which is never looser and stops far earlier on
-//! graphs with sinks. The visit order is the paper's and nothing is
+//! in-neighbour sums and the query's remaining proximity mass (the
+//! crate-private `estimator` module), which is never looser and stops far
+//! earlier on graphs with sinks. The visit order is the paper's and nothing is
 //! skipped, so the computed set is a prefix of it either way.
 //!
 //! The algorithm lives in [`crate::searcher`]: one driver, monomorphised
@@ -20,35 +19,16 @@
 //! call — serving loops should hold a `Searcher` instead:
 //!
 //! * [`KdashIndex::top_k`] — the real algorithm,
-//! * [`KdashIndex::top_k_unpruned`] — pruning disabled (Figure 7 ablation),
 //! * [`KdashIndex::nodes_above`] — exact threshold queries,
-//! * [`KdashIndex::top_k_from_set`] — restart sets (Personalized PageRank),
-//! * [`KdashIndex::top_k_random_root`] — BFS tree rooted away from the
-//!   query (Appendix D.1 / Figure 9 ablation), which breaks the layer
-//!   structure Definition 1 needs: the order-agnostic
-//!   [`ArbitraryOrderBound`](crate::ArbitraryOrderBound) in its place is
-//!   still exact and can skip a node, but never terminate early.
+//! * [`KdashIndex::top_k_from_set`] — restart sets (Personalized PageRank).
 //!
-//! # The oracle
-//!
-//! [`KdashIndex::top_k_from_set_replay`] (with
-//! [`KdashIndex::top_k_merge_join`], its one-source spelling) is the one
-//! loop this module holds: the original implementation — the whole BFS
-//! tree built *eagerly* before the search starts, a two-pointer merge join
-//! per candidate, buffers allocated per query — kept as the independent
-//! reference the equivalence suites hold the driver to, bit for bit under
-//! the scalar kernel. It shares nothing with the driver but the heap (own
-//! [`BfsTree`], own `row_dot_sparse`, and the paper's own stop rule —
-//! [`LayerEstimator`], Definition 2 — so its counters are the paper's and
-//! an upper bound on the driver's): which of two *equal* minima the heap
-//! evicts is a property of its sift order, so an oracle with a different
-//! heap would disagree on ties. Its `reachable`/`frontier_expanded` are
-//! always the full reachable count, where the lazy driver stops
-//! discovering at early termination.
+//! The paper's references — the search without pruning (Figure 7), the
+//! random-root tree (Appendix D.1) and the eager merge-join oracle with
+//! Definition 2's estimator — are not query entry points; they live in
+//! [`crate::paper`].
 
-use crate::searcher::{ranked_node, TopKHeap};
-use crate::{KdashIndex, LayerEstimator, Result, SearchStats, Searcher};
-use kdash_graph::{bfs::UNREACHABLE, BfsTree, NodeId};
+use crate::{KdashIndex, Result, SearchStats, Searcher};
+use kdash_graph::NodeId;
 
 /// One answer entry: a node and its exact RWR proximity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,13 +72,6 @@ impl KdashIndex {
         self.searcher().top_k(q, k)
     }
 
-    /// Algorithm 4 with the termination test removed: computes the exact
-    /// proximity of every reachable node. This is the "Without pruning"
-    /// series of Figure 7.
-    pub fn top_k_unpruned(&self, q: NodeId, k: usize) -> Result<TopKResult> {
-        self.searcher().top_k_unpruned(q, k)
-    }
-
     /// Exact *threshold* query: every node whose proximity is at least
     /// `theta`, in descending order. Non-positive or non-finite `theta`
     /// returns [`KdashError::InvalidThreshold`](crate::KdashError).
@@ -112,102 +85,14 @@ impl KdashIndex {
     pub fn top_k_from_set(&self, sources: &[NodeId], k: usize) -> Result<TopKResult> {
         self.searcher().top_k_from_set(sources, k)
     }
-
-    /// The Appendix D.1 ablation: the search tree is rooted at a random
-    /// node instead of the query.
-    pub fn top_k_random_root(&self, q: NodeId, k: usize, seed: u64) -> Result<TopKResult> {
-        self.searcher().top_k_random_root(q, k, seed)
-    }
-
-    /// Random-root search with an explicit root (exposed for tests).
-    pub fn top_k_from_root(&self, q: NodeId, k: usize, root: NodeId) -> Result<TopKResult> {
-        self.searcher().top_k_from_root(q, k, root)
-    }
-
-    /// The eager merge-join oracle for one query node:
-    /// [`top_k_from_set_replay`](Self::top_k_from_set_replay) over the
-    /// singleton set. The merged column of one source is `L⁻¹ e_q` bit for
-    /// bit (weight 1.0, already sorted) and a lone layer-0 node is the
-    /// estimator's root, so items *and* stats are what a dedicated
-    /// single-source body would produce.
-    pub fn top_k_merge_join(&self, q: NodeId, k: usize) -> Result<TopKResult> {
-        self.top_k_from_set_replay(&[q], k)
-    }
-
-    /// The eager-BFS, merge-join reference implementation of Algorithm 4
-    /// over a restart set (see the module docs): the multi-root tree
-    /// ([`BfsTree::new_multi`]) is built in full before the search starts
-    /// and every proximity is a two-pointer merge join
-    /// (`O(nnz(row) + nnz(col))` per node). Hidden — an oracle, not an
-    /// API: [`top_k_from_set`](Self::top_k_from_set) under the scalar
-    /// kernel must match it bit for bit on items and never exceed its
-    /// `visited`/`proximity_computations`/`nnz_gathered` (stored entries
-    /// of the rows it joined — Definition 2's share of the gather work).
-    #[doc(hidden)]
-    pub fn top_k_from_set_replay(&self, sources: &[NodeId], k: usize) -> Result<TopKResult> {
-        let (col_idx, col_val) = self.merged_query_column(sources)?;
-        // Mirror the Searcher's k = 0 short-circuit so the two paths stay
-        // comparable down to their work counters.
-        if k == 0 {
-            return Ok(TopKResult::default());
-        }
-        if self.needs_refinement() {
-            // The merge join reads raw sparsified rows, so its "reference"
-            // values would be approximate — route through the certified
-            // searcher instead. The equivalence contract on sparsified
-            // tiers is set-and-order, not bitwise.
-            return self.searcher().top_k_from_set(sources, k);
-        }
-        let roots: Vec<NodeId> =
-            sources.iter().map(|&s| self.permutation().new_of(s)).collect();
-        let bfs = BfsTree::new_multi(self.permuted_graph(), &roots);
-        let c = self.restart_probability();
-
-        let mut heap = TopKHeap::new(k);
-        let mut estimator = LayerEstimator::new(self.bounds().a_max);
-        let mut stats = SearchStats {
-            reachable: bfs.num_reachable(),
-            frontier_expanded: bfs.num_reachable(),
-            ..Default::default()
-        };
-
-        for (pos, &u) in bfs.order.iter().enumerate() {
-            stats.visited += 1;
-            let layer = bfs.layer[u as usize];
-            // Every node after the first folds its predecessor into the
-            // estimator chain; only below layer 0 (the sources, always
-            // computed) may the bound end the search.
-            if pos > 0 {
-                let terms = estimator.advance(layer);
-                let bound = self.bounds().c_prime_max * terms;
-                if layer > 0 && heap.is_full() && bound < heap.threshold() {
-                    stats.terminated_early = true;
-                    break;
-                }
-            }
-            let p = c * self.uinv().row_dot_sparse(u, &col_idx, &col_val);
-            stats.proximity_computations += 1;
-            stats.nnz_gathered += self.uinv().row_stat(u).nnz as usize;
-            estimator.record_selected(layer, p, self.bounds().a_col_max[u as usize]);
-            heap.offer(p, u);
-        }
-
-        // Same epilogue as the Searcher: rank order, original ids, padded
-        // with unreachable nodes (never heap entries — those are reachable).
-        let mut items: Vec<RankedNode> =
-            heap.sorted_entries().iter().map(|e| ranked_node(self, e)).collect();
-        let unreached =
-            (0..self.num_nodes() as NodeId).filter(|&v| bfs.layer[v as usize] == UNREACHABLE);
-        items.extend(unreached.take(k - items.len()).map(|v| ranked_node(self, &(0.0, v))));
-        Ok(TopKResult { items, stats })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IndexOptions, KdashError, KdashIndex, NodeOrdering};
-    use kdash_graph::{CsrGraph, GraphBuilder};
+    use crate::paper::{self, LayerEstimator};
+    use crate::{IndexOptions, KdashError, KdashIndex, NodeOrdering, ResolvedKernel};
+    use kdash_graph::{BfsTree, CsrGraph, GraphBuilder};
     use kdash_sparse::{rwr::rwr_step, transition_matrix, DanglingPolicy};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -291,7 +176,7 @@ mod tests {
         let index = KdashIndex::build(&g, IndexOptions::default()).unwrap();
         for q in [2u32, 31, 77] {
             let a = index.top_k(q, 8).unwrap();
-            let b = index.top_k_unpruned(q, 8).unwrap();
+            let b = paper::top_k_unpruned(&mut index.searcher(), q, 8).unwrap();
             // One driver, two bound policies: the same gathers in the same
             // order, and what Lemma 2 cut off could not have entered the heap.
             assert_eq!(a.items.len(), b.items.len());
@@ -310,12 +195,11 @@ mod tests {
             let index = KdashIndex::build(&g, IndexOptions::default()).unwrap();
             // The scalar kernel is the one with a bit-identity contract
             // against the merge join (the wide kernels re-associate).
-            let mut searcher =
-                Searcher::with_kernel(&index, crate::GatherKernel::Scalar).unwrap();
+            let mut searcher = Searcher::with_kernel(&index, ResolvedKernel::reference());
             for q in [0u32, 33, 71] {
                 for k in [1usize, 6, 90, 120] {
                     let new = searcher.top_k(q, k).unwrap();
-                    let old = index.top_k_merge_join(q, k).unwrap();
+                    let old = paper::top_k_merge_join(&index, &[q], k).unwrap();
                     assert_eq!(new.items.len(), old.items.len());
                     for (x, y) in new.items.iter().zip(&old.items) {
                         assert_eq!(x.node, y.node, "seed {seed} q {q} k {k}");
@@ -387,7 +271,7 @@ mod tests {
         for q in [4u32, 55] {
             let normal = index.top_k(q, 5).unwrap();
             for root in [0u32, 50, 99] {
-                let rr = index.top_k_from_root(q, 5, root).unwrap();
+                let rr = paper::top_k_from_root(&mut index.searcher(), q, 5, root).unwrap();
                 for (x, y) in normal.items.iter().zip(&rr.items) {
                     assert!(
                         (x.proximity - y.proximity).abs() < 1e-9,

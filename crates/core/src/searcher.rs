@@ -26,15 +26,18 @@
 //!   of one; layer 0 is always computed, never pruned, in both.
 //! * **bound** — a type parameter: the stop rule (`Inflow`: exact
 //!   in-neighbour sums of what is computed plus the query's remaining
-//!   proximity mass bound every uncomputed node at once — the lemma in
-//!   [`crate::estimator`], of which the paper's Definition 2 is a
-//!   relaxation) may *stop* the search; the order-agnostic
-//!   [`ArbitraryOrderBound`] of the Appendix D.1 random-root ablation may
-//!   only *skip* one node, so its visit runs on past the tree into the ids
-//!   the tree missed; `Unbounded` (Figure 7, "without pruning") computes
-//!   everything. Stopping never reorders or skips: the computed nodes are
-//!   a prefix of the BFS order, and the heap sees the offers an unpruned
-//!   run would make, in the same order, up to the stop.
+//!   proximity mass bound every uncomputed node at once — the lemma of the
+//!   crate-private `estimator` module, of which the paper's Definition 2
+//!   is a relaxation) may *stop* the search. It is the one bound that serves;
+//!   the paper's two ablations in [`crate::paper`] plug into the same
+//!   crate-visible hooks (`Bound`, `seed_node`, `ranked`): the
+//!   order-agnostic bound of the Appendix D.1 random-root run may only
+//!   *skip* one node, rooting the tree elsewhere (`Bound::tree_root`) and
+//!   running the visit on past it into the ids it missed (the unreached
+//!   tail); Figure 7's "without pruning" computes everything. Stopping
+//!   never reorders or skips: the computed nodes are a prefix of the BFS
+//!   order, and the heap sees the offers an unpruned run would make, in
+//!   the same order, up to the stop.
 //! * **goal** — a type parameter: the k-th best proximity so far (the
 //!   heap) or a fixed threshold θ (the hit list) — the pair the certified
 //!   tier proves as `RefineGoal`.
@@ -53,7 +56,7 @@
 //! certified tier, which may list most of it without scanning it).
 //! Layer-at-a-time expansion reproduces the eager queue order exactly
 //! (`kdash-graph` pins that at every prefix), so results and visit order
-//! are those of the eager oracle in [`crate::search`].
+//! are those of the eager oracle, [`crate::paper::top_k_merge_join`].
 //!
 //! # Proximity kernel
 //!
@@ -64,7 +67,7 @@
 //! selector: the two bodies are bit-identical, and within `1e-12` of the
 //! one-accumulator scalar reference the bit-identity suites reach through
 //! the hidden `Searcher::with_kernel` and hold against the merge-join
-//! oracle ([`KdashIndex::top_k_merge_join`]). Rows stream from the index's
+//! oracle ([`crate::paper::top_k_merge_join`]). Rows stream from the index's
 //! [`ProximityStore`](kdash_sparse::ProximityStore) (blocked u16-delta
 //! encoding), candidate rows are
 //! software-prefetched a block ahead ([`PREFETCH_BLOCK`]), and every
@@ -189,14 +192,9 @@
 
 use crate::estimator::InflowBound;
 use crate::precompute::ReachAnchor;
-use crate::{
-    ArbitraryOrderBound, KdashError, KdashIndex, RankedNode, Result, SearchStats, TopKResult,
-};
+use crate::{KdashError, KdashIndex, RankedNode, Result, SearchStats, TopKResult};
 use kdash_graph::{BfsScratch, CsrGraph, EpochStamps, NodeId};
-use kdash_sparse::{
-    DanglingPolicy, GatherCounters, GatherKernel, GatherScratch, ResolvedKernel, ScatteredColumn,
-};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use kdash_sparse::{DanglingPolicy, GatherCounters, GatherScratch, ResolvedKernel, ScatteredColumn};
 use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 
@@ -846,7 +844,8 @@ pub struct Searcher<'a> {
 
 /// The *bound* policy of [`Searcher::drive`]: asked before each node's
 /// gather whether it can be spared, fed each computed proximity after it.
-trait Bound {
+/// Crate-visible so [`crate::paper`]'s ablation bounds drive the same loop.
+pub(crate) trait Bound {
     /// Whether a prunable node ends the search (the verdict covers every
     /// node not yet computed) or merely spares that node's gather.
     const STOPS: bool;
@@ -886,49 +885,6 @@ impl Bound for Inflow {
     #[inline]
     fn record(&mut self, s: &mut Searcher<'_>, u: NodeId, proximity: f64, cutoff: Option<f64>) {
         s.inflow.record(s.index, u, proximity, cutoff.unwrap_or(0.0));
-    }
-}
-
-/// The Appendix D.1 ablation: the visit tree is rooted at `root`, away
-/// from the query, so the sources are no longer visited first. The
-/// order-agnostic bound in place of the stop rule holds for any visit
-/// order but speaks for one node at a time, so every node must still be
-/// visited, reached by the tree or not.
-struct AnyOrder {
-    state: ArbitraryOrderBound,
-    /// The (permuted) query: the one node the bound does not cover.
-    query: NodeId,
-    root: NodeId,
-}
-
-impl Bound for AnyOrder {
-    const STOPS: bool = false;
-
-    fn tree_root(&self) -> Option<NodeId> {
-        Some(self.root)
-    }
-
-    #[inline]
-    fn prunable(&mut self, s: &mut Searcher<'_>, u: NodeId, _: u32, cutoff: f64) -> bool {
-        u != self.query && s.index.bounds().c_prime[u as usize] * self.state.bound_term() < cutoff
-    }
-
-    #[inline]
-    fn record(&mut self, s: &mut Searcher<'_>, u: NodeId, proximity: f64, _: Option<f64>) {
-        self.state.record(proximity, s.index.bounds().a_col_max[u as usize]);
-    }
-}
-
-/// No bound: every reachable node is computed (Figure 7, "without
-/// pruning").
-struct Unbounded;
-
-impl Bound for Unbounded {
-    const STOPS: bool = false;
-
-    #[inline]
-    fn prunable(&mut self, _: &mut Searcher<'_>, _: NodeId, _: u32, _: f64) -> bool {
-        false
     }
 }
 
@@ -1011,14 +967,14 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// A fresh workspace running every proximity through `kernel`, or
-    /// [`KdashError::UnsupportedKernel`] when the host CPU cannot honour
-    /// it. Hidden: the kernel bodies are bit-identical by contract, so
-    /// this is the seam of the suites that hold them to it (and the only
-    /// way to the one-accumulator `Scalar` reference), not a tuning knob.
+    /// A fresh workspace running every proximity through `kernel`.
+    /// Hidden: the kernel bodies are bit-identical by contract, so this is
+    /// the seam of the suites that hold them to it (with
+    /// [`ResolvedKernel::reference`], the one-accumulator order, or a token
+    /// of [`ResolvedKernel::host_bodies`]), not a tuning knob.
     #[doc(hidden)]
-    pub fn with_kernel(index: &'a KdashIndex, kernel: GatherKernel) -> Result<Self> {
-        Ok(Searcher { kernel: kernel.resolve()?, ..Searcher::new(index) })
+    pub fn with_kernel(index: &'a KdashIndex, kernel: ResolvedKernel) -> Self {
+        Searcher { kernel, ..Searcher::new(index) }
     }
 
     /// The kernel proximities run through (the *resolved* dispatch
@@ -1055,7 +1011,7 @@ impl<'a> Searcher<'a> {
 
     /// Source prologue, one query node: validates `q`, scatters its `L⁻¹`
     /// column and seeds the visit at it. Returns the permuted query id.
-    fn seed_node(&mut self, q: NodeId) -> Result<NodeId> {
+    pub(crate) fn seed_node(&mut self, q: NodeId) -> Result<NodeId> {
         self.index.check_node(q)?;
         let qp = self.index.permutation().new_of(q);
         let (col_idx, col_val) = self.index.linv().col(qp);
@@ -1170,8 +1126,9 @@ impl<'a> Searcher<'a> {
     }
 
     /// Folds the traversal and gather counters of the finished (or
-    /// abandoned) run into `stats`, and the resolved kernel — how `auto`
-    /// resolutions stay reproducible from logs — once it gathered a row.
+    /// abandoned) run into `stats`, and the resolved kernel — how the
+    /// host's resolution stays reproducible from logs — once it gathered
+    /// a row.
     #[inline]
     fn record_traversal(&self, stats: &mut SearchStats) {
         (stats.reachable, stats.frontier_expanded) =
@@ -1241,10 +1198,16 @@ impl<'a> Searcher<'a> {
         Ok(stats)
     }
 
-    /// Drive and epilogue of the four ranking entry points: `min(k, n)`
-    /// nodes in rank order, mapped back to original ids, into `out`.
+    /// Drive and epilogue of the ranking entry points (and of
+    /// [`crate::paper`]'s two ablations): `min(k, n)` nodes in rank order,
+    /// mapped back to original ids, into `out`.
     #[inline]
-    fn ranked<B: Bound>(&mut self, bound: B, k: usize, out: &mut TopKResult) -> Result<()> {
+    pub(crate) fn ranked<B: Bound>(
+        &mut self,
+        bound: B,
+        k: usize,
+        out: &mut TopKResult,
+    ) -> Result<()> {
         if k == 0 {
             // The answer is known empty; skip the traversal entirely.
             out.items.clear();
@@ -1291,17 +1254,6 @@ impl<'a> Searcher<'a> {
         self.ranked(Inflow, k, out)
     }
 
-    /// Algorithm 4 with the termination test removed: computes the exact
-    /// proximity of every reachable node (the traversal always runs to
-    /// exhaustion, so its `reachable` is the full reachable count). This
-    /// is the "Without pruning" series of Figure 7.
-    pub fn top_k_unpruned(&mut self, q: NodeId, k: usize) -> Result<TopKResult> {
-        let mut out = TopKResult::default();
-        self.seed_node(q)?;
-        self.ranked(Unbounded, k, &mut out)?;
-        Ok(out)
-    }
-
     /// Exact *threshold* query: every node whose proximity is at least
     /// `theta`, in descending order. Extension beyond the paper, enabled
     /// by the same machinery: visit in BFS-layer order and stop as soon as
@@ -1337,34 +1289,6 @@ impl<'a> Searcher<'a> {
         // (`sources` are validated for k = 0 too: that short-circuit is later.)
         self.seed_set(sources)?;
         self.ranked(Inflow, k, &mut out)?;
-        Ok(out)
-    }
-
-    /// The Appendix D.1 ablation: the search tree is rooted at a random
-    /// node instead of the query. The sources are no longer visited first,
-    /// so an order-agnostic bound is used — exact answers, per-node skipping
-    /// only, and every node must still be visited.
-    pub fn top_k_random_root(&mut self, q: NodeId, k: usize, seed: u64) -> Result<TopKResult> {
-        self.index.check_node(q)?;
-        let root = StdRng::seed_from_u64(seed).gen_range(0..self.index.num_nodes()) as NodeId;
-        self.top_k_from_root(q, k, root)
-    }
-
-    /// Random-root search with an explicit root (exposed for tests). On a
-    /// sparsified index the root is irrelevant — the certified tier solves
-    /// every reachable node whatever the visit order — and the answer is
-    /// [`top_k`](Self::top_k)'s.
-    pub fn top_k_from_root(&mut self, q: NodeId, k: usize, root: NodeId) -> Result<TopKResult> {
-        let index = self.index;
-        let query = self.seed_node(q)?;
-        index.check_node(root)?;
-        let bound = AnyOrder {
-            state: ArbitraryOrderBound::new(index.bounds().a_max),
-            query,
-            root: index.permutation().new_of(root),
-        };
-        let mut out = TopKResult::default();
-        self.ranked(bound, k, &mut out)?;
         Ok(out)
     }
 
@@ -1720,7 +1644,7 @@ impl<'a> Searcher<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IndexOptions;
+    use crate::{paper, IndexOptions};
     use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
     use kdash_graph::{BfsTree, GraphBuilder};
 
@@ -2334,12 +2258,12 @@ mod tests {
             let a = s.top_k(1, 3).unwrap();
             let b = s.nodes_above(2, 1e-4).unwrap();
             let c = s.top_k_from_set(&[0, 4], 3).unwrap();
-            let d = s.top_k_from_root(1, 3, 5).unwrap();
-            let e = s.top_k_unpruned(1, 3).unwrap();
+            let d = paper::top_k_from_root(&mut s, 1, 3, 5).unwrap();
+            let e = paper::top_k_unpruned(&mut s, 1, 3).unwrap();
             let fresh_a = index.searcher().top_k(1, 3).unwrap();
             let fresh_b = index.searcher().nodes_above(2, 1e-4).unwrap();
             let fresh_c = index.searcher().top_k_from_set(&[0, 4], 3).unwrap();
-            let fresh_d = index.searcher().top_k_from_root(1, 3, 5).unwrap();
+            let fresh_d = paper::top_k_from_root(&mut index.searcher(), 1, 3, 5).unwrap();
             for (got, want) in [(&a, &fresh_a), (&b, &fresh_b), (&c, &fresh_c), (&d, &fresh_d)] {
                 assert_eq!(got.items.len(), want.items.len(), "round {round}");
                 for (x, y) in got.items.iter().zip(&want.items) {
@@ -2416,14 +2340,17 @@ mod tests {
             ..QueryBudget::default()
         });
         assert!(matches!(s.top_k(0, 6), Err(KdashError::BudgetExceeded { .. })));
-        assert!(matches!(s.top_k_unpruned(0, 6), Err(KdashError::BudgetExceeded { .. })));
+        assert!(matches!(
+            paper::top_k_unpruned(&mut s, 0, 6),
+            Err(KdashError::BudgetExceeded { .. })
+        ));
         assert!(matches!(s.nodes_above(0, 1e-6), Err(KdashError::BudgetExceeded { .. })));
         assert!(matches!(
             s.top_k_from_set(&[0, 3], 6),
             Err(KdashError::BudgetExceeded { .. })
         ));
         assert!(matches!(
-            s.top_k_from_root(0, 6, 2),
+            paper::top_k_from_root(&mut s, 0, 6, 2),
             Err(KdashError::BudgetExceeded { .. })
         ));
     }

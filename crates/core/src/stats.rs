@@ -69,7 +69,8 @@ pub struct SearchStats {
     /// refinement) it is always the exact reachable count `|R|`, budget
     /// aborts included: the loop lists `R` before it solves anything.
     /// (The eager reference path
-    /// `KdashIndex::top_k_merge_join` always reports the full count;
+    /// [`paper::top_k_merge_join`](crate::paper::top_k_merge_join) always
+    /// reports the full count;
     /// consumers comparing the two — the experiment harness's
     /// "computed/reachable" ratios, the CLI stats line — must take an
     /// unpruned or merge-join run as the denominator.)
@@ -96,7 +97,7 @@ pub struct SearchStats {
     /// every entry) — machine-independent.
     pub value_bytes_touched: usize,
     /// Candidate rows gathered in the one-accumulator reference order
-    /// (the `scalar` selector).
+    /// (the hidden `ResolvedKernel::reference` token).
     pub rows_scalar: usize,
     /// Candidate rows gathered by the four-lane (unrolled/AVX2) kernel.
     pub rows_wide: usize,
@@ -112,8 +113,8 @@ pub struct SearchStats {
     /// count the rows they join the same way.)
     pub nnz_gathered: usize,
     /// The resolved gather kernel that produced this query's proximities
-    /// (`"scalar"`, `"unrolled"` or `"avx2"`), recorded so `auto`
-    /// resolutions are reproducible from logs. Empty on paths that never
+    /// (`"scalar"`, `"unrolled"` or `"avx2"`), recorded so the host's
+    /// resolution is reproducible from logs. Empty on paths that never
     /// ran the gather kernel: the merge-join oracles, a budget abort
     /// before the first row, and a sparsified query whose first pass is a
     /// sweep (`kdash query` prints `n/a`).

@@ -312,7 +312,8 @@ impl BfsTree {
     /// visit order is non-decreasing in layer, and every non-root reachable
     /// node has a parent exactly one layer above it (roots are their own
     /// parents at layer 0).
-    pub fn check_invariants(&self, graph: &CsrGraph) -> bool {
+    #[cfg(test)]
+    fn check_invariants(&self, graph: &CsrGraph) -> bool {
         let mut prev = 0u32;
         for &v in &self.order {
             let l = self.layer[v as usize];

@@ -8,7 +8,7 @@
 #![forbid(unsafe_code)]
 
 use kdash_baselines::{IterativeRwr, TopKEngine};
-use kdash_core::{GatherKernel, KdashIndex, Searcher, TopKResult};
+use kdash_core::{paper, KdashIndex, ResolvedKernel, Searcher, TopKResult};
 use kdash_datagen::DatasetProfile;
 use kdash_graph::{BfsTree, CsrGraph, GraphBuilder, NodeId};
 
@@ -28,10 +28,10 @@ pub fn exact_top_k_scored(graph: &CsrGraph, c: f64, q: NodeId, k: usize) -> Vec<
 }
 
 /// The lazy-vs-eager query-engine contract, shared by the equivalence
-/// suites: `lazy` from the production path (under the *scalar* kernel),
+/// suites: `lazy` from the production path (under the reference kernel),
 /// whose stop rule bounds every uncomputed node at once; `eager` from the
-/// whole-tree-first replay oracle (`top_k_from_set_replay` /
-/// `top_k_merge_join`), which stops where the paper's Definition 2 does.
+/// whole-tree-first oracle (`paper::top_k_merge_join`), which stops where
+/// the paper's Definition 2 does.
 ///
 /// Checks: items bit-identical. The stop rule is never looser than
 /// Definition 2, and both compute a prefix of the same visit order, so
@@ -105,14 +105,14 @@ pub enum StopGoal {
 /// * the search stopped at exactly the first position past the sources
 ///   where that bound is strictly below θ, and nowhere if there is none;
 /// * the answer is bit for bit what the truth vector selects — for a
-///   single-source top-k also `top_k_unpruned`'s, ids included.
+///   single-source top-k also `paper::top_k_unpruned`'s, ids included.
 pub fn check_stop_rule(
     index: &KdashIndex,
     sources: &[NodeId],
     goal: StopGoal,
 ) -> Result<(), String> {
     let fail = |e: kdash_core::KdashError| e.to_string();
-    let mut searcher = Searcher::with_kernel(index, GatherKernel::Scalar).map_err(fail)?;
+    let mut searcher = Searcher::with_kernel(index, ResolvedKernel::reference());
     let got = match goal {
         StopGoal::TopK(k) => searcher.top_k_from_set(sources, k),
         StopGoal::Above(theta) => searcher.nodes_above(sources[0], theta),
@@ -132,9 +132,9 @@ pub fn check_stop_rule(
         return Err(format!("answer differs from the truth vector's: {:?}", got.items));
     }
     if let (StopGoal::TopK(k), [q]) = (goal, sources) {
-        let unpruned = searcher.top_k_unpruned(*q, k).map_err(fail)?;
+        let unpruned = paper::top_k_unpruned(&mut searcher, *q, k).map_err(fail)?;
         if got.items != unpruned.items {
-            return Err(format!("answer differs from top_k_unpruned's: {:?}", got.items));
+            return Err(format!("answer differs from paper::top_k_unpruned's: {:?}", got.items));
         }
     }
 

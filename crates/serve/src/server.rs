@@ -267,11 +267,6 @@ impl ServeLoop {
         self.workers.len()
     }
 
-    /// Approximate current queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.len()
-    }
-
     /// The admission bound.
     pub fn queue_capacity(&self) -> usize {
         self.shared.queue.capacity()

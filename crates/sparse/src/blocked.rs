@@ -330,7 +330,7 @@ impl BlockedCsr {
 
     /// Values of row `r` (CSR order).
     #[inline]
-    pub fn row_values(&self, r: Index) -> &[f64] {
+    fn row_values(&self, r: Index) -> &[f64] {
         let r = r as usize;
         &self.values[self.row_ptr[r]..self.row_ptr[r + 1]]
     }

@@ -80,7 +80,7 @@ impl CsrMatrix {
 
     /// Dot product of row `r` with a dense vector, one accumulator in
     /// storage order. Over a [`crate::ScatteredColumn`] this is the
-    /// reference-order gather ([`crate::GatherKernel::Scalar`]): every
+    /// reference-order gather ([`crate::ResolvedKernel::reference`]): every
     /// unmatched position adds `v × 0.0`, which for finite `v` leaves a sum
     /// that started at `+0.0` bit-identical to
     /// [`row_dot_sparse`](Self::row_dot_sparse)'s.

@@ -27,7 +27,7 @@
 //! `vmulpd` + `vaddpd`, no FMA). They are **bit-identical to
 //! each other on every row**, so answers do not depend on which one the
 //! host dispatches to. Against the one-accumulator reference order
-//! ([`GatherKernel::Scalar`], which is `row_dot_dense` over the same
+//! ([`ResolvedKernel::reference`], which is `row_dot_dense` over the same
 //! vector and bit-identical to the merge join) they differ only by
 //! re-association; the equivalence suites pin `≤ 1e-12`, and search
 //! results stay exact against the iterative ground truth under every
@@ -54,123 +54,30 @@
 //!
 //! # Selection
 //!
-//! Selection is two-phase so unsupported choices fail *typed* instead of
-//! faulting: a [`GatherKernel`] is the caller's request, and
-//! [`GatherKernel::resolve`] checks it against the host CPU, returning a
-//! construction-gated [`ResolvedKernel`] token — the only way to obtain
-//! one — or [`SparseError::UnsupportedKernel`]. Only [`GatherKernel::Auto`]
-//! (the default) ever falls back (AVX2 where detected, otherwise the
-//! portable twin); an explicit `Simd` request on a CPU without AVX2 is an
-//! error, never a silent downgrade.
+//! There is no request layer: a workspace takes [`ResolvedKernel::default`]
+//! — AVX2 where the host reports it, otherwise the portable body — and
+//! [`crate::ProximityStore::row_gather`] dispatches on that token. Its
+//! dispatch target is private, so no caller can name a body the host
+//! failed to detect: the bit-identity suites reach the others only through
+//! two hidden constructors, [`ResolvedKernel::reference`] (the
+//! one-accumulator order) and [`ResolvedKernel::host_bodies`] (the
+//! portable body, then AVX2 only where detected).
 
-use crate::{Result, SparseError};
-use std::fmt;
-use std::str::FromStr;
-
-/// A requested gather kernel, resolved against the host CPU by
-/// [`resolve`](GatherKernel::resolve) before use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GatherKernel {
-    /// The one-accumulator reference order
-    /// ([`crate::CsrMatrix::row_dot_dense`] over the scattered column),
-    /// bit-identical to the merge join.
-    Scalar,
-    /// The portable body of the four-lane kernel.
-    Unrolled4,
-    /// The AVX2 body of the four-lane kernel (x86-64 with AVX2).
-    /// Resolution fails on hosts that cannot honour it.
-    Simd,
-    /// `Simd` where the host supports it, otherwise `Unrolled4` —
-    /// bit-identical to each other, so answers are machine-independent.
-    /// Resolves on every host. The default.
-    #[default]
-    Auto,
-}
-
-impl GatherKernel {
-    /// Every selectable kernel, in CLI presentation order.
-    pub const ALL: [GatherKernel; 4] =
-        [GatherKernel::Scalar, GatherKernel::Unrolled4, GatherKernel::Simd, GatherKernel::Auto];
-
-    /// The selector's spelling (also what [`FromStr`] parses).
-    pub fn name(self) -> &'static str {
-        match self {
-            GatherKernel::Scalar => "scalar",
-            GatherKernel::Unrolled4 => "unrolled",
-            GatherKernel::Simd => "simd",
-            GatherKernel::Auto => "auto",
-        }
-    }
-
-    /// Resolves the request against the host CPU. `Scalar` and `Unrolled4`
-    /// always succeed; `Simd` succeeds only where the vector body can
-    /// actually run ([`simd_support`] explains the host's answer); `Auto`
-    /// falls back to the portable body when it cannot.
-    pub fn resolve(self) -> Result<ResolvedKernel> {
-        match self {
-            GatherKernel::Scalar => Ok(ResolvedKernel(Dispatch::Scalar)),
-            GatherKernel::Unrolled4 => Ok(ResolvedKernel(Dispatch::Lanes(LaneBody::Portable))),
-            GatherKernel::Simd => match simd_support() {
-                Ok(body) => Ok(ResolvedKernel(Dispatch::Lanes(body))),
-                Err(reason) => Err(SparseError::UnsupportedKernel {
-                    requested: self.name().to_string(),
-                    reason,
-                }),
-            },
-            GatherKernel::Auto => Ok(ResolvedKernel::default()),
-        }
-    }
-}
-
-impl fmt::Display for GatherKernel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for GatherKernel {
-    type Err = SparseError;
-
-    fn from_str(s: &str) -> Result<Self> {
-        match s {
-            "scalar" => Ok(GatherKernel::Scalar),
-            "unrolled" | "unrolled4" => Ok(GatherKernel::Unrolled4),
-            "simd" => Ok(GatherKernel::Simd),
-            "auto" => Ok(GatherKernel::Auto),
-            other => Err(SparseError::UnsupportedKernel {
-                requested: other.to_string(),
-                reason: "unknown kernel (expected scalar, unrolled, simd or auto)".to_string(),
-            }),
-        }
-    }
-}
-
-/// Whether the host can run the vector body, and which one.
-fn simd_support() -> std::result::Result<LaneBody, String> {
+/// The AVX2 body where the host CPU reports it.
+fn simd_support() -> Option<LaneBody> {
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            Ok(LaneBody::Avx2)
-        } else {
-            Err("host x86-64 CPU does not report AVX2".to_string())
-        }
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return Some(LaneBody::Avx2);
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        Err(format!(
-            "no vector gather kernel for target architecture {}",
-            std::env::consts::ARCH
-        ))
-    }
+    None
 }
 
-/// A kernel choice validated against the host CPU — the token
+/// A gather kernel validated against the host CPU — the token
 /// [`crate::ProximityStore::row_gather`] dispatches on.
 ///
-/// Only obtainable through [`GatherKernel::resolve`]; the inner dispatch
-/// target is private so the vector body can never be conjured on a host
-/// that failed detection (calling AVX2 code there would be undefined
-/// behaviour, not just wrong).
+/// The inner dispatch target is private so the vector body can never be
+/// conjured on a host that failed detection (calling AVX2 code there
+/// would be undefined behaviour, not just wrong).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResolvedKernel(Dispatch);
 
@@ -192,6 +99,24 @@ pub(crate) enum LaneBody {
 }
 
 impl ResolvedKernel {
+    /// The one-accumulator reference order
+    /// ([`crate::CsrMatrix::row_dot_dense`] over the scattered column),
+    /// bit-identical to the merge join. Hidden: the seam the bit-identity
+    /// suites pin the lane bodies and the merge join against.
+    #[doc(hidden)]
+    pub fn reference() -> Self {
+        ResolvedKernel(Dispatch::Scalar)
+    }
+
+    /// Every body of the four-lane kernel the host can run: the portable
+    /// one, then AVX2 where detected. Hidden, for the suites that hold
+    /// the bodies bit-identical to each other.
+    #[doc(hidden)]
+    pub fn host_bodies() -> Vec<Self> {
+        let avx2 = simd_support().map(|body| ResolvedKernel(Dispatch::Lanes(body)));
+        std::iter::once(ResolvedKernel(Dispatch::Lanes(LaneBody::Portable))).chain(avx2).collect()
+    }
+
     /// What actually runs, for logs and stats: `"scalar"`, `"unrolled"`
     /// or `"avx2"`.
     pub fn name(self) -> &'static str {
@@ -200,15 +125,6 @@ impl ResolvedKernel {
             Dispatch::Lanes(LaneBody::Portable) => "unrolled",
             #[cfg(target_arch = "x86_64")]
             Dispatch::Lanes(LaneBody::Avx2) => "avx2",
-        }
-    }
-
-    /// Whether this resolution dispatches to a vector (`std::arch`) path.
-    pub fn is_simd(self) -> bool {
-        match self.0 {
-            Dispatch::Scalar | Dispatch::Lanes(LaneBody::Portable) => false,
-            #[cfg(target_arch = "x86_64")]
-            Dispatch::Lanes(LaneBody::Avx2) => true,
         }
     }
 
@@ -223,7 +139,8 @@ impl ResolvedKernel {
 }
 
 impl Default for ResolvedKernel {
-    /// The `Auto` resolution for this host.
+    /// AVX2 where the host reports it, otherwise the portable body —
+    /// bit-identical to each other, so answers are machine-independent.
     fn default() -> Self {
         ResolvedKernel(Dispatch::Lanes(simd_support().unwrap_or(LaneBody::Portable)))
     }
@@ -465,13 +382,14 @@ mod tests {
 
     /// Every kernel the host can run, with the reference first.
     fn host_kernels() -> Vec<ResolvedKernel> {
-        GatherKernel::ALL.into_iter().filter_map(|k| k.resolve().ok()).collect()
+        std::iter::once(ResolvedKernel::reference()).chain(ResolvedKernel::host_bodies()).collect()
     }
 
     #[test]
     fn kernels_agree_within_tolerance_and_unrolled_matches_simd_bitwise() {
-        let scalar = GatherKernel::Scalar.resolve().unwrap();
-        let portable = GatherKernel::Unrolled4.resolve().unwrap();
+        let scalar = ResolvedKernel::reference();
+        let bodies = ResolvedKernel::host_bodies();
+        let portable = bodies[0];
         for seed in 0..12u64 {
             // Row lengths sweep every tail residue (len % 4 ∈ {0,1,2,3})
             // because density is random per row.
@@ -491,7 +409,7 @@ mod tests {
                     (reference - unrolled).abs() <= 1e-12 * reference.abs().max(1.0),
                     "seed {seed} row {r}: scalar {reference} vs unrolled {unrolled}"
                 );
-                if let Ok(simd) = GatherKernel::Simd.resolve() {
+                if let Some(&simd) = bodies.get(1) {
                     let vec = gather(&store, simd, r, &buf);
                     assert_eq!(
                         unrolled.to_bits(),
@@ -568,41 +486,15 @@ mod tests {
     }
 
     #[test]
-    fn selector_parsing_and_names() {
-        for kernel in GatherKernel::ALL {
-            assert_eq!(kernel.name().parse::<GatherKernel>().unwrap(), kernel);
-        }
-        assert_eq!("unrolled4".parse::<GatherKernel>().unwrap(), GatherKernel::Unrolled4);
-        // The deleted per-row policy's name is not an alias for anything.
-        for unknown in ["neon-but-misspelled", "adaptive"] {
-            match unknown.parse::<GatherKernel>() {
-                Err(SparseError::UnsupportedKernel { requested, .. }) => {
-                    assert_eq!(requested, unknown);
-                }
-                other => panic!("expected UnsupportedKernel, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn resolution_is_typed_and_auto_always_succeeds() {
-        assert_eq!(GatherKernel::Scalar.resolve().unwrap().name(), "scalar");
-        assert_eq!(GatherKernel::Unrolled4.resolve().unwrap().name(), "unrolled");
-        let auto = GatherKernel::Auto.resolve().expect("Auto must resolve on every host");
-        assert_eq!(auto, ResolvedKernel::default(), "Auto is the default");
-        match GatherKernel::Simd.resolve() {
-            // Where SIMD resolves, Auto must have picked it up too.
-            Ok(simd) => {
-                assert!(simd.is_simd());
-                assert_eq!(auto, simd, "Auto must prefer the vector kernel when available");
-            }
-            // Where it does not, the error is typed and Auto fell back.
-            Err(SparseError::UnsupportedKernel { requested, reason }) => {
-                assert_eq!(requested, "simd");
-                assert!(!reason.is_empty());
-                assert_eq!(auto.name(), "unrolled");
-            }
-            Err(other) => panic!("expected UnsupportedKernel, got {other:?}"),
-        }
+    fn default_and_host_bodies_follow_the_host() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        let names: Vec<&str> = ResolvedKernel::host_bodies().into_iter().map(|k| k.name()).collect();
+        let want: &[&str] = if avx2 { &["unrolled", "avx2"] } else { &["unrolled"] };
+        assert_eq!(names, want);
+        assert_eq!(ResolvedKernel::default().name(), if avx2 { "avx2" } else { "unrolled" });
+        assert_eq!(ResolvedKernel::reference().name(), "scalar");
     }
 }

@@ -40,8 +40,8 @@
 //! * [`kernel`] — the gather half: one four-lane arithmetic over the
 //!   runs of a blocked row, a portable body and its AVX2 twin
 //!   (bit-identical to each other, within `1e-12` of the one-accumulator
-//!   reference order, which is bit-identical to the merge join), selected
-//!   via [`GatherKernel`] and a host-validated [`ResolvedKernel`] token,
+//!   reference order, which is bit-identical to the merge join), dispatched
+//!   on a host-validated [`ResolvedKernel`] token,
 //! * [`blocked`] — [`BlockedCsr`], the bandwidth-lean row encoding of
 //!   `U⁻¹`: `u16` column deltas against aligned `u32` block anchors, ~half
 //!   the index traffic of flat CSR on fill-dominated inverse rows,
@@ -77,7 +77,7 @@ pub use csc::{ColumnUpdate, CscMatrix};
 pub use csr::CsrMatrix;
 pub use inverse::{dense_tail_columns, InvertOptions};
 pub use reach::{inverse_dirty_columns, refactor_candidates};
-pub use kernel::{GatherCounters, GatherKernel, GatherScratch, ResolvedKernel, RowStat};
+pub use kernel::{GatherCounters, GatherScratch, ResolvedKernel, RowStat};
 pub use lu::{
     refactor_columns, sparse_lu, sparse_lu_tallied, sparse_lu_with, LuFactors, RefactorReport,
 };
@@ -108,10 +108,6 @@ pub enum SparseError {
     InvalidRestartProbability(f64),
     /// Drop tolerance for sparsified inversion must be finite and `>= 0`.
     InvalidDropTolerance(f64),
-    /// A [`GatherKernel`] selector the host CPU cannot honour (or an
-    /// unknown selector spelling). Only `Auto` falls back; explicit
-    /// requests fail typed rather than silently downgrading.
-    UnsupportedKernel { requested: String, reason: String },
 }
 
 impl std::fmt::Display for SparseError {
@@ -130,9 +126,6 @@ impl std::fmt::Display for SparseError {
             }
             SparseError::InvalidDropTolerance(eps) => {
                 write!(f, "drop tolerance {eps} must be finite and >= 0")
-            }
-            SparseError::UnsupportedKernel { requested, reason } => {
-                write!(f, "gather kernel '{requested}' unavailable: {reason}")
             }
         }
     }

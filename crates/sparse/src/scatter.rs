@@ -27,7 +27,7 @@
 //! guards, so the check is gone: an unmatched position now contributes
 //! `v × 0.0`, which for finite `v` never changes a running sum that
 //! started at `+0.0` — the one-accumulator gather
-//! ([`crate::GatherKernel::Scalar`]) therefore stays **bit-identical** to
+//! ([`crate::ResolvedKernel::reference`]) therefore stays **bit-identical** to
 //! the merge join, which stays around as the independent reference.
 
 use crate::Index;

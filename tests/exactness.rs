@@ -2,13 +2,14 @@
 //! for every dataset shape, ordering, restart probability and K — verified
 //! against the iterative definition of Equation (1).
 
-use kdash_core::{IndexOptions, KdashIndex, NodeOrdering};
+use kdash_core::{paper, IndexOptions, KdashIndex, NodeOrdering};
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, DatasetProfile, RmatParams};
 use kdash_graph::{CsrGraph, GraphBuilder, NodeId};
 use kdash_harness::{
     break_ties, check_stop_rule, exact_top_k_scored, profile_graph, sample_queries, StopGoal,
 };
 use kdash_sparse::DanglingPolicy;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Compares the proximity sequences (ids may legitimately differ under
 /// exact ties).
@@ -88,7 +89,7 @@ fn pruned_and_unpruned_agree_everywhere() {
     let index = KdashIndex::build(&graph, IndexOptions::default()).expect("build");
     for q in sample_queries(&graph, 5) {
         let pruned = index.top_k(q, 10).expect("pruned");
-        let unpruned = index.top_k_unpruned(q, 10).expect("unpruned");
+        let unpruned = paper::top_k_unpruned(&mut index.searcher(), q, 10).expect("unpruned");
         for (a, b) in pruned.items.iter().zip(&unpruned.items) {
             assert!((a.proximity - b.proximity).abs() < 1e-12);
         }
@@ -103,7 +104,8 @@ fn random_root_variant_stays_exact() {
     let q = sample_queries(&graph, 1)[0];
     let reference = index.top_k(q, 5).expect("reference");
     for seed in 0..4u64 {
-        let rr = index.top_k_random_root(q, 5, seed).expect("random root");
+        let root = StdRng::seed_from_u64(seed).gen_range(0..index.num_nodes()) as NodeId;
+        let rr = paper::top_k_from_root(&mut index.searcher(), q, 5, root).expect("random root");
         for (a, b) in reference.items.iter().zip(&rr.items) {
             assert!(
                 (a.proximity - b.proximity).abs() < 1e-9,
@@ -303,8 +305,9 @@ fn query_mass_is_the_proximity_sum_rounded_up_and_clamped() {
         let sum: f64 = keep.full_proximities(q).expect("full").iter().sum();
         check(searcher.top_k(q, 5).expect("top-k").stats.query_mass, sum, &format!("q={q}"));
         // The unpruned search reports it too, and a threshold query uses it.
+        let unpruned = paper::top_k_unpruned(&mut searcher, q, 5).expect("unpruned");
         assert_eq!(
-            searcher.top_k_unpruned(q, 5).expect("unpruned").stats.query_mass.to_bits(),
+            unpruned.stats.query_mass.to_bits(),
             searcher.nodes_above(q, 1e-3).expect("above").stats.query_mass.to_bits()
         );
     }

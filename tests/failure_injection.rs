@@ -9,7 +9,7 @@
 //! index at that epoch, never losing an acknowledged batch.
 
 use kdash_core::{
-    save_atomic, save_atomic_with, BatchOptions, BatchOutcome, BudgetLimit, CrashPlan,
+    paper, save_atomic, save_atomic_with, BatchOptions, BatchOutcome, BudgetLimit, CrashPlan,
     FaultInjector, IndexAudit, IndexOptions, IsolatedExecutor, KdashError, KdashIndex,
     QueryBudget,
 };
@@ -117,8 +117,8 @@ fn index_rejects_invalid_queries_and_parameters() {
         index.top_k(4, 2),
         Err(KdashError::NodeOutOfBounds { node: 4, .. })
     ));
-    assert!(index.top_k_unpruned(9, 2).is_err());
-    assert!(index.top_k_from_root(0, 2, 17).is_err());
+    assert!(paper::top_k_unpruned(&mut index.searcher(), 9, 2).is_err());
+    assert!(paper::top_k_from_root(&mut index.searcher(), 0, 2, 17).is_err());
     assert!(index.proximity(0, 99).is_err());
     assert!(index.full_proximities(44).is_err());
 }

@@ -13,16 +13,15 @@
 //!   against the one-accumulator reference (which itself is bit-identical
 //!   to the merge join).
 //! * **every kernel is exact** — proximities match the iterative
-//!   ground-truth RWR under each kernel the host supports.
-//! * selection failures are **typed**: an impossible selector comes back
-//!   as `KdashError::UnsupportedKernel`, never a panic, and only `Auto`
-//!   falls back.
+//!   ground-truth RWR under each kernel the host supports: the reference
+//!   (`ResolvedKernel::reference`) and every lane body
+//!   (`ResolvedKernel::host_bodies`).
 //! * **lanes carry across run boundaries** — at the store level, rows
 //!   whose blocked encoding spans several `u16`-delta runs of awkward
 //!   lengths give the same bits under both bodies as the four-lane order
 //!   written out over the row's CSR columns.
 
-use kdash_core::{GatherKernel, IndexOptions, KdashError, KdashIndex, Searcher, TopKResult};
+use kdash_core::{IndexOptions, KdashIndex, ResolvedKernel, Searcher, TopKResult};
 use kdash_datagen::{barabasi_albert, erdos_renyi};
 use kdash_graph::NodeId;
 use kdash_harness::exact_top_k_scored;
@@ -76,9 +75,9 @@ proptest! {
         let n = graph.num_nodes();
         let q = (q_sel as usize % n) as NodeId;
         let index = KdashIndex::build(&graph, IndexOptions::default()).unwrap();
-        let mut scalar = Searcher::with_kernel(&index, GatherKernel::Scalar).unwrap();
-        let mut unrolled = Searcher::with_kernel(&index, GatherKernel::Unrolled4).unwrap();
-        let simd_available = GatherKernel::Simd.resolve().is_ok();
+        let mut scalar = Searcher::with_kernel(&index, ResolvedKernel::reference());
+        let bodies = ResolvedKernel::host_bodies();
+        let mut unrolled = Searcher::with_kernel(&index, bodies[0]);
 
         let sources = [q, (q + 1) % n as NodeId];
         let runs: [(&str, fn(&mut Searcher, NodeId, usize, &[NodeId]) -> TopKResult); 3] = [
@@ -89,9 +88,9 @@ proptest! {
         for (label, run) in runs {
             let s_res = run(&mut scalar, q, k_sel, &sources);
             let u_res = run(&mut unrolled, q, k_sel, &sources);
-            if simd_available {
+            if let Some(&simd) = bodies.get(1) {
                 // Fresh workspace per run keeps the borrows simple.
-                let mut simd_searcher = Searcher::with_kernel(&index, GatherKernel::Simd).unwrap();
+                let mut simd_searcher = Searcher::with_kernel(&index, simd);
                 let v_res = run(&mut simd_searcher, q, k_sel, &sources);
                 if let Err(msg) = assert_byte_equal(&u_res, &v_res) {
                     prop_assert!(false, "{} unrolled vs simd: {}", label, msg);
@@ -137,18 +136,9 @@ fn every_kernel_is_exact_against_iterative_ground_truth() {
         .unwrap();
         for q in [0u32, 41, 88] {
             let truth = exact_top_k_scored(&g, 0.9, q, 8);
-            for kernel in GatherKernel::ALL {
-                let mut searcher = match Searcher::with_kernel(&index, kernel) {
-                    Ok(s) => s,
-                    // A host without SIMD skips that row; Auto and the
-                    // scalar kernels must always be available.
-                    Err(KdashError::UnsupportedKernel { .. })
-                        if kernel == GatherKernel::Simd =>
-                    {
-                        continue
-                    }
-                    Err(other) => panic!("kernel {kernel}: unexpected error {other}"),
-                };
+            let kernels = std::iter::once(ResolvedKernel::reference());
+            for kernel in kernels.chain(ResolvedKernel::host_bodies()) {
+                let mut searcher = Searcher::with_kernel(&index, kernel);
                 let got = searcher.top_k(q, 8).unwrap();
                 assert_eq!(got.items.len(), truth.len());
                 for (item, (_, want)) in got.items.iter().zip(&truth) {
@@ -163,50 +153,6 @@ fn every_kernel_is_exact_against_iterative_ground_truth() {
             }
         }
     }
-}
-
-/// Selection failures are typed errors, never panics; rejected selections
-/// leave the workspace's current kernel untouched and usable.
-#[test]
-fn unsupported_selectors_fail_typed_and_leave_searcher_usable() {
-    let g = erdos_renyi(30, 90, 5);
-    let index = KdashIndex::build(&g, IndexOptions::default()).unwrap();
-    let mut searcher = index.searcher();
-
-    // A selector spelling that exists on no host.
-    match "avx1024".parse::<GatherKernel>() {
-        Err(e) => {
-            // Core surfaces the same failure as its own typed variant.
-            let core_err: KdashError = e.into();
-            match core_err {
-                KdashError::UnsupportedKernel { requested, .. } => {
-                    assert_eq!(requested, "avx1024")
-                }
-                other => panic!("expected UnsupportedKernel, got {other:?}"),
-            }
-        }
-        Ok(k) => panic!("'avx1024' must not parse, got {k:?}"),
-    }
-
-    // An explicit SIMD request either resolves (host has AVX2) or fails
-    // typed; in both cases the index keeps answering queries.
-    match Searcher::with_kernel(&index, GatherKernel::Simd) {
-        Ok(mut simd) => {
-            assert!(simd.kernel().is_simd());
-            assert_eq!(simd.top_k(0, 3).unwrap().items.len(), 3);
-        }
-        Err(KdashError::UnsupportedKernel { requested, reason }) => {
-            assert_eq!(requested, "simd");
-            assert!(!reason.is_empty());
-        }
-        Err(other) => panic!("expected UnsupportedKernel, got {other:?}"),
-    }
-    assert_eq!(searcher.top_k(0, 3).unwrap().items.len(), 3);
-
-    // Auto resolves everywhere and never to SIMD on a host lacking it.
-    let mut auto = Searcher::with_kernel(&index, GatherKernel::Auto).unwrap();
-    assert_eq!(auto.kernel(), searcher.kernel(), "a plain workspace *is* the auto one");
-    assert_eq!(auto.top_k(0, 3).unwrap().items.len(), 3);
 }
 
 /// The four-lane order written out over a CSR row, as one sequence: lane
@@ -283,9 +229,9 @@ fn lanes_carry_across_run_boundaries_bit_identically() {
     let mut column = ScatteredColumn::new(ncols);
     column.load(&idx, &val);
 
-    let scalar = GatherKernel::Scalar.resolve().unwrap();
-    let portable = GatherKernel::Unrolled4.resolve().unwrap();
-    let simd = GatherKernel::Simd.resolve().ok();
+    let scalar = ResolvedKernel::reference();
+    let bodies = ResolvedKernel::host_bodies();
+    let (portable, simd) = (bodies[0], bodies.get(1).copied());
     let mut scratch = GatherScratch::with_capacity(blocked.max_row_nnz());
     let mut gather = |kernel, r| {
         blocked.row_gather(kernel, r, &column, &mut scratch, &mut GatherCounters::default())

@@ -7,7 +7,7 @@
 //! * The gather stats (row split, bytes, resolved kernel) replay exactly
 //!   and attribute every computed proximity to one kernel class.
 
-use kdash_core::{GatherKernel, IndexOptions, KdashIndex};
+use kdash_core::{IndexOptions, KdashIndex, ResolvedKernel};
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
 use kdash_graph::NodeId;
 
@@ -45,7 +45,7 @@ fn row_split_is_a_pure_function_of_index_and_query() {
     let graph = rmat(9, 2048, RmatParams::default(), 3);
     let index = KdashIndex::build(&graph, IndexOptions::default()).unwrap();
     let mut searcher = index.searcher();
-    let resolved = GatherKernel::Auto.resolve().unwrap().name();
+    let resolved = ResolvedKernel::default().name();
     for q in (0..graph.num_nodes() as NodeId).step_by(97) {
         let first = searcher.top_k(q, 10).unwrap();
         let again = searcher.top_k(q, 10).unwrap();

@@ -3,10 +3,10 @@
 //!
 //! Every property here compares the lazy production path against an
 //! **eager replay** — the original whole-tree-first implementation kept as
-//! the oracle (`top_k_from_set_replay` for restart sets and, as
-//! `top_k_merge_join`, for single-source queries; for the random-root
-//! variant the driver itself drains the tree eagerly since its bound can
-//! never terminate). Under the scalar kernel the two must be bit-identical
+//! the oracle (`paper::top_k_merge_join`, over a restart set or `&[q]`;
+//! for the random-root variant the driver itself drains the tree eagerly
+//! since its bound can never terminate). Under the reference kernel
+//! (`ResolvedKernel::reference`) the two must be bit-identical
 //! in results. The oracle stops where the paper's Definition 2 does, which
 //! relaxes the driver's stop rule, and both compute a prefix of one visit
 //! order — so no work counter of the driver exceeds the oracle's, and the
@@ -23,7 +23,7 @@
 //! (ER: flat degrees; BA: heavy-tailed hubs; RMAT: skewed + community
 //! structure), crossed with orderings and k.
 
-use kdash_core::{GatherKernel, IndexOptions, KdashIndex, NodeOrdering, Searcher};
+use kdash_core::{paper, IndexOptions, KdashIndex, NodeOrdering, ResolvedKernel, Searcher};
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
 use kdash_graph::{GraphBuilder, NodeId};
 use kdash_harness::check_lazy_vs_eager;
@@ -67,10 +67,10 @@ proptest! {
             &graph,
             IndexOptions { ordering: ordering_for(which), ..Default::default() },
         ).unwrap();
-        let mut searcher = Searcher::with_kernel(&index, GatherKernel::Scalar).unwrap();
+        let mut searcher = Searcher::with_kernel(&index, ResolvedKernel::reference());
         for k in [k_sel, n + 2] {
             let lazy = searcher.top_k(q, k).unwrap();
-            let eager = index.top_k_merge_join(q, k).unwrap();
+            let eager = paper::top_k_merge_join(&index, &[q], k).unwrap();
             if let Err(msg) = check_lazy_vs_eager(&lazy, &eager) {
                 prop_assert!(false, "n={} q={} k={}: {}", n, q, k, msg);
             }
@@ -90,11 +90,10 @@ proptest! {
             &graph,
             IndexOptions { ordering: ordering_for(which), ..Default::default() },
         ).unwrap();
-        let lazy = Searcher::with_kernel(&index, GatherKernel::Scalar)
-            .unwrap()
+        let lazy = Searcher::with_kernel(&index, ResolvedKernel::reference())
             .top_k_from_set(&sources, k_sel)
             .unwrap();
-        let eager = index.top_k_from_set_replay(&sources, k_sel).unwrap();
+        let eager = paper::top_k_merge_join(&index, &sources, k_sel).unwrap();
         if let Err(msg) = check_lazy_vs_eager(&lazy, &eager) {
             prop_assert!(false, "n={} sources={:?} k={}: {}", n, sources, k_sel, msg);
         }
@@ -111,16 +110,14 @@ proptest! {
         let q = (q_sel as usize % n) as NodeId;
         let root = (root_sel as usize % n) as NodeId;
         let index = KdashIndex::build(&graph, IndexOptions::default()).unwrap();
-        let mut searcher = Searcher::with_kernel(&index, GatherKernel::Scalar).unwrap();
-        let rr = searcher.top_k_from_root(q, 5, root).unwrap();
+        let mut searcher = Searcher::with_kernel(&index, ResolvedKernel::reference());
+        let rr = paper::top_k_from_root(&mut searcher, q, 5, root).unwrap();
         prop_assert!(!rr.stats.terminated_early);
         prop_assert_eq!(rr.stats.frontier_expanded, rr.stats.reachable);
         // Every node is visited (reached or not), none left behind.
         prop_assert_eq!(rr.stats.visited, n);
-        let replay = Searcher::with_kernel(&index, GatherKernel::Scalar)
-            .unwrap()
-            .top_k_from_root(q, 5, root)
-            .unwrap();
+        let mut fresh = Searcher::with_kernel(&index, ResolvedKernel::reference());
+        let replay = paper::top_k_from_root(&mut fresh, q, 5, root).unwrap();
         prop_assert_eq!(rr.stats.clone(), replay.stats.clone());
         let normal = searcher.top_k(q, 5).unwrap();
         for ((x, y), z) in rr.items.iter().zip(&replay.items).zip(&normal.items) {
@@ -165,7 +162,7 @@ fn community_graph_early_termination_skips_frontier_work() {
     );
     // The eager reference sees the whole reachable set; the lazy search
     // must have discovered only a fraction of it.
-    let eager = index.top_k_merge_join(5, 5).unwrap();
+    let eager = paper::top_k_merge_join(&index, &[5], 5).unwrap();
     assert!(
         pruned.stats.reachable < eager.stats.reachable,
         "lazy discovery {} should stop well short of full reachability {}",
@@ -183,7 +180,7 @@ fn community_graph_early_termination_skips_frontier_work() {
     // is the peers' and they tie at θ. Its in-neighbour sum is what one
     // weak edge carries, so the stop rule need not.
     let bridge = searcher.top_k(0, 5).unwrap();
-    let paper = index.top_k_merge_join(0, 5).unwrap();
+    let paper = paper::top_k_merge_join(&index, &[0], 5).unwrap();
     assert_eq!(bridge.items, paper.items);
     let (ours, paper) = (&bridge.stats, &paper.stats);
     assert!(ours.terminated_early && paper.terminated_early);
@@ -202,7 +199,7 @@ fn community_graph_early_termination_skips_frontier_work() {
     }
     // An unpruned run pays the whole frontier: the lazy loop must degrade
     // to exactly the eager cost, never above it.
-    let unpruned = searcher.top_k_unpruned(5, 5).unwrap();
+    let unpruned = paper::top_k_unpruned(&mut searcher, 5, 5).unwrap();
     assert_eq!(unpruned.stats.frontier_expanded, eager.stats.reachable);
     assert_eq!(unpruned.stats.reachable, eager.stats.reachable);
 }
@@ -216,7 +213,7 @@ fn mixed_entry_points_reset_lazy_state() {
     let mut s = index.searcher();
     for round in 0..4 {
         let a = s.top_k(3, 4).unwrap(); // may terminate early (partial frontier)
-        let b = s.top_k_unpruned(3, 4).unwrap(); // must drain fully afterwards
+        let b = paper::top_k_unpruned(&mut s, 3, 4).unwrap(); // must drain fully afterwards
         assert_eq!(b.stats.frontier_expanded, b.stats.reachable, "round {round}");
         assert!(a.stats.reachable <= b.stats.reachable, "round {round}");
         let c = s.nodes_above(3, 1e-5).unwrap();

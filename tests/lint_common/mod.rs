@@ -21,12 +21,29 @@ pub fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The library portion of one source file: the lines before its first
-/// `#[cfg(test)]`, each with its `//` comment stripped so documentation
-/// can still *discuss* the patterns a lint counts.
+/// The library portion of one source file: the lines before the
+/// `#[cfg(test)]` that opens a `mod`, each with its `//` comment stripped
+/// so documentation can still *discuss* the patterns a lint counts. A
+/// test-only item or field above that module (a `#[cfg(test)] fn`, a
+/// probe field) does not end the library code.
 pub fn library_code(source: &str) -> impl Iterator<Item = &str> {
-    source
-        .lines()
-        .take_while(|line| !line.trim_start().starts_with("#[cfg(test)]"))
-        .map(|line| line.split("//").next().unwrap_or(line))
+    let lines: Vec<&str> = source.lines().collect();
+    let end = (0..lines.len()).find(|&at| opens_test_mod(&lines[at..])).unwrap_or(lines.len());
+    lines.into_iter().take(end).map(|line| line.split("//").next().unwrap_or(line))
+}
+
+/// Whether `lines` start with a `#[cfg(test)]` whose item, past any
+/// further attributes, is a module.
+fn opens_test_mod(lines: &[&str]) -> bool {
+    let Some(rest) = lines[0].trim_start().strip_prefix("#[cfg(test)]") else {
+        return false;
+    };
+    let item = std::iter::once(rest)
+        .chain(lines[1..].iter().copied())
+        .map(str::trim_start)
+        .find(|line| !line.is_empty() && !line.starts_with("#["));
+    item.is_some_and(|line| {
+        let line = line.strip_prefix("pub(crate) ").or(line.strip_prefix("pub ")).unwrap_or(line);
+        line.starts_with("mod ")
+    })
 }

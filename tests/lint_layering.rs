@@ -1,4 +1,4 @@
-//! Layering lint: three decisions stay behind the module that owns them.
+//! Layering lint: four decisions stay behind the module that owns them.
 //!
 //! * How `U⁻¹` is laid out is `kdash-sparse`'s business. The tiers that
 //!   change or serve an index hand the store column updates and take a
@@ -12,6 +12,12 @@
 //!   inversion's column-solve pool. A third engine in library code is one
 //!   more concurrent structure to test and explore, so it needs an edit
 //!   here, in review.
+//! * What proves stays apart from what serves: the paper's yardsticks
+//!   (`kdash_core::paper`) and the kernel seams of the bit-identity suites
+//!   (`Searcher::with_kernel`, `ResolvedKernel::{reference, host_bodies}`)
+//!   are oracles, so the tiers that serve or change an index never name
+//!   them — a query there runs the one serving kernel through the one
+//!   driver.
 
 mod lint_common;
 
@@ -23,6 +29,10 @@ const LAYOUT_NAMES: [&str; 5] =
 /// `c′ = (1−c)/(1 − A_uu + c·A_uu)` as this workspace spells it, up to the
 /// name of the diagonal entry.
 const C_PRIME_FORMULA: &str = "(1.0 - c) / (1.0 - ";
+
+/// What only the oracles and the suites that hold the driver to them
+/// may name.
+const YARDSTICK_NAMES: [&str; 4] = ["paper::", "with_kernel", "reference()", "host_bodies"];
 
 /// The library files that may start a thread.
 const THREAD_OWNERS: [&str; 2] = ["crates/serve/src/server.rs", "crates/sparse/src/inverse.rs"];
@@ -80,4 +90,12 @@ fn threads_start_only_in_the_two_pools() {
             "{owner} starts no thread any more — drop it from THREAD_OWNERS"
         );
     }
+}
+
+#[test]
+fn serving_and_update_tiers_do_not_name_the_yardsticks() {
+    let sites = library_lines(&["crates/dynamic/src", "crates/serve/src"], |code| {
+        YARDSTICK_NAMES.iter().any(|name| code.contains(name))
+    });
+    assert!(sites.is_empty(), "serve through the one driver and its default kernel: {sites:?}");
 }

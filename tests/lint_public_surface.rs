@@ -20,28 +20,35 @@ const PINS: &[(&str, usize)] = &[
     ("bench", 7),
     ("cli", 0),
     ("community", 20),
-    // −6: the uncalled scoped-thread batch engine's three entry points,
-    // `BatchOutcome::{is_ok, ok, err}` and `IsolatedExecutor::index` go
-    // (−7); the panic-injection seam moves onto the executor as the hidden
-    // `IsolatedExecutor::run_hooked` (+1) — `IsolatedExecutor` is the one
-    // isolated query runner.
-    ("core", 166),
+    // −7: the paper's yardsticks leave the serving types for one
+    // `paper` module with one spelling each — the index's and the
+    // searcher's `top_k_unpruned`, `top_k_random_root` and
+    // `top_k_from_root`, `top_k_merge_join` and `top_k_from_set_replay`
+    // go (−8), `pub mod estimator` and its root re-export go (−2), the
+    // hidden v4 writer (−1) and the uncalled Figure 5/6 ordering list
+    // (−1); `pub mod paper`, its three functions and its estimator
+    // re-export come (+5). The count now runs past a test-only item above
+    // the test module; before this pin it read 166 either way.
+    ("core", 159),
     ("datagen", 36),
     ("dynamic", 61),
     ("eval", 17),
-    // −2: the `components` module and its `weakly_connected_components`
-    // (one test caller; a BFS from one node says the same).
-    ("graph", 96),
+    // −1: `BfsTree::check_invariants` becomes test-only (only graph's own
+    // tests call it).
+    ("graph", 95),
     // −1: the flat-vs-blocked result checker (no second layout to
     // compare).
     ("harness", 9),
     ("linalg", 52),
-    ("serve", 58),
-    // −12: the exact-only spellings of the one inversion driver — the
-    // five `invert_*` forwarders, the dead nnz-sum helper, the four public
-    // `SolveWorkspace` solves and `InvertOptions::{sequential, parallel}`
-    // (`ε = 0` of `sparsify_*_with` is the exact inverse).
-    ("sparse", 163),
+    // −1: `ServeLoop::queue_depth` (no caller; the metrics' high-water
+    // mark is what the tier reports).
+    ("serve", 57),
+    // −4: the gather-kernel request layer folds into the one
+    // `ResolvedKernel` token — the request enum with its `ALL`, `name`
+    // and `resolve`, and `ResolvedKernel::is_simd` go (−5), the hidden
+    // `ResolvedKernel::{reference, host_bodies}` come (+2); and
+    // `BlockedCsr::row_values` turns private (−1).
+    ("sparse", 159),
 ];
 
 const ITEM_KEYWORDS: [&str; 9] =
@@ -55,6 +62,22 @@ fn pub_items(source: &str) -> usize {
             words.next() == Some("pub") && words.next().is_some_and(|w| ITEM_KEYWORDS.contains(&w))
         })
         .count()
+}
+
+#[test]
+fn test_only_items_above_the_library_do_not_hide_it() {
+    let source = "\
+pub struct Shown;
+#[cfg(test)]
+fn probe() {}
+pub fn still_library() {}
+#[cfg(test)]
+#[allow(dead_code)]
+mod tests {
+    pub fn hidden() {}
+}
+";
+    assert_eq!(pub_items(source), 2);
 }
 
 #[test]

@@ -95,35 +95,6 @@ proptest! {
         let cut = cut_sel as usize % buf.len();
         prop_assert!(KdashIndex::load(&buf[..cut]).is_err(), "cut at {} must fail", cut);
     }
-
-    /// One-back compatibility: real v4 bytes keep loading, keep their
-    /// `U⁻¹` store array for array, and answer every sampled query
-    /// bit-identically — across orderings.
-    #[test]
-    fn v4_files_upgrade_losslessly(
-        (graph, ord_sel) in (graph_strategy(), any::<u32>())
-    ) {
-        let ordering = ORDERINGS[ord_sel as usize % ORDERINGS.len()];
-        let index = KdashIndex::build(
-            &graph,
-            IndexOptions { ordering, ..Default::default() },
-        ).unwrap();
-        let mut v4 = Vec::new();
-        index.save_v4(&mut v4).unwrap();
-        let loaded = KdashIndex::load(v4.as_slice()).unwrap();
-        prop_assert!(loaded.uinv_rows() == index.uinv_rows());
-        prop_assert_eq!(loaded.stats().nnz_u_inv, index.stats().nnz_u_inv);
-        let n = graph.num_nodes();
-        let k = 5usize.min(n);
-        for q in (0..n as NodeId).step_by((n / 4).max(1)) {
-            let a = index.top_k(q, k).unwrap();
-            let b = loaded.top_k(q, k).unwrap();
-            prop_assert_eq!(a.nodes(), b.nodes(), "query {}", q);
-            for (x, y) in a.items.iter().zip(&b.items) {
-                prop_assert_eq!(x.proximity.to_bits(), y.proximity.to_bits());
-            }
-        }
-    }
 }
 
 fn sample_index() -> (KdashIndex, Vec<u8>) {
@@ -433,38 +404,6 @@ fn corrupt_dropped_mass_section_is_rejected() {
     for cut in [end - 1, end - 5, start + 3] {
         assert!(KdashIndex::load(&buf[..cut]).is_err(), "cut at {cut} must fail");
     }
-}
-
-/// Real v4 bytes (pre-sparsification format) load as the dense-exact
-/// tier: ε = 0, no dropped mass, no refinement — and answer queries
-/// bit-identically to the in-memory index they came from.
-#[test]
-fn v4_files_load_as_dense_exact() {
-    let (index, _) = sample_index();
-    let mut v4 = Vec::new();
-    index.save_v4(&mut v4).unwrap();
-    let (loaded, info) = KdashIndex::load_with_info(v4.as_slice()).unwrap();
-    assert_eq!(info.version, 4);
-    assert_eq!(loaded.drop_tolerance(), 0.0);
-    assert!(!loaded.is_sparsified());
-    assert!(!loaded.needs_refinement());
-    assert_eq!(loaded.dropped_mass(), 0.0);
-    assert!(IndexAudit::run(&loaded).is_clean());
-    for q in (0..30u32).step_by(7) {
-        let a = index.top_k(q, 6).unwrap();
-        let b = loaded.top_k(q, 6).unwrap();
-        assert_eq!(a.items, b.items, "query {q}");
-        assert_eq!(a.stats, b.stats, "query {q}");
-    }
-}
-
-/// The one-back writer refuses an index it cannot represent: v4 rejects
-/// a sparsified-tier index instead of silently discarding the drop
-/// tolerance and the masses the exactness contract depends on.
-#[test]
-fn legacy_formats_reject_sparsified_indexes() {
-    let (index, _) = sample_sparsified_index();
-    assert!(index.save_v4(&mut Vec::new()).is_err(), "v4 must reject a sparsified index");
 }
 
 /// Checksum failures carry the section name and the byte offset of the

@@ -2,7 +2,8 @@
 //! theorems as machine-checked invariants.
 
 use kdash_baselines::{IterativeRwr, TopKEngine};
-use kdash_core::{IndexOptions, KdashIndex, LayerEstimator, NodeOrdering};
+use kdash_core::paper::LayerEstimator;
+use kdash_core::{IndexOptions, KdashIndex, NodeOrdering};
 use kdash_graph::{BfsTree, CsrGraph, GraphBuilder, NodeId, Permutation};
 use kdash_harness::{check_stop_rule, StopGoal};
 use kdash_sparse::{

@@ -1,9 +1,10 @@
 //! The query-engine equivalence contract, post-lazy-BFS and kernel
 //! dispatch:
 //!
-//! * under the **scalar** gather kernel, the lazy `Searcher` path must
-//!   return **bit-identical** proximities and rankings to the original
-//!   eager merge-join path (`KdashIndex::top_k_merge_join`), across random
+//! * under the **reference** gather kernel (`ResolvedKernel::reference`,
+//!   the one-accumulator order), the lazy `Searcher` path must return
+//!   **bit-identical** proximities and rankings to the original eager
+//!   merge-join path (`paper::top_k_merge_join`), across random
 //!   graphs, random queries and every entry-point family. (The gather
 //!   visits exactly the merge join's matching pairs in the same
 //!   ascending-column order.)
@@ -19,12 +20,12 @@
 //!   discovered-so-far count and `frontier_expanded` is strictly below it
 //!   (the death layer was discovered, never expanded). When a search runs
 //!   to completion the two paths must agree exactly.
-//! * under the **default (`Auto`) kernel** the wide gathers re-associate
-//!   the sum, so proximities are only pinned to `1e-12` of the reference —
-//!   the bit-level cross-kernel contracts live in
-//!   `tests/kernel_equivalence.rs`.
+//! * under the **default kernel** (`ResolvedKernel::default`) the wide
+//!   gathers re-associate the sum, so proximities are only pinned to
+//!   `1e-12` of the reference — the bit-level cross-kernel contracts live
+//!   in `tests/kernel_equivalence.rs`.
 
-use kdash_core::{GatherKernel, IndexOptions, KdashIndex, NodeOrdering, Searcher};
+use kdash_core::{paper, IndexOptions, KdashIndex, NodeOrdering, ResolvedKernel, Searcher};
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
 use kdash_graph::NodeId;
 use kdash_harness::{break_ties, check_lazy_vs_eager, sample_queries};
@@ -57,10 +58,10 @@ proptest! {
             &graph,
             IndexOptions { restart_probability: c, ..Default::default() },
         ).unwrap();
-        let mut searcher = Searcher::with_kernel(&index, GatherKernel::Scalar).unwrap();
+        let mut searcher = Searcher::with_kernel(&index, ResolvedKernel::reference());
         for k in [k_sel, n / 2, n + 3] {
             let new = searcher.top_k(q, k).unwrap();
-            let old = index.top_k_merge_join(q, k).unwrap();
+            let old = paper::top_k_merge_join(&index, &[q], k).unwrap();
             if let Err(msg) = check_lazy_vs_eager(&new, &old) {
                 prop_assert!(false, "n={} q={} k={}: {}", n, q, k, msg);
             }
@@ -74,10 +75,10 @@ proptest! {
     fn reused_searcher_matches_merge_join((graph, k_sel) in (graph_strategy(), 1usize..8)) {
         let n = graph.num_nodes();
         let index = KdashIndex::build(&graph, IndexOptions::default()).unwrap();
-        let mut searcher = Searcher::with_kernel(&index, GatherKernel::Scalar).unwrap();
+        let mut searcher = Searcher::with_kernel(&index, ResolvedKernel::reference());
         for q in (0..n as NodeId).step_by(7) {
             let new = searcher.top_k(q, k_sel).unwrap();
-            let old = index.top_k_merge_join(q, k_sel).unwrap();
+            let old = paper::top_k_merge_join(&index, &[q], k_sel).unwrap();
             if let Err(msg) = check_lazy_vs_eager(&new, &old) {
                 prop_assert!(false, "n={} q={} k={}: {}", n, q, k_sel, msg);
             }
@@ -99,17 +100,14 @@ proptest! {
         ][which];
         let index = KdashIndex::build(&graph, IndexOptions { ordering, ..Default::default() })
             .unwrap();
-        let new = Searcher::with_kernel(&index, GatherKernel::Scalar)
-            .unwrap()
-            .top_k(q, 10)
-            .unwrap();
-        let old = index.top_k_merge_join(q, 10).unwrap();
+        let new = Searcher::with_kernel(&index, ResolvedKernel::reference()).top_k(q, 10).unwrap();
+        let old = paper::top_k_merge_join(&index, &[q], 10).unwrap();
         if let Err(msg) = check_lazy_vs_eager(&new, &old) {
             prop_assert!(false, "{:?} n={} q={}: {}", ordering, n, q, msg);
         }
     }
 
-    /// The default (Auto) kernel may re-associate the gather sum but must
+    /// The default kernel may re-associate the gather sum but must
     /// stay within 1e-12 of the merge-join reference per returned node.
     #[test]
     fn auto_kernel_stays_within_tolerance((graph, q_sel) in
@@ -118,10 +116,10 @@ proptest! {
         let q = (q_sel as usize % n) as NodeId;
         let index = KdashIndex::build(&graph, IndexOptions::default()).unwrap();
         let new = index.top_k(q, 10).unwrap();
-        let old = index.top_k_merge_join(q, 10).unwrap();
+        let old = paper::top_k_merge_join(&index, &[q], 10).unwrap();
         prop_assert_eq!(new.items.len(), old.items.len());
         // Match by node id: last-bit rounding may swap ranks at the k-th
-        // cutoff, so a node in the Auto result can be absent from the
+        // cutoff, so a node in the default result can be absent from the
         // merge-join list — the full vector then supplies its reference.
         let full = index.full_proximities(q).unwrap();
         for x in &new.items {
@@ -149,7 +147,7 @@ proptest! {
         let index = KdashIndex::build(&graph, IndexOptions::default()).unwrap();
         let full = index.full_proximities(q).unwrap();
 
-        let unpruned = index.top_k_unpruned(q, n).unwrap();
+        let unpruned = paper::top_k_unpruned(&mut index.searcher(), q, n).unwrap();
         // Unpruned searches always run to completion: full reachability.
         prop_assert_eq!(unpruned.stats.frontier_expanded, unpruned.stats.reachable);
         prop_assert!(!unpruned.stats.terminated_early);
@@ -201,10 +199,10 @@ fn every_entry_point_returns_the_top_k_answer_bit_for_bit() {
         for ordering in orderings {
             let index =
                 KdashIndex::build(&graph, IndexOptions { ordering, ..Default::default() }).unwrap();
-            for kernel in [GatherKernel::Scalar, GatherKernel::Auto] {
-                let mut s = Searcher::with_kernel(&index, kernel).unwrap();
+            for kernel in [ResolvedKernel::reference(), ResolvedKernel::default()] {
+                let mut s = Searcher::with_kernel(&index, kernel);
                 for q in sample_queries(&graph, 8) {
-                    let label = format!("{family}/{ordering:?}/{kernel:?} q {q}");
+                    let label = format!("{family}/{ordering:?}/{} q {q}", kernel.name());
                     let top = s.top_k(q, k).unwrap();
                     let want = bits(&top);
                     assert!(!want.is_empty(), "{label}");
@@ -217,9 +215,10 @@ fn every_entry_point_returns_the_top_k_answer_bit_for_bit() {
 
                     // bound: none, or the order-agnostic one on a tree
                     // rooted anywhere.
-                    assert_eq!(bits(&s.top_k_unpruned(q, k).unwrap()), want, "{label}: unpruned");
+                    let unpruned = paper::top_k_unpruned(&mut s, q, k).unwrap();
+                    assert_eq!(bits(&unpruned), want, "{label}: unpruned");
                     for root in [q, (q + 1) % n, (q + n / 2) % n] {
-                        let rooted = s.top_k_from_root(q, k, root).unwrap();
+                        let rooted = paper::top_k_from_root(&mut s, q, k, root).unwrap();
                         assert_eq!(bits(&rooted), want, "{label}: root {root}");
                     }
 
@@ -278,14 +277,15 @@ fn reused_searcher_equals_fresh_searchers_across_entry_points_and_aborts() {
 
         // Straight after a restart set: a query that kept the set's mass
         // would stop somewhere else.
-        let got = reused.top_k_unpruned(q, 10).unwrap();
-        assert_same("top_k_unpruned", &got, &index.searcher().top_k_unpruned(q, 10).unwrap());
+        let got = paper::top_k_unpruned(&mut reused, q, 10).unwrap();
+        let fresh = paper::top_k_unpruned(&mut index.searcher(), q, 10).unwrap();
+        assert_same("top_k_unpruned", &got, &fresh);
 
-        let got = reused.top_k_from_root(q, 10, root).unwrap();
+        let got = paper::top_k_from_root(&mut reused, q, 10, root).unwrap();
         assert_same(
             "top_k_from_root",
             &got,
-            &index.searcher().top_k_from_root(q, 10, root).unwrap(),
+            &paper::top_k_from_root(&mut index.searcher(), q, 10, root).unwrap(),
         );
 
         // Abort a different query mid-gather: its column stays loaded and

@@ -17,7 +17,7 @@
 //!   sparsified but keeps `needs_refinement()` false — classic-path
 //!   queries, bit-identical stores.
 
-use kdash_core::{IndexOptions, KdashError, KdashIndex, NodeOrdering, TopKResult};
+use kdash_core::{paper, IndexOptions, KdashError, KdashIndex, NodeOrdering, TopKResult};
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
 use kdash_graph::{CsrGraph, NodeId};
 use kdash_harness::break_ties;
@@ -141,13 +141,13 @@ proptest! {
         let runs: Vec<Run> = vec![
             ("top_k", Box::new(move |ix, kk| ix.top_k(q, kk))),
             ("from_set", Box::new(move |ix, kk| ix.top_k_from_set(&sources, kk))),
-            ("random_root", Box::new(move |ix, kk| ix.top_k_from_root(q, kk, root))),
-            ("unpruned", Box::new(move |ix, kk| ix.top_k_unpruned(q, kk))),
-            ("merge_join", Box::new(move |ix, kk| ix.top_k_merge_join(q, kk))),
             (
-                "from_set_replay",
-                Box::new(move |ix, kk| ix.top_k_from_set_replay(&sources, kk)),
+                "random_root",
+                Box::new(move |ix, kk| paper::top_k_from_root(&mut ix.searcher(), q, kk, root)),
             ),
+            ("unpruned", Box::new(move |ix, kk| paper::top_k_unpruned(&mut ix.searcher(), q, kk))),
+            ("merge_join", Box::new(move |ix, kk| paper::top_k_merge_join(ix, &[q], kk))),
+            ("merge_join_set", Box::new(move |ix, kk| paper::top_k_merge_join(ix, &sources, kk))),
         ];
 
         for eps in [1e-8, 1e-5, 1e-3] {
