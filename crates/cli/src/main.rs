@@ -412,10 +412,11 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     );
     // Sparsified-tier observability: how many certified-refinement steps
     // (Gauss–Seidel sweeps and corrections alike) the query needed after
-    // its first pass and the extra nonzeros they streamed (residual pushes
-    // + correction scatter/gather). A first pass that was a sweep gathered
-    // no row, so the gather line above reads `n/a`. Dense-exact indexes skip the loop entirely, so the
-    // line would always read 0/0 — omit it.
+    // its first and the nonzeros every step streamed (residual pushes +
+    // correction scatter/gather). A query whose first step was a sweep
+    // gathered no row, so the gather line above reads `n/a`. Dense-exact
+    // indexes skip the loop entirely, so the line would always read 0/0 —
+    // omit it.
     if index.needs_refinement() {
         println!(
             "-- refinement: {} iteration(s), {} streamed nnz (sparsified tier, drop tolerance \

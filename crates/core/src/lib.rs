@@ -166,74 +166,38 @@
 //! bytes), and the per-column dropped ℓ₁ masses are stored alongside.
 //! Answers remain *exact* — the brand does not change — because queries on
 //! a sparsified index run a **certified residual refinement loop** instead
-//! of trusting the stored values:
+//! of trusting the stored values. It solves for `x̃ ≈ W⁻¹ b` (`b` is the
+//! unit restart vector `e_q`, or the merged restart-set vector) over the
+//! query's reachable set and computes the residual `r = b − W x̃` directly
+//! against the stored permuted graph, never from the stored inverses.
+//! Because `A` is column-substochastic, `c·W⁻¹ = c·Σ ((1−c)A)^i` is
+//! entrywise non-negative, and its entry `(u, j)` is the proximity of `u`
+//! for a walk restarting at `j`: at most `1−c` when `u ≠ j` and at most 1
+//! on the diagonal. The error `p − c·x̃ = c·W⁻¹r` therefore obeys, node by
+//! node, `|p_u − c·x̃_u| ≤ c·|r_u| + (1−c)·‖r‖₁` — under either
+//! [`DanglingPolicy`](kdash_sparse::DanglingPolicy) and for restart sets
+//! alike, the same upper/lower-bound style as the paper's Lemma 2 applied
+//! to the refinement residual instead of the BFS frontier.
 //!
-//! 1. List the reachable set once in ascending permuted id — the order
-//!    the graph and both inverses are stored in. A query whose sources
-//!    reach the index's *reach anchor* (the node with the most in-edges
-//!    among those with an out-edge) takes the anchor's stored closure and
-//!    merges in only what it reaches beside it; any other drains its BFS.
-//!    Every later step is a streaming pass over that list on four dense
-//!    vectors: `x̃`, `r` and `y`, which stay zero outside it, and the
-//!    sweeps' `visit` notes.
-//! 2. Make a first pass for an approximate solution `x̃ ≈ W⁻¹ b` (`b` is
-//!    the unit restart vector `e_q`, or the merged restart-set vector).
-//!    Where sweeps (step 5) alone provably reach the goal's residual
-//!    target within the step cap — for top-k and threshold goals from
-//!    `c ≈ 0.2807` on, the paper's `c = 0.95` included — it is one sweep
-//!    from `x̃ = 0`, which reads no stored inverse: from `b ≥ 0` every
-//!    sweep keeps the residual nonnegative and shrinks `‖r‖₁` by at least
-//!    `1−c`. Below that it gathers `x̃ = Ũ⁻¹(L̃⁻¹ b)` from the sparsified
-//!    store.
-//! 3. Compute the residual `r = b − W x̃` directly against the stored
-//!    permuted graph (`W = I − (1−c)A` is never materialised; each node
-//!    pushes its value along its out-edges, normalised by an out-weight
-//!    sum the index derives once per graph).
-//! 4. Because `A` is column-substochastic, `c·W⁻¹ = c·Σ ((1−c)A)^i` is
-//!    entrywise non-negative, and its entry `(u, j)` is the proximity of
-//!    `u` for a walk restarting at `j`: at most `1−c` when `u ≠ j` (the
-//!    walk must take a step to get there) and at most 1 on the diagonal.
-//!    The error `p − c·x̃ = c·W⁻¹r` therefore obeys, node by node,
-//!    `|p_u − c·x̃_u| ≤ c·|r_u| + (1−c)·‖r‖₁` — under either
-//!    [`DanglingPolicy`](kdash_sparse::DanglingPolicy) and for restart
-//!    sets alike. This is the same upper/lower-bound style as the paper's
-//!    Lemma 2, applied to the refinement residual instead of the BFS
-//!    frontier.
-//! 5. The answer is proven when, for top-k, each answer's lower bound
-//!    exceeds the next answer's upper bound and the k-th's exceeds the
-//!    upper bound of *every* node outside the answer (the one that blocks
-//!    need not be rank k+1); for a threshold, when every node is provably
-//!    on one side of θ and the hits are provably ordered — **and** every
-//!    returned value's bound is within [`VALUE_TOLERANCE`] (`5·10⁻¹⁰`).
-//!    Then set, order and values are those of the exact answer —
-//!    terminate. Otherwise take one step and go back to 3. A *sweep* is
-//!    one Gauss–Seidel pass over the reachable set in ascending id — the
-//!    forward push in the stored order, each node solving its own row
-//!    with the lower ids already updated. It never raises `‖r‖₁`, since
-//!    `A`'s columns sum to at most 1; it shrinks it by at least `1−c`
-//!    while the residual keeps one sign (always, after a sweep start),
-//!    and by far more when most of the transition weight points to
-//!    higher ids. A *correction*
-//!    `x̃ += Ũ⁻¹(L̃⁻¹ r)` — `L̃⁻¹` column AXPYs into `y`, then a dense `Ũ⁻¹`
-//!    row dot per reachable node — uses the sparsified inverses as a preconditioner
-//!    and shrinks `‖r‖₁` by the factor the loop observes. A planner picks
-//!    the kind before each step from the query's own counts: the cheaper
-//!    way to the residual the goal needs, within the step cap. After a
-//!    sweep start no correction has measured that factor, and every step
-//!    is a sweep. Either way,
-//!    the next residual is recomputed from the stored graph. (While
-//!    `(1−c)·‖r‖₁` alone exceeds the tolerance, no bound can meet it and
-//!    the check is skipped.)
+//! That certificate is the contract. A top-k answer is returned once each
+//! answer's lower bound exceeds the next answer's upper bound and the
+//! k-th's exceeds the upper bound of *every* node outside the answer; a
+//! threshold answer once every node is provably on one side of θ and the
+//! hits are provably ordered — **and** every returned value's bound is
+//! within [`VALUE_TOLERANCE`] (`5·10⁻¹⁰`). Then set, order and values are
+//! those of the exact answer. Until then the loop takes another step —
+//! one pass over the reachable set, a Gauss–Seidel sweep or a
+//! preconditioned correction `x̃ += Ũ⁻¹(L̃⁻¹ r)`, whichever its planner
+//! expects to be cheaper; the first step is one of the two like any
+//! other. The loop, its one pass shape and the planner are described in
+//! the module docs of `searcher/refine.rs`.
 //!
 //! The loop fails *loudly* ([`KdashError::RefinementFailed`]) if
 //! proximities are genuinely tied or closer than the achievable
 //! floating-point floor, or if the residual stops contracting or is not
 //! finite — it never returns a ranking it could not prove. Only a residual
 //! of exactly zero certifies across a tie, and the tie then resolves as on
-//! the dense path: candidates are offered in visit (BFS) order and a
-//! candidate displaces the k-th only with a strictly larger proximity, so
-//! the earlier-visited of two equals at the k-th boundary stays; the
-//! answer is listed by descending proximity, then ascending permuted id.
+//! the dense path (the policy is written down at [`VALUE_TOLERANCE`]).
 //! With `drop_tolerance = 0` (the default) nothing changes: the build
 //! routes through the exact inverters bit-for-bit and queries run the
 //! classic stop-rule path with zero refinement iterations.

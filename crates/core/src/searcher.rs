@@ -74,6 +74,10 @@
 //! query's byte traffic, row split and resolved kernel land in
 //! [`SearchStats`].
 //!
+//! On a sparsified index the driver hands the seeded query to the
+//! certified refinement loop instead (the `refine` child module, whose
+//! docs describe its one pass shape).
+//!
 //! The matching [`KdashIndex`] methods are thin conveniences that build a
 //! transient `Searcher` per call.
 
@@ -83,8 +87,6 @@ use crate::estimator::InflowBound;
 use crate::{KdashError, KdashIndex, RankedNode, Result, SearchStats, TopKResult};
 use kdash_graph::{BfsScratch, NodeId};
 use kdash_sparse::{GatherCounters, GatherScratch, ResolvedKernel, ScatteredColumn};
-#[cfg(test)]
-use refine::RefineProbe;
 use refine::{RefineGoal, RefineState};
 use std::cmp::Ordering;
 use std::time::{Duration, Instant};
@@ -102,8 +104,22 @@ const PREFETCH_BLOCK: usize = 8;
 /// distance of the exact one (the iterative definition of the same
 /// graph). The ranking half alone would let a query stop on a separable
 /// order with its values still up to `~2e-8` off; a stricter tolerance
-/// costs more refinement steps than it buys. A dense-exact index is
-/// exact to rounding and never consults it.
+/// costs more refinement steps than it buys.
+///
+/// The dense tier never consults it. There each proximity is
+/// `c·(U⁻¹)ᵤ·(L⁻¹ b)` over exact stored inverses, so its only error is
+/// the rounding of the factorisation, the inversion and one dot product:
+/// the lane bodies are bit-identical to each other and within `1e-12` of
+/// the one-accumulator merge join, and the suites hold answers within
+/// `1e-9` of the iterative baseline's converged vector.
+///
+/// Ties follow one policy on both tiers. At the k-th boundary the
+/// earlier-visited of two equal proximities stays: candidates are offered
+/// in BFS visit order, and one displaces the k-th only with a strictly
+/// larger proximity. Answers are listed by descending proximity, then
+/// ascending permuted id. The certified tier crosses a tie only at an
+/// exactly zero residual; with any other residual a tie never certifies
+/// and the query fails with [`KdashError::RefinementFailed`].
 pub const VALUE_TOLERANCE: f64 = 5e-10;
 
 /// Per-node error bound the full-vector refined paths iterate down to:
@@ -160,11 +176,11 @@ pub struct QueryBudget {
     pub max_frontier_nodes: Option<usize>,
     /// Abort once the gathered rows' stored entries reach this total
     /// (proximity work — the dominant cost on dense hub rows). On a
-    /// sparsified index the initial solve and every correction gather a
-    /// pass of `Ũ⁻¹` rows; a sweep gathers nothing, so only the other two
-    /// ceilings can stop one. A query whose first pass is a sweep (every
-    /// top-k and threshold query from `c ≈ 0.2807` on) gathers nothing at
-    /// all: only the frontier meter and the clock bound it.
+    /// sparsified index every correction gathers a pass of `Ũ⁻¹` rows; a
+    /// sweep gathers nothing, so only the other two ceilings can stop one.
+    /// A query whose first step is a sweep (every top-k and threshold
+    /// query from `c ≈ 0.2807` on) gathers nothing at all: only the
+    /// frontier meter and the clock bound it.
     pub max_gather_nnz: Option<usize>,
     /// Abort once this much wall clock has elapsed since the query began.
     pub deadline: Option<Duration>,
@@ -367,7 +383,7 @@ pub struct Searcher<'a> {
     anchored: Option<(usize, usize)>,
     /// Unit tests' window on the refinement loop.
     #[cfg(test)]
-    probe: Option<RefineProbe>,
+    probe: Option<refine::RefineProbe>,
 }
 
 /// The *bound* policy of [`Searcher::drive`]: asked before each node's
@@ -845,8 +861,8 @@ impl<'a> Searcher<'a> {
 mod tests {
     use super::*;
     use super::refine::{
-        certify_threshold, certify_top_k, plan, seed_restart, sweeps_reach, Certificate, Step,
-        StepModel, REFINE_MAX_ITERATIONS,
+        certify_threshold, certify_top_k, plan, seed_restart, sweeps_reach, Certificate,
+        RefineProbe, Step, StepModel, REFINE_MAX_ITERATIONS,
     };
     use crate::precompute::ReachAnchor;
     use crate::{paper, IndexOptions};
@@ -1185,7 +1201,7 @@ mod tests {
     #[test]
     fn a_zero_residual_tie_keeps_the_earlier_visited_node_on_the_anchor_path() {
         // 2 → 6 ← 5, 6 → 7. In natural order W is lower triangular and every
-        // value dyadic, so the first pass, a sweep at c = 0.5, reaches
+        // value dyadic, so the first step, a sweep at c = 0.5, reaches
         // ‖r‖₁ = 0 exactly: 2, 5 and 6 all end at proximity 1/4, and top-1
         // is a three-way tie.
         let mut b = GraphBuilder::new(8);
@@ -1206,7 +1222,7 @@ mod tests {
         for set in [[5, 2], [2, 5]] {
             let got = index.searcher().top_k_from_set(&set, 1).unwrap();
             let want = drained.searcher().top_k_from_set(&set, 1).unwrap();
-            assert_eq!(got.stats.nnz_gathered, 0, "{set:?}: the first pass must be a sweep");
+            assert_eq!(got.stats.nnz_gathered, 0, "{set:?}: the first step must be a sweep");
             assert_eq!(got.items[0].node, set[0], "{set:?}: the earlier-visited root stays");
             assert_eq!(got.items[0].proximity, 0.25);
             assert_eq!((&got.items, &got.stats), (&want.items, &want.stats), "{set:?}");
@@ -1260,10 +1276,11 @@ mod tests {
     }
 
     /// Runs the full-vector goal from permuted `roots` with a correction
-    /// and two sweeps forced first, and holds every step to its contract:
-    /// the loop's `r` is `b − W x̃` of its own `x̃`, and a sweep is one
-    /// Gauss–Seidel sweep that does not raise `‖r‖₁`. Returns whether the
-    /// correction left a residual of both signs.
+    /// and two sweeps forced after the first step, and holds every step,
+    /// the first included, to its contract: the loop's `r` is `b − W x̃` of
+    /// its own `x̃`, and a sweep is one Gauss–Seidel sweep that does not
+    /// raise `‖r‖₁`. Returns whether the forced correction left a residual
+    /// of both signs.
     fn check_steps(label: &str, index: &KdashIndex, roots: &[NodeId]) -> bool {
         let (g, n) = (index.permuted_graph(), index.num_nodes());
         let reach = BfsTree::new_multi(g, roots).order;
@@ -1277,17 +1294,21 @@ mod tests {
         let run = s.refined_full_proximities(&sources);
         let seen = s.probe.take().unwrap().seen;
         let kinds: Vec<_> = seen.iter().take(4).map(|e| e.0).collect();
-        let want = [None, Some(Step::Correction), Some(Step::Sweep), Some(Step::Sweep)];
-        assert_eq!(kinds, want, "{label}");
+        let c = index.restart_probability();
+        let first = if sweeps_reach(c, FULL_VECTOR_FLOOR) { Step::Sweep } else { Step::Correction };
+        assert_eq!(kinds, [first, Step::Correction, Step::Sweep, Step::Sweep], "{label}");
         let l1 = |r: &[f64]| r.iter().map(|v| v.abs()).sum::<f64>();
+        let start = (Step::Sweep, vec![0.0; n], b.clone());
         for (i, (step, x, r)) in seen.iter().enumerate() {
             let (want, scale) = residual_of(index, &b, x);
             for u in reach.iter().map(|&u| u as usize) {
                 let err = (r[u] - want[u]).abs();
                 assert!(err <= 1e-13 * scale[u], "{label} check {i}: r[{u}] off by {err:e}");
             }
-            if *step == Some(Step::Sweep) {
-                let (x_before, r_before) = (&seen[i - 1].1, &seen[i - 1].2);
+            if *step == Step::Sweep {
+                // The first step starts from x̃ = 0, r = b.
+                let before = i.checked_sub(1).map_or(&start, |j| &seen[j]);
+                let (x_before, r_before) = (&before.1, &before.2);
                 assert!(l1(r) <= l1(r_before), "{label} sweep {i}: ‖r‖₁ rose to {:e}", l1(r));
                 let mut sweep = x_before.clone();
                 gauss_seidel(index, &b, &mut sweep);
@@ -1331,8 +1352,8 @@ mod tests {
         assert!(mixed > 0, "no correction left a mixed-sign residual");
     }
 
-    /// Runs top-10 from permuted `roots` on an index whose first pass is a
-    /// sweep and holds every pass to the guarantee the sweep start rests
+    /// Runs top-10 from permuted `roots` on an index whose first step is a
+    /// sweep and holds every pass to the guarantee a first sweep rests
     /// on: the first is one textbook Gauss–Seidel sweep from `x̃ = 0`, and
     /// after each, `r` is `b − W x̃` of its own `x̃`, nonnegative, and at
     /// most `(1−c)` times the previous `‖r‖₁` — all to `1e-13` of the
@@ -1353,8 +1374,7 @@ mod tests {
         let seen = s.probe.take().unwrap().seen;
         let mut prev_l1 = 1.0;
         for (i, (step, x, r)) in seen.iter().enumerate() {
-            let want_step = (i > 0).then_some(Step::Sweep);
-            assert_eq!(*step, want_step, "{label} pass {i}");
+            assert_eq!(*step, Step::Sweep, "{label} pass {i}");
             let (want, scale) = residual_of(index, &b, x);
             let (mut l1, mut slack) = (0.0, 0.0);
             for u in reach.iter().map(|&u| u as usize) {
@@ -1363,7 +1383,7 @@ mod tests {
                 assert!(r[u] >= -tol, "{label} pass {i}: r[{u}] = {:e} < 0", r[u]);
                 if i == 0 {
                     let err = (x[u] - first[u]).abs();
-                    assert!(err <= tol, "{label}: first pass x̃[{u}] off by {err:e}");
+                    assert!(err <= tol, "{label}: first step x̃[{u}] off by {err:e}");
                 }
                 (l1, slack) = (l1 + r[u].abs(), slack + tol);
             }
@@ -1371,7 +1391,7 @@ mod tests {
             assert!(l1 <= bound, "{label} pass {i}: ‖r‖₁ {l1:e} > (1−c)·{prev_l1:e}");
             prev_l1 = l1;
         }
-        assert!(seen.len() > 1, "{label}: no sweep ran after the first pass");
+        assert!(seen.len() > 1, "{label}: no sweep ran after the first step");
     }
 
     #[test]

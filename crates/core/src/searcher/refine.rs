@@ -3,11 +3,12 @@
 //! On an index built with a positive `drop_tolerance`, the stored
 //! inverses are *truncated* and a raw gather yields only an approximation
 //! `x̃ ≈ W⁻¹ b`. The driver detects this
-//! ([`KdashIndex::needs_refinement`]) and hands the seeded query to the
-//! certified refinement loop instead of visiting. The loop lists the
-//! reachable set `R` once in ascending permuted id — the order the graph,
-//! `L̃⁻¹` and `Ũ⁻¹` are stored in — and then streams that list over three
-//! dense vectors `x̃`, `r`, `y`.
+//! ([`KdashIndex::needs_refinement`](crate::KdashIndex::needs_refinement))
+//! and hands the seeded query to the certified refinement loop instead of
+//! visiting. The loop lists the reachable set `R` once in ascending
+//! permuted id — the order the graph, `L̃⁻¹` and `Ũ⁻¹` are stored in — and
+//! then streams that list over four dense vectors: `x̃`, `r`, the spare `y`
+//! and the `visit` notes.
 //!
 //! Listing `R` rarely costs a traversal. Each refining index derives a
 //! *reach anchor* `a` — the node with the most in-edges among those with
@@ -19,49 +20,21 @@
 //! in id order without `R(a)` ever being traversed. On a power-law graph
 //! almost every query reaches the hub, and `R̄` is a handful of nodes.
 //! Roots that do not reach `a` drain the BFS and sort (or scan) what it
-//! found. Either way the list is the same, so the sweeps below run over
+//! found. Either way the list is the same, so the steps below run over
 //! identical ids.
 //!
-//! Every sweep that settles a value of `x̃` also *pushes* it at once into
+//! Every step that settles a value of `x̃` also *pushes* it at once into
 //! the next true residual `r = b − x̃ + (1−c)·A x̃`: the node's value
 //! leaves its own entry and flows along its out-edges, normalised by its
 //! precomputed out-weight sum. The index stores the permuted graph
 //! exactly, so `r` is the true residual of `x̃`, whatever the stored
 //! inverses hold — never the recurrence a step would predict.
 //!
-//! 1. *the first pass*, of one of two kinds, from `r = b`, each value
-//!    pushed into `r` as it lands:
-//!    * *sweep start* — one sweep (below) from `x̃ = 0`: on reaching `u`,
-//!      `r_u` holds `b_u` plus the pushes from ids below it, and that is
-//!      `x̃_u`. It gathers no row. It runs exactly where sweeps alone
-//!      provably reach the goal's residual target within the step cap of
-//!      64: where `⌈ln(1/target) / −ln(1−c)⌉` fits it, from `c ≈ 0.2807`
-//!      on for top-k and threshold goals and from `c ≈ 0.3736` on for the
-//!      full vector. The proof: with `b ≥ 0` and `x̃ = 0`, every update a
-//!      sweep makes is a nonnegative `d_u` at least the residual `u` held
-//!      when the sweep began, and it takes `d_u` off `u` and pushes at
-//!      most `(1−c)·d_u` on, so the residual stays nonnegative and `‖r‖₁`
-//!      shrinks by at least `1−c` per sweep. The loop then never measures
-//!      `ρ`, so no correction is planned;
-//!    * *initial solve* `x̃ = Ũ⁻¹(L̃⁻¹ b)` — below those values, one
-//!      gather per node of `R` against the scattered query column, the
-//!      classic search's per-candidate cost. Sweeps alone would run out
-//!      of steps there (`c = 0.05` needs hundreds), and the corrections
-//!      that carry the loop need `ρ`, which this pass measures first;
-//! 2. *certify* — each node by its own residual:
-//!    `|p_u − c·x̃_u| ≤ c·|r_u| + (1−c)·‖r‖₁`. The error is `c·W⁻¹r`, and
-//!    an entry of `c·W⁻¹` is the proximity of a walk from one node to
-//!    another: at most `1−c` off the diagonal, where the walk has to take
-//!    a step, and at most 1 on it. That turns the goal into a proof
-//!    obligation in two halves — the *ranking* (every lower bound of an
-//!    answer above the upper bound of what it must outrank) and the
-//!    *values* (every returned bound within [`VALUE_TOLERANCE`]); once
-//!    both hold, the returned set, order and values are provably those of
-//!    the dense-exact answer, and the loop stops. While the uniform share
-//!    `(1−c)·‖r‖₁` alone exceeds the tolerance no node can meet it, and
-//!    the check is skipped;
-//! 3. *one step*, of whichever kind the planner (`plan`) expects to reach
-//!    the goal's residual target for the least work; back to 2.
+//! # One pass shape
+//!
+//! The loop starts at `x̃ = 0` and `r = visit = b`, then repeats:
+//!
+//! 1. *one step* over `R`, of one of two kinds:
 //!    * *sweep* — one Gauss–Seidel pass over `R` in ascending id, the
 //!      forward push in the stored order. Every step notes, as it reaches
 //!      `u`, its accumulator's value there, `visit_u`: `b_u` plus the
@@ -78,25 +51,57 @@
 //!      more in practice, since most of the transition weight points to
 //!      a higher id and is spent within the same pass.
 //!    * *correction* `x̃ += Ũ⁻¹(L̃⁻¹ r)` — one `L̃⁻¹` column AXPY into `y`
-//!      per nonzero of `r`, emptying `r` as it reads it, then one dense
-//!      `Ũ⁻¹` row dot per node of `R` in ascending id, each new value
+//!      per nonzero of `r`, emptying `r` as it reads it, then one `Ũ⁻¹`
+//!      row dot per node of `R` in ascending id, through the workspace's
+//!      gather kernel (the dense tier's four-lane body), each new value
 //!      pushed at once. Row `u` of the upper-triangular `Ũ⁻¹` reads `y`
 //!      only at columns `≥ u`, so `y_u` is spent and zeroed right after.
 //!      The sparsified inverses are their own preconditioner: `‖r‖₁`
 //!      contracts by the factor `ρ` the loop observes, far below `1−c`
 //!      when `c` is small.
+//! 2. *certify* — each node by its own residual:
+//!    `|p_u − c·x̃_u| ≤ c·|r_u| + (1−c)·‖r‖₁`. The error is `c·W⁻¹r`, and
+//!    an entry of `c·W⁻¹` is the proximity of a walk from one node to
+//!    another: at most `1−c` off the diagonal, where the walk has to take
+//!    a step, and at most 1 on it. That turns the goal into a proof
+//!    obligation in two halves — the *ranking* (every lower bound of an
+//!    answer above the upper bound of what it must outrank) and the
+//!    *values* (every returned bound within [`VALUE_TOLERANCE`]); once
+//!    both hold, the returned set, order and values are provably those of
+//!    the dense-exact answer, and the loop stops. While the uniform share
+//!    `(1−c)·‖r‖₁` alone exceeds the tolerance no node can meet it, and
+//!    the check is skipped;
+//! 3. *plan* the next step: the kind the planner (`plan`) expects to
+//!    reach the goal's residual target for the least work; back to 1.
+//!
+//! The first step is a sweep exactly where sweeps alone provably reach
+//! the goal's residual target within the step cap of 64 (`sweeps_reach`:
+//! `⌈ln(1/target) / −ln(1−c)⌉` fits it from `c ≈ 0.2807` on for top-k and
+//! threshold goals, from `c ≈ 0.3736` on for the full vector). From
+//! `x̃ = 0` and `visit = b` it takes `x̃_u = y_u`, `b_u` plus the pushes
+//! from below, and gathers no row. With `b ≥ 0` every update a sweep then
+//! makes is a nonnegative `d_u` at least the residual `u` held when the
+//! sweep began, so the residual stays nonnegative and `‖r‖₁` shrinks by at
+//! least `1−c` per sweep; no correction ever measures `ρ`, so none is
+//! planned. Below those values the first step is a correction: from
+//! `x̃ = 0` and `r = b` it is `Ũ⁻¹(L̃⁻¹ b)`, one gather per node of `R`,
+//! the classic search's per-candidate cost, and it measures the first
+//! `ρ`. Sweeps alone would run out of steps there (`c = 0.05` needs
+//! hundreds). Whichever kind it is, the first step charges every node of
+//! `R` as a visit and a proximity computation, as the dense tier's visit
+//! does, prices both kinds for the planner from its own counts, and is
+//! not counted in [`SearchStats::refinement_iterations`].
 //!
 //! `R` is closed under out-edges and the triangular inverses only fill
 //! along paths of the graph, so every write lands inside `R`: no support
 //! lists, no flags. Each step leaves `y` all-zero, and sweeping `R` on the
-//! way out leaves `x̃`, `r` and `y` all-zero for the next query (a
-//! `debug_assert!` holds them to it); `visit` is written over all of `R`
-//! by the first pass before any sweep reads it, so it is never reset.
-//! The certificate rests on less: `x̃` and `r` are read and written only
-//! over `R`, which the graph defines, so inverses that broke the fill
-//! pattern could slow a later query through a stale `y`, and a wrong
-//! `visit` could only pick a worse `x̃` — never falsify a proof: whichever
-//! step ran, the check reads the residual recomputed from the stored graph.
+//! way out leaves `x̃`, `r`, `y` and `visit` all-zero for the next query
+//! (a `debug_assert!` holds them to it). The certificate rests on less:
+//! `x̃` and `r` are read and written only over `R`, which the graph
+//! defines, so inverses that broke the fill pattern could slow a later
+//! query through a stale `y`, and a wrong `visit` could only pick a worse
+//! `x̃` — never falsify a proof: whichever step ran, the check reads the
+//! residual recomputed from the stored graph.
 //!
 //! Tied proximities can never separate, so the loop fails loudly with
 //! [`KdashError::RefinementFailed`] instead of guessing — likewise when
@@ -127,10 +132,10 @@ pub(super) const REFINE_MAX_ITERATIONS: usize = 64;
 
 /// Workspace of the certified refinement loop — allocated on the first
 /// refined query (sparsified tier only) and reused afterwards. The four
-/// dense vectors are indexed by permuted node id and a query touches them
-/// only inside its reachable set. `x`, `resid` and `y` are all-zero
-/// between queries: each query zeroes that set again on the way out,
-/// success or error.
+/// dense vectors are indexed by permuted node id, a query touches them
+/// only inside its reachable set, and all four are all-zero between
+/// queries: each query zeroes that set again on the way out, success or
+/// error.
 #[derive(Debug)]
 pub(super) struct RefineState {
     /// The approximate solution `x̃`.
@@ -142,11 +147,10 @@ pub(super) struct RefineState {
     /// reachable or not, so it must be zero outside the set), or the next
     /// residual a sweep builds before it swaps with `resid`.
     y: Vec<f64>,
-    /// Per node, the residual accumulator's value when the last pass
-    /// reached it: `b_u` plus that pass's pushes from lower ids. The first
-    /// pass, of either kind, and every step write it over the whole
-    /// reachable set, and only a sweep after the first reads it, so it is
-    /// not zeroed on exit and may hold a past query's values.
+    /// Per node, the residual accumulator's value when the last step
+    /// reached it: `b_u` plus that step's pushes from lower ids, and `b`
+    /// before the first step. Every step writes it over the whole
+    /// reachable set; a sweep reads it.
     visit: Vec<f64>,
     /// The reachable set in ascending permuted id: the order every sweep
     /// streams the id-ordered stores in.
@@ -251,6 +255,46 @@ fn l1_over(r: &[f64], ids: &[NodeId]) -> f64 {
         *lane += r[j as usize].abs();
     }
     (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+}
+
+/// The residual push (module docs): a settled `x̃_j` leaves its own entry
+/// of `r` and flows along column `j` of `A` — node `j`'s out-distribution,
+/// self-looped when dangling under that policy, empty when dangling is
+/// kept absorbing. Pushed in ascending `j`, whatever the step, each entry
+/// sums its terms in one fixed order.
+#[derive(Clone, Copy)]
+struct Push<'a> {
+    graph: &'a CsrGraph,
+    /// Per node, the sum of its out-weights (the normaliser of its column).
+    out_weight: &'a [f64],
+    one_minus_c: f64,
+    self_loops: bool,
+}
+
+impl Push<'_> {
+    /// Pushes `x̃_j = xj` into `r`; returns the edge terms moved. Always
+    /// inlined: left as a call per node, it made a sweep's speed hinge on
+    /// code placement (`rmat-certified` `query_p50_us` +15 % in one build).
+    #[inline(always)]
+    fn push(self, r: &mut [f64], j: NodeId, xj: f64) -> usize {
+        if xj == 0.0 {
+            return 0;
+        }
+        r[j as usize] -= xj;
+        let out_sum = self.out_weight[j as usize];
+        if out_sum > 0.0 {
+            let scale = self.one_minus_c * xj / out_sum;
+            let targets = self.graph.out_neighbors(j);
+            for (&t, &w) in targets.iter().zip(self.graph.out_weights(j)) {
+                r[t as usize] += scale * w;
+            }
+            return targets.len();
+        }
+        if self.self_loops {
+            r[j as usize] += self.one_minus_c * xj;
+        }
+        0
+    }
 }
 
 /// What the refinement loop must prove before it may stop.
@@ -392,14 +436,13 @@ pub(super) enum Step {
 }
 
 /// What unit tests steer and watch the refinement loop by: steps it
-/// runs in place of the planner's, first to last, and at every residual
-/// check the step just run (`None` after the first pass, of either kind)
-/// with `x̃` and `r` as it left them.
+/// runs in place of the planner's after the first, in order, and at every
+/// residual check the step just run with `x̃` and `r` as it left them.
 #[cfg(test)]
 #[derive(Debug, Default)]
 pub(super) struct RefineProbe {
     pub(super) script: std::collections::VecDeque<Step>,
-    pub(super) seen: Vec<(Option<Step>, Vec<f64>, Vec<f64>)>,
+    pub(super) seen: Vec<(Step, Vec<f64>, Vec<f64>)>,
 }
 
 /// One step kind as the planner sees it.
@@ -430,7 +473,7 @@ impl StepModel {
 /// expected to contract (`ρ ≥ 1`, or NaN) is never planned. With the
 /// target already reached but the goal unproven, the step with the most
 /// shrinkage per unit of work runs; with no mix that fits in the steps
-/// left, the one with the most shrinkage per step. After a sweep start no
+/// left, the one with the most shrinkage per step. After a first sweep no
 /// correction has measured `ρ` (it stays NaN), so every step is a sweep.
 /// Soundness never rests on the choice: every check reads a residual
 /// recomputed from the stored graph.
@@ -483,20 +526,21 @@ pub(super) fn sweeps_reach(c: f64, target: f64) -> bool {
 
 impl<'a> Searcher<'a> {
     /// The certified refinement driver (see the module docs): lists the
-    /// whole reachable set, makes a first pass over it — a sweep, or an
-    /// approximate solve through the sparsified inverses — and runs
-    /// planned sweeps and corrections until `goal` is proven. Expects a
-    /// source prologue to have run: the BFS seeded at the roots, the
-    /// restart vector `b` uniform over them, and the matching `L̃⁻¹` query
-    /// column loaded. Out of line, so the dense-tier
-    /// loops compile the same without it.
+    /// whole reachable set and runs steps over it until `goal` is proven.
+    /// Expects a source prologue to have run: the BFS seeded at the roots,
+    /// and the restart vector `b` uniform over them. Out of line, so the
+    /// dense-tier loops compile the same without it.
     #[inline(never)]
-    pub(super) fn refined_run(&mut self, mut goal: RefineGoal<'_>, stats: &mut SearchStats) -> Result<()> {
+    pub(super) fn refined_run(
+        &mut self,
+        mut goal: RefineGoal<'_>,
+        stats: &mut SearchStats,
+    ) -> Result<()> {
         let index = self.index;
         let mut st =
             self.refine.take().unwrap_or_else(|| Box::new(RefineState::new(index.num_nodes())));
         debug_assert!(
-            st.x.iter().chain(&st.resid).chain(&st.y).all(|&v| v == 0.0),
+            st.x.iter().chain(&st.resid).chain(&st.y).chain(&st.visit).all(|&v| v == 0.0),
             "refinement vectors must be all-zero between queries"
         );
         // No bound can prune against approximate proximities, so the
@@ -513,9 +557,8 @@ impl<'a> Searcher<'a> {
         // Zero the vectors over the reachable set before parking the state:
         // an error leaves the workspace exactly as reusable as success.
         for &u in &st.ids {
-            st.x[u as usize] = 0.0;
-            st.resid[u as usize] = 0.0;
-            st.y[u as usize] = 0.0;
+            let i = u as usize;
+            (st.x[i], st.resid[i], st.y[i], st.visit[i]) = (0.0, 0.0, 0.0, 0.0);
         }
         self.refine = Some(st);
         result
@@ -530,7 +573,7 @@ impl<'a> Searcher<'a> {
         self.anchored = None;
     }
 
-    /// The budget check of the refinement sweeps, once per node before
+    /// The budget check of the refinement steps, once per node before
     /// its work: the typed abort carries the stats so far.
     #[inline]
     fn within_budget(&self, stats: &SearchStats, started: Option<Instant>) -> Result<()> {
@@ -540,6 +583,90 @@ impl<'a> Searcher<'a> {
         }
     }
 
+    /// One step of `kind` over `R` (module docs). `first` (1 or 0) is
+    /// charged per node as a visit and a proximity computation, and a
+    /// correction charges each `L̃⁻¹` entry into `stats.refinement_nnz` as
+    /// it reads it. Returns the edge terms pushed. Out of line: inlined
+    /// into the loop, `rmat-certified` `query_p50_us` read ≈ 8 % slower.
+    #[inline(never)]
+    fn step(
+        &mut self,
+        kind: Step,
+        st: &mut RefineState,
+        push: Push<'_>,
+        first: usize,
+        stats: &mut SearchStats,
+        started: Option<Instant>,
+    ) -> Result<usize> {
+        // Hoisted: the per-node checks cost a sweep ~15 % even when no
+        // ceiling is set, which none then can reach.
+        let budgeted = self.budget != QueryBudget::unlimited();
+        let (linv, uinv) = (self.index.linv(), self.index.uinv());
+        let RefineState { x, resid, y, visit, ids, .. } = st;
+        let mut edge_terms = 0;
+        match kind {
+            Step::Sweep => {
+                // On reaching u, y_u is b_u plus this sweep's pushes from
+                // below u, and r_u + x̃_u − visit_u the last step's pushes
+                // from u up, so their sum solves row u. r is emptied as it
+                // is read, so the swap leaves the spare all-zero.
+                seed_restart(y, &self.roots);
+                // Sliced to one length, so the bounds check on `y[i]`
+                // covers the other three vectors (≈ 5 % of a sweep).
+                let n = y.len();
+                let (xn, rn, vn) = (&mut x[..n], &mut resid[..n], &mut visit[..n]);
+                for &u in ids.iter() {
+                    if budgeted {
+                        self.within_budget(stats, started)?;
+                    }
+                    stats.visited += first;
+                    stats.proximity_computations += first;
+                    let i = u as usize;
+                    let below = y[i];
+                    let xu = below + (std::mem::take(&mut rn[i]) + xn[i] - vn[i]);
+                    vn[i] = below;
+                    xn[i] = xu;
+                    edge_terms += push.push(y, u, xu);
+                }
+                std::mem::swap(resid, y);
+            }
+            Step::Correction => {
+                // The L̃⁻¹ columns of the residual's nonzeros accumulate
+                // into the dense y (their supports stay inside the
+                // reachable set), then every reachable Ũ⁻¹ row is dotted
+                // against it through the workspace kernel and its new
+                // value pushed.
+                for &j in ids.iter() {
+                    let rj = std::mem::take(&mut resid[j as usize]);
+                    if rj == 0.0 {
+                        continue;
+                    }
+                    let (idx, val) = linv.col(j);
+                    stats.refinement_nnz += idx.len();
+                    for (&i, &v) in idx.iter().zip(val) {
+                        y[i as usize] += rj * v;
+                    }
+                }
+                seed_restart(resid, &self.roots);
+                for &u in ids.iter() {
+                    if budgeted {
+                        self.within_budget(stats, started)?;
+                    }
+                    stats.visited += first;
+                    stats.proximity_computations += first;
+                    let dot = uinv.row_dot_dense(self.kernel, u, y, &mut self.counters);
+                    let xu = x[u as usize] + dot;
+                    // No later (higher) row reads column u.
+                    y[u as usize] = 0.0;
+                    x[u as usize] = xu;
+                    visit[u as usize] = resid[u as usize];
+                    edge_terms += push.push(resid, u, xu);
+                }
+            }
+        }
+        Ok(edge_terms)
+    }
+
     fn refined_run_inner(
         &mut self,
         st: &mut RefineState,
@@ -547,44 +674,14 @@ impl<'a> Searcher<'a> {
         stats: &mut SearchStats,
     ) -> Result<()> {
         let index = self.index;
-        let graph = index.permuted_graph();
-        let out_weight = index.out_weight();
-        let (linv, uinv) = (index.linv(), index.uinv());
         let c = index.restart_probability();
         let one_minus_c = 1.0 - c;
-        let self_loops = index.dangling_policy() == DanglingPolicy::SelfLoop;
         let started = self.budget.start();
-        // Hoisted: the per-node checks cost a sweep ~15 % even when no
-        // ceiling is set, which none then can reach.
-        let budgeted = self.budget != QueryBudget::unlimited();
-        let RefineState { x, resid, y, visit, ids, heap, .. } = st;
-        // The residual b − W x̃ = b − x̃ + (1−c)·A x̃ under construction in
-        // `r`, which starts as b: each settled x̃_j leaves its own entry and
-        // flows along column j of A — node j's out-distribution,
-        // self-looped when dangling under that policy, empty when dangling
-        // is kept absorbing. The reachable set is closed under out-edges,
-        // so every write lands inside it. Pushed in ascending j, whatever
-        // the step, each entry sums its terms in one fixed order, and the
-        // caller notes `r[j]` in `visit` first. Returns the edge terms
-        // moved.
-        let push = |r: &mut [f64], j: NodeId, xj: f64| -> usize {
-            if xj == 0.0 {
-                return 0;
-            }
-            r[j as usize] -= xj;
-            let out_sum = out_weight[j as usize];
-            if out_sum > 0.0 {
-                let scale = one_minus_c * xj / out_sum;
-                let targets = graph.out_neighbors(j);
-                for (&t, &w) in targets.iter().zip(graph.out_weights(j)) {
-                    r[t as usize] += scale * w;
-                }
-                return targets.len();
-            }
-            if self_loops {
-                r[j as usize] += one_minus_c * xj;
-            }
-            0
+        let push = Push {
+            graph: index.permuted_graph(),
+            out_weight: index.out_weight(),
+            one_minus_c,
+            self_loops: index.dangling_policy() == DanglingPolicy::SelfLoop,
         };
 
         // The bound every returned value must meet, and the residual the
@@ -595,68 +692,43 @@ impl<'a> Searcher<'a> {
             _ => (VALUE_TOLERANCE, VALUE_TOLERANCE / one_minus_c),
         };
 
-        // The first pass, from r = b, pushes every value it settles into r
-        // as it lands.
-        let sweep_start = sweeps_reach(c, target);
-        let gathered_before = self.counters.nnz;
-        let (mut edge_terms, mut linv_nnz) = (0usize, 0usize);
-        seed_restart(resid, &self.roots);
-        if sweep_start {
-            // A sweep from x̃ = 0: on reaching u, r_u is b_u plus the pushes
-            // from below u (nothing above u has pushed yet), and that is
-            // x̃_u. Sliced to one length, as in the sweep.
-            let n = resid.len();
-            let (xn, vn) = (&mut x[..n], &mut visit[..n]);
-            for &u in ids.iter() {
-                if budgeted {
-                    self.within_budget(stats, started)?;
-                }
-                stats.visited += 1;
-                stats.proximity_computations += 1;
-                let i = u as usize;
-                let xu = resid[i];
-                (xn[i], vn[i]) = (xu, xu);
-                edge_terms += push(resid, u, xu);
-            }
-        } else {
-            // Initial approximate solve x̃ = Ũ⁻¹(L̃⁻¹ b): one gather per
-            // reachable node through the workspace kernel, exactly the
-            // classic search's per-candidate cost.
-            for &u in ids.iter() {
-                if budgeted {
-                    self.within_budget(stats, started)?;
-                }
-                stats.visited += 1;
-                let xu = self.gather(u);
-                x[u as usize] = xu;
-                stats.proximity_computations += 1;
-                visit[u as usize] = resid[u as usize];
-                edge_terms += push(resid, u, xu);
-                linv_nnz += linv.col(u).0.len();
-            }
-        }
-        stats.refinement_nnz += edge_terms;
-
-        // The planner's view of the two steps, from this query's own
-        // counts. An initial solve applied the preconditioner once to
-        // r = b, ‖b‖₁ = 1, so ρ starts as ‖r₀‖₁; after a sweep start ρ
-        // stays unmeasured, and no correction is planned.
-        let reach = ids.len();
-        let sweep = StepModel { work: (edge_terms + 2 * reach) as f64, contraction: one_minus_c };
-        let gathered = self.counters.nnz - gathered_before;
-        let mut correction = StepModel {
-            work: (linv_nnz + gathered + edge_terms + 3 * reach) as f64,
-            contraction: f64::NAN,
-        };
-
+        // The first step runs from x̃ = 0 and r = visit = b: a sweep then
+        // takes x̃_u = y_u, and a correction gathers Ũ⁻¹(L̃⁻¹ b). It is a
+        // sweep wherever sweeps alone provably reach the target.
+        seed_restart(&mut st.resid, &self.roots);
+        seed_restart(&mut st.visit, &self.roots);
+        let mut step = if sweeps_reach(c, target) { Step::Sweep } else { Step::Correction };
+        let reach = st.ids.len();
+        let mut sweep = StepModel { work: 0.0, contraction: one_minus_c };
+        let mut correction = StepModel { work: 0.0, contraction: f64::NAN };
         let mut iterations = 0usize;
-        let mut last = if sweep_start { Step::Sweep } else { Step::Correction };
         let mut prev_norm = 1.0;
         loop {
+            let first = usize::from(iterations == 0);
+            let gathered_before = self.counters.nnz;
+            // The first step charges every node as a visit and a
+            // proximity computation, as the dense tier's visit does.
+            let edge_terms = self.step(step, st, push, first, stats, started)?;
+            let gathered = self.counters.nnz - gathered_before;
+            stats.refinement_nnz += edge_terms + gathered;
+            let RefineState { x, resid, ids, heap, .. } = &mut *st;
+            if first == 1 {
+                // The planner's view of the two kinds, from this query's
+                // own counts. A first correction applied the
+                // preconditioner once to r = b, ‖b‖₁ = 1, so ρ starts as
+                // ‖r‖₁ after it; after a first sweep ρ stays unmeasured,
+                // and no correction is planned. A correction is priced as
+                // a scatter of every `L̃⁻¹` column of R.
+                let scattered = ids.iter().filter(|_| step == Step::Correction);
+                let linv_nnz: usize = scattered.map(|&u| index.linv().col(u).0.len()).sum();
+                sweep.work = (edge_terms + 2 * reach) as f64;
+                correction.work = (linv_nnz + gathered + edge_terms + 3 * reach) as f64;
+            }
+
             let delta = l1_over(resid, ids);
             #[cfg(test)]
             if let Some(probe) = &mut self.probe {
-                probe.seen.push(((iterations > 0).then_some(last), x.clone(), resid.clone()));
+                probe.seen.push((step, x.clone(), resid.clone()));
             }
             if !delta.is_finite() {
                 // The stored values overflowed: no bound holds at all.
@@ -667,7 +739,7 @@ impl<'a> Searcher<'a> {
                 });
             }
 
-            if last == Step::Correction {
+            if step == Step::Correction {
                 correction.contraction = delta / prev_norm;
             }
 
@@ -716,70 +788,11 @@ impl<'a> Searcher<'a> {
             }
             prev_norm = delta;
 
-            last = plan(sweep, correction, delta, target, REFINE_MAX_ITERATIONS - iterations);
+            step = plan(sweep, correction, delta, target, REFINE_MAX_ITERATIONS - iterations);
             #[cfg(test)]
-            if let Some(step) = self.probe.as_mut().and_then(|p| p.script.pop_front()) {
-                last = step;
+            if let Some(forced) = self.probe.as_mut().and_then(|p| p.script.pop_front()) {
+                step = forced;
             }
-            let mut edge_terms = 0usize;
-            match last {
-                Step::Sweep => {
-                    // Gauss–Seidel into the next residual in y: on reaching
-                    // u, y_u is b_u plus this sweep's pushes from below u,
-                    // and r_u + x̃_u − visit_u the last step's pushes from u
-                    // up, so their sum solves row u. r is emptied as it is
-                    // read, so the swap leaves the spare all-zero.
-                    seed_restart(y, &self.roots);
-                    // Sliced to one length, so the bounds check on `y[i]`
-                    // covers the other three vectors (≈ 5 % of a sweep).
-                    let n = y.len();
-                    let (xn, rn, vn) = (&mut x[..n], &mut resid[..n], &mut visit[..n]);
-                    for &u in ids.iter() {
-                        if budgeted {
-                            self.within_budget(stats, started)?;
-                        }
-                        let i = u as usize;
-                        let below = y[i];
-                        let xu = below + (std::mem::take(&mut rn[i]) + xn[i] - vn[i]);
-                        vn[i] = below;
-                        xn[i] = xu;
-                        edge_terms += push(y, u, xu);
-                    }
-                    std::mem::swap(resid, y);
-                }
-                Step::Correction => {
-                    // x̃ += Ũ⁻¹(L̃⁻¹ r): the L̃⁻¹ columns of the residual's
-                    // nonzeros accumulate into the dense y (their supports
-                    // stay inside the reachable set), then every reachable
-                    // Ũ⁻¹ row is dotted against it and its new value pushed.
-                    for &j in ids.iter() {
-                        let rj = std::mem::take(&mut resid[j as usize]);
-                        if rj == 0.0 {
-                            continue;
-                        }
-                        let (idx, val) = linv.col(j);
-                        stats.refinement_nnz += idx.len();
-                        for (&i, &v) in idx.iter().zip(val) {
-                            y[i as usize] += rj * v;
-                        }
-                    }
-                    seed_restart(resid, &self.roots);
-                    let nnz_before = self.counters.nnz;
-                    for &u in ids.iter() {
-                        if budgeted {
-                            self.within_budget(stats, started)?;
-                        }
-                        let xu = x[u as usize] + uinv.row_dot_dense(u, y, &mut self.counters);
-                        // No later (higher) row reads column u.
-                        y[u as usize] = 0.0;
-                        x[u as usize] = xu;
-                        visit[u as usize] = resid[u as usize];
-                        edge_terms += push(resid, u, xu);
-                    }
-                    stats.refinement_nnz += self.counters.nnz - nnz_before;
-                }
-            }
-            stats.refinement_nnz += edge_terms;
             iterations += 1;
         }
         stats.refinement_iterations = iterations;
@@ -789,7 +802,7 @@ impl<'a> Searcher<'a> {
             RefineGoal::TopK(k) => {
                 // The certification scratch holds the proven answer.
                 self.heap.reset(*k);
-                for &(p, u) in heap.sorted_entries() {
+                for &(p, u) in st.heap.sorted_entries() {
                     self.heap.offer(p, u);
                 }
                 // Fewer than `k` reachable: the epilogue pads from the
@@ -802,8 +815,8 @@ impl<'a> Searcher<'a> {
             // the workspace hit list.
             RefineGoal::Threshold(_) => {}
             RefineGoal::FullVector(out) => {
-                for &u in ids.iter() {
-                    out[u as usize] = c * x[u as usize];
+                for &u in st.ids.iter() {
+                    out[u as usize] = c * st.x[u as usize];
                 }
             }
         }

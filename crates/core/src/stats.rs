@@ -96,17 +96,19 @@ pub struct SearchStats {
     /// (8 per stored entry of every gathered row: every kernel multiplies
     /// every entry) — machine-independent.
     pub value_bytes_touched: usize,
-    /// Candidate rows gathered in the one-accumulator reference order
-    /// (the hidden `ResolvedKernel::reference` token).
+    /// Rows gathered in the one-accumulator reference order (the hidden
+    /// `ResolvedKernel::reference` token).
     pub rows_scalar: usize,
-    /// Candidate rows gathered by the four-lane (unrolled/AVX2) kernel.
+    /// Rows gathered by the four-lane (unrolled/AVX2) kernel: the dense
+    /// tier's candidate rows, and on a sparsified index every correction's
+    /// pass of `Ũ⁻¹` rows.
     pub rows_wide: usize,
     /// Stored `U⁻¹` entries of every gathered row — the work metric
     /// [`QueryBudget::max_gather_nnz`](crate::QueryBudget) meters. On a
-    /// sparsified index: one pass over the reachable set for an initial
-    /// solve and for every correction, and zero for a query whose first
-    /// pass is a sweep (every top-k and threshold query from `c ≈ 0.2807`
-    /// on), which reads no stored inverse.
+    /// sparsified index: one pass over the reachable set for every
+    /// correction, the first step included, and zero for a query whose
+    /// first step is a sweep (every top-k and threshold query from
+    /// `c ≈ 0.2807` on), which reads no stored inverse.
     /// Kernel-independent by construction (it counts stored
     /// entries, not executed loads), so the same budget admits the same
     /// queries under every execution strategy. (The merge-join oracles
@@ -116,21 +118,22 @@ pub struct SearchStats {
     /// (`"scalar"`, `"unrolled"` or `"avx2"`), recorded so the host's
     /// resolution is reproducible from logs. Empty on paths that never
     /// ran the gather kernel: the merge-join oracles, a budget abort
-    /// before the first row, and a sparsified query whose first pass is a
+    /// before the first row, and a sparsified query whose first step is a
     /// sweep (`kdash query` prints `n/a`).
     pub kernel: &'static str,
-    /// Certified-refinement steps the query ran after its first pass (a
-    /// sweep from `x̃ = 0` or the initial solve `Ũ⁻¹(L̃⁻¹ b)`, never
-    /// counted), of either kind: Gauss–Seidel sweeps over the reachable set
-    /// and corrections (`x̃ += Ũ⁻¹(L̃⁻¹ r)`). Zero on a dense-exact index (the
-    /// classic stop-rule path never refines); on a sparsified index every answer
-    /// was certified after this many steps. Independent of the kernel —
-    /// a pure function of index content and query.
+    /// Certified-refinement steps the query ran after its first, of either
+    /// kind: Gauss–Seidel sweeps over the reachable set and corrections
+    /// (`x̃ += Ũ⁻¹(L̃⁻¹ r)`). The first step, from `x̃ = 0`, is never
+    /// counted: a sweep, or the correction `Ũ⁻¹(L̃⁻¹ b)`. Zero on a
+    /// dense-exact index (the classic stop-rule path never refines); on a
+    /// sparsified index every answer was certified after this many steps.
+    /// The same under both lane bodies, which are bit-identical — a pure
+    /// function of index content and query on every host.
     pub refinement_iterations: usize,
-    /// Stored entries the refinement loop moved: residual pushes over the
-    /// permuted graph — once by the first pass and once by every step —
-    /// plus the `L̃⁻¹`/`Ũ⁻¹` entries each correction scatters and gathers
-    /// (the initial solve's own gathers count in `nnz_gathered` only).
+    /// Stored entries the refinement loop moved: every step's residual
+    /// pushes over the permuted graph, plus the `L̃⁻¹`/`Ũ⁻¹` entries each
+    /// correction, the first step included, scatters and gathers (the
+    /// gathers count in `nnz_gathered` too).
     /// The refinement-work currency the memory/latency tradeoff benches
     /// record. Zero when no refinement ran.
     pub refinement_nnz: usize,

@@ -442,28 +442,14 @@ impl BlockedCsr {
     /// same row). Over a scattered query column this is the
     /// reference-order gather: unmatched positions add `v × 0.0`, which
     /// leaves the sum's bits where the merge join's are.
-    ///
-    /// `inline(always)`: the certified tier's correction pass calls this on
-    /// rows of ≈ 5 entries, where a call costs as much as the dot product
-    /// (8.7 against 5.9 ns/row once a second caller made LLVM outline it).
-    #[inline(always)]
+    #[inline]
     pub fn row_dot_dense(&self, r: Index, x: &[f64]) -> f64 {
         debug_assert_eq!(x.len(), self.ncols);
-        let r = r as usize;
         let mut acc = 0.0;
-        let mut start = self.row_ptr[r];
-        for k in self.run_ptr[r]..self.run_ptr[r + 1] {
-            let base = self.run_base[k];
-            let end = self.run_end[k] as usize;
-            // Per-run slices + zip: one bounds check per run on the
-            // arrays, the decode a single u16 widen and add on top of the
-            // CSR loop body. (The same walk as `row_segments`, spelled
-            // out: this is the certified tier's inner loop and the
-            // iterator form measured 7–14 % slower on 5-entry rows.)
-            for (&d, &v) in self.deltas[start..end].iter().zip(&self.values[start..end]) {
-                acc += v * x[(base + d as u32) as usize];
+        for seg in self.row_segments(r) {
+            for (&d, &v) in seg.offs.iter().zip(seg.vals) {
+                acc += v * x[seg.base + d as usize];
             }
-            start = end;
         }
         acc
     }

@@ -27,8 +27,9 @@
 //! `vmulpd` + `vaddpd`, no FMA). They are **bit-identical to
 //! each other on every row**, so answers do not depend on which one the
 //! host dispatches to. Against the one-accumulator reference order
-//! ([`ResolvedKernel::reference`], which is `row_dot_dense` over the same
-//! vector and bit-identical to the merge join) they differ only by
+//! ([`ResolvedKernel::reference`], which is
+//! [`crate::BlockedCsr::row_dot_dense`] over the same vector and
+//! bit-identical to the merge join) they differ only by
 //! re-association; the equivalence suites pin `≤ 1e-12`, and search
 //! results stay exact against the iterative ground truth under every
 //! kernel.
@@ -56,7 +57,7 @@
 //!
 //! There is no request layer: a workspace takes [`ResolvedKernel::default`]
 //! — AVX2 where the host reports it, otherwise the portable body — and
-//! [`crate::ProximityStore::row_gather`] dispatches on that token. Its
+//! [`crate::ProximityStore::row_dot_dense`] dispatches on that token. Its
 //! dispatch target is private, so no caller can name a body the host
 //! failed to detect: the bit-identity suites reach the others only through
 //! two hidden constructors, [`ResolvedKernel::reference`] (the
@@ -73,7 +74,7 @@ fn simd_support() -> Option<LaneBody> {
 }
 
 /// A gather kernel validated against the host CPU — the token
-/// [`crate::ProximityStore::row_gather`] dispatches on.
+/// [`crate::ProximityStore::row_dot_dense`] dispatches on.
 ///
 /// The inner dispatch target is private so the vector body can never be
 /// conjured on a host that failed detection (calling AVX2 code there

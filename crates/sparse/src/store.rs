@@ -13,7 +13,7 @@
 //! refreshed for exactly what the columns touched. How rows are encoded
 //! stays this module's business.
 //!
-//! Every gather funnels through [`ProximityStore::row_gather`]: a row
+//! Every gather funnels through [`ProximityStore::row_dot_dense`]: a row
 //! hands its runs to the kernel as segments, and the lanes carry across
 //! run boundaries ([`crate::kernel`]), so the sum is the one the same row
 //! in CSR form gives under the same kernel — pinned against a CSR
@@ -144,9 +144,8 @@ impl ProximityStore {
     }
 
     /// **The** proximity gather: row `r` against the scattered query
-    /// column through the resolved kernel, with byte traffic and the
-    /// kernel-class row split accumulated into `counters`. `_scratch` is
-    /// unused (see [`GatherScratch`]).
+    /// column, [`row_dot_dense`](Self::row_dot_dense) over its dense
+    /// vector. `_scratch` is unused (see [`GatherScratch`]).
     #[inline]
     pub fn row_gather(
         &self,
@@ -156,45 +155,40 @@ impl ProximityStore {
         _scratch: &mut GatherScratch,
         counters: &mut GatherCounters,
     ) -> f64 {
-        let y = buf.as_slice();
-        assert_eq!(y.len(), self.ncols(), "query column dimension must match the store");
+        self.row_dot_dense(kernel, r, buf.as_slice(), counters)
+    }
+
+    /// Row `r` against the dense vector `y` through the resolved kernel:
+    /// every stored entry multiplies `y[col]` unconditionally. `y` is a
+    /// scattered query column on the dense tier and a correction's
+    /// `L̃⁻¹ r` on the certified one, so every row either tier reads runs
+    /// the same body. Accumulates into `counters` the row's index bytes,
+    /// 8 value bytes per stored entry (every kernel multiplies every
+    /// entry), its stored entries and its kernel class.
+    #[inline]
+    pub fn row_dot_dense(
+        &self,
+        kernel: ResolvedKernel,
+        r: Index,
+        y: &[f64],
+        counters: &mut GatherCounters,
+    ) -> f64 {
+        assert_eq!(y.len(), self.ncols(), "vector dimension must match the store");
+        let nnz = self.row_stats[r as usize].nnz as usize;
+        counters.index_bytes += self.row_index_bytes(r);
+        counters.value_bytes += 8 * nnz;
+        counters.nnz += nnz;
         let Some(body) = kernel.lanes() else {
             counters.rows_scalar += 1;
-            return self.row_dot_dense(r, y, counters);
+            return self.rows.row_dot_dense(r, y);
         };
         counters.rows_wide += 1;
-        self.charge(r, counters);
         // SAFETY: every column a row decodes to is `< ncols`
         // (`CsrMatrix::from_raw_parts` / `BlockedCsr::from_raw_parts` and
         // `validate_column_updates` check each one, and the matrices'
         // fields are private), and `ncols == y.len()` was asserted just
         // above.
         unsafe { gather_lanes(body, self.rows.row_segments(r), y) }
-    }
-
-    /// Row `r` against a *dense* vector: every stored entry multiplies
-    /// `x[col]` unconditionally, in storage order (bit-identical to
-    /// [`CsrMatrix::row_dot_dense`] on the same row). The
-    /// certified-refinement correction runs on this, in the
-    /// one-accumulator order its residual bounds were pinned under.
-    /// Charges `counters` like a gather (index bytes, 8 value bytes per
-    /// entry, stored entries); it is not a kernel dispatch, so the
-    /// scalar/wide row split stays untouched.
-    #[inline]
-    pub fn row_dot_dense(&self, r: Index, x: &[f64], counters: &mut GatherCounters) -> f64 {
-        self.charge(r, counters);
-        self.rows.row_dot_dense(r, x)
-    }
-
-    /// Charges one pass over row `r` to `counters`: its index bytes, 8
-    /// value bytes per stored entry (every kernel multiplies every entry)
-    /// and the stored entries themselves.
-    #[inline]
-    fn charge(&self, r: Index, counters: &mut GatherCounters) {
-        let nnz = self.row_stats[r as usize].nnz as usize;
-        counters.index_bytes += self.row_index_bytes(r);
-        counters.value_bytes += 8 * nnz;
-        counters.nnz += nnz;
     }
 
     /// Replaces whole columns — **the** way `U⁻¹` changes, the splice

@@ -177,13 +177,13 @@ fn main() {
     // 7. Memory-bound deployments: a *sparsified* build drops inverse
     //    entries below a tolerance ε at precompute time, shrinking the
     //    stored index. Queries then run certified residual refinement —
-    //    a first pass (at the default c = 0.95 a Gauss–Seidel sweep, which
-    //    reads no stored inverse; at small c an approximate solve from the
-    //    truncated inverses), then sweeps or preconditioned corrections,
-    //    whichever is cheaper, until the residual norm *proves* the top-k
-    //    set and order — so the ranking stays exact. Uncertifiable queries (two proximities
-    //    inside the same ulp) fail loudly instead of guessing. On the
-    //    command line: `kdash build --drop-tol 1e-5`.
+    //    Gauss–Seidel sweeps or preconditioned corrections through the
+    //    truncated inverses, whichever is cheaper (at the default c = 0.95
+    //    only sweeps, which read no stored inverse), until the residual
+    //    norm *proves* the top-k set and order — so the ranking stays
+    //    exact. Uncertifiable queries (two proximities inside the same
+    //    ulp) fail loudly instead of guessing. On the command line:
+    //    `kdash build --drop-tol 1e-5`.
     let sparsified = IndexBuilder::new()
         .drop_tolerance(1e-5)
         .threads(0)

@@ -12,6 +12,10 @@
 //!   (four lanes instead of one), so they are only tolerance-pinned
 //!   against the one-accumulator reference (which itself is bit-identical
 //!   to the merge join).
+//! * **the certified tier too** — on a sparsified index the corrections
+//!   gather through the same kernel: the lane bodies stay bit-identical,
+//!   and the reference keeps every set and order, within
+//!   `VALUE_TOLERANCE`.
 //! * **every kernel is exact** — proximities match the iterative
 //!   ground-truth RWR under each kernel the host supports: the reference
 //!   (`ResolvedKernel::reference`) and every lane body
@@ -21,10 +25,12 @@
 //!   lengths give the same bits under both bodies as the four-lane order
 //!   written out over the row's CSR columns.
 
-use kdash_core::{IndexOptions, KdashIndex, ResolvedKernel, Searcher, TopKResult};
-use kdash_datagen::{barabasi_albert, erdos_renyi};
+use kdash_core::{
+    IndexOptions, KdashIndex, ResolvedKernel, Searcher, TopKResult, VALUE_TOLERANCE,
+};
+use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, RmatParams};
 use kdash_graph::NodeId;
-use kdash_harness::exact_top_k_scored;
+use kdash_harness::{break_ties, exact_top_k_scored};
 use proptest::prelude::*;
 
 fn graph_strategy() -> impl Strategy<Value = kdash_graph::CsrGraph> {
@@ -152,6 +158,66 @@ fn every_kernel_is_exact_against_iterative_ground_truth() {
                 }
             }
         }
+    }
+}
+
+/// The certified tier holds the same contract: on a sparsified index
+/// every `Ũ⁻¹` row a correction reads runs through the workspace kernel,
+/// so the lane bodies answer bit for bit alike (items and stats), and the
+/// one-accumulator reference returns the same sets and order with every
+/// value within `VALUE_TOLERANCE`. At `c = 0.15` the first step is a
+/// correction and corrections carry the loop; at `c = 0.95` every step is
+/// a sweep and no row is read.
+#[test]
+fn certified_tier_holds_the_kernel_contract() {
+    type Run = fn(&mut Searcher, NodeId, &[NodeId]) -> TopKResult;
+    let runs: [(&str, Run); 3] = [
+        ("top_k", |s, q, _| s.top_k(q, 20).unwrap()),
+        ("from_set", |s, _, set| s.top_k_from_set(set, 20).unwrap()),
+        ("nodes_above", |s, q, _| s.nodes_above(q, 1e-3).unwrap()),
+    ];
+    let graph = break_ties(&rmat(9, 900, RmatParams::default(), 7)).unwrap();
+    let queries = (0..graph.num_nodes() as NodeId).filter(|&q| graph.out_degree(q) > 0);
+    let queries: Vec<NodeId> = queries.step_by(16).collect();
+    for c in [0.15, 0.95] {
+        let options =
+            IndexOptions { drop_tolerance: 1e-3, restart_probability: c, ..Default::default() };
+        let index = KdashIndex::build(&graph, options).unwrap();
+        assert!(index.needs_refinement(), "c {c}");
+        let mut reference = Searcher::with_kernel(&index, ResolvedKernel::reference());
+        let mut bodies: Vec<Searcher> = ResolvedKernel::host_bodies()
+            .into_iter()
+            .map(|kernel| Searcher::with_kernel(&index, kernel))
+            .collect();
+        let mut gathered = 0;
+        for &q in &queries {
+            // The partner takes in-flow from `q`: two sources without any
+            // would tie exactly at c/2.
+            let set = [q, graph.out_neighbors(q)[0]];
+            for (entry, run) in runs {
+                let label = format!("c {c} q {q} {entry}");
+                let got: Vec<TopKResult> = bodies.iter_mut().map(|s| run(s, q, &set)).collect();
+                for other in &got[1..] {
+                    if let Err(msg) = assert_byte_equal(&got[0], other) {
+                        panic!("{label}: lane bodies differ: {msg}");
+                    }
+                }
+                let (got, want) = (&got[0], run(&mut reference, q, &set));
+                gathered += got.stats.nnz_gathered;
+                // Every row either run read went through its own kernel.
+                let rows = |r: &TopKResult| (r.stats.rows_scalar, r.stats.rows_wide);
+                assert_eq!(rows(got).0 + rows(&want).1, 0, "{label}: a row ran another kernel");
+                assert_eq!(rows(got).1 > 0, got.stats.nnz_gathered > 0, "{label}");
+                assert_eq!(rows(&want).0 > 0, want.stats.nnz_gathered > 0, "{label}");
+                let nodes = |r: &TopKResult| r.items.iter().map(|i| i.node).collect::<Vec<_>>();
+                assert_eq!(nodes(got), nodes(&want), "{label}: set or order");
+                for (a, b) in got.items.iter().zip(&want.items) {
+                    let err = (a.proximity - b.proximity).abs();
+                    assert!(err <= VALUE_TOLERANCE, "{label}: node {} off by {err:e}", a.node);
+                }
+            }
+        }
+        assert_eq!(gathered > 0, c == 0.15, "c {c}: {gathered} entries gathered");
     }
 }
 

@@ -1,21 +1,21 @@
 //! The certified-refinement path's own contracts, beyond "same ranking as
 //! the dense build" (`tests/sparsified_equivalence.rs`):
 //!
-//! * **Workspace reuse** — the loop keeps three dense vectors that are
+//! * **Workspace reuse** — the loop keeps four dense vectors that are
 //!   only ever written inside a query's reachable set and zeroed over it
 //!   on the way out. One `Searcher` driven through every refined entry
 //!   point, across shrinking reachable sets and across typed failures,
 //!   must answer bit-for-bit like a fresh one each time (and, in debug
 //!   builds, trips the loop's own all-zero assertion if it does not).
-//! * **Budgets** — every `QueryBudget` knob aborts typed in the first pass
-//!   *and* inside a refinement step — a sweep at the default restart
+//! * **Budgets** — every `QueryBudget` knob aborts typed in the first step
+//!   *and* inside a later one — a sweep at the default restart
 //!   probability, a correction at `c = 0.15` — with the work so far
 //!   attached. The gather meter fires only where something is gathered:
-//!   in the initial solve and the corrections at `c = 0.15`, never in the
-//!   sweep start at the default.
+//!   in the corrections at `c = 0.15`, the first step included, never in
+//!   the sweeps at the default.
 //! * **Numerics** — a residual that overflows is a typed
 //!   `RefinementFailed` at once, never 64 passes and a comparator panic;
-//!   where the first pass is a sweep, the stored inverses cannot touch the
+//!   where the first step is a sweep, the stored inverses cannot touch the
 //!   answer at all.
 //! * **Out-weight sums** — the derived per-node normalisers stay coherent
 //!   with the stored graph through build, save → load and dynamic updates
@@ -36,11 +36,11 @@ use kdash_sparse::{transition_matrix, CscMatrix, CsrMatrix, DanglingPolicy, Prox
 use std::cmp::Reverse;
 use std::time::Duration;
 
-/// The default restart probability: the first pass is a sweep, and
+/// The default restart probability: the first step is a sweep, and
 /// sweeps carry the refinement.
 const C: f64 = 0.95;
-/// A small one: the first pass is the initial solve `Ũ⁻¹(L̃⁻¹ b)`, and
-/// corrections carry the refinement.
+/// A small one: the first step is the correction `Ũ⁻¹(L̃⁻¹ b)` from
+/// `x̃ = 0`, and corrections carry the refinement.
 const WIDE_C: f64 = 0.15;
 
 fn sparsified(graph: &CsrGraph, eps: f64, c: f64) -> KdashIndex {
@@ -141,10 +141,10 @@ fn pass_cost(index: &KdashIndex, graph: &CsrGraph, q: NodeId) -> (usize, usize) 
     (reach.iter().map(|&v| rows[perm.new_of(v) as usize].nnz as usize).sum(), reach.len())
 }
 
-/// A finished run's `(sweeps, corrections)`. The initial solve and
-/// every correction gather exactly one pass; a sweep gathers nothing. A
-/// run that gathered nothing started with a sweep, and every step after
-/// it was a sweep.
+/// A finished run's `(sweeps, corrections)` after the first step. Every
+/// correction, the first step included, gathers exactly one pass; a
+/// sweep gathers nothing. A run that gathered nothing started with a
+/// sweep, and every step after it was a sweep.
 fn step_split(stats: &SearchStats, pass_nnz: usize) -> (usize, usize) {
     if stats.nnz_gathered == 0 {
         return (stats.refinement_iterations, 0);
@@ -156,7 +156,7 @@ fn step_split(stats: &SearchStats, pass_nnz: usize) -> (usize, usize) {
 
 /// Sweeps deadlines upwards in 5 % steps until one expires inside a
 /// refinement step, and returns that abort's stats. It shows as
-/// `visited == reach`: the first pass's last check sees `reach − 1`.
+/// `visited == reach`: the first step's last check sees `reach − 1`.
 /// Every run a deadline lets finish must equal `plain`.
 fn abort_in_refinement(s: &mut Searcher<'_>, q: NodeId, plain: &TopKResult) -> SearchStats {
     let mut nanos = 1_000f64;
@@ -206,7 +206,7 @@ fn one_workspace_replays_fresh_across_entry_points_and_failures() {
                 assert!(matches!(reused.top_k(big, 10), Err(KdashError::BudgetExceeded { .. })));
                 reused.set_budget(QueryBudget::unlimited());
             } else {
-                // Only the clock stops a sweep, and the first pass was
+                // Only the clock stops a sweep, and the first step was
                 // one: nothing is gathered before the abort.
                 assert!(sweeps >= 1 && corrections == 0, "{name}: {corrections} corrections");
                 let stats = abort_in_refinement(&mut reused, big, &plain);
@@ -303,8 +303,8 @@ fn every_budget_aborts_typed_in_the_initial_solve_and_in_a_correction_pass() {
     assert!(sweeps >= 1 && corrections == 0, "{sweeps} sweeps, {corrections} corrections");
     let mut s = index.searcher();
 
-    // Frontier nodes: N admits exactly N first-pass visits; `reach` admits
-    // the whole first pass, a sweep, and stops the next step's first node.
+    // Frontier nodes: N admits exactly N first-step visits; `reach` admits
+    // the whole first step, a sweep, and stops the next step's first node.
     let budget = QueryBudget { max_frontier_nodes: Some(7), ..Default::default() };
     let (limit, stats) = abort(&mut s, q, reach, budget);
     assert_eq!(limit, BudgetLimit::FrontierNodes(7));
@@ -313,7 +313,7 @@ fn every_budget_aborts_typed_in_the_initial_solve_and_in_a_correction_pass() {
     let (limit, stats) = abort(&mut s, q, reach, budget);
     assert_eq!(limit, BudgetLimit::FrontierNodes(reach));
     assert_eq!((stats.visited, stats.proximity_computations), (reach, reach));
-    assert_eq!(stats.nnz_gathered, 0, "the first pass gathered a row");
+    assert_eq!(stats.nnz_gathered, 0, "the first step gathered a row");
     assert!(stats.refinement_nnz > 0, "the first residual was streamed");
 
     // Deadline: zero expires before the first node.
@@ -346,9 +346,9 @@ fn every_budget_aborts_typed_in_the_initial_solve_and_in_a_correction_pass() {
         &index.searcher().nodes_above(q, theta).unwrap(),
     );
 
-    // At c = 0.15 the first pass is the initial solve and corrections
-    // carry the loop: half a pass stops the initial solve, and a pass and
-    // a bit stops the first correction in the middle of its row-dot sweep.
+    // At c = 0.15 the first step is a correction and corrections carry
+    // the loop: half a pass stops the first step, and a pass and a bit
+    // stops the second correction in the middle of its row-dot sweep.
     let (_, graph, index) = families(WIDE_C).swap_remove(2);
     let q = by_reach(&index)[0].1;
     let (pass_nnz, reach) = pass_cost(&index, &graph, q);
@@ -400,8 +400,8 @@ fn corrupted(index: &KdashIndex) -> KdashIndex {
 
 #[test]
 fn overflowing_residual_is_a_typed_failure_not_a_panic() {
-    // Where the first pass is the initial solve, x̃ overflows to ±∞ and
-    // the residual to NaN on the first evaluation.
+    // Where the first step is a correction, x̃ overflows to ±∞ and the
+    // residual to NaN on the first evaluation.
     let (_, _, index) = families(WIDE_C).swap_remove(0);
     let q = by_reach(&index)[0].1;
     let index = corrupted(&index);
@@ -431,7 +431,7 @@ fn overflowing_residual_is_a_typed_failure_not_a_panic() {
     for round in 0..2 {
         let label = format!("round {round}");
         let got = s.top_k(q, 10).unwrap();
-        assert_eq!(got.stats.nnz_gathered, 0, "{label}: the first pass gathered a row");
+        assert_eq!(got.stats.nnz_gathered, 0, "{label}: the first step gathered a row");
         assert_same(&label, &got, &t.top_k(q, 10).unwrap());
         assert_same(&label, &s.nodes_above(q, theta).unwrap(), &t.nodes_above(q, theta).unwrap());
         let (a, b) =
@@ -469,9 +469,9 @@ fn every_refined_proximity_is_within_the_value_tolerance() {
             // Every ε at the default c, where sweeps carry the loop; one at
             // smaller c, down to where corrections do. Sweeps do the most
             // work at c = 0.3, where top-k and threshold goals start with a
-            // sweep and the full vector with the initial solve; at 0.28 and
-            // below every goal starts with the initial solve, and at 0.05 a
-            // sweep start would run out of steps.
+            // sweep and the full vector with a correction; at 0.28 and
+            // below every goal starts with a correction, and at 0.05 a
+            // run of sweeps would run out of steps.
             let cs = [
                 (C, &[1e-5, 1e-4, 1e-3][..]),
                 (0.5, &[1e-4]),

@@ -10,7 +10,7 @@
 
 use kdash_core::{IndexOptions, KdashIndex, TopKResult};
 use kdash_datagen::barabasi_albert;
-use kdash_graph::{GraphBuilder, NodeId};
+use kdash_graph::{BfsTree, GraphBuilder, NodeId};
 use kdash_harness::break_ties;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -49,9 +49,12 @@ fn top_k_into_is_allocation_free_after_warmup() {
     // tie-free weights, or the loop would rightly refuse to rank). The 20
     // newest nodes keep only the edges they sent, so their queries reach
     // the hub from outside its closure and the anchor path merges a
-    // nonempty rest into it. Both indexes are built before either window
-    // opens, and the windows run one after the other: the counter is
-    // process-wide.
+    // nonempty rest into it. At the default c every step of a sparsified
+    // query is a sweep; at c = 0.15 the first step is a correction, which
+    // gathers through the workspace kernel, and the planner mixes both
+    // kinds after it. Every index (and each query's `Ũ⁻¹` pass cost) is
+    // ready before any window opens, and the windows run one after the
+    // other: the counter is process-wide.
     let ba = barabasi_albert(600, 3, 42);
     let graph = GraphBuilder::from_edges(600, ba.edges().filter(|&(s, d, _)| d < 580 || s > d));
     let graph = break_ties(&graph.build().unwrap()).unwrap();
@@ -59,11 +62,23 @@ fn top_k_into_is_allocation_free_after_warmup() {
     let sparsified =
         KdashIndex::build(&graph, IndexOptions { drop_tolerance: 1e-3, ..Default::default() })
             .unwrap();
-    assert!(sparsified.needs_refinement());
+    let wide_options =
+        IndexOptions { drop_tolerance: 1e-3, restart_probability: 0.15, ..Default::default() };
+    let wide = KdashIndex::build(&graph, wide_options).unwrap();
+    assert!(sparsified.needs_refinement() && wide.needs_refinement());
     let n = graph.num_nodes() as NodeId;
+    // Stored `Ũ⁻¹` entries of one pass over each query's reachable set.
+    let (rows, perm) = (wide.uinv_rows().row_stats(), wide.permutation());
+    let pass: Vec<usize> = (0..n)
+        .map(|q| {
+            let reach = BfsTree::new(&graph, q).order;
+            reach.iter().map(|&v| rows[perm.new_of(v) as usize].nnz as usize).sum()
+        })
+        .collect();
     let k = 10;
 
-    for (tier, index) in [("dense", &dense), ("sparsified", &sparsified)] {
+    let tiers = [("dense", &dense), ("sparsified", &sparsified), ("sparsified c 0.15", &wide)];
+    for (tier, index) in tiers {
         let mut searcher = index.searcher();
         let mut result = TopKResult::default();
 
@@ -74,7 +89,7 @@ fn top_k_into_is_allocation_free_after_warmup() {
         }
 
         let before = allocations();
-        let mut anchored = 0;
+        let (mut anchored, mut mixed) = (0, 0);
         for round in 0..3 {
             for q in 0..n {
                 searcher.top_k_into(q, k, &mut result).unwrap();
@@ -82,14 +97,25 @@ fn top_k_into_is_allocation_free_after_warmup() {
                 let (scanned, reachable) =
                     (result.stats.frontier_expanded, result.stats.reachable);
                 anchored += usize::from(0 < scanned && scanned < reachable);
+                if std::ptr::eq(index, &wide) {
+                    // Every correction, the first step included, gathers
+                    // exactly one pass.
+                    let passes = result.stats.nnz_gathered / pass[q as usize];
+                    assert!(passes >= 1, "{tier} q {q}: the first step was not a correction");
+                    let sweeps = result.stats.refinement_iterations + 1 - passes;
+                    mixed += usize::from(sweeps > 0 && passes > 1);
+                }
             }
         }
         let after = allocations();
-        if tier == "sparsified" {
+        if tier != "dense" {
             // The window must cover the reach-anchor path too: a reachable
             // set merged from the anchor's closure and what the query
             // scanned beside it, not a drained BFS.
-            assert!(anchored > 0, "no sparsified query merged beside the anchor's closure");
+            assert!(anchored > 0, "{tier}: no query merged beside the anchor's closure");
+        }
+        if std::ptr::eq(index, &wide) {
+            assert!(mixed > 0, "{tier}: no query mixed sweeps with corrections");
         }
         assert_eq!(
             after - before,
