@@ -2,7 +2,7 @@
 //!
 //! Times full `IndexBuilder` runs on an RMAT graph (the paper's Figure 6
 //! workload shape), printing one line per pipeline stage — ordering /
-//! factorization / inversion / estimator / assemble — for a configurable
+//! factorization / inversion / assemble — for a configurable
 //! list of inversion thread counts, then the sequential-vs-parallel
 //! speedup. Headline numbers land in `BENCH_PR2.json` at the repo root.
 //!

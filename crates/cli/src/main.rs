@@ -90,11 +90,12 @@
 //! frame CRCs and epoch contiguity without loading the index at all.
 //!
 //! `verify` is the operational fsck: it loads the index (which already
-//! validates every per-section checksum of the v4 format) and then runs
+//! validates every per-section checksum of the v5 format) and then runs
 //! the deep structural audit of `kdash_core::audit` — triangularity of
 //! the stored inverses, permutation bijectivity, blocked-encoding decode
-//! contract, policy-table and estimator coherence — printing one timing
-//! line per section, every finding, and a machine-readable JSON summary.
+//! contract, the store's derived tables and estimator coherence —
+//! printing one timing line per section, every finding, and a
+//! machine-readable JSON summary.
 //! Exit status is non-zero when any invariant is violated.
 //!
 //! Edge lists are plain text (`src dst [weight]`, `#`/`%` comments) — the

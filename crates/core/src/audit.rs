@@ -15,14 +15,17 @@
 //! * `U⁻¹` is genuinely upper triangular with a nonzero diagonal leading
 //!   every row, and its run encoding obeys the decode contract (aligned
 //!   anchors, full coverage, strictly ascending decoded columns);
-//! * the store's derived tables — per-row stats, `max_row_nnz`, column
-//!   sums — agree with the rows they summarise (a wrong table skews the
-//!   gather accounting and budgets, or the stop rule's mass);
+//! * the store's derived tables — `max_row_nnz` and the column sums —
+//!   agree with the rows they summarise (a stale column sum skews the
+//!   stop rule's mass); the per-row stats are read off the rows
+//!   themselves, so there is no table of them to disagree;
 //! * the estimator constants — and the per-node out-weight sums the stop
 //!   rule and the certified refinement normalise by, and the reach anchor
-//!   the latter lists reachable sets from — are **bit-identical** to a
-//!   recomputation from the stored graph: the bounds and the refinement
-//!   residual are only sound for the matrix actually indexed;
+//!   the latter lists reachable sets from — are **bit-identical** to an
+//!   independent recomputation from the stored graph (the constructor
+//!   derives all three there; this checks nothing replaced them since):
+//!   the bounds and the refinement residual are only sound for the
+//!   matrix actually indexed;
 //! * the header scalars (restart probability, component dimensions) are
 //!   coherent.
 //!
@@ -129,14 +132,13 @@ impl IndexAudit {
 
     fn run_core(index: &KdashIndex) -> (Vec<AuditSection>, Collector) {
         let mut col = Collector::new();
-        let mut sections = Vec::with_capacity(9);
-        let steps: [(&'static str, fn(&KdashIndex, &mut Collector)); 8] = [
+        let mut sections = Vec::with_capacity(8);
+        let steps: [(&'static str, fn(&KdashIndex, &mut Collector)); 7] = [
             ("header", audit_header),
             ("permutation", audit_permutation),
             ("graph", audit_graph),
             ("linv", audit_linv),
             ("uinv", audit_uinv),
-            ("row-stats", audit_row_stats),
             ("estimator", audit_estimator),
             ("sparsify", audit_sparsify),
         ];
@@ -324,7 +326,8 @@ fn audit_linv(index: &KdashIndex, col: &mut Collector) {
 /// decoded columns in bounds). The walk also re-sums every column, top to
 /// bottom: the store's column sums are where the stop rule's mass comes
 /// from, a splice refreshes them only for the columns it replaced, and a
-/// stale sum below the truth would stop searches too early.
+/// stale sum below the truth would stop searches too early. And it finds
+/// the widest row, which the store's cached `max_row_nnz` must name.
 fn audit_uinv(index: &KdashIndex, col: &mut Collector) {
     const S: &str = "uinv";
     let store = index.uinv();
@@ -342,6 +345,7 @@ fn audit_uinv(index: &KdashIndex, col: &mut Collector) {
         || "blocked arrays do not cover each other".to_string(),
     );
     let mut decoded: Vec<u32> = Vec::new();
+    let mut max_nnz = 0usize;
     for r in 0..n {
         let (lo, hi) = (row_ptr[r.min(row_ptr.len() - 1)], row_ptr[(r + 1).min(row_ptr.len() - 1)]);
         let (rlo, rhi) =
@@ -350,6 +354,7 @@ fn audit_uinv(index: &KdashIndex, col: &mut Collector) {
             col.check(S, false, || format!("row {r}: invalid pointer ranges"));
             continue;
         }
+        max_nnz = max_nnz.max(hi - lo);
         col.check(S, (lo < hi) == (rlo < rhi), || format!("row {r}: runs and nonzeros disagree"));
         decoded.clear();
         let mut start = lo;
@@ -373,6 +378,9 @@ fn audit_uinv(index: &KdashIndex, col: &mut Collector) {
         col.check(S, start == hi, || format!("row {r}: runs do not cover the row"));
         audit_uinv_row(S, col, n, r as u32, &decoded, &values[lo..hi], &mut sums);
     }
+    col.check(S, store.max_row_nnz() == max_nnz, || {
+        format!("cached max_row_nnz {} but widest row has {max_nnz}", store.max_row_nnz())
+    });
     let stored = store.column_sums();
     col.check(S, stored.len() == sums.len(), || {
         format!("column-sum table has {} entries, expected {}", stored.len(), sums.len())
@@ -425,49 +433,22 @@ fn audit_uinv_row(
     }
 }
 
-/// The stored per-row stats table (and the cached `max_row_nnz`) must
-/// describe the rows actually stored — a skewed table silently miscounts
-/// the gathered entries the query budget meters.
-fn audit_row_stats(index: &KdashIndex, col: &mut Collector) {
-    const S: &str = "row-stats";
-    let store = index.uinv();
-    let blocked = store.as_blocked();
-    let n = store.nrows();
-    let stats = store.row_stats();
-    col.check(S, stats.len() == n, || {
-        format!("stats table has {} rows, store has {n}", stats.len())
-    });
-    let mut max_nnz = 0usize;
-    for (r, stat) in (0..n as u32).zip(stats) {
-        max_nnz = max_nnz.max(stat.nnz as usize);
-        let (nnz, first, last) =
-            (blocked.row_nnz(r), blocked.row_first_col(r), blocked.row_last_col(r));
-        col.check(S, stat.nnz as usize == nnz, || {
-            format!("row {r}: stat nnz {} but {nnz} stored entries", stat.nnz)
-        });
-        if nnz > 0 {
-            col.check(S, first == Some(stat.first) && last == Some(stat.last), || {
-                format!(
-                    "row {r}: stat span [{}, {}] but stored span [{:?}, {:?}]",
-                    stat.first, stat.last, first, last
-                )
-            });
-        }
-    }
-    col.check(S, store.max_row_nnz() == max_nnz, || {
-        format!("cached max_row_nnz {} but widest row has {max_nnz}", store.max_row_nnz())
-    });
-}
-
 /// The estimator constants must be **bit-identical** to a recomputation
 /// from the stored permuted graph under the recorded dangling policy —
-/// the one derivation ([`BoundConstants::of`]) build, load and update
-/// run. Anything else means the Lemma 1/2 bounds describe a different
+/// the one derivation ([`BoundConstants::of`]) the index constructor
+/// runs. Anything else means the Lemma 1/2 bounds describe a different
 /// matrix than the one indexed, and "exact top-k" is no longer a theorem.
 fn audit_estimator(index: &KdashIndex, col: &mut Collector) {
     const S: &str = "estimator";
-    let a = transition_matrix(index.permuted_graph(), index.dangling_policy());
-    let (stored, expect) = (index.bounds(), BoundConstants::of(&a, index.restart_probability()));
+    let graph = index.permuted_graph();
+    let expect_out_weight = out_weight_sums(graph);
+    let expect = BoundConstants::of(
+        graph,
+        &expect_out_weight,
+        index.dangling_policy(),
+        index.restart_probability(),
+    );
+    let stored = index.bounds();
     for (name, stored, expect) in [
         ("A_max", stored.a_max, expect.a_max),
         ("c'_max", stored.c_prime_max, expect.c_prime_max),
@@ -490,8 +471,7 @@ fn audit_estimator(index: &KdashIndex, col: &mut Collector) {
     // The out-weight sums the stop rule and the refinement residual divide
     // by: derived, so a stale vector means a commit path replaced the
     // graph without them.
-    let out_weight = index.out_weight();
-    let expect = out_weight_sums(index.permuted_graph());
+    let (out_weight, expect) = (index.out_weight(), expect_out_weight);
     col.check(S, out_weight.len() == expect.len(), || {
         format!("out-weight vector has {} entries, expected {}", out_weight.len(), expect.len())
     });
@@ -718,7 +698,7 @@ mod tests {
     fn fresh_index_audits_clean() {
         let audit = IndexAudit::run(&sample_index());
         assert!(audit.is_clean(), "findings: {:?}", audit.findings);
-        assert_eq!(audit.sections.len(), 8);
+        assert_eq!(audit.sections.len(), 7);
         assert!(audit.sections.iter().all(|s| s.checks > 0));
         assert!(audit.clone().into_result().is_ok());
     }
@@ -744,8 +724,8 @@ mod tests {
         let index = sample_index();
         let audit = IndexAudit::run_with_factors(&index, &factors_of(&index));
         assert!(audit.is_clean(), "findings: {:?}", audit.findings);
-        assert_eq!(audit.sections.len(), 9);
-        let last = &audit.sections[8];
+        assert_eq!(audit.sections.len(), 8);
+        let last = &audit.sections[7];
         assert_eq!(last.name, "factors");
         assert!(last.checks > 0, "the factor checks must run");
     }

@@ -69,17 +69,18 @@
 //!
 //! Every constant above — `A_max(v)`, `A_max`, `c'_u`, `c'_max`, `Ā_u` —
 //! is a function of the transition matrix `A` and `c` alone, and
-//! `BoundConstants::of` is the one place that function is written down:
-//! a build, a load, an update and the audit each call it on the `A` of the
-//! graph at hand, so none of them can hold constants of another matrix.
+//! `BoundConstants::of` is the one place that function is written down.
+//! It reads `A` straight off the graph's out-edges, entry by entry the
+//! value [`kdash_sparse::transition_matrix`] stores. It has two callers:
+//! the index constructor — a build, a load and an update each hand that a
+//! graph, never constants, so no index can hold the constants of another
+//! matrix than its own — and the audit, as its independent recompute.
 //! (The query mass's column sums `1ᵀU⁻¹` are a table of the stored `U⁻¹`,
 //! and live with it: [`kdash_sparse::ProximityStore::column_sums`].)
-//!
-//! [`DanglingPolicy::Keep`]: kdash_sparse::DanglingPolicy::Keep
 
 use crate::KdashIndex;
-use kdash_graph::NodeId;
-use kdash_sparse::CscMatrix;
+use kdash_graph::{CsrGraph, NodeId};
+use kdash_sparse::DanglingPolicy;
 
 /// The constants of the bounds (see the module docs), in permuted node
 /// order.
@@ -100,23 +101,43 @@ pub(crate) struct BoundConstants {
 }
 
 impl BoundConstants {
-    /// Reads the constants off the transition matrix `a` in one pass over
-    /// its entries. (A maximum has to be taken over the whole matrix even
-    /// after a one-edge edit: a row's can fall, and only a pass finds the
-    /// runner-up.)
-    pub(crate) fn of(a: &CscMatrix, c: f64) -> BoundConstants {
-        let mut a_col_max = Vec::with_capacity(a.ncols());
-        let mut c_prime = Vec::with_capacity(a.ncols());
-        let mut a_row_max = vec![0.0f64; a.nrows()];
-        for v in 0..a.ncols() as NodeId {
-            let (rows, vals) = a.col(v);
+    /// Reads the constants off the transition matrix of `graph` under
+    /// `dangling`, in one pass over its out-edges: `A_uv = w(v→u) /
+    /// out_weight[v]`, and `A_vv = 1` for a dangling `v` under
+    /// [`DanglingPolicy::SelfLoop`] — bit for bit the entries
+    /// [`kdash_sparse::transition_matrix`] stores. `out_weight` is
+    /// [`CsrGraph::out_weight_sum`] per node. (A maximum has to be taken
+    /// over the whole matrix even after a one-edge edit: a row's can fall,
+    /// and only a pass finds the runner-up.)
+    pub(crate) fn of(
+        graph: &CsrGraph,
+        out_weight: &[f64],
+        dangling: DanglingPolicy,
+        c: f64,
+    ) -> BoundConstants {
+        let n = graph.num_nodes();
+        let mut a_col_max = Vec::with_capacity(n);
+        let mut c_prime = Vec::with_capacity(n);
+        let mut a_row_max = vec![0.0f64; n];
+        for v in 0..n as NodeId {
+            let out_sum = out_weight[v as usize];
+            let looped = [v];
+            // Column `v` of `A` as (rows, weights, normaliser).
+            let (rows, weights, norm): (&[NodeId], &[f64], f64) = if out_sum > 0.0 {
+                (graph.out_neighbors(v), graph.out_weights(v), out_sum)
+            } else if dangling == DanglingPolicy::SelfLoop {
+                (&looped, &[1.0], 1.0)
+            } else {
+                (&[], &[], 1.0)
+            };
             let (mut col_max, mut a_vv) = (0.0f64, 0.0);
-            for (&u, &w) in rows.iter().zip(vals) {
-                col_max = col_max.max(w);
+            for (&u, &w) in rows.iter().zip(weights) {
+                let a_uv = w / norm;
+                col_max = col_max.max(a_uv);
                 let slot = &mut a_row_max[u as usize];
-                *slot = slot.max(w);
+                *slot = slot.max(a_uv);
                 if u == v {
-                    a_vv = w;
+                    a_vv = a_uv;
                 }
             }
             a_col_max.push(col_max);
@@ -416,8 +437,11 @@ impl ArbitraryOrderBound {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::precompute::out_weight_sums;
     use crate::{IndexOptions, NodeOrdering};
     use kdash_graph::GraphBuilder;
+    use kdash_sparse::{transition_matrix, CscMatrix};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// 0 → {1, 2} → 3 → 4 under the natural order, so ids are positions.
     fn diamond() -> KdashIndex {
@@ -427,6 +451,86 @@ mod tests {
         }
         let options = IndexOptions { ordering: NodeOrdering::Natural, ..Default::default() };
         KdashIndex::build(&b.build().unwrap(), options).unwrap()
+    }
+
+    /// The constants read off the entries [`transition_matrix`] stores:
+    /// the reference `BoundConstants::of` must match bit for bit.
+    fn read_off_transition(a: &CscMatrix, c: f64) -> BoundConstants {
+        let mut a_col_max = Vec::new();
+        let mut c_prime = Vec::new();
+        let mut a_row_max = vec![0.0f64; a.nrows()];
+        for v in 0..a.ncols() as NodeId {
+            let (rows, vals) = a.col(v);
+            let (mut col_max, mut a_vv) = (0.0f64, 0.0);
+            for (&u, &w) in rows.iter().zip(vals) {
+                col_max = col_max.max(w);
+                a_row_max[u as usize] = a_row_max[u as usize].max(w);
+                if u == v {
+                    a_vv = w;
+                }
+            }
+            a_col_max.push(col_max);
+            c_prime.push((1.0 - c) / (1.0 - a_vv + c * a_vv));
+        }
+        let max_of = |xs: &[f64]| xs.iter().copied().fold(0.0f64, f64::max);
+        BoundConstants {
+            a_max: max_of(&a_col_max),
+            c_prime_max: max_of(&c_prime),
+            a_col_max,
+            c_prime,
+            a_row_max,
+        }
+    }
+
+    /// Graphs with dangling nodes, self-loops (some the node's only
+    /// out-edge) and non-uniform weights.
+    fn awkward_graphs() -> Vec<CsrGraph> {
+        let mut graphs = Vec::new();
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = 60;
+            let mut b = GraphBuilder::new(n);
+            for v in 0..n as NodeId {
+                let kind = rng.gen_range(0..6);
+                if kind == 0 {
+                    continue; // dangling
+                }
+                if kind <= 2 {
+                    b.add_edge(v, v, rng.gen_range(0.1..3.0));
+                }
+                if kind == 1 {
+                    continue; // the self-loop is its only out-edge
+                }
+                for _ in 0..rng.gen_range(1..5) {
+                    let u = rng.gen_range(0..n as NodeId);
+                    if u != v {
+                        b.add_edge(v, u, rng.gen_range(0.01..7.0));
+                    }
+                }
+            }
+            graphs.push(b.build().unwrap());
+        }
+        graphs
+    }
+
+    #[test]
+    fn constants_equal_those_read_off_the_transition_matrix() {
+        let bits = |xs: &[f64]| -> Vec<u64> { xs.iter().map(|x| x.to_bits()).collect() };
+        for (g, graph) in awkward_graphs().iter().enumerate() {
+            assert!(graph.num_dangling() > 0, "graph {g} has a dangling node");
+            for dangling in [DanglingPolicy::Keep, DanglingPolicy::SelfLoop] {
+                for c in [0.95, 0.5, 0.15] {
+                    let expect = read_off_transition(&transition_matrix(graph, dangling), c);
+                    let got = BoundConstants::of(graph, &out_weight_sums(graph), dangling, c);
+                    let case = format!("graph {g} {dangling:?} c {c}");
+                    assert_eq!(got.a_max.to_bits(), expect.a_max.to_bits(), "{case}");
+                    assert_eq!(got.c_prime_max.to_bits(), expect.c_prime_max.to_bits(), "{case}");
+                    assert_eq!(bits(&got.a_col_max), bits(&expect.a_col_max), "{case}");
+                    assert_eq!(bits(&got.c_prime), bits(&expect.c_prime), "{case}");
+                    assert_eq!(bits(&got.a_row_max), bits(&expect.a_row_max), "{case}");
+                }
+            }
+        }
     }
 
     /// Each node's `S_u` (`None` where no push of this query reached it)

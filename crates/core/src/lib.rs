@@ -46,9 +46,10 @@
 //!
 //! ## Building at scale: the staged [`IndexBuilder`] pipeline
 //!
-//! [`KdashIndex::build`] is a convenience wrapper over a five-stage
-//! pipeline — `ordering → factorization → inversion → estimator →
-//! assemble` — that [`IndexBuilder`] exposes directly. Each stage is
+//! [`KdashIndex::build`] is a convenience wrapper over a four-stage
+//! pipeline — `ordering → factorization → inversion → assemble` — that
+//! [`IndexBuilder`] exposes directly (the bounds' constants are derived
+//! from the graph in `assemble`, as on a load or an update). Each stage is
 //! individually timed ([`IndexBuilder::build_with_report`]), and the
 //! inversion stage, which dominates precomputation cost (the paper's
 //! Figure 6), runs its independent column solves on a work-stealing
@@ -227,8 +228,8 @@
 //!   [`persist::PersistError::UnsupportedVersion`].
 //! * **Deep auditing** — [`audit::IndexAudit::run`] re-verifies every
 //!   structural invariant of a loaded or patched index (triangularity,
-//!   permutation bijectivity, blocked-layout encoding, row stats,
-//!   estimator constants recomputed bit-for-bit). Exposed as
+//!   permutation bijectivity, blocked-layout encoding, the store's
+//!   derived tables, estimator constants recomputed bit-for-bit). Exposed as
 //!   `kdash verify <index>` and as an opt-in post-update check on the
 //!   dynamic engine (`DynamicIndex::verify_after_apply`).
 //! * **Query failure isolation** — [`IsolatedExecutor::run`] wraps every

@@ -27,10 +27,11 @@
 //! [`kdash_sparse::BlockedCsr`], run anchors + `u16` deltas, the
 //! bandwidth-lean on-disk *and* in-memory form; any other tag is a
 //! [`PersistError::Corrupt`] `U⁻¹` section — `0` too, the flat CSC arrays
-//! older builds could write), the packed per-row stats
-//! ([`kdash_sparse::RowStat`], checked on load against the stats
-//! recomputed from the arrays), estimator constants (checked on
-//! load, bit for bit, against the constants derived from the graph
+//! older builds could write), the per-row stats
+//! ([`kdash_sparse::RowStat`], read off the blocked arrays and checked
+//! against them on load: redundancy only, nothing is loaded from it),
+//! estimator constants (likewise written from and checked against, bit
+//! for bit, the constants the assembled index derives from the graph
 //! section), dropped masses, and the dynamic-update trailer
 //! (dangling-node policy tag and **update-epoch counter**) — is followed
 //! by its CRC32 (IEEE), and the
@@ -39,11 +40,10 @@
 //! and the footer last, so corruption is reported with the failing
 //! [`Section`] and byte offset ([`PersistError::ChecksumMismatch`]).
 
-use crate::estimator::BoundConstants;
 use crate::precompute::IndexParts;
 use crate::{KdashIndex, NodeOrdering};
 use kdash_graph::{CsrGraph, Permutation};
-use kdash_sparse::{transition_matrix, BlockedCsr, CscMatrix, ProximityStore, RowStat};
+use kdash_sparse::{BlockedCsr, CscMatrix, ProximityStore, RowStat};
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -71,9 +71,11 @@ pub enum Section {
     Linv,
     /// `U⁻¹`: the blocked row-layout tag, then the blocked arrays.
     Uinv,
-    /// The packed per-row policy stats.
+    /// The per-row stats of `U⁻¹` (entry count and column span), a
+    /// redundancy check on the blocked arrays.
     RowStats,
-    /// The estimator constants (`A_max(v)`, `A_max`, `c'`).
+    /// The estimator constants (`A_max(v)`, `A_max`, `c'`), a redundancy
+    /// check on the graph section.
     Estimator,
     /// The sparsification record (v5+): drop tolerance `ε` and the
     /// per-column dropped ℓ₁ masses of both stored inverses.
@@ -613,8 +615,9 @@ impl KdashIndex {
         write_f64_slice(&mut w, values)?;
         marks.push((Section::Uinv.name(), w.end_section()?));
 
-        // The per-row stats table.
-        for stat in uinv.row_stats() {
+        // The per-row stats, read off the rows.
+        for r in 0..uinv.nrows() as u32 {
+            let stat = uinv.row_stat(r);
             write_u32(&mut w, stat.nnz)?;
             write_u32(&mut w, stat.first)?;
             write_u32(&mut w, stat.last)?;
@@ -767,14 +770,15 @@ impl KdashIndex {
 
         // The persisted row stats must match the arrays they claim to
         // describe: a mismatch means either section is corrupt.
-        for (i, expect) in uinv.row_stats().iter().enumerate() {
+        for i in 0..n {
+            let expect = uinv.row_stat(i as u32);
             let at = r.offset();
             let got = RowStat {
                 nnz: r.u32(Section::RowStats)?,
                 first: r.u32(Section::RowStats)?,
                 last: r.u32(Section::RowStats)?,
             };
-            if got != *expect {
+            if got != expect {
                 return Err(corrupt(
                     Section::RowStats,
                     at,
@@ -784,8 +788,8 @@ impl KdashIndex {
         }
         r.end_section(Section::RowStats)?;
 
-        // Estimator constants: held until the trailer names the dangling
-        // policy the graph's transition matrix is formed under.
+        // Estimator constants: held until the index they describe is
+        // assembled.
         let estimator_at = r.offset();
         let a_col_max = r.f64_vec(Section::Estimator, n)?;
         let a_max = r.f64(Section::Estimator)?;
@@ -829,20 +833,6 @@ impl KdashIndex {
         r.verify_footer()?;
         let end = r.offset();
 
-        // The constants are a function of the graph just validated: derive
-        // them, and refuse a file whose stored ones differ by a bit — they
-        // would bound another matrix than the one the file indexes.
-        let bounds = BoundConstants::of(&transition_matrix(&graph, dangling), c);
-        let stored = a_col_max.iter().chain([&a_max]).chain(&c_prime);
-        let derived = bounds.a_col_max.iter().chain([&bounds.a_max]).chain(&bounds.c_prime);
-        if let Some(at) = stored.zip(derived).position(|(s, d)| s.to_bits() != d.to_bits()) {
-            return Err(corrupt(
-                Section::Estimator,
-                estimator_at + 8 * at as u64,
-                "estimator section disagrees with the constants of the stored graph",
-            ));
-        }
-
         // A file holds no factors, so their counts read zero.
         let index = KdashIndex::assemble(IndexParts {
             c,
@@ -853,7 +843,6 @@ impl KdashIndex {
             graph,
             linv,
             uinv,
-            bounds,
             drop_tolerance,
             linv_dropped,
             uinv_dropped,
@@ -861,6 +850,20 @@ impl KdashIndex {
             nnz_u: 0,
         })
         .map_err(|e| corrupt(Section::Index, end, format!("inconsistent index components: {e}")))?;
+
+        // The index derived its constants from the graph just validated:
+        // refuse a file whose stored ones differ by a bit — they would
+        // bound another matrix than the one the file indexes.
+        let bounds = index.bounds();
+        let stored = a_col_max.iter().chain([&a_max]).chain(&c_prime);
+        let derived = bounds.a_col_max.iter().chain([&bounds.a_max]).chain(&bounds.c_prime);
+        if let Some(at) = stored.zip(derived).position(|(s, d)| s.to_bits() != d.to_bits()) {
+            return Err(corrupt(
+                Section::Estimator,
+                estimator_at + 8 * at as u64,
+                "estimator section disagrees with the constants of the stored graph",
+            ));
+        }
         Ok((index, LoadInfo { version, update_epoch }))
     }
 }

@@ -1,9 +1,9 @@
 //! Staged index construction — the build-side twin of the query engine.
 //!
-//! [`IndexBuilder`] decomposes index construction into five named stages,
+//! [`IndexBuilder`] decomposes index construction into four named stages,
 //!
 //! ```text
-//! ordering → factorization → inversion → estimator → assemble
+//! ordering → factorization → inversion → assemble
 //! ```
 //!
 //! each individually timed and surfaced through a [`BuildReport`]
@@ -23,7 +23,6 @@
 //! benchmark graphs that chain left a second worker nothing to do
 //! (`kdash_sparse::lu`'s module docs have the measurement).
 
-use crate::estimator::BoundConstants;
 use crate::ordering::{compute_ordering_with_stats, OrderingStats};
 use crate::precompute::IndexParts;
 use crate::{IndexOptions, KdashError, KdashIndex, NodeOrdering, Result};
@@ -35,7 +34,7 @@ use kdash_sparse::{
 };
 use std::time::{Duration, Instant};
 
-/// The five steps of the build pipeline, in execution order.
+/// The four steps of the build pipeline, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuildStage {
     /// Node reordering and graph permutation (§4.2.2).
@@ -44,19 +43,18 @@ pub enum BuildStage {
     Factorization,
     /// Triangular inversion: `L⁻¹` and `U⁻¹` (Equations (4)–(5)).
     Inversion,
-    /// Estimator constants `A_max`, `A_max(v)` and the `c'` factors.
-    Estimator,
-    /// Statistics and final index assembly.
+    /// The blocked `U⁻¹` encoding and the final index assembly, which
+    /// derives from the permuted graph the estimator constants `A_max`,
+    /// `A_max(v)` and the `c'` factors, and the statistics.
     Assemble,
 }
 
 impl BuildStage {
     /// Every stage, in pipeline order.
-    pub const ALL: [BuildStage; 5] = [
+    pub const ALL: [BuildStage; 4] = [
         BuildStage::Ordering,
         BuildStage::Factorization,
         BuildStage::Inversion,
-        BuildStage::Estimator,
         BuildStage::Assemble,
     ];
 
@@ -66,7 +64,6 @@ impl BuildStage {
             BuildStage::Ordering => "ordering",
             BuildStage::Factorization => "factorization",
             BuildStage::Inversion => "inversion",
-            BuildStage::Estimator => "estimator",
             BuildStage::Assemble => "assemble",
         }
     }
@@ -138,7 +135,7 @@ impl BuildReport {
 ///     .build_with_report(&graph)
 ///     .unwrap();
 /// assert_eq!(index.num_nodes(), 32);
-/// assert_eq!(report.stages.len(), 5);
+/// assert_eq!(report.stages.len(), 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct IndexBuilder {
@@ -282,21 +279,13 @@ impl IndexBuilder {
         let uinv = CsrMatrix::from_csc(&uinv_csc);
         report.stages.push(StageTiming { stage: BuildStage::Inversion, duration: t.elapsed() });
 
-        // Stage 4 — estimator: the constants of the bounds, read off the
-        // transition matrix (the stop rule's column sums come with the
-        // proximity store).
-        let t = Instant::now();
-        let c = options.restart_probability;
-        let bounds = BoundConstants::of(&a, c);
-        report.stages.push(StageTiming { stage: BuildStage::Estimator, duration: t.elapsed() });
-
-        // Stage 5 — assemble: the blocked proximity-store encoding of U⁻¹
-        // with its derived tables, statistics, and the final immutable
-        // index.
+        // Stage 4 — assemble: the blocked proximity-store encoding of U⁻¹
+        // with its derived tables, and the final immutable index, which
+        // derives the bounds' constants and statistics itself.
         let t = Instant::now();
         let uinv = ProximityStore::from_csr(uinv, RowLayout::Blocked)?;
         let index = KdashIndex::assemble(IndexParts {
-            c,
+            c: options.restart_probability,
             ordering: options.ordering,
             dangling: options.dangling,
             update_epoch: 0,
@@ -304,7 +293,6 @@ impl IndexBuilder {
             graph: permuted,
             linv,
             uinv,
-            bounds,
             drop_tolerance: eps,
             linv_dropped,
             uinv_dropped,

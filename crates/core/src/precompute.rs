@@ -2,8 +2,9 @@
 //!
 //! Builds everything a query needs: the reordering permutation, the
 //! permuted graph (for BFS), the sparse triangular inverses `L⁻¹` / `U⁻¹`,
-//! and the estimator's precomputed quantities `A_max`, `A_max(v)` and the
-//! per-node `c'` factors.
+//! and what the one constructor, [`KdashIndex::assemble`], derives from
+//! the graph itself: the estimator's `A_max`, `A_max(v)` and per-node `c'`
+//! factors, the out-weight sums and the reach anchor.
 
 use crate::estimator::BoundConstants;
 use crate::{IndexBuilder, IndexStats, KdashError, NodeOrdering, Result};
@@ -74,10 +75,10 @@ pub struct KdashIndex {
     /// encoding): a node's proximity is one gather of a stored row against
     /// the scattered query column.
     uinv: ProximityStore,
-    /// The constants of the proximity bounds, derived from the transition
-    /// matrix of `graph` ([`BoundConstants::of`]) wherever that is set.
-    /// `A_max(v)`, `A_max` and `c'` are also what the file format's
-    /// estimator section holds.
+    /// The constants of the proximity bounds, derived from `graph` where
+    /// that is set ([`BoundConstants::of`], in `assemble`). `A_max(v)`,
+    /// `A_max` and `c'` are also what the file format's estimator section
+    /// holds, written from here and checked against here on load.
     bounds: BoundConstants,
     /// Out-edge weight sum per (permuted) node — the normaliser of its
     /// transition-matrix column, zero for dangling nodes. Derived from
@@ -105,17 +106,14 @@ pub struct KdashIndex {
 
 /// What one incremental update batch produces: a full replacement set for
 /// the *stored* components of a [`KdashIndex`] that depend on the graph.
-/// What is derived from them is not a patch's to supply:
-/// [`KdashIndex::patched`] reads the bounds' constants off `transition`,
-/// and `uinv` carries its own tables. Construct one only from spliced
-/// components that a from-scratch rebuild would reproduce.
+/// What is derived from them is not a patch's to supply: the constructor
+/// derives the bounds' constants from `graph`, and `uinv` carries its own
+/// tables. Construct one only from spliced components that a from-scratch
+/// rebuild would reproduce.
 #[doc(hidden)]
 pub struct IndexPatch {
     /// The edited permuted graph.
     pub graph: CsrGraph,
-    /// The transition matrix of `graph` under the index's dangling policy
-    /// — the one the update engine formed to refactorise `W`, moved here.
-    pub transition: CscMatrix,
     /// `L⁻¹` with the dirty columns re-solved and spliced.
     pub linv: CscMatrix,
     /// `U⁻¹` with the dirty columns re-solved and spliced
@@ -138,7 +136,8 @@ pub struct IndexPatch {
 }
 
 /// Everything a build, a load or an update hands to
-/// [`KdashIndex::assemble`] to become a [`KdashIndex`].
+/// [`KdashIndex::assemble`] to become a [`KdashIndex`]: the stored
+/// components and the scalars, nothing derivable from them.
 pub(crate) struct IndexParts {
     pub c: f64,
     pub ordering: NodeOrdering,
@@ -148,9 +147,6 @@ pub(crate) struct IndexParts {
     pub graph: CsrGraph,
     pub linv: CscMatrix,
     pub uinv: ProximityStore,
-    /// [`BoundConstants::of`] the transition matrix of `graph`: each
-    /// producer has that matrix at hand for a reason of its own.
-    pub bounds: BoundConstants,
     pub drop_tolerance: f64,
     pub linv_dropped: Vec<f64>,
     pub uinv_dropped: Vec<f64>,
@@ -172,8 +168,10 @@ impl KdashIndex {
 
     /// The one constructor: build, load and update all end here. Fails
     /// when the scalars are out of range or the component dimensions
-    /// disagree; derives the dropped-mass total, the out-weight sums, the
-    /// reach anchor and the size statistics.
+    /// disagree; derives from the graph the out-weight sums, the bounds'
+    /// constants (under the dangling policy and `c`) and the reach
+    /// anchor, and from the components the dropped-mass total and the
+    /// size statistics.
     pub(crate) fn assemble(parts: IndexParts) -> Result<KdashIndex> {
         let malformed = |detail: String| KdashError::Sparse(SparseError::Malformed(detail));
         let p = &parts;
@@ -185,8 +183,6 @@ impl KdashIndex {
             || p.linv.ncols() != n
             || p.uinv.nrows() != n
             || p.uinv.ncols() != n
-            || p.bounds.a_col_max.len() != n
-            || p.bounds.a_row_max.len() != n
             || p.linv_dropped.len() != n
             || p.uinv_dropped.len() != n
         {
@@ -197,8 +193,10 @@ impl KdashIndex {
         }
         let dropped_total =
             p.linv_dropped.iter().sum::<f64>() + p.uinv_dropped.iter().sum::<f64>();
+        let out_weight = out_weight_sums(&p.graph);
         Ok(KdashIndex {
-            out_weight: out_weight_sums(&p.graph),
+            bounds: BoundConstants::of(&p.graph, &out_weight, p.dangling, p.c),
+            out_weight,
             anchor: ReachAnchor::of(&p.graph, dropped_total),
             dropped_total,
             stats: IndexStats {
@@ -219,7 +217,6 @@ impl KdashIndex {
             graph: parts.graph,
             linv: parts.linv,
             uinv: parts.uinv,
-            bounds: parts.bounds,
             drop_tolerance: parts.drop_tolerance,
             linv_dropped: parts.linv_dropped,
             uinv_dropped: parts.uinv_dropped,
@@ -228,9 +225,10 @@ impl KdashIndex {
 
     /// The index one update batch later — the commit stage of the
     /// `kdash-dynamic` update engine. The patch supplies every stored
-    /// component that depends on the graph and the bounds' constants are
-    /// derived from its transition matrix; the permutation and the options
-    /// carry over, and the update epoch advances by [`IndexPatch::epochs`].
+    /// component that depends on the graph; what derives from the graph,
+    /// the bounds' constants among it, [`assemble`](Self::assemble)
+    /// derives from the patch's. The permutation and the options carry
+    /// over, and the update epoch advances by [`IndexPatch::epochs`].
     /// `self` is untouched, whatever the outcome.
     ///
     /// Hidden: the only supported caller is `kdash_dynamic::DynamicIndex`,
@@ -252,7 +250,6 @@ impl KdashIndex {
             graph: patch.graph,
             linv: patch.linv,
             uinv: patch.uinv,
-            bounds: BoundConstants::of(&patch.transition, self.c),
             drop_tolerance: self.drop_tolerance,
             linv_dropped: patch.linv_dropped,
             uinv_dropped: patch.uinv_dropped,
@@ -729,7 +726,6 @@ mod tests {
         let (linv_dropped, uinv_dropped) = index.dropped_masses();
         IndexPatch {
             graph: index.permuted_graph().clone(),
-            transition: transition_matrix(index.permuted_graph(), index.dangling_policy()),
             linv: index.linv_cols().clone(),
             uinv: index.uinv_rows().clone(),
             linv_dropped: linv_dropped.to_vec(),
@@ -759,7 +755,7 @@ mod tests {
         let smaller = KdashIndex::build(&ring_with_chords(12), IndexOptions::default()).unwrap();
         let spoilers: [fn(&mut IndexPatch, &KdashIndex); 4] = [
             |p, _| p.epochs = 0,
-            |p, other| p.transition = other.linv_cols().clone(),
+            |p, other| p.graph = other.permuted_graph().clone(),
             |p, other| p.linv = other.linv_cols().clone(),
             |p, _| p.uinv_dropped[4] = -1e-9,
         ];

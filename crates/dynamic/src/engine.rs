@@ -116,8 +116,8 @@ pub struct UpdateReport {
     /// Splice time: the re-solved columns into `L⁻¹` and into `U⁻¹`
     /// (its rows re-encoded, its derived tables refreshed).
     pub splice_time: Duration,
-    /// Re-deriving the bounds' constants + assembling the next index
-    /// ([`KdashIndex::patched`]).
+    /// Assembling the next index ([`KdashIndex::patched`]), which derives
+    /// the bounds' constants from the edited graph.
     pub estimator_time: Duration,
     /// Write-ahead journal append + fsync time (zero when journaled
     /// mode is off) — the durability tax the `recovery_time` bench
@@ -330,8 +330,8 @@ impl DynamicIndex {
     /// Opt into running the full structural audit
     /// ([`kdash_core::IndexAudit`]) after every committed batch:
     /// triangularity of the spliced inverses, blocked-encoding decode
-    /// contract, policy-table and estimator coherence. The audit runs
-    /// *after* the commit — a finding means the committed
+    /// contract, the store's derived tables and estimator coherence. The
+    /// audit runs *after* the commit — a finding means the committed
     /// state is damaged and [`apply`](Self::apply) returns
     /// [`kdash_core::KdashError::AuditFailed`]; treat the index as
     /// suspect and rebuild or reload it. Costs one full pass over the
@@ -639,12 +639,13 @@ impl DynamicIndex {
         report.dirty_uinv_rows = dirty_uinv_rows;
         report.splice_time = t.elapsed();
 
-        // Stage 6 — the next index: the bounds' constants re-derived from
-        // the edited transition matrix, and everything that can fail run
-        // here, before anything is made durable. Its update epoch is
-        // ahead by the number of batches this pass represented. The
-        // per-column dropped ℓ₁ masses carry over, overwritten where a
-        // column was re-solved.
+        // Stage 6 — the next index: `patched` derives the bounds'
+        // constants (and the out-weight sums and the reach anchor) from
+        // the edited graph, and everything that can fail runs here,
+        // before anything is made durable; `estimator_time` times it. Its
+        // update epoch is ahead by the number of batches this pass
+        // represented. The per-column dropped ℓ₁ masses carry over,
+        // overwritten where a column was re-solved.
         let t = Instant::now();
         let (old_linv_dropped, old_uinv_dropped) = self.index.dropped_masses();
         let mut linv_dropped = old_linv_dropped.to_vec();
@@ -657,7 +658,6 @@ impl DynamicIndex {
         }
         let next = Arc::new(self.index.patched(IndexPatch {
             graph: new_graph,
-            transition: a,
             linv: new_linv,
             uinv: new_uinv,
             linv_dropped,

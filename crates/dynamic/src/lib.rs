@@ -49,19 +49,19 @@
 //!    [`kdash_sparse::CscMatrix::splice_columns`] for `L⁻¹` and
 //!    [`kdash_sparse::ProximityStore::splice_columns`] for `U⁻¹`. That
 //!    `U⁻¹` is stored by row, under which encoding, and which of its
-//!    derived tables (per-row stats, column sums) a column touches is the
-//!    store's knowledge alone; what the engine is promised is the store a
-//!    from-scratch build of the spliced matrix would hold.
+//!    derived tables (column sums, the largest row) a column touches is
+//!    the store's knowledge alone; what the engine is promised is the
+//!    store a from-scratch build of the spliced matrix would hold.
 //! 4. **Bound constants** — `A_max(v)`, `A_max`, `c'` and the row maxima
-//!    are functions of the edited transition matrix, which the engine
-//!    formed to refactorise `W`: it moves into the patch, and
-//!    `KdashIndex::patched` derives them by the one function a build and
-//!    a load also call (`kdash_core::estimator`).
+//!    are functions of the edited graph, so the patch carries none of
+//!    them: `KdashIndex::patched` ends in the one constructor a build and
+//!    a load also end in, which derives them from the graph it is handed
+//!    (`kdash_core::estimator`).
 //!
 //! Because every stage either reuses the build pipeline's own kernels on
 //! identical inputs or provably leaves bits alone, *incremental update ≡
-//! from-scratch rebuild* holds at the array level — index arrays, row
-//! stats, top-k items and search statistics — which
+//! from-scratch rebuild* holds at the array level — index arrays, bound
+//! constants, top-k items and search statistics — which
 //! `tests/dynamic_equivalence.rs` pins across graph families, orderings
 //! and random edit batches.
 //!

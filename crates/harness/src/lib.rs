@@ -245,9 +245,9 @@ pub fn check_index_bit_identity(
         }
     }
     // ProximityStore equality covers the encoded index arrays, the
-    // values and the store's derived tables: the RowStat policy table,
-    // the largest row and the column sums — so this is where a splice that
-    // left a stale column sum would show.
+    // values and the store's derived values: the largest row and the
+    // column sums — so this is where a splice that left a stale column
+    // sum would show.
     if a.uinv_rows() != b.uinv_rows() {
         return Err("U⁻¹ proximity stores differ".into());
     }

@@ -35,7 +35,7 @@
 
 use crate::csc::validate_column_updates;
 use crate::kernel::Segment;
-use crate::{ColumnUpdate, CsrMatrix, Index, Result, RowStat, SparseError};
+use crate::{ColumnUpdate, CsrMatrix, Index, Result, SparseError};
 
 /// Width of one column block: deltas are `u16`, so a run covers columns
 /// `[anchor, anchor + 2^16)` with `anchor` a multiple of `2^16`.
@@ -90,8 +90,8 @@ impl BlockedCsr {
         Ok(BlockedCsr { nrows, ncols, row_ptr, run_ptr, run_base, run_end, deltas, values })
     }
 
-    /// Replaces whole columns, returning the new matrix and the rows it
-    /// re-encoded, ascending — the array work of
+    /// Replaces whole columns, returning the new matrix and how many rows
+    /// it re-encoded — the array work of
     /// [`crate::ProximityStore::splice_columns`]. A row is re-encoded iff
     /// it holds an entry in an updated column before or after the splice:
     /// its surviving entries are merged by column with its new ones and run
@@ -99,17 +99,12 @@ impl BlockedCsr {
     /// other row's deltas, values and run headers are copied verbatim with
     /// only the global run offsets shifted — so the result is
     /// array-for-array what re-encoding the fully spliced CSR matrix
-    /// gives, for encoding work proportional to the touched rows.
-    /// `stats` is the store's per-row table of `self`: its column spans
-    /// rule most rows out without decoding them.
-    pub(crate) fn splice_columns(
-        &self,
-        updates: &[ColumnUpdate],
-        stats: &[RowStat],
-    ) -> Result<(BlockedCsr, Vec<Index>)> {
+    /// gives, for encoding work proportional to the touched rows. A row's
+    /// first and last column rule most rows out without decoding them.
+    pub(crate) fn splice_columns(&self, updates: &[ColumnUpdate]) -> Result<(BlockedCsr, usize)> {
         validate_column_updates(self.nrows, self.ncols, updates)?;
         let (Some(first), Some(last)) = (updates.first(), updates.last()) else {
-            return Ok((self.clone(), Vec::new()));
+            return Ok((self.clone(), 0));
         };
         let (min_dirty, max_dirty) = (first.col, last.col);
         let mut dirty = vec![false; self.ncols];
@@ -141,14 +136,16 @@ impl BlockedCsr {
         let mut run_end: Vec<u32> = Vec::with_capacity(self.run_end.len());
         let mut deltas: Vec<u16> = Vec::with_capacity(self.nnz() + added.len());
         let mut values: Vec<f64> = Vec::with_capacity(self.nnz() + added.len());
-        let mut reencoded: Vec<Index> = Vec::new();
+        let mut reencoded = 0;
         let (mut old_cols, mut merged, mut cols) = (Vec::new(), Vec::new(), Vec::new());
-        assert_eq!(stats.len(), self.nrows, "one stat per row");
-        for (r, stat) in stats.iter().enumerate() {
+        for r in 0..self.nrows {
             let gains = added.iter().take_while(|e| e.0 as usize == r).count();
             let gained = &added[..gains];
             added = &added[gains..];
-            let in_span = stat.nnz > 0 && stat.last >= min_dirty && stat.first <= max_dirty;
+            let in_span = match (self.row_first_col(r as Index), self.row_last_col(r as Index)) {
+                (Some(lo), Some(hi)) => hi >= min_dirty && lo <= max_dirty,
+                _ => false,
+            };
             if in_span || !gained.is_empty() {
                 self.decode_row_into(r as Index, &mut old_cols);
             }
@@ -174,7 +171,7 @@ impl BlockedCsr {
                 cols.extend(merged.iter().map(|e| e.0));
                 encode_row(&cols, deltas.len(), &mut run_base, &mut run_end, &mut deltas);
                 values.extend(merged.iter().map(|e| e.1));
-                reencoded.push(r as Index);
+                reencoded += 1;
             }
             row_ptr.push(deltas.len());
             run_ptr.push(run_base.len());
@@ -231,8 +228,8 @@ impl BlockedCsr {
         }
         if row_ptr[0] != 0
             || run_ptr[0] != 0
-            || *row_ptr.last().unwrap() != deltas.len()
-            || *run_ptr.last().unwrap() != run_base.len()
+            || row_ptr[nrows] != deltas.len()
+            || run_ptr[nrows] != run_base.len()
             || run_base.len() != run_end.len()
         {
             return malformed("pointer arrays do not cover the payload".into());
@@ -490,16 +487,21 @@ fn encode_row(
     run_end: &mut Vec<u32>,
     deltas: &mut Vec<u16>,
 ) {
-    let mut current_base = u32::MAX; // sentinel: no open run
+    let mut open: Option<u32> = None; // the block of the run being written
     for (off, &c) in cols.iter().enumerate() {
         let base = c & !(BLOCK_COLS - 1);
-        if base != current_base {
+        if open != Some(base) {
+            // A new block: close the open run where this one starts.
+            if open.is_some() {
+                run_end.push((start + off) as u32);
+            }
             run_base.push(base);
-            run_end.push((start + off) as u32); // provisional; fixed below
-            current_base = base;
+            open = Some(base);
         }
-        *run_end.last_mut().expect("run open") = (start + off + 1) as u32;
         deltas.push((c - base) as u16);
+    }
+    if open.is_some() {
+        run_end.push((start + cols.len()) as u32);
     }
 }
 

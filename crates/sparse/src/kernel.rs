@@ -147,20 +147,6 @@ impl Default for ResolvedKernel {
     }
 }
 
-/// Build-time per-row statistics: the row's stored-entry count and its
-/// column span. Materialised as a packed table at index-assembly time
-/// (and persisted beside the rows), so per-row accounting never touches
-/// the index arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RowStat {
-    /// Stored entries of the row.
-    pub nnz: u32,
-    /// Smallest column (0 for an empty row).
-    pub first: u32,
-    /// Largest column (0 for an empty row).
-    pub last: u32,
-}
-
 /// Byte-traffic counters the gather entry points accumulate, the raw
 /// material for `SearchStats::bytes_touched` and the per-kernel row
 /// split. `value_bytes` follows a fixed *accounting model* rather than a

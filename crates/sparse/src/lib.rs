@@ -47,8 +47,10 @@
 //!   the index traffic of flat CSR on fill-dominated inverse rows,
 //!   bit-identical values and results,
 //! * [`store`] — [`ProximityStore`]: the query engine's `U⁻¹` holder,
-//!   the blocked rows with their per-row stats table, byte-traffic
-//!   counters and software-prefetch hooks behind one gather entry point.
+//!   the blocked rows with the column sums the stop rule takes a query's
+//!   mass from, byte-traffic counters and software-prefetch hooks behind
+//!   one gather entry point; a row's [`RowStat`] (entry count and column
+//!   span) is read off its encoding.
 //!
 //! ## Conventions
 //!
@@ -77,7 +79,7 @@ pub use csc::{ColumnUpdate, CscMatrix};
 pub use csr::CsrMatrix;
 pub use inverse::{dense_tail_columns, InvertOptions};
 pub use reach::{inverse_dirty_columns, refactor_candidates};
-pub use kernel::{GatherCounters, GatherScratch, ResolvedKernel, RowStat};
+pub use kernel::{GatherCounters, GatherScratch, ResolvedKernel};
 pub use lu::{
     refactor_columns, sparse_lu, sparse_lu_tallied, sparse_lu_with, LuFactors, RefactorReport,
 };
@@ -87,7 +89,7 @@ pub use sparsify::{
     sparsify_columns_with, sparsify_lower_unit_with, sparsify_upper_with, validate_drop_tolerance,
     SparsifiedColumns, SparsifiedInverse,
 };
-pub use store::{ProximityStore, RowLayout};
+pub use store::{ProximityStore, RowLayout, RowStat};
 pub use triangular::{SolveTally, SolveWorkspace, Triangle};
 
 /// Index type shared with `kdash-graph`.

@@ -1,17 +1,20 @@
 //! The proximity read path: one store, one row encoding, one kernel.
 //!
 //! [`ProximityStore`] is what the query engine holds for `U⁻¹`: the rows
-//! in the bandwidth-lean [`BlockedCsr`] encoding, plus the tables derived
-//! from them — the packed per-row [`RowStat`]s (so per-row accounting
-//! never touches the index arrays), the largest row, and the column sums
-//! `1ᵀU⁻¹` the search's stop rule takes a query's mass from. All three
-//! are filled where a store is assembled and nowhere else.
+//! in the bandwidth-lean [`BlockedCsr`] encoding, plus what is derived
+//! from them — the largest row's entry count, and the column sums `1ᵀU⁻¹`
+//! the search's stop rule takes a query's mass from. Both are filled
+//! where a store is assembled and nowhere else. A row's [`RowStat`]
+//! (entry count and column span) is no table: the encoding holds all
+//! three facts, and [`ProximityStore::row_stat`] reads them off it. (The
+//! file format still persists the stats beside the rows, written from
+//! and checked against the encoding, as a redundancy check.)
 //!
 //! A store is immutable. The dynamic engine's one way to change `U⁻¹` is
 //! [`ProximityStore::splice_columns`]: re-solved columns in (the form the
-//! solver emits and `L⁻¹` takes as is), the next store out, derived tables
-//! refreshed for exactly what the columns touched. How rows are encoded
-//! stays this module's business.
+//! solver emits and `L⁻¹` takes as is), the next store out, column sums
+//! refreshed for exactly the columns replaced. How rows are encoded stays
+//! this module's business.
 //!
 //! Every gather funnels through [`ProximityStore::row_dot_dense`]: a row
 //! hands its runs to the kernel as segments, and the lanes carry across
@@ -23,7 +26,7 @@
 use crate::kernel::gather_lanes;
 use crate::{
     BlockedCsr, ColumnUpdate, CscMatrix, CsrMatrix, GatherCounters, GatherScratch, Index,
-    ResolvedKernel, Result, RowStat, ScatteredColumn,
+    ResolvedKernel, Result, ScatteredColumn,
 };
 
 /// The row encoding of a [`ProximityStore`]: [`BlockedCsr`] is the only
@@ -39,12 +42,22 @@ pub enum RowLayout {
     Blocked,
 }
 
+/// A row's stored-entry count and column span, as
+/// [`ProximityStore::row_stat`] reads them off the encoding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RowStat {
+    /// Stored entries of the row.
+    pub nnz: u32,
+    /// Smallest column (0 for an empty row).
+    pub first: u32,
+    /// Largest column (0 for an empty row).
+    pub last: u32,
+}
+
 /// Row-major proximity storage behind the query engine (see module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProximityStore {
     rows: BlockedCsr,
-    /// Packed per-row stats (12 bytes/row), assembly-time built.
-    row_stats: Vec<RowStat>,
     /// Largest row's stored-entry count.
     max_row_nnz: usize,
     /// `1ᵀ A`: per column, its stored values added by ascending row from
@@ -67,15 +80,12 @@ impl ProximityStore {
     }
 
     /// The one place a store comes into being, and the one place its
-    /// derived tables are filled: off `rows`, unless a splice hands over
-    /// the `(row stats, column sums)` it refreshed.
-    fn assemble(rows: BlockedCsr, refreshed: Option<(Vec<RowStat>, Vec<f64>)>) -> ProximityStore {
-        let (row_stats, col_sums) = refreshed.unwrap_or_else(|| {
-            let stats = (0..rows.nrows() as Index).map(|r| row_stat_in(&rows, r)).collect();
-            (stats, sum_columns(&rows))
-        });
-        let max_row_nnz = row_stats.iter().map(|s| s.nnz as usize).max().unwrap_or(0);
-        ProximityStore { rows, row_stats, max_row_nnz, col_sums }
+    /// derived values are filled: off `rows`, unless a splice hands over
+    /// the column sums it refreshed.
+    fn assemble(rows: BlockedCsr, col_sums: Option<Vec<f64>>) -> ProximityStore {
+        let col_sums = col_sums.unwrap_or_else(|| sum_columns(&rows));
+        let max_row_nnz = (0..rows.nrows() as Index).map(|r| rows.row_nnz(r)).max().unwrap_or(0);
+        ProximityStore { rows, max_row_nnz, col_sums }
     }
 
     /// The blocked matrix.
@@ -98,15 +108,15 @@ impl ProximityStore {
         self.rows.nnz()
     }
 
-    /// The packed per-row stats table.
-    pub fn row_stats(&self) -> &[RowStat] {
-        &self.row_stats
-    }
-
-    /// Stats of one row.
+    /// Row `r`'s entry count and column span, read off the encoding
+    /// (all zero for an empty row).
     #[inline]
     pub fn row_stat(&self, r: Index) -> RowStat {
-        self.row_stats[r as usize]
+        let rows = &self.rows;
+        match (rows.row_first_col(r), rows.row_last_col(r)) {
+            (Some(first), Some(last)) => RowStat { nnz: rows.row_nnz(r) as u32, first, last },
+            _ => RowStat::default(),
+        }
     }
 
     /// Largest row's stored-entry count.
@@ -127,10 +137,9 @@ impl ProximityStore {
         self.rows.index_bytes()
     }
 
-    /// Heap footprint of the stored arrays in bytes (row-stats table
-    /// included).
+    /// Heap footprint of the stored arrays in bytes.
     pub fn heap_bytes(&self) -> usize {
-        self.rows.heap_bytes() + self.row_stats.len() * std::mem::size_of::<RowStat>()
+        self.rows.heap_bytes()
     }
 
     /// Rebuilds the CSR matrix (values bit-identical).
@@ -174,7 +183,7 @@ impl ProximityStore {
         counters: &mut GatherCounters,
     ) -> f64 {
         assert_eq!(y.len(), self.ncols(), "vector dimension must match the store");
-        let nnz = self.row_stats[r as usize].nnz as usize;
+        let nnz = self.rows.row_nnz(r);
         counters.index_bytes += self.row_index_bytes(r);
         counters.value_bytes += 8 * nnz;
         counters.nnz += nnz;
@@ -196,23 +205,19 @@ impl ProximityStore {
     /// how many rows it re-encoded (those holding an entry in an updated
     /// column before or after). The result equals
     /// [`ProximityStore::from_csr`] of the fully spliced matrix, arrays and
-    /// derived tables alike (pinned by the store tests and, end to end, by
-    /// `tests/dynamic_equivalence.rs`): row stats are refreshed for the
-    /// re-encoded rows, column sums for the replaced columns. `updates`
+    /// derived values alike (pinned by the store tests and, end to end, by
+    /// `tests/dynamic_equivalence.rs`): column sums are refreshed for the
+    /// replaced columns. `updates`
     /// must be sorted by strictly increasing column, each with strictly
     /// increasing in-bounds rows and finite values — the contract of
     /// [`CscMatrix::splice_columns`].
     pub fn splice_columns(&self, updates: &[ColumnUpdate]) -> Result<(ProximityStore, usize)> {
-        let (rows, reencoded) = self.rows.splice_columns(updates, &self.row_stats)?;
-        let mut row_stats = self.row_stats.clone();
-        for &r in &reencoded {
-            row_stats[r as usize] = row_stat_in(&rows, r);
-        }
+        let (rows, reencoded) = self.rows.splice_columns(updates)?;
         let mut col_sums = self.col_sums.clone();
         for u in updates {
             col_sums[u.col as usize] = u.vals.iter().fold(0.0, |sum, &v| sum + v);
         }
-        Ok((ProximityStore::assemble(rows, Some((row_stats, col_sums))), reencoded.len()))
+        Ok((ProximityStore::assemble(rows, Some(col_sums)), reencoded))
     }
 
     /// Two-pointer merge join of row `r` against a sorted sparse vector —
@@ -249,14 +254,6 @@ impl ProximityStore {
     #[inline]
     pub fn prefetch_row(&self, r: Index) {
         self.rows.prefetch_row(r)
-    }
-}
-
-/// Stats of row `r`, read off the stored row.
-fn row_stat_in(rows: &BlockedCsr, r: Index) -> RowStat {
-    match (rows.row_first_col(r), rows.row_last_col(r)) {
-        (Some(first), Some(last)) => RowStat { nnz: rows.row_nnz(r) as u32, first, last },
-        _ => RowStat::default(),
     }
 }
 
@@ -386,9 +383,23 @@ mod tests {
         ColumnUpdate { col, rows, vals }
     }
 
+    /// Every row's `(nnz, first, last)` as `row_stat` reads it off the
+    /// encoding, beside the same facts read off `to_csr()` (zeros for an
+    /// empty row).
+    fn stats_and_csr_spans(store: &ProximityStore) -> (Vec<RowStat>, Vec<RowStat>) {
+        let csr = store.to_csr();
+        let rows = 0..store.nrows() as Index;
+        let spans = rows.clone().map(|r| match csr.row(r).0 {
+            [] => RowStat::default(),
+            cols => RowStat { nnz: cols.len() as u32, first: cols[0], last: cols[cols.len() - 1] },
+        });
+        (rows.map(|r| store.row_stat(r)).collect(), spans.collect())
+    }
+
     /// The one splice contract: column updates in, and out comes the store
-    /// `from_csr` builds off the spliced matrix — arrays, row stats,
-    /// largest row and column sums — with the touched rows counted.
+    /// `from_csr` builds off the spliced matrix — arrays, largest row and
+    /// column sums — with the touched rows counted. Row stats, read off
+    /// the encoding, describe the CSR rows before and after.
     #[test]
     fn splice_columns_equals_from_csr_of_the_spliced_matrix() {
         // row 0: {0, 3, 100 000}  gains column 2, loses the other two updated ones
@@ -414,7 +425,12 @@ mod tests {
             let (spliced, reencoded) = store.splice_columns(updates).unwrap();
             let expect = store_of(rebuilt);
             assert_eq!(spliced, expect);
-            assert_eq!(spliced.row_stats(), expect.row_stats());
+            let emptied = if touched == 0 { 2 } else { 1 };
+            for (when, s, empty_row) in [("before", &store, 2), ("after", &spliced, emptied)] {
+                let (stats, spans) = stats_and_csr_spans(s);
+                assert_eq!(stats, spans, "row stats {when} the splice");
+                assert_eq!(stats[empty_row], RowStat::default(), "an empty row {when}");
+            }
             assert_eq!(spliced.max_row_nnz(), expect.max_row_nnz());
             let bits = |s: &ProximityStore| -> Vec<u64> {
                 s.column_sums().iter().map(|x| x.to_bits()).collect()

@@ -2,8 +2,8 @@
 //! applying an [`UpdateBatch`] to a built index is **bit-for-bit
 //! equivalent** to rebuilding from scratch on the edited graph under the
 //! index's frozen node order — index arrays (`L⁻¹` pointers/indices/value
-//! bits, the `U⁻¹` proximity store with its blocked encoding and RowStat
-//! policy table), estimator constants, nnz statistics, top-k items and
+//! bits, the `U⁻¹` proximity store with its blocked encoding and column
+//! sums), estimator constants, nnz statistics, top-k items and
 //! `SearchStats` alike.
 //!
 //! * Property: across ER/BA/RMAT × orderings × random edit batches

@@ -1,4 +1,4 @@
-//! Layering lint: four decisions stay behind the module that owns them.
+//! Layering lint: five decisions stay behind the module that owns them.
 //!
 //! * How `U⁻¹` is laid out is `kdash-sparse`'s business. The tiers that
 //!   change or serve an index hand the store column updates and take a
@@ -8,6 +8,12 @@
 //! * The bounds' constants are computed by
 //!   `kdash_core::estimator::BoundConstants::of`; a second spelling of the
 //!   `c′` formula in library code is a derivation that can drift from it.
+//! * And they are derived by their owner: the index constructor
+//!   (`KdashIndex::assemble`, in `precompute.rs`) calls that function on
+//!   the graph it is handed, and the audit calls it as its independent
+//!   recompute — nothing else does. A build, a load or an update that
+//!   derived them itself and handed them in beside a graph could hand in
+//!   the constants of another graph.
 //! * Threads start in two places: the serving tier's worker pool and the
 //!   inversion's column-solve pool. A third engine in library code is one
 //!   more concurrent structure to test and explore, so it needs an edit
@@ -33,6 +39,10 @@ const C_PRIME_FORMULA: &str = "(1.0 - c) / (1.0 - ";
 /// What only the oracles and the suites that hold the driver to them
 /// may name.
 const YARDSTICK_NAMES: [&str; 4] = ["paper::", "with_kernel", "reference()", "host_bodies"];
+
+/// The library files that may call `BoundConstants::of`: the index
+/// constructor and the audit.
+const BOUND_DERIVERS: [&str; 2] = ["crates/core/src/precompute.rs", "crates/core/src/audit.rs"];
 
 /// The library files that may start a thread.
 const THREAD_OWNERS: [&str; 2] = ["crates/serve/src/server.rs", "crates/sparse/src/inverse.rs"];
@@ -68,6 +78,16 @@ fn c_prime_is_derived_in_one_place() {
     let sites = library_lines(&["crates"], |code| code.contains(C_PRIME_FORMULA));
     assert_eq!(sites.len(), 1, "{sites:?}");
     assert!(sites[0].contains("crates/core/src/estimator.rs"), "{sites:?}");
+}
+
+#[test]
+fn the_constructor_derives_the_bound_constants() {
+    let sites = library_lines(&["crates"], |code| code.contains("BoundConstants::of("));
+    for owner in BOUND_DERIVERS {
+        let calls = sites.iter().filter(|s| s.contains(owner)).count();
+        assert_eq!(calls, 1, "{owner} must call BoundConstants::of once: {sites:?}");
+    }
+    assert_eq!(sites.len(), BOUND_DERIVERS.len(), "only {BOUND_DERIVERS:?} derive: {sites:?}");
 }
 
 #[test]

@@ -47,8 +47,10 @@ const PINS: &[(&str, usize)] = &[
     // `ResolvedKernel` token — the request enum with its `ALL`, `name`
     // and `resolve`, and `ResolvedKernel::is_simd` go (−5), the hidden
     // `ResolvedKernel::{reference, host_bodies}` come (+2); and
-    // `BlockedCsr::row_values` turns private (−1).
-    ("sparse", 159),
+    // `BlockedCsr::row_values` turns private (−1). Then −1:
+    // `ProximityStore::row_stats`, the table gone (a row's stats are read
+    // off the encoding by `row_stat`).
+    ("sparse", 158),
 ];
 
 const ITEM_KEYWORDS: [&str; 9] =

@@ -173,7 +173,7 @@ fn mark(marks: &[(&'static str, usize)], name: &str) -> usize {
 }
 
 /// Byte offsets of the blocked-U⁻¹ internals (layout tag, blocked
-/// arrays, row-stats table), anchored on the writer's section marks and
+/// arrays, row-stats section), anchored on the writer's section marks and
 /// walked forward with the index's own counts so the corruption tests
 /// stay exact against what `save` actually wrote.
 fn v2_section_offsets(index: &KdashIndex) -> (usize, usize, usize) {
@@ -233,8 +233,8 @@ fn inflated_count_fields_error_instead_of_panicking() {
 fn corrupt_row_stats_section_is_rejected() {
     let (index, mut buf) = sample_index();
     let (_, _, stats_off) = v2_section_offsets(&index);
-    // A row-stats table that disagrees with the arrays would silently
-    // mis-steer the adaptive policy; the loader must reject it instead.
+    // A row-stats section that disagrees with the arrays means either is
+    // corrupt; the loader must reject it.
     buf[stats_off] ^= 0x5A;
     let err = KdashIndex::load(buf.as_slice()).unwrap_err();
     assert!(

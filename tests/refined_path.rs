@@ -136,9 +136,8 @@ fn assert_replays_fresh(
 /// the reachable count — read off the index and the graph, not a run.
 fn pass_cost(index: &KdashIndex, graph: &CsrGraph, q: NodeId) -> (usize, usize) {
     let reach = BfsTree::new(graph, q).order;
-    let rows = index.uinv_rows().row_stats();
-    let perm = index.permutation();
-    (reach.iter().map(|&v| rows[perm.new_of(v) as usize].nnz as usize).sum(), reach.len())
+    let (rows, perm) = (index.uinv_rows(), index.permutation());
+    (reach.iter().map(|&v| rows.row_stat(perm.new_of(v)).nnz as usize).sum(), reach.len())
 }
 
 /// A finished run's `(sweeps, corrections)` after the first step. Every
@@ -386,7 +385,6 @@ fn corrupted(index: &KdashIndex) -> KdashIndex {
     .unwrap();
     let patch = IndexPatch {
         graph: index.permuted_graph().clone(),
-        transition: transition_matrix(index.permuted_graph(), index.dangling_policy()),
         linv: scaled(index.linv_cols(), 1e200),
         uinv,
         linv_dropped: linv_dropped.to_vec(),

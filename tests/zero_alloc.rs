@@ -68,11 +68,11 @@ fn top_k_into_is_allocation_free_after_warmup() {
     assert!(sparsified.needs_refinement() && wide.needs_refinement());
     let n = graph.num_nodes() as NodeId;
     // Stored `Ũ⁻¹` entries of one pass over each query's reachable set.
-    let (rows, perm) = (wide.uinv_rows().row_stats(), wide.permutation());
+    let (rows, perm) = (wide.uinv_rows(), wide.permutation());
     let pass: Vec<usize> = (0..n)
         .map(|q| {
             let reach = BfsTree::new(&graph, q).order;
-            reach.iter().map(|&v| rows[perm.new_of(v) as usize].nnz as usize).sum()
+            reach.iter().map(|&v| rows.row_stat(perm.new_of(v)).nnz as usize).sum()
         })
         .collect();
     let k = 10;
