@@ -91,7 +91,7 @@ fn bench(c: &mut Criterion) {
         "index bytes/nnz: blocked {:.3} vs flat CSR 4.000 ({:.1}% index-traffic cut, {} runs)",
         blocked.index_bytes() as f64 / blocked.nnz() as f64,
         100.0 * (1.0 - blocked.index_bytes() as f64 / (4 * blocked.nnz()) as f64),
-        blocked.as_blocked().num_runs(),
+        blocked.num_runs(),
     );
 
     // Deterministic query mix over non-dangling nodes: hubs and leaves both

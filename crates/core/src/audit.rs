@@ -333,7 +333,7 @@ fn audit_uinv(index: &KdashIndex, col: &mut Collector) {
     let store = index.uinv();
     let n = store.nrows();
     let mut sums = vec![0.0f64; store.ncols()];
-    let (row_ptr, run_ptr, run_base, run_end, deltas, values) = store.as_blocked().raw();
+    let (row_ptr, run_ptr, run_base, run_end, deltas, values) = store.raw();
     col.check(
         S,
         row_ptr.len() == n + 1

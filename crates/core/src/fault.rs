@@ -3,8 +3,9 @@
 //! The persistence layer ([`save_atomic_with`](crate::persist::save_atomic_with))
 //! and the update journal (`kdash-dynamic`) route every write, fsync,
 //! rename and truncate through a [`FaultInjector`] before touching the
-//! file system. Production code passes [`NoFaults`], which compiles down
-//! to straight-line I/O. Tests pass a [`CrashPlan`], which simulates a
+//! file system; both replace a whole file through the one protocol
+//! [`replace_atomic`]. Production code passes [`NoFaults`], which
+//! compiles down to straight-line I/O. Tests pass a [`CrashPlan`], which simulates a
 //! power cut at an exact byte offset (a *torn write*: a prefix of the
 //! payload reaches the disk, then the process "dies"), on the nth fsync,
 //! or between the rename and its directory fsync — and then keeps
@@ -23,9 +24,10 @@
 //! process is gone" (leave the torn bytes for recovery to find) from a
 //! real transient error (heal and retry): see [`is_injected_crash`].
 
+use crate::persist::IoStage;
 use std::fs::File;
 use std::io::{self, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -346,6 +348,60 @@ pub fn sync_parent_dir(path: &Path, faults: &dyn FaultInjector) -> io::Result<()
         }
         other => other,
     }
+}
+
+/// Atomically replaces `path` with `bytes` — **the** replace protocol
+/// behind [`save_atomic_with`](crate::persist::save_atomic_with) and the
+/// journal's checkpoint: write `<path>.tmp`, fsync it, rename it over
+/// `path`, then fsync the parent directory so the rename itself is
+/// durable. Every step consults `faults` first and transient
+/// (`EINTR`-class) failures are retried; a retried write recreates the
+/// temp file from scratch, so a torn first attempt leaves no stale bytes
+/// beyond the new ones. A crash at any point leaves either the old file
+/// or the new one.
+///
+/// Returns the renamed file, still open for writing at the end of
+/// `bytes` (the journal keeps appending to it), or the failing stage with
+/// its error. A real failure removes the temp file; an injected crash
+/// leaves it, as a dead process would, for recovery tests to find.
+pub fn replace_atomic(
+    path: &Path,
+    bytes: &[u8],
+    faults: &dyn FaultInjector,
+) -> Result<File, (IoStage, io::Error)> {
+    let mut tmp_name = path.as_os_str().to_os_string();
+    tmp_name.push(".tmp");
+    let tmp = PathBuf::from(tmp_name);
+    let tmp_label = tmp.display().to_string();
+    let result = (|| {
+        let file = retry_transient(|| {
+            let mut f = File::create(&tmp)?;
+            injected_write(faults, &tmp_label, &mut f, bytes)?;
+            Ok(f)
+        })
+        .map_err(|e| (IoStage::TmpWrite, e))?;
+        retry_transient(|| {
+            faults.before_fsync(&tmp_label)?;
+            file.sync_all()
+        })
+        .map_err(|e| (IoStage::Fsync, e))?;
+        let path_label = path.display().to_string();
+        retry_transient(|| {
+            faults.before_rename(&tmp_label, &path_label)?;
+            std::fs::rename(&tmp, path)
+        })
+        .map_err(|e| (IoStage::Rename, e))?;
+        // Filesystems that refuse a directory fsync are tolerated inside
+        // `sync_parent_dir`.
+        sync_parent_dir(path, faults).map_err(|e| (IoStage::DirFsync, e))?;
+        Ok(file)
+    })();
+    if let Err((_, error)) = &result {
+        if !is_injected_crash(error) {
+            let _ = std::fs::remove_file(&tmp);
+        }
+    }
+    result
 }
 
 #[cfg(test)]

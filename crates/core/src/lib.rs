@@ -136,12 +136,13 @@
 //!   [`SearchStats::frontier_expanded`] reports the traversal work paid;
 //!   [`SearchStats::reachable`] is the discovered-so-far count on
 //!   early-terminated queries (exact reachability on complete runs).
-//! * **Blocked index encoding** — the stored `U⁻¹` encodes column
-//!   indices as `u16` deltas against aligned block anchors
-//!   ([`kdash_sparse::BlockedCsr`], the one row encoding): ~half the index
-//!   bytes of flat CSR on the fill-dominated inverse rows (pinned by
-//!   `tests/layout_equivalence.rs`), with each row's sum bit-identical to
-//!   the same row in CSR form (`tests/kernel_equivalence.rs`).
+//! * **Blocked index encoding** — the stored `U⁻¹`
+//!   ([`kdash_sparse::ProximityStore`], one type with one row encoding)
+//!   encodes column indices as `u16` deltas against aligned block
+//!   anchors: ~half the index bytes of flat CSR on the fill-dominated
+//!   inverse rows (pinned by `tests/layout_equivalence.rs`), with each
+//!   row's sum bit-identical to the same row in CSR form
+//!   (`tests/kernel_equivalence.rs`).
 //! * **Gather kernel** — the query column is a dense vector that is zero
 //!   outside its loaded entries, so the gather multiplies every stored
 //!   entry unconditionally — four lanes, no branch. Its AVX2 and

@@ -23,9 +23,10 @@
 //!   dropped-mass section) is what every writer has replaced with v5.
 //!
 //! Every section — header, permutation, graph arrays, `L⁻¹`, `U⁻¹` behind
-//! a one-byte row **layout tag** (always `1`: the blocked arrays of
-//! [`kdash_sparse::BlockedCsr`], run anchors + `u16` deltas, the
-//! bandwidth-lean on-disk *and* in-memory form; any other tag is a
+//! a one-byte row **layout tag** (always `1`: the blocked arrays that
+//! [`ProximityStore::raw`] lends and [`ProximityStore::from_raw_parts`]
+//! re-validates, run anchors + `u16` deltas, the bandwidth-lean on-disk
+//! *and* in-memory form; any other tag is a
 //! [`PersistError::Corrupt`] `U⁻¹` section — `0` too, the flat CSC arrays
 //! older builds could write), the per-row stats
 //! ([`kdash_sparse::RowStat`], read off the blocked arrays and checked
@@ -43,8 +44,7 @@
 use crate::precompute::IndexParts;
 use crate::{KdashIndex, NodeOrdering};
 use kdash_graph::{CsrGraph, Permutation};
-use kdash_sparse::{BlockedCsr, CscMatrix, ProximityStore, RowStat};
-use std::fs::{self, File};
+use kdash_sparse::{CscMatrix, ProximityStore, RowStat};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
@@ -604,7 +604,7 @@ impl KdashIndex {
         // U⁻¹ under its layout tag.
         let uinv = self.uinv_rows();
         w.write_all(&[LAYOUT_BLOCKED])?;
-        let (row_ptr, run_ptr, run_base, run_end, deltas, values) = uinv.as_blocked().raw();
+        let (row_ptr, run_ptr, run_base, run_end, deltas, values) = uinv.raw();
         write_usize_slice(&mut w, row_ptr)?;
         write_u64(&mut w, run_base.len() as u64)?;
         write_usize_slice(&mut w, run_ptr)?;
@@ -761,12 +761,10 @@ impl KdashIndex {
         let deltas = r.u16_vec(Section::Uinv, nnz)?;
         let values = r.f64_vec(Section::Uinv, nnz)?;
         r.end_section(Section::Uinv)?;
-        let blocked =
-            BlockedCsr::from_raw_parts(n, n, b_row_ptr, run_ptr, run_base, run_end, deltas, values)
-                .map_err(|e| {
-                    corrupt(Section::Uinv, r.offset(), format!("corrupt blocked U⁻¹: {e}"))
-                })?;
-        let uinv = ProximityStore::from_blocked(blocked);
+        let uinv = ProximityStore::from_raw_parts(
+            n, n, b_row_ptr, run_ptr, run_base, run_end, deltas, values,
+        )
+        .map_err(|e| corrupt(Section::Uinv, r.offset(), format!("corrupt blocked U⁻¹: {e}")))?;
 
         // The persisted row stats must match the arrays they claim to
         // describe: a mismatch means either section is corrupt.
@@ -884,7 +882,9 @@ pub fn save_atomic<P: AsRef<Path>>(index: &KdashIndex, path: P) -> Result<(), Pe
 /// and rename consults `faults` first, so a crash-point sweep can tear
 /// the protocol at any byte and assert the old-or-new guarantee. With
 /// [`NoFaults`](crate::fault::NoFaults) this *is* the production path —
-/// there is deliberately only one implementation of the protocol.
+/// there is deliberately only one implementation of the protocol,
+/// [`replace_atomic`](crate::fault::replace_atomic), which the update
+/// journal's checkpoint shares.
 ///
 /// An injected crash skips the temp-file cleanup (a dead process does
 /// not clean up either), leaving faithful crash debris for recovery
@@ -894,54 +894,14 @@ pub fn save_atomic_with<P: AsRef<Path>>(
     path: P,
     faults: &dyn crate::fault::FaultInjector,
 ) -> Result<(), PersistError> {
-    use crate::fault::{injected_write, is_injected_crash, retry_transient, sync_parent_dir};
-
-    let path = path.as_ref();
-    let mut tmp_name = path.as_os_str().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp_name);
-
     // Serialise into memory first so the file sees exactly one write
     // call — that gives the fault layer clean torn-prefix semantics
     // (crash after byte k of the file, for every k).
     let mut bytes = Vec::with_capacity(serialized_size_hint(index));
     index.save(&mut bytes).map_err(|error| PersistError::Io { stage: IoStage::TmpWrite, error })?;
-
-    let tmp_label = tmp.display().to_string();
-    let result = (|| {
-        // Each retry recreates the temp file from scratch, so a torn
-        // first attempt cannot leave stale bytes beyond the new write.
-        let file = retry_transient(|| {
-            let mut f = File::create(&tmp)?;
-            injected_write(faults, &tmp_label, &mut f, &bytes)?;
-            Ok(f)
-        })
-        .map_err(|error| PersistError::Io { stage: IoStage::TmpWrite, error })?;
-        retry_transient(|| {
-            faults.before_fsync(&tmp_label)?;
-            file.sync_all()
-        })
-        .map_err(|error| PersistError::Io { stage: IoStage::Fsync, error })?;
-        drop(file);
-        let path_label = path.display().to_string();
-        retry_transient(|| {
-            faults.before_rename(&tmp_label, &path_label)?;
-            fs::rename(&tmp, path)
-        })
-        .map_err(|error| PersistError::Io { stage: IoStage::Rename, error })?;
-        // Durability of the rename: fsync the containing directory
-        // (filesystems that refuse directory fsync are tolerated inside
-        // the helper).
-        sync_parent_dir(path, faults)
-            .map_err(|error| PersistError::Io { stage: IoStage::DirFsync, error })?;
-        Ok(())
-    })();
-    if let Err(PersistError::Io { error, .. }) = &result {
-        if !is_injected_crash(error) {
-            let _ = fs::remove_file(&tmp);
-        }
-    }
-    result
+    crate::fault::replace_atomic(path.as_ref(), &bytes, faults)
+        .map(drop)
+        .map_err(|(stage, error)| PersistError::Io { stage, error })
 }
 
 /// An upper estimate of the serialised size, so the buffer
@@ -1066,6 +1026,7 @@ mod tests {
     use crate::IndexOptions;
     use kdash_graph::GraphBuilder;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::fs::{self, File};
 
     fn sample_index() -> KdashIndex {
         let mut rng = StdRng::seed_from_u64(3);

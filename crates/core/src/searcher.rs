@@ -21,9 +21,10 @@
 //! epilogue*:
 //!
 //! * **source** — fixed by the prologue (`seed_node` / `seed_set`): which
-//!   `L⁻¹` column is scattered, which roots seed the BFS, which right-hand
-//!   side the certified tier solves for. A single query is a restart set
-//!   of one; layer 0 is always computed, never pruned, in both.
+//!   `L⁻¹` column a dense index scatters, which roots seed the BFS, which
+//!   right-hand side the certified tier solves for. A single query is a
+//!   restart set of one; layer 0 is always computed, never pruned, in
+//!   both.
 //! * **bound** — a type parameter: the stop rule (`Inflow`: exact
 //!   in-neighbour sums of what is computed plus the query's remaining
 //!   proximity mass bound every uncomputed node at once — the lemma of the
@@ -60,14 +61,14 @@
 //!
 //! # Proximity kernel
 //!
-//! The fixed query column `L⁻¹ e_q` is scattered once per query, then each
-//! candidate costs a gather over only `nnz((U⁻¹)ᵤ)` through the
-//! branch-free four-lane kernel — AVX2 where the host has it, its portable
-//! twin otherwise, resolved once per workspace. There is no runtime
-//! selector: the two bodies are bit-identical, and within `1e-12` of the
-//! one-accumulator scalar reference the bit-identity suites reach through
-//! the hidden `Searcher::with_kernel` and hold against the merge-join
-//! oracle ([`crate::paper::top_k_merge_join`]). Rows stream from the index's
+//! The fixed query column `L⁻¹ e_q` is scattered once per dense-tier
+//! query, then each candidate costs a gather over only `nnz((U⁻¹)ᵤ)`
+//! through the branch-free four-lane kernel — AVX2 where the host has it,
+//! its portable twin otherwise, resolved once per workspace. There is no
+//! runtime selector: the two bodies are bit-identical, and within `1e-12`
+//! of the one-accumulator scalar reference the bit-identity suites reach
+//! through the hidden `Searcher::with_kernel` and hold against the
+//! merge-join oracle ([`crate::paper::top_k_merge_join`]). Rows stream from the index's
 //! [`ProximityStore`](kdash_sparse::ProximityStore) (blocked u16-delta
 //! encoding), candidate rows are
 //! software-prefetched a block ahead ([`PREFETCH_BLOCK`]), and every
@@ -554,7 +555,8 @@ impl<'a> Searcher<'a> {
     }
 
     /// Source prologue, one query node: validates `q`, scatters its `L⁻¹`
-    /// column and seeds the visit at it. Returns the permuted query id.
+    /// column (on a dense index) and seeds the visit at it. Returns the
+    /// permuted query id.
     pub(crate) fn seed_node(&mut self, q: NodeId) -> Result<NodeId> {
         self.index.check_node(q)?;
         let qp = self.index.permutation().new_of(q);
@@ -565,7 +567,8 @@ impl<'a> Searcher<'a> {
 
     /// Source prologue, restart set: validates `sources` (non-empty,
     /// duplicate-free, in bounds), scatters the uniformly weighted merge
-    /// of their `L⁻¹` columns and seeds the visit at all of them.
+    /// of their `L⁻¹` columns (on a dense index) and seeds the visit at
+    /// all of them.
     fn seed_set(&mut self, sources: &[NodeId]) -> Result<()> {
         let index = self.index;
         let (col_idx, col_val) = index.merged_query_column(sources)?;
@@ -574,14 +577,16 @@ impl<'a> Searcher<'a> {
         Ok(())
     }
 
-    /// Scatters the (merged) query column, seeds the lazy BFS at `roots`
-    /// (layer 0 only — deeper layers are discovered on demand by the
-    /// driver) and resets the per-query state. The stop rule's mass is `c`
-    /// times the column's dot with the `U⁻¹` column sums — the same dot
-    /// for one source or a merged set — taken afresh here so no query
-    /// inherits its predecessor's; where the stored inverses are truncated
-    /// that dot is not the query's mass, nothing consults the bound, and
-    /// it stands at the trivial 1.
+    /// Seeds the lazy BFS at `roots` (layer 0 only — deeper layers are
+    /// discovered on demand by the driver), resets the per-query state
+    /// and, on a dense index, scatters the (merged) query column the
+    /// gathers read. The stop rule's mass is `c` times the column's dot
+    /// with the `U⁻¹` column sums — the same dot for one source or a
+    /// merged set — taken afresh here so no query inherits its
+    /// predecessor's. Where the stored inverses are truncated nothing
+    /// gathers against the column (the refinement loop reads `L̃⁻¹`
+    /// columns itself), the dot is not the query's mass, nothing consults
+    /// the bound, and it stands at the trivial 1.
     fn begin_visit(
         &mut self,
         roots: impl IntoIterator<Item = NodeId>,
@@ -589,7 +594,6 @@ impl<'a> Searcher<'a> {
         col_val: &[f64],
     ) {
         let index = self.index;
-        self.column.load(col_idx, col_val);
         self.roots.clear();
         self.roots.extend(roots);
         self.bfs.begin_multi(index.permuted_graph(), &self.roots);
@@ -599,6 +603,7 @@ impl<'a> Searcher<'a> {
         let mass = if index.needs_refinement() {
             1.0
         } else {
+            self.column.load(col_idx, col_val);
             let sums = index.uinv().column_sums();
             let dot: f64 = col_idx.iter().zip(col_val).map(|(&i, &v)| v * sums[i as usize]).sum();
             index.restart_probability() * dot

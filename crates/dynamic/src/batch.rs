@@ -92,7 +92,7 @@ fn parse_edit(line: &str, lineno: usize) -> Result<EdgeEdit> {
         KdashError::Graph(GraphError::Parse { line: lineno, message })
     };
     let mut tokens = line.split_whitespace();
-    let op = tokens.next().expect("caller skips empty lines");
+    let op = tokens.next().ok_or_else(|| parse_err("empty edit line".into()))?;
     let mut node = |what: &str| -> Result<NodeId> {
         tokens
             .next()
@@ -184,6 +184,12 @@ mod tests {
                 other => panic!("{text:?}: expected parse error, got {other:?}"),
             }
         }
+        // A line with no tokens is a typed error too, not a panic
+        // (`parse_stream` skips such lines before they get here).
+        assert!(matches!(
+            parse_edit("  ", 4),
+            Err(KdashError::Graph(GraphError::Parse { line: 4, .. }))
+        ));
         // Structural weight validation also fires from the parser.
         assert!(matches!(
             UpdateBatch::parse_stream("+ 0 1 -3.0"),

@@ -54,10 +54,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use kdash_core::fault::{
-    injected_write, is_injected_crash, retry_transient, sync_parent_dir, FaultInjector, NoFaults,
+    injected_write, is_injected_crash, replace_atomic, retry_transient, sync_parent_dir,
+    FaultInjector, NoFaults,
 };
 use kdash_core::persist::crc32;
-use kdash_core::{KdashError, PersistError};
+use kdash_core::{IoStage, KdashError, PersistError};
 use kdash_graph::EdgeEdit;
 
 use crate::batch::UpdateBatch;
@@ -501,7 +502,8 @@ impl Journal {
 
     /// Truncates the journal after a durable snapshot at `epoch`:
     /// writes a fresh header-only journal to `<path>.tmp`, fsyncs it,
-    /// and renames it over the old journal — atomically, so a crash
+    /// and renames it over the old journal ([`replace_atomic`], the
+    /// protocol snapshots are saved with) — atomically, so a crash
     /// leaves either the full old journal or the empty new one, and
     /// recovery's epoch filtering makes both consistent with the
     /// snapshot. Refuses (typed) if `epoch` is *behind* the journal's
@@ -512,30 +514,16 @@ impl Journal {
         if epoch < self.last_epoch {
             return Err(JournalError::EpochMismatch { journal: self.last_epoch, index: epoch });
         }
-        let mut tmp_name = self.path.as_os_str().to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = PathBuf::from(tmp_name);
-        let tmp_label = tmp.display().to_string();
-        let io_err = |op: &'static str, error: io::Error| JournalError::Io {
-            op,
-            path: tmp_label.clone(),
-            error,
-        };
-        let header = encode_header(epoch);
-        let mut file = File::create(&tmp).map_err(|e| io_err("checkpoint", e))?;
-        injected_write(self.faults.as_ref(), &tmp_label, &mut file, &header)
-            .map_err(|e| io_err("checkpoint", e))?;
-        retry_transient(|| {
-            self.faults.before_fsync(&tmp_label)?;
-            file.sync_all()
-        })
-        .map_err(|e| io_err("fsync", e))?;
-        retry_transient(|| {
-            self.faults.before_rename(&tmp_label, &self.label)?;
-            fs::rename(&tmp, &self.path)
-        })
-        .map_err(|e| io_err("rename", e))?;
-        sync_parent_dir(&self.path, self.faults.as_ref()).map_err(|e| io_err("dir-fsync", e))?;
+        let file = replace_atomic(&self.path, &encode_header(epoch), self.faults.as_ref())
+            .map_err(|(stage, error)| {
+                let op = match stage {
+                    IoStage::Fsync => "fsync",
+                    IoStage::Rename => "rename",
+                    IoStage::DirFsync => "dir-fsync",
+                    IoStage::Read | IoStage::TmpWrite => "checkpoint",
+                };
+                JournalError::Io { op, path: format!("{}.tmp", self.label), error }
+            })?;
         // Keep appending to the *renamed* file, not the replaced inode.
         self.file = file;
         self.end = HEADER_LEN;

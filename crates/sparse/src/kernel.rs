@@ -14,7 +14,7 @@
 //! `j` sums the row's entries at positions `≡ j (mod 4)` in position
 //! order, and the lanes reduce as `(a0 + a2) + (a1 + a3)`. The kernel
 //! reads a stored row in place as its *segments* — one per run of the
-//! blocked encoding ([`crate::BlockedCsr`]): the run's block anchor as an
+//! blocked encoding (`blocked.rs`): the run's block anchor as an
 //! offset into `y`, its `u16` column deltas and its values — with the
 //! lanes continuing across run boundaries. A row's sum therefore does not
 //! depend on where its runs split: it is **bit-identical** to the same
@@ -27,9 +27,9 @@
 //! `vmulpd` + `vaddpd`, no FMA). They are **bit-identical to
 //! each other on every row**, so answers do not depend on which one the
 //! host dispatches to. Against the one-accumulator reference order
-//! ([`ResolvedKernel::reference`], which is
-//! [`crate::BlockedCsr::row_dot_dense`] over the same vector and
-//! bit-identical to the merge join) they differ only by
+//! ([`ResolvedKernel::reference`]: one accumulator in storage order over
+//! the same vector, bit-identical to the merge join
+//! [`crate::ProximityStore::row_dot_sparse`]) they differ only by
 //! re-association; the equivalence suites pin `≤ 1e-12`, and search
 //! results stay exact against the iterative ground truth under every
 //! kernel.

@@ -38,19 +38,21 @@
 //!   everywhere else ([`ScatteredColumn`]), so each candidate proximity is
 //!   a branch-free gather over `O(nnz(row))`,
 //! * [`kernel`] — the gather half: one four-lane arithmetic over the
-//!   runs of a blocked row, a portable body and its AVX2 twin
+//!   runs of a stored `U⁻¹` row, a portable body and its AVX2 twin
 //!   (bit-identical to each other, within `1e-12` of the one-accumulator
 //!   reference order, which is bit-identical to the merge join), dispatched
 //!   on a host-validated [`ResolvedKernel`] token,
-//! * [`blocked`] — [`BlockedCsr`], the bandwidth-lean row encoding of
-//!   `U⁻¹`: `u16` column deltas against aligned `u32` block anchors, ~half
-//!   the index traffic of flat CSR on fill-dominated inverse rows,
-//!   bit-identical values and results,
-//! * [`store`] — [`ProximityStore`]: the query engine's `U⁻¹` holder,
-//!   the blocked rows with the column sums the stop rule takes a query's
-//!   mass from, byte-traffic counters and software-prefetch hooks behind
-//!   one gather entry point; a row's [`RowStat`] (entry count and column
-//!   span) is read off its encoding.
+//! * [`store`] — [`ProximityStore`], the query engine's `U⁻¹` as one
+//!   type: its rows in the blocked encoding (private arrays, set only by
+//!   its constructors), the column sums the stop rule takes a query's
+//!   mass from, and one gather entry point with byte-traffic counters and
+//!   software-prefetch hooks; a row's [`RowStat`] (entry count and column
+//!   span) is read off its encoding,
+//! * `blocked` — the same type's second file, its row encoding: `u16`
+//!   column deltas against aligned `u32` block anchors, ~half the index
+//!   traffic of flat CSR on fill-dominated inverse rows, bit-identical
+//!   values and results; the encoder, the validation of raw arrays and
+//!   the splice's row merge that the store's constructors run.
 //!
 //! ## Conventions
 //!
@@ -61,7 +63,7 @@
 //!   `L x = e_j`.
 //! * Column/row index arrays are sorted ascending; values are finite.
 
-pub mod blocked;
+mod blocked;
 pub mod csc;
 pub mod csr;
 pub mod inverse;
@@ -74,7 +76,7 @@ pub mod sparsify;
 pub mod store;
 pub mod triangular;
 
-pub use blocked::{BlockedCsr, BLOCK_COLS};
+pub use blocked::BLOCK_COLS;
 pub use csc::{ColumnUpdate, CscMatrix};
 pub use csr::CsrMatrix;
 pub use inverse::{dense_tail_columns, InvertOptions};

@@ -1,20 +1,28 @@
 //! The proximity read path: one store, one row encoding, one kernel.
 //!
-//! [`ProximityStore`] is what the query engine holds for `U⁻¹`: the rows
-//! in the bandwidth-lean [`BlockedCsr`] encoding, plus what is derived
+//! [`ProximityStore`] is what the query engine holds for `U⁻¹`: its rows
+//! in the bandwidth-lean blocked encoding (`u16` column deltas against
+//! aligned `u32` block anchors, `blocked.rs`), plus what is derived
 //! from them — the largest row's entry count, and the column sums `1ᵀU⁻¹`
-//! the search's stop rule takes a query's mass from. Both are filled
-//! where a store is assembled and nowhere else. A row's [`RowStat`]
-//! (entry count and column span) is no table: the encoding holds all
-//! three facts, and [`ProximityStore::row_stat`] reads them off it. (The
-//! file format still persists the stats beside the rows, written from
-//! and checked against the encoding, as a redundancy check.)
+//! the search's stop rule takes a query's mass from. Both are filled where
+//! a store comes into being and nowhere else. A row's [`RowStat`] (entry
+//! count and column span) is no table: the encoding holds all three
+//! facts, and [`ProximityStore::row_stat`] reads them off it. (The file
+//! format still persists the stats beside the rows, written from and
+//! checked against the encoding, as a redundancy check.)
+//!
+//! One type, two files. This one holds the type, with its arrays private:
+//! every function that sets them is here, beside the gather's `unsafe`
+//! block that relies on what they hold, and so is everything that reads
+//! them — decoder, gather, prefetch hooks, byte accounting. `blocked.rs`
+//! holds the format and the algorithms the constructors run on it: the
+//! encoder, the validation of raw arrays and the splice's row merge.
 //!
 //! A store is immutable. The dynamic engine's one way to change `U⁻¹` is
 //! [`ProximityStore::splice_columns`]: re-solved columns in (the form the
 //! solver emits and `L⁻¹` takes as is), the next store out, column sums
 //! refreshed for exactly the columns replaced. How rows are encoded stays
-//! this module's business.
+//! this crate's business.
 //!
 //! Every gather funnels through [`ProximityStore::row_dot_dense`]: a row
 //! hands its runs to the kernel as segments, and the lanes carry across
@@ -23,13 +31,15 @@
 //! reference by `tests/kernel_equivalence.rs`. Byte-traffic and
 //! per-kernel row counts accumulate into the caller's [`GatherCounters`].
 
-use crate::kernel::gather_lanes;
+use crate::blocked::{self, EncodedRows};
+use crate::csc::validate_column_updates;
+use crate::kernel::{gather_lanes, Segment};
 use crate::{
-    BlockedCsr, ColumnUpdate, CscMatrix, CsrMatrix, GatherCounters, GatherScratch, Index,
-    ResolvedKernel, Result, ScatteredColumn,
+    ColumnUpdate, CscMatrix, CsrMatrix, GatherCounters, GatherScratch, Index, ResolvedKernel,
+    Result, ScatteredColumn,
 };
 
-/// The row encoding of a [`ProximityStore`]: [`BlockedCsr`] is the only
+/// The row encoding of a [`ProximityStore`]: the blocked one is the only
 /// one. The type and the parameter of [`ProximityStore::from_csr`] stay
 /// only because `benchmark/` passes `KdashIndex::layout()` through to that
 /// constructor, and a change that is not a `benchmark` change may not edit
@@ -37,7 +47,7 @@ use crate::{
 /// [`GatherScratch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowLayout {
-    /// Block-compressed indices ([`BlockedCsr`]): `u16` deltas against
+    /// Block-compressed indices (`blocked.rs`): `u16` deltas against
     /// aligned `u32` block anchors.
     Blocked,
 }
@@ -57,7 +67,24 @@ pub struct RowStat {
 /// Row-major proximity storage behind the query engine (see module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProximityStore {
-    rows: BlockedCsr,
+    nrows: usize,
+    ncols: usize,
+    /// Per-row nonzero span: `row_ptr[r]..row_ptr[r + 1]` into
+    /// `deltas`/`values`.
+    row_ptr: Vec<usize>,
+    /// Per-row run span: `run_ptr[r]..run_ptr[r + 1]` into
+    /// `run_base`/`run_end`.
+    run_ptr: Vec<usize>,
+    /// Aligned block anchor of each run (a multiple of
+    /// [`BLOCK_COLS`](crate::BLOCK_COLS)).
+    run_base: Vec<u32>,
+    /// Exclusive end of each run as a *global* nonzero offset. The run's
+    /// start is the previous run's end (or the row's `row_ptr` entry).
+    run_end: Vec<u32>,
+    /// Column offsets within the run's block: `col = base + delta`.
+    deltas: Vec<u16>,
+    /// Values, in the order of the CSR matrix encoded.
+    values: Vec<f64>,
     /// Largest row's stored-entry count.
     max_row_nnz: usize,
     /// `1ᵀ A`: per column, its stored values added by ascending row from
@@ -66,57 +93,110 @@ pub struct ProximityStore {
 }
 
 impl ProximityStore {
-    /// Builds the store from a CSR matrix, re-encoding its column indices.
-    /// Values move over untouched. `_layout` is unused (see
-    /// [`RowLayout`]).
+    /// Builds the store from a CSR matrix, re-encoding its column
+    /// indices. Values move over untouched (same array order). `_layout`
+    /// is unused (see [`RowLayout`]). Fails when the matrix is too large
+    /// for the run offsets (`nnz ≥ 2^32`, far beyond anything this system
+    /// builds).
     pub fn from_csr(csr: CsrMatrix, _layout: RowLayout) -> Result<ProximityStore> {
-        Ok(ProximityStore::from_blocked(BlockedCsr::from_csr(csr)?))
+        let (nrows, ncols) = (csr.nrows(), csr.ncols());
+        Ok(ProximityStore::assemble(nrows, ncols, blocked::encode(csr)?, None))
     }
 
-    /// Wraps an already-validated blocked matrix (the persistence load
-    /// path).
-    pub fn from_blocked(blocked: BlockedCsr) -> ProximityStore {
-        ProximityStore::assemble(blocked, None)
+    /// Builds the store from its raw arrays (the persistence load path),
+    /// re-validating every structural invariant: rejects anything that
+    /// would make a decode read out of bounds or produce non-ascending
+    /// columns, and any non-finite value.
+    #[allow(clippy::too_many_arguments)] // one argument per stored array
+    pub fn from_raw_parts(
+        nrows: usize,
+        ncols: usize,
+        row_ptr: Vec<usize>,
+        run_ptr: Vec<usize>,
+        run_base: Vec<u32>,
+        run_end: Vec<u32>,
+        deltas: Vec<u16>,
+        values: Vec<f64>,
+    ) -> Result<ProximityStore> {
+        let rows = (row_ptr, run_ptr, run_base, run_end, deltas, values);
+        blocked::validate(nrows, ncols, &rows)?;
+        Ok(ProximityStore::assemble(nrows, ncols, rows, None))
     }
 
     /// The one place a store comes into being, and the one place its
-    /// derived values are filled: off `rows`, unless a splice hands over
-    /// the column sums it refreshed.
-    fn assemble(rows: BlockedCsr, col_sums: Option<Vec<f64>>) -> ProximityStore {
-        let col_sums = col_sums.unwrap_or_else(|| sum_columns(&rows));
-        let max_row_nnz = (0..rows.nrows() as Index).map(|r| rows.row_nnz(r)).max().unwrap_or(0);
-        ProximityStore { rows, max_row_nnz, col_sums }
+    /// derived values are filled: off the rows, unless a splice hands over
+    /// the column sums it refreshed. Its callers hand it arrays that keep
+    /// the decoding contract: encoded from a `CsrMatrix`, validated, or
+    /// spliced from validated updates.
+    fn assemble(
+        nrows: usize,
+        ncols: usize,
+        rows: EncodedRows,
+        col_sums: Option<Vec<f64>>,
+    ) -> ProximityStore {
+        let (row_ptr, run_ptr, run_base, run_end, deltas, values) = rows;
+        let mut store = ProximityStore {
+            nrows,
+            ncols,
+            row_ptr,
+            run_ptr,
+            run_base,
+            run_end,
+            deltas,
+            values,
+            max_row_nnz: 0,
+            col_sums: Vec::new(),
+        };
+        store.col_sums = col_sums.unwrap_or_else(|| store.sum_columns());
+        store.max_row_nnz = (0..nrows as Index).map(|r| store.row_nnz(r)).max().unwrap_or(0);
+        store
     }
 
-    /// The blocked matrix.
-    pub fn as_blocked(&self) -> &BlockedCsr {
-        &self.rows
+    /// The encoding's raw arrays `(row_ptr, run_ptr, run_base, run_end,
+    /// deltas, values)`, for the file format and its audit.
+    #[allow(clippy::type_complexity)]
+    pub fn raw(&self) -> (&[usize], &[usize], &[u32], &[u32], &[u16], &[f64]) {
+        (&self.row_ptr, &self.run_ptr, &self.run_base, &self.run_end, &self.deltas, &self.values)
+    }
+
+    /// Replaces whole columns — **the** way `U⁻¹` changes, the splice
+    /// stage of the dynamic-update engine — returning the next store and
+    /// how many rows it re-encoded (those holding an entry in an updated
+    /// column before or after). Only those rows go through the encoder;
+    /// the rest are copied verbatim (`blocked::splice_rows`). The result
+    /// equals [`from_csr`](Self::from_csr) of the fully spliced matrix,
+    /// arrays and derived values alike (pinned by the store tests and, end
+    /// to end, by `tests/dynamic_equivalence.rs`): column sums are
+    /// refreshed for the replaced columns. `updates` must be sorted by
+    /// strictly increasing column, each with strictly increasing in-bounds
+    /// rows and finite values — the contract of
+    /// [`CscMatrix::splice_columns`].
+    pub fn splice_columns(&self, updates: &[ColumnUpdate]) -> Result<(ProximityStore, usize)> {
+        validate_column_updates(self.nrows, self.ncols, updates)?;
+        let (Some(first), Some(last)) = (updates.first(), updates.last()) else {
+            return Ok((self.clone(), 0));
+        };
+        let (rows, reencoded) = blocked::splice_rows(self, updates, first.col..=last.col)?;
+        let mut col_sums = self.col_sums.clone();
+        for u in updates {
+            col_sums[u.col as usize] = u.vals.iter().fold(0.0, |sum, &v| sum + v);
+        }
+        Ok((ProximityStore::assemble(self.nrows, self.ncols, rows, Some(col_sums)), reencoded))
     }
 
     /// Number of rows.
     pub fn nrows(&self) -> usize {
-        self.rows.nrows()
+        self.nrows
     }
 
     /// Number of columns.
     pub fn ncols(&self) -> usize {
-        self.rows.ncols()
+        self.ncols
     }
 
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
-        self.rows.nnz()
-    }
-
-    /// Row `r`'s entry count and column span, read off the encoding
-    /// (all zero for an empty row).
-    #[inline]
-    pub fn row_stat(&self, r: Index) -> RowStat {
-        let rows = &self.rows;
-        match (rows.row_first_col(r), rows.row_last_col(r)) {
-            (Some(first), Some(last)) => RowStat { nnz: rows.row_nnz(r) as u32, first, last },
-            _ => RowStat::default(),
-        }
+        self.deltas.len()
     }
 
     /// Largest row's stored-entry count.
@@ -124,27 +204,117 @@ impl ProximityStore {
         self.max_row_nnz
     }
 
-    /// Index bytes a gather streams for row `r`.
+    /// Total number of runs across all rows.
+    pub fn num_runs(&self) -> usize {
+        self.run_base.len()
+    }
+
+    /// Runs of row `r`.
+    #[inline]
+    pub fn row_runs(&self, r: Index) -> usize {
+        let r = r as usize;
+        self.run_ptr[r + 1] - self.run_ptr[r]
+    }
+
+    /// Stored entries of row `r`.
+    #[inline]
+    fn row_nnz(&self, r: Index) -> usize {
+        let r = r as usize;
+        self.row_ptr[r + 1] - self.row_ptr[r]
+    }
+
+    /// Row `r`'s entry count and column span, read off the encoding
+    /// (all zero for an empty row).
+    #[inline]
+    pub fn row_stat(&self, r: Index) -> RowStat {
+        let r = r as usize;
+        let (start, end) = (self.row_ptr[r], self.row_ptr[r + 1]);
+        if start == end {
+            return RowStat::default();
+        }
+        RowStat {
+            nnz: (end - start) as u32,
+            first: self.run_base[self.run_ptr[r]] + self.deltas[start] as u32,
+            last: self.run_base[self.run_ptr[r + 1] - 1] + self.deltas[end - 1] as u32,
+        }
+    }
+
+    /// Values of row `r` (CSR order).
+    #[inline]
+    pub(crate) fn row_values(&self, r: Index) -> &[f64] {
+        let r = r as usize;
+        &self.values[self.row_ptr[r]..self.row_ptr[r + 1]]
+    }
+
+    /// Row `r` as its runs in order: one [`Segment`] of `u16` deltas
+    /// (against the run's block anchor) and values per run.
+    #[inline]
+    fn row_segments(&self, r: Index) -> impl Iterator<Item = Segment<'_>> {
+        let r = r as usize;
+        let mut start = self.row_ptr[r];
+        (self.run_ptr[r]..self.run_ptr[r + 1]).map(move |k| {
+            let span = start..self.run_end[k] as usize;
+            start = span.end;
+            Segment {
+                base: self.run_base[k] as usize,
+                offs: &self.deltas[span.clone()],
+                vals: &self.values[span],
+            }
+        })
+    }
+
+    /// Decodes row `r`'s column indices into `out` (cleared first). With
+    /// `out` at capacity ≥ the largest row, this allocates nothing.
+    #[inline]
+    pub(crate) fn decode_row_into(&self, r: Index, out: &mut Vec<u32>) {
+        out.clear();
+        for seg in self.row_segments(r) {
+            out.extend(seg.offs.iter().map(|&d| seg.base as u32 + d as u32));
+        }
+    }
+
+    /// Index bytes a gather streams for row `r`: 2 per delta + 8 per run
+    /// header. (Flat CSR pays 4 per nonzero.)
     #[inline]
     pub fn row_index_bytes(&self, r: Index) -> usize {
-        self.rows.row_index_bytes(r)
+        2 * self.row_nnz(r) + 8 * self.row_runs(r)
     }
 
-    /// Index bytes of the whole store (the column-index encoding only —
-    /// the quantity the blocked encoding shrinks against flat CSR's
-    /// 4 bytes per entry; row pointers and values are what CSR holds).
+    /// Index bytes of the whole store (the delta and run-header arrays
+    /// only — the quantity the encoding shrinks against flat CSR's 4 bytes
+    /// per entry; row pointers and values are what CSR holds).
     pub fn index_bytes(&self) -> usize {
-        self.rows.index_bytes()
+        2 * self.deltas.len() + 8 * self.run_base.len()
     }
 
-    /// Heap footprint of the stored arrays in bytes.
+    /// Heap footprint of the encoding's arrays in bytes (the derived
+    /// column sums are not counted).
     pub fn heap_bytes(&self) -> usize {
-        self.rows.heap_bytes()
+        self.row_ptr.len() * std::mem::size_of::<usize>()
+            + self.run_ptr.len() * std::mem::size_of::<usize>()
+            + self.run_base.len() * 4
+            + self.run_end.len() * 4
+            + self.deltas.len() * 2
+            + self.values.len() * 8
     }
 
-    /// Rebuilds the CSR matrix (values bit-identical).
+    /// Rebuilds the flat CSR matrix (exact inverse of
+    /// [`from_csr`](Self::from_csr), values bit-identical).
     pub fn to_csr(&self) -> CsrMatrix {
-        self.rows.to_csr()
+        let mut col_idx = Vec::with_capacity(self.deltas.len());
+        let mut row = Vec::with_capacity(self.max_row_nnz);
+        for r in 0..self.nrows as Index {
+            self.decode_row_into(r, &mut row);
+            col_idx.extend_from_slice(&row);
+        }
+        CsrMatrix::from_raw_parts(
+            self.nrows,
+            self.ncols,
+            self.row_ptr.clone(),
+            col_idx,
+            self.values.clone(),
+        )
+        .expect("a valid blocked matrix decodes to a valid CSR matrix")
     }
 
     /// Converts to CSC form.
@@ -183,54 +353,71 @@ impl ProximityStore {
         counters: &mut GatherCounters,
     ) -> f64 {
         assert_eq!(y.len(), self.ncols(), "vector dimension must match the store");
-        let nnz = self.rows.row_nnz(r);
+        let nnz = self.row_nnz(r);
         counters.index_bytes += self.row_index_bytes(r);
         counters.value_bytes += 8 * nnz;
         counters.nnz += nnz;
         let Some(body) = kernel.lanes() else {
             counters.rows_scalar += 1;
-            return self.rows.row_dot_dense(r, y);
+            return self.row_dot_reference(r, y);
         };
         counters.rows_wide += 1;
-        // SAFETY: every column a row decodes to is `< ncols`
-        // (`CsrMatrix::from_raw_parts` / `BlockedCsr::from_raw_parts` and
-        // `validate_column_updates` check each one, and the matrices'
-        // fields are private), and `ncols == y.len()` was asserted just
-        // above.
-        unsafe { gather_lanes(body, self.rows.row_segments(r), y) }
+        // SAFETY: every column a row decodes to is `< ncols` — the arrays
+        // are private and set only in `assemble`, whose callers encode a
+        // `CsrMatrix` (`CsrMatrix::from_raw_parts` checks its columns),
+        // validate raw arrays (`blocked::validate`) or splice updates
+        // `validate_column_updates` checked — and `ncols == y.len()` was
+        // asserted just above.
+        unsafe { gather_lanes(body, self.row_segments(r), y) }
     }
 
-    /// Replaces whole columns — **the** way `U⁻¹` changes, the splice
-    /// stage of the dynamic-update engine — returning the next store and
-    /// how many rows it re-encoded (those holding an entry in an updated
-    /// column before or after). The result equals
-    /// [`ProximityStore::from_csr`] of the fully spliced matrix, arrays and
-    /// derived values alike (pinned by the store tests and, end to end, by
-    /// `tests/dynamic_equivalence.rs`): column sums are refreshed for the
-    /// replaced columns. `updates`
-    /// must be sorted by strictly increasing column, each with strictly
-    /// increasing in-bounds rows and finite values — the contract of
-    /// [`CscMatrix::splice_columns`].
-    pub fn splice_columns(&self, updates: &[ColumnUpdate]) -> Result<(ProximityStore, usize)> {
-        let (rows, reencoded) = self.rows.splice_columns(updates)?;
-        let mut col_sums = self.col_sums.clone();
-        for u in updates {
-            col_sums[u.col as usize] = u.vals.iter().fold(0.0, |sum, &v| sum + v);
-        }
-        Ok((ProximityStore::assemble(rows, Some(col_sums)), reencoded))
-    }
-
-    /// Two-pointer merge join of row `r` against a sorted sparse vector —
-    /// the reference kernel the eager oracles run on (bit-identical to
-    /// [`CsrMatrix::row_dot_sparse`] on the same row).
+    /// Dot product of row `r` with a dense vector, one accumulator in
+    /// storage order (bit-identical to [`CsrMatrix::row_dot_dense`] on the
+    /// same row): the reference kernel's order. Over a scattered query
+    /// column unmatched positions add `v × 0.0`, which leaves the sum's
+    /// bits where the merge join's are.
     #[inline]
-    pub fn row_dot_sparse(&self, r: Index, idx: &[Index], val: &[f64]) -> f64 {
-        self.rows.row_dot_sparse(r, idx, val)
+    pub(crate) fn row_dot_reference(&self, r: Index, x: &[f64]) -> f64 {
+        debug_assert_eq!(x.len(), self.ncols);
+        let mut acc = 0.0;
+        for seg in self.row_segments(r) {
+            for (&d, &v) in seg.offs.iter().zip(seg.vals) {
+                acc += v * x[seg.base + d as usize];
+            }
+        }
+        acc
     }
 
-    /// Dense `y = A · x`.
+    /// Two-pointer merge join of row `r` against a sorted sparse vector,
+    /// decoding columns on the fly — the reference kernel the eager
+    /// oracles run on: same matching pairs in the same order as
+    /// [`CsrMatrix::row_dot_sparse`], hence bit-identical.
+    pub fn row_dot_sparse(&self, r: Index, idx: &[Index], val: &[f64]) -> f64 {
+        debug_assert_eq!(idx.len(), val.len());
+        let mut acc = 0.0;
+        let mut b = 0usize;
+        'outer: for seg in self.row_segments(r) {
+            for (&d, &v) in seg.offs.iter().zip(seg.vals) {
+                let c = seg.base as u32 + d as u32;
+                while b < idx.len() && idx[b] < c {
+                    b += 1;
+                }
+                if b >= idx.len() {
+                    break 'outer;
+                }
+                if idx[b] == c {
+                    acc += v * val[b];
+                    b += 1;
+                }
+            }
+        }
+        acc
+    }
+
+    /// Dense `y = A · x` (row-major traversal, one accumulator per row).
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        self.rows.matvec(x)
+        assert_eq!(x.len(), self.ncols, "x length mismatch");
+        (0..self.nrows as Index).map(|r| self.row_dot_reference(r, x)).collect()
     }
 
     /// `1ᵀ A`: the sum of every column's stored values. Column `j` adds
@@ -247,28 +434,68 @@ impl ProximityStore {
         &mut self.col_sums
     }
 
-    /// Issues software prefetches for the front of row `r`'s index and
-    /// value spans — the candidate-batching hook: the search loop calls
-    /// this a small block of candidates ahead, restoring memory-level
-    /// parallelism on DRAM-resident rows.
+    /// The column sums, one streaming pass in storage order (see
+    /// [`column_sums`](Self::column_sums)).
+    fn sum_columns(&self) -> Vec<f64> {
+        let mut sums = vec![0.0; self.ncols];
+        for r in 0..self.nrows as Index {
+            for seg in self.row_segments(r) {
+                for (&d, &v) in seg.offs.iter().zip(seg.vals) {
+                    sums[seg.base + d as usize] += v;
+                }
+            }
+        }
+        sums
+    }
+
+    /// Issues software prefetches for the front of row `r`'s delta and
+    /// value spans (a few cache lines each — enough to hide the initial
+    /// DRAM latency; the hardware prefetcher streams the rest) — the
+    /// candidate-batching hook: the search loop calls this a small block
+    /// of candidates ahead, restoring memory-level parallelism on
+    /// DRAM-resident rows. A no-op on architectures without a prefetch
+    /// hint.
     #[inline]
     pub fn prefetch_row(&self, r: Index) {
-        self.rows.prefetch_row(r)
+        let r = r as usize;
+        let (start, end) = (self.row_ptr[r], self.row_ptr[r + 1]);
+        if start >= end {
+            return;
+        }
+        prefetch_span(&self.deltas[start..end], 2);
+        prefetch_span(&self.values[start..end], 2);
+        prefetch_span(&self.run_base[self.run_ptr[r]..self.run_ptr[r + 1]], 1);
     }
 }
 
-/// The column sums of `rows`, one streaming pass in storage order (see
-/// [`ProximityStore::column_sums`]).
-fn sum_columns(rows: &BlockedCsr) -> Vec<f64> {
-    let mut sums = vec![0.0; rows.ncols()];
-    for r in 0..rows.nrows() as Index {
-        for seg in rows.row_segments(r) {
-            for (&d, &v) in seg.offs.iter().zip(seg.vals) {
-                sums[seg.base + d as usize] += v;
-            }
+/// Prefetches up to `lines` 64-byte cache lines from the start of `span`.
+#[inline]
+fn prefetch_span<T>(span: &[T], lines: usize) {
+    let bytes = std::mem::size_of_val(span);
+    let base = span.as_ptr() as *const u8;
+    let mut offset = 0usize;
+    for _ in 0..lines {
+        if offset >= bytes {
+            break;
         }
+        prefetch_read(unsafe { base.add(offset) });
+        offset += 64;
     }
-    sums
+}
+
+/// One read-prefetch hint. Safe to call with any address on x86-64
+/// (prefetch never faults); a no-op elsewhere.
+#[inline]
+fn prefetch_read(ptr: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: _mm_prefetch is a hint, does not fault, and SSE is baseline
+    // on x86-64.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(ptr as *const i8);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = ptr;
 }
 
 #[cfg(test)]
@@ -438,8 +665,7 @@ mod tests {
             assert_eq!(bits(&spliced), bits(&expect));
             assert_eq!(reencoded, touched, "rows re-encoded");
             if touched == 4 {
-                let b = spliced.as_blocked();
-                assert_eq!((b.row_runs(0), b.row_runs(3)), (1, 2));
+                assert_eq!((spliced.row_runs(0), spliced.row_runs(3)), (1, 2));
             }
         }
     }

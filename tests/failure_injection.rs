@@ -10,10 +10,10 @@
 
 use kdash_core::{
     paper, save_atomic, save_atomic_with, BatchOptions, BatchOutcome, BudgetLimit, CrashPlan,
-    FaultInjector, IndexAudit, IndexOptions, IsolatedExecutor, KdashError, KdashIndex,
-    QueryBudget,
+    FaultInjector, IndexAudit, IndexOptions, IoStage, IsolatedExecutor, KdashError, KdashIndex,
+    PersistError, QueryBudget,
 };
-use kdash_dynamic::{DynamicIndex, Journal, UpdateBatch};
+use kdash_dynamic::{DynamicIndex, Journal, JournalError, UpdateBatch};
 use kdash_graph::{
     io::read_edge_list, CsrGraph, EdgeEdit, GraphBuilder, GraphError, MergePolicy, NodeId,
     Permutation,
@@ -576,6 +576,40 @@ fn journal_replay_is_bit_identical_to_live_apply() {
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
+}
+
+/// A rename that fails for real, not as an injected crash.
+#[derive(Debug)]
+struct RenameRefused;
+
+impl FaultInjector for RenameRefused {
+    fn before_rename(&self, _from: &str, _to: &str) -> std::io::Result<()> {
+        Err(std::io::Error::other("rename refused"))
+    }
+}
+
+/// Both whole-file replaces share one protocol: after a real failure the
+/// process lives on, so neither may leave its `<path>.tmp` behind.
+#[test]
+fn a_refused_rename_leaves_no_temp_file() {
+    let dir = temp_dir("rename-refused");
+    let tmp_of = |path: &Path| {
+        let mut name = path.as_os_str().to_os_string();
+        name.push(".tmp");
+        PathBuf::from(name)
+    };
+
+    let index_path = dir.join("ring.kdash");
+    let err = save_atomic_with(&ring_index(), &index_path, &RenameRefused).unwrap_err();
+    assert!(matches!(err, PersistError::Io { stage: IoStage::Rename, .. }), "{err:?}");
+    assert!(!tmp_of(&index_path).exists(), "save_atomic_with left its temp file");
+
+    let journal_path = Journal::sidecar_path(&index_path);
+    let mut journal = Journal::create_with(&journal_path, 0, Arc::new(RenameRefused)).unwrap();
+    let err = journal.checkpoint(0).unwrap_err();
+    assert!(matches!(err, JournalError::Io { op: "rename", .. }), "{err:?}");
+    assert!(!tmp_of(&journal_path).exists(), "Journal::checkpoint left its temp file");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

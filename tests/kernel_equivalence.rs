@@ -282,8 +282,7 @@ fn lanes_carry_across_run_boundaries_bit_identically() {
     let nrows = layouts.len();
     let csr = CsrMatrix::from_raw_parts(nrows, ncols, row_ptr, col_idx.clone(), values).unwrap();
     let blocked = ProximityStore::from_csr(csr.clone(), RowLayout::Blocked).unwrap();
-    let three_runs = blocked.as_blocked();
-    assert!((8..15).all(|r| three_runs.row_runs(r) == 3), "the layout must produce 3-run rows");
+    assert!((8..15).all(|r| blocked.row_runs(r) == 3), "the layout must produce 3-run rows");
 
     // A query column meeting about half of the stored columns, plus
     // positions no row stores.

@@ -1,10 +1,13 @@
-//! Layering lint: five decisions stay behind the module that owns them.
+//! Layering lint: six decisions stay behind the module that owns them.
 //!
 //! * How `U⁻¹` is laid out is `kdash-sparse`'s business. The tiers that
 //!   change or serve an index hand the store column updates and take a
 //!   store back; library code there that names a layout type, or an
 //!   accessor that reveals one, has started to know what a splice does to
 //!   which array.
+//! * Inside `kdash-core`, the raw arrays behind a store are the file
+//!   format's (`persist.rs`) and its fsck's (`audit.rs`): nothing else
+//!   there builds a store from arrays or reads its arrays back.
 //! * The bounds' constants are computed by
 //!   `kdash_core::estimator::BoundConstants::of`; a second spelling of the
 //!   `c′` formula in library code is a derivation that can drift from it.
@@ -29,8 +32,20 @@ mod lint_common;
 
 use lint_common::{library_code, rust_sources, workspace_root};
 
+/// What names the store's encoding: layout types and accessors, then the
+/// raw-array constructor and accessor (see [`names`]).
 const LAYOUT_NAMES: [&str; 5] =
-    ["RowLayout", "as_blocked", "decode_row_into", "BlockedCsr", "CsrMatrix"];
+    ["RowLayout", "decode_row_into", "CsrMatrix", RAW_ARRAYS[0], RAW_ARRAYS[1]];
+
+/// The store's raw-array constructor and accessor. `raw` is matched as
+/// the call alone, since a variable may be called `raw`; within
+/// `kdash-core` any other type's raw arrays are the format's business
+/// too, so the spellings need not tell the store apart.
+const RAW_ARRAYS: [&str; 2] = ["from_raw_parts", ".raw()"];
+
+/// The library files in `crates/core/src` that may name [`RAW_ARRAYS`]:
+/// the file format and its fsck.
+const RAW_ARRAY_OWNERS: [&str; 2] = ["crates/core/src/persist.rs", "crates/core/src/audit.rs"];
 
 /// `c′ = (1−c)/(1 − A_uu + c·A_uu)` as this workspace spells it, up to the
 /// name of the diagonal entry.
@@ -46,6 +61,18 @@ const BOUND_DERIVERS: [&str; 2] = ["crates/core/src/precompute.rs", "crates/core
 
 /// The library files that may start a thread.
 const THREAD_OWNERS: [&str; 2] = ["crates/serve/src/server.rs", "crates/sparse/src/inverse.rs"];
+
+/// Whether `code` holds `pattern` as a whole token: where the pattern
+/// starts or ends with an identifier character, the code may not continue
+/// that identifier there.
+fn names(code: &str, pattern: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices(pattern).any(|(at, _)| {
+        let before = code[..at].chars().next_back().filter(|_| pattern.starts_with(ident));
+        let after = code[at + pattern.len()..].chars().next().filter(|_| pattern.ends_with(ident));
+        !before.is_some_and(ident) && !after.is_some_and(ident)
+    })
+}
 
 /// `file:line` of every library line under `dirs` that `matches`.
 fn library_lines(dirs: &[&str], matches: impl Fn(&str) -> bool) -> Vec<String> {
@@ -68,9 +95,34 @@ fn library_lines(dirs: &[&str], matches: impl Fn(&str) -> bool) -> Vec<String> {
 #[test]
 fn update_and_serving_tiers_do_not_name_the_row_layout() {
     let sites = library_lines(&["crates/dynamic/src", "crates/serve/src"], |code| {
-        code.split(|c: char| !(c.is_alphanumeric() || c == '_')).any(|w| LAYOUT_NAMES.contains(&w))
+        LAYOUT_NAMES.iter().any(|name| names(code, name))
     });
     assert!(sites.is_empty(), "go through ProximityStore, not its layout: {sites:?}");
+}
+
+#[test]
+fn only_the_format_and_its_fsck_reach_the_raw_arrays_in_core() {
+    let sites = library_lines(&["crates/core/src"], |code| {
+        RAW_ARRAYS.iter().any(|pattern| names(code, pattern))
+    });
+    let stray: Vec<_> =
+        sites.iter().filter(|s| !RAW_ARRAY_OWNERS.iter().any(|f| s.contains(f))).collect();
+    assert!(stray.is_empty(), "raw arrays outside {RAW_ARRAY_OWNERS:?}: {stray:?}");
+    for owner in RAW_ARRAY_OWNERS {
+        assert!(
+            sites.iter().any(|s| s.contains(owner)),
+            "{owner} names no raw array any more — drop it from RAW_ARRAY_OWNERS"
+        );
+    }
+}
+
+#[test]
+fn a_pattern_names_only_whole_tokens() {
+    assert!(names("let (p, i, v) = store.raw();", ".raw()"));
+    assert!(!names("for (n, raw) in lines { raw.trim(); }", ".raw()"));
+    assert!(names("ProximityStore::from_raw_parts(n, n, a)", "from_raw_parts"));
+    assert!(!names("Thing::from_raw_parts_unchecked(a)", "from_raw_parts"));
+    assert!(!names("type MyRowLayout = u8;", "RowLayout"));
 }
 
 #[test]

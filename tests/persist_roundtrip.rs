@@ -178,7 +178,7 @@ fn mark(marks: &[(&'static str, usize)], name: &str) -> usize {
 /// stay exact against what `save` actually wrote.
 fn v2_section_offsets(index: &KdashIndex) -> (usize, usize, usize) {
     let n = index.num_nodes();
-    let runs = index.uinv_rows().as_blocked().num_runs();
+    let runs = index.uinv_rows().num_runs();
     let marks = section_marks(index);
     let layout_off = mark(&marks, "linv"); // U⁻¹ starts where L⁻¹'s CRC ends
     let deltas_off = layout_off + 1        // layout tag
@@ -253,7 +253,7 @@ fn inflated_node_count_is_rejected() {
     assert!(KdashIndex::load(buf.as_slice()).is_err());
 }
 
-/// The full corruption sweep the v4 checksums exist for: flip a byte at
+/// The full corruption sweep the v5 checksums exist for: flip a byte at
 /// every section boundary (last payload byte, each CRC byte, first byte
 /// of the next section) and at sampled interior offsets covering every
 /// section — every single mutation must come back as a typed
