@@ -13,7 +13,11 @@
 //! factor's dense tail: ns per multiply-subtract is the figure to watch
 //! (≈ 0.3–0.5 where the tail carries the work, 1.5–3 where the sparse
 //! head and the symbolic DFS do), next to the seconds `experiments fig6`
-//! tabulates for the same kernels.
+//! tabulates for the same kernels. A `joint` row per worker count times
+//! the build's inversion stage: both triangles in one pool, `U⁻¹`
+//! transposed into rows (its tally sums the two triangles'). Its seconds
+//! against the `linv` and `uinv` rows' sum are what the shared pool and
+//! the transpose's overlap with `L⁻¹`'s last solves buy.
 //!
 //! This bench measures each configuration **once** with direct wall-clock
 //! timing instead of going through the criterion stand-in: a build takes
@@ -31,8 +35,8 @@ use kdash_core::{compute_ordering, BuildReport, IndexBuilder, NodeOrdering};
 use kdash_datagen::{rmat, RmatParams};
 use kdash_graph::CsrGraph;
 use kdash_sparse::{
-    sparse_lu_tallied, sparsify_lower_unit_with, sparsify_upper_with, transition_matrix, w_matrix,
-    DanglingPolicy, InvertOptions, SolveTally,
+    sparse_lu_tallied, sparsify_factors_with, sparsify_lower_unit_with, sparsify_upper_with,
+    transition_matrix, w_matrix, DanglingPolicy, InvertOptions, SolveTally,
 };
 use std::time::Instant;
 
@@ -61,7 +65,8 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 }
 
 /// LU / `L⁻¹` / `U⁻¹` of the hybrid-ordered `W`: one line for the LU
-/// (one thread, always), one per inversion and worker count.
+/// (one thread, always), one per inversion and worker count, and one per
+/// worker count for both inversions in one pool.
 fn kernel_table(graph: &CsrGraph, reps: usize) {
     let permuted = graph.permute(&compute_ordering(graph, NodeOrdering::Hybrid)).expect("permute");
     let a = transition_matrix(&permuted, DanglingPolicy::Keep);
@@ -84,8 +89,17 @@ fn kernel_table(graph: &CsrGraph, reps: usize) {
             best_of(reps, || sparsify_lower_unit_with(&factors.l, 0.0, options).expect("L⁻¹"));
         let (u_s, uinv) =
             best_of(reps, || sparsify_upper_with(&factors.u, 0.0, options).expect("U⁻¹"));
+        let (joint_s, joint) =
+            best_of(reps, || sparsify_factors_with(&factors, 0.0, options).expect("L⁻¹, U⁻¹"));
         line("linv", threads, l_s, linv.tally);
         line("uinv", threads, u_s, uinv.tally);
+        let (l, u) = (joint.linv.tally, joint.uinv.tally);
+        let both = SolveTally {
+            tail_columns: l.tail_columns + u.tail_columns,
+            multiply_subtracts: l.multiply_subtracts + u.multiply_subtracts,
+            tail_multiply_subtracts: l.tail_multiply_subtracts + u.tail_multiply_subtracts,
+        };
+        line("joint", threads, joint_s, both);
     }
 }
 

@@ -194,10 +194,14 @@ const _: () = assert!(std::mem::size_of::<Slot>() == 16);
 /// *become* hot at a push: the stack holds every hot node, and the stop
 /// test pops dead tops until a live one — or nothing — is left.
 ///
-/// The push loop has no data-dependent branch. First touch is a select
-/// (`S_u` is the slot's sum if stamped now, else `0`), and every pushed
+/// The push loop stacks without a data-dependent branch: every pushed
 /// node is written speculatively at the stack's depth, which then moves up
-/// by `go = !stacked ∧ c'_max·(S_u + Ā_u·R) ≥ θ`. The stacked flags keep a
+/// by `go = !stacked ∧ c'_max·(S_u + Ā_u·R) ≥ θ`. Its first-touch read is
+/// a branch: `S_u` is the slot's sum if stamped now, else `0`, written as a
+/// select, but the release build compiles it to a compare of the stamp and
+/// a jump around the load of the sum (in `Searcher::ranked`, where the push
+/// is inlined; `std::hint::select_unpredictable` and a bit-mask select
+/// compile to the same branch). The stacked flags keep a
 /// node from being stacked twice, so the depth never exceeds `n` and the
 /// `n + 1`-entry buffer always has room for the speculative write.
 #[derive(Debug)]

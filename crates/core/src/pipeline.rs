@@ -14,9 +14,13 @@
 //!
 //! The inversion is the parallel stage, driven by
 //! [`IndexBuilder::threads`]: columns of a triangular inverse are
-//! independent Gilbert–Peierls solves, so it fans them out over a
-//! work-stealing chunk cursor, one solve workspace per worker, expensive
-//! chunks first. The result is
+//! independent Gilbert–Peierls solves, so one worker pool
+//! ([`kdash_sparse::sparsify_factors_with`]) solves both triangles, one
+//! solve workspace per worker. Each worker starts on its own triangle's
+//! chunk cursor, expensive chunks first, and then claims the other
+//! triangle's remaining chunks; `U⁻¹` comes back in row order, transposed
+//! once by the worker that completed it while `L⁻¹`'s last columns are
+//! still being solved. The result is
 //! **bit-identical** to the sequential build at every thread count, which
 //! the tier-1 `build_determinism` suite pins. The LU runs on the calling
 //! thread: each of its columns needs the columns to its left, and on the
@@ -28,9 +32,8 @@ use crate::precompute::IndexParts;
 use crate::{IndexOptions, KdashError, KdashIndex, NodeOrdering, Result};
 use kdash_graph::{CsrGraph, Permutation};
 use kdash_sparse::{
-    sparse_lu_tallied, sparsify_lower_unit_with, sparsify_upper_with, transition_matrix,
-    validate_drop_tolerance, w_matrix, CsrMatrix, DanglingPolicy, InvertOptions, ProximityStore,
-    RowLayout, SolveTally,
+    sparse_lu_tallied, sparsify_factors_with, transition_matrix, validate_drop_tolerance, w_matrix,
+    DanglingPolicy, InvertOptions, ProximityStore, RowLayout, SolveTally, SparsifiedFactors,
 };
 use std::time::{Duration, Instant};
 
@@ -41,7 +44,8 @@ pub enum BuildStage {
     Ordering,
     /// Transition matrix `A`, system matrix `W`, and the sparse LU `W = LU`.
     Factorization,
-    /// Triangular inversion: `L⁻¹` and `U⁻¹` (Equations (4)–(5)).
+    /// Triangular inversion: `L⁻¹` by columns and `U⁻¹` by rows
+    /// (Equations (4)–(5)), both triangles in one worker pool.
     Inversion,
     /// The blocked `U⁻¹` encoding and the final index assembly, which
     /// derives from the permuted graph the estimator constants `A_max`,
@@ -260,30 +264,29 @@ impl IndexBuilder {
         report.factorization_solves = factorization_solves;
         report.stages.push(StageTiming { stage: BuildStage::Factorization, duration: t.elapsed() });
 
-        // Stage 3 — inversion: the independent column solves, fanned out.
-        // Under a positive drop tolerance the solves truncate sub-ε
-        // entries before they propagate (at ε = 0 they are the exact
-        // solves, so the dense-exact path stays bit-identical); the
-        // per-column dropped ℓ₁ masses ride along into the index for the
-        // certified refinement loop.
+        // Stage 3 — inversion: both triangles' independent column solves
+        // in one worker pool, each worker moving to the other triangle
+        // when its own runs dry, and U⁻¹ handed over in row order,
+        // transposed once by the worker that finished it. Under a positive
+        // drop tolerance the solves truncate sub-ε entries before they
+        // propagate (at ε = 0 they are the exact solves, so the
+        // dense-exact path stays bit-identical); the per-column dropped ℓ₁
+        // masses ride along into the index for the certified refinement
+        // loop.
         let t = Instant::now();
         let eps = options.drop_tolerance;
         let invert_options = InvertOptions { threads: self.threads };
         report.inversion_threads = invert_options.resolved_threads(permuted.num_nodes());
-        let sparsified_l = sparsify_lower_unit_with(&factors.l, eps, invert_options)?;
-        report.linv_solves = sparsified_l.tally;
-        let (linv, linv_dropped) = (sparsified_l.inverse, sparsified_l.dropped);
-        let sparsified_u = sparsify_upper_with(&factors.u, eps, invert_options)?;
-        report.uinv_solves = sparsified_u.tally;
-        let (uinv_csc, uinv_dropped) = (sparsified_u.inverse, sparsified_u.dropped);
-        let uinv = CsrMatrix::from_csc(&uinv_csc);
+        let SparsifiedFactors { linv, uinv } =
+            sparsify_factors_with(&factors, eps, invert_options)?;
+        (report.linv_solves, report.uinv_solves) = (linv.tally, uinv.tally);
         report.stages.push(StageTiming { stage: BuildStage::Inversion, duration: t.elapsed() });
 
         // Stage 4 — assemble: the blocked proximity-store encoding of U⁻¹
         // with its derived tables, and the final immutable index, which
         // derives the bounds' constants and statistics itself.
         let t = Instant::now();
-        let uinv = ProximityStore::from_csr(uinv, RowLayout::Blocked)?;
+        let store = ProximityStore::from_csr(uinv.inverse, RowLayout::Blocked)?;
         let index = KdashIndex::assemble(IndexParts {
             c: options.restart_probability,
             ordering: options.ordering,
@@ -291,11 +294,11 @@ impl IndexBuilder {
             update_epoch: 0,
             perm,
             graph: permuted,
-            linv,
-            uinv,
+            linv: linv.inverse,
+            uinv: store,
             drop_tolerance: eps,
-            linv_dropped,
-            uinv_dropped,
+            linv_dropped: linv.dropped,
+            uinv_dropped: uinv.dropped,
             nnz_l: factors.l.nnz(),
             nnz_u: factors.u.nnz(),
         })?;

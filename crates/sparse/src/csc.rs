@@ -97,37 +97,29 @@ impl CscMatrix {
         row_idx: Vec<Index>,
         values: Vec<f64>,
     ) -> Result<Self> {
-        if col_ptr.len() != ncols + 1 {
-            return Err(SparseError::Malformed("col_ptr length must be ncols + 1".into()));
-        }
-        if row_idx.len() != values.len() {
-            return Err(SparseError::Malformed("row_idx and values length mismatch".into()));
-        }
-        if col_ptr[0] != 0 || col_ptr[ncols] != row_idx.len() {
-            return Err(SparseError::Malformed("col_ptr bounds are inconsistent".into()));
-        }
-        for c in 0..ncols {
-            if col_ptr[c] > col_ptr[c + 1] {
-                return Err(SparseError::Malformed(format!("col_ptr not monotone at {c}")));
-            }
-            let rows = &row_idx[col_ptr[c]..col_ptr[c + 1]];
-            for (i, &r) in rows.iter().enumerate() {
-                if (r as usize) >= nrows {
-                    return Err(SparseError::Malformed(format!("row {r} out of bounds")));
-                }
-                if i > 0 && rows[i - 1] >= r {
-                    return Err(SparseError::Malformed(format!(
-                        "rows not strictly increasing in column {c}"
-                    )));
-                }
-            }
-        }
-        for &v in &values {
-            if !v.is_finite() {
-                return Err(SparseError::Malformed("non-finite stored value".into()));
-            }
-        }
+        validate_parts(nrows, ncols, &col_ptr, &row_idx, &values)?;
         Ok(CscMatrix { nrows, ncols, col_ptr, row_idx, values })
+    }
+
+    /// Wraps arrays that hold every invariant by construction — a
+    /// transpose of a valid matrix, or column solves (sorted, in-bounds
+    /// rows) whose values the caller checked. Debug builds validate them
+    /// anyway.
+    pub(crate) fn from_trusted_parts(
+        nrows: usize,
+        ncols: usize,
+        col_ptr: Vec<usize>,
+        row_idx: Vec<Index>,
+        values: Vec<f64>,
+    ) -> Self {
+        debug_assert_eq!(validate_parts(nrows, ncols, &col_ptr, &row_idx, &values), Ok(()));
+        CscMatrix { nrows, ncols, col_ptr, row_idx, values }
+    }
+
+    /// Consumes the matrix into its arrays `(col_ptr, row_idx, values)`,
+    /// moved, not copied.
+    pub(crate) fn into_parts(self) -> (Vec<usize>, Vec<Index>, Vec<f64>) {
+        (self.col_ptr, self.row_idx, self.values)
     }
 
     /// Number of rows.
@@ -172,26 +164,13 @@ impl CscMatrix {
 
     /// The transpose as a new CSC matrix (`O(nnz)` counting transpose).
     pub fn transpose(&self) -> CscMatrix {
-        let mut col_ptr = vec![0usize; self.nrows + 1];
-        for &r in &self.row_idx {
-            col_ptr[r as usize + 1] += 1;
-        }
-        for i in 0..self.nrows {
-            col_ptr[i + 1] += col_ptr[i];
-        }
-        let mut cursor = col_ptr.clone();
-        let mut row_idx = vec![0 as Index; self.nnz()];
-        let mut values = vec![0.0; self.nnz()];
-        for c in 0..self.ncols as Index {
-            let (rows, vals) = self.col(c);
-            for (&r, &v) in rows.iter().zip(vals) {
-                let slot = cursor[r as usize];
-                row_idx[slot] = c;
-                values[slot] = v;
-                cursor[r as usize] += 1;
-            }
-        }
-        CscMatrix { nrows: self.ncols, ncols: self.nrows, col_ptr, row_idx, values }
+        let (col_ptr, row_idx, values) = transpose_columns(self.nrows, self.columns());
+        CscMatrix::from_trusted_parts(self.ncols, self.nrows, col_ptr, row_idx, values)
+    }
+
+    /// `(rows, values)` of every column, in column order.
+    pub(crate) fn columns(&self) -> impl Iterator<Item = (&[Index], &[f64])> + '_ {
+        (0..self.ncols as Index).map(|c| self.col(c))
     }
 
     /// Dense `y += A · x` accumulation. `x` has `ncols` entries, `y` has
@@ -335,6 +314,108 @@ impl CscMatrix {
     }
 }
 
+/// Every invariant of a CSC matrix's arrays: `col_ptr` monotone and
+/// covering the payload, rows in bounds and strictly increasing within a
+/// column, values finite.
+fn validate_parts(
+    nrows: usize,
+    ncols: usize,
+    col_ptr: &[usize],
+    row_idx: &[Index],
+    values: &[f64],
+) -> Result<()> {
+    if col_ptr.len() != ncols + 1 {
+        return Err(SparseError::Malformed("col_ptr length must be ncols + 1".into()));
+    }
+    if row_idx.len() != values.len() {
+        return Err(SparseError::Malformed("row_idx and values length mismatch".into()));
+    }
+    if col_ptr[0] != 0 || col_ptr[ncols] != row_idx.len() {
+        return Err(SparseError::Malformed("col_ptr bounds are inconsistent".into()));
+    }
+    for c in 0..ncols {
+        if col_ptr[c] > col_ptr[c + 1] {
+            return Err(SparseError::Malformed(format!("col_ptr not monotone at {c}")));
+        }
+        let rows = &row_idx[col_ptr[c]..col_ptr[c + 1]];
+        for (i, &r) in rows.iter().enumerate() {
+            if (r as usize) >= nrows {
+                return Err(SparseError::Malformed(format!("row {r} out of bounds")));
+            }
+            if i > 0 && rows[i - 1] >= r {
+                return Err(SparseError::Malformed(format!(
+                    "rows not strictly increasing in column {c}"
+                )));
+            }
+        }
+    }
+    check_finite(values)
+}
+
+/// Rejects a non-finite stored value: the one value check of every
+/// constructor, and of a column solve's output, which a finite factor can
+/// still overflow into.
+pub(crate) fn check_finite(values: &[f64]) -> Result<()> {
+    if values.iter().any(|v| !v.is_finite()) {
+        return Err(SparseError::Malformed("non-finite stored value".into()));
+    }
+    Ok(())
+}
+
+/// Rows per band of [`transpose_columns`]: the band's open output lines
+/// (one of indices, one of values per row, 32 KiB) stay in L1.
+const ROW_BAND: usize = 256;
+
+/// The `O(nnz)` counting transpose of an `nrows`-row matrix given by its
+/// columns, in order: the `(col_ptr, row_idx, values)` arrays of its
+/// transpose in CSC form — which are the matrix's own rows in CSR form.
+/// Each entry is written once, straight into its final slot.
+///
+/// A dense matrix (an inverse) is scattered one band of [`ROW_BAND`] rows
+/// at a time, each band a pass over every column's next entries: one
+/// pass over all rows keeps a cache line of every row open at once (the
+/// scatter of a 3 000-row, 864 k-entry `U⁻¹` took ≈ 10 ms that way and
+/// ≈ 5 ms banded, on a 2-core Xeon). Each band's pass visits every
+/// column, so a sparse matrix (under 8 entries per column and band) gets
+/// fewer bands, down to one. Within a row, entries land in column order
+/// either way.
+pub(crate) fn transpose_columns<'c>(
+    nrows: usize,
+    columns: impl Iterator<Item = (&'c [Index], &'c [f64])>,
+) -> (Vec<usize>, Vec<Index>, Vec<f64>) {
+    let columns: Vec<_> = columns.collect();
+    let mut ptr = vec![0usize; nrows + 1];
+    for &(rows, _) in &columns {
+        for &r in rows {
+            ptr[r as usize + 1] += 1;
+        }
+    }
+    for i in 0..nrows {
+        ptr[i + 1] += ptr[i];
+    }
+    let nnz = ptr[nrows];
+    let bands = (nnz / (8 * columns.len()).max(1)).clamp(1, nrows.div_ceil(ROW_BAND).max(1));
+    let band = nrows.div_ceil(bands);
+    let mut cursor = ptr[..nrows].to_vec();
+    let mut next = vec![0usize; columns.len()];
+    let mut idx = vec![0 as Index; nnz];
+    let mut vals = vec![0.0; nnz];
+    for end in (1..=bands).map(|b| (b * band).min(nrows)) {
+        for (c, &(rows, values)) in columns.iter().enumerate() {
+            let mut k = next[c];
+            while k < rows.len() && (rows[k] as usize) < end {
+                let slot = cursor[rows[k] as usize];
+                idx[slot] = c as Index;
+                vals[slot] = values[k];
+                cursor[rows[k] as usize] += 1;
+                k += 1;
+            }
+            next[c] = k;
+        }
+    }
+    (ptr, idx, vals)
+}
+
 /// A replacement for one column of a [`CscMatrix`]: the full new content
 /// (possibly empty), sorted by row. Produced by the subset inversion
 /// driver ([`crate::sparsify_columns_with`]) and consumed by the
@@ -455,6 +536,33 @@ mod tests {
             }
         }
         assert_eq!(t.transpose(), m);
+    }
+
+    /// The banded scatter against the triplet constructor, on shapes that
+    /// get one band (sparse), several, and a last band shorter than the
+    /// others: rows, order and value bits all match.
+    #[test]
+    fn banded_transpose_matches_the_triplet_transpose() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        for (nrows, ncols, density) in [(700, 700, 0.3), (1000, 90, 0.5), (600, 600, 0.005)] {
+            let mut trips: Vec<(Index, Index, f64)> = Vec::new();
+            for c in 0..ncols as Index {
+                for r in 0..nrows as Index {
+                    if rng.gen_bool(density) {
+                        trips.push((r, c, rng.gen_range(-1.0..1.0)));
+                    }
+                }
+            }
+            let m = CscMatrix::from_triplets(nrows, ncols, &trips).unwrap();
+            let swapped: Vec<_> = trips.iter().map(|&(r, c, v)| (c, r, v)).collect();
+            let expect = CscMatrix::from_triplets(ncols, nrows, &swapped).unwrap();
+            let got = m.transpose();
+            let (ep, ei, ev) = expect.raw();
+            let (gp, gi, gv) = got.raw();
+            assert_eq!((ep, ei), (gp, gi), "{nrows}x{ncols}");
+            assert!(ev.iter().zip(gv).all(|(a, b)| a.to_bits() == b.to_bits()), "{nrows}x{ncols}");
+        }
     }
 
     #[test]

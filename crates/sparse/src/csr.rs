@@ -4,6 +4,7 @@
 //! `p_u = c · (U⁻¹)ᵤ,⋆ · (L⁻¹ e_q)` is then a single sparse-row ·
 //! sparse-column dot product (§4.2.1 of the paper).
 
+use crate::csc::transpose_columns;
 use crate::{CscMatrix, Index, Result};
 
 /// A sparse matrix in compressed-sparse-row form. Column indices within a
@@ -18,18 +19,26 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Converts a CSC matrix into CSR form (`O(nnz)`).
+    /// Converts a CSC matrix into CSR form (`O(nnz)`): one counting
+    /// transpose, written straight into the row arrays.
     pub fn from_csc(csc: &CscMatrix) -> CsrMatrix {
-        // CSR of M has the same arrays as CSC of Mᵀ.
-        let t = csc.transpose();
-        let (col_ptr, row_idx, values) = t.raw();
-        CsrMatrix {
-            nrows: csc.nrows(),
-            ncols: csc.ncols(),
-            row_ptr: col_ptr.to_vec(),
-            col_idx: row_idx.to_vec(),
-            values: values.to_vec(),
-        }
+        let (row_ptr, col_idx, values) = transpose_columns(csc.nrows(), csc.columns());
+        CsrMatrix { nrows: csc.nrows(), ncols: csc.ncols(), row_ptr, col_idx, values }
+    }
+
+    /// Wraps CSR arrays that hold every invariant by construction (a
+    /// transpose of column solves whose values the caller checked). Debug
+    /// builds validate them anyway.
+    pub(crate) fn from_trusted_parts(
+        nrows: usize,
+        ncols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<Index>,
+        values: Vec<f64>,
+    ) -> CsrMatrix {
+        let as_csc = CscMatrix::from_trusted_parts(ncols, nrows, row_ptr, col_idx, values);
+        let (row_ptr, col_idx, values) = as_csc.into_parts();
+        CsrMatrix { nrows, ncols, row_ptr, col_idx, values }
     }
 
     /// Builds directly from CSR arrays with validation.
@@ -42,8 +51,8 @@ impl CsrMatrix {
     ) -> Result<Self> {
         // Reuse the CSC validator on the transposed interpretation.
         let as_csc = CscMatrix::from_raw_parts(ncols, nrows, row_ptr, col_idx, values)?;
-        let (p, i, v) = as_csc.raw();
-        Ok(CsrMatrix { nrows, ncols, row_ptr: p.to_vec(), col_idx: i.to_vec(), values: v.to_vec() })
+        let (row_ptr, col_idx, values) = as_csc.into_parts();
+        Ok(CsrMatrix { nrows, ncols, row_ptr, col_idx, values })
     }
 
     /// Number of rows.
@@ -122,17 +131,11 @@ impl CsrMatrix {
         (0..self.nrows as Index).map(|r| self.row_dot_dense(r, x)).collect()
     }
 
-    /// Converts back to CSC form.
+    /// Converts back to CSC form: the counting transpose of the rows.
     pub fn to_csc(&self) -> CscMatrix {
-        CscMatrix::from_raw_parts(
-            self.ncols,
-            self.nrows,
-            self.row_ptr.clone(),
-            self.col_idx.clone(),
-            self.values.clone(),
-        )
-        .expect("valid CSR arrays are a valid CSC transpose")
-        .transpose()
+        let rows = (0..self.nrows as Index).map(|r| self.row(r));
+        let (col_ptr, row_idx, values) = transpose_columns(self.ncols, rows);
+        CscMatrix::from_trusted_parts(self.nrows, self.ncols, col_ptr, row_idx, values)
     }
 
     /// Consumes the matrix into its raw arrays `(row_ptr, col_idx,

@@ -10,17 +10,19 @@
 //!
 //! Columns are mutually independent (no column's solve reads another
 //! column of the inverse), which makes the inversion embarrassingly
-//! parallel. Every inversion in the crate — full or a dirty subset — runs
-//! through one driver here, under a drop tolerance `ε` whose `0.0` is the
-//! exact inverse: the public spellings are [`crate::sparsify`]'s, and
-//! there is no second, exact-only one. The workers share a read-only view
-//! of the factor (for a full inversion indexed once up front — strict-span
-//! bounds and stored diagonal per column, so no solve searches a column,
-//! and the factor's dense tail mirrored for contiguous AXPYs:
-//! [`crate::triangular`]), claim chunks of columns off one cursor with one
-//! [`SolveWorkspace`] each, and the solved blocks are gathered back in
-//! column order — so the result is **bit-identical** to the sequential
-//! inversion at every thread count.
+//! parallel. Every inversion in the crate — both factors of an LU, one
+//! factor, or a dirty subset of one — runs through one worker pool here,
+//! under a drop tolerance `ε` whose `0.0` is the exact inverse: the public
+//! spellings are [`crate::sparsify`]'s, and there is no second,
+//! exact-only one. A pool run is a list of *jobs*, one per triangle. Each
+//! job shares a read-only view of its factor (for a full inversion indexed
+//! once up front — strict-span bounds and stored diagonal per column, so
+//! no solve searches a column, and the factor's dense tail mirrored for
+//! contiguous AXPYs: [`crate::triangular`]) and splits its columns into
+//! chunks claimed off its own claim counter; each worker keeps one
+//! [`SolveWorkspace`] across the jobs it touches. The solved blocks are
+//! gathered back in column order — so the result is **bit-identical** to
+//! the sequential inversion at every thread count.
 //!
 //! The factors follow the crate's convention: a `Lower` factor has an
 //! implicit unit diagonal and an `Upper` one stores its own, so the
@@ -29,17 +31,44 @@
 //! Claims go out **heavy-first**. A column's cost is its reach, which
 //! grows towards the low columns of a `Lower` triangle and the high
 //! columns of an `Upper` one (the last of 64 chunks of an RMAT `U⁻¹` holds
-//! nearly half its cost), so `Upper` chunks are claimed in descending
-//! order: the expensive chunks start first and the cheap ones fill the
-//! tail, where an ascending order would leave one worker alone on the
-//! most expensive chunk.
+//! nearly half its cost), so among several workers `Upper` chunks are
+//! claimed in descending order: the expensive chunks start first and the
+//! cheap ones fill the tail, where an ascending order would leave one
+//! worker alone on the most expensive chunk. A lone worker claims
+//! ascending, so the first error it meets is the lowest column's.
+//!
+//! Workers **steal across triangles**. Worker `w` starts on job
+//! `w mod jobs` — for the build's inversion of both factors, the workers
+//! split between `L` and `U` — and when its job runs dry, hands its
+//! blocks in and claims the next job's remaining chunks. The two
+//! triangles rarely cost the same (the value-driven `L̃⁻¹` solves of a
+//! sparsified RMAT index cost 2.3–2.5× the `Ũ⁻¹` ones), so a fixed worker
+//! per triangle would leave one idle; the steal lets the faster side
+//! finish the slower one's tail. A job is claimed from both ends: its own
+//! workers from the heavy end, thieves from the light one, so the
+//! cheapest chunks are the ones that move and the owner's claims stay
+//! one ascending run.
+//!
+//! Worker 0 is the calling thread, and it *finishes* each job as soon as
+//! every claim of it is handed in — between two of its own claims, while
+//! the others keep solving: `L⁻¹` is concatenated into CSC arrays —
+//! growing the lowest block's arrays in place, so the owner's run (one
+//! block: consecutive claims extend the last block) is moved, not copied,
+//! and only the stolen chunks are — and `U⁻¹` is transposed once,
+//! straight from the blocks into the CSR rows the query engine reads. The
+//! arrays a finish allocates outlive the pool in the caller's index, so
+//! they come from the caller's heap.
 
+use crate::csc::{check_finite, transpose_columns};
 use crate::triangular::{FactorView, TailRule};
 use crate::{
-    ColumnUpdate, CscMatrix, Index, Result, SolveTally, SolveWorkspace, SparseError,
-    SparsifiedColumns, SparsifiedInverse, Triangle,
+    ColumnUpdate, CscMatrix, CsrMatrix, Index, LuFactors, Result, SolveTally, SolveWorkspace,
+    SparseError, SparsifiedColumns, SparsifiedFactors, SparsifiedInverse, Triangle,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::mem::take;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Options for the triangular-inversion driver.
 #[derive(Debug, Clone, Copy)]
@@ -102,134 +131,41 @@ pub(crate) fn invert_truncated(
     let rule = if eps > 0.0 { TailRule::NEVER } else { rule };
     let view = FactorView::indexed(t, triangle, triangle.unit_diag(), rule)?;
     let n = view.dim();
-    let (mut blocks, tally) = solve_columns(&view, None, eps, options.resolved_threads(n))?;
-    // Concatenate the blocks (in column order, tiling `0..n`) into the
-    // flat CSC arrays a sequential loop would have appended one column at
-    // a time.
-    let mut col_ptr = Vec::with_capacity(n + 1);
-    let mut end = 0usize;
-    col_ptr.push(end);
-    for block in &blocks {
-        debug_assert_eq!(block.first, col_ptr.len() - 1, "blocks must tile the column range");
-        for &len in &block.col_lens {
-            end += len;
-            col_ptr.push(end);
-        }
-    }
-    debug_assert_eq!(col_ptr.len(), n + 1, "every column must be covered");
-    let (rows, vals, dropped) = if blocks.len() == 1 {
-        // A lone block (one worker) already is the flat arrays.
-        blocks.pop().map(|b| (b.rows, b.vals, b.dropped)).unwrap_or_default()
-    } else {
-        let mut flat = (Vec::with_capacity(end), Vec::with_capacity(end), Vec::with_capacity(n));
-        for block in &blocks {
-            flat.0.extend_from_slice(&block.rows);
-            flat.1.extend_from_slice(&block.vals);
-            flat.2.extend_from_slice(&block.dropped);
-        }
-        flat
-    };
-    let inverse = CscMatrix::from_raw_parts(n, n, col_ptr, rows, vals)?;
-    Ok(SparsifiedInverse { inverse, dropped, tally })
+    let threads = options.resolved_threads(n);
+    let [(inverse, tally)] =
+        run_pool([Job::new(view, None, threads)], eps, threads, |_, blocks| {
+            Compressed::columns(n, blocks)
+        })?;
+    Ok(inverse.into_columns(n, tally))
 }
 
-/// A contiguous run of solved columns, produced by one worker claim.
-#[derive(Default)]
-struct ColumnBlock {
-    /// Position of the block's first column in the column list.
-    first: usize,
-    /// Nonzero count per column, in column order.
-    col_lens: Vec<usize>,
-    /// Concatenated sorted row indices of the block's columns.
-    rows: Vec<Index>,
-    /// Values parallel to `rows`.
-    vals: Vec<f64>,
-    /// Dropped ℓ₁ mass per column, parallel to `col_lens`.
-    dropped: Vec<f64>,
-}
-
-/// Columns per cursor claim. Column costs are skewed (a column's solve is
-/// proportional to its reach, which grows towards one end of the
-/// triangle), so claims must stay small enough for the fast workers to
-/// steal the cheap tail; large enough that the cursor isn't contended.
-pub(crate) fn claim_chunk(n: usize, threads: usize) -> usize {
-    (n / (threads * 32)).clamp(1, 256)
-}
-
-/// The one column driver: solves `T x = e_j` under `eps` for every `j` in
-/// `columns` (sorted strictly ascending; `None` = every column) and
-/// returns the solved blocks in column order.
-///
-/// Workers claim chunks off one cursor, heavy-first (module docs). A
-/// failed solve poisons the cursor and the run is repeated on the calling
-/// thread in ascending order, so the error reported is the lowest failing
-/// column's at every thread count (a cold path; the repeated work buys
-/// determinism). A single worker runs on the calling thread; inverting
-/// every column, it takes them as one chunk, which the gather then moves.
-fn solve_columns(
-    view: &FactorView,
-    columns: Option<&[Index]>,
+/// Both triangles of `factors` under drop tolerance `eps` (`0.0` = exact)
+/// in one pool: `L⁻¹` by columns, `U⁻¹` by rows (module docs). Factors
+/// that are not square and of one size are an error before any solve.
+pub(crate) fn invert_factors_truncated(
+    factors: &LuFactors,
     eps: f64,
-    threads: usize,
-) -> Result<(Vec<ColumnBlock>, SolveTally)> {
-    let len = columns.map_or(view.dim(), <[Index]>::len);
-    let whole = threads <= 1 && columns.is_none();
-    let chunk = if whole { len.max(1) } else { claim_chunk(len, threads) };
-    let claims = len.div_ceil(chunk);
-    let cursor = AtomicUsize::new(0);
-    let work = || -> Result<(Vec<ColumnBlock>, SolveTally)> {
-        let mut ws = SolveWorkspace::new(view.dim());
-        let (mut xi, mut xv) = (Vec::new(), Vec::new());
-        let mut solved = Vec::new();
-        loop {
-            let claim = cursor.fetch_add(1, Ordering::Relaxed);
-            if claim >= claims {
-                let tally = SolveTally { tail_columns: view.tail.columns(), ..ws.tally };
-                return Ok((solved, tally));
-            }
-            // Heavy-first among workers; a lone worker keeps ascending
-            // order, so the first error it meets is the lowest column's.
-            let first = match view.triangle {
-                Triangle::Upper if threads > 1 => (claims - 1 - claim) * chunk,
-                _ => claim * chunk,
-            };
-            let mut block = ColumnBlock { first, ..Default::default() };
-            for at in first..(first + chunk).min(len) {
-                let j = columns.map_or(at as Index, |columns| columns[at]);
-                let mass = ws
-                    .solve_view(view, &[j], &[1.0], eps, Some(j), &mut xi, &mut xv)
-                    .inspect_err(|_| {
-                        cursor.fetch_max(claims, Ordering::Relaxed);
-                    })?;
-                block.col_lens.push(xi.len());
-                block.rows.extend_from_slice(&xi);
-                block.vals.extend_from_slice(&xv);
-                block.dropped.push(mass);
-            }
-            solved.push(block);
-        }
-    };
-    if threads <= 1 {
-        return work();
+    options: InvertOptions,
+) -> Result<SparsifiedFactors> {
+    let rule = if eps > 0.0 { TailRule::NEVER } else { TailRule::STRUCTURAL };
+    let view = |t, triangle: Triangle| FactorView::indexed(t, triangle, triangle.unit_diag(), rule);
+    let (lower, upper) = (view(&factors.l, Triangle::Lower)?, view(&factors.u, Triangle::Upper)?);
+    if upper.dim() != lower.dim() {
+        return Err(SparseError::Malformed(format!(
+            "L is {0}x{0} but U is {1}x{1}",
+            lower.dim(),
+            upper.dim()
+        )));
     }
-    let outputs = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
-        let panicked = |_| SparseError::Malformed("a column-solve worker panicked".into());
-        handles.into_iter().map(|h| h.join().map_err(panicked)).collect::<Result<Vec<_>>>()
-    })?;
-    let mut blocks = Vec::new();
-    let mut tally = SolveTally { tail_columns: view.tail.columns(), ..Default::default() };
-    for output in outputs {
-        match output {
-            Ok((solved, counts)) => {
-                blocks.extend(solved);
-                tally.absorb(counts);
-            }
-            Err(_) => return solve_columns(view, columns, eps, 1),
-        }
-    }
-    blocks.sort_unstable_by_key(|b| b.first);
-    Ok((blocks, tally))
+    let n = lower.dim();
+    let threads = options.resolved_threads(n);
+    let jobs = [Job::new(lower, None, threads), Job::new(upper, None, threads)];
+    let [(linv, l_tally), (uinv, u_tally)] =
+        run_pool(jobs, eps, threads, |job, blocks| match job.view.triangle {
+            Triangle::Lower => Compressed::columns(n, blocks),
+            Triangle::Upper => Compressed::rows(n, blocks),
+        })?;
+    Ok(SparsifiedFactors { linv: linv.into_columns(n, l_tally), uinv: uinv.into_rows(n, u_tally) })
 }
 
 /// Subset inversion under drop tolerance `eps` (`0.0` = exact): for each
@@ -263,22 +199,356 @@ pub(crate) fn invert_columns_truncated(
         }
     }
     let threads = options.resolved_threads(columns.len());
-    let (blocks, _) = solve_columns(&view, Some(columns), eps, threads)?;
+    let job = Job::new(view, Some(columns), threads);
+    let [(blocks, _)] = run_pool([job], eps, threads, |_, blocks| Ok(blocks))?;
     let mut updates = Vec::with_capacity(columns.len());
     let mut dropped = Vec::with_capacity(columns.len());
     for block in blocks {
-        let mut at = 0usize;
-        for (&col, &len) in columns[block.first..].iter().zip(&block.col_lens) {
-            updates.push(ColumnUpdate {
-                col,
-                rows: block.rows[at..at + len].to_vec(),
-                vals: block.vals[at..at + len].to_vec(),
-            });
-            at += len;
+        for ((rows, vals), &col) in block.columns().zip(&columns[block.first..]) {
+            updates.push(ColumnUpdate { col, rows: rows.to_vec(), vals: vals.to_vec() });
         }
         dropped.extend_from_slice(&block.dropped);
     }
     Ok(SparsifiedColumns { updates, dropped })
+}
+
+/// A contiguous run of solved columns, produced by one worker's claims.
+#[derive(Default)]
+struct ColumnBlock {
+    /// Position of the block's first column in the column list.
+    first: usize,
+    /// Nonzero count per column, in column order.
+    col_lens: Vec<usize>,
+    /// Concatenated sorted row indices of the block's columns.
+    rows: Vec<Index>,
+    /// Values parallel to `rows`.
+    vals: Vec<f64>,
+    /// Dropped ℓ₁ mass per column, parallel to `col_lens`.
+    dropped: Vec<f64>,
+}
+
+impl ColumnBlock {
+    /// `(rows, values)` of each of the block's columns, in order.
+    fn columns(&self) -> impl Iterator<Item = (&[Index], &[f64])> + '_ {
+        self.col_lens.iter().scan(0usize, |at, &len| {
+            let span = *at..*at + len;
+            *at += len;
+            Some((&self.rows[span.clone()], &self.vals[span]))
+        })
+    }
+}
+
+/// A finished full inversion: compressed arrays — by columns, or by rows
+/// after the transpose — and the dropped mass of each column. Its values
+/// are checked finite; its structure holds by construction (every solve
+/// returns sorted, in-bounds rows).
+struct Compressed {
+    ptr: Vec<usize>,
+    idx: Vec<Index>,
+    vals: Vec<f64>,
+    dropped: Vec<f64>,
+}
+
+impl Compressed {
+    /// The blocks (in column order, tiling `0..n`) concatenated into the
+    /// flat CSC arrays a sequential loop would have appended one column
+    /// at a time. The first block's arrays grow in place, so a triangle
+    /// one worker solved alone — one block — is moved, not copied.
+    fn columns(n: usize, blocks: Vec<ColumnBlock>) -> Result<Compressed> {
+        let mut ptr = Vec::with_capacity(n + 1);
+        let mut end = 0usize;
+        ptr.push(end);
+        for &len in blocks.iter().flat_map(|b| &b.col_lens) {
+            end += len;
+            ptr.push(end);
+        }
+        debug_assert_eq!(ptr.len(), n + 1, "every column must be covered");
+        let mut blocks = blocks.into_iter();
+        let ColumnBlock { mut rows, mut vals, mut dropped, .. } = blocks.next().unwrap_or_default();
+        rows.reserve_exact(end - rows.len());
+        vals.reserve_exact(end - vals.len());
+        dropped.reserve_exact(n - dropped.len());
+        for block in blocks {
+            rows.extend(block.rows);
+            vals.extend(block.vals);
+            dropped.extend(block.dropped);
+        }
+        check_finite(&vals)?;
+        Ok(Compressed { ptr, idx: rows, vals, dropped })
+    }
+
+    /// The blocks (in column order, tiling `0..n`) transposed into CSR
+    /// arrays: each entry written once, straight into its row.
+    fn rows(n: usize, blocks: Vec<ColumnBlock>) -> Result<Compressed> {
+        let (ptr, idx, vals) = transpose_columns(n, blocks.iter().flat_map(ColumnBlock::columns));
+        check_finite(&vals)?;
+        let dropped = blocks.iter().flat_map(|b| &b.dropped).copied().collect();
+        Ok(Compressed { ptr, idx, vals, dropped })
+    }
+
+    fn into_columns(self, n: usize, tally: SolveTally) -> SparsifiedInverse {
+        let inverse = CscMatrix::from_trusted_parts(n, n, self.ptr, self.idx, self.vals);
+        SparsifiedInverse { inverse, dropped: self.dropped, tally }
+    }
+
+    fn into_rows(self, n: usize, tally: SolveTally) -> SparsifiedInverse<CsrMatrix> {
+        let inverse = CsrMatrix::from_trusted_parts(n, n, self.ptr, self.idx, self.vals);
+        SparsifiedInverse { inverse, dropped: self.dropped, tally }
+    }
+}
+
+/// Columns per claim. Column costs are skewed (a column's solve is
+/// proportional to its reach, which grows towards one end of the
+/// triangle), so claims must stay small enough for the fast workers to
+/// steal the cheap tail; large enough that the claim counter isn't
+/// contended.
+pub(crate) fn claim_chunk(n: usize, threads: usize) -> usize {
+    (n / (threads * 32)).clamp(1, 256)
+}
+
+/// One triangle's share of a pool run: its view, which of its columns to
+/// solve, the claims they split into, and what the workers have handed
+/// in so far.
+struct Job<'v> {
+    view: FactorView<'v>,
+    /// Sorted strictly ascending; `None` = every column.
+    columns: Option<&'v [Index]>,
+    len: usize,
+    chunk: usize,
+    claims: usize,
+    /// Claims taken from the heavy end (low 32 bits) and from the light
+    /// end (high 32 bits); the two meet when the job runs dry.
+    taken: AtomicU64,
+    handed_in: Mutex<HandIn>,
+}
+
+/// The blocks and solve counts of the workers that left a job.
+#[derive(Default)]
+struct HandIn {
+    blocks: Vec<ColumnBlock>,
+    claims: usize,
+    tally: SolveTally,
+}
+
+impl<'v> Job<'v> {
+    fn new(view: FactorView<'v>, columns: Option<&'v [Index]>, threads: usize) -> Job<'v> {
+        let len = columns.map_or(view.dim(), <[Index]>::len);
+        let chunk = claim_chunk(len, threads);
+        Job {
+            view,
+            columns,
+            len,
+            chunk,
+            claims: len.div_ceil(chunk),
+            taken: AtomicU64::new(0),
+            handed_in: Mutex::default(),
+        }
+    }
+
+    /// The next claim off the heavy end — the job's own workers' — or,
+    /// for a worker that came from another job, off the light end: the
+    /// owners' claims stay one ascending run, and thieves take the
+    /// cheapest chunks. `None` once the ends meet. Relaxed: a claim
+    /// publishes nothing; solved blocks travel through `handed_in`'s lock.
+    fn claim(&self, own: bool) -> Option<usize> {
+        let step = if own { 1 } else { 1 << 32 };
+        let mut taken = self.taken.load(Ordering::Relaxed);
+        loop {
+            let (heavy, light) = ((taken & u64::from(u32::MAX)) as usize, (taken >> 32) as usize);
+            if heavy + light >= self.claims {
+                return None;
+            }
+            match self.taken.compare_exchange_weak(
+                taken,
+                taken + step,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Some(if own { heavy } else { self.claims - 1 - light }),
+                Err(now) => taken = now,
+            }
+        }
+    }
+
+    /// Leaves no claim to take (a failed solve stops the pool).
+    fn poison(&self) {
+        self.taken.store(self.claims as u64, Ordering::Relaxed);
+    }
+
+    /// Solves claim `claim` into `blocks`, extending the last block when
+    /// the claim continues it.
+    #[allow(clippy::too_many_arguments)] // the solve's buffers, passed through
+    fn solve_claim(
+        &self,
+        claim: usize,
+        pooled: bool,
+        eps: f64,
+        ws: &mut SolveWorkspace,
+        xi: &mut Vec<Index>,
+        xv: &mut Vec<f64>,
+        blocks: &mut Vec<ColumnBlock>,
+    ) -> Result<()> {
+        // Heavy-first among workers; a lone worker keeps ascending order,
+        // so the first error it meets is the lowest column's.
+        let first = match self.view.triangle {
+            Triangle::Upper if pooled => (self.claims - 1 - claim) * self.chunk,
+            _ => claim * self.chunk,
+        };
+        let mut block = match blocks.pop() {
+            Some(last) if last.first + last.col_lens.len() == first => last,
+            last => {
+                blocks.extend(last);
+                ColumnBlock { first, ..Default::default() }
+            }
+        };
+        for at in first..(first + self.chunk).min(self.len) {
+            let j = self.columns.map_or(at as Index, |columns| columns[at]);
+            let mass = ws.solve_view(&self.view, &[j], &[1.0], eps, Some(j), xi, xv)?;
+            block.col_lens.push(xi.len());
+            block.rows.extend_from_slice(xi);
+            block.vals.extend_from_slice(xv);
+            block.dropped.push(mass);
+        }
+        blocks.push(block);
+        Ok(())
+    }
+
+    /// What the workers handed in. A lock poisoned by a panicking worker
+    /// is taken over: that panic fails the whole pool run, so nothing read
+    /// under it reaches a result.
+    fn handed_in(&self) -> MutexGuard<'_, HandIn> {
+        self.handed_in.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Hands in a worker's blocks, the claims they cover and its counts.
+    fn hand_in(&self, blocks: Vec<ColumnBlock>, claims: usize, tally: SolveTally) {
+        let mut handed_in = self.handed_in();
+        handed_in.blocks.extend(blocks);
+        handed_in.claims += claims;
+        handed_in.tally.absorb(tally);
+    }
+
+    /// Once every claim is handed in: every block, in column order, and
+    /// the job's tally.
+    fn complete(&self) -> Option<(Vec<ColumnBlock>, SolveTally)> {
+        let mut handed_in = self.handed_in();
+        if handed_in.claims < self.claims {
+            return None;
+        }
+        let mut blocks = take(&mut handed_in.blocks);
+        let tally = SolveTally { tail_columns: self.view.tail.columns(), ..handed_in.tally };
+        drop(handed_in);
+        blocks.sort_unstable_by_key(|b| b.first);
+        Some((blocks, tally))
+    }
+}
+
+/// The one worker pool: solves every job's columns under `eps` on
+/// `threads` workers and hands each job's blocks, in column order, to
+/// `finish`; returns what `finish` made of each job and its solves'
+/// tally, in job order.
+///
+/// A failed solve or finish leaves no job a claim to take, and the run is
+/// repeated on the calling thread, job after job in ascending column
+/// order, so the error reported is the first failing job's, at its lowest
+/// failing column, at every thread count (a cold path; the repeated work
+/// buys determinism).
+fn run_pool<const N: usize, T>(
+    jobs: [Job; N],
+    eps: f64,
+    threads: usize,
+    finish: impl Fn(&Job, Vec<ColumnBlock>) -> Result<T>,
+) -> Result<[(T, SolveTally); N]> {
+    let pooled = if threads > 1 && jobs.iter().all(|job| job.claims > 0) {
+        run_workers(&jobs, eps, threads, &finish)?
+    } else {
+        None
+    };
+    let done = match pooled {
+        Some(done) => done,
+        None => run_alone(&jobs, eps, &finish)?,
+    };
+    done.try_into().map_err(|_| SparseError::Malformed("an inversion job went unfinished".into()))
+}
+
+/// Every job on the calling thread, in order, claims ascending.
+fn run_alone<T>(
+    jobs: &[Job],
+    eps: f64,
+    finish: &impl Fn(&Job, Vec<ColumnBlock>) -> Result<T>,
+) -> Result<Vec<(T, SolveTally)>> {
+    let mut ws = SolveWorkspace::new(jobs.first().map_or(0, |job| job.view.dim()));
+    let (mut xi, mut xv) = (Vec::new(), Vec::new());
+    jobs.iter()
+        .map(|job| {
+            let mut blocks = Vec::new();
+            for claim in 0..job.claims {
+                job.solve_claim(claim, false, eps, &mut ws, &mut xi, &mut xv, &mut blocks)?;
+            }
+            let tally = SolveTally { tail_columns: job.view.tail.columns(), ..take(&mut ws.tally) };
+            Ok((finish(job, blocks)?, tally))
+        })
+        .collect()
+}
+
+/// The pool: worker `w` starts on job `w mod N` and, when that job runs
+/// dry, hands its blocks in and moves on to the next job's remaining
+/// claims, from their light end. Worker 0 is the calling thread, and it
+/// alone finishes jobs — each as soon as it sees every claim handed in,
+/// between its own claims, and what is left once the pool drains — so
+/// the arrays `finish` allocates, which the caller keeps, come from the
+/// calling thread's heap (where a long-lived caller that frees them can
+/// reuse the memory), not from a worker thread's allocator arena. `None`
+/// when a solve or a finish failed.
+fn run_workers<T>(
+    jobs: &[Job],
+    eps: f64,
+    threads: usize,
+    finish: &impl Fn(&Job, Vec<ColumnBlock>) -> Result<T>,
+) -> Result<Option<Vec<(T, SolveTally)>>> {
+    let poison = |_: &SparseError| jobs.iter().for_each(Job::poison);
+    let mut done: Vec<Option<(T, SolveTally)>> = jobs.iter().map(|_| None).collect();
+    let finish_complete = |done: &mut [Option<(T, SolveTally)>]| -> Result<()> {
+        for (job, slot) in jobs.iter().zip(done).filter(|(_, slot)| slot.is_none()) {
+            if let Some((blocks, tally)) = job.complete() {
+                *slot = Some((finish(job, blocks).inspect_err(poison)?, tally));
+            }
+        }
+        Ok(())
+    };
+    let work = |w: usize, mut between_claims: Option<&mut dyn FnMut() -> Result<()>>| {
+        let mut ws = SolveWorkspace::new(jobs[0].view.dim());
+        let (mut xi, mut xv) = (Vec::new(), Vec::new());
+        for k in 0..jobs.len() {
+            let job = &jobs[(w + k) % jobs.len()];
+            let (mut blocks, mut claims) = (Vec::new(), 0);
+            loop {
+                if let Some(between_claims) = between_claims.as_mut() {
+                    between_claims()?;
+                }
+                let Some(claim) = job.claim(k == 0) else { break };
+                claims += 1;
+                job.solve_claim(claim, true, eps, &mut ws, &mut xi, &mut xv, &mut blocks)
+                    .inspect_err(poison)?;
+            }
+            job.hand_in(blocks, claims, take(&mut ws.tally));
+        }
+        Ok(())
+    };
+    let work = &work;
+    let outputs = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..threads).map(|w| scope.spawn(move || work(w, None))).collect();
+        let mut finish_between = || finish_complete(&mut done);
+        let first = catch_unwind(AssertUnwindSafe(|| work(0, Some(&mut finish_between))));
+        let panicked = |_| SparseError::Malformed("a column-solve worker panicked".into());
+        std::iter::once(first.map_err(panicked))
+            .chain(handles.into_iter().map(|h| h.join().map_err(panicked)))
+            .collect::<Result<Vec<_>>>()
+    })?;
+    if outputs.iter().any(Result::is_err) || finish_complete(&mut done).is_err() {
+        return Ok(None);
+    }
+    Ok(done.into_iter().collect())
 }
 
 #[cfg(test)]

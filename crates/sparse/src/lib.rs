@@ -15,13 +15,15 @@
 //!   paper's Equations (6)–(7) (Doolittle form: unit-diagonal `L`). `W` is
 //!   strictly column diagonally dominant, so no pivoting is required; the
 //!   dense tail grows a column at a time as the factor does,
-//! * [`inverse`] — the one column driver behind every inversion: `L⁻¹`
+//! * [`inverse`] — the one worker pool behind every inversion: `L⁻¹`
 //!   and `U⁻¹` (Equations (4)–(5), computed as `n` sparse solves against
 //!   unit vectors) and the re-solve of only a dirty column set for the
-//!   dynamic-update engine, work-stealing and heavy-first,
-//! * [`sparsify`] — that driver's public spellings, one per operation:
-//!   [`sparsify_lower_unit_with`] / [`sparsify_upper_with`] invert a
-//!   factor and [`sparsify_columns_with`] re-solves a column subset, each
+//!   dynamic-update engine, work-stealing and heavy-first, across both
+//!   triangles when it inverts both,
+//! * [`sparsify`] — that pool's public spellings, one per operation:
+//!   [`sparsify_factors_with`] inverts both factors of an LU (`U⁻¹` by
+//!   rows), [`sparsify_lower_unit_with`] / [`sparsify_upper_with`] invert
+//!   one factor and [`sparsify_columns_with`] re-solves a column subset, each
 //!   under a drop tolerance `ε` whose `0.0` is the **exact** inverse bit
 //!   for bit. Entries below `ε > 0` are truncated *during* the column
 //!   solves (before they propagate), with per-column dropped ℓ₁ masses
@@ -88,8 +90,8 @@ pub use lu::{
 pub use rwr::{transition_matrix, w_matrix, DanglingPolicy};
 pub use scatter::ScatteredColumn;
 pub use sparsify::{
-    sparsify_columns_with, sparsify_lower_unit_with, sparsify_upper_with, validate_drop_tolerance,
-    SparsifiedColumns, SparsifiedInverse,
+    sparsify_columns_with, sparsify_factors_with, sparsify_lower_unit_with, sparsify_upper_with,
+    validate_drop_tolerance, SparsifiedColumns, SparsifiedFactors, SparsifiedInverse,
 };
 pub use store::{ProximityStore, RowLayout, RowStat};
 pub use triangular::{SolveTally, SolveWorkspace, Triangle};

@@ -1,5 +1,6 @@
 //! Triangular inversion under a drop tolerance — the crate's one public
-//! spelling of `L⁻¹`, `U⁻¹` and of a re-solved column subset.
+//! spelling of `L⁻¹`, `U⁻¹`, of both at once (the build's, in one worker
+//! pool) and of a re-solved column subset.
 //!
 //! Every function here takes `ε`, and `ε = 0` is the exact inverse: no
 //! solve can truncate (`|x| < 0.0` holds for no float), every dropped mass
@@ -25,7 +26,7 @@
 //! remain exact — the dropped mass only shifts work from DRAM-bound gather
 //! to a few cache-friendly correction passes.
 //!
-//! Every function here is the one column driver of [`crate::inverse`], so:
+//! Every function here runs the one worker pool of [`crate::inverse`], so:
 //!
 //! * per-column solves are independent, so the output is **bit-identical**
 //!   at every thread count;
@@ -33,23 +34,38 @@
 //!   inversion at the same `ε`;
 //! * errors report the lowest failing column at every thread count.
 
-use crate::inverse::{invert_columns_truncated, invert_truncated};
+use crate::inverse::{invert_columns_truncated, invert_factors_truncated, invert_truncated};
 use crate::triangular::TailRule;
 use crate::{
-    ColumnUpdate, CscMatrix, Index, InvertOptions, Result, SolveTally, SparseError, Triangle,
+    ColumnUpdate, CscMatrix, CsrMatrix, Index, InvertOptions, LuFactors, Result, SolveTally,
+    SparseError, Triangle,
 };
 
-/// A sparsified triangular inverse plus its per-column dropped ℓ₁ masses.
+/// A sparsified triangular inverse plus its per-column dropped ℓ₁ masses:
+/// stored by columns, or by rows where [`sparsify_factors_with`] hands
+/// `Ũ⁻¹` over as the query engine reads it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SparsifiedInverse {
+pub struct SparsifiedInverse<M = CscMatrix> {
     /// The truncated inverse; diagonals are protected and always present.
-    pub inverse: CscMatrix,
+    pub inverse: M,
     /// `dropped[j]` = Σ |x_i| over entries truncated from column `j`.
     /// All-zero when `ε == 0` or nothing fell below the tolerance.
     pub dropped: Vec<f64>,
     /// What the column solves did: their multiply-subtracts and how many
     /// ran in the factor's dense tail. The same at every thread count.
     pub tally: SolveTally,
+}
+
+/// Both inverses of one LU factorisation (what [`sparsify_factors_with`]
+/// returns): `L̃⁻¹` by columns, `Ũ⁻¹` by rows, each with its dropped
+/// masses — per *column* for both — and its solves' tally.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SparsifiedFactors {
+    /// `L̃⁻¹`, exactly [`sparsify_lower_unit_with`]'s output.
+    pub linv: SparsifiedInverse,
+    /// `Ũ⁻¹` in row order: the rows of [`sparsify_upper_with`]'s output,
+    /// bit for bit what [`CsrMatrix::from_csc`] makes of it.
+    pub uinv: SparsifiedInverse<CsrMatrix>,
 }
 
 /// Re-solved columns plus their dropped masses, parallel to the requested
@@ -94,6 +110,26 @@ pub fn sparsify_upper_with(
 ) -> Result<SparsifiedInverse> {
     validate_drop_tolerance(eps)?;
     invert_truncated(u, Triangle::Upper, eps, options, TailRule::STRUCTURAL)
+}
+
+/// `L⁻¹` and `U⁻¹` of `factors` under one drop tolerance `eps` (`0.0` =
+/// exact), from one worker pool: the build's inversion stage. Each
+/// inverse is bit-identical to its per-triangle spelling
+/// ([`sparsify_lower_unit_with`], and [`CsrMatrix::from_csc`] of
+/// [`sparsify_upper_with`]) at every thread count, and so are the dropped
+/// masses and tallies; an error is the one those two return in turn —
+/// `L`'s first, else `U`'s lowest failing column (factors that are not
+/// square and of one size fail before any solve). The pool's workers move
+/// to the other triangle when theirs runs dry, and `U⁻¹` is written into
+/// row order once, while `L⁻¹`'s last columns are still being solved
+/// ([`crate::inverse`]).
+pub fn sparsify_factors_with(
+    factors: &LuFactors,
+    eps: f64,
+    options: InvertOptions,
+) -> Result<SparsifiedFactors> {
+    validate_drop_tolerance(eps)?;
+    invert_factors_truncated(factors, eps, options)
 }
 
 /// Re-solves a column subset (sorted strictly ascending) of the inverse of

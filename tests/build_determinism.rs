@@ -20,6 +20,10 @@
 //!
 //! The exact inverses are the one inversion driver at `ε = 0`
 //! (`sparsify_*_with`); there is no other spelling to compare them with.
+//! The build inverts both triangles in one worker pool
+//! (`sparsify_factors_with`), whose workers move to the other triangle
+//! when theirs runs dry and hand `U⁻¹` over in row order: its bytes,
+//! masses, tallies and errors are held to the per-triangle drivers'.
 
 use kdash_core::{compute_ordering, IndexBuilder, IndexOptions, NodeOrdering};
 use kdash_datagen::{barabasi_albert, erdos_renyi, rmat, DatasetProfile, RmatParams};
@@ -27,9 +31,9 @@ use kdash_graph::CsrGraph;
 use kdash_sparse::inverse::invert_without_tail;
 use kdash_sparse::lu::sparse_lu_without_tail;
 use kdash_sparse::{
-    dense_tail_columns, sparse_lu, sparse_lu_tallied, sparsify_columns_with,
+    dense_tail_columns, sparse_lu, sparse_lu_tallied, sparsify_columns_with, sparsify_factors_with,
     sparsify_lower_unit_with, sparsify_upper_with, transition_matrix, w_matrix, ColumnUpdate,
-    CscMatrix, DanglingPolicy, Index, InvertOptions, SparseError, Triangle,
+    CscMatrix, CsrMatrix, DanglingPolicy, Index, InvertOptions, LuFactors, SparseError, Triangle,
 };
 
 fn test_graphs() -> Vec<(&'static str, CsrGraph)> {
@@ -329,5 +333,106 @@ fn dense_tail_agrees_on_cancellation_stored_zeros_and_singular_pivots() {
         assert_eq!(exact(&singular_u, Triangle::Upper, threads).unwrap_err(), expect, "{label}");
         let sparse = invert_without_tail(&singular_u, Triangle::Upper, options);
         assert_eq!(sparse.unwrap_err(), expect, "{label}");
+    }
+}
+
+/// `W = I − 0.05·A` of `graph` in its own node order.
+fn natural_w(graph: &CsrGraph) -> CscMatrix {
+    let a = transition_matrix(graph, DanglingPolicy::Keep);
+    w_matrix(&a, 0.95).expect("valid restart probability")
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+fn assert_csr_bytes_equal(label: &str, expect: &CsrMatrix, got: &CsrMatrix) {
+    assert_eq!((expect.nrows(), expect.ncols()), (got.nrows(), got.ncols()), "{label}: shape");
+    let (ep, ei, ev) = expect.clone().into_raw_parts();
+    let (gp, gi, gv) = got.clone().into_raw_parts();
+    assert_eq!(ep, gp, "{label}: row_ptr differs");
+    assert_eq!(ei, gi, "{label}: column indices differ");
+    assert_eq!(bits(&ev), bits(&gv), "{label}: values differ");
+}
+
+/// The build's one-pool inversion against the per-triangle drivers it
+/// replaces: `L⁻¹`'s CSC bytes, `U⁻¹`'s row arrays against
+/// `CsrMatrix::from_csc` of the `U` driver's output, both triangles'
+/// dropped masses and tallies — at one worker, two, three and auto, exact
+/// and sparsified, on factors with a dense tail and without.
+#[test]
+fn joint_inversion_matches_the_per_triangle_drivers() {
+    let natural = test_graphs().into_iter().map(|(name, graph)| (name, natural_w(&graph)));
+    let hybrid = tail_graphs().into_iter().map(|(name, graph, _)| (name, hybrid_w(&graph)));
+    for (name, w) in natural.chain(hybrid) {
+        let factors = sparse_lu(&w).expect("W is diagonally dominant");
+        for eps in [0.0, 1e-4] {
+            let one = InvertOptions::default();
+            let linv = sparsify_lower_unit_with(&factors.l, eps, one).unwrap();
+            let uinv = sparsify_upper_with(&factors.u, eps, one).unwrap();
+            let urows = CsrMatrix::from_csc(&uinv.inverse);
+            for threads in [1usize, 2, 3, 0] {
+                let label = format!("{name} eps={eps} threads={threads}");
+                let joint =
+                    sparsify_factors_with(&factors, eps, InvertOptions { threads }).unwrap();
+                assert_csc_bytes_equal(&format!("{label} L⁻¹"), &linv.inverse, &joint.linv.inverse);
+                assert_csr_bytes_equal(&format!("{label} U⁻¹"), &urows, &joint.uinv.inverse);
+                assert_eq!(bits(&linv.dropped), bits(&joint.linv.dropped), "{label}: L masses");
+                assert_eq!(bits(&uinv.dropped), bits(&joint.uinv.dropped), "{label}: U masses");
+                assert_eq!(linv.tally, joint.linv.tally, "{label}: L tally");
+                assert_eq!(uinv.tally, joint.uinv.tally, "{label}: U tally");
+            }
+        }
+    }
+}
+
+/// The error of the one-pool inversion is the per-triangle order's: `L`'s
+/// if its inversion fails, else `U`'s lowest failing column — although
+/// the pool solves both at once and claims `U`'s columns from the top.
+/// `U` here carries two pivots stored as zeros, a low and a high one; `L`
+/// is clean, or has a sub-diagonal whose inverse overflows.
+#[test]
+fn joint_inversion_reports_the_first_failing_triangles_error() {
+    let per_triangle = |factors: &LuFactors, eps: f64| {
+        let one = InvertOptions::default();
+        sparsify_lower_unit_with(&factors.l, eps, one)
+            .and_then(|_| sparsify_upper_with(&factors.u, eps, one))
+            .expect_err("a planted fault must fail the inversion")
+    };
+    for (name, graph) in test_graphs() {
+        let clean = sparse_lu(&natural_w(&graph)).expect("W is diagonally dominant");
+        let n = clean.dim() as Index;
+        let (low, high) = (n / 4, 3 * n / 4);
+        let zero_pivots = [low, high].map(|col| {
+            let (rows, vals) = clean.u.col(col);
+            let vals = rows.iter().zip(vals).map(|(&r, &v)| if r == col { 0.0 } else { v });
+            ColumnUpdate { col, rows: rows.to_vec(), vals: vals.collect() }
+        });
+        let singular_u = clean.u.splice_columns(&zero_pivots).unwrap();
+        let chain: Vec<_> = (1..n).map(|j| (j, j - 1, -1e200)).collect();
+        let overflowing_l = CscMatrix::from_triplets(n as usize, n as usize, &chain).unwrap();
+        let cases = [
+            ("clean L, singular U", clean.l.clone(), singular_u.clone()),
+            ("overflowing L, singular U", overflowing_l.clone(), singular_u),
+            ("overflowing L, clean U", overflowing_l, clean.u.clone()),
+        ];
+        for (case, l, u) in cases {
+            let factors = LuFactors { l, u };
+            for eps in [0.0, 1e-4] {
+                let expect = per_triangle(&factors, eps);
+                if case.starts_with("clean L") {
+                    let pivot = SparseError::SingularPivot { column: low as usize, value: 0.0 };
+                    assert_eq!(expect, pivot, "{name} {case}: the lowest zero pivot");
+                } else {
+                    let label = format!("{name} {case}: {expect:?}");
+                    assert!(matches!(expect, SparseError::Malformed(_)), "{label}");
+                }
+                for threads in [1usize, 2, 3, 0] {
+                    let got = sparsify_factors_with(&factors, eps, InvertOptions { threads });
+                    let label = format!("{name} {case} eps={eps} threads={threads}");
+                    assert_eq!(got.expect_err("must fail"), expect, "{label}");
+                }
+            }
+        }
     }
 }

@@ -46,7 +46,6 @@ const ALLOWLIST: &[(&str, usize)] = &[
     ("crates/graph/src/csr.rs", 1),
     ("crates/linalg/src/eigen.rs", 1),
     ("crates/linalg/src/svd.rs", 2),
-    ("crates/sparse/src/csr.rs", 1),
     ("crates/sparse/src/rwr.rs", 1),
     // `to_csr`'s `expect`: `benchmark/` names the infallible `to_csc`
     // signature on top of it.

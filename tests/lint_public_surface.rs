@@ -57,8 +57,10 @@ const PINS: &[(&str, usize)] = &[
     // methods go (−21), as do the store's two accessors to it (−2) and
     // `pub mod blocked` (−1, its one constant stays re-exported); the
     // store takes over `from_raw_parts`, `raw`, `num_runs` and `row_runs`
-    // (+4). Its forwarders became the methods themselves.
-    ("sparse", 138),
+    // (+4). Its forwarders became the methods themselves. Then +2: the
+    // build's inversion stage, both triangles in one worker pool —
+    // `sparsify_factors_with` and the `SparsifiedFactors` it returns.
+    ("sparse", 140),
 ];
 
 const ITEM_KEYWORDS: [&str; 9] =
