@@ -1018,9 +1018,6 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     for finding in &audit.findings {
         println!("FINDING [{}] {}", finding.section, finding.detail);
     }
-    if audit.suppressed > 0 {
-        println!("… and {} further finding(s) suppressed", audit.suppressed);
-    }
 
     // Machine-readable summary (one line, stable keys) for scripting.
     let sections_json: Vec<String> = audit
@@ -1036,11 +1033,11 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
         })
         .collect();
     println!(
-        r#"{{"index":"{}","version":{},"clean":{},"findings":{},"sections":[{}]}}"#,
-        index_path,
+        r#"{{"index":{},"version":{},"clean":{},"findings":{},"sections":[{}]}}"#,
+        json_string(index_path),
         info.version,
         audit.is_clean(),
-        audit.total_findings(),
+        audit.findings.len(),
         sections_json.join(","),
     );
 
@@ -1048,8 +1045,27 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
         println!("verify: clean");
         Ok(())
     } else {
-        Err(format!("index audit failed with {} finding(s)", audit.total_findings()))
+        Err(format!("index audit failed with {} finding(s)", audit.findings.len()))
     }
+}
+
+/// `s` as a JSON string literal, quotes included: `"` and `\` escaped,
+/// and every control character as `\uXXXX`.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => {
+                out.push('\\');
+                out.push(c);
+            }
+            c if c.is_control() => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// `kdash verify --journal` — check the sidecar write-ahead log without

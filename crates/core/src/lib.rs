@@ -228,11 +228,15 @@
 //!   no load path skips a CRC — and refuses v1–v4 with
 //!   [`persist::PersistError::UnsupportedVersion`].
 //! * **Deep auditing** — [`audit::IndexAudit::run`] re-verifies every
-//!   structural invariant of a loaded or patched index (triangularity,
-//!   permutation bijectivity, blocked-layout encoding, the store's
-//!   derived tables, estimator constants recomputed bit-for-bit). Exposed as
-//!   `kdash verify <index>` and as an opt-in post-update check on the
-//!   dynamic engine (`DynamicIndex::verify_after_apply`).
+//!   structural invariant of a loaded or patched index by running each
+//!   component's own check (the checks its constructor runs: permutation
+//!   bijectivity, the graph's and `L⁻¹`'s arrays, the blocked `U⁻¹`
+//!   encoding and the store's derived tables, the header and the
+//!   sparsification record), plus what no constructor states: the unit
+//!   diagonal leading every `L⁻¹` column, the nonzero diagonal leading
+//!   every `U⁻¹` row, and the estimator constants recomputed bit-for-bit.
+//!   Exposed as `kdash verify <index>` and as an opt-in post-update check
+//!   on the dynamic engine (`DynamicIndex::verify_after_apply`).
 //! * **Query failure isolation** — [`IsolatedExecutor::run`] wraps every
 //!   query in `catch_unwind`: one poisoned query yields one
 //!   [`BatchOutcome::Failed`] — a panic becomes a typed

@@ -1076,17 +1076,45 @@ mod tests {
         let (start, end) = (end_of("linv"), end_of("uinv"));
         assert_eq!(buf[start], LAYOUT_BLOCKED, "the U⁻¹ section opens with its tag");
         buf[start] = 0;
-        let section_crc = crc32(&buf[start..end - 4]);
-        buf[end - 4..end].copy_from_slice(&section_crc.to_le_bytes());
-        let footer = buf.len() - 12;
-        let file_crc = crc32(&buf[..footer]);
-        buf[footer + 8..].copy_from_slice(&file_crc.to_le_bytes());
+        reseal(&mut buf, start, end);
         match KdashIndex::load(buf.as_slice()).unwrap_err() {
             PersistError::Corrupt { section: Section::Uinv, offset, detail } => {
                 assert_eq!(offset, start as u64, "the error names the tag byte");
                 assert!(detail.contains("unknown row-layout tag 0"), "{detail}");
             }
             other => panic!("expected Corrupt in the uinv section, got {other:?}"),
+        }
+    }
+
+    /// Re-signs `buf` after an edit inside the section that spans
+    /// `start..end`, its CRC field included: the section CRC and the
+    /// whole-file footer are made to agree with the edit.
+    fn reseal(buf: &mut [u8], start: usize, end: usize) {
+        let section_crc = crc32(&buf[start..end - 4]);
+        buf[end - 4..end].copy_from_slice(&section_crc.to_le_bytes());
+        let footer = buf.len() - 12;
+        let file_crc = crc32(&buf[..footer]);
+        buf[footer + 8..].copy_from_slice(&file_crc.to_le_bytes());
+    }
+
+    /// A dense-exact record (`ε = 0`) that claims a dropped mass, every
+    /// checksum right, is refused where the index is assembled.
+    #[test]
+    fn dropped_mass_under_a_zero_drop_tolerance_is_corrupt() {
+        let index = sample_index();
+        let mut buf = Vec::new();
+        let marks = index.save_with_section_offsets(&mut buf).unwrap();
+        let end_of = |name: &str| marks.iter().find(|m| m.0 == name).unwrap().1 as usize;
+        let (start, end) = (end_of("estimator"), end_of("dropped-mass"));
+        // The section opens with ε, then the first L⁻¹ column's mass.
+        assert_eq!(buf[start..start + 8], 0.0f64.to_le_bytes());
+        buf[start + 8..start + 16].copy_from_slice(&1e-9f64.to_le_bytes());
+        reseal(&mut buf, start, end);
+        match KdashIndex::load(buf.as_slice()).unwrap_err() {
+            PersistError::Corrupt { section: Section::Index, detail, .. } => {
+                assert!(detail.contains("zero drop tolerance"), "{detail}");
+            }
+            other => panic!("expected Corrupt at the index, got {other:?}"),
         }
     }
 
@@ -1274,11 +1302,7 @@ mod tests {
         // to agree with it.
         let flipped = end - 12;
         buf[flipped] ^= 0x01;
-        let section_crc = crc32(&buf[start..end - 4]);
-        buf[end - 4..end].copy_from_slice(&section_crc.to_le_bytes());
-        let footer = buf.len() - 12;
-        let file_crc = crc32(&buf[..footer]);
-        buf[footer + 8..].copy_from_slice(&file_crc.to_le_bytes());
+        reseal(&mut buf, start, end);
         match KdashIndex::load(buf.as_slice()).unwrap_err() {
             PersistError::Corrupt { section: Section::Estimator, offset, .. } => {
                 assert_eq!(offset, flipped as u64, "the error names the stored field");

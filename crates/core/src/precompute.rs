@@ -167,30 +167,15 @@ impl KdashIndex {
     }
 
     /// The one constructor: build, load and update all end here. Fails
-    /// when the scalars are out of range or the component dimensions
-    /// disagree; derives from the graph the out-weight sums, the bounds'
-    /// constants (under the dangling policy and `c`) and the reach
-    /// anchor, and from the components the dropped-mass total and the
-    /// size statistics.
+    /// when [`check_header`] or [`check_sparsify`] does; derives from the
+    /// graph the out-weight sums, the bounds' constants (under the
+    /// dangling policy and `c`) and the reach anchor, and from the
+    /// components the dropped-mass total and the size statistics.
     pub(crate) fn assemble(parts: IndexParts) -> Result<KdashIndex> {
-        let malformed = |detail: String| KdashError::Sparse(SparseError::Malformed(detail));
         let p = &parts;
         let n = p.graph.num_nodes();
-        kdash_sparse::rwr::validate_restart(p.c)?;
-        kdash_sparse::validate_drop_tolerance(p.drop_tolerance)?;
-        if p.perm.len() != n
-            || p.linv.nrows() != n
-            || p.linv.ncols() != n
-            || p.uinv.nrows() != n
-            || p.uinv.ncols() != n
-            || p.linv_dropped.len() != n
-            || p.uinv_dropped.len() != n
-        {
-            return Err(malformed("component dimensions disagree".into()));
-        }
-        if p.linv_dropped.iter().chain(&p.uinv_dropped).any(|m| !(m.is_finite() && *m >= 0.0)) {
-            return Err(malformed("dropped-mass entries must be finite and non-negative".into()));
-        }
+        check_header(p.c, &p.graph, &p.perm, &p.linv, &p.uinv)?;
+        check_sparsify(p.drop_tolerance, n, &p.linv_dropped, &p.uinv_dropped)?;
         let dropped_total =
             p.linv_dropped.iter().sum::<f64>() + p.uinv_dropped.iter().sum::<f64>();
         let out_weight = out_weight_sums(&p.graph);
@@ -531,10 +516,56 @@ impl KdashIndex {
     pub(crate) fn reach_anchor_mut(&mut self) -> &mut ReachAnchor {
         &mut self.anchor
     }
-    #[cfg(test)]
-    pub(crate) fn uinv_mut(&mut self) -> &mut ProximityStore {
-        &mut self.uinv
+}
+
+/// The header's checks, which [`KdashIndex::assemble`] runs on what it is
+/// handed and the audit on what an index holds: `c` lies in `(0, 1)`, and
+/// the permutation and both inverses fit the graph's `n` nodes.
+pub(crate) fn check_header(
+    c: f64,
+    graph: &CsrGraph,
+    perm: &Permutation,
+    linv: &CscMatrix,
+    uinv: &ProximityStore,
+) -> Result<()> {
+    kdash_sparse::rwr::validate_restart(c)?;
+    let n = graph.num_nodes();
+    let square = |rows: usize, cols: usize| rows == n && cols == n;
+    if perm.len() != n || !square(linv.nrows(), linv.ncols()) || !square(uinv.nrows(), uinv.ncols())
+    {
+        return Err(malformed("component dimensions disagree"));
     }
+    Ok(())
+}
+
+/// The sparsification record's checks, run by [`KdashIndex::assemble`] and
+/// by the audit: `ε` is finite and non-negative, each inverse records one
+/// finite, non-negative dropped mass per node, and a dense-exact record
+/// (`ε = 0`) dropped nothing — mass beside a zero tolerance means the
+/// inverses and the record disagree about what was stored.
+pub(crate) fn check_sparsify(
+    drop_tolerance: f64,
+    n: usize,
+    linv_dropped: &[f64],
+    uinv_dropped: &[f64],
+) -> Result<()> {
+    kdash_sparse::validate_drop_tolerance(drop_tolerance)?;
+    if linv_dropped.len() != n || uinv_dropped.len() != n {
+        return Err(malformed("component dimensions disagree"));
+    }
+    let mut masses = linv_dropped.iter().chain(uinv_dropped);
+    if masses.clone().any(|m| !(m.is_finite() && *m >= 0.0)) {
+        return Err(malformed("dropped-mass entries must be finite and non-negative"));
+    }
+    if drop_tolerance == 0.0 && masses.any(|&m| m != 0.0) {
+        return Err(malformed("a zero drop tolerance records no dropped mass"));
+    }
+    Ok(())
+}
+
+/// The error of a failed component check.
+fn malformed(detail: &str) -> KdashError {
+    KdashError::Sparse(SparseError::Malformed(detail.into()))
 }
 
 /// [`CsrGraph::out_weight_sum`] of every node, in node order.
@@ -753,11 +784,13 @@ mod tests {
         let index = KdashIndex::build(&ring_with_chords(18), IndexOptions::default()).unwrap();
         let before = index.top_k(3, 5).unwrap();
         let smaller = KdashIndex::build(&ring_with_chords(12), IndexOptions::default()).unwrap();
-        let spoilers: [fn(&mut IndexPatch, &KdashIndex); 4] = [
+        let spoilers: [fn(&mut IndexPatch, &KdashIndex); 5] = [
             |p, _| p.epochs = 0,
             |p, other| p.graph = other.permuted_graph().clone(),
             |p, other| p.linv = other.linv_cols().clone(),
             |p, _| p.uinv_dropped[4] = -1e-9,
+            // A dense index (ε = 0) records no dropped mass.
+            |p, _| p.linv_dropped[2] = 1e-9,
         ];
         for (case, spoil) in spoilers.into_iter().enumerate() {
             let mut patch = identity_patch(&index);

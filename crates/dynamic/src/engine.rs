@@ -328,11 +328,13 @@ impl DynamicIndex {
     }
 
     /// Opt into running the full structural audit
-    /// ([`kdash_core::IndexAudit`]) after every committed batch:
-    /// triangularity of the spliced inverses, blocked-encoding decode
-    /// contract, the store's derived tables and estimator coherence. The
-    /// audit runs *after* the commit — a finding means the committed
-    /// state is damaged and [`apply`](Self::apply) returns
+    /// ([`kdash_core::IndexAudit::run_with_factors`]) after every committed
+    /// batch: each spliced component's own constructor checks (the
+    /// blocked-encoding decode contract and the store's column sums among
+    /// them), the leading diagonals of both inverses, estimator coherence,
+    /// and the engine's LU factors against `W`. The audit runs *after* the
+    /// commit — a finding means the committed state is damaged and
+    /// [`apply`](Self::apply) returns
     /// [`kdash_core::KdashError::AuditFailed`]; treat the index as
     /// suspect and rebuild or reload it. Costs one full pass over the
     /// stored arrays per batch (off by default).

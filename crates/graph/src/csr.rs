@@ -26,44 +26,15 @@ impl CsrGraph {
         col_idx: Vec<NodeId>,
         weights: Vec<f64>,
     ) -> Result<Self> {
-        if row_ptr.is_empty() {
-            return Err(GraphError::MalformedCsr("row_ptr must have length n+1 >= 1".into()));
-        }
-        let n = row_ptr.len() - 1;
-        let m = col_idx.len();
-        if weights.len() != m {
-            return Err(GraphError::MalformedCsr(format!(
-                "col_idx has {} entries but weights has {}",
-                m,
-                weights.len()
-            )));
-        }
-        if row_ptr[0] != 0 || row_ptr[n] != m {
-            return Err(GraphError::MalformedCsr(
-                "row_ptr must start at 0 and end at num_edges".into(),
-            ));
-        }
-        for v in 0..n {
-            if row_ptr[v] > row_ptr[v + 1] {
-                return Err(GraphError::MalformedCsr(format!("row_ptr not monotone at row {v}")));
-            }
-            let row = &col_idx[row_ptr[v]..row_ptr[v + 1]];
-            let w = &weights[row_ptr[v]..row_ptr[v + 1]];
-            for (i, (&t, &wt)) in row.iter().zip(w).enumerate() {
-                if (t as usize) >= n {
-                    return Err(GraphError::NodeOutOfBounds { node: t, num_nodes: n });
-                }
-                if !(wt.is_finite() && wt > 0.0) {
-                    return Err(GraphError::InvalidWeight { src: v as NodeId, dst: t, weight: wt });
-                }
-                if i > 0 && row[i - 1] >= t {
-                    return Err(GraphError::MalformedCsr(format!(
-                        "row {v} targets not strictly increasing"
-                    )));
-                }
-            }
-        }
+        validate(&row_ptr, &col_idx, &weights)?;
         Ok(CsrGraph { row_ptr, col_idx, weights })
+    }
+
+    /// Runs the checks of [`from_raw_parts`](Self::from_raw_parts) on this
+    /// graph's own arrays: the structural audit of a built or loaded index
+    /// re-proves its graph with the constructor's own statement.
+    pub fn check(&self) -> Result<()> {
+        validate(&self.row_ptr, &self.col_idx, &self.weights)
     }
 
     /// Number of nodes `n`.
@@ -234,6 +205,48 @@ impl CsrGraph {
     pub fn raw(&self) -> (&[usize], &[NodeId], &[f64]) {
         (&self.row_ptr, &self.col_idx, &self.weights)
     }
+}
+
+/// Every invariant of a graph's CSR arrays (see [`CsrGraph`]).
+fn validate(row_ptr: &[usize], col_idx: &[NodeId], weights: &[f64]) -> Result<()> {
+    if row_ptr.is_empty() {
+        return Err(GraphError::MalformedCsr("row_ptr must have length n+1 >= 1".into()));
+    }
+    let n = row_ptr.len() - 1;
+    let m = col_idx.len();
+    if weights.len() != m {
+        return Err(GraphError::MalformedCsr(format!(
+            "col_idx has {} entries but weights has {}",
+            m,
+            weights.len()
+        )));
+    }
+    if row_ptr[0] != 0 || row_ptr[n] != m {
+        return Err(GraphError::MalformedCsr(
+            "row_ptr must start at 0 and end at num_edges".into(),
+        ));
+    }
+    for v in 0..n {
+        if row_ptr[v] > row_ptr[v + 1] {
+            return Err(GraphError::MalformedCsr(format!("row_ptr not monotone at row {v}")));
+        }
+        let row = &col_idx[row_ptr[v]..row_ptr[v + 1]];
+        let w = &weights[row_ptr[v]..row_ptr[v + 1]];
+        for (i, (&t, &wt)) in row.iter().zip(w).enumerate() {
+            if (t as usize) >= n {
+                return Err(GraphError::NodeOutOfBounds { node: t, num_nodes: n });
+            }
+            if !(wt.is_finite() && wt > 0.0) {
+                return Err(GraphError::InvalidWeight { src: v as NodeId, dst: t, weight: wt });
+            }
+            if i > 0 && row[i - 1] >= t {
+                return Err(GraphError::MalformedCsr(format!(
+                    "row {v} targets not strictly increasing"
+                )));
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -26,20 +26,16 @@ impl Permutation {
     /// Builds a permutation from `order`, where `order[new] = old`.
     /// Validates that `order` is a bijection on `0..order.len()`.
     pub fn from_new_order(order: Vec<NodeId>) -> Result<Self> {
-        let n = order.len();
-        let mut new_of_old = vec![NodeId::MAX; n];
-        for (new, &old) in order.iter().enumerate() {
-            if (old as usize) >= n {
-                return Err(GraphError::InvalidPermutation(format!(
-                    "id {old} out of range for permutation of length {n}"
-                )));
-            }
-            if new_of_old[old as usize] != NodeId::MAX {
-                return Err(GraphError::InvalidPermutation(format!("id {old} appears twice")));
-            }
-            new_of_old[old as usize] = new as NodeId;
-        }
+        let new_of_old = inverse_of(&order)?;
         Ok(Permutation { old_of_new: order, new_of_old })
+    }
+
+    /// Runs the check of [`from_new_order`](Self::from_new_order) on this
+    /// permutation's own order: the structural audit of a built or loaded
+    /// index re-proves its permutation with the constructor's own
+    /// statement.
+    pub fn check(&self) -> Result<()> {
+        inverse_of(&self.old_of_new).map(drop)
     }
 
     /// Builds a permutation from the map `new_of_old[old] = new`.
@@ -114,6 +110,25 @@ impl Permutation {
         assert_eq!(values.len(), self.len(), "value vector length mismatch");
         self.new_of_old.iter().map(|&new| values[new as usize]).collect()
     }
+}
+
+/// The inverse `new_of_old` of `order` (`order[new] = old`), validating
+/// that `order` is a bijection on `0..order.len()`.
+fn inverse_of(order: &[NodeId]) -> Result<Vec<NodeId>> {
+    let n = order.len();
+    let mut new_of_old = vec![NodeId::MAX; n];
+    for (new, &old) in order.iter().enumerate() {
+        if (old as usize) >= n {
+            return Err(GraphError::InvalidPermutation(format!(
+                "id {old} out of range for permutation of length {n}"
+            )));
+        }
+        if new_of_old[old as usize] != NodeId::MAX {
+            return Err(GraphError::InvalidPermutation(format!("id {old} appears twice")));
+        }
+        new_of_old[old as usize] = new as NodeId;
+    }
+    Ok(new_of_old)
 }
 
 #[cfg(test)]

@@ -48,6 +48,10 @@ pub const BLOCK_COLS: u32 = 1 << 16;
 /// values)`, in the order [`ProximityStore::raw`] lends them out.
 pub(crate) type EncodedRows = (Vec<usize>, Vec<usize>, Vec<u32>, Vec<u32>, Vec<u16>, Vec<f64>);
 
+/// The same arrays, borrowed: what [`ProximityStore::raw`] returns.
+pub(crate) type RowSlices<'a> =
+    (&'a [usize], &'a [usize], &'a [u32], &'a [u32], &'a [u16], &'a [f64]);
+
 /// Encodes a CSR matrix's rows. Values move over untouched (same array
 /// order), only the index encoding changes. Fails when the matrix is too
 /// large for the run offsets (`nnz ≥ 2^32`).
@@ -76,7 +80,7 @@ pub(crate) fn encode(csr: CsrMatrix) -> Result<EncodedRows> {
 /// Checks raw arrays against every structural invariant of the encoding:
 /// rejects anything that would make a decode read out of bounds or
 /// produce non-ascending columns, and any non-finite value.
-pub(crate) fn validate(nrows: usize, ncols: usize, rows: &EncodedRows) -> Result<()> {
+pub(crate) fn validate(nrows: usize, ncols: usize, rows: RowSlices<'_>) -> Result<()> {
     let (row_ptr, run_ptr, run_base, run_end, deltas, values) = rows;
     let malformed = |msg: String| Err(SparseError::Malformed(msg));
     if row_ptr.len() != nrows + 1 || run_ptr.len() != nrows + 1 {

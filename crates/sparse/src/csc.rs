@@ -101,6 +101,14 @@ impl CscMatrix {
         Ok(CscMatrix { nrows, ncols, col_ptr, row_idx, values })
     }
 
+    /// Runs the checks of [`from_raw_parts`](Self::from_raw_parts) on this
+    /// matrix's own arrays: the structural audit of an index re-proves its
+    /// `L⁻¹` and the dynamic engine's factors with the constructor's own
+    /// statement.
+    pub fn check(&self) -> Result<()> {
+        validate_parts(self.nrows, self.ncols, &self.col_ptr, &self.row_idx, &self.values)
+    }
+
     /// Wraps arrays that hold every invariant by construction — a
     /// transpose of a valid matrix, or column solves (sorted, in-bounds
     /// rows) whose values the caller checked. Debug builds validate them

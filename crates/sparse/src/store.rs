@@ -31,12 +31,12 @@
 //! reference by `tests/kernel_equivalence.rs`. Byte-traffic and
 //! per-kernel row counts accumulate into the caller's [`GatherCounters`].
 
-use crate::blocked::{self, EncodedRows};
+use crate::blocked::{self, EncodedRows, RowSlices};
 use crate::csc::validate_column_updates;
 use crate::kernel::{gather_lanes, Segment};
 use crate::{
     ColumnUpdate, CscMatrix, CsrMatrix, GatherCounters, GatherScratch, Index, ResolvedKernel,
-    Result, ScatteredColumn,
+    Result, ScatteredColumn, SparseError,
 };
 
 /// The row encoding of a [`ProximityStore`]: the blocked one is the only
@@ -118,9 +118,42 @@ impl ProximityStore {
         deltas: Vec<u16>,
         values: Vec<f64>,
     ) -> Result<ProximityStore> {
+        blocked::validate(
+            nrows,
+            ncols,
+            (&row_ptr, &run_ptr, &run_base, &run_end, &deltas, &values),
+        )?;
         let rows = (row_ptr, run_ptr, run_base, run_end, deltas, values);
-        blocked::validate(nrows, ncols, &rows)?;
         Ok(ProximityStore::assemble(nrows, ncols, rows, None))
+    }
+
+    /// Runs the checks of [`from_raw_parts`](Self::from_raw_parts) on this
+    /// store's own arrays, then re-derives its derived values with the
+    /// code the constructors fill them with and compares them bit for bit:
+    /// the widest row, and every column sum (a splice refreshes only the
+    /// columns it replaced, and a stale sum skews the mass the stop rule
+    /// reads). The structural audit of an index runs this on its `U⁻¹`.
+    pub fn check(&self) -> Result<()> {
+        blocked::validate(self.nrows, self.ncols, self.raw())?;
+        let malformed = |detail: String| Err(SparseError::Malformed(detail));
+        let widest = self.widest_row();
+        if widest != self.max_row_nnz {
+            return malformed(format!(
+                "cached max_row_nnz {} but widest row has {widest}",
+                self.max_row_nnz
+            ));
+        }
+        let (stored, sums) = (&self.col_sums, self.sum_columns());
+        if let Some(j) = stored.iter().zip(&sums).position(|(s, e)| s.to_bits() != e.to_bits()) {
+            return malformed(format!(
+                "column sum {j}: stored {} recomputed {}",
+                stored[j], sums[j]
+            ));
+        }
+        if stored.len() != sums.len() {
+            return malformed(format!("{} column sums for {} columns", stored.len(), sums.len()));
+        }
+        Ok(())
     }
 
     /// The one place a store comes into being, and the one place its
@@ -148,14 +181,13 @@ impl ProximityStore {
             col_sums: Vec::new(),
         };
         store.col_sums = col_sums.unwrap_or_else(|| store.sum_columns());
-        store.max_row_nnz = (0..nrows as Index).map(|r| store.row_nnz(r)).max().unwrap_or(0);
+        store.max_row_nnz = store.widest_row();
         store
     }
 
     /// The encoding's raw arrays `(row_ptr, run_ptr, run_base, run_end,
-    /// deltas, values)`, for the file format and its audit.
-    #[allow(clippy::type_complexity)]
-    pub fn raw(&self) -> (&[usize], &[usize], &[u32], &[u32], &[u16], &[f64]) {
+    /// deltas, values)`, for the file format.
+    pub fn raw(&self) -> RowSlices<'_> {
         (&self.row_ptr, &self.run_ptr, &self.run_base, &self.run_end, &self.deltas, &self.values)
     }
 
@@ -202,6 +234,11 @@ impl ProximityStore {
     /// Largest row's stored-entry count.
     pub fn max_row_nnz(&self) -> usize {
         self.max_row_nnz
+    }
+
+    /// The largest row's stored-entry count, counted off the rows.
+    fn widest_row(&self) -> usize {
+        (0..self.nrows as Index).map(|r| self.row_nnz(r)).max().unwrap_or(0)
     }
 
     /// Total number of runs across all rows.
@@ -428,12 +465,6 @@ impl ProximityStore {
         &self.col_sums
     }
 
-    /// Lets a test stale one column sum, to show the audit finds it.
-    #[doc(hidden)]
-    pub fn column_sums_mut(&mut self) -> &mut [f64] {
-        &mut self.col_sums
-    }
-
     /// The column sums, one streaming pass in storage order (see
     /// [`column_sums`](Self::column_sums)).
     fn sum_columns(&self) -> Vec<f64> {
@@ -501,7 +532,6 @@ fn prefetch_read(ptr: *const u8) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SparseError;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn random_csr(nrows: usize, ncols: usize, density: f64, seed: u64) -> CsrMatrix {
@@ -557,6 +587,30 @@ mod tests {
             let store = store_of(csr);
             let got: Vec<u64> = store.column_sums().iter().map(|s| s.to_bits()).collect();
             assert_eq!(got, expect, "seed {seed}");
+        }
+    }
+
+    /// `check` re-derives what `assemble` filled in: a fresh store passes,
+    /// and a stale column sum or widest-row count is refused, by name.
+    #[test]
+    fn check_refuses_stale_derived_values() {
+        let store = store_of(random_csr(12, 10, 0.4, 3));
+        assert_eq!(store.check(), Ok(()));
+        let mut stale = store.clone();
+        stale.col_sums[2] += 0.5;
+        match stale.check() {
+            Err(SparseError::Malformed(detail)) => {
+                assert!(detail.contains("column sum 2:"), "{detail}")
+            }
+            other => panic!("a stale column sum must be refused, got {other:?}"),
+        }
+        let mut stale = store;
+        stale.max_row_nnz += 1;
+        match stale.check() {
+            Err(SparseError::Malformed(detail)) => {
+                assert!(detail.contains("max_row_nnz"), "{detail}")
+            }
+            other => panic!("a stale widest-row count must be refused, got {other:?}"),
         }
     }
 

@@ -6,8 +6,10 @@
 //!   accessor that reveals one, has started to know what a splice does to
 //!   which array.
 //! * Inside `kdash-core`, the raw arrays behind a store are the file
-//!   format's (`persist.rs`) and its fsck's (`audit.rs`): nothing else
-//!   there builds a store from arrays or reads its arrays back.
+//!   format's (`persist.rs`) alone: nothing else there builds a store from
+//!   arrays or reads its arrays back. The audit re-proves a store through
+//!   `ProximityStore::check` and reads its rows through the query path's
+//!   accessors.
 //! * The bounds' constants are computed by
 //!   `kdash_core::estimator::BoundConstants::of`; a second spelling of the
 //!   `c′` formula in library code is a derivation that can drift from it.
@@ -44,8 +46,8 @@ const LAYOUT_NAMES: [&str; 5] =
 const RAW_ARRAYS: [&str; 2] = ["from_raw_parts", ".raw()"];
 
 /// The library files in `crates/core/src` that may name [`RAW_ARRAYS`]:
-/// the file format and its fsck.
-const RAW_ARRAY_OWNERS: [&str; 2] = ["crates/core/src/persist.rs", "crates/core/src/audit.rs"];
+/// the file format.
+const RAW_ARRAY_OWNERS: [&str; 1] = ["crates/core/src/persist.rs"];
 
 /// `c′ = (1−c)/(1 − A_uu + c·A_uu)` as this workspace spells it, up to the
 /// name of the diagonal entry.
