@@ -68,3 +68,45 @@ fn verify_escapes_the_index_path_in_its_json_line() {
     assert!(summary.starts_with(&format!("{{\"index\":\"{escaped}\",\"version\":")), "{summary}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Every node ordering `kdash build` takes.
+const ORDERINGS: [&str; 7] =
+    ["natural", "random", "degree", "cluster", "hybrid", "rcm", "mindegree"];
+
+/// Edge lists whose weights sum past what a build can sum: the first's
+/// two directions of one pair add up to ∞ in the undirected view the
+/// clustering orderings build, and the second's node 0 has an infinite
+/// out-weight, which would store its column of `A` as zeros.
+const HUGE_WEIGHTS: [&str; 2] =
+    ["0 1 1e308\n1 0 1e308\n1 2 1\n2 0 1\n", "0 1 1e308\n0 2 1e308\n1 0 1\n2 0 1\n"];
+
+#[test]
+fn huge_finite_weights_are_refused_typed_and_a_tenth_of_them_builds() {
+    let dir = scratch_dir("huge-weights");
+    let index = dir.join("huge.kdash");
+    for (i, text) in HUGE_WEIGHTS.iter().enumerate() {
+        let huge = dir.join(format!("huge{i}.txt"));
+        let tenth = dir.join(format!("tenth{i}.txt"));
+        std::fs::write(&huge, text).unwrap();
+        std::fs::write(&tenth, text.replace("1e308", "1e307")).unwrap();
+        for ordering in ORDERINGS {
+            let out = Command::new(env!("CARGO_BIN_EXE_kdash"))
+                .args(["build", path(&huge), path(&index), "--ordering", ordering])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "file {i}, {ordering}: {stderr}");
+            assert!(stderr.contains("edge weights sum to inf"), "file {i}, {ordering}: {stderr}");
+            kdash(&["build", path(&tenth), path(&index), "--ordering", ordering]);
+            if i == 1 {
+                // Node 0 splits its walk evenly between nodes 1 and 2.
+                let out = kdash(&["query", path(&index), "0", "--k", "3"]);
+                for node in ["node 1 ", "node 2 "] {
+                    let line = out.lines().find(|line| line.contains(node)).unwrap();
+                    assert!(line.ends_with("proximity 2.380952e-2"), "{ordering}: {out}");
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -40,6 +40,16 @@
 //! stream before it. Load verifies each section checksum in stream order
 //! and the footer last, so corruption is reported with the failing
 //! [`Section`] and byte offset ([`PersistError::ChecksumMismatch`]).
+//!
+//! # Words
+//!
+//! Every field and array element is one little-endian word (`u8`, `u16`,
+//! `u32`, `u64`, `f64`; a `usize` as a `u64`), read and written by one
+//! generic scalar read, array read and slice write. Reads go word by word,
+//! so an error names the failing word's offset; an array read caps its
+//! up-front capacity and refuses a non-finite `f64`. The slice write goes
+//! through a fixed 4 KiB buffer, so a save's transient memory does not
+//! grow with the index.
 
 use crate::precompute::IndexParts;
 use crate::{KdashIndex, NodeOrdering};
@@ -480,68 +490,21 @@ impl<R: Read> SectionReader<R> {
         Ok(())
     }
 
-    fn u8(&mut self, sec: Section) -> Result<u8, PersistError> {
-        let mut b = [0u8; 1];
-        self.fill(&mut b, sec)?;
-        Ok(b[0])
+    /// Reads one word.
+    fn word<T: Word>(&mut self, sec: Section) -> Result<T, PersistError> {
+        let mut bytes = T::Bytes::default();
+        self.fill(bytes.as_mut(), sec)?;
+        Ok(T::from_le(bytes))
     }
 
-    fn u16(&mut self, sec: Section) -> Result<u16, PersistError> {
-        let mut b = [0u8; 2];
-        self.fill(&mut b, sec)?;
-        Ok(u16::from_le_bytes(b))
-    }
-
-    fn u32(&mut self, sec: Section) -> Result<u32, PersistError> {
-        let mut b = [0u8; 4];
-        self.fill(&mut b, sec)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self, sec: Section) -> Result<u64, PersistError> {
-        let mut b = [0u8; 8];
-        self.fill(&mut b, sec)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn f64(&mut self, sec: Section) -> Result<f64, PersistError> {
-        let mut b = [0u8; 8];
-        self.fill(&mut b, sec)?;
-        Ok(f64::from_le_bytes(b))
-    }
-
-    fn u16_vec(&mut self, sec: Section, len: usize) -> Result<Vec<u16>, PersistError> {
-        let mut out = Vec::with_capacity(len.min(MAX_TRUSTED_PREALLOC));
-        for _ in 0..len {
-            out.push(self.u16(sec)?);
-        }
-        Ok(out)
-    }
-
-    fn u32_vec(&mut self, sec: Section, len: usize) -> Result<Vec<u32>, PersistError> {
-        let mut out = Vec::with_capacity(len.min(MAX_TRUSTED_PREALLOC));
-        for _ in 0..len {
-            out.push(self.u32(sec)?);
-        }
-        Ok(out)
-    }
-
-    fn usize_vec(&mut self, sec: Section, len: usize) -> Result<Vec<usize>, PersistError> {
-        let mut out = Vec::with_capacity(len.min(MAX_TRUSTED_PREALLOC));
-        for _ in 0..len {
-            out.push(self.u64(sec)? as usize);
-        }
-        Ok(out)
-    }
-
-    /// Reads `len` f64s, rejecting non-finite values (nothing in the
-    /// index is legitimately NaN or infinite).
-    fn f64_vec(&mut self, sec: Section, len: usize) -> Result<Vec<f64>, PersistError> {
+    /// Reads `len` words, refusing a non-finite `f64` at its offset. The
+    /// up-front capacity is capped at [`MAX_TRUSTED_PREALLOC`].
+    fn words<T: Word>(&mut self, sec: Section, len: usize) -> Result<Vec<T>, PersistError> {
         let mut out = Vec::with_capacity(len.min(MAX_TRUSTED_PREALLOC));
         for _ in 0..len {
             let at = self.offset;
-            let v = self.f64(sec)?;
-            if !v.is_finite() {
+            let v: T = self.word(sec)?;
+            if !v.admissible() {
                 return Err(corrupt(sec, at, "non-finite value in index file"));
             }
             out.push(v);
@@ -577,65 +540,58 @@ impl KdashIndex {
 
         // Header.
         w.write_all(MAGIC)?;
-        write_u32(&mut w, VERSION)?;
-        write_f64(&mut w, self.restart_probability())?;
+        write_words(&mut w, &[VERSION])?;
+        write_words(&mut w, &[self.restart_probability()])?;
         let (tag, seed) = encode_ordering(self.ordering());
         w.write_all(&[tag])?;
-        write_u64(&mut w, seed)?;
-        write_u64(&mut w, self.num_nodes() as u64)?;
+        write_words(&mut w, &[seed, self.num_nodes() as u64])?;
         marks.push((Section::Header.name(), w.end_section()?));
 
         // Permutation.
-        write_u32_slice(&mut w, self.permutation().order())?;
+        write_words(&mut w, self.permutation().order())?;
         marks.push((Section::Permutation.name(), w.end_section()?));
 
         // Permuted graph.
-        let (row_ptr, col_idx, weights) = self.permuted_graph().raw();
-        write_usize_slice(&mut w, row_ptr)?;
-        write_u64(&mut w, col_idx.len() as u64)?;
-        write_u32_slice(&mut w, col_idx)?;
-        write_f64_slice(&mut w, weights)?;
+        write_compressed(&mut w, self.permuted_graph().raw())?;
         marks.push((Section::Graph.name(), w.end_section()?));
 
         // L⁻¹ (CSC).
-        write_csc(&mut w, self.linv())?;
+        write_compressed(&mut w, self.linv().raw())?;
         marks.push((Section::Linv.name(), w.end_section()?));
 
         // U⁻¹ under its layout tag.
         let uinv = self.uinv_rows();
         w.write_all(&[LAYOUT_BLOCKED])?;
         let (row_ptr, run_ptr, run_base, run_end, deltas, values) = uinv.raw();
-        write_usize_slice(&mut w, row_ptr)?;
-        write_u64(&mut w, run_base.len() as u64)?;
-        write_usize_slice(&mut w, run_ptr)?;
-        write_u32_slice(&mut w, run_base)?;
-        write_u32_slice(&mut w, run_end)?;
-        write_u64(&mut w, deltas.len() as u64)?;
-        write_u16_slice(&mut w, deltas)?;
-        write_f64_slice(&mut w, values)?;
+        write_words(&mut w, row_ptr)?;
+        write_words(&mut w, &[run_base.len() as u64])?;
+        write_words(&mut w, run_ptr)?;
+        write_words(&mut w, run_base)?;
+        write_words(&mut w, run_end)?;
+        write_words(&mut w, &[deltas.len() as u64])?;
+        write_words(&mut w, deltas)?;
+        write_words(&mut w, values)?;
         marks.push((Section::Uinv.name(), w.end_section()?));
 
         // The per-row stats, read off the rows.
         for r in 0..uinv.nrows() as u32 {
             let stat = uinv.row_stat(r);
-            write_u32(&mut w, stat.nnz)?;
-            write_u32(&mut w, stat.first)?;
-            write_u32(&mut w, stat.last)?;
+            write_words(&mut w, &[stat.nnz, stat.first, stat.last])?;
         }
         marks.push((Section::RowStats.name(), w.end_section()?));
 
         // Estimator constants.
-        write_f64_slice(&mut w, &self.bounds().a_col_max)?;
-        write_f64(&mut w, self.bounds().a_max)?;
-        write_f64_slice(&mut w, &self.bounds().c_prime)?;
+        write_words(&mut w, &self.bounds().a_col_max)?;
+        write_words(&mut w, &[self.bounds().a_max])?;
+        write_words(&mut w, &self.bounds().c_prime)?;
         marks.push((Section::Estimator.name(), w.end_section()?));
 
         // The sparsification record: drop tolerance + per-column dropped
         // ℓ₁ masses of both inverses.
-        write_f64(&mut w, self.drop_tolerance())?;
+        write_words(&mut w, &[self.drop_tolerance()])?;
         let (linv_dropped, uinv_dropped) = self.dropped_masses();
-        write_f64_slice(&mut w, linv_dropped)?;
-        write_f64_slice(&mut w, uinv_dropped)?;
+        write_words(&mut w, linv_dropped)?;
+        write_words(&mut w, uinv_dropped)?;
         marks.push((Section::DroppedMass.name(), w.end_section()?));
 
         // The dynamic-update trailer.
@@ -644,7 +600,7 @@ impl KdashIndex {
             kdash_sparse::DanglingPolicy::SelfLoop => DANGLING_SELF_LOOP,
         };
         w.write_all(&[dangling_tag])?;
-        write_u64(&mut w, self.update_epoch())?;
+        write_words(&mut w, &[self.update_epoch()])?;
         marks.push((Section::Trailer.name(), w.end_section()?));
 
         marks.push((Section::Footer.name(), w.write_footer()?));
@@ -672,50 +628,41 @@ impl KdashIndex {
         if &magic != MAGIC {
             return Err(PersistError::BadMagic);
         }
-        let version = r.u32(Section::Header)?;
+        let version = r.word::<u32>(Section::Header)?;
         if version != VERSION {
             return Err(PersistError::UnsupportedVersion(version));
         }
-        let c = r.f64(Section::Header)?;
+        let c = r.word::<f64>(Section::Header)?;
         let tag_at = r.offset();
-        let tag = r.u8(Section::Header)?;
-        let seed = r.u64(Section::Header)?;
+        let tag = r.word::<u8>(Section::Header)?;
+        let seed = r.word::<u64>(Section::Header)?;
         let ordering = decode_ordering(tag, seed)
             .ok_or_else(|| corrupt(Section::Header, tag_at, format!("unknown ordering tag {tag}")))?;
-        let n = r.u64(Section::Header)? as usize;
+        let n = r.word::<usize>(Section::Header)?;
         r.end_section(Section::Header)?;
 
         // Permutation: checksum first, then the bijection check.
-        let order = r.u32_vec(Section::Permutation, n)?;
+        let order = r.words::<u32>(Section::Permutation, n)?;
         r.end_section(Section::Permutation)?;
         let at = r.offset();
         let perm = Permutation::from_new_order(order)
             .map_err(|e| corrupt(Section::Permutation, at, format!("corrupt permutation: {e}")))?;
 
-        // Permuted graph. The edge-count cross-check runs before the
-        // count sizes any read, so an inflated field can never trigger a
-        // huge allocation.
-        let row_ptr = r.usize_vec(Section::Graph, n + 1)?;
-        let m_at = r.offset();
-        let m = r.u64(Section::Graph)? as usize;
-        if m != row_ptr.last().copied().unwrap_or(0) {
-            return Err(corrupt(
-                Section::Graph,
-                m_at,
-                "graph edge count disagrees with row pointers",
-            ));
-        }
-        let col_idx = r.u32_vec(Section::Graph, m)?;
-        let weights = r.f64_vec(Section::Graph, m)?;
+        // Permuted graph.
+        let count_error = "graph edge count disagrees with row pointers";
+        let (row_ptr, col_idx, weights) = read_compressed(&mut r, Section::Graph, n, count_error)?;
         r.end_section(Section::Graph)?;
         let at = r.offset();
         let graph = CsrGraph::from_raw_parts(row_ptr, col_idx, weights)
             .map_err(|e| corrupt(Section::Graph, at, format!("corrupt graph: {e}")))?;
 
         // L⁻¹ (CSC).
-        let linv_arrays = read_csc_arrays(&mut r, Section::Linv, n)?;
+        let count_error = "matrix entry count disagrees with column pointers";
+        let (col_ptr, row_idx, values) = read_compressed(&mut r, Section::Linv, n, count_error)?;
         r.end_section(Section::Linv)?;
-        let linv = build_csc(n, linv_arrays, Section::Linv, r.offset())?;
+        let at = r.offset();
+        let linv = CscMatrix::from_raw_parts(n, n, col_ptr, row_idx, values)
+            .map_err(|e| corrupt(Section::Linv, at, format!("corrupt matrix: {e}")))?;
 
         // U⁻¹. The count fields are untrusted on-disk data: they are
         // cross-checked against the pointer arrays here, and every vector
@@ -724,7 +671,7 @@ impl KdashIndex {
         // invariants: nnz ≤ u32::MAX (run offsets are u32) and every row
         // has at most one run per nonzero.
         let tag_at = r.offset();
-        let layout_tag = r.u8(Section::Uinv)?;
+        let layout_tag = r.word::<u8>(Section::Uinv)?;
         if layout_tag != LAYOUT_BLOCKED {
             return Err(corrupt(
                 Section::Uinv,
@@ -732,13 +679,13 @@ impl KdashIndex {
                 format!("unknown row-layout tag {layout_tag}"),
             ));
         }
-        let b_row_ptr = r.usize_vec(Section::Uinv, n + 1)?;
+        let b_row_ptr = r.words::<usize>(Section::Uinv, n + 1)?;
         let expect_nnz = b_row_ptr.last().copied().unwrap_or(0);
         if expect_nnz > u32::MAX as usize {
             return Err(corrupt(Section::Uinv, r.offset(), "blocked U⁻¹ claims ≥ 2^32 entries"));
         }
         let nruns_at = r.offset();
-        let nruns = r.u64(Section::Uinv)? as usize;
+        let nruns = r.word::<usize>(Section::Uinv)?;
         if nruns > expect_nnz {
             return Err(corrupt(
                 Section::Uinv,
@@ -746,11 +693,11 @@ impl KdashIndex {
                 "blocked U⁻¹ claims more runs than entries",
             ));
         }
-        let run_ptr = r.usize_vec(Section::Uinv, n + 1)?;
-        let run_base = r.u32_vec(Section::Uinv, nruns)?;
-        let run_end = r.u32_vec(Section::Uinv, nruns)?;
+        let run_ptr = r.words::<usize>(Section::Uinv, n + 1)?;
+        let run_base = r.words::<u32>(Section::Uinv, nruns)?;
+        let run_end = r.words::<u32>(Section::Uinv, nruns)?;
         let nnz_at = r.offset();
-        let nnz = r.u64(Section::Uinv)? as usize;
+        let nnz = r.word::<usize>(Section::Uinv)?;
         if nnz != expect_nnz {
             return Err(corrupt(
                 Section::Uinv,
@@ -758,8 +705,8 @@ impl KdashIndex {
                 "blocked U⁻¹ entry count disagrees with row pointers",
             ));
         }
-        let deltas = r.u16_vec(Section::Uinv, nnz)?;
-        let values = r.f64_vec(Section::Uinv, nnz)?;
+        let deltas = r.words::<u16>(Section::Uinv, nnz)?;
+        let values = r.words::<f64>(Section::Uinv, nnz)?;
         r.end_section(Section::Uinv)?;
         let uinv = ProximityStore::from_raw_parts(
             n, n, b_row_ptr, run_ptr, run_base, run_end, deltas, values,
@@ -772,9 +719,9 @@ impl KdashIndex {
             let expect = uinv.row_stat(i as u32);
             let at = r.offset();
             let got = RowStat {
-                nnz: r.u32(Section::RowStats)?,
-                first: r.u32(Section::RowStats)?,
-                last: r.u32(Section::RowStats)?,
+                nnz: r.word::<u32>(Section::RowStats)?,
+                first: r.word::<u32>(Section::RowStats)?,
+                last: r.word::<u32>(Section::RowStats)?,
             };
             if got != expect {
                 return Err(corrupt(
@@ -789,14 +736,14 @@ impl KdashIndex {
         // Estimator constants: held until the index they describe is
         // assembled.
         let estimator_at = r.offset();
-        let a_col_max = r.f64_vec(Section::Estimator, n)?;
-        let a_max = r.f64(Section::Estimator)?;
-        let c_prime = r.f64_vec(Section::Estimator, n)?;
+        let a_col_max = r.words::<f64>(Section::Estimator, n)?;
+        let a_max = r.word::<f64>(Section::Estimator)?;
+        let c_prime = r.words::<f64>(Section::Estimator, n)?;
         r.end_section(Section::Estimator)?;
 
         // The sparsification record.
         let eps_at = r.offset();
-        let drop_tolerance = r.f64(Section::DroppedMass)?;
+        let drop_tolerance = r.word::<f64>(Section::DroppedMass)?;
         if !(drop_tolerance.is_finite() && drop_tolerance >= 0.0) {
             return Err(corrupt(
                 Section::DroppedMass,
@@ -805,8 +752,8 @@ impl KdashIndex {
             ));
         }
         let masses_at = r.offset();
-        let linv_dropped = r.f64_vec(Section::DroppedMass, n)?;
-        let uinv_dropped = r.f64_vec(Section::DroppedMass, n)?;
+        let linv_dropped = r.words::<f64>(Section::DroppedMass, n)?;
+        let uinv_dropped = r.words::<f64>(Section::DroppedMass, n)?;
         if linv_dropped.iter().chain(&uinv_dropped).any(|m| *m < 0.0) {
             return Err(corrupt(Section::DroppedMass, masses_at, "negative dropped-mass entry"));
         }
@@ -814,7 +761,7 @@ impl KdashIndex {
 
         // The dynamic-update trailer.
         let tag_at = r.offset();
-        let dangling = match r.u8(Section::Trailer)? {
+        let dangling = match r.word::<u8>(Section::Trailer)? {
             DANGLING_KEEP => kdash_sparse::DanglingPolicy::Keep,
             DANGLING_SELF_LOOP => kdash_sparse::DanglingPolicy::SelfLoop,
             other => {
@@ -825,7 +772,7 @@ impl KdashIndex {
                 ))
             }
         };
-        let update_epoch = r.u64(Section::Trailer)?;
+        let update_epoch = r.word::<u64>(Section::Trailer)?;
         r.end_section(Section::Trailer)?;
 
         r.verify_footer()?;
@@ -913,43 +860,40 @@ fn serialized_size_hint(index: &KdashIndex) -> usize {
     stats.inverse_heap_bytes + 16 * stats.num_edges + 128 * stats.num_nodes + 4096
 }
 
-fn write_csc<W: Write>(w: &mut W, csc: &CscMatrix) -> io::Result<()> {
-    let (col_ptr, row_idx, values) = csc.raw();
-    write_usize_slice(w, col_ptr)?;
-    write_u64(w, row_idx.len() as u64)?;
-    write_u32_slice(w, row_idx)?;
-    write_f64_slice(w, values)
+/// Writes the arrays of a compressed matrix — the graph's CSR rows or
+/// `L⁻¹`'s CSC columns: the pointers, the entry count, the indices and the
+/// values.
+fn write_compressed<W: Write>(
+    w: &mut W,
+    (ptr, idx, values): (&[usize], &[u32], &[f64]),
+) -> io::Result<()> {
+    write_words(w, ptr)?;
+    write_words(w, &[idx.len() as u64])?;
+    write_words(w, idx)?;
+    write_words(w, values)
 }
 
-/// Reads the raw arrays of a CSC matrix, cross-checking the count field
-/// against the pointer array *before* it sizes any read. Construction
-/// (and with it the full structural validation) is deferred to
-/// [`build_csc`] so the caller can verify the section checksum first.
+/// Reads what [`write_compressed`] writes for `n` rows or columns,
+/// checking the entry count against the pointers (`count_error`) *before*
+/// it sizes any read, so an inflated count never triggers a huge
+/// allocation. The caller verifies the section checksum, then validates
+/// the arrays by constructing the matrix.
 #[allow(clippy::type_complexity)]
-fn read_csc_arrays<R: Read>(
+fn read_compressed<R: Read>(
     r: &mut SectionReader<R>,
     sec: Section,
     n: usize,
+    count_error: &str,
 ) -> Result<(Vec<usize>, Vec<u32>, Vec<f64>), PersistError> {
-    let col_ptr = r.usize_vec(sec, n + 1)?;
+    let ptr = r.words::<usize>(sec, n + 1)?;
     let nnz_at = r.offset();
-    let nnz = r.u64(sec)? as usize;
-    if nnz != col_ptr.last().copied().unwrap_or(0) {
-        return Err(corrupt(sec, nnz_at, "matrix entry count disagrees with column pointers"));
+    let nnz = r.word::<usize>(sec)?;
+    if nnz != ptr.last().copied().unwrap_or(0) {
+        return Err(corrupt(sec, nnz_at, count_error));
     }
-    let row_idx = r.u32_vec(sec, nnz)?;
-    let values = r.f64_vec(sec, nnz)?;
-    Ok((col_ptr, row_idx, values))
-}
-
-fn build_csc(
-    n: usize,
-    (col_ptr, row_idx, values): (Vec<usize>, Vec<u32>, Vec<f64>),
-    sec: Section,
-    offset: u64,
-) -> Result<CscMatrix, PersistError> {
-    CscMatrix::from_raw_parts(n, n, col_ptr, row_idx, values)
-        .map_err(|e| corrupt(sec, offset, format!("corrupt matrix: {e}")))
+    let idx = r.words::<u32>(sec, nnz)?;
+    let values = r.words::<f64>(sec, nnz)?;
+    Ok((ptr, idx, values))
 }
 
 fn encode_ordering(ordering: NodeOrdering) -> (u8, u64) {
@@ -977,39 +921,40 @@ fn decode_ordering(tag: u8, seed: u64) -> Option<NodeOrdering> {
     })
 }
 
-fn write_u16<W: Write>(w: &mut W, v: u16) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+/// One little-endian word of the format: every scalar and array element
+/// of a file is one. A `usize` is stored as a `u64`.
+trait Word: Copy {
+    type Bytes: Default + AsRef<[u8]> + AsMut<[u8]>;
+    fn to_le(self) -> Self::Bytes;
+    fn from_le(bytes: Self::Bytes) -> Self;
+    /// Whether an array may hold the word as read: nothing in an index is
+    /// legitimately NaN or infinite. Every integer converts to a finite
+    /// float, so only an `f64` can fail.
+    fn admissible(self) -> bool;
 }
-fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+
+macro_rules! le_word {
+    ($($word:ty as $stored:ty),*) => {$(
+        impl Word for $word {
+            type Bytes = [u8; std::mem::size_of::<$stored>()];
+            fn to_le(self) -> Self::Bytes { (self as $stored).to_le_bytes() }
+            fn from_le(bytes: Self::Bytes) -> Self { <$stored>::from_le_bytes(bytes) as $word }
+            fn admissible(self) -> bool { (self as f64).is_finite() }
+        }
+    )*};
 }
-fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-fn write_f64<W: Write>(w: &mut W, v: f64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-fn write_u16_slice<W: Write>(w: &mut W, s: &[u16]) -> io::Result<()> {
-    for &v in s {
-        write_u16(w, v)?;
-    }
-    Ok(())
-}
-fn write_u32_slice<W: Write>(w: &mut W, s: &[u32]) -> io::Result<()> {
-    for &v in s {
-        write_u32(w, v)?;
-    }
-    Ok(())
-}
-fn write_usize_slice<W: Write>(w: &mut W, s: &[usize]) -> io::Result<()> {
-    for &v in s {
-        write_u64(w, v as u64)?;
-    }
-    Ok(())
-}
-fn write_f64_slice<W: Write>(w: &mut W, s: &[f64]) -> io::Result<()> {
-    for &v in s {
-        write_f64(w, v)?;
+le_word!(u8 as u8, u16 as u16, u32 as u32, u64 as u64, usize as u64, f64 as f64);
+
+/// Writes `words` little-endian, one chunk of a fixed 4 KiB buffer at a
+/// time: a save's transient memory does not grow with the slice.
+fn write_words<W: Write, T: Word>(w: &mut W, words: &[T]) -> io::Result<()> {
+    let size = std::mem::size_of::<T::Bytes>();
+    let mut buf = [0u8; 4096];
+    for chunk in words.chunks(buf.len() / size) {
+        for (slot, word) in buf.chunks_exact_mut(size).zip(chunk) {
+            slot.copy_from_slice(word.to_le().as_ref());
+        }
+        w.write_all(&buf[..chunk.len() * size])?;
     }
     Ok(())
 }
@@ -1023,9 +968,9 @@ const MAX_TRUSTED_PREALLOC: usize = 1 << 20;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IndexOptions;
+    use crate::{IndexAudit, IndexOptions};
     use kdash_graph::GraphBuilder;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
     use std::fs::{self, File};
 
     fn sample_index() -> KdashIndex {
@@ -1348,5 +1293,144 @@ mod tests {
         save_atomic(&index, &path).unwrap();
         assert!(KdashIndex::load(io::BufReader::new(File::open(&path).unwrap())).is_ok());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What a sweep mutation writes into a word of a saved file.
+    #[derive(Debug, Clone, Copy)]
+    enum Class {
+        /// A count field or an integer scalar.
+        Count,
+        /// A node, row or column id, a delta, an offset or a tag.
+        Id,
+        /// An interior entry of a pointer array over `len` payload entries.
+        Pointer { len: u64 },
+        /// An `f64`.
+        Value,
+    }
+
+    /// Every field and array of `index`'s saved file, in stream order, as
+    /// `(section, byte offset, width, count, class)`.
+    fn file_words(
+        index: &KdashIndex,
+        marks: &[(&'static str, u64)],
+    ) -> Vec<(usize, usize, usize, usize, Class)> {
+        let n = index.num_nodes();
+        let m = index.permuted_graph().num_edges();
+        let l_nnz = index.linv_cols().nnz();
+        let (_, _, run_base, _, deltas, _) = index.uinv_rows().raw();
+        let (runs, u_nnz) = (run_base.len(), deltas.len());
+        let ptr = |len: usize| (8, n + 1, Class::Pointer { len: len as u64 });
+        use Class::{Count, Id, Value};
+        let sections: [&[(usize, usize, Class)]; 9] = [
+            &[(8, 1, Id), (4, 1, Id), (8, 1, Value), (1, 1, Id), (8, 1, Count), (8, 1, Count)],
+            &[(4, n, Id)],
+            &[ptr(m), (8, 1, Count), (4, m, Id), (8, m, Value)],
+            &[ptr(l_nnz), (8, 1, Count), (4, l_nnz, Id), (8, l_nnz, Value)],
+            &[
+                (1, 1, Id),
+                ptr(u_nnz),
+                (8, 1, Count),
+                ptr(runs),
+                (4, runs, Id),
+                (4, runs, Id),
+                (8, 1, Count),
+                (2, u_nnz, Id),
+                (8, u_nnz, Value),
+            ],
+            &[(4, 3 * n, Id)],
+            &[(8, n, Value), (8, 1, Value), (8, n, Value)],
+            &[(8, 1, Value), (8, n, Value), (8, n, Value)],
+            &[(1, 1, Id), (8, 1, Count)],
+        ];
+        let mut words = Vec::new();
+        let mut at = 0;
+        for (section, fields) in sections.iter().enumerate() {
+            for &(width, count, class) in fields.iter() {
+                words.push((section, at, width, count, class));
+                at += width * count;
+            }
+            assert_eq!(at as u64 + 4, marks[section].1, "{} section layout", marks[section].0);
+            at += 4;
+        }
+        words
+    }
+
+    /// The value a sweep writes over `old`, a word of `width` bytes.
+    fn mutated(old: u64, width: usize, class: Class, rng: &mut StdRng) -> u64 {
+        let max = u64::MAX >> (64 - 8 * width);
+        let any = rng.next_u64() & max;
+        let (up, down) = (old.wrapping_add(1), old.saturating_sub(1));
+        match class {
+            Class::Pointer { len } => {
+                [len + rng.gen_range(1..=9), 2 * len, up, down, 0, any][rng.gen_range(0..6)]
+            }
+            Class::Count => [up, down, 0, max, old.wrapping_mul(2), any][rng.gen_range(0..6)],
+            Class::Id => {
+                let flip = old ^ 1 << rng.gen_range(0..8 * width);
+                [up, down, 0, max, flip, any][rng.gen_range(0..6)] & max
+            }
+            Class::Value => {
+                let old = f64::from_bits(old);
+                [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -old, -1.0, 5e-324, 1e308, 0.0]
+                    [rng.gen_range(0..8)]
+                .to_bits()
+            }
+        }
+    }
+
+    /// The loader sweep: one word of one field at a time — interior
+    /// pointer entries, counts, ids and values (NaN, ±∞, negative,
+    /// denormal) of every section of a dense and a certified index — is
+    /// overwritten and the file resealed, so that only validation stands
+    /// between the bytes and an index. Every load returns `Ok` or a typed
+    /// `PersistError`, never a panic, and every index that loads gets
+    /// through the audit (`kdash verify`) without one.
+    #[test]
+    fn resealed_word_mutations_load_typed_and_audit_without_panic() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let mut b = GraphBuilder::new(100);
+        for v in 0..100u32 {
+            for _ in 0..3 {
+                let t = rng.gen_range(0..100);
+                if t != v {
+                    b.add_edge(v, t, rng.gen_range(0.5..2.0));
+                }
+            }
+        }
+        let g = b.build().unwrap();
+        let mut loads = 0;
+        for drop_tolerance in [0.0, 1e-4] {
+            let index =
+                KdashIndex::build(&g, IndexOptions { drop_tolerance, ..Default::default() })
+                    .unwrap();
+            let mut clean = Vec::new();
+            let marks = index.save_with_section_offsets(&mut clean).unwrap();
+            for (section, start, width, count, class) in file_words(&index, &marks) {
+                let words = match class {
+                    Class::Pointer { .. } => 1..count - 1,
+                    _ => 0..count,
+                };
+                for _ in 0..if words.is_empty() { 0 } else { 20 } {
+                    let at = start + width * rng.gen_range(words.clone());
+                    let mut buf = clean.clone();
+                    let mut word = [0u8; 8];
+                    word[..width].copy_from_slice(&buf[at..at + width]);
+                    let new = mutated(u64::from_le_bytes(word), width, class, &mut rng);
+                    buf[at..at + width].copy_from_slice(&new.to_le_bytes()[..width]);
+                    let section_start = if section == 0 { 0 } else { marks[section - 1].1 };
+                    reseal(&mut buf, section_start as usize, marks[section].1 as usize);
+                    let outcome = std::panic::catch_unwind(|| {
+                        KdashIndex::load(buf.as_slice()).map(|index| IndexAudit::run(&index))
+                    });
+                    assert!(
+                        outcome.is_ok(),
+                        "ε {drop_tolerance}: {} section, byte {at} set to {new:#x}: panicked",
+                        marks[section].0
+                    );
+                    loads += 1;
+                }
+            }
+        }
+        assert!(loads >= 1000, "{loads} loads");
     }
 }

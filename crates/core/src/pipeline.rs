@@ -28,7 +28,7 @@
 //! (`kdash_sparse::lu`'s module docs have the measurement).
 
 use crate::ordering::{compute_ordering_with_stats, OrderingStats};
-use crate::precompute::IndexParts;
+use crate::precompute::{check_weight_total, IndexParts};
 use crate::{IndexOptions, KdashError, KdashIndex, NodeOrdering, Result};
 use kdash_graph::{CsrGraph, Permutation};
 use kdash_sparse::{
@@ -233,6 +233,7 @@ impl IndexBuilder {
     pub fn build_with_report(&self, graph: &CsrGraph) -> Result<(KdashIndex, BuildReport)> {
         let options = self.options;
         validate_drop_tolerance(options.drop_tolerance)?;
+        check_weight_total(graph)?;
         let mut report = BuildReport::default();
 
         // Stage 1 — ordering: permutation + permuted graph for the BFS.

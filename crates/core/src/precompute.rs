@@ -175,6 +175,7 @@ impl KdashIndex {
         let p = &parts;
         let n = p.graph.num_nodes();
         check_header(p.c, &p.graph, &p.perm, &p.linv, &p.uinv)?;
+        check_weight_total(&p.graph)?;
         check_sparsify(p.drop_tolerance, n, &p.linv_dropped, &p.uinv_dropped)?;
         let dropped_total =
             p.linv_dropped.iter().sum::<f64>() + p.uinv_dropped.iter().sum::<f64>();
@@ -516,6 +517,21 @@ impl KdashIndex {
     pub(crate) fn reach_anchor_mut(&mut self) -> &mut ReachAnchor {
         &mut self.anchor
     }
+}
+
+/// The bound on a graph's weights beyond each edge's own rule: four times
+/// their total is finite, so no sum a build forms overflows — an
+/// out-weight (an infinite one would zero its column of `A`), a pair of
+/// the undirected view, Louvain's aggregates and `2m`. Runs before a
+/// build's ordering and in [`KdashIndex::assemble`].
+pub(crate) fn check_weight_total(graph: &CsrGraph) -> Result<()> {
+    let total: f64 = graph.edges().map(|(_, _, w)| w).sum();
+    if !(4.0 * total).is_finite() {
+        return Err(malformed(&format!(
+            "edge weights sum to {total:e}; a build needs four times their sum finite"
+        )));
+    }
+    Ok(())
 }
 
 /// The header's checks, which [`KdashIndex::assemble`] runs on what it is

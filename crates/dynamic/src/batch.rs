@@ -5,9 +5,10 @@
 //! against the sequentially edited graph or none apply) and advances the
 //! index's update epoch by one. Structural validation — finite, strictly
 //! positive weights — happens at construction; graph-dependent validation
-//! (unknown nodes, absent edges, duplicate inserts) happens inside
-//! [`DynamicIndex::apply`](crate::DynamicIndex::apply), where the current
-//! graph is known.
+//! (unknown nodes, absent edges, duplicate inserts) happens once, in
+//! [`CsrGraph::apply_edits`](kdash_graph::CsrGraph::apply_edits), which
+//! [`DynamicIndex::apply`](crate::DynamicIndex::apply) calls on the
+//! current graph.
 
 use crate::{KdashError, Result};
 use kdash_graph::{EdgeEdit, GraphError, NodeId};

@@ -40,12 +40,11 @@ use crate::journal::{Journal, JournalError, RecoveryReport};
 use crate::{KdashError, Result, UpdateBatch};
 use kdash_core::persist::save_atomic_with;
 use kdash_core::{IndexPatch, KdashIndex};
-use kdash_graph::{CsrGraph, EdgeEdit, NodeId};
+use kdash_graph::{CsrGraph, EdgeEdit, GraphError, NodeId};
 use kdash_sparse::{
     inverse_dirty_columns, refactor_candidates, refactor_columns, sparsify_columns_with,
     transition_matrix, w_matrix, Index, InvertOptions, LuFactors, Triangle,
 };
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -513,7 +512,7 @@ impl DynamicIndex {
     ///
     /// Multiple batches are predicted as one coalesced pass. Errors on
     /// an empty queue, and on invalid edits exactly as
-    /// [`Self::apply_coalesced`] would.
+    /// [`Self::apply_coalesced`] would ([`CsrGraph::apply_edits`], in user ids).
     pub fn predict(&self, batches: &[UpdateBatch]) -> Result<UpdatePrediction> {
         let (edits, new_graph, dirty_w) = self.edit_graph(batches)?;
         let a = transition_matrix(&new_graph, self.index.dangling_policy());
@@ -533,14 +532,16 @@ impl DynamicIndex {
     }
 
     /// The prologue [`Self::predict`] and [`Self::apply_coalesced`] share:
-    /// validates in user id space against the *running* edge-presence
-    /// overlay (so batch k sees the edits of batches 0..k, same as
-    /// applying them one by one), maps to permuted ids and edits the
-    /// permuted graph. (An edited original graph permuted by the frozen
-    /// order equals the edited permuted graph, so the rebuild reference
-    /// in the equivalence suite compares apples to apples.) Returns the
-    /// edit count, the edited graph and the distinct edited source nodes
-    /// — the dirty `W` columns — ascending.
+    /// edits the permuted graph once, queue and all, with
+    /// [`CsrGraph::apply_edits`], the one edit validator (so batch k sees
+    /// the edits of batches 0..k, same as applying them one by one). An id
+    /// past the graph maps to itself, so it is reported at its place in
+    /// the sequence, and errors are mapped back to user ids. (An edited
+    /// original graph permuted by the frozen order equals the edited
+    /// permuted graph, so the rebuild reference in the equivalence suite
+    /// compares apples to apples.) Returns the edit count, the edited
+    /// graph and the distinct edited source nodes — the dirty `W` columns
+    /// — ascending.
     ///
     /// Errors with [`kdash_core::KdashError::Sparse`] (malformed) on an
     /// empty queue — an accidental no-op epoch bump would corrupt the
@@ -551,21 +552,35 @@ impl DynamicIndex {
                 "an update needs at least one batch".into(),
             )));
         }
-        let mut overlay = HashMap::new();
-        let mut permuted_edits = Vec::new();
-        for batch in batches {
-            permuted_edits.extend(self.validate_and_permute(&mut overlay, batch.edits())?);
-        }
-        let graph = self.index.permuted_graph().apply_edits(&permuted_edits)?;
-        let mut dirty_w: Vec<Index> = permuted_edits.iter().map(|e| e.src()).collect();
+        let perm = self.index.permutation();
+        let n = self.index.num_nodes();
+        let to_new = |v: NodeId| if (v as usize) < n { perm.new_of(v) } else { v };
+        let edits: Vec<EdgeEdit> =
+            batches.iter().flat_map(|b| b.edits()).map(|e| e.map_endpoints(to_new)).collect();
+        let graph = self.index.permuted_graph().apply_edits(&edits).map_err(|mut e| {
+            match &mut e {
+                GraphError::NodeOutOfBounds { node, num_nodes } => {
+                    return KdashError::NodeOutOfBounds { node: *node, num_nodes: *num_nodes };
+                }
+                GraphError::DuplicateEdge { src, dst }
+                | GraphError::EdgeNotFound { src, dst }
+                | GraphError::InvalidWeight { src, dst, .. } => {
+                    (*src, *dst) = (perm.old_of(*src), perm.old_of(*dst));
+                }
+                _ => {}
+            }
+            KdashError::Graph(e)
+        })?;
+        let mut dirty_w: Vec<Index> = edits.iter().map(|e| e.src()).collect();
         dirty_w.sort_unstable();
         dirty_w.dedup();
-        Ok((permuted_edits.len(), graph, dirty_w))
+        Ok((edits.len(), graph, dirty_w))
     }
 
     /// Applies a queue of batches in one coalesced pass: the merged edit
     /// list is validated against the sequentially edited graph exactly as
-    /// `batches.iter().map(|b| engine.apply(b))` would validate it, but
+    /// `batches.iter().map(|b| engine.apply(b))` would — once, by the one
+    /// edit validator [`CsrGraph::apply_edits`], errors in user ids — but
     /// the pipeline runs **once** — one merged dirty-`W` set, one
     /// incremental refactorisation, one reach analysis, one re-solve,
     /// one splice. The committed index is bit-identical to the
@@ -706,74 +721,6 @@ impl DynamicIndex {
             }
         }
         Ok(report)
-    }
-
-    /// Validates edits against the sequentially edited graph, reporting
-    /// errors in *original* node ids, and returns them mapped into the
-    /// index's permuted id space. `overlay` is the edge-presence overlay
-    /// over all edits validated so far, keyed by the *permuted* pair
-    /// (what the graph is indexed by) — callers pass one overlay per
-    /// logical pass, so a coalesced queue validates each batch against
-    /// the graph as edited by its predecessors.
-    fn validate_and_permute(
-        &self,
-        overlay: &mut HashMap<(NodeId, NodeId), bool>,
-        edits: &[EdgeEdit],
-    ) -> Result<Vec<EdgeEdit>> {
-        let n = self.index.num_nodes();
-        let perm = self.index.permutation();
-        let graph = self.index.permuted_graph();
-        let mut permuted = Vec::with_capacity(edits.len());
-        for edit in edits {
-            let (src, dst) = (edit.src(), edit.dst());
-            for node in [src, dst] {
-                if (node as usize) >= n {
-                    return Err(KdashError::NodeOutOfBounds { node, num_nodes: n });
-                }
-            }
-            let key = (perm.new_of(src), perm.new_of(dst));
-            let present =
-                *overlay.entry(key).or_insert_with(|| graph.has_edge(key.0, key.1));
-            match edit {
-                EdgeEdit::Insert { weight, .. } => {
-                    if present {
-                        return Err(KdashError::Graph(
-                            kdash_graph::GraphError::DuplicateEdge { src, dst },
-                        ));
-                    }
-                    if !(weight.is_finite() && *weight > 0.0) {
-                        return Err(KdashError::Graph(
-                            kdash_graph::GraphError::InvalidWeight { src, dst, weight: *weight },
-                        ));
-                    }
-                    overlay.insert(key, true);
-                }
-                EdgeEdit::Delete { .. } => {
-                    if !present {
-                        return Err(KdashError::Graph(kdash_graph::GraphError::EdgeNotFound {
-                            src,
-                            dst,
-                        }));
-                    }
-                    overlay.insert(key, false);
-                }
-                EdgeEdit::Reweight { weight, .. } => {
-                    if !present {
-                        return Err(KdashError::Graph(kdash_graph::GraphError::EdgeNotFound {
-                            src,
-                            dst,
-                        }));
-                    }
-                    if !(weight.is_finite() && *weight > 0.0) {
-                        return Err(KdashError::Graph(
-                            kdash_graph::GraphError::InvalidWeight { src, dst, weight: *weight },
-                        ));
-                    }
-                }
-            }
-            permuted.push(edit.map_endpoints(|v| perm.new_of(v)));
-        }
-        Ok(permuted)
     }
 }
 

@@ -327,8 +327,7 @@ impl Journal {
             path: label.clone(),
             error,
         };
-        let bytes = fs::read(&path).map_err(|e| io_err("read", e))?;
-        let (_, scan) = parse_journal(&bytes, &label)?;
+        let (_, scan) = Journal::read_records(&path)?;
 
         // History resumes after the last intact frame; a frameless
         // journal (torn header included) restarts from what the frames
@@ -382,17 +381,12 @@ impl Journal {
     /// epoch contiguity, torn tail. Touches nothing on disk and loads
     /// no index — this is `kdash verify --journal`.
     pub fn scan_path<P: AsRef<Path>>(path: P) -> Result<JournalScan, JournalError> {
-        let label = path.as_ref().display().to_string();
-        let bytes = fs::read(path.as_ref()).map_err(|error| JournalError::Io {
-            op: "read",
-            path: label.clone(),
-            error,
-        })?;
-        parse_journal(&bytes, &label).map(|(_, scan)| scan)
+        Journal::read_records(path).map(|(_, scan)| scan)
     }
 
     /// Reads every intact `(epoch, batch)` record plus the scan summary,
-    /// read-only. The recovery entry point.
+    /// read-only: the one read and parse of a journal file, behind
+    /// recovery, [`Journal::open`] and [`Journal::scan_path`].
     pub fn read_records<P: AsRef<Path>>(
         path: P,
     ) -> Result<(Vec<(u64, UpdateBatch)>, JournalScan), JournalError> {

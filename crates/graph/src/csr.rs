@@ -207,29 +207,54 @@ impl CsrGraph {
     }
 }
 
+/// Why [`check_pointers`] refuses an array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PointerFault {
+    /// It does not hold `n + 1` entries.
+    Length,
+    /// It does not start at 0 and end at the payload's length.
+    Ends,
+    /// It decreases after entry `v`: `ptr[v] > ptr[v + 1]`.
+    Decreasing(usize),
+}
+
+/// The one rule of a CSR / CSC pointer array over `n` rows and `len`
+/// payload entries: `n + 1` entries, the first 0, the last `len`, never
+/// decreasing — so every span `ptr[v]..ptr[v + 1]` of an array that
+/// passes lies inside the payload. Validators slice spans only after it.
+pub fn check_pointers(
+    ptr: &[usize],
+    n: usize,
+    len: usize,
+) -> std::result::Result<(), PointerFault> {
+    if ptr.len() != n + 1 {
+        return Err(PointerFault::Length);
+    }
+    if ptr[0] != 0 || ptr[n] != len {
+        return Err(PointerFault::Ends);
+    }
+    match ptr.windows(2).position(|w| w[0] > w[1]) {
+        Some(v) => Err(PointerFault::Decreasing(v)),
+        None => Ok(()),
+    }
+}
+
 /// Every invariant of a graph's CSR arrays (see [`CsrGraph`]).
 fn validate(row_ptr: &[usize], col_idx: &[NodeId], weights: &[f64]) -> Result<()> {
-    if row_ptr.is_empty() {
-        return Err(GraphError::MalformedCsr("row_ptr must have length n+1 >= 1".into()));
-    }
-    let n = row_ptr.len() - 1;
+    let malformed = |msg: String| Err(GraphError::MalformedCsr(msg));
+    let n = row_ptr.len().saturating_sub(1);
     let m = col_idx.len();
     if weights.len() != m {
-        return Err(GraphError::MalformedCsr(format!(
-            "col_idx has {} entries but weights has {}",
-            m,
-            weights.len()
-        )));
+        return malformed(format!("col_idx has {} entries but weights has {}", m, weights.len()));
     }
-    if row_ptr[0] != 0 || row_ptr[n] != m {
-        return Err(GraphError::MalformedCsr(
-            "row_ptr must start at 0 and end at num_edges".into(),
-        ));
+    if let Err(fault) = check_pointers(row_ptr, n, m) {
+        return malformed(match fault {
+            PointerFault::Length => "row_ptr must have length n+1 >= 1".into(),
+            PointerFault::Ends => "row_ptr must start at 0 and end at num_edges".into(),
+            PointerFault::Decreasing(v) => format!("row_ptr not monotone at row {v}"),
+        });
     }
     for v in 0..n {
-        if row_ptr[v] > row_ptr[v + 1] {
-            return Err(GraphError::MalformedCsr(format!("row_ptr not monotone at row {v}")));
-        }
         let row = &col_idx[row_ptr[v]..row_ptr[v + 1]];
         let w = &weights[row_ptr[v]..row_ptr[v + 1]];
         for (i, (&t, &wt)) in row.iter().zip(w).enumerate() {

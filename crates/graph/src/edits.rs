@@ -15,6 +15,9 @@
 //! deleting or reweighting one that does not, referencing an unknown node,
 //! or supplying a non-positive/non-finite weight all fail with a typed
 //! [`GraphError`] instead of panicking or silently merging.
+//! It is the one edit validator: the dynamic engine checks nothing itself,
+//! it maps its queue to permuted ids, applies it in one call and maps the
+//! ids in any error back, so errors still name user ids.
 
 use crate::{CsrGraph, GraphError, NodeId, Result};
 

@@ -38,6 +38,7 @@
 //! instead.
 
 use crate::{ColumnUpdate, CsrMatrix, Index, ProximityStore, Result, SparseError};
+use kdash_graph::csr::{check_pointers, PointerFault};
 use std::ops::RangeInclusive;
 
 /// Width of one column block: deltas are `u16`, so a run covers columns
@@ -83,27 +84,25 @@ pub(crate) fn encode(csr: CsrMatrix) -> Result<EncodedRows> {
 pub(crate) fn validate(nrows: usize, ncols: usize, rows: RowSlices<'_>) -> Result<()> {
     let (row_ptr, run_ptr, run_base, run_end, deltas, values) = rows;
     let malformed = |msg: String| Err(SparseError::Malformed(msg));
-    if row_ptr.len() != nrows + 1 || run_ptr.len() != nrows + 1 {
-        return malformed("pointer array length mismatch".into());
-    }
     if deltas.len() != values.len() {
         return malformed("delta/value length mismatch".into());
     }
-    if row_ptr[0] != 0
-        || run_ptr[0] != 0
-        || row_ptr[nrows] != deltas.len()
-        || run_ptr[nrows] != run_base.len()
-        || run_base.len() != run_end.len()
-    {
+    for (ptr, len) in [(row_ptr, deltas.len()), (run_ptr, run_base.len())] {
+        if let Err(fault) = check_pointers(ptr, nrows, len) {
+            return malformed(match fault {
+                PointerFault::Length => "pointer array length mismatch".into(),
+                PointerFault::Ends => "pointer arrays do not cover the payload".into(),
+                PointerFault::Decreasing(r) => format!("row {r}: decreasing pointer"),
+            });
+        }
+    }
+    if run_base.len() != run_end.len() {
         return malformed("pointer arrays do not cover the payload".into());
     }
     if deltas.len() > u32::MAX as usize {
         return malformed("too many entries for u32 run offsets".into());
     }
     for r in 0..nrows {
-        if row_ptr[r] > row_ptr[r + 1] || run_ptr[r] > run_ptr[r + 1] {
-            return malformed(format!("row {r}: decreasing pointer"));
-        }
         let (has_nnz, has_runs) = (row_ptr[r] < row_ptr[r + 1], run_ptr[r] < run_ptr[r + 1]);
         if has_nnz != has_runs {
             return malformed(format!("row {r}: runs and nonzeros disagree"));
@@ -135,12 +134,7 @@ pub(crate) fn validate(nrows: usize, ncols: usize, rows: RowSlices<'_>) -> Resul
             return malformed(format!("row {r}: runs do not cover the row"));
         }
     }
-    for v in values {
-        if !v.is_finite() {
-            return malformed("non-finite value".into());
-        }
-    }
-    Ok(())
+    crate::csc::check_finite(values)
 }
 
 /// The array work of [`ProximityStore::splice_columns`]: `store`'s rows

@@ -1,6 +1,7 @@
 //! Compressed sparse column matrices.
 
 use crate::{Index, Result, SparseError};
+use kdash_graph::csr::{check_pointers, PointerFault};
 
 /// A sparse matrix in compressed-sparse-column form.
 ///
@@ -332,19 +333,18 @@ fn validate_parts(
     row_idx: &[Index],
     values: &[f64],
 ) -> Result<()> {
-    if col_ptr.len() != ncols + 1 {
-        return Err(SparseError::Malformed("col_ptr length must be ncols + 1".into()));
-    }
+    let malformed = |msg: String| Err(SparseError::Malformed(msg));
     if row_idx.len() != values.len() {
-        return Err(SparseError::Malformed("row_idx and values length mismatch".into()));
+        return malformed("row_idx and values length mismatch".into());
     }
-    if col_ptr[0] != 0 || col_ptr[ncols] != row_idx.len() {
-        return Err(SparseError::Malformed("col_ptr bounds are inconsistent".into()));
+    if let Err(fault) = check_pointers(col_ptr, ncols, row_idx.len()) {
+        return malformed(match fault {
+            PointerFault::Length => "col_ptr length must be ncols + 1".into(),
+            PointerFault::Ends => "col_ptr bounds are inconsistent".into(),
+            PointerFault::Decreasing(c) => format!("col_ptr not monotone at {c}"),
+        });
     }
     for c in 0..ncols {
-        if col_ptr[c] > col_ptr[c + 1] {
-            return Err(SparseError::Malformed(format!("col_ptr not monotone at {c}")));
-        }
         let rows = &row_idx[col_ptr[c]..col_ptr[c + 1]];
         for (i, &r) in rows.iter().enumerate() {
             if (r as usize) >= nrows {
@@ -496,6 +496,47 @@ pub(crate) fn validate_column_updates(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ProximityStore;
+    use kdash_graph::{CsrGraph, GraphError};
+
+    /// The pointer array `[0, 10, 5]` over 5 entries: its last entry
+    /// matches the payload, its interior one overshoots it. Every
+    /// raw-array constructor refuses it typed, through the one pointer
+    /// check, before a span is sliced.
+    #[test]
+    fn every_raw_parts_constructor_refuses_an_interior_pointer_past_the_payload() {
+        let probe = vec![0, 10, 5];
+        match CsrGraph::from_raw_parts(probe.clone(), vec![0, 1, 0, 1, 0], vec![1.0; 5]) {
+            Err(GraphError::MalformedCsr(detail)) => {
+                assert_eq!(detail, "row_ptr not monotone at row 1")
+            }
+            other => panic!("expected a malformed graph, got {other:?}"),
+        }
+        match CscMatrix::from_raw_parts(2, 2, probe.clone(), vec![0, 1, 0, 1, 0], vec![1.0; 5]) {
+            Err(SparseError::Malformed(detail)) => assert_eq!(detail, "col_ptr not monotone at 1"),
+            other => panic!("expected a malformed matrix, got {other:?}"),
+        }
+        // Row 0 holds all five entries in five runs, so a `run_ptr` that
+        // overshoots reads past the runs unless the pointer check runs
+        // first; the `row_ptr` probe keeps one run per row.
+        let deltas = vec![0u16, 1, 2, 3, 4];
+        let store = |row_ptr: Vec<usize>, run_ptr: Vec<usize>, runs: Vec<u32>| {
+            let base = vec![0; runs.len()];
+            let (deltas, values) = (deltas.clone(), vec![1.0; 5]);
+            ProximityStore::from_raw_parts(2, 8, row_ptr, run_ptr, base, runs, deltas, values)
+        };
+        for refused in [
+            store(vec![0, 5, 5], probe.clone(), vec![1, 2, 3, 4, 5]),
+            store(probe.clone(), vec![0, 1, 2], vec![5, 5]),
+        ] {
+            match refused {
+                Err(SparseError::Malformed(detail)) => {
+                    assert_eq!(detail, "row 1: decreasing pointer")
+                }
+                other => panic!("expected a malformed store, got {other:?}"),
+            }
+        }
+    }
 
     fn sample() -> CscMatrix {
         // [1 0 2]

@@ -41,8 +41,10 @@ const PINS: &[(&str, usize)] = &[
     // −1: `BfsTree::check_invariants` becomes test-only (only graph's own
     // tests call it). Then +2: `CsrGraph::check` and `Permutation::check`,
     // the constructors' own validation run on a built graph and
-    // permutation (the index audit's one statement of them).
-    ("graph", 97),
+    // permutation (the index audit's one statement of them). Then +2:
+    // `csr::check_pointers` and its `PointerFault`, the one pointer-array
+    // rule the graph's, `L⁻¹`'s and `U⁻¹`'s raw-array validators share.
+    ("graph", 99),
     // −1: the flat-vs-blocked result checker (no second layout to
     // compare).
     ("harness", 9),
