@@ -17,7 +17,10 @@
 //! the build's inversion stage: both triangles in one pool, `U⁻¹`
 //! transposed into rows (its tally sums the two triangles'). Its seconds
 //! against the `linv` and `uinv` rows' sum are what the shared pool and
-//! the transpose's overlap with `L⁻¹`'s last solves buy.
+//! the transpose's overlap with `L⁻¹`'s last solves buy. The same three
+//! rows follow at `ε = 1e-4` (`linv_eps1e-4`, …): the value-driven solve
+//! of a certified build, whose ns per multiply-subtract reads beside the
+//! exact kernels'.
 //!
 //! This bench measures each configuration **once** with direct wall-clock
 //! timing instead of going through the criterion stand-in: a build takes
@@ -66,7 +69,8 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 
 /// LU / `L⁻¹` / `U⁻¹` of the hybrid-ordered `W`: one line for the LU
 /// (one thread, always), one per inversion and worker count, and one per
-/// worker count for both inversions in one pool.
+/// worker count for both inversions in one pool — exact, then at
+/// `ε = 1e-4`.
 fn kernel_table(graph: &CsrGraph, reps: usize) {
     let permuted = graph.permute(&compute_ordering(graph, NodeOrdering::Hybrid)).expect("permute");
     let a = transition_matrix(&permuted, DanglingPolicy::Keep);
@@ -83,23 +87,27 @@ fn kernel_table(graph: &CsrGraph, reps: usize) {
     };
     let (lu_s, (factors, lu)) = best_of(reps, || sparse_lu_tallied(&w).expect("LU"));
     line("lu", 1, lu_s, lu);
-    for threads in [1usize, 2] {
-        let options = InvertOptions { threads };
-        let (l_s, linv) =
-            best_of(reps, || sparsify_lower_unit_with(&factors.l, 0.0, options).expect("L⁻¹"));
-        let (u_s, uinv) =
-            best_of(reps, || sparsify_upper_with(&factors.u, 0.0, options).expect("U⁻¹"));
-        let (joint_s, joint) =
-            best_of(reps, || sparsify_factors_with(&factors, 0.0, options).expect("L⁻¹, U⁻¹"));
-        line("linv", threads, l_s, linv.tally);
-        line("uinv", threads, u_s, uinv.tally);
-        let (l, u) = (joint.linv.tally, joint.uinv.tally);
-        let both = SolveTally {
-            tail_columns: l.tail_columns + u.tail_columns,
-            multiply_subtracts: l.multiply_subtracts + u.multiply_subtracts,
-            tail_multiply_subtracts: l.tail_multiply_subtracts + u.tail_multiply_subtracts,
-        };
-        line("joint", threads, joint_s, both);
+    for (eps, suffix) in [(0.0, ""), (1e-4, "_eps1e-4")] {
+        for threads in [1usize, 2] {
+            let options = InvertOptions { threads };
+            let (l, u) = (&factors.l, &factors.u);
+            let (l_s, linv) =
+                best_of(reps, || sparsify_lower_unit_with(l, eps, options).expect("L⁻¹"));
+            let (u_s, uinv) =
+                best_of(reps, || sparsify_upper_with(u, eps, options).expect("U⁻¹"));
+            let (joint_s, joint) = best_of(reps, || {
+                sparsify_factors_with(&factors, eps, options).expect("L⁻¹, U⁻¹")
+            });
+            line(&format!("linv{suffix}"), threads, l_s, linv.tally);
+            line(&format!("uinv{suffix}"), threads, u_s, uinv.tally);
+            let (l, u) = (joint.linv.tally, joint.uinv.tally);
+            let both = SolveTally {
+                tail_columns: l.tail_columns + u.tail_columns,
+                multiply_subtracts: l.multiply_subtracts + u.multiply_subtracts,
+                tail_multiply_subtracts: l.tail_multiply_subtracts + u.tail_multiply_subtracts,
+            };
+            line(&format!("joint{suffix}"), threads, joint_s, both);
+        }
     }
 }
 

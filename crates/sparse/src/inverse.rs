@@ -41,8 +41,10 @@
 //! `w mod jobs` — for the build's inversion of both factors, the workers
 //! split between `L` and `U` — and when its job runs dry, hands its
 //! blocks in and claims the next job's remaining chunks. The two
-//! triangles rarely cost the same (the value-driven `L̃⁻¹` solves of a
-//! sparsified RMAT index cost 2.3–2.5× the `Ũ⁻¹` ones), so a fixed worker
+//! triangles rarely cost the same (the value-driven `L̃⁻¹` solves of the
+//! `rmat-certified` index, ε = 1e-4, cost 1.7× the `Ũ⁻¹` ones, 11.5
+//! against 6.6–7.0 ms at one worker; 2.4× while the solve popped from a
+//! binary heap), so a fixed worker
 //! per triangle would leave one idle; the steal lets the faster side
 //! finish the slower one's tail. A job is claimed from both ends: its own
 //! workers from the heavy end, thieves from the light one, so the

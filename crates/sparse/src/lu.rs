@@ -8,10 +8,15 @@
 //! arithmetic runs in ascending column order, the one numeric order of
 //! [`crate::triangular`]. From the first column whose `L` part is at
 //! least half full (the hubs a degree or hybrid ordering puts last) the
-//! drivers mirror each solved column into a [`DenseTail`], and the solve
-//! of every later column is its sparse head followed by contiguous AXPYs
-//! through the mirror — the same bytes as the sparse-only solve, wherever
-//! the mirror starts.
+//! full build mirrors each solved column into a [`DenseTail`] and solves
+//! the later columns in *panels* ([`solve_panel`]) — of eight where the
+//! host has AVX-512F, else of one: each column's sparse head on its own,
+//! then one pass of contiguous AXPYs through the mirror that loads each
+//! mirrored value once for the whole panel, then the panel's own columns
+//! in order. Every column receives the operations of the sparse-only
+//! solve in the same order — the same bytes, the same tally and the same
+//! first singular column, wherever the mirror starts and wherever a panel
+//! ends.
 //!
 //! No pivoting is performed. The intended input `W = I − (1−c)A` with a
 //! column-substochastic `A` and `0 < c < 1` is strictly column diagonally
@@ -37,8 +42,16 @@
 //! that fanned columns out and waited on in-flight dependencies was
 //! slower with two workers than with one on 14 of 16 paired medians over
 //! the four benchmark graphs (`dict-pruned` 11.1–11.6 → 12.4–13.1 ms).
-//! The build's parallelism is the inversion stage ([`crate::inverse`]),
-//! whose columns are independent solves.
+//! Within that thread the tail goes in panels: a panel's columns read
+//! only the tail's columns before the panel, all solved when it starts,
+//! so they sweep them together. Where the host has AVX-512F a panel is
+//! eight columns, the eight lanes of one vector; on the `rmat-certified`
+//! graph (RMAT scale 13, a 672-column tail holding 99.4 % of 71.9 M
+//! multiply-subtracts) that took the LU from 32–36 to 16–19 ms, best of
+//! 15–30, on a 2-core AVX-512 Xeon guest. Elsewhere a panel is one
+//! column ([`crate::triangular::wide_axpy`] says why). The build's thread
+//! parallelism is the inversion stage ([`crate::inverse`]), whose columns
+//! are independent solves.
 //!
 //! ## Incremental refactorisation
 //!
@@ -60,7 +73,7 @@
 //! while the symbolic reach still includes it, and the symbolic reach is
 //! what bounds the inputs.
 
-use crate::triangular::{DenseTail, FactorView, TailRule};
+use crate::triangular::{axpy_one, wide_axpy, Axpy, DenseTail, FactorView, TailRule, PANEL};
 use crate::{
     ColumnUpdate, CscMatrix, Index, InvertOptions, Result, SolveTally, SolveWorkspace,
     SparseError, Triangle,
@@ -201,73 +214,76 @@ impl LColumns for HybridView<'_> {
 
 /// The Gilbert–Peierls solve for one factor column: symbolic reach
 /// ([`SolveWorkspace::reach`], the kernel the triangular solves run) over
-/// the `L` columns left of `j` and of the tail, then [`eliminate`].
-/// Bit-for-bit the same result whichever provider backs `l` and wherever
-/// `tail` starts — the invariant every driver in this module leans on.
-/// A non-empty `tail` must mirror every column from its start up to `j`.
+/// the `L` columns left of `j`, then [`eliminate`]. Bit-for-bit the same
+/// result whichever provider backs `l`, and the same as the column of a
+/// panel ([`solve_panel`]) — the invariant every driver in this module
+/// leans on.
 fn solve_factor_column(
     j: Index,
     w_col: (&[Index], &[f64]),
     l: &impl LColumns,
-    tail: &DenseTail,
     ws: &mut SolveWorkspace,
 ) -> Result<FactorColumn> {
-    debug_assert!(tail.columns() == 0 || tail.start() + tail.columns() == j as usize);
     // Only columns < j exist in L, so nodes >= j have no children.
     let children = |node| if node < j { l.col(node).0 } else { &[][..] };
-    ws.reach(w_col.0, tail.start(), children);
-    eliminate(j, w_col, l, tail, ws)
+    ws.reach(w_col.0, ws.dim(), children);
+    eliminate(j, w_col, l, ws)
 }
 
-/// The numeric half of [`solve_factor_column`], on a workspace holding
-/// the reach of `pattern(W(:, j))` left of the tail: sparse elimination
-/// in ascending column order, the tail's AXPYs, pivot check, then emit
-/// `U(:, j)` (sorted, diagonal last) and `L(:, j)` (sorted, pivot-scaled).
-fn eliminate(
+/// The sparse elimination of column `j` on a workspace holding the reach
+/// of `pattern(W(:, j))` left of row `head`: `W(:, j)` scattered (the
+/// rows from `head` on zeroed first: a dense tail's rows, which need no
+/// pattern), then the pattern's columns left of `j`, ascending — rows at
+/// or below the pivot only accumulate. Leaves `topo` sorted and returns
+/// the multiply-subtracts made.
+fn eliminate_left(
     j: Index,
     (b_rows, b_vals): (&[Index], &[f64]),
     l: &impl LColumns,
-    tail: &DenseTail,
+    head: usize,
     ws: &mut SolveWorkspace,
-) -> Result<FactorColumn> {
-    let SolveWorkspace { stamps, x, topo, tally, .. } = ws;
-    let (n, pivot_row, head) = (x.len(), j as usize, tail.start());
+) -> u64 {
+    let SolveWorkspace { x, topo, .. } = ws;
     x[head..].fill(0.0);
     for (&r, &v) in b_rows.iter().zip(b_vals) {
         x[r as usize] = v;
     }
-
-    // Numeric: the columns left of `j`, ascending; rows at or below the
-    // pivot only accumulate.
     topo.sort_unstable();
-    let (left, rest) = topo.split_at(topo.partition_point(|&r| r < j));
-    let mut head_flops = 0u64;
-    for &r in left {
+    let mut flops = 0u64;
+    for &r in &topo[..topo.partition_point(|&r| r < j)] {
         let xr = x[r as usize];
         if xr != 0.0 {
             let (rows, vals) = l.col(r);
             for (i, v) in rows.iter().zip(vals) {
                 x[*i as usize] -= v * xr;
             }
-            head_flops += rows.len() as u64;
+            flops += rows.len() as u64;
         }
     }
-    tally.count(head_flops, tail.sweep_lower(x, pivot_row));
+    flops
+}
 
-    // Pivot. Inside the tail every slot is live; left of it only the
-    // pattern's are.
-    let live = head <= pivot_row || stamps.is_marked(pivot_row);
-    let pivot = if live { x[pivot_row] } else { 0.0 };
-    if pivot == 0.0 || !pivot.is_finite() {
-        return Err(SparseError::SingularPivot { column: pivot_row, value: pivot });
-    }
+/// The numeric half of [`solve_factor_column`]: [`eliminate_left`], pivot
+/// check, then emit `U(:, j)` (sorted, diagonal last) and `L(:, j)`
+/// (sorted, pivot-scaled).
+fn eliminate(
+    j: Index,
+    w_col: (&[Index], &[f64]),
+    l: &impl LColumns,
+    ws: &mut SolveWorkspace,
+) -> Result<FactorColumn> {
+    let head_flops = eliminate_left(j, w_col, l, ws.dim(), ws);
+    ws.tally.count(head_flops, 0);
+    let SolveWorkspace { stamps, x, topo, .. } = ws;
+    let pivot_row = j as usize;
+    let pivot = if stamps.is_marked(pivot_row) { x[pivot_row] } else { 0.0 };
+    check_pivot(pivot_row, pivot)?;
 
     // Emit U(:, j): rows < j, ascending, then the diagonal last.
-    let tail_rows = |range: std::ops::Range<usize>| range.map(|r| r as Index);
-    let above = tail_rows(head.min(pivot_row)..pivot_row);
-    let mut u_rows = Vec::with_capacity(left.len() + above.len() + 1);
-    let mut u_vals = Vec::with_capacity(left.len() + above.len() + 1);
-    for r in left.iter().copied().chain(above) {
+    let (left, rest) = topo.split_at(topo.partition_point(|&r| r < j));
+    let mut u_rows = Vec::with_capacity(left.len() + 1);
+    let mut u_vals = Vec::with_capacity(left.len() + 1);
+    for &r in left {
         let v = x[r as usize];
         if v != 0.0 {
             u_rows.push(r);
@@ -279,10 +295,9 @@ fn eliminate(
 
     // Emit L(:, j): rows > j, ascending, divided by the pivot.
     let below = &rest[(rest.first() == Some(&j)) as usize..];
-    let beyond = tail_rows(head.max(pivot_row + 1)..n);
-    let mut l_rows = Vec::with_capacity(below.len() + beyond.len());
-    let mut l_vals = Vec::with_capacity(below.len() + beyond.len());
-    for r in below.iter().copied().chain(beyond) {
+    let mut l_rows = Vec::with_capacity(below.len());
+    let mut l_vals = Vec::with_capacity(below.len());
+    for &r in below {
         let v = x[r as usize];
         if v != 0.0 {
             l_rows.push(r);
@@ -293,12 +308,87 @@ fn eliminate(
     Ok(FactorColumn { u_rows, u_vals, l_rows, l_vals })
 }
 
-/// Mirrors the freshly solved column `j` if the tail has begun or `rule`
-/// lets `j` begin it.
-fn extend_tail(tail: &mut DenseTail, rule: TailRule, n: usize, j: usize, col: &FactorColumn) {
-    if tail.columns() > 0 || rule.begins(col.l_rows.len(), n - 1 - j) {
-        tail.push_lower(j, &col.l_rows, &col.l_vals);
+/// Refuses the pivots an LU without pivoting cannot divide by: zero and
+/// non-finite ones.
+fn check_pivot(column: usize, pivot: f64) -> Result<()> {
+    if pivot == 0.0 || !pivot.is_finite() {
+        return Err(SparseError::SingularPivot { column, value: pivot });
     }
+    Ok(())
+}
+
+/// Solves the next `lanes` (≤ `P`) columns, all right of the tail's
+/// first, as one panel of `rows` (reused from panel to panel). Each column
+/// runs its sparse head — the reach left of the tail and
+/// [`eliminate_left`] — and is pushed with its `U` entries above the tail,
+/// which are final: the tail's columns write only rows inside it. Its tail
+/// rows go to its lane of the panel. One sweep through the tail's columns
+/// so far then loads each of their values once for every lane. Last,
+/// column by column, the pivot is checked, the column's `U` is completed
+/// and its `L` filled and mirrored, and the lanes after it take its AXPY.
+/// Every column so receives the operations of a one-column solve through
+/// the tail, in the same order: the bytes, the tally and the first
+/// singular column reported are the sparse kernel's, and each column's
+/// arrays are allocated as [`eliminate`] allocates them, in the same
+/// order.
+fn solve_panel<const P: usize>(
+    w: &CscMatrix,
+    lanes: usize,
+    cols: &mut Vec<FactorColumn>,
+    tail: &mut DenseTail,
+    ws: &mut SolveWorkspace,
+    rows: &mut Vec<[f64; P]>,
+    axpy: impl Axpy<P>,
+) -> Result<()> {
+    let (n, start, j0) = (w.nrows(), tail.start(), cols.len());
+    debug_assert!(tail.columns() > 0 && start + tail.columns() == j0 && lanes <= P);
+    rows.clear();
+    rows.resize(n - start, [0.0; P]);
+    let mut head_flops = 0u64;
+    for p in 0..lanes {
+        let j = j0 + p;
+        ws.reach(w.col(j as Index).0, start, |node| &cols[node as usize].l_rows);
+        head_flops += eliminate_left(j as Index, w.col(j as Index), &SolvedView(cols), start, ws);
+        let (x, topo) = (&ws.x, &ws.topo);
+        let capacity = topo.len() + (j - start) + 1;
+        let (mut u_rows, mut u_vals) = (Vec::with_capacity(capacity), Vec::with_capacity(capacity));
+        for &r in topo.iter().filter(|&&r| x[r as usize] != 0.0) {
+            u_rows.push(r);
+            u_vals.push(x[r as usize]);
+        }
+        let below = n - 1 - j;
+        let (l_rows, l_vals) = (Vec::with_capacity(below), Vec::with_capacity(below));
+        cols.push(FactorColumn { u_rows, u_vals, l_rows, l_vals });
+        for (row, &v) in rows.iter_mut().zip(&x[start..]) {
+            row[p] = v;
+        }
+    }
+
+    let mut tail_flops = tail.sweep_panel(rows, 0..j0 - start, 0, axpy);
+    for p in 0..lanes {
+        let j = j0 + p;
+        let pivot = rows[j - start][p];
+        check_pivot(j, pivot)?;
+        let FactorColumn { u_rows, u_vals, l_rows, l_vals } = &mut cols[j];
+        for (r, row) in (start..j).zip(&rows[..j - start]) {
+            if row[p] != 0.0 {
+                u_rows.push(r as Index);
+                u_vals.push(row[p]);
+            }
+        }
+        u_rows.push(j as Index);
+        u_vals.push(pivot);
+        for (r, row) in (j + 1..n).zip(&rows[j + 1 - start..]) {
+            if row[p] != 0.0 {
+                l_rows.push(r as Index);
+                l_vals.push(row[p] / pivot);
+            }
+        }
+        tail.push_lower(j, l_rows, l_vals);
+        tail_flops += tail.sweep_panel(rows, j - start..j + 1 - start, p + 1, axpy);
+    }
+    ws.tally.count(head_flops, tail_flops);
+    Ok(())
 }
 
 /// Concatenates solved columns into the flat CSC factor pair.
@@ -329,17 +419,39 @@ fn assemble(n: usize, cols: Vec<FactorColumn>) -> Result<LuFactors> {
 }
 
 /// The full-build driver: columns left to right, each reading the columns
-/// already solved.
+/// already solved — one at a time until a column `rule` lets begin the
+/// dense tail, then in panels: of [`PANEL`] through the host's
+/// [`wide_axpy`], else of one.
 fn solve_all_sequential(w: &CscMatrix, rule: TailRule) -> Result<(Vec<FactorColumn>, SolveTally)> {
+    match wide_axpy() {
+        Some(axpy) => solve_columns::<PANEL>(w, rule, axpy),
+        None => solve_columns::<1>(w, rule, axpy_one),
+    }
+}
+
+/// [`solve_all_sequential`] with the tail solved `P` columns at a time
+/// through `axpy`.
+fn solve_columns<const P: usize>(
+    w: &CscMatrix,
+    rule: TailRule,
+    axpy: impl Axpy<P>,
+) -> Result<(Vec<FactorColumn>, SolveTally)> {
     let n = w.nrows();
     let mut cols: Vec<FactorColumn> = Vec::with_capacity(n);
     let mut ws = SolveWorkspace::new(n);
     let mut tail = DenseTail::none(n);
-    for j in 0..n {
-        let column = j as Index;
-        let col = solve_factor_column(column, w.col(column), &SolvedView(&cols), &tail, &mut ws)?;
-        extend_tail(&mut tail, rule, n, j, &col);
+    while cols.len() < n && tail.columns() == 0 {
+        let j = cols.len();
+        let col = solve_factor_column(j as Index, w.col(j as Index), &SolvedView(&cols), &mut ws)?;
+        if rule.begins(col.l_rows.len(), n - 1 - j) {
+            tail.push_lower(j, &col.l_rows, &col.l_vals);
+        }
         cols.push(col);
+    }
+    let mut rows = Vec::new();
+    while cols.len() < n {
+        let lanes = P.min(n - cols.len());
+        solve_panel(w, lanes, &mut cols, &mut tail, &mut ws, &mut rows, axpy)?;
     }
     Ok((cols, SolveTally { tail_columns: tail.columns(), ..ws.tally }))
 }
@@ -461,7 +573,7 @@ pub fn refactor_columns(
     let mut bfs: Vec<Index> = Vec::new();
     // A refactor touches few columns and mirrors no tail; its solves are
     // the full build's all the same (module docs).
-    let (mut ws, no_tail) = (SolveWorkspace::new(n), DenseTail::none(n));
+    let mut ws = SolveWorkspace::new(n);
     for j in 0..n as Index {
         let seeds = w_new.col(j).0;
         let recompute =
@@ -475,7 +587,6 @@ pub fn refactor_columns(
             j,
             w_new.col(j),
             &HybridView { old_l: &old.l, fresh: &fresh },
-            &no_tail,
             &mut ws,
         )?;
         solve_time += t.elapsed();
@@ -613,11 +724,11 @@ mod tests {
     fn reference_lu(w: &CscMatrix) -> LuFactors {
         let n = w.nrows();
         let mut cols: Vec<FactorColumn> = Vec::with_capacity(n);
-        let (mut ws, no_tail) = (SolveWorkspace::new(n), DenseTail::none(n));
+        let mut ws = SolveWorkspace::new(n);
         for j in 0..n as Index {
             let children = |k: Index| if k < j { &cols[k as usize].l_rows[..] } else { &[] };
             reference_reach(&mut ws, w.col(j).0, children);
-            let col = eliminate(j, w.col(j), &SolvedView(&cols), &no_tail, &mut ws).unwrap();
+            let col = eliminate(j, w.col(j), &SolvedView(&cols), &mut ws).unwrap();
             cols.push(col);
         }
         assemble(n, cols).unwrap()
@@ -663,10 +774,9 @@ mod tests {
     #[test]
     fn column_solves_resolve_at_most_two_spans_per_pattern_node() {
         fn check(w: &CscMatrix, l: &impl LColumns, ws: &mut SolveWorkspace) {
-            let no_tail = DenseTail::none(w.ncols());
             for j in 0..w.ncols() as Index {
                 take_span_resolutions();
-                solve_factor_column(j, w.col(j), l, &no_tail, ws).unwrap();
+                solve_factor_column(j, w.col(j), l, ws).unwrap();
                 let (resolved, pattern) = (take_span_resolutions(), ws.topo.len());
                 assert!(resolved <= 2 * pattern, "column {j}: {resolved} for {pattern} nodes");
             }
@@ -804,6 +914,46 @@ mod tests {
         trips.extend((0..8u32).filter(|&j| j != 2 && j != 5).map(|j| (j, j, 1.0)));
         let w = CscMatrix::from_triplets(8, 8, &trips).unwrap();
         assert!(matches!(sparse_lu(&w), Err(SparseError::SingularPivot { column: 2, .. })));
+    }
+
+    /// Both tail drivers — a column at a time through the one-lane body,
+    /// and in panels through the host's wide body where it has one — give
+    /// the sparse kernel's bytes and its first singular column, and the
+    /// same tally as each other: the host picks the driver, so each must
+    /// hold on every host.
+    #[test]
+    fn one_lane_and_panel_tails_give_the_sparse_kernels_bytes() {
+        let run = |w: &CscMatrix, columns: Result<(Vec<FactorColumn>, SolveTally)>| {
+            columns.and_then(|(cols, tally)| Ok((assemble(w.nrows(), cols)?, tally)))
+        };
+        let dense = random_dominant(150, 0.5, 11);
+        let empty = ColumnUpdate { col: 141, rows: Vec::new(), vals: Vec::new() };
+        let singular = dense.splice_columns(&[empty]).unwrap();
+        let sparse = random_dominant(203, 0.3, 12);
+        for (name, w) in [("sparse", sparse), ("dense", dense), ("singular", singular)] {
+            let reference = run(&w, solve_columns::<1>(&w, TailRule::NEVER, axpy_one));
+            let one_lane = run(&w, solve_columns::<1>(&w, TailRule::STRUCTURAL, axpy_one));
+            let panels = wide_axpy()
+                .map(|axpy| run(&w, solve_columns::<PANEL>(&w, TailRule::STRUCTURAL, axpy)));
+            for got in [Some(&one_lane), panels.as_ref()].into_iter().flatten() {
+                match (&reference, got) {
+                    (Ok((want, _)), Ok((got, tally))) => {
+                        assert_factors_bit_identical(want, got);
+                        assert!(tally.tail_columns >= 64, "{name}: {tally:?}");
+                        assert_eq!(Some(tally), one_lane.as_ref().ok().map(|r| &r.1), "{name}");
+                    }
+                    (want, got) => assert_eq!(
+                        want.as_ref().err(),
+                        got.as_ref().err(),
+                        "{name}: the same first singular column"
+                    ),
+                }
+            }
+            if name == "singular" {
+                let expect = SparseError::SingularPivot { column: 141, value: 0.0 };
+                assert_eq!(reference.unwrap_err(), expect);
+            }
+        }
     }
 
     #[test]

@@ -50,6 +50,26 @@
 //! every solve returns the same bytes — `tests/build_determinism.rs`
 //! holds the drivers to that.
 //!
+//! One kernel makes every forward tail sweep ([`DenseTail::sweep_panel`]).
+//! It sweeps a *panel* of right-hand sides at once, stored lane by lane in
+//! each row, so that each mirrored value is loaded once for all of them,
+//! and a single solve is its one-lane call ([`DenseTail::sweep_lower`]). A
+//! lane whose `x_i` is zero is skipped, as a single solve skips the
+//! column: every lane receives the operations, in the order, that it
+//! would alone. Where the host has AVX-512F ([`wide_axpy`]) the LU solves
+//! its tail columns in panels of [`PANEL`], one vector per row; elsewhere
+//! one at a time through the one-lane body ([`axpy_one`]). Each active
+//! lane is one multiply and one subtract, each rounded, so both return the
+//! same bits.
+//!
+//! ## The value-driven solve
+//!
+//! Under a drop tolerance `ε > 0` the pattern is found by the values
+//! ([`SolveWorkspace::solve_view`]): positions are popped in index order
+//! from a two-level bitset whose cursor never turns back, so a solve
+//! costs its surviving pattern and the bitset words it crosses, whatever
+//! `n` is.
+//!
 //! Supports lower (forward substitution) and upper (backward substitution)
 //! triangles, with either an implicit unit diagonal or an explicitly stored
 //! one. Entries on the "wrong" side of the diagonal are ignored, which lets
@@ -58,7 +78,7 @@
 
 use crate::{CscMatrix, Index, Result, SparseError};
 use kdash_graph::EpochStamps;
-use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Which triangle a matrix is solved as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,6 +138,12 @@ impl TailRule {
         first.map_or(0, |j| n - j)
     }
 }
+
+/// Right-hand sides the LU solves through its dense tail at once where
+/// the host has a [`wide_axpy`]: the columns of one panel, each mirrored
+/// value loaded once for all of them ([`DenseTail::sweep_panel`]). A
+/// panel of a 2 048-column tail holds 128 KiB.
+pub(crate) const PANEL: usize = 8;
 
 /// Columns `start..n` of a triangular factor, mirrored as a packed
 /// column-major triangle with explicit zeros: column `start + k` holds
@@ -191,33 +217,60 @@ impl DenseTail {
         self.push(self.n - 1 - j, rows.iter().zip(vals).map(|(&r, &v)| (r as usize - j - 1, v)));
     }
 
-    /// Tail column `k`'s value, divided by its stored diagonal if there is
-    /// one (a zero stays the zero it is).
-    #[inline]
-    fn pivoted(&self, x: &mut [f64], k: usize) -> f64 {
-        let i = self.start + k;
-        if let (true, Some(&d)) = (x[i] != 0.0, self.diag.get(k)) {
-            x[i] /= d;
-        }
-        x[i]
-    }
-
     /// Forward substitution through tail columns `start..upto`: each
     /// nonzero `x_i` is one AXPY down the whole of `x[i+1..n]`. Returns
-    /// the multiply-subtracts made.
+    /// the multiply-subtracts made. The one-lane call of
+    /// [`DenseTail::sweep_panel`].
     pub(crate) fn sweep_lower(&self, x: &mut [f64], upto: usize) -> u64 {
+        let (rows, _) = x[self.start..].as_chunks_mut::<1>();
+        self.sweep_panel(rows, 0..upto.saturating_sub(self.start), 0, axpy_one)
+    }
+
+    /// Forward substitution of a panel of `P` right-hand sides at once
+    /// through tail columns `start + ks`, ascending: lane `p` of `rows[r]`
+    /// is the `p`-th solution's value at row `start + r`. Each column's
+    /// values are loaded once for every lane. A lane from `from_lane` on
+    /// whose `x_i` (divided by a stored diagonal, if any) is nonzero takes
+    /// the AXPY `x[i+1..n] -= T[i+1..n, i] · x_i`, through `axpy`; any
+    /// other lane keeps every bit it holds — its product is never written,
+    /// so an infinite `T` beside a zero `x_i` leaves it alone, as the
+    /// one-lane sweep's skip does. Every lane thus receives exactly the
+    /// operations, in exactly the order, that [`DenseTail::sweep_lower`]
+    /// would make on it. Returns the multiply-subtracts made, summed over
+    /// the lanes.
+    pub(crate) fn sweep_panel<const P: usize>(
+        &self,
+        rows: &mut [[f64; P]],
+        ks: Range<usize>,
+        from_lane: usize,
+        axpy: impl Axpy<P>,
+    ) -> u64 {
         let mut flops = 0u64;
-        for k in 0..upto.saturating_sub(self.start) {
-            let xi = self.pivoted(x, k);
-            if xi != 0.0 {
+        for k in ks {
+            let (upto, below) = rows.split_at_mut(k + 1);
+            let at = &mut upto[k];
+            let mut active = [false; P];
+            for (p, xi) in at.iter_mut().enumerate().skip(from_lane) {
+                active[p] = self.pivot(xi, k);
+            }
+            let lanes = active.iter().filter(|&&a| a).count();
+            if lanes > 0 {
                 let col = self.column(k);
-                for (xr, &t) in x[self.start + k + 1..].iter_mut().zip(col) {
-                    *xr -= t * xi;
-                }
-                flops += col.len() as u64;
+                axpy(below, col, at, &active);
+                flops += (lanes * col.len()) as u64;
             }
         }
         flops
+    }
+
+    /// Divides `x_i` of tail column `k` by its stored diagonal if there
+    /// is one (a zero stays the zero it is); whether it is nonzero then.
+    #[inline]
+    fn pivot(&self, xi: &mut f64, k: usize) -> bool {
+        if let (true, Some(&d)) = (*xi != 0.0, self.diag.get(k)) {
+            *xi /= d;
+        }
+        *xi != 0.0
     }
 
     /// Backward substitution through the whole tail, highest column
@@ -226,9 +279,9 @@ impl DenseTail {
     fn sweep_upper(&self, x: &mut [f64]) -> u64 {
         let mut flops = 0u64;
         for k in (0..self.columns()).rev() {
-            let xi = self.pivoted(x, k);
-            if xi != 0.0 {
-                let col = self.column(k);
+            let i = self.start + k;
+            if self.pivot(&mut x[i], k) {
+                let (xi, col) = (x[i], self.column(k));
                 for (xr, &t) in x[self.start..].iter_mut().zip(col) {
                     *xr -= t * xi;
                 }
@@ -236,6 +289,68 @@ impl DenseTail {
             }
         }
         flops
+    }
+}
+
+/// One column's AXPY into the active lanes of a run of rows: `row[p] -=
+/// t · xi[p]` for every `(row, t)` of `rows` and the column, where
+/// `active[p]`, and no write to any other lane. Called with at least one
+/// lane active.
+pub(crate) trait Axpy<const P: usize>:
+    Fn(&mut [[f64; P]], &[f64], &[f64; P], &[bool; P]) + Copy
+{
+}
+
+impl<const P: usize, F> Axpy<P> for F where
+    F: Fn(&mut [[f64; P]], &[f64], &[f64; P], &[bool; P]) + Copy
+{
+}
+
+/// The host's panel body, chosen at run time ([`wide_axpy`]).
+type PanelAxpy = fn(&mut [[f64; PANEL]], &[f64], &[f64; PANEL], &[bool; PANEL]);
+
+/// The one-lane body, a plain AXPY: every sweep of a single solve, and the
+/// LU's tail where the host has no [`wide_axpy`].
+pub(crate) fn axpy_one(rows: &mut [[f64; 1]], col: &[f64], xi: &[f64; 1], _active: &[bool; 1]) {
+    for ([row], &t) in rows.iter_mut().zip(col) {
+        *row -= t * xi[0];
+    }
+}
+
+/// The body of a panel of [`PANEL`] lanes where the host has one that
+/// outruns one lane at a time: AVX-512F's, a row of the panel being one
+/// vector. Elsewhere `None`, and the LU sweeps its tail a column at a
+/// time through [`axpy_one`]: compiled for any other target, a panel's
+/// plain-arithmetic AXPY vectorises across rows, not lanes, and measured
+/// slower than [`axpy_one`]. The body makes one multiply and one subtract
+/// per active lane, each rounded (no FMA), so it returns the bits of the
+/// one-lane sweep — `tests::the_wide_body_is_bit_identical_to_one_lane_sweeps`.
+pub(crate) fn wide_axpy() -> Option<PanelAxpy> {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: AVX-512F is detected.
+        return Some(|rows, col, xi, on| unsafe { axpy_avx512(rows, col, xi, on) });
+    }
+    None
+}
+
+/// The AVX-512 body: a row is one 8-lane vector, `vmulpd` + a `vsubpd`
+/// masked to the active lanes. Its callers must have detected AVX-512F
+/// ([`wide_axpy`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn axpy_avx512(rows: &mut [[f64; PANEL]], col: &[f64], xi: &[f64; PANEL], active: &[bool; PANEL]) {
+    use std::arch::x86_64::*;
+    let mask = active.iter().rev().fold(0u8, |m, &a| m << 1 | a as u8);
+    // SAFETY: each load and store is of eight in-bounds `f64`s.
+    let xi = unsafe { _mm512_loadu_pd(&xi[0]) };
+    for (row, &t) in rows.iter_mut().zip(col) {
+        // SAFETY: as above, one eight-lane row.
+        unsafe {
+            let old = _mm512_loadu_pd(&row[0]);
+            let product = _mm512_mul_pd(_mm512_set1_pd(t), xi);
+            _mm512_storeu_pd(&mut row[0], _mm512_mask_sub_pd(old, mask, old, product));
+        }
     }
 }
 
@@ -411,10 +526,9 @@ pub struct SolveWorkspace {
     /// Suspended DFS frames, `(node, next-child cursor)`; the running
     /// frame lives in locals of [`SolveWorkspace::reach`].
     stack: Vec<(Index, usize)>,
-    /// Pending-node queue for the value-driven truncated solve, holding
-    /// indices encoded so the max-heap pops them in dependency order
-    /// (negated for `Lower`, plain for `Upper`).
-    pending: BinaryHeap<i64>,
+    /// Positions the value-driven truncated solve has discovered and not
+    /// yet popped, popped in dependency order.
+    pending: PendingSet,
     /// Multiply-subtracts made by the solves run on this workspace, and
     /// how many of them ran inside a dense tail.
     pub(crate) tally: SolveTally,
@@ -454,6 +568,116 @@ impl SolveTally {
     }
 }
 
+/// The positions a value-driven solve has discovered and not yet popped:
+/// one bit per position, and one summary bit per 64-bit word saying that
+/// the word holds any. Pops run one way only — ascending for `Lower`,
+/// descending for `Upper`, the triangle's dependency order — so a cursor
+/// that never turns back finds them, and a solve costs its pattern plus
+/// the words it crosses, whatever `n` is: every position it inserts lies
+/// ahead of the one it popped last (module docs).
+#[derive(Debug, Clone)]
+struct PendingSet {
+    words: Vec<u64>,
+    /// Bit `w % 64` of `summary[w / 64]` is set iff `words[w] != 0`.
+    summary: Vec<u64>,
+    len: usize,
+    /// The word pops resume from: at or behind every pending position in
+    /// the pop direction.
+    cursor: usize,
+    ascending: bool,
+}
+
+impl PendingSet {
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        PendingSet {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+            len: 0,
+            cursor: 0,
+            ascending: true,
+        }
+    }
+
+    /// Empties the set — walking only the summary bits that are set, from
+    /// the cursor on, as a solve cut short by an error leaves them — and
+    /// readies it for pops in `triangle`'s order.
+    fn restart(&mut self, triangle: Triangle) {
+        let mut s = self.cursor / 64;
+        while self.len > 0 {
+            note_summary_word();
+            let mut live = std::mem::take(&mut self.summary[s]);
+            while live != 0 {
+                let w = s * 64 + live.trailing_zeros() as usize;
+                self.len -= self.words[w].count_ones() as usize;
+                self.words[w] = 0;
+                live &= live - 1;
+            }
+            s = if self.ascending { s + 1 } else { s.wrapping_sub(1) };
+        }
+        self.ascending = triangle == Triangle::Lower;
+        self.cursor = if self.ascending { self.words.len() } else { 0 };
+    }
+
+    /// Adds position `i`, not already pending; a right-hand side entry
+    /// moves the cursor back to it.
+    #[inline]
+    fn insert(&mut self, i: usize) {
+        let w = i / 64;
+        debug_assert_eq!(self.words[w] >> (i % 64) & 1, 0, "position already pending");
+        self.words[w] |= 1 << (i % 64);
+        note_summary_word();
+        self.summary[w / 64] |= 1 << (w % 64);
+        self.len += 1;
+        self.cursor = if self.ascending { self.cursor.min(w) } else { self.cursor.max(w) };
+    }
+
+    /// Removes and returns the first pending position in pop order.
+    #[inline]
+    fn pop(&mut self) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        loop {
+            let word = self.words[self.cursor];
+            if word != 0 {
+                let bit = self.first_bit(word);
+                let rest = word & !(1 << bit);
+                self.words[self.cursor] = rest;
+                if rest == 0 {
+                    note_summary_word();
+                    self.summary[self.cursor / 64] &= !(1 << (self.cursor % 64));
+                }
+                self.len -= 1;
+                return Some(self.cursor * 64 + bit);
+            }
+            self.cursor = self.next_word();
+        }
+    }
+
+    /// The first set bit of `word` in pop order.
+    #[inline]
+    fn first_bit(&self, word: u64) -> usize {
+        (if self.ascending { word.trailing_zeros() } else { 63 - word.leading_zeros() }) as usize
+    }
+
+    /// The nearest word past the (empty) cursor word that holds a pending
+    /// position; one exists while `len > 0`.
+    fn next_word(&self) -> usize {
+        let (mut s, at) = (self.cursor / 64, self.cursor % 64);
+        let mut mask = if self.ascending { !0u64 << at } else { !0u64 >> (63 - at) };
+        loop {
+            note_summary_word();
+            let live = self.summary[s] & mask;
+            if live != 0 {
+                return s * 64 + self.first_bit(live);
+            }
+            s = if self.ascending { s + 1 } else { s - 1 };
+            mask = !0;
+        }
+    }
+}
+
 impl SolveWorkspace {
     /// Workspace for `n x n` solves.
     pub fn new(n: usize) -> Self {
@@ -463,7 +687,7 @@ impl SolveWorkspace {
             x: vec![0.0; n],
             topo: Vec::new(),
             stack: Vec::new(),
-            pending: BinaryHeap::new(),
+            pending: PendingSet::new(n),
             tally: SolveTally::default(),
         }
     }
@@ -539,13 +763,15 @@ impl SolveWorkspace {
     /// With `eps > 0` the solve runs *value-driven*: instead of the
     /// Gilbert–Peierls symbolic DFS (whose cost is the full exact reach of
     /// the pattern, truncated or not) it processes discovered positions
-    /// from a heap in dependency order — ascending indices for `Lower`,
-    /// descending for `Upper`. Substitution dependencies only flow in that
-    /// direction and scattering a popped node discovers only nodes further
-    /// along it, so pops are monotone and a popped value is final; a
-    /// truncated entry's downstream subtree is therefore never *visited*,
-    /// and the whole solve costs `O(s log s)` in the surviving pattern
-    /// plus its one-hop frontier rather than the exact reach. Index order
+    /// in dependency order — ascending indices for `Lower`, descending
+    /// for `Upper`. Substitution dependencies only flow in that direction
+    /// and scattering a popped node discovers only nodes further along it,
+    /// so pops are monotone and a popped value is final; a truncated
+    /// entry's downstream subtree is therefore never *visited*. The
+    /// discovered positions wait in a two-level bitset whose cursor only
+    /// moves forward, so the whole solve costs `O(s)` in the surviving
+    /// pattern plus its one-hop frontier, and the bitset words between
+    /// them, rather than the exact reach. Index order
     /// is also the numeric order of the exact solve (module docs), so the
     /// two strategies differ only in how they find the pattern: while no
     /// entry falls below `eps` they return the same bits.
@@ -677,11 +903,13 @@ impl SolveWorkspace {
     }
 
     /// The `eps > 0` engine of [`SolveWorkspace::solve_view`]:
-    /// index-ordered substitution over a pending-node heap. A position is
+    /// index-ordered substitution over the pending positions, popped from
+    /// a [`PendingSet`] by a cursor that never turns back. A position is
     /// final when popped (see its doc for the monotonicity argument), so
     /// truncation prunes discovery itself — the symbolic cost of the exact
-    /// reach, which the DFS pays regardless of ε, never arises. This is what makes sparsified builds tractable on graphs
-    /// whose *exact* inverses are the memory/time wall.
+    /// reach, which the DFS pays regardless of ε, never arises. This is
+    /// what makes sparsified builds tractable on graphs whose *exact*
+    /// inverses are the memory/time wall.
     #[allow(clippy::too_many_arguments)] // mirrors the mathematical signature
     fn solve_worklist(
         &mut self,
@@ -694,20 +922,10 @@ impl SolveWorkspace {
         out_val: &mut Vec<f64>,
     ) -> Result<f64> {
         self.stamps.advance();
-        // Drained fully on success; an early error (singular pivot) can
-        // leave residue behind, so clear defensively.
-        self.pending.clear();
-        // Encode so the max-heap pops in dependency order: ascending
-        // indices for Lower, descending for Upper.
+        // Drained fully on success; an early error (singular pivot)
+        // leaves the rest of the set behind, and this clears it.
         let triangle = view.triangle;
-        let enc = |i: Index| match triangle {
-            Triangle::Lower => -(i as i64),
-            Triangle::Upper => i as i64,
-        };
-        let dec = |key: i64| match triangle {
-            Triangle::Lower => (-key) as Index,
-            Triangle::Upper => key as Index,
-        };
+        self.pending.restart(triangle);
         for (&r, &v) in b_idx.iter().zip(b_val) {
             debug_assert!((r as usize) < self.n, "rhs index out of bounds");
             if self.stamps.is_marked(r as usize) {
@@ -715,12 +933,12 @@ impl SolveWorkspace {
             } else {
                 self.stamps.mark(r as usize);
                 self.x[r as usize] = v;
-                self.pending.push(enc(r));
+                self.pending.insert(r as usize);
             }
         }
         let mut dropped = 0.0f64;
-        while let Some(key) = self.pending.pop() {
-            let j = dec(key);
+        while let Some(j) = self.pending.pop() {
+            let j = j as Index;
             let (start, end, diag) = view.column(j);
             let mut xj = self.x[j as usize];
             if !view.unit_diag {
@@ -745,7 +963,7 @@ impl SolveWorkspace {
                 } else {
                     self.stamps.mark(i as usize);
                     self.x[i as usize] = -v * xj;
-                    self.pending.push(enc(i));
+                    self.pending.insert(i as usize);
                 }
             }
         }
@@ -761,6 +979,9 @@ impl SolveWorkspace {
 #[cfg(not(test))]
 fn note_span_resolution() {}
 
+#[cfg(not(test))]
+fn note_summary_word() {}
+
 // Child-span resolutions made by `SolveWorkspace::reach` on this thread:
 // the count the regression tests hold to `2 · |pattern|` per solve, so
 // that per-edge re-resolution cannot come back unnoticed.
@@ -772,6 +993,18 @@ thread_local! {
 #[cfg(test)]
 fn note_span_resolution() {
     SPAN_RESOLUTIONS.with(|c| c.set(c.get() + 1));
+}
+
+// Summary words of a `PendingSet` read or written on this thread: the
+// count that holds a value-driven solve to its pattern, not to `n`.
+#[cfg(test)]
+thread_local! {
+    static SUMMARY_WORDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn note_summary_word() {
+    SUMMARY_WORDS.with(|c| c.set(c.get() + 1));
 }
 
 #[cfg(test)]
@@ -1231,6 +1464,305 @@ pub(crate) mod tests {
             let expect = dense_lower_unit_solve(&l, &dense_b);
             for (i, (a, e)) in x.iter().zip(&expect).enumerate() {
                 assert!((a - e).abs() < 1e-9, "trial {trial} idx {i}: {a} vs {e}");
+            }
+        }
+    }
+
+    /// The value-driven solve as it ran over a `BinaryHeap` of encoded
+    /// positions, kept as the oracle of the bitset's pop order: the
+    /// solution, the dropped mass and the multiply-subtracts.
+    fn heap_worklist(
+        view: &FactorView,
+        b_idx: &[Index],
+        b_val: &[f64],
+        eps: f64,
+        protect: Option<Index>,
+    ) -> Result<(Vec<Index>, Vec<f64>, f64, u64)> {
+        use std::collections::BinaryHeap;
+        let n = view.dim();
+        let (mut x, mut seen) = (vec![0.0; n], vec![false; n]);
+        let mut pending = BinaryHeap::new();
+        let triangle = view.triangle;
+        let enc = |i: Index| match triangle {
+            Triangle::Lower => -(i as i64),
+            Triangle::Upper => i as i64,
+        };
+        let dec = |key: i64| match triangle {
+            Triangle::Lower => (-key) as Index,
+            Triangle::Upper => key as Index,
+        };
+        for (&r, &v) in b_idx.iter().zip(b_val) {
+            if seen[r as usize] {
+                x[r as usize] += v;
+            } else {
+                seen[r as usize] = true;
+                x[r as usize] = v;
+                pending.push(enc(r));
+            }
+        }
+        let (mut out_idx, mut out_val, mut dropped, mut flops) = (vec![], vec![], 0.0f64, 0u64);
+        while let Some(key) = pending.pop() {
+            let j = dec(key);
+            let (start, end, diag) = view.column(j);
+            let mut xj = x[j as usize];
+            if !view.unit_diag {
+                if diag == 0.0 {
+                    return Err(SparseError::SingularPivot { column: j as usize, value: 0.0 });
+                }
+                xj /= diag;
+            }
+            if xj == 0.0 {
+                continue;
+            }
+            if xj.abs() < eps && protect != Some(j) {
+                dropped += xj.abs();
+                continue;
+            }
+            out_idx.push(j);
+            out_val.push(xj);
+            flops += (end - start) as u64;
+            for (&i, &v) in view.rows[start..end].iter().zip(&view.vals[start..end]) {
+                if seen[i as usize] {
+                    x[i as usize] -= v * xj;
+                } else {
+                    seen[i as usize] = true;
+                    x[i as usize] = -v * xj;
+                    pending.push(enc(i));
+                }
+            }
+        }
+        if triangle == Triangle::Upper {
+            out_idx.reverse();
+            out_val.reverse();
+        }
+        Ok((out_idx, out_val, dropped, flops))
+    }
+
+    /// The bitset worklist against the heap oracle: both orientations of
+    /// real and random factors, through probing and indexed views, at
+    /// ε ∈ {1e-8, 1e-4, 1e-2}, for protected unit seeds and unsorted
+    /// multi-entry right-hand sides — the same index and value bits, the
+    /// same dropped mass bits and the same multiply-subtracts.
+    #[test]
+    fn bitset_worklist_is_bit_identical_to_the_heap_worklist() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(43);
+        let mut triangles: Vec<(String, CscMatrix, Triangle, bool)> = Vec::new();
+        for (name, w) in oracle_systems() {
+            let f = crate::sparse_lu(&w).unwrap();
+            triangles.push((format!("{name} L"), f.l, Triangle::Lower, true));
+            triangles.push((format!("{name} U"), f.u, Triangle::Upper, false));
+        }
+        for trial in 0..6 {
+            let n = rng.gen_range(100..400usize);
+            let (mut lo, mut up) = (Vec::new(), Vec::new());
+            for j in 0..n as Index {
+                up.push((j, j, rng.gen_range(0.5..2.0)));
+                for _ in 0..rng.gen_range(0..6) {
+                    let i = rng.gen_range(0..n as Index);
+                    if i > j {
+                        lo.push((i, j, rng.gen_range(-0.5..0.5)));
+                    } else if i < j {
+                        up.push((i, j, rng.gen_range(-0.5..0.5)));
+                    }
+                }
+            }
+            lo.sort_by_key(|&(i, j, _)| (j, i));
+            lo.dedup_by_key(|&mut (i, j, _)| (i, j));
+            up.sort_by_key(|&(i, j, _)| (j, i));
+            up.dedup_by_key(|&mut (i, j, _)| (i, j));
+            let l = CscMatrix::from_triplets(n, n, &lo).unwrap();
+            let u = CscMatrix::from_triplets(n, n, &up).unwrap();
+            triangles.push((format!("random {trial} L"), l, Triangle::Lower, true));
+            triangles.push((format!("random {trial} U"), u, Triangle::Upper, false));
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (name, t, triangle, unit) in &triangles {
+            let n = t.ncols();
+            let views = [
+                FactorView::new(t, *triangle, *unit).unwrap(),
+                FactorView::indexed(t, *triangle, *unit, TailRule::STRUCTURAL).unwrap(),
+            ];
+            let mut ws = SolveWorkspace::new(n);
+            let (mut oi, mut ov) = (Vec::new(), Vec::new());
+            for eps in [1e-8, 1e-4, 1e-2] {
+                for trial in 0..20 {
+                    let (b_idx, b_val, protect): (Vec<Index>, Vec<f64>, _) = if trial < 12 {
+                        let j = rng.gen_range(0..n) as Index;
+                        (vec![j], vec![1.0], Some(j))
+                    } else {
+                        let k = rng.gen_range(2..8usize);
+                        let idx: Vec<Index> =
+                            (0..k).map(|_| rng.gen_range(0..n) as Index).collect();
+                        let val = idx.iter().map(|_| rng.gen_range(-1.0..1.0)).collect();
+                        let protect = (trial % 2 == 0).then_some(idx[0]);
+                        (idx, val, protect)
+                    };
+                    let (ei, ev, em, ef) =
+                        heap_worklist(&views[0], &b_idx, &b_val, eps, protect).unwrap();
+                    for (v, view) in views.iter().enumerate() {
+                        let tag = format!("{name} ε {eps} trial {trial} view {v}");
+                        let before = ws.tally.multiply_subtracts;
+                        let mass = ws
+                            .solve_view(view, &b_idx, &b_val, eps, protect, &mut oi, &mut ov)
+                            .unwrap();
+                        assert_eq!(oi, ei, "{tag}: pattern");
+                        assert_eq!(bits(&ov), bits(&ev), "{tag}: values");
+                        assert_eq!(mass.to_bits(), em.to_bits(), "{tag}: dropped mass");
+                        assert_eq!(ws.tally.multiply_subtracts - before, ef, "{tag}: tally");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A value-driven solve cut short by a singular pivot leaves positions
+    /// pending; the next solve on the same workspace clears them and
+    /// returns what a fresh workspace returns.
+    #[test]
+    fn a_solve_after_a_singular_pivot_is_clean() {
+        // `U` with a zero pivot at column 150, reached from 299 long before
+        // the positions 0..150 that 299's column also discovers are popped.
+        let n = 300u32;
+        let mut trips: Vec<(Index, Index, f64)> =
+            (0..n).filter(|&j| j != 150).map(|j| (j, j, 2.0)).collect();
+        trips.extend((0..n - 1).step_by(3).map(|i| (i, n - 1, 0.5)));
+        trips.extend((0..150).step_by(7).map(|i| (i, 150, 0.25)));
+        let u = CscMatrix::from_triplets(n as usize, n as usize, &trips).unwrap();
+        let view = FactorView::new(&u, Triangle::Upper, false).unwrap();
+        let mut ws = SolveWorkspace::new(n as usize);
+        let (mut oi, mut ov) = (Vec::new(), Vec::new());
+        let err = ws.solve_view(&view, &[n - 1], &[1.0], 1e-6, Some(n - 1), &mut oi, &mut ov);
+        assert_eq!(err, Err(SparseError::SingularPivot { column: 150, value: 0.0 }));
+        assert!(ws.pending.len > 0, "the failed solve left positions pending");
+        // Lower, after an Upper solve that stopped half way: the set turns
+        // round and starts from nothing.
+        let l = CscMatrix::from_triplets(
+            n as usize,
+            n as usize,
+            &(0..n - 1).map(|j| (j + 1, j, -0.5)).collect::<Vec<_>>(),
+        )
+        .unwrap();
+        for (t, triangle, unit, seed) in
+            [(&l, Triangle::Lower, true, 10), (&u, Triangle::Upper, false, 140)]
+        {
+            let view = FactorView::new(t, triangle, unit).unwrap();
+            ws.solve_view(&view, &[n - 1], &[1.0], 1e-6, None, &mut oi, &mut ov).ok();
+            let mass = ws.solve_view(&view, &[seed], &[1.0], 1e-6, Some(seed), &mut oi, &mut ov);
+            let mut fresh = SolveWorkspace::new(n as usize);
+            let (mut fi, mut fv) = (Vec::new(), Vec::new());
+            let expect =
+                fresh.solve_view(&view, &[seed], &[1.0], 1e-6, Some(seed), &mut fi, &mut fv);
+            assert_eq!(mass, expect, "{triangle:?}");
+            assert_eq!((&oi, &ov), (&fi, &fv), "{triangle:?}");
+            assert_eq!(ws.pending.len, 0, "{triangle:?}: a finished solve leaves nothing");
+        }
+    }
+
+    /// A one-entry value-driven solve on a 2²⁰-node triangle touches a
+    /// handful of summary words, not `n / 4096` of them — at either end of
+    /// the matrix, in either orientation, and when its next pending
+    /// position is a whole summary word away.
+    #[test]
+    fn a_one_entry_solve_touches_a_constant_number_of_summary_words() {
+        let n = 1usize << 20;
+        let far = (n / 2) as Index;
+        let mut trips: Vec<(Index, Index, f64)> = (0..n as Index).map(|j| (j, j, 1.0)).collect();
+        // Two strict entries, 4 097 and 8 192 positions away from their
+        // columns: the cursor crosses a summary word to reach them.
+        trips.extend([(far + 4097, far, 0.5), (far - 8192, far + 1, 0.5)]);
+        let t = CscMatrix::from_triplets(n, n, &trips).unwrap();
+        let mut ws = SolveWorkspace::new(n);
+        let (mut oi, mut ov) = (Vec::new(), Vec::new());
+        for (triangle, j) in [
+            (Triangle::Lower, 0),
+            (Triangle::Lower, n as Index - 1),
+            (Triangle::Lower, far),
+            (Triangle::Upper, 0),
+            (Triangle::Upper, n as Index - 1),
+            (Triangle::Upper, far + 1),
+        ] {
+            let view = FactorView::new(&t, triangle, triangle.unit_diag()).unwrap();
+            SUMMARY_WORDS.with(|c| c.set(0));
+            ws.solve_view(&view, &[j], &[1.0], 1e-4, Some(j), &mut oi, &mut ov).unwrap();
+            let touched = SUMMARY_WORDS.with(|c| c.get());
+            assert!(touched <= 8, "{triangle:?} from {j}: {touched} summary words");
+            assert_eq!(oi.len(), 1 + (j == far || j == far + 1) as usize, "{triangle:?} {j}");
+        }
+    }
+
+    /// A lower tail of `width` columns with a stored diagonal (so that a
+    /// sweep also divides), random values, ±∞ among them and a quarter of
+    /// them zero.
+    fn random_tail(width: usize, rng: &mut impl rand::Rng) -> DenseTail {
+        let mut tail = DenseTail::none(width);
+        for j in 0..width {
+            let rows: Vec<Index> = (j as Index + 1..width as Index).collect();
+            let vals: Vec<f64> = rows
+                .iter()
+                .map(|_| match rng.gen_range(0..40) {
+                    0 => f64::INFINITY,
+                    1 => f64::NEG_INFINITY,
+                    2..=11 => 0.0,
+                    _ => rng.gen_range(-0.5..0.5),
+                })
+                .collect();
+            tail.push_lower(j, &rows, &vals);
+            tail.diag.push(if rng.gen_bool(0.9) { rng.gen_range(0.5..2.0) } else { 1.0 });
+        }
+        tail
+    }
+
+    /// A panel sweep gives each lane the bits and the multiply-subtracts
+    /// of a one-lane sweep of it, through the host's wide body if it has
+    /// one and through a plain per-lane one: panels with zero lanes, zero
+    /// multipliers beside infinite tail values, and sweeps from a later
+    /// lane on or over a later range of columns.
+    #[test]
+    fn the_wide_body_is_bit_identical_to_one_lane_sweeps() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        fn per_lane(rows: &mut [[f64; PANEL]], col: &[f64], xi: &[f64; PANEL], on: &[bool; PANEL]) {
+            for (row, &t) in rows.iter_mut().zip(col) {
+                for p in (0..PANEL).filter(|&p| on[p]) {
+                    row[p] -= t * xi[p];
+                }
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(8);
+        let bodies: Vec<PanelAxpy> =
+            [Some(per_lane as PanelAxpy), wide_axpy()].into_iter().flatten().collect();
+        let bits = |rows: &[[f64; PANEL]]| {
+            rows.iter().flat_map(|r| r.map(f64::to_bits)).collect::<Vec<_>>()
+        };
+        for trial in 0..40 {
+            let width = rng.gen_range(1..70usize);
+            let tail = random_tail(width, &mut rng);
+            assert_eq!(tail.columns(), width);
+            let mut rows = vec![[0.0; PANEL]; width];
+            for row in rows.iter_mut() {
+                for v in row.iter_mut() {
+                    *v = if rng.gen_bool(0.3) { 0.0 } else { rng.gen_range(-1.0..1.0) };
+                }
+            }
+            let from = rng.gen_range(0..width);
+            let ks = if trial % 3 == 0 { from..width } else { 0..from };
+            let from_lane = if trial % 4 == 0 { rng.gen_range(0..PANEL) } else { 0 };
+            // Each lane on its own, through the one-lane call.
+            let mut expect = rows.clone();
+            let mut expect_flops = 0u64;
+            for p in from_lane..PANEL {
+                let mut x: Vec<f64> = rows.iter().map(|r| r[p]).collect();
+                let (lane, _) = x.as_chunks_mut::<1>();
+                expect_flops += tail.sweep_panel(lane, ks.clone(), 0, axpy_one);
+                for (row, v) in expect.iter_mut().zip(&x) {
+                    row[p] = *v;
+                }
+            }
+            for (b, &body) in bodies.iter().enumerate() {
+                let mut got = rows.clone();
+                let flops = tail.sweep_panel(&mut got, ks.clone(), from_lane, body);
+                assert_eq!(bits(&got), bits(&expect), "trial {trial} body {b}");
+                assert_eq!(flops, expect_flops, "trial {trial} body {b}");
             }
         }
     }

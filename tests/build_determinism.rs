@@ -16,7 +16,10 @@
 //! ordering) and solve them as contiguous AXPYs; that the split is "a
 //! constant that cannot change a result" is the claim the second half of
 //! this suite holds them to, against the sparse-only reference entry
-//! points of `kdash-sparse`.
+//! points of `kdash-sparse`. Where the host has AVX-512F the LU solves its
+//! tail's columns eight at a time, so the same holds wherever a panel of
+//! eight ends, whichever column of a panel meets a zero pivot, and beside
+//! an infinite `L` value that a zero multiplier keeps out of a lane.
 //!
 //! The exact inverses are the one inversion driver at `ε = 0`
 //! (`sparsify_*_with`); there is no other spelling to compare them with.
@@ -311,12 +314,23 @@ fn dense_tail_agrees_on_cancellation_stored_zeros_and_singular_pivots() {
     });
     let singular_u = reference.u.splice_columns(&zero_pivots).unwrap();
 
+    // The tail begins at column 32 and the LU solves its later columns in
+    // panels of eight from 33: both cancellations fall inside a panel.
     let factors = sparse_lu(&w).unwrap();
     assert_csc_bytes_equal("L", &reference.l, &factors.l);
     assert_csc_bytes_equal("U", &reference.u, &factors.u);
     let expect = SparseError::SingularPivot { column: 130, value: 0.0 };
     assert_eq!(sparse_lu(&singular).unwrap_err(), expect);
     assert_eq!(sparse_lu_without_tail(&singular).unwrap_err(), expect);
+    // A pivot that vanishes at the first column of a panel (129), and at
+    // its third (131).
+    for col in [129, 131] {
+        let empty = ColumnUpdate { col, rows: Vec::new(), vals: Vec::new() };
+        let singular = w.splice_columns(&[empty]).unwrap();
+        let expect = SparseError::SingularPivot { column: col as usize, value: 0.0 };
+        assert_eq!(sparse_lu(&singular).unwrap_err(), expect, "column {col}");
+        assert_eq!(sparse_lu_without_tail(&singular).unwrap_err(), expect, "column {col}");
+    }
 
     for threads in [1usize, 2] {
         let options = InvertOptions { threads };
@@ -333,6 +347,96 @@ fn dense_tail_agrees_on_cancellation_stored_zeros_and_singular_pivots() {
         assert_eq!(exact(&singular_u, Triangle::Upper, threads).unwrap_err(), expect, "{label}");
         let sparse = invert_without_tail(&singular_u, Triangle::Upper, options);
         assert_eq!(sparse.unwrap_err(), expect, "{label}");
+    }
+}
+
+/// A sparse chain of `head` columns feeding a full trailing block of
+/// `width` columns: unit diagonal, off-diagonal block values within
+/// ±0.002. The structural rule begins the dense tail at column `head`, and
+/// the LU solves the columns after it in panels of eight.
+fn tailed_triplets(head: u32, width: u32, seed: u64) -> Vec<(Index, Index, f64)> {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = head + width;
+    let mut trips: Vec<(Index, Index, f64)> = (0..n).map(|j| (j, j, 1.0)).collect();
+    trips.extend((0..head).map(|j| (j + 1, j, -0.25)));
+    for j in head..n {
+        trips.extend((head..n).filter(|&i| i != j).map(|i| (i, j, rng.gen_range(-0.002..0.002))));
+    }
+    trips
+}
+
+/// Factors `w` through the panel LU and through the sparse kernel alone,
+/// which must agree: the same bytes, or the same error (compared as
+/// printed, so that two NaN pivots agree).
+fn assert_panels_match_the_sparse_kernel(label: &str, w: &CscMatrix) -> Result<LuFactors, String> {
+    let reference = sparse_lu_without_tail(w);
+    let panels = sparse_lu(w);
+    match (&reference, &panels) {
+        (Ok(reference), Ok(factors)) => {
+            assert_csc_bytes_equal(&format!("{label} L"), &reference.l, &factors.l);
+            assert_csc_bytes_equal(&format!("{label} U"), &reference.u, &factors.u);
+        }
+        _ => assert_eq!(format!("{panels:?}"), format!("{reference:?}"), "{label}"),
+    }
+    panels.map_err(|e| format!("{e:?}"))
+}
+
+/// The panel LU at every panel boundary: dense tails whose panel columns
+/// leave every remainder mod 8 for the last panel, begun at the first
+/// column or partway through the matrix, give the sparse kernel's bytes,
+/// and the tail is where the rule says.
+#[test]
+fn panel_lu_is_byte_identical_at_every_panel_boundary() {
+    for head in [0u32, 37] {
+        for width in 64u32..=72 {
+            let n = (head + width) as usize;
+            let w = CscMatrix::from_triplets(n, n, &tailed_triplets(head, width, 7)).unwrap();
+            let label = format!("head {head} width {width}");
+            let factors = assert_panels_match_the_sparse_kernel(&label, &w).unwrap();
+            let tail = dense_tail_columns(&factors.l, Triangle::Lower).unwrap();
+            assert_eq!(tail, width as usize, "{label}");
+            let (_, tally) = sparse_lu_tallied(&w).unwrap();
+            assert_eq!(tally.tail_columns, width as usize, "{label}");
+        }
+    }
+}
+
+/// An `L` column holding ±∞ beside zero multipliers. Column 40 of a tail
+/// that begins at 37 has a 1e-300 pivot and 1e10 in the rows of the panel
+/// 54..62, so `L` holds ∞ there; row 40 of `W` is empty but for its
+/// diagonal and `W[40, 61]`, so every later column but 61 meets that
+/// column with a zero multiplier, and 61 — the last lane of its panel —
+/// with a nonzero one. The lanes beside it must keep their bits (a
+/// multiply through the zero would plant NaN in their pivots), and the
+/// panel LU must fail as the sparse kernel does; with `W[40, 61]` zero too,
+/// no lane takes the column at all.
+#[test]
+fn panel_lu_keeps_lanes_whose_multiplier_is_zero_beside_an_infinite_l() {
+    let (head, width, k) = (37u32, 70u32, 40u32);
+    let n = (head + width) as usize;
+    let base = CscMatrix::from_triplets(n, n, &tailed_triplets(head, width, 9)).unwrap();
+    let (_, tally) = sparse_lu_tallied(&base).unwrap();
+    assert_eq!(tally.tail_columns, width as usize, "the tail begins at column {head}");
+    for hit in [true, false] {
+        let mut trips: Vec<(Index, Index, f64)> = tailed_triplets(head, width, 9)
+            .into_iter()
+            .filter(|&(i, j, _)| i != k || j == k)
+            .map(|(i, j, v)| match (i, j) {
+                (40, 40) => (i, j, 1e-300),
+                (54..=61, 40) => (i, j, 1e10),
+                _ => (i, j, v),
+            })
+            .collect();
+        if hit {
+            trips.push((k, 61, 0.5));
+        }
+        let w = CscMatrix::from_triplets(n, n, &trips).unwrap();
+        let label = format!("W[40, 61] set: {hit}");
+        let err = assert_panels_match_the_sparse_kernel(&label, &w).unwrap_err();
+        if hit {
+            assert!(err.starts_with("SingularPivot { column: 61,"), "{label}: {err}");
+        }
     }
 }
 
