@@ -11,14 +11,14 @@
 //! of `KDASH_KERNEL_REPS` — and prints each beside the multiply-subtracts
 //! its column solves counted and the share of them that ran in the
 //! factor's dense tail: ns per multiply-subtract is the figure to watch
-//! (≈ 0.3–0.5 where the tail carries the work, 1.5–3 where the sparse
-//! head and the symbolic DFS do), next to the seconds `experiments fig6`
+//! (≈ 0.3–0.5 where the tail carries the work, 1–3 where the sparse
+//! head's scatter and pops do), next to the seconds `experiments fig6`
 //! tabulates for the same kernels. A `joint` row per worker count times
 //! the build's inversion stage: both triangles in one pool, `U⁻¹`
 //! transposed into rows (its tally sums the two triangles'). Its seconds
 //! against the `linv` and `uinv` rows' sum are what the shared pool and
 //! the transpose's overlap with `L⁻¹`'s last solves buy. The same three
-//! rows follow at `ε = 1e-4` (`linv_eps1e-4`, …): the value-driven solve
+//! rows follow at `ε = 1e-4` (`linv_eps1e-4`, …): the truncating solve
 //! of a certified build, whose ns per multiply-subtract reads beside the
 //! exact kernels'.
 //!

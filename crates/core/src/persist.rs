@@ -1378,13 +1378,30 @@ mod tests {
         }
     }
 
+    /// Every query entry point on `index`, from its first and its last
+    /// node: how many answered `Ok` (the rest returned a typed
+    /// `KdashError`).
+    fn query_every_entry_point(index: &KdashIndex) -> usize {
+        let last = index.num_nodes().saturating_sub(1) as kdash_graph::NodeId;
+        let mut answered = 0;
+        for q in [0, last] {
+            answered += index.top_k(q, 5).is_ok() as usize;
+            answered += index.nodes_above(q, 1e-3).is_ok() as usize;
+            answered += index.top_k_from_set(&[q, last / 2], 5).is_ok() as usize;
+            answered += crate::Searcher::new(index).refined_full_proximities(&[q]).is_ok() as usize;
+        }
+        answered
+    }
+
     /// The loader sweep: one word of one field at a time — interior
     /// pointer entries, counts, ids and values (NaN, ±∞, negative,
     /// denormal) of every section of a dense and a certified index — is
     /// overwritten and the file resealed, so that only validation stands
     /// between the bytes and an index. Every load returns `Ok` or a typed
     /// `PersistError`, never a panic, and every index that loads gets
-    /// through the audit (`kdash verify`) without one.
+    /// through the audit (`kdash verify`) and every query entry point
+    /// (`top_k`, `nodes_above`, `top_k_from_set`, the refined full vector)
+    /// without one: each query returns `Ok` or a typed `KdashError`.
     #[test]
     fn resealed_word_mutations_load_typed_and_audit_without_panic() {
         let mut rng = StdRng::seed_from_u64(14);
@@ -1398,7 +1415,7 @@ mod tests {
             }
         }
         let g = b.build().unwrap();
-        let mut loads = 0;
+        let (mut loads, mut loaded, mut answered) = (0, 0, 0);
         for drop_tolerance in [0.0, 1e-4] {
             let index =
                 KdashIndex::build(&g, IndexOptions { drop_tolerance, ..Default::default() })
@@ -1420,17 +1437,26 @@ mod tests {
                     let section_start = if section == 0 { 0 } else { marks[section - 1].1 };
                     reseal(&mut buf, section_start as usize, marks[section].1 as usize);
                     let outcome = std::panic::catch_unwind(|| {
-                        KdashIndex::load(buf.as_slice()).map(|index| IndexAudit::run(&index))
+                        KdashIndex::load(buf.as_slice()).map(|index| {
+                            IndexAudit::run(&index);
+                            query_every_entry_point(&index)
+                        })
                     });
-                    assert!(
-                        outcome.is_ok(),
-                        "ε {drop_tolerance}: {} section, byte {at} set to {new:#x}: panicked",
-                        marks[section].0
-                    );
+                    let Ok(outcome) = outcome else {
+                        panic!(
+                            "ε {drop_tolerance}: {} section, byte {at} set to {new:#x}: panicked",
+                            marks[section].0
+                        );
+                    };
                     loads += 1;
+                    if let Ok(ok) = outcome {
+                        loaded += 1;
+                        answered += ok;
+                    }
                 }
             }
         }
         assert!(loads >= 1000, "{loads} loads");
+        assert!(loaded > 0 && answered > 0, "{loaded} indexes loaded, {answered} queries answered");
     }
 }

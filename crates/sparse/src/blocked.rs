@@ -134,7 +134,11 @@ pub(crate) fn validate(nrows: usize, ncols: usize, rows: RowSlices<'_>) -> Resul
             return malformed(format!("row {r}: runs do not cover the row"));
         }
     }
-    crate::csc::check_finite(values)
+    crate::csc::check_finite(row_ptr, values, |r, slot| {
+        let runs = run_ptr[r]..run_ptr[r + 1];
+        let k = runs.start + run_end[runs].partition_point(|&end| end as usize <= slot);
+        (r, (run_base[k] + deltas[slot] as u32) as usize)
+    })
 }
 
 /// The array work of [`ProximityStore::splice_columns`]: `store`'s rows

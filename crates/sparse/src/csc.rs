@@ -98,7 +98,7 @@ impl CscMatrix {
         row_idx: Vec<Index>,
         values: Vec<f64>,
     ) -> Result<Self> {
-        validate_parts(nrows, ncols, &col_ptr, &row_idx, &values)?;
+        validate_parts(nrows, ncols, &col_ptr, &row_idx, &values, false)?;
         Ok(CscMatrix { nrows, ncols, col_ptr, row_idx, values })
     }
 
@@ -107,7 +107,7 @@ impl CscMatrix {
     /// `L⁻¹` and the dynamic engine's factors with the constructor's own
     /// statement.
     pub fn check(&self) -> Result<()> {
-        validate_parts(self.nrows, self.ncols, &self.col_ptr, &self.row_idx, &self.values)
+        validate_parts(self.nrows, self.ncols, &self.col_ptr, &self.row_idx, &self.values, false)
     }
 
     /// Wraps arrays that hold every invariant by construction — a
@@ -121,7 +121,7 @@ impl CscMatrix {
         row_idx: Vec<Index>,
         values: Vec<f64>,
     ) -> Self {
-        debug_assert_eq!(validate_parts(nrows, ncols, &col_ptr, &row_idx, &values), Ok(()));
+        debug_assert_eq!(validate_parts(nrows, ncols, &col_ptr, &row_idx, &values, false), Ok(()));
         CscMatrix { nrows, ncols, col_ptr, row_idx, values }
     }
 
@@ -325,13 +325,16 @@ impl CscMatrix {
 
 /// Every invariant of a CSC matrix's arrays: `col_ptr` monotone and
 /// covering the payload, rows in bounds and strictly increasing within a
-/// column, values finite.
-fn validate_parts(
+/// column, values finite. A CSR matrix's arrays are its transpose's, and
+/// `transposed` says so, so that a bad value is named by the matrix's own
+/// `(row, column)`.
+pub(crate) fn validate_parts(
     nrows: usize,
     ncols: usize,
     col_ptr: &[usize],
     row_idx: &[Index],
     values: &[f64],
+    transposed: bool,
 ) -> Result<()> {
     let malformed = |msg: String| Err(SparseError::Malformed(msg));
     if row_idx.len() != values.len() {
@@ -357,17 +360,37 @@ fn validate_parts(
             }
         }
     }
-    check_finite(values)
+    check_finite(col_ptr, values, |c, slot| match transposed {
+        false => (row_idx[slot] as usize, c),
+        true => (c, row_idx[slot] as usize),
+    })
 }
 
-/// Rejects a non-finite stored value: the one value check of every
-/// constructor, and of a column solve's output, which a finite factor can
-/// still overflow into.
-pub(crate) fn check_finite(values: &[f64]) -> Result<()> {
-    if values.iter().any(|v| !v.is_finite()) {
-        return Err(SparseError::Malformed("non-finite stored value".into()));
+/// Rejects a non-finite stored value, naming the `(row, column)` of the
+/// first in column order: the one value check of every constructor, and
+/// of a column solve's output, which a finite factor can still overflow
+/// into. `ptr` splits `values` into the compressed matrix's lines (the
+/// columns of a CSC, the rows of a CSR), and `entry(line, slot)` names the
+/// `(row, column)` of the value at `slot` of `line` — so a matrix fails
+/// alike whichever way it is compressed.
+pub(crate) fn check_finite(
+    ptr: &[usize],
+    values: &[f64],
+    entry: impl Fn(usize, usize) -> (usize, usize),
+) -> Result<()> {
+    let mut line = 0;
+    let bad = values.iter().enumerate().filter(|(_, v)| !v.is_finite()).map(|(slot, _)| {
+        while ptr[line + 1] <= slot {
+            line += 1;
+        }
+        entry(line, slot)
+    });
+    match bad.min_by_key(|&(row, col)| (col, row)) {
+        None => Ok(()),
+        Some((row, col)) => {
+            Err(SparseError::Malformed(format!("non-finite value at ({row}, {col})")))
+        }
     }
-    Ok(())
 }
 
 /// Rows per band of [`transpose_columns`]: the band's open output lines
@@ -662,6 +685,46 @@ mod tests {
         assert!(CscMatrix::from_raw_parts(2, 1, vec![0, 2], vec![1, 0], vec![1.0, 1.0]).is_err());
         // row out of bounds
         assert!(CscMatrix::from_raw_parts(2, 1, vec![0, 1], vec![7], vec![1.0]).is_err());
+    }
+
+    /// A non-finite value is named by its `(row, column)`, the first in
+    /// column order — the same entry whether the arrays are a CSC's or
+    /// the CSR's of the same matrix, whose first in storage order differs,
+    /// or a blocked store's.
+    #[test]
+    fn a_non_finite_value_is_named_by_its_row_and_column() {
+        let inf = f64::INFINITY;
+        let csc = CscMatrix::from_raw_parts(
+            3,
+            3,
+            vec![0, 1, 3, 4],
+            vec![2, 0, 1, 2],
+            vec![f64::NAN, inf, 1.0, 1.0],
+        );
+        let csr = crate::CsrMatrix::from_raw_parts(
+            3,
+            3,
+            vec![0, 1, 2, 4],
+            vec![1, 1, 0, 2],
+            vec![inf, 1.0, f64::NAN, 1.0],
+        );
+        let named = SparseError::Malformed("non-finite value at (2, 0)".into());
+        assert_eq!(csc.unwrap_err(), named);
+        assert_eq!(csr.unwrap_err(), named);
+        // A blocked store decodes the column: row 2's `NaN` sits in its
+        // second run, past a block boundary, and comes before row 0's ∞.
+        let store = ProximityStore::from_raw_parts(
+            3,
+            70_000,
+            vec![0, 1, 2, 4],
+            vec![0, 1, 2, 4],
+            vec![65_536, 0, 0, 65_536],
+            vec![1, 2, 3, 4],
+            vec![4, 1, 0, 1],
+            vec![inf, 1.0, 1.0, f64::NAN],
+        );
+        let named = SparseError::Malformed("non-finite value at (2, 65537)".into());
+        assert_eq!(store.unwrap_err(), named);
     }
 
     #[test]

@@ -49,9 +49,8 @@ impl CsrMatrix {
         col_idx: Vec<Index>,
         values: Vec<f64>,
     ) -> Result<Self> {
-        // Reuse the CSC validator on the transposed interpretation.
-        let as_csc = CscMatrix::from_raw_parts(ncols, nrows, row_ptr, col_idx, values)?;
-        let (row_ptr, col_idx, values) = as_csc.into_parts();
+        // The CSC validator, on the transposed interpretation.
+        crate::csc::validate_parts(ncols, nrows, &row_ptr, &col_idx, &values, true)?;
         Ok(CsrMatrix { nrows, ncols, row_ptr, col_idx, values })
     }
 

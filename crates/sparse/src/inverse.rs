@@ -41,7 +41,7 @@
 //! `w mod jobs` — for the build's inversion of both factors, the workers
 //! split between `L` and `U` — and when its job runs dry, hands its
 //! blocks in and claims the next job's remaining chunks. The two
-//! triangles rarely cost the same (the value-driven `L̃⁻¹` solves of the
+//! triangles rarely cost the same (the truncating `L̃⁻¹` solves of the
 //! `rmat-certified` index, ε = 1e-4, cost 1.7× the `Ũ⁻¹` ones, 11.5
 //! against 6.6–7.0 ms at one worker; 2.4× while the solve popped from a
 //! binary heap), so a fixed worker
@@ -121,8 +121,7 @@ pub fn dense_tail_columns(t: &CscMatrix, triangle: Triangle) -> Result<usize> {
 }
 
 /// Full inversion under drop tolerance `eps` (`0.0` = exact): the inverse,
-/// the ℓ₁ mass truncated from each column, and what the solves did. The
-/// value-driven `eps > 0` solve reads no mirror, so none is built for it.
+/// the ℓ₁ mass truncated from each column, and what the solves did.
 pub(crate) fn invert_truncated(
     t: &CscMatrix,
     triangle: Triangle,
@@ -130,8 +129,7 @@ pub(crate) fn invert_truncated(
     options: InvertOptions,
     rule: TailRule,
 ) -> Result<SparsifiedInverse> {
-    let rule = if eps > 0.0 { TailRule::NEVER } else { rule };
-    let view = FactorView::indexed(t, triangle, triangle.unit_diag(), rule)?;
+    let view = FactorView::indexed(t, triangle, triangle.unit_diag(), rule.under(eps))?;
     let n = view.dim();
     let threads = options.resolved_threads(n);
     let [(inverse, tally)] =
@@ -149,7 +147,7 @@ pub(crate) fn invert_factors_truncated(
     eps: f64,
     options: InvertOptions,
 ) -> Result<SparsifiedFactors> {
-    let rule = if eps > 0.0 { TailRule::NEVER } else { TailRule::STRUCTURAL };
+    let rule = TailRule::STRUCTURAL.under(eps);
     let view = |t, triangle: Triangle| FactorView::indexed(t, triangle, triangle.unit_diag(), rule);
     let (lower, upper) = (view(&factors.l, Triangle::Lower)?, view(&factors.u, Triangle::Upper)?);
     if upper.dim() != lower.dim() {
@@ -275,7 +273,7 @@ impl Compressed {
             vals.extend(block.vals);
             dropped.extend(block.dropped);
         }
-        check_finite(&vals)?;
+        check_finite(&ptr, &vals, |c, slot| (rows[slot] as usize, c))?;
         Ok(Compressed { ptr, idx: rows, vals, dropped })
     }
 
@@ -283,7 +281,7 @@ impl Compressed {
     /// arrays: each entry written once, straight into its row.
     fn rows(n: usize, blocks: Vec<ColumnBlock>) -> Result<Compressed> {
         let (ptr, idx, vals) = transpose_columns(n, blocks.iter().flat_map(ColumnBlock::columns));
-        check_finite(&vals)?;
+        check_finite(&ptr, &vals, |r, slot| (r, idx[slot] as usize))?;
         let dropped = blocks.iter().flat_map(|b| &b.dropped).copied().collect();
         Ok(Compressed { ptr, idx, vals, dropped })
     }

@@ -5,12 +5,13 @@
 //!
 //! * [`CscMatrix`] / [`CsrMatrix`] — compressed sparse column/row storage,
 //! * [`triangular`] — the crate-private sparse triangular solve with a
-//!   *sparse* right-hand side, using Gilbert–Peierls symbolic reachability
-//!   (`O(flops)`, not `O(n)` per solve): one reach kernel whose DFS frames
-//!   own their child span, shared with the LU; one numeric order (by
-//!   index), under which the factor's trailing, all-but-full columns are
-//!   solved as a mirrored dense tail of contiguous AXPYs — the same bytes
-//!   wherever it starts,
+//!   *sparse* right-hand side (`O(flops)`, not `O(n)` per solve): one
+//!   engine, shared with the LU, that pops the solution's positions in
+//!   index order — the one numeric order — from a two-level bitset as
+//!   their values arrive, so it finds the Gilbert–Peierls reach with no
+//!   symbolic phase; under that order the factor's trailing, all-but-full
+//!   columns are solved as a mirrored dense tail of contiguous AXPYs — the
+//!   same bytes wherever it starts,
 //! * [`lu`] — left-looking sparse LU factorisation `W = LU` following the
 //!   paper's Equations (6)–(7) (Doolittle form: unit-diagonal `L`). `W` is
 //!   strictly column diagonally dominant, so no pivoting is required; the

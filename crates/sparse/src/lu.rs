@@ -3,13 +3,14 @@
 //! Factors `W = L · U` with unit-diagonal `L` (Doolittle form), matching the
 //! paper's Equations (6)–(7): each column of `L` and `U` is computed from
 //! the columns to its left. The numeric core of column `j` is a sparse
-//! triangular solve `L(0..j, 0..j) x = W(:, j)` whose pattern comes from a
-//! DFS over the partially-built `L` — total cost `O(flops)` — and whose
-//! arithmetic runs in ascending column order, the one numeric order of
-//! [`crate::triangular`]. From the first column whose `L` part is at
-//! least half full (the hubs a degree or hybrid ordering puts last) the
-//! full build mirrors each solved column into a [`DenseTail`] and solves
-//! the later columns in *panels* ([`solve_panel`]) — of eight where the
+//! triangular solve `L(0..j, 0..j) x = W(:, j)` on the one engine of
+//! [`crate::triangular`]: its rows pop from a bitset in ascending order —
+//! the one numeric order — each row left of `j` scattering its column of
+//! the partially-built `L`, so the pattern comes out sorted and the whole
+//! costs `O(flops)`. From the first column whose `L` part is at least half
+//! full (the hubs a degree or hybrid ordering puts last) the full build
+//! mirrors each solved column into a [`DenseTail`] and solves the later
+//! columns in *panels* ([`solve_panel`]) — of eight where the
 //! host has AVX-512F, else of one: each column's sparse head on its own,
 //! then one pass of contiguous AXPYs through the mirror that loads each
 //! mirrored value once for the whole panel, then the panel's own columns
@@ -29,7 +30,8 @@
 //! The left-looking formulation makes the data flow explicit: factor
 //! column `j` is produced from `W(:, j)` and the `L` columns in the
 //! Gilbert–Peierls reach of `pattern(W(:, j))` — nothing else (`U`
-//! columns are outputs; the solve never reads them back). Every pattern
+//! columns are outputs; the solve never reads them back, and reads no
+//! column past a position that cancels to zero). Every pattern
 //! edge `k → i` of `L` runs strictly upward (`i > k`), so the columns
 //! form a DAG ordered by column number, and a column's dependency cone
 //! lies entirely to its left.
@@ -144,7 +146,7 @@ impl LuFactors {
         Ok(x)
     }
 
-    /// Sparse solve `W x = e_q` using two Gilbert–Peierls solves. This is
+    /// Sparse solve `W x = e_q` using two sparse triangular solves. This is
     /// the "no stored inverses" alternative benchmarked by the
     /// `ablation_solve_vs_inverse` bench; it returns the sorted sparse
     /// solution.
@@ -175,7 +177,7 @@ struct FactorColumn {
     l_vals: Vec<f64>,
 }
 
-/// Source of already-solved `L` columns for [`solve_factor_column`]: the
+/// Source of already-solved `L` columns for [`eliminate`]: the
 /// growing result set (full build) or a hybrid of old factors and
 /// recomputed columns (incremental refactorisation).
 trait LColumns {
@@ -212,30 +214,13 @@ impl LColumns for HybridView<'_> {
     }
 }
 
-/// The Gilbert–Peierls solve for one factor column: symbolic reach
-/// ([`SolveWorkspace::reach`], the kernel the triangular solves run) over
-/// the `L` columns left of `j`, then [`eliminate`]. Bit-for-bit the same
-/// result whichever provider backs `l`, and the same as the column of a
-/// panel ([`solve_panel`]) — the invariant every driver in this module
-/// leans on.
-fn solve_factor_column(
-    j: Index,
-    w_col: (&[Index], &[f64]),
-    l: &impl LColumns,
-    ws: &mut SolveWorkspace,
-) -> Result<FactorColumn> {
-    // Only columns < j exist in L, so nodes >= j have no children.
-    let children = |node| if node < j { l.col(node).0 } else { &[][..] };
-    ws.reach(w_col.0, ws.dim(), children);
-    eliminate(j, w_col, l, ws)
-}
-
-/// The sparse elimination of column `j` on a workspace holding the reach
-/// of `pattern(W(:, j))` left of row `head`: `W(:, j)` scattered (the
-/// rows from `head` on zeroed first: a dense tail's rows, which need no
-/// pattern), then the pattern's columns left of `j`, ascending — rows at
-/// or below the pivot only accumulate. Leaves `topo` sorted and returns
-/// the multiply-subtracts made.
+/// Eliminates the columns left of `j` from `W(:, j)` on `ws`: the rows
+/// from `head` on are live at zero (a dense tail's, which need no
+/// pattern), every other row of `W(:, j)` is discovered, and the
+/// discovered rows pop in ascending order into `ws.pattern` — each row
+/// `r < j` whose value is nonzero scattering `L(:, r)` times it, which
+/// discovers rows only below `r`; rows at or below the pivot only
+/// accumulate. Returns the multiply-subtracts made.
 fn eliminate_left(
     j: Index,
     (b_rows, b_vals): (&[Index], &[f64]),
@@ -243,29 +228,28 @@ fn eliminate_left(
     head: usize,
     ws: &mut SolveWorkspace,
 ) -> u64 {
-    let SolveWorkspace { x, topo, .. } = ws;
-    x[head..].fill(0.0);
-    for (&r, &v) in b_rows.iter().zip(b_vals) {
-        x[r as usize] = v;
-    }
-    topo.sort_unstable();
+    ws.begin(Triangle::Lower, head);
+    ws.seed(b_rows, b_vals);
+    ws.pattern.clear();
     let mut flops = 0u64;
-    for &r in &topo[..topo.partition_point(|&r| r < j)] {
-        let xr = x[r as usize];
-        if xr != 0.0 {
-            let (rows, vals) = l.col(r);
-            for (i, v) in rows.iter().zip(vals) {
-                x[*i as usize] -= v * xr;
-            }
+    while let Some(r) = ws.pop() {
+        ws.pattern.push(r as Index);
+        let xr = ws.x[r];
+        if r < j as usize && xr != 0.0 {
+            let (rows, vals) = l.col(r as Index);
+            ws.scatter(rows, vals, xr);
             flops += rows.len() as u64;
         }
     }
     flops
 }
 
-/// The numeric half of [`solve_factor_column`]: [`eliminate_left`], pivot
-/// check, then emit `U(:, j)` (sorted, diagonal last) and `L(:, j)`
-/// (sorted, pivot-scaled).
+/// The solve for one factor column, on the `L` columns left of `j` that
+/// `l` provides: [`eliminate_left`], pivot check, then emit `U(:, j)`
+/// (sorted, diagonal last) and `L(:, j)` (sorted, pivot-scaled).
+/// Bit-for-bit the same result whichever provider backs `l`, and the same
+/// as the column of a panel ([`solve_panel`]) — the invariant every
+/// driver in this module leans on.
 fn eliminate(
     j: Index,
     w_col: (&[Index], &[f64]),
@@ -274,13 +258,13 @@ fn eliminate(
 ) -> Result<FactorColumn> {
     let head_flops = eliminate_left(j, w_col, l, ws.dim(), ws);
     ws.tally.count(head_flops, 0);
-    let SolveWorkspace { stamps, x, topo, .. } = ws;
+    let SolveWorkspace { stamps, x, pattern, .. } = ws;
     let pivot_row = j as usize;
     let pivot = if stamps.is_marked(pivot_row) { x[pivot_row] } else { 0.0 };
     check_pivot(pivot_row, pivot)?;
 
     // Emit U(:, j): rows < j, ascending, then the diagonal last.
-    let (left, rest) = topo.split_at(topo.partition_point(|&r| r < j));
+    let (left, rest) = pattern.split_at(pattern.partition_point(|&r| r < j));
     let mut u_rows = Vec::with_capacity(left.len() + 1);
     let mut u_vals = Vec::with_capacity(left.len() + 1);
     for &r in left {
@@ -319,8 +303,8 @@ fn check_pivot(column: usize, pivot: f64) -> Result<()> {
 
 /// Solves the next `lanes` (≤ `P`) columns, all right of the tail's
 /// first, as one panel of `rows` (reused from panel to panel). Each column
-/// runs its sparse head — the reach left of the tail and
-/// [`eliminate_left`] — and is pushed with its `U` entries above the tail,
+/// runs its sparse head — [`eliminate_left`] with the tail's rows live —
+/// and is pushed with its `U` entries above the tail,
 /// which are final: the tail's columns write only rows inside it. Its tail
 /// rows go to its lane of the panel. One sweep through the tail's columns
 /// so far then loads each of their values once for every lane. Last,
@@ -347,12 +331,11 @@ fn solve_panel<const P: usize>(
     let mut head_flops = 0u64;
     for p in 0..lanes {
         let j = j0 + p;
-        ws.reach(w.col(j as Index).0, start, |node| &cols[node as usize].l_rows);
         head_flops += eliminate_left(j as Index, w.col(j as Index), &SolvedView(cols), start, ws);
-        let (x, topo) = (&ws.x, &ws.topo);
-        let capacity = topo.len() + (j - start) + 1;
+        let (x, pattern) = (&ws.x, &ws.pattern);
+        let capacity = pattern.len() + (j - start) + 1;
         let (mut u_rows, mut u_vals) = (Vec::with_capacity(capacity), Vec::with_capacity(capacity));
-        for &r in topo.iter().filter(|&&r| x[r as usize] != 0.0) {
+        for &r in pattern.iter().filter(|&&r| x[r as usize] != 0.0) {
             u_rows.push(r);
             u_vals.push(x[r as usize]);
         }
@@ -442,7 +425,7 @@ fn solve_columns<const P: usize>(
     let mut tail = DenseTail::none(n);
     while cols.len() < n && tail.columns() == 0 {
         let j = cols.len();
-        let col = solve_factor_column(j as Index, w.col(j as Index), &SolvedView(&cols), &mut ws)?;
+        let col = eliminate(j as Index, w.col(j as Index), &SolvedView(&cols), &mut ws)?;
         if rule.begins(col.l_rows.len(), n - 1 - j) {
             tail.push_lower(j, &col.l_rows, &col.l_vals);
         }
@@ -500,7 +483,7 @@ pub struct RefactorReport {
     pub dim: usize,
     /// In-bounds distinct dirty `W` columns the caller declared.
     pub dirty_w_columns: usize,
-    /// Factor columns re-run through the Gilbert–Peierls solve: the exact
+    /// Factor columns re-run through the column solve: the exact
     /// taint closure of the module docs, a subset of the pattern-only
     /// candidates [`crate::refactor_candidates`] predicts.
     pub recomputed_columns: usize,
@@ -511,7 +494,7 @@ pub struct RefactorReport {
     /// Reach/taint analysis + bit-diff time (everything except the
     /// solves and the splice).
     pub analysis_time: Duration,
-    /// Gilbert–Peierls solve time over the recomputed columns.
+    /// Column solve time over the recomputed columns.
     pub solve_time: Duration,
     /// Time splicing the changed columns into the old factors.
     pub splice_time: Duration,
@@ -583,12 +566,8 @@ pub fn refactor_columns(
         }
         report.recomputed_columns += 1;
         let t = Instant::now();
-        let col = solve_factor_column(
-            j,
-            w_new.col(j),
-            &HybridView { old_l: &old.l, fresh: &fresh },
-            &mut ws,
-        )?;
+        let col =
+            eliminate(j, w_new.col(j), &HybridView { old_l: &old.l, fresh: &fresh }, &mut ws)?;
         solve_time += t.elapsed();
         let l_changed = column_changed(&old.l, j, &col.l_rows, &col.l_vals);
         if column_changed(&old.u, j, &col.u_rows, &col.u_vals) {
@@ -659,7 +638,7 @@ fn column_changed(t: &CscMatrix, j: Index, rows: &[Index], vals: &[f64]) -> bool
 mod tests {
     use super::*;
     use crate::triangular::tests::{
-        eager_tail_rules, oracle_systems, reference_reach, take_span_resolutions,
+        eager_tail_rules, oracle_systems, reference_reach, take_summary_words,
     };
 
     /// Dense multiply of the stored factors (adding L's implicit diagonal).
@@ -720,21 +699,51 @@ mod tests {
     }
 
     /// The per-edge factorisation: the per-edge DFS ([`reference_reach`])
-    /// in front of the same [`eliminate`], and no tail anywhere.
+    /// names each column's pattern, sorted, and the column is eliminated
+    /// and emitted over it in ascending order; no tail anywhere.
     fn reference_lu(w: &CscMatrix) -> LuFactors {
         let n = w.nrows();
         let mut cols: Vec<FactorColumn> = Vec::with_capacity(n);
         let mut ws = SolveWorkspace::new(n);
         for j in 0..n as Index {
             let children = |k: Index| if k < j { &cols[k as usize].l_rows[..] } else { &[] };
-            reference_reach(&mut ws, w.col(j).0, children);
-            let col = eliminate(j, w.col(j), &SolvedView(&cols), &mut ws).unwrap();
+            let mut pattern = reference_reach(&mut ws, w.col(j).0, children);
+            pattern.sort_unstable();
+            let (b_rows, b_vals) = w.col(j);
+            for (&r, &v) in b_rows.iter().zip(b_vals) {
+                ws.x[r as usize] = v;
+            }
+            for &r in pattern.iter().filter(|&&r| r < j) {
+                let xr = ws.x[r as usize];
+                if xr != 0.0 {
+                    let c = &cols[r as usize];
+                    for (&i, &v) in c.l_rows.iter().zip(&c.l_vals) {
+                        ws.x[i as usize] -= v * xr;
+                    }
+                }
+            }
+            let pivot = if pattern.contains(&j) { ws.x[j as usize] } else { 0.0 };
+            check_pivot(j as usize, pivot).unwrap();
+            let mut col =
+                FactorColumn { u_rows: vec![], u_vals: vec![], l_rows: vec![], l_vals: vec![] };
+            for &r in pattern.iter().filter(|&&r| r != j && ws.x[r as usize] != 0.0) {
+                let v = ws.x[r as usize];
+                if r < j {
+                    col.u_rows.push(r);
+                    col.u_vals.push(v);
+                } else {
+                    col.l_rows.push(r);
+                    col.l_vals.push(v / pivot);
+                }
+            }
+            col.u_rows.push(j);
+            col.u_vals.push(pivot);
             cols.push(col);
         }
         assemble(n, cols).unwrap()
     }
 
-    /// Full and incremental factorisation through the reach kernel match
+    /// Full and incremental factorisation through the bitset solve match
     /// the per-edge factorisation byte for byte, with no tail, the
     /// structural one and tails begun at other columns.
     #[test]
@@ -768,27 +777,42 @@ mod tests {
         }
     }
 
-    /// The count that keeps per-edge re-resolution out: a column solve
-    /// resolves at most two child spans per pattern node, whichever
-    /// provider backs `L`.
+    /// The count that holds a column solve to its pattern, not to `n`:
+    /// every LU column solve — through both `L` providers, and a panel's
+    /// head with the tail's rows live — touches at most three summary
+    /// words per popped position (its insert, the pop that empties its
+    /// word, the scan that leaves it) plus the summary words its pattern
+    /// spans.
     #[test]
-    fn column_solves_resolve_at_most_two_spans_per_pattern_node() {
-        fn check(w: &CscMatrix, l: &impl LColumns, ws: &mut SolveWorkspace) {
-            for j in 0..w.ncols() as Index {
-                take_span_resolutions();
-                solve_factor_column(j, w.col(j), l, ws).unwrap();
-                let (resolved, pattern) = (take_span_resolutions(), ws.topo.len());
-                assert!(resolved <= 2 * pattern, "column {j}: {resolved} for {pattern} nodes");
+    fn column_solves_touch_a_constant_number_of_summary_words_per_pattern_position() {
+        fn check(label: &str, j: Index, ws: &SolveWorkspace) {
+            let (touched, pattern) = (take_summary_words(), &ws.pattern);
+            let spanned = match (pattern.first(), pattern.last()) {
+                (Some(&first), Some(&last)) => (last / 4096 - first / 4096) as usize + 1,
+                _ => 0,
+            };
+            let bound = 3 * pattern.len() + spanned;
+            assert!(touched <= bound, "{label} column {j}: {touched} words, bound {bound}");
+        }
+        for (name, w) in oracle_systems() {
+            let n = w.nrows();
+            let (cols, _) = solve_all_sequential(&w, TailRule::STRUCTURAL).unwrap();
+            let old = assemble(n, cols.clone()).unwrap();
+            let fresh = vec![None; n];
+            let hybrid = HybridView { old_l: &old.l, fresh: &fresh };
+            let mut ws = SolveWorkspace::new(n);
+            for j in 0..n as Index {
+                take_summary_words();
+                eliminate(j, w.col(j), &SolvedView(&cols), &mut ws).unwrap();
+                check(&format!("{name} solved"), j, &ws);
+                eliminate(j, w.col(j), &hybrid, &mut ws).unwrap();
+                check(&format!("{name} hybrid"), j, &ws);
+                for head in [n / 2, n - 7].into_iter().filter(|&head| head <= j as usize) {
+                    eliminate_left(j, w.col(j), &SolvedView(&cols), head, &mut ws);
+                    check(&format!("{name} panel head {head}"), j, &ws);
+                }
             }
         }
-        let (_, w) = oracle_systems().pop().unwrap();
-        let n = w.nrows();
-        let (cols, _) = solve_all_sequential(&w, TailRule::STRUCTURAL).unwrap();
-        let old = assemble(n, cols.clone()).unwrap();
-        let fresh = vec![None; n];
-        let mut ws = SolveWorkspace::new(n);
-        check(&w, &SolvedView(&cols), &mut ws);
-        check(&w, &HybridView { old_l: &old.l, fresh: &fresh }, &mut ws);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! density is set by the reach closure of the ordering, and at scale the
 //! stored nonzeros dwarf the graph itself. With `ε > 0` each column solve
 //! zeroes an entry the moment it is final if its magnitude falls below
-//! `ε` ([`crate::triangular`]'s value-driven solve). Because the entry is
+//! `ε` (when [`crate::triangular`]'s solve pops it). Because the entry is
 //! killed *before* it propagates, truncation prunes the whole downstream
 //! subtree it would have filled in — cutting build time and peak memory
 //! together, not just the stored bytes.

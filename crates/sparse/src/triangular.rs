@@ -8,47 +8,52 @@
 //! the exact inverse) and solves `W x = e_q` through
 //! [`crate::LuFactors::solve_unit_sparse`]; a [`SolveWorkspace`] is only
 //! the opaque scratch the latter takes. The classic observation of Gilbert &
-//! Peierls (1988) is that the nonzero pattern of `x` is exactly the set of
+//! Peierls (1988) is that the nonzero pattern of `x` lies within the set of
 //! nodes *reachable* from `pattern(b)` in the directed graph of `T`
-//! (an edge `j -> i` for every stored `T_ij`, `i != j`), which a DFS
-//! finds — so the whole solve costs `O(flops)` instead of `O(n)`.
+//! (an edge `j -> i` for every stored `T_ij`, `i != j`), so a solve need
+//! cost `O(flops)`, not `O(n)`.
 //!
-//! That DFS is one kernel, [`SolveWorkspace::reach`], shared with the
-//! per-column LU solve. Its frames *own* their child span: a node's
-//! children are resolved to a slice when its frame is pushed and when the
-//! DFS returns to it — at most twice per pattern node, never per edge.
-//! Where the children sit is the caller's business: a [`FactorView`] of a
-//! CSC triangle (every column's bounds and diagonal looked up once per
-//! full inversion by [`FactorView::indexed`], probed per resolution
-//! otherwise), or a column provider for the half-built `L` of the LU.
+//! ## One order, one engine
 //!
-//! ## One numeric order, and the dense tail it allows
+//! Every solve in this crate runs in **index order** — ascending for
+//! `Lower`, descending for `Upper` — which is a topological order of a
+//! triangle whatever the pattern. Row `r` therefore receives its updates
+//! `x_r -= T_ri · x_i` in the order of `i`, and an update through a
+//! *stored or imagined zero* is `x_r − 0·x_i = x_r`: it changes no bit
+//! (values are finite, and a zero of either sign is dropped at the
+//! gather).
 //!
-//! The reach only names the pattern. The arithmetic of every exact solve
-//! in this crate runs in **index order** — ascending for `Lower`,
-//! descending for `Upper` — which is a topological order of a triangle
-//! whatever the pattern, and is the order the `ε > 0` worklist solve pops
-//! in. Row `r` therefore receives its updates `x_r -= T_ri · x_i` in the
-//! order of `i`, and an update through a *stored or imagined zero* is
-//! `x_r − 0·x_i = x_r`: it changes no bit (values are finite, and a zero
-//! of either sign is dropped at the gather).
+//! The same order finds the pattern. A position is discovered when its
+//! right-hand side entry or its first update lands, and waits in a
+//! two-level bitset ([`PendingSet`]) until it is popped, in index order,
+//! by a cursor that never turns back: every position a pop discovers lies
+//! ahead of it, so a popped value is final. A position whose value is
+//! zero — exactly cancelled, or under a drop tolerance `ε > 0` truncated —
+//! propagates nothing, and what only it would have discovered never is.
+//! A solve so costs the pattern that carries values, plus the bitset
+//! words between its positions, whatever `n` is; there is no symbolic
+//! phase and no sort. The LU pops its column solves from the same set
+//! ([`crate::lu`]), and the tests hold the engine to a per-edge DFS
+//! oracle of the reach, byte for byte.
 //!
-//! That is what lets the trailing columns of a factor — under a degree or
-//! hybrid ordering the hubs, whose block is all but full — be mirrored as
-//! a packed column-major triangle ([`DenseTail`]) and solved without a
-//! DFS: the sparse head runs in index order and scatters into the tail's
-//! rows, then every nonzero `x_i` of the tail is one contiguous AXPY,
-//! `x[i+1..n] -= T[i+1..n, i] · x_i`. For `Upper` the tail is upstream:
-//! a right-hand side that enters it is swept there first, descending, the
-//! head rows of the tail's columns are scattered as any column's are, and
-//! the head below — which a hub's solution all but fills — takes every
-//! column in descending order with no DFS and no sort, a column whose `x`
-//! was never touched holding the zero that skips it; a right-hand side
-//! that stays clear of the tail is the plain sparse solve. Where the
-//! tail starts ([`TailRule`])
-//! **cannot change a result**: with the tail at any column, or absent,
-//! every solve returns the same bytes — `tests/build_determinism.rs`
-//! holds the drivers to that.
+//! ## The dense tail
+//!
+//! Index order is what lets the trailing columns of a factor — under a
+//! degree or hybrid ordering the hubs, whose block is all but full — be
+//! mirrored as a packed column-major triangle ([`DenseTail`]) and solved
+//! with no pattern at all. Their positions are live from the start of a
+//! solve, at zero: they take updates and are never pending. For `Lower`
+//! the head pops into the tail's rows, then every nonzero `x_i` of the
+//! tail is one contiguous AXPY, `x[i+1..n] -= T[i+1..n, i] · x_i`. For
+//! `Upper` the tail is upstream: a right-hand side that enters it is
+//! swept there first, descending, and the head rows of the tail's columns
+//! are scattered as any column's are, discovering the head positions the
+//! pops then take; a right-hand side that stays clear of the tail never
+//! touches it. An `ε > 0` solve reads no tail ([`TailRule::under`]):
+//! truncation acts where positions pop, and a tail's never do. Where the
+//! tail starts ([`TailRule`]) **cannot change a result**: with the tail at
+//! any column, or absent, every solve returns the same bytes —
+//! `tests/build_determinism.rs` holds the drivers to that.
 //!
 //! One kernel makes every forward tail sweep ([`DenseTail::sweep_panel`]).
 //! It sweeps a *panel* of right-hand sides at once, stored lane by lane in
@@ -61,14 +66,6 @@
 //! one at a time through the one-lane body ([`axpy_one`]). Each active
 //! lane is one multiply and one subtract, each rounded, so both return the
 //! same bits.
-//!
-//! ## The value-driven solve
-//!
-//! Under a drop tolerance `ε > 0` the pattern is found by the values
-//! ([`SolveWorkspace::solve_view`]): positions are popped in index order
-//! from a two-level bitset whose cursor never turns back, so a solve
-//! costs its surviving pattern and the bitset words it crosses, whatever
-//! `n` is.
 //!
 //! Supports lower (forward substitution) and upper (backward substitution)
 //! triangles, with either an implicit unit diagonal or an explicitly stored
@@ -123,6 +120,18 @@ impl TailRule {
     /// No tail: the sparse-only kernel, kept as the reference the
     /// structural rule is tested against.
     pub(crate) const NEVER: TailRule = TailRule { min_columns: usize::MAX, max_columns: 0 };
+
+    /// The rule a solve under drop tolerance `eps` may be given: this one
+    /// at `eps = 0`, none above it. An `ε > 0` solve reads no dense tail —
+    /// it truncates each position as it pops, and a tail's positions never
+    /// pop — so its drivers mirror none.
+    pub(crate) fn under(self, eps: f64) -> TailRule {
+        if eps > 0.0 {
+            TailRule::NEVER
+        } else {
+            self
+        }
+    }
 
     /// Whether a column whose strict part stores `stored` of the `below`
     /// positions past its diagonal begins the tail.
@@ -516,18 +525,15 @@ impl<'a> FactorView<'a> {
 #[derive(Debug, Clone)]
 pub struct SolveWorkspace {
     n: usize,
-    /// Visit marks: a position is in the current pattern iff marked.
+    /// Live marks: a position holds a value of the current solve iff
+    /// marked — discovered, or in a dense tail.
     pub(crate) stamps: EpochStamps,
-    /// Dense value accumulator, valid only on stamped positions.
+    /// Dense value accumulator, valid only on marked positions.
     pub(crate) x: Vec<f64>,
-    /// The current pattern: DFS postorder out of [`SolveWorkspace::reach`],
-    /// in numeric (index) order once a solve has sorted it.
-    pub(crate) topo: Vec<Index>,
-    /// Suspended DFS frames, `(node, next-child cursor)`; the running
-    /// frame lives in locals of [`SolveWorkspace::reach`].
-    stack: Vec<(Index, usize)>,
-    /// Positions the value-driven truncated solve has discovered and not
-    /// yet popped, popped in dependency order.
+    /// The positions the last LU column solve popped, ascending: the
+    /// pattern its column is emitted from ([`crate::lu`]).
+    pub(crate) pattern: Vec<Index>,
+    /// Positions discovered and not yet popped, popped in index order.
     pending: PendingSet,
     /// Multiply-subtracts made by the solves run on this workspace, and
     /// how many of them ran inside a dense tail.
@@ -568,7 +574,7 @@ impl SolveTally {
     }
 }
 
-/// The positions a value-driven solve has discovered and not yet popped:
+/// The positions a solve has discovered and not yet popped:
 /// one bit per position, and one summary bit per 64-bit word saying that
 /// the word holds any. Pops run one way only — ascending for `Lower`,
 /// descending for `Upper`, the triangle's dependency order — so a cursor
@@ -685,8 +691,7 @@ impl SolveWorkspace {
             n,
             stamps: EpochStamps::new(n),
             x: vec![0.0; n],
-            topo: Vec::new(),
-            stack: Vec::new(),
+            pattern: Vec::new(),
             pending: PendingSet::new(n),
             tally: SolveTally::default(),
         }
@@ -697,84 +702,74 @@ impl SolveWorkspace {
         self.n
     }
 
-    /// The Gilbert–Peierls reach kernel: an iterative DFS from every seed
-    /// over the graph `children` describes, leaving the reached set
-    /// stamped, its `x` slots zeroed and listed in `topo`. Nodes at or
-    /// past `head` are not entered, as seeds or as children (child slices
-    /// are ascending, so the first such child ends its slice): they
-    /// belong to a dense tail, which needs no pattern.
-    ///
-    /// `children` is asked for a node's child slice when the node is
-    /// first reached and when the DFS returns to it.
-    pub(crate) fn reach<'a>(
-        &mut self,
-        seeds: &[Index],
-        head: usize,
-        mut children: impl FnMut(Index) -> &'a [Index],
-    ) {
-        let mut resolve = |node: Index| {
-            note_span_resolution();
-            children(node)
-        };
+    /// Readies a solve that pops in `triangle`'s order: nothing pending,
+    /// and nothing live but the positions from `head` on — a dense
+    /// tail's, which take updates from zero and are never pending.
+    pub(crate) fn begin(&mut self, triangle: Triangle, head: usize) {
         self.stamps.advance();
-        self.topo.clear();
-        for &seed in seeds {
-            debug_assert!((seed as usize) < self.n, "rhs index out of bounds");
-            if seed as usize >= head || self.stamps.is_marked(seed as usize) {
-                continue;
+        // Drained fully on success; an early error (singular pivot)
+        // leaves the rest of the set behind, and this clears it.
+        self.pending.restart(triangle);
+        self.x[head..].fill(0.0);
+        for i in head..self.n {
+            self.stamps.mark(i);
+        }
+    }
+
+    /// Adds a right-hand side (indices need not be sorted; duplicates
+    /// accumulate): a live position takes `+= v`, any other is discovered
+    /// at `v`.
+    pub(crate) fn seed(&mut self, b_idx: &[Index], b_val: &[f64]) {
+        for (&r, &v) in b_idx.iter().zip(b_val) {
+            debug_assert!((r as usize) < self.n, "rhs index out of bounds");
+            if self.stamps.is_marked(r as usize) {
+                self.x[r as usize] += v;
+            } else {
+                self.stamps.mark(r as usize);
+                self.x[r as usize] = v;
+                self.pending.insert(r as usize);
             }
-            self.stamps.mark(seed as usize);
-            self.x[seed as usize] = 0.0;
-            let (mut node, mut span, mut cursor) = (seed, resolve(seed), 0usize);
-            loop {
-                match span.get(cursor) {
-                    Some(&child) if (child as usize) < head => {
-                        cursor += 1;
-                        if !self.stamps.is_marked(child as usize) {
-                            self.stamps.mark(child as usize);
-                            self.x[child as usize] = 0.0;
-                            self.stack.push((node, cursor));
-                            (node, span, cursor) = (child, resolve(child), 0);
-                        }
-                    }
-                    _ => {
-                        self.topo.push(node);
-                        let Some((parent, resume)) = self.stack.pop() else { break };
-                        (node, span, cursor) = (parent, resolve(parent), resume);
-                    }
-                }
+        }
+    }
+
+    /// The next pending position in the order [`SolveWorkspace::begin`]
+    /// set, removed: final, for every position that could still update
+    /// it lies behind it.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> Option<usize> {
+        self.pending.pop()
+    }
+
+    /// `x -= T(:, j) · xj` over one column's `rows` and `vals`: a live
+    /// position takes the update, any other is discovered at `−t·xj`.
+    #[inline]
+    pub(crate) fn scatter(&mut self, rows: &[Index], vals: &[f64], xj: f64) {
+        for (&i, &t) in rows.iter().zip(vals) {
+            if self.stamps.is_marked(i as usize) {
+                self.x[i as usize] -= t * xj;
+            } else {
+                self.stamps.mark(i as usize);
+                self.x[i as usize] = -t * xj;
+                self.pending.insert(i as usize);
             }
         }
     }
 
     /// Solves `T x = b` for the triangle `view` reads and appends the
     /// sorted sparse solution to `out_idx` / `out_val` (cleared first); the
-    /// one solve of the crate. `b_idx` / `b_val` is a sparse right-hand
-    /// side (indices need not be sorted; duplicates accumulate).
+    /// one solve of the crate (module docs). `b_idx` / `b_val` is a sparse
+    /// right-hand side (indices need not be sorted; duplicates accumulate).
     ///
     /// Under a drop tolerance `eps > 0` the solve truncates *during*
-    /// substitution: once a solution entry `x_j` is final, if `|x_j| < eps`
-    /// it is zeroed before it propagates to any dependent entry, and
-    /// `|x_j|` is added to the returned dropped ℓ₁ mass. Killing the entry
-    /// before propagation (rather than pruning afterwards) also skips all
-    /// downstream work it would have caused, so truncation cuts solve time
-    /// as well as output size.
-    ///
-    /// With `eps > 0` the solve runs *value-driven*: instead of the
-    /// Gilbert–Peierls symbolic DFS (whose cost is the full exact reach of
-    /// the pattern, truncated or not) it processes discovered positions
-    /// in dependency order — ascending indices for `Lower`, descending
-    /// for `Upper`. Substitution dependencies only flow in that direction
-    /// and scattering a popped node discovers only nodes further along it,
-    /// so pops are monotone and a popped value is final; a truncated
-    /// entry's downstream subtree is therefore never *visited*. The
-    /// discovered positions wait in a two-level bitset whose cursor only
-    /// moves forward, so the whole solve costs `O(s)` in the surviving
-    /// pattern plus its one-hop frontier, and the bitset words between
-    /// them, rather than the exact reach. Index order
-    /// is also the numeric order of the exact solve (module docs), so the
-    /// two strategies differ only in how they find the pattern: while no
-    /// entry falls below `eps` they return the same bits.
+    /// substitution: once a solution entry `x_j` is final — when it pops —
+    /// if `|x_j| < eps` it is zeroed before it propagates to any dependent
+    /// entry, and `|x_j|` is added to the returned dropped ℓ₁ mass. Killing
+    /// the entry before propagation (rather than pruning afterwards) also
+    /// means what only it would have discovered is never visited, so
+    /// truncation cuts solve time as well as output size — what makes
+    /// sparsified builds tractable on graphs whose *exact* inverses are
+    /// the memory/time wall. Such a solve is given no dense tail
+    /// ([`TailRule::under`]).
     ///
     /// `protect` names one position that is never truncated regardless of
     /// magnitude — inversion drivers protect the diagonal seed so `L⁻¹`
@@ -803,200 +798,82 @@ impl SolveWorkspace {
                 view.dim()
             )));
         }
+        debug_assert!(eps == 0.0 || view.tail.columns() == 0, "see TailRule::under");
         out_idx.clear();
         out_val.clear();
-        if eps > 0.0 {
-            return self.solve_worklist(view, b_idx, b_val, eps, protect, out_idx, out_val);
-        }
 
-        // The tail needs no pattern: its slots are all live, and a
-        // right-hand side entry inside it lands at once. For `Upper` the
-        // tail is upstream of everything, so it is solved here — unless
-        // the right-hand side stays clear of it, and then so does the
-        // solve.
-        let (n, tail) = (self.n, &view.tail);
-        let lower = view.triangle == Triangle::Lower;
-        let enters_tail = lower || b_idx.iter().any(|&r| r as usize >= tail.start());
-        let head = if enters_tail { tail.start() } else { n };
-        self.x[head..].fill(0.0);
-        for (&r, &v) in b_idx.iter().zip(b_val) {
-            if r as usize >= head {
-                self.x[r as usize] += v;
-            }
-        }
-        let upstream_tail = !lower && head < n;
-        let upstream = if upstream_tail { tail.sweep_upper(&mut self.x) } else { 0 };
-
-        // Symbolic phase: the reach of the right-hand side within the
-        // head. Below an `Upper` tail there is none: a hub's solution
-        // fills most of the head, so every head column takes its turn,
-        // and those the solve never touches hold the zero that skips them.
-        if upstream_tail {
-            self.x[..head].fill(0.0);
-            self.topo.clear();
-            self.topo.extend((0..head as Index).rev());
+        // An `Upper` tail is upstream of everything: a right-hand side
+        // that enters it is swept there first, and its columns' head rows
+        // discover the head positions; one that stays clear of it never
+        // touches it.
+        let (n, tail, triangle) = (self.n, &view.tail, view.triangle);
+        let lower = triangle == Triangle::Lower;
+        let head = if lower || b_idx.iter().any(|&r| r as usize >= tail.start()) {
+            tail.start()
         } else {
-            self.reach(b_idx, head, |j| {
-                let (start, end, _) = view.column(j);
-                &view.rows[start..end]
-            });
-            self.topo.sort_unstable();
-            if !lower {
-                self.topo.reverse();
-            }
-        }
-
-        // Scatter the rest of the right-hand side (the DFS has zeroed
-        // every pattern slot), then what the tail's columns hold above it.
-        for (&r, &v) in b_idx.iter().zip(b_val) {
-            if (r as usize) < head {
-                self.x[r as usize] += v;
-            }
-        }
-        let mut head_flops = 0u64;
-        if !lower {
+            n
+        };
+        self.begin(triangle, head);
+        self.seed(b_idx, b_val);
+        let (mut head_flops, mut tail_flops) = (0u64, 0u64);
+        if !lower && head < n {
+            tail_flops += tail.sweep_upper(&mut self.x);
             for (i, &(start, end)) in (head..n).zip(&tail.head_rows).rev() {
                 let xi = self.x[i];
                 if xi != 0.0 {
-                    for (&r, &v) in view.rows[start..end].iter().zip(&view.vals[start..end]) {
-                        self.x[r as usize] -= v * xi;
-                    }
+                    self.scatter(&view.rows[start..end], &view.vals[start..end], xi);
                     head_flops += (end - start) as u64;
                 }
             }
         }
 
-        // Numeric phase over the head, in index order (module docs).
-        for &j in &self.topo {
-            let mut xj = self.x[j as usize];
-            if upstream_tail && xj == 0.0 {
-                continue; // not in the pattern, or cancelled: nothing to do
-            }
-            let (start, end, diag) = view.column(j);
-            if !view.unit_diag {
-                if diag == 0.0 {
-                    return Err(SparseError::SingularPivot { column: j as usize, value: 0.0 });
-                }
-                xj /= diag;
-                self.x[j as usize] = xj;
-            }
-            if xj != 0.0 {
-                for (&i, &v) in view.rows[start..end].iter().zip(&view.vals[start..end]) {
-                    self.x[i as usize] -= v * xj;
-                }
-                head_flops += (end - start) as u64;
-            }
-        }
-        let downstream = if lower { tail.sweep_lower(&mut self.x, n) } else { 0 };
-        self.tally.count(head_flops, upstream + downstream);
-
-        // Gather in index order; drop exact zeros (cancellation).
-        let nonzero = |j: &Index| self.x[*j as usize] != 0.0;
-        if lower {
-            out_idx.extend(self.topo.iter().copied().filter(nonzero));
-        } else {
-            out_idx.extend(self.topo.iter().rev().copied().filter(nonzero));
-        }
-        out_idx.extend((head as Index..n as Index).filter(nonzero));
-        out_val.extend(out_idx.iter().map(|&j| self.x[j as usize]));
-        Ok(0.0)
-    }
-
-    /// The `eps > 0` engine of [`SolveWorkspace::solve_view`]:
-    /// index-ordered substitution over the pending positions, popped from
-    /// a [`PendingSet`] by a cursor that never turns back. A position is
-    /// final when popped (see its doc for the monotonicity argument), so
-    /// truncation prunes discovery itself — the symbolic cost of the exact
-    /// reach, which the DFS pays regardless of ε, never arises. This is
-    /// what makes sparsified builds tractable on graphs whose *exact*
-    /// inverses are the memory/time wall.
-    #[allow(clippy::too_many_arguments)] // mirrors the mathematical signature
-    fn solve_worklist(
-        &mut self,
-        view: &FactorView,
-        b_idx: &[Index],
-        b_val: &[f64],
-        eps: f64,
-        protect: Option<Index>,
-        out_idx: &mut Vec<Index>,
-        out_val: &mut Vec<f64>,
-    ) -> Result<f64> {
-        self.stamps.advance();
-        // Drained fully on success; an early error (singular pivot)
-        // leaves the rest of the set behind, and this clears it.
-        let triangle = view.triangle;
-        self.pending.restart(triangle);
-        for (&r, &v) in b_idx.iter().zip(b_val) {
-            debug_assert!((r as usize) < self.n, "rhs index out of bounds");
-            if self.stamps.is_marked(r as usize) {
-                self.x[r as usize] += v;
-            } else {
-                self.stamps.mark(r as usize);
-                self.x[r as usize] = v;
-                self.pending.insert(r as usize);
-            }
-        }
         let mut dropped = 0.0f64;
-        while let Some(j) = self.pending.pop() {
-            let j = j as Index;
-            let (start, end, diag) = view.column(j);
-            let mut xj = self.x[j as usize];
+        while let Some(j) = self.pop() {
+            let (start, end, diag) = view.column(j as Index);
+            let mut xj = self.x[j];
             if !view.unit_diag {
                 if diag == 0.0 {
-                    return Err(SparseError::SingularPivot { column: j as usize, value: 0.0 });
+                    return Err(SparseError::SingularPivot { column: j, value: 0.0 });
                 }
                 xj /= diag;
             }
             if xj == 0.0 {
                 continue; // exact cancellation: not stored, nothing propagates
             }
-            if xj.abs() < eps && protect != Some(j) {
+            if xj.abs() < eps && protect != Some(j as Index) {
                 dropped += xj.abs();
-                continue; // truncated: the downstream subtree is never discovered
+                continue; // truncated: what only it reaches is never discovered
             }
-            out_idx.push(j);
+            out_idx.push(j as Index);
             out_val.push(xj);
-            self.tally.count((end - start) as u64, 0);
-            for (&i, &v) in view.rows[start..end].iter().zip(&view.vals[start..end]) {
-                if self.stamps.is_marked(i as usize) {
-                    self.x[i as usize] -= v * xj;
-                } else {
-                    self.stamps.mark(i as usize);
-                    self.x[i as usize] = -v * xj;
-                    self.pending.insert(i as usize);
-                }
-            }
+            self.scatter(&view.rows[start..end], &view.vals[start..end], xj);
+            head_flops += (end - start) as u64;
         }
-        if triangle == Triangle::Upper {
+        if lower {
+            tail_flops += tail.sweep_lower(&mut self.x, n);
+        } else {
             // Upper pops descend; callers get ascending indices either way.
             out_idx.reverse();
             out_val.reverse();
+        }
+        self.tally.count(head_flops, tail_flops);
+
+        // The tail's positions, after the head's; exact zeros dropped.
+        for (i, &v) in self.x.iter().enumerate().skip(head) {
+            if v != 0.0 {
+                out_idx.push(i as Index);
+                out_val.push(v);
+            }
         }
         Ok(dropped)
     }
 }
 
 #[cfg(not(test))]
-fn note_span_resolution() {}
-
-#[cfg(not(test))]
 fn note_summary_word() {}
 
-// Child-span resolutions made by `SolveWorkspace::reach` on this thread:
-// the count the regression tests hold to `2 · |pattern|` per solve, so
-// that per-edge re-resolution cannot come back unnoticed.
-#[cfg(test)]
-thread_local! {
-    static SPAN_RESOLUTIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-#[cfg(test)]
-fn note_span_resolution() {
-    SPAN_RESOLUTIONS.with(|c| c.set(c.get() + 1));
-}
-
 // Summary words of a `PendingSet` read or written on this thread: the
-// count that holds a value-driven solve to its pattern, not to `n`.
+// count that holds a solve to its pattern, not to `n`.
 #[cfg(test)]
 thread_local! {
     static SUMMARY_WORDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
@@ -1011,16 +888,18 @@ fn note_summary_word() {
 pub(crate) mod tests {
     use super::*;
 
-    /// The per-edge DFS, kept as the oracle: same visiting order as
-    /// [`SolveWorkspace::reach`] without a tail, but the child slice is
-    /// re-resolved on every edge step.
+    /// The per-edge DFS, kept as the oracle of the pattern every solve
+    /// pops: the Gilbert–Peierls reach of `seeds` over the graph
+    /// `children` describes, its child slice re-resolved on every edge
+    /// step. Leaves the reached set stamped and its `x` slots zeroed, and
+    /// returns it in DFS postorder.
     pub(crate) fn reference_reach<'a>(
         ws: &mut SolveWorkspace,
         seeds: &[Index],
         children: impl Fn(Index) -> &'a [Index],
-    ) {
+    ) -> Vec<Index> {
         ws.stamps.advance();
-        ws.topo.clear();
+        let mut reached = Vec::new();
         let mut stack: Vec<(Index, usize)> = Vec::new();
         for &r in seeds {
             if ws.stamps.is_marked(r as usize) {
@@ -1040,11 +919,12 @@ pub(crate) mod tests {
                         stack.push((child, 0));
                     }
                 } else {
-                    ws.topo.push(node);
+                    reached.push(node);
                     stack.pop();
                 }
             }
         }
+        reached
     }
 
     /// The per-edge ε = 0 solve: [`reference_reach`], then the numeric
@@ -1066,11 +946,10 @@ pub(crate) mod tests {
             (&rows[span.clone()], &vals[span])
         };
         let mut ws = SolveWorkspace::new(t.nrows());
-        reference_reach(&mut ws, b_idx, |j| strict(j).0);
+        let mut idx = reference_reach(&mut ws, b_idx, |j| strict(j).0);
         for (&r, &v) in b_idx.iter().zip(b_val) {
             ws.x[r as usize] += v;
         }
-        let mut idx = ws.topo.clone();
         idx.sort_unstable();
         let mut order = idx.clone();
         if triangle == Triangle::Upper {
@@ -1118,10 +997,10 @@ pub(crate) mod tests {
         .collect()
     }
 
-    /// Child spans the reach kernel resolved on this thread since the
+    /// Summary words the solves on this thread read or wrote since the
     /// last call.
-    pub(crate) fn take_span_resolutions() -> usize {
-        SPAN_RESOLUTIONS.with(|c| c.replace(0))
+    pub(crate) fn take_summary_words() -> usize {
+        SUMMARY_WORDS.with(|c| c.replace(0))
     }
 
     /// The structural rule with its bounds moved — any width down to one
@@ -1135,8 +1014,7 @@ pub(crate) mod tests {
     /// and duplicate-index right-hand sides, on real factors: the kernel
     /// returns the per-edge reference's index and value arrays byte for
     /// byte, through a searching view and indexed ones with no tail, the
-    /// structural tail and tails at other columns, and never resolves more
-    /// than two child spans per pattern node.
+    /// structural tail and tails at other columns.
     #[test]
     fn reach_kernel_is_bit_identical_to_the_per_edge_solve() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -1177,11 +1055,9 @@ pub(crate) mod tests {
                         let tail = view.tail.columns();
                         let tag =
                             format!("{name} {triangle:?} unit={unit} trial {trial} tail {tail}");
-                        take_span_resolutions();
                         let dropped =
                             ws.solve_view(view, &b_idx, &b_val, 0.0, None, &mut oi, &mut ov);
                         assert_eq!(dropped, Ok(0.0), "{tag}");
-                        assert!(take_span_resolutions() <= 2 * ws.topo.len(), "{tag}: resolutions");
                         assert_eq!(oi, ei, "{tag}: pattern");
                         assert_eq!(bits(&ov), bits(&ev), "{tag}: values");
                     }
@@ -1396,10 +1272,9 @@ pub(crate) mod tests {
 
     #[test]
     fn worklist_solve_matches_dfs_solve_when_nothing_drops() {
-        // eps = 1e-300 routes the value-driven worklist engine, but no
-        // entry of these well-scaled systems can fall below it — and both
-        // engines substitute in index order, so the result must carry the
-        // DFS solve's pattern and value bits.
+        // No entry of these well-scaled systems can fall below 1e-300, so
+        // a solve under it truncates nothing and must carry the exact
+        // solve's pattern and value bits: the tolerance only ever removes.
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(11);
         for trial in 0..30 {
@@ -1468,7 +1343,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// The value-driven solve as it ran over a `BinaryHeap` of encoded
+    /// The truncated solve as it ran over a `BinaryHeap` of encoded
     /// positions, kept as the oracle of the bitset's pop order: the
     /// solution, the dropped mass and the multiply-subtracts.
     fn heap_worklist(
@@ -1579,13 +1454,14 @@ pub(crate) mod tests {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (name, t, triangle, unit) in &triangles {
             let n = t.ncols();
-            let views = [
-                FactorView::new(t, *triangle, *unit).unwrap(),
-                FactorView::indexed(t, *triangle, *unit, TailRule::STRUCTURAL).unwrap(),
-            ];
             let mut ws = SolveWorkspace::new(n);
             let (mut oi, mut ov) = (Vec::new(), Vec::new());
             for eps in [1e-8, 1e-4, 1e-2] {
+                let rule = TailRule::STRUCTURAL.under(eps);
+                let views = [
+                    FactorView::new(t, *triangle, *unit).unwrap(),
+                    FactorView::indexed(t, *triangle, *unit, rule).unwrap(),
+                ];
                 for trial in 0..20 {
                     let (b_idx, b_val, protect): (Vec<Index>, Vec<f64>, _) = if trial < 12 {
                         let j = rng.gen_range(0..n) as Index;
@@ -1659,10 +1535,10 @@ pub(crate) mod tests {
         }
     }
 
-    /// A one-entry value-driven solve on a 2²⁰-node triangle touches a
-    /// handful of summary words, not `n / 4096` of them — at either end of
-    /// the matrix, in either orientation, and when its next pending
-    /// position is a whole summary word away.
+    /// A one-entry solve on a 2²⁰-node triangle touches a handful of
+    /// summary words, not `n / 4096` of them — exact or truncated, at
+    /// either end of the matrix, in either orientation, and when its next
+    /// pending position is a whole summary word away.
     #[test]
     fn a_one_entry_solve_touches_a_constant_number_of_summary_words() {
         let n = 1usize << 20;
@@ -1683,11 +1559,14 @@ pub(crate) mod tests {
             (Triangle::Upper, far + 1),
         ] {
             let view = FactorView::new(&t, triangle, triangle.unit_diag()).unwrap();
-            SUMMARY_WORDS.with(|c| c.set(0));
-            ws.solve_view(&view, &[j], &[1.0], 1e-4, Some(j), &mut oi, &mut ov).unwrap();
-            let touched = SUMMARY_WORDS.with(|c| c.get());
-            assert!(touched <= 8, "{triangle:?} from {j}: {touched} summary words");
-            assert_eq!(oi.len(), 1 + (j == far || j == far + 1) as usize, "{triangle:?} {j}");
+            for eps in [0.0, 1e-4] {
+                take_summary_words();
+                ws.solve_view(&view, &[j], &[1.0], eps, Some(j), &mut oi, &mut ov).unwrap();
+                let touched = take_summary_words();
+                assert!(touched <= 8, "{triangle:?} from {j} ε {eps}: {touched} summary words");
+                let len = 1 + (j == far || j == far + 1) as usize;
+                assert_eq!(oi.len(), len, "{triangle:?} {j} ε {eps}");
+            }
         }
     }
 

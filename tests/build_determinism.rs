@@ -90,7 +90,7 @@ fn parallel_inversion_matches_sequential_on_lu_factors() {
 }
 
 /// The descending claim order on its other two routes: a sparsified
-/// `U⁻¹` (the value-driven worklist solve) and a re-solved column subset
+/// `U⁻¹` (the truncating solve) and a re-solved column subset
 /// carry the sequential bytes and dropped masses at every thread count.
 #[test]
 fn heavy_first_claims_keep_sparsified_and_subset_inversions_sequential() {
@@ -410,7 +410,8 @@ fn panel_lu_is_byte_identical_at_every_panel_boundary() {
 /// with a nonzero one. The lanes beside it must keep their bits (a
 /// multiply through the zero would plant NaN in their pivots), and the
 /// panel LU must fail as the sparse kernel does; with `W[40, 61]` zero too,
-/// no lane takes the column at all.
+/// no lane takes the column at all, and the factors are refused for the
+/// first ∞ of `L`, at row 54 of column 40.
 #[test]
 fn panel_lu_keeps_lanes_whose_multiplier_is_zero_beside_an_infinite_l() {
     let (head, width, k) = (37u32, 70u32, 40u32);
@@ -436,6 +437,8 @@ fn panel_lu_keeps_lanes_whose_multiplier_is_zero_beside_an_infinite_l() {
         let err = assert_panels_match_the_sparse_kernel(&label, &w).unwrap_err();
         if hit {
             assert!(err.starts_with("SingularPivot { column: 61,"), "{label}: {err}");
+        } else {
+            assert_eq!(err, r#"Malformed("non-finite value at (54, 40)")"#, "{label}");
         }
     }
 }

@@ -235,11 +235,12 @@ proptest! {
 /// the dropped mass is exactly zero, and queries route the classic
 /// (refinement-free) path — `needs_refinement()` (dropped mass), not
 /// `is_sparsified()` (ε sign), gates the refinement loop. The stored
-/// arrays carry the dense pattern but are only *rounding*-equal in
-/// values: any ε > 0 routes the value-driven worklist solve, whose
-/// accumulation order differs from the exact DFS inverter (documented
-/// on `kdash_sparse`'s one triangular solve); bit-identity to the dense build is the ε = 0
-/// contract, pinned in `zero_tolerance_is_bit_identical`.
+/// arrays carry the dense pattern, and the values are asked to match only
+/// up to rounding: an ε > 0 build runs `kdash_sparse`'s one triangular
+/// solve in the exact build's index order but mirrors no dense tail, and
+/// that the tail changes no bit is `kdash_sparse`'s contract to pin, not
+/// this tier's; bit-identity to the dense build is the ε = 0 contract,
+/// pinned in `zero_tolerance_is_bit_identical`.
 #[test]
 fn undropped_positive_tolerance_routes_classic_path() {
     let graph = break_ties(&rmat(8, 1024, RmatParams::default(), 21)).unwrap();
