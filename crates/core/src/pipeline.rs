@@ -14,15 +14,18 @@
 //!
 //! The inversion is the parallel stage, driven by
 //! [`IndexBuilder::threads`]: columns of a triangular inverse are
-//! independent Gilbert–Peierls solves, so one worker pool
+//! independent sparse solves, so one worker pool
 //! ([`kdash_sparse::sparsify_factors_with`]) solves both triangles, one
 //! solve workspace per worker. Each worker starts on its own triangle's
 //! chunk cursor, expensive chunks first, and then claims the other
 //! triangle's remaining chunks; `U⁻¹` comes back in row order, transposed
-//! once by the worker that completed it while `L⁻¹`'s last columns are
-//! still being solved. The result is
-//! **bit-identical** to the sequential build at every thread count, which
-//! the tier-1 `build_determinism` suite pins. The LU runs on the calling
+//! once by the calling thread as soon as its last chunk is in, while
+//! `L⁻¹`'s last columns may still be being solved. In an exact build on a
+//! host with AVX-512F, a factor with a dense tail has its columns solved
+//! in panels of eight, one pass through each factor column serving all
+//! eight (`kdash_sparse::inverse`'s module docs). The result is
+//! **bit-identical** to the sequential, one-column build at every thread
+//! count, which the tier-1 `build_determinism` suite pins. The LU runs on the calling
 //! thread: each of its columns needs the columns to its left, and on the
 //! benchmark graphs that chain left a second worker nothing to do
 //! (`kdash_sparse::lu`'s module docs have the measurement).
@@ -90,10 +93,10 @@ pub struct BuildReport {
     /// What the ordering stage observed (community structure for the
     /// Louvain-backed cluster/hybrid orderings).
     pub ordering: OrderingStats,
-    /// Resolved worker count (after `threads = 0` auto-detect) of the
-    /// inversion stage. The factorization stage resolves the same
-    /// [`IndexBuilder::threads`] setting the same way, so despite the
-    /// name this is the worker count of both.
+    /// Worker count of the inversion stage, the build's one parallel
+    /// stage: [`IndexBuilder::threads`] resolved (`0` = one per available
+    /// hardware thread), at most one per column. The factorization runs on
+    /// the calling thread whatever that setting says.
     pub inversion_threads: usize,
     /// What the factorization's column solves did: how many trailing
     /// columns ran as a dense tail, the multiply-subtracts made and the

@@ -326,8 +326,9 @@ impl CscMatrix {
 /// Every invariant of a CSC matrix's arrays: `col_ptr` monotone and
 /// covering the payload, rows in bounds and strictly increasing within a
 /// column, values finite. A CSR matrix's arrays are its transpose's, and
-/// `transposed` says so, so that a bad value is named by the matrix's own
-/// `(row, column)`.
+/// `transposed` says so, so that a fault is named in the matrix's own
+/// terms: its `row_ptr` and `col_idx`, a column out of bounds, a row not
+/// sorted, a bad value at its own `(row, column)`.
 pub(crate) fn validate_parts(
     nrows: usize,
     ncols: usize,
@@ -337,26 +338,30 @@ pub(crate) fn validate_parts(
     transposed: bool,
 ) -> Result<()> {
     let malformed = |msg: String| Err(SparseError::Malformed(msg));
+    // The input's own names for its lines, the indices within them, and
+    // its two index arrays.
+    let (line, index, ptr, idx, lines) = match transposed {
+        false => ("column", "row", "col_ptr", "row_idx", "ncols"),
+        true => ("row", "column", "row_ptr", "col_idx", "nrows"),
+    };
     if row_idx.len() != values.len() {
-        return malformed("row_idx and values length mismatch".into());
+        return malformed(format!("{idx} and values length mismatch"));
     }
     if let Err(fault) = check_pointers(col_ptr, ncols, row_idx.len()) {
         return malformed(match fault {
-            PointerFault::Length => "col_ptr length must be ncols + 1".into(),
-            PointerFault::Ends => "col_ptr bounds are inconsistent".into(),
-            PointerFault::Decreasing(c) => format!("col_ptr not monotone at {c}"),
+            PointerFault::Length => format!("{ptr} length must be {lines} + 1"),
+            PointerFault::Ends => format!("{ptr} bounds are inconsistent"),
+            PointerFault::Decreasing(c) => format!("{ptr} not monotone at {c}"),
         });
     }
     for c in 0..ncols {
         let rows = &row_idx[col_ptr[c]..col_ptr[c + 1]];
         for (i, &r) in rows.iter().enumerate() {
             if (r as usize) >= nrows {
-                return Err(SparseError::Malformed(format!("row {r} out of bounds")));
+                return malformed(format!("{index} {r} out of bounds"));
             }
             if i > 0 && rows[i - 1] >= r {
-                return Err(SparseError::Malformed(format!(
-                    "rows not strictly increasing in column {c}"
-                )));
+                return malformed(format!("{index}s not strictly increasing in {line} {c}"));
             }
         }
     }
@@ -558,6 +563,74 @@ mod tests {
                 }
                 other => panic!("expected a malformed store, got {other:?}"),
             }
+        }
+    }
+
+    /// Each fault of a raw-array constructor's input is named in that
+    /// input's own terms: a CSC matrix's `col_ptr`, `row_idx`, rows and
+    /// columns, and a CSR matrix's `row_ptr`, `col_idx`, columns and rows.
+    #[test]
+    fn raw_parts_faults_name_the_inputs_own_arrays_and_axes() {
+        use crate::CsrMatrix;
+        // Each fault as the arrays of a 2 × 3 CSC matrix and of a 3 × 2
+        // CSR matrix (the same three lines of at most two entries), and
+        // the message each must give.
+        let cases = [
+            (
+                vec![0, 1, 2, 2],
+                vec![0, 1],
+                vec![1.0],
+                "row_idx and values length mismatch",
+                "col_idx and values length mismatch",
+            ),
+            (
+                vec![0, 1, 2],
+                vec![0, 1],
+                vec![1.0; 2],
+                "col_ptr length must be ncols + 1",
+                "row_ptr length must be nrows + 1",
+            ),
+            (
+                vec![0, 1, 2, 3],
+                vec![0, 1],
+                vec![1.0; 2],
+                "col_ptr bounds are inconsistent",
+                "row_ptr bounds are inconsistent",
+            ),
+            (
+                vec![0, 2, 1, 2],
+                vec![0, 1],
+                vec![1.0; 2],
+                "col_ptr not monotone at 1",
+                "row_ptr not monotone at 1",
+            ),
+            (
+                vec![0, 1, 2, 2],
+                vec![0, 5],
+                vec![1.0; 2],
+                "row 5 out of bounds",
+                "column 5 out of bounds",
+            ),
+            (
+                vec![0, 0, 2, 2],
+                vec![1, 0],
+                vec![1.0; 2],
+                "rows not strictly increasing in column 1",
+                "columns not strictly increasing in row 1",
+            ),
+            (
+                vec![0, 0, 2, 2],
+                vec![0, 1],
+                vec![f64::NAN, 1.0],
+                "non-finite value at (0, 1)",
+                "non-finite value at (1, 0)",
+            ),
+        ];
+        for (ptr, idx, vals, csc, csr) in cases {
+            let got = CscMatrix::from_raw_parts(2, 3, ptr.clone(), idx.clone(), vals.clone());
+            assert_eq!(got.unwrap_err(), SparseError::Malformed(csc.into()));
+            let got = CsrMatrix::from_raw_parts(3, 2, ptr, idx, vals);
+            assert_eq!(got.unwrap_err(), SparseError::Malformed(csr.into()));
         }
     }
 

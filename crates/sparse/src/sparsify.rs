@@ -35,7 +35,7 @@
 //! * errors report the lowest failing column at every thread count.
 
 use crate::inverse::{invert_columns_truncated, invert_factors_truncated, invert_truncated};
-use crate::triangular::TailRule;
+use crate::triangular::{wide_axpy, TailRule};
 use crate::{
     ColumnUpdate, CscMatrix, CsrMatrix, Index, InvertOptions, LuFactors, Result, SolveTally,
     SparseError, Triangle,
@@ -97,7 +97,7 @@ pub fn sparsify_lower_unit_with(
     options: InvertOptions,
 ) -> Result<SparsifiedInverse> {
     validate_drop_tolerance(eps)?;
-    invert_truncated(l, Triangle::Lower, eps, options, TailRule::STRUCTURAL)
+    invert_truncated(l, Triangle::Lower, eps, options, TailRule::STRUCTURAL, wide_axpy())
 }
 
 /// `U⁻¹` of an upper triangle with stored diagonal, truncating entries
@@ -109,7 +109,7 @@ pub fn sparsify_upper_with(
     options: InvertOptions,
 ) -> Result<SparsifiedInverse> {
     validate_drop_tolerance(eps)?;
-    invert_truncated(u, Triangle::Upper, eps, options, TailRule::STRUCTURAL)
+    invert_truncated(u, Triangle::Upper, eps, options, TailRule::STRUCTURAL, wide_axpy())
 }
 
 /// `L⁻¹` and `U⁻¹` of `factors` under one drop tolerance `eps` (`0.0` =
@@ -129,7 +129,7 @@ pub fn sparsify_factors_with(
     options: InvertOptions,
 ) -> Result<SparsifiedFactors> {
     validate_drop_tolerance(eps)?;
-    invert_factors_truncated(factors, eps, options)
+    invert_factors_truncated(factors, eps, options, TailRule::STRUCTURAL, wide_axpy())
 }
 
 /// Re-solves a column subset (sorted strictly ascending) of the inverse of

@@ -55,17 +55,33 @@
 //! any column, or absent, every solve returns the same bytes —
 //! `tests/build_determinism.rs` holds the drivers to that.
 //!
-//! One kernel makes every forward tail sweep ([`DenseTail::sweep_panel`]).
-//! It sweeps a *panel* of right-hand sides at once, stored lane by lane in
-//! each row, so that each mirrored value is loaded once for all of them,
-//! and a single solve is its one-lane call ([`DenseTail::sweep_lower`]). A
-//! lane whose `x_i` is zero is skipped, as a single solve skips the
-//! column: every lane receives the operations, in the order, that it
-//! would alone. Where the host has AVX-512F ([`wide_axpy`]) the LU solves
-//! its tail columns in panels of [`PANEL`], one vector per row; elsewhere
-//! one at a time through the one-lane body ([`axpy_one`]). Each active
-//! lane is one multiply and one subtract, each rounded, so both return the
-//! same bits.
+//! One body makes every tail sweep, forward ([`DenseTail::sweep_panel`])
+//! and backward. It sweeps a *panel* of right-hand sides at once, stored
+//! lane by lane in each row, so that each mirrored value is loaded once
+//! for all of them, and a single solve is its one-lane call
+//! ([`axpy_one`]). A lane whose `x_i` is zero is skipped, as a single
+//! solve skips the column: every lane receives the operations, in the
+//! order, that it would alone. Each active lane is one multiply and one
+//! subtract, each rounded, so every body returns the same bits.
+//!
+//! ## Panels
+//!
+//! The solve is written once, for `P` right-hand sides at once, and a
+//! single solve is its `P = 1` instance. The positions are the union of
+//! the lanes': one stamp and one pending bit per position, its `P` values
+//! side by side (one cache line at `P = 8`), and a mask of the lanes live
+//! there. A pop divides every lane by the diagonal — a lane not live
+//! holds `0.0` — and the lanes left nonzero go through one masked scatter
+//! of the column: a live lane takes `x − t·x_j`, a newly discovered one
+//! `−(t·x_j)`, any other keeps every bit. One pass through each factor
+//! column so serves every lane it reaches, and each lane receives exactly
+//! the operations of its own solve, in their order. Where the host has
+//! AVX-512F ([`wide_axpy`]) two drivers solve in panels of [`PANEL`]: the
+//! LU, its tail columns ([`crate::lu`]), and an exact full inversion
+//! whose factor has a dense tail, all its columns
+//! ([`SolveWorkspace::solve_panel`], [`crate::inverse`]). Elsewhere, and
+//! for every other solve — the LU's heads, `ε > 0`, probing views —
+//! right-hand sides go one at a time.
 //!
 //! Supports lower (forward substitution) and upper (backward substitution)
 //! triangles, with either an implicit unit diagonal or an explicitly stored
@@ -148,10 +164,13 @@ impl TailRule {
     }
 }
 
-/// Right-hand sides the LU solves through its dense tail at once where
-/// the host has a [`wide_axpy`]: the columns of one panel, each mirrored
-/// value loaded once for all of them ([`DenseTail::sweep_panel`]). A
-/// panel of a 2 048-column tail holds 128 KiB.
+/// Right-hand sides solved at once where the host has a [`wide_axpy`],
+/// one vector per row: the LU's tail columns ([`crate::lu`]) and the
+/// columns of an exact inversion whose factor has a dense tail
+/// ([`SolveWorkspace::solve_panel`]), each mirrored value loaded once for
+/// all of them ([`DenseTail::sweep_panel`]). An LU panel of a 2 048-column
+/// tail holds 128 KiB; an inversion's panel of an `n`-column factor,
+/// `64·n` bytes.
 pub(crate) const PANEL: usize = 8;
 
 /// Columns `start..n` of a triangular factor, mirrored as a packed
@@ -226,15 +245,6 @@ impl DenseTail {
         self.push(self.n - 1 - j, rows.iter().zip(vals).map(|(&r, &v)| (r as usize - j - 1, v)));
     }
 
-    /// Forward substitution through tail columns `start..upto`: each
-    /// nonzero `x_i` is one AXPY down the whole of `x[i+1..n]`. Returns
-    /// the multiply-subtracts made. The one-lane call of
-    /// [`DenseTail::sweep_panel`].
-    pub(crate) fn sweep_lower(&self, x: &mut [f64], upto: usize) -> u64 {
-        let (rows, _) = x[self.start..].as_chunks_mut::<1>();
-        self.sweep_panel(rows, 0..upto.saturating_sub(self.start), 0, axpy_one)
-    }
-
     /// Forward substitution of a panel of `P` right-hand sides at once
     /// through tail columns `start + ks`, ascending: lane `p` of `rows[r]`
     /// is the `p`-th solution's value at row `start + r`. Each column's
@@ -244,9 +254,9 @@ impl DenseTail {
     /// other lane keeps every bit it holds — its product is never written,
     /// so an infinite `T` beside a zero `x_i` leaves it alone, as the
     /// one-lane sweep's skip does. Every lane thus receives exactly the
-    /// operations, in exactly the order, that [`DenseTail::sweep_lower`]
-    /// would make on it. Returns the multiply-subtracts made, summed over
-    /// the lanes.
+    /// operations, in exactly the order, that the one-lane call
+    /// (`P = 1`, [`axpy_one`]) would make on it. Returns the
+    /// multiply-subtracts made, summed over the lanes.
     pub(crate) fn sweep_panel<const P: usize>(
         &self,
         rows: &mut [[f64; P]],
@@ -257,19 +267,52 @@ impl DenseTail {
         let mut flops = 0u64;
         for k in ks {
             let (upto, below) = rows.split_at_mut(k + 1);
-            let at = &mut upto[k];
-            let mut active = [false; P];
-            for (p, xi) in at.iter_mut().enumerate().skip(from_lane) {
-                active[p] = self.pivot(xi, k);
-            }
-            let lanes = active.iter().filter(|&&a| a).count();
-            if lanes > 0 {
-                let col = self.column(k);
-                axpy(below, col, at, &active);
-                flops += (lanes * col.len()) as u64;
-            }
+            flops += self.sweep_column(k, &mut upto[k], below, from_lane, axpy);
         }
         flops
+    }
+
+    /// Backward substitution of a panel through the whole tail, highest
+    /// column first, rows as [`DenseTail::sweep_panel`] lays them out: in
+    /// each lane whose `x_i` (divided by its diagonal) is nonzero, one
+    /// AXPY up `x[start..i]`, and every other lane left alone. The rows
+    /// above the tail are the caller's. A single solve's sweep is its
+    /// one-lane call.
+    fn sweep_upper_panel<const P: usize>(&self, rows: &mut [[f64; P]], axpy: impl Axpy<P>) -> u64 {
+        let mut flops = 0u64;
+        for k in (0..self.columns()).rev() {
+            let (above, from) = rows.split_at_mut(k);
+            flops += self.sweep_column(k, &mut from[0], above, 0, axpy);
+        }
+        flops
+    }
+
+    /// One tail column `k` of a sweep: each lane of `at` from `from_lane`
+    /// on is divided by the column's diagonal, and the lanes left nonzero
+    /// take the column's AXPY into `rest` — the rows below it (`Lower`) or
+    /// above it (`Upper`), which its mirrored values line up with. Returns
+    /// the multiply-subtracts made.
+    #[inline]
+    fn sweep_column<const P: usize>(
+        &self,
+        k: usize,
+        at: &mut [f64; P],
+        rest: &mut [[f64; P]],
+        from_lane: usize,
+        axpy: impl Axpy<P>,
+    ) -> u64 {
+        let mut active = [false; P];
+        for (p, xi) in at.iter_mut().enumerate().skip(from_lane) {
+            active[p] = self.pivot(xi, k);
+        }
+        let lanes = active.iter().filter(|&&a| a).count();
+        if lanes == 0 {
+            return 0;
+        }
+        let col = self.column(k);
+        note_factor_reads(col.len());
+        axpy(rest, col, at, &active);
+        (lanes * col.len()) as u64
     }
 
     /// Divides `x_i` of tail column `k` by its stored diagonal if there
@@ -280,24 +323,6 @@ impl DenseTail {
             *xi /= d;
         }
         *xi != 0.0
-    }
-
-    /// Backward substitution through the whole tail, highest column
-    /// first: each nonzero `x_i` is one AXPY up `x[start..i]`. The rows
-    /// above the tail are the caller's.
-    fn sweep_upper(&self, x: &mut [f64]) -> u64 {
-        let mut flops = 0u64;
-        for k in (0..self.columns()).rev() {
-            let i = self.start + k;
-            if self.pivot(&mut x[i], k) {
-                let (xi, col) = (x[i], self.column(k));
-                for (xr, &t) in x[self.start..].iter_mut().zip(col) {
-                    *xr -= t * xi;
-                }
-                flops += col.len() as u64;
-            }
-        }
-        flops
     }
 }
 
@@ -316,7 +341,7 @@ impl<const P: usize, F> Axpy<P> for F where
 }
 
 /// The host's panel body, chosen at run time ([`wide_axpy`]).
-type PanelAxpy = fn(&mut [[f64; PANEL]], &[f64], &[f64; PANEL], &[bool; PANEL]);
+pub(crate) type PanelAxpy = fn(&mut [[f64; PANEL]], &[f64], &[f64; PANEL], &[bool; PANEL]);
 
 /// The one-lane body, a plain AXPY: every sweep of a single solve, and the
 /// LU's tail where the host has no [`wide_axpy`].
@@ -328,8 +353,8 @@ pub(crate) fn axpy_one(rows: &mut [[f64; 1]], col: &[f64], xi: &[f64; 1], _activ
 
 /// The body of a panel of [`PANEL`] lanes where the host has one that
 /// outruns one lane at a time: AVX-512F's, a row of the panel being one
-/// vector. Elsewhere `None`, and the LU sweeps its tail a column at a
-/// time through [`axpy_one`]: compiled for any other target, a panel's
+/// vector. Elsewhere `None`, and the LU and the inversions solve a column
+/// at a time, through [`axpy_one`]: compiled for any other target, a panel's
 /// plain-arithmetic AXPY vectorises across rows, not lanes, and measured
 /// slower than [`axpy_one`]. The body makes one multiply and one subtract
 /// per active lane, each rounded (no FMA), so it returns the bits of the
@@ -538,6 +563,27 @@ pub struct SolveWorkspace {
     /// Multiply-subtracts made by the solves run on this workspace, and
     /// how many of them ran inside a dense tail.
     pub(crate) tally: SolveTally,
+    /// The panel solves' scratch, allocated by the first of them and
+    /// reused by every later one.
+    panel: PanelScratch,
+}
+
+/// What a panel of [`PANEL`] solves needs beyond a single solve's state:
+/// the lanes' values, which lanes are live where, and each lane's
+/// solution.
+#[derive(Debug, Clone, Default)]
+struct PanelScratch {
+    /// `n` rows of [`PANEL`] values from `buf[at]` on, lane `p` of row `i`
+    /// being the `p`-th solution's value at position `i`; `at` aligns the
+    /// rows to 64 bytes, so that a row is one cache line.
+    buf: Vec<f64>,
+    at: usize,
+    /// The lanes live at each marked position — discovered there, or in
+    /// a dense tail. A lane that is not holds `0.0`.
+    live: Vec<u8>,
+    /// Each lane's sorted solution.
+    out_idx: [Vec<Index>; PANEL],
+    out_val: [Vec<f64>; PANEL],
 }
 
 /// What a run of column solves did, counted inside the kernel: the answer
@@ -627,7 +673,7 @@ impl PendingSet {
 
     /// Adds position `i`, not already pending; a right-hand side entry
     /// moves the cursor back to it.
-    #[inline]
+    #[inline(always)]
     fn insert(&mut self, i: usize) {
         let w = i / 64;
         debug_assert_eq!(self.words[w] >> (i % 64) & 1, 0, "position already pending");
@@ -639,7 +685,7 @@ impl PendingSet {
     }
 
     /// Removes and returns the first pending position in pop order.
-    #[inline]
+    #[inline(always)]
     fn pop(&mut self) -> Option<usize> {
         if self.len == 0 {
             return None;
@@ -694,6 +740,7 @@ impl SolveWorkspace {
             pattern: Vec::new(),
             pending: PendingSet::new(n),
             tally: SolveTally::default(),
+            panel: PanelScratch::default(),
         }
     }
 
@@ -702,34 +749,25 @@ impl SolveWorkspace {
         self.n
     }
 
+    /// The workspace's single-solve state, as the one-lane instance of
+    /// the engine.
+    fn one_lane(&mut self) -> Lanes<'_, 1> {
+        let (x, _) = self.x.as_chunks_mut::<1>();
+        Lanes { stamps: &mut self.stamps, pending: &mut self.pending, x, live: &mut [] }
+    }
+
     /// Readies a solve that pops in `triangle`'s order: nothing pending,
     /// and nothing live but the positions from `head` on — a dense
     /// tail's, which take updates from zero and are never pending.
     pub(crate) fn begin(&mut self, triangle: Triangle, head: usize) {
-        self.stamps.advance();
-        // Drained fully on success; an early error (singular pivot)
-        // leaves the rest of the set behind, and this clears it.
-        self.pending.restart(triangle);
-        self.x[head..].fill(0.0);
-        for i in head..self.n {
-            self.stamps.mark(i);
-        }
+        self.one_lane().begin(triangle, head);
     }
 
     /// Adds a right-hand side (indices need not be sorted; duplicates
     /// accumulate): a live position takes `+= v`, any other is discovered
     /// at `v`.
     pub(crate) fn seed(&mut self, b_idx: &[Index], b_val: &[f64]) {
-        for (&r, &v) in b_idx.iter().zip(b_val) {
-            debug_assert!((r as usize) < self.n, "rhs index out of bounds");
-            if self.stamps.is_marked(r as usize) {
-                self.x[r as usize] += v;
-            } else {
-                self.stamps.mark(r as usize);
-                self.x[r as usize] = v;
-                self.pending.insert(r as usize);
-            }
-        }
+        self.one_lane().seed(0, b_idx, b_val);
     }
 
     /// The next pending position in the order [`SolveWorkspace::begin`]
@@ -744,21 +782,14 @@ impl SolveWorkspace {
     /// position takes the update, any other is discovered at `−t·xj`.
     #[inline]
     pub(crate) fn scatter(&mut self, rows: &[Index], vals: &[f64], xj: f64) {
-        for (&i, &t) in rows.iter().zip(vals) {
-            if self.stamps.is_marked(i as usize) {
-                self.x[i as usize] -= t * xj;
-            } else {
-                self.stamps.mark(i as usize);
-                self.x[i as usize] = -t * xj;
-                self.pending.insert(i as usize);
-            }
-        }
+        self.one_lane().scatter(rows, vals, &[xj], 1);
     }
 
     /// Solves `T x = b` for the triangle `view` reads and appends the
     /// sorted sparse solution to `out_idx` / `out_val` (cleared first); the
-    /// one solve of the crate (module docs). `b_idx` / `b_val` is a sparse
-    /// right-hand side (indices need not be sorted; duplicates accumulate).
+    /// one-lane instance of the crate's one solve (module docs). `b_idx` /
+    /// `b_val` is a sparse right-hand side (indices need not be sorted;
+    /// duplicates accumulate).
     ///
     /// Under a drop tolerance `eps > 0` the solve truncates *during*
     /// substitution: once a solution entry `x_j` is final — when it pops —
@@ -791,6 +822,59 @@ impl SolveWorkspace {
     ) -> Result<f64> {
         debug_assert_eq!(b_idx.len(), b_val.len());
         debug_assert!(eps >= 0.0 && eps.is_finite(), "drop tolerance must be finite and >= 0");
+        self.check_dim(view)?;
+        debug_assert!(eps == 0.0 || view.tail.columns() == 0, "see TailRule::under");
+        let (out_idx, out_val) = (std::array::from_mut(out_idx), std::array::from_mut(out_val));
+        let mut lanes = self.one_lane();
+        let solve = lanes.solve(view, [(b_idx, b_val)], eps, [protect], out_idx, out_val, axpy_one);
+        let ([dropped], flops) = solve?;
+        self.tally.count(flops.0, flops.1);
+        Ok(dropped)
+    }
+
+    /// Solves `T x = e_j` exactly for the `lanes` (at most [`PANEL`])
+    /// columns `j` from `first` on as one panel, through `axpy`: one pass
+    /// through each factor column the panel reaches serves every lane
+    /// that it reaches. Lane `p`'s solution is then
+    /// [`SolveWorkspace::panel_column`]`(p)`. Each lane receives exactly
+    /// the operations, in exactly the order, of its own
+    /// [`SolveWorkspace::solve_view`] at `ε = 0` with its seed protected,
+    /// so it returns that solve's bytes, and the tally counts what the
+    /// lanes' own solves would.
+    pub(crate) fn solve_panel(
+        &mut self,
+        view: &FactorView,
+        first: Index,
+        lanes: usize,
+        axpy: impl Axpy<PANEL>,
+    ) -> Result<()> {
+        debug_assert!((1..=PANEL).contains(&lanes));
+        self.check_dim(view)?;
+        let n = self.n;
+        let PanelScratch { buf, at, live, out_idx, out_val } = &mut self.panel;
+        if buf.is_empty() {
+            buf.resize(n * PANEL + PANEL, 0.0);
+            *at = buf.as_ptr().align_offset(64).min(PANEL);
+            live.resize(n, 0);
+        }
+        let (x, _) = buf[*at..*at + n * PANEL].as_chunks_mut::<PANEL>();
+        let live = live.as_mut_slice();
+        let mut lanes_of = Lanes { stamps: &mut self.stamps, pending: &mut self.pending, x, live };
+        let seeds: [Index; PANEL] = std::array::from_fn(|p| first + p as Index);
+        let used = |p: usize| if p < lanes { p..p + 1 } else { p..p };
+        let rhs = std::array::from_fn(|p| (&seeds[used(p)], &[1.0][..used(p).len()]));
+        let protect = seeds.map(Some);
+        let (_, flops) = lanes_of.solve(view, rhs, 0.0, protect, out_idx, out_val, axpy)?;
+        self.tally.count(flops.0, flops.1);
+        Ok(())
+    }
+
+    /// Lane `p`'s sorted solution from the last [`SolveWorkspace::solve_panel`].
+    pub(crate) fn panel_column(&self, p: usize) -> (&[Index], &[f64]) {
+        (&self.panel.out_idx[p], &self.panel.out_val[p])
+    }
+
+    fn check_dim(&self, view: &FactorView) -> Result<()> {
         if view.dim() != self.n {
             return Err(SparseError::Malformed(format!(
                 "workspace dimension {} does not match matrix dimension {}",
@@ -798,74 +882,234 @@ impl SolveWorkspace {
                 view.dim()
             )));
         }
-        debug_assert!(eps == 0.0 || view.tail.columns() == 0, "see TailRule::under");
-        out_idx.clear();
-        out_val.clear();
+        Ok(())
+    }
+}
 
-        // An `Upper` tail is upstream of everything: a right-hand side
-        // that enters it is swept there first, and its columns' head rows
-        // discover the head positions; one that stays clear of it never
-        // touches it.
-        let (n, tail, triangle) = (self.n, &view.tail, view.triangle);
-        let lower = triangle == Triangle::Lower;
-        let head = if lower || b_idx.iter().any(|&r| r as usize >= tail.start()) {
-            tail.start()
+/// One solve of `P` right-hand sides at once, over a workspace's state:
+/// the positions stamped live and pending are the union of the lanes',
+/// and `x` holds each position's `P` values side by side.
+struct Lanes<'w, const P: usize> {
+    stamps: &'w mut EpochStamps,
+    pending: &'w mut PendingSet,
+    x: &'w mut [[f64; P]],
+    /// The lanes live at each marked position (bit `p` for lane `p`).
+    /// Empty when `P = 1`: a marked position's one lane is live.
+    live: &'w mut [u8],
+}
+
+impl<const P: usize> Lanes<'_, P> {
+    /// Every lane.
+    const ALL: u8 = u8::MAX >> (8 - P);
+
+    /// The lanes live at marked position `i`.
+    #[inline]
+    fn live(&self, i: usize) -> u8 {
+        if P == 1 {
+            1
         } else {
-            n
-        };
+            self.live[i]
+        }
+    }
+
+    /// [`SolveWorkspace::begin`], in every lane.
+    fn begin(&mut self, triangle: Triangle, head: usize) {
+        self.stamps.advance();
+        // Drained fully on success; an early error (singular pivot)
+        // leaves the rest of the set behind, and this clears it.
+        self.pending.restart(triangle);
+        self.x[head..].fill([0.0; P]);
+        for i in head..self.x.len() {
+            self.stamps.mark(i);
+        }
+        if P > 1 {
+            self.live[head..].fill(Self::ALL);
+        }
+    }
+
+    /// [`SolveWorkspace::seed`] in lane `lane`: a position live in it
+    /// takes `+= v`, any other is discovered in it at `v`.
+    fn seed(&mut self, lane: usize, b_idx: &[Index], b_val: &[f64]) {
+        let bit = 1u8 << lane;
+        for (&r, &v) in b_idx.iter().zip(b_val) {
+            let r = r as usize;
+            debug_assert!(r < self.x.len(), "rhs index out of bounds");
+            if !self.stamps.is_marked(r) {
+                self.stamps.mark(r);
+                self.x[r] = [0.0; P];
+                if P > 1 {
+                    self.live[r] = 0;
+                }
+                self.pending.insert(r);
+            } else if self.live(r) & bit != 0 {
+                self.x[r][lane] += v;
+                continue;
+            }
+            self.x[r][lane] = v;
+            if P > 1 {
+                self.live[r] |= bit;
+            }
+        }
+    }
+
+    /// `x -= T(:, j) · xj` over one column's `rows` and `vals`, in the
+    /// `active` lanes: [`scatter_lanes`].
+    #[inline]
+    fn scatter(&mut self, rows: &[Index], vals: &[f64], xj: &[f64; P], active: u8) {
+        let Lanes { stamps, pending, x, live } = self;
+        scatter_lanes(stamps, pending, x, live, rows, vals, xj, active);
+    }
+
+    /// The crate's one solve, of `T x = b_p` for the `P` right-hand sides
+    /// `rhs` at once (module docs; [`SolveWorkspace::solve_view`] says
+    /// what `eps` and `protect` do to each lane): lane `p`'s sorted
+    /// solution goes to `out_idx[p]` / `out_val[p]` (cleared first). The
+    /// positions pop once, in index order, for every lane: at each, every
+    /// lane is divided by the diagonal — a lane not live there holds `0.0`
+    /// — and the lanes left nonzero and untruncated go through one masked
+    /// scatter of the position's column. The dense tail is swept through
+    /// `axpy`, one pass for every lane. Each lane so receives exactly the
+    /// operations, in exactly the order, of its own one-lane solve.
+    /// Returns each lane's dropped ℓ₁ mass and the multiply-subtracts made
+    /// in the head and in the tail, summed over the lanes.
+    #[allow(clippy::too_many_arguments)] // the one-lane call's, per lane
+    fn solve(
+        &mut self,
+        view: &FactorView,
+        rhs: [(&[Index], &[f64]); P],
+        eps: f64,
+        protect: [Option<Index>; P],
+        out_idx: &mut [Vec<Index>; P],
+        out_val: &mut [Vec<f64>; P],
+        axpy: impl Axpy<P>,
+    ) -> Result<([f64; P], (u64, u64))> {
+        out_idx.iter_mut().for_each(Vec::clear);
+        out_val.iter_mut().for_each(Vec::clear);
+
+        // An `Upper` tail is upstream of everything: a panel whose
+        // right-hand sides enter it is swept there first, and its columns'
+        // head rows discover the head positions; one that stays clear of
+        // it never touches it. A lane that stays clear holds zeros there.
+        let (n, tail, triangle) = (self.x.len(), &view.tail, view.triangle);
+        let lower = triangle == Triangle::Lower;
+        let enters =
+            |(b_idx, _): &(&[Index], &[f64])| b_idx.iter().any(|&r| r as usize >= tail.start());
+        let head = if lower || rhs.iter().any(enters) { tail.start() } else { n };
         self.begin(triangle, head);
-        self.seed(b_idx, b_val);
+        for (p, &(b_idx, b_val)) in rhs.iter().enumerate() {
+            self.seed(p, b_idx, b_val);
+        }
         let (mut head_flops, mut tail_flops) = (0u64, 0u64);
         if !lower && head < n {
-            tail_flops += tail.sweep_upper(&mut self.x);
+            tail_flops += tail.sweep_upper_panel(&mut self.x[head..], axpy);
             for (i, &(start, end)) in (head..n).zip(&tail.head_rows).rev() {
                 let xi = self.x[i];
-                if xi != 0.0 {
-                    self.scatter(&view.rows[start..end], &view.vals[start..end], xi);
-                    head_flops += (end - start) as u64;
+                let active = (0..P).fold(0u8, |m, p| m | ((xi[p] != 0.0) as u8) << p);
+                if active != 0 {
+                    self.scatter(&view.rows[start..end], &view.vals[start..end], &xi, active);
+                    head_flops += (end - start) as u64 * u64::from(active.count_ones());
                 }
             }
         }
 
-        let mut dropped = 0.0f64;
-        while let Some(j) = self.pop() {
+        let mut dropped = [0.0f64; P];
+        while let Some(j) = self.pending.pop() {
             let (start, end, diag) = view.column(j as Index);
             let mut xj = self.x[j];
             if !view.unit_diag {
                 if diag == 0.0 {
                     return Err(SparseError::SingularPivot { column: j, value: 0.0 });
                 }
-                xj /= diag;
+                xj = xj.map(|v| v / diag);
             }
-            if xj == 0.0 {
-                continue; // exact cancellation: not stored, nothing propagates
+            let mut active = 0u8;
+            for p in 0..P {
+                let v = xj[p];
+                if v == 0.0 {
+                    continue; // exact cancellation: not stored, nothing propagates
+                }
+                if v.abs() < eps && protect[p] != Some(j as Index) {
+                    dropped[p] += v.abs();
+                    continue; // truncated: what only it reaches is never discovered
+                }
+                active |= 1 << p;
+                out_idx[p].push(j as Index);
+                out_val[p].push(v);
             }
-            if xj.abs() < eps && protect != Some(j as Index) {
-                dropped += xj.abs();
-                continue; // truncated: what only it reaches is never discovered
+            if active != 0 {
+                self.scatter(&view.rows[start..end], &view.vals[start..end], &xj, active);
+                head_flops += (end - start) as u64 * u64::from(active.count_ones());
             }
-            out_idx.push(j as Index);
-            out_val.push(xj);
-            self.scatter(&view.rows[start..end], &view.vals[start..end], xj);
-            head_flops += (end - start) as u64;
         }
         if lower {
-            tail_flops += tail.sweep_lower(&mut self.x, n);
+            tail_flops += tail.sweep_panel(&mut self.x[head..], 0..tail.columns(), 0, axpy);
         } else {
             // Upper pops descend; callers get ascending indices either way.
-            out_idx.reverse();
-            out_val.reverse();
+            out_idx.iter_mut().for_each(|idx| idx.reverse());
+            out_val.iter_mut().for_each(|val| val.reverse());
         }
-        self.tally.count(head_flops, tail_flops);
 
         // The tail's positions, after the head's; exact zeros dropped.
-        for (i, &v) in self.x.iter().enumerate().skip(head) {
-            if v != 0.0 {
-                out_idx.push(i as Index);
-                out_val.push(v);
+        for p in 0..P {
+            for (i, row) in self.x.iter().enumerate().skip(head) {
+                if row[p] != 0.0 {
+                    out_idx[p].push(i as Index);
+                    out_val[p].push(row[p]);
+                }
             }
         }
-        Ok(dropped)
+        Ok((dropped, (head_flops, tail_flops)))
+    }
+}
+
+/// `x -= T(:, j) · xj` over one column's `rows` and `vals`, in the
+/// `active` lanes of a [`Lanes`] solve's state: a lane live at a row takes
+/// `x − t·xj`, any other is discovered there at `−(t·xj)` — a position no
+/// lane held before is discovered, its other lanes at `0.0` — and a lane
+/// not active keeps every bit. At `P = 1` the one lane is active. Each
+/// piece of the state is its own `&mut` argument, so that the compiler
+/// may keep their addresses in registers across the loop's stores.
+#[allow(clippy::too_many_arguments)] // the state, taken apart
+#[inline(always)]
+fn scatter_lanes<const P: usize>(
+    stamps: &mut EpochStamps,
+    pending: &mut PendingSet,
+    x: &mut [[f64; P]],
+    live: &mut [u8],
+    rows: &[Index],
+    vals: &[f64],
+    xj: &[f64; P],
+    active: u8,
+) {
+    note_factor_reads(rows.len());
+    for (&i, &t) in rows.iter().zip(vals) {
+        let i = i as usize;
+        if stamps.is_marked(i) {
+            let was = if P == 1 { 1 } else { live[i] };
+            let row = &mut x[i];
+            for p in 0..P {
+                let product = t * xj[p];
+                if P == 1 || active >> p & 1 != 0 {
+                    row[p] = if was >> p & 1 != 0 { row[p] - product } else { -product };
+                }
+            }
+            if P > 1 {
+                live[i] = was | active;
+            }
+        } else {
+            stamps.mark(i);
+            x[i] = std::array::from_fn(|p| {
+                if P == 1 || active >> p & 1 != 0 {
+                    -(t * xj[p])
+                } else {
+                    0.0
+                }
+            });
+            if P > 1 {
+                live[i] = active;
+            }
+            pending.insert(i);
+        }
     }
 }
 
@@ -882,6 +1126,22 @@ thread_local! {
 #[cfg(test)]
 fn note_summary_word() {
     SUMMARY_WORDS.with(|c| c.set(c.get() + 1));
+}
+
+#[cfg(not(test))]
+fn note_factor_reads(_entries: usize) {}
+
+// Stored factor entries the solves on this thread read — a scatter's
+// column, a tail sweep's mirrored column — each time one is read: the
+// count that shows a panel reads a column once for all its lanes.
+#[cfg(test)]
+thread_local! {
+    static FACTOR_READS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn note_factor_reads(entries: usize) {
+    FACTOR_READS.with(|c| c.set(c.get() + entries));
 }
 
 #[cfg(test)]
@@ -1001,6 +1261,63 @@ pub(crate) mod tests {
     /// last call.
     pub(crate) fn take_summary_words() -> usize {
         SUMMARY_WORDS.with(|c| c.replace(0))
+    }
+
+    /// Stored factor entries the solves on this thread read since the
+    /// last call, each time one was read.
+    pub(crate) fn take_factor_reads() -> usize {
+        FACTOR_READS.with(|c| c.replace(0))
+    }
+
+    /// The plain panel body, one lane after another: every host has it,
+    /// so the panel drivers run under test where the host has no wide one.
+    pub(crate) fn per_lane_axpy(
+        rows: &mut [[f64; PANEL]],
+        col: &[f64],
+        xi: &[f64; PANEL],
+        on: &[bool; PANEL],
+    ) {
+        for (row, &t) in rows.iter_mut().zip(col) {
+            for p in (0..PANEL).filter(|&p| on[p]) {
+                row[p] -= t * xi[p];
+            }
+        }
+    }
+
+    /// The panel bodies this host runs: the per-lane one, and the wide one
+    /// where it has it.
+    pub(crate) fn panel_bodies() -> Vec<PanelAxpy> {
+        [Some(per_lane_axpy as PanelAxpy), wide_axpy()].into_iter().flatten().collect()
+    }
+
+    /// A unit-lower `L` and an upper `U` (diagonal 2) of `n` columns whose
+    /// solves cancel to exact zeros, all values dyadic: `L` stores `½` and
+    /// `¼` one and two rows below its diagonal (`¼ = ½²`), so the solve
+    /// of `e_a` holds `x_{a+2} = −¼ + ½·½ = 0` exactly — a live lane at
+    /// zero, beside the lanes of `a + 1` and `a + 2`, which are not — and
+    /// `U` mirrors it (`⅛ = ½²/2`, so `x_{a−2} = 0`). The last 24 columns
+    /// of each are full past the band, with small dyadic values, so that
+    /// both grow dense tails.
+    pub(crate) fn cancelling_factors(n: usize) -> [(CscMatrix, Triangle); 2] {
+        let (mut lower, mut upper) = (Vec::new(), Vec::new());
+        for a in 0..n as Index {
+            upper.push((a, a, 2.0));
+            for (gap, l, u) in [(1, 0.5, 0.5), (2, 0.25, 0.125)] {
+                if (a + gap) < n as Index {
+                    lower.push((a + gap, a, l));
+                    upper.push((a, a + gap, u));
+                }
+            }
+            for i in (a + 3..n as Index).filter(|_| a as usize + 24 >= n) {
+                let v = [0.5, -0.25, 0.125, -0.5][(i + a) as usize % 4];
+                lower.push((i, a, v));
+                upper.push((a, i, v / 4.0));
+            }
+        }
+        [
+            (CscMatrix::from_triplets(n, n, &lower).unwrap(), Triangle::Lower),
+            (CscMatrix::from_triplets(n, n, &upper).unwrap(), Triangle::Upper),
+        ]
     }
 
     /// The structural rule with its bounds moved — any width down to one
@@ -1600,16 +1917,8 @@ pub(crate) mod tests {
     #[test]
     fn the_wide_body_is_bit_identical_to_one_lane_sweeps() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        fn per_lane(rows: &mut [[f64; PANEL]], col: &[f64], xi: &[f64; PANEL], on: &[bool; PANEL]) {
-            for (row, &t) in rows.iter_mut().zip(col) {
-                for p in (0..PANEL).filter(|&p| on[p]) {
-                    row[p] -= t * xi[p];
-                }
-            }
-        }
         let mut rng = StdRng::seed_from_u64(8);
-        let bodies: Vec<PanelAxpy> =
-            [Some(per_lane as PanelAxpy), wide_axpy()].into_iter().flatten().collect();
+        let bodies = panel_bodies();
         let bits = |rows: &[[f64; PANEL]]| {
             rows.iter().flat_map(|r| r.map(f64::to_bits)).collect::<Vec<_>>()
         };
@@ -1642,6 +1951,114 @@ pub(crate) mod tests {
                 let flops = tail.sweep_panel(&mut got, ks.clone(), from_lane, body);
                 assert_eq!(bits(&got), bits(&expect), "trial {trial} body {b}");
                 assert_eq!(flops, expect_flops, "trial {trial} body {b}");
+            }
+        }
+    }
+
+    /// A panel solve gives each lane the bytes of its own one-lane solve,
+    /// and the panel the sum of their tallies, through every panel body
+    /// the host runs: `Lower` and `Upper` factors, real ones and ones that
+    /// cancel to exact zeros, with tails begun at several columns, and
+    /// panels that start anywhere — across an `Upper` tail's start among
+    /// them — or run past the last column.
+    #[test]
+    fn panel_solves_give_each_lane_its_one_lane_bytes() {
+        let mut cases: Vec<(String, CscMatrix, Triangle)> = Vec::new();
+        for (t, triangle) in cancelling_factors(61) {
+            cases.push((format!("cancelling {triangle:?}"), t, triangle));
+        }
+        for (name, w) in oracle_systems() {
+            let f = crate::sparse_lu(&w).unwrap();
+            cases.push((format!("{name} L"), f.l, Triangle::Lower));
+            cases.push((format!("{name} U"), f.u, Triangle::Upper));
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut straddled, mut cancelled) = (false, false);
+        for (name, t, triangle) in &cases {
+            let n = t.ncols();
+            let (mut ws, mut alone) = (SolveWorkspace::new(n), SolveWorkspace::new(n));
+            let (mut oi, mut ov) = (Vec::new(), Vec::new());
+            for rule in [TailRule::STRUCTURAL].into_iter().chain(eager_tail_rules()) {
+                let view = FactorView::indexed(t, *triangle, triangle.unit_diag(), rule).unwrap();
+                let start = view.tail.start();
+                let mut firsts = vec![0, 1, start.saturating_sub(3), start, n - 5, n - 1];
+                firsts.retain(|&first| first < n);
+                firsts.sort_unstable();
+                firsts.dedup();
+                for first in firsts {
+                    let lanes = PANEL.min(n - first);
+                    straddled |=
+                        *triangle == Triangle::Upper && first < start && start < first + lanes;
+                    let tag = format!("{name} tail {} from {first}", view.tail.columns());
+                    alone.tally = SolveTally::default();
+                    let mut expect = Vec::new();
+                    for j in (first..first + lanes).map(|j| j as Index) {
+                        alone
+                            .solve_view(&view, &[j], &[1.0], 0.0, Some(j), &mut oi, &mut ov)
+                            .unwrap();
+                        cancelled |= name.starts_with("cancelling") && oi.len() < n - j as usize;
+                        expect.push((oi.clone(), bits(&ov)));
+                    }
+                    for body in panel_bodies() {
+                        ws.tally = SolveTally::default();
+                        ws.solve_panel(&view, first as Index, lanes, body).unwrap();
+                        for (p, (want_idx, want_bits)) in expect.iter().enumerate() {
+                            let (idx, val) = ws.panel_column(p);
+                            assert_eq!(idx, &want_idx[..], "{tag} lane {p}: pattern");
+                            assert_eq!(&bits(val), want_bits, "{tag} lane {p}: values");
+                        }
+                        assert_eq!(ws.tally, alone.tally, "{tag}: tally");
+                    }
+                }
+            }
+        }
+        assert!(straddled, "no panel started across an Upper tail's start");
+        assert!(cancelled, "no lane cancelled to an exact zero");
+    }
+
+    /// The mechanism, not only the bytes: a panel of eight columns that
+    /// share one pattern reads each stored factor entry it reaches once,
+    /// where the columns' eight one-lane solves read each shared entry
+    /// eight times — in an `Upper` head, popped once for the union of the
+    /// lanes, and in a `Lower` tail, swept once for all of them.
+    #[test]
+    fn a_panel_reads_each_factor_entry_once_for_all_its_lanes() {
+        let value = |i: Index, j: Index| 1.0 / f64::from(i + j + 3);
+        // `U`, 16 columns, no tail: a full upper triangle on columns 0..8,
+        // and columns 8..16 each storing one entry, in row 7.
+        let mut upper: Vec<(Index, Index, f64)> = (0..16).map(|j| (j, j, 2.0)).collect();
+        upper.extend((0..8).flat_map(|j| (0..j).map(move |i| (i, j, value(i, j)))));
+        upper.extend((8..16).map(|j| (7, j, value(7, j))));
+        // `L`, 64 columns: columns 0..8 each store one entry, in row 8,
+        // and columns 8..64 are full below their diagonal — the tail.
+        let mut lower: Vec<(Index, Index, f64)> = (0..8).map(|j| (8, j, value(8, j))).collect();
+        lower.extend((8..64).flat_map(|j| (j + 1..64).map(move |i| (i, j, value(i, j)))));
+        let (upper, lower) = (
+            CscMatrix::from_triplets(16, 16, &upper).unwrap(),
+            CscMatrix::from_triplets(64, 64, &lower).unwrap(),
+        );
+        let cases = [
+            (upper, Triangle::Upper, 8, TailRule::NEVER),
+            (lower, Triangle::Lower, 0, eager_tail_rules()[0]),
+        ];
+        for (t, triangle, first, rule) in cases {
+            let n = t.ncols();
+            let view = FactorView::indexed(&t, triangle, triangle.unit_diag(), rule).unwrap();
+            let tail = if triangle == Triangle::Lower { 56 } else { 0 };
+            assert_eq!(view.tail.columns(), tail, "{triangle:?}");
+            let strict = t.nnz() - if triangle == Triangle::Upper { n } else { 0 };
+            let mut ws = SolveWorkspace::new(n);
+            let (mut oi, mut ov) = (Vec::new(), Vec::new());
+            take_factor_reads();
+            for j in first as Index..(first + PANEL) as Index {
+                ws.solve_view(&view, &[j], &[1.0], 0.0, Some(j), &mut oi, &mut ov).unwrap();
+            }
+            // Each lone solve reads its own column's entry and every
+            // shared one.
+            assert_eq!(take_factor_reads(), PANEL * (strict - PANEL) + PANEL, "{triangle:?} alone");
+            for body in panel_bodies() {
+                ws.solve_panel(&view, first as Index, PANEL, body).unwrap();
+                assert_eq!(take_factor_reads(), strict, "{triangle:?} as a panel");
             }
         }
     }

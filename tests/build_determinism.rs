@@ -204,7 +204,10 @@ fn hybrid_w(graph: &CsrGraph) -> CscMatrix {
 /// two and auto the exact inversions and the staged build, return the
 /// bytes of the sparse-only kernel — on factors
 /// that grow a tail and on factors too small to — and the build reports
-/// the LU's own tally whatever its thread count.
+/// the LU's own tally whatever its thread count. Where a factor grows a
+/// tail, the build's inversions report it and the work done in it: those
+/// are the jobs an AVX-512F host solves in panels of eight, so there the
+/// bytes compared are the panels'.
 #[test]
 fn dense_tail_is_byte_identical_to_the_sparse_kernel() {
     for (name, graph, grows_tail) in tail_graphs() {
@@ -237,6 +240,13 @@ fn dense_tail_is_byte_identical_to_the_sparse_kernel() {
                 .build_with_report(&graph)
                 .unwrap();
             assert_eq!(report.factorization_solves, tally, "{label}: the LU tally moved");
+            for (solves, tail, triangle) in
+                [(report.linv_solves, l_tail, "L⁻¹"), (report.uinv_solves, u_tail, "U⁻¹")]
+            {
+                assert_eq!(solves.tail_columns, tail, "{label} {triangle}");
+                let tail_work = solves.tail_multiply_subtracts > 0;
+                assert_eq!(tail_work, grows_tail, "{label} {triangle}: {solves:?}");
+            }
             let built_uinv = built.uinv_rows().to_csc();
             assert_csc_bytes_equal(&format!("{label} index L⁻¹"), &linv, built.linv_cols());
             assert_csc_bytes_equal(&format!("{label} index U⁻¹"), &uinv, &built_uinv);
